@@ -12,6 +12,9 @@ backend oracle tests):
 
 * Minimum image uses the exact ``dr -= rint(dr / L) * L`` sequence of
   ``Box.minimum_image`` (round-half-even ``rint``), per periodic dim.
+  The neighbor build alone uses a cheaper compare-and-shift, under
+  checked preconditions that make it select the same pairs with the
+  same ``r2`` (argument at ``cell_csr_f64`` below).
 * Squared distances replicate ``np.einsum("ij,ij->i")``'s pairwise
   summation order — ``(xx + zz) + yy`` for float64 and
   ``(xx + yy) + zz`` for float32 — so the surviving pair set and the
@@ -281,16 +284,34 @@ int64_t pair_geom_f32(const float *pos, const int64_t *pi, const int64_t *pj,
 }
 
 /* ------------------------------------------------------------------ */
-/* Link-cell half pair list.  Replicates cell_list_half_pairs in       */
-/* repro.md.neighbor exactly: clamped binning, stable counting sort    */
-/* (== argsort kind="stable"), triangular intra-cell pairs in sorted   */
-/* slot order, the 13-offset forward stencil with Python-modulo        */
-/* wrapping on periodic dims, and the same minimum-image/cutoff math   */
-/* as pair_geom_f64 — so the emitted pair *set* and orientations match */
-/* the numpy build and the caller's CSR lexsort yields identical       */
-/* neighbor lists.  Writes at most `cap` pairs but keeps counting;     */
-/* the caller grows its buffers and reruns when count > cap.           */
-/* Returns -1 on allocation failure.                                   */
+/* Link-cell half pair list, built row by row (CSR).  Candidates are   */
+/* those of cell_list_half_pairs in repro.md.neighbor — clamped        */
+/* binning, stable counting sort (== argsort kind="stable"), later     */
+/* members of the anchor's own cell in sorted slot order, the          */
+/* 13-offset forward stencil with Python-modulo wrapping on periodic   */
+/* dims, einsum's f64 r2 order — but the anchors are walked in atom    */
+/* index order and each anchor's partners land contiguously, so one    */
+/* insertion sort of that short row leaves the output in the exact     */
+/* order np.lexsort((j, i)) would give: no sort is left for the        */
+/* caller.  offsets[a]..offsets[a+1] is atom a's row; *within counts   */
+/* stored pairs with r2 < count_rc2 (the Table-2 neighbors/atom        */
+/* statistic), saving the caller a second geometry sweep.              */
+/*                                                                     */
+/* Minimum image is a compare-and-shift (dx -/+= L when |dx| > L/2)    */
+/* in place of pair_geom's dx -= rint(dx / L) * L.  For |dx| <= 1.5 L  */
+/* both subtract k*L with k in -1/0/+1 in one rounding, so they agree  */
+/* bitwise whenever they pick the same k; they can pick differently    */
+/* only for |dx| within rounding of L/2 or 3L/2, where both leave      */
+/* |dx| ~ L/2, and with L >= 3 rc such a pair has r2 >= 2.25 rc^2 and  */
+/* is rejected either way.  Both conditions are checked here, not      */
+/* assumed: every coordinate on a periodic dim must lie within L/4 of  */
+/* the box (wrapped positions do, to rounding) and every periodic dim  */
+/* must hold >= 3 cells, else the build returns -2 and the caller      */
+/* takes the numpy path.                                               */
+/*                                                                     */
+/* Writes at most `cap` pairs but keeps counting; the caller grows its */
+/* buffers and reruns when the returned count > cap.  Returns -1 on    */
+/* allocation failure.                                                 */
 /* ------------------------------------------------------------------ */
 
 static inline int64_t wrap_mod(int64_t x, int64_t n) {
@@ -298,49 +319,59 @@ static inline int64_t wrap_mod(int64_t x, int64_t n) {
     return r < 0 ? r + n : r;
 }
 
-int64_t cell_pairs_f64(const double *pos, int64_t n, const double *lengths,
-                       const double *origin, const uint8_t *periodic, double rc,
-                       int64_t *oi, int64_t *oj, int64_t cap) {
+int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
+                     const double *origin, const uint8_t *periodic, double rc,
+                     double count_rc2, int64_t *oi, int64_t *oj, int64_t cap,
+                     int64_t *offsets, int64_t *within_out) {
     int64_t n_cells[3];
     double cell_size[3];
     for (int d = 0; d < 3; d++) {
         int64_t nc = (int64_t)floor(lengths[d] / rc);
         n_cells[d] = nc < 1 ? 1 : nc;
         cell_size[d] = lengths[d] / (double)n_cells[d];
+        if (periodic[d] && n_cells[d] < 3) return -2;
     }
     int64_t sy = n_cells[2], sx = n_cells[1] * n_cells[2];
     int64_t total_cells = n_cells[0] * n_cells[1] * n_cells[2];
     int64_t *coords = malloc((size_t)n * 3 * sizeof(int64_t));
     int64_t *flat = malloc((size_t)n * sizeof(int64_t));
-    int64_t *counts = calloc((size_t)total_cells, sizeof(int64_t));
-    int64_t *starts = malloc(((size_t)total_cells + 1) * sizeof(int64_t));
+    int64_t *starts = calloc((size_t)total_cells + 1, sizeof(int64_t));
     int64_t *fill = malloc((size_t)total_cells * sizeof(int64_t));
     int64_t *order = malloc((size_t)n * sizeof(int64_t));
-    if (!coords || !flat || !counts || !starts || !fill || !order) {
-        free(coords); free(flat); free(counts);
-        free(starts); free(fill); free(order);
-        return -1;
-    }
+    int64_t *slot = malloc((size_t)n * sizeof(int64_t));
+    int64_t count = -1;
+    if (!coords || !flat || !starts || !fill || !order || !slot) goto done;
     for (int64_t a = 0; a < n; a++) {
         for (int d = 0; d < 3; d++) {
-            int64_t c = (int64_t)floor((pos[3*a+d] - origin[d]) / cell_size[d]);
+            double rel = pos[3*a+d] - origin[d];
+            if (periodic[d]
+                && !(rel >= -0.25 * lengths[d] && rel <= 1.25 * lengths[d])) {
+                count = -2;
+                goto done;
+            }
+            int64_t c = (int64_t)floor(rel / cell_size[d]);
             if (c > n_cells[d] - 1) c = n_cells[d] - 1;
             if (c < 0) c = 0;
             coords[3*a+d] = c;
         }
         flat[a] = coords[3*a] * sx + coords[3*a+1] * sy + coords[3*a+2];
-        counts[flat[a]]++;
+        starts[flat[a] + 1]++;
     }
-    starts[0] = 0;
-    for (int64_t c = 0; c < total_cells; c++) starts[c+1] = starts[c] + counts[c];
-    for (int64_t c = 0; c < total_cells; c++) fill[c] = starts[c];
-    for (int64_t a = 0; a < n; a++) order[fill[flat[a]]++] = a;  /* stable */
+    for (int64_t c = 0; c < total_cells; c++) {
+        starts[c+1] += starts[c];
+        fill[c] = starts[c];
+    }
+    for (int64_t a = 0; a < n; a++) {               /* stable */
+        slot[a] = fill[flat[a]]++;
+        order[slot[a]] = a;
+    }
 
     int px = periodic[0], py = periodic[1], pz = periodic[2];
-    int any_periodic = px || py || pz;
     double Lx = lengths[0], Ly = lengths[1], Lz = lengths[2];
+    double hx = 0.5 * Lx, hy = 0.5 * Ly, hz = 0.5 * Lz;
     double rc2 = rc * rc;
-    int64_t count = 0;
+    int64_t within = 0;
+    count = 0;
 
     /* The 13 forward offsets of _HALF_STENCIL, in its order. */
     static const int off[13][3] = {
@@ -349,35 +380,31 @@ int64_t cell_pairs_f64(const double *pos, int64_t n, const double *lengths,
         {1,1,-1}, {1,1,0}, {1,1,1},
     };
 
-#define EMIT(A, B)                                                         \
-    do {                                                                   \
-        double dx = pos[3*(A)] - pos[3*(B)];                               \
-        double dy = pos[3*(A)+1] - pos[3*(B)+1];                           \
-        double dz = pos[3*(A)+2] - pos[3*(B)+2];                           \
-        if (any_periodic) {                                                \
-            if (px) dx -= rint(dx / Lx) * Lx;                              \
-            if (py) dy -= rint(dy / Ly) * Ly;                              \
-            if (pz) dz -= rint(dz / Lz) * Lz;                              \
-        }                                                                  \
-        double r2 = (dx*dx + dz*dz) + dy*dy;                               \
+#define EMIT_RANGE(S, E)                                                   \
+    for (int64_t l = (S); l < (E); l++) {                                  \
+        int64_t b = order[l];                                              \
+        double dx = ax - pos[3*b];                                         \
+        double dy = ay - pos[3*b+1];                                       \
+        double dz = az - pos[3*b+2];                                       \
+        if (px) { if (dx > hx) dx -= Lx; else if (dx < -hx) dx += Lx; }    \
+        if (py) { if (dy > hy) dy -= Ly; else if (dy < -hy) dy += Ly; }    \
+        if (pz) { if (dz > hz) dz -= Lz; else if (dz < -hz) dz += Lz; }    \
+        double r2 = (dx*dx + dz*dz) + dy*dy;       /* einsum f64 order */  \
         if (r2 < rc2) {                                                    \
-            if (count < cap) { oi[count] = (A); oj[count] = (B); }         \
+            if (count < cap) { oi[count] = a; oj[count] = b; }             \
             count++;                                                       \
+            within += r2 < count_rc2;                                      \
         }                                                                  \
-    } while (0)
-
-    /* Intra-cell triangular pairs over the stable sorted order. */
-    for (int64_t c = 0; c < total_cells; c++) {
-        int64_t s = starts[c], e = starts[c+1];
-        for (int64_t k = s; k < e; k++) {
-            int64_t a = order[k];
-            for (int64_t l = k + 1; l < e; l++) EMIT(a, order[l]);
-        }
     }
-    /* Inter-cell pairs: each atom against the full population of its
-       13 forward neighbor cells. */
+
     for (int64_t a = 0; a < n; a++) {
+        int64_t row = count;
+        offsets[a] = row;
+        double ax = pos[3*a], ay = pos[3*a+1], az = pos[3*a+2];
         int64_t cx = coords[3*a], cy = coords[3*a+1], cz = coords[3*a+2];
+        /* Later members of the anchor's own cell (triangular half). */
+        EMIT_RANGE(slot[a] + 1, starts[flat[a] + 1])
+        /* Full population of the 13 forward neighbor cells. */
         for (int s = 0; s < 13; s++) {
             int64_t nx = cx + off[s][0];
             int64_t ny = cy + off[s][1];
@@ -389,14 +416,60 @@ int64_t cell_pairs_f64(const double *pos, int64_t n, const double *lengths,
             if (pz) nz = wrap_mod(nz, n_cells[2]);
             else if (nz < 0 || nz >= n_cells[2]) continue;
             int64_t c = nx * sx + ny * sy + nz;
-            int64_t s0 = starts[c], e0 = starts[c+1];
-            for (int64_t l = s0; l < e0; l++) EMIT(a, order[l]);
+            EMIT_RANGE(starts[c], starts[c+1])
+        }
+        /* Rows that overflowed `cap` are rebuilt by the caller's retry. */
+        if (count <= cap) {
+            for (int64_t k = row + 1; k < count; k++) {
+                int64_t b = oj[k], l = k;
+                while (l > row && oj[l-1] > b) { oj[l] = oj[l-1]; l--; }
+                oj[l] = b;
+            }
         }
     }
-#undef EMIT
-    free(coords); free(flat); free(counts);
-    free(starts); free(fill); free(order);
+#undef EMIT_RANGE
+    offsets[n] = count;
+    *within_out = within;
+done:
+    free(coords); free(flat); free(starts);
+    free(fill); free(order); free(slot);
     return count;
+}
+
+/* ------------------------------------------------------------------ */
+/* Largest squared displacement since the reference positions, for     */
+/* the neighbor list's per-step skin check.  Replicates, per atom,     */
+/* Box.wrap (rel - floor(rel / L) * L on periodic dims, + origin),     */
+/* the subtraction from the reference, Box.minimum_image and einsum's  */
+/* f64 r2 order, so the returned maximum is bitwise np.max of the      */
+/* numpy expression — including NaN, which np.max propagates.  The     */
+/* libm calls are skipped where they provably return 0 (an atom still  */
+/* inside the box, a displacement under L/4) and the update they feed  */
+/* is `x - 0.0`: the common case, and most of this kernel's time.      */
+/* ------------------------------------------------------------------ */
+
+double max_disp_sq_f64(const double *pos, const double *ref, int64_t n,
+                       const double *lengths, const double *origin,
+                       const uint8_t *periodic) {
+    double best = 0.0;
+    int saw_nan = 0;
+    for (int64_t a = 0; a < n; a++) {
+        double d[3];
+        for (int k = 0; k < 3; k++) {
+            double L = lengths[k];
+            double rel = pos[3*a+k] - origin[k];
+            if (periodic[k] && !(rel >= 0.0 && rel < L))
+                rel -= floor(rel / L) * L;
+            double dx = (rel + origin[k]) - ref[3*a+k];
+            if (periodic[k] && !(fabs(dx) < 0.25 * L))
+                dx -= rint(dx / L) * L;
+            d[k] = dx;
+        }
+        double r2 = (d[0]*d[0] + d[2]*d[2]) + d[1]*d[1];
+        if (r2 > best) best = r2;
+        saw_nan |= r2 != r2;
+    }
+    return saw_nan ? NAN : best;
 }
 """
 
@@ -540,13 +613,19 @@ class CcProvider:
             f64: bind("pair_geom_f64", c_i64, geom_args(f64, c_f64)),
             f32: bind("pair_geom_f32", c_i64, geom_args(f32, c_f32)),
         }
-        self._cell_pairs = bind(
-            "cell_pairs_f64",
+        self._cell_csr = bind(
+            "cell_csr_f64",
             c_i64,
             [
-                _ptr(f64), c_i64, _ptr(f64), _ptr(f64), _ptr(u8), c_f64,
-                _ptr(i64, True), _ptr(i64, True), c_i64,
+                _ptr(f64), c_i64, _ptr(f64), _ptr(f64), _ptr(u8), c_f64, c_f64,
+                _ptr(i64, True), _ptr(i64, True), c_i64, _ptr(i64, True),
+                ctypes.POINTER(c_i64),
             ],
+        )
+        self._max_disp_sq = bind(
+            "max_disp_sq_f64",
+            c_f64,
+            [_ptr(f64), _ptr(f64), c_i64, _ptr(f64), _ptr(f64), _ptr(u8)],
         )
 
     # -- uniform provider API (shared with the numba provider) ---------
@@ -578,11 +657,20 @@ class CcProvider:
         # operands, so the C side receives it pre-cast via c_float.
         return int(fn(pos, pi, pj, len(pi), lengths, periodic, rc2, oi, oj, odr, orr))
 
-    def cell_pairs(self, pos, lengths, origin, periodic, rc, oi, oj):
-        return int(
-            self._cell_pairs(
-                pos, len(pos), lengths, origin, periodic, rc, oi, oj, len(oi)
-            )
+    def cell_csr(
+        self, pos, lengths, origin, periodic, rc, count_rc2, oi, oj, offsets
+    ):
+        """``(count, within)``; see the C source for the status codes."""
+        within = ctypes.c_int64(0)
+        count = self._cell_csr(
+            pos, len(pos), lengths, origin, periodic, rc, count_rc2,
+            oi, oj, len(oi), offsets, ctypes.byref(within),
+        )
+        return int(count), int(within.value)
+
+    def max_disp_sq(self, pos, ref, lengths, origin, periodic) -> float:
+        return float(
+            self._max_disp_sq(pos, ref, len(pos), lengths, origin, periodic)
         )
 
 

@@ -11,7 +11,9 @@ its numpy fallback instead of failing mid-simulation.
 
 The numerical contract is identical to the C provider in
 ``_cc_impl`` (see its module docstring): exact ``Box.minimum_image``
-operation sequence, einsum's per-dtype r² summation order, and
+operation sequence (compare-and-shift in the neighbor build, under
+the same checked preconditions), einsum's per-dtype r² summation
+order, and
 input-order scatter accumulation with float32 terms widened to the
 float64 accumulator under the MIXED policy.  ``cache=True`` persists
 the compiled machine code next to this file so warm processes skip
@@ -160,7 +162,14 @@ def _pair_geom_f32(pos, pi, pj, lengths, periodic, rc2, oi, oj, odr, orr):
 
 
 @njit(cache=True)
-def _cell_pairs(pos, lengths, origin, periodic, rc, oi, oj):
+def _cell_csr(pos, lengths, origin, periodic, rc, count_rc2, oi, oj, offsets):
+    """Row-by-row link-cell half list; twin of ``cell_csr_f64``.
+
+    See the C source in ``_cc_impl`` for the contract (row order,
+    compare-and-shift minimum image and its checked preconditions,
+    overflow protocol).  Returns ``(count, within)``; ``count == -2``
+    when a precondition is not met.
+    """
     n = pos.shape[0]
     cap = oi.shape[0]
     n_cells = np.empty(3, np.int64)
@@ -169,38 +178,46 @@ def _cell_pairs(pos, lengths, origin, periodic, rc, oi, oj):
         nc = np.int64(np.floor(lengths[d] / rc))
         n_cells[d] = nc if nc > 1 else 1
         cell_size[d] = lengths[d] / n_cells[d]
+        if periodic[d] and n_cells[d] < 3:
+            return -2, 0
     sy = n_cells[2]
     sx = n_cells[1] * n_cells[2]
     total_cells = n_cells[0] * n_cells[1] * n_cells[2]
 
     coords = np.empty((n, 3), np.int64)
     flat = np.empty(n, np.int64)
-    counts = np.zeros(total_cells, np.int64)
+    starts = np.zeros(total_cells + 1, np.int64)
     for a in range(n):
         for d in range(3):
-            c = np.int64(np.floor((pos[a, d] - origin[d]) / cell_size[d]))
+            rel = pos[a, d] - origin[d]
+            if periodic[d] and not (
+                rel >= -0.25 * lengths[d] and rel <= 1.25 * lengths[d]
+            ):
+                return -2, 0
+            c = np.int64(np.floor(rel / cell_size[d]))
             if c > n_cells[d] - 1:
                 c = n_cells[d] - 1
             if c < 0:
                 c = np.int64(0)
             coords[a, d] = c
         flat[a] = coords[a, 0] * sx + coords[a, 1] * sy + coords[a, 2]
-        counts[flat[a]] += 1
-    starts = np.empty(total_cells + 1, np.int64)
-    starts[0] = 0
+        starts[flat[a] + 1] += 1
     for c in range(total_cells):
-        starts[c + 1] = starts[c] + counts[c]
+        starts[c + 1] += starts[c]
     fill = starts[:total_cells].copy()
     order = np.empty(n, np.int64)
+    slot = np.empty(n, np.int64)
     for a in range(n):  # stable counting sort == argsort kind="stable"
-        order[fill[flat[a]]] = a
+        slot[a] = fill[flat[a]]
+        order[slot[a]] = a
         fill[flat[a]] += 1
 
     px, py, pz = periodic[0], periodic[1], periodic[2]
-    any_periodic = bool(px) or bool(py) or bool(pz)
     Lx, Ly, Lz = lengths[0], lengths[1], lengths[2]
+    hx, hy, hz = 0.5 * Lx, 0.5 * Ly, 0.5 * Lz
     rc2 = rc * rc
     count = 0
+    within = 0
 
     # The 13 forward offsets of _HALF_STENCIL, in its order.
     off = np.array(
@@ -213,72 +230,98 @@ def _cell_pairs(pos, lengths, origin, periodic, rc, oi, oj):
         dtype=np.int64,
     )
 
-    # Intra-cell triangular pairs over the stable sorted order.
-    for c in range(total_cells):
-        s = starts[c]
-        e = starts[c + 1]
-        for k in range(s, e):
-            a = order[k]
-            for idx in range(k + 1, e):
-                b = order[idx]
-                dx = pos[a, 0] - pos[b, 0]
-                dy = pos[a, 1] - pos[b, 1]
-                dz = pos[a, 2] - pos[b, 2]
-                if any_periodic:
-                    if px:
-                        dx -= np.rint(dx / Lx) * Lx
-                    if py:
-                        dy -= np.rint(dy / Ly) * Ly
-                    if pz:
-                        dz -= np.rint(dz / Lz) * Lz
-                r2 = (dx * dx + dz * dz) + dy * dy
-                if r2 < rc2:
-                    if count < cap:
-                        oi[count] = a
-                        oj[count] = b
-                    count += 1
-
-    # Inter-cell pairs: each atom against its 13 forward neighbor cells.
     for a in range(n):
-        cx = coords[a, 0]
-        cy = coords[a, 1]
-        cz = coords[a, 2]
-        for s in range(13):
-            nx = cx + off[s, 0]
-            ny = cy + off[s, 1]
-            nz = cz + off[s, 2]
-            if px:
-                nx = ((nx % n_cells[0]) + n_cells[0]) % n_cells[0]
-            elif nx < 0 or nx >= n_cells[0]:
-                continue
-            if py:
-                ny = ((ny % n_cells[1]) + n_cells[1]) % n_cells[1]
-            elif ny < 0 or ny >= n_cells[1]:
-                continue
-            if pz:
-                nz = ((nz % n_cells[2]) + n_cells[2]) % n_cells[2]
-            elif nz < 0 or nz >= n_cells[2]:
-                continue
-            cell = nx * sx + ny * sy + nz
-            for idx in range(starts[cell], starts[cell + 1]):
+        row = count
+        offsets[a] = row
+        ax, ay, az = pos[a, 0], pos[a, 1], pos[a, 2]
+        # Candidate slot ranges: later members of the anchor's own cell
+        # (triangular half), then the 13 forward neighbor cells.
+        for s in range(-1, 13):
+            if s < 0:
+                lo = slot[a] + 1
+                hi = starts[flat[a] + 1]
+            else:
+                nx = coords[a, 0] + off[s, 0]
+                ny = coords[a, 1] + off[s, 1]
+                nz = coords[a, 2] + off[s, 2]
+                if px:
+                    nx = ((nx % n_cells[0]) + n_cells[0]) % n_cells[0]
+                elif nx < 0 or nx >= n_cells[0]:
+                    continue
+                if py:
+                    ny = ((ny % n_cells[1]) + n_cells[1]) % n_cells[1]
+                elif ny < 0 or ny >= n_cells[1]:
+                    continue
+                if pz:
+                    nz = ((nz % n_cells[2]) + n_cells[2]) % n_cells[2]
+                elif nz < 0 or nz >= n_cells[2]:
+                    continue
+                cell = nx * sx + ny * sy + nz
+                lo = starts[cell]
+                hi = starts[cell + 1]
+            for idx in range(lo, hi):
                 b = order[idx]
-                dx = pos[a, 0] - pos[b, 0]
-                dy = pos[a, 1] - pos[b, 1]
-                dz = pos[a, 2] - pos[b, 2]
-                if any_periodic:
-                    if px:
-                        dx -= np.rint(dx / Lx) * Lx
-                    if py:
-                        dy -= np.rint(dy / Ly) * Ly
-                    if pz:
-                        dz -= np.rint(dz / Lz) * Lz
-                r2 = (dx * dx + dz * dz) + dy * dy
+                dx = ax - pos[b, 0]
+                dy = ay - pos[b, 1]
+                dz = az - pos[b, 2]
+                if px:
+                    if dx > hx:
+                        dx -= Lx
+                    elif dx < -hx:
+                        dx += Lx
+                if py:
+                    if dy > hy:
+                        dy -= Ly
+                    elif dy < -hy:
+                        dy += Ly
+                if pz:
+                    if dz > hz:
+                        dz -= Lz
+                    elif dz < -hz:
+                        dz += Lz
+                r2 = (dx * dx + dz * dz) + dy * dy  # einsum f64 order
                 if r2 < rc2:
                     if count < cap:
                         oi[count] = a
                         oj[count] = b
                     count += 1
-    return count
+                    if r2 < count_rc2:
+                        within += 1
+        # Rows that overflowed ``cap`` are rebuilt by the caller's retry.
+        if count <= cap:
+            for k in range(row + 1, count):
+                b = oj[k]
+                idx = k
+                while idx > row and oj[idx - 1] > b:
+                    oj[idx] = oj[idx - 1]
+                    idx -= 1
+                oj[idx] = b
+    offsets[n] = count
+    return count, within
+
+
+@njit(cache=True)
+def _max_disp_sq(pos, ref, lengths, origin, periodic):
+    """Twin of ``max_disp_sq_f64``: bitwise the numpy skin-check max."""
+    best = 0.0
+    saw_nan = False
+    d = np.empty(3, np.float64)
+    for a in range(pos.shape[0]):
+        for k in range(3):
+            L = lengths[k]
+            rel = pos[a, k] - origin[k]
+            if periodic[k] and not (rel >= 0.0 and rel < L):
+                rel -= np.floor(rel / L) * L
+            dx = (rel + origin[k]) - ref[a, k]
+            if periodic[k] and not (abs(dx) < 0.25 * L):
+                dx -= np.rint(dx / L) * L
+            d[k] = dx
+        r2 = (d[0] * d[0] + d[2] * d[2]) + d[1] * d[1]
+        if r2 > best:
+            best = r2
+        if r2 != r2:
+            saw_nan = True
+    return np.nan if saw_nan else best
 
 
 class NumbaProvider:
@@ -321,8 +364,16 @@ class NumbaProvider:
         # rc2 arrives pre-cast to the position dtype (NEP 50 semantics).
         return int(fn(pos, pi, pj, lengths, periodic, rc2, oi, oj, odr, orr))
 
-    def cell_pairs(self, pos, lengths, origin, periodic, rc, oi, oj):
-        return int(_cell_pairs(pos, lengths, origin, periodic, rc, oi, oj))
+    def cell_csr(
+        self, pos, lengths, origin, periodic, rc, count_rc2, oi, oj, offsets
+    ):
+        count, within = _cell_csr(
+            pos, lengths, origin, periodic, rc, count_rc2, oi, oj, offsets
+        )
+        return int(count), int(within)
+
+    def max_disp_sq(self, pos, ref, lengths, origin, periodic) -> float:
+        return float(_max_disp_sq(pos, ref, lengths, origin, periodic))
 
 
 def make_provider() -> NumbaProvider:

@@ -21,7 +21,7 @@ together to 1e-12 on forces, energy and virial for every pair style.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.md.atoms import AtomSystem
     from repro.md.neighbor import NeighborList
 
-__all__ = ["KernelBackend"]
+__all__ = ["KernelBackend", "SortedHalfPairs"]
+
+
+class SortedHalfPairs(NamedTuple):
+    """What :meth:`KernelBackend.neighbor_pairs` hands the neighbor list."""
+
+    #: Half pairs in row-major order: ``i`` non-decreasing, ``j``
+    #: ascending within each ``i``.
+    i: np.ndarray
+    j: np.ndarray
+    #: CSR row offsets (length ``n_atoms + 1``): atom ``a`` heads
+    #: ``j[offsets[a]:offsets[a + 1]]``.
+    offsets: np.ndarray
+    #: Pairs within the caller's ``count_cutoff`` (``None`` if not asked).
+    within: int | None
 
 
 class KernelBackend(abc.ABC):
@@ -110,19 +124,26 @@ class KernelBackend(abc.ABC):
         self.accumulate_pair_forces(forces, i, j, f_over_r[:, None] * dr)
 
     def neighbor_pairs(
-        self, positions: np.ndarray, box, rc: float
-    ) -> tuple[np.ndarray, np.ndarray] | None:
+        self,
+        positions: np.ndarray,
+        box,
+        rc: float,
+        count_cutoff: float | None = None,
+    ) -> "SortedHalfPairs | None":
         """Optional native half-pair build for the Neigh task.
 
         A backend that can bin-and-filter faster than the numpy
-        cell-list build returns the ``(i, j)`` half pairs here; the
-        result must reproduce :func:`repro.md.neighbor.
-        cell_list_half_pairs` exactly — same pair set *and* the same
-        orientations, since downstream CSR packing canonicalizes order
-        but not which atom is ``i``.  Returning ``None`` (the default)
-        keeps the caller on the numpy path, which is also the escape
-        hatch for inputs a backend does not cover (e.g. float32
-        positions under the SINGLE policy).
+        cell-list build returns the half pairs here, **already in
+        row-major order** — exactly ``np.lexsort((j, i))`` applied to
+        :func:`repro.md.neighbor.cell_list_half_pairs` (same pair set,
+        same orientations, same order) — together with the CSR row
+        offsets and, when ``count_cutoff`` is given, the number of
+        those pairs with ``r2 < count_cutoff**2`` (the neighbor list's
+        Table-2 statistic), so the caller neither sorts nor sweeps the
+        geometry again.  Returning ``None`` (the default) keeps the
+        caller on the numpy path, which is also the escape hatch for
+        inputs a backend does not cover (e.g. float32 positions under
+        the SINGLE policy).
         """
         return None
 
@@ -137,11 +158,26 @@ class KernelBackend(abc.ABC):
         """Optional native count of stored pairs within ``rc``.
 
         Used by the neighbor list's per-build statistics (the Table-2
-        neighbors-per-atom figure), which otherwise re-derives the full
-        minimum-image geometry in numpy just to count.  The count must
-        be identical to ``r2 < rc*rc`` over the numpy geometry (the
-        compiled provider reuses its bitwise ``pair_geom`` kernel).
-        ``None`` (the default) keeps the caller on the numpy path.
+        neighbors-per-atom figure) on builds whose producer did not
+        count — brute-force lists, exclusion-filtered lists — which
+        otherwise re-derive the full minimum-image geometry in numpy
+        just to count.  The count must be identical to ``r2 < rc*rc``
+        over the numpy geometry (the compiled provider reuses its
+        bitwise ``pair_geom`` kernel).  ``None`` (the default) keeps
+        the caller on the numpy path.
+        """
+        return None
+
+    def max_displacement_sq(
+        self, positions: np.ndarray, reference: np.ndarray, box
+    ) -> float | None:
+        """Optional native maximum of the neighbor list's skin check.
+
+        Must equal ``np.max`` of the squared minimum-image displacement
+        ``box.wrap(positions) - reference`` bitwise (NaN included), so
+        the rebuild decision — and with it every downstream digest —
+        does not depend on who computed it.  ``None`` (the default)
+        keeps the caller on the numpy expression.
         """
         return None
 

@@ -36,6 +36,7 @@ import os
 
 import numpy as np
 
+from repro.md.kernels.base import SortedHalfPairs
 from repro.md.kernels.numpy_fast import NumpyFastBackend
 from repro.md.precision import PrecisionPolicy
 
@@ -214,30 +215,56 @@ def _smoke_test(provider) -> None:
     ):
         raise AssertionError("pair_geom f64 deviates from minimum-image oracle")
 
-    # Cell-list build: identical pair set *and* orientations vs numpy.
+    # CSR build: the rows must arrive exactly as lexsort((j, i)) orders
+    # the numpy build's pairs — the neighbor list no longer sorts them —
+    # with matching offsets and within-cutoff count, and a too-small
+    # buffer must report the true count without writing past it.
     box = Box([9.0, 9.5, 10.0])
     pos = np.ascontiguousarray(rng.uniform(0, 1, (120, 3)) * box.lengths)
     ref_i, ref_j = cell_list_half_pairs(pos, box, 2.2)
-    cap = max(4 * len(ref_i), 64)
-    oi = np.empty(cap, np.int64)
-    oj = np.empty(cap, np.int64)
-    count = provider.cell_pairs(
-        pos,
-        box.lengths,
+    ref_order = np.lexsort((ref_j, ref_i))
+    ref_i, ref_j = ref_i[ref_order], ref_j[ref_order]
+    d = box.minimum_image(pos[ref_i] - pos[ref_j])
+    ref_within = int(np.count_nonzero(np.einsum("ij,ij->i", d, d) < 1.9 * 1.9))
+    box_args = _box_f64(box)
+    for cap in (len(ref_i) // 2, len(ref_i) + 7):
+        oi = np.full(cap + 1, -1, np.int64)
+        oj = np.full(cap + 1, -1, np.int64)
+        offsets = np.empty(len(pos) + 1, np.int64)
+        count, within = provider.cell_csr(
+            pos, *box_args, 2.2, 1.9 * 1.9, oi[:cap], oj[:cap], offsets
+        )
+        if count != len(ref_i) or oi[cap] != -1 or oj[cap] != -1:
+            raise AssertionError("cell_csr miscounts or overruns its buffers")
+    if not (
+        np.array_equal(oi[:count], ref_i)
+        and np.array_equal(oj[:count], ref_j)
+        and np.array_equal(
+            offsets, np.searchsorted(ref_i, np.arange(len(pos) + 1))
+        )
+        and within == ref_within
+    ):
+        raise AssertionError(
+            "cell_csr deviates from lexsorted cell_list_half_pairs"
+        )
+
+    # Skin check: bitwise the numpy wrap/minimum-image/einsum maximum.
+    moved = pos + rng.normal(scale=0.4, size=pos.shape)
+    disp = box.minimum_image(box.wrap(moved) - pos)
+    if provider.max_disp_sq(moved, pos, *box_args) != float(
+        np.max(np.einsum("ij,ij->i", disp, disp))
+    ):
+        raise AssertionError("max_disp_sq deviates from the numpy skin check")
+
+
+def _box_f64(box):
+    """``(lengths, origin, periodic)`` as the arrays the native
+    neighbor kernels take."""
+    return (
+        np.ascontiguousarray(box.lengths, dtype=np.float64),
         np.ascontiguousarray(box.origin, dtype=np.float64),
         np.ascontiguousarray(box.periodic, dtype=np.uint8),
-        2.2,
-        oi,
-        oj,
     )
-    got_order = np.lexsort((oj[:count], oi[:count]))
-    ref_order = np.lexsort((ref_j, ref_i))
-    if not (
-        count == len(ref_i)
-        and np.array_equal(oi[:count][got_order], ref_i[ref_order])
-        and np.array_equal(oj[:count][got_order], ref_j[ref_order])
-    ):
-        raise AssertionError("cell_pairs deviates from cell_list_half_pairs")
 
 
 def _mixed_ref(n, i, j, dr, f_over_r):
@@ -299,9 +326,7 @@ class CompiledBackend(NumpyFastBackend):
         self._pg_j = np.empty(0, np.int64)
         self._pg_dr = np.empty((0, 3))
         self._pg_r = np.empty(0)
-        # Neighbor-build output scratch + size hint from the last build.
-        self._nb_i = np.empty(0, np.int64)
-        self._nb_j = np.empty(0, np.int64)
+        # Neighbor-build output capacity hint from the last build.
         self._nb_hint = 0
 
     def set_policy(self, policy: PrecisionPolicy) -> None:
@@ -446,24 +471,27 @@ class CompiledBackend(NumpyFastBackend):
     # ------------------------------------------------------------------
     # Neighbor-list build
     # ------------------------------------------------------------------
-    def neighbor_pairs(self, positions, box, rc):
-        """Compiled link-cell half-pair build (float64 positions only).
+    def neighbor_pairs(self, positions, box, rc, count_cutoff=None):
+        """Compiled link-cell CSR build (float64 positions only).
 
-        Returns ``(i, j)`` bitwise-identical (as a set with matching
-        orientations) to :func:`repro.md.neighbor.cell_list_half_pairs`,
-        or ``None`` to let the caller run the numpy path.
+        Returns the half pairs of :func:`repro.md.neighbor.
+        cell_list_half_pairs` already in ``np.lexsort((j, i))`` order,
+        with row offsets and the within-``count_cutoff`` count, or
+        ``None`` to let the caller run the numpy path.
         """
         positions = np.asarray(positions)
         if positions.dtype != np.float64 or positions.ndim != 2:
             return None
         positions = np.ascontiguousarray(positions)
         n = len(positions)
+        offsets = np.zeros(n + 1, dtype=np.int64)
         if n == 0:
             empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        lengths = np.ascontiguousarray(box.lengths, dtype=np.float64)
-        origin = np.ascontiguousarray(box.origin, dtype=np.float64)
-        periodic = np.ascontiguousarray(box.periodic, dtype=np.uint8)
+            return SortedHalfPairs(empty, empty, offsets, 0)
+        lengths, origin, periodic = _box_f64(box)
+        count_rc2 = (
+            0.0 if count_cutoff is None else float(count_cutoff * count_cutoff)
+        )
         volume = float(np.prod(lengths))
         # Half-pair estimate (4pi/6 * rc^3 * n^2 / V), padded; the build
         # reports the true count so one retry always suffices.
@@ -472,20 +500,26 @@ class CompiledBackend(NumpyFastBackend):
             estimate += int(2.6 * float(rc) ** 3 * n * n / volume)
         capacity = max(self._nb_hint, estimate, 1024)
         while True:
-            if capacity > len(self._nb_i):
-                self._nb_i = np.empty(capacity, np.int64)
-                self._nb_j = np.empty(capacity, np.int64)
-            count = self._impl.cell_pairs(
+            # Fresh outputs every build: the list keeps views of them,
+            # so nothing is copied out of a scratch buffer afterwards.
+            out_i = np.empty(capacity, np.int64)
+            out_j = np.empty(capacity, np.int64)
+            count, within = self._impl.cell_csr(
                 positions, lengths, origin, periodic, float(rc),
-                self._nb_i, self._nb_j,
+                count_rc2, out_i, out_j, offsets,
             )
-            if count < 0:  # allocation failure inside the native build
+            if count < 0:  # allocation failure or unmet precondition
                 return None
-            if count <= len(self._nb_i):
+            if count <= capacity:
                 break
             capacity = count
         self._nb_hint = count + (count >> 2)
-        return self._nb_i[:count].copy(), self._nb_j[:count].copy()
+        return SortedHalfPairs(
+            out_i[:count],
+            out_j[:count],
+            offsets,
+            None if count_cutoff is None else within,
+        )
 
     def count_pairs_within(self, positions, box, pair_i, pair_j, rc):
         """Count stored pairs within ``rc`` via the bitwise pair-geom
@@ -514,6 +548,22 @@ class CompiledBackend(NumpyFastBackend):
             orr,
         )
         return int(count)
+
+    def max_displacement_sq(self, positions, reference, box):
+        """Native skin check (float64, C-contiguous ``(n, 3)`` only)."""
+        if not (
+            isinstance(positions, np.ndarray)
+            and positions.dtype == np.float64
+            and positions.flags.c_contiguous
+            and reference.dtype == np.float64
+            and reference.flags.c_contiguous
+            and positions.shape == reference.shape
+            and positions.ndim == 2
+            and positions.shape[1] == 3
+            and len(positions) > 0
+        ):
+            return None
+        return self._impl.max_disp_sq(positions, reference, *_box_f64(box))
 
     @classmethod
     def diagnostic(cls) -> str:

@@ -46,15 +46,19 @@ class TracingBackend(KernelBackend):
         with self.tracer.span("kernel.scatter_add", "kernel"):
             self.inner.scatter_add_sorted(out, index, values)
 
-    def neighbor_pairs(self, positions, box, rc):
+    def neighbor_pairs(self, positions, box, rc, count_cutoff=None):
         # No span: the neighbor module already wraps the whole build in
         # its "neigh.cell_pairs" span; the delegation just keeps a
         # traced compiled backend on its native build path.
-        return self.inner.neighbor_pairs(positions, box, rc)
+        return self.inner.neighbor_pairs(positions, box, rc, count_cutoff)
 
     def count_pairs_within(self, positions, box, pair_i, pair_j, rc):
         # Same reasoning as neighbor_pairs: covered by the build span.
         return self.inner.count_pairs_within(positions, box, pair_i, pair_j, rc)
+
+    def max_displacement_sq(self, positions, reference, box):
+        # No span: one call per step inside the step's "neigh" phase.
+        return self.inner.max_displacement_sq(positions, reference, box)
 
     def accumulate_pair_forces(self, forces, i, j, fvec):
         with self.tracer.span("kernel.accumulate", "kernel"):

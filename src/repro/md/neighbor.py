@@ -247,7 +247,8 @@ def subdomain_directed_pairs(
     ``neighbor_pairs`` hook replaces the numpy cell-list search on the
     above-crossover path; backends contract to reproduce the numpy
     pairs exactly, so the directed rows (and hence parallel summation
-    order) are unchanged.
+    order) are unchanged.  (The hook's rows come sorted by local index;
+    the global-id sort below is still needed.)
     """
     positions = np.asarray(positions)
     if positions.dtype != np.float32:
@@ -265,13 +266,14 @@ def subdomain_directed_pairs(
     if n <= limit:
         i, j = brute_force_pairs(positions, box, rc)
     else:
-        pairs = (
+        rows = (
             kernels.neighbor_pairs(positions, box, rc)
             if kernels is not None
             else None
         )
-        i, j = pairs if pairs is not None else cell_list_half_pairs(
-            positions, box, rc
+        i, j = (
+            (rows.i, rows.j) if rows is not None
+            else cell_list_half_pairs(positions, box, rc)
         )
     if anchor_limit is None:
         di = np.concatenate([i, j])
@@ -381,11 +383,11 @@ class NeighborList:
         #: owning Simulation assigns its tracer).
         self.tracer = NULL_TRACER
         #: Optional kernel backend consulted for the cell-list build
-        #: (the owning Simulation assigns its backend; the ``compiled``
-        #: backend replaces the numpy bin/filter loop with native code
-        #: that reproduces the same pairs exactly).  ``None`` — and any
-        #: backend whose ``neighbor_pairs`` returns ``None`` — keeps
-        #: the numpy path.
+        #: and the per-step skin check (the owning Simulation assigns
+        #: its backend; the ``compiled`` backend replaces the numpy
+        #: bin/filter/sort with one native pass that delivers the same
+        #: rows exactly).  ``None`` — and any backend whose hooks
+        #: return ``None`` — keeps the numpy path.
         self.kernels = None
         self._positions_at_build: np.ndarray | None = None
         self._box_lengths_at_build: np.ndarray | None = None
@@ -428,12 +430,27 @@ class NeighborList:
                 "or shrink the cutoff"
             )
 
+        # Producers that emit row-major (i, then j) pairs spare the
+        # build its sort: np.triu_indices walks i < j in exactly that
+        # order, and a native build contracts to (and also hands over
+        # its row offsets and within-cutoff count).
+        offsets = within = None
+        presorted = True
         if n <= self.brute_force_max or not self._can_bin(box, rc):
             with self.tracer.span("neigh.brute_pairs", "neigh"):
                 i, j = brute_force_pairs(positions, box, rc)
         else:
             with self.tracer.span("neigh.cell_pairs", "neigh"):
-                i, j = self._cell_list_pairs(positions, box, rc)
+                rows = (
+                    self.kernels.neighbor_pairs(positions, box, rc, self.cutoff)
+                    if self.kernels is not None
+                    else None
+                )
+                if rows is not None:
+                    i, j, offsets, within = rows
+                else:
+                    i, j = cell_list_half_pairs(positions, box, rc)
+                    presorted = False
 
         if self._exclusions is not None:
             if self._excluded_keys is None or len(self._excluded_keys) == 0:
@@ -443,36 +460,42 @@ class NeighborList:
                 )
             keys = _encode_pairs(i, j, n)
             keep = ~_isin_sorted(keys, self._excluded_keys)
+            # Order-preserving, but the producer's offsets and count
+            # describe the unfiltered rows.
             i, j = i[keep], j[keep]
+            offsets = within = None
 
         if self.full:
             pair_i = np.concatenate([i, j])
             pair_j = np.concatenate([j, i])
+            presorted = False
+            offsets = None
         else:
             pair_i, pair_j = i, j
 
         # CSR packing: row-major (i, then j) order, offsets per atom.
-        order = np.lexsort((pair_j, pair_i))
-        self.pair_i = pair_i[order]
-        self.pair_j = pair_j[order]
-        self.csr_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(self.pair_i, minlength=n), out=self.csr_offsets[1:]
-        )
+        if not presorted:
+            order = np.lexsort((pair_j, pair_i))
+            pair_i, pair_j = pair_i[order], pair_j[order]
+        if offsets is None:
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(pair_i, minlength=n), out=offsets[1:])
+        self.pair_i = pair_i
+        self.pair_j = pair_j
+        self.csr_offsets = offsets
         self.csr_neighbors = self.pair_j
 
-        self._positions_at_build = positions.copy()
+        self._positions_at_build = positions  # wrap() made this array
         self._box_lengths_at_build = box.lengths.copy()
         self.stats.n_builds += 1
         self.stats.steps_since_build = 0
         self.stats.last_pairs = len(self.pair_i)
         # Neighbors/atom counted within the *cutoff* (Table 2 convention),
         # not within cutoff + skin.
-        within = (
-            self.kernels.count_pairs_within(positions, box, i, j, self.cutoff)
-            if self.kernels is not None
-            else None
-        )
+        if within is None and self.kernels is not None:
+            within = self.kernels.count_pairs_within(
+                positions, box, i, j, self.cutoff
+            )
         if within is None:
             dr = box.minimum_image(positions[i] - positions[j])
             r2 = np.einsum("ij,ij->i", dr, dr)
@@ -484,23 +507,6 @@ class NeighborList:
         """Cell binning needs at least three cells along each periodic dim."""
         n_cells = np.floor(box.lengths / rc).astype(int)
         return bool(np.all(np.where(box.periodic, n_cells >= 3, n_cells >= 1)))
-
-    def _cell_list_pairs(
-        self, positions: np.ndarray, box: Box, rc: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Binned half pairs; see :func:`cell_list_half_pairs`.
-
-        When a kernel backend is attached, its ``neighbor_pairs`` hook
-        gets first refusal — the compiled backend runs the bin/filter
-        loop natively and contracts to emit the identical pair set and
-        orientations, so the CSR packing downstream is byte-for-byte
-        the same either way.
-        """
-        if self.kernels is not None:
-            pairs = self.kernels.neighbor_pairs(positions, box, rc)
-            if pairs is not None:
-                return pairs
-        return cell_list_half_pairs(positions, box, rc)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -514,10 +520,18 @@ class NeighborList:
             return True
         if not np.allclose(self._box_lengths_at_build, system.box.lengths):
             return True
-        disp = system.box.minimum_image(
-            system.box.wrap(system.positions) - self._positions_at_build
+        max_sq = (
+            self.kernels.max_displacement_sq(
+                system.positions, self._positions_at_build, system.box
+            )
+            if self.kernels is not None
+            else None
         )
-        max_sq = float(np.max(np.einsum("ij,ij->i", disp, disp)))
+        if max_sq is None:
+            disp = system.box.minimum_image(
+                system.box.wrap(system.positions) - self._positions_at_build
+            )
+            max_sq = float(np.max(np.einsum("ij,ij->i", disp, disp)))
         return max_sq > (0.5 * self.skin) ** 2
 
     def ensure(self, system: AtomSystem) -> bool:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import abc
 import time
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,6 +36,7 @@ from repro.md.bonded import BondedForce
 from repro.md.config import RunConfig
 from repro.md.constraints import ShakeConstraints
 from repro.md.fixes import Fix
+from repro.md.heap import keep_freed_heap
 from repro.md.integrators import Integrator, NoseHooverNPT, VelocityVerletNVE
 from repro.md.kernels import KernelBackend, get_backend
 from repro.md.kspace.base import KSpaceSolver
@@ -84,12 +86,28 @@ class ForceExecutor(abc.ABC):
     :class:`repro.parallel.engine.ParallelForceExecutor` unchanged.
     """
 
-    simulation: "Simulation"
+    _simulation_ref: "weakref.ref[Simulation] | None" = None
 
     def bind(self, simulation: "Simulation") -> None:
         """Attach to the owning simulation (called once, at the end of
-        ``Simulation.__init__``, after potentials/neighbor exist)."""
-        self.simulation = simulation
+        ``Simulation.__init__``, after potentials/neighbor exist).
+
+        The back-reference is weak: the simulation owns its executor,
+        and a strong reference the other way would be a cycle that
+        keeps a finished simulation (neighbor list and kernel scratch,
+        hundreds of MiB at 32k atoms) alive until the cyclic collector
+        happens to run.
+        """
+        self._simulation_ref = weakref.ref(simulation)
+
+    @property
+    def simulation(self) -> "Simulation":
+        """The owning simulation (raises once it has been freed)."""
+        ref = self._simulation_ref
+        simulation = None if ref is None else ref()
+        if simulation is None:
+            raise RuntimeError("force executor is not bound to a live Simulation")
+        return simulation
 
     @abc.abstractmethod
     def maintain_neighbors(self, system: AtomSystem, *, force: bool = False) -> bool:
@@ -248,6 +266,9 @@ class Simulation:
         force_executor: ForceExecutor | None = None,
         precision: "Precision | str | PrecisionPolicy | None" = None,
     ) -> None:
+        # Process-wide, once: step temporaries are reused, not page-
+        # faulted back in every step (see repro.md.heap).
+        keep_freed_heap()
         self.system = system
         self.potentials = list(potentials)
         self.tracer = resolve_tracer(tracer)

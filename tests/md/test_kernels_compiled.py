@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.md.kernels as kernels_module
 from repro.md import policy_for
@@ -27,9 +29,11 @@ from repro.md.kernels import (
 )
 from repro.md.kernels.compiled import (
     PROVIDER_ENV_VAR,
+    _smoke_test,
     compiled_available,
     compiled_diagnostic,
     provider_info,
+    resolve_provider,
 )
 from repro.md.lattice import eam_solid_system, lj_melt_system
 from repro.md.neighbor import NeighborList, cell_list_half_pairs
@@ -157,14 +161,8 @@ class TestBitwiseContracts:
         rng = np.random.default_rng(8)
         box = Box([12.0, 11.0, 10.0], periodic=periodic)
         positions = rng.uniform(0, 1, (1500, 3)) * box.lengths
-        pairs = CompiledBackend().neighbor_pairs(positions, box, 2.0)
-        assert pairs is not None
-        ref_i, ref_j = cell_list_half_pairs(positions, box, 2.0)
-        assert len(pairs[0]) == len(ref_i)
-        got_order = np.lexsort((pairs[1], pairs[0]))
-        ref_order = np.lexsort((ref_j, ref_i))
-        assert np.array_equal(pairs[0][got_order], ref_i[ref_order])
-        assert np.array_equal(pairs[1][got_order], ref_j[ref_order])
+        rows = CompiledBackend().neighbor_pairs(positions, box, 2.0, 1.7)
+        _assert_rows_equal(rows, _sorted_reference(positions, box, 2.0, 1.7))
 
     def test_neighborlist_csr_identical_with_kernels_attached(self):
         rng = np.random.default_rng(9)
@@ -206,6 +204,178 @@ class TestBitwiseContracts:
             CompiledBackend().neighbor_pairs(positions, Box([8.0] * 3), 2.0)
             is None
         )
+
+
+# ---------------------------------------------------------------------------
+# Native CSR neighbor build and skin check vs the numpy expressions
+# ---------------------------------------------------------------------------
+def _sorted_reference(positions, box, rc, count_cutoff):
+    """``lexsort(cell_list_half_pairs)`` + offsets + within-cutoff count."""
+    i, j = cell_list_half_pairs(positions, box, rc)
+    order = np.lexsort((j, i))
+    i, j = i[order], j[order]
+    offsets = np.zeros(len(positions) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(i, minlength=len(positions)), out=offsets[1:])
+    dr = box.minimum_image(positions[i] - positions[j])
+    r2 = np.einsum("ij,ij->i", dr, dr)
+    within = int(np.count_nonzero(r2 < count_cutoff * count_cutoff))
+    return i, j, offsets, within
+
+
+def _assert_rows_equal(rows, reference):
+    ref_i, ref_j, ref_offsets, ref_within = reference
+    assert np.array_equal(rows.i, ref_i)
+    assert np.array_equal(rows.j, ref_j)
+    assert np.array_equal(rows.offsets, ref_offsets)
+    assert rows.within == ref_within
+
+
+@st.composite
+def _binned_configurations(draw):
+    """Boxes and atoms that stress the binning: non-cubic, any
+    periodicity mask, exactly three cells on periodic dims, sparse
+    enough for empty cells, atoms on cell faces and on both box faces
+    (``origin`` and ``origin + L``)."""
+    rc = draw(st.floats(0.8, 1.6))
+    periodic = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    cells = [draw(st.integers(3 if p else 1, 6)) for p in periodic]
+    # floor(L / rc) == cells[d]: the lower bound keeps the quotient off
+    # the integer so rounding cannot drop a cell.
+    lengths = np.array([(c + draw(st.floats(1e-9, 0.9))) * rc for c in cells])
+    origin = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(3)])
+    n = draw(st.integers(2, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    rel = rng.uniform(0.0, 1.0, (n, 3)) * lengths
+    cell_size = lengths / cells
+    on_cell_face = np.minimum(np.round(rel / cell_size) * cell_size, lengths)
+    snap = rng.random((n, 3))
+    rel = np.where(snap < 0.15, on_cell_face, rel)
+    rel = np.where(snap > 0.97, lengths, rel)
+    rel = np.where((snap > 0.94) & (snap <= 0.97), 0.0, rel)
+    box = Box(lengths, periodic=periodic, origin=origin)
+    return box, np.ascontiguousarray(rel + origin), rc
+
+
+@needs_compiled
+class TestNativeNeighborBuild:
+    @given(config=_binned_configurations())
+    @settings(max_examples=200, deadline=None)
+    def test_csr_build_equals_lexsorted_numpy_build(self, config):
+        """Property: pairs, orientations, order, offsets and the
+        within-cutoff count all equal the sorted numpy build."""
+        box, positions, rc = config
+        rows = CompiledBackend().neighbor_pairs(positions, box, rc, 0.8 * rc)
+        assert rows is not None
+        _assert_rows_equal(rows, _sorted_reference(positions, box, rc, 0.8 * rc))
+
+    def test_capacity_overflow_retry_returns_the_same_list(self, monkeypatch):
+        """One dense blob in a big box: the uniform-density estimate is
+        ~20x too small, so the first buffer overflows and the retry
+        (sized from the reported count) must deliver the same rows."""
+        rng = np.random.default_rng(12)
+        box = Box([30.0, 30.0, 30.0])
+        positions = 14.0 + rng.uniform(0, 1, (600, 3))
+        backend = CompiledBackend()
+        capacities = []
+        native = backend._impl.cell_csr
+
+        def recording(pos, lengths, origin, periodic, rc, rc2, oi, oj, offsets):
+            capacities.append(len(oi))
+            return native(pos, lengths, origin, periodic, rc, rc2, oi, oj, offsets)
+
+        monkeypatch.setattr(backend._impl, "cell_csr", recording)
+        rows = backend.neighbor_pairs(positions, box, 2.0, 1.7)
+        n_pairs = 600 * 599 // 2  # the blob's diameter is < rc
+        assert len(capacities) == 2
+        assert capacities[0] < n_pairs == capacities[1] == len(rows.i)
+        _assert_rows_equal(rows, _sorted_reference(positions, box, 2.0, 1.7))
+        # The hint now covers this density: the next build fits first time.
+        backend.neighbor_pairs(positions, box, 2.0, 1.7)
+        assert len(capacities) == 3 and capacities[2] >= n_pairs
+
+    def test_unmet_preconditions_fall_back_to_numpy(self):
+        """The compare-and-shift minimum image is only exact for
+        in-box coordinates and >= 3 cells per periodic dim; the kernel
+        checks both and declines otherwise."""
+        backend = CompiledBackend()
+        rng = np.random.default_rng(2)
+        positions = rng.uniform(0, 9, (50, 3))
+        assert backend.neighbor_pairs(positions, Box([9.0] * 3), 4.0) is None
+        stray = positions.copy()
+        stray[7, 1] += 2 * 9.0
+        assert backend.neighbor_pairs(stray, Box([9.0] * 3), 2.0) is None
+        open_box = Box([9.0] * 3, periodic=(False, False, False))
+        assert backend.neighbor_pairs(stray, open_box, 4.0) is not None
+
+    @pytest.mark.parametrize(
+        "scale, rebuild", [(1 - 2.0**-40, False), (1.0, False), (1 + 2.0**-40, True)]
+    )
+    @pytest.mark.parametrize("periodic", [(True, True, True), (True, False, True)])
+    def test_skin_check_agrees_with_numpy_around_half_skin(
+        self, scale, rebuild, periodic
+    ):
+        """Just below / at / above ``skin / 2`` (and a whole periodic
+        image away) the native maximum is bitwise the numpy one, so the
+        rebuild decision cannot depend on the backend.  Box, origin and
+        the probe atom are dyadic so "at" is exactly representable."""
+        rng = np.random.default_rng(31)
+        box = Box([9.0, 8.0, 7.0], periodic=periodic, origin=[-1.0, 0.5, 2.0])
+        system = AtomSystem(
+            box.origin + rng.uniform(0, 1, (300, 3)) * box.lengths, box
+        )
+        system.positions[17] = [1.0, 1.0, 3.0]
+        plain = NeighborList(2.0, 0.5, brute_force_max=0)
+        native = NeighborList(2.0, 0.5, brute_force_max=0)
+        native.kernels = CompiledBackend()
+        plain.build(system)
+        native.build(system)
+        system.positions += rng.normal(scale=0.01, size=(300, 3))
+        system.positions[17] = [1.0, 1.0, 3.0 + 0.25 * scale]
+        system.positions[:, 0] += box.lengths[0]
+        disp = box.minimum_image(
+            box.wrap(system.positions) - plain._positions_at_build
+        )
+        expected = float(np.max(np.einsum("ij,ij->i", disp, disp)))
+        assert expected == (0.25 * scale) ** 2
+        got = native.kernels.max_displacement_sq(
+            system.positions, native._positions_at_build, box
+        )
+        assert got == expected
+        assert native.needs_rebuild(system) is rebuild
+        assert plain.needs_rebuild(system) is rebuild
+
+    def test_skin_check_propagates_nan_like_numpy(self):
+        box = Box([9.0, 8.0, 7.0])
+        reference = np.random.default_rng(4).uniform(0, 7, (20, 3))
+        positions = reference + 0.01
+        positions[3, 1] = np.nan
+        assert np.isnan(
+            CompiledBackend().max_displacement_sq(positions, reference, box)
+        )
+
+    def test_smoke_test_demotes_a_provider_with_unsorted_rows(self):
+        """The neighbor list no longer sorts native rows, so a provider
+        that emits the right pairs in the wrong order must not pass."""
+        provider, _ = resolve_provider()
+
+        class UnsortedRows:
+            def __getattr__(self, name):
+                return getattr(provider, name)
+
+            def cell_csr(self, pos, lengths, origin, periodic, rc, rc2,
+                         oi, oj, offsets):
+                count, within = provider.cell_csr(
+                    pos, lengths, origin, periodic, rc, rc2, oi, oj, offsets
+                )
+                if 0 <= count <= len(oi):  # reverse every row in place
+                    for a in range(len(pos)):
+                        row = slice(offsets[a], offsets[a + 1])
+                        oj[row] = oj[row][::-1].copy()
+                return count, within
+
+        _smoke_test(provider)  # the real provider passes
+        with pytest.raises(AssertionError, match="cell_csr deviates"):
+            _smoke_test(UnsortedRows())
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,31 @@ class TestCSRLayout:
             row = nlist.neighbors_of(atom)
             assert np.all(np.diff(row) >= 0)
 
+    @pytest.mark.parametrize("with_exclusions", [False, True])
+    def test_brute_force_build_packs_what_a_sort_would(self, with_exclusions):
+        """The brute-force producer is already row-major, so the build
+        skips its sort there; the packed arrays must be exactly what
+        lexsort-then-bincount gives."""
+        rng = np.random.default_rng(6)
+        box = Box([10.0, 10.0, 10.0])
+        system = AtomSystem(rng.uniform(0, 10, (150, 3)), box)
+        i, j = brute_force_pairs(box.wrap(system.positions), box, 2.3)
+        exclusions = None
+        if with_exclusions:
+            drop = rng.choice(len(i), 60, replace=False)
+            exclusions = np.column_stack([j[drop], i[drop]])  # either order
+            keep = np.ones(len(i), dtype=bool)
+            keep[drop] = False
+            i, j = i[keep], j[keep]
+        order = np.lexsort((j, i))
+        nlist = NeighborList(2.0, 0.3, exclusions=exclusions)
+        nlist.build(system)  # 150 atoms: brute-force path
+        assert np.array_equal(nlist.pair_i, i[order])
+        assert np.array_equal(nlist.pair_j, j[order])
+        offsets = np.zeros(151, dtype=np.int64)
+        np.cumsum(np.bincount(i, minlength=150), out=offsets[1:])
+        assert np.array_equal(nlist.csr_offsets, offsets)
+
     def test_full_rows_mirror(self):
         nlist, system = self._built(full=True)
         pairs = set(zip(nlist.pair_i.tolist(), nlist.pair_j.tolist()))

@@ -1,5 +1,8 @@
 """Tests for the Figure 1 timestep loop orchestration."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,30 @@ class TestSimulation:
 
         rhodo = get_benchmark("rhodo").build(120)
         assert rhodo.n_constraints > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_finished_simulation_is_freed_without_the_cyclic_gc(self, workers):
+        """The executor's back-reference is weak, so dropping the last
+        reference frees the neighbor list and scratch at once instead of
+        whenever the cycle collector next runs."""
+        from repro.parallel.engine import ParallelForceExecutor
+
+        executor = ParallelForceExecutor(workers) if workers > 1 else None
+        gc.collect()
+        gc.disable()
+        try:
+            sim = _sim(force_executor=executor)
+            sim.run(3)
+            alive = weakref.ref(sim)
+            del sim
+            assert alive() is None
+        finally:
+            gc.enable()
+            if executor is not None:
+                executor.close()
+        if executor is not None:
+            with pytest.raises(RuntimeError, match="not bound to a live"):
+                executor.simulation
 
 
 class TestPerTaskAccounting:
