@@ -38,6 +38,8 @@ if str(REPO_ROOT / "src") not in sys.path:
 import numpy as np  # noqa: E402
 
 from repro.md.kernels import (  # noqa: E402
+    CompiledBackend,
+    KernelBackend,
     available_backends,
     backend_diagnostics,
     get_backend,
@@ -76,6 +78,17 @@ ACCUMULATE_SPEEDUP_THRESHOLD = 3.0
 #: Acceptance bars for the compiled backend vs numpy_fast at 32k LJ.
 COMPILED_ACCUMULATE_THRESHOLD = 5.0
 COMPILED_NEIGH_THRESHOLD = 3.0
+
+#: The compiled backend's fused lj/cut pass vs the same backend with the
+#: pass declined (geometry -> pair_terms -> accumulate), LJ force_eval.
+#: Enforced at every size, the CI smoke size included.
+FUSED_OVER_UNFUSED_THRESHOLD = 1.5
+
+
+class _UnfusedCompiled(CompiledBackend):
+    """The compiled backend with its fused pair pass declined."""
+
+    pair_forces = KernelBackend.pair_forces
 
 
 def _timed(fn, reps: int, *, setup=None, warmup: int = 1) -> dict:
@@ -229,10 +242,27 @@ def run(
                     backend=backend_name, pairs=len(nlist.pair_i), **timing,
                 )
 
-            # -- LJ extras: the accumulation micro-benchmark and a full
-            # timestep (the acceptance-tracked numbers).
+            # -- LJ extras: the fused pass against its own unfused path,
+            # the accumulation micro-benchmark and a full timestep (the
+            # acceptance-tracked numbers).
             if bench != "lj":
                 continue
+
+            if "compiled" in backends:
+                potential = make_potential()
+                potential.backend = _UnfusedCompiled()
+
+                def eval_unfused():
+                    system.forces[:] = 0.0
+                    potential.compute(system, nlist)
+
+                timing = _timed(eval_unfused, reps=eval_reps)
+                _record(
+                    results, verbose,
+                    group="force_eval", benchmark=bench, n_atoms=n_atoms,
+                    backend="compiled", variant="unfused",
+                    pairs=len(nlist.pair_i), **timing,
+                )
 
             ref = get_backend("numpy_ref")
             i, j, dr, r = ref.current_pairs(system, nlist, nl_kwargs["cutoff"])
@@ -350,6 +380,11 @@ def _speedups(results: list[dict]) -> list[dict]:
             continue
         key = (entry["group"], entry["benchmark"], entry["n_atoms"])
         keyed.setdefault(key, {})[entry["backend"]] = entry["best_s"]
+    unfused = {
+        (entry["benchmark"], entry["n_atoms"]): entry["best_s"]
+        for entry in results
+        if entry.get("variant") == "unfused"
+    }
     out = []
     for (group, bench, n_atoms), per_backend in sorted(keyed.items()):
         row = {"group": group, "benchmark": bench, "n_atoms": n_atoms}
@@ -360,6 +395,10 @@ def _speedups(results: list[dict]) -> list[dict]:
         if {"numpy_fast", "compiled"} <= set(per_backend):
             row["speedup_compiled_over_fast"] = (
                 per_backend["numpy_fast"] / per_backend["compiled"]
+            )
+        if group == "force_eval" and (bench, n_atoms) in unfused:
+            row["speedup_fused_over_unfused"] = (
+                unfused[bench, n_atoms] / per_backend["compiled"]
             )
         if len(row) > 3:
             out.append(row)
@@ -404,13 +443,26 @@ def main(argv: list[str] | None = None) -> int:
     for entry in report["speedups"]:
         ratios = ", ".join(
             f"{key.split('speedup_')[1]}={entry[key]:.2f}x"
-            for key in ("speedup_fast_over_ref", "speedup_compiled_over_fast")
+            for key in (
+                "speedup_fast_over_ref",
+                "speedup_compiled_over_fast",
+                "speedup_fused_over_unfused",
+            )
             if key in entry
         )
         print(
             f"speedup {entry['group']}/{entry['benchmark']}"
             f"/n{entry['n_atoms']}: {ratios}"
         )
+        fused_over_unfused = entry.get("speedup_fused_over_unfused")
+        if (
+            fused_over_unfused is not None
+            and fused_over_unfused < FUSED_OVER_UNFUSED_THRESHOLD
+        ):
+            failures.append(
+                f"LJ force_eval n={entry['n_atoms']} fused-over-unfused "
+                f"{fused_over_unfused:.2f}x < {FUSED_OVER_UNFUSED_THRESHOLD}x"
+            )
         if args.quick or entry["n_atoms"] < 32_000:
             continue
         fast_over_ref = entry.get("speedup_fast_over_ref")

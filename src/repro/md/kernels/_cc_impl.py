@@ -228,6 +228,23 @@ void acc_pair_f32f64(double *forces, const int64_t *pi, const int64_t *pj,
 }
 
 /* ------------------------------------------------------------------ */
+/* Minimum image of one displacement component on a periodic axis,     */
+/* with h = 0.49 * L.  For |d| <= h the quotient d / L rounds to +-0,  */
+/* so d - rint(d / L) * L is d itself (+0.0 for either zero, which is  */
+/* what `d + 0.0` gives): the divide and the libm call are skipped for */
+/* every pair that does not straddle the box.  NaN fails the compare   */
+/* and takes the full expression.                                      */
+/* ------------------------------------------------------------------ */
+
+static inline double min_image_f64(double d, double L, double h) {
+    return fabs(d) <= h ? d + 0.0 : d - rint(d / L) * L;
+}
+
+static inline float min_image_f32(float d, float L, float h) {
+    return fabsf(d) <= h ? d + 0.0f : d - rintf(d / L) * L;
+}
+
+/* ------------------------------------------------------------------ */
 /* Pair geometry over the stored list: gather, minimum image, cutoff   */
 /* filter.  Outputs are compressed in place; returns the survivor      */
 /* count.  r2 replicates einsum's per-dtype summation order.           */
@@ -238,15 +255,16 @@ int64_t pair_geom_f64(const double *pos, const int64_t *pi, const int64_t *pj,
                       double rc2, int64_t *oi, int64_t *oj,
                       double *odr, double *orr) {
     double Lx = lengths[0], Ly = lengths[1], Lz = lengths[2];
+    double hx = 0.49 * Lx, hy = 0.49 * Ly, hz = 0.49 * Lz;
     int px = periodic[0], py = periodic[1], pz = periodic[2];
     int64_t c = 0;
     for (int64_t k = 0; k < m; k++) {
         const double *a = pos + 3*pi[k];
         const double *b = pos + 3*pj[k];
         double dx = a[0] - b[0], dy = a[1] - b[1], dz = a[2] - b[2];
-        if (px) dx -= rint(dx / Lx) * Lx;
-        if (py) dy -= rint(dy / Ly) * Ly;
-        if (pz) dz -= rint(dz / Lz) * Lz;
+        if (px) dx = min_image_f64(dx, Lx, hx);
+        if (py) dy = min_image_f64(dy, Ly, hy);
+        if (pz) dz = min_image_f64(dz, Lz, hz);
         double r2 = (dx*dx + dz*dz) + dy*dy;   /* einsum f64 order */
         if (r2 < rc2) {
             oi[c] = pi[k]; oj[c] = pj[k];
@@ -263,15 +281,16 @@ int64_t pair_geom_f32(const float *pos, const int64_t *pi, const int64_t *pj,
                       float rc2, int64_t *oi, int64_t *oj,
                       float *odr, float *orr) {
     float Lx = lengths[0], Ly = lengths[1], Lz = lengths[2];
+    float hx = 0.49f * Lx, hy = 0.49f * Ly, hz = 0.49f * Lz;
     int px = periodic[0], py = periodic[1], pz = periodic[2];
     int64_t c = 0;
     for (int64_t k = 0; k < m; k++) {
         const float *a = pos + 3*pi[k];
         const float *b = pos + 3*pj[k];
         float dx = a[0] - b[0], dy = a[1] - b[1], dz = a[2] - b[2];
-        if (px) dx -= rintf(dx / Lx) * Lx;
-        if (py) dy -= rintf(dy / Ly) * Ly;
-        if (pz) dz -= rintf(dz / Lz) * Lz;
+        if (px) dx = min_image_f32(dx, Lx, hx);
+        if (py) dy = min_image_f32(dy, Ly, hy);
+        if (pz) dz = min_image_f32(dz, Lz, hz);
         float r2 = (dx*dx + dy*dy) + dz*dz;    /* einsum f32 order */
         if (r2 < rc2) {
             oi[c] = pi[k]; oj[c] = pj[k];
@@ -282,6 +301,150 @@ int64_t pair_geom_f32(const float *pos, const int64_t *pi, const int64_t *pj,
     }
     return c;
 }
+
+/* ------------------------------------------------------------------ */
+/* Fused lj/cut force pass: stored list -> forces in one sweep.        */
+/*                                                                     */
+/* Per stored pair: gather, minimum image and cutoff test exactly as   */
+/* pair_geom_f64, then LennardJonesCut.pair_terms' float64 sequence,   */
+/* one IEEE operation per numpy ufunc call:                            */
+/*   inv_r2 = 1 / r2; sr2 = (sigma * sigma) * inv_r2;                  */
+/*   sr6 = (sr2 * sr2) * sr2; sr12 = sr6 * sr6;                        */
+/*   energy = (4 eps) * (sr12 - sr6) - shift;                          */
+/*   f_over_r = ((24 eps) * (2 sr12 - sr6)) * inv_r2.                  */
+/* nt == 1 takes the [0, 0] coefficients (the potential's scalar path, */
+/* which ignores atom types); otherwise the row-major nt x nt tables   */
+/* are read at [type_i, type_j] — the values the numpy gathers hand    */
+/* out — so both routes are bitwise the unfused result.                */
+/* ------------------------------------------------------------------ */
+
+#define LJ_COEFFS(TI, TJ)                                                  \
+    if (nt > 1) {                                                          \
+        int64_t t = types[TI] * nt + types[TJ];                            \
+        e4 = 4.0 * eps[t]; e24 = 24.0 * eps[t];                            \
+        ss = sigma[t] * sigma[t]; sh = shift[t];                           \
+    }
+
+#define LJ_TERMS(R2)                                                       \
+    double inv_r2 = 1.0 / (R2);                                            \
+    double sr2 = ss * inv_r2;                                              \
+    double sr6 = (sr2 * sr2) * sr2;                                        \
+    double sr12 = sr6 * sr6;                                               \
+    double energy = e4 * (sr12 - sr6) - sh;                                \
+    double f = (e24 * (2.0 * sr12 - sr6)) * inv_r2;
+
+/* Half list, both sides (newton on).  The serial path feeds           */
+/* pair_terms r2 = r * r with r = sqrt(einsum r2); that is replayed.   */
+/* The force update is acc_scaled_f64 over the surviving pairs: a run  */
+/* of survivors sharing one i is summed from zero in registers and     */
+/* added to row i when the run ends, each pair's j side is subtracted  */
+/* inline.  Per-pair energy and f_over_r * r2 are written compressed   */
+/* to oe/ov for numpy's pairwise np.sum, whose rounding a running      */
+/* total here could not reproduce.  Returns the survivor count.        */
+int64_t lj_half_f64(const double *pos, const int64_t *pi, const int64_t *pj,
+                    int64_t m, const double *lengths, const uint8_t *periodic,
+                    double rc2, const int64_t *types, int64_t nt,
+                    const double *eps, const double *sigma,
+                    const double *shift, double *forces,
+                    double *oe, double *ov) {
+    double Lx = lengths[0], Ly = lengths[1], Lz = lengths[2];
+    double hx = 0.49 * Lx, hy = 0.49 * Ly, hz = 0.49 * Lz;
+    int px = periodic[0], py = periodic[1], pz = periodic[2];
+    double e4 = 4.0 * eps[0], e24 = 24.0 * eps[0];
+    double ss = sigma[0] * sigma[0], sh = shift[0];
+    int64_t c = 0, a = -1;
+    double sx = 0.0, sy = 0.0, sz = 0.0;
+    for (int64_t k = 0; k < m; k++) {
+        int64_t i = pi[k], j = pj[k];
+        const double *p = pos + 3*i;
+        const double *q = pos + 3*j;
+        double dx = p[0] - q[0], dy = p[1] - q[1], dz = p[2] - q[2];
+        if (px) dx = min_image_f64(dx, Lx, hx);
+        if (py) dy = min_image_f64(dy, Ly, hy);
+        if (pz) dz = min_image_f64(dz, Lz, hz);
+        double r2 = (dx*dx + dz*dz) + dy*dy;       /* einsum f64 order */
+        if (!(r2 < rc2)) continue;
+        if (i != a) {
+            if (a >= 0) {
+                forces[3*a] += sx; forces[3*a+1] += sy; forces[3*a+2] += sz;
+            }
+            a = i;
+            sx = 0.0; sy = 0.0; sz = 0.0;
+        }
+        LJ_COEFFS(i, j)
+        double r = sqrt(r2);
+        double rr = r * r;
+        LJ_TERMS(rr)
+        oe[c] = energy;
+        ov[c] = f * rr;
+        c++;
+        double wx = f * dx, wy = f * dy, wz = f * dz;
+        sx += wx; sy += wy; sz += wz;
+        forces[3*j] -= wx; forces[3*j+1] -= wy; forces[3*j+2] -= wz;
+    }
+    if (a >= 0) {
+        forces[3*a] += sx; forces[3*a+1] += sy; forces[3*a+2] += sz;
+    }
+    return c;
+}
+
+/* Directed rows, i side only (the parallel engine's newton-off        */
+/* scheme).  Row k pairs local atoms di[k] (owned; indexes the output  */
+/* arrays and types) and dj[k]; positions are read from the global     */
+/* array at gi[k] / gj[k].  That path hands pair_terms einsum's r2     */
+/* unchanged.  Force, 0.5 * energy and (0.5 * f_over_r) * r2 are added */
+/* to row di[k] pair after pair in list order — what the scatter       */
+/* kernels above do to the unfused per-pair arrays — with the row held */
+/* in registers while consecutive pairs share it.  Returns the         */
+/* survivor count.                                                     */
+int64_t lj_rows_f64(const double *pos, const int64_t *di, const int64_t *dj,
+                    const int64_t *gi, const int64_t *gj, int64_t m,
+                    const double *lengths, const uint8_t *periodic,
+                    double rc2, const int64_t *types, int64_t nt,
+                    const double *eps, const double *sigma,
+                    const double *shift, double *forces,
+                    double *energy_out, double *virial_out) {
+    double Lx = lengths[0], Ly = lengths[1], Lz = lengths[2];
+    double hx = 0.49 * Lx, hy = 0.49 * Ly, hz = 0.49 * Lz;
+    int px = periodic[0], py = periodic[1], pz = periodic[2];
+    double e4 = 4.0 * eps[0], e24 = 24.0 * eps[0];
+    double ss = sigma[0] * sigma[0], sh = shift[0];
+    int64_t c = 0, a = -1;
+    double sx = 0.0, sy = 0.0, sz = 0.0, se = 0.0, sv = 0.0;
+    for (int64_t k = 0; k < m; k++) {
+        const double *p = pos + 3*gi[k];
+        const double *q = pos + 3*gj[k];
+        double dx = p[0] - q[0], dy = p[1] - q[1], dz = p[2] - q[2];
+        if (px) dx = min_image_f64(dx, Lx, hx);
+        if (py) dy = min_image_f64(dy, Ly, hy);
+        if (pz) dz = min_image_f64(dz, Lz, hz);
+        double r2 = (dx*dx + dz*dz) + dy*dy;       /* einsum f64 order */
+        if (!(r2 < rc2)) continue;
+        int64_t i = di[k];
+        if (i != a) {
+            if (a >= 0) {
+                forces[3*a] = sx; forces[3*a+1] = sy; forces[3*a+2] = sz;
+                energy_out[a] = se; virial_out[a] = sv;
+            }
+            a = i;
+            sx = forces[3*a]; sy = forces[3*a+1]; sz = forces[3*a+2];
+            se = energy_out[a]; sv = virial_out[a];
+        }
+        LJ_COEFFS(i, dj[k])
+        LJ_TERMS(r2)
+        sx += f * dx; sy += f * dy; sz += f * dz;
+        se += 0.5 * energy;
+        sv += (0.5 * f) * r2;
+        c++;
+    }
+    if (a >= 0) {
+        forces[3*a] = sx; forces[3*a+1] = sy; forces[3*a+2] = sz;
+        energy_out[a] = se; virial_out[a] = sv;
+    }
+    return c;
+}
+#undef LJ_COEFFS
+#undef LJ_TERMS
 
 /* ------------------------------------------------------------------ */
 /* Link-cell half pair list, built row by row (CSR).  Candidates are   */
@@ -613,6 +776,21 @@ class CcProvider:
             f64: bind("pair_geom_f64", c_i64, geom_args(f64, c_f64)),
             f32: bind("pair_geom_f32", c_i64, geom_args(f32, c_f32)),
         }
+        lj_args = [
+            _ptr(f64), _ptr(u8), c_f64, _ptr(i64), c_i64,
+            _ptr(f64), _ptr(f64), _ptr(f64),
+            _ptr(f64, True), _ptr(f64, True), _ptr(f64, True),
+        ]
+        self._lj_half = bind(
+            "lj_half_f64",
+            c_i64,
+            [_ptr(f64), _ptr(i64), _ptr(i64), c_i64, *lj_args],
+        )
+        self._lj_rows = bind(
+            "lj_rows_f64",
+            c_i64,
+            [_ptr(f64), *[_ptr(i64)] * 4, c_i64, *lj_args],
+        )
         self._cell_csr = bind(
             "cell_csr_f64",
             c_i64,
@@ -656,6 +834,35 @@ class CcProvider:
         # casts the weak python-float rc^2 down to float32 for float32
         # operands, so the C side receives it pre-cast via c_float.
         return int(fn(pos, pi, pj, len(pi), lengths, periodic, rc2, oi, oj, odr, orr))
+
+    def lj_half(
+        self, pos, pi, pj, lengths, periodic, rc2, types, eps, sigma, shift,
+        forces, oe, ov,
+    ):
+        """Fused lj/cut pass over a half list; returns the survivor count.
+
+        ``eps``/``sigma``/``shift`` are the ``(nt, nt)`` float64 tables;
+        ``types`` is only read when ``nt > 1`` and must then hold values
+        in ``[0, nt)``.
+        """
+        return int(
+            self._lj_half(
+                pos, pi, pj, len(pi), lengths, periodic, rc2, types,
+                len(eps), eps, sigma, shift, forces, oe, ov,
+            )
+        )
+
+    def lj_rows(
+        self, pos, di, dj, gi, gj, lengths, periodic, rc2, types, eps, sigma,
+        shift, forces, energy, virial,
+    ):
+        """Fused lj/cut pass over directed rows (i side only)."""
+        return int(
+            self._lj_rows(
+                pos, di, dj, gi, gj, len(di), lengths, periodic, rc2, types,
+                len(eps), eps, sigma, shift, forces, energy, virial,
+            )
+        )
 
     def cell_csr(
         self, pos, lengths, origin, periodic, rc, count_rc2, oi, oj, offsets

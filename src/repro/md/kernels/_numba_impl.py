@@ -104,8 +104,19 @@ def _acc_pair(forces, pi, pj, fv):
 
 
 @njit(cache=True)
+def _min_image(d, L, h, zero):
+    """Twin of ``min_image_f64/f32``: ``h = 0.49 * L`` and ``zero`` is
+    ``+0.0`` in ``d``'s dtype (a float64 literal would promote float32
+    geometry)."""
+    if abs(d) <= h:
+        return d + zero
+    return d - np.rint(d / L) * L
+
+
+@njit(cache=True)
 def _pair_geom_f64(pos, pi, pj, lengths, periodic, rc2, oi, oj, odr, orr):
     Lx, Ly, Lz = lengths[0], lengths[1], lengths[2]
+    hx, hy, hz = 0.49 * Lx, 0.49 * Ly, 0.49 * Lz
     px, py, pz = periodic[0], periodic[1], periodic[2]
     c = 0
     for k in range(pi.shape[0]):
@@ -115,11 +126,11 @@ def _pair_geom_f64(pos, pi, pj, lengths, periodic, rc2, oi, oj, odr, orr):
         dy = pos[a, 1] - pos[b, 1]
         dz = pos[a, 2] - pos[b, 2]
         if px:
-            dx -= np.rint(dx / Lx) * Lx
+            dx = _min_image(dx, Lx, hx, 0.0)
         if py:
-            dy -= np.rint(dy / Ly) * Ly
+            dy = _min_image(dy, Ly, hy, 0.0)
         if pz:
-            dz -= np.rint(dz / Lz) * Lz
+            dz = _min_image(dz, Lz, hz, 0.0)
         r2 = (dx * dx + dz * dz) + dy * dy  # einsum f64 order
         if r2 < rc2:
             oi[c] = a
@@ -135,6 +146,9 @@ def _pair_geom_f64(pos, pi, pj, lengths, periodic, rc2, oi, oj, odr, orr):
 @njit(cache=True)
 def _pair_geom_f32(pos, pi, pj, lengths, periodic, rc2, oi, oj, odr, orr):
     Lx, Ly, Lz = lengths[0], lengths[1], lengths[2]
+    near_half = np.float32(0.49)
+    hx, hy, hz = near_half * Lx, near_half * Ly, near_half * Lz
+    zero = np.float32(0.0)
     px, py, pz = periodic[0], periodic[1], periodic[2]
     c = 0
     for k in range(pi.shape[0]):
@@ -144,11 +158,11 @@ def _pair_geom_f32(pos, pi, pj, lengths, periodic, rc2, oi, oj, odr, orr):
         dy = pos[a, 1] - pos[b, 1]
         dz = pos[a, 2] - pos[b, 2]
         if px:
-            dx -= np.rint(dx / Lx) * Lx
+            dx = _min_image(dx, Lx, hx, zero)
         if py:
-            dy -= np.rint(dy / Ly) * Ly
+            dy = _min_image(dy, Ly, hy, zero)
         if pz:
-            dz -= np.rint(dz / Lz) * Lz
+            dz = _min_image(dz, Lz, hz, zero)
         r2 = (dx * dx + dy * dy) + dz * dz  # einsum f32 order
         if r2 < rc2:
             oi[c] = a
@@ -158,6 +172,162 @@ def _pair_geom_f32(pos, pi, pj, lengths, periodic, rc2, oi, oj, odr, orr):
             odr[c, 2] = dz
             orr[c] = np.sqrt(r2)
             c += 1
+    return c
+
+
+@njit(cache=True, error_model="numpy")
+def _lj_half(
+    pos, pi, pj, lengths, periodic, rc2, types, eps, sigma, shift,
+    forces, oe, ov,
+):
+    """Twin of ``lj_half_f64`` (contract in the C source): fused lj/cut
+    over a half list, bitwise the unfused float64 path.  numpy's error
+    model, so coincident atoms give ``inf`` as they do there."""
+    Lx, Ly, Lz = lengths[0], lengths[1], lengths[2]
+    hx, hy, hz = 0.49 * Lx, 0.49 * Ly, 0.49 * Lz
+    px, py, pz = periodic[0], periodic[1], periodic[2]
+    typed = eps.shape[0] > 1
+    e4 = 4.0 * eps[0, 0]
+    e24 = 24.0 * eps[0, 0]
+    ss = sigma[0, 0] * sigma[0, 0]
+    sh = shift[0, 0]
+    c = 0
+    a = -1
+    sx = 0.0
+    sy = 0.0
+    sz = 0.0
+    for k in range(pi.shape[0]):
+        i = pi[k]
+        j = pj[k]
+        dx = pos[i, 0] - pos[j, 0]
+        dy = pos[i, 1] - pos[j, 1]
+        dz = pos[i, 2] - pos[j, 2]
+        if px:
+            dx = _min_image(dx, Lx, hx, 0.0)
+        if py:
+            dy = _min_image(dy, Ly, hy, 0.0)
+        if pz:
+            dz = _min_image(dz, Lz, hz, 0.0)
+        r2 = (dx * dx + dz * dz) + dy * dy  # einsum f64 order
+        if not (r2 < rc2):
+            continue
+        if i != a:
+            if a >= 0:
+                forces[a, 0] += sx
+                forces[a, 1] += sy
+                forces[a, 2] += sz
+            a = i
+            sx = 0.0
+            sy = 0.0
+            sz = 0.0
+        if typed:
+            ti = types[i]
+            tj = types[j]
+            e4 = 4.0 * eps[ti, tj]
+            e24 = 24.0 * eps[ti, tj]
+            ss = sigma[ti, tj] * sigma[ti, tj]
+            sh = shift[ti, tj]
+        r = np.sqrt(r2)
+        rr = r * r
+        inv_r2 = 1.0 / rr
+        sr2 = ss * inv_r2
+        sr6 = (sr2 * sr2) * sr2
+        sr12 = sr6 * sr6
+        f = (e24 * (2.0 * sr12 - sr6)) * inv_r2
+        oe[c] = e4 * (sr12 - sr6) - sh
+        ov[c] = f * rr
+        c += 1
+        wx = f * dx
+        wy = f * dy
+        wz = f * dz
+        sx += wx
+        sy += wy
+        sz += wz
+        forces[j, 0] -= wx
+        forces[j, 1] -= wy
+        forces[j, 2] -= wz
+    if a >= 0:
+        forces[a, 0] += sx
+        forces[a, 1] += sy
+        forces[a, 2] += sz
+    return c
+
+
+@njit(cache=True, error_model="numpy")
+def _lj_rows(
+    pos, di, dj, gi, gj, lengths, periodic, rc2, types, eps, sigma, shift,
+    forces, energy, virial,
+):
+    """Twin of ``lj_rows_f64``: fused lj/cut over directed rows, i side
+    only, bitwise the unfused float64 path."""
+    Lx, Ly, Lz = lengths[0], lengths[1], lengths[2]
+    hx, hy, hz = 0.49 * Lx, 0.49 * Ly, 0.49 * Lz
+    px, py, pz = periodic[0], periodic[1], periodic[2]
+    typed = eps.shape[0] > 1
+    e4 = 4.0 * eps[0, 0]
+    e24 = 24.0 * eps[0, 0]
+    ss = sigma[0, 0] * sigma[0, 0]
+    sh = shift[0, 0]
+    c = 0
+    a = -1
+    sx = 0.0
+    sy = 0.0
+    sz = 0.0
+    se = 0.0
+    sv = 0.0
+    for k in range(di.shape[0]):
+        p = gi[k]
+        q = gj[k]
+        dx = pos[p, 0] - pos[q, 0]
+        dy = pos[p, 1] - pos[q, 1]
+        dz = pos[p, 2] - pos[q, 2]
+        if px:
+            dx = _min_image(dx, Lx, hx, 0.0)
+        if py:
+            dy = _min_image(dy, Ly, hy, 0.0)
+        if pz:
+            dz = _min_image(dz, Lz, hz, 0.0)
+        r2 = (dx * dx + dz * dz) + dy * dy  # einsum f64 order
+        if not (r2 < rc2):
+            continue
+        i = di[k]
+        if i != a:
+            if a >= 0:
+                forces[a, 0] = sx
+                forces[a, 1] = sy
+                forces[a, 2] = sz
+                energy[a] = se
+                virial[a] = sv
+            a = i
+            sx = forces[a, 0]
+            sy = forces[a, 1]
+            sz = forces[a, 2]
+            se = energy[a]
+            sv = virial[a]
+        if typed:
+            ti = types[i]
+            tj = types[dj[k]]
+            e4 = 4.0 * eps[ti, tj]
+            e24 = 24.0 * eps[ti, tj]
+            ss = sigma[ti, tj] * sigma[ti, tj]
+            sh = shift[ti, tj]
+        inv_r2 = 1.0 / r2
+        sr2 = ss * inv_r2
+        sr6 = (sr2 * sr2) * sr2
+        sr12 = sr6 * sr6
+        f = (e24 * (2.0 * sr12 - sr6)) * inv_r2
+        sx += f * dx
+        sy += f * dy
+        sz += f * dz
+        se += 0.5 * (e4 * (sr12 - sr6) - sh)
+        sv += (0.5 * f) * r2
+        c += 1
+    if a >= 0:
+        forces[a, 0] = sx
+        forces[a, 1] = sy
+        forces[a, 2] = sz
+        energy[a] = se
+        virial[a] = sv
     return c
 
 
@@ -363,6 +533,28 @@ class NumbaProvider:
         fn = _pair_geom_f32 if pos.dtype == np.float32 else _pair_geom_f64
         # rc2 arrives pre-cast to the position dtype (NEP 50 semantics).
         return int(fn(pos, pi, pj, lengths, periodic, rc2, oi, oj, odr, orr))
+
+    def lj_half(
+        self, pos, pi, pj, lengths, periodic, rc2, types, eps, sigma, shift,
+        forces, oe, ov,
+    ):
+        return int(
+            _lj_half(
+                pos, pi, pj, lengths, periodic, rc2, types, eps, sigma, shift,
+                forces, oe, ov,
+            )
+        )
+
+    def lj_rows(
+        self, pos, di, dj, gi, gj, lengths, periodic, rc2, types, eps, sigma,
+        shift, forces, energy, virial,
+    ):
+        return int(
+            _lj_rows(
+                pos, di, dj, gi, gj, lengths, periodic, rc2, types, eps,
+                sigma, shift, forces, energy, virial,
+            )
+        )
 
     def cell_csr(
         self, pos, lengths, origin, periodic, rc, count_rc2, oi, oj, offsets

@@ -12,6 +12,12 @@ their time in behind a small strategy interface:
 * scattering arbitrary per-pair scalars/vectors (EAM electron
   densities, granular contact torques — :meth:`KernelBackend.scatter_add`).
 
+A backend may additionally offer *fused* passes
+(:meth:`KernelBackend.pair_forces`,
+:meth:`KernelBackend.directed_pair_forces`) that do all of the above
+for one analytic pair style in a single sweep; they are optional,
+decline with ``None``, and must be bitwise the unfused result.
+
 Backends must be bit-compatible in *math* (same formulas, same pair
 set) but are free to reorder summations and reuse scratch storage; the
 backend-equivalence tests pin the reference and optimized backends
@@ -21,6 +27,7 @@ together to 1e-12 on forces, energy and virial for every pair style.
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -31,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.md.atoms import AtomSystem
     from repro.md.neighbor import NeighborList
 
-__all__ = ["KernelBackend", "SortedHalfPairs"]
+__all__ = ["KernelBackend", "PairStyle", "SortedHalfPairs"]
 
 
 class SortedHalfPairs(NamedTuple):
@@ -46,6 +53,24 @@ class SortedHalfPairs(NamedTuple):
     offsets: np.ndarray
     #: Pairs within the caller's ``count_cutoff`` (``None`` if not asked).
     within: int | None
+
+
+@dataclass(frozen=True, eq=False)
+class PairStyle:
+    """Closed form of an analytic pair potential, for fused kernels.
+
+    What :meth:`AnalyticPairPotential.fused_style` hands to
+    :meth:`KernelBackend.pair_forces`: enough for a backend to evaluate
+    the potential itself instead of calling ``pair_terms`` on arrays.
+    """
+
+    #: LAMMPS-style name selecting the functional form (``"lj/cut"``).
+    kind: str
+    cutoff: float
+    #: Per-``kind`` coefficient tables, each ``(n_types, n_types)``
+    #: float64 and C-contiguous; ``lj/cut`` carries ``(epsilon, sigma,
+    #: energy shift)``.  A one-type table means "ignore atom types".
+    coeffs: tuple[np.ndarray, ...]
 
 
 class KernelBackend(abc.ABC):
@@ -122,6 +147,52 @@ class KernelBackend(abc.ABC):
         force-vector array.
         """
         self.accumulate_pair_forces(forces, i, j, f_over_r[:, None] * dr)
+
+    def pair_forces(
+        self,
+        style: PairStyle,
+        system: "AtomSystem",
+        neighbors: "NeighborList",
+    ) -> tuple[float, float, int] | None:
+        """Optional fused evaluation of an analytic pair style.
+
+        One pass over the stored half list that does the work of
+        :meth:`current_pairs`, ``pair_terms``,
+        :meth:`accumulate_scaled_pair_forces` and the energy/virial
+        reductions: forces are added to ``system.forces`` and
+        ``(energy, virial, interactions)`` is returned.  The result must
+        be *bitwise* what this backend's unfused path produces, so that
+        taking the hook is invisible to the digest chain.  ``None`` (the
+        default, and the answer for any style, precision policy or
+        memory layout a backend does not cover) keeps the caller on the
+        unfused path; nothing may have been written in that case.
+        """
+        return None
+
+    def directed_pair_forces(
+        self,
+        style: PairStyle,
+        positions: np.ndarray,
+        lengths: np.ndarray,
+        periodic: np.ndarray,
+        rows: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        types: np.ndarray | None,
+        forces: np.ndarray,
+        energy: np.ndarray,
+        virial: np.ndarray,
+    ) -> int | None:
+        """:meth:`pair_forces` for the parallel engine's directed rows.
+
+        ``rows`` is ``(di, dj, gdi, gdj)``: local indices of each row's
+        owned head and its partner, and their global ids into
+        ``positions``.  Only the head's side is accumulated — force,
+        half the pair energy and half the pair virial into row ``di`` of
+        the per-owned-atom outputs, pair after pair in list order (the
+        order :meth:`scatter_add_sorted` applies to the unfused per-pair
+        arrays, bitwise).  Returns the number of pairs inside the
+        cutoff, or ``None`` to keep the caller on the unfused path.
+        """
+        return None
 
     def neighbor_pairs(
         self,

@@ -215,6 +215,51 @@ def _smoke_test(provider) -> None:
     ):
         raise AssertionError("pair_geom f64 deviates from minimum-image oracle")
 
+    # Fused lj/cut: bitwise the unfused sequence it replaces (geometry
+    # -> pair_terms -> accumulate, numpy reductions), with two atom
+    # types and pre-loaded outputs — the digest chain must not be able
+    # to tell which route ran.
+    from repro.md.potentials.lj import LennardJonesCut
+
+    pot = LennardJonesCut([1.0, 0.7], [1.0, 1.15], cutoff=rc)
+    tables = pot.fused_style().coeffs
+    types = rng.integers(0, 2, n)
+    lengths, _, periodic = _box_f64(box)
+    start = rng.normal(size=(n, 3))
+    gi, gj, gr = oi[:c].copy(), oj[:c].copy(), orr[:c].copy()
+    energy, f_over_r = pot.pair_terms(
+        gr, gr * gr, types[gi], types[gj], None, None
+    )
+    ref = start.copy()
+    provider.acc_scaled(ref, gi, gj, odr[:c].copy(), f_over_r)
+    got = start.copy()
+    pair_e, pair_w = np.empty(len(pi)), np.empty(len(pi))
+    count = provider.lj_half(
+        pos, pi, pj, lengths, periodic, rc * rc, types, *tables,
+        got, pair_e, pair_w,
+    )
+    if not (
+        count == c
+        and np.array_equal(got, ref)
+        and np.array_equal(pair_e[:c], energy)
+        and np.array_equal(pair_w[:c], f_over_r * (gr * gr))
+    ):
+        raise AssertionError("fused lj_half deviates from the unfused path")
+    # Directed rows: the same pairs read as (head, partner) rows.
+    energy, f_over_r = pot.pair_terms(
+        np.sqrt(r2[k]), r2[k], types[pi[k]], types[pj[k]], None, None
+    )
+    ref = [start.copy(), start[:, 0].copy(), start[:, 1].copy()]
+    provider.scatter3(ref[0], pi[k], f_over_r[:, None] * d[k])
+    provider.scatter1(ref[1], pi[k], 0.5 * energy)
+    provider.scatter1(ref[2], pi[k], 0.5 * f_over_r * r2[k])
+    got = [start.copy(), start[:, 0].copy(), start[:, 1].copy()]
+    count = provider.lj_rows(
+        pos, pi, pj, pi, pj, lengths, periodic, rc * rc, types, *tables, *got
+    )
+    if count != len(k) or not all(map(np.array_equal, got, ref)):
+        raise AssertionError("fused lj_rows deviates from the unfused path")
+
     # CSR build: the rows must arrive exactly as lexsort((j, i)) orders
     # the numpy build's pairs — the neighbor list no longer sorts them —
     # with matching offsets and within-cutoff count, and a too-small
@@ -264,6 +309,20 @@ def _box_f64(box):
         np.ascontiguousarray(box.lengths, dtype=np.float64),
         np.ascontiguousarray(box.origin, dtype=np.float64),
         np.ascontiguousarray(box.periodic, dtype=np.uint8),
+    )
+
+
+#: Stand-in ``types`` argument for one-type styles (never read).
+_NO_TYPES = np.zeros(1, np.int64)
+
+
+def _native(array, dtype) -> bool:
+    """True for a C-contiguous ndarray of exactly ``dtype`` — what the
+    provider kernels may be handed without a converting copy."""
+    return (
+        isinstance(array, np.ndarray)
+        and array.dtype == dtype
+        and array.flags.c_contiguous
     )
 
 
@@ -328,6 +387,9 @@ class CompiledBackend(NumpyFastBackend):
         self._pg_r = np.empty(0)
         # Neighbor-build output capacity hint from the last build.
         self._nb_hint = 0
+        # Fused pair pass: per-pair energy / virial terms (grow-only).
+        self._pair_energy = np.empty(0)
+        self._pair_virial = np.empty(0)
 
     def set_policy(self, policy: PrecisionPolicy) -> None:
         if policy.storage_dtype != self.policy.storage_dtype:
@@ -394,6 +456,85 @@ class CompiledBackend(NumpyFastBackend):
             oj[:c].copy(),
             odr[:c].astype(compute_dtype, copy=True),
             orr[:c].astype(compute_dtype, copy=True),
+        )
+
+    # ------------------------------------------------------------------
+    # Fused analytic pair styles
+    # ------------------------------------------------------------------
+    def _lj_arguments(self, style, types):
+        """``(rc2, types, eps, sigma, shift)`` for the lj/cut kernels,
+        or ``None`` when this backend must not take the fused route."""
+        if style.kind != "lj/cut" or not self.policy.is_double:
+            return None
+        eps, sigma, shift = style.coeffs
+        if len(eps) == 1:
+            return style.cutoff * style.cutoff, _NO_TYPES, eps, sigma, shift
+        # The kernel indexes the tables unchecked; anything the numpy
+        # gather would wrap or reject stays on the numpy path.
+        if not (
+            _native(types, np.int64)
+            and len(types)
+            and 0 <= types.min()
+            and types.max() < len(eps)
+        ):
+            return None
+        return style.cutoff * style.cutoff, types, eps, sigma, shift
+
+    def pair_forces(self, style, system, neighbors):
+        """Fused ``lj/cut`` over the stored half list (float64 only)."""
+        if neighbors._positions_at_build is None:
+            raise RuntimeError("neighbor list has never been built")
+        args = self._lj_arguments(style, system.types)
+        positions, forces = system.positions, system.forces
+        pair_i, pair_j = neighbors.pair_i, neighbors.pair_j
+        if args is None or not (
+            _native(positions, np.float64)
+            and _native(forces, np.float64)
+            and _native(pair_i, np.int64)
+            and _native(pair_j, np.int64)
+        ):
+            return None
+        m = len(pair_i)
+        if m == 0:
+            return 0.0, 0.0, 0
+        if m > len(self._pair_energy):
+            capacity = max(m, int(1.5 * len(self._pair_energy)), 1024)
+            self._pair_energy = np.empty(capacity)
+            self._pair_virial = np.empty(capacity)
+        lengths, _, periodic = _box_f64(system.box)
+        count = self._impl.lj_half(
+            positions, pair_i, pair_j, lengths, periodic, *args,
+            forces, self._pair_energy, self._pair_virial,
+        )
+        # Pairwise np.sum over the compressed terms, as the unfused
+        # path reduces pair_terms' arrays.
+        return (
+            float(np.sum(self._pair_energy[:count], dtype=np.float64)),
+            float(np.sum(self._pair_virial[:count], dtype=np.float64)),
+            count,
+        )
+
+    def directed_pair_forces(
+        self, style, positions, lengths, periodic, rows, types,
+        forces, energy, virial,
+    ):
+        """Fused ``lj/cut`` over directed rows (float64 only)."""
+        args = self._lj_arguments(style, types)
+        if args is None or not (
+            _native(positions, np.float64)
+            and all(_native(out, np.float64) for out in (forces, energy, virial))
+            and all(_native(index, np.int64) for index in rows)
+        ):
+            return None
+        if len(rows[0]) == 0:
+            return 0
+        return self._impl.lj_rows(
+            positions,
+            *rows,
+            np.ascontiguousarray(lengths, dtype=np.float64),
+            np.ascontiguousarray(periodic, dtype=np.uint8),
+            *args,
+            forces, energy, virial,
         )
 
     # ------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The Pair task dominates MD wall-clock (Table 1), so seeing *inside* it
 matters: this wrapper records one ``"kernel"``-category span per
 backend primitive — pair-geometry gather, force accumulation, generic
-scatter — around whatever backend the simulation selected.  It is only
+scatter, fused pair pass — around whatever backend the simulation
+selected.  It is only
 installed when tracing is enabled, so the disabled-tracer hot path runs
 the raw backend with zero indirection.
 """
@@ -37,6 +38,22 @@ class TracingBackend(KernelBackend):
     def current_pairs(self, system, neighbors, cutoff=None):
         with self.tracer.span("kernel.current_pairs", "kernel"):
             return self.inner.current_pairs(system, neighbors, cutoff)
+
+    def pair_forces(self, style, system, neighbors):
+        # The span also covers a declined call (``None``): the unfused
+        # primitives that follow record their own.
+        with self.tracer.span("kernel.pair_forces", "kernel"):
+            return self.inner.pair_forces(style, system, neighbors)
+
+    def directed_pair_forces(
+        self, style, positions, lengths, periodic, rows, types,
+        forces, energy, virial,
+    ):
+        with self.tracer.span("kernel.pair_forces", "kernel"):
+            return self.inner.directed_pair_forces(
+                style, positions, lengths, periodic, rows, types,
+                forces, energy, virial,
+            )
 
     def scatter_add(self, out, index, values):
         with self.tracer.span("kernel.scatter_add", "kernel"):

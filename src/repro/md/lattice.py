@@ -25,6 +25,7 @@ import numpy as np
 from repro.md.atoms import AtomSystem, Topology
 from repro.md.box import Box
 from repro.md.neighbor import NeighborList
+from repro.md.potentials.lj import WCA_CUTOFF, LennardJonesCut
 from repro.md.potentials.soft import SoftRepulsion
 
 __all__ = [
@@ -117,6 +118,31 @@ def lj_melt_system(
 # ---------------------------------------------------------------------------
 # Bead-spring polymer melt (the "chain" benchmark)
 # ---------------------------------------------------------------------------
+#: Finishing steps :func:`soft_pushoff` allows itself; 32 000 beads
+#: need 7.
+_PUSHOFF_FINISH_STEPS = 200
+
+
+def _pushoff_is_safe(
+    system: AtomSystem,
+    neighbor: NeighborList,
+    min_separation: float,
+    max_bond: float,
+) -> bool:
+    """No pair closer than ``min_separation``, no bond longer than
+    ``max_bond``."""
+    contacts = neighbor.current_pairs(system)[3]
+    if len(contacts) and contacts.min() < min_separation:
+        return False
+    bonds = system.topology.bonds
+    if len(bonds) == 0:
+        return True
+    lengths = system.box.distance(
+        system.positions[bonds[:, 0]], system.positions[bonds[:, 1]]
+    )
+    return bool(lengths.max() <= max_bond)
+
+
 def soft_pushoff(
     system: AtomSystem,
     *,
@@ -132,6 +158,18 @@ def soft_pushoff(
     the LJ/FENE potentials would explode; pushing with the bounded soft
     potential while ramping its prefactor inflates the configuration
     into a usable melt.  Velocities are zeroed afterwards.
+
+    The ramp's forces are bounded (soft core) or weak (``k = 50``
+    springs), so it leaves tails: about one bond in a thousand ends
+    beyond ``1.4`` and the closest contact shrinks as more pairs sample
+    it.  Whether the longest bond passes FENE's ``R0 = 1.5`` or a
+    contact is tight enough for the LJ core to fling an atom through
+    its bonds within a few steps is then a matter of system size and
+    seed (it happened at 1 500 and from 3 000 beads up).  So the result
+    is checked — longest bond ``<= 1.5 bond_length``, closest pair
+    ``>= 0.8 sigma`` — and, only where it fails, relaxed further with
+    the real WCA core and a stiffer spring under a small displacement
+    cap (LAMMPS's ``nve/limit`` recipe) until it holds.
     """
     from repro.md.bonded import HarmonicBond  # local import to avoid a cycle
 
@@ -151,6 +189,29 @@ def soft_pushoff(
         np.clip(move, -0.1, 0.1, out=move)
         system.positions += move
         system.wrap()
+
+    sigma = cutoff / WCA_CUTOFF
+    core = LennardJonesCut(1.0, sigma, cutoff)
+    # 3x the ramp's spring at the default dt, inside explicit Euler's
+    # stability bound for a bond whose two ends both move (4 k dt < 2).
+    stiff = HarmonicBond(k=0.3 / dt, r0=bond_length)
+    for _ in range(_PUSHOFF_FINISH_STEPS):
+        neighbor.ensure(system)
+        if _pushoff_is_safe(system, neighbor, 0.8 * sigma, 1.5 * bond_length):
+            break
+        system.forces[:] = 0.0
+        core.compute(system, neighbor)
+        if system.topology.n_bonds:
+            stiff.compute(system)
+        move = dt * system.forces
+        np.clip(move, -0.02, 0.02, out=move)
+        system.positions += move
+        system.wrap()
+    else:
+        raise RuntimeError(
+            "soft_pushoff: bonds or contacts still outside the safe range "
+            f"after {_PUSHOFF_FINISH_STEPS} finishing steps"
+        )
     system.velocities[:] = 0.0
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.md.atoms import AtomSystem
 from repro.md.kernels import KernelBackend, get_backend
+from repro.md.kernels.base import PairStyle
 from repro.md.neighbor import NeighborList
 
 __all__ = ["ForceResult", "PairPotential", "accumulate_pair_forces"]
@@ -148,8 +149,25 @@ class AnalyticPairPotential(PairPotential):
         measurable win at benchmark pair counts.
         """
 
+    def fused_style(self) -> PairStyle | None:
+        """Closed form a backend may evaluate in place of :meth:`pair_terms`.
+
+        ``None`` (the default) keeps :meth:`compute` on the generic
+        geometry → ``pair_terms`` → scatter path.  A subclass whose
+        functional form a backend knows natively returns its
+        :class:`~repro.md.kernels.base.PairStyle`; the backend still
+        declines (and the generic path runs) whenever it cannot
+        reproduce that path bitwise.
+        """
+        return None
+
     def compute(self, system: AtomSystem, neighbors: NeighborList) -> ForceResult:
         kernel = self.backend
+        style = self.fused_style()
+        if style is not None:
+            fused = kernel.pair_forces(style, system, neighbors)
+            if fused is not None:
+                return ForceResult(*fused)
         i, j, dr, r = kernel.current_pairs(system, neighbors, self.cutoff)
         if len(i) == 0:
             return ForceResult()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.md.kernels.base import PairStyle
 from repro.md.potentials.base import AnalyticPairPotential
 from repro.md.potentials.mixing import build_mixed_tables
 
@@ -92,6 +93,18 @@ class LennardJonesCut(AnalyticPairPotential):
         energy = 4.0 * eps * (sr12 - sr6) - shift
         f_over_r = 24.0 * eps * (2.0 * sr12 - sr6) * inv_r2
         return energy, f_over_r
+
+    def fused_style(self) -> PairStyle:
+        # Built per call from the live attributes, so a cutoff or table
+        # edited after construction reaches the fused kernel too.
+        return PairStyle(
+            "lj/cut",
+            self.cutoff,
+            tuple(
+                np.ascontiguousarray(table, dtype=np.float64)
+                for table in (self.eps_table, self.sigma_table, self.shift_table)
+            ),
+        )
 
     def tail_energy(self, n_atoms: int, volume: float) -> float:
         """Long-range energy correction of the truncated potential.

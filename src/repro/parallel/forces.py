@@ -184,21 +184,15 @@ def evaluate_domain_forces(
     # Geometry runs in the storage dtype of the shared position buffer
     # (float32 under SINGLE), mirroring the serial kernels' policy.
     lengths = np.asarray(lengths).astype(positions.dtype, copy=False)
-    dr_all, tmp, r2_all = lists.geometry_scratch(m, positions.dtype)
-    np.take(positions, lists.gdi[:m], axis=0, out=dr_all, mode="clip")
-    np.take(positions, lists.gdj[:m], axis=0, out=tmp, mode="clip")
-    np.subtract(dr_all, tmp, out=dr_all)
-    # In-place minimum image, same operation sequence as the kernels
-    # (divide, round-half-even, mask non-periodic, multiply, subtract),
-    # so parallel displacements are bitwise equal to the serial ones.
-    np.divide(dr_all, lengths, out=tmp)
-    np.rint(tmp, out=tmp)
-    if not periodic.all():
-        tmp[:, ~periodic] = 0.0
-    np.multiply(tmp, lengths, out=tmp)
-    np.subtract(dr_all, tmp, out=dr_all)
-    np.einsum("ij,ij->i", dr_all, dr_all, out=r2_all)
-    owned_mask = di < n_owned
+    owned_rows = tuple(
+        rows[: lists.n_owned_rows]
+        for rows in (lists.di, lists.dj, lists.gdi, lists.gdj)
+    )
+    # Per-row dr / r2 / owned mask, shared by the potentials no fused
+    # kernel takes and built for the first of them: a domain whose
+    # potentials are all fused never materializes the displacement
+    # arrays.
+    geometry = None
 
     # Per-atom accumulators follow the accumulate dtype: MIXED gathers
     # float32 per-pair terms into float64 totals.
@@ -211,6 +205,21 @@ def evaluate_domain_forces(
     )
 
     for slot, pot in enumerate(potentials):
+        if isinstance(pot, AnalyticPairPotential):
+            style = pot.fused_style()
+            fused = None if style is None else backend.directed_pair_forces(
+                style, positions, lengths, periodic, owned_rows,
+                statics["types"], out.forces, out.energy, out.virial,
+            )
+            if fused is not None:
+                out.interactions.append(fused)
+                continue
+        if geometry is None:
+            geometry = (
+                *_row_geometry(lists, positions, lengths, periodic, m),
+                di < n_owned,
+            )
+        dr_all, r2_all, owned_mask = geometry
         cutoff_mask = r2_all < pot.cutoff * pot.cutoff
         if isinstance(pot, EAMAlloy):
             _eam_terms(
@@ -253,6 +262,31 @@ def evaluate_domain_forces(
                 "HookeHistory"
             )
     return out
+
+
+def _row_geometry(
+    lists: DomainLists,
+    positions: np.ndarray,
+    lengths: np.ndarray,
+    periodic: np.ndarray,
+    m: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-image ``dr`` and ``r2`` of the first ``m`` directed rows."""
+    dr_all, tmp, r2_all = lists.geometry_scratch(m, positions.dtype)
+    np.take(positions, lists.gdi[:m], axis=0, out=dr_all, mode="clip")
+    np.take(positions, lists.gdj[:m], axis=0, out=tmp, mode="clip")
+    np.subtract(dr_all, tmp, out=dr_all)
+    # In-place minimum image, same operation sequence as the kernels
+    # (divide, round-half-even, mask non-periodic, multiply, subtract),
+    # so parallel displacements are bitwise equal to the serial ones.
+    np.divide(dr_all, lengths, out=tmp)
+    np.rint(tmp, out=tmp)
+    if not periodic.all():
+        tmp[:, ~periodic] = 0.0
+    np.multiply(tmp, lengths, out=tmp)
+    np.subtract(dr_all, tmp, out=dr_all)
+    np.einsum("ij,ij->i", dr_all, dr_all, out=r2_all)
+    return dr_all, r2_all
 
 
 def _analytic_terms(

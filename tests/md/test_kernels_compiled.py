@@ -21,6 +21,7 @@ from repro.md.box import Box
 from repro.md.kernels import (
     BackendUnavailableError,
     CompiledBackend,
+    KernelBackend,
     NumpyFastBackend,
     available_backends,
     backend_diagnostics,
@@ -40,6 +41,8 @@ from repro.md.neighbor import NeighborList, cell_list_half_pairs
 from repro.md.potentials.eam import EAMAlloy
 from repro.md.potentials.lj import LennardJonesCut
 from repro.md.simulation import Simulation
+from repro.parallel.forces import DomainLists, evaluate_domain_forces
+from repro.parallel.halo import LocalIndex
 
 needs_compiled = pytest.mark.skipif(
     not compiled_available(),
@@ -100,6 +103,32 @@ class TestAvailabilityAndFallback:
         assert sim.backend.name == "numpy_fast"
         sim.run(2)
         assert np.isfinite(sim.total_energy())
+
+    def test_disabled_provider_runs_lj_unfused_within_parity(self, monkeypatch):
+        """No provider, no fused pass: ``compiled`` degrades to a backend
+        whose hook declines, and LJ forces/energy/virial from the numpy
+        path it stays on track the ``numpy_ref`` oracle to 1e-12."""
+        monkeypatch.setenv(PROVIDER_ENV_VAR, "none")
+        monkeypatch.setattr(kernels_module, "_warned_fallbacks", set())
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            backend = get_backend("compiled")
+        system, potential = _jittered_case("lj")
+        nlist = NeighborList(2.5, 0.3)
+        nlist.build(system)
+        assert backend.pair_forces(potential.fused_style(), system, nlist) is None
+        results = {}
+        for name, kernel in (("fallback", backend), ("ref", get_backend("numpy_ref"))):
+            potential.backend = kernel
+            system.forces[...] = 0.0
+            results[name] = (potential.compute(system, nlist), system.forces.copy())
+        (got, got_forces), (ref, ref_forces) = results["fallback"], results["ref"]
+        assert got.interactions == ref.interactions
+        assert abs(got.energy - ref.energy) <= 1e-12 * abs(ref.energy)
+        assert abs(got.virial - ref.virial) <= 1e-12 * abs(ref.virial)
+        assert (
+            np.linalg.norm(got_forces - ref_forces)
+            <= 1e-12 * np.linalg.norm(ref_forces)
+        )
 
     def test_unknown_backend_error_lists_degraded_reasons(self, monkeypatch):
         monkeypatch.setenv(PROVIDER_ENV_VAR, "none")
@@ -376,6 +405,351 @@ class TestNativeNeighborBuild:
         _smoke_test(provider)  # the real provider passes
         with pytest.raises(AssertionError, match="cell_csr deviates"):
             _smoke_test(UnsortedRows())
+
+
+# ---------------------------------------------------------------------------
+# Fused lj/cut force pass vs the unfused compiled path, bit for bit
+# ---------------------------------------------------------------------------
+class _UnfusedCompiled(CompiledBackend):
+    """The compiled backend as it ran before the fused pass existed:
+    both hooks decline, every caller stays on its unfused path."""
+
+    pair_forces = KernelBackend.pair_forces
+    directed_pair_forces = KernelBackend.directed_pair_forces
+
+
+def _same_bits(a, b) -> bool:
+    """Bitwise equality (``np.array_equal`` lets ``-0.0 == 0.0`` pass)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _lj_configurations(draw):
+    """LJ systems that exercise every branch of the fused kernels:
+    non-cubic boxes under any periodicity mask, 1-3 atom types with
+    mixed tables, shift on/off, cell-list / brute-force / exclusion-
+    filtered lists, atoms without partners (sparse boxes), atoms moved
+    and unwrapped after the build, and pre-loaded force arrays."""
+    rc = draw(st.floats(1.0, 1.8))
+    skin = 0.25
+    periodic = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    lengths = np.array(
+        [draw(st.floats(2.05, 5.0)) * (rc + skin) for _ in range(3)]
+    )
+    origin = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(3)])
+    box = Box(lengths, periodic=periodic, origin=origin)
+    n = draw(st.integers(2, 140))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    positions = origin + rng.uniform(0.0, 1.0, (n, 3)) * lengths
+    n_types = draw(st.integers(1, 3))
+    potential = LennardJonesCut(
+        rng.uniform(0.5, 1.5, n_types),
+        rng.uniform(0.8, 1.1, n_types),
+        cutoff=rc,
+        shift=draw(st.booleans()),
+        mix_style=draw(st.sampled_from(["arithmetic", "geometric", "sixthpower"])),
+    )
+    system = AtomSystem(positions, box, types=rng.integers(0, n_types, n))
+    exclusions = None
+    if draw(st.booleans()):
+        chosen = rng.integers(0, n, (max(1, n // 3), 2))
+        exclusions = chosen[chosen[:, 0] != chosen[:, 1]]
+    brute_force = draw(st.booleans())
+    # Moves applied after the list is built: a jitter inside the skin
+    # and whole-box hops on periodic axes (unwrapped atoms).
+    hops = rng.integers(-2, 3, (n, 3)) * (rng.random((n, 3)) < 0.1)
+    moved = (
+        positions
+        + rng.normal(scale=0.04, size=(n, 3))
+        + hops * lengths * np.asarray(periodic)
+    )
+    preload = rng.normal(size=(n, 3)) * draw(st.sampled_from([0.0, 1.0]))
+    return system, potential, skin, exclusions, brute_force, moved, preload
+
+
+def _one_domain(system, list_cutoff, exclusions, worker, grid):
+    """The directed rows engine worker ``worker`` of ``grid`` builds."""
+    box = system.box
+    wrapped = box.wrap(system.positions)
+    index = LocalIndex.build(
+        wrapped, box.origin, box.lengths, box.periodic, grid, worker, list_cutoff
+    )
+    n = system.n_atoms
+    keys = None
+    if exclusions is not None and len(exclusions):
+        lo, hi = np.sort(exclusions, axis=1).T
+        keys = np.unique(lo * np.int64(n) + hi)
+    return DomainLists.build(
+        index,
+        index.local_positions(wrapped, box.lengths),
+        list_cutoff,
+        excluded_keys=keys,
+        n_atoms_total=n,
+        owned_only=True,
+    )
+
+
+@needs_compiled
+class TestFusedLennardJones:
+    @given(config=_lj_configurations())
+    @settings(max_examples=150, deadline=None)
+    def test_half_list_pass_is_bitwise_the_unfused_path(self, config):
+        system, potential, skin, exclusions, brute_force, moved, preload = config
+        nlist = NeighborList(
+            potential.cutoff,
+            skin,
+            exclusions=exclusions,
+            brute_force_max=10**6 if brute_force else 0,
+        )
+        nlist.build(system)
+        system.positions[...] = moved
+
+        system.forces[...] = preload
+        potential.backend = _UnfusedCompiled()
+        expected = potential.compute(system, nlist)
+        expected_forces = system.forces.copy()
+
+        system.forces[...] = preload
+        fused = CompiledBackend().pair_forces(
+            potential.fused_style(), system, nlist
+        )
+        assert fused is not None, "the fused kernel declined a float64 LJ case"
+        energy, virial, interactions = fused
+        assert interactions == expected.interactions
+        assert _same_bits(energy, expected.energy)
+        assert _same_bits(virial, expected.virial)
+        assert _same_bits(system.forces, expected_forces)
+
+    @given(config=_lj_configurations(), workers=st.sampled_from([1, 2]))
+    @settings(max_examples=100, deadline=None)
+    def test_directed_row_pass_is_bitwise_the_unfused_path(self, config, workers):
+        system, potential, skin, exclusions, _, moved, _ = config
+        list_cutoff = potential.cutoff + skin
+        lists = _one_domain(system, list_cutoff, exclusions, 0, (workers, 1, 1))
+        # A second potential sees the first one's totals already in the
+        # per-atom outputs: the pre-loaded case of the directed kernel.
+        second = LennardJonesCut(
+            0.5 * (potential.eps_table.diagonal() + 1.0),
+            potential.sigma_table.diagonal(),
+            cutoff=0.8 * potential.cutoff,
+            shift=not potential.shift,
+        )
+        results = []
+        for backend in (_UnfusedCompiled(), CompiledBackend()):
+            results.append(
+                evaluate_domain_forces(
+                    [potential, second],
+                    lists,
+                    moved,
+                    lengths=system.box.lengths,
+                    periodic=system.box.periodic,
+                    backend=backend,
+                    statics={
+                        "types": system.types[lists.index.gids],
+                        "charges": None,
+                    },
+                )
+            )
+        expected, fused = results
+        assert fused.interactions == expected.interactions
+        assert _same_bits(fused.forces, expected.forces)
+        assert _same_bits(fused.energy, expected.energy)
+        assert _same_bits(fused.virial, expected.virial)
+
+    def test_directed_rows_skip_the_shared_geometry(self, monkeypatch):
+        """With every potential fused, a worker's step never builds the
+        per-row ``dr``/``r2`` arrays."""
+        import repro.parallel.forces as forces_module
+
+        system = lj_melt_system(500, seed=3)
+        lists = _one_domain(system, 2.8, None, 0, (2, 1, 1))
+        monkeypatch.setattr(
+            forces_module,
+            "_row_geometry",
+            lambda *a, **k: pytest.fail("geometry built for a fused domain"),
+        )
+        out = evaluate_domain_forces(
+            [LennardJonesCut(cutoff=2.5)],
+            lists,
+            system.positions,
+            lengths=system.box.lengths,
+            periodic=system.box.periodic,
+            backend=CompiledBackend(),
+            statics={"types": system.types[lists.index.gids], "charges": None},
+        )
+        assert out.interactions[0] > 0
+
+    def test_compute_takes_the_fused_route_and_keeps_tail_terms(self, monkeypatch):
+        system = lj_melt_system(500, seed=5)
+        nlist = NeighborList(2.5, 0.3)
+        nlist.build(system)
+        results = []
+        for backend in (_UnfusedCompiled(), CompiledBackend()):
+            calls = []
+            native = backend._impl.lj_half
+
+            def counted(*args, native=native, calls=calls):
+                calls.append(1)
+                return native(*args)
+
+            monkeypatch.setattr(backend._impl, "lj_half", counted)
+            potential = LennardJonesCut(cutoff=2.5, tail_correction=True)
+            potential.backend = backend
+            system.forces[...] = 0.0
+            results.append((potential.compute(system, nlist), len(calls)))
+        (expected, unfused_calls), (got, fused_calls) = results
+        assert (unfused_calls, fused_calls) == (0, 1)
+        assert got == expected
+
+    @pytest.mark.parametrize("mode", ["single", "mixed"])
+    def test_reduced_precision_stays_on_the_unfused_path(self, mode):
+        system = lj_melt_system(256, seed=5)
+        nlist = NeighborList(2.5, 0.3)
+        nlist.build(system)
+        backend = CompiledBackend()
+        backend.set_policy(policy_for(mode))
+        style = LennardJonesCut(cutoff=2.5).fused_style()
+        assert backend.pair_forces(style, system, nlist) is None
+        assert np.all(system.forces == 0.0)
+
+    def test_declines_what_the_kernels_cannot_index(self):
+        """Out-of-table atom types, foreign dtypes and strided arrays
+        are left to the numpy path (which raises or copies as before);
+        nothing is written when the hook declines."""
+        system = lj_melt_system(256, seed=5)
+        nlist = NeighborList(2.5, 0.3)
+        nlist.build(system)
+        backend = CompiledBackend()
+        two_types = LennardJonesCut([1.0, 0.8], [1.0, 0.9], cutoff=2.5)
+        system.types[7] = 2
+        assert backend.pair_forces(two_types.fused_style(), system, nlist) is None
+        system.types[7] = -1
+        assert backend.pair_forces(two_types.fused_style(), system, nlist) is None
+        system.types[7] = 0
+        one_type = LennardJonesCut(cutoff=2.5).fused_style()
+        strided = AtomSystem(system.positions.copy(), system.box)
+        strided.forces = np.zeros((256 * 2, 3))[::2][: system.n_atoms]
+        assert backend.pair_forces(one_type, strided, nlist) is None
+        assert np.all(strided.forces == 0.0)
+        unknown = type(one_type)("morse", 2.5, one_type.coeffs)
+        assert backend.pair_forces(unknown, system, nlist) is None
+        with pytest.raises(RuntimeError, match="never been built"):
+            backend.pair_forces(one_type, system, NeighborList(2.5, 0.3))
+
+    def test_smoke_test_demotes_a_provider_whose_fused_pass_drifts(self):
+        provider, _ = resolve_provider()
+
+        class OffByAnUlp:
+            def __getattr__(self, name):
+                return getattr(provider, name)
+
+            def lj_half(self, *args):
+                count = provider.lj_half(*args)
+                forces = args[-3]
+                forces[0, 0] = np.nextafter(forces[0, 0], np.inf)
+                return count
+
+        class WrongRowOrder:
+            def __getattr__(self, name):
+                return getattr(provider, name)
+
+            def lj_rows(self, pos, di, dj, gi, gj, *rest):
+                back = slice(None, None, -1)
+                return provider.lj_rows(
+                    pos,
+                    *(np.ascontiguousarray(x[back]) for x in (di, dj, gi, gj)),
+                    *rest,
+                )
+
+        with pytest.raises(AssertionError, match="lj_half deviates"):
+            _smoke_test(OffByAnUlp())
+        with pytest.raises(AssertionError, match="lj_rows deviates"):
+            _smoke_test(WrongRowOrder())
+
+
+# ---------------------------------------------------------------------------
+# Minimum-image fast path (|d| <= 0.49 L skips the divide and rint)
+# ---------------------------------------------------------------------------
+def _displacement_probe(dtype):
+    """Atom pairs whose x/y/z separations sit on and around every
+    branch point of the minimum-image fast path, as a hand-made list.
+
+    ``L = 8`` is dyadic, so ``0.49 * L`` (the kernels' threshold, same
+    expression) and the half-box are exact in both float widths; atom 0
+    sits at the origin so the stored displacement is the probe itself.
+    """
+    L = dtype(8.0)
+    edge = dtype(0.49) * L
+    up = lambda x: np.nextafter(x, dtype(np.inf))  # noqa: E731
+    down = lambda x: np.nextafter(x, dtype(-np.inf))  # noqa: E731
+    probes = [
+        dtype(0.0), -dtype(0.0),
+        edge, -edge, up(edge), down(-edge), down(edge), up(-edge),
+        dtype(4.0), dtype(-4.0), up(dtype(4.0)), down(dtype(-4.0)),
+        down(dtype(4.0)), up(dtype(-4.0)),
+        dtype(12.0), dtype(-12.0), up(dtype(12.0)), down(dtype(-12.0)),
+        dtype(13.5), dtype(-13.5), dtype(20.0), dtype(-27.25),  # unwrapped
+        dtype(1.25), dtype(-3.0),
+    ]
+    rows = []
+    for axis in range(3):
+        for probe in probes:
+            row = np.zeros(3, dtype)
+            row[axis] = probe
+            rows.append(row)
+    positions = np.vstack([np.zeros((1, 3), dtype), np.array(rows, dtype)])
+    return positions, len(rows)
+
+
+@needs_compiled
+class TestMinimumImageFastPath:
+    @pytest.mark.parametrize("mode", ["double", "single"])
+    @pytest.mark.parametrize(
+        "periodic", [(True, True, True), (True, False, True), (False,) * 3]
+    )
+    def test_pair_geometry_bitwise_around_every_branch_point(self, mode, periodic):
+        policy = policy_for(mode)
+        dtype = policy.storage_dtype.type
+        positions, m = _displacement_probe(dtype)
+        system = AtomSystem(
+            positions.astype(np.float64), Box([8.0] * 3, periodic=periodic)
+        )
+        if mode == "single":
+            system.positions = positions  # float32 storage, as SINGLE keeps it
+        nlist = NeighborList(1.0, 0.0)
+        # "b - a" rows put the probe itself (sign included) into dr;
+        # "a - b" rows its negation, which is where -0.0 comes from.
+        nlist.pair_i = np.concatenate([np.arange(1, m + 1), np.zeros(m, np.int64)])
+        nlist.pair_j = np.concatenate([np.zeros(m, np.int64), np.arange(1, m + 1)])
+        nlist._positions_at_build = system.positions
+        outputs = []
+        for backend in (NumpyFastBackend(), CompiledBackend()):
+            backend.set_policy(policy)
+            outputs.append(backend.current_pairs(system, nlist, 100.0))
+        for expected, got in zip(*outputs):
+            assert _same_bits(got, expected)
+        assert len(outputs[0][0]) == 2 * m  # nothing was filtered out
+
+    @pytest.mark.parametrize("periodic", [(True, True, True), (True, False, True)])
+    def test_fused_passes_bitwise_around_every_branch_point(self, periodic):
+        positions, m = _displacement_probe(np.float64)
+        # Keep the probes apart from each other's images and off r = 0.
+        positions[1:] += [0.0625, 0.125, 0.03125]
+        system = AtomSystem(positions, Box([8.0] * 3, periodic=periodic))
+        nlist = NeighborList(3.0, 0.0)
+        nlist.pair_i = np.concatenate([np.arange(1, m + 1), np.zeros(m, np.int64)])
+        nlist.pair_j = np.concatenate([np.zeros(m, np.int64), np.arange(1, m + 1)])
+        nlist._positions_at_build = system.positions
+        potential = LennardJonesCut(cutoff=3.0)
+        potential.backend = _UnfusedCompiled()
+        expected = potential.compute(system, nlist)
+        expected_forces = system.forces.copy()
+        system.forces[...] = 0.0
+        got = CompiledBackend().pair_forces(potential.fused_style(), system, nlist)
+        assert got == (expected.energy, expected.virial, expected.interactions)
+        assert expected.interactions > 0
+        assert _same_bits(system.forces, expected_forces)
 
 
 # ---------------------------------------------------------------------------

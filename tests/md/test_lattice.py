@@ -78,6 +78,23 @@ class TestPolymerMelt:
         )
         assert np.all(r < 1.45)  # inside the FENE extensibility limit
 
+    @pytest.mark.parametrize("n_chains", [20, 60])
+    def test_pushoff_postcondition_holds_where_the_ramp_alone_failed(
+        self, n_chains
+    ):
+        """500 and 1 500 beads at the default seed: the ramp left bonds
+        of 1.494 and 1.517 (R0 = 1.5); the finishing pass must bring
+        them inside 1.5 x bond_length without opening tight contacts."""
+        system = polymer_melt_system(n_chains, 25)
+        bonds = system.topology.bonds
+        r = system.box.distance(
+            system.positions[bonds[:, 0]], system.positions[bonds[:, 1]]
+        )
+        assert r.max() <= 1.5 * 0.97
+        from repro.md.neighbor import brute_force_pairs
+
+        assert len(brute_force_pairs(system.positions, system.box, 0.8)[0]) == 0
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             polymer_melt_system(0, 10)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.md import RunConfig
-from repro.md.kernels import get_backend
+from repro.md.kernels import CompiledBackend, KernelBackend, get_backend
 from repro.md.kernels.compiled import compiled_available
 from repro.md.precision import PARITY_TOLERANCES
 from repro.parallel.engine import ParallelForceExecutor
@@ -133,3 +133,22 @@ class TestCrossBackendEquivalence:
             if bench_name == bench
         }
         assert len(set(heads.values())) == len(heads), heads
+
+
+class TestFusedPairPassIsInvisible:
+    """The compiled backend's fused lj/cut pass must not move a digest:
+    for the serial executor and 1/2/4 engine workers, the LJ chain head
+    equals the one the same backend produces with both fused hooks
+    declining — the path every head recorded before the kernel existed
+    was computed on.  (Workers are forked, so they inherit the patch.)"""
+
+    @pytest.mark.parametrize("workers", (0, 1, 2, 4))
+    def test_lj_chain_head_unchanged_by_the_fused_kernel(
+        self, workers, monkeypatch
+    ):
+        _skip_unavailable("compiled")
+        fused, _ = _chain_for("lj", "compiled", workers=workers)
+        for hook in ("pair_forces", "directed_pair_forces"):
+            monkeypatch.setattr(CompiledBackend, hook, getattr(KernelBackend, hook))
+        unfused, _ = _chain_for("lj", "compiled", workers=workers)
+        assert fused.head == unfused.head

@@ -163,6 +163,25 @@ class TestStability:
         sim.run(50)  # FENE raises FloatingPointError on blow-up
         assert np.isfinite(sim.total_energy())
 
+    def test_chain_melt_builds_and_runs_at_4000_beads(self):
+        """Regression: the push-off's longest bond and closest contact
+        are extreme values that grow with the bead count; at 4 000 two
+        bonds came out beyond FENE's R0 and ``setup`` raised."""
+        sim = get_benchmark("chain").build(4000)
+        r0 = sim.bonded[0].r0
+        bonds = sim.system.topology.bonds
+
+        def longest_bond():
+            return sim.system.box.distance(
+                sim.system.positions[bonds[:, 0]], sim.system.positions[bonds[:, 1]]
+            ).max()
+
+        assert longest_bond() < r0
+        for _ in range(50):
+            sim.run(1)
+            assert longest_bond() < r0
+        assert np.isfinite(sim.total_energy())
+
     def test_chute_flows_downhill(self):
         sim = get_benchmark("chute").build(200)
         sim.run(400)
