@@ -93,13 +93,13 @@ class _UnfusedCompiled(CompiledBackend):
 
 def _timed(fn, reps: int, *, setup=None, warmup: int = 1) -> dict:
     """Best/mean wall-clock of ``reps`` calls (plus warmup calls)."""
-    # The compiled backend JIT-compiles (numba) or builds its native
-    # library (cc) on first use; skipping warmup would charge that
-    # one-time cost to the measurement, so the guard is unconditional.
-    assert warmup >= 1, "warmup must stay >= 1 (JIT/compile on first call)"
+    # The compiled backend builds its native library on first use;
+    # skipping warmup would charge that one-time cost to the
+    # measurement, so the guard is unconditional.
+    assert warmup >= 1, "warmup must stay >= 1 (compile on first call)"
     if setup is not None:
         setup()
-    for _ in range(warmup):  # warmup: JIT, scratch allocation, caches
+    for _ in range(warmup):  # warmup: compile, scratch allocation, caches
         fn()
     times = []
     for _ in range(reps):
@@ -343,7 +343,6 @@ def run(
         precision="double",
         energy=energy_provenance(),
         platform=platform_info(
-            numba=_numba_version(),
             kernel_backends=backend_diagnostics(),
             compiled_provider=provider_info(),
             telemetry=platform_provenance(),
@@ -355,15 +354,6 @@ def run(
         results=results,
         speedups=_speedups(results),
     )
-
-
-def _numba_version() -> str | None:
-    try:
-        import numba
-
-        return numba.__version__
-    except ImportError:
-        return None
 
 
 def _speedups(results: list[dict]) -> list[dict]:

@@ -10,10 +10,8 @@ consumed by :meth:`repro.md.simulation.Simulation.run`::
     sim = Simulation(system, [lj], precision="mixed")
     sim.run(RunConfig(steps=1000, reset_timers=True))
 
-The legacy spelling ``sim.run(1000, reset_timers=True,
-checkpoint=mgr)`` keeps working through a deprecation shim that
-forwards into a :class:`RunConfig` and emits one
-``DeprecationWarning`` per process.
+A bare step count — ``sim.run(1000)`` — is shorthand for
+``RunConfig(1000)``; ``run`` takes nothing else.
 """
 
 from __future__ import annotations

@@ -11,11 +11,10 @@ so that the same potentials run on interchangeable implementations:
     CSR-ordered pairs, ``np.bincount`` segmented accumulation and
     preallocated scratch buffers (the default).
 ``compiled``
-    Native-code pair forces *and* neighbor-list builds, via numba
-    ``@njit`` kernels when numba is importable or a ctypes-bound C
-    library compiled on first use otherwise.  Optional: when neither
-    provider works, requesting it falls back to ``numpy_fast`` with a
-    one-time warning (see :func:`backend_diagnostics` for the reason).
+    Native-code pair forces *and* neighbor-list builds from a
+    ctypes-bound C library compiled on first use.  Optional: without a
+    working C compiler, requesting it falls back to ``numpy_fast`` with
+    a one-time warning (see :func:`backend_diagnostics` for the reason).
 
 Selection order: an explicit ``Simulation(backend=...)`` argument wins,
 then the ``REPRO_KERNEL_BACKEND`` environment variable, then
@@ -89,9 +88,9 @@ def available_backends() -> tuple[str, ...]:
 def backend_diagnostics() -> dict[str, str]:
     """Per-backend availability: ``"ok"`` or why it would fall back.
 
-    Probing an optional backend may do real work on first call (import
-    numba and JIT-compile, or invoke the C compiler), so this is meant
-    for CLIs, benchmarks and error paths — not per-step code.
+    Probing an optional backend may do real work on first call (invoke
+    the C compiler), so this is meant for CLIs, benchmarks and error
+    paths — not per-step code.
     """
     diagnostics = {}
     for name, cls in _REGISTRY.items():
@@ -103,10 +102,10 @@ def backend_diagnostics() -> dict[str, str]:
 def resolve_auto_backend() -> str:
     """The registry name ``auto`` stands for on this machine.
 
-    ``compiled`` when a native provider (numba or a C compiler) passes
-    its smoke test, else :data:`DEFAULT_BACKEND`.  The probe may do
-    real work on first call (JIT or invoke ``cc``); the result is
-    cached by the provider layer, so later calls are cheap.
+    ``compiled`` when the native provider builds and passes its smoke
+    test, else :data:`DEFAULT_BACKEND`.  The probe may do real work on
+    first call (invoke the C compiler); the result is cached by the
+    provider layer, so later calls are cheap.
     """
     from repro.md.kernels.compiled import compiled_available
 
@@ -124,7 +123,7 @@ def get_backend(spec: str | KernelBackend | None = None) -> KernelBackend:
     potentials).
 
     Requesting an optional backend whose runtime support is missing
-    (e.g. ``compiled`` with neither numba nor a C compiler) returns the
+    (e.g. ``compiled`` without a C compiler) returns the
     default backend and warns once per process with the reason, so an
     exported ``REPRO_KERNEL_BACKEND=compiled`` can never break a run.
     """

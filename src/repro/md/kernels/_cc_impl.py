@@ -1,14 +1,13 @@
-"""C-compiler provider for the ``compiled`` kernel backend.
+"""The native provider of the ``compiled`` kernel backend.
 
-When numba is not installed (or its JIT is broken), the ``compiled``
-backend can still deliver native-code speed anywhere a C compiler is
-on ``PATH``: this module carries a single self-contained C translation
-unit implementing the Pair/Neigh hot loops, builds it once into a
-cached shared object with strict IEEE flags, and binds it via the
-stdlib ``ctypes`` — no third-party build dependency at all.
+The ``compiled`` backend delivers native-code speed anywhere a C
+compiler is on ``PATH``: this module carries a single self-contained C
+translation unit implementing the Pair/Neigh hot loops, builds it once
+into a cached shared object with strict IEEE flags, and binds it via
+the stdlib ``ctypes`` — no third-party build dependency at all.
 
-Numerical contract (shared with the numba provider and pinned by the
-backend oracle tests):
+Numerical contract (pinned by the provider smoke test and the backend
+oracle tests):
 
 * Minimum image uses the exact ``dr -= rint(dr / L) * L`` sequence of
   ``Box.minimum_image`` (round-half-even ``rint``), per periodic dim.
@@ -46,7 +45,7 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-__all__ = ["make_provider", "CACHE_ENV_VAR"]
+__all__ = ["CcProvider", "CACHE_ENV_VAR"]
 
 #: Environment override for the shared-object build cache directory.
 CACHE_ENV_VAR = "REPRO_COMPILED_CACHE"
@@ -638,8 +637,11 @@ double max_disp_sq_f64(const double *pos, const double *ref, int64_t n,
 
 
 def _find_compiler() -> str | None:
-    for cc in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if cc and shutil.which(cc):
+    """``$CC`` when set — and then only it, so a bad ``$CC`` is reported
+    instead of silently replaced — else the first of cc/gcc/clang."""
+    chosen = os.environ.get("CC")
+    for cc in (chosen,) if chosen else ("cc", "gcc", "clang"):
+        if shutil.which(cc):
             return cc
     return None
 
@@ -670,7 +672,9 @@ def _build_library() -> tuple[ctypes.CDLL, str]:
     """Compile (or reuse) the shared object; returns (lib, compiler id)."""
     cc = _find_compiler()
     if cc is None:
-        raise RuntimeError("no C compiler (cc/gcc/clang) found on PATH")
+        raise RuntimeError(
+            "no C compiler found on PATH ($CC if set, else cc/gcc/clang)"
+        )
     key_material = "\x00".join([_SOURCE, cc, *_CFLAGS])
     key = hashlib.sha256(key_material.encode()).hexdigest()[:16]
     cache = _cache_dir()
@@ -806,7 +810,7 @@ class CcProvider:
             [_ptr(f64), _ptr(f64), c_i64, _ptr(f64), _ptr(f64), _ptr(u8)],
         )
 
-    # -- uniform provider API (shared with the numba provider) ---------
+    # -- kernel entry points, dispatched on (out, values) dtypes --------
     @staticmethod
     def _key(out, values):
         return (out.dtype.type, values.dtype.type)
@@ -879,8 +883,3 @@ class CcProvider:
         return float(
             self._max_disp_sq(pos, ref, len(pos), lengths, origin, periodic)
         )
-
-
-def make_provider() -> CcProvider:
-    """Build/load the shared object and return the bound provider."""
-    return CcProvider()

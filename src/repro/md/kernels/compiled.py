@@ -3,26 +3,20 @@
 BENCH_scaling shows the serial neighbor-list build and the pair
 accumulate dominating wall-clock on the paper's LJ benchmark; both are
 scatter/filter loops numpy cannot fuse.  This backend runs them as
-native code through one of two interchangeable *providers*:
+native code from one provider, ``cc``: a C translation unit compiled
+on first use with the system C compiler (``$CC`` when set, else
+``cc``/``gcc``/``clang``) and bound via ``ctypes``
+(:mod:`repro.md.kernels._cc_impl`).
 
-``numba``
-    ``@njit(cache=True)`` kernels (:mod:`repro.md.kernels._numba_impl`)
-    — preferred when numba is importable and its JIT passes the smoke
-    test below.
-``cc``
-    A C translation unit compiled on first use with the system C
-    compiler and bound via ``ctypes``
-    (:mod:`repro.md.kernels._cc_impl`) — covers machines without numba.
-
-Resolution is lazy (first instantiation), ordered numba → cc, and can
-be forced with ``REPRO_COMPILED_PROVIDER=numba|cc|none``.  Every
-candidate must pass a numerical smoke test that exercises each entry
-point against the numpy backends — an import error, a JIT failure or a
-miscompiled kernel all demote the backend cleanly: instantiating
-:class:`CompiledBackend` raises :class:`BackendUnavailableError` with
-the collected reasons, and :func:`repro.md.kernels.get_backend` turns
-that into a one-time warning plus a ``numpy_fast`` fallback, so
-``REPRO_KERNEL_BACKEND=compiled`` is always safe to set.
+Resolution is lazy (first instantiation).  The provider must pass a
+numerical smoke test that exercises each entry point against the numpy
+backends — a missing compiler, a failed build or a miscompiled kernel
+all demote the backend cleanly: instantiating :class:`CompiledBackend`
+raises :class:`BackendUnavailableError` with the reason, and
+:func:`repro.md.kernels.get_backend` turns that into a one-time
+warning plus a ``numpy_fast`` fallback, so
+``REPRO_KERNEL_BACKEND=compiled`` is always safe to set.  To run
+without native code, select ``REPRO_KERNEL_BACKEND=numpy_fast``.
 
 The backend subclasses :class:`NumpyFastBackend`: any call whose dtype
 combination or memory layout the provider does not cover falls through
@@ -43,75 +37,55 @@ from repro.md.precision import PrecisionPolicy
 __all__ = [
     "BackendUnavailableError",
     "CompiledBackend",
-    "PROVIDER_ENV_VAR",
     "compiled_available",
     "compiled_diagnostic",
     "provider_info",
     "resolve_provider",
 ]
 
-#: Forces provider selection: ``numba``, ``cc``, or ``none`` (disable).
-PROVIDER_ENV_VAR = "REPRO_COMPILED_PROVIDER"
-
 #: Cached resolution: (env key, provider or None, reason when None).
 _resolution: tuple[tuple[str, str], object | None, str | None] | None = None
 
 
 class BackendUnavailableError(RuntimeError):
-    """Raised when no compiled provider works; carries the reasons why."""
+    """Raised when the compiled provider does not work; carries why."""
 
 
 def _env_key() -> tuple[str, str]:
     return (
-        os.environ.get(PROVIDER_ENV_VAR, ""),
+        os.environ.get("CC", ""),
         os.environ.get("REPRO_COMPILED_CACHE", ""),
     )
 
 
-def resolve_provider(refresh: bool = False):
+def resolve_provider():
     """Resolve (and cache) the compiled provider.
 
     Returns ``(provider, None)`` on success or ``(None, reason)`` when
-    every candidate failed.  The cache is keyed on the controlling
-    environment variables, so tests that monkeypatch them see a fresh
+    it could not be built or failed its smoke test.  The cache is keyed
+    on the controlling environment variables (``$CC`` and the build
+    cache directory), so tests that monkeypatch them see a fresh
     resolution without an explicit reset.
     """
     global _resolution
     key = _env_key()
-    if not refresh and _resolution is not None and _resolution[0] == key:
-        return _resolution[1], _resolution[2]
-    provider, reason = _resolve()
-    _resolution = (key, provider, reason)
-    return provider, reason
-
-
-def _resolve():
-    preference = os.environ.get(PROVIDER_ENV_VAR, "").strip().lower()
-    if preference in ("none", "off", "0"):
-        return None, f"disabled via {PROVIDER_ENV_VAR}={preference}"
-    order = [preference] if preference in ("numba", "cc") else ["numba", "cc"]
-    failures = []
-    for kind in order:
+    if _resolution is None or _resolution[0] != key:
         try:
-            if kind == "numba":
-                from repro.md.kernels import _numba_impl as impl
-            else:
-                from repro.md.kernels import _cc_impl as impl
-            provider = impl.make_provider()
+            from repro.md.kernels import _cc_impl
+
+            provider = _cc_impl.CcProvider()
             _smoke_test(provider)
-            return provider, None
-        except ImportError:
-            failures.append(f"{kind}: numba not installed")
-        except Exception as exc:  # JIT breakage, no compiler, bad codegen
-            failures.append(f"{kind}: {type(exc).__name__}: {exc}")
-    return None, "; ".join(failures)
+            _resolution = (key, provider, None)
+        except Exception as exc:  # no compiler, failed build, bad codegen
+            _resolution = (key, None, f"cc: {type(exc).__name__}: {exc}")
+    return _resolution[1], _resolution[2]
 
 
 def _smoke_test(provider) -> None:
     """Run every provider entry point against the numpy backends.
 
-    This is what turns "numba imports" into "numba *works*": a JIT or
-    codegen failure on any kernel disqualifies the provider before it
+    This is what turns "the library built" into "the library *works*":
+    a codegen failure on any kernel disqualifies the provider before it
     can ever touch simulation state.  The float64 scatter paths are
     checked *bitwise* (the parallel-determinism contract); float32 and
     mixed paths to their precision tiers.
@@ -337,7 +311,7 @@ def _mixed_ref(n, i, j, dr, f_over_r):
 
 
 def compiled_available() -> bool:
-    """True when some native provider resolved (numba or cc)."""
+    """True when the native provider built and passed its smoke test."""
     return resolve_provider()[0] is not None
 
 

@@ -23,10 +23,9 @@ just plain NVE:
   uninterrupted run, plus all bookkeeping counters.
 
 Format v1 files (pre-reliability, particle state only) are detected
-explicitly: :func:`restore_simulation` refuses them unless the caller
-opts into the lossy upgrade with ``allow_v1=True``, because loading one
-as if it were complete silently diverges for every thermostatted or
-granular workload.  See ``docs/RELIABILITY.md`` for the layout.
+explicitly: :func:`restore_simulation` refuses them, because loading
+one as if it were complete silently diverges for every thermostatted
+or granular workload.  See ``docs/RELIABILITY.md`` for the layout.
 """
 
 from __future__ import annotations
@@ -361,7 +360,6 @@ def restore_simulation(
     simulation: Simulation,
     path: str | Path,
     *,
-    allow_v1: bool = False,
     cast: str | None = None,
 ) -> Snapshot:
     """Load a snapshot *into* an existing simulation in place.
@@ -379,18 +377,18 @@ def restore_simulation(
     explicit opt-in — e.g. ``cast="double"`` to promote a SINGLE
     checkpoint's float32 state into a float64 run.
 
-    v1 snapshots only hold particle state.  They are rejected with a
-    :class:`SnapshotError` unless ``allow_v1=True`` explicitly opts into
-    the upgrade, in which case integrator/thermostat/RNG/contact state
-    restarts from the freshly constructed values (documented lossy
-    behavior, exact only for plain NVE).
+    v1 snapshots only hold particle state and are rejected with a
+    :class:`SnapshotError`.
     """
     snapshot = load_snapshot(path)
-    saved_mode = parse_precision(
-        snapshot.state.get("precision", "double")
-        if snapshot.version != 1
-        else "double"
-    )
+    if snapshot.version == 1:
+        raise SnapshotError(
+            f"snapshot {path} is format v1, which captures particle "
+            "state only — integrator/thermostat/fix/RNG/contact state "
+            "is missing, so a restore silently diverges for anything "
+            "but plain NVE"
+        )
+    saved_mode = parse_precision(snapshot.state.get("precision", "double"))
     have_mode = simulation.precision.mode
     if saved_mode != have_mode:
         if cast is None:
@@ -407,23 +405,6 @@ def restore_simulation(
                 f"'{have_mode.value}'; cast names the mode the restored "
                 "state is converted *to*"
             )
-    if snapshot.version == 1:
-        if not allow_v1:
-            raise SnapshotError(
-                f"snapshot {path} is format v1, which captures particle "
-                "state only — integrator/thermostat/fix/RNG/contact state "
-                "is missing, so a blind restore silently diverges for "
-                "anything but plain NVE; pass allow_v1=True to upgrade "
-                "explicitly (dynamic state restarts from fresh values)"
-            )
-        _restore_particle_state(simulation, snapshot.system)
-        simulation.step_number = snapshot.step_number
-        # Legacy semantics: fresh rebuild + force pass from the restored
-        # coordinates (cadence and summation order restart here).
-        simulation.neighbor.build(simulation.system)
-        simulation._compute_forces(count=False)  # noqa: SLF001 - deliberate reset
-        simulation._setup_done = True  # noqa: SLF001
-        return snapshot
 
     _check_tags(simulation, snapshot.state, Path(path))
     _restore_particle_state(simulation, snapshot.system)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import abc
 import time
-import warnings
 import weakref
 from dataclasses import dataclass
 from typing import Sequence
@@ -54,10 +53,6 @@ __all__ = [
     "ForceExecutor",
     "SerialForceExecutor",
 ]
-
-# The legacy-kwarg deprecation shim warns once per process, not once per
-# call site, so long sweeps don't drown in repeats.
-_LEGACY_RUN_KWARGS_WARNED = False
 
 
 @dataclass
@@ -211,7 +206,7 @@ class Simulation:
         registry name (``"numpy_ref"`` / ``"numpy_fast"`` /
         ``"compiled"``), or ``None`` to fall back to
         ``$REPRO_KERNEL_BACKEND`` and then the default.  ``"compiled"``
-        needs numba or a system C compiler and degrades to
+        needs a system C compiler and degrades to
         ``numpy_fast`` with a warning otherwise.  One backend instance
         (and hence one set of scratch buffers) is shared by every
         potential and the neighbor list of the simulation.
@@ -470,55 +465,21 @@ class Simulation:
         if self.metrics is not None:
             self._record_step_metrics(elapsed)
 
-    def run(
-        self,
-        n_steps: "int | RunConfig",
-        *,
-        reset_timers: bool = False,
-        checkpoint=None,
-    ) -> None:
+    def run(self, n_steps: "int | RunConfig") -> None:
         """Run the timesteps a :class:`~repro.md.config.RunConfig` asks for.
 
-        The preferred spelling passes one config object::
+        ``run`` takes one argument, either a config object::
 
             sim.run(RunConfig(steps=1000, reset_timers=True))
 
-        which can also switch precision mode, kernel backend and tracer
-        for the run (see :class:`~repro.md.config.RunConfig`).  A bare
-        integer step count — ``sim.run(1000)`` — remains first-class.
-
-        The legacy keyword arguments ``reset_timers=`` / ``checkpoint=``
-        still work but are deprecated: they forward into a
-        :class:`RunConfig` and emit one ``DeprecationWarning`` per
-        process.  For crash *recovery* on top of periodic checkpoints,
-        drive the loop through
-        :class:`repro.reliability.ResilientRunner` instead.
+        which also carries the run's precision mode, kernel backend,
+        tracer and checkpoint/digest hooks (see
+        :class:`~repro.md.config.RunConfig`), or a bare integer step
+        count — ``sim.run(1000)`` is ``sim.run(RunConfig(1000))``.  For
+        crash *recovery* on top of periodic checkpoints, drive the loop
+        through :class:`repro.reliability.ResilientRunner` instead.
         """
-        if isinstance(n_steps, RunConfig):
-            if reset_timers or checkpoint is not None:
-                raise TypeError(
-                    "pass reset_timers/checkpoint inside the RunConfig, not "
-                    "as keyword arguments alongside it"
-                )
-            config = n_steps
-        else:
-            if reset_timers or checkpoint is not None:
-                global _LEGACY_RUN_KWARGS_WARNED
-                if not _LEGACY_RUN_KWARGS_WARNED:
-                    _LEGACY_RUN_KWARGS_WARNED = True
-                    warnings.warn(
-                        "Simulation.run(n, reset_timers=..., checkpoint=...) "
-                        "keyword arguments are deprecated; pass a "
-                        "repro.md.RunConfig instead: "
-                        "run(RunConfig(n, reset_timers=..., checkpoint=...))",
-                        DeprecationWarning,
-                        stacklevel=2,
-                    )
-            if n_steps < 0:
-                raise ValueError("n_steps must be non-negative")
-            config = RunConfig(
-                n_steps, reset_timers=reset_timers, checkpoint=checkpoint
-            )
+        config = n_steps if isinstance(n_steps, RunConfig) else RunConfig(n_steps)
 
         if config.tracer is not None:
             self.attach_tracer(config.tracer)

@@ -535,9 +535,9 @@ def audit_cache(
                 or payload["backend_provider"] != result.backend_provider
             ):
                 # Produced under a different resolved environment (e.g.
-                # numba provider elsewhere, cc here): the address cannot
-                # be recomputed locally, and a replay would not be
-                # bitwise — verified as far as the chain goes.
+                # compiled there, fallen back to numpy_fast here): the
+                # address cannot be recomputed locally, and a replay
+                # would not be bitwise — verified as far as the chain goes.
                 report.skipped[key] = (
                     f"foreign environment ({result.backend}/"
                     f"{result.backend_provider} vs local "

@@ -4,7 +4,7 @@
 :func:`repro.md.restart.save_snapshot`'s format-v2 payloads:
 
 * **cadence** — ``maybe_checkpoint`` writes on every step divisible by
-  ``every`` (it plugs straight into ``Simulation.run(checkpoint=...)``);
+  ``every`` (it plugs straight into ``RunConfig(checkpoint=...)``);
 * **atomicity** — payloads are written to a hidden temp file in the
   same directory and ``os.replace``d into place, so a crash mid-write
   can never leave a truncated file under a checkpoint name;

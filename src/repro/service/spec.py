@@ -16,7 +16,7 @@ make their results interchangeable, so the key deliberately covers:
 * the step count;
 * the precision mode (parsed, so ``"DOUBLE"`` and ``"double"`` agree);
 * the *resolved* kernel backend and — for the compiled backend — its
-  native provider kind (``numba`` vs ``cc``), since an ``auto`` or
+  native provider kind (``cc``), since an ``auto`` or
   fallen-back request must land on the same address as an explicit one.
 
 and deliberately excludes execution *strategy* that the engine's

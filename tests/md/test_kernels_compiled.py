@@ -2,7 +2,7 @@
 the bitwise contracts against the numpy implementations, the
 backend x precision oracle matrix, and parallel determinism.
 
-Everything that needs a working provider (numba or a C compiler) is
+Everything that needs the native provider (a working C compiler) is
 guarded by ``needs_compiled``; the availability/fallback tests run
 everywhere because they exercise exactly the no-provider path.
 """
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.md.kernels as kernels_module
+import repro.md.kernels.compiled as compiled_module
 from repro.md import policy_for
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
@@ -28,8 +29,8 @@ from repro.md.kernels import (
     backend_spec,
     get_backend,
 )
+from repro.md.kernels import _cc_impl
 from repro.md.kernels.compiled import (
-    PROVIDER_ENV_VAR,
     _smoke_test,
     compiled_available,
     compiled_diagnostic,
@@ -46,8 +47,18 @@ from repro.parallel.halo import LocalIndex
 
 needs_compiled = pytest.mark.skipif(
     not compiled_available(),
-    reason="no compiled provider (neither numba nor a C compiler works)",
+    reason="no compiled provider (no working C compiler)",
 )
+
+
+@pytest.fixture
+def no_compiler(monkeypatch):
+    """No C compiler on this machine, as far as the provider can tell."""
+    monkeypatch.setattr(_cc_impl, "_find_compiler", lambda: None)
+    # _find_compiler is not part of the resolution cache key; start
+    # from an empty cache and let monkeypatch put the old one back.
+    monkeypatch.setattr(compiled_module, "_resolution", None)
+    monkeypatch.setattr(kernels_module, "_warned_fallbacks", set())
 
 
 # ---------------------------------------------------------------------------
@@ -64,26 +75,30 @@ class TestAvailabilityAndFallback:
     def test_diagnostic_names_the_provider(self):
         status = compiled_diagnostic()
         assert status.startswith("ok (provider=")
-        info = provider_info()
-        assert info is not None and info["kind"] in ("numba", "cc")
         assert backend_diagnostics()["compiled"] == status
 
-    def test_disabled_provider_reports_why(self, monkeypatch):
-        monkeypatch.setenv(PROVIDER_ENV_VAR, "none")
+    @needs_compiled
+    def test_provider_info_shape_is_pinned(self):
+        """``kind`` feeds job addresses and manifests as
+        ``backend_provider``; it is ``cc`` and nothing else."""
+        info = provider_info()
+        assert set(info) == {"kind", "version"}
+        assert info["kind"] == "cc"
+        assert isinstance(info["version"], str) and info["version"]
+
+    def test_disabled_provider_reports_why(self, no_compiler):
         assert not compiled_available()
         assert provider_info() is None
+        assert compiled_diagnostic().startswith("unavailable")
         status = backend_diagnostics()["compiled"]
         assert status.startswith("unavailable")
-        assert "disabled via" in status
+        assert "no C compiler found" in status
 
-    def test_constructor_raises_with_reason(self, monkeypatch):
-        monkeypatch.setenv(PROVIDER_ENV_VAR, "none")
-        with pytest.raises(BackendUnavailableError, match="disabled via"):
+    def test_constructor_raises_with_reason(self, no_compiler):
+        with pytest.raises(BackendUnavailableError, match="no C compiler found"):
             CompiledBackend()
 
-    def test_get_backend_falls_back_and_warns_once(self, monkeypatch):
-        monkeypatch.setenv(PROVIDER_ENV_VAR, "none")
-        monkeypatch.setattr(kernels_module, "_warned_fallbacks", set())
+    def test_get_backend_falls_back_and_warns_once(self, no_compiler):
         with pytest.warns(RuntimeWarning, match="falling back to 'numpy_fast'"):
             backend = get_backend("compiled")
         assert type(backend) is NumpyFastBackend
@@ -91,11 +106,11 @@ class TestAvailabilityAndFallback:
             warnings.simplefilter("error")  # a second warning would raise
             assert type(get_backend("compiled")) is NumpyFastBackend
 
-    def test_simulation_survives_unavailable_compiled(self, monkeypatch):
+    def test_simulation_survives_unavailable_compiled(
+        self, no_compiler, monkeypatch
+    ):
         """An exported REPRO_KERNEL_BACKEND=compiled can never break a run."""
-        monkeypatch.setenv(PROVIDER_ENV_VAR, "none")
         monkeypatch.setenv(kernels_module.BACKEND_ENV_VAR, "compiled")
-        monkeypatch.setattr(kernels_module, "_warned_fallbacks", set())
         with pytest.warns(RuntimeWarning, match="unavailable"):
             sim = Simulation(
                 lj_melt_system(256, seed=3), [LennardJonesCut(cutoff=2.5)]
@@ -104,12 +119,10 @@ class TestAvailabilityAndFallback:
         sim.run(2)
         assert np.isfinite(sim.total_energy())
 
-    def test_disabled_provider_runs_lj_unfused_within_parity(self, monkeypatch):
+    def test_disabled_provider_runs_lj_unfused_within_parity(self, no_compiler):
         """No provider, no fused pass: ``compiled`` degrades to a backend
         whose hook declines, and LJ forces/energy/virial from the numpy
         path it stays on track the ``numpy_ref`` oracle to 1e-12."""
-        monkeypatch.setenv(PROVIDER_ENV_VAR, "none")
-        monkeypatch.setattr(kernels_module, "_warned_fallbacks", set())
         with pytest.warns(RuntimeWarning, match="falling back"):
             backend = get_backend("compiled")
         system, potential = _jittered_case("lj")
@@ -130,10 +143,49 @@ class TestAvailabilityAndFallback:
             <= 1e-12 * np.linalg.norm(ref_forces)
         )
 
-    def test_unknown_backend_error_lists_degraded_reasons(self, monkeypatch):
-        monkeypatch.setenv(PROVIDER_ENV_VAR, "none")
+    def test_unknown_backend_error_lists_degraded_reasons(self, no_compiler):
         with pytest.raises(ValueError, match="compiled: unavailable"):
             get_backend("cuda")
+
+    def test_failing_cc_is_authoritative_and_falls_back(
+        self, tmp_path, monkeypatch
+    ):
+        """A set ``$CC`` is the only compiler tried — no silent retry
+        with cc/gcc/clang.  One that exits non-zero leaves the provider
+        unavailable with the usual diagnostic, error, one-time warning
+        and a run that still completes.  (``$CC`` is part of the
+        resolution cache key, so no cache reset is needed.)"""
+        not_a_compiler = tmp_path / "not-a-compiler"
+        not_a_compiler.write_text("#!/bin/sh\necho 'cannot compile' >&2\nexit 3\n")
+        not_a_compiler.chmod(0o755)
+        monkeypatch.setenv("CC", str(not_a_compiler))
+        monkeypatch.setattr(kernels_module, "_warned_fallbacks", set())
+        assert _cc_impl._find_compiler() == str(not_a_compiler)
+        assert not compiled_available()
+        assert provider_info() is None
+        status = compiled_diagnostic()
+        assert status.startswith("unavailable")
+        assert "failed (exit 3): cannot compile" in status
+        with pytest.raises(BackendUnavailableError, match=r"failed \(exit 3\)"):
+            CompiledBackend()
+        with pytest.warns(RuntimeWarning, match="falling back to 'numpy_fast'"):
+            backend = get_backend("compiled")
+        assert type(backend) is NumpyFastBackend
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a second warning would raise
+            sim = Simulation(
+                lj_melt_system(256, seed=3),
+                [LennardJonesCut(cutoff=2.5)],
+                backend="compiled",
+            )
+        assert sim.backend.name == "numpy_fast"
+        sim.run(2)
+        assert np.isfinite(sim.total_energy())
+
+    def test_missing_cc_is_not_replaced_by_a_default(self, monkeypatch):
+        monkeypatch.setenv("CC", "no-such-compiler-on-any-path")
+        assert _cc_impl._find_compiler() is None
+        assert "no C compiler found" in compiled_diagnostic()
 
     @needs_compiled
     def test_backend_spec_round_trips(self):

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.md.simulation as simulation_module
 from repro.md import (
     Precision,
     PrecisionPolicy,
@@ -161,20 +160,17 @@ class TestRunConfig:
     def test_config_plus_kwargs_is_type_error(self):
         sim = _lj_sim()
         sim.setup()
-        with pytest.raises(TypeError, match="inside the RunConfig"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             sim.run(RunConfig(steps=1), reset_timers=True)
 
-    def test_legacy_kwargs_warn_exactly_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(
-            simulation_module, "_LEGACY_RUN_KWARGS_WARNED", False
-        )
+    def test_legacy_kwargs_are_type_error(self):
+        """``run`` takes an int or a RunConfig and nothing else."""
         sim = _lj_sim()
         sim.setup()
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            sim.run(1, reset_timers=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warning would raise
-            sim.run(1, reset_timers=True)
+        for kwargs in ({"reset_timers": True}, {"checkpoint": None}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                sim.run(1, **kwargs)
+        assert sim.step_number == 0
 
     def test_bare_int_run_does_not_warn(self):
         sim = _lj_sim()

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.md.restart import load_system, restore_simulation, save_snapshot
+from repro.md.restart import (
+    SnapshotError,
+    load_system,
+    restore_simulation,
+    save_snapshot,
+)
 from repro.suite import get_benchmark
 
 
@@ -121,13 +126,17 @@ class TestLegacyV1:
         with pytest.raises(ValueError, match="v1"):
             restore_simulation(fresh, path)
 
-    def test_v1_upgrade_with_opt_in(self, tmp_path):
+    def test_v1_refusal_leaves_simulation_untouched(self, tmp_path):
+        """The lossy v1 upgrade is gone: no keyword opts back in, and a
+        refused restore has not half-loaded the particle state."""
         sim = get_benchmark("lj").build(200)
         sim.run(5)
         path = self._write_v1(sim, tmp_path / "snap.npz")
         fresh = get_benchmark("lj").build(200)
-        snapshot = restore_simulation(fresh, path, allow_v1=True)
-        assert snapshot.version == 1
-        assert fresh.step_number == 5
-        assert np.array_equal(fresh.system.positions, sim.system.positions)
-        assert np.array_equal(fresh.system.velocities, sim.system.velocities)
+        before = fresh.system.positions.copy()
+        with pytest.raises(TypeError, match="allow_v1"):
+            restore_simulation(fresh, path, allow_v1=True)
+        with pytest.raises(SnapshotError, match="format v1"):
+            restore_simulation(fresh, path)
+        assert fresh.step_number == 0
+        assert np.array_equal(fresh.system.positions, before)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.__main__ import main
+from repro.md import RunConfig
 from repro.observability import (
     MetricsRegistry,
     Tracer,
@@ -70,6 +71,6 @@ def test_span_totals_agree_with_task_breakdown_within_2_percent():
     )
     sim.run(5)  # warmup (includes setup cost)
     tracer.reset()
-    sim.run(50, reset_timers=True)
+    sim.run(RunConfig(steps=50, reset_timers=True))
     deltas = trace_timer_agreement(sim.timers, tracer)
     assert max(deltas.values()) < 0.02, deltas

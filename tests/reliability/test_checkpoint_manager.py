@@ -4,6 +4,7 @@ retention, corrupted-file recovery, and metrics."""
 import numpy as np
 import pytest
 
+from repro.md import RunConfig
 from repro.md.restart import SnapshotError
 from repro.observability import MetricsRegistry
 from repro.reliability import CheckpointManager
@@ -20,7 +21,7 @@ class TestCadence:
     def test_periodic_writes_during_run(self, tmp_path):
         sim = _sim()
         manager = CheckpointManager(tmp_path, every=5, keep_last=10)
-        sim.run(20, checkpoint=manager)
+        sim.run(RunConfig(20, checkpoint=manager))
         assert manager.writes == 4
         steps = [int(p.stem.split("-")[-1]) for p in manager.checkpoints()]
         assert steps == [5, 10, 15, 20]
@@ -29,7 +30,7 @@ class TestCadence:
         sim = _sim()
         manager = CheckpointManager(tmp_path, every=0)
         assert manager.maybe_checkpoint(sim) is None
-        sim.run(5, checkpoint=manager)
+        sim.run(RunConfig(5, checkpoint=manager))
         assert manager.writes == 0
         assert manager.checkpoints() == []
         # Explicit writes still work with the cadence off.
@@ -47,7 +48,7 @@ class TestRetentionAndAtomicity:
     def test_keep_last_prunes_oldest(self, tmp_path):
         sim = _sim()
         manager = CheckpointManager(tmp_path, every=5, keep_last=2)
-        sim.run(20, checkpoint=manager)
+        sim.run(RunConfig(20, checkpoint=manager))
         assert manager.writes == 4
         steps = [int(p.stem.split("-")[-1]) for p in manager.checkpoints()]
         assert steps == [15, 20]
@@ -60,7 +61,7 @@ class TestRetentionAndAtomicity:
     def test_no_temp_files_left_behind(self, tmp_path):
         sim = _sim()
         manager = CheckpointManager(tmp_path, every=5)
-        sim.run(10, checkpoint=manager)
+        sim.run(RunConfig(10, checkpoint=manager))
         leftovers = [p.name for p in tmp_path.iterdir() if ".tmp" in p.name]
         assert leftovers == []
 
@@ -78,7 +79,7 @@ class TestRecovery:
     def test_restore_latest_round_trips(self, tmp_path):
         sim = _sim()
         manager = CheckpointManager(tmp_path, every=5, keep_last=10)
-        sim.run(10, checkpoint=manager)
+        sim.run(RunConfig(10, checkpoint=manager))
         reference = sim.system.positions.copy()
         sim.run(7)  # wander off
         path, snapshot = manager.restore_latest(sim)
@@ -90,7 +91,7 @@ class TestRecovery:
     def test_restore_latest_skips_corrupted_newest(self, tmp_path):
         sim = _sim()
         manager = CheckpointManager(tmp_path, every=5, keep_last=10)
-        sim.run(10, checkpoint=manager)
+        sim.run(RunConfig(10, checkpoint=manager))
         manager.path_for(10).write_bytes(b"garbage")
         path, snapshot = manager.restore_latest(sim)
         assert path == manager.path_for(5)
@@ -100,7 +101,7 @@ class TestRecovery:
     def test_restore_latest_raises_when_all_corrupt(self, tmp_path):
         sim = _sim()
         manager = CheckpointManager(tmp_path, every=5, keep_last=10)
-        sim.run(10, checkpoint=manager)
+        sim.run(RunConfig(10, checkpoint=manager))
         for path in manager.checkpoints():
             path.write_bytes(b"garbage")
         with pytest.raises(SnapshotError, match="no restorable checkpoint"):
@@ -120,6 +121,6 @@ class TestObservability:
         manager = CheckpointManager(
             tmp_path, every=5, keep_last=10, metrics=registry
         )
-        sim.run(10, checkpoint=manager)
+        sim.run(RunConfig(10, checkpoint=manager))
         assert registry.counter("md_checkpoints_total").value == 2
         assert registry.gauge("md_checkpoint_bytes").value > 0

@@ -217,18 +217,15 @@ class TestV1Compatibility:
         with pytest.raises(SnapshotError, match="v1"):
             restore_simulation(fresh, v1)
 
-    def test_restore_accepts_v1_when_opted_in(self, tmp_path):
-        sim, v1 = self._make_v1(tmp_path)
+    def test_v1_refusal_offers_no_opt_in(self, tmp_path):
+        _, v1 = self._make_v1(tmp_path)
         fresh = _build("lj")
         fresh.setup()
-        snap = restore_simulation(fresh, v1, allow_v1=True)
-        assert snap.version == 1
-        assert fresh.step_number == sim.step_number
-        assert np.array_equal(fresh.system.positions, sim.system.positions)
-        assert np.array_equal(fresh.system.velocities, sim.system.velocities)
-        # The documented lossy part: forces come from a fresh recompute,
-        # which for plain NVE LJ still matches the saved ones closely.
-        assert np.abs(fresh.system.forces - sim.system.forces).max() < 1e-9
+        with pytest.raises(SnapshotError) as excinfo:
+            restore_simulation(fresh, v1)
+        message = str(excinfo.value)
+        assert "format v1" in message and "particle state only" in message
+        assert "allow_v1" not in message
 
 
 def _jsonify(obj):

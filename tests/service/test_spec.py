@@ -130,6 +130,22 @@ class TestKeyStability:
         )
         assert out.stdout.strip() == spec.cache_key()
 
+    def test_compiled_address_is_the_recorded_one(self):
+        """Caches written before the native backend had a single
+        provider must still resolve: ``backend_provider`` stays ``cc``
+        in the payload, so this address is the one recorded then."""
+        from repro.md.kernels.compiled import compiled_available
+
+        if not compiled_available():
+            pytest.skip("no compiled provider on this machine")
+        spec = JobSpec(
+            benchmark="lj", n_atoms=150, steps=8, seed=9, backend="compiled"
+        )
+        assert spec.canonical_payload()["backend_provider"] == "cc"
+        assert spec.cache_key() == (
+            "40aba4b22c40058ce6d7db0079164f03cf4124ae58db938a62a044de7ec22d73"
+        )
+
     def test_effective_seed_resolves_builder_default(self):
         # lj's builder default is 12345; an explicit seed=12345 must
         # land on the same address as leaving the seed unset.

@@ -16,31 +16,15 @@ def _all_modules():
     return sorted(names)
 
 
-def _import_or_skip(name):
-    """Import a module, skipping when an optional dependency is absent.
-
-    Provider modules (e.g. ``_numba_impl``) import their third-party
-    dependency at the top level on purpose — the backend resolves them
-    inside a ``try`` block — so a missing optional package is a skip
-    here, not a documentation failure.
-    """
-    try:
-        return importlib.import_module(name)
-    except ModuleNotFoundError as exc:
-        if exc.name and exc.name.startswith("repro"):
-            raise
-        pytest.skip(f"optional dependency missing: {exc.name}")
-
-
 @pytest.mark.parametrize("name", _all_modules())
 def test_module_has_docstring(name):
-    module = _import_or_skip(name)
+    module = importlib.import_module(name)
     assert module.__doc__ and len(module.__doc__.strip()) > 20, name
 
 
 @pytest.mark.parametrize("name", _all_modules())
 def test_public_classes_and_functions_documented(name):
-    module = _import_or_skip(name)
+    module = importlib.import_module(name)
     for attr_name in getattr(module, "__all__", []):
         obj = getattr(module, attr_name)
         if inspect.isclass(obj) or inspect.isfunction(obj):
