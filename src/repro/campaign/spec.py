@@ -31,15 +31,15 @@ every collapsed cell from cache or in-flight coalescing.  That is the
 paper-campaign workflow: wide matrices, paid for once per unique
 physics.
 
-Parsing uses :mod:`tomllib` (Python 3.11+) and falls back to a small
-built-in reader for the spec subset on older interpreters — no
-third-party dependency either way.
+Parsing uses the standard library's :mod:`tomllib` — no third-party
+dependency.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import tomllib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -160,117 +160,11 @@ def _validate_tables(base, sweep) -> list[str]:
     return problems
 
 
-# ---------------------------------------------------------------------------
-# TOML loading (stdlib tomllib, with a subset fallback for 3.10)
-# ---------------------------------------------------------------------------
 def _loads_toml(text: str) -> dict:
-    try:
-        import tomllib
-    except ImportError:  # Python < 3.11
-        return _mini_toml(text)
     try:
         return tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:
         raise CampaignError(f"invalid TOML: {exc}") from exc
-
-
-def _mini_parse_value(token: str, where: str):
-    token = token.strip()
-    if token.startswith("[") and token.endswith("]"):
-        inner = token[1:-1].strip()
-        if not inner:
-            return []
-        return [
-            _mini_parse_value(part, where) for part in _split_array(inner, where)
-        ]
-    if (token.startswith('"') and token.endswith('"') and len(token) >= 2) or (
-        token.startswith("'") and token.endswith("'") and len(token) >= 2
-    ):
-        return token[1:-1]
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
-    raise CampaignError(f"{where}: cannot parse value {token!r}")
-
-
-def _split_array(inner: str, where: str) -> list[str]:
-    """Split a single-line array body on top-level commas."""
-    parts, depth, quote, current = [], 0, None, []
-    for ch in inner:
-        if quote is not None:
-            current.append(ch)
-            if ch == quote:
-                quote = None
-            continue
-        if ch in "\"'":
-            quote = ch
-            current.append(ch)
-        elif ch == "[":
-            depth += 1
-            current.append(ch)
-        elif ch == "]":
-            depth -= 1
-            current.append(ch)
-        elif ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if quote is not None:
-        raise CampaignError(f"{where}: unterminated string in array")
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
-    return parts
-
-
-def _mini_toml(text: str) -> dict:
-    """Parse the campaign-spec TOML subset: tables of scalar/array keys.
-
-    Intentionally small — named tables, ``key = value`` lines, strings,
-    ints, floats, booleans and single-line arrays.  Duplicate keys and
-    duplicate tables are rejected, matching tomllib.
-    """
-    data: dict = {}
-    table = data
-    table_name = "<root>"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f"line {lineno}"
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise CampaignError(f"{where}: malformed table header {line!r}")
-            name = line[1:-1].strip()
-            if not name:
-                raise CampaignError(f"{where}: empty table name")
-            if name in data:
-                raise CampaignError(f"{where}: duplicate table [{name}]")
-            table = data.setdefault(name, {})
-            table_name = name
-            continue
-        if "=" not in line:
-            raise CampaignError(f"{where}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().strip('"').strip("'")
-        if not key:
-            raise CampaignError(f"{where}: empty key")
-        if key in table:
-            raise CampaignError(
-                f"{where}: duplicate key {key!r} in [{table_name}]"
-            )
-        table[key] = _mini_parse_value(value, where)
-    return data
 
 
 def parse_campaign(text: str) -> CampaignSpec:

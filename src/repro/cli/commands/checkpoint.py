@@ -77,7 +77,6 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
         if args.workers > 1:
             executor = ParallelForceExecutor(
                 args.workers,
-                quasi_2d=args.experiment == "chute",
                 fault_plan=fault_plan,
                 barrier_timeout=args.barrier_timeout,
                 precision=args.precision,

@@ -48,7 +48,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     from repro.suite import get_benchmark
 
     bench = get_benchmark(args.experiment)
-    quasi_2d = args.experiment == "chute"
 
     backend_name = None
     if args.backend:
@@ -98,9 +97,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     parallel.set_precision(args.precision)
     if backend_name:
         parallel.set_backend(backend_name)
-    executor = ParallelForceExecutor(
-        args.workers, quasi_2d=quasi_2d, precision=args.precision
-    )
+    executor = ParallelForceExecutor(args.workers, precision=args.precision)
     parallel.force_executor = executor
     executor.bind(parallel)
     with parallel:

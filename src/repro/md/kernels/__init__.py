@@ -6,7 +6,7 @@ so that the same potentials run on interchangeable implementations:
 
 ``numpy_ref``
     The original ``np.add.at`` formulation, kept as the correctness
-    oracle and the baseline the benchmark harness measures against.
+    oracle.
 ``numpy_fast``
     CSR-ordered pairs, ``np.bincount`` segmented accumulation and
     preallocated scratch buffers (the default).

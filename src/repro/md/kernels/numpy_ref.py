@@ -5,8 +5,7 @@ verbatim: pair geometry through
 :meth:`repro.md.neighbor.NeighborList.current_pairs` and scatter
 accumulation through ``np.add.at`` / ``np.subtract.at``.  It is kept
 unoptimized on purpose — the ``numpy_fast`` backend is tested against it
-pair-for-pair, and the micro-benchmark harness reports speedups relative
-to it.
+pair-for-pair.
 """
 
 from __future__ import annotations

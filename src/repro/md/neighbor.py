@@ -19,7 +19,6 @@ Two list flavours are supported, mirroring LAMMPS' ``newton`` setting:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,23 +33,12 @@ __all__ = [
     "brute_force_pairs",
     "cell_list_half_pairs",
     "subdomain_directed_pairs",
-    "BRUTE_FORCE_ENV_VAR",
 ]
 
 # Below this atom count a vectorized O(N^2) build is faster than cell
-# binning in numpy and trivially correct; above it we bin.  Both the
-# NeighborList(brute_force_max=...) argument and the environment
-# variable below override this default.
+# binning in numpy and trivially correct; above it we bin.  The default
+# of every ``brute_force_max=`` argument below.
 _BRUTE_FORCE_MAX_ATOMS = 800
-
-#: Environment override for the brute-force/cell-list crossover, letting
-#: the benchmark harness force either build path without code changes.
-BRUTE_FORCE_ENV_VAR = "REPRO_NEIGHBOR_BRUTE_MAX"
-
-
-def _default_brute_force_max() -> int:
-    value = os.environ.get(BRUTE_FORCE_ENV_VAR)
-    return _BRUTE_FORCE_MAX_ATOMS if value is None else int(value)
 
 
 #: Half stencil for the cell-list build: the 13 "forward" neighbor-cell
@@ -218,7 +206,7 @@ def subdomain_directed_pairs(
     rc: float,
     *,
     sort_key: np.ndarray | None = None,
-    brute_force_max: int | None = None,
+    brute_force_max: int = _BRUTE_FORCE_MAX_ATOMS,
     anchor_limit: int | None = None,
     kernels=None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -257,13 +245,12 @@ def subdomain_directed_pairs(
     empty = np.empty(0, dtype=np.int64)
     if n < 2:
         return empty, empty
-    limit = _default_brute_force_max() if brute_force_max is None else brute_force_max
     # Open bounding box with one-cutoff margin; degenerate extents
     # (planar or linear local sets) still need positive edge lengths.
     lo = positions.min(axis=0) - rc
     hi = positions.max(axis=0) + rc
     box = Box(np.maximum(hi - lo, rc), periodic=np.zeros(3, dtype=bool), origin=lo)
-    if n <= limit:
+    if n <= brute_force_max:
         i, j = brute_force_pairs(positions, box, rc)
     else:
         rows = (
@@ -343,9 +330,9 @@ class NeighborList:
         LAMMPS ``special_bonds`` does).
     brute_force_max:
         Atom count up to which the O(N^2) brute-force build is used
-        instead of cell binning.  Defaults to ``$REPRO_NEIGHBOR_BRUTE_MAX``
-        or 800; set to 0 to force the cell-list path, or very large to
-        force brute force (the benchmark harness uses both).
+        instead of cell binning.  Set to 0 to force the cell-list path,
+        or very large to force brute force (the tests use both, with
+        brute force as the reference).
 
     Besides the flat ``pair_i`` / ``pair_j`` arrays, every build also
     publishes the same pairs in **CSR form**: ``csr_offsets`` (length
@@ -363,7 +350,7 @@ class NeighborList:
         *,
         full: bool = False,
         exclusions: np.ndarray | None = None,
-        brute_force_max: int | None = None,
+        brute_force_max: int = _BRUTE_FORCE_MAX_ATOMS,
     ) -> None:
         if cutoff <= 0:
             raise ValueError("cutoff must be positive")
@@ -372,10 +359,7 @@ class NeighborList:
         self.cutoff = float(cutoff)
         self.skin = float(skin)
         self.full = bool(full)
-        self.brute_force_max = (
-            _default_brute_force_max() if brute_force_max is None
-            else int(brute_force_max)
-        )
+        self.brute_force_max = int(brute_force_max)
         if self.brute_force_max < 0:
             raise ValueError("brute_force_max must be non-negative")
         self.stats = NeighborStats()

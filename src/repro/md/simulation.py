@@ -311,6 +311,10 @@ class Simulation:
         self.fixes = list(fixes)
         self.constraints = constraints
         self.dt = float(dt)
+        #: Slab geometry: a domain decomposition must not split z.  Set
+        #: by the builder of a slab workload (the Chute bed); the
+        #: parallel engine reads it when it spawns its pool.
+        self.quasi_2d = False
         self.timers = TaskTimers(tracer=self.tracer)
         self.counts = OperationCounts()
         self.thermo = ThermoLog(every=thermo_every)

@@ -5,8 +5,8 @@ record says what the machine *was*: the kernel it ran (scheduler and
 powercap behavior change across versions), whether a cgroup CPU quota
 was throttling the run (ubiquitous in CI containers, invisible to
 ``os.cpu_count``), and whether the joules came from a hardware counter
-or a model.  :func:`platform_provenance` bundles those for the three
-BENCH_*.json harnesses.
+or a model.  :func:`platform_provenance` bundles those for the
+``repro power --json`` record.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def cgroup_cpu_quota(
 
 
 def platform_provenance() -> dict:
-    """The telemetry block every BENCH_*.json platform record carries."""
+    """The telemetry block a power record's ``platform`` carries."""
     provider = detect_provider()
     return {
         "kernel_version": kernel_version(),

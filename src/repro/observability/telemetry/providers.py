@@ -23,8 +23,7 @@ offers a small provider ladder, best evidence first:
 
 :func:`detect_provider` walks the ladder (or honors
 ``$REPRO_POWER_PROVIDER``) and every sample carries its provider's
-provenance, so a BENCH_*.json row always says which rung produced its
-joules.
+provenance, so a record always says which rung produced its joules.
 """
 
 from __future__ import annotations

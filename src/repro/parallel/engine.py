@@ -73,7 +73,6 @@ CMD_STOP = 0.0
 CMD_STEP = 1.0
 CMD_REBUILD = 2.0
 CMD_DUMP_HISTORY = 3.0
-CMD_CRASH = 9.0
 
 # Fault-injection words (slot 5; slot 1 holds the target worker).  Set
 # by the master when a fault plan names the current step/phase; the
@@ -83,7 +82,7 @@ FAULT_NONE = 0.0
 FAULT_KILL = 1.0
 FAULT_HANG = 2.0
 
-#: Exit code of a fault-injected kill (distinct from CMD_CRASH's 23).
+#: Exit code of a fault-injected kill.
 _FAULT_EXIT_CODE = 21
 
 _ERROR_BYTES = 2048
@@ -175,8 +174,6 @@ def _worker_main(payload: _WorkerPayload, start_barrier, done_barrier) -> None:
             if command == CMD_STOP:
                 break
             try:
-                if command == CMD_CRASH and int(control[1]) == worker:
-                    os._exit(23)
                 if control[5] != FAULT_NONE and int(control[1]) == worker:
                     if control[5] == FAULT_KILL:
                         os._exit(_FAULT_EXIT_CODE)
@@ -323,8 +320,6 @@ class ParallelForceExecutor(ForceExecutor):
     barrier_timeout:
         Seconds either side waits at a step barrier before declaring
         the counterpart dead (:class:`ParallelEngineError`).
-    quasi_2d:
-        Restrict the grid to the x/y plane (the Chute slab geometry).
     start_method:
         ``multiprocessing`` start method; default ``fork`` where
         available (workers inherit the parent cleanly), else ``spawn``
@@ -350,7 +345,6 @@ class ParallelForceExecutor(ForceExecutor):
         n_workers: int,
         *,
         barrier_timeout: float = 120.0,
-        quasi_2d: bool = False,
         start_method: str | None = None,
         fault_plan=None,
         precision: "Precision | str | PrecisionPolicy | None" = None,
@@ -360,7 +354,6 @@ class ParallelForceExecutor(ForceExecutor):
         self.n_workers = int(n_workers)
         self.precision = policy_for(precision)
         self.barrier_timeout = float(barrier_timeout)
-        self.quasi_2d = bool(quasi_2d)
         if start_method is None:
             start_method = (
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
@@ -489,7 +482,7 @@ class ParallelForceExecutor(ForceExecutor):
                 halo_width=max_halo_width(potentials, list_cutoff),
                 origin=system.box.origin.copy(),
                 periodic=system.box.periodic.copy(),
-                quasi_2d=self.quasi_2d,
+                quasi_2d=sim.quasi_2d,
                 n_atoms=n,
                 excluded_keys=excluded_keys,
                 statics=statics,
@@ -595,13 +588,10 @@ class ParallelForceExecutor(ForceExecutor):
             np.copyto(arena["omega"], system.omega)
         arena["control"][2:5] = system.box.lengths
 
-    def _dispatch(
-        self, command: float, *, crash_target: int = -1, fault=None
-    ) -> None:
+    def _dispatch(self, command: float, *, fault=None) -> None:
         """One command round-trip: start barrier, worker action, done."""
         arena = self._arena
         arena["control"][0] = command
-        arena["control"][1] = float(crash_target)
         arena["control"][5] = FAULT_NONE
         if fault is not None:
             arena["control"][1] = float(fault.worker)
@@ -848,16 +838,3 @@ class ParallelForceExecutor(ForceExecutor):
         """Measured per-worker timeline (mean seconds per force pass)."""
         steps = max(1, self.steps_measured)
         return RankTimeline.from_measured(self.worker_pair_seconds / steps)
-
-    def inject_crash(self, worker_id: int) -> None:
-        """Kill one worker mid-protocol (test hook for the failure path).
-
-        The victim exits before reaching the done barrier, so the
-        dispatch below surfaces the broken barrier as
-        :class:`ParallelEngineError` instead of hanging.
-        """
-        if not self._started:
-            raise RuntimeError("engine not started")
-        if not 0 <= worker_id < self.n_workers:
-            raise ValueError(f"no worker {worker_id}")
-        self._dispatch(CMD_CRASH, crash_target=worker_id)

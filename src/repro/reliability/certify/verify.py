@@ -172,11 +172,7 @@ def _build_for_replay(manifest: CertificationManifest, *, backend, precision,
     if workers > 1:
         from repro.parallel.engine import ParallelForceExecutor
 
-        executor = ParallelForceExecutor(
-            workers,
-            quasi_2d=(manifest.benchmark == "chute"),
-            precision=precision,
-        )
+        executor = ParallelForceExecutor(workers, precision=precision)
         sim.force_executor = executor
         executor.bind(sim)
     return sim, workers

@@ -1,24 +1,20 @@
-"""One versioned record envelope for every benchmark harness.
+"""One versioned record envelope for every record the package writes.
 
-The characterization produces records from five harnesses (kernels,
-precision, scaling, service, power) plus the campaign orchestrator.
-Before ``repro-bench-report/2`` each harness invented its own top-level
-shape and the common provenance facts — which backend ran, which
-precision modes, where the energy numbers came from, what platform —
-drifted between them.  This module defines those fields **once**:
+Two producers write records: ``python -m repro power --json`` and the
+campaign orchestrator.  The common provenance facts — which backend
+ran, which precision modes, where the energy numbers came from, what
+platform — are defined **once**, here:
 
 * :func:`platform_info` — the interpreter/host stamp every record
   carries;
 * :func:`make_report` — build a validated record: the shared envelope
-  plus the harness's own payload keys merged at top level (so existing
-  consumers keep reading ``results``/``summary``/... unchanged);
-* :func:`validate_report` — structural validation used by the tests
-  that audit each tracked ``BENCH_*.json``.
+  plus the producer's own payload keys merged at top level;
+* :func:`validate_report` — structural validation of the envelope.
 
 The envelope, version 2::
 
     schema       "repro-bench-report/2"
-    kind         kernels | precision | scaling | service | power | campaign
+    kind         power | campaign
     created_unix epoch seconds (> 0)
     platform     {python, numpy, machine, system, ...extras}
     backend      {requested, resolved}     (names or lists of names)
@@ -52,8 +48,8 @@ __all__ = [
 
 SCHEMA = "repro-bench-report/2"
 
-#: One per harness; ``campaign`` is the merged sweep record.
-KINDS = ("kernels", "precision", "scaling", "service", "power", "campaign")
+#: One per producer; ``campaign`` is the merged sweep record.
+KINDS = ("power", "campaign")
 
 PRECISIONS = ("single", "mixed", "double")
 
@@ -93,7 +89,7 @@ def energy_provenance() -> dict:
 
 
 def platform_info(**extra) -> dict:
-    """The host stamp shared by every record (plus harness extras)."""
+    """The host stamp shared by every record (plus producer extras)."""
     info = {
         "python": _platform.python_version(),
         "numpy": np.__version__,
@@ -120,7 +116,7 @@ def make_report(
     resolved) or an explicit ``{"requested": ..., "resolved": ...}``
     mapping.  ``precision`` is one mode or the list of swept modes and
     defaults to ``"double"``.  ``energy`` defaults to provenance-free
-    (``provider="none", kind="unavailable"``) so harnesses without
+    (``provider="none", kind="unavailable"``) so producers without
     telemetry stay honest rather than silent.
     """
     if isinstance(backend, str):

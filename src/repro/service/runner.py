@@ -124,7 +124,6 @@ def _run_parallel(spec: JobSpec, sim, steps, chunk, progress, digest) -> int:
     plan = FaultPlan.parse(spec.fault_plan) if spec.fault_plan else None
     executor = ParallelForceExecutor(
         int(spec.workers),
-        quasi_2d=(spec.benchmark == "chute"),
         fault_plan=plan,
         precision=spec.precision,
     )

@@ -45,13 +45,16 @@ def build(n_atoms: int = 480, seed: int = 999) -> Simulation:
     potential = HookeHistory(
         k_n=200_000.0, gamma_n=50.0, mu=0.5, dt=_DT, max_radius=0.5
     )
-    return Simulation(
+    sim = Simulation(
         system,
         [potential],
         fixes=[Gravity(magnitude=1.0, chute_angle_deg=26.0), BottomWall()],
         dt=_DT,
         skin=TAXONOMY.neighbor_skin,
     )
+    # The bed is a few layers deep: worker subdomains tile x/y only.
+    sim.quasi_2d = True
+    return sim
 
 
 DEFINITION = BenchmarkDefinition(

@@ -9,6 +9,7 @@ block explains how much execution the content-address layer saved.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,6 @@ from repro.campaign import (
     parse_campaign,
     run_campaign,
 )
-from repro.campaign.spec import _mini_toml
 from repro.report import validate_report
 
 GOOD_SPEC = """
@@ -70,6 +70,36 @@ class TestParsing:
     def test_invalid_toml_rejected(self):
         with pytest.raises(CampaignError):
             parse_campaign("[campaign\nname =")
+
+    def test_duplicate_key_rejected_with_line_number(self):
+        with pytest.raises(CampaignError, match="invalid TOML.*line 3"):
+            parse_campaign('[campaign]\nname = "x"\nname = "y"\n')
+
+    def test_duplicate_table_rejected(self):
+        with pytest.raises(CampaignError, match="invalid TOML.*twice"):
+            parse_campaign('[campaign]\nname = "x"\n[campaign]\nout = "o"\n')
+
+    def test_garbage_line_rejected(self):
+        with pytest.raises(CampaignError, match="invalid TOML.*line 2"):
+            parse_campaign("[campaign]\nnot a key value line\n")
+
+
+#: Every spec under campaigns/ with the cell count its header documents.
+SHIPPED_CELLS = {
+    "backend_matrix.toml": 18,
+    "precision_drift.toml": 6,
+    "precision_sweep.toml": 6,
+}
+CAMPAIGNS_DIR = Path(__file__).resolve().parents[2] / "campaigns"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(CAMPAIGNS_DIR.glob("*.toml")), ids=lambda path: path.name
+)
+def test_shipped_spec_loads_and_expands(path):
+    spec = load_campaign(path)
+    assert spec.n_cells == SHIPPED_CELLS[path.name]
+    assert len(spec.expand()) == spec.n_cells
 
 
 class TestValidation:
@@ -138,39 +168,6 @@ class TestValidation:
     def test_pool_workers_must_be_positive(self):
         with pytest.raises(CampaignError, match="pool_workers"):
             CampaignSpec(name="x", base={}, sweep={}, pool_workers=0)
-
-
-class TestMiniToml:
-    """The 3.10 fallback parser handles the spec subset like tomllib."""
-
-    def test_parses_the_reference_spec(self):
-        data = _mini_toml(GOOD_SPEC)
-        assert data["campaign"]["name"] == "smoke"
-        assert data["base"]["n_atoms"] == 150
-        assert data["sweep"]["precision"] == ["single", "double"]
-        assert data["sweep"]["workers"] == [1, 2]
-
-    def test_scalar_types(self):
-        data = _mini_toml(
-            "[t]\na = 1\nb = 2.5\nc = true\nd = false\ne = 'x'\n"
-        )
-        assert data["t"] == {"a": 1, "b": 2.5, "c": True, "d": False, "e": "x"}
-
-    def test_duplicate_key_rejected_with_line_number(self):
-        with pytest.raises(CampaignError, match="line 3.*duplicate key"):
-            _mini_toml("[t]\na = 1\na = 2\n")
-
-    def test_duplicate_table_rejected(self):
-        with pytest.raises(CampaignError, match="duplicate table"):
-            _mini_toml("[t]\na = 1\n[t]\nb = 2\n")
-
-    def test_garbage_line_rejected(self):
-        with pytest.raises(CampaignError, match="expected 'key = value'"):
-            _mini_toml("[t]\nnot a key value line\n")
-
-    def test_matches_tomllib_on_the_reference_spec(self):
-        tomllib = pytest.importorskip("tomllib")
-        assert _mini_toml(GOOD_SPEC) == tomllib.loads(GOOD_SPEC)
 
 
 class TestRunCampaign:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
 from repro.md.neighbor import (
-    BRUTE_FORCE_ENV_VAR,
     NeighborList,
     brute_force_pairs,
 )
@@ -197,15 +196,8 @@ class TestBruteForceOverride:
             brute.pair_i, brute.pair_j
         )
 
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv(BRUTE_FORCE_ENV_VAR, "17")
-        assert NeighborList(1.5, 0.3).brute_force_max == 17
-        monkeypatch.delenv(BRUTE_FORCE_ENV_VAR)
+    def test_default_crossover(self):
         assert NeighborList(1.5, 0.3).brute_force_max == 800
-
-    def test_argument_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(BRUTE_FORCE_ENV_VAR, "17")
-        assert NeighborList(1.5, 0.3, brute_force_max=5).brute_force_max == 5
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="brute_force_max"):

@@ -723,7 +723,7 @@ class TestProvenance:
         assert set(record["power_provider_diagnostics"]) == {
             "rapl", "dram", "procfs", "model",
         }
-        json.dumps(record)  # must be JSON-safe for BENCH_*.json
+        json.dumps(record)  # must be JSON-safe for the power record
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,7 @@ def _run_serial(name: str, n_atoms: int, steps: int):
 
 def _run_parallel(name: str, n_atoms: int, steps: int, workers: int, **kwargs):
     sim = get_benchmark(name).build(n_atoms)
-    executor = ParallelForceExecutor(
-        workers, quasi_2d=(name == "chute"), **kwargs
-    )
+    executor = ParallelForceExecutor(workers, **kwargs)
     sim.force_executor = executor
     executor.bind(sim)
     try:
@@ -89,6 +87,12 @@ class TestDeterminism:
             assert ref_energy == energy
 
 
+def test_only_the_chute_bed_declares_a_slab_decomposition():
+    """The engine reads the slab rule from the simulation it is bound to."""
+    for name, n_atoms in SIZES.items():
+        assert get_benchmark(name).build(n_atoms).quasi_2d == (name == "chute")
+
+
 class TestFailurePaths:
     def test_worker_crash_raises_instead_of_hanging(self):
         sim = get_benchmark("lj").build(SIZES["lj"])
@@ -98,8 +102,9 @@ class TestFailurePaths:
         try:
             sim.setup()
             sim.step()
+            executor.kill_worker(1)
             with pytest.raises(ParallelEngineError):
-                executor.inject_crash(1)
+                sim.step()
         finally:
             executor.close()
 
@@ -110,8 +115,9 @@ class TestFailurePaths:
         executor.bind(sim)
         try:
             sim.setup()
+            executor.kill_worker(0)
             with pytest.raises(ParallelEngineError, match="exit"):
-                executor.inject_crash(0)
+                sim.step()
         finally:
             executor.close()
 

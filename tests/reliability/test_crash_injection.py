@@ -27,7 +27,6 @@ def _build(name, *, workers=WORKERS, fault_plan=None, barrier_timeout=30.0):
     sim = get_benchmark(name).build(SIZES[name])
     executor = ParallelForceExecutor(
         workers,
-        quasi_2d=(name == "chute"),
         fault_plan=fault_plan,
         barrier_timeout=barrier_timeout,
     )

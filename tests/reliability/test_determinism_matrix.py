@@ -45,9 +45,7 @@ def _chain_for(benchmark: str, backend: str, workers: int = 0):
     sim = get_benchmark(benchmark).build(SIZES[benchmark])
     sim.set_backend(get_backend(backend))
     if workers >= 1:
-        executor = ParallelForceExecutor(
-            workers, quasi_2d=(benchmark == "chute")
-        )
+        executor = ParallelForceExecutor(workers)
         sim.force_executor = executor
         executor.bind(sim)
     recorder = DigestRecorder(every=EVERY)

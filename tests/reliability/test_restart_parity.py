@@ -26,9 +26,7 @@ def _build(name, workers=0, precision="double"):
     sim = get_benchmark(name).build(SIZES[name])
     sim.set_precision(precision)
     if workers:
-        executor = ParallelForceExecutor(
-            workers, quasi_2d=(name == "chute"), precision=precision
-        )
+        executor = ParallelForceExecutor(workers, precision=precision)
         sim.force_executor = executor
         executor.bind(sim)
     return sim

@@ -1,13 +1,9 @@
-"""The shared ``repro-bench-report/2`` envelope and the tracked records.
+"""The shared ``repro-bench-report/2`` envelope.
 
-Satellite of the campaign-orchestrator PR: every benchmark harness now
-emits one versioned envelope (backend, precision, energy provenance,
-platform) defined once in :mod:`repro.report`, and each tracked
-``BENCH_*.json`` at the repo root must validate against it.
+Every record the package writes (``repro power --json``, the campaign
+report) carries one versioned envelope (backend, precision, energy
+provenance, platform) defined once in :mod:`repro.report`.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
@@ -17,76 +13,39 @@ from repro.report import (
     SCHEMA,
     ReportError,
     energy_provenance,
-    load_report,
     make_report,
     platform_info,
     validate_report,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
-TRACKED = {
-    "BENCH_kernels.json": "kernels",
-    "BENCH_precision.json": "precision",
-    "BENCH_scaling.json": "scaling",
-    "BENCH_service.json": "service",
-}
-
-
-class TestTrackedRecords:
-    @pytest.mark.parametrize("filename,kind", sorted(TRACKED.items()))
-    def test_tracked_bench_validates(self, filename, kind):
-        path = REPO_ROOT / filename
-        if not path.exists():
-            pytest.skip(f"{filename} not generated on this checkout")
-        record = load_report(path)
-        assert record["kind"] == kind
-
-    @pytest.mark.parametrize("filename", sorted(TRACKED))
-    def test_tracked_bench_keeps_legacy_payload(self, filename):
-        """Migration added the envelope without dropping consumer keys."""
-        path = REPO_ROOT / filename
-        if not path.exists():
-            pytest.skip(f"{filename} not generated on this checkout")
-        record = json.loads(path.read_text())
-        expected = {
-            "BENCH_kernels.json": ("results", "speedups"),
-            "BENCH_precision.json": ("results", "summary"),
-            "BENCH_scaling.json": ("serial", "scaling", "parity"),
-            "BENCH_service.json": ("sweep", "speedup_jobs_per_min"),
-        }[filename]
-        for key in expected:
-            assert key in record, f"{filename} lost payload key {key}"
-
-
 class TestMakeReport:
     def test_minimal_report_validates(self):
-        record = make_report("kernels")
+        record = make_report("power")
         assert record["schema"] == SCHEMA
         assert record["backend"] == {"requested": "auto", "resolved": "auto"}
         assert record["precision"] == "double"
         assert record["energy"]["kind"] == "unavailable"
 
     def test_bare_backend_name_expands(self):
-        record = make_report("scaling", backend="numpy_fast")
+        record = make_report("power", backend="numpy_fast")
         assert record["backend"]["requested"] == "numpy_fast"
         assert record["backend"]["resolved"] == "numpy_fast"
 
     def test_payload_merges_at_top_level(self):
-        record = make_report("service", results=[1, 2], summary={"x": 1})
+        record = make_report("campaign", results=[1, 2], summary={"x": 1})
         assert record["results"] == [1, 2]
         assert record["summary"] == {"x": 1}
 
     def test_payload_cannot_shadow_envelope(self):
         with pytest.raises(ReportError, match="shadows envelope"):
-            make_report("kernels", schema="evil")
+            make_report("power", schema="evil")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ReportError, match="kind"):
             make_report("fridge")
 
     def test_precision_list_accepted(self):
-        record = make_report("precision", precision=["single", "mixed", "double"])
+        record = make_report("campaign", precision=["single", "mixed", "double"])
         assert record["precision"] == ["single", "mixed", "double"]
 
 
@@ -105,6 +64,12 @@ class TestValidateReport:
         record = self._good()
         record["schema"] = "repro-bench-kernels/1"
         with pytest.raises(ReportError, match="schema"):
+            validate_report(record)
+
+    def test_retired_harness_kind_rejected(self):
+        record = self._good()
+        record["kind"] = "kernels"
+        with pytest.raises(ReportError, match="kind 'kernels'"):
             validate_report(record)
 
     def test_bad_precision_rejected(self):
