@@ -35,6 +35,7 @@ from repro.md.kernels.base import KernelBackend
 from repro.md.kernels.compiled import (
     BackendUnavailableError,
     CompiledBackend,
+    provider_info,
 )
 from repro.md.kernels.numpy_fast import NumpyFastBackend
 from repro.md.kernels.numpy_ref import NumpyRefBackend
@@ -53,6 +54,7 @@ __all__ = [
     "backend_diagnostics",
     "get_backend",
     "backend_spec",
+    "resolved_backend",
 ]
 
 #: Environment variable consulted when no explicit backend is passed.
@@ -179,3 +181,23 @@ def backend_spec(backend: KernelBackend) -> str:
             )
         backend = nested
     return type(backend).name
+
+
+def resolved_backend(
+    spec: str | KernelBackend | None = None,
+) -> tuple[str, str | None]:
+    """Registry name + native provider kind ``spec`` actually runs on.
+
+    ``spec`` is a request (``None``/``"auto"``/a registry name, resolved
+    exactly as :func:`get_backend` would, fallbacks included) or a live
+    backend, so the pair names what will *execute*, not what was asked
+    for.  The provider kind is ``None`` for every backend but
+    ``compiled``.  This is the one identity cache keys, certification
+    manifests and replay-environment checks agree on.
+    """
+    name = backend_spec(get_backend(spec))
+    provider = None
+    if name == CompiledBackend.name:
+        info = provider_info()
+        provider = info.get("kind") if info else None
+    return name, provider

@@ -16,7 +16,10 @@ package reproduces that structure twice — analytically and for real:
   :mod:`~repro.parallel.halo`, :mod:`~repro.parallel.forces`) — the
   *measured* counterpart: a shared-memory multiprocessing executor that
   runs the real numpy engine over the same decomposition and records
-  per-worker timelines (see ``docs/SCALING.md``).
+  per-worker timelines (see ``docs/SCALING.md``);
+* :mod:`repro.parallel.procs` — the supervised worker process (private
+  pipe + process sentinel) that the engine and the batch service's job
+  pool are both built on.
 """
 
 from repro.parallel.decomposition import SubdomainGeometry, proc_grid

@@ -3,15 +3,18 @@
 This is the engine the paper's strong-scaling figures describe, scaled
 down to one node: the box is split into a 3-D grid of subdomains
 (:func:`repro.parallel.decomposition.proc_grid`), one persistent worker
-process owns each subdomain, and all cross-process state — positions,
-velocities, forces, per-atom energy/virial accumulators, control words
-and per-worker timing slots — lives in POSIX shared memory.  A step is
-two barrier crossings: the master publishes fresh coordinates and a
-command, the workers evaluate their owned atoms' directed neighbor rows
-through the kernel-backend interface, write disjoint owned slices of
-the shared output arrays, and meet the master at the done barrier.  The
-barrier pair is this engine's stand-in for MPI halo exchange; the
-per-worker wall-clock recorded at each step is what
+process owns each subdomain, and the bulk per-atom state — positions,
+velocities, forces, per-atom energy/virial accumulators — lives in
+POSIX shared memory.  Everything else travels on each worker's private
+pipe (:mod:`repro.parallel.procs`): a step is one ~100-byte command
+(what to do, the box lengths) out and one ~100-byte reply (wall/CPU
+seconds, interaction counts, or a traceback) back.  The master
+publishes fresh coordinates, sends the command, the workers evaluate
+their owned atoms' directed neighbor rows through the kernel-backend
+interface, write disjoint owned slices of the shared output arrays and
+reply; :func:`~repro.parallel.procs.gather` is the master's wait.  That
+round trip is this engine's stand-in for MPI halo exchange; the
+per-worker wall-clock in each reply is what
 :meth:`ParallelForceExecutor.timeline` turns into a *measured*
 :class:`~repro.observability.timeline.RankTimeline` to hold against the
 modelled one.
@@ -23,22 +26,23 @@ Design properties (see ``docs/SCALING.md`` for the full derivations):
   identical results for any worker count;
 * the rebuild cadence mirrors the serial engine exactly — the master
   applies :meth:`NeighborList.needs_rebuild` to the same positions the
-  serial engine would check, and broadcasts one REBUILD command;
-* worker failure is detected, not hung on: barrier waits carry
-  timeouts, worker exceptions land in a shared error record, and a
-  vanished worker breaks the barrier — all three surface as
-  :class:`ParallelEngineError` on the master.
+  serial engine would check, and sends one ``rebuild`` command;
+* worker failure is detected, not hung on: a dead worker's process
+  sentinel wakes the master's wait at once (however it died — an
+  injected ``os._exit`` or a real SIGKILL), a silent one runs into
+  ``barrier_timeout``, a raising one replies with its traceback — all
+  three surface as :class:`ParallelEngineError` on the master, with the
+  pool torn down and respawnable.  No lock or semaphore is shared
+  between the processes, so no death can wedge the survivors.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import threading
 import time
 import traceback
-from dataclasses import dataclass, field
-from threading import BrokenBarrierError
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -46,6 +50,7 @@ import numpy as np
 
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
+from repro.md.heap import keep_freed_heap
 from repro.md.kernels import backend_spec, get_backend
 from repro.md.neighbor import _encode_pairs
 from repro.md.precision import Precision, PrecisionPolicy, policy_for
@@ -61,6 +66,7 @@ from repro.parallel.forces import (
     max_halo_width,
 )
 from repro.parallel.halo import LocalIndex
+from repro.parallel.procs import WorkerFailure, WorkerProcess, gather, stop_all
 from repro.parallel.shm import ShmArena
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,31 +74,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ParallelForceExecutor", "ParallelEngineError"]
 
-# Command words (slot 0 of the control array).
-CMD_STOP = 0.0
-CMD_STEP = 1.0
-CMD_REBUILD = 2.0
-CMD_DUMP_HISTORY = 3.0
-
-# Fault-injection words (slot 5; slot 1 holds the target worker).  Set
-# by the master when a fault plan names the current step/phase; the
-# victim acts on them *after* the start barrier, so the failure always
-# lands mid-protocol the way a real crash would.
-FAULT_NONE = 0.0
-FAULT_KILL = 1.0
-FAULT_HANG = 2.0
+#: Stop message (every other message is a ``(command, lengths, fault,
+#: histories)`` tuple with command ``"rebuild"``, ``"step"`` or
+#: ``"history"``).
+_STOP = None
 
 #: Exit code of a fault-injected kill.
 _FAULT_EXIT_CODE = 21
 
-_ERROR_BYTES = 2048
-
-#: Liveness-poll interval of the master's watchdog thread.
-_WATCHDOG_POLL_SECONDS = 0.05
-
 
 class ParallelEngineError(RuntimeError):
-    """A worker failed (exception, crash, or barrier timeout)."""
+    """A worker failed (exception, crash, or reply timeout)."""
+
+
+def _start_method() -> str:
+    """``fork`` where the platform has it (workers inherit the parent
+    cleanly), else ``spawn`` (payloads are picklable either way)."""
+    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 @dataclass
@@ -114,78 +112,58 @@ class _WorkerPayload:
     statics: dict
     has_omega: bool
     needs_velocities: bool
-    barrier_timeout: float
     #: Precision mode name; each worker installs the matching policy on
     #: its own backend instance.
     precision: str = "double"
-    #: Potential slots carrying a contact-history store, and the row
-    #: capacity of their per-worker dump arrays.
+    #: Potential slots carrying a contact-history store.
     history_slots: tuple = ()
-    history_cap: int = 0
-    #: Directed ``{slot: (keys, values)}`` tables each worker seeds its
-    #: local contact store from (the checkpoint-restore path).
-    initial_histories: dict = field(default_factory=dict)
 
 
-def _write_error(arena: ShmArena, worker_id: int, exc: BaseException) -> None:
-    arena["error_flag"][worker_id] = 1
-    message = "".join(
-        traceback.format_exception(type(exc), exc, exc.__traceback__)
-    ).encode("utf-8", errors="replace")[-_ERROR_BYTES:]
-    row = arena["error_text"][worker_id]
-    row[:] = 0
-    row[: len(message)] = np.frombuffer(message, dtype=np.uint8)
+def _worker_main(conn, payload: _WorkerPayload) -> None:
+    """Persistent worker loop: receive a command, act, reply.
 
-
-def _read_error(arena: ShmArena, worker_id: int) -> str:
-    row = bytes(arena["error_text"][worker_id])
-    return row.rstrip(b"\x00").decode("utf-8", errors="replace")
-
-
-def _worker_main(payload: _WorkerPayload, start_barrier, done_barrier) -> None:
-    """Persistent worker loop: wait at the start barrier, act, report."""
+    A reply is ``(error, wall_seconds, cpu_seconds, data)``: ``error``
+    is ``None`` or the traceback of whatever the command raised, and
+    ``data`` the owned directed-pair count (``rebuild``), the
+    per-potential interaction counts (``step``) or the contact-history
+    tables (``history``).
+    """
+    keep_freed_heap()
     worker = payload.worker_id
     arena = ShmArena.attach(payload.specs)
     backend = get_backend(payload.backend)
     backend.set_policy(policy_for(payload.precision))
-    control = arena["control"]
-    timing = arena["timing"]
     lists: DomainLists | None = None
     statics_local: dict | None = None
     histories: dict = {}
-    for slot, (keys, values) in payload.initial_histories.items():
-        store = ContactHistory()
-        store.load(keys, values)
-        histories[slot] = store
     # EAM's density pass is the only consumer of ghost-headed rows;
     # everyone else builds the owned-head-only directed list.
     owned_only = not any(isinstance(p, EAMAlloy) for p in payload.potentials)
-    # Hang/kill detection is the *master's* job (watchdog + its own
-    # timeout); the worker-side timeout only guards against a vanished
-    # master, so it gets a generous floor — a short master-side timeout
-    # (tuned for fast hang detection) must not make workers bail while
-    # the master is legitimately busy between dispatches, e.g. writing
-    # a checkpoint or restoring one.
-    wait_timeout = max(60.0, payload.barrier_timeout)
     try:
-        while True:
-            start_barrier.wait(timeout=wait_timeout)
-            command = control[0]
-            if command == CMD_STOP:
-                break
+        while (message := conn.recv()) is not _STOP:
+            command, lengths, fault, tables = message
+            # An injected fault acts *after* the command arrived, so the
+            # failure always lands mid-protocol the way a real crash
+            # would.
+            if fault == "kill":
+                os._exit(_FAULT_EXIT_CODE)
+            if fault == "hang":
+                # Block without ever replying: the process stays alive,
+                # so only the master's reply timeout can detect it.
+                time.sleep(3600.0)
+            error = data = None
+            tick = time.perf_counter()
+            cpu_tick = time.process_time()
             try:
-                if control[5] != FAULT_NONE and int(control[1]) == worker:
-                    if control[5] == FAULT_KILL:
-                        os._exit(_FAULT_EXIT_CODE)
-                    # Injected hang: block without ever reaching the
-                    # done barrier, so only the master's barrier
-                    # timeout can detect it (the process stays alive
-                    # and the watchdog never fires).
-                    time.sleep(3600.0)
-                lengths = control[2:5].copy()
-                if command == CMD_REBUILD:
-                    tick = time.perf_counter()
-                    cpu_tick = time.process_time()
+                lengths = np.array(lengths, dtype=np.float64)
+                if command == "rebuild":
+                    # Atoms change owner at a rebuild and their contact
+                    # histories follow them: reload every store from
+                    # the pool-wide table (a checkpoint's, at a pool's
+                    # first rebuild); the next sync keeps the rows this
+                    # worker now heads.
+                    for slot, table in tables.items():
+                        histories.setdefault(slot, ContactHistory()).load(*table)
                     # Pair search runs on wrapped coordinates (+ ghost
                     # images); force evaluation below never does — it
                     # recomputes minimum-image displacements from the
@@ -217,14 +195,10 @@ def _worker_main(payload: _WorkerPayload, start_barrier, done_barrier) -> None:
                         key: (None if value is None else value[index.gids])
                         for key, value in payload.statics.items()
                     }
-                    timing[worker, 2] = time.perf_counter() - tick
-                    timing[worker, 3] = time.process_time() - cpu_tick
-                    timing[worker, 4] = lists.owned_directed_pairs
-                elif command == CMD_STEP:
+                    data = lists.owned_directed_pairs
+                elif command == "step":
                     if lists is None:
-                        raise RuntimeError("STEP before the first REBUILD")
-                    tick = time.perf_counter()
-                    cpu_tick = time.process_time()
+                        raise RuntimeError("step before the first rebuild")
                     index = lists.index
                     velocities = (
                         arena["velocities"][index.gids]
@@ -253,60 +227,20 @@ def _worker_main(payload: _WorkerPayload, start_barrier, done_barrier) -> None:
                     arena["virial"][owned] = result.virial
                     if "torques" in arena and result.torques is not None:
                         arena["torques"][owned] = result.torques
-                    arena["interactions"][worker, : len(result.interactions)] = (
-                        result.interactions
-                    )
-                    timing[worker, 0] = time.perf_counter() - tick
-                    timing[worker, 1] = time.process_time() - cpu_tick
-                elif command == CMD_DUMP_HISTORY:
-                    for slot in payload.history_slots:
-                        store = histories.get(slot)
-                        keys, values = (
-                            store.export()
-                            if store is not None
-                            else (
-                                np.empty(0, dtype=np.int64),
-                                np.empty((0, 3), dtype=float),
-                            )
-                        )
-                        if len(keys) > payload.history_cap:
-                            raise RuntimeError(
-                                f"contact-history dump overflow: {len(keys)} "
-                                f"rows exceed capacity {payload.history_cap}"
-                            )
-                        arena[f"hist{slot}_count"][worker] = len(keys)
-                        arena[f"hist{slot}_keys"][worker, : len(keys)] = keys
-                        arena[f"hist{slot}_values"][worker, : len(keys)] = values
-            except Exception as exc:  # report, then meet the done barrier
-                _write_error(arena, worker, exc)
-            done_barrier.wait(timeout=wait_timeout)
-    except BrokenBarrierError:
-        # Master died or aborted; nothing to report to.
-        pass
+                    data = [int(count) for count in result.interactions]
+                elif command == "history":
+                    data = {
+                        slot: histories.get(slot, ContactHistory()).export()
+                        for slot in payload.history_slots
+                    }
+            except Exception:  # report instead of dying
+                error = traceback.format_exc()
+            wall = time.perf_counter() - tick
+            conn.send((error, wall, time.process_time() - cpu_tick, data))
+    except (EOFError, OSError):
+        pass  # the master is gone (pipe EOF); nothing left to serve
     finally:
         arena.close()
-
-
-def _watch_workers(workers, barriers, stop: threading.Event) -> None:
-    """Master-side liveness watchdog.
-
-    A killed worker never reaches its next barrier, so without help the
-    master would block for the full ``barrier_timeout``.  This thread
-    polls worker liveness and *aborts* both barriers the moment any
-    worker dies, converting the master's pending ``wait`` into an
-    immediate :class:`~threading.BrokenBarrierError` — detection in
-    ~`_WATCHDOG_POLL_SECONDS` instead of the timeout.  (An injected
-    *hang* keeps its process alive, so that path is still covered by
-    the barrier timeout, by design.)
-    """
-    while not stop.wait(_WATCHDOG_POLL_SECONDS):
-        if any(not process.is_alive() for process in workers):
-            for barrier in barriers:
-                try:
-                    barrier.abort()
-                except Exception:  # pragma: no cover - already broken
-                    pass
-            return
 
 
 class ParallelForceExecutor(ForceExecutor):
@@ -318,12 +252,9 @@ class ParallelForceExecutor(ForceExecutor):
         Worker process count; also the subdomain count (``proc_grid``
         factorizes it into the 3-D grid of minimum surface area).
     barrier_timeout:
-        Seconds either side waits at a step barrier before declaring
-        the counterpart dead (:class:`ParallelEngineError`).
-    start_method:
-        ``multiprocessing`` start method; default ``fork`` where
-        available (workers inherit the parent cleanly), else ``spawn``
-        (payloads are picklable either way).
+        Seconds the master waits for a silent worker's reply before
+        declaring it hung (:class:`ParallelEngineError`).  A worker
+        that *died* is reported at once, whatever this is set to.
     fault_plan:
         Optional deterministic fault injector (anything with a
         ``take(step, phase) -> spec | None`` method returning specs with
@@ -345,7 +276,6 @@ class ParallelForceExecutor(ForceExecutor):
         n_workers: int,
         *,
         barrier_timeout: float = 120.0,
-        start_method: str | None = None,
         fault_plan=None,
         precision: "Precision | str | PrecisionPolicy | None" = None,
     ) -> None:
@@ -354,25 +284,15 @@ class ParallelForceExecutor(ForceExecutor):
         self.n_workers = int(n_workers)
         self.precision = policy_for(precision)
         self.barrier_timeout = float(barrier_timeout)
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context(_start_method())
         self._arena: ShmArena | None = None
-        self._workers: list = []
-        self._start_barrier = None
-        self._done_barrier = None
-        self._started = False
+        self._workers: list[WorkerProcess] = []
         self._closed = False
         self.fault_plan = fault_plan
         self._fault_env_checked = False
         self._pending_kill: int | None = None
         self._history_slots: tuple = ()
-        self._history_cap = 0
         self._initial_histories: dict = {}
-        self._watchdog: threading.Thread | None = None
-        self._watchdog_stop: threading.Event | None = None
         #: Pool generation counter: bumped by every (re)spawn, so
         #: recovery code and tests can assert a respawn happened.
         self.spawn_generation = 0
@@ -401,20 +321,15 @@ class ParallelForceExecutor(ForceExecutor):
         # Per-atom exchange state is typed by the precision policy:
         # SINGLE halves every publish/collect byte through the arena,
         # while the per-atom energy/virial accumulator slots follow the
-        # accumulate dtype.  Control/timing words stay float64.
+        # accumulate dtype.
         sd = self.precision.storage_dtype
         ad = self.precision.accumulate_dtype
         layout = {
-            "control": ((8,), np.float64),
             "positions": ((n, 3), sd),
             "velocities": ((n, 3), sd),
             "forces": ((n, 3), sd),
             "energy": ((n,), ad),
             "virial": ((n,), ad),
-            "timing": ((self.n_workers, 5), np.float64),
-            "interactions": ((self.n_workers, max(1, len(potentials))), np.int64),
-            "error_flag": ((self.n_workers,), np.int64),
-            "error_text": ((self.n_workers, _ERROR_BYTES), np.uint8),
         }
         if has_omega:
             layout["omega"] = ((n, 3), sd)
@@ -425,17 +340,6 @@ class ParallelForceExecutor(ForceExecutor):
             for slot, potential in enumerate(potentials)
             if getattr(potential, "history", None) is not None
         )
-        self._history_cap = max(256, 8 * n)
-        for slot in self._history_slots:
-            layout[f"hist{slot}_count"] = ((self.n_workers,), np.int64)
-            layout[f"hist{slot}_keys"] = (
-                (self.n_workers, self._history_cap),
-                np.int64,
-            )
-            layout[f"hist{slot}_values"] = (
-                (self.n_workers, self._history_cap, 3),
-                np.float64,
-            )
         self._arena = ShmArena.create(layout)
 
         list_cutoff = sim.neighbor.list_cutoff
@@ -469,8 +373,6 @@ class ParallelForceExecutor(ForceExecutor):
             for pot, saved in zip(potentials, saved_backends):
                 pot._backend = saved
 
-        self._start_barrier = self._ctx.Barrier(self.n_workers + 1)
-        self._done_barrier = self._ctx.Barrier(self.n_workers + 1)
         for worker_id in range(self.n_workers):
             payload = _WorkerPayload(
                 worker_id=worker_id,
@@ -488,68 +390,31 @@ class ParallelForceExecutor(ForceExecutor):
                 statics=statics,
                 has_omega=has_omega,
                 needs_velocities=needs_velocities or has_omega,
-                barrier_timeout=self.barrier_timeout,
                 precision=self.precision.mode.value,
                 history_slots=self._history_slots,
-                history_cap=self._history_cap,
-                initial_histories=self._initial_histories,
             )
-            process = self._ctx.Process(
-                target=_worker_main,
-                args=(payload, self._start_barrier, self._done_barrier),
-                daemon=True,
-                name=f"repro-worker-{worker_id}",
+            self._workers.append(
+                WorkerProcess(
+                    self._ctx,
+                    _worker_main,
+                    (payload,),
+                    name=f"repro-worker-{worker_id}",
+                    daemon=True,
+                )
             )
-            process.start()
-            self._workers.append(process)
-        self._started = True
         self.spawn_generation += 1
-        self._watchdog_stop = threading.Event()
-        self._watchdog = threading.Thread(
-            target=_watch_workers,
-            args=(
-                list(self._workers),
-                (self._start_barrier, self._done_barrier),
-                self._watchdog_stop,
-            ),
-            daemon=True,
-            name="repro-worker-watchdog",
-        )
-        self._watchdog.start()
 
     def _teardown(self) -> None:
         """Stop the pool and release shared state, staying respawnable.
 
         Unlike :meth:`close`, a torn-down executor is still usable: the
         next ``maintain_neighbors``/``compute`` call runs :meth:`_start`
-        again, spawning a fresh pool (seeded with whatever
+        again, spawning a fresh pool (whose first rebuild loads whatever
         ``import_contact_histories`` installed last).  This is the
         recovery path's respawn primitive.
         """
-        if self._watchdog_stop is not None:
-            self._watchdog_stop.set()
-        if self._watchdog is not None:
-            self._watchdog.join(timeout=2.0)
-        self._watchdog = None
-        self._watchdog_stop = None
-        if self._started and self._arena is not None:
-            alive = [p for p in self._workers if p.is_alive()]
-            if alive:
-                try:
-                    self._arena["control"][0] = CMD_STOP
-                    self._arena["control"][5] = FAULT_NONE
-                    self._start_barrier.wait(timeout=5.0)
-                except (BrokenBarrierError, ValueError):
-                    pass
-            for process in self._workers:
-                process.join(timeout=5.0)
-                if process.is_alive():  # pragma: no cover - stuck worker
-                    process.terminate()
-                    process.join(timeout=5.0)
+        stop_all(self._workers, _STOP, timeout=5.0)
         self._workers = []
-        self._start_barrier = None
-        self._done_barrier = None
-        self._started = False
         if self._arena is not None:
             self._arena.close()
             self._arena = None
@@ -577,6 +442,12 @@ class ParallelForceExecutor(ForceExecutor):
         """
         return 0 if self._arena is None else int(self._arena.nbytes)
 
+    @property
+    def worker_pids(self) -> tuple[int, ...]:
+        """Process ids of the live pool, by worker id (empty before
+        start and after a teardown)."""
+        return tuple(worker.pid for worker in self._workers)
+
     # ------------------------------------------------------------------
     # Dispatch machinery
     # ------------------------------------------------------------------
@@ -586,54 +457,41 @@ class ParallelForceExecutor(ForceExecutor):
         np.copyto(arena["velocities"], system.velocities)
         if "omega" in arena and system.omega is not None:
             np.copyto(arena["omega"], system.omega)
-        arena["control"][2:5] = system.box.lengths
 
-    def _dispatch(self, command: float, *, fault=None) -> None:
-        """One command round-trip: start barrier, worker action, done."""
-        arena = self._arena
-        arena["control"][0] = command
-        arena["control"][5] = FAULT_NONE
-        if fault is not None:
-            arena["control"][1] = float(fault.worker)
-            arena["control"][5] = (
-                FAULT_KILL if fault.kind == "kill" else FAULT_HANG
-            )
+    def _dispatch(
+        self, command: str, system: AtomSystem, *, fault=None, histories=None
+    ) -> list[tuple]:
+        """One command round-trip: send to every worker, gather replies.
+
+        Returns each worker's ``(wall_seconds, cpu_seconds, data)``.
+        ``fault`` reaches only the worker it names; ``histories`` (a
+        ``rebuild`` only) are directed contact tables for every worker
+        to reload its stores from.
+        """
+        lengths = system.box.lengths.tolist()
+        for worker_id, worker in enumerate(self._workers):
+            mine = fault is not None and fault.worker == worker_id
+            # A dead peer is not an error here: gather names it.
+            worker.send((command, lengths, fault.kind if mine else None, histories))
         try:
-            self._start_barrier.wait(timeout=self.barrier_timeout)
-            self._done_barrier.wait(timeout=self.barrier_timeout)
-        except (BrokenBarrierError, ValueError) as exc:
-            self._fail(f"barrier failed during command {command:g}: {exc!r}")
-        flags = arena["error_flag"]
-        if flags.any():
-            failed = int(np.flatnonzero(flags)[0])
-            message = _read_error(arena, failed)
-            self._fail(f"worker {failed} raised:\n{message}")
+            replies = gather(self._workers, self.barrier_timeout)
+        except WorkerFailure as exc:
+            if exc.exitcode is None:  # hung, not dead: nothing to wait for
+                self._workers[exc.index].stop(_STOP, timeout=0.0)
+            self._fail(f"{exc} during {command}")
+        for worker_id, (error, *_) in enumerate(replies):
+            if error is not None:
+                self._fail(
+                    f"worker {worker_id} raised during {command}: "
+                    f"{error.strip().splitlines()[-1]}\n{error}"
+                )
+        return [reply[1:] for reply in replies]
 
     def _fail(self, reason: str) -> None:
-        """Collect worker status, tear the pool down, and raise.
-
-        The executor is left *respawnable* (see :meth:`_teardown`), so a
-        supervisor catching the :class:`ParallelEngineError` can restore
-        a checkpoint and keep using this same executor instance.
-        """
-        status = []
-        for worker_id, process in enumerate(self._workers):
-            if not process.is_alive() and process.exitcode not in (0, None):
-                status.append(f"worker {worker_id} exitcode {process.exitcode}")
-            flags = self._arena["error_flag"] if self._arena is not None else None
-            if flags is not None and flags[worker_id]:
-                text = _read_error(self._arena, worker_id).strip().splitlines()
-                if text:
-                    status.append(f"worker {worker_id}: {text[-1]}")
-        for barrier in (self._start_barrier, self._done_barrier):
-            if barrier is not None:
-                try:
-                    barrier.abort()
-                except Exception:  # pragma: no cover - already broken
-                    pass
-        detail = ("; ".join(status)) or "no worker diagnostics recorded"
+        """Tear the pool down — it stays respawnable, so a supervisor can
+        restore a checkpoint and keep using this executor — and raise."""
         self._teardown()
-        raise ParallelEngineError(f"{reason} [{detail}]")
+        raise ParallelEngineError(reason)
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -670,16 +528,15 @@ class ParallelForceExecutor(ForceExecutor):
         """Schedule one worker's death at its next command dispatch.
 
         This is the checkpoint-phase fault: from the supervisor's view
-        the process dies right after the failed write, and the watchdog
-        breaks the pending dispatch into a :class:`ParallelEngineError`.
-        The kill is delivered *in-band* (the worker ``os._exit``s just
-        after passing the start barrier) rather than as an asynchronous
-        SIGKILL: a signal landing while the victim holds a barrier's
-        internal semaphore would leave that lock held forever, and the
-        master, watchdog and surviving workers would all deadlock
-        trying to acquire it.
+        the process dies right after the failed write, and the next
+        dispatch fails with a :class:`ParallelEngineError`.  The kill is
+        delivered *in-band* (the worker ``os._exit``s on receiving its
+        next command) so that it lands at a reproducible point of the
+        run; an asynchronous ``os.kill(pid, SIGKILL)`` on one of
+        :attr:`worker_pids` is just as survivable, only not
+        deterministic.
         """
-        if not self._started:
+        if not self._workers:
             raise RuntimeError("engine not started")
         if not 0 <= worker_id < self.n_workers:
             raise ValueError(f"no worker {worker_id}")
@@ -695,8 +552,11 @@ class ParallelForceExecutor(ForceExecutor):
             neighbor.stats.steps_since_build += 1
             if not neighbor.needs_rebuild(system):
                 return False
-        if not self._started:
+        if self._workers:
+            histories = self._gather_histories(system)
+        else:
             self._start()
+            histories = self._initial_histories
         # Mirror the serial build's validity check: ghost-image pair
         # search needs the box at least two list-cutoffs wide.
         rc = neighbor.list_cutoff
@@ -708,26 +568,32 @@ class ParallelForceExecutor(ForceExecutor):
                 "system or shrink the cutoff"
             )
         self._publish_state(system)
-        self._dispatch(CMD_REBUILD, fault=self._take_fault("rebuild"))
+        replies = self._dispatch(
+            "rebuild",
+            system,
+            fault=self._take_fault("rebuild"),
+            histories=histories,
+        )
         neighbor._positions_at_build = system.box.wrap(system.positions)
         neighbor._box_lengths_at_build = system.box.lengths.copy()
         stats = neighbor.stats
         stats.n_builds += 1
         stats.steps_since_build = 0
-        directed = int(self._arena["timing"][:, 4].sum())
+        wall, cpu, pairs = zip(*replies)
+        directed = sum(pairs)
         stats.last_pairs = directed if neighbor.full else directed // 2
-        self.worker_neigh_seconds += self._arena["timing"][:, 2]
-        self.worker_neigh_cpu_seconds += self._arena["timing"][:, 3]
+        self.worker_neigh_seconds += wall
+        self.worker_neigh_cpu_seconds += cpu
         self.builds_measured += 1
         return True
 
     def compute(self, system: AtomSystem) -> ForceResult:
-        if not self._started:
-            self._start()
+        if not self._workers:
             self.maintain_neighbors(system, force=True)
         arena = self._arena
         self._publish_state(system)
-        self._dispatch(CMD_STEP, fault=self._take_fault("step"))
+        replies = self._dispatch("step", system, fault=self._take_fault("step"))
+        wall, cpu, counts = zip(*replies)
 
         np.copyto(system.forces, arena["forces"])
         if system.torques is not None and "torques" in arena:
@@ -738,15 +604,13 @@ class ParallelForceExecutor(ForceExecutor):
         energy = float(np.sum(arena["energy"], dtype=np.float64))
         virial = float(np.sum(arena["virial"], dtype=np.float64))
         interactions = 0
-        per_potential = arena["interactions"].sum(axis=0)
-        for slot, potential in enumerate(self.simulation.potentials):
-            directed = int(per_potential[slot])
+        for potential, per_worker in zip(self.simulation.potentials, zip(*counts)):
+            directed = sum(per_worker)
             interactions += directed if potential.needs_full_list else directed // 2
 
-        step_times = arena["timing"][:, 0].copy()
-        self.last_step_seconds = step_times
-        self.worker_pair_seconds += step_times
-        self.worker_pair_cpu_seconds += arena["timing"][:, 1]
+        self.last_step_seconds = np.array(wall)
+        self.worker_pair_seconds += wall
+        self.worker_pair_cpu_seconds += cpu
         self.steps_measured += 1
         return ForceResult(energy, virial, interactions)
 
@@ -760,35 +624,35 @@ class ParallelForceExecutor(ForceExecutor):
         directed row, by its head's owner); keeping only the ``gi < gj``
         orientation — whose tangential displacement matches the serial
         half-list convention by the contact law's direction-swap
-        symmetry — reduces the pool state to exactly the serial store,
-        sorted by key for decomposition-independent output.
+        symmetry — reduces the pool state to exactly the serial store
+        (still sorted by key, so the output is decomposition-independent).
         """
-        if not self._started:
+        if not self._workers:
             return super().export_contact_histories()
+        system = self.simulation.system
+        n = system.n_atoms
+        tables: dict[int, tuple] = {}
+        for slot, (keys, values) in self._gather_histories(system).items():
+            canonical = (keys // n) < (keys % n)
+            tables[slot] = (keys[canonical], values[canonical])
+        return tables
+
+    def _gather_histories(self, system: AtomSystem) -> dict[int, tuple]:
+        """The pool's directed contact rows, ``{slot: (keys, values)}``.
+
+        Every touching pair appears once per orientation, held by the
+        worker that owns its head.  Sorted by key, one row per key: a
+        store that was loaded but not yet synced by a force pass still
+        holds the whole table it was given, the same on every worker.
+        """
         if not self._history_slots:
             return {}
-        self._dispatch(CMD_DUMP_HISTORY)
-        n = self.simulation.system.n_atoms
+        replies = self._dispatch("history", system)
         tables: dict[int, tuple] = {}
         for slot in self._history_slots:
-            counts = self._arena[f"hist{slot}_count"]
-            key_blocks = []
-            value_blocks = []
-            for worker in range(self.n_workers):
-                rows = int(counts[worker])
-                key_blocks.append(
-                    self._arena[f"hist{slot}_keys"][worker, :rows].copy()
-                )
-                value_blocks.append(
-                    self._arena[f"hist{slot}_values"][worker, :rows].copy()
-                )
-            keys = np.concatenate(key_blocks)
-            values = np.concatenate(value_blocks)
-            canonical = (keys // n) < (keys % n)
-            keys = keys[canonical]
-            values = values[canonical]
-            order = np.argsort(keys, kind="stable")
-            tables[slot] = (keys[order], values[order])
+            key_blocks, value_blocks = zip(*(data[slot] for *_, data in replies))
+            keys, first = np.unique(np.concatenate(key_blocks), return_index=True)
+            tables[slot] = (keys, np.concatenate(value_blocks)[first])
         return tables
 
     def import_contact_histories(self, tables: dict[int, tuple]) -> None:
@@ -814,8 +678,7 @@ class ParallelForceExecutor(ForceExecutor):
                 np.concatenate([values, -values]),
             )
         self._initial_histories = directed
-        if self._started:
-            self._teardown()
+        self._teardown()
 
     # ------------------------------------------------------------------
     # Observability

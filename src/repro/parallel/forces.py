@@ -401,9 +401,10 @@ def _hooke_terms(
     two-sided scatter requires, so the owner of each side computes its
     own force/torque/history independently and the results agree with
     the serial evaluation.  The tangential history is keyed by the
-    *directed* global pair id; contacts whose owner migrates at a
-    rebuild restart their history from zero (a documented deviation —
-    the serial store survives migration).
+    *directed* global pair id; when a contact's owner changes at a
+    rebuild the engine hands the row to the new owner (it reloads every
+    store from the pool-wide table with the ``rebuild`` command), so a
+    history survives migration as the serial store does.
     """
     radii = statics["radii"]
     masses = statics["masses"]

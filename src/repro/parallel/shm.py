@@ -1,10 +1,10 @@
 """Shared-memory array management for the parallel engine.
 
-The domain-decomposed executor keeps all cross-process state —
-positions, velocities, forces, per-atom energy/virial accumulators,
-the control word and per-worker timing slots — in POSIX shared memory
-(:mod:`multiprocessing.shared_memory`), so per-step "communication" is
-plain array reads/writes plus two barrier crossings, never pickling.
+The domain-decomposed executor keeps its bulk per-atom state —
+positions, velocities, forces, per-atom energy/virial accumulators — in
+POSIX shared memory (:mod:`multiprocessing.shared_memory`), so the
+per-step exchange of it is plain array reads/writes, never pickling;
+commands and replies travel on :mod:`repro.parallel.procs` pipes.
 
 :class:`SharedArray` wraps one segment + numpy view; :class:`ShmArena`
 manages a named collection with a picklable spec so worker processes

@@ -124,16 +124,10 @@ class CertificationManifest:
         """
         import numpy as np
 
-        from repro.md.kernels import backend_spec
+        from repro.md.kernels import resolved_backend
         from repro.service.spec import state_digest
 
-        backend = backend_spec(simulation.backend)
-        provider = None
-        if backend == "compiled":
-            from repro.md.kernels.compiled import provider_info
-
-            info = provider_info()
-            provider = info.get("kind") if info else None
+        backend, provider = resolved_backend(simulation.backend)
         manifest = cls(
             schema=MANIFEST_SCHEMA,
             benchmark=benchmark,

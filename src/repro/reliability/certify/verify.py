@@ -39,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.md.kernels import resolved_backend
 from repro.md.precision import PARITY_TOLERANCES
 from repro.reliability.certify.digest import (
     DigestChain,
@@ -104,17 +105,9 @@ def _local_environment(simulation, workers: int) -> str:
     """The replay-side counterpart of ``manifest.environment_summary``."""
     import platform as platform_module
 
-    from repro.md.kernels import backend_spec
-
-    backend = backend_spec(simulation.backend)
-    provider = "-"
-    if backend == "compiled":
-        from repro.md.kernels.compiled import provider_info
-
-        info = provider_info()
-        provider = (info.get("kind") if info else None) or "-"
+    backend, provider = resolved_backend(simulation.backend)
     return (
-        f"backend={backend} provider={provider} "
+        f"backend={backend} provider={provider or '-'} "
         f"precision={simulation.precision.mode.value} workers={workers} "
         f"numpy={np.__version__} platform={platform_module.platform()}"
     )
@@ -187,17 +180,11 @@ def _is_bitwise_environment(manifest: CertificationManifest, simulation,
     summation order), though parallel worker counts are interchangeable
     — the engine is bitwise across 1/2/4 workers by contract.
     """
-    from repro.md.kernels import backend_spec
-
-    backend = backend_spec(simulation.backend)
-    if backend != manifest.backend:
+    if resolved_backend(simulation.backend) != (
+        manifest.backend,
+        manifest.backend_provider,
+    ):
         return False
-    if backend == "compiled":
-        from repro.md.kernels.compiled import provider_info
-
-        info = provider_info()
-        if (info.get("kind") if info else None) != manifest.backend_provider:
-            return False
     if simulation.precision.mode.value != manifest.precision:
         return False
     return (workers > 1) == (manifest.workers > 1)

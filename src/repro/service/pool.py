@@ -1,24 +1,18 @@
 """Persistent service workers: the processes that execute jobs.
 
-The pool follows the shape of the parallel engine's worker machinery
-(persistent processes, explicit liveness handling) at the *job* level:
-each worker is one long-lived process with its **own task pipe** —
-assignments are explicit, so the scheduler always knows which job a
-dead worker was holding and can requeue exactly that one — and a
-per-worker event pipe carries ``started`` / ``progress`` / ``result``
-/ ``error`` events back.
-
-Why pipes and not ``multiprocessing.Queue``: queues synchronize with
-semaphores in shared memory, and a worker SIGKILLed mid-``put``/``get``
-leaves the semaphore held — wedging every other process that touches
-the queue, including the respawned replacement.  The pool's whole job
-is to *survive* SIGKILL, so each worker gets dedicated single-writer/
-single-reader pipes (no cross-process locks to orphan), and a respawn
-swaps in **fresh** pipes: whatever a dying worker half-wrote can never
-corrupt its successor's channel.  Nothing queues invisibly either —
-each worker holds at most the one task in :attr:`WorkerPool._assigned
-<repro.service.scheduler.BatchService>`'s books, which the scheduler
-requeues itself.
+The pool is a list of the same supervised
+:class:`~repro.parallel.procs.WorkerProcess` the parallel engine runs
+its force workers on, used at the *job* level: each worker is one
+long-lived process on its **own private pipe** — assignments are
+explicit, so the scheduler always knows which job a dead worker was
+holding and can requeue exactly that one — carrying tasks one way and
+``started`` / ``progress`` / ``result`` / ``error`` events the other.
+Why a pipe per worker and not a shared ``multiprocessing.Queue`` is
+that module's docstring: the pool's whole job is to *survive* SIGKILL,
+and a respawn swaps in a **fresh** pipe.  Nothing queues invisibly
+either — each worker holds at most the one task in
+:attr:`WorkerPool._assigned <repro.service.scheduler.BatchService>`'s
+books, which the scheduler requeues itself.
 
 Workers are deliberately **non-daemonic**: a job with ``workers > 1``
 spawns the parallel engine's (daemonic) worker processes underneath,
@@ -38,6 +32,7 @@ import warnings
 from collections import deque
 from multiprocessing import connection
 
+from repro.parallel.procs import WorkerProcess, stop_all
 from repro.service.runner import execute_job
 from repro.service.spec import JobSpec
 
@@ -72,20 +67,20 @@ def _spawn_can_import_main() -> bool:
     return path is None or os.path.exists(path)
 
 
-def _pool_worker_main(worker_id: int, tasks, events) -> None:
+def _pool_worker_main(conn, worker_id: int) -> None:
     """One service worker: take a job, run it, report, repeat."""
     try:
         # Check in once the interpreter is actually up: under spawn a
         # worker spends its first ~second importing, and callers that
         # measure steady-state throughput wait for this handshake.
-        events.send(
+        conn.send(
             {"kind": "ready", "worker": worker_id, "pid": os.getpid()}
         )
     except (BrokenPipeError, OSError):
         return
     while True:
         try:
-            item = tasks.recv()
+            item = conn.recv()
         except (EOFError, OSError):
             return  # scheduler side is gone; nothing left to serve
         if item == _STOP:
@@ -94,7 +89,7 @@ def _pool_worker_main(worker_id: int, tasks, events) -> None:
 
         def emit(payload: dict) -> None:
             try:
-                events.send(payload)
+                conn.send(payload)
             except (BrokenPipeError, OSError):
                 # The scheduler replaced this incarnation (or died);
                 # results for a superseded worker are dropped by design.
@@ -128,44 +123,41 @@ class WorkerPool:
     ----------
     n_workers:
         Pool size.  Each worker holds at most one job at a time.
-    start_method:
-        ``multiprocessing`` start method; default ``spawn``.  The host
-        process is multithreaded by construction — the scheduler thread
-        respawns workers while submitter threads run — and ``fork``
-        from a multithreaded process clones whatever locks (import
-        lock, allocator) happen to be held into a child that has no
-        thread to release them, which can deadlock the very
-        SIGKILL-recovery respawn the pool exists for.  ``spawn`` starts
-        each worker from a clean interpreter; the cost is per-(re)spawn
-        only, since workers are persistent.  Pass ``fork`` explicitly
-        to accept the risk.  When the host's ``__main__`` is not
-        importable by a spawn child (stdin-fed scripts), the default
-        falls back to ``fork`` with a :class:`RuntimeWarning` rather
-        than crash-looping every worker at boot.
+
+    Workers start under ``spawn``.  The host process is multithreaded
+    by construction — the scheduler thread respawns workers while
+    submitter threads run — and ``fork`` from a multithreaded process
+    clones whatever locks (import lock, allocator) happen to be held
+    into a child that has no thread to release them, which can deadlock
+    the very SIGKILL-recovery respawn the pool exists for.  ``spawn``
+    starts each worker from a clean interpreter; the cost is
+    per-(re)spawn only, since workers are persistent.  Only when the
+    host's ``__main__`` is not importable by a spawn child (stdin-fed
+    scripts) does the pool fall back to ``fork``, with a
+    :class:`RuntimeWarning`, rather than crash-loop every worker at
+    boot.
     """
 
-    def __init__(self, n_workers: int, *, start_method: str | None = None):
+    def __init__(self, n_workers: int):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = int(n_workers)
-        if start_method is None:
-            if _spawn_can_import_main():
-                start_method = "spawn"
-            else:
-                start_method = "fork"
-                warnings.warn(
-                    "this host's __main__ is not importable by spawn "
-                    "children (stdin-fed script?); falling back to the "
-                    "fork start method — forking a multithreaded "
-                    "process can deadlock children, so prefer running "
-                    "from a real script file",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+        if _spawn_can_import_main():
+            start_method = "spawn"
+        else:
+            start_method = "fork"
+            warnings.warn(
+                "this host's __main__ is not importable by spawn "
+                "children (stdin-fed script?); falling back to the "
+                "fork start method — forking a multithreaded "
+                "process can deadlock children, so prefer running "
+                "from a real script file",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         self._ctx = mp.get_context(start_method)
-        self._workers: list = [None] * self.n_workers
-        self._task_w: list = [None] * self.n_workers
-        self._event_r: list = [None] * self.n_workers
+        #: One supervised process per slot; ``None`` once retired.
+        self._workers: list[WorkerProcess | None] = [None] * self.n_workers
         self._event_buffer: deque[dict] = deque()
         #: Per-worker boot handshake received (see ``ready_count``).
         self._ready: list[bool] = [False] * self.n_workers
@@ -179,21 +171,13 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def _spawn(self, worker_id: int) -> None:
-        task_r, task_w = self._ctx.Pipe(duplex=False)
-        event_r, event_w = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_pool_worker_main,
-            args=(worker_id, task_r, event_w),
-            daemon=False,  # jobs may spawn engine-worker children
+        self._workers[worker_id] = WorkerProcess(
+            self._ctx,
+            _pool_worker_main,
+            (worker_id,),
             name=f"repro-service-worker-{worker_id}",
+            daemon=False,  # jobs may spawn engine-worker children
         )
-        process.start()
-        # Parent keeps only its ends; the child holds the others.
-        task_r.close()
-        event_w.close()
-        self._workers[worker_id] = process
-        self._task_w[worker_id] = task_w
-        self._event_r[worker_id] = event_r
         self._ready[worker_id] = False
         self.spawned += 1
 
@@ -203,10 +187,7 @@ class WorkerPool:
         A send to a just-died worker is swallowed: the scheduler's
         liveness sweep will find the corpse and requeue the job.
         """
-        try:
-            self._task_w[worker_id].send((job_id, spec.to_json()))
-        except (BrokenPipeError, OSError):
-            pass
+        self._workers[worker_id].send((job_id, spec.to_json()))
 
     def ready_count(self) -> int:
         """Workers whose boot handshake has been consumed so far.
@@ -234,11 +215,9 @@ class WorkerPool:
         return None if process is None else process.pid
 
     def respawn(self, worker_id: int) -> bool:
-        """Replace a dead worker with a fresh process on fresh pipes.
+        """Replace a dead worker with a fresh process on a fresh pipe.
 
-        The dead incarnation's pipes are dropped unread — a process
-        killed mid-send can leave a truncated message, and a fresh
-        channel is the only state a successor can trust.  Any task the
+        The dead incarnation's pipe is dropped unread.  Any task the
         corpse held is the scheduler's to requeue (it tracks the one
         in-flight job per worker).
 
@@ -249,20 +228,15 @@ class WorkerPool:
         respawned — the same death would recur at every boot, and an
         unconditional respawn would crash-loop forever.
         """
-        process = self._workers[worker_id]
-        if process is not None:
-            process.join(timeout=1.0)
+        worker = self._workers[worker_id]
+        if worker is not None:
+            worker.stop(_STOP, timeout=1.0)
         if self._ready[worker_id]:
             self._boot_failures[worker_id] = 0  # it booted; a real death
         else:
             self._boot_failures[worker_id] += 1
-        for conn in (self._task_w[worker_id], self._event_r[worker_id]):
-            if conn is not None:
-                conn.close()
         if self._boot_failures[worker_id] >= BOOT_FAILURE_LIMIT:
             self._workers[worker_id] = None
-            self._task_w[worker_id] = None
-            self._event_r[worker_id] = None
             self._ready[worker_id] = False
             return False
         self._spawn(worker_id)
@@ -272,7 +246,7 @@ class WorkerPool:
         """Pop one worker event, or None after ``timeout`` seconds."""
         if self._event_buffer:
             return self._event_buffer.popleft()
-        readers = [conn for conn in self._event_r if conn is not None]
+        readers = [w.connection for w in self._workers if w is not None]
         if not readers:
             return None
         for conn in connection.wait(readers, timeout):
@@ -293,22 +267,7 @@ class WorkerPool:
         if self._closed:
             return
         self._closed = True
-        for worker_id, process in enumerate(self._workers):
-            if process is not None and process.is_alive():
-                try:
-                    self._task_w[worker_id].send(_STOP)
-                except (BrokenPipeError, OSError):
-                    pass
-        for process in self._workers:
-            if process is None:
-                continue
-            process.join(timeout=timeout)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=timeout)
-        for conn in (*self._task_w, *self._event_r):
-            if conn is not None:
-                conn.close()
+        stop_all([w for w in self._workers if w is not None], _STOP, timeout)
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

@@ -125,7 +125,6 @@ class BatchService:
         max_cache_entries: int = 1024,
         metrics: MetricsRegistry | None = None,
         max_requeues: int = 2,
-        start_method: str | None = None,
         poll_seconds: float = 0.05,
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -134,7 +133,7 @@ class BatchService:
         )
         self.max_requeues = int(max_requeues)
         self._poll = float(poll_seconds)
-        self._pool = WorkerPool(n_workers, start_method=start_method)
+        self._pool = WorkerPool(n_workers)
         self._lock = threading.Lock()
         self._pending: deque[Job] = deque()
         #: content address -> live Job (pending or running): the dedup map.

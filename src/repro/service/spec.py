@@ -44,6 +44,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
+from repro.md.kernels import resolved_backend
 from repro.md.precision import parse_precision
 
 __all__ = ["JobSpec", "JobResult", "state_digest"]
@@ -51,25 +52,6 @@ __all__ = ["JobSpec", "JobResult", "state_digest"]
 #: Canonical-payload schema tag; bump when the key derivation changes
 #: (a bump invalidates every cached address, by construction).
 SPEC_SCHEMA = "repro-job/1"
-
-
-def _resolved_backend(spec: "str | None") -> tuple[str, str | None]:
-    """Registry name + native provider kind the spec actually runs on.
-
-    ``None``/``"auto"``/unavailable-optional requests all resolve
-    through :func:`repro.md.kernels.get_backend`, so the address names
-    the backend that will *execute*, not the one that was asked for.
-    """
-    from repro.md.kernels import backend_spec, get_backend
-
-    name = backend_spec(get_backend(spec))
-    provider = None
-    if name == "compiled":
-        from repro.md.kernels.compiled import provider_info
-
-        info = provider_info()
-        provider = info.get("kind") if info else None
-    return name, provider
 
 
 @dataclass(frozen=True)
@@ -170,7 +152,9 @@ class JobSpec:
         scalar so ``json.dumps(sort_keys=True)`` yields one canonical
         byte string regardless of construction order or process.
         """
-        name, provider = _resolved_backend(self.backend)
+        # The address names the backend that will *execute*, not the
+        # one that was asked for.
+        name, provider = resolved_backend(self.backend)
         return {
             "schema": SPEC_SCHEMA,
             "benchmark": self.benchmark,

@@ -44,3 +44,47 @@ def finite_difference_forces(energy_fn, positions: np.ndarray, h: float = 1e-6):
             minus[i, d] -= h
             forces[i, d] = -(energy_fn(plus) - energy_fn(minus)) / (2.0 * h)
     return forces
+
+
+def leak_check():
+    """Generator body of the package-scoped leak gate.
+
+    ``tests/parallel``, ``tests/reliability`` and ``tests/service`` wrap
+    this in an autouse fixture: whatever a package's tests spawn, map or
+    open must be gone again when its last test finishes — no live worker
+    child, no new ``/dev/shm`` segment, the open-fd count back where it
+    started.
+    """
+    import gc
+    import multiprocessing as mp
+    import os
+    from multiprocessing import resource_tracker
+
+    def shm_segments():
+        try:
+            return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+        except FileNotFoundError:  # no POSIX shm mount on this platform
+            return set()
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    # The resource tracker starts on first shared-memory use and keeps
+    # one pipe for the life of the session: not a leak, so warm it up
+    # before taking the baseline.
+    resource_tracker.ensure_running()
+    gc.collect()
+    segments_before, fds_before = shm_segments(), open_fds()
+    yield
+    gc.collect()
+    workers = [
+        child.name
+        for child in mp.active_children()
+        if child.name.startswith(("repro-worker-", "repro-service-worker-"))
+    ]
+    assert not workers, f"worker processes still alive: {workers}"
+    leaked = shm_segments() - segments_before
+    assert not leaked, f"shared-memory segments left behind: {sorted(leaked)}"
+    assert open_fds() <= fds_before, (
+        f"open file descriptors grew from {fds_before} to {open_fds()}"
+    )

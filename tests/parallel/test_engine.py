@@ -1,13 +1,17 @@
 """Tests for the shared-memory domain-decomposed parallel engine."""
 
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.parallel import engine
 from repro.parallel.engine import ParallelEngineError, ParallelForceExecutor
 from repro.suite import get_benchmark
 
@@ -15,6 +19,21 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Small per-benchmark sizes (chain needs a chain-length multiple).
 SIZES = {"lj": 2048, "chain": 2000, "eam": 1372, "rhodo": 1000, "chute": 1800}
+
+
+def _subprocess_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    return env
+
+
+def _gone(pid: int) -> bool:
+    """No such process, or only its unreaped corpse."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
 
 
 def _run_serial(name: str, n_atoms: int, steps: int):
@@ -87,6 +106,37 @@ class TestDeterminism:
             assert ref_energy == energy
 
 
+    def test_contact_histories_follow_atoms_across_rebuilds(self):
+        """A touching pair whose head changes owner at a rebuild keeps
+        its tangential history (the tables travel with the ``rebuild``
+        command), so the chute too is decomposition-independent past
+        its first rebuild — and stays on the serial trajectory."""
+        steps = 140
+        serial = _run_serial("chute", 500, steps)
+        one, info = _run_parallel("chute", 500, steps, workers=1)
+        two, _ = _run_parallel("chute", 500, steps, workers=2)
+        assert info["n_builds"] >= 2  # the run did cross a rebuild
+        assert one.system.positions.tobytes() == two.system.positions.tobytes()
+        assert one.system.velocities.tobytes() == two.system.velocities.tobytes()
+        assert np.abs(serial.system.positions - two.system.positions).max() < 1e-10
+
+    def test_spawn_run_is_bitwise_the_fork_one(self, monkeypatch):
+        """The start method is the engine's own choice (fork where the
+        platform has it); the spawn branch must give the same bits."""
+        steps = 6
+        forked, _ = _run_parallel("lj", SIZES["lj"], steps, workers=2)
+        monkeypatch.setattr(engine, "_start_method", lambda: "spawn")
+        spawned, _ = _run_parallel("lj", SIZES["lj"], steps, workers=2)
+        assert forked.force_executor._ctx.get_start_method() == "fork"
+        assert spawned.force_executor._ctx.get_start_method() == "spawn"
+        for name in ("positions", "velocities", "forces"):
+            assert (
+                getattr(forked.system, name).tobytes()
+                == getattr(spawned.system, name).tobytes()
+            )
+        assert forked.potential_energy == spawned.potential_energy
+
+
 def test_only_the_chute_bed_declares_a_slab_decomposition():
     """The engine reads the slab rule from the simulation it is bound to."""
     for name, n_atoms in SIZES.items():
@@ -121,6 +171,83 @@ class TestFailurePaths:
         finally:
             executor.close()
 
+    def test_sigkill_between_dispatches_raises_at_once(self):
+        """A worker that died while the master was busy elsewhere is
+        named by the next dispatch — its sentinel is already ready — not
+        waited for until ``barrier_timeout``."""
+        sim = get_benchmark("lj").build(SIZES["lj"])
+        executor = ParallelForceExecutor(2, barrier_timeout=60.0)
+        sim.force_executor = executor
+        executor.bind(sim)
+        try:
+            sim.setup()
+            sim.step()
+            os.kill(executor.worker_pids[1], signal.SIGKILL)
+            executor._workers[1].join(timeout=10.0)
+            assert not executor._workers[1].is_alive()
+            tick = time.monotonic()
+            with pytest.raises(ParallelEngineError, match="worker 1 .*exitcode -9"):
+                sim.step()
+            assert time.monotonic() - tick < 1.0
+            assert executor.worker_pids == ()
+            sim.step()  # the next dispatch respawns the pool
+            assert executor.spawn_generation == 2
+        finally:
+            executor.close()
+
+    def test_worker_exception_carries_its_traceback(self, monkeypatch):
+        def explode(*args, **kwargs):
+            raise ZeroDivisionError("boom in the force pass")
+
+        # Forked workers inherit the patched module.
+        monkeypatch.setattr(engine, "evaluate_domain_forces", explode)
+        sim = get_benchmark("lj").build(SIZES["lj"])
+        executor = ParallelForceExecutor(2, barrier_timeout=30.0)
+        sim.force_executor = executor
+        executor.bind(sim)
+        try:
+            with pytest.raises(ParallelEngineError) as info:
+                sim.setup()
+            message = str(info.value)
+            assert message.splitlines()[0].endswith(
+                "ZeroDivisionError: boom in the force pass"
+            )
+            assert "Traceback (most recent call last)" in message
+            assert "in explode" in message
+        finally:
+            executor.close()
+
+    def test_workers_exit_when_the_master_vanishes(self):
+        """Pipe EOF, not a timeout, ends an orphaned worker — including
+        under fork, where later workers inherit (and must drop) the
+        master's ends of their older siblings' pipes."""
+        script = (
+            "import os, signal\n"
+            "from repro.parallel.engine import ParallelForceExecutor\n"
+            "from repro.suite import get_benchmark\n"
+            "sim = get_benchmark('lj').build(600)\n"
+            "executor = ParallelForceExecutor(3)\n"
+            "sim.force_executor = executor\n"
+            "executor.bind(sim)\n"
+            "sim.setup()\n"
+            "print(*executor.worker_pids, flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=_subprocess_env(),
+        )
+        assert result.returncode == -signal.SIGKILL, result.stderr
+        pids = [int(word) for word in result.stdout.split()]
+        assert len(pids) == 3
+        deadline = time.monotonic() + 10.0
+        while not all(_gone(pid) for pid in pids):
+            assert time.monotonic() < deadline, "orphaned workers still alive"
+            time.sleep(0.05)
+
     def test_close_is_idempotent(self):
         sim = get_benchmark("lj").build(SIZES["lj"])
         executor = ParallelForceExecutor(2)
@@ -129,6 +256,120 @@ class TestFailurePaths:
         sim.setup()
         executor.close()
         executor.close()
+
+
+#: Drives one run under ``ResilientRunner`` while a thread SIGKILLs a
+#: random live worker at random 0-50 ms delays, waiting for each kill to
+#: surface as a recovery event before sending the next; then replays the
+#: same number of steps uninterrupted and compares bits.  Runs in its own
+#: process so that a regression (a hang) costs a timeout, not the suite.
+_SIGKILL_SOAK = """
+import os, random, signal, sys, tempfile, threading, time
+import numpy as np
+from repro.parallel.engine import ParallelForceExecutor
+from repro.reliability import CheckpointManager, ResilientRunner
+from repro.suite import get_benchmark
+
+name, n_atoms, kills = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+
+def build():
+    sim = get_benchmark(name).build(n_atoms)
+    executor = ParallelForceExecutor(2, barrier_timeout=30.0)
+    sim.force_executor = executor
+    executor.bind(sim)
+    return sim, executor
+
+sim, executor = build()
+runner = ResilientRunner(
+    sim,
+    CheckpointManager(tempfile.mkdtemp(), every=5, keep_last=3),
+    max_restarts=10**6,
+    backoff_seconds=0.0,
+)
+sent = []  # (worker id, seconds until the recovery event appeared)
+stop = threading.Event()
+
+def killer():
+    while not stop.is_set() and len(sent) < kills:
+        time.sleep(random.uniform(0.0, 0.05))
+        pids = executor.worker_pids  # empty between teardown and respawn
+        if not pids:
+            continue
+        victim = random.randrange(len(pids))
+        seen = len(runner.events)
+        os.kill(pids[victim], signal.SIGKILL)
+        tick = time.monotonic()
+        while len(runner.events) == seen and time.monotonic() - tick < 20.0:
+            time.sleep(0.0005)
+        sent.append((victim, time.monotonic() - tick))
+
+thread = threading.Thread(target=killer)
+thread.start()
+try:
+    while len(sent) < kills:
+        runner.run(20)
+    stop.set()
+    thread.join()
+    runner.run(20)
+finally:
+    stop.set()
+    executor.close()
+
+assert len(runner.events) == len(sent) == kills, (len(runner.events), len(sent))
+for (victim, latency), event in zip(sent, runner.events):
+    assert event.action == "respawn", event
+    assert f"worker {victim} " in event.error and "exitcode -9" in event.error, (
+        victim, event.error)
+    assert latency < 1.0, (latency, event.error)
+
+reference, reference_executor = build()
+try:
+    reference.run(sim.step_number)
+finally:
+    reference_executor.close()
+for array in ("positions", "velocities"):
+    assert (getattr(sim.system, array).tobytes()
+            == getattr(reference.system, array).tobytes()), array
+print(f"{kills} kills recovered bitwise over {sim.step_number} steps; "
+      f"slowest detection {max(latency for _, latency in sent) * 1e3:.0f} ms")
+"""
+
+
+class TestRealKills:
+    """Asynchronous SIGKILLs — what an OOM killer does — are survivable:
+    no lock is shared with the victim, so nothing can be left held."""
+
+    @pytest.mark.parametrize("name, n_atoms", [("lj", 600), ("chute", 500)])
+    def test_sigkill_soak_recovers_bitwise(self, name, n_atoms):
+        result = subprocess.run(
+            [sys.executable, "-c", _SIGKILL_SOAK, name, str(n_atoms), "30"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=_subprocess_env(),
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "30 kills recovered bitwise" in result.stdout
+
+
+class TestStructure:
+    def test_arena_holds_only_bulk_arrays_and_master_starts_no_thread(self):
+        threads = threading.active_count()
+        sim = get_benchmark("lj").build(SIZES["lj"])
+        executor = ParallelForceExecutor(2)
+        sim.force_executor = executor
+        executor.bind(sim)
+        try:
+            sim.setup()
+            sim.step()
+            assert set(executor._arena.specs) == {
+                "positions", "velocities", "forces", "energy", "virial",
+            }
+            n = sim.system.n_atoms
+            assert executor.arena_nbytes == (3 * 3 + 2) * 8 * n
+            assert threading.active_count() == threads
+        finally:
+            executor.close()
 
 
 class TestObservability:
@@ -161,8 +402,6 @@ class TestObservability:
 
 class TestCli:
     def test_scale_subcommand_smoke(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
         result = subprocess.run(
             [
                 sys.executable,
@@ -180,7 +419,7 @@ class TestCli:
             capture_output=True,
             text=True,
             timeout=300,
-            env=env,
+            env=_subprocess_env(),
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "parity" in result.stdout
