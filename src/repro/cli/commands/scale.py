@@ -78,17 +78,23 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
     tick = _time.perf_counter()
     cpu_tick = _time.process_time()
+    builds_at_setup = serial.neighbor.stats.n_builds
     serial.run(RunConfig(steps=args.steps, reset_timers=True))
     serial_wall = _time.perf_counter() - tick
     serial_cpu = _time.process_time() - cpu_tick
+    serial_builds = serial.neighbor.stats.n_builds - builds_at_setup
     serial_pair = serial.timers.seconds.get("Pair", 0.0)
+    serial_neigh = serial.timers.seconds.get("Neigh", 0.0)
 
     manager = None
     if args.checkpoint_every > 0:
+        from repro.observability import MetricsRegistry
         from repro.reliability import CheckpointManager
 
         manager = CheckpointManager(
-            args.checkpoint_dir, every=args.checkpoint_every
+            args.checkpoint_dir,
+            every=args.checkpoint_every,
+            metrics=MetricsRegistry(),
         )
         print(f"checkpointing every {args.checkpoint_every} steps "
               f"under {args.checkpoint_dir}")
@@ -118,6 +124,13 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         if manager is not None:
             print(f"wrote {manager.writes} checkpoints, retained "
                   f"{[p.name for p in manager.checkpoints()]}")
+            if manager.writes:
+                write_seconds = manager.metrics.histogram(
+                    "md_checkpoint_write_seconds"
+                ).mean
+                write_bytes = manager.metrics.gauge("md_checkpoint_bytes").value
+                print(f"checkpoint write: {write_seconds * 1e3:.1f} ms and "
+                      f"{write_bytes:.0f} bytes per write")
 
         force_delta = float(
             np.abs(serial.system.forces - parallel.system.forces).max()
@@ -132,6 +145,18 @@ def _cmd_scale(args: argparse.Namespace) -> int:
               f"({serial_wall:.3f} s wall, Pair {serial_pair:.3f} s)")
         print(f"parallel: {args.steps / parallel_wall:8.2f} steps/s "
               f"({parallel_wall:.3f} s wall)")
+        # The rebuild on its own: the master's Neigh wall is the slowest
+        # worker's rebuild plus the per-step skin checks and dispatch.
+        builds = executor.builds_measured
+        print(f"serial Neigh:   {serial_neigh:.3f} s, {serial_builds} builds"
+              + (f" ({serial_neigh / serial_builds * 1e3:.1f} ms/build with "
+                 f"the skin checks)" if serial_builds else ""))
+        print(f"parallel Neigh: {parallel.timers.seconds.get('Neigh', 0.0):.3f} s, "
+              f"{builds} builds"
+              + (f"; slowest worker rebuild "
+                 f"{executor.worker_neigh_seconds.max() / builds * 1e3:.1f} ms wall, "
+                 f"{executor.worker_neigh_cpu_seconds.max() / builds * 1e3:.1f} ms "
+                 f"CPU per build" if builds else ""))
         steps = max(1, executor.steps_measured)
         # Critical path under true concurrency: master CPU per step plus
         # the slowest worker's (pair + amortized rebuild) CPU per step.

@@ -11,9 +11,9 @@ oracle tests):
 
 * Minimum image uses the exact ``dr -= rint(dr / L) * L`` sequence of
   ``Box.minimum_image`` (round-half-even ``rint``), per periodic dim.
-  The neighbor build alone uses a cheaper compare-and-shift, under
+  The neighbor builds alone use a cheaper compare-and-shift, under
   checked preconditions that make it select the same pairs with the
-  same ``r2`` (argument at ``cell_csr_f64`` below).
+  same ``r2`` (argument at ``cell_bins`` below).
 * Squared distances replicate ``np.einsum("ij,ij->i")``'s pairwise
   summation order — ``(xx + zz) + yy`` for float64 and
   ``(xx + yy) + zz`` for float32 — so the surviving pair set and the
@@ -446,71 +446,63 @@ int64_t lj_rows_f64(const double *pos, const int64_t *di, const int64_t *dj,
 #undef LJ_TERMS
 
 /* ------------------------------------------------------------------ */
-/* Link-cell half pair list, built row by row (CSR).  Candidates are   */
-/* those of cell_list_half_pairs in repro.md.neighbor — clamped        */
-/* binning, stable counting sort (== argsort kind="stable"), later     */
-/* members of the anchor's own cell in sorted slot order, the          */
-/* 13-offset forward stencil with Python-modulo wrapping on periodic   */
-/* dims, einsum's f64 r2 order — but the anchors are walked in atom    */
-/* index order and each anchor's partners land contiguously, so one    */
-/* insertion sort of that short row leaves the output in the exact     */
-/* order np.lexsort((j, i)) would give: no sort is left for the        */
-/* caller.  offsets[a]..offsets[a+1] is atom a's row; *within counts   */
-/* stored pairs with r2 < count_rc2 (the Table-2 neighbors/atom        */
-/* statistic), saving the caller a second geometry sweep.              */
+/* Link-cell binning shared by the two neighbor builds below: the      */
+/* grid, clamped cell coordinates and stable counting sort (== argsort */
+/* kind="stable") of cell_list_half_pairs in repro.md.neighbor.        */
+/* order[starts[c] .. starts[c+1]) lists cell c's atoms by ascending   */
+/* index and slot[a] is atom a's place in order.                       */
 /*                                                                     */
-/* Minimum image is a compare-and-shift (dx -/+= L when |dx| > L/2)    */
-/* in place of pair_geom's dx -= rint(dx / L) * L.  For |dx| <= 1.5 L  */
-/* both subtract k*L with k in -1/0/+1 in one rounding, so they agree  */
-/* bitwise whenever they pick the same k; they can pick differently    */
-/* only for |dx| within rounding of L/2 or 3L/2, where both leave      */
-/* |dx| ~ L/2, and with L >= 3 rc such a pair has r2 >= 2.25 rc^2 and  */
-/* is rejected either way.  Both conditions are checked here, not      */
-/* assumed: every coordinate on a periodic dim must lie within L/4 of  */
-/* the box (wrapped positions do, to rounding) and every periodic dim  */
-/* must hold >= 3 cells, else the build returns -2 and the caller      */
-/* takes the numpy path.                                               */
-/*                                                                     */
-/* Writes at most `cap` pairs but keeps counting; the caller grows its */
-/* buffers and reruns when the returned count > cap.  Returns -1 on    */
-/* allocation failure.                                                 */
+/* The builds take minimum image as a compare-and-shift (dx -/+= L     */
+/* when |dx| > L/2) in place of pair_geom's dx -= rint(dx / L) * L.    */
+/* For |dx| <= 1.5 L both subtract k*L with k in -1/0/+1 in one        */
+/* rounding, so they agree bitwise whenever they pick the same k; they */
+/* can pick differently only for |dx| within rounding of L/2 or 3L/2,  */
+/* where both leave |dx| ~ L/2, and with L >= 3 rc such a pair has     */
+/* r2 >= 2.25 rc^2 and is rejected either way.  Both conditions are    */
+/* checked here, not assumed: every coordinate on a periodic dim must  */
+/* lie within L/4 of the box (wrapped positions do, to rounding) and   */
+/* every periodic dim must hold >= 3 cells, else binning returns -2    */
+/* and the caller takes the numpy path (-1: allocation failure, 0:     */
+/* binned).  cell_bins_free releases whatever was allocated.           */
 /* ------------------------------------------------------------------ */
 
-static inline int64_t wrap_mod(int64_t x, int64_t n) {
-    int64_t r = x % n;
-    return r < 0 ? r + n : r;
+typedef struct {
+    int64_t n_cells[3], sx, sy;
+    int64_t *coords, *flat, *starts, *fill, *order, *slot;
+} cell_bins;
+
+static void cell_bins_free(cell_bins *g) {
+    free(g->coords); free(g->flat); free(g->starts);
+    free(g->fill); free(g->order); free(g->slot);
 }
 
-int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
-                     const double *origin, const uint8_t *periodic, double rc,
-                     double count_rc2, int64_t *oi, int64_t *oj, int64_t cap,
-                     int64_t *offsets, int64_t *within_out) {
-    int64_t n_cells[3];
+static int64_t cell_bins_build(cell_bins *g, const double *pos, int64_t n,
+                               const double *lengths, const double *origin,
+                               const uint8_t *periodic, double rc) {
     double cell_size[3];
+    g->coords = g->flat = g->starts = g->fill = g->order = g->slot = NULL;
     for (int d = 0; d < 3; d++) {
         int64_t nc = (int64_t)floor(lengths[d] / rc);
-        n_cells[d] = nc < 1 ? 1 : nc;
-        cell_size[d] = lengths[d] / (double)n_cells[d];
-        if (periodic[d] && n_cells[d] < 3) return -2;
+        g->n_cells[d] = nc < 1 ? 1 : nc;
+        cell_size[d] = lengths[d] / (double)g->n_cells[d];
+        if (periodic[d] && g->n_cells[d] < 3) return -2;
     }
-    int64_t sy = n_cells[2], sx = n_cells[1] * n_cells[2];
+    const int64_t *n_cells = g->n_cells;
+    int64_t sy = g->sy = n_cells[2], sx = g->sx = n_cells[1] * n_cells[2];
     int64_t total_cells = n_cells[0] * n_cells[1] * n_cells[2];
-    int64_t *coords = malloc((size_t)n * 3 * sizeof(int64_t));
-    int64_t *flat = malloc((size_t)n * sizeof(int64_t));
-    int64_t *starts = calloc((size_t)total_cells + 1, sizeof(int64_t));
-    int64_t *fill = malloc((size_t)total_cells * sizeof(int64_t));
-    int64_t *order = malloc((size_t)n * sizeof(int64_t));
-    int64_t *slot = malloc((size_t)n * sizeof(int64_t));
-    int64_t count = -1;
-    if (!coords || !flat || !starts || !fill || !order || !slot) goto done;
+    int64_t *coords = g->coords = malloc((size_t)n * 3 * sizeof(int64_t));
+    int64_t *flat = g->flat = malloc((size_t)n * sizeof(int64_t));
+    int64_t *starts = g->starts = calloc((size_t)total_cells + 1, sizeof(int64_t));
+    int64_t *fill = g->fill = malloc((size_t)total_cells * sizeof(int64_t));
+    int64_t *order = g->order = malloc((size_t)n * sizeof(int64_t));
+    int64_t *slot = g->slot = malloc((size_t)n * sizeof(int64_t));
+    if (!coords || !flat || !starts || !fill || !order || !slot) return -1;
     for (int64_t a = 0; a < n; a++) {
         for (int d = 0; d < 3; d++) {
             double rel = pos[3*a+d] - origin[d];
             if (periodic[d]
-                && !(rel >= -0.25 * lengths[d] && rel <= 1.25 * lengths[d])) {
-                count = -2;
-                goto done;
-            }
+                && !(rel >= -0.25 * lengths[d] && rel <= 1.25 * lengths[d]))
+                return -2;
             int64_t c = (int64_t)floor(rel / cell_size[d]);
             if (c > n_cells[d] - 1) c = n_cells[d] - 1;
             if (c < 0) c = 0;
@@ -527,22 +519,20 @@ int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
         slot[a] = fill[flat[a]]++;
         order[slot[a]] = a;
     }
+    return 0;
+}
 
-    int px = periodic[0], py = periodic[1], pz = periodic[2];
-    double Lx = lengths[0], Ly = lengths[1], Lz = lengths[2];
-    double hx = 0.5 * Lx, hy = 0.5 * Ly, hz = 0.5 * Lz;
+/* Every atom b = order[l], l in [S, E), against the anchor at          */
+/* (ax, ay, az): minimum image as above, einsum's f64 r2 order, and     */
+/* ACCEPT (which sees b and r2) for those inside rc2.  Expects the      */
+/* IMAGE_LOCALS of the enclosing build in scope.                        */
+#define IMAGE_LOCALS                                                       \
+    int px = periodic[0], py = periodic[1], pz = periodic[2];              \
+    double Lx = lengths[0], Ly = lengths[1], Lz = lengths[2];              \
+    double hx = 0.5 * Lx, hy = 0.5 * Ly, hz = 0.5 * Lz;                    \
     double rc2 = rc * rc;
-    int64_t within = 0;
-    count = 0;
 
-    /* The 13 forward offsets of _HALF_STENCIL, in its order. */
-    static const int off[13][3] = {
-        {0,0,1}, {0,1,-1}, {0,1,0}, {0,1,1},
-        {1,-1,-1}, {1,-1,0}, {1,-1,1}, {1,0,-1}, {1,0,0}, {1,0,1},
-        {1,1,-1}, {1,1,0}, {1,1,1},
-    };
-
-#define EMIT_RANGE(S, E)                                                   \
+#define SCAN_RANGE(S, E, ACCEPT)                                           \
     for (int64_t l = (S); l < (E); l++) {                                  \
         int64_t b = order[l];                                              \
         double dx = ax - pos[3*b];                                         \
@@ -552,12 +542,56 @@ int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
         if (py) { if (dy > hy) dy -= Ly; else if (dy < -hy) dy += Ly; }    \
         if (pz) { if (dz > hz) dz -= Lz; else if (dz < -hz) dz += Lz; }    \
         double r2 = (dx*dx + dz*dz) + dy*dy;       /* einsum f64 order */  \
-        if (r2 < rc2) {                                                    \
-            if (count < cap) { oi[count] = a; oj[count] = b; }             \
-            count++;                                                       \
-            within += r2 < count_rc2;                                      \
-        }                                                                  \
+        if (r2 < rc2) { ACCEPT }                                           \
     }
+
+/* ------------------------------------------------------------------ */
+/* Link-cell half pair list, built row by row (CSR).  Candidates are   */
+/* those of cell_list_half_pairs — later members of the anchor's own   */
+/* cell in sorted slot order, the 13-offset forward stencil with       */
+/* Python-modulo wrapping on periodic dims — but the anchors are       */
+/* walked in atom index order and each anchor's partners land          */
+/* contiguously, so one insertion sort of that short row leaves the    */
+/* output in the exact order np.lexsort((j, i)) would give: no sort is */
+/* left for the caller.  offsets[a]..offsets[a+1] is atom a's row;     */
+/* *within counts stored pairs with r2 < count_rc2 (the Table-2        */
+/* neighbors/atom statistic), saving the caller a second geometry      */
+/* sweep.                                                              */
+/*                                                                     */
+/* Writes at most `cap` pairs but keeps counting; the caller grows its */
+/* buffers and reruns when the returned count > cap.  Negative returns */
+/* are cell_bins_build's.                                              */
+/* ------------------------------------------------------------------ */
+
+static inline int64_t wrap_mod(int64_t x, int64_t n) {
+    int64_t r = x % n;
+    return r < 0 ? r + n : r;
+}
+
+int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
+                     const double *origin, const uint8_t *periodic, double rc,
+                     double count_rc2, int64_t *oi, int64_t *oj, int64_t cap,
+                     int64_t *offsets, int64_t *within_out) {
+    cell_bins g;
+    int64_t count = cell_bins_build(&g, pos, n, lengths, origin, periodic, rc);
+    if (count < 0) goto done;
+    const int64_t *n_cells = g.n_cells, *coords = g.coords, *flat = g.flat;
+    const int64_t *starts = g.starts, *order = g.order, *slot = g.slot;
+    int64_t sx = g.sx, sy = g.sy;
+    IMAGE_LOCALS
+    int64_t within = 0;
+
+    /* The 13 forward offsets of _HALF_STENCIL, in its order. */
+    static const int off[13][3] = {
+        {0,0,1}, {0,1,-1}, {0,1,0}, {0,1,1},
+        {1,-1,-1}, {1,-1,0}, {1,-1,1}, {1,0,-1}, {1,0,0}, {1,0,1},
+        {1,1,-1}, {1,1,0}, {1,1,1},
+    };
+
+#define EMIT_HALF                                                          \
+    if (count < cap) { oi[count] = a; oj[count] = b; }                     \
+    count++;                                                               \
+    within += r2 < count_rc2;
 
     for (int64_t a = 0; a < n; a++) {
         int64_t row = count;
@@ -565,7 +599,7 @@ int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
         double ax = pos[3*a], ay = pos[3*a+1], az = pos[3*a+2];
         int64_t cx = coords[3*a], cy = coords[3*a+1], cz = coords[3*a+2];
         /* Later members of the anchor's own cell (triangular half). */
-        EMIT_RANGE(slot[a] + 1, starts[flat[a] + 1])
+        SCAN_RANGE(slot[a] + 1, starts[flat[a] + 1], EMIT_HALF)
         /* Full population of the 13 forward neighbor cells. */
         for (int s = 0; s < 13; s++) {
             int64_t nx = cx + off[s][0];
@@ -578,7 +612,7 @@ int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
             if (pz) nz = wrap_mod(nz, n_cells[2]);
             else if (nz < 0 || nz >= n_cells[2]) continue;
             int64_t c = nx * sx + ny * sy + nz;
-            EMIT_RANGE(starts[c], starts[c+1])
+            SCAN_RANGE(starts[c], starts[c+1], EMIT_HALF)
         }
         /* Rows that overflowed `cap` are rebuilt by the caller's retry. */
         if (count <= cap) {
@@ -589,14 +623,99 @@ int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
             }
         }
     }
-#undef EMIT_RANGE
+#undef EMIT_HALF
     offsets[n] = count;
     *within_out = within;
 done:
-    free(coords); free(flat); free(starts);
-    free(fill); free(order); free(slot);
+    cell_bins_free(&g);
     return count;
 }
+
+/* ------------------------------------------------------------------ */
+/* Directed rows of a subdomain's local atom set, for the parallel     */
+/* engine's owner-computes pass: what subdomain_directed_pairs in      */
+/* repro.md.neighbor gets by mirroring the half list and lexsorting    */
+/* 2 M rows, emitted directly.  Anchors [0, anchor_limit) are walked   */
+/* in index order over the full stencil (r2 is symmetric under the     */
+/* direction swap, so (a, b) and (b, a) pass the same test the half    */
+/* list applied once), each anchor's partners land contiguously and    */
+/* one insertion sort of that row by sort_key[b] — the global atom     */
+/* ids — leaves the output in np.lexsort((sort_key[j], i)) order.      */
+/* The bins are rc / 2 wide and the stencil reaches two cells: the     */
+/* same pairs pass the cutoff test, out of 125 / 216 of the candidates */
+/* a 27-cell stencil of rc-wide bins offers.                           */
+/* within[a] counts anchor a's partners with r2 < count_rc2 (its       */
+/* Table-2 neighbor count when count_rc2 is the force cutoff's).       */
+/*                                                                     */
+/* Open boxes only (the ghost images realize periodicity): any         */
+/* periodic dim returns -2, which lets a stencil column's five z       */
+/* cells be scanned as one contiguous slot range.  Two partners of one */
+/* anchor sharing a sort key (two images of one atom, reachable only   */
+/* at rc = L/2) also return -2: lexsort orders such a tie by position  */
+/* in the mirrored list, which this build never forms.  Capacity       */
+/* protocol and the other negative returns as cell_csr_f64.            */
+/* ------------------------------------------------------------------ */
+
+int64_t cell_rows_f64(const double *pos, int64_t n, const double *lengths,
+                      const double *origin, const uint8_t *periodic, double rc,
+                      double count_rc2, const int64_t *sort_key,
+                      int64_t anchor_limit, int64_t *oi, int64_t *oj,
+                      int64_t cap, int64_t *within) {
+    if (periodic[0] || periodic[1] || periodic[2]) return -2;
+    cell_bins g;
+    int64_t count = cell_bins_build(&g, pos, n, lengths, origin, periodic,
+                                    0.5 * rc);
+    /* Sort keys of the row being built (a row holds each atom once). */
+    int64_t *keys = malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
+    if (count == 0 && !keys) count = -1;
+    if (count < 0) goto done;
+    const int64_t *n_cells = g.n_cells, *coords = g.coords;
+    const int64_t *starts = g.starts, *order = g.order;
+    int64_t sx = g.sx, sy = g.sy;
+    IMAGE_LOCALS
+
+#define EMIT_ROW                                                           \
+    if (b != a) {                                                          \
+        if (count < cap) { oi[count] = a; oj[count] = b; }                 \
+        keys[count - row] = sort_key[b];                                   \
+        count++;                                                           \
+        inside += r2 < count_rc2;                                          \
+    }
+
+    for (int64_t a = 0; a < anchor_limit; a++) {
+        int64_t row = count, inside = 0;
+        double ax = pos[3*a], ay = pos[3*a+1], az = pos[3*a+2];
+        int64_t cx = coords[3*a], cy = coords[3*a+1], cz = coords[3*a+2];
+        int64_t z0 = cz > 1 ? cz - 2 : 0;
+        int64_t z1 = cz + 2 < n_cells[2] ? cz + 2 : n_cells[2] - 1;
+        for (int64_t nx = cx - 2; nx <= cx + 2; nx++) {
+            if (nx < 0 || nx >= n_cells[0]) continue;
+            for (int64_t ny = cy - 2; ny <= cy + 2; ny++) {
+                if (ny < 0 || ny >= n_cells[1]) continue;
+                int64_t c = nx * sx + ny * sy;
+                SCAN_RANGE(starts[c + z0], starts[c + z1 + 1], EMIT_ROW)
+            }
+        }
+        within[a] = inside;
+        if (count <= cap) {
+            for (int64_t k = 1; k < count - row; k++) {
+                int64_t key = keys[k], b = oj[row + k], l = k;
+                while (l > 0 && keys[l-1] > key) {
+                    keys[l] = keys[l-1]; oj[row + l] = oj[row + l - 1]; l--;
+                }
+                if (l > 0 && keys[l-1] == key) { count = -2; goto done; }
+                keys[l] = key; oj[row + l] = b;
+            }
+        }
+    }
+#undef EMIT_ROW
+done:
+    free(keys);
+    cell_bins_free(&g);
+    return count;
+}
+#undef SCAN_RANGE
+#undef IMAGE_LOCALS
 
 /* ------------------------------------------------------------------ */
 /* Largest squared displacement since the reference positions, for     */
@@ -804,6 +923,15 @@ class CcProvider:
                 ctypes.POINTER(c_i64),
             ],
         )
+        self._cell_rows = bind(
+            "cell_rows_f64",
+            c_i64,
+            [
+                _ptr(f64), c_i64, _ptr(f64), _ptr(f64), _ptr(u8), c_f64, c_f64,
+                _ptr(i64), c_i64, _ptr(i64, True), _ptr(i64, True), c_i64,
+                _ptr(i64, True),
+            ],
+        )
         self._max_disp_sq = bind(
             "max_disp_sq_f64",
             c_f64,
@@ -878,6 +1006,21 @@ class CcProvider:
             oi, oj, len(oi), offsets, ctypes.byref(within),
         )
         return int(count), int(within.value)
+
+    def cell_rows(
+        self, pos, lengths, origin, periodic, rc, count_rc2, sort_key,
+        oi, oj, within,
+    ):
+        """Row count of the directed rows headed by atoms
+        ``[0, len(within))`` (at most ``len(pos)``), whose per-anchor
+        within-cutoff counts land in ``within``; ``sort_key`` holds one
+        key per atom.  See the C source for the status codes."""
+        return int(
+            self._cell_rows(
+                pos, len(pos), lengths, origin, periodic, rc, count_rc2,
+                sort_key, len(within), oi, oj, len(oi), within,
+            )
+        )
 
     def max_disp_sq(self, pos, ref, lengths, origin, periodic) -> float:
         return float(

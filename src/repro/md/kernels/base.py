@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.md.atoms import AtomSystem
     from repro.md.neighbor import NeighborList
 
-__all__ = ["KernelBackend", "PairStyle", "SortedHalfPairs"]
+__all__ = ["DirectedRows", "KernelBackend", "PairStyle", "SortedHalfPairs"]
 
 
 class SortedHalfPairs(NamedTuple):
@@ -53,6 +53,19 @@ class SortedHalfPairs(NamedTuple):
     offsets: np.ndarray
     #: Pairs within the caller's ``count_cutoff`` (``None`` if not asked).
     within: int | None
+
+
+class DirectedRows(NamedTuple):
+    """What :func:`repro.md.neighbor.subdomain_directed_pairs` (and the
+    :meth:`KernelBackend.directed_rows` hook behind it) returns."""
+
+    #: Directed pairs sorted by ``(i, sort_key[j])``.
+    i: np.ndarray
+    j: np.ndarray
+    #: Per head atom ``a`` (length: the anchor count), how many of its
+    #: rows lie within the caller's ``count_cutoff``; ``None`` if not
+    #: asked or not counted (the numpy build does not count).
+    within: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,6 +228,33 @@ class KernelBackend(abc.ABC):
         caller on the numpy path, which is also the escape hatch for
         inputs a backend does not cover (e.g. float32 positions under
         the SINGLE policy).
+        """
+        return None
+
+    def directed_rows(
+        self,
+        positions: np.ndarray,
+        box,
+        rc: float,
+        sort_key: np.ndarray | None = None,
+        anchor_limit: int | None = None,
+        count_cutoff: float | None = None,
+    ) -> "DirectedRows | None":
+        """Optional native directed-row build for an engine worker.
+
+        ``positions`` is a subdomain's local atom set (owned atoms, then
+        ghost images) in the open ``box`` around it.  A backend that can
+        emit the directed rows straight from the cell traversal returns
+        them here **bitwise as** :func:`repro.md.neighbor.
+        subdomain_directed_pairs` builds them from the half list — every
+        pair within ``rc`` in both directions, rows headed by atoms
+        ``[0, anchor_limit)`` only (all atoms when ``None``), sorted by
+        ``(i, sort_key[j])`` (``sort_key=None`` sorts by ``j``) — plus,
+        when ``count_cutoff`` is given, how many of each head's rows
+        have ``r2 < count_cutoff**2``.  Returning ``None`` (the default, and
+        the answer for float32 positions, periodic boxes and rows with
+        tied sort keys) keeps the caller on the numpy mirror-and-lexsort
+        path.
         """
         return None
 

@@ -31,7 +31,7 @@ import os
 
 import numpy as np
 
-from repro.md.kernels.base import SortedHalfPairs
+from repro.md.kernels.base import DirectedRows, SortedHalfPairs
 from repro.md.kernels.numpy_fast import NumpyFastBackend
 from repro.md.precision import PrecisionPolicy
 
@@ -92,7 +92,7 @@ def _smoke_test(provider) -> None:
     mixed paths to their precision tiers.
     """
     from repro.md.box import Box
-    from repro.md.neighbor import cell_list_half_pairs
+    from repro.md.neighbor import cell_list_half_pairs, subdomain_directed_pairs
 
     rng = np.random.default_rng(1234)
     n, m = 40, 300
@@ -268,6 +268,36 @@ def _smoke_test(provider) -> None:
             "cell_csr deviates from lexsorted cell_list_half_pairs"
         )
 
+    # Directed rows: exactly the numpy half list mirrored and lexsorted
+    # by (i, key[j]) under a non-monotone key and an anchor limit (what
+    # an engine worker's global ids and owned prefix are), with the
+    # same buffer discipline.
+    key = rng.permutation(len(pos))
+    open_box = Box(box.lengths, periodic=(False,) * 3)
+    ref_i, ref_j, _ = subdomain_directed_pairs(
+        pos, 2.2, sort_key=key, anchor_limit=70, brute_force_max=0
+    )
+    d = pos[ref_i] - pos[ref_j]
+    inside = np.einsum("ij,ij->i", d, d) < 1.9 * 1.9
+    for cap in (len(ref_i) // 2, len(ref_i) + 7):
+        oi = np.full(cap + 1, -1, np.int64)
+        oj = np.full(cap + 1, -1, np.int64)
+        within = np.full(70 + 1, -1, np.int64)
+        count = provider.cell_rows(
+            pos, *_box_f64(open_box), 2.2, 1.9 * 1.9, key,
+            oi[:cap], oj[:cap], within[:70],
+        )
+        if count != len(ref_i) or not oi[cap] == oj[cap] == within[70] == -1:
+            raise AssertionError("cell_rows miscounts or overruns its buffers")
+    if not (
+        np.array_equal(oi[:count], ref_i)
+        and np.array_equal(oj[:count], ref_j)
+        and np.array_equal(within[:70], np.bincount(ref_i[inside], minlength=70))
+    ):
+        raise AssertionError(
+            "cell_rows deviates from the mirrored, lexsorted half list"
+        )
+
     # Skin check: bitwise the numpy wrap/minimum-image/einsum maximum.
     moved = pos + rng.normal(scale=0.4, size=pos.shape)
     disp = box.minimum_image(box.wrap(moved) - pos)
@@ -360,8 +390,10 @@ class CompiledBackend(NumpyFastBackend):
         self._pg_j = np.empty(0, np.int64)
         self._pg_dr = np.empty((0, 3))
         self._pg_r = np.empty(0)
-        # Neighbor-build output capacity hint from the last build.
+        # Neighbor-build output capacity hints from the last builds
+        # (half list, directed rows).
         self._nb_hint = 0
+        self._rows_hint = 0
         # Fused pair pass: per-pair energy / virial terms (grow-only).
         self._pair_energy = np.empty(0)
         self._pair_virial = np.empty(0)
@@ -634,6 +666,67 @@ class CompiledBackend(NumpyFastBackend):
             out_i[:count],
             out_j[:count],
             offsets,
+            None if count_cutoff is None else within,
+        )
+
+    def directed_rows(
+        self, positions, box, rc, sort_key=None, anchor_limit=None,
+        count_cutoff=None,
+    ):
+        """Compiled directed-row build for an engine worker's local set
+        (float64 positions in an open box only): the rows of
+        :func:`repro.md.neighbor.subdomain_directed_pairs`, bitwise,
+        without the half list, the mirror or the lexsort."""
+        positions = np.asarray(positions)
+        if (
+            positions.dtype != np.float64
+            or positions.ndim != 2
+            or positions.shape[1] != 3
+            or len(positions) == 0
+            or box.periodic.any()
+        ):
+            return None
+        positions = np.ascontiguousarray(positions)
+        n = len(positions)
+        sort_key = (
+            np.arange(n, dtype=np.int64)
+            if sort_key is None
+            else np.ascontiguousarray(sort_key, dtype=np.int64)
+        )
+        if sort_key.shape != (n,):
+            return None
+        anchors = n if anchor_limit is None else min(max(int(anchor_limit), 0), n)
+        lengths, origin, periodic = _box_f64(box)
+        count_rc2 = (
+            0.0 if count_cutoff is None else float(count_cutoff * count_cutoff)
+        )
+        # Directed-row estimate at the mean density over the atoms'
+        # extent (the box adds an empty margin): 4pi/3 * rc^3 * n / V
+        # per anchor, padded.  Anchors near the surface hold fewer, so a
+        # uniform set fits first time; the kernel reports the true count
+        # and one retry covers the rest.
+        extent = np.maximum(np.ptp(positions, axis=0), float(rc))
+        estimate = 16 * anchors + int(
+            5.2 * float(rc) ** 3 * n * anchors / float(np.prod(extent))
+        )
+        capacity = max(self._rows_hint, min(estimate, anchors * (n - 1)), 1024)
+        within = np.empty(anchors, np.int64)
+        while True:
+            out_i = np.empty(capacity, np.int64)
+            out_j = np.empty(capacity, np.int64)
+            count = self._impl.cell_rows(
+                positions, lengths, origin, periodic, float(rc), count_rc2,
+                sort_key, out_i, out_j, within,
+            )
+            if count < 0:  # allocation failure, tied sort keys
+                return None
+            if count <= capacity:
+                break
+            capacity = count
+        self._rows_hint = count + (count >> 2)
+        return DirectedRows(
+            out_i[:count],
+            out_j[:count],
             None if count_cutoff is None else within,
         )
 

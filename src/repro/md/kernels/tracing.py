@@ -69,6 +69,15 @@ class TracingBackend(KernelBackend):
         # traced compiled backend on its native build path.
         return self.inner.neighbor_pairs(positions, box, rc, count_cutoff)
 
+    def directed_rows(
+        self, positions, box, rc, sort_key=None, anchor_limit=None,
+        count_cutoff=None,
+    ):
+        # No span, as neighbor_pairs: engine workers time the rebuild.
+        return self.inner.directed_rows(
+            positions, box, rc, sort_key, anchor_limit, count_cutoff
+        )
+
     def count_pairs_within(self, positions, box, pair_i, pair_j, rc):
         # Same reasoning as neighbor_pairs: covered by the build span.
         return self.inner.count_pairs_within(positions, box, pair_i, pair_j, rc)

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
+from repro.md.kernels.base import DirectedRows
 from repro.observability.tracer import NULL_TRACER
 
 __all__ = [
@@ -209,7 +210,8 @@ def subdomain_directed_pairs(
     brute_force_max: int = _BRUTE_FORCE_MAX_ATOMS,
     anchor_limit: int | None = None,
     kernels=None,
-) -> tuple[np.ndarray, np.ndarray]:
+    count_cutoff: float | None = None,
+) -> DirectedRows:
     """Directed pair list over a subdomain's local atom set.
 
     The parallel engine hands each worker its owned atoms plus
@@ -224,19 +226,22 @@ def subdomain_directed_pairs(
 
     ``anchor_limit`` keeps only the rows whose head is below it.  Owned
     locals come first in the worker's numbering, so passing ``n_owned``
-    drops every ghost-headed row *before* the sort — the rows a
-    one-sided owner-computes pass never reads (EAM is the exception:
-    its density pass needs the ghost-headed rows and must not set
-    this).  The surviving rows are bitwise identical to the matching
-    prefix of the unrestricted list.
+    drops every ghost-headed row — the rows a one-sided owner-computes
+    pass never reads (EAM is the exception: its density pass needs the
+    ghost-headed rows and must not set this).  The surviving rows are
+    bitwise identical to the matching prefix of the unrestricted list.
 
     ``kernels`` optionally supplies a
-    :class:`~repro.md.kernels.base.KernelBackend` whose
-    ``neighbor_pairs`` hook replaces the numpy cell-list search on the
-    above-crossover path; backends contract to reproduce the numpy
-    pairs exactly, so the directed rows (and hence parallel summation
-    order) are unchanged.  (The hook's rows come sorted by local index;
-    the global-id sort below is still needed.)
+    :class:`~repro.md.kernels.base.KernelBackend`.  Above the
+    brute-force crossover its ``directed_rows`` hook is asked first: the
+    compiled backend bins once, walks the full stencil over the anchors
+    and sorts each row by ``sort_key`` in the kernel, returning these
+    very rows (and, given ``count_cutoff``, how many lie within it)
+    with no half list, mirror or sort.  When it declines — float32
+    positions, no native provider, tied sort keys — the body below
+    builds the half list (through the ``neighbor_pairs`` hook when there
+    is one, which contracts to reproduce the numpy pairs exactly),
+    mirrors it and lexsorts; that path leaves ``within`` as ``None``.
     """
     positions = np.asarray(positions)
     if positions.dtype != np.float32:
@@ -244,7 +249,7 @@ def subdomain_directed_pairs(
     n = len(positions)
     empty = np.empty(0, dtype=np.int64)
     if n < 2:
-        return empty, empty
+        return DirectedRows(empty, empty, None)
     # Open bounding box with one-cutoff margin; degenerate extents
     # (planar or linear local sets) still need positive edge lengths.
     lo = positions.min(axis=0) - rc
@@ -253,13 +258,17 @@ def subdomain_directed_pairs(
     if n <= brute_force_max:
         i, j = brute_force_pairs(positions, box, rc)
     else:
-        rows = (
-            kernels.neighbor_pairs(positions, box, rc)
-            if kernels is not None
-            else None
+        if kernels is not None:
+            rows = kernels.directed_rows(
+                positions, box, rc, sort_key, anchor_limit, count_cutoff
+            )
+            if rows is not None:
+                return rows
+        half = (
+            None if kernels is None else kernels.neighbor_pairs(positions, box, rc)
         )
         i, j = (
-            (rows.i, rows.j) if rows is not None
+            (half.i, half.j) if half is not None
             else cell_list_half_pairs(positions, box, rc)
         )
     if anchor_limit is None:
@@ -272,7 +281,7 @@ def subdomain_directed_pairs(
         dj = np.concatenate([j[forward], i[reverse]])
     key = dj if sort_key is None else np.asarray(sort_key, dtype=np.int64)[dj]
     order = np.lexsort((key, di))
-    return di[order], dj[order]
+    return DirectedRows(di[order], dj[order], None)
 
 
 @dataclass

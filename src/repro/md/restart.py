@@ -48,6 +48,7 @@ __all__ = [
     "Snapshot",
     "SnapshotError",
     "save_snapshot",
+    "write_snapshot",
     "load_snapshot",
     "load_system",
     "restore_simulation",
@@ -135,7 +136,8 @@ def snapshot_payload(simulation: Simulation) -> dict[str, np.ndarray]:
 
     Exposed separately from :func:`save_snapshot` so the checkpoint
     manager can gather state (including the worker-history round-trip
-    on the parallel engine) *before* opening the output file.
+    on the parallel engine) *before* opening the output file; either
+    way :func:`write_snapshot` puts it on disk.
     """
     system = simulation.system
     payload: dict[str, np.ndarray] = {
@@ -181,21 +183,35 @@ def snapshot_payload(simulation: Simulation) -> dict[str, np.ndarray]:
     return payload
 
 
+def write_snapshot(handle, payload: dict[str, np.ndarray]) -> None:
+    """Serialize a :func:`snapshot_payload` to an open binary file.
+
+    The one place a snapshot's bytes are produced.  Members are *stored*,
+    not deflated: the payload is float64 state whose mantissas do not
+    compress (zlib took ~20x the write time to save under half the
+    bytes on a 32k-atom checkpoint), and every zip member still carries
+    its CRC-32.  ``np.load`` reads stored and deflated members alike, so
+    files written before this was the case restore unchanged.  Takes a
+    handle, not a path, because ``np.savez`` appends ".npz" to bare path
+    names and callers (the checkpoint manager's temp file) need theirs
+    kept exactly.
+    """
+    np.savez(handle, **payload)
+
+
 def save_snapshot(simulation: Simulation, path: str | Path) -> Path:
     """Write the simulation's complete state to ``path`` (.npz, v2).
 
-    The write is *not* atomic by itself — the checkpoint manager in
-    :mod:`repro.reliability` wraps it in a temp-file + rename dance so a
-    crash mid-write can never leave a half-written "latest" checkpoint.
+    The write is *not* atomic: a crash mid-write leaves a truncated file
+    under ``path``.  :class:`repro.reliability.CheckpointManager` is the
+    atomic writer — same payload, same :func:`write_snapshot`, into a
+    temp file that is renamed into place.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = snapshot_payload(simulation)
-    # Write through an explicit handle so the exact filename is kept
-    # (np.savez_compressed appends ".npz" to bare path names, which
-    # would break the atomic temp-file protocol above us).
     with open(path, "wb") as handle:
-        np.savez_compressed(handle, **payload)
+        write_snapshot(handle, payload)
     return path
 
 

@@ -102,6 +102,9 @@ class _WorkerPayload:
     specs: dict
     potentials: list
     backend: str
+    #: Force cutoff (what the neighbors/atom statistic counts within)
+    #: and the stored-pair cutoff ``cutoff + skin``.
+    cutoff: float
     list_cutoff: float
     halo_width: float
     origin: np.ndarray
@@ -124,9 +127,9 @@ def _worker_main(conn, payload: _WorkerPayload) -> None:
 
     A reply is ``(error, wall_seconds, cpu_seconds, data)``: ``error``
     is ``None`` or the traceback of whatever the command raised, and
-    ``data`` the owned directed-pair count (``rebuild``), the
-    per-potential interaction counts (``step``) or the contact-history
-    tables (``history``).
+    ``data`` the owned directed-pair counts ``(stored, within the force
+    cutoff)`` (``rebuild``), the per-potential interaction counts
+    (``step``) or the contact-history tables (``history``).
     """
     keep_freed_heap()
     worker = payload.worker_id
@@ -164,6 +167,11 @@ def _worker_main(conn, payload: _WorkerPayload) -> None:
                     # worker now heads.
                     for slot, table in tables.items():
                         histories.setdefault(slot, ContactHistory()).load(*table)
+                    # Drop the old rows first so the new ones are built
+                    # in their (warm) heap instead of beside them: a
+                    # rebuild then faults in no fresh pages and the
+                    # worker's peak holds one list, not two.
+                    lists = None
                     # Pair search runs on wrapped coordinates (+ ghost
                     # images); force evaluation below never does — it
                     # recomputes minimum-image displacements from the
@@ -186,6 +194,7 @@ def _worker_main(conn, payload: _WorkerPayload) -> None:
                         index,
                         index.local_positions(wrapped, lengths),
                         payload.list_cutoff,
+                        payload.cutoff,
                         excluded_keys=payload.excluded_keys,
                         n_atoms_total=payload.n_atoms,
                         owned_only=owned_only,
@@ -195,7 +204,7 @@ def _worker_main(conn, payload: _WorkerPayload) -> None:
                         key: (None if value is None else value[index.gids])
                         for key, value in payload.statics.items()
                     }
-                    data = lists.owned_directed_pairs
+                    data = (lists.owned_directed_pairs, lists.owned_within)
                 elif command == "step":
                     if lists is None:
                         raise RuntimeError("step before the first rebuild")
@@ -380,6 +389,7 @@ class ParallelForceExecutor(ForceExecutor):
                 specs=self._arena.specs,
                 potentials=worker_potentials,
                 backend=spec,
+                cutoff=sim.neighbor.cutoff,
                 list_cutoff=list_cutoff,
                 halo_width=max_halo_width(potentials, list_cutoff),
                 origin=system.box.origin.copy(),
@@ -579,9 +589,12 @@ class ParallelForceExecutor(ForceExecutor):
         stats = neighbor.stats
         stats.n_builds += 1
         stats.steps_since_build = 0
-        wall, cpu, pairs = zip(*replies)
-        directed = sum(pairs)
+        wall, cpu, counts = zip(*replies)
+        directed, within = (sum(column) for column in zip(*counts))
         stats.last_pairs = directed if neighbor.full else directed // 2
+        # Neighbors/atom within the *cutoff* (Table 2 convention): each
+        # unordered pair is one owned row on each side.
+        stats.last_neighbors_per_atom = within / system.n_atoms
         self.worker_neigh_seconds += wall
         self.worker_neigh_cpu_seconds += cpu
         self.builds_measured += 1

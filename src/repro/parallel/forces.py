@@ -65,6 +65,9 @@ class DomainLists:
     #: Rows ``[:n_owned_rows]`` have an *owned* ``i`` — a prefix, since
     #: rows are sorted by local ``i`` and owned locals come first.
     n_owned_rows: int
+    #: Owned rows inside the force cutoff at build time (the Table-2
+    #: neighbors/atom statistic, directed).
+    owned_within: int
     _dr: np.ndarray | None = field(default=None, repr=False)
     _tmp: np.ndarray | None = field(default=None, repr=False)
     _r2: np.ndarray | None = field(default=None, repr=False)
@@ -75,24 +78,25 @@ class DomainLists:
         index: LocalIndex,
         local_positions: np.ndarray,
         list_cutoff: float,
+        count_cutoff: float,
         *,
         excluded_keys: np.ndarray | None = None,
         n_atoms_total: int = 0,
         owned_only: bool = False,
         kernels: "KernelBackend | None" = None,
     ) -> "DomainLists":
-        # Non-EAM workloads never read ghost-headed rows; dropping them
-        # before the sort (owned_only) cuts the rebuild's lexsort and
-        # gather volume without changing any surviving row.  ``kernels``
-        # lets the worker's backend (the compiled one) run the local
-        # cell-list search natively; it contracts to emit the numpy
-        # pairs exactly, so the directed rows are unchanged.
-        di, dj = subdomain_directed_pairs(
+        # Non-EAM workloads never read ghost-headed rows; not building
+        # them (owned_only) cuts the rebuild's volume without changing
+        # any surviving row.  ``kernels`` lets the worker's backend (the
+        # compiled one) emit the rows natively; it contracts to deliver
+        # the numpy rows exactly, so nothing downstream can tell.
+        di, dj, within = subdomain_directed_pairs(
             local_positions,
             list_cutoff,
             sort_key=index.gids,
             anchor_limit=index.n_owned if owned_only else None,
             kernels=kernels,
+            count_cutoff=count_cutoff,
         )
         if excluded_keys is not None and len(excluded_keys) and len(di):
             gi = index.gids[di]
@@ -103,14 +107,32 @@ class DomainLists:
             pos = np.searchsorted(excluded_keys, keys)
             pos = np.minimum(pos, len(excluded_keys) - 1)
             keep = excluded_keys[pos] != keys
+            # Order-preserving, but the producer's counts describe the
+            # unfiltered rows.
             di, dj = di[keep], dj[keep]
+            within = None
+        n_owned_rows = int(np.searchsorted(di, index.n_owned))
+        if within is not None:
+            # Per head atom, so the owned prefix can be taken from an
+            # all-anchor (EAM) build too.
+            owned_within = int(within[: index.n_owned].sum())
+        else:
+            # Nobody counted these rows (numpy build, exclusion
+            # filter): one geometry sweep over the owned ones.
+            dr = (
+                local_positions[di[:n_owned_rows]]
+                - local_positions[dj[:n_owned_rows]]
+            )
+            r2 = np.einsum("ij,ij->i", dr, dr)
+            owned_within = int(np.count_nonzero(r2 < count_cutoff * count_cutoff))
         return cls(
             index=index,
             di=di,
             dj=dj,
             gdi=index.gids[di],
             gdj=index.gids[dj],
-            n_owned_rows=int(np.searchsorted(di, index.n_owned)),
+            n_owned_rows=n_owned_rows,
+            owned_within=owned_within,
         )
 
     @property

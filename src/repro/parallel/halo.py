@@ -72,12 +72,15 @@ def select_ghosts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Halo atoms of one subdomain: ``(global_ids, integer shifts)``.
 
-    Scans the up-to-27 periodic images of every atom and keeps those
-    whose shifted position falls within ``width`` of ``[lo, hi]``.  The
-    unshifted image of the worker's own atoms is excluded (those are the
-    owned locals); *shifted* self-images are kept — with a single grid
-    cell along a periodic dimension a domain neighbors itself, and its
-    halo must contain its own atoms' wrap-around copies.
+    Covers the up-to-27 periodic images of every atom and keeps those
+    whose shifted position falls within ``width`` of ``[lo, hi]``.  An
+    image is inside iff it is inside along each dimension, so the
+    interval test runs once per dimension and shift (at most nine
+    sweeps over the atoms) and each image is the AND of three of those
+    masks.  The unshifted image of the worker's own atoms is excluded
+    (those are the owned locals); *shifted* self-images are kept — with
+    a single grid cell along a periodic dimension a domain neighbors
+    itself, and its halo must contain its own atoms' wrap-around copies.
 
     The enumeration order (shift-major, ascending global id within each
     shift) is deterministic, which keeps worker-local atom numbering —
@@ -85,21 +88,27 @@ def select_ghosts(
     """
     positions = np.asarray(positions, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
+    axes = [(-1, 0, 1) if periodic[d] else (0,) for d in range(3)]
+    inside = []
+    for d in range(3):
+        column = positions[:, d]
+        masks = {}
+        for s in axes[d]:
+            shifted = column + s * lengths[d]
+            masks[s] = (shifted >= lo[d] - width) & (shifted <= hi[d] + width)
+        inside.append(masks)
     gids: list[np.ndarray] = []
     shifts: list[np.ndarray] = []
-    axes = [(-1, 0, 1) if periodic[d] else (0,) for d in range(3)]
     for shift in product(*axes):
-        shift_arr = np.array(shift, dtype=np.int64)
-        shifted = positions + shift_arr * lengths
-        inside = np.all(shifted >= lo - width, axis=1) & np.all(
-            shifted <= hi + width, axis=1
-        )
+        image = inside[0][shift[0]] & inside[1][shift[1]] & inside[2][shift[2]]
         if shift == (0, 0, 0):
-            inside &= owners != worker
-        selected = np.flatnonzero(inside)
+            image &= owners != worker
+        selected = np.flatnonzero(image)
         if len(selected):
             gids.append(selected)
-            shifts.append(np.broadcast_to(shift_arr, (len(selected), 3)))
+            shifts.append(
+                np.broadcast_to(np.array(shift, dtype=np.int64), (len(selected), 3))
+            )
     if not gids:
         return np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64)
     return np.concatenate(gids), np.concatenate(shifts)

@@ -1,7 +1,8 @@
 """Periodic, atomic, retained checkpoints of a running simulation.
 
 :class:`CheckpointManager` is the policy layer over
-:func:`repro.md.restart.save_snapshot`'s format-v2 payloads:
+:mod:`repro.md.restart`'s format-v2 files (``snapshot_payload`` into
+``write_snapshot``, the writer ``save_snapshot`` uses too):
 
 * **cadence** — ``maybe_checkpoint`` writes on every step divisible by
   ``every`` (it plugs straight into ``RunConfig(checkpoint=...)``);
@@ -37,13 +38,12 @@ import time
 import zlib
 from pathlib import Path
 
-import numpy as np
-
 from repro.md.restart import (
     Snapshot,
     SnapshotError,
     restore_simulation,
     snapshot_payload,
+    write_snapshot,
 )
 from repro.observability import resolve_tracer
 
@@ -144,8 +144,8 @@ class CheckpointManager:
         start = time.perf_counter()
         with self.tracer.span("checkpoint.write", "checkpoint"):
             # Gathering the payload may round-trip worker state (the
-            # parallel executor dumps contact histories over shm), so it
-            # happens before any file I/O.
+            # parallel executor collects contact histories from its
+            # workers), so it happens before any file I/O.
             payload = snapshot_payload(simulation)
             fault = (
                 self.fault_plan.take(step, "checkpoint")
@@ -163,7 +163,7 @@ class CheckpointManager:
                     executor.kill_worker(fault.worker)
                 return None
             with open(tmp, "wb") as handle:
-                np.savez_compressed(handle, **payload)
+                write_snapshot(handle, payload)
             crc = zlib.crc32(tmp.read_bytes())
             size = tmp.stat().st_size
             os.replace(tmp, final)

@@ -38,7 +38,11 @@ from repro.md.kernels.compiled import (
     resolve_provider,
 )
 from repro.md.lattice import eam_solid_system, lj_melt_system
-from repro.md.neighbor import NeighborList, cell_list_half_pairs
+from repro.md.neighbor import (
+    NeighborList,
+    cell_list_half_pairs,
+    subdomain_directed_pairs,
+)
 from repro.md.potentials.eam import EAMAlloy
 from repro.md.potentials.lj import LennardJonesCut
 from repro.md.simulation import Simulation
@@ -520,12 +524,17 @@ def _lj_configurations(draw):
     return system, potential, skin, exclusions, brute_force, moved, preload
 
 
-def _one_domain(system, list_cutoff, exclusions, worker, grid):
-    """The directed rows engine worker ``worker`` of ``grid`` builds."""
+def _one_domain(
+    system, list_cutoff, exclusions, worker, grid, *,
+    owned_only=True, kernels=None, count_cutoff=None, halo_width=None,
+):
+    """The directed rows engine worker ``worker`` of ``grid`` builds
+    (``owned_within`` counted inside the list cutoff unless told)."""
     box = system.box
     wrapped = box.wrap(system.positions)
     index = LocalIndex.build(
-        wrapped, box.origin, box.lengths, box.periodic, grid, worker, list_cutoff
+        wrapped, box.origin, box.lengths, box.periodic, grid, worker,
+        list_cutoff if halo_width is None else halo_width,
     )
     n = system.n_atoms
     keys = None
@@ -536,9 +545,11 @@ def _one_domain(system, list_cutoff, exclusions, worker, grid):
         index,
         index.local_positions(wrapped, box.lengths),
         list_cutoff,
+        list_cutoff if count_cutoff is None else count_cutoff,
         excluded_keys=keys,
         n_atoms_total=n,
-        owned_only=True,
+        owned_only=owned_only,
+        kernels=kernels,
     )
 
 
@@ -721,6 +732,250 @@ class TestFusedLennardJones:
 
 
 # ---------------------------------------------------------------------------
+# Native directed rows vs the half list -> mirror -> lexsort fallback
+# ---------------------------------------------------------------------------
+@st.composite
+def _local_sets(draw):
+    """Subdomain-like local atom sets: non-cubic extents from under one
+    cutoff to several (so bins are empty as often as crowded), optionally
+    flattened to a plane (the chute's quasi-2D slab) or a line, with a
+    sort key that is neither ascending nor dense — what owned + ghost
+    global ids look like — and every anchor limit the engine can pass."""
+    rc = draw(st.floats(0.8, 1.6))
+    n = draw(st.integers(2, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    extents = np.array([draw(st.floats(0.3, 6.0)) * rc for _ in range(3)])
+    origin = np.array([draw(st.floats(-5.0, 5.0)) for _ in range(3)])
+    positions = origin + rng.uniform(0.0, 1.0, (n, 3)) * extents
+    flat_dims = draw(st.sampled_from([(), (2,), (0,), (1, 2), (0, 1)]))
+    for d in flat_dims:
+        positions[:, d] = origin[d]
+    sort_key = draw(
+        st.sampled_from(["none", "permuted", "sparse"])
+    )
+    if sort_key == "none":
+        key = None
+    elif sort_key == "permuted":
+        key = rng.permutation(n).astype(np.int64)
+    else:
+        key = rng.choice(50 * n, size=n, replace=False).astype(np.int64)
+    n_owned = int(rng.integers(0, n + 1))
+    anchor_limit = draw(st.sampled_from([None, n_owned, 0, n]))
+    return np.ascontiguousarray(positions), rc, key, anchor_limit
+
+
+class _NoDirectedRows(CompiledBackend):
+    """The compiled backend as it was before the directed-row kernel:
+    the hook declines, the native half list is mirrored and lexsorted."""
+
+    directed_rows = KernelBackend.directed_rows
+
+
+def _directed_within(positions, rows, count_cutoff, anchors):
+    """Per-anchor count of ``rows`` inside ``count_cutoff`` (numpy)."""
+    dr = positions[rows.i] - positions[rows.j]
+    inside = np.einsum("ij,ij->i", dr, dr) < count_cutoff * count_cutoff
+    return np.bincount(rows.i[inside], minlength=anchors)
+
+
+@needs_compiled
+class TestNativeDirectedRows:
+    @given(config=_local_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_are_bitwise_the_lexsort_fallback(self, config):
+        positions, rc, key, anchor_limit = config
+        options = dict(sort_key=key, anchor_limit=anchor_limit, brute_force_max=0)
+        expected = subdomain_directed_pairs(positions, rc, **options)
+        native = subdomain_directed_pairs(
+            positions, rc, kernels=CompiledBackend(), count_cutoff=0.8 * rc,
+            **options,
+        )
+        # Only the hook counts, so a count proves it engaged: "equal"
+        # cannot pass by the kernel silently declining.
+        assert expected.within is None and native.within is not None
+        assert _same_bits(native.i, expected.i)
+        assert _same_bits(native.j, expected.j)
+        anchors = len(positions) if anchor_limit is None else anchor_limit
+        assert np.array_equal(
+            native.within,
+            _directed_within(positions, expected, 0.8 * rc, anchors),
+        )
+
+    def test_capacity_overflow_retry_returns_the_same_rows(self, monkeypatch):
+        """A dense blob beside a lone far atom: the bounding box's mean
+        density underestimates the rows ~100x, the first buffer
+        overflows, and the retry (sized from the reported count) must
+        deliver the same rows."""
+        rng = np.random.default_rng(12)
+        positions = np.vstack([rng.uniform(0, 1, (500, 3)), [[40.0, 40.0, 40.0]]])
+        key = rng.permutation(len(positions)).astype(np.int64)
+        backend = CompiledBackend()
+        capacities = []
+        native = backend._impl.cell_rows
+
+        def recording(pos, lengths, origin, periodic, rc, rc2, key, oi, oj, within):
+            capacities.append(len(oi))
+            return native(pos, lengths, origin, periodic, rc, rc2, key, oi, oj, within)
+
+        monkeypatch.setattr(backend._impl, "cell_rows", recording)
+        rows = subdomain_directed_pairs(
+            positions, 2.0, sort_key=key, kernels=backend, brute_force_max=0
+        )
+        n_rows = 500 * 499  # the blob's diameter is < rc
+        assert len(capacities) == 2
+        assert capacities[0] < n_rows == capacities[1] == len(rows.i)
+        expected = subdomain_directed_pairs(
+            positions, 2.0, sort_key=key, brute_force_max=0
+        )
+        assert _same_bits(rows.i, expected.i) and _same_bits(rows.j, expected.j)
+        # The hint now covers this density: the next build fits first time.
+        subdomain_directed_pairs(
+            positions, 2.0, sort_key=key, kernels=backend, brute_force_max=0
+        )
+        assert len(capacities) == 3 and capacities[2] >= n_rows
+
+    def test_float32_and_providerless_backends_land_on_the_fallback(self):
+        rng = np.random.default_rng(4)
+        positions = rng.uniform(0, 6, (300, 3))
+        key = rng.permutation(300).astype(np.int64)
+        box = Box([8.0] * 3, periodic=(False,) * 3, origin=[-1.0] * 3)
+        compiled, plain = CompiledBackend(), NumpyFastBackend()
+        single = positions.astype(np.float32)
+        assert compiled.directed_rows(single, box, 1.5, key) is None
+        assert plain.directed_rows(positions, box, 1.5, key) is None
+        # A periodic box is not a subdomain's: the kernel has no
+        # minimum-image stencil walk to offer.
+        assert compiled.directed_rows(positions, Box([8.0] * 3), 1.5, key) is None
+        for kernels, pos in ((compiled, single), (plain, positions)):
+            got = subdomain_directed_pairs(
+                pos, 1.5, sort_key=key, kernels=kernels, brute_force_max=0,
+                count_cutoff=1.2,
+            )
+            expected = subdomain_directed_pairs(
+                pos, 1.5, sort_key=key, brute_force_max=0
+            )
+            assert got.within is None  # nobody counted: the numpy body ran
+            assert _same_bits(got.i, expected.i) and _same_bits(got.j, expected.j)
+
+    def test_below_the_crossover_the_hook_is_not_asked(self, monkeypatch):
+        backend = CompiledBackend()
+        monkeypatch.setattr(
+            backend, "directed_rows",
+            lambda *a, **k: pytest.fail("hook asked below brute_force_max"),
+        )
+        positions = np.random.default_rng(5).uniform(0, 4, (100, 3))
+        rows = subdomain_directed_pairs(positions, 1.0, kernels=backend)
+        assert len(rows.i) and rows.within is None
+
+    def test_tied_sort_keys_decline_and_keep_the_stable_order(self):
+        """Two partners of one anchor under one key (two images of one
+        atom): ``lexsort`` breaks the tie by position in the mirrored
+        list, an order the kernel never forms — it must decline, not
+        guess."""
+        rng = np.random.default_rng(6)
+        positions = rng.uniform(0, 2, (240, 3))  # everyone neighbors everyone
+        tied = np.arange(240, dtype=np.int64) // 2
+        backend = CompiledBackend()
+        box = Box([6.0] * 3, periodic=(False,) * 3, origin=[-2.0] * 3)
+        assert backend.directed_rows(positions, box, 4.0, tied) is None
+        assert backend.directed_rows(positions, box, 4.0, 2 * tied) is None
+        unique = rng.permutation(240).astype(np.int64)
+        assert backend.directed_rows(positions, box, 4.0, unique) is not None
+        # What the same backend built before it had the hook (the tie
+        # order depends on the half list's, so on who built that).
+        got = subdomain_directed_pairs(
+            positions, 4.0, sort_key=tied, kernels=backend, brute_force_max=0
+        )
+        expected = subdomain_directed_pairs(
+            positions, 4.0, sort_key=tied, kernels=_NoDirectedRows(),
+            brute_force_max=0,
+        )
+        assert _same_bits(got.i, expected.i) and _same_bits(got.j, expected.j)
+
+    @pytest.mark.parametrize("kind, owned_only", [("lj", True), ("eam", False)])
+    def test_hook_engages_for_an_engine_subdomain(self, kind, owned_only, monkeypatch):
+        """A worker-sized local set (> 800 atoms) really is built by the
+        kernel under ``cc`` — and ``DomainLists`` cannot tell: rows,
+        global ids, owned prefix and the owned within-cutoff count equal
+        the ones the declining backend's numpy path produces."""
+        system, potential = _jittered_case(kind, n=4000 if kind == "lj" else 500)
+        list_cutoff = potential.cutoff + 0.3
+        backend = CompiledBackend()
+        calls = []
+        native = backend._impl.cell_rows
+
+        def spy(pos, *args):
+            calls.append(len(pos))
+            return native(pos, *args)
+
+        monkeypatch.setattr(backend._impl, "cell_rows", spy)
+        build = dict(
+            owned_only=owned_only,
+            count_cutoff=potential.cutoff,
+            halo_width=potential.halo_width(list_cutoff),
+        )
+        for worker in range(2):
+            lists = _one_domain(
+                system, list_cutoff, None, worker, (2, 1, 1),
+                kernels=backend, **build,
+            )
+            oracle = _one_domain(
+                system, list_cutoff, None, worker, (2, 1, 1), **build
+            )
+            assert len(calls) == worker + 1 and calls[-1] > 800
+            assert calls[-1] == lists.index.n_local
+            for name in ("di", "dj", "gdi", "gdj"):
+                assert _same_bits(getattr(lists, name), getattr(oracle, name))
+            assert lists.n_owned_rows == oracle.n_owned_rows
+            assert lists.owned_within == oracle.owned_within > 0
+            assert owned_only == (lists.n_owned_rows == len(lists.di))
+
+    def test_exclusions_fall_back_to_the_geometry_sweep_for_the_count(self):
+        """Rows the exclusions drop were counted by the kernel, so the
+        owned within-cutoff count is re-derived from the filtered rows."""
+        system, potential = _jittered_case("lj", n=4000)
+        rng = np.random.default_rng(9)
+        nlist = NeighborList(potential.cutoff, 0.3)
+        nlist.build(system)
+        chosen = rng.choice(len(nlist.pair_i), 500, replace=False)
+        exclusions = np.column_stack([nlist.pair_i[chosen], nlist.pair_j[chosen]])
+        build = dict(count_cutoff=potential.cutoff)
+        lists = _one_domain(
+            system, 2.8, exclusions, 0, (1, 1, 1),
+            kernels=CompiledBackend(), **build,
+        )
+        oracle = _one_domain(system, 2.8, exclusions, 0, (1, 1, 1), **build)
+        plain = _one_domain(system, 2.8, None, 0, (1, 1, 1), **build)
+        assert _same_bits(lists.di, oracle.di) and _same_bits(lists.dj, oracle.dj)
+        assert len(lists.di) == len(plain.di) - 2 * len(exclusions)
+        assert lists.owned_within == oracle.owned_within < plain.owned_within
+
+    def test_smoke_test_demotes_a_provider_with_rows_in_index_order(self):
+        """The engine no longer sorts native rows by global id, so a
+        provider that emits the right rows in local-index order must
+        not pass."""
+        provider, _ = resolve_provider()
+
+        class IndexOrderedRows:
+            def __getattr__(self, name):
+                return getattr(provider, name)
+
+            def cell_rows(self, pos, lengths, origin, periodic, rc, rc2, key,
+                          oi, oj, within):
+                count = provider.cell_rows(
+                    pos, lengths, origin, periodic, rc, rc2, key, oi, oj, within
+                )
+                if 0 <= count <= len(oi):  # re-sort every row by j itself
+                    order = np.lexsort((oj[:count], oi[:count]))
+                    oj[:count] = oj[:count][order]
+                return count
+
+        _smoke_test(provider)  # the real provider passes
+        with pytest.raises(AssertionError, match="cell_rows deviates"):
+            _smoke_test(IndexOrderedRows())
+
+
+# ---------------------------------------------------------------------------
 # Minimum-image fast path (|d| <= 0.49 L skips the divide and rint)
 # ---------------------------------------------------------------------------
 def _displacement_probe(dtype):
@@ -807,7 +1062,7 @@ class TestMinimumImageFastPath:
 # ---------------------------------------------------------------------------
 # Oracle matrix: every backend x precision mode x potential family
 # ---------------------------------------------------------------------------
-def _jittered_case(kind, seed=17):
+def _jittered_case(kind, seed=17, n=None):
     """A benchmark system pushed off its lattice.
 
     The pristine lattices have near-zero forces by symmetry, which
@@ -815,10 +1070,10 @@ def _jittered_case(kind, seed=17):
     forces to compare against the oracle.
     """
     if kind == "lj":
-        system = lj_melt_system(500, seed=seed)
+        system = lj_melt_system(n or 500, seed=seed)
         potential = LennardJonesCut(cutoff=2.5)
     else:
-        system = eam_solid_system(256, seed=seed)
+        system = eam_solid_system(n or 256, seed=seed)
         potential = EAMAlloy()
     rng = np.random.default_rng(seed + 1)
     system.positions += rng.normal(scale=0.05, size=system.positions.shape)

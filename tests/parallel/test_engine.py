@@ -79,6 +79,27 @@ class TestSerialParity:
             parallel.virial, rel=1e-12, abs=1e-9
         )
 
+    @pytest.mark.parametrize("backend", ["auto", "numpy_fast"])
+    @pytest.mark.parametrize("name", ["lj", "eam", "chain"])
+    def test_neighbors_per_atom_statistic_matches_serial(
+        self, name, backend, monkeypatch
+    ):
+        """Table 2's neighbors/atom (``figures/table2.py``, the
+        snapshot's ``state_json``) used to stay 0.0 under the engine.
+        Local sets here are above the brute-force crossover, so ``auto``
+        counts in the native row kernel (LJ: owned rows only; EAM: the
+        owned prefix of all rows), ``numpy_fast`` and the
+        exclusion-filtered chain in the numpy sweep."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+        serial = _run_serial(name, SIZES[name], 0)
+        expected = serial.neighbor.stats.last_neighbors_per_atom
+        assert expected > 1.0
+        for workers in (1, 2, 4):
+            parallel, _ = _run_parallel(name, SIZES[name], 0, workers=workers)
+            assert parallel.neighbor.stats.last_neighbors_per_atom == pytest.approx(
+                expected, rel=1e-9
+            )
+
     def test_interaction_count_and_rebuild_cadence_match_serial(self):
         steps = 6
         serial = _run_serial("lj", SIZES["lj"], steps)
@@ -401,7 +422,8 @@ class TestObservability:
 
 
 class TestCli:
-    def test_scale_subcommand_smoke(self):
+    @staticmethod
+    def _scale(*extra):
         result = subprocess.run(
             [
                 sys.executable,
@@ -415,6 +437,7 @@ class TestCli:
                 "3",
                 "--atoms",
                 "2048",
+                *extra,
             ],
             capture_output=True,
             text=True,
@@ -422,5 +445,25 @@ class TestCli:
             env=_subprocess_env(),
         )
         assert result.returncode == 0, result.stdout + result.stderr
-        assert "parity" in result.stdout
-        assert "critical-path speedup" in result.stdout
+        return result.stdout
+
+    def test_scale_subcommand_smoke(self):
+        """The form the docs list first: no checkpoint manager, no
+        metrics registry."""
+        stdout = self._scale()
+        assert "parity" in stdout
+        assert "critical-path speedup" in stdout
+        # The rebuild cost on its own lines, not only folded into the
+        # critical path.
+        assert "serial Neigh:" in stdout
+        assert "parallel Neigh:" in stdout
+        assert "checkpoint write:" not in stdout
+
+    def test_scale_subcommand_reports_checkpoint_writes(self, tmp_path):
+        stdout = self._scale(
+            "--checkpoint-every", "2", "--checkpoint-dir", str(tmp_path)
+        )
+        assert "serial Neigh:" in stdout
+        assert "parallel Neigh:" in stdout
+        assert "checkpoint write:" in stdout
+        assert "bytes per write" in stdout

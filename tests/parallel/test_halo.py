@@ -1,7 +1,11 @@
 """Tests for ownership assignment, ghost selection and subdomain lists."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.md.box import Box
 from repro.md.neighbor import brute_force_pairs, subdomain_directed_pairs
@@ -93,6 +97,89 @@ class TestSelectGhosts:
         assert np.all(shifts.any(axis=1))
 
 
+def _select_ghosts_by_image_scan(
+    positions, owners, worker, lo, hi, width, lengths, periodic
+):
+    """The original ``select_ghosts``: one full-array interval test per
+    periodic image (up to 27 scans).  Kept as the oracle for the
+    per-dimension-mask implementation."""
+    positions = np.asarray(positions, dtype=float)
+    lengths = np.asarray(lengths, dtype=float)
+    gids, shifts = [], []
+    axes = [(-1, 0, 1) if periodic[d] else (0,) for d in range(3)]
+    for shift in product(*axes):
+        shift_arr = np.array(shift, dtype=np.int64)
+        shifted = positions + shift_arr * lengths
+        inside = np.all(shifted >= lo - width, axis=1) & np.all(
+            shifted <= hi + width, axis=1
+        )
+        if shift == (0, 0, 0):
+            inside &= owners != worker
+        selected = np.flatnonzero(inside)
+        if len(selected):
+            gids.append(selected)
+            shifts.append(np.broadcast_to(shift_arr, (len(selected), 3)))
+    if not gids:
+        return np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64)
+    return np.concatenate(gids), np.concatenate(shifts)
+
+
+@st.composite
+def _decompositions(draw):
+    """Non-cubic boxes under any periodicity mask, split 1/2/4/8 ways
+    (optionally with the chute's quasi-2D slab rule), holding atoms in
+    the bulk, exactly on subdomain faces, on both box faces and exactly
+    on the halo shell's outer faces."""
+    lengths = np.array([draw(st.floats(3.0, 12.0)) for _ in range(3)])
+    origin = np.array([draw(st.floats(-4.0, 4.0)) for _ in range(3)])
+    periodic = np.array(draw(st.tuples(*[st.booleans()] * 3)))
+    grid = proc_grid(
+        draw(st.sampled_from([1, 2, 4, 8])), lengths, quasi_2d=draw(st.booleans())
+    )
+    width = draw(st.floats(0.3, 1.4))
+    n = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    positions = origin + rng.uniform(0.0, 1.0, (n, 3)) * lengths
+    # The exact values select_ghosts compares against (and the
+    # coordinates whose +-L image lands on them), per worker and dim.
+    faces = np.concatenate(
+        [
+            np.stack(
+                [lo, hi, lo - width, hi + width,
+                 lo - width + lengths, hi + width - lengths]
+            )
+            for lo, hi in (
+                domain_bounds(worker, origin, lengths, grid)
+                for worker in range(int(np.prod(grid)))
+            )
+        ]
+    )
+    picks = faces[rng.integers(len(faces), size=(n, 3)), np.arange(3)]
+    snap = rng.random((n, 3))
+    positions = np.where(snap < 0.3, picks, positions)
+    positions = np.where(snap > 0.97, origin + lengths, positions)
+    positions = np.where((snap > 0.94) & (snap <= 0.97), origin, positions)
+    positions = np.clip(positions, origin, origin + lengths)
+    return positions, origin, lengths, periodic, grid, width
+
+
+class TestSelectGhostsMatchesImageScan:
+    @given(config=_decompositions())
+    @settings(max_examples=200, deadline=None)
+    def test_same_ids_and_shifts_in_the_same_order(self, config):
+        positions, origin, lengths, periodic, grid, width = config
+        owners = assign_owners(positions, origin, lengths, grid)
+        for worker in range(int(np.prod(grid))):
+            lo, hi = domain_bounds(worker, origin, lengths, grid)
+            args = (positions, owners, worker, lo, hi, width, lengths, periodic)
+            for got, expected in zip(
+                select_ghosts(*args), _select_ghosts_by_image_scan(*args)
+            ):
+                assert got.dtype == expected.dtype
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+
 class TestLocalIndex:
     def test_halo_covers_cutoff_sphere_of_owned_atoms(self, box, positions):
         """Every within-cutoff partner of an owned atom is local.
@@ -161,7 +248,7 @@ class TestSubdomainDirectedPairs:
             + [(int(b), int(a)) for a, b in zip(iu, ju)]
         )
         for limit in (0, 10**9):  # cell-list path, brute path
-            di, dj = subdomain_directed_pairs(
+            di, dj, _ = subdomain_directed_pairs(
                 positions, 1.0, brute_force_max=limit
             )
             assert sorted(zip(di.tolist(), dj.tolist())) == expected
@@ -169,7 +256,7 @@ class TestSubdomainDirectedPairs:
     def test_sorted_by_anchor_then_key(self, rng):
         positions = self._cluster(rng)
         key = rng.permutation(len(positions)).astype(np.int64)
-        di, dj = subdomain_directed_pairs(positions, 1.0, sort_key=key)
+        di, dj, _ = subdomain_directed_pairs(positions, 1.0, sort_key=key)
         assert np.all(np.diff(di) >= 0)
         same_anchor = np.diff(di) == 0
         assert np.all(np.diff(key[dj])[same_anchor] > 0)
@@ -177,8 +264,8 @@ class TestSubdomainDirectedPairs:
     def test_anchor_limit_is_prefix_of_unrestricted(self, rng):
         positions = self._cluster(rng)
         limit = 40
-        di_all, dj_all = subdomain_directed_pairs(positions, 1.0)
-        di_cut, dj_cut = subdomain_directed_pairs(
+        di_all, dj_all, _ = subdomain_directed_pairs(positions, 1.0)
+        di_cut, dj_cut, _ = subdomain_directed_pairs(
             positions, 1.0, anchor_limit=limit
         )
         keep = di_all < limit

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.md import RunConfig
+from repro.reliability import CheckpointManager, FaultPlan, ResilientRunner
 from repro.md.kernels import CompiledBackend, KernelBackend, get_backend
 from repro.md.kernels.compiled import compiled_available
 from repro.md.precision import PARITY_TOLERANCES
@@ -35,14 +36,14 @@ EVERY = 2
 TOL = PARITY_TOLERANCES["double"]
 
 
-def _chain_for(benchmark: str, backend: str, workers: int = 0):
+def _chain_for(benchmark: str, backend: str, workers: int = 0, size: int = 0):
     """Run one short certified trajectory; returns (chain, positions).
 
     ``workers=0`` runs the serial executor; ``workers>=1`` the parallel
     engine with that many workers (a one-worker *parallel* run is its
     own executor family — bitwise with 2/4 workers, not with serial).
     """
-    sim = get_benchmark(benchmark).build(SIZES[benchmark])
+    sim = get_benchmark(benchmark).build(size or SIZES[benchmark])
     sim.set_backend(get_backend(backend))
     if workers >= 1:
         executor = ParallelForceExecutor(workers)
@@ -163,3 +164,83 @@ class TestFusedPairPassIsInvisible:
         _skip_unavailable("compiled")
         chain, _ = _chain_for("lj", "compiled", workers=workers)
         assert chain.head == (self.ENGINE_HEAD if workers else self.SERIAL_HEAD)
+
+
+class TestNativeDirectedRowsAreInvisible:
+    """The compiled backend's directed-row kernel must not move a
+    digest: engine heads for 1/2/4 workers equal the ones the same
+    backend produces with the hook declining (half list -> mirror ->
+    lexsort, the path every earlier head was computed on) — for LJ
+    (owned-headed rows only) and EAM (all local rows) at sizes whose
+    local sets are above the brute-force crossover, with the hook
+    *required* to engage so equality cannot come from it declining.
+    (Workers are forked, so they inherit the patches.)"""
+
+    SIZES = {"lj": 1000, "eam": 500}
+
+    @staticmethod
+    def _require_the_kernel(monkeypatch):
+        native = CompiledBackend.directed_rows
+
+        def must_engage(self, *args):
+            rows = native(self, *args)
+            assert rows is not None, "the directed-row kernel declined"
+            return rows
+
+        monkeypatch.setattr(CompiledBackend, "directed_rows", must_engage)
+
+    @pytest.mark.parametrize("bench", BENCHMARKS)
+    def test_engine_heads_unchanged_by_the_row_kernel(self, bench, monkeypatch):
+        _skip_unavailable("compiled")
+        size = self.SIZES[bench]
+        self._require_the_kernel(monkeypatch)
+        native = {
+            workers: _chain_for(bench, "compiled", workers, size)[0].head
+            for workers in (1, 2, 4)
+        }
+        monkeypatch.setattr(
+            CompiledBackend, "directed_rows", KernelBackend.directed_rows
+        )
+        fallback = {
+            workers: _chain_for(bench, "compiled", workers, size)[0].head
+            for workers in (1, 2, 4)
+        }
+        assert native == fallback
+        assert len(set(native.values())) == 1, native
+
+    def test_kill_recovery_past_a_rebuild_replays_bitwise(
+        self, tmp_path, monkeypatch
+    ):
+        """Restore rebuilds the lists as at the checkpointed build and
+        the replay crosses later rebuilds, all through the kernel: the
+        recovered run ends on the uninterrupted run's head."""
+        _skip_unavailable("compiled")
+        self._require_the_kernel(monkeypatch)
+        steps, every = 24, 4
+
+        def run(directory, fault_plan=None):
+            sim = get_benchmark("lj").build(self.SIZES["lj"])
+            sim.set_backend(get_backend("compiled"))
+            executor = ParallelForceExecutor(2, fault_plan=fault_plan)
+            sim.force_executor = executor
+            executor.bind(sim)
+            recorder = DigestRecorder(every=every)
+            runner = ResilientRunner(
+                sim,
+                CheckpointManager(directory, every=every),
+                digest=recorder,
+                backoff_seconds=0.01,
+            )
+            try:
+                runner.run(steps)
+                recorder.finalize(sim)
+                return runner, recorder.chain.head, sim.neighbor.stats.n_builds
+            finally:
+                sim.close()
+
+        _, reference_head, builds = run(tmp_path / "reference")
+        runner, head, _ = run(tmp_path / "killed", FaultPlan.parse("kill:1:11"))
+        assert [event.action for event in runner.events] == ["respawn"]
+        assert runner.events[0].resumed_from_step == 8
+        assert builds >= 4  # rebuilds on both sides of the kill
+        assert head == reference_head

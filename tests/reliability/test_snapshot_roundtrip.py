@@ -192,6 +192,31 @@ class TestErrorPaths:
             restore_simulation(other, path)
 
 
+class TestDeflatedV2Compatibility:
+    """Snapshots are stored npz now; v2 files deflated by earlier
+    versions (what ``np.savez_compressed`` writes) are the same format
+    to ``np.load`` and must keep restoring bit for bit."""
+
+    @pytest.mark.parametrize("name", ["lj", "chute"])
+    def test_deflated_v2_file_restores_bitwise(self, name, tmp_path):
+        straight = _run(_build(name), 12)
+        first = _run(_build(name), 6)
+        stored = save_snapshot(first, tmp_path / "stored.npz")
+        deflated = tmp_path / "deflated.npz"
+        _resave_with_version(stored, deflated, FORMAT_VERSION)
+        assert deflated.stat().st_size < stored.stat().st_size
+        resumed = _build(name)
+        restore_simulation(resumed, deflated)
+        for _ in range(6):
+            resumed.step()
+        assert resumed.step_number == straight.step_number
+        for field in ("positions", "velocities", "forces"):
+            assert (
+                getattr(resumed.system, field).tobytes()
+                == getattr(straight.system, field).tobytes()
+            ), field
+
+
 class TestV1Compatibility:
     def _make_v1(self, tmp_path):
         sim = _run(_build("lj"), 4)
