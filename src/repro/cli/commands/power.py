@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -48,6 +49,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.md import RunConfig
+    from repro.md.kernels import BACKEND_ENV_VAR, DEFAULT_BACKEND, resolved_backend
     from repro.observability import MetricsRegistry, Tracer
     from repro.observability.telemetry import (
         TelemetrySampler,
@@ -68,8 +70,13 @@ def _cmd_power(args: argparse.Namespace) -> int:
     tracer = Tracer(capacity=args.capacity)
     metrics = MetricsRegistry()
     sim = bench.build_instrumented(args.atoms, tracer=tracer, metrics=metrics)
+    # No --backend here: the build takes the environment's default, and
+    # the record says so — under the one identity rule, which sees
+    # through the tracing wrapper to the registry name that ran.
+    requested = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
+    resolved = resolved_backend(sim.backend)[0]
     print(f"built {args.experiment}: {sim.system.n_atoms} atoms, "
-          f"backend {sim.backend.name}; power provider "
+          f"backend {resolved}; power provider "
           f"{provider.name} ({provider.kind})")
     if args.warmup:
         sim.run(args.warmup)
@@ -120,7 +127,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
         report = make_report(
             "power",
-            backend={"requested": "auto", "resolved": sim.backend.name},
+            backend={"requested": requested, "resolved": resolved},
             precision="double",
             energy={"provider": provider.name, "kind": provider.kind},
             platform=platform_info(**platform_provenance()),

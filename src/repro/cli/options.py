@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 
+from repro.md.precision import PRECISIONS
+
 __all__ = [
     "PRECISION_CHOICES",
     "add_precision_option",
@@ -18,7 +20,7 @@ __all__ = [
     "add_workers_option",
 ]
 
-PRECISION_CHOICES = ("single", "mixed", "double")
+PRECISION_CHOICES = tuple(mode.value for mode in PRECISIONS)
 
 _BACKEND_HELP = (
     "kernel backend (numpy_ref, numpy_fast, compiled, auto); an "

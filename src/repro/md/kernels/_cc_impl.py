@@ -6,6 +6,12 @@ translation unit implementing the Pair/Neigh hot loops, builds it once
 into a cached shared object with strict IEEE flags, and binds it via
 the stdlib ``ctypes`` — no third-party build dependency at all.
 
+A native kernel is one C body plus one row of :data:`KERNELS`: a body
+that exists at more than one precision is written once, over a value
+type ``VAL`` and an accumulator type ``ACC``, and instantiated for the
+dtype pairs the policies of :mod:`repro.md.precision` define; binding,
+dtype-keyed dispatch and smoke-test coverage all follow from the row.
+
 Numerical contract (pinned by the provider smoke test and the backend
 oracle tests):
 
@@ -20,7 +26,7 @@ oracle tests):
   per-pair ``dr``/``r`` values match the numpy backends *bitwise*.
 * The scatter loops accumulate in input order, which is bitwise
   identical to ``np.bincount`` when the destination rows start at
-  zero; mixed-precision variants widen each float32 term to float64
+  zero; the mixed instances widen each float32 term to float64
   before adding, exactly as bincount's float64 accumulator does.
 * Compilation uses ``-fno-fast-math -ffp-contract=off`` so the
   compiler can neither reassociate sums nor contract multiply-adds
@@ -28,8 +34,8 @@ oracle tests):
 
 The build cache defaults to a ``.cc_cache`` directory next to this
 file (overridable via ``$REPRO_COMPILED_CACHE``), keyed by a hash of
-the source and flags, and populated through an atomic rename so
-concurrent worker processes never observe a half-written library.
+the generated source and flags, and populated through an atomic rename
+so concurrent worker processes never observe a half-written library.
 """
 
 from __future__ import annotations
@@ -45,7 +51,9 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-__all__ = ["CcProvider", "CACHE_ENV_VAR"]
+from repro.md.precision import DOUBLE_POLICY, PRECISIONS, policy_for
+
+__all__ = ["CcProvider", "CACHE_ENV_VAR", "KERNELS", "symbol"]
 
 #: Environment override for the shared-object build cache directory.
 CACHE_ENV_VAR = "REPRO_COMPILED_CACHE"
@@ -55,55 +63,59 @@ CACHE_ENV_VAR = "REPRO_COMPILED_CACHE"
 #: the numpy backends.
 _CFLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
 
-_SOURCE = r"""
+_PRELUDE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
 /* ------------------------------------------------------------------ */
-/* Scatter primitives: out[idx[k]] += v[k] in input order.             */
-/* Input-order serial accumulation is bitwise-identical to             */
-/* np.bincount whenever the destination starts at zero; the mixed      */
-/* (f32 values -> f64 out) variants widen each term first, matching    */
-/* bincount's always-float64 accumulator.                              */
+/* The geometry every sweep over a stored list shares (pair_geom and   */
+/* the fused passes, which must agree with it bitwise): BOX_LOCALS     */
+/* unpacks the box once per call; PAIR_GEOMETRY declares one pair's    */
+/* minimum-image dx, dy, dz and their r2, in einsum's summation order, */
+/* from the position rows P and Q.  Both expand under the instance     */
+/* macros of the body that uses them.                                  */
 /* ------------------------------------------------------------------ */
 
-void scatter1_f64(double *out, const int64_t *idx, const double *v, int64_t m) {
-    for (int64_t k = 0; k < m; k++) out[idx[k]] += v[k];
+#define BOX_LOCALS                                                         \
+    VAL Lx = lengths[0], Ly = lengths[1], Lz = lengths[2];                 \
+    VAL hx = F(0.49) * Lx, hy = F(0.49) * Ly, hz = F(0.49) * Lz;           \
+    int px = periodic[0], py = periodic[1], pz = periodic[2];
+
+#define PAIR_GEOMETRY(P, Q)                                                \
+    const VAL *p = (P), *q = (Q);                                          \
+    VAL dx = p[0] - q[0], dy = p[1] - q[1], dz = p[2] - q[2];              \
+    if (px) dx = FN(min_image)(dx, Lx, hx);                                \
+    if (py) dy = FN(min_image)(dy, Ly, hy);                                \
+    if (pz) dz = FN(min_image)(dz, Lz, hz);                                \
+    VAL r2 = R2(dx*dx, dy*dy, dz*dz);
+"""
+
+# The templates below are compiled once per instance with these macros
+# set (see _instantiate): VAL / ACC the value and accumulator types,
+# FN(stem) the instance's symbol, F(x) the libm name or literal x at
+# VAL's width (rint -> rintf, 0.49 -> 0.49f), R2(xx, yy, zz) the sum of
+# three squares in the association einsum uses at VAL's width.
+
+_ACCUMULATE_C = r"""
+/* ------------------------------------------------------------------ */
+/* Scatter primitives: out[idx[k]] += v[k] in input order.             */
+/* Input-order serial accumulation is bitwise-identical to             */
+/* np.bincount whenever the destination starts at zero; (ACC) widens   */
+/* each term first — the identity when VAL is ACC, else (float32 into  */
+/* float64) what bincount's always-float64 accumulator does.           */
+/* ------------------------------------------------------------------ */
+
+void FN(scatter1)(ACC *out, const int64_t *idx, const VAL *v, int64_t m) {
+    for (int64_t k = 0; k < m; k++) out[idx[k]] += (ACC)v[k];
 }
 
-void scatter1_f32(float *out, const int64_t *idx, const float *v, int64_t m) {
-    for (int64_t k = 0; k < m; k++) out[idx[k]] += v[k];
-}
-
-void scatter1_f32f64(double *out, const int64_t *idx, const float *v, int64_t m) {
-    for (int64_t k = 0; k < m; k++) out[idx[k]] += (double)v[k];
-}
-
-void scatter3_f64(double *out, const int64_t *idx, const double *v, int64_t m) {
+void FN(scatter3)(ACC *out, const int64_t *idx, const VAL *v, int64_t m) {
     for (int64_t k = 0; k < m; k++) {
         int64_t a = idx[k];
-        out[3*a]   += v[3*k];
-        out[3*a+1] += v[3*k+1];
-        out[3*a+2] += v[3*k+2];
-    }
-}
-
-void scatter3_f32(float *out, const int64_t *idx, const float *v, int64_t m) {
-    for (int64_t k = 0; k < m; k++) {
-        int64_t a = idx[k];
-        out[3*a]   += v[3*k];
-        out[3*a+1] += v[3*k+1];
-        out[3*a+2] += v[3*k+2];
-    }
-}
-
-void scatter3_f32f64(double *out, const int64_t *idx, const float *v, int64_t m) {
-    for (int64_t k = 0; k < m; k++) {
-        int64_t a = idx[k];
-        out[3*a]   += (double)v[3*k];
-        out[3*a+1] += (double)v[3*k+1];
-        out[3*a+2] += (double)v[3*k+2];
+        out[3*a]   += (ACC)v[3*k];
+        out[3*a+1] += (ACC)v[3*k+1];
+        out[3*a+2] += (ACC)v[3*k+2];
     }
 }
 
@@ -113,18 +125,20 @@ void scatter3_f32f64(double *out, const int64_t *idx, const float *v, int64_t m)
 /* the i side is segment-accumulated in registers while consecutive    */
 /* rows share the same i (the list's native layout), the j side is     */
 /* scattered inline.  Correct for any row order — unsorted i just      */
-/* degenerates to length-1 segments.                                   */
+/* degenerates to length-1 segments.  MIXED policy: float32 per-pair   */
+/* products (VAL), float64 accumulation (ACC).                         */
 /* ------------------------------------------------------------------ */
 
-void acc_scaled_f64(double *forces, const int64_t *pi, const int64_t *pj,
-                    int64_t m, const double *dr, const double *f_over_r) {
+void FN(acc_scaled)(ACC *forces, const int64_t *pi, const int64_t *pj,
+                    int64_t m, const VAL *dr, const VAL *f_over_r) {
     int64_t k = 0;
     while (k < m) {
         int64_t a = pi[k];
-        double sx = 0.0, sy = 0.0, sz = 0.0;
+        ACC sx = 0, sy = 0, sz = 0;
         do {
-            double f = f_over_r[k];
-            double wx = f * dr[3*k], wy = f * dr[3*k+1], wz = f * dr[3*k+2];
+            VAL f = f_over_r[k];
+            VAL vx = f * dr[3*k], vy = f * dr[3*k+1], vz = f * dr[3*k+2];
+            ACC wx = (ACC)vx, wy = (ACC)vy, wz = (ACC)vz;
             sx += wx; sy += wy; sz += wz;
             int64_t b = pj[k];
             forces[3*b] -= wx; forces[3*b+1] -= wy; forces[3*b+2] -= wz;
@@ -134,15 +148,14 @@ void acc_scaled_f64(double *forces, const int64_t *pi, const int64_t *pj,
     }
 }
 
-void acc_scaled_f32(float *forces, const int64_t *pi, const int64_t *pj,
-                    int64_t m, const float *dr, const float *f_over_r) {
+void FN(acc_pair)(ACC *forces, const int64_t *pi, const int64_t *pj,
+                  int64_t m, const VAL *fv) {
     int64_t k = 0;
     while (k < m) {
         int64_t a = pi[k];
-        float sx = 0.0f, sy = 0.0f, sz = 0.0f;
+        ACC sx = 0, sy = 0, sz = 0;
         do {
-            float f = f_over_r[k];
-            float wx = f * dr[3*k], wy = f * dr[3*k+1], wz = f * dr[3*k+2];
+            ACC wx = (ACC)fv[3*k], wy = (ACC)fv[3*k+1], wz = (ACC)fv[3*k+2];
             sx += wx; sy += wy; sz += wz;
             int64_t b = pj[k];
             forces[3*b] -= wx; forces[3*b+1] -= wy; forces[3*b+2] -= wz;
@@ -151,81 +164,9 @@ void acc_scaled_f32(float *forces, const int64_t *pi, const int64_t *pj,
         forces[3*a] += sx; forces[3*a+1] += sy; forces[3*a+2] += sz;
     }
 }
+"""
 
-/* MIXED policy: float32 per-pair products, float64 accumulation. */
-void acc_scaled_f32f64(double *forces, const int64_t *pi, const int64_t *pj,
-                       int64_t m, const float *dr, const float *f_over_r) {
-    int64_t k = 0;
-    while (k < m) {
-        int64_t a = pi[k];
-        double sx = 0.0, sy = 0.0, sz = 0.0;
-        do {
-            float f = f_over_r[k];
-            float wx = f * dr[3*k], wy = f * dr[3*k+1], wz = f * dr[3*k+2];
-            sx += (double)wx; sy += (double)wy; sz += (double)wz;
-            int64_t b = pj[k];
-            forces[3*b] -= (double)wx;
-            forces[3*b+1] -= (double)wy;
-            forces[3*b+2] -= (double)wz;
-            k++;
-        } while (k < m && pi[k] == a);
-        forces[3*a] += sx; forces[3*a+1] += sy; forces[3*a+2] += sz;
-    }
-}
-
-void acc_pair_f64(double *forces, const int64_t *pi, const int64_t *pj,
-                  int64_t m, const double *fv) {
-    int64_t k = 0;
-    while (k < m) {
-        int64_t a = pi[k];
-        double sx = 0.0, sy = 0.0, sz = 0.0;
-        do {
-            double wx = fv[3*k], wy = fv[3*k+1], wz = fv[3*k+2];
-            sx += wx; sy += wy; sz += wz;
-            int64_t b = pj[k];
-            forces[3*b] -= wx; forces[3*b+1] -= wy; forces[3*b+2] -= wz;
-            k++;
-        } while (k < m && pi[k] == a);
-        forces[3*a] += sx; forces[3*a+1] += sy; forces[3*a+2] += sz;
-    }
-}
-
-void acc_pair_f32(float *forces, const int64_t *pi, const int64_t *pj,
-                  int64_t m, const float *fv) {
-    int64_t k = 0;
-    while (k < m) {
-        int64_t a = pi[k];
-        float sx = 0.0f, sy = 0.0f, sz = 0.0f;
-        do {
-            float wx = fv[3*k], wy = fv[3*k+1], wz = fv[3*k+2];
-            sx += wx; sy += wy; sz += wz;
-            int64_t b = pj[k];
-            forces[3*b] -= wx; forces[3*b+1] -= wy; forces[3*b+2] -= wz;
-            k++;
-        } while (k < m && pi[k] == a);
-        forces[3*a] += sx; forces[3*a+1] += sy; forces[3*a+2] += sz;
-    }
-}
-
-void acc_pair_f32f64(double *forces, const int64_t *pi, const int64_t *pj,
-                     int64_t m, const float *fv) {
-    int64_t k = 0;
-    while (k < m) {
-        int64_t a = pi[k];
-        double sx = 0.0, sy = 0.0, sz = 0.0;
-        do {
-            float wx = fv[3*k], wy = fv[3*k+1], wz = fv[3*k+2];
-            sx += (double)wx; sy += (double)wy; sz += (double)wz;
-            int64_t b = pj[k];
-            forces[3*b] -= (double)wx;
-            forces[3*b+1] -= (double)wy;
-            forces[3*b+2] -= (double)wz;
-            k++;
-        } while (k < m && pi[k] == a);
-        forces[3*a] += sx; forces[3*a+1] += sy; forces[3*a+2] += sz;
-    }
-}
-
+_GEOMETRY_C = r"""
 /* ------------------------------------------------------------------ */
 /* Minimum image of one displacement component on a periodic axis,     */
 /* with h = 0.49 * L.  For |d| <= h the quotient d / L rounds to +-0,  */
@@ -235,12 +176,8 @@ void acc_pair_f32f64(double *forces, const int64_t *pi, const int64_t *pj,
 /* and takes the full expression.                                      */
 /* ------------------------------------------------------------------ */
 
-static inline double min_image_f64(double d, double L, double h) {
-    return fabs(d) <= h ? d + 0.0 : d - rint(d / L) * L;
-}
-
-static inline float min_image_f32(float d, float L, float h) {
-    return fabsf(d) <= h ? d + 0.0f : d - rintf(d / L) * L;
+static inline VAL FN(min_image)(VAL d, VAL L, VAL h) {
+    return F(fabs)(d) <= h ? d + F(0.0) : d - F(rint)(d / L) * L;
 }
 
 /* ------------------------------------------------------------------ */
@@ -249,58 +186,26 @@ static inline float min_image_f32(float d, float L, float h) {
 /* count.  r2 replicates einsum's per-dtype summation order.           */
 /* ------------------------------------------------------------------ */
 
-int64_t pair_geom_f64(const double *pos, const int64_t *pi, const int64_t *pj,
-                      int64_t m, const double *lengths, const uint8_t *periodic,
-                      double rc2, int64_t *oi, int64_t *oj,
-                      double *odr, double *orr) {
-    double Lx = lengths[0], Ly = lengths[1], Lz = lengths[2];
-    double hx = 0.49 * Lx, hy = 0.49 * Ly, hz = 0.49 * Lz;
-    int px = periodic[0], py = periodic[1], pz = periodic[2];
+int64_t FN(pair_geom)(const VAL *pos, const int64_t *pi, const int64_t *pj,
+                      int64_t m, const VAL *lengths, const uint8_t *periodic,
+                      VAL rc2, int64_t *oi, int64_t *oj, VAL *odr, VAL *orr) {
+    BOX_LOCALS
     int64_t c = 0;
     for (int64_t k = 0; k < m; k++) {
-        const double *a = pos + 3*pi[k];
-        const double *b = pos + 3*pj[k];
-        double dx = a[0] - b[0], dy = a[1] - b[1], dz = a[2] - b[2];
-        if (px) dx = min_image_f64(dx, Lx, hx);
-        if (py) dy = min_image_f64(dy, Ly, hy);
-        if (pz) dz = min_image_f64(dz, Lz, hz);
-        double r2 = (dx*dx + dz*dz) + dy*dy;   /* einsum f64 order */
+        PAIR_GEOMETRY(pos + 3*pi[k], pos + 3*pj[k])
         if (r2 < rc2) {
             oi[c] = pi[k]; oj[c] = pj[k];
             odr[3*c] = dx; odr[3*c+1] = dy; odr[3*c+2] = dz;
-            orr[c] = sqrt(r2);
+            orr[c] = F(sqrt)(r2);
             c++;
         }
     }
     return c;
 }
+"""
 
-int64_t pair_geom_f32(const float *pos, const int64_t *pi, const int64_t *pj,
-                      int64_t m, const float *lengths, const uint8_t *periodic,
-                      float rc2, int64_t *oi, int64_t *oj,
-                      float *odr, float *orr) {
-    float Lx = lengths[0], Ly = lengths[1], Lz = lengths[2];
-    float hx = 0.49f * Lx, hy = 0.49f * Ly, hz = 0.49f * Lz;
-    int px = periodic[0], py = periodic[1], pz = periodic[2];
-    int64_t c = 0;
-    for (int64_t k = 0; k < m; k++) {
-        const float *a = pos + 3*pi[k];
-        const float *b = pos + 3*pj[k];
-        float dx = a[0] - b[0], dy = a[1] - b[1], dz = a[2] - b[2];
-        if (px) dx = min_image_f32(dx, Lx, hx);
-        if (py) dy = min_image_f32(dy, Ly, hy);
-        if (pz) dz = min_image_f32(dz, Lz, hz);
-        float r2 = (dx*dx + dy*dy) + dz*dz;    /* einsum f32 order */
-        if (r2 < rc2) {
-            oi[c] = pi[k]; oj[c] = pj[k];
-            odr[3*c] = dx; odr[3*c+1] = dy; odr[3*c+2] = dz;
-            orr[c] = sqrtf(r2);
-            c++;
-        }
-    }
-    return c;
-}
-
+# float64-only kernels; min_image_f64 is _GEOMETRY_C's float64 instance.
+_DOUBLE_C = r"""
 /* ------------------------------------------------------------------ */
 /* Fused lj/cut force pass: stored list -> forces in one sweep.        */
 /*                                                                     */
@@ -346,22 +251,14 @@ int64_t lj_half_f64(const double *pos, const int64_t *pi, const int64_t *pj,
                     const double *eps, const double *sigma,
                     const double *shift, double *forces,
                     double *oe, double *ov) {
-    double Lx = lengths[0], Ly = lengths[1], Lz = lengths[2];
-    double hx = 0.49 * Lx, hy = 0.49 * Ly, hz = 0.49 * Lz;
-    int px = periodic[0], py = periodic[1], pz = periodic[2];
+    BOX_LOCALS
     double e4 = 4.0 * eps[0], e24 = 24.0 * eps[0];
     double ss = sigma[0] * sigma[0], sh = shift[0];
     int64_t c = 0, a = -1;
     double sx = 0.0, sy = 0.0, sz = 0.0;
     for (int64_t k = 0; k < m; k++) {
         int64_t i = pi[k], j = pj[k];
-        const double *p = pos + 3*i;
-        const double *q = pos + 3*j;
-        double dx = p[0] - q[0], dy = p[1] - q[1], dz = p[2] - q[2];
-        if (px) dx = min_image_f64(dx, Lx, hx);
-        if (py) dy = min_image_f64(dy, Ly, hy);
-        if (pz) dz = min_image_f64(dz, Lz, hz);
-        double r2 = (dx*dx + dz*dz) + dy*dy;       /* einsum f64 order */
+        PAIR_GEOMETRY(pos + 3*i, pos + 3*j)
         if (!(r2 < rc2)) continue;
         if (i != a) {
             if (a >= 0) {
@@ -403,21 +300,13 @@ int64_t lj_rows_f64(const double *pos, const int64_t *di, const int64_t *dj,
                     const double *eps, const double *sigma,
                     const double *shift, double *forces,
                     double *energy_out, double *virial_out) {
-    double Lx = lengths[0], Ly = lengths[1], Lz = lengths[2];
-    double hx = 0.49 * Lx, hy = 0.49 * Ly, hz = 0.49 * Lz;
-    int px = periodic[0], py = periodic[1], pz = periodic[2];
+    BOX_LOCALS
     double e4 = 4.0 * eps[0], e24 = 24.0 * eps[0];
     double ss = sigma[0] * sigma[0], sh = shift[0];
     int64_t c = 0, a = -1;
     double sx = 0.0, sy = 0.0, sz = 0.0, se = 0.0, sv = 0.0;
     for (int64_t k = 0; k < m; k++) {
-        const double *p = pos + 3*gi[k];
-        const double *q = pos + 3*gj[k];
-        double dx = p[0] - q[0], dy = p[1] - q[1], dz = p[2] - q[2];
-        if (px) dx = min_image_f64(dx, Lx, hx);
-        if (py) dy = min_image_f64(dy, Ly, hy);
-        if (pz) dz = min_image_f64(dz, Lz, hz);
-        double r2 = (dx*dx + dz*dz) + dy*dy;       /* einsum f64 order */
+        PAIR_GEOMETRY(pos + 3*gi[k], pos + 3*gj[k])
         if (!(r2 < rc2)) continue;
         int64_t i = di[k];
         if (i != a) {
@@ -463,7 +352,10 @@ int64_t lj_rows_f64(const double *pos, const int64_t *di, const int64_t *dj,
 /* lie within L/4 of the box (wrapped positions do, to rounding) and   */
 /* every periodic dim must hold >= 3 cells, else binning returns -2    */
 /* and the caller takes the numpy path (-1: allocation failure, 0:     */
-/* binned).  cell_bins_free releases whatever was allocated.           */
+/* binned).  So does a grid of more than INT32_MAX cells — the bound   */
+/* cell_list_half_pairs names in its error: the count is multiplied up */
+/* in double, so neither it nor the flat cell index can wrap.          */
+/* cell_bins_free releases whatever was allocated.                     */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
@@ -479,12 +371,15 @@ static void cell_bins_free(cell_bins *g) {
 static int64_t cell_bins_build(cell_bins *g, const double *pos, int64_t n,
                                const double *lengths, const double *origin,
                                const uint8_t *periodic, double rc) {
-    double cell_size[3];
+    double cell_size[3], grid = 1.0;
     g->coords = g->flat = g->starts = g->fill = g->order = g->slot = NULL;
     for (int d = 0; d < 3; d++) {
-        int64_t nc = (int64_t)floor(lengths[d] / rc);
-        g->n_cells[d] = nc < 1 ? 1 : nc;
-        cell_size[d] = lengths[d] / (double)g->n_cells[d];
+        double nc = floor(lengths[d] / rc);
+        if (!(nc >= 1.0)) nc = 1.0;
+        grid *= nc;
+        if (!(grid <= (double)INT32_MAX)) return -2;
+        g->n_cells[d] = (int64_t)nc;
+        cell_size[d] = lengths[d] / nc;
         if (periodic[d] && g->n_cells[d] < 3) return -2;
     }
     const int64_t *n_cells = g->n_cells;
@@ -754,6 +649,97 @@ double max_disp_sq_f64(const double *pos, const double *ref, int64_t n,
 }
 """
 
+F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
+
+#: Per value dtype: its C type, its ctypes scalar, the body of ``F(x)``
+#: and the association ``np.einsum("ij,ij->i")`` sums three squares in.
+_C_TYPES = {
+    F64: ("double", ctypes.c_double, "x", "((xx + zz) + yy)"),
+    F32: ("float", ctypes.c_float, "x##f", "((xx + yy) + zz)"),
+}
+
+_POLICIES = [policy_for(mode) for mode in PRECISIONS]
+
+#: Instance lists: the distinct ``(VAL, ACC)`` dtype pairs the policies
+#: ask of a kernel family, each with a policy that runs it (the one the
+#: smoke test checks it under).  Per-pair values arrive in the compute
+#: dtype and add up in the accumulate dtype; geometry is storage-typed.
+ACCUMULATE = {(p.compute_dtype, p.accumulate_dtype): p for p in _POLICIES}
+GEOMETRY = {(p.storage_dtype, p.storage_dtype): p for p in _POLICIES}
+DOUBLE = {(DOUBLE_POLICY.storage_dtype, DOUBLE_POLICY.storage_dtype): DOUBLE_POLICY}
+
+#: The instance table: ``stem -> (instances, restype, signature)``, one
+#: row per C body.  A signature names each argument by one letter: an
+#: array by its element type — ``v`` VAL, ``a`` ACC, ``i`` int64, ``u``
+#: uint8 — in upper case when the kernel writes it; ``n`` is an int64
+#: scalar, ``s`` a VAL scalar and ``N`` an int64 returned by pointer.
+KERNELS = {
+    "scatter1": (ACCUMULATE, None, "A i v n"),
+    "scatter3": (ACCUMULATE, None, "A i v n"),
+    "acc_scaled": (ACCUMULATE, None, "A i i n v v"),
+    "acc_pair": (ACCUMULATE, None, "A i i n v"),
+    "pair_geom": (GEOMETRY, ctypes.c_int64, "v i i n v u s I I V V"),
+    "lj_half": (DOUBLE, ctypes.c_int64, "v i i n v u s i n v v v A A A"),
+    "lj_rows": (DOUBLE, ctypes.c_int64, "v i i i i n v u s i n v v v A A A"),
+    "cell_csr": (DOUBLE, ctypes.c_int64, "v n v v u s s I I n I N"),
+    "cell_rows": (DOUBLE, ctypes.c_int64, "v n v v u s s i n I I n I"),
+    "max_disp_sq": (DOUBLE, ctypes.c_double, "v v n v v u"),
+}
+
+
+def symbol(stem: str, val: np.dtype, acc: np.dtype) -> str:
+    """Exported name of one instance; the accumulator is named only
+    when it is not the value type (``scatter1_f32f64``)."""
+    accumulator = "" if acc == val else f"f{8 * acc.itemsize}"
+    return f"{stem}_f{8 * val.itemsize}{accumulator}"
+
+
+def _instantiate(template: str, val: np.dtype, acc: np.dtype) -> str:
+    """``template`` between the macro definitions of one instance."""
+    ctype, _, suffixed, r2 = _C_TYPES[val]
+    macros = {
+        "VAL": ctype,
+        "ACC": _C_TYPES[acc][0],
+        "FN(stem)": symbol("stem##", val, acc),
+        "F(x)": suffixed,
+        "R2(xx, yy, zz)": r2,
+    }
+    define = "".join(f"#define {name} {body}\n" for name, body in macros.items())
+    undef = "".join(f"#undef {name.partition('(')[0]}\n" for name in macros)
+    return define + template + undef
+
+
+#: The unit that is compiled, and whose hash keys the build cache: each
+#: template once per instance (``min_image`` ahead of its f64 callers).
+_SOURCE = _PRELUDE + "".join(
+    _instantiate(template, val, acc)
+    for instances, template in (
+        (ACCUMULATE, _ACCUMULATE_C),
+        (GEOMETRY, _GEOMETRY_C),
+        (DOUBLE, _DOUBLE_C),
+    )
+    for val, acc in instances
+)
+
+
+def _argtypes(signature: str, val: np.dtype, acc: np.dtype) -> list:
+    """ctypes ``argtypes`` of one instance from its row's signature."""
+    scalars = {
+        "n": ctypes.c_int64,
+        "s": _C_TYPES[val][1],
+        "N": ctypes.POINTER(ctypes.c_int64),
+    }
+    elements = {"v": val, "a": acc, "i": np.int64, "u": np.uint8}
+    return [
+        scalars.get(letter) or _ptr(elements[letter.lower()], letter.isupper())
+        for letter in signature.split()
+    ]
+
+
+def _ptr(dtype, writeable=False):
+    flags = "C_CONTIGUOUS,WRITEABLE" if writeable else "C_CONTIGUOUS"
+    return ndpointer(dtype=dtype, flags=flags)
+
 
 def _find_compiler() -> str | None:
     """``$CC`` when set — and then only it, so a bad ``$CC`` is reported
@@ -819,11 +805,6 @@ def _build_library() -> tuple[ctypes.CDLL, str]:
     return ctypes.CDLL(str(so_path)), cc
 
 
-def _ptr(dtype, writeable=False):
-    flags = "C_CONTIGUOUS,WRITEABLE" if writeable else "C_CONTIGUOUS"
-    return ndpointer(dtype=dtype, flags=flags)
-
-
 class CcProvider:
     """ctypes bindings over the cached shared object.
 
@@ -844,128 +825,40 @@ class CcProvider:
             self.version = banner[0].strip() if banner else cc
         except Exception:  # pragma: no cover - cosmetic only
             self.version = cc
-        i64, f64, f32, u8 = np.int64, np.float64, np.float32, np.uint8
-        c_i64, c_f64, c_f32 = ctypes.c_int64, ctypes.c_double, ctypes.c_float
+        #: The table, resolved: ``(stem, VAL, ACC) -> bound function``.
+        self.bound = {}
+        for stem, (instances, restype, signature) in KERNELS.items():
+            for val, acc in instances:
+                fn = getattr(lib, symbol(stem, val, acc))
+                fn.restype = restype
+                fn.argtypes = _argtypes(signature, val, acc)
+                self.bound[stem, val, acc] = fn
 
-        def bind(name, restype, argtypes):
-            fn = getattr(lib, name)
-            fn.restype = restype
-            fn.argtypes = argtypes
-            return fn
-
-        self._scatter1 = {
-            (f64, f64): bind(
-                "scatter1_f64", None, [_ptr(f64, True), _ptr(i64), _ptr(f64), c_i64]
-            ),
-            (f32, f32): bind(
-                "scatter1_f32", None, [_ptr(f32, True), _ptr(i64), _ptr(f32), c_i64]
-            ),
-            (f64, f32): bind(
-                "scatter1_f32f64", None, [_ptr(f64, True), _ptr(i64), _ptr(f32), c_i64]
-            ),
-        }
-        self._scatter3 = {
-            (f64, f64): bind(
-                "scatter3_f64", None, [_ptr(f64, True), _ptr(i64), _ptr(f64), c_i64]
-            ),
-            (f32, f32): bind(
-                "scatter3_f32", None, [_ptr(f32, True), _ptr(i64), _ptr(f32), c_i64]
-            ),
-            (f64, f32): bind(
-                "scatter3_f32f64", None, [_ptr(f64, True), _ptr(i64), _ptr(f32), c_i64]
-            ),
-        }
-        acc_args = lambda ft, vt: [  # noqa: E731 - local signature helper
-            _ptr(ft, True), _ptr(i64), _ptr(i64), c_i64, _ptr(vt), _ptr(vt)
-        ]
-        self._acc_scaled = {
-            (f64, f64): bind("acc_scaled_f64", None, acc_args(f64, f64)),
-            (f32, f32): bind("acc_scaled_f32", None, acc_args(f32, f32)),
-            (f64, f32): bind("acc_scaled_f32f64", None, acc_args(f64, f32)),
-        }
-        pair_args = lambda ft, vt: [  # noqa: E731
-            _ptr(ft, True), _ptr(i64), _ptr(i64), c_i64, _ptr(vt)
-        ]
-        self._acc_pair = {
-            (f64, f64): bind("acc_pair_f64", None, pair_args(f64, f64)),
-            (f32, f32): bind("acc_pair_f32", None, pair_args(f32, f32)),
-            (f64, f32): bind("acc_pair_f32f64", None, pair_args(f64, f32)),
-        }
-        geom_args = lambda ft, c_f: [  # noqa: E731
-            _ptr(ft), _ptr(i64), _ptr(i64), c_i64, _ptr(ft), _ptr(u8), c_f,
-            _ptr(i64, True), _ptr(i64, True), _ptr(ft, True), _ptr(ft, True),
-        ]
-        self._pair_geom = {
-            f64: bind("pair_geom_f64", c_i64, geom_args(f64, c_f64)),
-            f32: bind("pair_geom_f32", c_i64, geom_args(f32, c_f32)),
-        }
-        lj_args = [
-            _ptr(f64), _ptr(u8), c_f64, _ptr(i64), c_i64,
-            _ptr(f64), _ptr(f64), _ptr(f64),
-            _ptr(f64, True), _ptr(f64, True), _ptr(f64, True),
-        ]
-        self._lj_half = bind(
-            "lj_half_f64",
-            c_i64,
-            [_ptr(f64), _ptr(i64), _ptr(i64), c_i64, *lj_args],
-        )
-        self._lj_rows = bind(
-            "lj_rows_f64",
-            c_i64,
-            [_ptr(f64), *[_ptr(i64)] * 4, c_i64, *lj_args],
-        )
-        self._cell_csr = bind(
-            "cell_csr_f64",
-            c_i64,
-            [
-                _ptr(f64), c_i64, _ptr(f64), _ptr(f64), _ptr(u8), c_f64, c_f64,
-                _ptr(i64, True), _ptr(i64, True), c_i64, _ptr(i64, True),
-                ctypes.POINTER(c_i64),
-            ],
-        )
-        self._cell_rows = bind(
-            "cell_rows_f64",
-            c_i64,
-            [
-                _ptr(f64), c_i64, _ptr(f64), _ptr(f64), _ptr(u8), c_f64, c_f64,
-                _ptr(i64), c_i64, _ptr(i64, True), _ptr(i64, True), c_i64,
-                _ptr(i64, True),
-            ],
-        )
-        self._max_disp_sq = bind(
-            "max_disp_sq_f64",
-            c_f64,
-            [_ptr(f64), _ptr(f64), c_i64, _ptr(f64), _ptr(f64), _ptr(u8)],
-        )
-
-    # -- kernel entry points, dispatched on (out, values) dtypes --------
-    @staticmethod
-    def _key(out, values):
-        return (out.dtype.type, values.dtype.type)
-
+    # -- kernel entry points, dispatched on (values, out) dtypes --------
     def supports(self, out, values) -> bool:
-        return self._key(out, values) in self._scatter1
+        """Whether the accumulate kernels have a ``values -> out`` instance."""
+        return (values.dtype, out.dtype) in ACCUMULATE
 
     def scatter1(self, out, idx, v) -> None:
-        self._scatter1[self._key(out, v)](out, idx, v, len(idx))
+        self.bound["scatter1", v.dtype, out.dtype](out, idx, v, len(idx))
 
     def scatter3(self, out, idx, v) -> None:
-        self._scatter3[self._key(out, v)](out, idx, v, len(idx))
+        self.bound["scatter3", v.dtype, out.dtype](out, idx, v, len(idx))
 
     def acc_scaled(self, forces, i, j, dr, f_over_r) -> None:
-        self._acc_scaled[self._key(forces, f_over_r)](
+        self.bound["acc_scaled", f_over_r.dtype, forces.dtype](
             forces, i, j, len(i), dr, f_over_r
         )
 
     def acc_pair(self, forces, i, j, fv) -> None:
-        self._acc_pair[self._key(forces, fv)](forces, i, j, len(i), fv)
+        self.bound["acc_pair", fv.dtype, forces.dtype](forces, i, j, len(i), fv)
 
     def pair_geom(self, pos, pi, pj, lengths, periodic, rc2, oi, oj, odr, orr):
-        fn = self._pair_geom[pos.dtype.type]
+        fn = self.bound["pair_geom", pos.dtype, pos.dtype]
         # The cutoff compare runs in the position dtype: numpy (NEP 50)
         # casts the weak python-float rc^2 down to float32 for float32
         # operands, so the C side receives it pre-cast via c_float.
-        return int(fn(pos, pi, pj, len(pi), lengths, periodic, rc2, oi, oj, odr, orr))
+        return fn(pos, pi, pj, len(pi), lengths, periodic, rc2, oi, oj, odr, orr)
 
     def lj_half(
         self, pos, pi, pj, lengths, periodic, rc2, types, eps, sigma, shift,
@@ -977,11 +870,9 @@ class CcProvider:
         ``types`` is only read when ``nt > 1`` and must then hold values
         in ``[0, nt)``.
         """
-        return int(
-            self._lj_half(
-                pos, pi, pj, len(pi), lengths, periodic, rc2, types,
-                len(eps), eps, sigma, shift, forces, oe, ov,
-            )
+        return self.bound["lj_half", F64, F64](
+            pos, pi, pj, len(pi), lengths, periodic, rc2, types,
+            len(eps), eps, sigma, shift, forces, oe, ov,
         )
 
     def lj_rows(
@@ -989,11 +880,9 @@ class CcProvider:
         shift, forces, energy, virial,
     ):
         """Fused lj/cut pass over directed rows (i side only)."""
-        return int(
-            self._lj_rows(
-                pos, di, dj, gi, gj, len(di), lengths, periodic, rc2, types,
-                len(eps), eps, sigma, shift, forces, energy, virial,
-            )
+        return self.bound["lj_rows", F64, F64](
+            pos, di, dj, gi, gj, len(di), lengths, periodic, rc2, types,
+            len(eps), eps, sigma, shift, forces, energy, virial,
         )
 
     def cell_csr(
@@ -1001,11 +890,11 @@ class CcProvider:
     ):
         """``(count, within)``; see the C source for the status codes."""
         within = ctypes.c_int64(0)
-        count = self._cell_csr(
+        count = self.bound["cell_csr", F64, F64](
             pos, len(pos), lengths, origin, periodic, rc, count_rc2,
             oi, oj, len(oi), offsets, ctypes.byref(within),
         )
-        return int(count), int(within.value)
+        return count, within.value
 
     def cell_rows(
         self, pos, lengths, origin, periodic, rc, count_rc2, sort_key,
@@ -1015,14 +904,12 @@ class CcProvider:
         ``[0, len(within))`` (at most ``len(pos)``), whose per-anchor
         within-cutoff counts land in ``within``; ``sort_key`` holds one
         key per atom.  See the C source for the status codes."""
-        return int(
-            self._cell_rows(
-                pos, len(pos), lengths, origin, periodic, rc, count_rc2,
-                sort_key, len(within), oi, oj, len(oi), within,
-            )
+        return self.bound["cell_rows", F64, F64](
+            pos, len(pos), lengths, origin, periodic, rc, count_rc2,
+            sort_key, len(within), oi, oj, len(oi), within,
         )
 
     def max_disp_sq(self, pos, ref, lengths, origin, periodic) -> float:
-        return float(
-            self._max_disp_sq(pos, ref, len(pos), lengths, origin, periodic)
+        return self.bound["max_disp_sq", F64, F64](
+            pos, ref, len(pos), lengths, origin, periodic
         )

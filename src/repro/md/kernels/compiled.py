@@ -31,6 +31,7 @@ import os
 
 import numpy as np
 
+from repro.md.box import Box
 from repro.md.kernels.base import DirectedRows, SortedHalfPairs
 from repro.md.kernels.numpy_fast import NumpyFastBackend
 from repro.md.precision import PrecisionPolicy
@@ -83,228 +84,235 @@ def resolve_provider():
 
 
 def _smoke_test(provider) -> None:
-    """Run every provider entry point against the numpy backends.
+    """Run every instance the provider binds against the numpy backends.
 
     This is what turns "the library built" into "the library *works*":
     a codegen failure on any kernel disqualifies the provider before it
-    can ever touch simulation state.  The float64 scatter paths are
-    checked *bitwise* (the parallel-determinism contract); float32 and
-    mixed paths to their precision tiers.
+    can ever touch simulation state.  The loop is over the provider's
+    own instance table, each instance under the policy it serves, so
+    no kernel is bound without being checked (a row with no check is a
+    ``KeyError``): float64 accumulation *bitwise* (the parallel-
+    determinism contract), float32 to its policy's tier.
     """
-    from repro.md.box import Box
-    from repro.md.neighbor import cell_list_half_pairs, subdomain_directed_pairs
+    from repro.md.kernels._cc_impl import KERNELS
 
+    for stem, (instances, _, _) in KERNELS.items():
+        for policy in instances.values():
+            _SMOKE_CHECKS[stem](provider, stem, policy)
+
+
+def _check_accumulate(provider, stem, policy):
+    """A scatter or pair-accumulate instance against the ``numpy_fast``
+    method it stands in for, under the same policy.  Input-order
+    scatter is bitwise ``np.bincount`` when the accumulator is float64
+    (bincount's always is); the pair passes interleave the i/j sides
+    differently (register segments + inline scatter), so they are
+    summation-order-tolerant, not bitwise."""
     rng = np.random.default_rng(1234)
     n, m = 40, 300
-    idx = np.sort(rng.integers(0, n, m))
-    jdx = rng.integers(0, n, m)
+    i, j = np.sort(rng.integers(0, n, m)), rng.integers(0, n, m)
+    vectors = rng.normal(size=(m, 3)).astype(policy.compute_dtype)
+    scalars = rng.normal(size=m).astype(policy.compute_dtype)
+    method, args = {
+        "scatter1": ("scatter_add", (i, scalars)),
+        "scatter3": ("scatter_add", (i, vectors)),
+        "acc_scaled": ("accumulate_scaled_pair_forces", (i, j, vectors, scalars)),
+        "acc_pair": ("accumulate_pair_forces", (i, j, vectors)),
+    }[stem]
+    shape = (n,) if stem == "scatter1" else (n, 3)
+    got, expect = np.zeros((2, *shape), policy.accumulate_dtype)
+    getattr(provider, stem)(got, *args)
+    reference = NumpyFastBackend()
+    reference.set_policy(policy)
+    getattr(reference, method)(expect, *args)
+    if method == "scatter_add" and policy.accumulate_dtype == np.float64:
+        ok = np.array_equal(got, expect)
+    else:
+        tier = policy.force_rtol
+        ok = np.allclose(got, expect, rtol=tier, atol=tier)
+    if not ok:
+        raise AssertionError(f"{stem} ({policy.mode.value}) deviates from numpy_fast")
 
-    # Scatter: float64 bitwise vs bincount, mixed widening vs bincount.
-    v64 = rng.normal(size=m)
-    out = np.zeros(n)
-    provider.scatter1(out, idx, v64)
-    if not np.array_equal(out, np.bincount(idx, weights=v64, minlength=n)):
-        raise AssertionError("scatter1 f64 deviates from bincount")
-    v32 = v64.astype(np.float32)
-    out = np.zeros(n)
-    provider.scatter1(out, idx, v32)
-    expect = np.bincount(idx, weights=v32, minlength=n)
-    if not np.array_equal(out, expect):
-        raise AssertionError("scatter1 mixed deviates from bincount")
-    out32 = np.zeros(n, np.float32)
-    provider.scatter1(out32, idx, v32)
-    np.testing.assert_allclose(out32, expect, rtol=1e-5, atol=1e-6)
 
-    w64 = rng.normal(size=(m, 3))
-    out = np.zeros((n, 3))
-    provider.scatter3(out, idx, w64)
-    for d in range(3):
-        if not np.array_equal(
-            out[:, d], np.bincount(idx, weights=w64[:, d], minlength=n)
-        ):
-            raise AssertionError("scatter3 f64 deviates from bincount")
+_SMOKE_RC = 2.5
 
-    # Fused pair accumulation vs the numpy_fast formulation.  The i/j
-    # sides interleave differently (register segments + inline scatter),
-    # so this is summation-order-tolerant, not bitwise.
-    dr = rng.normal(size=(m, 3))
-    f_over_r = rng.normal(size=m)
-    got = np.zeros((n, 3))
-    provider.acc_scaled(got, idx, jdx, dr, f_over_r)
-    ref_scaled = np.zeros((n, 3))
-    NumpyFastBackend().accumulate_scaled_pair_forces(
-        ref_scaled, idx, jdx, dr, f_over_r
-    )
-    np.testing.assert_allclose(got, ref_scaled, rtol=1e-12, atol=1e-12)
-    got = np.zeros((n, 3))
-    provider.acc_pair(got, idx, jdx, dr)
-    ref_pair = np.zeros((n, 3))
-    NumpyFastBackend().accumulate_pair_forces(ref_pair, idx, jdx, dr)
-    np.testing.assert_allclose(got, ref_pair, rtol=1e-12, atol=1e-12)
-    got64 = np.zeros((n, 3))
-    provider.acc_scaled(
-        got64, idx, jdx, dr.astype(np.float32), f_over_r.astype(np.float32)
-    )
-    np.testing.assert_allclose(
-        got64, _mixed_ref(n, idx, jdx, dr, f_over_r), rtol=1e-5, atol=1e-5
-    )
-    got32 = np.zeros((n, 3), np.float32)
-    provider.acc_scaled(
-        got32, idx, jdx, dr.astype(np.float32), f_over_r.astype(np.float32)
-    )
-    np.testing.assert_allclose(got32, ref_scaled, rtol=1e-4, atol=1e-4)
 
-    # Pair geometry: bitwise vs the numpy_fast op sequence (float64).
+def _smoke_pairs(dtype):
+    """``(box, pos, pi, pj, keep, dr, r2)``: a stored pair list over a
+    partly periodic box in ``dtype``, and the rows (with their geometry)
+    that the numpy minimum-image / einsum / cutoff sequence keeps."""
+    rng = np.random.default_rng(1234)
+    n = 40
     box = Box([7.0, 8.0, 9.0], periodic=(True, True, False))
-    pos = rng.uniform(0, 1, (n, 3)) * box.lengths
-    pi = np.repeat(np.arange(n, dtype=np.int64), n)[: 4 * m]
-    pj = np.tile(np.arange(n, dtype=np.int64), n)[: 4 * m]
-    keep = pi != pj
-    pi, pj = pi[keep], pj[keep]
-    rc = 2.5
-    oi = np.empty(len(pi), np.int64)
-    oj = np.empty(len(pi), np.int64)
-    odr = np.empty((len(pi), 3))
-    orr = np.empty(len(pi))
-    c = provider.pair_geom(
-        pos,
-        pi,
-        pj,
-        box.lengths,
-        np.ascontiguousarray(box.periodic, dtype=np.uint8),
-        rc * rc,
-        oi,
-        oj,
-        odr,
-        orr,
-    )
-    d = box.minimum_image(pos[pi] - pos[pj])
-    r2 = np.einsum("ij,ij->i", d, d)
-    k = np.flatnonzero(r2 < rc * rc)
-    if not (
-        c == len(k)
-        and np.array_equal(oi[:c], pi[k])
-        and np.array_equal(oj[:c], pj[k])
-        and np.array_equal(odr[:c], d[k])
-        and np.array_equal(orr[:c], np.sqrt(r2[k]))
-    ):
-        raise AssertionError("pair_geom f64 deviates from minimum-image oracle")
+    pos = (rng.uniform(0, 1, (n, 3)) * box.lengths).astype(dtype)
+    pi = np.repeat(np.arange(n, dtype=np.int64), n)[:1200]
+    pj = np.tile(np.arange(n, dtype=np.int64), n)[:1200]
+    pi, pj = pi[pi != pj], pj[pi != pj]
+    dr = box.minimum_image(pos[pi] - pos[pj])
+    r2 = np.einsum("ij,ij->i", dr, dr)
+    keep = np.flatnonzero(r2 < _SMOKE_RC * _SMOKE_RC)
+    return box, pos, pi, pj, keep, dr[keep], r2[keep]
 
-    # Fused lj/cut: bitwise the unfused sequence it replaces (geometry
-    # -> pair_terms -> accumulate, numpy reductions), with two atom
-    # types and pre-loaded outputs — the digest chain must not be able
-    # to tell which route ran.
+
+def _check_pair_geom(provider, stem, policy):
+    """Pair geometry: bitwise the numpy op sequence in the storage dtype."""
+    dtype = policy.storage_dtype
+    box, pos, pi, pj, keep, dr, r2 = _smoke_pairs(dtype)
+    oi, oj = np.empty((2, len(pi)), np.int64)
+    odr, orr = np.empty((len(pi), 3), dtype), np.empty(len(pi), dtype)
+    c = provider.pair_geom(
+        pos, pi, pj, box.lengths.astype(dtype), _box_f64(box)[2],
+        dtype.type(_SMOKE_RC * _SMOKE_RC), oi, oj, odr, orr,
+    )
+    if not (
+        c == len(keep)
+        and np.array_equal(oi[:c], pi[keep])
+        and np.array_equal(oj[:c], pj[keep])
+        and np.array_equal(odr[:c], dr)
+        and np.array_equal(orr[:c], np.sqrt(r2))
+    ):
+        raise AssertionError(f"pair_geom ({dtype}) deviates from the numpy oracle")
+
+
+def _check_lj(provider, stem, policy):
+    """Fused lj/cut: bitwise the unfused sequence it replaces (geometry
+    -> pair_terms -> accumulate, numpy reductions), with two atom types
+    and pre-loaded outputs — the digest chain must not be able to tell
+    which route ran."""
     from repro.md.potentials.lj import LennardJonesCut
 
-    pot = LennardJonesCut([1.0, 0.7], [1.0, 1.15], cutoff=rc)
-    tables = pot.fused_style().coeffs
-    types = rng.integers(0, 2, n)
+    box, pos, pi, pj, keep, dr, r2 = _smoke_pairs(policy.storage_dtype)
     lengths, _, periodic = _box_f64(box)
-    start = rng.normal(size=(n, 3))
-    gi, gj, gr = oi[:c].copy(), oj[:c].copy(), orr[:c].copy()
-    energy, f_over_r = pot.pair_terms(
-        gr, gr * gr, types[gi], types[gj], None, None
-    )
-    ref = start.copy()
-    provider.acc_scaled(ref, gi, gj, odr[:c].copy(), f_over_r)
-    got = start.copy()
-    pair_e, pair_w = np.empty(len(pi)), np.empty(len(pi))
-    count = provider.lj_half(
-        pos, pi, pj, lengths, periodic, rc * rc, types, *tables,
-        got, pair_e, pair_w,
-    )
-    if not (
-        count == c
-        and np.array_equal(got, ref)
-        and np.array_equal(pair_e[:c], energy)
-        and np.array_equal(pair_w[:c], f_over_r * (gr * gr))
-    ):
-        raise AssertionError("fused lj_half deviates from the unfused path")
-    # Directed rows: the same pairs read as (head, partner) rows.
-    energy, f_over_r = pot.pair_terms(
-        np.sqrt(r2[k]), r2[k], types[pi[k]], types[pj[k]], None, None
-    )
-    ref = [start.copy(), start[:, 0].copy(), start[:, 1].copy()]
-    provider.scatter3(ref[0], pi[k], f_over_r[:, None] * d[k])
-    provider.scatter1(ref[1], pi[k], 0.5 * energy)
-    provider.scatter1(ref[2], pi[k], 0.5 * f_over_r * r2[k])
-    got = [start.copy(), start[:, 0].copy(), start[:, 1].copy()]
-    count = provider.lj_rows(
-        pos, pi, pj, pi, pj, lengths, periodic, rc * rc, types, *tables, *got
-    )
-    if count != len(k) or not all(map(np.array_equal, got, ref)):
-        raise AssertionError("fused lj_rows deviates from the unfused path")
+    rng = np.random.default_rng(4321)
+    pot = LennardJonesCut([1.0, 0.7], [1.0, 1.15], cutoff=_SMOKE_RC)
+    types = rng.integers(0, 2, len(pos))
+    start = rng.normal(size=pos.shape)
+    head = (lengths, periodic, _SMOKE_RC * _SMOKE_RC, types, *pot.fused_style().coeffs)
+    gi, gj, r = pi[keep], pj[keep], np.sqrt(r2)
+    if stem == "lj_half":
+        # The half-list path hands pair_terms r * r, not einsum's r2.
+        energy, f_over_r = pot.pair_terms(r, r * r, types[gi], types[gj], None, None)
+        ref = [start.copy(), energy, f_over_r * (r * r)]
+        provider.acc_scaled(ref[0], gi, gj, dr, f_over_r)
+        got = [start.copy(), np.empty(len(pi)), np.empty(len(pi))]
+        count = provider.lj_half(pos, pi, pj, *head, *got)
+        got[1:] = got[1][:count], got[2][:count]
+    else:
+        # Directed rows: the same pairs read as (head, partner) rows.
+        energy, f_over_r = pot.pair_terms(r, r2, types[gi], types[gj], None, None)
+        ref = [start.copy(), start[:, 0].copy(), start[:, 1].copy()]
+        provider.scatter3(ref[0], gi, f_over_r[:, None] * dr)
+        provider.scatter1(ref[1], gi, 0.5 * energy)
+        provider.scatter1(ref[2], gi, 0.5 * f_over_r * r2)
+        got = [start.copy(), start[:, 0].copy(), start[:, 1].copy()]
+        count = provider.lj_rows(pos, pi, pj, pi, pj, *head, *got)
+    if not (count == len(keep) and all(map(np.array_equal, got, ref))):
+        raise AssertionError(f"fused {stem} deviates from the unfused path")
 
-    # CSR build: the rows must arrive exactly as lexsort((j, i)) orders
-    # the numpy build's pairs — the neighbor list no longer sorts them —
-    # with matching offsets and within-cutoff count, and a too-small
-    # buffer must report the true count without writing past it.
+
+def _smoke_cells():
+    """``(rng, box, pos)``: 120 atoms in a periodic box several cells wide."""
+    rng = np.random.default_rng(1234)
     box = Box([9.0, 9.5, 10.0])
-    pos = np.ascontiguousarray(rng.uniform(0, 1, (120, 3)) * box.lengths)
+    return rng, box, np.ascontiguousarray(rng.uniform(0, 1, (120, 3)) * box.lengths)
+
+
+def _built_twice(stem, ref_i, ref_j, build) -> bool:
+    """``build(out_i, out_j) -> count`` run with half the room the
+    reference rows need, then with room to spare: a too-small buffer
+    must report the true count without writing past it.  True when the
+    second run's rows are the reference's."""
+    for cap in (len(ref_i) // 2, len(ref_i) + 7):
+        oi, oj = np.full((2, cap + 1), -1, np.int64)
+        count = build(oi[:cap], oj[:cap])
+        if not (count == len(ref_i) and oi[cap] == oj[cap] == -1):
+            raise AssertionError(f"{stem} miscounts or overruns its buffers")
+    return np.array_equal(oi[:count], ref_i) and np.array_equal(oj[:count], ref_j)
+
+
+def _check_cell_csr(provider, stem, policy):
+    """CSR build: the rows must arrive exactly as lexsort((j, i)) orders
+    the numpy build's pairs — the neighbor list no longer sorts them —
+    with matching offsets and within-cutoff count."""
+    from repro.md.neighbor import cell_list_half_pairs
+
+    _, box, pos = _smoke_cells()
     ref_i, ref_j = cell_list_half_pairs(pos, box, 2.2)
-    ref_order = np.lexsort((ref_j, ref_i))
-    ref_i, ref_j = ref_i[ref_order], ref_j[ref_order]
+    order = np.lexsort((ref_j, ref_i))
+    ref_i, ref_j = ref_i[order], ref_j[order]
     d = box.minimum_image(pos[ref_i] - pos[ref_j])
     ref_within = int(np.count_nonzero(np.einsum("ij,ij->i", d, d) < 1.9 * 1.9))
-    box_args = _box_f64(box)
-    for cap in (len(ref_i) // 2, len(ref_i) + 7):
-        oi = np.full(cap + 1, -1, np.int64)
-        oj = np.full(cap + 1, -1, np.int64)
-        offsets = np.empty(len(pos) + 1, np.int64)
-        count, within = provider.cell_csr(
-            pos, *box_args, 2.2, 1.9 * 1.9, oi[:cap], oj[:cap], offsets
-        )
-        if count != len(ref_i) or oi[cap] != -1 or oj[cap] != -1:
-            raise AssertionError("cell_csr miscounts or overruns its buffers")
-    if not (
-        np.array_equal(oi[:count], ref_i)
-        and np.array_equal(oj[:count], ref_j)
-        and np.array_equal(
-            offsets, np.searchsorted(ref_i, np.arange(len(pos) + 1))
-        )
-        and within == ref_within
-    ):
-        raise AssertionError(
-            "cell_csr deviates from lexsorted cell_list_half_pairs"
-        )
+    offsets = np.empty(len(pos) + 1, np.int64)
+    within = np.empty(1, np.int64)
 
-    # Directed rows: exactly the numpy half list mirrored and lexsorted
-    # by (i, key[j]) under a non-monotone key and an anchor limit (what
-    # an engine worker's global ids and owned prefix are), with the
-    # same buffer discipline.
+    def build(out_i, out_j):
+        count, within[:] = provider.cell_csr(
+            pos, *_box_f64(box), 2.2, 1.9 * 1.9, out_i, out_j, offsets
+        )
+        return count
+
+    if not (
+        _built_twice(stem, ref_i, ref_j, build)
+        and np.array_equal(offsets, np.searchsorted(ref_i, np.arange(len(pos) + 1)))
+        and within[0] == ref_within
+    ):
+        raise AssertionError("cell_csr deviates from lexsorted cell_list_half_pairs")
+
+
+def _check_cell_rows(provider, stem, policy):
+    """Directed rows: exactly the numpy half list mirrored and lexsorted
+    by (i, key[j]) under a non-monotone key and an anchor limit (what
+    an engine worker's global ids and owned prefix are)."""
+    from repro.md.neighbor import subdomain_directed_pairs
+
+    rng, box, pos = _smoke_cells()
     key = rng.permutation(len(pos))
-    open_box = Box(box.lengths, periodic=(False,) * 3)
+    open_box = _box_f64(Box(box.lengths, periodic=(False,) * 3))
+    anchors = 70
     ref_i, ref_j, _ = subdomain_directed_pairs(
-        pos, 2.2, sort_key=key, anchor_limit=70, brute_force_max=0
+        pos, 2.2, sort_key=key, anchor_limit=anchors, brute_force_max=0
     )
     d = pos[ref_i] - pos[ref_j]
     inside = np.einsum("ij,ij->i", d, d) < 1.9 * 1.9
-    for cap in (len(ref_i) // 2, len(ref_i) + 7):
-        oi = np.full(cap + 1, -1, np.int64)
-        oj = np.full(cap + 1, -1, np.int64)
-        within = np.full(70 + 1, -1, np.int64)
-        count = provider.cell_rows(
-            pos, *_box_f64(open_box), 2.2, 1.9 * 1.9, key,
-            oi[:cap], oj[:cap], within[:70],
-        )
-        if count != len(ref_i) or not oi[cap] == oj[cap] == within[70] == -1:
-            raise AssertionError("cell_rows miscounts or overruns its buffers")
-    if not (
-        np.array_equal(oi[:count], ref_i)
-        and np.array_equal(oj[:count], ref_j)
-        and np.array_equal(within[:70], np.bincount(ref_i[inside], minlength=70))
-    ):
-        raise AssertionError(
-            "cell_rows deviates from the mirrored, lexsorted half list"
+    within = np.full(anchors + 1, -1, np.int64)
+
+    def build(out_i, out_j):
+        return provider.cell_rows(
+            pos, *open_box, 2.2, 1.9 * 1.9, key, out_i, out_j, within[:anchors]
         )
 
-    # Skin check: bitwise the numpy wrap/minimum-image/einsum maximum.
+    if not (
+        _built_twice(stem, ref_i, ref_j, build)
+        and np.array_equal(within[:-1], np.bincount(ref_i[inside], minlength=anchors))
+        and within[-1] == -1
+    ):
+        raise AssertionError("cell_rows deviates from the mirrored, lexsorted half list")
+
+
+def _check_max_disp_sq(provider, stem, policy):
+    """Skin check: bitwise the numpy wrap/minimum-image/einsum maximum."""
+    rng, box, pos = _smoke_cells()
     moved = pos + rng.normal(scale=0.4, size=pos.shape)
     disp = box.minimum_image(box.wrap(moved) - pos)
-    if provider.max_disp_sq(moved, pos, *box_args) != float(
+    if provider.max_disp_sq(moved, pos, *_box_f64(box)) != float(
         np.max(np.einsum("ij,ij->i", disp, disp))
     ):
         raise AssertionError("max_disp_sq deviates from the numpy skin check")
+
+
+#: The check behind each row of the provider's instance table.
+_SMOKE_CHECKS = {
+    "scatter1": _check_accumulate,
+    "scatter3": _check_accumulate,
+    "acc_scaled": _check_accumulate,
+    "acc_pair": _check_accumulate,
+    "pair_geom": _check_pair_geom,
+    "lj_half": _check_lj,
+    "lj_rows": _check_lj,
+    "cell_csr": _check_cell_csr,
+    "cell_rows": _check_cell_rows,
+    "max_disp_sq": _check_max_disp_sq,
+}
 
 
 def _box_f64(box):
@@ -329,16 +337,6 @@ def _native(array, dtype) -> bool:
         and array.dtype == dtype
         and array.flags.c_contiguous
     )
-
-
-def _mixed_ref(n, i, j, dr, f_over_r):
-    """numpy_fast MIXED accumulation: f32 products, f64 bincount."""
-    out = np.zeros((n, 3))
-    w32 = (f_over_r.astype(np.float32)[:, None] * dr.astype(np.float32))
-    for d in range(3):
-        out[:, d] += np.bincount(i, weights=w32[:, d], minlength=n)
-        out[:, d] -= np.bincount(j, weights=w32[:, d], minlength=n)
-    return out
 
 
 def compiled_available() -> bool:
@@ -385,77 +383,57 @@ class CompiledBackend(NumpyFastBackend):
         super().__init__()
         self._impl = provider
         # Pair-geometry output scratch (grow-only, storage-dtype typed).
-        self._pg_capacity = 0
-        self._pg_i = np.empty(0, np.int64)
-        self._pg_j = np.empty(0, np.int64)
-        self._pg_dr = np.empty((0, 3))
-        self._pg_r = np.empty(0)
-        # Neighbor-build output capacity hints from the last builds
-        # (half list, directed rows).
-        self._nb_hint = 0
-        self._rows_hint = 0
+        self._geom = (
+            np.empty(0, np.int64),
+            np.empty(0, np.int64),
+            np.empty((0, 3)),
+            np.empty(0),
+        )
+        # Output capacity hints from each native neighbor build's last run.
+        self._capacity_hint = {"cell_csr": 0, "cell_rows": 0}
         # Fused pair pass: per-pair energy / virial terms (grow-only).
         self._pair_energy = np.empty(0)
         self._pair_virial = np.empty(0)
 
-    def set_policy(self, policy: PrecisionPolicy) -> None:
-        if policy.storage_dtype != self.policy.storage_dtype:
-            self._pg_capacity = 0
-        super().set_policy(policy)
-
     # ------------------------------------------------------------------
     # Pair geometry
     # ------------------------------------------------------------------
-    def _geom_scratch(self, m: int):
+    def _pair_geom(self, positions, box, pair_i, pair_j, rc):
+        """``(count, i, j, dr, r)`` of the stored pairs within ``rc``,
+        by the ``pair_geom`` kernel in the storage dtype.  The outputs
+        are scratch the next call overwrites; their first ``count``
+        rows are valid."""
         dtype = self.policy.storage_dtype
-        if m > self._pg_capacity or self._pg_dr.dtype != dtype:
-            capacity = max(m, int(1.5 * self._pg_capacity), 1024)
-            self._pg_i = np.empty(capacity, np.int64)
-            self._pg_j = np.empty(capacity, np.int64)
-            self._pg_dr = np.empty((capacity, 3), dtype)
-            self._pg_r = np.empty(capacity, dtype)
-            self._pg_capacity = capacity
-        return self._pg_i, self._pg_j, self._pg_dr, self._pg_r
+        m = len(pair_i)
+        if m > len(self._geom[0]) or self._geom[2].dtype != dtype:
+            capacity = max(m, int(1.5 * len(self._geom[0])), 1024)
+            self._geom = (
+                np.empty(capacity, np.int64),
+                np.empty(capacity, np.int64),
+                np.empty((capacity, 3), dtype),
+                np.empty(capacity, dtype),
+            )
+        count = self._impl.pair_geom(
+            np.ascontiguousarray(positions, dtype=dtype),
+            np.ascontiguousarray(pair_i, dtype=np.int64),
+            np.ascontiguousarray(pair_j, dtype=np.int64),
+            np.ascontiguousarray(box.lengths, dtype=dtype),
+            np.ascontiguousarray(box.periodic, dtype=np.uint8),
+            # NEP 50: the cutoff compare runs in the geometry dtype with
+            # the python-float rc^2 cast down, so pre-cast it here.
+            dtype.type(rc * rc),
+            *self._geom,
+        )
+        return (count, *self._geom)
 
     def current_pairs(self, system, neighbors, cutoff=None):
         if neighbors._positions_at_build is None:
             raise RuntimeError("neighbor list has never been built")
         rc = neighbors.cutoff if cutoff is None else float(cutoff)
-        pair_i, pair_j = neighbors.pair_i, neighbors.pair_j
-        m = len(pair_i)
+        c, oi, oj, odr, orr = self._pair_geom(
+            system.positions, system.box, neighbors.pair_i, neighbors.pair_j, rc
+        )
         compute_dtype = self.policy.compute_dtype
-        if m == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return (
-                empty,
-                empty,
-                np.empty((0, 3), dtype=compute_dtype),
-                np.empty(0, dtype=compute_dtype),
-            )
-        geometry_dtype = self.policy.storage_dtype
-        positions = np.ascontiguousarray(
-            system.positions.astype(geometry_dtype, copy=False)
-        )
-        lengths = np.ascontiguousarray(
-            system.box.lengths.astype(geometry_dtype, copy=False)
-        )
-        periodic = np.ascontiguousarray(system.box.periodic, dtype=np.uint8)
-        oi, oj, odr, orr = self._geom_scratch(m)
-        # NEP 50: the cutoff compare runs in the geometry dtype with the
-        # python-float rc^2 cast down, so pre-cast it here.
-        rc2 = geometry_dtype.type(rc * rc)
-        c = self._impl.pair_geom(
-            positions,
-            np.ascontiguousarray(pair_i, dtype=np.int64),
-            np.ascontiguousarray(pair_j, dtype=np.int64),
-            lengths,
-            periodic,
-            rc2,
-            oi,
-            oj,
-            odr,
-            orr,
-        )
         # Compressed copies: scratch is reused next call and must not
         # leak out (same contract as numpy_fast).
         return (
@@ -619,6 +597,28 @@ class CompiledBackend(NumpyFastBackend):
     # ------------------------------------------------------------------
     # Neighbor-list build
     # ------------------------------------------------------------------
+    def _fitted(self, stem, estimate, build):
+        """The native builds' capacity protocol around ``build(out_i,
+        out_j) -> (count, *extra)``: fresh outputs every time (the
+        caller keeps views of them, so nothing is copied out of scratch
+        afterwards), sized by ``estimate`` or the last build's count
+        plus a quarter.  A kernel reports the true count even when it
+        did not fit, so one retry always suffices; a negative count
+        (allocation failure, unmet precondition, tied sort keys) gives
+        ``None``, else ``(out_i[:count], out_j[:count], *extra)``."""
+        capacity = max(self._capacity_hint[stem], estimate, 1024)
+        while True:
+            out_i = np.empty(capacity, np.int64)
+            out_j = np.empty(capacity, np.int64)
+            count, *extra = build(out_i, out_j)
+            if count < 0:
+                return None
+            if count <= capacity:
+                break
+            capacity = count
+        self._capacity_hint[stem] = count + (count >> 2)
+        return (out_i[:count], out_j[:count], *extra)
+
     def neighbor_pairs(self, positions, box, rc, count_cutoff=None):
         """Compiled link-cell CSR build (float64 positions only).
 
@@ -641,32 +641,23 @@ class CompiledBackend(NumpyFastBackend):
             0.0 if count_cutoff is None else float(count_cutoff * count_cutoff)
         )
         volume = float(np.prod(lengths))
-        # Half-pair estimate (4pi/6 * rc^3 * n^2 / V), padded; the build
-        # reports the true count so one retry always suffices.
+        # Half-pair estimate (4pi/6 * rc^3 * n^2 / V), padded.
         estimate = 16 * n
         if volume > 0:
             estimate += int(2.6 * float(rc) ** 3 * n * n / volume)
-        capacity = max(self._nb_hint, estimate, 1024)
-        while True:
-            # Fresh outputs every build: the list keeps views of them,
-            # so nothing is copied out of a scratch buffer afterwards.
-            out_i = np.empty(capacity, np.int64)
-            out_j = np.empty(capacity, np.int64)
-            count, within = self._impl.cell_csr(
+        built = self._fitted(
+            "cell_csr",
+            estimate,
+            lambda out_i, out_j: self._impl.cell_csr(
                 positions, lengths, origin, periodic, float(rc),
                 count_rc2, out_i, out_j, offsets,
-            )
-            if count < 0:  # allocation failure or unmet precondition
-                return None
-            if count <= capacity:
-                break
-            capacity = count
-        self._nb_hint = count + (count >> 2)
+            ),
+        )
+        if built is None:
+            return None
+        out_i, out_j, within = built
         return SortedHalfPairs(
-            out_i[:count],
-            out_j[:count],
-            offsets,
-            None if count_cutoff is None else within,
+            out_i, out_j, offsets, None if count_cutoff is None else within
         )
 
     def directed_rows(
@@ -703,32 +694,25 @@ class CompiledBackend(NumpyFastBackend):
         # Directed-row estimate at the mean density over the atoms'
         # extent (the box adds an empty margin): 4pi/3 * rc^3 * n / V
         # per anchor, padded.  Anchors near the surface hold fewer, so a
-        # uniform set fits first time; the kernel reports the true count
-        # and one retry covers the rest.
+        # uniform set fits first time.
         extent = np.maximum(np.ptp(positions, axis=0), float(rc))
         estimate = 16 * anchors + int(
             5.2 * float(rc) ** 3 * n * anchors / float(np.prod(extent))
         )
-        capacity = max(self._rows_hint, min(estimate, anchors * (n - 1)), 1024)
         within = np.empty(anchors, np.int64)
-        while True:
-            out_i = np.empty(capacity, np.int64)
-            out_j = np.empty(capacity, np.int64)
-            count = self._impl.cell_rows(
-                positions, lengths, origin, periodic, float(rc), count_rc2,
-                sort_key, out_i, out_j, within,
-            )
-            if count < 0:  # allocation failure, tied sort keys
-                return None
-            if count <= capacity:
-                break
-            capacity = count
-        self._rows_hint = count + (count >> 2)
-        return DirectedRows(
-            out_i[:count],
-            out_j[:count],
-            None if count_cutoff is None else within,
+        built = self._fitted(
+            "cell_rows",
+            min(estimate, anchors * (n - 1)),
+            lambda out_i, out_j: (
+                self._impl.cell_rows(
+                    positions, lengths, origin, periodic, float(rc), count_rc2,
+                    sort_key, out_i, out_j, within,
+                ),
+            ),
         )
+        if built is None:
+            return None
+        return DirectedRows(*built, None if count_cutoff is None else within)
 
     def count_pairs_within(self, positions, box, pair_i, pair_j, rc):
         """Count stored pairs within ``rc`` via the bitwise pair-geom
@@ -737,35 +721,16 @@ class CompiledBackend(NumpyFastBackend):
         if (
             positions.dtype != np.float64
             or positions.ndim != 2
-            or np.dtype(self.policy.storage_dtype) != np.float64
+            or self.policy.storage_dtype != np.float64
         ):
             return None
-        m = len(pair_i)
-        if m == 0:
-            return 0
-        oi, oj, odr, orr = self._geom_scratch(m)
-        count = self._impl.pair_geom(
-            np.ascontiguousarray(positions),
-            np.ascontiguousarray(pair_i, dtype=np.int64),
-            np.ascontiguousarray(pair_j, dtype=np.int64),
-            np.ascontiguousarray(box.lengths, dtype=np.float64),
-            np.ascontiguousarray(box.periodic, dtype=np.uint8),
-            np.float64(rc * rc),
-            oi,
-            oj,
-            odr,
-            orr,
-        )
-        return int(count)
+        return self._pair_geom(positions, box, pair_i, pair_j, rc)[0]
 
     def max_displacement_sq(self, positions, reference, box):
         """Native skin check (float64, C-contiguous ``(n, 3)`` only)."""
         if not (
-            isinstance(positions, np.ndarray)
-            and positions.dtype == np.float64
-            and positions.flags.c_contiguous
-            and reference.dtype == np.float64
-            and reference.flags.c_contiguous
+            _native(positions, np.float64)
+            and _native(reference, np.float64)
             and positions.shape == reference.shape
             and positions.ndim == 2
             and positions.shape[1] == 3

@@ -19,6 +19,7 @@ Two list flavours are supported, mirroring LAMMPS' ``newton`` setting:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,12 @@ __all__ = [
 # binning in numpy and trivially correct; above it we bin.  The default
 # of every ``brute_force_max=`` argument below.
 _BRUTE_FORCE_MAX_ATOMS = 800
+
+#: Most link cells a build will bin into (LAMMPS' "Too many neighbor
+#: bins" bound, a 32-bit count): past it the per-cell tables alone are
+#: tens of GiB.  The native builds decline such a grid (their own
+#: ``INT32_MAX`` test), which lands the caller here.
+MAX_CELLS = int(np.iinfo(np.int32).max)
 
 
 #: Half stencil for the cell-list build: the 13 "forward" neighbor-cell
@@ -127,6 +134,16 @@ def cell_list_half_pairs(
     n = len(positions)
     rc2 = rc * rc
     n_cells = np.maximum(np.floor(box.lengths / rc).astype(int), 1)
+    # Python ints: the product of three int64 counts can wrap, and a
+    # wrapped count would size the tables below (and the flat index).
+    grid = tuple(n_cells.tolist())
+    total_cells = math.prod(grid)
+    if total_cells > MAX_CELLS:
+        raise ValueError(
+            f"link-cell grid {grid} for cutoff {rc:g} has "
+            f"{total_cells} cells, more than the {MAX_CELLS} a build can "
+            "index and allocate; the box is too large for this cutoff"
+        )
     cell_size = box.lengths / n_cells
 
     coords = np.floor((positions - box.origin) / cell_size).astype(np.int64)
@@ -140,7 +157,6 @@ def cell_list_half_pairs(
     order = np.argsort(flat, kind="stable")
     sorted_flat = flat[order]
     sorted_coords = coords[order]
-    total_cells = int(np.prod(n_cells))
     counts = np.bincount(sorted_flat, minlength=total_cells)
     # cell_starts[c] = first slot of cell c in the sorted order.
     cell_starts = np.zeros(total_cells + 1, dtype=np.int64)

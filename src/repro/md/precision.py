@@ -19,9 +19,10 @@ that choice through the real engine as three dtypes:
     single's speed at near-double accuracy.  SINGLE accumulates in
     float32, DOUBLE in float64.
 
-The user-facing vocabulary is the existing
-:class:`repro.perfmodel.precision.Precision` enum, so the modeled and
-measured layers speak the same three mode names.  ``numpy_ref`` stays a
+The user-facing vocabulary is the :class:`Precision` enum defined here
+— the one list of the three mode names; the modeled layer
+(:mod:`repro.perfmodel.precision`), the report validator and the CLI
+all take theirs from it.  ``numpy_ref`` stays a
 pure float64 oracle regardless of policy; per-mode oracle tolerances
 (:attr:`PrecisionPolicy.force_rtol`) say how closely a mode's
 ``numpy_fast`` forces must track that oracle.
@@ -30,19 +31,30 @@ pure float64 oracle regardless of policy; per-mode oracle tolerances
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from repro.perfmodel.precision import PRECISIONS, Precision
-
 __all__ = [
     "Precision",
+    "PRECISIONS",
     "PrecisionPolicy",
     "parse_precision",
     "policy_for",
     "DOUBLE_POLICY",
     "PARITY_TOLERANCES",
 ]
+
+
+class Precision(str, Enum):
+    """Arithmetic precision of the pairwise non-bonded computation."""
+
+    SINGLE = "single"
+    MIXED = "mixed"
+    DOUBLE = "double"
+
+
+PRECISIONS: tuple[Precision, ...] = tuple(Precision)
 
 #: Max |Δ| allowed when comparing *trajectories* produced under
 #: different execution modes (backend, provider, serial-vs-parallel) at

@@ -238,7 +238,8 @@ class Simulation:
         the float64 default (bitwise-identical to the engine before
         precision modes existed).  When a parallel executor was built
         with its own mode, ``None`` adopts it and a conflicting explicit
-        mode raises.
+        mode raises (in the executor's ``bind``); an executor built
+        without one adopts the simulation's.
     """
 
     def __init__(
@@ -274,25 +275,14 @@ class Simulation:
         #: Active :class:`~repro.md.precision.PrecisionPolicy` — float64
         #: everywhere unless a mode was requested.  An executor that was
         #: constructed with its own mode (the parallel engine types its
-        #: shared-memory buffers at start-up) is the source of truth: the
-        #: simulation adopts it when no mode was asked for here, and a
-        #: conflicting explicit mode is an error rather than a silent
-        #: mismatch between master state and worker buffers.
+        #: shared-memory buffers at start-up) is adopted when no mode
+        #: was asked for here; whether the two agree is the executor's
+        #: ``bind`` to judge (below), as it is for one attached later.
         executor_policy = getattr(self.force_executor, "precision", None)
         if precision is None and isinstance(executor_policy, PrecisionPolicy):
             self.precision = executor_policy
         else:
             self.precision = policy_for(precision)
-            if (
-                isinstance(executor_policy, PrecisionPolicy)
-                and executor_policy != self.precision
-            ):
-                raise ValueError(
-                    f"force executor was built for precision "
-                    f"'{executor_policy.mode.value}' but the simulation asked "
-                    f"for '{self.precision.mode.value}'; construct both with "
-                    "the same mode"
-                )
         self.system.cast_storage(self.precision.storage_dtype)
         self.backend = get_backend(backend)
         self.backend.set_policy(self.precision)

@@ -273,11 +273,13 @@ class ParallelForceExecutor(ForceExecutor):
     precision:
         Precision mode for the pool — a
         :class:`~repro.md.precision.Precision`, a case-insensitive mode
-        name, or ``None`` for float64.  The shared position/velocity/
-        force buffers are allocated in the mode's storage dtype (SINGLE
-        halves every publish/collect byte), and each worker installs
-        the matching policy on its kernel backend.  Typed at start-up:
-        changing modes needs a new executor.
+        name, or ``None`` to adopt the mode of the simulation the pool
+        is bound to (:meth:`bind`, where an explicit mode that
+        conflicts with the simulation's raises).  The shared position/
+        velocity/force buffers are allocated in the mode's storage
+        dtype (SINGLE halves every publish/collect byte), and each
+        worker installs the matching policy on its kernel backend.
+        Typed at start-up: changing modes needs a new executor.
     """
 
     def __init__(
@@ -291,7 +293,9 @@ class ParallelForceExecutor(ForceExecutor):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = int(n_workers)
-        self.precision = policy_for(precision)
+        #: The pool's :class:`PrecisionPolicy`; ``None`` until :meth:`bind`
+        #: when no mode was asked for.
+        self.precision = None if precision is None else policy_for(precision)
         self.barrier_timeout = float(barrier_timeout)
         self._ctx = mp.get_context(_start_method())
         self._arena: ShmArena | None = None
@@ -317,6 +321,27 @@ class ParallelForceExecutor(ForceExecutor):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    def bind(self, simulation) -> None:
+        """Attach to ``simulation`` and settle the pool's precision.
+
+        The one place the rule lives, so the constructor route and the
+        attach idiom (``sim.force_executor = ex; ex.bind(sim)``) cannot
+        differ: a pool built without ``precision=`` adopts the
+        simulation's mode; an explicit mode that is not the
+        simulation's is an error rather than a silent mismatch between
+        master state and worker buffers.
+        """
+        if self.precision is None:
+            self.precision = simulation.precision
+        elif self.precision != simulation.precision:
+            raise ValueError(
+                f"force executor was built for precision "
+                f"'{self.precision.mode.value}' but the simulation asked "
+                f"for '{simulation.precision.mode.value}'; construct both "
+                "with the same mode"
+            )
+        super().bind(simulation)
+
     def _start(self) -> None:
         sim = self.simulation
         system = sim.system

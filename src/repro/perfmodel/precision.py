@@ -11,7 +11,7 @@ then falls out of the task composition.
 
 from __future__ import annotations
 
-from enum import Enum
+from repro.md.precision import PRECISIONS, Precision
 
 __all__ = [
     "Precision",
@@ -20,20 +20,6 @@ __all__ = [
     "gpu_precision_pair_factor",
 ]
 
-
-class Precision(str, Enum):
-    """Arithmetic precision of the pairwise non-bonded computation."""
-
-    SINGLE = "single"
-    MIXED = "mixed"
-    DOUBLE = "double"
-
-
-PRECISIONS: tuple[Precision, ...] = (
-    Precision.SINGLE,
-    Precision.MIXED,
-    Precision.DOUBLE,
-)
 
 # CPU: the Ice Lake AVX-512 units process twice as many floats as
 # doubles per vector, but the pair kernel is partly memory/gather bound,

@@ -9,8 +9,9 @@ state machine documented in ``docs/RELIABILITY.md``::
     FAILED  --restarts  > max_restarts--> degrade to the serial
             executor, restore latest checkpoint  --> RUNNING (serial)
 
-Worker death is detected by the engine (watchdog-aborted barriers for a
-killed process, barrier timeout for a hang) and surfaces as
+Worker death is detected by the engine (the process sentinel for a
+killed process — at once — and the reply timeout for a hang) and
+surfaces as
 :class:`~repro.parallel.engine.ParallelEngineError`; the failed pool is
 already torn down respawnable by the time the error reaches this layer,
 so "respawn" is simply the next dispatch after the checkpoint restore.

@@ -33,6 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.md.precision import PRECISIONS as _MODES
+
 __all__ = [
     "SCHEMA",
     "KINDS",
@@ -51,7 +53,7 @@ SCHEMA = "repro-bench-report/2"
 #: One per producer; ``campaign`` is the merged sweep record.
 KINDS = ("power", "campaign")
 
-PRECISIONS = ("single", "mixed", "double")
+PRECISIONS = tuple(mode.value for mode in _MODES)
 
 #: Where a record's energy numbers come from: hardware counters
 #: (``measured``), /proc/stat utilization scaling (``estimated``), the

@@ -46,6 +46,17 @@ def finite_difference_forces(energy_fn, positions: np.ndarray, h: float = 1e-6):
     return forces
 
 
+def huge_grid_case(scale=1):
+    """1 000 atoms near the origin of an open box 2^22 x 2^21 x 2^21
+    cells of ``rc / 2`` on a side (times ``scale``), one atom in the far
+    corner — whose flat cell index is where a wrapped product bites."""
+    rc = 2.0
+    lengths = np.array([2.0**22, 2.0**21, 2.0**21]) * (rc / 2) * scale
+    positions = np.random.default_rng(7).uniform(0, 30, (1000, 3))
+    positions[-1] = lengths - 0.25
+    return positions, Box(lengths, periodic=(False,) * 3), rc
+
+
 def leak_check():
     """Generator body of the package-scoped leak gate.
 

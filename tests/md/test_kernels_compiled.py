@@ -7,6 +7,10 @@ guarded by ``needs_compiled``; the availability/fallback tests run
 everywhere because they exercise exactly the no-provider path.
 """
 
+import hashlib
+import re
+import shutil
+import subprocess
 import warnings
 
 import numpy as np
@@ -48,6 +52,7 @@ from repro.md.potentials.lj import LennardJonesCut
 from repro.md.simulation import Simulation
 from repro.parallel.forces import DomainLists, evaluate_domain_forces
 from repro.parallel.halo import LocalIndex
+from tests.conftest import huge_grid_case
 
 needs_compiled = pytest.mark.skipif(
     not compiled_available(),
@@ -378,6 +383,25 @@ class TestNativeNeighborBuild:
         backend.neighbor_pairs(positions, box, 2.0, 1.7)
         assert len(capacities) == 3 and capacities[2] >= n_pairs
 
+    def test_grid_too_large_to_index_is_declined_not_dereferenced(self):
+        """2^64 cells wrap the int64 product to 0: the bins were then
+        allocated for no cells and the far-corner atom's flat index
+        landed outside them (SIGSEGV).  Both builders must decline —
+        in-process, this test *is* the crash on the parent — and leave
+        the caller on the numpy path's named error."""
+        backend = CompiledBackend()
+        # cell_rows bins at rc / 2, cell_csr at rc: twice the extent.
+        positions, box, rc = huge_grid_case()
+        assert backend.directed_rows(positions, box, rc) is None
+        with pytest.raises(ValueError, match="link-cell grid"):
+            subdomain_directed_pairs(positions, rc, kernels=backend, brute_force_max=0)
+        positions, box, rc = huge_grid_case(scale=2)
+        assert backend.neighbor_pairs(positions, box, rc) is None
+        nlist = NeighborList(rc, 0.0, brute_force_max=0)
+        nlist.kernels = backend
+        with pytest.raises(ValueError, match="link-cell grid"):
+            nlist.build(AtomSystem(positions, box))
+
     def test_unmet_preconditions_fall_back_to_numpy(self):
         """The compare-and-shift minimum image is only exact for
         in-box coordinates and >= 3 cells per periodic dim; the kernel
@@ -461,6 +485,102 @@ class TestNativeNeighborBuild:
         _smoke_test(provider)  # the real provider passes
         with pytest.raises(AssertionError, match="cell_csr deviates"):
             _smoke_test(UnsortedRows())
+
+
+# ---------------------------------------------------------------------------
+# The provider's instance table is the oracle for binding and coverage
+# ---------------------------------------------------------------------------
+_TABLE_INSTANCES = [
+    (stem, val, acc)
+    for stem, (instances, _, _) in _cc_impl.KERNELS.items()
+    for val, acc in instances
+]
+
+
+@needs_compiled
+class TestInstanceTable:
+    @pytest.mark.parametrize(
+        "stem, val, acc",
+        _TABLE_INSTANCES,
+        ids=[_cc_impl.symbol(*instance) for instance in _TABLE_INSTANCES],
+    )
+    def test_smoke_test_demotes_a_provider_with_a_dead_instance(
+        self, stem, val, acc, monkeypatch
+    ):
+        """Every bound instance is *called and checked* before a provider
+        is trusted: swapping any one of them for a no-op must fail."""
+        provider, _ = resolve_provider()
+        _smoke_test(provider)  # the real provider passes
+        monkeypatch.setitem(provider.bound, (stem, val, acc), lambda *args: 0)
+        with pytest.raises(AssertionError, match=stem):
+            _smoke_test(provider)
+
+    def test_instances_are_the_policies_dtype_combinations(self):
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        assert set(_cc_impl.ACCUMULATE) == {(f32, f32), (f32, f64), (f64, f64)}
+        assert set(_cc_impl.GEOMETRY) == {(f32, f32), (f64, f64)}
+        assert set(_cc_impl.DOUBLE) == {(f64, f64)}
+        for (val, acc), policy in _cc_impl.ACCUMULATE.items():
+            assert (policy.compute_dtype, policy.accumulate_dtype) == (val, acc)
+        for (val, _), policy in _cc_impl.GEOMETRY.items():
+            assert policy.storage_dtype == val
+
+    @pytest.mark.skipif(shutil.which("nm") is None, reason="needs binutils nm")
+    def test_library_exports_exactly_the_table(self):
+        """Same program out: the 19 entry points of the hand-written
+        unit, no more (a template helper leaking as a global) and no
+        fewer (a row the generator skipped)."""
+        provider, _ = resolve_provider()
+        listing = subprocess.run(
+            ["nm", "-D", "--defined-only", provider._lib._name],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        exported = {
+            line.split()[-1]
+            for line in listing.splitlines()
+            if line.split()[-2] == "T" and not line.split()[-1].startswith("_")
+        }
+        assert exported == {_cc_impl.symbol(*i) for i in _TABLE_INSTANCES}
+        assert sorted(exported) == [
+            "acc_pair_f32", "acc_pair_f32f64", "acc_pair_f64",
+            "acc_scaled_f32", "acc_scaled_f32f64", "acc_scaled_f64",
+            "cell_csr_f64", "cell_rows_f64", "lj_half_f64", "lj_rows_f64",
+            "max_disp_sq_f64", "pair_geom_f32", "pair_geom_f64",
+            "scatter1_f32", "scatter1_f32f64", "scatter1_f64",
+            "scatter3_f32", "scatter3_f32f64", "scatter3_f64",
+        ]
+
+    def test_build_cache_is_keyed_by_the_generated_source(self):
+        """No stale library can be reused: the file name carries a hash
+        of the translation unit that was actually compiled."""
+        provider, _ = resolve_provider()
+        material = "\x00".join(
+            [_cc_impl._SOURCE, _cc_impl._find_compiler(), *_cc_impl._CFLAGS]
+        )
+        key = hashlib.sha256(material.encode()).hexdigest()[:16]
+        assert provider._lib._name.endswith(f"repro_kernels_{key}.so")
+        assert "#define FN(stem) stem##_f32f64\n" in _cc_impl._SOURCE
+
+    def test_templated_kernels_have_one_body(self):
+        """Each precision-generic kernel is written once and reaches
+        the unit once per instance; no suffixed twin is spelled out."""
+        templated = {
+            **dict.fromkeys(
+                ("scatter1", "scatter3", "acc_scaled", "acc_pair"),
+                (_cc_impl._ACCUMULATE_C, _cc_impl.ACCUMULATE),
+            ),
+            **dict.fromkeys(
+                ("min_image", "pair_geom"),
+                (_cc_impl._GEOMETRY_C, _cc_impl.GEOMETRY),
+            ),
+        }
+        for stem, (template, instances) in templated.items():
+            definition = re.compile(
+                rf"^(static inline )?\w+ FN\({stem}\)\(", re.MULTILINE
+            )
+            assert len(definition.findall(template)) == 1
+            assert len(definition.findall(_cc_impl._SOURCE)) == len(instances)
+            assert re.search(rf"^\w+ {stem}_f\d+", _cc_impl._SOURCE, re.M) is None
 
 
 # ---------------------------------------------------------------------------

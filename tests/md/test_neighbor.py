@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
 from repro.md.neighbor import (
+    MAX_CELLS,
     NeighborList,
     brute_force_pairs,
+    cell_list_half_pairs,
+    subdomain_directed_pairs,
 )
+from tests.conftest import huge_grid_case
 
 
 def _pair_set(i, j):
@@ -83,6 +87,29 @@ class TestGuards:
         system = AtomSystem(np.ones((2, 3)), box)
         with pytest.raises(RuntimeError):
             NeighborList(1.0, 0.1).current_pairs(system)
+
+    def test_grid_too_large_to_index_is_refused_by_name(self):
+        """2^61 cells used to reach ``np.bincount`` as a MemoryError,
+        2^64 wrap the int64 product to 0, which then sized the cell
+        tables.  The build must say what is wrong before it allocates
+        anything, whichever entry point reaches the cell list."""
+        for scale, cells in ((1, 2**61), (2, 2**64)):
+            positions, box, rc = huge_grid_case(scale)
+            with pytest.raises(ValueError, match=f"link-cell grid .* {cells} cells"):
+                cell_list_half_pairs(positions, box, rc)
+        positions, box, rc = huge_grid_case()
+        with pytest.raises(ValueError, match="link-cell grid"):
+            subdomain_directed_pairs(positions, rc, brute_force_max=0)
+        system = AtomSystem(positions, box)
+        with pytest.raises(ValueError, match="link-cell grid"):
+            NeighborList(rc, 0.0, brute_force_max=0).build(system)
+        assert f"more than the {MAX_CELLS}" in str(
+            pytest.raises(ValueError, cell_list_half_pairs, positions, box, rc).value
+        )
+        # A sparse box well inside the bound is not refused.
+        sparse = Box([60.0] * 3, periodic=(False,) * 3)
+        i, j = cell_list_half_pairs(positions[:50] * 0.01, sparse, 1.0)
+        assert len(i) == 50 * 49 // 2
 
 
 class TestSkinLogic:

@@ -12,6 +12,12 @@ import json
 
 import pytest
 
+from repro.md.kernels import (
+    BACKEND_ENV_VAR,
+    DEFAULT_BACKEND,
+    available_backends,
+    resolved_backend,
+)
 from repro.observability import MetricsRegistry
 from repro.observability.telemetry import (
     UNTRACKED,
@@ -753,6 +759,32 @@ class TestPowerCli:
         assert report["sampling"]["under_sampled"] is True
         assert report["attribution"]["phases"]
         assert report["platform"]["kernel_version"]
+
+    @pytest.mark.filterwarnings("ignore:TelemetrySampler")
+    @pytest.mark.parametrize("env, requested", [
+        (None, DEFAULT_BACKEND), ("auto", "auto"), ("numpy_ref", "numpy_ref"),
+    ])
+    def test_power_record_stamps_the_backend_that_ran(
+        self, tmp_path, monkeypatch, env, requested
+    ):
+        """``requested`` is what the environment asked for (the command
+        has no --backend), ``resolved`` a registry name — not the
+        tracing wrapper's ``numpy_fast+trace``, not a made-up ``auto``."""
+        from repro.__main__ import main
+
+        if env is None:
+            monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(BACKEND_ENV_VAR, env)
+        out = tmp_path / "energy.json"
+        assert main([
+            "power", "lj", "--steps", "2", "--atoms", "128", "--warmup", "0",
+            "--provider", "model", "--json", str(out),
+        ]) == 0
+        backend = json.loads(out.read_text())["backend"]
+        assert backend["requested"] == requested
+        assert backend["resolved"] in available_backends()
+        assert backend["resolved"] == resolved_backend(env)[0]
 
     def test_power_command_unavailable_provider_exits_2(self, tmp_path, monkeypatch):
         from repro.__main__ import main

@@ -393,6 +393,58 @@ class TestStructure:
             executor.close()
 
 
+class TestAttachedPoolPrecision:
+    """``sim.force_executor = ex; ex.bind(sim)`` — the idiom every real
+    caller uses — settles the pool's precision in ``bind``: never a
+    DOUBLE pool under a simulation that says SINGLE."""
+
+    @staticmethod
+    def _single_run(executor):
+        from repro.md import RunConfig
+        from repro.reliability.certify import DigestRecorder
+
+        sim = get_benchmark("lj").build(500)
+        sim.set_precision("single")
+        sim.force_executor = executor
+        executor.bind(sim)
+        recorder = DigestRecorder(every=2)
+        try:
+            sim.run(RunConfig(steps=6, digest=recorder))
+            recorder.finalize(sim)
+            return recorder.chain.head, executor.arena_nbytes, sim.system.n_atoms
+        finally:
+            sim.close()
+
+    def test_default_pool_adopts_the_simulations_mode(self):
+        default = ParallelForceExecutor(2)
+        assert default.precision is None  # nothing asked for yet
+        adopted = self._single_run(default)
+        explicit = self._single_run(ParallelForceExecutor(2, precision="single"))
+        assert default.precision.mode.value == "single"
+        assert adopted == explicit
+        _, arena_nbytes, n = adopted
+        # float32 positions/velocities/forces + float32 energy/virial.
+        assert arena_nbytes == (3 * 3 + 2) * 4 * n
+
+    def test_explicit_conflicting_mode_raises_at_bind(self):
+        sim = get_benchmark("lj").build(500)
+        sim.set_precision("single")
+        executor = ParallelForceExecutor(2, precision="double")
+        try:
+            with pytest.raises(ValueError, match="construct both"):
+                executor.bind(sim)
+            # Once settled, a pool does not drift to another mode either.
+            adopted = ParallelForceExecutor(2)
+            adopted.bind(sim)
+            other = get_benchmark("lj").build(500)
+            with pytest.raises(ValueError, match="'single' but the simulation"):
+                adopted.bind(other)
+            adopted.close()
+        finally:
+            executor.close()
+            sim.close()
+
+
 class TestObservability:
     def test_timings_and_timeline(self):
         _, info = _run_parallel("lj", SIZES["lj"], 4, workers=2)
