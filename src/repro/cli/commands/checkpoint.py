@@ -46,19 +46,19 @@ def _configure(parser: argparse.ArgumentParser) -> None:
     configure=_configure,
 )
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
+    import dataclasses
+
     import numpy as np
 
     from repro.md.precision import PARITY_TOLERANCES
-    from repro.parallel.engine import ParallelForceExecutor
     from repro.reliability import (
         CertificationRecorder,
         CheckpointManager,
         FaultPlan,
         ResilientRunner,
     )
-    from repro.suite import get_benchmark
+    from repro.service import JobSpec, build_simulation
 
-    bench = get_benchmark(args.experiment)
     # Resolve $REPRO_FAULT_PLAN here (not just engine-side) so that
     # checkpoint-phase faults reach the manager too, and so the
     # verify-parity reference below can be pinned fault-free.
@@ -70,22 +70,19 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     plan_text = args.fault_plan or (
         "; ".join(s.spec_string() for s in plan.specs) if plan else ""
     )
+    spec = JobSpec(benchmark=args.experiment, n_atoms=args.atoms,
+                   steps=args.steps, precision=args.precision,
+                   workers=args.workers, fault_plan=plan_text or None)
 
-    def build(fault_plan=None):
-        sim = bench.build(args.atoms)
-        sim.set_precision(args.precision)
-        if args.workers > 1:
-            executor = ParallelForceExecutor(
-                args.workers,
-                fault_plan=fault_plan,
-                barrier_timeout=args.barrier_timeout,
-                precision=args.precision,
-            )
-            sim.force_executor = executor
-            executor.bind(sim)
+    def build(spec):
+        sim, _steps = build_simulation(spec)
+        if spec.workers > 1:
+            sim.force_executor.barrier_timeout = args.barrier_timeout
         return sim
 
-    sim = build(fault_plan=plan)
+    # The engine parses its own copy of the plan; only the manager takes
+    # checkpoint-phase faults, so the copies never see the same spec.
+    sim = build(spec)
     print(f"built {args.experiment}: {sim.system.n_atoms} atoms on "
           f"{args.workers} worker(s) at {args.precision} precision; "
           f"checkpoint every {args.every} steps "
@@ -132,9 +129,11 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
     if not args.verify_parity:
         return 0
-    # An explicitly empty plan keeps the reference run fault-free even
-    # when $REPRO_FAULT_PLAN is set in the environment.
-    reference = build(fault_plan=FaultPlan())
+    reference = build(dataclasses.replace(spec, fault_plan=None))
+    if spec.workers > 1:
+        # An explicitly empty plan keeps the reference run fault-free
+        # even when $REPRO_FAULT_PLAN is set in the environment.
+        reference.force_executor.fault_plan = FaultPlan()
     reference.run(args.steps)
     reference.close()
     delta = float(np.abs(reference.system.positions - sim.system.positions).max())

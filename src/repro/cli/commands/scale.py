@@ -44,31 +44,24 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
     from repro.md import RunConfig
     from repro.md.precision import PARITY_TOLERANCES
-    from repro.parallel.engine import ParallelForceExecutor
-    from repro.suite import get_benchmark
+    from repro.service import JobSpec, build_simulation
 
-    bench = get_benchmark(args.experiment)
-
-    backend_name = None
-    if args.backend:
-        from repro.md.kernels import (
-            backend_diagnostics,
-            backend_spec,
-            get_backend,
-        )
+    if args.workers < 2:
+        print("scale compares the serial engine against a worker pool: "
+              "--workers must be >= 2")
+        return 2
+    described = dict(benchmark=args.experiment, n_atoms=args.atoms,
+                     steps=args.steps, precision=args.precision,
+                     backend=args.backend)
+    serial, _steps = build_simulation(JobSpec(**described))
+    if args.backend and serial.backend.name != args.backend:
+        from repro.md.kernels import backend_diagnostics
 
         # get_backend degrades an unavailable optional backend to the
         # default with a warning; surface the reason on the CLI too.
-        backend_name = backend_spec(get_backend(args.backend))
-        if backend_name != args.backend:
-            print(f"backend {args.backend!r} is unavailable "
-                  f"({backend_diagnostics().get(args.backend, 'unknown')}); "
-                  f"using {backend_name!r}")
-
-    serial = bench.build(args.atoms)
-    serial.set_precision(args.precision)
-    if backend_name:
-        serial.set_backend(backend_name)
+        print(f"backend {args.backend!r} is unavailable "
+              f"({backend_diagnostics().get(args.backend, 'unknown')}); "
+              f"using {serial.backend.name!r}")
     serial.setup()
     print(f"built {args.experiment}: {serial.system.n_atoms} atoms, "
           f"{os.cpu_count()} cores visible; running {args.steps} steps at "
@@ -99,13 +92,8 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         print(f"checkpointing every {args.checkpoint_every} steps "
               f"under {args.checkpoint_dir}")
 
-    parallel = bench.build(args.atoms)
-    parallel.set_precision(args.precision)
-    if backend_name:
-        parallel.set_backend(backend_name)
-    executor = ParallelForceExecutor(args.workers, precision=args.precision)
-    parallel.force_executor = executor
-    executor.bind(parallel)
+    parallel, _steps = build_simulation(JobSpec(**described, workers=args.workers))
+    executor = parallel.force_executor
     with parallel:
         parallel.setup()
         # Drop the setup-time initial build from the accumulators; the

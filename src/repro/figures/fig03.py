@@ -13,15 +13,17 @@ benchmark harness:
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from repro.core.experiment import ExperimentSpec
-from repro.core.report import render_table
-from repro.figures.base import FigureData
-from repro.figures.campaign import RANK_COUNTS, SIZES_K, cached_run
+from repro.figures.base import FigureData, percent_breakdown, sweep_figure
+from repro.figures.campaign import RANK_COUNTS, SIZES_K
+from repro.parallel.executor import BREAKDOWN_TASKS
 from repro.suite import CPU_BENCHMARKS
 
-__all__ = ["generate"]
+__all__ = ["generate", "TASK_SHARES"]
+
+#: Row family of Figures 3, 7 and 11: one percentage per Table 1 task.
+TASK_SHARES = percent_breakdown("task_fractions", BREAKDOWN_TASKS)
 
 
 def generate(
@@ -30,27 +32,7 @@ def generate(
     ranks: Iterable[int] = RANK_COUNTS,
 ) -> FigureData:
     """``series[(benchmark, size_k, n_ranks)] -> {task: fraction}``."""
-    series: dict[tuple[str, int, int], Mapping[str, float]] = {}
-    for bench in benchmarks:
-        for size in sizes_k:
-            for n_ranks in ranks:
-                record = cached_run(
-                    ExperimentSpec(bench, "cpu", size, n_ranks)
-                )
-                series[(bench, size, n_ranks)] = record.task_fractions
-
-    def _render(data: FigureData) -> str:
-        tasks = ("Bond", "Comm", "Kspace", "Modify", "Neigh", "Other", "Output", "Pair")
-        headers = ["benchmark", "size[k]", "ranks", *tasks]
-        rows = [
-            [b, s, r, *(f"{100 * frac.get(t, 0.0):.1f}%" for t in tasks)]
-            for (b, s, r), frac in sorted(data.series.items())
-        ]
-        return render_table(headers, rows)
-
-    return FigureData(
-        figure_id="Figure 3",
-        title="CPU task breakdown per benchmark/size/rank-count",
-        series=series,
-        renderer=_render,
+    return sweep_figure(
+        "Figure 3", "CPU task breakdown per benchmark/size/rank-count",
+        "cpu", {"benchmark": benchmarks}, sizes_k, ranks, TASK_SHARES,
     )

@@ -13,53 +13,32 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.experiment import ExperimentSpec
-from repro.core.report import render_table
-from repro.figures.base import FigureData
-from repro.figures.campaign import SIZES_K, cached_run
+from repro.figures.base import FigureData, RowFamily, sweep_figure
+from repro.figures.campaign import SIZES_K
 from repro.suite import CPU_BENCHMARKS
 
-__all__ = ["generate", "MPI_RANKS"]
+__all__ = ["generate", "MPI_RANKS", "MPI_OVERHEAD"]
 
 #: The paper's Figures 4/5 sweep ranks 4..64 (1-2 ranks have ~no MPI).
 MPI_RANKS: tuple[int, ...] = (4, 8, 16, 32, 64)
+
+#: Row family of Figures 4 and 14: ``(mpi_pct, imbalance_pct)``.
+MPI_OVERHEAD = RowFamily(
+    value=lambda r, _base: (
+        100.0 * r.mpi_time_fraction, 100.0 * r.mpi_imbalance_fraction
+    ),
+    columns=("MPI time %", "MPI imbalance %"),
+    cells=lambda pct: [f"{pct[0]:.1f}", f"{pct[1]:.2f}"],
+)
 
 
 def generate(
     benchmarks: Iterable[str] = CPU_BENCHMARKS,
     sizes_k: Iterable[int] = SIZES_K,
     ranks: Iterable[int] = MPI_RANKS,
-    kspace_error: float | None = None,
 ) -> FigureData:
-    """``series[(bench, size, ranks)] -> (mpi_pct, imbalance_pct)``.
-
-    ``kspace_error`` reuses this generator for Figure 14's rhodo sweep.
-    """
-    series: dict[tuple[str, int, int], tuple[float, float]] = {}
-    for bench in benchmarks:
-        for size in sizes_k:
-            for n_ranks in ranks:
-                record = cached_run(
-                    ExperimentSpec(
-                        bench, "cpu", size, n_ranks, kspace_error=kspace_error
-                    )
-                )
-                series[(bench, size, n_ranks)] = (
-                    100.0 * record.mpi_time_fraction,
-                    100.0 * record.mpi_imbalance_fraction,
-                )
-
-    def _render(data: FigureData) -> str:
-        headers = ["benchmark", "size[k]", "ranks", "MPI time %", "MPI imbalance %"]
-        rows = [
-            [b, s, r, f"{t:.1f}", f"{i:.2f}"]
-            for (b, s, r), (t, i) in sorted(data.series.items())
-        ]
-        return render_table(headers, rows)
-
-    return FigureData(
-        figure_id="Figure 4",
-        title="MPI overhead and imbalance (long runs)",
-        series=series,
-        renderer=_render,
+    """``series[(bench, size, ranks)] -> (mpi_pct, imbalance_pct)``."""
+    return sweep_figure(
+        "Figure 4", "MPI overhead and imbalance (long runs)",
+        "cpu", {"benchmark": benchmarks}, sizes_k, ranks, MPI_OVERHEAD,
     )

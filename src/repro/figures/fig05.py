@@ -11,51 +11,27 @@ asserted downstream (Section 5.1's findings):
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from repro.core.experiment import ExperimentSpec
-from repro.core.report import render_table
-from repro.figures.base import FigureData
-from repro.figures.campaign import SIZES_K, cached_run
+from repro.figures.base import FigureData, percent_breakdown, sweep_figure
+from repro.figures.campaign import SIZES_K
 from repro.figures.fig04 import MPI_RANKS
 from repro.parallel.mpi_model import MPI_FUNCTIONS
 from repro.suite import CPU_BENCHMARKS
 
-__all__ = ["generate"]
+__all__ = ["generate", "MPI_FUNCTION_SHARES"]
+
+#: Row family of Figures 5 and 12: one percentage per MPI function.
+MPI_FUNCTION_SHARES = percent_breakdown("mpi_function_fractions", MPI_FUNCTIONS)
 
 
 def generate(
     benchmarks: Iterable[str] = CPU_BENCHMARKS,
     sizes_k: Iterable[int] = SIZES_K,
     ranks: Iterable[int] = MPI_RANKS,
-    kspace_error: float | None = None,
 ) -> FigureData:
-    """``series[(bench, size, ranks)] -> {mpi_function: fraction}``.
-
-    ``kspace_error`` reuses this generator for Figure 12's rhodo sweep.
-    """
-    series: dict[tuple[str, int, int], Mapping[str, float]] = {}
-    for bench in benchmarks:
-        for size in sizes_k:
-            for n_ranks in ranks:
-                record = cached_run(
-                    ExperimentSpec(
-                        bench, "cpu", size, n_ranks, kspace_error=kspace_error
-                    )
-                )
-                series[(bench, size, n_ranks)] = record.mpi_function_fractions
-
-    def _render(data: FigureData) -> str:
-        headers = ["benchmark", "size[k]", "ranks", *MPI_FUNCTIONS]
-        rows = [
-            [b, s, r, *(f"{100 * frac.get(fn, 0.0):.1f}%" for fn in MPI_FUNCTIONS)]
-            for (b, s, r), frac in sorted(data.series.items())
-        ]
-        return render_table(headers, rows)
-
-    return FigureData(
-        figure_id="Figure 5",
-        title="MPI function breakdown of the MPI overhead",
-        series=series,
-        renderer=_render,
+    """``series[(bench, size, ranks)] -> {mpi_function: fraction}``."""
+    return sweep_figure(
+        "Figure 5", "MPI function breakdown of the MPI overhead",
+        "cpu", {"benchmark": benchmarks}, sizes_k, ranks, MPI_FUNCTION_SHARES,
     )

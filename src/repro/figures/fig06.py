@@ -14,69 +14,43 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.experiment import ExperimentSpec
 from repro.core.metrics import parallel_efficiency
-from repro.core.report import render_table
-from repro.figures.base import FigureData
-from repro.figures.campaign import RANK_COUNTS, SIZES_K, cached_run
+from repro.figures.base import FigureData, RowFamily, sweep_figure
+from repro.figures.campaign import RANK_COUNTS, SIZES_K
 from repro.suite import CPU_BENCHMARKS
 
-__all__ = ["generate"]
+__all__ = ["generate", "scaling_metrics"]
+
+#: Strong-scaling metric -> (column header, cell format, value).
+_METRICS = {
+    "ts_per_s": ("TS/s", ".4g", lambda r, _base: r.ts_per_s),
+    "ts_per_s_per_watt": ("TS/s/W", ".4g", lambda r, _base: r.energy_efficiency),
+    "parallel_efficiency_pct": (
+        "par.eff %", ".1f",
+        lambda r, base: 100.0 * parallel_efficiency(r.ts_per_s, base, r.resources),
+    ),
+    "gpu_utilization": ("util", ".2f", lambda r, _base: r.utilization),
+}
+
+
+def scaling_metrics(*names: str) -> RowFamily:
+    """Row family of Figures 6, 9, 10 and 13: ``{name: metric}``."""
+    return RowFamily(
+        value=lambda record, base: {n: _METRICS[n][2](record, base) for n in names},
+        columns=tuple(_METRICS[n][0] for n in names),
+        cells=lambda m: [format(m[n], _METRICS[n][1]) for n in names],
+    )
 
 
 def generate(
     benchmarks: Iterable[str] = CPU_BENCHMARKS,
     sizes_k: Iterable[int] = SIZES_K,
     ranks: Iterable[int] = RANK_COUNTS,
-    *,
-    kspace_error: float | None = None,
-    precision: str = "mixed",
 ) -> FigureData:
     """``series[(bench, size, ranks)] -> {ts_per_s, ts_per_s_per_watt,
-    parallel_efficiency_pct}`` (reused by Figures 10 and 15 sweeps)."""
-    ranks = tuple(ranks)
-    series: dict[tuple[str, int, int], dict[str, float]] = {}
-    for bench in benchmarks:
-        for size in sizes_k:
-            baseline: float | None = None
-            for n_ranks in ranks:
-                record = cached_run(
-                    ExperimentSpec(
-                        bench,
-                        "cpu",
-                        size,
-                        n_ranks,
-                        kspace_error=kspace_error,
-                        precision=precision,
-                    )
-                )
-                if baseline is None:
-                    baseline = record.ts_per_s / n_ranks
-                series[(bench, size, n_ranks)] = {
-                    "ts_per_s": record.ts_per_s,
-                    "ts_per_s_per_watt": record.energy_efficiency,
-                    "parallel_efficiency_pct": 100.0
-                    * parallel_efficiency(record.ts_per_s, baseline, n_ranks),
-                }
-
-    def _render(data: FigureData) -> str:
-        headers = ["benchmark", "size[k]", "ranks", "TS/s", "TS/s/W", "par.eff %"]
-        rows = [
-            [
-                b,
-                s,
-                r,
-                f"{m['ts_per_s']:.4g}",
-                f"{m['ts_per_s_per_watt']:.4g}",
-                f"{m['parallel_efficiency_pct']:.1f}",
-            ]
-            for (b, s, r), m in sorted(data.series.items())
-        ]
-        return render_table(headers, rows)
-
-    return FigureData(
-        figure_id="Figure 6",
-        title="CPU performance / energy efficiency / parallel efficiency",
-        series=series,
-        renderer=_render,
+    parallel_efficiency_pct}``."""
+    return sweep_figure(
+        "Figure 6", "CPU performance / energy efficiency / parallel efficiency",
+        "cpu", {"benchmark": benchmarks}, sizes_k, ranks,
+        scaling_metrics("ts_per_s", "ts_per_s_per_watt", "parallel_efficiency_pct"),
     )

@@ -10,12 +10,11 @@ Shapes asserted downstream (Section 6.1):
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from repro.core.experiment import ExperimentSpec
-from repro.core.report import render_table
-from repro.figures.base import FigureData
-from repro.figures.campaign import GPU_COUNTS, SIZES_K, cached_run
+from repro.figures.base import FigureData, sweep_figure
+from repro.figures.campaign import GPU_COUNTS, SIZES_K
+from repro.figures.fig03 import TASK_SHARES
 from repro.suite import GPU_BENCHMARKS
 
 __all__ = ["generate"]
@@ -27,25 +26,7 @@ def generate(
     gpus: Iterable[int] = GPU_COUNTS,
 ) -> FigureData:
     """``series[(benchmark, size_k, n_gpus)] -> {task: fraction}``."""
-    series: dict[tuple[str, int, int], Mapping[str, float]] = {}
-    for bench in benchmarks:
-        for size in sizes_k:
-            for n_gpus in gpus:
-                record = cached_run(ExperimentSpec(bench, "gpu", size, n_gpus))
-                series[(bench, size, n_gpus)] = record.task_fractions
-
-    def _render(data: FigureData) -> str:
-        tasks = ("Bond", "Comm", "Kspace", "Modify", "Neigh", "Other", "Output", "Pair")
-        headers = ["benchmark", "size[k]", "gpus", *tasks]
-        rows = [
-            [b, s, g, *(f"{100 * frac.get(t, 0.0):.1f}%" for t in tasks)]
-            for (b, s, g), frac in sorted(data.series.items())
-        ]
-        return render_table(headers, rows)
-
-    return FigureData(
-        figure_id="Figure 7",
-        title="GPU task breakdown per benchmark/size/device-count",
-        series=series,
-        renderer=_render,
+    return sweep_figure(
+        "Figure 7", "GPU task breakdown per benchmark/size/device-count",
+        "gpu", {"benchmark": benchmarks}, sizes_k, gpus, TASK_SHARES,
     )

@@ -14,13 +14,21 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.core.experiment import ExperimentSpec
-from repro.core.report import render_table
-from repro.figures.base import FigureData
-from repro.figures.campaign import GPU_COUNTS, SIZES_K, cached_run
+from repro.figures.base import FigureData, RowFamily, sweep_figure
+from repro.figures.campaign import GPU_COUNTS, SIZES_K
 from repro.suite import GPU_BENCHMARKS
 
 __all__ = ["generate"]
+
+
+def _top_entries(fractions: Mapping[str, float]) -> list[str]:
+    top = sorted(fractions.items(), key=lambda kv: -kv[1])[:6]
+    return [", ".join(f"{k}={100 * v:.1f}%" for k, v in top)]
+
+
+_KERNEL_SHARES = RowFamily(
+    lambda r, _base: r.kernel_fractions, ("top entries",), _top_entries
+)
 
 
 def generate(
@@ -29,24 +37,7 @@ def generate(
     gpus: Iterable[int] = GPU_COUNTS,
 ) -> FigureData:
     """``series[(benchmark, size_k, n_gpus)] -> {kernel: fraction}``."""
-    series: dict[tuple[str, int, int], Mapping[str, float]] = {}
-    for bench in benchmarks:
-        for size in sizes_k:
-            for n_gpus in gpus:
-                record = cached_run(ExperimentSpec(bench, "gpu", size, n_gpus))
-                series[(bench, size, n_gpus)] = record.kernel_fractions
-
-    def _render(data: FigureData) -> str:
-        lines = []
-        for (b, s, g), fractions in sorted(data.series.items()):
-            top = sorted(fractions.items(), key=lambda kv: -kv[1])[:6]
-            cells = ", ".join(f"{k}={100 * v:.1f}%" for k, v in top)
-            lines.append([b, s, g, cells])
-        return render_table(["benchmark", "size[k]", "gpus", "top entries"], lines)
-
-    return FigureData(
-        figure_id="Figure 8",
-        title="GPU kernel and data-movement breakdown",
-        series=series,
-        renderer=_render,
+    return sweep_figure(
+        "Figure 8", "GPU kernel and data-movement breakdown",
+        "gpu", {"benchmark": benchmarks}, sizes_k, gpus, _KERNEL_SHARES,
     )

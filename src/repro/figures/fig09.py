@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.experiment import ExperimentSpec
-from repro.core.metrics import parallel_efficiency
-from repro.core.report import render_table
-from repro.figures.base import FigureData
-from repro.figures.campaign import GPU_COUNTS, SIZES_K, cached_run
+from repro.figures.base import FigureData, sweep_figure
+from repro.figures.campaign import GPU_COUNTS, SIZES_K
+from repro.figures.fig06 import scaling_metrics
 from repro.suite import GPU_BENCHMARKS
 
 __all__ = ["generate"]
@@ -30,57 +28,14 @@ def generate(
     benchmarks: Iterable[str] = GPU_BENCHMARKS,
     sizes_k: Iterable[int] = SIZES_K,
     gpus: Iterable[int] = GPU_COUNTS,
-    *,
-    kspace_error: float | None = None,
-    precision: str = "mixed",
 ) -> FigureData:
     """``series[(bench, size, gpus)] -> {ts_per_s, ts_per_s_per_watt,
-    parallel_efficiency_pct, gpu_utilization}`` (reused by Figures 13/16)."""
-    gpus = tuple(gpus)
-    series: dict[tuple[str, int, int], dict[str, float]] = {}
-    for bench in benchmarks:
-        for size in sizes_k:
-            baseline: float | None = None
-            for n_gpus in gpus:
-                record = cached_run(
-                    ExperimentSpec(
-                        bench,
-                        "gpu",
-                        size,
-                        n_gpus,
-                        kspace_error=kspace_error,
-                        precision=precision,
-                    )
-                )
-                if baseline is None:
-                    baseline = record.ts_per_s / n_gpus
-                series[(bench, size, n_gpus)] = {
-                    "ts_per_s": record.ts_per_s,
-                    "ts_per_s_per_watt": record.energy_efficiency,
-                    "parallel_efficiency_pct": 100.0
-                    * parallel_efficiency(record.ts_per_s, baseline, n_gpus),
-                    "gpu_utilization": record.utilization,
-                }
-
-    def _render(data: FigureData) -> str:
-        headers = ["benchmark", "size[k]", "gpus", "TS/s", "TS/s/W", "par.eff %", "util"]
-        rows = [
-            [
-                b,
-                s,
-                g,
-                f"{m['ts_per_s']:.4g}",
-                f"{m['ts_per_s_per_watt']:.4g}",
-                f"{m['parallel_efficiency_pct']:.1f}",
-                f"{m['gpu_utilization']:.2f}",
-            ]
-            for (b, s, g), m in sorted(data.series.items())
-        ]
-        return render_table(headers, rows)
-
-    return FigureData(
-        figure_id="Figure 9",
-        title="GPU performance / energy efficiency / parallel efficiency",
-        series=series,
-        renderer=_render,
+    parallel_efficiency_pct, gpu_utilization}``."""
+    return sweep_figure(
+        "Figure 9", "GPU performance / energy efficiency / parallel efficiency",
+        "gpu", {"benchmark": benchmarks}, sizes_k, gpus,
+        scaling_metrics(
+            "ts_per_s", "ts_per_s_per_watt", "parallel_efficiency_pct",
+            "gpu_utilization",
+        ),
     )

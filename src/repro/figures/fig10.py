@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.report import render_table
-from repro.figures import fig06
-from repro.figures.base import FigureData
+from repro.figures.base import FigureData, sweep_figure
 from repro.figures.campaign import ERROR_THRESHOLDS, RANK_COUNTS, SIZES_K
+from repro.figures.fig06 import scaling_metrics
 
 __all__ = ["generate"]
 
@@ -23,31 +22,8 @@ def generate(
     thresholds: Iterable[float] = ERROR_THRESHOLDS,
 ) -> FigureData:
     """``series[(threshold, size, ranks)] -> {ts_per_s, parallel_efficiency_pct}``."""
-    series: dict[tuple[float, int, int], dict[str, float]] = {}
-    for threshold in thresholds:
-        sub = fig06.generate(
-            benchmarks=("rhodo",),
-            sizes_k=sizes_k,
-            ranks=ranks,
-            kspace_error=threshold,
-        )
-        for (bench, size, n_ranks), metrics in sub.series.items():
-            series[(threshold, size, n_ranks)] = {
-                "ts_per_s": metrics["ts_per_s"],
-                "parallel_efficiency_pct": metrics["parallel_efficiency_pct"],
-            }
-
-    def _render(data: FigureData) -> str:
-        headers = ["threshold", "size[k]", "ranks", "TS/s", "par.eff %"]
-        rows = [
-            [f"{t:.0e}", s, r, f"{m['ts_per_s']:.4g}", f"{m['parallel_efficiency_pct']:.1f}"]
-            for (t, s, r), m in sorted(data.series.items(), key=lambda kv: (-kv[0][0], kv[0][1], kv[0][2]))
-        ]
-        return render_table(headers, rows)
-
-    return FigureData(
-        figure_id="Figure 10",
-        title="Rhodopsin CPU performance vs kspace error threshold",
-        series=series,
-        renderer=_render,
+    return sweep_figure(
+        "Figure 10", "Rhodopsin CPU performance vs kspace error threshold",
+        "cpu", {"kspace_error": thresholds}, sizes_k, ranks,
+        scaling_metrics("ts_per_s", "parallel_efficiency_pct"), benchmark="rhodo",
     )

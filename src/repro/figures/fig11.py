@@ -6,12 +6,11 @@ monotonically as the threshold tightens from 1e-4 to 1e-7.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from repro.core.experiment import ExperimentSpec
-from repro.core.report import render_table
-from repro.figures.base import FigureData
-from repro.figures.campaign import ERROR_THRESHOLDS, SIZES_K, cached_run
+from repro.figures.base import FigureData, sweep_figure
+from repro.figures.campaign import ERROR_THRESHOLDS, SIZES_K
+from repro.figures.fig03 import TASK_SHARES
 
 __all__ = ["generate", "BREAKDOWN_RANKS"]
 
@@ -25,31 +24,8 @@ def generate(
     thresholds: Iterable[float] = ERROR_THRESHOLDS,
 ) -> FigureData:
     """``series[(threshold, size, ranks)] -> {task: fraction}``."""
-    series: dict[tuple[float, int, int], Mapping[str, float]] = {}
-    for threshold in thresholds:
-        for size in sizes_k:
-            for n_ranks in ranks:
-                record = cached_run(
-                    ExperimentSpec(
-                        "rhodo", "cpu", size, n_ranks, kspace_error=threshold
-                    )
-                )
-                series[(threshold, size, n_ranks)] = record.task_fractions
-
-    def _render(data: FigureData) -> str:
-        tasks = ("Bond", "Comm", "Kspace", "Modify", "Neigh", "Other", "Output", "Pair")
-        headers = ["threshold", "size[k]", "ranks", *tasks]
-        rows = [
-            [f"{t:.0e}", s, r, *(f"{100 * frac.get(k, 0.0):.1f}%" for k in tasks)]
-            for (t, s, r), frac in sorted(
-                data.series.items(), key=lambda kv: (-kv[0][0], kv[0][1], kv[0][2])
-            )
-        ]
-        return render_table(headers, rows)
-
-    return FigureData(
-        figure_id="Figure 11",
-        title="Rhodopsin CPU task breakdown vs kspace error threshold",
-        series=series,
-        renderer=_render,
+    return sweep_figure(
+        "Figure 11", "Rhodopsin CPU task breakdown vs kspace error threshold",
+        "cpu", {"kspace_error": thresholds}, sizes_k, ranks, TASK_SHARES,
+        benchmark="rhodo",
     )

@@ -8,14 +8,12 @@ exchange" (Section 7).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from repro.core.experiment import ExperimentSpec
-from repro.core.report import render_table
-from repro.figures.base import FigureData
-from repro.figures.campaign import ERROR_THRESHOLDS, SIZES_K, cached_run
+from repro.figures.base import FigureData, sweep_figure
+from repro.figures.campaign import ERROR_THRESHOLDS, SIZES_K
 from repro.figures.fig04 import MPI_RANKS
-from repro.parallel.mpi_model import MPI_FUNCTIONS
+from repro.figures.fig05 import MPI_FUNCTION_SHARES
 
 __all__ = ["generate"]
 
@@ -26,35 +24,8 @@ def generate(
     thresholds: Iterable[float] = ERROR_THRESHOLDS,
 ) -> FigureData:
     """``series[(threshold, size, ranks)] -> {mpi_function: fraction}``."""
-    series: dict[tuple[float, int, int], Mapping[str, float]] = {}
-    for threshold in thresholds:
-        for size in sizes_k:
-            for n_ranks in ranks:
-                record = cached_run(
-                    ExperimentSpec(
-                        "rhodo", "cpu", size, n_ranks, kspace_error=threshold
-                    )
-                )
-                series[(threshold, size, n_ranks)] = record.mpi_function_fractions
-
-    def _render(data: FigureData) -> str:
-        headers = ["threshold", "size[k]", "ranks", *MPI_FUNCTIONS]
-        rows = [
-            [
-                f"{t:.0e}",
-                s,
-                r,
-                *(f"{100 * frac.get(fn, 0.0):.1f}%" for fn in MPI_FUNCTIONS),
-            ]
-            for (t, s, r), frac in sorted(
-                data.series.items(), key=lambda kv: (-kv[0][0], kv[0][1], kv[0][2])
-            )
-        ]
-        return render_table(headers, rows)
-
-    return FigureData(
-        figure_id="Figure 12",
-        title="Rhodopsin MPI function breakdown vs kspace error threshold",
-        series=series,
-        renderer=_render,
+    return sweep_figure(
+        "Figure 12", "Rhodopsin MPI function breakdown vs kspace error threshold",
+        "cpu", {"kspace_error": thresholds}, sizes_k, ranks, MPI_FUNCTION_SHARES,
+        benchmark="rhodo",
     )

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.report import render_table
-from repro.figures import fig09
-from repro.figures.base import FigureData
+from repro.figures.base import FigureData, sweep_figure
 from repro.figures.campaign import ERROR_THRESHOLDS, GPU_COUNTS, SIZES_K
+from repro.figures.fig06 import scaling_metrics
 
 __all__ = ["generate"]
 
@@ -23,33 +22,8 @@ def generate(
     thresholds: Iterable[float] = ERROR_THRESHOLDS,
 ) -> FigureData:
     """``series[(threshold, size, gpus)] -> {ts_per_s, parallel_efficiency_pct}``."""
-    series: dict[tuple[float, int, int], dict[str, float]] = {}
-    for threshold in thresholds:
-        sub = fig09.generate(
-            benchmarks=("rhodo",),
-            sizes_k=sizes_k,
-            gpus=gpus,
-            kspace_error=threshold,
-        )
-        for (bench, size, n_gpus), metrics in sub.series.items():
-            series[(threshold, size, n_gpus)] = {
-                "ts_per_s": metrics["ts_per_s"],
-                "parallel_efficiency_pct": metrics["parallel_efficiency_pct"],
-            }
-
-    def _render(data: FigureData) -> str:
-        headers = ["threshold", "size[k]", "gpus", "TS/s", "par.eff %"]
-        rows = [
-            [f"{t:.0e}", s, g, f"{m['ts_per_s']:.4g}", f"{m['parallel_efficiency_pct']:.1f}"]
-            for (t, s, g), m in sorted(
-                data.series.items(), key=lambda kv: (-kv[0][0], kv[0][1], kv[0][2])
-            )
-        ]
-        return render_table(headers, rows)
-
-    return FigureData(
-        figure_id="Figure 13",
-        title="Rhodopsin GPU performance vs kspace error threshold",
-        series=series,
-        renderer=_render,
+    return sweep_figure(
+        "Figure 13", "Rhodopsin GPU performance vs kspace error threshold",
+        "gpu", {"kspace_error": thresholds}, sizes_k, gpus,
+        scaling_metrics("ts_per_s", "parallel_efficiency_pct"), benchmark="rhodo",
     )

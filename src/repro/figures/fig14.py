@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.report import render_table
-from repro.figures import fig04
-from repro.figures.base import FigureData
+from repro.figures.base import FigureData, sweep_figure
 from repro.figures.campaign import SIZES_K
+from repro.figures.fig04 import MPI_OVERHEAD, MPI_RANKS
 
 __all__ = ["generate", "FIG14_THRESHOLDS"]
 
@@ -25,27 +24,8 @@ def generate(
     thresholds: Iterable[float] = FIG14_THRESHOLDS,
 ) -> FigureData:
     """``series[(threshold, size, ranks)] -> (mpi_pct, imbalance_pct)``."""
-    series: dict[tuple[float, int, int], tuple[float, float]] = {}
-    for threshold in thresholds:
-        sub = fig04.generate(
-            benchmarks=("rhodo",), sizes_k=sizes_k, kspace_error=threshold
-        )
-        for (bench, size, n_ranks), values in sub.series.items():
-            series[(threshold, size, n_ranks)] = values
-
-    def _render(data: FigureData) -> str:
-        headers = ["threshold", "size[k]", "ranks", "MPI time %", "MPI imbalance %"]
-        rows = [
-            [f"{t:.0e}", s, r, f"{m[0]:.1f}", f"{m[1]:.2f}"]
-            for (t, s, r), m in sorted(
-                data.series.items(), key=lambda kv: (-kv[0][0], kv[0][1], kv[0][2])
-            )
-        ]
-        return render_table(headers, rows)
-
-    return FigureData(
-        figure_id="Figure 14",
-        title="Rhodopsin MPI overhead and imbalance vs kspace error threshold",
-        series=series,
-        renderer=_render,
+    return sweep_figure(
+        "Figure 14", "Rhodopsin MPI overhead and imbalance vs kspace error threshold",
+        "cpu", {"kspace_error": thresholds}, sizes_k, MPI_RANKS, MPI_OVERHEAD,
+        benchmark="rhodo",
     )

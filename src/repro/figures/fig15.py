@@ -8,17 +8,21 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.experiment import ExperimentSpec
-from repro.core.report import render_table
-from repro.figures.base import FigureData
-from repro.figures.campaign import RANK_COUNTS, SIZES_K, cached_run
+from repro.figures.base import FigureData, RowFamily, sweep_figure
+from repro.figures.campaign import RANK_COUNTS, SIZES_K
 from repro.perfmodel.precision import PRECISIONS
 
-__all__ = ["generate", "PRECISION_BENCHMARKS"]
+__all__ = ["generate", "PRECISION_BENCHMARKS", "PRECISION_MODES", "THROUGHPUT"]
 
 #: The paper plots LJ and Rhodopsin (EAM behaves like LJ, Chain like
 #: Rhodopsin — asserted separately).
 PRECISION_BENCHMARKS: tuple[str, ...] = ("lj", "rhodo")
+
+#: The precision axis of Figures 15 and 16, as spec strings.
+PRECISION_MODES: tuple[str, ...] = tuple(p.value for p in PRECISIONS)
+
+#: Row family of Figures 15 and 16: bare ``ts_per_s``.
+THROUGHPUT = RowFamily(lambda r, _base: r.ts_per_s, ("TS/s",), lambda ts: [f"{ts:.4g}"])
 
 
 def generate(
@@ -27,28 +31,8 @@ def generate(
     ranks: Iterable[int] = RANK_COUNTS,
 ) -> FigureData:
     """``series[(bench, precision, size, ranks)] -> ts_per_s``."""
-    series: dict[tuple[str, str, int, int], float] = {}
-    for bench in benchmarks:
-        for precision in PRECISIONS:
-            for size in sizes_k:
-                for n_ranks in ranks:
-                    record = cached_run(
-                        ExperimentSpec(
-                            bench, "cpu", size, n_ranks, precision=precision.value
-                        )
-                    )
-                    series[(bench, precision.value, size, n_ranks)] = record.ts_per_s
-
-    def _render(data: FigureData) -> str:
-        headers = ["benchmark", "precision", "size[k]", "ranks", "TS/s"]
-        rows = [
-            [b, p, s, r, f"{ts:.4g}"] for (b, p, s, r), ts in sorted(data.series.items())
-        ]
-        return render_table(headers, rows)
-
-    return FigureData(
-        figure_id="Figure 15",
-        title="CPU performance by floating-point precision (LJ, Rhodopsin)",
-        series=series,
-        renderer=_render,
+    return sweep_figure(
+        "Figure 15", "CPU performance by floating-point precision (LJ, Rhodopsin)",
+        "cpu", {"benchmark": benchmarks, "precision": PRECISION_MODES},
+        sizes_k, ranks, THROUGHPUT,
     )

@@ -9,12 +9,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.experiment import ExperimentSpec
-from repro.core.report import render_table
-from repro.figures.base import FigureData
-from repro.figures.campaign import GPU_COUNTS, SIZES_K, cached_run
-from repro.figures.fig15 import PRECISION_BENCHMARKS
-from repro.perfmodel.precision import PRECISIONS
+from repro.figures.base import FigureData, sweep_figure
+from repro.figures.campaign import GPU_COUNTS, SIZES_K
+from repro.figures.fig15 import PRECISION_BENCHMARKS, PRECISION_MODES, THROUGHPUT
 
 __all__ = ["generate"]
 
@@ -25,28 +22,8 @@ def generate(
     gpus: Iterable[int] = GPU_COUNTS,
 ) -> FigureData:
     """``series[(bench, precision, size, gpus)] -> ts_per_s``."""
-    series: dict[tuple[str, str, int, int], float] = {}
-    for bench in benchmarks:
-        for precision in PRECISIONS:
-            for size in sizes_k:
-                for n_gpus in gpus:
-                    record = cached_run(
-                        ExperimentSpec(
-                            bench, "gpu", size, n_gpus, precision=precision.value
-                        )
-                    )
-                    series[(bench, precision.value, size, n_gpus)] = record.ts_per_s
-
-    def _render(data: FigureData) -> str:
-        headers = ["benchmark", "precision", "size[k]", "gpus", "TS/s"]
-        rows = [
-            [b, p, s, g, f"{ts:.4g}"] for (b, p, s, g), ts in sorted(data.series.items())
-        ]
-        return render_table(headers, rows)
-
-    return FigureData(
-        figure_id="Figure 16",
-        title="GPU performance by floating-point precision (LJ, Rhodopsin)",
-        series=series,
-        renderer=_render,
+    return sweep_figure(
+        "Figure 16", "GPU performance by floating-point precision (LJ, Rhodopsin)",
+        "gpu", {"benchmark": benchmarks, "precision": PRECISION_MODES},
+        sizes_k, gpus, THROUGHPUT,
     )

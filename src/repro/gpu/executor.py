@@ -34,7 +34,7 @@ from repro.parallel.decomposition import SubdomainGeometry
 from repro.parallel.mpi_model import MpiModel
 from repro.perfmodel.costs import CpuCostCoefficients, CpuCostModel, kspace_grid
 from repro.perfmodel.precision import Precision
-from repro.perfmodel.workloads import WorkloadParams, get_workload
+from repro.perfmodel.workloads import get_workload
 from repro.platforms.instances import GPU_INSTANCE, InstanceSpec
 from repro.platforms.power import GpuPowerModel
 

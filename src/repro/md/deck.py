@@ -43,7 +43,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.md.atoms import AtomSystem
-from repro.md.box import Box
 from repro.md.fixes import LangevinThermostat
 from repro.md.integrators import NoseHooverNVT, VelocityVerletNVE
 from repro.md.lattice import diamond_positions, fcc_positions, sc_positions

@@ -13,8 +13,6 @@ from __future__ import annotations
 import abc
 import math
 
-import numpy as np
-
 from repro.md.atoms import AtomSystem
 
 __all__ = ["Integrator", "VelocityVerletNVE", "NoseHooverNVT", "NoseHooverNPT"]

@@ -34,7 +34,6 @@ import numpy as np
 from repro.md.box import Box
 from repro.md.kernels.base import DirectedRows, SortedHalfPairs
 from repro.md.kernels.numpy_fast import NumpyFastBackend
-from repro.md.precision import PrecisionPolicy
 
 __all__ = [
     "BackendUnavailableError",

@@ -38,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.atomicio import atomic_write
 from repro.md.atoms import AtomSystem, Topology
 from repro.md.box import Box
 from repro.md.precision import parse_precision
@@ -202,17 +203,13 @@ def write_snapshot(handle, payload: dict[str, np.ndarray]) -> None:
 def save_snapshot(simulation: Simulation, path: str | Path) -> Path:
     """Write the simulation's complete state to ``path`` (.npz, v2).
 
-    The write is *not* atomic: a crash mid-write leaves a truncated file
-    under ``path``.  :class:`repro.reliability.CheckpointManager` is the
-    atomic writer — same payload, same :func:`write_snapshot`, into a
-    temp file that is renamed into place.
+    The write is atomic (:func:`repro.atomicio.atomic_write`), like the
+    :class:`repro.reliability.CheckpointManager`'s — same payload, same
+    :func:`write_snapshot`: a crash mid-write leaves whatever ``path``
+    held before.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = snapshot_payload(simulation)
-    with open(path, "wb") as handle:
-        write_snapshot(handle, payload)
-    return path
+    return atomic_write(path, lambda handle: write_snapshot(handle, payload))
 
 
 def _system_from(data) -> tuple[AtomSystem, int]:

@@ -44,7 +44,6 @@ import time
 import traceback
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -68,9 +67,6 @@ from repro.parallel.forces import (
 from repro.parallel.halo import LocalIndex
 from repro.parallel.procs import WorkerFailure, WorkerProcess, gather, stop_all
 from repro.parallel.shm import ShmArena
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.md.simulation import Simulation
 
 __all__ = ["ParallelForceExecutor", "ParallelEngineError"]
 

@@ -43,6 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.atomicio import atomic_write
+
 __all__ = [
     "CHAIN_SCHEMA",
     "DigestChainError",
@@ -292,19 +294,12 @@ class DigestChain:
         The write is atomic (temp file + ``os.replace``) so a crash can
         never leave a half-written chain under the final name.
         """
-        import os
-
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         lines = [json.dumps({"schema": CHAIN_SCHEMA})]
         lines.extend(
             json.dumps(entry.to_json(), sort_keys=True)
             for entry in self.entries
         )
-        tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-        tmp.write_text("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-        return path
+        return atomic_write(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path: str | Path, *, verify: bool = True) -> "DigestChain":

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import platform as platform_module
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+from repro.atomicio import atomic_write
 
 __all__ = ["MANIFEST_SCHEMA", "CertificationManifest", "ManifestError"]
 
@@ -165,15 +166,11 @@ class CertificationManifest:
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> Path:
         """Write the sealed manifest atomically as pretty JSON."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         if not self.manifest_sha256:
             self.seal()
-        data = asdict(self)
-        tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-        tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        return path
+        return atomic_write(
+            path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        )
 
     @classmethod
     def load(cls, path: str | Path, *, verify: bool = True) -> "CertificationManifest":

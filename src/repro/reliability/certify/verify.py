@@ -32,6 +32,7 @@ with ``replay=True`` — re-execute entries and demand the same head.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from dataclasses import dataclass, field
@@ -131,22 +132,18 @@ def _build_for_replay(manifest: CertificationManifest, *, backend, precision,
     ``precision=`` / ``workers=``) replace the manifest's values —
     that's the cross-mode path; ``None`` means "as recorded".
     """
+    from repro.service import JobSpec, build_simulation
+
     if manifest.benchmark is not None:
-        from repro.suite import get_benchmark
-
-        build = get_benchmark(manifest.benchmark).build
-        kwargs = {} if manifest.seed is None else {"seed": int(manifest.seed)}
-        sim = build(int(manifest.n_atoms), **kwargs)
+        deck_text = None
+    elif deck_text is None:
+        raise CertificationError(
+            "this run was produced from a literal deck; pass the deck "
+            "text (repro certify --deck FILE) so the simulation can "
+            f"be rebuilt — the manifest only seals its hash "
+            f"{manifest.deck_sha256!r}"
+        )
     else:
-        if deck_text is None:
-            raise CertificationError(
-                "this run was produced from a literal deck; pass the deck "
-                "text (repro certify --deck FILE) so the simulation can "
-                f"be rebuilt — the manifest only seals its hash "
-                f"{manifest.deck_sha256!r}"
-            )
-        import hashlib
-
         have = hashlib.sha256(deck_text.encode()).hexdigest()
         if have != manifest.deck_sha256:
             raise CertificationError(
@@ -154,21 +151,17 @@ def _build_for_replay(manifest: CertificationManifest, *, backend, precision,
                 f"manifest seals {str(manifest.deck_sha256)[:16]}…: this "
                 "is not the deck that produced the run"
             )
-        from repro.md.deck import parse_deck
-
-        sim = parse_deck(deck_text).simulation
-    precision = manifest.precision if precision is None else precision
-    backend = manifest.backend if backend is None else backend
-    workers = manifest.workers if workers is None else int(workers)
-    sim.set_precision(precision)
-    sim.set_backend(backend)
-    if workers > 1:
-        from repro.parallel.engine import ParallelForceExecutor
-
-        executor = ParallelForceExecutor(workers, precision=precision)
-        sim.force_executor = executor
-        executor.bind(sim)
-    return sim, workers
+    spec = JobSpec(
+        benchmark=manifest.benchmark,
+        deck=deck_text,
+        n_atoms=manifest.n_atoms,
+        steps=manifest.steps,
+        seed=manifest.seed,
+        precision=manifest.precision if precision is None else precision,
+        backend=manifest.backend if backend is None else backend,
+        workers=manifest.workers if workers is None else workers,
+    )
+    return build_simulation(spec)[0], spec.workers
 
 
 def _is_bitwise_environment(manifest: CertificationManifest, simulation,

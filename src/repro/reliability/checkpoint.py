@@ -33,11 +33,11 @@
 from __future__ import annotations
 
 import json
-import os
 import time
 import zlib
 from pathlib import Path
 
+from repro.atomicio import atomic_write, temp_path
 from repro.md.restart import (
     Snapshot,
     SnapshotError,
@@ -140,7 +140,6 @@ class CheckpointManager:
         """
         step = simulation.step_number
         final = self.path_for(step)
-        tmp = final.parent / f".{final.name}.tmp"
         start = time.perf_counter()
         with self.tracer.span("checkpoint.write", "checkpoint"):
             # Gathering the payload may round-trip worker state (the
@@ -157,23 +156,20 @@ class CheckpointManager:
                 # on disk (restore_latest must skip it), the final name
                 # never appears, and the named worker's death is
                 # scheduled so the run aborts like a real crash.
-                tmp.write_bytes(b"\x00" * 512)
+                temp_path(final).write_bytes(b"\x00" * 512)
                 executor = simulation.force_executor
                 if hasattr(executor, "kill_worker"):
                     executor.kill_worker(fault.worker)
                 return None
-            with open(tmp, "wb") as handle:
-                write_snapshot(handle, payload)
-            crc = zlib.crc32(tmp.read_bytes())
-            size = tmp.stat().st_size
-            os.replace(tmp, final)
-            self._record_integrity(final.name, crc, size)
+            atomic_write(final, lambda handle: write_snapshot(handle, payload))
+            written = final.read_bytes()
+            self._record_integrity(final.name, zlib.crc32(written), len(written))
         elapsed = time.perf_counter() - start
         self.writes += 1
         if self.metrics is not None:
             self.metrics.counter("md_checkpoints_total").inc()
             self.metrics.histogram("md_checkpoint_write_seconds").observe(elapsed)
-            self.metrics.gauge("md_checkpoint_bytes").set(final.stat().st_size)
+            self.metrics.gauge("md_checkpoint_bytes").set(len(written))
         self._prune()
         return final
 
@@ -206,10 +202,8 @@ class CheckpointManager:
         return data if isinstance(data, dict) else {}
 
     def _save_index(self, index: dict) -> None:
-        path = self.integrity_path()
-        tmp = path.with_name(f".{path.name}.tmp")
-        tmp.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
+        text = json.dumps(index, indent=2, sort_keys=True) + "\n"
+        atomic_write(self.integrity_path(), text)
 
     def _record_integrity(self, name: str, crc: int, size: int) -> None:
         index = self._load_index()

@@ -6,7 +6,7 @@ through a content-addressed cache.  See ``docs/SERVICE.md``.
 """
 
 from repro.service.cache import ResultCache
-from repro.service.runner import execute_job
+from repro.service.runner import build_simulation, execute_job
 from repro.service.scheduler import (
     BatchService,
     Job,
@@ -26,6 +26,7 @@ __all__ = [
     "ServiceClosedError",
     "SpoolClient",
     "SpoolServer",
+    "build_simulation",
     "execute_job",
     "spool_layout",
     "state_digest",

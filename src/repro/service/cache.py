@@ -22,11 +22,11 @@ hits/misses/evictions/insertions are counted under ``service_cache_*``.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
 
+from repro.atomicio import atomic_write
 from repro.service.spec import JobResult
 
 __all__ = ["ResultCache"]
@@ -106,10 +106,8 @@ class ResultCache:
         """Store one result under its address (memory + disk)."""
         path = self.path_for(key)
         if path is not None:
-            payload = json.dumps(result.to_json(), indent=2) + "\n"
-            tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-            tmp.write_text(payload)
-            os.replace(tmp, path)  # atomic: never a truncated record
+            # atomic: never a truncated record
+            atomic_write(path, json.dumps(result.to_json(), indent=2) + "\n")
         with self._lock:
             self._insert(key, result)
             self._count("service_cache_insertions_total")

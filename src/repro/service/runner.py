@@ -18,6 +18,7 @@ uninterrupted run, which is what makes fault plans cache-key-neutral.
 
 from __future__ import annotations
 
+import contextlib
 import tempfile
 import time
 from typing import Callable
@@ -27,29 +28,43 @@ from repro.md.kernels import backend_spec, get_backend
 from repro.reliability.certify import DigestRecorder
 from repro.service.spec import JobResult, JobSpec, state_digest
 
-__all__ = ["execute_job"]
+__all__ = ["build_simulation", "execute_job"]
 
 #: Steps between progress callbacks (and recovery-supervisor chunks).
 PROGRESS_CHUNK_FRACTION = 10
 
 
-def _build_simulation(spec: JobSpec):
-    """Build (and precision/backend-configure) the spec's simulation."""
+def build_simulation(spec: JobSpec):
+    """Build the run ``spec`` describes; returns ``(simulation, steps)``.
+
+    The one builder (service, certify replay, ``repro checkpoint``,
+    ``repro scale``): registry or deck build, the spec's precision, its
+    *resolved* backend and, when ``spec.workers > 1``, a bound parallel
+    executor carrying the parsed ``spec.fault_plan``.  The caller closes it.
+    """
     if spec.deck is not None:
         from repro.md.deck import parse_deck
 
         deck = parse_deck(spec.deck)
         sim = deck.simulation
-        steps = deck.run_steps if spec.steps is None else int(spec.steps)
+        steps = deck.run_steps if spec.steps is None else spec.steps
     else:
         from repro.suite import get_benchmark
 
-        build = get_benchmark(spec.benchmark).build
-        kwargs = {} if spec.seed is None else {"seed": int(spec.seed)}
-        sim = build(int(spec.n_atoms), **kwargs)
-        steps = int(spec.steps)
+        kwargs = {} if spec.seed is None else {"seed": spec.seed}
+        sim = get_benchmark(spec.benchmark).build(spec.n_atoms, **kwargs)
+        steps = spec.steps
     sim.set_precision(spec.precision)
     sim.set_backend(backend_spec(get_backend(spec.backend)))
+    if spec.workers > 1:
+        from repro.parallel.engine import ParallelForceExecutor
+        from repro.reliability import FaultPlan
+
+        plan = FaultPlan.parse(spec.fault_plan) if spec.fault_plan else None
+        sim.force_executor = ParallelForceExecutor(
+            spec.workers, fault_plan=plan, precision=spec.precision
+        )
+        sim.force_executor.bind(sim)
     return sim, steps
 
 
@@ -66,23 +81,34 @@ def execute_job(
     """
     payload = spec.canonical_payload()
     tick = time.perf_counter()
-    sim, steps = _build_simulation(spec)
+    sim, steps = build_simulation(spec)
     chunk = max(1, steps // PROGRESS_CHUNK_FRACTION)
     # The digest cadence is a pure function of the spec (the chunk
     # size), so any route to the same spec — direct call, pool worker,
     # spool ticket — produces the identical chain, head included.
     digest = DigestRecorder(every=chunk)
-    recovery_events = 0
+    supervisor = None
     try:
-        if spec.workers > 1:
-            recovery_events = _run_parallel(
-                spec, sim, steps, chunk, progress, digest
-            )
-        else:
+        with contextlib.ExitStack() as scratch:
+            if spec.workers > 1:
+                from repro.reliability import CheckpointManager, ResilientRunner
+
+                tmp = scratch.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-job-ckpt-")
+                )
+                manager = CheckpointManager(
+                    tmp,
+                    every=spec.checkpoint_every,
+                    fault_plan=sim.force_executor.fault_plan,
+                )
+                supervisor = ResilientRunner(sim, manager, digest=digest)
             done = 0
             while done < steps:
                 n = min(chunk, steps - done)
-                sim.run(RunConfig(steps=n, digest=digest))
+                if supervisor is not None:
+                    supervisor.run(n)
+                else:
+                    sim.run(RunConfig(steps=n, digest=digest))
                 done += n
                 if progress is not None:
                     progress(done, steps)
@@ -104,8 +130,8 @@ def execute_job(
             wall_seconds=wall,
             ts_per_s=steps / wall if wall > 0 else 0.0,
             worker_id=int(worker_id),
-            engine_workers=int(spec.workers),
-            recovery_events=recovery_events,
+            engine_workers=spec.workers,
+            recovery_events=0 if supervisor is None else len(supervisor.events),
             tag=spec.tag,
             digest_head=digest.chain.head,
             digest_every=digest.every,
@@ -114,31 +140,3 @@ def execute_job(
         )
     finally:
         sim.close()
-
-
-def _run_parallel(spec: JobSpec, sim, steps, chunk, progress, digest) -> int:
-    """Drive the job on the parallel engine under crash recovery."""
-    from repro.parallel.engine import ParallelForceExecutor
-    from repro.reliability import CheckpointManager, FaultPlan, ResilientRunner
-
-    plan = FaultPlan.parse(spec.fault_plan) if spec.fault_plan else None
-    executor = ParallelForceExecutor(
-        int(spec.workers),
-        fault_plan=plan,
-        precision=spec.precision,
-    )
-    sim.force_executor = executor
-    executor.bind(sim)
-    with tempfile.TemporaryDirectory(prefix="repro-job-ckpt-") as tmp:
-        manager = CheckpointManager(
-            tmp, every=int(spec.checkpoint_every), fault_plan=plan
-        )
-        runner = ResilientRunner(sim, manager, digest=digest)
-        done = 0
-        while done < steps:
-            n = min(chunk, steps - done)
-            runner.run(n)
-            done += n
-            if progress is not None:
-                progress(done, steps)
-        return len(runner.events)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -52,6 +53,11 @@ __all__ = ["JobSpec", "JobResult", "state_digest"]
 #: Canonical-payload schema tag; bump when the key derivation changes
 #: (a bump invalidates every cached address, by construction).
 SPEC_SCHEMA = "repro-job/1"
+
+#: Integer-valued ``JobSpec`` fields -> smallest accepted value.
+_INTEGER_FIELDS = {
+    "n_atoms": 1, "steps": 1, "workers": 1, "checkpoint_every": 0, "seed": None,
+}
 
 
 @dataclass(frozen=True)
@@ -94,6 +100,10 @@ class JobSpec:
         supervisor's baseline checkpoint when recovery is active).
     tag:
         Free-form client label carried through to the result.
+
+    ``n_atoms``, ``steps``, ``workers`` (each >= 1), ``checkpoint_every``
+    (>= 0) and ``seed`` must be whole numbers (``bool`` refused) and are
+    stored as ``int``; anything else is a ``ValueError`` naming the field.
     """
 
     benchmark: str | None = None
@@ -115,10 +125,18 @@ class JobSpec:
             )
         if self.steps is None and self.deck is None:
             raise ValueError("steps=None is only valid for deck jobs")
-        if self.steps is not None and int(self.steps) <= 0:
-            raise ValueError("steps must be positive")
-        if int(self.workers) < 1:
-            raise ValueError("workers must be >= 1")
+        # Whole numbers only, stored as ``int``: a spec that cannot run
+        # is refused here (and by ``from_json``), not inside a worker.
+        for name, minimum in _INTEGER_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and name in ("steps", "seed"):
+                continue
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and value % 1 == 0):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if minimum is not None and value < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         # Fail fast on typos before the job ever reaches a worker.
         parse_precision(self.precision)
         if self.benchmark is not None:
@@ -132,7 +150,7 @@ class JobSpec:
     def effective_seed(self) -> int | None:
         """The seed the builder will actually use (default-resolved)."""
         if self.seed is not None:
-            return int(self.seed)
+            return self.seed
         if self.benchmark is None:
             return None  # decks carry their seeds in the text
         import inspect
@@ -163,8 +181,8 @@ class JobSpec:
                 if self.deck is None
                 else hashlib.sha256(self.deck.encode()).hexdigest()
             ),
-            "n_atoms": None if self.deck is not None else int(self.n_atoms),
-            "steps": None if self.steps is None else int(self.steps),
+            "n_atoms": None if self.deck is not None else self.n_atoms,
+            "steps": self.steps,
             "seed": self.effective_seed(),
             "precision": parse_precision(self.precision).value,
             "backend": name,
@@ -199,8 +217,7 @@ class JobSpec:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "JobSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown JobSpec fields: {sorted(unknown)}")
         return cls(**data)

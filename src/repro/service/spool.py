@@ -49,6 +49,7 @@ import time
 import uuid
 from pathlib import Path
 
+from repro.atomicio import atomic_write
 from repro.service.scheduler import BatchService, Job
 from repro.service.spec import JobResult, JobSpec
 
@@ -67,9 +68,7 @@ def spool_layout(spool_dir: str | Path) -> dict[str, Path]:
 
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
-    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
 class SpoolClient:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.gpu.executor import GpuModelConfig, simulate_gpu_run
-from repro.platforms.instances import GPU_INSTANCE
 
 __all__ = ["RankTuningPoint", "gpu_rank_tuning_study", "best_total_ranks"]
 

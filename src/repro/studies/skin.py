@@ -17,7 +17,6 @@ Two views:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from repro.md.simulation import Simulation

@@ -1,6 +1,5 @@
 """Tests for the simulated GPU-instance executor."""
 
-import numpy as np
 import pytest
 
 from repro.gpu.executor import GpuModelConfig, simulate_gpu_run

@@ -1,6 +1,5 @@
 """Tests for the simulated CPU-instance executor."""
 
-import numpy as np
 import pytest
 
 from repro.parallel.executor import BREAKDOWN_TASKS, simulate_cpu_run

@@ -1,6 +1,5 @@
 """Tests for the Table 3 instance specs and the power models."""
 
-import numpy as np
 import pytest
 
 from repro.platforms.instances import CPU_INSTANCE, GPU_INSTANCE
