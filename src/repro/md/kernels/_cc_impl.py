@@ -335,6 +335,162 @@ int64_t lj_rows_f64(const double *pos, const int64_t *di, const int64_t *dj,
 #undef LJ_TERMS
 
 /* ------------------------------------------------------------------ */
+/* Fused Tersoff pass: full (directed) CSR list -> forces, one head    */
+/* atom i at a time.                                                   */
+/*                                                                     */
+/* 1. Row filter: gather, minimum image and cutoff test exactly as     */
+/*    pair_geom_f64 (so the bond set is the unfused path's), and per   */
+/*    surviving bond the unit vector i -> j, r, 1/r, the sine ramp     */
+/*    fc/fc' (libm only inside R +- D) and fR, fA, compressed into the */
+/*    caller's row scratch: `cap` slots, cap >= the longest stored     */
+/*    row.  Nothing is allocated here.                                 */
+/* 2. Per bond j: zeta over the row's other bonds k, caching cos and   */
+/*    the three zeta derivatives (d/dr_ij, d/dr_ik, d/dcos) per k;     */
+/*    b and b' from two pow; pair energy and radial slope; then the k  */
+/*    loop again for the gradient channels.                            */
+/* 3. Whatever the row pushes onto its neighbors is summed per slot    */
+/*    and scattered once; i takes the negative total, so Newton's      */
+/*    third law holds per row by construction.                         */
+/*                                                                     */
+/* Tersoff.compute's numpy body is the oracle.  exp/pow/sin/cos here   */
+/* are libm's and numpy's are its own SIMD loops, which round a few    */
+/* percent of arguments differently, so this pass is *equivalent* to   */
+/* that body (forces/energy/virial to 1e-12), not bitwise; g keeps the */
+/* oracle's association because its two 4e7 terms cancel to O(1).      */
+/* Energy and virial are summed per row, rows in list order, into      */
+/* totals[0..1] (assigned, not accumulated).  m must be 1 or 3 (the    */
+/* caller checks).  Returns the number of bonds inside the cutoff.     */
+/* ------------------------------------------------------------------ */
+
+enum {
+    TS_A, TS_B, TS_LAMBDA1, TS_LAMBDA2, TS_LAMBDA3, TS_N, TS_BETA,
+    TS_C, TS_D, TS_H, TS_GAMMA, TS_M, TS_BIGR, TS_BIGD
+};
+
+int64_t tersoff_full_f64(const double *pos, int64_t n, const int64_t *offsets,
+                         const int64_t *pj, const double *lengths,
+                         const uint8_t *periodic, double rc2,
+                         const double *prm, int64_t cap, double *scratch,
+                         int64_t *atom, double *forces, double *totals) {
+    BOX_LOCALS
+    const double A = prm[TS_A], B = prm[TS_B];
+    const double lam1 = prm[TS_LAMBDA1], lam2 = prm[TS_LAMBDA2];
+    const double nn = prm[TS_N], beta = prm[TS_BETA], h = prm[TS_H];
+    const double bigR = prm[TS_BIGR], bigD = prm[TS_BIGD];
+    const int cubic = prm[TS_M] == 3.0;
+    const double lam3m = pow(prm[TS_LAMBDA3], prm[TS_M]);
+    const double c2 = prm[TS_C] * prm[TS_C], d2 = prm[TS_D] * prm[TS_D];
+    const double g_one = 1.0 + c2 / d2, gamma = prm[TS_GAMMA];
+    const double dg_scale = -2.0 * gamma * prm[TS_C] * prm[TS_C];
+    const double pi = 3.14159265358979323846;   /* M_PI is not ISO C */
+    const double half_pi = 0.5 * pi, dfc_scale = -0.25 * pi / bigD;
+    const double b_power = -0.5 / nn;
+
+    double *ex = scratch, *ey = ex + cap, *ez = ey + cap;
+    double *rr = ez + cap, *ir = rr + cap, *fc = ir + cap, *dfc = fc + cap;
+    double *fr = dfc + cap, *fa = fr + cap;
+    double *cs = fa + cap, *zj = cs + cap, *zk = zj + cap, *zc = zk + cap;
+    double *bx = zc + cap, *by = bx + cap, *bz = by + cap;
+
+    int64_t count = 0;
+    double energy = 0.0, virial = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t nb = 0;
+        for (int64_t k = offsets[i]; k < offsets[i+1]; k++) {
+            PAIR_GEOMETRY(pos + 3*i, pos + 3*pj[k])
+            if (!(r2 < rc2)) continue;
+            double r = sqrt(r2), inv = 1.0 / r;
+            double x = (r - bigR) / bigD, ramp = 1.0, slope = 0.0;
+            if (x >= 1.0) {
+                ramp = 0.0;
+            } else if (x > -1.0) {
+                ramp = 0.5 - 0.5 * sin(half_pi * x);
+                slope = dfc_scale * cos(half_pi * x);
+            }
+            atom[nb] = pj[k];
+            ex[nb] = -dx * inv; ey[nb] = -dy * inv; ez[nb] = -dz * inv;
+            rr[nb] = r; ir[nb] = inv; fc[nb] = ramp; dfc[nb] = slope;
+            fr[nb] = A * exp(-lam1 * r);
+            fa[nb] = -B * exp(-lam2 * r);
+            bx[nb] = 0.0; by[nb] = 0.0; bz[nb] = 0.0;
+            nb++;
+        }
+        count += nb;
+
+        double row_energy = 0.0, row_virial = 0.0;
+        for (int64_t j = 0; j < nb; j++) {
+            double zeta = 0.0;
+            for (int64_t k = 0; k < nb; k++) {
+                if (k == j) continue;
+                double c = (ex[j]*ex[k] + ez[j]*ez[k]) + ey[j]*ey[k];
+                double u = h - c, denom = d2 + u * u;
+                double g = gamma * (g_one - c2 / denom);
+                double dg = dg_scale * u / (denom * denom);
+                double diff = rr[j] - rr[k], e, de;
+                if (cubic) {
+                    e = exp(lam3m * diff * diff * diff);
+                    de = 3.0 * lam3m * diff * diff * e;
+                } else {
+                    e = exp(lam3m * diff);
+                    de = lam3m * e;
+                }
+                double fg = fc[k] * g;
+                zeta += fg * e;
+                cs[k] = c;
+                zj[k] = fg * de;
+                zk[k] = dfc[k] * g * e - fg * de;
+                zc[k] = fc[k] * dg * e;
+            }
+            double b = 1.0, db = 0.0;
+            if (zeta > 0.0) {
+                double bzeta = pow(beta * zeta, nn), base = 1.0 + bzeta;
+                b = pow(base, b_power);
+                db = -0.5 * bzeta / zeta * (b / base);
+            }
+            double bond = fr[j] + b * fa[j];
+            double w = 0.5 * (dfc[j] * bond
+                              + fc[j] * (-lam1 * fr[j] - b * lam2 * fa[j]));
+            row_energy += 0.5 * fc[j] * bond;
+            row_virial -= w * rr[j];
+
+            /* dE/dzeta of this bond, spread over its triplets: the     */
+            /* e_j parts (radial slope w, d/dr_ij and the -cos e_j half */
+            /* of d/dcos) are summed first and applied once.            */
+            double dE = 0.5 * fc[j] * fa[j] * db;
+            double along = w, sc = 0.0, vx = 0.0, vy = 0.0, vz = 0.0;
+            for (int64_t k = 0; k < nb; k++) {
+                if (k == j) continue;
+                double a1 = dE * zj[k], a2 = dE * zk[k], s3 = dE * zc[k];
+                double tk = s3 * ir[k], ak = a2 - tk * cs[k];
+                along += a1;
+                sc += s3 * cs[k];
+                vx += s3 * ex[k]; vy += s3 * ey[k]; vz += s3 * ez[k];
+                bx[k] -= ak * ex[k] + tk * ex[j];
+                by[k] -= ak * ey[k] + tk * ey[j];
+                bz[k] -= ak * ez[k] + tk * ez[j];
+                row_virial -= a1 * rr[j] + a2 * rr[k];
+            }
+            along -= ir[j] * sc;
+            bx[j] -= along * ex[j] + ir[j] * vx;
+            by[j] -= along * ey[j] + ir[j] * vy;
+            bz[j] -= along * ez[j] + ir[j] * vz;
+        }
+        double sx = 0.0, sy = 0.0, sz = 0.0;
+        for (int64_t j = 0; j < nb; j++) {
+            int64_t a = atom[j];
+            forces[3*a] += bx[j]; forces[3*a+1] += by[j]; forces[3*a+2] += bz[j];
+            sx += bx[j]; sy += by[j]; sz += bz[j];
+        }
+        forces[3*i] -= sx; forces[3*i+1] -= sy; forces[3*i+2] -= sz;
+        energy += row_energy;
+        virial += row_virial;
+    }
+    totals[0] = energy;
+    totals[1] = virial;
+    return count;
+}
+
+/* ------------------------------------------------------------------ */
 /* Link-cell binning shared by the two neighbor builds below: the      */
 /* grid, clamped cell coordinates and stable counting sort (== argsort */
 /* kind="stable") of cell_list_half_pairs in repro.md.neighbor.        */
@@ -681,6 +837,7 @@ KERNELS = {
     "pair_geom": (GEOMETRY, ctypes.c_int64, "v i i n v u s I I V V"),
     "lj_half": (DOUBLE, ctypes.c_int64, "v i i n v u s i n v v v A A A"),
     "lj_rows": (DOUBLE, ctypes.c_int64, "v i i i i n v u s i n v v v A A A"),
+    "tersoff_full": (DOUBLE, ctypes.c_int64, "v n i i v u s v n V I A A"),
     "cell_csr": (DOUBLE, ctypes.c_int64, "v n v v u s s I I n I N"),
     "cell_rows": (DOUBLE, ctypes.c_int64, "v n v v u s s i n I I n I"),
     "max_disp_sq": (DOUBLE, ctypes.c_double, "v v n v v u"),
@@ -815,6 +972,9 @@ class CcProvider:
 
     kind = "cc"
 
+    #: Doubles of row scratch ``tersoff_full`` carves up per slot.
+    TERSOFF_SLOT_DOUBLES = 16
+
     def __init__(self) -> None:
         lib, cc = _build_library()
         self._lib = lib
@@ -883,6 +1043,23 @@ class CcProvider:
         return self.bound["lj_rows", F64, F64](
             pos, di, dj, gi, gj, len(di), lengths, periodic, rc2, types,
             len(eps), eps, sigma, shift, forces, energy, virial,
+        )
+
+    def tersoff_full(
+        self, pos, offsets, pj, lengths, periodic, rc2, params, scratch, atom,
+        forces, totals,
+    ):
+        """Fused Tersoff pass over a full CSR list; returns the bond count
+        and leaves ``(energy, virial)`` in ``totals``.
+
+        ``params`` is the 14 :class:`TersoffParameters` fields in
+        declaration order (``m`` must be 1 or 3); ``atom`` holds one
+        slot per entry of the longest stored row and ``scratch``
+        :attr:`TERSOFF_SLOT_DOUBLES` times as many doubles.
+        """
+        return self.bound["tersoff_full", F64, F64](
+            pos, len(pos), offsets, pj, lengths, periodic, rc2, params,
+            len(atom), scratch, atom, forces, totals,
         )
 
     def cell_csr(

@@ -15,8 +15,10 @@ their time in behind a small strategy interface:
 A backend may additionally offer *fused* passes
 (:meth:`KernelBackend.pair_forces`,
 :meth:`KernelBackend.directed_pair_forces`) that do all of the above
-for one analytic pair style in a single sweep; they are optional,
-decline with ``None``, and must be bitwise the unfused result.
+for one pair style in a single sweep; they are optional, decline with
+``None``, and must be bitwise the unfused result — or, for a style
+whose closed form calls libm, equivalent to it at the 1e-12 tier (see
+:meth:`KernelBackend.pair_forces`).
 
 Backends must be bit-compatible in *math* (same formulas, same pair
 set) but are free to reorder summations and reuse scratch storage; the
@@ -70,19 +72,23 @@ class DirectedRows(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class PairStyle:
-    """Closed form of an analytic pair potential, for fused kernels.
+    """Closed form of a potential, for fused kernels.
 
-    What :meth:`AnalyticPairPotential.fused_style` hands to
+    What a potential's ``fused_style()`` hands to
     :meth:`KernelBackend.pair_forces`: enough for a backend to evaluate
-    the potential itself instead of calling ``pair_terms`` on arrays.
+    the potential itself instead of running its numpy body.
     """
 
-    #: LAMMPS-style name selecting the functional form (``"lj/cut"``).
+    #: LAMMPS-style name selecting the functional form (``"lj/cut"``,
+    #: ``"tersoff"``).
     kind: str
     cutoff: float
-    #: Per-``kind`` coefficient tables, each ``(n_types, n_types)``
-    #: float64 and C-contiguous; ``lj/cut`` carries ``(epsilon, sigma,
-    #: energy shift)``.  A one-type table means "ignore atom types".
+    #: Per-``kind`` coefficient arrays, float64 and C-contiguous; their
+    #: shapes belong to the kind.  ``lj/cut`` carries three
+    #: ``(n_types, n_types)`` tables ``(epsilon, sigma, energy shift)``,
+    #: a one-type table meaning "ignore atom types"; ``tersoff`` carries
+    #: one vector, the :class:`~repro.md.potentials.tersoff.
+    #: TersoffParameters` fields in declaration order.
     coeffs: tuple[np.ndarray, ...]
 
 
@@ -167,18 +173,29 @@ class KernelBackend(abc.ABC):
         system: "AtomSystem",
         neighbors: "NeighborList",
     ) -> tuple[float, float, int] | None:
-        """Optional fused evaluation of an analytic pair style.
+        """Optional fused evaluation of a pair style.
 
-        One pass over the stored half list that does the work of
-        :meth:`current_pairs`, ``pair_terms``,
-        :meth:`accumulate_scaled_pair_forces` and the energy/virial
-        reductions: forces are added to ``system.forces`` and
-        ``(energy, virial, interactions)`` is returned.  The result must
-        be *bitwise* what this backend's unfused path produces, so that
-        taking the hook is invisible to the digest chain.  ``None`` (the
-        default, and the answer for any style, precision policy or
-        memory layout a backend does not cover) keeps the caller on the
-        unfused path; nothing may have been written in that case.
+        One pass over the stored list that does the work of the
+        potential's unfused route — :meth:`current_pairs`, the per-pair
+        terms, the scatters and the energy/virial reductions: forces
+        are added to ``system.forces`` and ``(energy, virial,
+        interactions)`` is returned.  ``None`` (the default, and the
+        answer for any style, precision policy, list kind or memory
+        layout a backend does not cover) keeps the caller on the
+        unfused route; nothing may have been written in that case.
+
+        How close the result must be depends on the style's closed form:
+
+        * arithmetic only (``lj/cut``): *bitwise* what this backend's
+          unfused route produces, so that taking the hook is invisible
+          to the digest chain;
+        * calling libm (``tersoff``: ``exp``, ``pow``), which numpy's
+          own SIMD loops do not round identically: *equivalent* —
+          forces, energy and virial within 1e-12, trajectories within
+          ``PARITY_TOLERANCES["double"]``, reruns bitwise — and the
+          route taken must be a function of the configuration (style,
+          policy, dtypes, layout, list kind), never of an array value,
+          so one (spec, backend, precision) always yields one head.
         """
         return None
 

@@ -209,6 +209,64 @@ def _check_lj(provider, stem, policy):
         raise AssertionError(f"fused {stem} deviates from the unfused path")
 
 
+def _smoke_silicon():
+    """``(system, neighbors)`` for the Tersoff check: a jittered 64-atom
+    diamond cell, open along z, with pre-loaded forces; atom 0's
+    nearest bond is stretched to ``R`` (mid-ramp) and the last atom is
+    lifted out of everyone's reach (an empty row)."""
+    from repro.md.atoms import AtomSystem
+    from repro.md.lattice import diamond_positions
+    from repro.md.neighbor import NeighborList
+
+    rng = np.random.default_rng(1234)
+    pos, cell = diamond_positions(2, 5.431)
+    pos += rng.normal(scale=0.08, size=pos.shape)
+    box = Box(cell.lengths + [0.0, 0.0, 12.0], periodic=(True, True, False))
+    pos[-1, 2] = cell.lengths[2] + 8.0
+    bonds = box.minimum_image(pos[0] - pos[1:-1])
+    lengths = np.linalg.norm(bonds, axis=1)
+    nearest = int(np.argmin(lengths))
+    pos[1 + nearest] = pos[0] - 2.85 * bonds[nearest] / lengths[nearest]
+    system = AtomSystem(pos, box)
+    system.forces[...] = rng.normal(size=pos.shape)
+    neighbors = NeighborList(3.0, 0.5, full=True)
+    neighbors.build(system)
+    return system, neighbors
+
+
+def _check_tersoff(provider, stem, policy):
+    """Fused Tersoff against ``Tersoff.compute``'s numpy body (the
+    unfused route) at the 1e-12 tier — libm and numpy round ``exp`` and
+    ``pow`` differently, so not bitwise — and bitwise against itself."""
+    from repro.md.potentials.tersoff import Tersoff
+
+    system, neighbors = _smoke_silicon()
+    start = system.forces.copy()
+    pot = Tersoff()
+    pot.backend = NumpyFastBackend()
+    expect = pot.compute(system, neighbors)
+    style = pot.fused_style()
+    rows = int(np.diff(neighbors.csr_offsets).max())
+    scratch = np.empty(rows * provider.TERSOFF_SLOT_DOUBLES)
+    runs = []
+    for _ in range(2):
+        forces, totals = start.copy(), np.empty(2)
+        count = provider.tersoff_full(
+            system.positions, neighbors.csr_offsets, neighbors.pair_j,
+            *_box_f64(system.box)[::2], style.cutoff * style.cutoff,
+            *style.coeffs, scratch, np.empty(rows, np.int64), forces, totals,
+        )
+        runs.append((count, forces.tobytes(), totals.tobytes()))
+    got = (*forces.ravel(), *totals)
+    want = (*system.forces.ravel(), expect.energy, expect.virial)
+    if not (
+        count == expect.interactions
+        and runs[0] == runs[1]
+        and np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    ):
+        raise AssertionError("fused tersoff_full deviates from Tersoff.compute")
+
+
 def _smoke_cells():
     """``(rng, box, pos)``: 120 atoms in a periodic box several cells wide."""
     rng = np.random.default_rng(1234)
@@ -308,6 +366,7 @@ _SMOKE_CHECKS = {
     "pair_geom": _check_pair_geom,
     "lj_half": _check_lj,
     "lj_rows": _check_lj,
+    "tersoff_full": _check_tersoff,
     "cell_csr": _check_cell_csr,
     "cell_rows": _check_cell_rows,
     "max_disp_sq": _check_max_disp_sq,
@@ -326,6 +385,10 @@ def _box_f64(box):
 
 #: Stand-in ``types`` argument for one-type styles (never read).
 _NO_TYPES = np.zeros(1, np.int64)
+
+#: Where ``m`` sits in a ``tersoff`` style's parameter vector (the
+#: :class:`~repro.md.potentials.tersoff.TersoffParameters` field order).
+_TERSOFF_M = 11
 
 
 def _native(array, dtype) -> bool:
@@ -393,6 +456,9 @@ class CompiledBackend(NumpyFastBackend):
         # Fused pair pass: per-pair energy / virial terms (grow-only).
         self._pair_energy = np.empty(0)
         self._pair_virial = np.empty(0)
+        # Fused Tersoff pass: one row's bonds (grow-only).
+        self._row_atoms = np.empty(0, np.int64)
+        self._row_scratch = np.empty(0)
 
     # ------------------------------------------------------------------
     # Pair geometry
@@ -465,19 +531,34 @@ class CompiledBackend(NumpyFastBackend):
         return style.cutoff * style.cutoff, types, eps, sigma, shift
 
     def pair_forces(self, style, system, neighbors):
-        """Fused ``lj/cut`` over the stored half list (float64 only)."""
+        """Fused pass over the stored list (float64 only): ``lj/cut``
+        over a half list, ``tersoff`` over a full one.
+
+        Which route runs is settled here, before anything is written,
+        from the configuration alone — style, precision policy, array
+        dtypes and layout, list kind — never from an array value.
+        """
         if neighbors._positions_at_build is None:
             raise RuntimeError("neighbor list has never been built")
-        args = self._lj_arguments(style, system.types)
+        fused = {"lj/cut": self._lj_half, "tersoff": self._tersoff_full}.get(
+            style.kind
+        )
         positions, forces = system.positions, system.forces
-        pair_i, pair_j = neighbors.pair_i, neighbors.pair_j
-        if args is None or not (
-            _native(positions, np.float64)
+        if fused is None or not (
+            self.policy.is_double
+            and _native(positions, np.float64)
             and _native(forces, np.float64)
-            and _native(pair_i, np.int64)
-            and _native(pair_j, np.int64)
+            and _native(neighbors.pair_i, np.int64)
+            and _native(neighbors.pair_j, np.int64)
         ):
             return None
+        return fused(style, system, neighbors)
+
+    def _lj_half(self, style, system, neighbors):
+        args = self._lj_arguments(style, system.types)
+        if args is None:
+            return None
+        pair_i, pair_j = neighbors.pair_i, neighbors.pair_j
         m = len(pair_i)
         if m == 0:
             return 0.0, 0.0, 0
@@ -487,8 +568,8 @@ class CompiledBackend(NumpyFastBackend):
             self._pair_virial = np.empty(capacity)
         lengths, _, periodic = _box_f64(system.box)
         count = self._impl.lj_half(
-            positions, pair_i, pair_j, lengths, periodic, *args,
-            forces, self._pair_energy, self._pair_virial,
+            system.positions, pair_i, pair_j, lengths, periodic, *args,
+            system.forces, self._pair_energy, self._pair_virial,
         )
         # Pairwise np.sum over the compressed terms, as the unfused
         # path reduces pair_terms' arrays.
@@ -497,6 +578,38 @@ class CompiledBackend(NumpyFastBackend):
             float(np.sum(self._pair_virial[:count], dtype=np.float64)),
             count,
         )
+
+    def _tersoff_full(self, style, system, neighbors):
+        (params,) = style.coeffs
+        offsets = neighbors.csr_offsets
+        n = system.n_atoms
+        if not (
+            neighbors.full
+            and system.positions.shape == system.forces.shape == (n, 3)
+            and _native(offsets, np.int64)
+            and len(offsets) == n + 1
+            and _native(params, np.float64)
+            and params.shape == (14,)
+            and params[_TERSOFF_M] in (1.0, 3.0)
+        ):
+            return None
+        # Row scratch sized from the longest *stored* row, so the kernel
+        # never allocates and no row can overrun it.
+        longest = int(np.diff(offsets).max(initial=0))
+        if longest > len(self._row_atoms):
+            capacity = max(longest, 2 * len(self._row_atoms), 32)
+            self._row_atoms = np.empty(capacity, np.int64)
+            self._row_scratch = np.empty(
+                capacity * self._impl.TERSOFF_SLOT_DOUBLES
+            )
+        lengths, _, periodic = _box_f64(system.box)
+        totals = np.empty(2)
+        count = self._impl.tersoff_full(
+            system.positions, offsets, neighbors.pair_j, lengths, periodic,
+            style.cutoff * style.cutoff, params,
+            self._row_scratch, self._row_atoms, system.forces, totals,
+        )
+        return float(totals[0]), float(totals[1]), count
 
     def directed_pair_forces(
         self, style, positions, lengths, periodic, rows, types,

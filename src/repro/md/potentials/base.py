@@ -70,8 +70,8 @@ class PairPotential(abc.ABC):
     #: this cutoff.
     cutoff: float
 
-    #: True when the potential needs both pair directions (``newton off``)
-    #: — only the granular history potential does.
+    #: True when the potential needs both pair directions (``newton off``):
+    #: the granular history potential and Tersoff do.
     needs_full_list: bool = False
 
     #: Whether :meth:`AnalyticPairPotential.pair_terms` reads the
@@ -98,6 +98,20 @@ class PairPotential(abc.ABC):
     @backend.setter
     def backend(self, value: KernelBackend | str | None) -> None:
         self._backend = None if value is None else get_backend(value)
+
+    def require_list_kind(self, neighbors: NeighborList) -> None:
+        """Refuse a half list when :attr:`needs_full_list` is set.
+
+        A full-list potential walks each atom's *complete* row; over a
+        half list it silently drops the partners stored under the other
+        atom.  ``Simulation`` always builds the right kind, so this only
+        fires for lists built by hand.
+        """
+        if self.needs_full_list and not neighbors.full:
+            raise ValueError(
+                f"{type(self).__name__} needs both directions of every "
+                "pair: build the list with NeighborList(full=True)"
+            )
 
     @abc.abstractmethod
     def compute(self, system: AtomSystem, neighbors: NeighborList) -> ForceResult:

@@ -180,6 +180,7 @@ class HookeHistory(PairPotential):
     def compute(self, system: AtomSystem, neighbors: NeighborList) -> ForceResult:
         if system.radii is None:
             raise ValueError("HookeHistory needs a granular system (radii set)")
+        self.require_list_kind(neighbors)
         kernel = self.backend
         i_all, j_all, dr_all, r_all = kernel.current_pairs(
             system, neighbors, self.cutoff

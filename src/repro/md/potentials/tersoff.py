@@ -26,7 +26,13 @@ primitives, so every registered backend (``numpy_ref``, ``numpy_fast``,
 ``compiled``) produces the same triplet traversal from the same CSR
 rows, and the backend-parity contract holds at the 1e-12 tier.
 
-The triplet expansion is fully vectorized: directed pairs arrive sorted
+A backend may take the whole evaluation instead, through the
+:meth:`KernelBackend.pair_forces` hook (``compiled`` at float64 does:
+one fused C pass per head atom); the numpy body stays as the oracle
+that route must match at the same tier, and as the only route for
+every other backend and precision.
+
+The numpy triplet expansion is fully vectorized: directed pairs arrive sorted
 by head atom (CSR order), so each pair's angular partners are the other
 pairs of its own row — a ragged self-join built from ``bincount`` /
 ``cumsum`` / ``repeat``, no Python-level loop over atoms.
@@ -34,11 +40,12 @@ pairs of its own row — a ragged self-join built from ``bincount`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from repro.md.atoms import AtomSystem
+from repro.md.kernels.base import PairStyle
 from repro.md.neighbor import NeighborList
 from repro.md.potentials.base import ForceResult, PairPotential
 
@@ -148,8 +155,23 @@ class Tersoff(PairPotential):
         return np.where(zeta > 0.0, b, one), np.where(zeta > 0.0, db, 0.0)
 
     # -- evaluation -------------------------------------------------------
+    def fused_style(self) -> PairStyle:
+        """The closed form for :meth:`KernelBackend.pair_forces`: one
+        coefficient vector, the parameter fields in declaration order.
+        Built per call, so edited parameters reach a fused kernel too."""
+        return PairStyle(
+            "tersoff",
+            self.cutoff,
+            (np.array(astuple(self.params), dtype=np.float64),),
+        )
+
     def compute(self, system: AtomSystem, neighbors: NeighborList) -> ForceResult:
+        self.require_list_kind(neighbors)
         kernel = self.backend
+        fused = kernel.pair_forces(self.fused_style(), system, neighbors)
+        if fused is not None:
+            return ForceResult(*fused)
+        # The numpy body below is the oracle a fused kernel answers to.
         # Directed pairs (the list is full), CSR order: sorted by i.
         i, j, dr, r = kernel.current_pairs(system, neighbors, self.cutoff)
         n_pairs = len(i)

@@ -164,3 +164,27 @@ class TestContactHistoryStore:
         store = ContactHistory()
         values = store.sync(np.empty(0, dtype=np.int64))
         assert values.shape == (0, 3)
+
+
+class TestFullListGuard:
+    """A full-list potential handed a half list used to return half the
+    bonds without complaint (Tersoff on perfect diamond: -2.41 eV/atom
+    and 0.78 eV/A of spurious force); now it is a named error."""
+
+    @pytest.mark.parametrize("backend", ["numpy_ref", "numpy_fast", "compiled"])
+    def test_half_list_is_refused_by_name(self, backend):
+        from repro.md.lattice import diamond_positions
+        from repro.md.potentials.tersoff import Tersoff
+
+        silicon = AtomSystem(*diamond_positions(2, 5.431))
+        cases = [(Tersoff(), silicon, 3.0), (HookeHistory(), _touching_pair(), 1.0)]
+        for potential, system, cutoff in cases:
+            assert potential.needs_full_list
+            potential.backend = backend
+            half = NeighborList(cutoff, 0.5)
+            half.build(system)
+            with pytest.raises(ValueError) as refused:
+                potential.compute(system, half)
+            assert type(potential).__name__ in str(refused.value)
+            assert "NeighborList(full=True)" in str(refused.value)
+            assert np.all(system.forces == 0.0)

@@ -41,7 +41,7 @@ from repro.md.kernels.compiled import (
     provider_info,
     resolve_provider,
 )
-from repro.md.lattice import eam_solid_system, lj_melt_system
+from repro.md.lattice import diamond_positions, eam_solid_system, lj_melt_system
 from repro.md.neighbor import (
     NeighborList,
     cell_list_half_pairs,
@@ -49,10 +49,11 @@ from repro.md.neighbor import (
 )
 from repro.md.potentials.eam import EAMAlloy
 from repro.md.potentials.lj import LennardJonesCut
+from repro.md.potentials.tersoff import Tersoff, TersoffParameters
 from repro.md.simulation import Simulation
 from repro.parallel.forces import DomainLists, evaluate_domain_forces
 from repro.parallel.halo import LocalIndex
-from tests.conftest import huge_grid_case
+from tests.conftest import finite_difference_forces, huge_grid_case
 
 needs_compiled = pytest.mark.skipif(
     not compiled_available(),
@@ -527,9 +528,9 @@ class TestInstanceTable:
 
     @pytest.mark.skipif(shutil.which("nm") is None, reason="needs binutils nm")
     def test_library_exports_exactly_the_table(self):
-        """Same program out: the 19 entry points of the hand-written
-        unit, no more (a template helper leaking as a global) and no
-        fewer (a row the generator skipped)."""
+        """Same program out: the table's 20 entry points, no more (a
+        template helper leaking as a global) and no fewer (a row the
+        generator skipped)."""
         provider, _ = resolve_provider()
         listing = subprocess.run(
             ["nm", "-D", "--defined-only", provider._lib._name],
@@ -548,6 +549,7 @@ class TestInstanceTable:
             "max_disp_sq_f64", "pair_geom_f32", "pair_geom_f64",
             "scatter1_f32", "scatter1_f32f64", "scatter1_f64",
             "scatter3_f32", "scatter3_f32f64", "scatter3_f64",
+            "tersoff_full_f64",
         ]
 
     def test_build_cache_is_keyed_by_the_generated_source(self):
@@ -849,6 +851,264 @@ class TestFusedLennardJones:
             _smoke_test(OffByAnUlp())
         with pytest.raises(AssertionError, match="lj_rows deviates"):
             _smoke_test(WrongRowOrder())
+
+
+# ---------------------------------------------------------------------------
+# Fused Tersoff pass vs the numpy body (equivalent regime: libm is not numpy)
+# ---------------------------------------------------------------------------
+class _MustFuse(CompiledBackend):
+    """The compiled backend with its fused hook *required* to engage,
+    so agreement with the unfused route cannot come from declining."""
+
+    def pair_forces(self, style, system, neighbors):
+        fused = super().pair_forces(style, system, neighbors)
+        assert fused is not None, "the fused kernel declined"
+        return fused
+
+
+#: The tier ``tests/md/test_tersoff.py::TestBackendParity`` holds the
+#: backends to, relative where the quantity is large.
+_TIER = dict(rtol=1e-12, atol=1e-12)
+
+#: A cutoff of 6 A: rows of ~57 stored partners, past the 32 slots of
+#: row scratch a fresh backend starts with.
+_WIDE = dict(R=5.8, D=0.2)
+
+
+def _both_routes(potential, system, nlist, preload=0.0):
+    """``((result, forces) unfused, (result, forces) fused)``."""
+    out = []
+    for backend in (_UnfusedCompiled(), _MustFuse()):
+        potential.backend = backend
+        system.forces[...] = preload
+        out.append((potential.compute(system, nlist), system.forces.copy()))
+    return out
+
+
+def _assert_equivalent(unfused, fused):
+    (expected, expected_forces), (got, got_forces) = unfused, fused
+    assert got.interactions == expected.interactions
+    np.testing.assert_allclose(got.energy, expected.energy, **_TIER)
+    np.testing.assert_allclose(got.virial, expected.virial, **_TIER)
+    np.testing.assert_allclose(got_forces, expected_forces, **_TIER)
+
+
+@st.composite
+def _tersoff_configurations(draw):
+    """Silicon-like systems that reach every branch of the fused kernel:
+    jittered diamond cells under any periodicity mask or loose clusters
+    in an open box, ``m`` 1 or 3, ``lambda3`` on or off, the default or
+    a widened cutoff, bonds inside the ramp (the jitter puts some
+    there), atoms hopped whole box lengths after the build, pre-loaded
+    forces."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    wide = draw(st.booleans())
+    params = TersoffParameters(
+        m=draw(st.sampled_from([1, 3])),
+        lambda3=draw(st.sampled_from([0.0, 1.7322])),
+        **(_WIDE if wide else {}),
+    )
+    if draw(st.booleans()):
+        positions, cell = diamond_positions(3 if wide else 2, 5.431)
+        positions = positions + rng.normal(scale=0.15, size=positions.shape)
+        periodic = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+        box = Box(cell.lengths, periodic=periodic)
+    else:
+        n = draw(st.integers(2, 40))
+        positions = rng.uniform(0.0, 7.0, (n, 3))
+        # No two atoms on top of each other: keep forces O(10) eV/A.
+        positions = positions[
+            [k for k in range(n) if k == 0 or np.min(
+                np.linalg.norm(positions[:k] - positions[k], axis=1)) > 1.9]
+        ]
+        periodic = (False, False, False)
+        box = Box(np.full(3, 30.0), periodic=periodic, origin=np.full(3, -10.0))
+    n = len(positions)
+    hops = rng.integers(-2, 3, (n, 3)) * (rng.random((n, 3)) < 0.1)
+    moved = (
+        positions
+        + rng.normal(scale=0.02, size=(n, 3))
+        + hops * box.lengths * np.asarray(periodic)
+    )
+    preload = rng.normal(size=(n, 3)) * draw(st.sampled_from([0.0, 1.0]))
+    return AtomSystem(positions, box), Tersoff(params), moved, preload
+
+
+def _silicon(seed, n_cells=2, scale=0.1):
+    positions, box = diamond_positions(n_cells, 5.431)
+    rng = np.random.default_rng(seed)
+    return positions + rng.normal(scale=scale, size=positions.shape), box
+
+
+def _fused_compute(positions, box, potential):
+    system = AtomSystem(np.asarray(positions, dtype=float), box)
+    nlist = NeighborList(potential.cutoff, 0.5, full=True)
+    nlist.build(system)
+    potential.backend = _MustFuse()
+    return potential.compute(system, nlist), system
+
+
+@needs_compiled
+class TestFusedTersoff:
+    @given(config=_tersoff_configurations())
+    @settings(max_examples=60, deadline=None)
+    def test_fused_pass_is_equivalent_to_the_numpy_body(self, config):
+        system, potential, moved, preload = config
+        nlist = NeighborList(potential.cutoff, 0.4, full=True)
+        nlist.build(system)
+        system.positions[...] = moved
+        unfused, fused = _both_routes(potential, system, nlist, preload)
+        _assert_equivalent(unfused, fused)
+        # ... and bitwise itself on a rerun.
+        again = _both_routes(potential, system, nlist, preload)[1]
+        assert again[0] == fused[0]
+        assert _same_bits(again[1], fused[1])
+
+    @pytest.mark.parametrize("where", ["R - D", "R", "R + D"])
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_bonds_at_the_ramp_ends(self, where, ulps):
+        """A bond exactly at, and one ulp either side of, each corner
+        of ``fc``: below ``R - D`` no libm ramp, at ``R + D`` no bond."""
+        p = TersoffParameters()
+        r = {"R - D": p.R - p.D, "R": p.R, "R + D": p.R + p.D}[where]
+        for _ in range(abs(ulps)):
+            r = np.nextafter(r, np.inf * ulps)
+        box = Box(np.full(3, 30.0), periodic=(False,) * 3, origin=np.full(3, -10.0))
+        system = AtomSystem([[0, 0, 0], [r, 0, 0], [0.2, 2.3, 0.1]], box)
+        nlist = NeighborList(p.cutoff, 0.5, full=True)
+        nlist.build(system)
+        unfused, fused = _both_routes(Tersoff(p), system, nlist)
+        _assert_equivalent(unfused, fused)
+        assert fused[0].interactions == (4 if r < p.cutoff else 2)
+
+    def test_row_scratch_grows_to_the_longest_stored_row(self):
+        positions, box = _silicon(5, n_cells=3)
+        system = AtomSystem(positions, box)
+        potential = Tersoff(TersoffParameters(**_WIDE))
+        nlist = NeighborList(potential.cutoff, 0.5, full=True)
+        nlist.build(system)
+        longest = int(np.diff(nlist.csr_offsets).max())
+        backend = _MustFuse()
+        assert len(backend._row_atoms) == 0 and longest > 32
+        potential.backend = backend
+        potential.compute(system, nlist)
+        assert len(backend._row_atoms) >= longest
+        grown = backend._row_atoms
+        potential.compute(system, nlist)
+        assert backend._row_atoms is grown  # grow-only: reused as is
+
+    @given(seed=st.integers(0, 10_000), m=st.sampled_from([1, 3]))
+    @settings(max_examples=4, deadline=None)
+    def test_forces_match_finite_difference_through_the_fused_route(self, seed, m):
+        potential = Tersoff(TersoffParameters(m=m))
+        positions, box = _silicon(seed, scale=0.12)
+        _, system = _fused_compute(positions, box, potential)
+        fd = finite_difference_forces(
+            lambda x: _fused_compute(x, box, potential)[0].energy, positions
+        )
+        scale = max(np.abs(system.forces).max(), 1.0)
+        np.testing.assert_allclose(system.forces, fd, atol=1e-4 * scale)
+
+    def test_virial_matches_scaling_derivative_through_the_fused_route(self):
+        potential = Tersoff()
+        positions, box = _silicon(7)
+
+        def at_scale(lam):
+            return _fused_compute(positions * lam, Box(box.lengths * lam), potential)[0]
+
+        h = 1e-6
+        fd = (at_scale(1 + h).energy - at_scale(1 - h).energy) / (2 * h)
+        assert at_scale(1.0).virial == pytest.approx(-fd, rel=1e-6)
+
+    def test_newtons_third_law(self):
+        positions, box = _silicon(11, scale=0.2)
+        _, system = _fused_compute(positions, box, Tersoff())
+        assert np.abs(system.forces).max() > 1.0
+        assert np.abs(system.forces.sum(axis=0)).max() < 1e-12
+
+    def test_the_route_is_decided_before_anything_is_written(self):
+        """Every decline is a property of the configuration — policy,
+        ``m``, dtypes, layout, list kind — and leaves ``forces`` alone."""
+        positions, box = _silicon(3)
+        system = AtomSystem(positions, box)
+        full = NeighborList(3.0, 0.5, full=True)
+        full.build(system)
+        half = NeighborList(3.0, 0.5)
+        half.build(system)
+        style = Tersoff().fused_style()
+        backend = CompiledBackend()
+        assert backend.pair_forces(style, system, full) is not None
+        # The backend reads m by position in the parameter vector.
+        (vector,) = Tersoff(TersoffParameters(m=1)).fused_style().coeffs
+        assert vector.shape == (14,) and vector[compiled_module._TERSOFF_M] == 1.0
+        assert list(TersoffParameters.__dataclass_fields__).index("m") == (
+            compiled_module._TERSOFF_M
+        )
+
+        def declined(style=style, system=system, nlist=full, mode="double"):
+            backend = CompiledBackend()
+            backend.set_policy(policy_for(mode))
+            before = system.forces.copy()
+            answer = backend.pair_forces(style, system, nlist)
+            return answer is None and _same_bits(system.forces, before)
+
+        assert declined(mode="single")
+        assert declined(mode="mixed")
+        assert declined(style=Tersoff(TersoffParameters(m=2)).fused_style())
+        assert declined(nlist=half)
+        single = AtomSystem(positions, box, dtype=np.float32)
+        assert declined(system=single)
+        strided = AtomSystem(positions, box)
+        strided.positions = np.repeat(positions, 2, axis=0)[::2]
+        assert not strided.positions.flags.c_contiguous
+        assert declined(system=strided)
+        # ... and Tersoff.compute then lands on the numpy body.
+        potential = Tersoff(TersoffParameters(m=2))
+        potential.backend = CompiledBackend()
+        reference = Tersoff(TersoffParameters(m=2))
+        reference.backend = "numpy_fast"
+        results = []
+        for pot in (potential, reference):
+            system.forces[...] = 0.0
+            results.append((pot.compute(system, full), system.forces.copy()))
+        _assert_equivalent(*results)
+
+    def test_smoke_case_holds_an_empty_row_and_a_ramp_bond(self):
+        system, nlist = compiled_module._smoke_silicon()
+        assert system.n_atoms <= 64 and not system.box.periodic.all()
+        assert np.abs(system.forces).min() > 0.0  # pre-loaded
+        assert (np.diff(nlist.csr_offsets) == 0).sum() == 1
+        _, _, _, r = NumpyFastBackend().current_pairs(system, nlist, 3.0)
+        p = TersoffParameters()
+        assert np.any(np.abs(r - p.R) < 0.5 * p.D)
+
+    def test_smoke_test_demotes_a_provider_whose_fused_pass_drifts(self):
+        provider, _ = resolve_provider()
+
+        class Drifting:
+            def __init__(self, nudge):
+                self.nudge = nudge
+
+            def __getattr__(self, name):
+                return getattr(provider, name)
+
+            def tersoff_full(self, *args):
+                count = provider.tersoff_full(*args)
+                self.nudge(args[-2], args[-1])
+                return count
+
+        def past_the_tier(forces, totals):
+            forces[0, 0] += 1e-9
+
+        calls = []
+
+        def not_repeatable(forces, totals):
+            calls.append(1)
+            totals[0] = np.nextafter(totals[0], np.inf * (-1) ** len(calls))
+
+        for nudge in (past_the_tier, not_repeatable):
+            with pytest.raises(AssertionError, match="tersoff_full deviates"):
+                _smoke_test(Drifting(nudge))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ Two regimes, matching ``docs/REPRODUCIBILITY.md``:
   differ in summation order, so trajectories agree to the last ulp but
   not bit for bit.  Chains must have identical shape (same steps), the
   witness observables must agree within the double-tier parity
-  tolerance, and the final states must agree within it too.
+  tolerance, and the final states must agree within it too.  The
+  compiled backend's fused Tersoff pass against its own unfused route
+  sits here as well: a kernel that calls libm cannot be bitwise numpy.
 """
 
 import numpy as np
@@ -29,8 +31,13 @@ from repro.reliability.certify import DigestRecorder
 from repro.suite import get_benchmark
 
 BACKENDS = ("numpy_ref", "numpy_fast", "compiled")
+#: Workloads with an engine adapter: the worker-count classes run these.
 BENCHMARKS = ("lj", "eam")
-SIZES = {"lj": 150, "eam": 500}
+#: The serial rows add Tersoff, which has no adapter in
+#: ``parallel/forces.py`` until ROADMAP item 1 gives every potential
+#: one force body for both drivers.
+SERIAL_BENCHMARKS = (*BENCHMARKS, "tersoff")
+SIZES = {"lj": 150, "eam": 500, "tersoff": 64}
 STEPS = 6
 EVERY = 2
 TOL = PARITY_TOLERANCES["double"]
@@ -63,11 +70,25 @@ def _skip_unavailable(backend: str) -> None:
         pytest.skip("no compiled provider on this machine")
 
 
+def _assert_equivalent(candidate, reference, label: str) -> None:
+    """The *equivalent* regime between two ``(chain, positions)`` runs:
+    same steps, every witness and the final state within ``TOL``."""
+    (chain, x), (ref_chain, ref_x) = candidate, reference
+    assert chain.steps() == ref_chain.steps()
+    for mine, theirs in zip(chain.entries, ref_chain.entries):
+        for name, value in theirs.witness.items():
+            scale = max(1.0, abs(value))
+            assert abs(mine.witness[name] - value) / scale <= TOL, (
+                f"{label} witness {name} diverged at step {mine.step}"
+            )
+    assert float(np.abs(x - ref_x).max()) <= TOL
+
+
 @pytest.fixture(scope="module")
 def matrix():
     """chains[(benchmark, backend)] -> (DigestChain, final positions)."""
     chains = {}
-    for benchmark in BENCHMARKS:
+    for benchmark in SERIAL_BENCHMARKS:
         for backend in BACKENDS:
             if backend == "compiled" and not compiled_available():
                 continue
@@ -93,7 +114,7 @@ class TestWorkerCountBitwise:
 class TestRunRepeatability:
     """The same configuration twice: identical head (bitwise rerun)."""
 
-    @pytest.mark.parametrize("bench", BENCHMARKS)
+    @pytest.mark.parametrize("bench", SERIAL_BENCHMARKS)
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rerun_reproduces_chain_head(self, matrix, bench, backend):
         _skip_unavailable(backend)
@@ -106,23 +127,15 @@ class TestCrossBackendEquivalence:
     """numpy_ref / numpy_fast / compiled at float64: same chain shape,
     witnesses and final state within the double parity tier."""
 
-    @pytest.mark.parametrize("bench", BENCHMARKS)
+    @pytest.mark.parametrize("bench", SERIAL_BENCHMARKS)
     @pytest.mark.parametrize("other", ("numpy_fast", "compiled"))
     def test_chain_equivalent_to_reference(self, matrix, bench, other):
         _skip_unavailable(other)
-        reference, ref_x = matrix[(bench, "numpy_ref")]
-        candidate, cand_x = matrix[(bench, other)]
-        assert candidate.steps() == reference.steps()
-        for mine, theirs in zip(candidate.entries, reference.entries):
-            for name, value in theirs.witness.items():
-                scale = max(1.0, abs(value))
-                assert abs(mine.witness[name] - value) / scale <= TOL, (
-                    f"{bench}/{other} witness {name} diverged at "
-                    f"step {mine.step}"
-                )
-        assert float(np.abs(cand_x - ref_x).max()) <= TOL
+        _assert_equivalent(
+            matrix[(bench, other)], matrix[(bench, "numpy_ref")], f"{bench}/{other}"
+        )
 
-    @pytest.mark.parametrize("bench", BENCHMARKS)
+    @pytest.mark.parametrize("bench", SERIAL_BENCHMARKS)
     def test_chain_catches_different_physics(self, matrix, bench):
         # Sanity for the oracle itself: distinct benchmarks/backends
         # must not collide on heads by construction.
@@ -164,6 +177,36 @@ class TestFusedPairPassIsInvisible:
         _skip_unavailable("compiled")
         chain, _ = _chain_for("lj", "compiled", workers=workers)
         assert chain.head == (self.ENGINE_HEAD if workers else self.SERIAL_HEAD)
+
+
+class TestFusedTersoffIsEquivalent:
+    """The fused Tersoff pass calls libm where the numpy body runs
+    numpy's own ``exp``/``pow`` loops, so unlike the LJ pass above it is
+    *not* invisible: compiled with the hook engaged and compiled with it
+    declining sit in the equivalent regime (same steps, witnesses and
+    final positions within the double tier), and each route is bitwise
+    itself.  The hook is *required* to engage, so agreement cannot come
+    from it declining."""
+
+    def test_fused_chain_is_equivalent_and_repeats(self, monkeypatch):
+        _skip_unavailable("compiled")
+        native = CompiledBackend.pair_forces
+
+        def must_engage(self, *args):
+            fused = native(self, *args)
+            assert fused is not None, "the fused Tersoff kernel declined"
+            return fused
+
+        monkeypatch.setattr(CompiledBackend, "pair_forces", must_engage)
+        fused = _chain_for("tersoff", "compiled")
+        again = _chain_for("tersoff", "compiled")
+        assert again[0].head == fused[0].head
+        monkeypatch.setattr(
+            CompiledBackend, "pair_forces", KernelBackend.pair_forces
+        )
+        unfused = _chain_for("tersoff", "compiled")
+        assert unfused[0].head != fused[0].head
+        _assert_equivalent(fused, unfused, "tersoff fused/unfused")
 
 
 class TestNativeDirectedRowsAreInvisible:
