@@ -125,10 +125,17 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         )
         energy_delta = abs(serial.potential_energy - parallel.potential_energy)
         parity_tol = PARITY_TOLERANCES[args.precision]
+        # Two gates at one tolerance: forces absolute, energy relative
+        # to its own magnitude (a dropped term moves only the latter).
+        gates = {
+            "forces": force_delta,
+            "energy": energy_delta / max(1.0, abs(serial.potential_energy)),
+        }
+        diverged = [name for name, delta in gates.items() if not delta < parity_tol]
+        verdict = f"DIVERGED: {' and '.join(diverged)}" if diverged else "OK"
         print(f"parity: |dF|max = {force_delta:.3e}, "
               f"|dE| = {energy_delta:.3e} "
-              f"(tol {parity_tol:.0e}, "
-              f"{'OK' if force_delta < parity_tol else 'DIVERGED'})")
+              f"(tol {parity_tol:.0e}, {verdict})")
         print(f"serial:   {args.steps / serial_wall:8.2f} steps/s "
               f"({serial_wall:.3f} s wall, Pair {serial_pair:.3f} s)")
         print(f"parallel: {args.steps / parallel_wall:8.2f} steps/s "
@@ -160,4 +167,4 @@ def _cmd_scale(args: argparse.Namespace) -> int:
               f"ms/step)")
         print()
         print(executor.timeline().render())
-    return 0 if force_delta < parity_tol else 1
+    return 1 if diverged else 0

@@ -12,13 +12,11 @@ their time in behind a small strategy interface:
 * scattering arbitrary per-pair scalars/vectors (EAM electron
   densities, granular contact torques — :meth:`KernelBackend.scatter_add`).
 
-A backend may additionally offer *fused* passes
-(:meth:`KernelBackend.pair_forces`,
-:meth:`KernelBackend.directed_pair_forces`) that do all of the above
-for one pair style in a single sweep; they are optional, decline with
-``None``, and must be bitwise the unfused result — or, for a style
-whose closed form calls libm, equivalent to it at the 1e-12 tier (see
-:meth:`KernelBackend.pair_forces`).
+A backend may additionally offer a *fused* pass
+(:meth:`KernelBackend.pair_forces`) that does all of the above for one
+pair style and row kind in a single sweep; it is optional, declines
+with ``None``, and must be bitwise the unfused result — or, for a style
+whose closed form calls libm, equivalent to it at the 1e-12 tier.
 
 Backends must be bit-compatible in *math* (same formulas, same pair
 set) but are free to reorder summations and reuse scratch storage; the
@@ -39,6 +37,7 @@ from repro.md.precision import DOUBLE_POLICY, PrecisionPolicy
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.md.atoms import AtomSystem
     from repro.md.neighbor import NeighborList
+    from repro.md.potentials.base import PairRows
 
 __all__ = ["DirectedRows", "KernelBackend", "PairStyle", "SortedHalfPairs"]
 
@@ -167,60 +166,33 @@ class KernelBackend(abc.ABC):
         """
         self.accumulate_pair_forces(forces, i, j, f_over_r[:, None] * dr)
 
-    def pair_forces(
-        self,
-        style: PairStyle,
-        system: "AtomSystem",
-        neighbors: "NeighborList",
-    ) -> tuple[float, float, int] | None:
-        """Optional fused evaluation of a pair style.
+    def pair_forces(self, style: PairStyle, rows: "PairRows") -> int | None:
+        """Optional fused evaluation of a pair style over a row view.
 
-        One pass over the stored list that does the work of the
-        potential's unfused route — :meth:`current_pairs`, the per-pair
-        terms, the scatters and the energy/virial reductions: forces
-        are added to ``system.forces`` and ``(energy, virial,
-        interactions)`` is returned.  ``None`` (the default, and the
-        answer for any style, precision policy, list kind or memory
-        layout a backend does not cover) keeps the caller on the
-        unfused route; nothing may have been written in that case.
+        One pass that does the work of the potential's body —
+        ``rows.within``, the per-pair terms, the scatters and the
+        energy/virial accumulation — into the same places the body's
+        verbs write (``rows.system.forces`` and the ``energy``/``virial``
+        totals of a stored list; the per-owned-atom ``rows.out`` slots
+        of an engine worker, head side only, pair after pair in row
+        order), returning the interactions evaluated.  A backend
+        dispatches on ``(style.kind, rows.kind)``; ``None`` (the
+        default, and the answer for any style, row kind, precision
+        policy or memory layout a backend does not cover) runs the body
+        instead, and nothing may have been written in that case.
 
         How close the result must be depends on the style's closed form:
 
-        * arithmetic only (``lj/cut``): *bitwise* what this backend's
-          unfused route produces, so that taking the hook is invisible
-          to the digest chain;
+        * arithmetic only (``lj/cut``): *bitwise* what the body produces
+          on this backend, so that taking the hook is invisible to the
+          digest chain;
         * calling libm (``tersoff``: ``exp``, ``pow``), which numpy's
           own SIMD loops do not round identically: *equivalent* —
           forces, energy and virial within 1e-12, trajectories within
           ``PARITY_TOLERANCES["double"]``, reruns bitwise — and the
           route taken must be a function of the configuration (style,
-          policy, dtypes, layout, list kind), never of an array value,
+          row kind, policy, dtypes, layout), never of an array value,
           so one (spec, backend, precision) always yields one head.
-        """
-        return None
-
-    def directed_pair_forces(
-        self,
-        style: PairStyle,
-        positions: np.ndarray,
-        lengths: np.ndarray,
-        periodic: np.ndarray,
-        rows: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        types: np.ndarray | None,
-        forces: np.ndarray,
-        energy: np.ndarray,
-        virial: np.ndarray,
-    ) -> int | None:
-        """:meth:`pair_forces` for the parallel engine's directed rows.
-
-        ``rows`` is ``(di, dj, gdi, gdj)``: local indices of each row's
-        owned head and its partner, and their global ids into
-        ``positions``.  Only the head's side is accumulated — force,
-        half the pair energy and half the pair virial into row ``di`` of
-        the per-owned-atom outputs, pair after pair in list order (the
-        order :meth:`scatter_add_sorted` applies to the unfused per-pair
-        arrays, bitwise).  Returns the number of pairs inside the
-        cutoff, or ``None`` to keep the caller on the unfused path.
         """
         return None
 

@@ -513,9 +513,8 @@ class CompiledBackend(NumpyFastBackend):
     # ------------------------------------------------------------------
     def _lj_arguments(self, style, types):
         """``(rc2, types, eps, sigma, shift)`` for the lj/cut kernels,
-        or ``None`` when this backend must not take the fused route."""
-        if style.kind != "lj/cut" or not self.policy.is_double:
-            return None
+        or ``None`` when they cannot index the style's tables by
+        ``types``."""
         eps, sigma, shift = style.coeffs
         if len(eps) == 1:
             return style.cutoff * style.cutoff, _NO_TYPES, eps, sigma, shift
@@ -530,38 +529,46 @@ class CompiledBackend(NumpyFastBackend):
             return None
         return style.cutoff * style.cutoff, types, eps, sigma, shift
 
-    def pair_forces(self, style, system, neighbors):
-        """Fused pass over the stored list (float64 only): ``lj/cut``
-        over a half list, ``tersoff`` over a full one.
+    def pair_forces(self, style, rows):
+        """Fused pass over a row view (float64 only): ``lj/cut`` over a
+        half list or an engine worker's rows, ``tersoff`` over a full
+        list (not a worker's: its three-atom scatter is not
+        owner-ordered).
 
-        Which route runs is settled here, before anything is written,
-        from the configuration alone — style, precision policy, array
-        dtypes and layout, list kind — never from an array value.
+        Which route runs is settled before anything is written, from
+        the configuration alone — style, row kind, precision policy,
+        array dtypes and layout — never from an array value.
         """
-        if neighbors._positions_at_build is None:
-            raise RuntimeError("neighbor list has never been built")
-        fused = {"lj/cut": self._lj_half, "tersoff": self._tersoff_full}.get(
-            style.kind
-        )
-        positions, forces = system.positions, system.forces
-        if fused is None or not (
-            self.policy.is_double
-            and _native(positions, np.float64)
-            and _native(forces, np.float64)
+        fused = {
+            ("lj/cut", "half"): self._lj_half,
+            ("lj/cut", "owner"): self._lj_rows,
+            ("tersoff", "full"): self._tersoff_full,
+        }.get((style.kind, rows.kind))
+        if fused is None or not self.policy.is_double:
+            return None
+        return fused(style, rows)
+
+    @staticmethod
+    def _stored_natively(rows) -> bool:
+        """True when a stored-list view's arrays can go to the kernels
+        as they are."""
+        system, neighbors = rows.system, rows.neighbors
+        return (
+            _native(system.positions, np.float64)
+            and _native(system.forces, np.float64)
             and _native(neighbors.pair_i, np.int64)
             and _native(neighbors.pair_j, np.int64)
-        ):
-            return None
-        return fused(style, system, neighbors)
+        )
 
-    def _lj_half(self, style, system, neighbors):
+    def _lj_half(self, style, rows):
+        system, neighbors = rows.system, rows.neighbors
         args = self._lj_arguments(style, system.types)
-        if args is None:
+        if args is None or not self._stored_natively(rows):
             return None
         pair_i, pair_j = neighbors.pair_i, neighbors.pair_j
         m = len(pair_i)
         if m == 0:
-            return 0.0, 0.0, 0
+            return 0
         if m > len(self._pair_energy):
             capacity = max(m, int(1.5 * len(self._pair_energy)), 1024)
             self._pair_energy = np.empty(capacity)
@@ -571,20 +578,18 @@ class CompiledBackend(NumpyFastBackend):
             system.positions, pair_i, pair_j, lengths, periodic, *args,
             system.forces, self._pair_energy, self._pair_virial,
         )
-        # Pairwise np.sum over the compressed terms, as the unfused
-        # path reduces pair_terms' arrays.
-        return (
-            float(np.sum(self._pair_energy[:count], dtype=np.float64)),
-            float(np.sum(self._pair_virial[:count], dtype=np.float64)),
-            count,
-        )
+        # The compressed per-pair terms reduce through the body's verbs.
+        rows.add_energy(None, self._pair_energy[:count])
+        rows.add_virial(None, self._pair_virial[:count])
+        return count
 
-    def _tersoff_full(self, style, system, neighbors):
+    def _tersoff_full(self, style, rows):
+        system, neighbors = rows.system, rows.neighbors
         (params,) = style.coeffs
         offsets = neighbors.csr_offsets
         n = system.n_atoms
         if not (
-            neighbors.full
+            self._stored_natively(rows)
             and system.positions.shape == system.forces.shape == (n, 3)
             and _native(offsets, np.int64)
             and len(offsets) == n + 1
@@ -609,29 +614,34 @@ class CompiledBackend(NumpyFastBackend):
             style.cutoff * style.cutoff, params,
             self._row_scratch, self._row_atoms, system.forces, totals,
         )
-        return float(totals[0]), float(totals[1]), count
+        rows.energy += float(totals[0])
+        rows.virial += float(totals[1])
+        return count
 
-    def directed_pair_forces(
-        self, style, positions, lengths, periodic, rows, types,
-        forces, energy, virial,
-    ):
-        """Fused ``lj/cut`` over directed rows (float64 only)."""
-        args = self._lj_arguments(style, types)
+    def _lj_rows(self, style, rows):
+        lists = rows.lists
+        # The rows an owned atom heads: (di, dj, gdi, gdj), a prefix.
+        heads = tuple(
+            index[: lists.n_owned_rows]
+            for index in (lists.di, lists.dj, lists.gdi, lists.gdj)
+        )
+        slots = (rows.forces, rows.energy, rows.virial)
+        args = self._lj_arguments(style, rows.per_atom("types"))
         if args is None or not (
-            _native(positions, np.float64)
-            and all(_native(out, np.float64) for out in (forces, energy, virial))
-            and all(_native(index, np.int64) for index in rows)
+            _native(rows.positions, np.float64)
+            and all(_native(slot, np.float64) for slot in slots)
+            and all(_native(index, np.int64) for index in heads)
         ):
             return None
-        if len(rows[0]) == 0:
+        if len(heads[0]) == 0:
             return 0
         return self._impl.lj_rows(
-            positions,
-            *rows,
-            np.ascontiguousarray(lengths, dtype=np.float64),
-            np.ascontiguousarray(periodic, dtype=np.uint8),
+            rows.positions,
+            *heads,
+            np.ascontiguousarray(rows.lengths, dtype=np.float64),
+            np.ascontiguousarray(rows.periodic, dtype=np.uint8),
             *args,
-            forces, energy, virial,
+            *slots,
         )
 
     # ------------------------------------------------------------------

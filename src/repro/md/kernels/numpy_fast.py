@@ -30,7 +30,35 @@ import numpy as np
 from repro.md.kernels.base import KernelBackend
 from repro.md.precision import PrecisionPolicy
 
-__all__ = ["NumpyFastBackend"]
+__all__ = ["NumpyFastBackend", "min_image_geometry"]
+
+
+def min_image_geometry(positions, index_i, index_j, lengths, periodic, scratch):
+    """Fill ``scratch = (dr, tmp, r2)`` with ``dr = x_i - x_j`` under the
+    minimum image and its squared norm, in ``positions``' dtype; returns
+    ``(dr, r2)``.
+
+    The one numpy geometry pass: the stored list's here and an engine
+    worker's directed rows both run it, so their displacements are
+    bitwise equal.
+    """
+    dr, tmp, r2 = scratch
+    # Gathered without temporary index arrays.  mode="clip" skips
+    # np.take's bounds-check buffering; indices come straight from the
+    # build and are always in range.
+    np.take(positions, index_i, axis=0, out=dr, mode="clip")
+    np.take(positions, index_j, axis=0, out=tmp, mode="clip")
+    np.subtract(dr, tmp, out=dr)
+    # In-place minimum image: same operation sequence as
+    # Box.minimum_image (round-half-even), so results match bitwise.
+    np.divide(dr, lengths, out=tmp)
+    np.rint(tmp, out=tmp)
+    if not periodic.all():
+        tmp[:, ~periodic] = 0.0
+    np.multiply(tmp, lengths, out=tmp)
+    np.subtract(dr, tmp, out=dr)
+    np.einsum("ij,ij->i", dr, dr, out=r2)
+    return dr, r2
 
 
 class NumpyFastBackend(KernelBackend):
@@ -96,23 +124,9 @@ class NumpyFastBackend(KernelBackend):
         positions = system.positions.astype(geometry_dtype, copy=False)
         box = system.box
         lengths = box.lengths.astype(geometry_dtype, copy=False)
-        dr, tmp, r2 = self._scratch(m)
-        # dr = x_i - x_j, gathered without temporary index arrays.
-        # mode="clip" skips np.take's bounds-check buffering; indices come
-        # straight from the build and are always in range.
-        np.take(positions, pair_i, axis=0, out=dr, mode="clip")
-        np.take(positions, pair_j, axis=0, out=tmp, mode="clip")
-        np.subtract(dr, tmp, out=dr)
-        # In-place minimum image: same operation sequence as
-        # Box.minimum_image (round-half-even), so results match bitwise.
-        np.divide(dr, lengths, out=tmp)
-        np.rint(tmp, out=tmp)
-        if not box.periodic.all():
-            tmp[:, ~box.periodic] = 0.0
-        np.multiply(tmp, lengths, out=tmp)
-        np.subtract(dr, tmp, out=dr)
-
-        np.einsum("ij,ij->i", dr, dr, out=r2)
+        dr, r2 = min_image_geometry(
+            positions, pair_i, pair_j, lengths, box.periodic, self._scratch(m)
+        )
         keep = np.flatnonzero(r2 < rc * rc)
         # The compressed outputs are fresh arrays: the scratch above is
         # reused on the next call and must not leak out.

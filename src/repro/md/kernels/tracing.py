@@ -39,21 +39,11 @@ class TracingBackend(KernelBackend):
         with self.tracer.span("kernel.current_pairs", "kernel"):
             return self.inner.current_pairs(system, neighbors, cutoff)
 
-    def pair_forces(self, style, system, neighbors):
+    def pair_forces(self, style, rows):
         # The span also covers a declined call (``None``): the unfused
         # primitives that follow record their own.
         with self.tracer.span("kernel.pair_forces", "kernel"):
-            return self.inner.pair_forces(style, system, neighbors)
-
-    def directed_pair_forces(
-        self, style, positions, lengths, periodic, rows, types,
-        forces, energy, virial,
-    ):
-        with self.tracer.span("kernel.pair_forces", "kernel"):
-            return self.inner.directed_pair_forces(
-                style, positions, lengths, periodic, rows, types,
-                forces, energy, virial,
-            )
+            return self.inner.pair_forces(style, rows)
 
     def scatter_add(self, out, index, values):
         with self.tracer.span("kernel.scatter_add", "kernel"):

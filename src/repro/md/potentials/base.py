@@ -1,9 +1,13 @@
 """Common interface for pairwise and many-body potentials.
 
-A potential consumes the current :class:`~repro.md.neighbor.NeighborList`
-and accumulates forces into ``system.forces``, returning the potential
-energy and the pair virial (needed by the pressure compute and hence by
-the NPT barostat that Rhodopsin uses).
+A potential is *one* force body, :meth:`PairPotential.terms`, written
+against a :class:`PairRows` view of the neighbor rows.  Two drivers
+implement that view: the serial :class:`StoredRows` here (the stored
+half or full list, Newton's third law on) and the engine worker's
+:class:`repro.parallel.forces.OwnerRows` (directed rows, owner-writes).
+The body accumulates forces, energy and the pair virial (needed by the
+pressure compute and hence by the NPT barostat that Rhodopsin uses)
+through the view's verbs and never learns which driver it runs under.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from repro.md.kernels import KernelBackend, get_backend
 from repro.md.kernels.base import PairStyle
 from repro.md.neighbor import NeighborList
 
-__all__ = ["ForceResult", "PairPotential", "accumulate_pair_forces"]
+__all__ = ["ForceResult", "PairPotential", "PairRows", "Pairs", "StoredRows"]
 
 
 @dataclass
@@ -43,24 +47,183 @@ class ForceResult:
         return self
 
 
-def accumulate_pair_forces(
-    system: AtomSystem,
-    i: np.ndarray,
-    j: np.ndarray,
-    dr: np.ndarray,
-    f_over_r: np.ndarray,
-    backend: KernelBackend | str | None = None,
-) -> None:
-    """Scatter-add pair forces for a half list.
+class Pairs:
+    """The rows inside a cutoff, as :meth:`PairRows.within` hands them out.
 
-    ``f_over_r`` is the magnitude of the pair force divided by the
-    distance (so that ``f_vec = f_over_r * dr``); positive values are
-    repulsive for ``dr = x_i - x_j``.  The scatter itself is delegated
-    to a :class:`~repro.md.kernels.base.KernelBackend`.
+    ``i``/``j`` index the view's per-atom arrays, ``dr = x_i - x_j``
+    under the minimum image and ``r`` its norm, both in the compute
+    dtype.  ``interactions`` is what the driver answers for in the
+    Pair-task work count — the stored rows inside the cutoff, which a
+    view may have narrowed (one orientation of a full list) or widened
+    (an engine worker's ghost-headed rows) before handing them out.
     """
-    get_backend(backend).accumulate_scaled_pair_forces(
-        system.forces, i, j, dr, f_over_r
-    )
+
+    __slots__ = ("i", "j", "dr", "r", "_r2", "interactions")
+
+    def __init__(self, i, j, dr, r, r2=None, interactions=None) -> None:
+        self.i, self.j, self.dr, self.r, self._r2 = i, j, dr, r, r2
+        self.interactions = len(i) if interactions is None else interactions
+
+    @property
+    def r2(self) -> np.ndarray:
+        """Squared distances: the driver's own where its geometry pass
+        kept them, else ``r * r`` on first use."""
+        if self._r2 is None:
+            self._r2 = self.r * self.r
+        return self._r2
+
+    def __len__(self) -> int:
+        return len(self.i)
+
+    def __getitem__(self, keep) -> "Pairs":
+        r2 = None if self._r2 is None else self._r2[keep]
+        return Pairs(
+            self.i[keep], self.j[keep], self.dr[keep], self.r[keep], r2,
+            self.interactions,
+        )
+
+
+class PairRows(abc.ABC):
+    """What a force body sees of the neighbor rows, and where it writes.
+
+    A *pair-symmetric* term (every analytic pair style, EAM, the
+    granular contact) is handed each unordered pair so that its energy
+    and virial count once: newton on, a driver writes both ends at
+    weight 1; owner-writes, it sees both orientations, writes the head
+    only and takes half.  A *directed* term (Tersoff, whose ``b_ij !=
+    b_ji``) is its own term per ordered pair at weight 1 and writes
+    whichever atoms it names.  The body says which it is in
+    :meth:`within`; the verbs below then do the right thing.
+    """
+
+    #: The kernel backend every primitive goes through.
+    backend: KernelBackend
+    #: What a fused kernel dispatches on beside the style:
+    #: ``"half"``/``"full"`` (a stored list) or ``"owner"``.
+    kind: str
+
+    @abc.abstractmethod
+    def per_atom(self, name: str) -> np.ndarray | None:
+        """Per-atom array (``types``, ``charges``, ``masses``, ``radii``,
+        ``velocities``, ``omega``) indexed as the rows index atoms."""
+
+    @abc.abstractmethod
+    def within(
+        self, cutoff: float, *, directed: bool = False, ghost_heads: bool = False
+    ) -> Pairs:
+        """Rows currently inside ``cutoff``, with fresh geometry.
+
+        ``ghost_heads`` (implied by ``directed``) also hands out rows
+        headed by atoms the driver does not write — an engine worker's
+        halo; a body whose terms read their partners' complete rows asks
+        for them.  Such rows feed :meth:`partner_sum` and :meth:`push`;
+        every other verb drops them.
+        """
+
+    @abc.abstractmethod
+    def ends(self, pairs: Pairs) -> tuple[np.ndarray, ...]:
+        """The index arrays a symmetric body :meth:`push`\\ es per-end
+        terms to: ``(i, j)`` newton on, ``(i,)`` owner-writes."""
+
+    @abc.abstractmethod
+    def contact_keys(self, pairs: Pairs) -> np.ndarray:
+        """One int64 per row naming its contact across rebuilds."""
+
+    @abc.abstractmethod
+    def add_vector(self, pairs: Pairs, fvec: np.ndarray) -> None:
+        """Pair force ``fvec`` on ``i``, its negative on ``j``."""
+
+    def add_radial(self, pairs: Pairs, f_over_r: np.ndarray) -> None:
+        """Pair force ``f_over_r * dr`` on ``i``, its negative on ``j``
+        (a driver may fuse the scaling into its scatter)."""
+        self.add_vector(pairs, f_over_r[:, None] * pairs.dr)
+
+    @abc.abstractmethod
+    def push(self, name: str, index: np.ndarray, values: np.ndarray) -> None:
+        """Add ``values`` to rows ``index`` of ``forces`` or ``torques``
+        (atoms the driver does not write are dropped)."""
+
+    @abc.abstractmethod
+    def partner_sum(self, pairs: Pairs, values: np.ndarray) -> np.ndarray:
+        """Per atom, the sum of a symmetric per-pair value over all its
+        partners (EAM's density), in the accumulate dtype."""
+
+    @abc.abstractmethod
+    def add_energy(self, index: np.ndarray, values: np.ndarray) -> None:
+        """Per-term energies, attributed to atoms ``index`` (row heads)."""
+
+    @abc.abstractmethod
+    def add_atom_energy(self, values: np.ndarray) -> None:
+        """Per-atom energies over the view's atoms (EAM's embedding)."""
+
+    @abc.abstractmethod
+    def add_virial(self, index: np.ndarray, values: np.ndarray) -> None:
+        """Per-term virials ``r . f``, attributed like :meth:`add_energy`."""
+
+
+class StoredRows(PairRows):
+    """The serial driver: the stored list, Newton's third law on.
+
+    Both ends of every pair are written, every term counts whole, and
+    the scalar totals reduce by ``np.sum`` in float64 (an exact O(M)
+    upcast under the reduced-precision policies).
+    """
+
+    def __init__(
+        self, system: AtomSystem, neighbors: NeighborList, backend: KernelBackend
+    ) -> None:
+        if neighbors._positions_at_build is None:
+            raise RuntimeError("neighbor list has never been built")
+        self.system, self.neighbors, self.backend = system, neighbors, backend
+        self.kind = "full" if neighbors.full else "half"
+        self.energy = 0.0
+        self.virial = 0.0
+
+    def per_atom(self, name):
+        return getattr(self.system, name)
+
+    def within(self, cutoff, *, directed=False, ghost_heads=False):
+        i, j, dr, r = self.backend.current_pairs(self.system, self.neighbors, cutoff)
+        pairs = Pairs(i, j, dr, r)
+        if self.neighbors.full and not directed:
+            # A symmetric term over both stored orientations: evaluate
+            # one; the work count keeps both (newton off, Section 3).
+            pairs = pairs[i < j]
+        return pairs
+
+    def ends(self, pairs):
+        return pairs.i, pairs.j
+
+    def contact_keys(self, pairs):
+        return pairs.i * np.int64(self.system.n_atoms) + pairs.j
+
+    def add_radial(self, pairs, f_over_r):
+        self.backend.accumulate_scaled_pair_forces(
+            self.system.forces, pairs.i, pairs.j, pairs.dr, f_over_r
+        )
+
+    def add_vector(self, pairs, fvec):
+        self.backend.accumulate_pair_forces(self.system.forces, pairs.i, pairs.j, fvec)
+
+    def push(self, name, index, values):
+        self.backend.scatter_add(getattr(self.system, name), index, values)
+
+    def partner_sum(self, pairs, values):
+        total = np.zeros(
+            self.system.n_atoms, dtype=self.backend.policy.accumulate_dtype
+        )
+        self.backend.scatter_add(total, pairs.i, values)
+        self.backend.scatter_add(total, pairs.j, values)
+        return total
+
+    def add_energy(self, index, values):
+        self.energy += float(np.sum(values, dtype=np.float64))
+
+    def add_atom_energy(self, values):
+        self.add_energy(None, values)
+
+    def add_virial(self, index, values):
+        self.virial += float(np.sum(values, dtype=np.float64))
 
 
 class PairPotential(abc.ABC):
@@ -79,6 +242,15 @@ class PairPotential(abc.ABC):
     #: are skipped and ``None`` is passed instead.
     needs_types: bool = True
     needs_charges: bool = False
+
+    #: Whether the body reads per-atom velocities (a driver that ships
+    #: state to workers skips them otherwise).
+    needs_velocities: bool = False
+
+    #: Per-contact state the body keeps between steps, for the classes
+    #: that have any (``ContactHistory``); what checkpoints and the
+    #: engine's rebuild hand-over look for.
+    history = None
 
     _backend: KernelBackend | None = None
 
@@ -114,8 +286,43 @@ class PairPotential(abc.ABC):
             )
 
     @abc.abstractmethod
+    def terms(self, rows: PairRows) -> int:
+        """The force body: accumulate this potential's terms through
+        ``rows`` and return the interactions evaluated."""
+
+    def fused_style(self) -> PairStyle | None:
+        """Closed form a backend may evaluate in place of :meth:`terms`.
+
+        ``None`` (the default) always runs the body.  A subclass whose
+        functional form a backend knows natively returns its
+        :class:`~repro.md.kernels.base.PairStyle`; the backend still
+        declines (and the body runs) whenever it cannot honour the
+        :meth:`KernelBackend.pair_forces` contract.
+        """
+        return None
+
+    def system_terms(self, n_atoms: int, volume: float) -> tuple[float, float]:
+        """``(energy, virial)`` that depend on the system as a whole, not
+        on any row (the LJ tail correction).  Whichever driver runs adds
+        them once per evaluation — the engine on the master."""
+        return 0.0, 0.0
+
+    def evaluate(self, rows: PairRows) -> int:
+        """One force pass over ``rows`` — a fused kernel when the backend
+        takes this style and row kind, else :meth:`terms` — returning
+        the interaction count.  What both drivers call."""
+        style = self.fused_style()
+        fused = None if style is None else rows.backend.pair_forces(style, rows)
+        return self.terms(rows) if fused is None else fused
+
     def compute(self, system: AtomSystem, neighbors: NeighborList) -> ForceResult:
-        """Accumulate forces into ``system.forces`` and return totals."""
+        """Accumulate forces into ``system.forces`` and return totals:
+        the serial driver of :meth:`evaluate`."""
+        self.require_list_kind(neighbors)
+        rows = StoredRows(system, neighbors, self.backend)
+        interactions = self.evaluate(rows)
+        energy, virial = self.system_terms(system.n_atoms, system.box.volume)
+        return ForceResult(rows.energy + energy, rows.virial + virial, interactions)
 
     def halo_width(self, list_cutoff: float) -> float:
         """Ghost-shell width a subdomain needs to evaluate owned atoms.
@@ -125,7 +332,9 @@ class PairPotential(abc.ABC):
         within it for the whole rebuild interval.  Many-body potentials
         whose per-atom terms depend on *their partners'* environments
         (EAM's embedding density) must widen this so halo atoms also see
-        complete neighbor rows.
+        complete neighbor rows — and a subdomain then keeps the rows
+        those atoms head, which :meth:`PairRows.within` hands out as
+        ``ghost_heads``.
         """
         return float(list_cutoff)
 
@@ -163,49 +372,26 @@ class AnalyticPairPotential(PairPotential):
         measurable win at benchmark pair counts.
         """
 
-    def fused_style(self) -> PairStyle | None:
-        """Closed form a backend may evaluate in place of :meth:`pair_terms`.
-
-        ``None`` (the default) keeps :meth:`compute` on the generic
-        geometry → ``pair_terms`` → scatter path.  A subclass whose
-        functional form a backend knows natively returns its
-        :class:`~repro.md.kernels.base.PairStyle`; the backend still
-        declines (and the generic path runs) whenever it cannot
-        reproduce that path bitwise.
-        """
-        return None
-
-    def compute(self, system: AtomSystem, neighbors: NeighborList) -> ForceResult:
-        kernel = self.backend
-        style = self.fused_style()
-        if style is not None:
-            fused = kernel.pair_forces(style, system, neighbors)
-            if fused is not None:
-                return ForceResult(*fused)
-        i, j, dr, r = kernel.current_pairs(system, neighbors, self.cutoff)
-        if len(i) == 0:
-            return ForceResult()
-        r2 = r * r
-        type_i = system.types[i] if self.needs_types else None
-        type_j = system.types[j] if self.needs_types else None
-        # Static charges stay float64 in storage; the per-pair gathers
-        # are cast to the geometry's (compute) dtype so reduced-precision
-        # modes never silently promote back to f64 mid-formula.
-        q_i = (
-            system.charges[i].astype(dr.dtype, copy=False)
-            if self.needs_charges
-            else None
+    def terms(self, rows: PairRows) -> int:
+        pairs = rows.within(self.cutoff)
+        if len(pairs) == 0:
+            return pairs.interactions
+        type_i = type_j = q_i = q_j = None
+        if self.needs_types:
+            types = rows.per_atom("types")
+            type_i, type_j = types[pairs.i], types[pairs.j]
+        if self.needs_charges:
+            # Static charges stay float64 in storage; the per-pair
+            # gathers are cast to the geometry's (compute) dtype so
+            # reduced-precision modes never silently promote back to
+            # f64 mid-formula.
+            charges, ct = rows.per_atom("charges"), pairs.dr.dtype
+            q_i = charges[pairs.i].astype(ct, copy=False)
+            q_j = charges[pairs.j].astype(ct, copy=False)
+        energy, f_over_r = self.pair_terms(
+            pairs.r, pairs.r2, type_i, type_j, q_i, q_j
         )
-        q_j = (
-            system.charges[j].astype(dr.dtype, copy=False)
-            if self.needs_charges
-            else None
-        )
-        energy, f_over_r = self.pair_terms(r, r2, type_i, type_j, q_i, q_j)
-        kernel.accumulate_scaled_pair_forces(system.forces, i, j, dr, f_over_r)
-        # Scalar totals always reduce in float64 (identical to the
-        # historical behavior at f64; an exact O(M) upcast otherwise).
-        virial = float(np.sum(f_over_r * r2, dtype=np.float64))
-        return ForceResult(
-            float(np.sum(energy, dtype=np.float64)), virial, len(i)
-        )
+        rows.add_radial(pairs, f_over_r)
+        rows.add_energy(pairs.i, energy)
+        rows.add_virial(pairs.i, f_over_r * pairs.r2)
+        return pairs.interactions

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.md.atoms import AtomSystem
-from repro.md.neighbor import NeighborList
-from repro.md.potentials.base import ForceResult, PairPotential, accumulate_pair_forces
+from repro.md.potentials.base import PairPotential, PairRows
 
 __all__ = ["EAMParameters", "EAMAlloy"]
 
@@ -131,35 +129,31 @@ class EAMAlloy(PairPotential):
         return value, deriv
 
     # -- evaluation --------------------------------------------------------
-    def compute(self, system: AtomSystem, neighbors: NeighborList) -> ForceResult:
-        kernel = self.backend
-        i, j, dr, r = kernel.current_pairs(system, neighbors, self.cutoff)
-        n = system.n_atoms
-        if len(i) == 0:
-            # Isolated atoms: embedding of zero density is zero by the
-            # functional form, so only the (empty) pair sum remains.
-            return ForceResult()
+    def terms(self, rows: PairRows) -> int:
+        # Ghost heads: F'(rho_j) of every partner needs j's complete row
+        # (see halo_width).  With no pairs anywhere the embedding sum is
+        # skipped entirely: exact zero, not F(rho -> 0).
+        pairs = rows.within(self.cutoff, ghost_heads=True)
+        if len(pairs) == 0:
+            return pairs.interactions
+        i, j, r = pairs.i, pairs.j, pairs.r
 
-        # Pass 1: densities and embedding.  Densities accumulate in the
-        # policy's accumulate dtype (float64 under MIXED).
+        # Pass 1: densities (summed in the policy's accumulate dtype,
+        # float64 under MIXED) and embedding.
         f_r, df_r = self.density_function(r)
-        rho = np.zeros(n, dtype=kernel.policy.accumulate_dtype)
-        kernel.scatter_add(rho, i, f_r)
-        kernel.scatter_add(rho, j, f_r)
-        F_rho, Fp_rho = self.embedding_function(rho)
-        embed_energy = float(np.sum(F_rho, dtype=np.float64))
+        F_rho, Fp_rho = self.embedding_function(rows.partner_sum(pairs, f_r))
+        rows.add_atom_energy(F_rho)
 
         # Pass 2: pair repulsion plus density-mediated forces; the
         # embedding slopes are cast back to the compute dtype so the
         # per-pair force stays in it.
         phi, dphi = self.pair_function(r)
-        Fp = Fp_rho.astype(dr.dtype, copy=False)
+        Fp = Fp_rho.astype(r.dtype, copy=False)
         f_over_r = -(dphi + (Fp[i] + Fp[j]) * df_r) / r
-        accumulate_pair_forces(system, i, j, dr, f_over_r, backend=kernel)
-
-        pair_energy = float(np.sum(phi, dtype=np.float64))
-        virial = float(np.sum(f_over_r * r * r, dtype=np.float64))
-        return ForceResult(embed_energy + pair_energy, virial, len(i))
+        rows.add_radial(pairs, f_over_r)
+        rows.add_energy(i, phi)
+        rows.add_virial(i, f_over_r * pairs.r2)
+        return pairs.interactions
 
     # -- analysis helpers ----------------------------------------------------
     def cohesive_energy_curve(

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.md.atoms import AtomSystem
-from repro.md.neighbor import NeighborList
-from repro.md.potentials.base import ForceResult, PairPotential
+from repro.md.potentials.base import PairPotential, PairRows
 
 __all__ = ["HookeHistory", "ContactHistory"]
 
@@ -87,6 +85,7 @@ class HookeHistory(PairPotential):
     """
 
     needs_full_list = True
+    needs_velocities = True
 
     def __init__(
         self,
@@ -177,63 +176,50 @@ class HookeHistory(PairPotential):
         pair_virial = np.einsum("ij,ij->i", dr, f_total)
         return f_total, torque, xi, pair_energy, pair_virial
 
-    def compute(self, system: AtomSystem, neighbors: NeighborList) -> ForceResult:
-        if system.radii is None:
+    def terms(self, rows: PairRows) -> int:
+        radii = rows.per_atom("radii")
+        if radii is None:
             raise ValueError("HookeHistory needs a granular system (radii set)")
-        self.require_list_kind(neighbors)
-        kernel = self.backend
-        i_all, j_all, dr_all, r_all = kernel.current_pairs(
-            system, neighbors, self.cutoff
-        )
-        interactions = len(i_all)
         # Physics is evaluated once per unordered pair; the full list the
         # simulation keeps (newton off) is reflected in `interactions`.
-        half = i_all < j_all
-        i, j, dr, r = i_all[half], j_all[half], dr_all[half], r_all[half]
-
-        radii = system.radii
-        sum_r = radii[i] + radii[j]
-        touching = r < sum_r
-        i, j, dr, r = i[touching], j[touching], dr[touching], r[touching]
-        keys = i * np.int64(system.n_atoms) + j
-        xi = self.history.sync(keys)
-        if len(i) == 0:
-            return ForceResult(0.0, 0.0, interactions)
+        pairs = rows.within(self.cutoff)
+        pairs = pairs[pairs.r < radii[pairs.i] + radii[pairs.j]]
+        # Synced even with nothing touching, so separated contacts drop.
+        xi = self.history.sync(rows.contact_keys(pairs))
+        if len(pairs) == 0:
+            return pairs.interactions
 
         # Per-pair gathers follow the geometry's (compute) dtype; the
         # tangential history deliberately stays float64 — it is restart
         # state, and the f32 -> f64 promotion where it enters the math
         # keeps its round-trip exact in every mode.
-        ct = dr.dtype
+        i, j, ct = pairs.i, pairs.j, pairs.dr.dtype
+        masses, velocities, omega = (
+            rows.per_atom(name) for name in ("masses", "velocities", "omega")
+        )
         f_total, torque, xi, pair_energy, pair_virial = self.contact_terms(
-            dr,
-            r,
+            pairs.dr,
+            pairs.r,
             radii[i].astype(ct, copy=False),
             radii[j].astype(ct, copy=False),
-            system.masses[i].astype(ct, copy=False),
-            system.masses[j].astype(ct, copy=False),
-            system.velocities[i].astype(ct, copy=False),
-            system.velocities[j].astype(ct, copy=False),
-            system.omega[i].astype(ct, copy=False)
-            if system.omega is not None
-            else None,
-            system.omega[j].astype(ct, copy=False)
-            if system.omega is not None
-            else None,
+            masses[i].astype(ct, copy=False),
+            masses[j].astype(ct, copy=False),
+            velocities[i].astype(ct, copy=False),
+            velocities[j].astype(ct, copy=False),
+            omega[i].astype(ct, copy=False) if omega is not None else None,
+            omega[j].astype(ct, copy=False) if omega is not None else None,
             xi,
         )
         self.history.store(xi)
 
-        kernel.accumulate_pair_forces(system.forces, i, j, f_total)
-
-        # Contact torques from the tangential force.
-        if system.torques is not None:
-            kernel.scatter_add(system.torques, i, -radii[i][:, None] * torque)
-            kernel.scatter_add(system.torques, j, -radii[j][:, None] * torque)
-
-        energy = float(np.sum(pair_energy, dtype=np.float64))
-        virial = float(np.sum(pair_virial, dtype=np.float64))
-        return ForceResult(energy, virial, interactions)
+        rows.add_vector(pairs, f_total)
+        if omega is not None:
+            # Contact torques from the tangential force, one per end.
+            for end in rows.ends(pairs):
+                rows.push("torques", end, -radii[end][:, None] * torque)
+        rows.add_energy(i, pair_energy)
+        rows.add_virial(i, pair_virial)
+        return pairs.interactions
 
     @property
     def active_contacts(self) -> int:

@@ -141,12 +141,10 @@ class LennardJonesCut(AnalyticPairPotential):
             * (2.0 * sr3**3 / 3.0 - sr3)
         )
 
-    def compute(self, system, neighbors):
-        result = super().compute(system, neighbors)
-        if self.tail_correction:
-            result.energy += self.tail_energy(system.n_atoms, system.box.volume)
-            result.virial += self.tail_virial(system.n_atoms, system.box.volume)
-        return result
+    def system_terms(self, n_atoms, volume):
+        if not self.tail_correction:
+            return 0.0, 0.0
+        return self.tail_energy(n_atoms, volume), self.tail_virial(n_atoms, volume)
 
     def pair_energy(self, r: np.ndarray, ti: int = 0, tj: int = 0) -> np.ndarray:
         """Scalar pair energy profile (handy for tests and plots)."""

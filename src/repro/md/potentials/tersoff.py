@@ -44,10 +44,8 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from repro.md.atoms import AtomSystem
 from repro.md.kernels.base import PairStyle
-from repro.md.neighbor import NeighborList
-from repro.md.potentials.base import ForceResult, PairPotential
+from repro.md.potentials.base import PairPotential, PairRows
 
 __all__ = ["TersoffParameters", "Tersoff"]
 
@@ -165,22 +163,18 @@ class Tersoff(PairPotential):
             (np.array(astuple(self.params), dtype=np.float64),),
         )
 
-    def compute(self, system: AtomSystem, neighbors: NeighborList) -> ForceResult:
-        self.require_list_kind(neighbors)
-        kernel = self.backend
-        fused = kernel.pair_forces(self.fused_style(), system, neighbors)
-        if fused is not None:
-            return ForceResult(*fused)
-        # The numpy body below is the oracle a fused kernel answers to.
-        # Directed pairs (the list is full), CSR order: sorted by i.
-        i, j, dr, r = kernel.current_pairs(system, neighbors, self.cutoff)
+    def terms(self, rows: PairRows) -> int:
+        # The numpy body is the oracle a fused kernel answers to.
+        # Directed terms: every ordered pair carries its own bond order,
+        # and a row's pairs arrive together (CSR order serially; heads
+        # in global-id order on an engine worker).
+        pairs = rows.within(self.cutoff, directed=True)
+        i, j, dr, r = pairs.i, pairs.j, pairs.dr, pairs.r
         n_pairs = len(i)
         if n_pairs == 0:
-            return ForceResult()
-        ct = kernel.policy.compute_dtype
-        if dr.dtype != ct:
-            dr = dr.astype(ct)
-            r = r.astype(ct)
+            return pairs.interactions
+        kernel = rows.backend
+        ct = dr.dtype
 
         p = self.params
         fc, dfc = self.cutoff_function(r)
@@ -188,12 +182,12 @@ class Tersoff(PairPotential):
         fa, dfa = self.attractive(r)
 
         # --- ragged self-join: pair p with every other pair q of its row.
-        counts = np.bincount(i, minlength=system.n_atoms)
-        row_start = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        reps = counts[i]  # row population, per pair
+        row_start = np.concatenate(([0], np.flatnonzero(i[1:] != i[:-1]) + 1))
+        counts = np.diff(np.append(row_start, n_pairs))
+        reps = np.repeat(counts, counts)  # row population, per pair
         t_p = np.repeat(np.arange(n_pairs), reps)
         segment_base = np.repeat(np.cumsum(reps) - reps, reps)
-        t_q = np.repeat(row_start[i], reps) + (
+        t_q = np.repeat(np.repeat(row_start, counts), reps) + (
             np.arange(len(t_p)) - segment_base
         )
         keep = t_q != t_p  # exclude k == j (rows never repeat a partner)
@@ -225,14 +219,13 @@ class Tersoff(PairPotential):
         db = db.astype(ct, copy=False)
 
         # --- energy and radial pair force (bond order held fixed).
-        pair_energy = 0.5 * fc * (fr + b * fa)
+        rows.add_energy(i, 0.5 * fc * (fr + b * fa))
         w = 0.5 * (dfc * (fr + b * fa) + fc * (dfr + b * dfa))
-        energy = float(np.sum(pair_energy, dtype=np.float64))
 
         # force = -dE/dx; dE/dx_i = w * dr / r for the radial part.
         f_over_r = -w * (1.0 / r)
-        kernel.accumulate_scaled_pair_forces(system.forces, i, j, dr, f_over_r)
-        virial = float(np.sum(f_over_r * r * r, dtype=np.float64))
+        rows.add_radial(pairs, f_over_r)
+        rows.add_virial(i, f_over_r * r * r)
 
         # --- angular/zeta gradients, per triplet.
         # dE/dzeta of pair p, gathered onto its triplets.
@@ -255,20 +248,16 @@ class Tersoff(PairPotential):
         dcos_dk = (e1 - cos_theta[:, None] * e2) * inv_rq[:, None]
         f_j = -(s1 + s3[:, None] * dcos_dj)
         f_k = -(s2 + s3[:, None] * dcos_dk)
-        kernel.scatter_add(system.forces, jj, f_j)
-        kernel.scatter_add(system.forces, kk, f_k)
-        kernel.scatter_add(system.forces, ii, -(f_j + f_k))
+        rows.push("forces", jj, f_j)
+        rows.push("forces", kk, f_k)
+        rows.push("forces", ii, -(f_j + f_k))
 
         # The cos-theta channel is virial-free (its gradients are
         # orthogonal to their bond vectors); only the radial channels
         # contribute, each ``-r dE/dr`` like the pair part above.
-        virial -= float(
-            np.sum(np.einsum("ij,ij->i", s1, e1) * r_p, dtype=np.float64)
-        )
-        virial -= float(
-            np.sum(np.einsum("ij,ij->i", s2, e2) * r_q, dtype=np.float64)
-        )
-        return ForceResult(energy, virial, n_pairs)
+        rows.add_virial(ii, -(np.einsum("ij,ij->i", s1, e1) * r_p))
+        rows.add_virial(ii, -(np.einsum("ij,ij->i", s2, e2) * r_q))
+        return pairs.interactions
 
     # -- analysis helpers -------------------------------------------------
     def dimer_energy(self, r: float) -> float:

@@ -128,9 +128,8 @@ class ForceExecutor(abc.ABC):
         """
         tables: dict[int, tuple] = {}
         for slot, potential in enumerate(self.simulation.potentials):
-            history = getattr(potential, "history", None)
-            if history is not None and hasattr(history, "export"):
-                tables[slot] = history.export()
+            if potential.history is not None:
+                tables[slot] = potential.history.export()
         return tables
 
     def import_contact_histories(self, tables: dict[int, tuple]) -> None:
@@ -142,8 +141,8 @@ class ForceExecutor(abc.ABC):
                     f"{slot} but the simulation has "
                     f"{len(self.simulation.potentials)} potentials"
                 )
-            history = getattr(self.simulation.potentials[slot], "history", None)
-            if history is None or not hasattr(history, "load"):
+            history = self.simulation.potentials[slot].history
+            if history is None:
                 raise ValueError(
                     f"potential slot {slot} ({type(self.simulation.potentials[slot]).__name__}) "
                     "has no contact history to restore into"

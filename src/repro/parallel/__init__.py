@@ -25,7 +25,7 @@ package reproduces that structure twice — analytically and for real:
 from repro.parallel.decomposition import SubdomainGeometry, proc_grid
 from repro.parallel.engine import ParallelEngineError, ParallelForceExecutor
 from repro.parallel.executor import CpuRunResult, simulate_cpu_run
-from repro.parallel.forces import DomainLists, evaluate_domain_forces
+from repro.parallel.forces import DomainLists, OwnerRows
 from repro.parallel.halo import LocalIndex, assign_owners
 from repro.parallel.mpi_model import MPI_FUNCTIONS, MpiModel, MpiTimes
 from repro.parallel.shm import SharedArray, ShmArena
@@ -45,5 +45,5 @@ __all__ = [
     "LocalIndex",
     "assign_owners",
     "DomainLists",
-    "evaluate_domain_forces",
+    "OwnerRows",
 ]

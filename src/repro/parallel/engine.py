@@ -54,16 +54,10 @@ from repro.md.kernels import backend_spec, get_backend
 from repro.md.neighbor import _encode_pairs
 from repro.md.precision import Precision, PrecisionPolicy, policy_for
 from repro.md.potentials.base import ForceResult
-from repro.md.potentials.eam import EAMAlloy
-from repro.md.potentials.granular import ContactHistory
 from repro.md.simulation import ForceExecutor
 from repro.observability.timeline import RankTimeline
 from repro.parallel.decomposition import proc_grid
-from repro.parallel.forces import (
-    DomainLists,
-    evaluate_domain_forces,
-    max_halo_width,
-)
+from repro.parallel.forces import DomainLists, OwnerRows
 from repro.parallel.halo import LocalIndex
 from repro.parallel.procs import WorkerFailure, WorkerProcess, gather, stop_all
 from repro.parallel.shm import ShmArena
@@ -118,6 +112,37 @@ class _WorkerPayload:
     history_slots: tuple = ()
 
 
+def _force_pass(payload, arena, backend, lists, statics_local, lengths) -> list:
+    """One ``step``: every potential over the worker's rows, the owned
+    slices of the shared outputs written; returns the directed
+    interaction count per potential.  (A function of its own so the row
+    view — which holds ``lists`` — dies with it: the next rebuild drops
+    the old lists *before* building the new ones.)"""
+    index = lists.index
+    per_atom = dict(statics_local)
+    if payload.needs_velocities:
+        per_atom["velocities"] = arena["velocities"][index.gids]
+    if payload.has_omega:
+        per_atom["omega"] = arena["omega"][index.gids]
+    rows = OwnerRows(
+        lists,
+        arena["positions"],
+        lengths,
+        payload.periodic,
+        backend,
+        per_atom,
+        payload.n_atoms,
+    )
+    counts = [int(potential.evaluate(rows)) for potential in payload.potentials]
+    owned = index.gids[: index.n_owned]
+    arena["forces"][owned] = rows.forces
+    arena["energy"][owned] = rows.energy
+    arena["virial"][owned] = rows.virial
+    if "torques" in arena and rows.torques is not None:
+        arena["torques"][owned] = rows.torques
+    return counts
+
+
 def _worker_main(conn, payload: _WorkerPayload) -> None:
     """Persistent worker loop: receive a command, act, reply.
 
@@ -134,10 +159,11 @@ def _worker_main(conn, payload: _WorkerPayload) -> None:
     backend.set_policy(policy_for(payload.precision))
     lists: DomainLists | None = None
     statics_local: dict | None = None
-    histories: dict = {}
-    # EAM's density pass is the only consumer of ghost-headed rows;
-    # everyone else builds the owned-head-only directed list.
-    owned_only = not any(isinstance(p, EAMAlloy) for p in payload.potentials)
+    potentials = payload.potentials
+    # Ghost-headed rows are read only under a widened halo (by bodies
+    # whose terms need their partners' complete rows); everyone else
+    # builds the owned-head-only directed list.
+    owned_only = payload.halo_width <= payload.list_cutoff
     try:
         while (message := conn.recv()) is not _STOP:
             command, lengths, fault, tables = message
@@ -162,7 +188,7 @@ def _worker_main(conn, payload: _WorkerPayload) -> None:
                     # first rebuild); the next sync keeps the rows this
                     # worker now heads.
                     for slot, table in tables.items():
-                        histories.setdefault(slot, ContactHistory()).load(*table)
+                        potentials[slot].history.load(*table)
                     # Drop the old rows first so the new ones are built
                     # in their (warm) heap instead of beside them: a
                     # rebuild then faults in no fresh pages and the
@@ -200,42 +226,16 @@ def _worker_main(conn, payload: _WorkerPayload) -> None:
                         key: (None if value is None else value[index.gids])
                         for key, value in payload.statics.items()
                     }
-                    data = (lists.owned_directed_pairs, lists.owned_within)
+                    data = (lists.n_owned_rows, lists.owned_within)
                 elif command == "step":
                     if lists is None:
                         raise RuntimeError("step before the first rebuild")
-                    index = lists.index
-                    velocities = (
-                        arena["velocities"][index.gids]
-                        if payload.needs_velocities
-                        else None
+                    data = _force_pass(
+                        payload, arena, backend, lists, statics_local, lengths
                     )
-                    omega = (
-                        arena["omega"][index.gids] if payload.has_omega else None
-                    )
-                    result = evaluate_domain_forces(
-                        payload.potentials,
-                        lists,
-                        arena["positions"],
-                        lengths=lengths,
-                        periodic=payload.periodic,
-                        backend=backend,
-                        statics=statics_local,
-                        velocities=velocities,
-                        omega=omega,
-                        histories=histories,
-                        n_atoms_total=payload.n_atoms,
-                    )
-                    owned = index.gids[: index.n_owned]
-                    arena["forces"][owned] = result.forces
-                    arena["energy"][owned] = result.energy
-                    arena["virial"][owned] = result.virial
-                    if "torques" in arena and result.torques is not None:
-                        arena["torques"][owned] = result.torques
-                    data = [int(count) for count in result.interactions]
                 elif command == "history":
                     data = {
-                        slot: histories.get(slot, ContactHistory()).export()
+                        slot: potentials[slot].history.export()
                         for slot in payload.history_slots
                     }
             except Exception:  # report instead of dying
@@ -301,6 +301,7 @@ class ParallelForceExecutor(ForceExecutor):
         self._fault_env_checked = False
         self._pending_kill: int | None = None
         self._history_slots: tuple = ()
+        self._needs_velocities = False
         self._initial_histories: dict = {}
         #: Pool generation counter: bumped by every (re)spawn, so
         #: recovery code and tests can assert a respawn happened.
@@ -343,9 +344,7 @@ class ParallelForceExecutor(ForceExecutor):
         system = sim.system
         n = system.n_atoms
         potentials = sim.potentials
-        needs_velocities = any(
-            getattr(p, "needs_full_list", False) for p in potentials
-        )
+        self._needs_velocities = any(p.needs_velocities for p in potentials)
         has_omega = system.omega is not None
 
         # Per-atom exchange state is typed by the precision policy:
@@ -368,11 +367,15 @@ class ParallelForceExecutor(ForceExecutor):
         self._history_slots = tuple(
             slot
             for slot, potential in enumerate(potentials)
-            if getattr(potential, "history", None) is not None
+            if potential.history is not None
         )
         self._arena = ShmArena.create(layout)
 
         list_cutoff = sim.neighbor.list_cutoff
+        # The widest ghost shell any of the potentials requires.
+        halo_width = max(
+            (p.halo_width(list_cutoff) for p in potentials), default=list_cutoff
+        )
         exclusions = sim.neighbor._exclusions
         excluded_keys = (
             None
@@ -402,6 +405,10 @@ class ParallelForceExecutor(ForceExecutor):
         finally:
             for pot, saved in zip(potentials, saved_backends):
                 pot._backend = saved
+        # A pool's contact stores start from the tables its first
+        # rebuild is handed, not from whatever the master's copies hold.
+        for slot in self._history_slots:
+            worker_potentials[slot].history.load((), ())
 
         for worker_id in range(self.n_workers):
             payload = _WorkerPayload(
@@ -412,7 +419,7 @@ class ParallelForceExecutor(ForceExecutor):
                 backend=spec,
                 cutoff=sim.neighbor.cutoff,
                 list_cutoff=list_cutoff,
-                halo_width=max_halo_width(potentials, list_cutoff),
+                halo_width=halo_width,
                 origin=system.box.origin.copy(),
                 periodic=system.box.periodic.copy(),
                 quasi_2d=sim.quasi_2d,
@@ -420,7 +427,7 @@ class ParallelForceExecutor(ForceExecutor):
                 excluded_keys=excluded_keys,
                 statics=statics,
                 has_omega=has_omega,
-                needs_velocities=needs_velocities or has_omega,
+                needs_velocities=self._needs_velocities,
                 precision=self.precision.mode.value,
                 history_slots=self._history_slots,
             )
@@ -485,7 +492,8 @@ class ParallelForceExecutor(ForceExecutor):
     def _publish_state(self, system: AtomSystem) -> None:
         arena = self._arena
         np.copyto(arena["positions"], system.positions)
-        np.copyto(arena["velocities"], system.velocities)
+        if self._needs_velocities:
+            np.copyto(arena["velocities"], system.velocities)
         if "omega" in arena and system.omega is not None:
             np.copyto(arena["omega"], system.omega)
 
@@ -641,6 +649,10 @@ class ParallelForceExecutor(ForceExecutor):
         for potential, per_worker in zip(self.simulation.potentials, zip(*counts)):
             directed = sum(per_worker)
             interactions += directed if potential.needs_full_list else directed // 2
+            # System-level terms belong to no row: added here, once.
+            whole = potential.system_terms(system.n_atoms, system.box.volume)
+            energy += whole[0]
+            virial += whole[1]
 
         self.last_step_seconds = np.array(wall)
         self.worker_pair_seconds += wall

@@ -47,11 +47,12 @@ from repro.md.neighbor import (
     cell_list_half_pairs,
     subdomain_directed_pairs,
 )
+from repro.md.potentials.base import StoredRows
 from repro.md.potentials.eam import EAMAlloy
 from repro.md.potentials.lj import LennardJonesCut
 from repro.md.potentials.tersoff import Tersoff, TersoffParameters
 from repro.md.simulation import Simulation
-from repro.parallel.forces import DomainLists, evaluate_domain_forces
+from repro.parallel.forces import DomainLists, OwnerRows
 from repro.parallel.halo import LocalIndex
 from tests.conftest import finite_difference_forces, huge_grid_case
 
@@ -138,7 +139,7 @@ class TestAvailabilityAndFallback:
         system, potential = _jittered_case("lj")
         nlist = NeighborList(2.5, 0.3)
         nlist.build(system)
-        assert backend.pair_forces(potential.fused_style(), system, nlist) is None
+        assert _hook(backend, potential.fused_style(), system, nlist) is None
         results = {}
         for name, kernel in (("fallback", backend), ("ref", get_backend("numpy_ref"))):
             potential.backend = kernel
@@ -590,10 +591,26 @@ class TestInstanceTable:
 # ---------------------------------------------------------------------------
 class _UnfusedCompiled(CompiledBackend):
     """The compiled backend as it ran before the fused pass existed:
-    both hooks decline, every caller stays on its unfused path."""
+    the hook declines, both drivers run the potential's body."""
 
     pair_forces = KernelBackend.pair_forces
-    directed_pair_forces = KernelBackend.directed_pair_forces
+
+
+def _hook(backend, style, system, nlist):
+    """What the one hook answers over a stored list: ``(energy, virial,
+    interactions)`` as its view accumulated them, or ``None``."""
+    rows = StoredRows(system, nlist, backend)
+    count = backend.pair_forces(style, rows)
+    return None if count is None else (rows.energy, rows.virial, count)
+
+
+def _owner_pass(potentials, lists, positions, box, backend, types):
+    """One engine-worker force pass; returns ``(rows, interactions)``."""
+    rows = OwnerRows(
+        lists, positions, box.lengths, box.periodic, backend,
+        {"types": types[lists.index.gids], "charges": None}, len(types),
+    )
+    return rows, [potential.evaluate(rows) for potential in potentials]
 
 
 def _same_bits(a, b) -> bool:
@@ -696,9 +713,7 @@ class TestFusedLennardJones:
         expected_forces = system.forces.copy()
 
         system.forces[...] = preload
-        fused = CompiledBackend().pair_forces(
-            potential.fused_style(), system, nlist
-        )
+        fused = _hook(CompiledBackend(), potential.fused_style(), system, nlist)
         assert fused is not None, "the fused kernel declined a float64 LJ case"
         energy, virial, interactions = fused
         assert interactions == expected.interactions
@@ -720,24 +735,13 @@ class TestFusedLennardJones:
             cutoff=0.8 * potential.cutoff,
             shift=not potential.shift,
         )
-        results = []
-        for backend in (_UnfusedCompiled(), CompiledBackend()):
-            results.append(
-                evaluate_domain_forces(
-                    [potential, second],
-                    lists,
-                    moved,
-                    lengths=system.box.lengths,
-                    periodic=system.box.periodic,
-                    backend=backend,
-                    statics={
-                        "types": system.types[lists.index.gids],
-                        "charges": None,
-                    },
-                )
+        (expected, expected_counts), (fused, fused_counts) = (
+            _owner_pass(
+                [potential, second], lists, moved, system.box, backend, system.types
             )
-        expected, fused = results
-        assert fused.interactions == expected.interactions
+            for backend in (_UnfusedCompiled(), CompiledBackend())
+        )
+        assert fused_counts == expected_counts
         assert _same_bits(fused.forces, expected.forces)
         assert _same_bits(fused.energy, expected.energy)
         assert _same_bits(fused.virial, expected.virial)
@@ -745,25 +749,18 @@ class TestFusedLennardJones:
     def test_directed_rows_skip_the_shared_geometry(self, monkeypatch):
         """With every potential fused, a worker's step never builds the
         per-row ``dr``/``r2`` arrays."""
-        import repro.parallel.forces as forces_module
-
         system = lj_melt_system(500, seed=3)
         lists = _one_domain(system, 2.8, None, 0, (2, 1, 1))
         monkeypatch.setattr(
-            forces_module,
-            "_row_geometry",
+            DomainLists,
+            "geometry",
             lambda *a, **k: pytest.fail("geometry built for a fused domain"),
         )
-        out = evaluate_domain_forces(
-            [LennardJonesCut(cutoff=2.5)],
-            lists,
-            system.positions,
-            lengths=system.box.lengths,
-            periodic=system.box.periodic,
-            backend=CompiledBackend(),
-            statics={"types": system.types[lists.index.gids], "charges": None},
+        _, counts = _owner_pass(
+            [LennardJonesCut(cutoff=2.5)], lists, system.positions, system.box,
+            CompiledBackend(), system.types,
         )
-        assert out.interactions[0] > 0
+        assert counts[0] > 0
 
     def test_compute_takes_the_fused_route_and_keeps_tail_terms(self, monkeypatch):
         system = lj_melt_system(500, seed=5)
@@ -795,7 +792,7 @@ class TestFusedLennardJones:
         backend = CompiledBackend()
         backend.set_policy(policy_for(mode))
         style = LennardJonesCut(cutoff=2.5).fused_style()
-        assert backend.pair_forces(style, system, nlist) is None
+        assert _hook(backend, style, system, nlist) is None
         assert np.all(system.forces == 0.0)
 
     def test_declines_what_the_kernels_cannot_index(self):
@@ -808,19 +805,19 @@ class TestFusedLennardJones:
         backend = CompiledBackend()
         two_types = LennardJonesCut([1.0, 0.8], [1.0, 0.9], cutoff=2.5)
         system.types[7] = 2
-        assert backend.pair_forces(two_types.fused_style(), system, nlist) is None
+        assert _hook(backend, two_types.fused_style(), system, nlist) is None
         system.types[7] = -1
-        assert backend.pair_forces(two_types.fused_style(), system, nlist) is None
+        assert _hook(backend, two_types.fused_style(), system, nlist) is None
         system.types[7] = 0
         one_type = LennardJonesCut(cutoff=2.5).fused_style()
         strided = AtomSystem(system.positions.copy(), system.box)
         strided.forces = np.zeros((256 * 2, 3))[::2][: system.n_atoms]
-        assert backend.pair_forces(one_type, strided, nlist) is None
+        assert _hook(backend, one_type, strided, nlist) is None
         assert np.all(strided.forces == 0.0)
         unknown = type(one_type)("morse", 2.5, one_type.coeffs)
-        assert backend.pair_forces(unknown, system, nlist) is None
+        assert _hook(backend, unknown, system, nlist) is None
         with pytest.raises(RuntimeError, match="never been built"):
-            backend.pair_forces(one_type, system, NeighborList(2.5, 0.3))
+            _hook(backend, one_type, system, NeighborList(2.5, 0.3))
 
     def test_smoke_test_demotes_a_provider_whose_fused_pass_drifts(self):
         provider, _ = resolve_provider()
@@ -860,8 +857,8 @@ class _MustFuse(CompiledBackend):
     """The compiled backend with its fused hook *required* to engage,
     so agreement with the unfused route cannot come from declining."""
 
-    def pair_forces(self, style, system, neighbors):
-        fused = super().pair_forces(style, system, neighbors)
+    def pair_forces(self, style, rows):
+        fused = super().pair_forces(style, rows)
         assert fused is not None, "the fused kernel declined"
         return fused
 
@@ -1037,7 +1034,7 @@ class TestFusedTersoff:
         half.build(system)
         style = Tersoff().fused_style()
         backend = CompiledBackend()
-        assert backend.pair_forces(style, system, full) is not None
+        assert _hook(backend, style, system, full) is not None
         # The backend reads m by position in the parameter vector.
         (vector,) = Tersoff(TersoffParameters(m=1)).fused_style().coeffs
         assert vector.shape == (14,) and vector[compiled_module._TERSOFF_M] == 1.0
@@ -1049,7 +1046,7 @@ class TestFusedTersoff:
             backend = CompiledBackend()
             backend.set_policy(policy_for(mode))
             before = system.forces.copy()
-            answer = backend.pair_forces(style, system, nlist)
+            answer = _hook(backend, style, system, nlist)
             return answer is None and _same_bits(system.forces, before)
 
         assert declined(mode="single")
@@ -1433,7 +1430,7 @@ class TestMinimumImageFastPath:
         expected = potential.compute(system, nlist)
         expected_forces = system.forces.copy()
         system.forces[...] = 0.0
-        got = CompiledBackend().pair_forces(potential.fused_style(), system, nlist)
+        got = _hook(CompiledBackend(), potential.fused_style(), system, nlist)
         assert got == (expected.energy, expected.virial, expected.interactions)
         assert expected.interactions > 0
         assert _same_bits(system.forces, expected_forces)

@@ -19,6 +19,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Small per-benchmark sizes (chain needs a chain-length multiple).
 SIZES = {"lj": 2048, "chain": 2000, "eam": 1372, "rhodo": 1000, "chute": 1800}
+SIZES["tersoff"] = 512
 
 
 def _subprocess_env() -> dict:
@@ -78,6 +79,29 @@ class TestSerialParity:
         assert serial.virial == pytest.approx(
             parallel.virial, rel=1e-12, abs=1e-9
         )
+
+    def test_tail_correction_is_added_once_by_either_driver(self):
+        """The LJ tail belongs to the system, not to a row: the engine
+        used to drop it (step-0 E = -3392.41 serial, -3166.41 on two
+        workers at 500 atoms) and a per-worker hook would multiply it."""
+
+        def step_zero(workers, tail=True):
+            sim = get_benchmark("lj").build(500)
+            sim.potentials[0].tail_correction = tail
+            if workers:
+                executor = ParallelForceExecutor(workers)
+                sim.force_executor = executor
+                executor.bind(sim)
+            try:
+                sim.setup()
+                return sim.potential_energy, sim.virial
+            finally:
+                sim.close()
+
+        energy, virial = step_zero(0)
+        assert energy < step_zero(0, tail=False)[0] - 100.0
+        for workers in (1, 2):
+            assert step_zero(workers) == pytest.approx((energy, virial), rel=1e-12)
 
     @pytest.mark.parametrize("backend", ["auto", "numpy_fast"])
     @pytest.mark.parametrize("name", ["lj", "eam", "chain"])
@@ -221,7 +245,7 @@ class TestFailurePaths:
             raise ZeroDivisionError("boom in the force pass")
 
         # Forked workers inherit the patched module.
-        monkeypatch.setattr(engine, "evaluate_domain_forces", explode)
+        monkeypatch.setattr(engine, "OwnerRows", explode)
         sim = get_benchmark("lj").build(SIZES["lj"])
         executor = ParallelForceExecutor(2, barrier_timeout=30.0)
         sim.force_executor = executor
@@ -393,6 +417,46 @@ class TestStructure:
             executor.close()
 
 
+    def test_a_force_pass_keeps_no_reference_to_the_lists(self):
+        """A rebuild drops the old rows *before* building the new ones
+        (one list in the worker's peak, not two) — which only works if
+        nothing from the last step still holds them."""
+        import gc
+        import weakref
+        from types import SimpleNamespace
+
+        from repro.md.kernels import get_backend
+        from repro.parallel.forces import DomainLists
+        from repro.parallel.halo import LocalIndex
+
+        sim = get_benchmark("lj").build(500)
+        system, box = sim.system, sim.system.box
+        index = LocalIndex.build(
+            system.positions, box.origin, box.lengths, box.periodic, (1, 1, 1), 0, 2.8
+        )
+        lists = DomainLists.build(
+            index, index.local_positions(system.positions, box.lengths), 2.8, 2.5
+        )
+        payload = SimpleNamespace(
+            potentials=sim.potentials, periodic=box.periodic,
+            n_atoms=system.n_atoms, needs_velocities=False, has_omega=False,
+        )
+        n = system.n_atoms
+        arena = {
+            "positions": system.positions, "forces": np.zeros((n, 3)),
+            "energy": np.zeros(n), "virial": np.zeros(n),
+        }
+        statics = {"types": system.types[index.gids], "charges": None}
+        counts = engine._force_pass(
+            payload, arena, get_backend("numpy_fast"), lists, statics, box.lengths
+        )
+        assert counts[0] > 0 and np.abs(arena["forces"]).max() > 0
+        alive = weakref.ref(lists)
+        del lists
+        gc.collect()
+        assert alive() is None
+
+
 class TestAttachedPoolPrecision:
     """``sim.force_executor = ex; ex.bind(sim)`` — the idiom every real
     caller uses — settles the pool's precision in ``bind``: never a
@@ -510,6 +574,21 @@ class TestCli:
         assert "serial Neigh:" in stdout
         assert "parallel Neigh:" in stdout
         assert "checkpoint write:" not in stdout
+
+    def test_scale_gates_energy_as_well_as_forces(self, monkeypatch, capsys):
+        """Drivers that agree on every force but not on the energy (the
+        shape of the dropped LJ tail) must fail the command."""
+        from repro.cli import main
+        from repro.parallel.forces import OwnerRows
+
+        argv = "scale lj --workers 2 --steps 2 --atoms 500".split()
+        argv += ["--backend", "numpy_fast"]  # the body's verbs, not a fused kernel
+        assert main(argv) == 0
+        assert "OK)" in capsys.readouterr().out
+        # Forked workers inherit the patch: their energy slots stay zero.
+        monkeypatch.setattr(OwnerRows, "add_energy", lambda *args: None)
+        assert main(argv) == 1
+        assert "DIVERGED: energy)" in capsys.readouterr().out
 
     def test_scale_subcommand_reports_checkpoint_writes(self, tmp_path):
         stdout = self._scale(

@@ -28,16 +28,15 @@ from repro.md.kernels.compiled import compiled_available
 from repro.md.precision import PARITY_TOLERANCES
 from repro.parallel.engine import ParallelForceExecutor
 from repro.reliability.certify import DigestRecorder
-from repro.suite import get_benchmark
+from repro.suite import BENCHMARK_NAMES, get_benchmark
 
 BACKENDS = ("numpy_ref", "numpy_fast", "compiled")
-#: Workloads with an engine adapter: the worker-count classes run these.
-BENCHMARKS = ("lj", "eam")
-#: The serial rows add Tersoff, which has no adapter in
-#: ``parallel/forces.py`` until ROADMAP item 1 gives every potential
-#: one force body for both drivers.
-SERIAL_BENCHMARKS = (*BENCHMARKS, "tersoff")
-SIZES = {"lj": 150, "eam": 500, "tersoff": 64}
+#: Every row of the matrix spans the registry: one force body per
+#: potential means a new workload gets both drivers (and these tests).
+BENCHMARKS = BENCHMARK_NAMES
+SIZES = {
+    "chain": 200, "chute": 200, "eam": 500, "lj": 150, "rhodo": 300, "tersoff": 216,
+}
 STEPS = 6
 EVERY = 2
 TOL = PARITY_TOLERANCES["double"]
@@ -88,7 +87,7 @@ def _assert_equivalent(candidate, reference, label: str) -> None:
 def matrix():
     """chains[(benchmark, backend)] -> (DigestChain, final positions)."""
     chains = {}
-    for benchmark in SERIAL_BENCHMARKS:
+    for benchmark in BENCHMARKS:
         for backend in BACKENDS:
             if backend == "compiled" and not compiled_available():
                 continue
@@ -111,10 +110,49 @@ class TestWorkerCountBitwise:
         )
 
 
+class TestDriverParity:
+    """One force body, two drivers: at step 0 of a jittered start the
+    engine's owner-writes pass (1 and 3 workers) gives the serial
+    newton-on pass's forces, energy, virial and interaction count."""
+
+    @staticmethod
+    def _pair_pass(bench, workers):
+        sim = get_benchmark(bench).build(SIZES[bench])
+        sim.set_backend(get_backend("numpy_fast"))
+        if workers:
+            executor = ParallelForceExecutor(workers)
+            sim.force_executor = executor
+            executor.bind(sim)
+        system = sim.system
+        system.positions += np.random.default_rng(5).normal(
+            scale=0.03, size=system.positions.shape
+        )
+        try:
+            sim.setup()
+            system.forces[:] = 0.0
+            result = sim.force_executor.compute(system)
+            return result, system.forces.copy()
+        finally:
+            sim.close()
+
+    @pytest.mark.parametrize("bench", BENCHMARKS)
+    def test_engine_pass_matches_the_serial_pass(self, bench):
+        serial, serial_forces = self._pair_pass(bench, 0)
+        assert serial.interactions > 0 and np.abs(serial_forces).max() > 1e-3
+        scale = max(1.0, float(np.abs(serial_forces).max()))
+        for workers in (1, 3):
+            engine, forces = self._pair_pass(bench, workers)
+            assert engine.interactions == serial.interactions
+            assert float(np.abs(forces - serial_forces).max()) <= TOL * scale
+            for name in ("energy", "virial"):
+                ours, theirs = getattr(engine, name), getattr(serial, name)
+                assert abs(ours - theirs) <= TOL * max(1.0, abs(theirs)), name
+
+
 class TestRunRepeatability:
     """The same configuration twice: identical head (bitwise rerun)."""
 
-    @pytest.mark.parametrize("bench", SERIAL_BENCHMARKS)
+    @pytest.mark.parametrize("bench", BENCHMARKS)
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rerun_reproduces_chain_head(self, matrix, bench, backend):
         _skip_unavailable(backend)
@@ -127,7 +165,7 @@ class TestCrossBackendEquivalence:
     """numpy_ref / numpy_fast / compiled at float64: same chain shape,
     witnesses and final state within the double parity tier."""
 
-    @pytest.mark.parametrize("bench", SERIAL_BENCHMARKS)
+    @pytest.mark.parametrize("bench", BENCHMARKS)
     @pytest.mark.parametrize("other", ("numpy_fast", "compiled"))
     def test_chain_equivalent_to_reference(self, matrix, bench, other):
         _skip_unavailable(other)
@@ -135,7 +173,7 @@ class TestCrossBackendEquivalence:
             matrix[(bench, other)], matrix[(bench, "numpy_ref")], f"{bench}/{other}"
         )
 
-    @pytest.mark.parametrize("bench", SERIAL_BENCHMARKS)
+    @pytest.mark.parametrize("bench", BENCHMARKS)
     def test_chain_catches_different_physics(self, matrix, bench):
         # Sanity for the oracle itself: distinct benchmarks/backends
         # must not collide on heads by construction.
@@ -150,7 +188,7 @@ class TestCrossBackendEquivalence:
 class TestFusedPairPassIsInvisible:
     """The compiled backend's fused lj/cut pass must not move a digest:
     for the serial executor and 1/2/4 engine workers, the LJ chain head
-    equals the one the same backend produces with both fused hooks
+    equals the one the same backend produces with the fused hook
     declining — the path every head recorded before the kernel existed
     was computed on.  (Workers are forked, so they inherit the patch.)"""
 
@@ -160,8 +198,9 @@ class TestFusedPairPassIsInvisible:
     ):
         _skip_unavailable("compiled")
         fused, _ = _chain_for("lj", "compiled", workers=workers)
-        for hook in ("pair_forces", "directed_pair_forces"):
-            monkeypatch.setattr(CompiledBackend, hook, getattr(KernelBackend, hook))
+        monkeypatch.setattr(
+            CompiledBackend, "pair_forces", KernelBackend.pair_forces
+        )
         unfused, _ = _chain_for("lj", "compiled", workers=workers)
         assert fused.head == unfused.head
 
@@ -232,7 +271,7 @@ class TestNativeDirectedRowsAreInvisible:
 
         monkeypatch.setattr(CompiledBackend, "directed_rows", must_engage)
 
-    @pytest.mark.parametrize("bench", BENCHMARKS)
+    @pytest.mark.parametrize("bench", tuple(SIZES))
     def test_engine_heads_unchanged_by_the_row_kernel(self, bench, monkeypatch):
         _skip_unavailable("compiled")
         size = self.SIZES[bench]
