@@ -12,6 +12,7 @@ Run:  python examples/gpu_campaign.py
 from repro.core.report import render_breakdown
 from repro.figures import fig07, fig08, fig09
 from repro.gpu import simulate_gpu_run
+from repro.md.timers import fractions
 from repro.parallel import simulate_cpu_run
 
 
@@ -25,7 +26,7 @@ def main() -> None:
 
     print("Kernel/data-movement profile, LJ 2048k on 8 GPUs:")
     r = simulate_gpu_run("lj", 2_048_000, 8)
-    print(render_breakdown(r.kernel_fractions()))
+    print(render_breakdown(fractions(r.kernel_seconds)))
     print()
 
     print("Strong-scaling summary at 2048k atoms (parallel efficiency %):")

@@ -9,10 +9,12 @@ of MPI processes, system sizes, and input of the benchmark"
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Iterator
 
+from repro.md.precision import parse_precision
 from repro.perfmodel.workloads import get_workload
 
 __all__ = ["Mode", "ExperimentSpec", "sweep"]
@@ -48,6 +50,8 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         get_workload(self.benchmark)  # validates the name
+        # One spelling per mode, so "Single" and "single" are one cache entry.
+        object.__setattr__(self, "precision", parse_precision(self.precision).value)
         if self.platform not in ("cpu", "gpu"):
             raise ValueError(f"platform must be 'cpu' or 'gpu', got {self.platform!r}")
         if self.size_k <= 0 or self.resources <= 0:
@@ -61,8 +65,9 @@ class ExperimentSpec:
     def label(self) -> str:
         """The paper's naming: ``rhodo``, ``rhodo-e-6``, ``lj-double``…"""
         name = self.benchmark
-        if self.kspace_error is not None and self.kspace_error != 1e-4:
-            exponent = round(-1 * _log10(self.kspace_error))
+        baseline = get_workload(self.benchmark).kspace_error
+        if self.kspace_error is not None and self.kspace_error != baseline:
+            exponent = round(-1 * math.log10(self.kspace_error))
             name = f"{name}-e-{exponent}"
         if self.precision != "mixed":
             name = f"{name}-{self.precision}"
@@ -70,12 +75,6 @@ class ExperimentSpec:
 
     def with_mode(self, mode: Mode) -> "ExperimentSpec":
         return replace(self, mode=mode)
-
-
-def _log10(x: float) -> float:
-    import math
-
-    return math.log10(x)
 
 
 def sweep(

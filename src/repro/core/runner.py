@@ -14,12 +14,14 @@ the recorded watts carry realistic sampling noise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 from repro.core.experiment import ExperimentSpec, Mode
 from repro.core.metrics import timesteps_for_runtime
-from repro.gpu.executor import GpuRunResult, simulate_gpu_run
-from repro.parallel.executor import CpuRunResult, simulate_cpu_run
+from repro.gpu.executor import simulate_gpu_run
+from repro.md.timers import fractions
+from repro.parallel.executor import simulate_cpu_run
 from repro.perfmodel.workloads import get_workload
 from repro.platforms.power import PowerSampler
 
@@ -53,28 +55,8 @@ class RunRecord:
     kernel_fractions: dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------- csv
-    CSV_FIELDS = (
-        "label",
-        "benchmark",
-        "platform",
-        "size_k",
-        "resources",
-        "mode",
-        "precision",
-        "kspace_error",
-        "n_timesteps",
-        "runtime_s",
-        "ts_per_s",
-        "power_watts",
-        "energy_efficiency",
-        "mpi_time_fraction",
-        "mpi_imbalance_fraction",
-        "utilization",
-        "memory_gb",
-        "task_fractions",
-        "mpi_function_fractions",
-        "kernel_fractions",
-    )
+    #: Column order of ``runs.csv``: the fields above, in order.
+    CSV_FIELDS: ClassVar[tuple[str, ...]]
 
     def to_row(self) -> list[str]:
         values = []
@@ -94,60 +76,46 @@ class RunRecord:
             raise ValueError(
                 f"expected {len(cls.CSV_FIELDS)} columns, got {len(row)}"
             )
-        kwargs: dict = {}
-        for name, raw in zip(cls.CSV_FIELDS, row):
-            if name in ("task_fractions", "mpi_function_fractions", "kernel_fractions"):
-                kwargs[name] = json.loads(raw) if raw else {}
-            elif name == "kspace_error":
-                kwargs[name] = float(raw) if raw else None
-            elif name in ("size_k", "resources", "n_timesteps"):
-                kwargs[name] = int(raw)
-            elif name in (
-                "runtime_s",
-                "ts_per_s",
-                "power_watts",
-                "energy_efficiency",
-                "mpi_time_fraction",
-                "mpi_imbalance_fraction",
-                "utilization",
-                "memory_gb",
-            ):
-                kwargs[name] = float(raw)
-            else:
-                kwargs[name] = raw
-        return cls(**kwargs)
+        return cls(**{
+            f.name: _CELL_READERS[f.type](raw) for f, raw in zip(fields(cls), row)
+        })
+
+
+RunRecord.CSV_FIELDS = tuple(f.name for f in fields(RunRecord))
+
+#: How a ``runs.csv`` cell is read back, by the field's annotation.
+_CELL_READERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": lambda raw: float(raw) if raw else None,
+    "dict[str, float]": lambda raw: json.loads(raw) if raw else {},
+}
 
 
 def run_experiment(spec: ExperimentSpec) -> RunRecord:
     """Execute one experiment on the simulated platform."""
+    simulate = simulate_cpu_run if spec.platform == "cpu" else simulate_gpu_run
+    result = simulate(
+        spec.benchmark,
+        spec.n_atoms,
+        spec.resources,
+        precision=spec.precision,
+        kspace_error=spec.kspace_error,
+        seed=spec.seed,
+    )
     if spec.platform == "cpu":
-        result: CpuRunResult | GpuRunResult = simulate_cpu_run(
-            spec.benchmark,
-            spec.n_atoms,
-            spec.resources,
-            precision=spec.precision,
-            kspace_error=spec.kspace_error,
-            seed=spec.seed,
-        )
         mpi_fraction = result.mpi_time_fraction
         imbalance = result.mpi_imbalance_fraction
         utilization = result.core_utilization
-        mpi_functions = result.mpi_function_fractions()
+        mpi_functions = fractions(result.mpi_function_seconds)
         kernels: dict[str, float] = {}
     else:
-        result = simulate_gpu_run(
-            spec.benchmark,
-            spec.n_atoms,
-            spec.resources,
-            precision=spec.precision,
-            kspace_error=spec.kspace_error,
-            seed=spec.seed,
-        )
         mpi_fraction = 0.0
         imbalance = 0.0
         utilization = result.gpu_utilization
         mpi_functions = {}
-        kernels = result.kernel_fractions()
+        kernels = fractions(result.kernel_seconds)
 
     # Benchmarking protocol: size the run for the power sampler.
     n_steps = timesteps_for_runtime(result.ts_per_s, spec.min_runtime_s)
@@ -178,7 +146,7 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
         memory_gb=result.memory_bytes / 1e9,
     )
     if spec.mode is Mode.PROFILING:
-        record.task_fractions = result.task_fractions()
+        record.task_fractions = fractions(result.task_seconds)
         record.mpi_function_fractions = mpi_functions
         record.kernel_fractions = kernels
     return record

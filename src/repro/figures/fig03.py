@@ -17,13 +17,13 @@ from typing import Iterable
 
 from repro.figures.base import FigureData, percent_breakdown, sweep_figure
 from repro.figures.campaign import RANK_COUNTS, SIZES_K
-from repro.parallel.executor import BREAKDOWN_TASKS
+from repro.md.timers import TASKS
 from repro.suite import CPU_BENCHMARKS
 
 __all__ = ["generate", "TASK_SHARES"]
 
 #: Row family of Figures 3, 7 and 11: one percentage per Table 1 task.
-TASK_SHARES = percent_breakdown("task_fractions", BREAKDOWN_TASKS)
+TASK_SHARES = percent_breakdown("task_fractions", TASKS)
 
 
 def generate(

@@ -9,6 +9,7 @@ per-GPU utilization quoted for 2-million-atom systems.
 from __future__ import annotations
 
 from repro.core.experiment import ExperimentSpec
+from repro.core.metrics import ns_per_day
 from repro.core.report import render_table
 from repro.figures.base import FigureData
 from repro.figures.campaign import cached_run
@@ -22,7 +23,7 @@ def generate() -> FigureData:
     timestep_fs = get_workload("rhodo").timestep_fs
     cpu = cached_run(ExperimentSpec("rhodo", "cpu", 2048, 64))
     gpu = cached_run(ExperimentSpec("rhodo", "gpu", 2048, 8))
-    to_ns_day = timestep_fs * 1e-6 * 86_400.0
+    to_ns_day = ns_per_day(1.0, timestep_fs)  # ns/day at one TS/s
     series = {
         "cpu_ns_per_day": cpu.ts_per_s * to_ns_day,
         "gpu_ns_per_day": gpu.ts_per_s * to_ns_day,

@@ -29,12 +29,14 @@ from repro.gpu.kernels import (
     kernel_seconds_per_step,
     pair_kernel_names,
 )
+from repro.core.metrics import ns_per_day
 from repro.gpu.transfers import PcieModel
-from repro.parallel.decomposition import SubdomainGeometry
+from repro.md.precision import parse_precision
+from repro.parallel.executor import rank_setup
 from repro.parallel.mpi_model import MpiModel
-from repro.perfmodel.costs import CpuCostCoefficients, CpuCostModel, kspace_grid
+from repro.perfmodel.costs import CpuCostCoefficients, CpuCostModel
 from repro.perfmodel.precision import Precision
-from repro.perfmodel.workloads import get_workload
+from repro.perfmodel.workloads import WorkloadParams, get_workload
 from repro.platforms.instances import GPU_INSTANCE, InstanceSpec
 from repro.platforms.power import GpuPowerModel
 
@@ -114,24 +116,13 @@ class GpuRunResult:
     energy_efficiency: float
     memory_bytes: float
 
-    def task_fractions(self) -> dict[str, float]:
-        total = sum(self.task_seconds.values())
-        if total <= 0:
-            return {k: 0.0 for k in self.task_seconds}
-        return {k: v / total for k, v in self.task_seconds.items()}
-
-    def kernel_fractions(self) -> dict[str, float]:
-        total = sum(self.kernel_seconds.values())
-        if total <= 0:
-            return {k: 0.0 for k in self.kernel_seconds}
-        return {k: v / total for k, v in self.kernel_seconds.items()}
-
     def ns_per_day(self, timestep_fs: float) -> float:
-        return self.ts_per_s * timestep_fs * 1e-6 * 86_400.0
+        """Simulated nanoseconds per wall-clock day at this throughput."""
+        return ns_per_day(self.ts_per_s, timestep_fs)
 
 
 def simulate_gpu_run(
-    benchmark: str,
+    benchmark: str | WorkloadParams,
     n_atoms: int,
     n_gpus: int,
     *,
@@ -143,32 +134,43 @@ def simulate_gpu_run(
     kernel_coefficients: GpuKernelCoefficients | None = None,
     pcie: PcieModel | None = None,
 ) -> GpuRunResult:
-    """Model one run of ``benchmark`` on ``n_gpus`` V100s."""
+    """Model one run of ``benchmark`` (a name or a workload) on ``n_gpus`` V100s."""
     workload = get_workload(benchmark)
     if not workload.gpu_supported:
         raise ValueError(
-            f"{benchmark!r} is unsupported by the reference GPU package "
+            f"{workload.name!r} is unsupported by the reference GPU package "
             "(gran/hooke pair style, Section 6)"
         )
     instance.validate_resources(n_gpus=n_gpus)
-    if kspace_error is not None and not workload.has_kspace:
-        raise ValueError(f"{benchmark} computes no long-range forces")
 
     cfg = config if config is not None else GpuModelConfig()
     kc = kernel_coefficients if kernel_coefficients is not None else GpuKernelCoefficients()
     pcie = pcie if pcie is not None else PcieModel()
-    precision = Precision(precision)
+    precision = parse_precision(precision)
 
     total_ranks = cfg.ranks_for(n_gpus, instance)
     ranks_per_gpu = total_ranks // n_gpus
     n_dev = n_atoms / n_gpus
-    n_rank = n_atoms / total_ranks
+
+    # The host side is the CPU executor's per-rank setup on the slower
+    # host cores; ranks fighting the CUDA driver threads for cores slow
+    # every host task further.
+    host_slowdown = cfg.host_core_slowdown
+    if total_ranks > instance.total_cores - cfg.driver_reserved_cores:
+        host_slowdown *= cfg.oversubscription_penalty
+    mpi_model = MpiModel()
+    setup = rank_setup(
+        workload, n_atoms, total_ranks,
+        cost_model=CpuCostModel(CpuCostCoefficients().slowed(host_slowdown), precision),
+        mpi=mpi_model, kspace_error=kspace_error, seed=seed,
+    )
+    host, grid_points = setup.compute, setup.grid_points
 
     # ------------------------------------------------------------- device
     kernels = kernel_seconds_per_step(workload, n_dev, precision, kc)
     # Pair quality tuning and neighbor congestion.
-    quality = cfg.pair_quality.get(benchmark, 1.0)
-    for name in pair_kernel_names(benchmark):
+    quality = cfg.pair_quality.get(workload.name, 1.0)
+    for name in pair_kernel_names(workload.name):
         kernels[name] *= quality
     congestion = 1.0 + min(
         (n_dev / cfg.neigh_congestion_atoms) ** 1.5, cfg.neigh_congestion_cap
@@ -188,13 +190,7 @@ def simulate_gpu_run(
 
     grid_transfer = 0.0
     host_fft = 0.0
-    grid_points = 0.0
-    effective_error = kspace_error if kspace_error is not None else (
-        1e-4 if workload.has_kspace else None
-    )
     if workload.has_kspace:
-        _, grid = kspace_grid(workload, n_atoms, effective_error or 1e-4)
-        grid_points = float(np.prod(grid))
         grid_bytes = cfg.grids_moved_per_step * grid_points * 4.0 / n_gpus
         raw = pcie.transfer_seconds(grid_bytes, n_gpus, 2 * ranks_per_gpu)
         grid_transfer = raw / cfg.grid_transfer_efficiency
@@ -217,20 +213,6 @@ def simulate_gpu_run(
     device_time = kernel_total + launch_total + htod + dtoh + memset
 
     # ---------------------------------------------------------------- host
-    host_slowdown = cfg.host_core_slowdown
-    if total_ranks > instance.total_cores - cfg.driver_reserved_cores:
-        # Ranks fight the CUDA driver threads for cores.
-        host_slowdown *= cfg.oversubscription_penalty
-    host_model = CpuCostModel(
-        CpuCostCoefficients().slowed(host_slowdown), precision
-    )
-    host = host_model.compute_times(
-        workload,
-        n_rank,
-        total_ranks,
-        kspace_error=effective_error,
-        n_atoms_total=n_atoms,
-    )
     # SHAKE/NPT (no GPU port) pay the serial host penalty; plain NVE
     # integration does not.
     # Thermostats/constraints (Langevin, SHAKE+NPT) have no GPU port and
@@ -242,22 +224,12 @@ def simulate_gpu_run(
     host_work = host_modify + host_bond + host_other + host_fft
 
     # ------------------------------------------------------------- MPI
-    geometry = SubdomainGeometry.build(
-        total_ranks,
-        workload.box_lengths(n_atoms),
-        ghost_cutoff=workload.cutoff + workload.skin,
-        number_density=workload.number_density,
-        quasi_2d=workload.quasi_2d,
-    )
-    mpi_model = MpiModel()
     # Device time-multiplexing averages subdomain variation over the
     # ranks sharing a GPU, so per-rank jitter is half the CPU case's.
-    jitter = 1.0 + 0.5 * (
-        mpi_model.rank_jitter(workload, total_ranks, n_atoms, seed) - 1.0
-    )
+    jitter = 1.0 + 0.5 * (setup.jitter - 1.0)
     per_rank = (device_time + host_work) * jitter
     mpi_times = mpi_model.step_times(
-        workload, geometry, per_rank, kspace_grid_points=grid_points, seed=seed
+        workload, setup.geometry, per_rank, kspace_grid_points=grid_points
     )
     # Imbalance is carried by the explicit barrier term below; keep only
     # the transfer/collective parts of the MPI model here.
@@ -286,7 +258,7 @@ def simulate_gpu_run(
     pcie_utilization = pcie.utilization(pcie_payload, step_seconds, n_gpus)
 
     # Task breakdown (Figure 7).
-    pair_kernel_time = sum(kernels[k] for k in pair_kernel_names(benchmark))
+    pair_kernel_time = sum(kernels[k] for k in pair_kernel_names(workload.name))
     kspace_kernels = sum(
         kernels.get(k, 0.0) for k in ("make_rho", "particle_map", "interp")
     )
@@ -316,12 +288,12 @@ def simulate_gpu_run(
     )
 
     return GpuRunResult(
-        benchmark=benchmark,
+        benchmark=workload.name,
         n_atoms=n_atoms,
         n_gpus=n_gpus,
         total_ranks=total_ranks,
         precision=str(precision.value),
-        kspace_error=effective_error if workload.has_kspace else None,
+        kspace_error=setup.kspace_error,
         task_seconds=task_seconds,
         kernel_seconds=kernel_seconds,
         step_seconds=step_seconds,

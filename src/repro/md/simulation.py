@@ -44,7 +44,7 @@ from repro.md.neighbor import NeighborList
 from repro.md.potentials.base import ForceResult, PairPotential
 from repro.md.precision import Precision, PrecisionPolicy, policy_for
 from repro.md.thermo import ThermoLog
-from repro.md.timers import TaskTimers
+from repro.md.timers import TaskTimers, fractions
 from repro.observability import MetricsRegistry, resolve_tracer
 
 __all__ = [
@@ -465,21 +465,13 @@ class Simulation:
 
             sim.run(RunConfig(steps=1000, reset_timers=True))
 
-        which also carries the run's precision mode, kernel backend,
-        tracer and checkpoint/digest hooks (see
+        which also carries the run's checkpoint/digest hooks (see
         :class:`~repro.md.config.RunConfig`), or a bare integer step
         count — ``sim.run(1000)`` is ``sim.run(RunConfig(1000))``.  For
         crash *recovery* on top of periodic checkpoints, drive the loop
         through :class:`repro.reliability.ResilientRunner` instead.
         """
         config = n_steps if isinstance(n_steps, RunConfig) else RunConfig(n_steps)
-
-        if config.tracer is not None:
-            self.attach_tracer(config.tracer)
-        if config.backend is not None:
-            self.set_backend(config.backend)
-        if config.precision is not None:
-            self.set_precision(config.precision)
         if config.reset_timers:
             self.reset_timers()
         for _ in range(config.steps):
@@ -614,7 +606,7 @@ class Simulation:
 
     def task_breakdown(self) -> dict[str, float]:
         """Fraction of run time per Table 1 task."""
-        return self.timers.fractions()
+        return fractions(self.timers.seconds)
 
     def timesteps_per_second(self) -> float:
         """Measured functional-engine throughput (TS/s)."""

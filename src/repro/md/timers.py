@@ -12,14 +12,22 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from repro.observability.tracer import NULL_TRACER
 
-__all__ = ["TASKS", "TaskTimers"]
+__all__ = ["TASKS", "TaskTimers", "fractions"]
 
 #: The LAMMPS timing categories of Table 1, in the paper's plot order.
 TASKS = ("Bond", "Comm", "Kspace", "Modify", "Neigh", "Other", "Output", "Pair")
+
+
+def fractions(seconds: Mapping[str, float]) -> dict[str, float]:
+    """Each entry's share of the summed seconds (all zero if nothing ran)."""
+    total = sum(seconds.values())
+    if total <= 0:
+        return dict.fromkeys(seconds, 0.0)
+    return {key: value / total for key, value in seconds.items()}
 
 
 @dataclass
@@ -58,13 +66,6 @@ class TaskTimers:
     @property
     def total(self) -> float:
         return sum(self.seconds.values())
-
-    def fractions(self) -> dict[str, float]:
-        """Per-task share of the total run time (sums to 1)."""
-        total = self.total
-        if total <= 0:
-            return {task: 0.0 for task in TASKS}
-        return {task: t / total for task, t in self.seconds.items()}
 
     def reset(self) -> None:
         for task in self.seconds:

@@ -6,6 +6,12 @@ dual-socket Xeon 8358 node and returns everything the paper's CPU
 figures plot: the Table 1 task breakdown (Figure 3), total MPI time and
 imbalance (Figure 4), the MPI function breakdown (Figure 5), and the
 performance / energy-efficiency / parallel-efficiency triple (Figure 6).
+
+Every modeled executor — this one, the multi-node estimator, the hybrid
+MPI x OpenMP run and the host side of the GPU run — starts from the same
+:func:`rank_setup`: the workload, the k-space threshold in effect, the
+rank geometry, per-rank compute times with their jitter, and the PPPM
+grid size.
 """
 
 from __future__ import annotations
@@ -14,30 +20,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.metrics import ns_per_day
+from repro.md.precision import parse_precision
 from repro.observability.timeline import RankTimeline
 from repro.observability.tracer import NULL_TRACER, resolve_tracer
 from repro.parallel.decomposition import SubdomainGeometry
-from repro.parallel.mpi_model import MpiModel, MpiTimes
-from repro.perfmodel.costs import CpuCostModel, kspace_grid
-from repro.md.precision import parse_precision
+from repro.parallel.mpi_model import MpiModel
+from repro.perfmodel.costs import ComputeTimes, CpuCostModel, kspace_grid
 from repro.perfmodel.precision import Precision
 from repro.perfmodel.workloads import WorkloadParams, get_workload
 from repro.platforms.instances import CPU_INSTANCE, InstanceSpec
 from repro.platforms.power import CpuPowerModel
 
-__all__ = ["CpuRunResult", "simulate_cpu_run"]
-
-#: Task keys of the breakdown dictionaries, matching Figure 3's legend.
-BREAKDOWN_TASKS = (
-    "Bond",
-    "Comm",
-    "Kspace",
-    "Modify",
-    "Neigh",
-    "Other",
-    "Output",
-    "Pair",
-)
+__all__ = ["CpuRunResult", "RankSetup", "rank_setup", "run_on_ranks", "simulate_cpu_run"]
 
 
 @dataclass
@@ -74,35 +69,81 @@ class CpuRunResult:
     #: Per-rank span timeline the imbalance figures aggregate over.
     timeline: RankTimeline | None = field(repr=False, default=None)
 
-    def task_fractions(self) -> dict[str, float]:
-        total = sum(self.task_seconds.values())
-        if total <= 0:
-            return {task: 0.0 for task in BREAKDOWN_TASKS}
-        return {task: self.task_seconds.get(task, 0.0) / total for task in BREAKDOWN_TASKS}
-
-    def mpi_function_fractions(self) -> dict[str, float]:
-        total = sum(self.mpi_function_seconds.values())
-        if total <= 0:
-            return {fn: 0.0 for fn in self.mpi_function_seconds}
-        return {fn: t / total for fn, t in self.mpi_function_seconds.items()}
-
     def ns_per_day(self, timestep_fs: float) -> float:
         """Simulated nanoseconds per wall-clock day at this throughput."""
-        return self.ts_per_s * timestep_fs * 1e-6 * 86_400.0
+        return ns_per_day(self.ts_per_s, timestep_fs)
 
 
-def _geometry(workload: WorkloadParams, n_atoms: int, n_ranks: int) -> SubdomainGeometry:
-    return SubdomainGeometry.build(
+@dataclass(frozen=True)
+class RankSetup:
+    """What a modeled executor derives first for one configuration."""
+
+    workload: WorkloadParams
+    n_atoms: int
+    n_ranks: int
+    #: The threshold in effect: the caller's, else the workload's
+    #: baseline (``None`` for a benchmark without k-space).
+    kspace_error: float | None
+    geometry: SubdomainGeometry
+    #: Mean per-rank compute seconds by Table 1 task, before jitter.
+    compute: ComputeTimes
+    #: Per-rank compute-time multipliers (the imbalance model).
+    jitter: np.ndarray
+    #: PPPM grid points (0 without k-space).
+    grid_points: float
+
+    @property
+    def per_rank_compute(self) -> np.ndarray:
+        """Jittered per-rank compute seconds.  The FFT is a globally
+        synchronized collective, so only the local work jitters."""
+        jitterable = self.compute.total - self.compute.kspace_fft
+        return jitterable * self.jitter + self.compute.kspace_fft
+
+
+def rank_setup(
+    benchmark: str | WorkloadParams,
+    n_atoms: int,
+    n_ranks: int,
+    *,
+    cost_model: CpuCostModel,
+    mpi: MpiModel,
+    kspace_error: float | None = None,
+    seed: int = 0,
+) -> RankSetup:
+    """Decompose ``benchmark`` over ``n_ranks`` and cost each rank's step."""
+    workload = get_workload(benchmark)
+    if kspace_error is not None and not workload.has_kspace:
+        raise ValueError(f"{workload.name} computes no long-range forces")
+    error = kspace_error if kspace_error is not None else (
+        workload.kspace_error if workload.has_kspace else None
+    )
+    geometry = SubdomainGeometry.build(
         n_ranks,
         workload.box_lengths(n_atoms),
         ghost_cutoff=workload.cutoff + workload.skin,
         number_density=workload.number_density,
         quasi_2d=workload.quasi_2d,
     )
+    compute = cost_model.compute_times(
+        workload, n_atoms / n_ranks, n_ranks, kspace_error=error, n_atoms_total=n_atoms
+    )
+    grid_points = 0.0
+    if workload.has_kspace:
+        grid_points = float(np.prod(kspace_grid(workload, n_atoms, error)[1]))
+    return RankSetup(
+        workload=workload,
+        n_atoms=n_atoms,
+        n_ranks=n_ranks,
+        kspace_error=error,
+        geometry=geometry,
+        compute=compute,
+        jitter=mpi.rank_jitter(workload, n_ranks, n_atoms, seed),
+        grid_points=grid_points,
+    )
 
 
 def simulate_cpu_run(
-    benchmark: str,
+    benchmark: str | WorkloadParams,
     n_atoms: int,
     n_ranks: int,
     *,
@@ -116,51 +157,34 @@ def simulate_cpu_run(
 ) -> CpuRunResult:
     """Model one run of ``benchmark`` with ``n_atoms`` on ``n_ranks`` cores.
 
-    The paper maps each MPI process to its own physical core, filling
-    one socket before the second (Section 5); ``instance`` bounds the
-    rank count accordingly.
+    ``benchmark`` is a suite name or the :class:`WorkloadParams` to
+    model (an ablation passes an edited copy).  The paper maps each MPI
+    process to its own physical core, filling one socket before the
+    second (Section 5); ``instance`` bounds the rank count accordingly.
     """
-    workload = get_workload(benchmark)
     instance.validate_resources(n_ranks=n_ranks)
-    if kspace_error is not None and not workload.has_kspace:
-        raise ValueError(f"{benchmark} computes no long-range forces")
-
     precision = parse_precision(precision)
     model = cost_model if cost_model is not None else CpuCostModel(precision=precision)
-    if cost_model is None:
-        model.precision = precision
     mpi = mpi_model if mpi_model is not None else MpiModel()
-
-    geometry = _geometry(workload, n_atoms, n_ranks)
-    n_local = n_atoms / n_ranks
-    effective_error = kspace_error if kspace_error is not None else (
-        1e-4 if workload.has_kspace else None
+    setup = rank_setup(
+        benchmark, n_atoms, n_ranks,
+        cost_model=model, mpi=mpi, kspace_error=kspace_error, seed=seed,
     )
-    compute = model.compute_times(
-        workload,
-        n_local,
-        n_ranks,
-        kspace_error=effective_error,
-        n_atoms_total=n_atoms,
-    )
+    return run_on_ranks(setup, precision, mpi, instance, tracer)
 
-    # Jitter models per-rank load variation; the FFT is a globally
-    # synchronized collective, so only the local work jitters.
-    jitter = mpi.rank_jitter(workload, n_ranks, n_atoms, seed)
-    jitterable = compute.total - compute.kspace_fft
-    per_rank_compute = jitterable * jitter + compute.kspace_fft
 
-    grid_points = 0.0
-    if workload.has_kspace:
-        _, grid = kspace_grid(workload, n_atoms, effective_error or 1e-4)
-        grid_points = float(np.prod(grid))
-
-    mpi_times: MpiTimes = mpi.step_times(
-        workload,
-        geometry,
-        per_rank_compute,
-        kspace_grid_points=grid_points,
-        seed=seed,
+def run_on_ranks(
+    setup: RankSetup,
+    precision: Precision,
+    mpi: MpiModel,
+    instance: InstanceSpec = CPU_INSTANCE,
+    tracer: object = None,
+) -> CpuRunResult:
+    """The pure-MPI CPU-instance run of a :func:`rank_setup`."""
+    workload, compute, n_ranks = setup.workload, setup.compute, setup.n_ranks
+    per_rank_compute = setup.per_rank_compute
+    mpi_times = mpi.step_times(
+        workload, setup.geometry, per_rank_compute, kspace_grid_points=setup.grid_points
     )
 
     # The run-loop step time: the slowest rank's compute plus the uniform
@@ -174,18 +198,11 @@ def simulate_cpu_run(
 
     # Task breakdown (mean over ranks).  FFT-transpose comm is charged to
     # Kspace, as LAMMPS' own timing does; the rest of MPI goes to Comm.
-    kspace_comm = (
-        mpi_times.per_function["MPI_Waitany"]
-        + (mpi_times.per_function["MPI_Send"] if grid_points else 0.0) * 0.0
-    )
-    # MPI_Send contains both reverse-comm and FFT bytes; split it by origin.
-    send_total = mpi_times.per_function["MPI_Send"]
-    if grid_points > 0 and n_ranks > 1:
-        fft_send = 8.0 * grid_points * 4.0 / n_ranks / mpi.bandwidth_b_s
-        fft_send = min(fft_send, send_total)
-    else:
-        fft_send = 0.0
-    kspace_comm += fft_send
+    # MPI_Send carries both reverse-comm and FFT bytes: split it by origin.
+    kspace_comm = mpi_times.per_function["MPI_Waitany"]
+    if setup.grid_points > 0 and n_ranks > 1:
+        fft_send = 8.0 * setup.grid_points * 4.0 / n_ranks / mpi.bandwidth_b_s
+        kspace_comm += min(fft_send, mpi_times.per_function["MPI_Send"])
     comm_task = mpi_times.total - init - kspace_comm
 
     task_seconds = {
@@ -226,11 +243,11 @@ def simulate_cpu_run(
     power = CpuPowerModel(instance).watts(n_ranks, utilization)
 
     return CpuRunResult(
-        benchmark=benchmark,
-        n_atoms=n_atoms,
+        benchmark=workload.name,
+        n_atoms=setup.n_atoms,
         n_ranks=n_ranks,
         precision=str(precision.value),
-        kspace_error=effective_error if workload.has_kspace else None,
+        kspace_error=setup.kspace_error,
         task_seconds=task_seconds,
         mpi_function_seconds=dict(mpi_times.per_function),
         step_seconds=step_seconds,
@@ -240,7 +257,7 @@ def simulate_cpu_run(
         power_watts=power,
         energy_efficiency=ts_per_s / power,
         core_utilization=utilization,
-        memory_bytes=workload.memory_bytes(n_atoms),
+        memory_bytes=workload.memory_bytes(setup.n_atoms),
         per_rank_compute_seconds=per_rank_compute,
         timeline=timeline,
     )

@@ -44,9 +44,8 @@ MPI_FUNCTIONS = (
     "others",
 )
 
-#: Ghost exchange payload per atom: three coordinates (plus velocity for
-#: a fraction of exchanges), averaged — LAMMPS forwards 24-40 B/atom.
-POSITION_BYTES = 24.0
+#: Reverse-comm payload per ghost atom: three force components.  The
+#: forward payload is the workload's ``comm_bytes_per_atom``.
 FORCE_BYTES = 24.0
 
 
@@ -69,12 +68,6 @@ class MpiTimes:
     @property
     def imbalance(self) -> float:
         return float(np.mean(self.wait_per_rank))
-
-    def function_fractions(self) -> dict[str, float]:
-        total = sum(self.per_function.values())
-        if total <= 0:
-            return {fn: 0.0 for fn in MPI_FUNCTIONS}
-        return {fn: t / total for fn, t in self.per_function.items()}
 
 
 class MpiModel:
@@ -152,7 +145,6 @@ class MpiModel:
         compute_seconds: np.ndarray,
         *,
         kspace_grid_points: float = 0.0,
-        seed: int = 0,
     ) -> MpiTimes:
         """Per-step MPI times given each rank's compute seconds.
 

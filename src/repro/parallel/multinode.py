@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.parallel.decomposition import SubdomainGeometry
+from repro.parallel.executor import rank_setup
 from repro.parallel.mpi_model import FORCE_BYTES, MpiModel
-from repro.perfmodel.costs import CpuCostModel, kspace_grid
-from repro.perfmodel.workloads import get_workload
+from repro.perfmodel.costs import CpuCostModel
+from repro.perfmodel.workloads import WorkloadParams
 from repro.platforms.instances import CPU_INSTANCE, InstanceSpec
 
 __all__ = ["MultiNodeResult", "NetworkModel", "simulate_multinode_run"]
@@ -60,7 +60,7 @@ def _cross_node_fraction(ranks_per_node: int) -> float:
 
 
 def simulate_multinode_run(
-    benchmark: str,
+    benchmark: str | WorkloadParams,
     n_atoms: int,
     n_nodes: int,
     *,
@@ -73,36 +73,18 @@ def simulate_multinode_run(
     """Model ``benchmark`` across ``n_nodes`` CPU-instance nodes."""
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
-    workload = get_workload(benchmark)
     network = network if network is not None else NetworkModel()
     per_node = ranks_per_node if ranks_per_node is not None else instance.total_cores
     instance.validate_resources(n_ranks=per_node)
     total_ranks = n_nodes * per_node
 
-    geometry = SubdomainGeometry.build(
-        total_ranks,
-        workload.box_lengths(n_atoms),
-        ghost_cutoff=workload.cutoff + workload.skin,
-        number_density=workload.number_density,
-        quasi_2d=workload.quasi_2d,
-    )
-    model = CpuCostModel()
-    effective_error = kspace_error if kspace_error is not None else (
-        1e-4 if workload.has_kspace else None
-    )
-    compute = model.compute_times(
-        workload,
-        n_atoms / total_ranks,
-        total_ranks,
-        kspace_error=effective_error,
-        n_atoms_total=n_atoms,
-    )
-
     mpi = MpiModel()
-    jitter = mpi.rank_jitter(workload, total_ranks, n_atoms, seed)
-    jitterable = compute.total - compute.kspace_fft
-    per_rank = jitterable * jitter + compute.kspace_fft
-    barrier = float(np.max(per_rank))
+    setup = rank_setup(
+        benchmark, n_atoms, total_ranks,
+        cost_model=CpuCostModel(), mpi=mpi, kspace_error=kspace_error, seed=seed,
+    )
+    workload, geometry = setup.workload, setup.geometry
+    barrier = float(np.max(setup.per_rank_compute))
 
     # Ghost exchange: split intra-node (shared memory) vs inter-node.
     cross = _cross_node_fraction(per_node) if n_nodes > 1 else 0.0
@@ -124,16 +106,14 @@ def simulate_multinode_run(
 
     kspace_comm = 0.0
     if workload.has_kspace:
-        _, grid = kspace_grid(workload, n_atoms, effective_error or 1e-4)
-        grid_points = float(np.prod(grid))
-        slab_bytes = grid_points * 4.0 / total_ranks
+        slab_bytes = setup.grid_points * 4.0 / total_ranks
         # The FFT all-to-all is all inter-node traffic beyond one node.
         bw = mpi.bandwidth_b_s if n_nodes == 1 else network.bandwidth_b_s
         kspace_comm = 2.0 * slab_bytes / bw
 
     step_seconds = barrier + intra + inter + latency + allreduce + kspace_comm
     return MultiNodeResult(
-        benchmark=benchmark,
+        benchmark=workload.name,
         n_atoms=n_atoms,
         n_nodes=n_nodes,
         total_ranks=total_ranks,

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.parallel.executor import CpuRunResult, simulate_cpu_run
-from repro.perfmodel.costs import CpuCostModel
 from repro.md.precision import parse_precision
+from repro.parallel.executor import CpuRunResult, rank_setup, run_on_ranks
+from repro.parallel.mpi_model import MpiModel
+from repro.perfmodel.costs import CpuCostModel
 from repro.perfmodel.precision import Precision
-from repro.perfmodel.workloads import get_workload
+from repro.perfmodel.workloads import WorkloadParams
 from repro.platforms.instances import CPU_INSTANCE, InstanceSpec
 
 __all__ = ["OpenMpModel", "simulate_hybrid_run", "best_hybrid_split"]
@@ -58,7 +59,7 @@ class OpenMpModel:
 
 
 def simulate_hybrid_run(
-    benchmark: str,
+    benchmark: str | WorkloadParams,
     n_atoms: int,
     n_ranks: int,
     n_threads: int,
@@ -77,38 +78,28 @@ def simulate_hybrid_run(
     if n_threads < 1:
         raise ValueError("n_threads must be >= 1")
     precision = parse_precision(precision)
-    total_cores = n_ranks * n_threads
-    instance.validate_resources(n_ranks=total_cores)
+    instance.validate_resources(n_ranks=n_ranks * n_threads)
     omp = omp if omp is not None else OpenMpModel()
 
     # The MPI layer behaves exactly as in the pure-MPI run with n_ranks
     # ranks; threading shrinks each rank's compute time per Amdahl plus
     # the per-region barrier overhead.
-    base = simulate_cpu_run(
-        benchmark,
-        n_atoms,
-        n_ranks,
-        precision=precision,
-        kspace_error=kspace_error,
-        seed=seed,
-        instance=instance,
+    mpi = MpiModel()
+    setup = rank_setup(
+        benchmark, n_atoms, n_ranks,
+        cost_model=CpuCostModel(precision=precision), mpi=mpi,
+        kspace_error=kspace_error, seed=seed,
     )
+    base = run_on_ranks(setup, precision, mpi, instance)
     if n_threads == 1:
         return base
 
-    workload = get_workload(benchmark)
-    model = CpuCostModel(precision=precision)
-    compute = model.compute_times(
-        workload,
-        n_atoms / n_ranks,
-        n_ranks,
-        kspace_error=kspace_error if workload.has_kspace else None,
-        n_atoms_total=n_atoms,
-    )
+    compute = setup.compute
+    loops = omp.thread_speedup(n_threads, omp.parallel_fraction)
+    neigh = omp.thread_speedup(n_threads, omp.neigh_parallel_fraction)
     threaded = (
-        (compute.pair + compute.bond + compute.modify)
-        / omp.thread_speedup(n_threads, omp.parallel_fraction)
-        + compute.neigh / omp.thread_speedup(n_threads, omp.neigh_parallel_fraction)
+        (compute.pair + compute.bond + compute.modify) / loops
+        + compute.neigh / neigh
         + compute.kspace  # FFTs stay rank-level in the reference build
         + compute.output
         + compute.other  # bookkeeping is the serial remainder
@@ -117,26 +108,14 @@ def simulate_hybrid_run(
     speedup = compute.total / threaded
 
     # Scale the timestep rate; MPI overheads (per rank) are unchanged.
-    # simulate_cpu_run always fills per_rank_compute_seconds, but the
-    # field is optional on CpuRunResult — fall back to the slowest-rank
-    # step time (zero comm) rather than crash on a partial result.
-    if base.per_rank_compute_seconds is not None:
-        max_compute = float(base.per_rank_compute_seconds.max())
-    else:
-        max_compute = base.step_seconds
-    comm_seconds = base.step_seconds - max_compute
-    step_seconds = max_compute / speedup + comm_seconds
+    max_compute = float(base.per_rank_compute_seconds.max())
+    step_seconds = max_compute / speedup + (base.step_seconds - max_compute)
     ts_per_s = 1.0 / step_seconds
 
+    # Kspace, Output and Other are not threaded.
     scaled_tasks = dict(base.task_seconds)
-    for task in ("Pair", "Bond", "Modify", "Neigh", "Kspace", "Output", "Other"):
-        if task == "Neigh":
-            factor = omp.thread_speedup(n_threads, omp.neigh_parallel_fraction)
-        elif task in ("Kspace", "Output", "Other"):
-            factor = 1.0
-        else:
-            factor = omp.thread_speedup(n_threads, omp.parallel_fraction)
-        scaled_tasks[task] = scaled_tasks[task] / factor
+    for task in ("Pair", "Bond", "Modify", "Neigh"):
+        scaled_tasks[task] /= neigh if task == "Neigh" else loops
 
     return CpuRunResult(
         benchmark=base.benchmark,
@@ -154,11 +133,7 @@ def simulate_hybrid_run(
         energy_efficiency=ts_per_s / base.power_watts,
         core_utilization=base.core_utilization,
         memory_bytes=base.memory_bytes,
-        per_rank_compute_seconds=(
-            None
-            if base.per_rank_compute_seconds is None
-            else base.per_rank_compute_seconds / speedup
-        ),
+        per_rank_compute_seconds=base.per_rank_compute_seconds / speedup,
     )
 
 

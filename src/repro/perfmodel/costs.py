@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.md.kspace.error import select_grid
+from repro.md.precision import parse_precision
 from repro.perfmodel.precision import Precision, precision_pair_factor
 from repro.perfmodel.workloads import WorkloadParams
 
@@ -95,19 +96,10 @@ class ComputeTimes:
             + self.other
         )
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "Pair": self.pair,
-            "Neigh": self.neigh,
-            "Bond": self.bond,
-            "Kspace": self.kspace,
-            "Modify": self.modify,
-            "Output": self.output,
-            "Other": self.other,
-        }
 
-
-_GRID_CACHE: dict[tuple[str, int, float], tuple[float, tuple[int, int, int]]] = {}
+_GRID_CACHE: dict[
+    tuple[WorkloadParams, int, float], tuple[float, tuple[int, int, int]]
+] = {}
 
 
 def kspace_grid(
@@ -116,13 +108,14 @@ def kspace_grid(
     """PPPM ``(alpha, grid)`` for a production-size deck.
 
     Delegates to the same LAMMPS-style error machinery the functional
-    PPPM solver uses, evaluated on the deck's box geometry.  Memoized:
+    PPPM solver uses, evaluated on the deck's box geometry.  Memoized on
+    the frozen workload itself — an edited copy is a new entry — since
     the campaign re-evaluates the same (deck, size, threshold) points
     across many figures.
     """
     if not workload.has_kspace:
         raise ValueError(f"workload {workload.name!r} has no k-space solver")
-    key = (workload.name, int(n_atoms), float(accuracy))
+    key = (workload, int(n_atoms), float(accuracy))
     if key not in _GRID_CACHE:
         _GRID_CACHE[key] = select_grid(
             accuracy,
@@ -147,7 +140,7 @@ class CpuCostModel:
         self.coefficients = (
             coefficients if coefficients is not None else CpuCostCoefficients()
         )
-        self.precision = Precision(precision)
+        self.precision = parse_precision(precision)
 
     # ------------------------------------------------------------------
     def compute_times(
@@ -200,7 +193,7 @@ class CpuCostModel:
         kspace = 0.0
         kspace_fft = 0.0
         if workload.has_kspace:
-            accuracy = kspace_error if kspace_error is not None else 1e-4
+            accuracy = kspace_error if kspace_error is not None else workload.kspace_error
             _, grid = kspace_grid(workload, n_total, accuracy)
             grid_points = float(np.prod(grid))
             kspace_fft = (

@@ -11,7 +11,7 @@ then falls out of the task composition.
 
 from __future__ import annotations
 
-from repro.md.precision import PRECISIONS, Precision
+from repro.md.precision import PRECISIONS, Precision, parse_precision
 
 __all__ = [
     "Precision",
@@ -54,7 +54,7 @@ _GPU_MIXED_FACTOR = 1.06
 
 def precision_pair_factor(benchmark: str, precision: Precision | str) -> float:
     """CPU pair-task slowdown factor relative to single precision."""
-    precision = Precision(precision)
+    precision = parse_precision(precision)
     if precision is Precision.SINGLE:
         return 1.0
     if precision is Precision.MIXED:
@@ -67,7 +67,7 @@ def precision_pair_factor(benchmark: str, precision: Precision | str) -> float:
 
 def gpu_precision_pair_factor(benchmark: str, precision: Precision | str) -> float:
     """GPU pair-kernel slowdown factor relative to single precision."""
-    precision = Precision(precision)
+    precision = parse_precision(precision)
     if precision is Precision.SINGLE:
         return 1.0
     if precision is Precision.MIXED:

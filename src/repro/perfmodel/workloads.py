@@ -1,13 +1,16 @@
 """Per-benchmark workload parameters feeding the performance model.
 
 Each :class:`WorkloadParams` captures what one timestep of a benchmark
-*does* at production scale (Table 2 plus the LAMMPS deck geometry):
-number density, neighbor counts, bonded topology size, fix weight,
-whether Newton's third law halves the pair work, the rebuild cadence
-implied by the skin, and the box geometry for a given atom count.  The
-values mirror the functional engine's own measurements (tests compare
-them) but are closed-form so the model can evaluate 2-million-atom
-configurations instantly.
+*does* at production scale.  Its Table-2 facts — cutoff, skin,
+neighbors per atom, Newton's third law, the k-space solver and its
+baseline error threshold, the physical timestep, GPU-package support —
+are read from the benchmark's :mod:`repro.suite` definition, the one
+place they are stated.  The literal :data:`workloads` table adds only
+what the model alone needs: number density, per-pair arithmetic cost,
+bonded topology size, fix weight, the rebuild cadence implied by the
+skin, imbalance and utilization, and the box geometry for a given atom
+count.  Those are closed-form so the model can evaluate
+2-million-atom configurations instantly.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.suite import get_benchmark
 
 __all__ = [
     "WorkloadParams",
@@ -41,14 +46,24 @@ class WorkloadParams:
     """Production-scale workload description of one suite benchmark."""
 
     name: str
-    #: Atoms per cubic length-unit of the deck (sigma^-3 or Angstrom^-3).
-    number_density: float
-    #: Average neighbors within the force cutoff (Table 2).
+    # -- Table-2 facts, copied from the suite definition (``_from_suite``).
+    #: Average neighbors within the force cutoff.
     neighbors_per_atom: float
     cutoff: float
     skin: float
     #: Newton's 3rd law halves stored/computed pairs (False for Chute).
     newton: bool
+    #: Long-range solver active (Rhodopsin only).
+    has_kspace: bool
+    #: Baseline k-space error threshold (``None`` without a solver).
+    kspace_error: float | None
+    #: Physical timestep for ns/day conversion.
+    timestep_fs: float
+    #: Reference GPU package supports this pair style.
+    gpu_supported: bool
+    # -- Model-only parameters.
+    #: Atoms per cubic length-unit of the deck (sigma^-3 or Angstrom^-3).
+    number_density: float
     #: Relative per-pair arithmetic cost vs plain LJ (force-field math).
     pair_cost_factor: float
     #: Bonded elements per atom (bonds + angles).
@@ -60,25 +75,23 @@ class WorkloadParams:
     rebuild_every: float = 10.0
     #: Per-rank compute-time jitter amplitude (drives MPI imbalance).
     imbalance_amplitude: float = 0.01
-    #: Long-range solver active (Rhodopsin only).
-    has_kspace: bool = False
     #: Mean squared charge per atom (for the k-space error model), in
     #: the deck's charge units (Coulomb constant folded in).
     qsq_per_atom: float = 0.0
-    #: Physical timestep for ns/day conversion.
-    timestep_fs: float = 5.0
     #: Chute's bed is a thin slab: decompose in x/y only.
     quasi_2d: bool = False
     #: Slab height (length units) when quasi_2d.
     slab_height: float = 16.0
-    #: Reference GPU package supports this pair style.
-    gpu_supported: bool = True
     #: Average physical-core utilization the paper profiled (Section 5.2).
     core_utilization: float = 0.5
     #: Forward-comm payload per ghost atom.  Point particles ship three
     #: coordinates (24 B); granular particles also need velocities and
     #: angular velocities every step for the damped contact forces.
     comm_bytes_per_atom: float = 24.0
+
+    def __post_init__(self) -> None:
+        if self.has_kspace and self.kspace_error is None:
+            raise ValueError(f"{self.name}: a k-space workload needs a kspace_error")
 
     # ------------------------------------------------------------------
     def box_lengths(self, n_atoms: int) -> np.ndarray:
@@ -120,59 +133,58 @@ class WorkloadParams:
         return n_atoms * (per_atom_state + neighbor_entry * stored)
 
 
+def _from_suite(name: str, **model_params: float | bool) -> WorkloadParams:
+    """``name``'s workload: Table-2 facts from the suite + ``model_params``."""
+    definition = get_benchmark(name)
+    taxonomy = definition.taxonomy
+    return WorkloadParams(
+        name=name,
+        neighbors_per_atom=float(taxonomy.neighbors_per_atom),
+        cutoff=float(taxonomy.cutoff),
+        skin=float(taxonomy.neighbor_skin),
+        newton=definition.newton,
+        has_kspace=taxonomy.computes_long_range,
+        kspace_error=taxonomy.kspace_error,
+        timestep_fs=float(definition.timestep_fs),
+        gpu_supported=definition.gpu_supported,
+        **model_params,
+    )
+
+
 workloads: dict[str, WorkloadParams] = {
-    "lj": WorkloadParams(
-        name="lj",
+    "lj": _from_suite(
+        "lj",
         number_density=0.8442,
-        neighbors_per_atom=55.0,
-        cutoff=2.5,
-        skin=0.3,
-        newton=True,
         pair_cost_factor=1.0,
         modify_weight=1.0,
         rebuild_every=10.0,
         imbalance_amplitude=0.012,
-        timestep_fs=10.8,
         core_utilization=0.48,
     ),
-    "chain": WorkloadParams(
-        name="chain",
+    "chain": _from_suite(
+        "chain",
         number_density=0.8442,
-        neighbors_per_atom=5.0,
-        cutoff=1.12,
-        skin=0.4,
-        newton=True,
         # Short lists amortize badly: more per-pair loop overhead.
         pair_cost_factor=1.45,
         bonds_per_atom=0.99,
         modify_weight=2.0,  # Langevin: RNG + drag per atom
         rebuild_every=12.0,
         imbalance_amplitude=0.08,
-        timestep_fs=10.8,
         core_utilization=0.56,
     ),
-    "eam": WorkloadParams(
-        name="eam",
+    "eam": _from_suite(
+        "eam",
         number_density=4.0 / 3.615**3,  # fcc copper
-        neighbors_per_atom=45.0,
-        cutoff=4.95,
-        skin=1.0,
-        newton=True,
         # Two-pass evaluation plus embedding-function interpolation.
         pair_cost_factor=1.45,
         modify_weight=1.0,
         rebuild_every=30.0,  # a solid: atoms barely move
         imbalance_amplitude=0.008,
-        timestep_fs=5.0,
         core_utilization=0.63,
     ),
-    "chute": WorkloadParams(
-        name="chute",
+    "chute": _from_suite(
+        "chute",
         number_density=1.03,  # settled granular packing
-        neighbors_per_atom=7.0,
-        cutoff=1.0,
-        skin=0.1,
-        newton=False,  # Section 3: no Newton's-third-law sharing
         # Hookean springs are cheap but history management adds state.
         pair_cost_factor=0.9,
         modify_weight=1.4,  # gravity + wall + angular integration
@@ -181,19 +193,13 @@ workloads: dict[str, WorkloadParams] = {
         # measures the worst parallel efficiency (48%) and core
         # utilization (24%) for Chute.
         imbalance_amplitude=0.22,
-        timestep_fs=1.0,
         quasi_2d=True,
-        gpu_supported=False,
         core_utilization=0.24,
         comm_bytes_per_atom=80.0,  # x + v + omega + radius per ghost
     ),
-    "rhodo": WorkloadParams(
-        name="rhodo",
+    "rhodo": _from_suite(
+        "rhodo",
         number_density=0.1,  # solvated all-atom system, atoms/A^3
-        neighbors_per_atom=440.0,
-        cutoff=10.0,
-        skin=2.0,
-        newton=True,
         # erfc is table-interpolated and the ~440-entry lists amortize
         # loop overheads: per-pair cost lands *below* sparse-list LJ.
         pair_cost_factor=0.77,
@@ -202,17 +208,22 @@ workloads: dict[str, WorkloadParams] = {
         modify_weight=8.0,  # NPT chains + SHAKE iterations
         rebuild_every=10.0,
         imbalance_amplitude=0.15,
-        has_kspace=True,
         # <q^2> with the Coulomb constant folded in (SPC/E-like charges).
         qsq_per_atom=119.0,
-        timestep_fs=2.0,
         core_utilization=0.83,
     ),
 }
 
 
-def get_workload(name: str) -> WorkloadParams:
-    """Look up workload parameters by benchmark name."""
+def get_workload(name: str | WorkloadParams) -> WorkloadParams:
+    """Look up workload parameters by benchmark name.
+
+    A :class:`WorkloadParams` passes through unchanged, so every modeled
+    executor takes either a suite name or the (possibly edited)
+    workload itself.
+    """
+    if isinstance(name, WorkloadParams):
+        return name
     try:
         return workloads[name]
     except KeyError:

@@ -22,11 +22,13 @@ make their results interchangeable, so the key deliberately covers:
 and deliberately excludes execution *strategy* that the engine's
 contracts make result-neutral:
 
-* ``workers`` — the parallel engine holds force parity with the serial
-  engine within the per-precision tolerance (PR 3's contract), so an
-  N-worker run answers a serial submission of the same physics (the
-  trajectories are physically interchangeable, though not bit-equal
-  across *different* worker counts — summation order differs);
+* ``workers`` — the parallel engine is bitwise across worker counts
+  (1, 2 or 4 engine workers give one trajectory: owner-computes keeps
+  the reduction order fixed, ``docs/REPRODUCIBILITY.md`` §4), and it
+  holds force parity with the serial executor within the per-precision
+  tolerance.  Only ``workers=1`` — the serial executor, whose half-list
+  summation order differs — is not bit-equal to ``workers>=2``; the
+  two are physically interchangeable, so one address serves both;
 * ``fault_plan`` / ``checkpoint_every`` — at a fixed worker count,
   recovered runs finish bitwise-identical to uninterrupted ones
   (PR 4's contract);

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.parallel.executor import CpuRunResult, simulate_cpu_run
-from repro.perfmodel.workloads import get_workload, workloads
+from repro.parallel.executor import simulate_cpu_run
+from repro.perfmodel.workloads import get_workload
 
 __all__ = ["NewtonComparison", "newton_ablation"]
 
@@ -34,21 +34,6 @@ class NewtonComparison:
         return self.ts_newton_on / self.ts_newton_off
 
 
-def _run_with_newton(
-    benchmark: str, n_atoms: int, n_ranks: int, newton: bool, seed: int
-) -> CpuRunResult:
-    base = get_workload(benchmark)
-    patched = replace(base, newton=newton)
-    # Temporarily install the patched workload; the executor looks the
-    # benchmark up by name.
-    original = workloads[benchmark]
-    workloads[benchmark] = patched
-    try:
-        return simulate_cpu_run(benchmark, n_atoms, n_ranks, seed=seed)
-    finally:
-        workloads[benchmark] = original
-
-
 def newton_ablation(
     benchmark: str = "chute",
     sizes: tuple[int, ...] = (32_000, 2_048_000),
@@ -56,17 +41,16 @@ def newton_ablation(
     seed: int = 0,
 ) -> list[NewtonComparison]:
     """Compare ``newton off`` (paper setting for Chute) against ``on``."""
-    comparisons = []
-    for n_atoms in sizes:
-        for n_ranks in rank_counts:
-            off = _run_with_newton(benchmark, n_atoms, n_ranks, False, seed)
-            on = _run_with_newton(benchmark, n_atoms, n_ranks, True, seed)
-            comparisons.append(
-                NewtonComparison(
-                    n_atoms=n_atoms,
-                    n_ranks=n_ranks,
-                    ts_newton_off=off.ts_per_s,
-                    ts_newton_on=on.ts_per_s,
-                )
-            )
-    return comparisons
+    workload = get_workload(benchmark)
+    off = replace(workload, newton=False)
+    on = replace(workload, newton=True)
+    return [
+        NewtonComparison(
+            n_atoms=n_atoms,
+            n_ranks=n_ranks,
+            ts_newton_off=simulate_cpu_run(off, n_atoms, n_ranks, seed=seed).ts_per_s,
+            ts_newton_on=simulate_cpu_run(on, n_atoms, n_ranks, seed=seed).ts_per_s,
+        )
+        for n_atoms in sizes
+        for n_ranks in rank_counts
+    ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.core.metrics import ns_per_day
 from repro.gpu.executor import GpuModelConfig, simulate_gpu_run
 from repro.gpu.kernels import GpuKernelCoefficients
 from repro.gpu.transfers import PcieModel
@@ -149,15 +150,11 @@ def project_cpu_balance(
     Re-runs the benchmark with its imbalance jitter zeroed and reports
     the recoverable throughput.
     """
-    from repro.perfmodel.workloads import workloads
-
-    base = simulate_cpu_run(benchmark, n_atoms, n_ranks)
-    original = workloads[benchmark]
-    workloads[benchmark] = replace(original, imbalance_amplitude=0.0)
-    try:
-        balanced = simulate_cpu_run(benchmark, n_atoms, n_ranks)
-    finally:
-        workloads[benchmark] = original
+    workload = get_workload(benchmark)
+    base = simulate_cpu_run(workload, n_atoms, n_ranks)
+    balanced = simulate_cpu_run(
+        replace(workload, imbalance_amplitude=0.0), n_atoms, n_ranks
+    )
     return {
         "ts_per_s": base.ts_per_s,
         "ts_per_s_balanced": balanced.ts_per_s,
@@ -197,6 +194,5 @@ def commodity_fleet_gap(
         run = simulate_multinode_run(
             "rhodo", n_atoms, n_nodes, ranks_per_node=ranks_per_node
         )
-        ns_day = run.ts_per_s * timestep_fs * 1e-6 * 86_400.0
-        best_ns_day = max(best_ns_day, ns_day)
+        best_ns_day = max(best_ns_day, ns_per_day(run.ts_per_s, timestep_fs))
     return ANTON3_NS_PER_DAY / best_ns_day

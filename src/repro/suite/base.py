@@ -51,9 +51,10 @@ class BenchmarkDefinition:
     * ``gpu_supported`` — the reference GPU package lacks the
       gran/hooke/history pair style, so Chute is CPU-only (Section 6).
 
-    Performance-model parameters (cost factors, imbalance amplitudes,
-    topology densities) live in :mod:`repro.perfmodel.workloads`; the
-    cross-layer consistency test keeps the shared fields in sync.
+    These and the taxonomy are the only statement of each benchmark's
+    Table-2 facts: :mod:`repro.perfmodel.workloads` reads them from
+    here and adds only the model's own parameters (cost factors,
+    imbalance amplitudes, topology densities).
     """
 
     taxonomy: Taxonomy

@@ -4,6 +4,10 @@ import pytest
 
 from repro.core.experiment import ExperimentSpec, Mode
 from repro.core.runner import RunRecord, run_experiment
+from repro.gpu import simulate_gpu_run
+from repro.parallel import simulate_cpu_run
+from repro.perfmodel import CpuCostModel, Precision, precision_pair_factor
+from repro.perfmodel.precision import gpu_precision_pair_factor
 
 
 class TestBenchmarkingMode:
@@ -76,3 +80,36 @@ class TestRecordRoundTrip:
     def test_short_row_rejected(self):
         with pytest.raises(ValueError):
             RunRecord.from_row(["lj", "cpu"])
+
+    def test_csv_header_is_the_field_order(self):
+        """``runs.csv`` files written before the header was derived from
+        the dataclass still load: the column order is pinned."""
+        assert RunRecord.CSV_FIELDS == (
+            "label", "benchmark", "platform", "size_k", "resources", "mode",
+            "precision", "kspace_error", "n_timesteps", "runtime_s", "ts_per_s",
+            "power_watts", "energy_efficiency", "mpi_time_fraction",
+            "mpi_imbalance_fraction", "utilization", "memory_gb",
+            "task_fractions", "mpi_function_fractions", "kernel_fractions",
+        )
+
+
+class TestPrecisionNames:
+    @pytest.mark.parametrize("platform", ["cpu", "gpu"])
+    def test_mixed_case_names_give_equal_results(self, platform):
+        """Every modeled entry point parses precision names one way:
+        ``"Single"`` is ``"single"`` on both platforms, down to the
+        spec's cache identity and label."""
+        names = ("single", "Single", "SINGLE")
+        specs = {ExperimentSpec("lj", platform, 32, 2, precision=n) for n in names}
+        assert len(specs) == 1 and specs.pop().label == "lj-single"
+        records = [
+            run_experiment(ExperimentSpec("lj", platform, 32, 2, precision=n))
+            for n in names
+        ]
+        assert records[1:] == records[:1] * 2
+        simulate = simulate_cpu_run if platform == "cpu" else simulate_gpu_run
+        runs = [simulate("lj", 32_000, 2, precision=n).ts_per_s for n in names]
+        assert runs[1:] == runs[:1] * 2
+        factor = precision_pair_factor if platform == "cpu" else gpu_precision_pair_factor
+        assert factor("lj", "Double") == factor("lj", Precision.DOUBLE)
+        assert CpuCostModel(precision="Double").precision is Precision.DOUBLE

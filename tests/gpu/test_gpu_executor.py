@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gpu.executor import GpuModelConfig, simulate_gpu_run
+from repro.md.timers import fractions
 from repro.platforms.instances import GPU_INSTANCE
 
 
@@ -34,8 +35,8 @@ class TestBasics:
 
     def test_task_and_kernel_fractions_normalized(self):
         r = simulate_gpu_run("rhodo", 256_000, 4)
-        assert sum(r.task_fractions().values()) == pytest.approx(1.0)
-        assert sum(r.kernel_fractions().values()) == pytest.approx(1.0)
+        assert sum(fractions(r.task_seconds).values()) == pytest.approx(1.0)
+        assert sum(fractions(r.kernel_seconds).values()) == pytest.approx(1.0)
 
     def test_utilizations_bounded(self):
         r = simulate_gpu_run("lj", 2_048_000, 8)
@@ -79,17 +80,17 @@ class TestPaperShapes:
     def test_rhodo_pair_share_below_quarter(self):
         """Section 6.1: the GPU pair kernel takes <25% for Rhodopsin."""
         r = simulate_gpu_run("rhodo", 2_048_000, 8)
-        assert r.task_fractions()["Pair"] < 0.25
+        assert fractions(r.task_seconds)["Pair"] < 0.25
 
     def test_eam_still_pair_dominated_on_gpu(self):
         r = simulate_gpu_run("eam", 2_048_000, 8)
-        fractions = r.task_fractions()
-        assert fractions["Pair"] == max(fractions.values())
+        shares = fractions(r.task_seconds)
+        assert shares["Pair"] == max(shares.values())
 
     def test_rhodo_modify_is_host_burden(self):
         """SHAKE has no GPU port: Modify stays relevant on the GPU node."""
         r = simulate_gpu_run("rhodo", 2_048_000, 8)
-        assert r.task_fractions()["Modify"] > 0.10
+        assert fractions(r.task_seconds)["Modify"] > 0.10
 
     def test_neigh_kernel_breaking_point(self):
         """Section 6.1: the neighbor kernel leads only at 2048k atoms."""

@@ -9,6 +9,7 @@ from repro.core.experiment import ExperimentSpec, Mode
 from repro.core.runner import run_experiment
 from repro.md.computes import MeanSquaredDisplacement, RadialDistribution
 from repro.md.dump import XyzDumpWriter, read_xyz_frames
+from repro.md.timers import fractions
 from repro.parallel import simulate_cpu_run
 from repro.perfmodel.workloads import get_workload
 from repro.suite import get_benchmark
@@ -89,15 +90,15 @@ class TestEngineModelConsistency:
         size depends on the backend and only the weaker ordering versus
         Modify is asserted for it.
         """
-        model = simulate_cpu_run("lj", 2_048_000, 1).task_fractions()
+        model = fractions(simulate_cpu_run("lj", 2_048_000, 1).task_seconds)
         ref = get_benchmark("lj").build(500)
         for potential in ref.potentials:
             potential.backend = "numpy_ref"
         ref.run(30)
-        for fractions in (ref.task_breakdown(), model):
-            assert fractions["Pair"] > 0.5
-            assert fractions["Pair"] > fractions["Neigh"]
-            assert fractions["Pair"] > fractions["Modify"]
+        for shares in (ref.task_breakdown(), model):
+            assert shares["Pair"] > 0.5
+            assert shares["Pair"] > shares["Neigh"]
+            assert shares["Pair"] > shares["Modify"]
         fast = get_benchmark("lj").build(500)
         fast.run(30)
         assert fast.task_breakdown()["Pair"] > fast.task_breakdown()["Modify"]

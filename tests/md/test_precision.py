@@ -139,7 +139,7 @@ class TestRunConfig:
 
     def test_typo_precision_fails_fast(self):
         with pytest.raises(ValueError, match="unknown precision mode"):
-            RunConfig(steps=1, precision="doubble")
+            _lj_sim(precision="doubble")
 
     def test_run_config_equivalent_to_bare_int(self):
         a = _lj_sim()
@@ -150,12 +150,19 @@ class TestRunConfig:
         b.run(RunConfig(steps=8))
         assert np.array_equal(a.system.positions, b.system.positions)
 
-    def test_run_config_can_switch_precision_and_backend(self):
+    def test_setters_switch_precision_and_backend(self):
+        """What a simulation is belongs to it, not to one run: the
+        setters switch it, and ``RunConfig`` carries no such field."""
         sim = _lj_sim()
         sim.setup()
-        sim.run(RunConfig(steps=3, precision="mixed", backend="numpy_fast"))
+        sim.set_precision("mixed")
+        sim.set_backend("numpy_fast")
+        sim.run(RunConfig(steps=3))
         assert sim.precision.mode is Precision.MIXED
         assert np.isfinite(sim.total_energy())
+        for field in ("precision", "backend", "tracer"):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                RunConfig(steps=1, **{field: None})
 
     def test_config_plus_kwargs_is_type_error(self):
         sim = _lj_sim()

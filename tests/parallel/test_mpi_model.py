@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.parallel.decomposition import SubdomainGeometry
+from repro.md.timers import fractions
 from repro.parallel.mpi_model import MPI_FUNCTIONS, MpiModel
 from repro.perfmodel.workloads import get_workload
 
@@ -25,9 +26,7 @@ def _times(benchmark="lj", n_atoms=256_000, n_ranks=16, seed=0, grid_points=0.0)
     compute = np.full(n_ranks, 1e-3) * model.rank_jitter(
         workload, n_ranks, n_atoms, seed
     )
-    return model.step_times(
-        workload, geometry, compute, kspace_grid_points=grid_points, seed=seed
-    )
+    return model.step_times(workload, geometry, compute, kspace_grid_points=grid_points)
 
 
 class TestStructure:
@@ -61,7 +60,7 @@ class TestStructure:
 
     def test_fractions_sum_to_one(self):
         times = _times()
-        assert sum(times.function_fractions().values()) == pytest.approx(1.0)
+        assert sum(fractions(times.per_function).values()) == pytest.approx(1.0)
 
 
 class TestPaperFindings:
@@ -92,8 +91,8 @@ class TestPaperFindings:
     def test_init_dominates_small_fast_systems(self):
         """Figure 5: MPI_Init is the biggest MPI entry for 32k panels."""
         times = _times("lj", n_atoms=32_000, n_ranks=64)
-        fractions = times.function_fractions()
-        assert fractions["MPI_Init"] == max(fractions.values())
+        shares = fractions(times.per_function)
+        assert shares["MPI_Init"] == max(shares.values())
 
     def test_transfer_terms_grow_with_system_size(self):
         small = _times(n_atoms=32_000)

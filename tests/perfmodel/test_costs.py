@@ -1,5 +1,7 @@
 """Tests for the CPU compute-cost laws."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,11 @@ class TestKspaceGrid:
         a = kspace_grid(w, 32_000, 1e-4)
         b = kspace_grid(w, 32_000, 1e-4)
         assert a == b
+
+    def test_memo_is_keyed_on_the_workload_not_its_name(self):
+        """An edited copy of a deck is a different deck: quadrupling the
+        charge must not be served the original's cached grid."""
+        rhodo = get_workload("rhodo")
+        assert kspace_grid(rhodo, 32_000, 1e-4)[1] == (36, 36, 36)
+        charged = replace(rhodo, qsq_per_atom=4 * rhodo.qsq_per_atom)
+        assert kspace_grid(charged, 32_000, 1e-4)[1] == (45, 45, 45)

@@ -187,23 +187,3 @@ class TestStability:
         sim.run(400)
         # Gravity is tilted along +x: the bed drifts that way.
         assert sim.system.velocities[:, 0].mean() > 0
-
-
-class TestCrossLayerConsistency:
-    """Suite definitions and perf-model workloads agree where they overlap."""
-
-    @pytest.mark.parametrize("name", CPU_BENCHMARKS)
-    def test_shared_fields_in_sync(self, name):
-        from repro.perfmodel.workloads import get_workload
-
-        definition = registry[name]
-        workload = get_workload(name)
-        assert definition.newton == workload.newton
-        assert definition.gpu_supported == workload.gpu_supported
-        assert definition.timestep_fs == pytest.approx(workload.timestep_fs)
-        assert definition.taxonomy.computes_long_range == workload.has_kspace
-        assert definition.taxonomy.cutoff == pytest.approx(workload.cutoff)
-        assert definition.taxonomy.neighbor_skin == pytest.approx(workload.skin)
-        assert definition.taxonomy.neighbors_per_atom == pytest.approx(
-            workload.neighbors_per_atom
-        )

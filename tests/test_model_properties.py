@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu import simulate_gpu_run
+from repro.md.timers import fractions
 from repro.parallel import simulate_cpu_run
 from repro.suite import CPU_BENCHMARKS, GPU_BENCHMARKS
 
@@ -32,9 +33,9 @@ class TestCpuModelInvariants:
         assert 0 <= r.mpi_imbalance_fraction <= r.mpi_time_fraction <= 1.0
         assert 0 < r.core_utilization <= 1.0
         assert r.power_watts > 0
-        fractions = r.task_fractions()
-        assert sum(fractions.values()) == pytest.approx(1.0)
-        assert all(v >= 0 for v in fractions.values())
+        shares = fractions(r.task_seconds)
+        assert sum(shares.values()) == pytest.approx(1.0)
+        assert all(v >= 0 for v in shares.values())
 
     @given(bench=cpu_bench, n=size, p=st.sampled_from([2, 4, 8, 16, 32, 64]))
     @settings(max_examples=30, deadline=None)
@@ -75,8 +76,8 @@ class TestGpuModelInvariants:
         assert 0 < r.gpu_utilization <= 1.0
         assert 0 <= r.pcie_utilization <= 1.0
         assert r.total_ranks <= 48
-        assert sum(r.task_fractions().values()) == pytest.approx(1.0)
-        assert sum(r.kernel_fractions().values()) == pytest.approx(1.0)
+        assert sum(fractions(r.task_seconds).values()) == pytest.approx(1.0)
+        assert sum(fractions(r.kernel_seconds).values()) == pytest.approx(1.0)
         assert all(v >= 0 for v in r.kernel_seconds.values())
 
     @given(bench=gpu_bench, n=size, g=st.sampled_from([2, 4, 6, 8]))
