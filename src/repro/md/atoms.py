@@ -9,11 +9,13 @@ bonded-force and constraint (SHAKE) machinery.
 
 from __future__ import annotations
 
+from copy import copy as shallow_copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.md.box import Box
+from repro.md.state import held_arrays
 
 __all__ = ["AtomSystem", "Topology"]
 
@@ -177,8 +179,7 @@ class AtomSystem:
         return self.positions.dtype
 
     def cast_storage(self, dtype: np.dtype | str) -> None:
-        """Cast the dynamical state (positions, velocities, forces,
-        angular state) to ``dtype`` in place.
+        """Cast the ``storage`` rows of ``STATE_ARRAYS`` in place.
 
         float32 -> float64 is exact; float64 -> float32 rounds — the
         explicit entry point the precision policy (and the restart
@@ -190,15 +191,10 @@ class AtomSystem:
             raise ValueError(
                 f"storage dtype must be float32 or float64, got {dtype}"
             )
-        if self.positions.dtype == dtype:
+        if self.dtype == dtype:
             return
-        self.positions = self.positions.astype(dtype)
-        self.velocities = self.velocities.astype(dtype)
-        self.forces = self.forces.astype(dtype)
-        if self.omega is not None:
-            self.omega = self.omega.astype(dtype)
-        if self.torques is not None:
-            self.torques = self.torques.astype(dtype)
+        for row, value in held_arrays(self, "storage"):
+            row.set(self, value.astype(dtype))
 
     # ------------------------------------------------------------------
     # Thermodynamic state helpers
@@ -260,25 +256,11 @@ class AtomSystem:
             self.velocities *= np.sqrt(temperature / current)
 
     def copy(self) -> "AtomSystem":
-        clone = AtomSystem(
-            self.unwrapped_positions(),
-            self.box.copy(),
-            velocities=self.velocities,
-            masses=self.masses,
-            types=self.types,
-            charges=self.charges,
-            topology=Topology(
-                self.topology.bonds.copy(),
-                self.topology.bond_types.copy(),
-                self.topology.angles.copy(),
-                self.topology.angle_types.copy(),
-            ),
-            radii=None if self.radii is None else self.radii,
-            molecule_ids=self.molecule_ids,
-        )
-        clone.forces = self.forces.copy()
-        if self.omega is not None:
-            clone.omega = self.omega.copy()
+        """A deep copy: every row of ``STATE_ARRAYS``, bit for bit."""
+        clone = shallow_copy(self)
+        clone.box, clone.topology = shallow_copy(self.box), shallow_copy(self.topology)
+        for row, value in held_arrays(self):
+            row.set(clone, value.copy())
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

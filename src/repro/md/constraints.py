@@ -16,11 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.md.atoms import AtomSystem
+from repro.md.state import Stateful
 
 __all__ = ["ShakeConstraints"]
 
 
-class ShakeConstraints:
+class ShakeConstraints(Stateful):
     """Iterative SHAKE position + RATTLE velocity constraint solver.
 
     Parameters
@@ -34,6 +35,10 @@ class ShakeConstraints:
     max_iterations:
         Iteration cap; exceeded only for pathological configurations.
     """
+
+    # SHAKE is stateless across steps; only the iteration diagnostic
+    # (exported to metrics) survives a checkpoint.
+    STATE = {"last_iterations": "last_iterations"}
 
     def __init__(
         self,
@@ -56,14 +61,6 @@ class ShakeConstraints:
     @property
     def n_constraints(self) -> int:
         return len(self.pairs)
-
-    def state_dict(self) -> dict:
-        """SHAKE is stateless across steps; only the iteration diagnostic
-        (exported to metrics) survives a checkpoint."""
-        return {"last_iterations": self.last_iterations}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.last_iterations = int(state.get("last_iterations", 0))
 
     # ------------------------------------------------------------------
     def apply_positions(

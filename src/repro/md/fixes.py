@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from repro.md.atoms import AtomSystem
+from repro.md.state import Stateful
 
 __all__ = [
     "Fix",
@@ -30,30 +31,18 @@ __all__ = [
 ]
 
 
-class Fix(abc.ABC):
-    """A per-timestep operation on (a group of) atoms."""
+class Fix(Stateful, abc.ABC):
+    """A per-timestep operation on (a group of) atoms.
+
+    Most fixes are pure functions of the instantaneous system state and
+    declare no ``STATE``; the Langevin thermostat's RNG stream is the
+    notable exception — without it a restart samples different kicks
+    and the restarted trajectory silently diverges.
+    """
 
     @abc.abstractmethod
     def post_force(self, system: AtomSystem, dt: float, step: int) -> None:
         """Hook running after forces are computed, before final integrate."""
-
-    def state_dict(self) -> dict:
-        """Dynamical state a checkpoint must capture (default: none).
-
-        Most fixes are pure functions of the instantaneous system state;
-        the Langevin thermostat's RNG stream is the notable exception —
-        without it a restart samples different kicks and the restarted
-        trajectory silently diverges from the uninterrupted one.
-        """
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the variables :meth:`state_dict` captured."""
-        if state:
-            raise ValueError(
-                f"{type(self).__name__} carries no dynamical state but the "
-                f"snapshot provides {sorted(state)}"
-            )
 
 
 class LangevinThermostat(Fix):
@@ -63,6 +52,10 @@ class LangevinThermostat(Fix):
     Gaussian ``xi`` — the standard fluctuation-dissipation pair that
     drives the system to the target temperature.
     """
+
+    # The bit-generator state is a plain nested dict of ints/strings
+    # (JSON-serializable), so a restored stream continues bit-for-bit.
+    STATE = {"rng_state": "rng.bit_generator.state"}
 
     def __init__(
         self, temperature: float, damp: float, rng: np.random.Generator
@@ -79,14 +72,6 @@ class LangevinThermostat(Fix):
         sigma = np.sqrt(2.0 * m * self.temperature / (self.damp * dt))
         noise = sigma * self.rng.normal(size=system.velocities.shape)
         system.forces += drag + noise
-
-    def state_dict(self) -> dict:
-        # The bit-generator state is a plain nested dict of ints/strings
-        # (JSON-serializable), so a restored stream continues bit-for-bit.
-        return {"rng_state": self.rng.bit_generator.state}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.rng.bit_generator.state = state["rng_state"]
 
 
 class Gravity(Fix):

@@ -14,12 +14,17 @@ import abc
 import math
 
 from repro.md.atoms import AtomSystem
+from repro.md.state import Stateful
 
 __all__ = ["Integrator", "VelocityVerletNVE", "NoseHooverNVT", "NoseHooverNPT"]
 
 
-class Integrator(abc.ABC):
-    """Velocity-Verlet split: a half step before and after the forces."""
+class Integrator(Stateful, abc.ABC):
+    """Velocity-Verlet split: a half step before and after the forces.
+
+    ``STATE`` names the evolving variables a restart reloads
+    (:class:`~repro.md.state.Stateful`); plain NVE has none.
+    """
 
     @abc.abstractmethod
     def initial_integrate(self, system: AtomSystem, dt: float) -> None:
@@ -28,25 +33,6 @@ class Integrator(abc.ABC):
     @abc.abstractmethod
     def final_integrate(self, system: AtomSystem, dt: float) -> None:
         """Second velocity half-kick once new forces are known."""
-
-    def state_dict(self) -> dict:
-        """Dynamical state that must survive a checkpoint/restart.
-
-        Construction parameters (targets, damping times) are *not*
-        included — a restart rebuilds the integrator from the deck and
-        only reloads the evolving variables, so restoring into a
-        differently configured integrator is an error the snapshot
-        layer detects via the type tag.
-        """
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the variables :meth:`state_dict` captured."""
-        if state:
-            raise ValueError(
-                f"{type(self).__name__} carries no dynamical state but the "
-                f"snapshot provides {sorted(state)}"
-            )
 
 
 class VelocityVerletNVE(Integrator):
@@ -89,6 +75,8 @@ class NoseHooverNVT(VelocityVerletNVE):
         thermostat sees the correct temperature.
     """
 
+    STATE = {"zeta": "zeta"}
+
     def __init__(
         self, temperature: float, t_damp: float, *, n_constraints: int = 0
     ) -> None:
@@ -114,12 +102,6 @@ class NoseHooverNVT(VelocityVerletNVE):
         super().final_integrate(system, dt)
         self._thermostat_half(system, dt)
 
-    def state_dict(self) -> dict:
-        return {"zeta": self.zeta}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.zeta = float(state["zeta"])
-
 
 class NoseHooverNPT(NoseHooverNVT):
     """Isotropic Nose-Hoover NPT (the Rhodopsin ``NPT`` command).
@@ -129,6 +111,10 @@ class NoseHooverNPT(NoseHooverNVT):
     instantaneous pressure is supplied each step by the simulation loop
     through :meth:`set_virial`.
     """
+
+    # ``_virial`` feeds the barostat half-step that runs *before* the
+    # next force evaluation, so a restart must carry it over.
+    STATE = {"zeta": "zeta", "eta": "eta", "virial": "_virial"}
 
     def __init__(
         self,
@@ -176,13 +162,3 @@ class NoseHooverNPT(NoseHooverNVT):
     def final_integrate(self, system: AtomSystem, dt: float) -> None:
         super().final_integrate(system, dt)
         self._barostat_half(system, dt)
-
-    def state_dict(self) -> dict:
-        # ``_virial`` feeds the barostat half-step that runs *before*
-        # the next force evaluation, so a restart must carry it over.
-        return {"zeta": self.zeta, "eta": self.eta, "virial": self._virial}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.zeta = float(state["zeta"])
-        self.eta = float(state["eta"])
-        self._virial = float(state["virial"])

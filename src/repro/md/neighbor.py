@@ -318,25 +318,6 @@ class NeighborStats:
             return float("inf")
         return self.total_steps / self.n_builds
 
-    def state_dict(self) -> dict:
-        """All counters, for checkpoint serialization."""
-        return {
-            "n_builds": self.n_builds,
-            "n_checks": self.n_checks,
-            "last_pairs": self.last_pairs,
-            "last_neighbors_per_atom": self.last_neighbors_per_atom,
-            "steps_since_build": self.steps_since_build,
-            "total_steps": self.total_steps,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.n_builds = int(state["n_builds"])
-        self.n_checks = int(state["n_checks"])
-        self.last_pairs = int(state["last_pairs"])
-        self.last_neighbors_per_atom = float(state["last_neighbors_per_atom"])
-        self.steps_since_build = int(state["steps_since_build"])
-        self.total_steps = int(state["total_steps"])
-
 
 class NeighborList:
     """Verlet neighbor list with skin, backed by a cell list.

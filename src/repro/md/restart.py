@@ -6,9 +6,10 @@ Simulation` to a single ``.npz`` file, so a restart reproduces the
 uninterrupted trajectory bit for bit on every suite benchmark — not
 just plain NVE:
 
-* particle state — positions, velocities, forces, images, box, charges,
-  topology, granular radii/omega/torques — plus the step counter and
-  the energy/virial the restored step already computed;
+* particle state — every row of :data:`repro.md.state.STATE_ARRAYS`
+  (box, per-atom arrays, topology, granular radii/omega/torques) — plus
+  the step counter and the energy/virial the restored step already
+  computed;
 * integrator internals — Nose-Hoover thermostat friction ``zeta``,
   barostat strain rate ``eta`` and the virial feeding the next
   barostat half-step;
@@ -33,7 +34,7 @@ from __future__ import annotations
 import json
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,7 @@ from repro.md.atoms import AtomSystem, Topology
 from repro.md.box import Box
 from repro.md.precision import parse_precision
 from repro.md.simulation import Simulation
+from repro.md.state import STATE_ARRAYS, held_arrays, json_default
 
 __all__ = [
     "FORMAT_VERSION",
@@ -93,18 +95,7 @@ class Snapshot:
     )
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
-
-
 def _dynamic_state(simulation: Simulation) -> dict:
-    counts = simulation.counts
     return {
         "precision": simulation.precision.mode.value,
         "integrator": {
@@ -120,16 +111,15 @@ def _dynamic_state(simulation: Simulation) -> dict:
             if simulation.constraints is None
             else simulation.constraints.state_dict()
         ),
-        "counts": {
-            "timesteps": counts.timesteps,
-            "pair_interactions": counts.pair_interactions,
-            "bond_evaluations": counts.bond_evaluations,
-            "kspace_grid_points": counts.kspace_grid_points,
-            "neighbor_builds": counts.neighbor_builds,
-            "shake_iterations": counts.shake_iterations,
-        },
-        "neighbor_stats": simulation.neighbor.stats.state_dict(),
+        "counts": asdict(simulation.counts),
+        "neighbor_stats": asdict(simulation.neighbor.stats),
     }
+
+
+def _load_fields(counters, state: dict) -> None:
+    """Set each dataclass field from ``state``, typed like its default."""
+    for item in fields(counters):
+        setattr(counters, item.name, type(item.default)(state[item.name]))
 
 
 def snapshot_payload(simulation: Simulation) -> dict[str, np.ndarray]:
@@ -140,32 +130,13 @@ def snapshot_payload(simulation: Simulation) -> dict[str, np.ndarray]:
     on the parallel engine) *before* opening the output file; either
     way :func:`write_snapshot` puts it on disk.
     """
-    system = simulation.system
     payload: dict[str, np.ndarray] = {
         "format_version": np.array([FORMAT_VERSION]),
         "step_number": np.array([simulation.step_number]),
         "potential_energy": np.array([simulation.potential_energy]),
         "virial": np.array([simulation.virial]),
-        "box_lengths": system.box.lengths,
-        "box_periodic": system.box.periodic,
-        "box_origin": system.box.origin,
-        "positions": system.positions,
-        "velocities": system.velocities,
-        "forces": system.forces,
-        "images": system.images,
-        "masses": system.masses,
-        "types": system.types,
-        "charges": system.charges,
-        "molecule_ids": system.molecule_ids,
-        "bonds": system.topology.bonds,
-        "bond_types": system.topology.bond_types,
-        "angles": system.topology.angles,
-        "angle_types": system.topology.angle_types,
     }
-    if system.radii is not None:
-        payload["radii"] = system.radii
-        payload["omega"] = system.omega
-        payload["torques"] = system.torques
+    payload.update((row.name, value) for row, value in held_arrays(simulation.system))
 
     build_state = simulation.neighbor.export_build_state()
     if build_state is not None:
@@ -179,7 +150,7 @@ def snapshot_payload(simulation: Simulation) -> dict[str, np.ndarray]:
         payload[f"hist{slot}_keys"] = np.asarray(keys, dtype=np.int64)
         payload[f"hist{slot}_values"] = np.asarray(values, dtype=float)
 
-    encoded = json.dumps(state, default=_json_default).encode("utf-8")
+    encoded = json.dumps(state, default=json_default).encode("utf-8")
     payload["state_json"] = np.frombuffer(encoded, dtype=np.uint8)
     return payload
 
@@ -213,37 +184,35 @@ def save_snapshot(simulation: Simulation, path: str | Path) -> Path:
 
 
 def _system_from(data) -> tuple[AtomSystem, int]:
+    arrays = {row.name: data[row.name] for row in STATE_ARRAYS if row.name in data}
     box = Box(
-        data["box_lengths"],
-        periodic=data["box_periodic"],
-        origin=data["box_origin"],
+        arrays["box_lengths"],
+        periodic=arrays["box_periodic"],
+        origin=arrays["box_origin"],
     )
     topology = Topology(
-        bonds=data["bonds"],
-        bond_types=data["bond_types"],
-        angles=data["angles"],
-        angle_types=data["angle_types"],
+        bonds=arrays["bonds"],
+        bond_types=arrays["bond_types"],
+        angles=arrays["angles"],
+        angle_types=arrays["angle_types"],
     )
+    # The constructor validates what was read from disk; it also
+    # re-wraps, so every row is then set to the file's exact array.
     system = AtomSystem(
-        data["positions"],
+        arrays["positions"],
         box,
-        velocities=data["velocities"],
-        masses=data["masses"],
-        types=data["types"],
-        charges=data["charges"],
+        velocities=arrays["velocities"],
+        masses=arrays["masses"],
+        types=arrays["types"],
+        charges=arrays["charges"],
         topology=topology,
-        radii=data["radii"] if "radii" in data else None,
-        molecule_ids=data["molecule_ids"],
+        radii=arrays.get("radii"),
+        molecule_ids=arrays["molecule_ids"],
     )
-    # Restore exact wrap/image state (the constructor re-wraps).
-    system.positions = data["positions"].copy()
-    system.images = data["images"].copy()
-    system.forces = data["forces"].copy()
-    if "omega" in data:
-        system.omega = data["omega"].copy()
-        system.torques = data["torques"].copy()
-    step = int(data["step_number"][0])
-    return system, step
+    for row in STATE_ARRAYS:
+        if row.name in arrays:
+            row.set(system, arrays[row.name])
+    return system, int(data["step_number"][0])
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
@@ -348,25 +317,30 @@ def _check_tags(simulation: Simulation, state: dict, path: Path) -> None:
         )
 
 
-def _restore_particle_state(simulation: Simulation, system: AtomSystem) -> None:
+def _restore_particle_state(
+    simulation: Simulation, saved: AtomSystem, path: Path
+) -> None:
     target = simulation.system
-    if system.n_atoms != target.n_atoms:
+    if saved.n_atoms != target.n_atoms:
         raise SnapshotError(
-            f"snapshot holds {system.n_atoms} atoms but the simulation has "
+            f"snapshot holds {saved.n_atoms} atoms but the simulation has "
             f"{target.n_atoms}"
         )
-    # Same-mode restores see a no-op astype (float32 state round-trips
+    # The rows a restore does not write say which system this is: all
+    # must match before anything is written (``None`` equals ``None``).
+    for row in STATE_ARRAYS:
+        if not row.restored and not np.array_equal(row.get(saved), row.get(target)):
+            raise SnapshotError(
+                f"snapshot {path} is of a different system: its "
+                f"{row.name} differ from the simulation's; rebuild the "
+                "simulation to match"
+            )
+    # Same-mode restores see an exact astype (float32 state round-trips
     # bit for bit); an explicit ``cast=`` opt-in lands here with a real
     # dtype conversion into the simulation's storage dtype.
     dtype = simulation.precision.storage_dtype
-    target.box.lengths = system.box.lengths.copy()
-    target.positions = system.positions.astype(dtype, copy=False)
-    target.velocities = system.velocities.astype(dtype, copy=False)
-    target.forces = system.forces.astype(dtype, copy=False)
-    target.images = system.images
-    if system.omega is not None and target.omega is not None:
-        target.omega = system.omega.astype(dtype, copy=False)
-        target.torques = system.torques.astype(dtype, copy=False)
+    for row, value in held_arrays(saved, "restored"):
+        row.set(target, value.astype(dtype if row.storage else value.dtype))
 
 
 def restore_simulation(
@@ -420,7 +394,7 @@ def restore_simulation(
             )
 
     _check_tags(simulation, snapshot.state, Path(path))
-    _restore_particle_state(simulation, snapshot.system)
+    _restore_particle_state(simulation, snapshot.system, Path(path))
     simulation.step_number = snapshot.step_number
     simulation.potential_energy = float(snapshot.potential_energy)
     simulation.virial = float(snapshot.virial)
@@ -429,9 +403,7 @@ def restore_simulation(
         fix.load_state_dict(entry["state"])
     if simulation.constraints is not None and snapshot.state["constraints"]:
         simulation.constraints.load_state_dict(snapshot.state["constraints"])
-    counts = snapshot.state["counts"]
-    for name, value in counts.items():
-        setattr(simulation.counts, name, int(value))
+    _load_fields(simulation.counts, snapshot.state["counts"])
 
     # Contact histories go in *before* the neighbor rebuild: the
     # parallel executor respawns its worker pool with these tables as
@@ -440,9 +412,7 @@ def restore_simulation(
 
     if snapshot.neighbor_build is not None:
         _rebuild_neighbors_as_at_build(simulation, *snapshot.neighbor_build)
-        simulation.neighbor.stats.load_state_dict(
-            snapshot.state["neighbor_stats"]
-        )
+        _load_fields(simulation.neighbor.stats, snapshot.state["neighbor_stats"])
         # Forces/energy/virial were restored verbatim — no recompute.  A
         # recompute would not only waste a force pass, it would *advance*
         # granular contact histories a second time.

@@ -2,9 +2,10 @@
 
 The unit of trust is the **interval digest**: a SHA-256 over the
 canonicalized dynamical state of a :class:`~repro.md.simulation.
-Simulation` at one step — box, positions, velocities, forces (plus
-granular omega/torques when present) as little-endian float64 bytes in
-a fixed field order, followed by the integrator's canonical-JSON state.
+Simulation` at one step — the ``digested`` rows of
+:data:`repro.md.state.STATE_ARRAYS` (box, positions, velocities, forces,
+plus granular omega/torques when present) as little-endian float64
+bytes in table order, followed by the integrator's canonical-JSON state.
 Promoting float32 storage to float64 is exact, so the byte stream is a
 pure function of the simulated numbers, not of the storage dtype's
 memory layout, strides, or platform byte order.
@@ -44,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.atomicio import atomic_write
+from repro.md.state import held_arrays, json_default
 
 __all__ = [
     "CHAIN_SCHEMA",
@@ -63,19 +65,9 @@ class DigestChainError(ValueError):
     """A digest chain is broken: tampered, truncated, or diverged."""
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
-
-
 def _canonical_json(payload) -> bytes:
     return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=_json_default
+        payload, sort_keys=True, separators=(",", ":"), default=json_default
     ).encode("utf-8")
 
 
@@ -95,17 +87,11 @@ def interval_digest(simulation) -> str:
     backend + precision + worker-count execution is bitwise
     reproducible; everything else is compared through witnesses).
     """
-    system = simulation.system
     digest = hashlib.sha256()
     digest.update(b"repro-state-digest/1")
     digest.update(np.int64(simulation.step_number).tobytes())
-    _hash_array(digest, "box_lengths", system.box.lengths)
-    _hash_array(digest, "positions", system.positions)
-    _hash_array(digest, "velocities", system.velocities)
-    _hash_array(digest, "forces", system.forces)
-    if system.omega is not None:
-        _hash_array(digest, "omega", system.omega)
-        _hash_array(digest, "torques", system.torques)
+    for row, value in held_arrays(simulation.system, "digested"):
+        _hash_array(digest, row.name, value)
     digest.update(
         _canonical_json(
             {

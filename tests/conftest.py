@@ -7,6 +7,7 @@ import pytest
 
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
+from repro.md.state import STATE_ARRAYS
 
 
 @pytest.fixture
@@ -44,6 +45,16 @@ def finite_difference_forces(energy_fn, positions: np.ndarray, h: float = 1e-6):
             minus[i, d] -= h
             forces[i, d] = -(energy_fn(plus) - energy_fn(minus)) / (2.0 * h)
     return forces
+
+
+def assert_same_arrays(got: AtomSystem, want: AtomSystem) -> None:
+    """Every row of ``STATE_ARRAYS`` equal in dtype and bytes (so -0.0
+    and 0.0 differ), or absent on both systems."""
+    for row in STATE_ARRAYS:
+        a, b = row.get(got), row.get(want)
+        assert (a is None) == (b is None), row.name
+        if b is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), row.name
 
 
 def huge_grid_case(scale=1):

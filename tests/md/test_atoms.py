@@ -5,6 +5,8 @@ import pytest
 
 from repro.md.atoms import AtomSystem, Topology
 from repro.md.box import Box
+from repro.suite import get_benchmark
+from tests.conftest import assert_same_arrays
 
 
 @pytest.fixture
@@ -135,3 +137,11 @@ class TestMutation:
         clone.charges[0] = 5.0
         assert system.positions[0, 0] == pytest.approx(1.0)
         assert system.charges[0] == pytest.approx(1.0)
+
+    def test_copy_keeps_every_row(self):
+        """A running chute bed (torques, images, topology-free granular
+        state) copies bit for bit, row by row."""
+        sim = get_benchmark("chute").build(400)
+        sim.run(30)
+        assert np.abs(sim.system.torques).max() > 0
+        assert_same_arrays(sim.system.copy(), sim.system)

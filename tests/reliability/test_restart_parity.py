@@ -1,23 +1,28 @@
-"""Restart-parity matrix: snapshot/restore is bit-for-bit on all five
-benchmarks, serial and parallel, in the double and mixed dtype policies.
+"""Restart-parity matrix: snapshot/restore is bit-for-bit on every
+registered benchmark, serial and parallel, in the double and mixed dtype
+policies.
 
 Each case runs an uninterrupted reference for ``2k`` steps, then an
 interrupted twin: run ``k`` steps, snapshot, restore into a *freshly
-built* simulation, run the remaining ``k`` steps.  The final particle
-state must match the reference bitwise (``np.array_equal``, not
-allclose) — the whole point of snapshot format v2.  MIXED stores float64
-state, so its snapshots round-trip exactly like double's; the narrower
-SINGLE storage round-trip lives in ``tests/md/test_precision.py``.
+built* simulation, run the remaining ``k`` steps.  Every row of
+``STATE_ARRAYS`` must match the reference bitwise (bytes, not allclose)
+— the whole point of snapshot format v2.  MIXED stores float64 state,
+so its snapshots round-trip exactly like double's; the narrower SINGLE
+storage round-trip lives in ``tests/md/test_precision.py``.
 """
 
-import numpy as np
 import pytest
 
 from repro.md.restart import restore_simulation, save_snapshot
 from repro.parallel.engine import ParallelForceExecutor
-from repro.suite import get_benchmark
+from repro.suite import BENCHMARK_NAMES, get_benchmark
+from tests.conftest import assert_same_arrays
 
-SIZES = {"lj": 500, "chain": 400, "eam": 500, "rhodo": 384, "chute": 480}
+#: One size per registered benchmark (a new one fails here until sized).
+SIZES = {
+    "lj": 500, "chain": 400, "eam": 500, "rhodo": 384, "chute": 480,
+    "tersoff": 216,
+}
 HALF_STEPS = 10
 PRECISIONS = ("double", "mixed")
 
@@ -40,14 +45,7 @@ def _steps(sim, n):
 
 def _assert_bitwise(restarted, reference):
     assert restarted.step_number == reference.step_number
-    assert np.array_equal(restarted.system.positions, reference.system.positions)
-    assert np.array_equal(
-        restarted.system.velocities, reference.system.velocities
-    )
-    assert np.array_equal(restarted.system.forces, reference.system.forces)
-    assert np.array_equal(restarted.system.images, reference.system.images)
-    if reference.system.omega is not None:
-        assert np.array_equal(restarted.system.omega, reference.system.omega)
+    assert_same_arrays(restarted.system, reference.system)
     assert restarted.potential_energy == reference.potential_energy
     assert restarted.virial == reference.virial
     # Rebuild cadence must also survive the restart (same build count
@@ -84,13 +82,13 @@ def _restart_case(name, workers, tmp_path, precision="double"):
 
 class TestSerialRestartParity:
     @pytest.mark.parametrize("precision", PRECISIONS)
-    @pytest.mark.parametrize("name", sorted(SIZES))
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
     def test_bitwise(self, name, precision, tmp_path):
         _restart_case(name, workers=0, tmp_path=tmp_path, precision=precision)
 
 
 class TestParallelRestartParity:
-    @pytest.mark.parametrize("name", sorted(SIZES))
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
     def test_bitwise_two_workers(self, name, tmp_path):
         _restart_case(name, workers=2, tmp_path=tmp_path)
 

@@ -1,13 +1,14 @@
 """Property-style snapshot round-trip tests (seeded randomized loops).
 
-No external property-testing dependency: each loop draws benchmark /
-seed / step-count combinations from a seeded ``numpy`` generator, runs
-the simulation, and checks that ``load_snapshot(save_snapshot(sim))``
-reproduces every field exactly.  Error paths (missing, corrupted,
+No external property-testing dependency: every registered benchmark
+runs for a seed / step count drawn from a seeded ``numpy`` generator,
+and ``load_snapshot(save_snapshot(sim))`` must reproduce every row of
+``STATE_ARRAYS`` exactly.  Error paths (missing, corrupted,
 truncated, wrong-version, legacy-v1 files) are exercised explicitly.
 """
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,21 +20,17 @@ from repro.md.restart import (
     load_system,
     restore_simulation,
     save_snapshot,
+    snapshot_payload,
 )
-from repro.suite import get_benchmark
+from repro.md.state import json_default
+from repro.suite import BENCHMARK_NAMES, get_benchmark
+from tests.conftest import assert_same_arrays
 
-SIZES = {"lj": 400, "chain": 400, "eam": 500, "rhodo": 384, "chute": 480}
-
-_ARRAY_FIELDS = (
-    "positions",
-    "velocities",
-    "forces",
-    "images",
-    "masses",
-    "types",
-    "charges",
-    "molecule_ids",
-)
+#: One size per registered benchmark (a new one fails here until sized).
+SIZES = {
+    "lj": 400, "chain": 400, "eam": 500, "rhodo": 384, "chute": 480,
+    "tersoff": 216,
+}
 
 
 def _build(name, seed=1234):
@@ -48,31 +45,12 @@ def _run(sim, steps):
     return sim
 
 
-def _assert_system_equal(loaded, original):
-    for field in _ARRAY_FIELDS:
-        got = getattr(loaded, field)
-        want = getattr(original, field)
-        assert np.array_equal(got, want), field
-    assert np.array_equal(loaded.box.lengths, original.box.lengths)
-    assert np.array_equal(loaded.box.periodic, original.box.periodic)
-    assert np.array_equal(loaded.box.origin, original.box.origin)
-    assert np.array_equal(loaded.topology.bonds, original.topology.bonds)
-    assert np.array_equal(loaded.topology.angles, original.topology.angles)
-    if original.radii is not None:
-        assert np.array_equal(loaded.radii, original.radii)
-        assert np.array_equal(loaded.omega, original.omega)
-        assert np.array_equal(loaded.torques, original.torques)
-    else:
-        assert loaded.radii is None
-
-
 class TestRoundTrip:
     def test_randomized_round_trips(self, tmp_path):
-        """Seeded random (benchmark, seed, steps) draws round-trip exactly."""
+        """Every benchmark, at a seeded random (seed, steps), round-trips
+        exactly."""
         rng = np.random.default_rng(20260806)
-        names = sorted(SIZES)
-        for trial in range(6):
-            name = names[int(rng.integers(len(names)))]
+        for trial, name in enumerate(BENCHMARK_NAMES):
             seed = int(rng.integers(1, 10_000))
             steps = int(rng.integers(1, 9))
             sim = _run(_build(name, seed=seed), steps)
@@ -84,20 +62,18 @@ class TestRoundTrip:
             assert snap.step_number == sim.step_number == steps
             assert snap.potential_energy == sim.potential_energy
             assert snap.virial == sim.virial
-            _assert_system_equal(snap.system, sim.system)
+            assert_same_arrays(snap.system, sim.system)
 
             # Dynamical state survives the JSON round-trip verbatim.
             state = snap.state
             assert state["integrator"]["type"] == type(sim.integrator).__name__
             want_state = json.loads(
-                json.dumps(sim.integrator.state_dict(), default=_jsonify)
+                json.dumps(sim.integrator.state_dict(), default=json_default)
             )
             assert state["integrator"]["state"] == want_state
             assert state["counts"]["timesteps"] == sim.counts.timesteps
-            assert (
-                state["neighbor_stats"] == _roundtrip_json(
-                    sim.neighbor.stats.state_dict()
-                )
+            assert state["neighbor_stats"] == _roundtrip_json(
+                asdict(sim.neighbor.stats)
             )
 
             # Neighbor build inputs captured.
@@ -148,7 +124,7 @@ class TestRoundTrip:
         save_snapshot(sim, path)
         system, step = load_system(path)
         assert step == 3
-        _assert_system_equal(system, sim.system)
+        assert_same_arrays(system, sim.system)
 
 
 class TestErrorPaths:
@@ -190,6 +166,20 @@ class TestErrorPaths:
         assert other.system.n_atoms != SIZES["lj"]
         with pytest.raises(SnapshotError, match="atoms"):
             restore_simulation(other, path)
+
+    @pytest.mark.parametrize("saved, live", [("eam", "lj"), ("lj", "eam")])
+    def test_snapshot_of_another_system_is_refused(self, saved, live, tmp_path):
+        """Same atom count, integrator and fixes, yet another system: the
+        restore names the first differing row and leaves the run as it
+        was (no positions, box or step counter written first)."""
+        path = save_snapshot(
+            _run(get_benchmark(saved).build(500), 3), tmp_path / "other.npz"
+        )
+        sim = _run(get_benchmark(live).build(500), 2)
+        before = _payload_bytes(sim)
+        with pytest.raises(SnapshotError, match="different system: its masses"):
+            restore_simulation(sim, path)
+        assert _payload_bytes(sim) == before
 
 
 class TestDeflatedV2Compatibility:
@@ -233,7 +223,7 @@ class TestV1Compatibility:
         assert snap.state == {}
         assert snap.neighbor_build is None
         assert snap.histories == {}
-        _assert_system_equal(snap.system, sim.system)
+        assert_same_arrays(snap.system, sim.system)
 
     def test_restore_rejects_v1_by_default(self, tmp_path):
         _, v1 = self._make_v1(tmp_path)
@@ -253,18 +243,12 @@ class TestV1Compatibility:
         assert "allow_v1" not in message
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(type(obj).__name__)
+def _payload_bytes(sim):
+    return {key: value.tobytes() for key, value in snapshot_payload(sim).items()}
 
 
 def _roundtrip_json(obj):
-    return json.loads(json.dumps(obj, default=_jsonify))
+    return json.loads(json.dumps(obj, default=json_default))
 
 
 def _resave_with_version(src, dst, version, strip_v2_keys=False):

@@ -4,7 +4,7 @@
 integrity indexes, digest chains, manifests, spool files, cache records
 and snapshots.  Its promise: after a write that raises, ``path`` holds
 the bytes it held before and the directory holds no temp file.  The
-ENOSPC cases are the first entries of ROADMAP item 6's injected-failure
+ENOSPC cases are the first entries of ROADMAP item 9's injected-failure
 list ("full disk").
 """
 
