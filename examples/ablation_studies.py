@@ -8,7 +8,7 @@ and the ``-DFFT_SINGLE`` build flag.
 Run:  python examples/ablation_studies.py
 """
 
-from repro.core.report import render_table
+from repro.model.framework.tables import render_table
 from repro.studies.fft_precision import fft_precision_study
 from repro.studies.gpu_ranks import best_total_ranks, gpu_rank_tuning_study
 from repro.studies.newton import newton_ablation

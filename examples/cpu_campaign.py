@@ -12,9 +12,9 @@ Run:  python examples/cpu_campaign.py [output_dir]
 import sys
 from pathlib import Path
 
-from repro.core import ExperimentSpec, Mode, RunsTable, run_experiment
 from repro.figures import fig03, fig04, fig05, fig06
-from repro.perfmodel.workloads import RANK_COUNTS, SIZES_K
+from repro.model.framework import ExperimentSpec, Mode, RunsTable, run_experiment
+from repro.model.workloads import RANK_COUNTS, SIZES_K
 from repro.suite import CPU_BENCHMARKS
 
 

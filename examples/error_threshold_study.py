@@ -10,10 +10,10 @@ grids cross PCIe every step).
 Run:  python examples/error_threshold_study.py
 """
 
-from repro.core.report import render_table
 from repro.figures import fig10, fig11, fig13, fig14
 from repro.md.kspace.error import select_grid
-from repro.perfmodel.workloads import get_workload
+from repro.model.framework.tables import render_table
+from repro.model.workloads import get_workload
 
 import numpy as np
 

@@ -23,10 +23,9 @@ FIGURES = (
 
 
 def anchor_scoreboard() -> str:
-    from repro.core.report import render_table
-    from repro.gpu import simulate_gpu_run
-    from repro.parallel import simulate_cpu_run
-    from repro.perfmodel.calibration import PAPER_ANCHORS as A
+    from repro.model import simulate_cpu_run, simulate_gpu_run
+    from repro.model.calibration import PAPER_ANCHORS as A
+    from repro.model.framework.tables import render_table
 
     rows = []
     checks = [

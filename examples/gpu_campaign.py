@@ -9,11 +9,10 @@ collapses well below the CPU instance's.
 Run:  python examples/gpu_campaign.py
 """
 
-from repro.core.report import render_breakdown
 from repro.figures import fig07, fig08, fig09
-from repro.gpu import simulate_gpu_run
 from repro.md.timers import fractions
-from repro.parallel import simulate_cpu_run
+from repro.model import simulate_cpu_run, simulate_gpu_run
+from repro.model.framework.tables import render_breakdown
 
 
 def main() -> None:

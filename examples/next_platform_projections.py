@@ -15,7 +15,7 @@ stays from an Anton-3-class DSA even after all of it.
 Run:  python examples/next_platform_projections.py
 """
 
-from repro.core.report import render_table
+from repro.model.framework.tables import render_table
 from repro.studies.takeaways import (
     GPU_IMPROVEMENTS,
     commodity_fleet_gap,

@@ -9,10 +9,9 @@ configuration is (LJ-on-GPU most sensitive, Rhodopsin-on-GPU barely).
 Run:  python examples/precision_study.py
 """
 
-from repro.core.report import render_table
 from repro.figures import fig15, fig16
-from repro.gpu import simulate_gpu_run
-from repro.parallel import simulate_cpu_run
+from repro.model import simulate_cpu_run, simulate_gpu_run
+from repro.model.framework.tables import render_table
 
 
 def main() -> None:

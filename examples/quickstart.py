@@ -12,9 +12,8 @@ Two layers in one script:
 Run:  python examples/quickstart.py
 """
 
-from repro.core.report import render_breakdown, render_table
-from repro.gpu import simulate_gpu_run
-from repro.parallel import simulate_cpu_run
+from repro.model import simulate_cpu_run, simulate_gpu_run
+from repro.model.framework.tables import render_breakdown, render_table
 from repro.suite import get_benchmark
 
 

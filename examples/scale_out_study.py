@@ -10,10 +10,10 @@ and the weak-scaling view prior work reported.
 Run:  python examples/scale_out_study.py
 """
 
-from repro.core.report import render_table
-from repro.parallel import simulate_cpu_run
-from repro.parallel.multinode import simulate_multinode_run
-from repro.perfmodel.workloads import get_workload
+from repro.model import simulate_cpu_run
+from repro.model.cpu.multinode import simulate_multinode_run
+from repro.model.framework.tables import render_table
+from repro.model.workloads import get_workload
 from repro.studies.weak_scaling import weak_scaling_study
 
 

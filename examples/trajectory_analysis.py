@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.report import render_table
 from repro.md.computes import MeanSquaredDisplacement, RadialDistribution
 from repro.md.dump import XyzDumpWriter
 from repro.md.restart import save_snapshot
+from repro.model.framework.tables import render_table
 from repro.suite import get_benchmark
 
 

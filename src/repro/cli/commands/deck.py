@@ -18,8 +18,8 @@ def _configure(parser: argparse.ArgumentParser) -> None:
     configure=_configure,
 )
 def _cmd_run_deck(args: argparse.Namespace) -> int:
-    from repro.core.report import render_breakdown
     from repro.md.deck import parse_deck
+    from repro.model.framework.tables import render_breakdown
 
     deck = parse_deck(Path(args.deck).read_text())
     print(f"parsed {len(deck.commands)} commands "

@@ -38,11 +38,11 @@ def _configure_model_campaign(parser: argparse.ArgumentParser) -> None:
     configure=_configure_model_campaign,
 )
 def _cmd_model_campaign(args: argparse.Namespace) -> int:
-    from repro.core.aggregator import RunsTable
-    from repro.core.artifact import ArtifactLayout
-    from repro.core.experiment import Mode, sweep
-    from repro.core.runner import run_experiment
-    from repro.perfmodel.workloads import GPU_COUNTS, RANK_COUNTS, SIZES_K
+    from repro.model.framework.aggregator import RunsTable
+    from repro.model.framework.artifact import ArtifactLayout
+    from repro.model.framework.experiment import Mode, sweep
+    from repro.model.framework.runner import run_experiment
+    from repro.model.workloads import GPU_COUNTS, RANK_COUNTS, SIZES_K
     from repro.suite import CPU_BENCHMARKS, GPU_BENCHMARKS
 
     benchmarks = args.benchmarks or (
@@ -87,9 +87,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 @command("anchors", "paper-vs-measured scoreboard")
 def _cmd_anchors(args: argparse.Namespace) -> int:
-    from repro.gpu import simulate_gpu_run
-    from repro.parallel import simulate_cpu_run
-    from repro.perfmodel.calibration import PAPER_ANCHORS as A
+    from repro.model import simulate_cpu_run, simulate_gpu_run
+    from repro.model.calibration import PAPER_ANCHORS as A
 
     rows = [
         ("rhodo CPU 2048k/64 [TS/s]", A.rhodo_cpu_2048k_64r_ts,

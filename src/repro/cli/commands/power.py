@@ -58,7 +58,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
         platform_provenance,
         render_energy_table,
     )
-    from repro.suite import get_benchmark
+    from repro.service import JobSpec, build_simulation
 
     try:
         provider = detect_provider(args.provider)
@@ -66,10 +66,11 @@ def _cmd_power(args: argparse.Namespace) -> int:
         print(f"power provider unavailable: {exc}", file=sys.stderr)
         return 2
 
-    bench = get_benchmark(args.experiment)
+    sim, _steps = build_simulation(JobSpec(benchmark=args.experiment, n_atoms=args.atoms))
     tracer = Tracer(capacity=args.capacity)
     metrics = MetricsRegistry()
-    sim = bench.build_instrumented(args.atoms, tracer=tracer, metrics=metrics)
+    sim.attach_tracer(tracer)
+    sim.attach_metrics(metrics)
     # No --backend here: the build takes the environment's default, and
     # the record says so — under the one identity rule, which sees
     # through the tracing wrapper to the registry name that ran.

@@ -43,6 +43,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.md import RunConfig
+    from repro.md.kernels import available_backends, backend_diagnostics
     from repro.md.precision import PARITY_TOLERANCES
     from repro.service import JobSpec, build_simulation
 
@@ -54,14 +55,13 @@ def _cmd_scale(args: argparse.Namespace) -> int:
                      steps=args.steps, precision=args.precision,
                      backend=args.backend)
     serial, _steps = build_simulation(JobSpec(**described))
-    if args.backend and serial.backend.name != args.backend:
-        from repro.md.kernels import backend_diagnostics
-
+    if args.backend in available_backends():
         # get_backend degrades an unavailable optional backend to the
         # default with a warning; surface the reason on the CLI too.
-        print(f"backend {args.backend!r} is unavailable "
-              f"({backend_diagnostics().get(args.backend, 'unknown')}); "
-              f"using {serial.backend.name!r}")
+        reason = backend_diagnostics()[args.backend]
+        if not reason.startswith("ok"):
+            print(f"backend {args.backend!r} is unavailable ({reason}); "
+                  f"using {serial.backend.name!r}")
     serial.setup()
     print(f"built {args.experiment}: {serial.system.n_atoms} atoms, "
           f"{os.cpu_count()} cores visible; running {args.steps} steps at "

@@ -29,6 +29,7 @@ def _configure(parser: argparse.ArgumentParser) -> None:
     configure=_configure,
 )
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.md.kernels import resolved_backend
     from repro.observability import (
         MetricsRegistry,
         Tracer,
@@ -36,14 +37,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         render_span_table,
         render_task_table,
     )
-    from repro.suite import get_benchmark
+    from repro.service import JobSpec, build_simulation
 
-    bench = get_benchmark(args.experiment)
+    sim, _steps = build_simulation(JobSpec(benchmark=args.experiment, n_atoms=args.atoms))
     tracer = Tracer(capacity=args.capacity)
     metrics = MetricsRegistry()
-    sim = bench.build_instrumented(args.atoms, tracer=tracer, metrics=metrics)
+    sim.attach_tracer(tracer)
+    sim.attach_metrics(metrics)
     print(f"built {args.experiment}: {sim.system.n_atoms} atoms, "
-          f"backend {sim.backend.name}")
+          f"backend {resolved_backend(sim.backend)[0]}")
     if args.warmup:
         sim.run(args.warmup)
     tracer.reset()

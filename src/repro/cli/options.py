@@ -46,7 +46,10 @@ def add_backend_option(
     *,
     help: str = _BACKEND_HELP,
 ) -> None:
-    """``--backend NAME`` selecting a kernel backend (default: auto)."""
+    """``--backend NAME`` selecting a kernel backend.
+
+    Unset, a run takes ``$REPRO_KERNEL_BACKEND``, then ``numpy_fast``.
+    """
     parser.add_argument("--backend", default=None, metavar="NAME", help=help)
 
 

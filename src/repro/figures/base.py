@@ -12,10 +12,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.core.experiment import ExperimentSpec
-from repro.core.report import render_table
-from repro.core.runner import RunRecord
 from repro.figures.campaign import cached_run
+from repro.model.framework.experiment import ExperimentSpec
+from repro.model.framework.runner import RunRecord
+from repro.model.framework.tables import render_table
 
 __all__ = ["FigureData", "RowFamily", "percent_breakdown", "sweep_figure"]
 

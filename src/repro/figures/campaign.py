@@ -8,9 +8,9 @@ simulated campaign.
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentSpec, Mode
-from repro.core.runner import RunRecord, run_experiment
-from repro.perfmodel.workloads import GPU_COUNTS, RANK_COUNTS, SIZES_K
+from repro.model.framework.experiment import ExperimentSpec, Mode
+from repro.model.framework.runner import RunRecord, run_experiment
+from repro.model.workloads import GPU_COUNTS, RANK_COUNTS, SIZES_K
 
 __all__ = [
     "cached_run",

@@ -16,7 +16,7 @@ from typing import Iterable
 from repro.figures.base import FigureData, percent_breakdown, sweep_figure
 from repro.figures.campaign import SIZES_K
 from repro.figures.fig04 import MPI_RANKS
-from repro.parallel.mpi_model import MPI_FUNCTIONS
+from repro.model.cpu.mpi_model import MPI_FUNCTIONS
 from repro.suite import CPU_BENCHMARKS
 
 __all__ = ["generate", "MPI_FUNCTION_SHARES"]

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.metrics import parallel_efficiency
 from repro.figures.base import FigureData, RowFamily, sweep_figure
 from repro.figures.campaign import RANK_COUNTS, SIZES_K
+from repro.model.framework.efficiency import parallel_efficiency
 from repro.suite import CPU_BENCHMARKS
 
 __all__ = ["generate", "scaling_metrics"]

@@ -10,7 +10,7 @@ from typing import Iterable
 
 from repro.figures.base import FigureData, RowFamily, sweep_figure
 from repro.figures.campaign import RANK_COUNTS, SIZES_K
-from repro.perfmodel.precision import PRECISIONS
+from repro.model.precision import PRECISIONS
 
 __all__ = ["generate", "PRECISION_BENCHMARKS", "PRECISION_MODES", "THROUGHPUT"]
 

@@ -8,12 +8,12 @@ per-GPU utilization quoted for 2-million-atom systems.
 
 from __future__ import annotations
 
-from repro.core.experiment import ExperimentSpec
-from repro.core.metrics import ns_per_day
-from repro.core.report import render_table
 from repro.figures.base import FigureData
 from repro.figures.campaign import cached_run
-from repro.perfmodel.workloads import get_workload
+from repro.model.framework.efficiency import ns_per_day
+from repro.model.framework.experiment import ExperimentSpec
+from repro.model.framework.tables import render_table
+from repro.model.workloads import get_workload
 
 __all__ = ["generate"]
 

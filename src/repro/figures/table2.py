@@ -8,8 +8,8 @@ quoted numbers fall out of density x cutoff rather than being copied.
 
 from __future__ import annotations
 
-from repro.core.report import render_table
 from repro.figures.base import FigureData
+from repro.model.framework.tables import render_table
 from repro.suite import registry
 
 __all__ = ["generate", "measure_neighbors"]

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from repro.core.report import render_table
 from repro.figures.base import FigureData
-from repro.platforms.instances import CPU_INSTANCE, GPU_INSTANCE
+from repro.model.framework.tables import render_table
+from repro.model.platforms.instances import CPU_INSTANCE, GPU_INSTANCE
 
 __all__ = ["generate"]
 

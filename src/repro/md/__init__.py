@@ -7,7 +7,7 @@ Table 2, NVE/NVT/NPT integration, SHAKE constraints, and the Figure 1
 timestep loop with the Table 1 task breakdown.
 
 See :mod:`repro.suite` for the five ready-made benchmark experiments and
-:mod:`repro.perfmodel` for the calibrated performance layer that maps
+:mod:`repro.model` for the calibrated performance layer that maps
 this engine's operation counts onto the paper's CPU/GPU instances.
 """
 

@@ -410,15 +410,7 @@ class NeighborList:
         positions = box.wrap(system.positions)
         n = system.n_atoms
         rc = self.list_cutoff
-        # Minimum-image pair search is only valid when the box is at
-        # least two cutoffs wide in every periodic dimension.
-        min_periodic = box.lengths[box.periodic]
-        if len(min_periodic) and rc > 0.5 * float(np.min(min_periodic)):
-            raise ValueError(
-                f"cutoff+skin {rc:g} exceeds half the smallest periodic box "
-                f"length {float(np.min(min_periodic)):g}; enlarge the system "
-                "or shrink the cutoff"
-            )
+        self.check_box(box)
 
         # Producers that emit row-major (i, then j) pairs spare the
         # build its sort: np.triu_indices walks i < j in exactly that
@@ -475,13 +467,6 @@ class NeighborList:
         self.csr_offsets = offsets
         self.csr_neighbors = self.pair_j
 
-        self._positions_at_build = positions  # wrap() made this array
-        self._box_lengths_at_build = box.lengths.copy()
-        self.stats.n_builds += 1
-        self.stats.steps_since_build = 0
-        self.stats.last_pairs = len(self.pair_i)
-        # Neighbors/atom counted within the *cutoff* (Table 2 convention),
-        # not within cutoff + skin.
         if within is None and self.kernels is not None:
             within = self.kernels.count_pairs_within(
                 positions, box, i, j, self.cutoff
@@ -490,7 +475,41 @@ class NeighborList:
             dr = box.minimum_image(positions[i] - positions[j])
             r2 = np.einsum("ij,ij->i", dr, dr)
             within = int(np.count_nonzero(r2 < self.cutoff * self.cutoff))
-        self.stats.last_neighbors_per_atom = 2.0 * within / n
+        # wrap() made ``positions``; each unordered pair within the
+        # cutoff is a neighbor of both its atoms.
+        self.record_build(positions, box, len(self.pair_i), 2 * within)
+
+    def check_box(self, box: Box) -> None:
+        """Refuse a box too small for minimum-image pair search.
+
+        The search is only valid when the box is at least two list
+        cutoffs wide in every periodic dimension.
+        """
+        rc = self.list_cutoff
+        min_periodic = box.lengths[box.periodic]
+        if len(min_periodic) and rc > 0.5 * float(np.min(min_periodic)):
+            raise ValueError(
+                f"cutoff+skin {rc:g} exceeds half the smallest periodic box "
+                f"length {float(np.min(min_periodic)):g}; enlarge the system "
+                "or shrink the cutoff"
+            )
+
+    def record_build(
+        self, positions: np.ndarray, box: Box, n_pairs: int, n_within: int
+    ) -> None:
+        """Record a build over the wrapped ``positions`` in ``box``.
+
+        ``n_pairs`` is the number of stored pairs; ``n_within`` counts
+        neighbor entries within the *cutoff* (not cutoff + skin, the
+        Table 2 convention) over all atoms, so each unordered pair
+        counts twice.  The skin check measures displacements from here.
+        """
+        self._positions_at_build = positions
+        self._box_lengths_at_build = box.lengths.copy()
+        self.stats.n_builds += 1
+        self.stats.steps_since_build = 0
+        self.stats.last_pairs = n_pairs
+        self.stats.last_neighbors_per_atom = n_within / len(positions)
 
     @staticmethod
     def _can_bin(box: Box, rc: float) -> bool:
@@ -524,11 +543,16 @@ class NeighborList:
             max_sq = float(np.max(np.einsum("ij,ij->i", disp, disp)))
         return max_sq > (0.5 * self.skin) ** 2
 
-    def ensure(self, system: AtomSystem) -> bool:
-        """Rebuild if stale; returns whether a rebuild happened."""
+    def step_needs_rebuild(self, system: AtomSystem) -> bool:
+        """Count one step toward the rebuild cadence, then
+        :meth:`needs_rebuild`."""
         self.stats.total_steps += 1
         self.stats.steps_since_build += 1
-        if self.needs_rebuild(system):
+        return self.needs_rebuild(system)
+
+    def ensure(self, system: AtomSystem) -> bool:
+        """Rebuild if stale; returns whether a rebuild happened."""
+        if self.step_needs_rebuild(system):
             self.build(system)
             return True
         return False

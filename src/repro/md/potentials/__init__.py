@@ -19,7 +19,6 @@ from repro.md.potentials.granular import HookeHistory
 from repro.md.potentials.lj import LennardJonesCut
 from repro.md.potentials.mixing import mix_epsilon, mix_sigma
 from repro.md.potentials.soft import SoftRepulsion
-from repro.md.potentials.table import TabulatedPair
 from repro.md.potentials.tersoff import Tersoff, TersoffParameters
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "mix_epsilon",
     "mix_sigma",
     "SoftRepulsion",
-    "TabulatedPair",
     "Tersoff",
     "TersoffParameters",
 ]

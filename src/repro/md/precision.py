@@ -21,7 +21,7 @@ that choice through the real engine as three dtypes:
 
 The user-facing vocabulary is the :class:`Precision` enum defined here
 — the one list of the three mode names; the modeled layer
-(:mod:`repro.perfmodel.precision`), the report validator and the CLI
+(:mod:`repro.model.precision`), the report validator and the CLI
 all take theirs from it.  ``numpy_ref`` stays a
 pure float64 oracle regardless of policy; per-mode oracle tolerances
 (:attr:`PrecisionPolicy.force_rtol`) say how closely a mode's

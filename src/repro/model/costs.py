@@ -15,7 +15,7 @@ Costs follow the paper's own complexity analysis (Section 2.1):
 
 Coefficients are for one Xeon 8358 core at turbo and were calibrated so
 the full campaign reproduces the paper's anchor numbers (see
-``repro.perfmodel.calibration`` and ``tests/test_model_anchors.py``).
+``repro.model.calibration`` and ``tests/test_model_anchors.py``).
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numpy as np
 
 from repro.md.kspace.error import select_grid
 from repro.md.precision import parse_precision
-from repro.perfmodel.precision import Precision, precision_pair_factor
-from repro.perfmodel.workloads import WorkloadParams
+from repro.model.precision import Precision, precision_pair_factor
+from repro.model.workloads import WorkloadParams
 
 __all__ = ["CpuCostCoefficients", "ComputeTimes", "CpuCostModel", "kspace_grid"]
 

@@ -20,17 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.metrics import ns_per_day
 from repro.md.precision import parse_precision
+from repro.model.costs import ComputeTimes, CpuCostModel, kspace_grid
+from repro.model.cpu.mpi_model import MpiModel
+from repro.model.framework.efficiency import ns_per_day
+from repro.model.platforms.instances import CPU_INSTANCE, InstanceSpec
+from repro.model.precision import Precision
+from repro.model.workloads import WorkloadParams, get_workload
+from repro.observability.telemetry.providers import CpuPowerModel
 from repro.observability.timeline import RankTimeline
 from repro.observability.tracer import NULL_TRACER, resolve_tracer
 from repro.parallel.decomposition import SubdomainGeometry
-from repro.parallel.mpi_model import MpiModel
-from repro.perfmodel.costs import ComputeTimes, CpuCostModel, kspace_grid
-from repro.perfmodel.precision import Precision
-from repro.perfmodel.workloads import WorkloadParams, get_workload
-from repro.platforms.instances import CPU_INSTANCE, InstanceSpec
-from repro.platforms.power import CpuPowerModel
 
 __all__ = ["CpuRunResult", "RankSetup", "rank_setup", "run_on_ranks", "simulate_cpu_run"]
 
@@ -240,7 +240,9 @@ def run_on_ranks(
 
     busy = float(np.mean(per_rank_compute)) / step_seconds
     utilization = min(1.0, workload.core_utilization * busy**0.3)
-    power = CpuPowerModel(instance).watts(n_ranks, utilization)
+    power = CpuPowerModel(
+        instance.idle_watts, instance.cpu.tdp_watts, instance.cpu.cores, instance.sockets
+    ).watts(n_ranks, utilization)
 
     return CpuRunResult(
         benchmark=workload.name,

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.model.workloads import WorkloadParams
 from repro.parallel.decomposition import SubdomainGeometry
-from repro.perfmodel.workloads import WorkloadParams
 
 __all__ = ["MPI_FUNCTIONS", "MpiTimes", "MpiModel"]
 

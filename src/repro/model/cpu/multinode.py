@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.parallel.executor import rank_setup
-from repro.parallel.mpi_model import FORCE_BYTES, MpiModel
-from repro.perfmodel.costs import CpuCostModel
-from repro.perfmodel.workloads import WorkloadParams
-from repro.platforms.instances import CPU_INSTANCE, InstanceSpec
+from repro.model.costs import CpuCostModel
+from repro.model.cpu.executor import rank_setup
+from repro.model.cpu.mpi_model import FORCE_BYTES, MpiModel
+from repro.model.platforms.instances import CPU_INSTANCE, InstanceSpec
+from repro.model.workloads import WorkloadParams
 
 __all__ = ["MultiNodeResult", "NetworkModel", "simulate_multinode_run"]
 

@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.md.precision import parse_precision
-from repro.parallel.executor import CpuRunResult, rank_setup, run_on_ranks
-from repro.parallel.mpi_model import MpiModel
-from repro.perfmodel.costs import CpuCostModel
-from repro.perfmodel.precision import Precision
-from repro.perfmodel.workloads import WorkloadParams
-from repro.platforms.instances import CPU_INSTANCE, InstanceSpec
+from repro.model.costs import CpuCostModel
+from repro.model.cpu.executor import CpuRunResult, rank_setup, run_on_ranks
+from repro.model.cpu.mpi_model import MpiModel
+from repro.model.platforms.instances import CPU_INSTANCE, InstanceSpec
+from repro.model.precision import Precision
+from repro.model.workloads import WorkloadParams
 
 __all__ = ["OpenMpModel", "simulate_hybrid_run", "best_hybrid_split"]
 

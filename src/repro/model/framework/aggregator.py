@@ -11,7 +11,7 @@ import csv
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from repro.core.runner import RunRecord
+from repro.model.framework.runner import RunRecord
 
 __all__ = ["RunsTable"]
 

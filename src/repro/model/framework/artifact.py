@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core.aggregator import RunsTable
-from repro.core.runner import RunRecord
+from repro.model.framework.aggregator import RunsTable
+from repro.model.framework.runner import RunRecord
 
 __all__ = ["ArtifactLayout"]
 

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from repro.md.precision import parse_precision
-from repro.perfmodel.workloads import get_workload
+from repro.model.workloads import get_workload
 
 __all__ = ["Mode", "ExperimentSpec", "sweep"]
 

@@ -3,7 +3,7 @@
 The paper's artifact post-processes profiling output with
 ``aggregate_mpi_data.py``, ``parse_task_breakdown.py`` and
 ``aggregate_gpu_data.py``; these functions are their equivalents,
-consuming an :class:`~repro.core.artifact.ArtifactLayout` tree and
+consuming an :class:`~repro.model.framework.artifact.ArtifactLayout` tree and
 producing the aggregated tables the chart generators plot.
 """
 
@@ -13,8 +13,8 @@ import json
 from collections import defaultdict
 from pathlib import Path
 
-from repro.core.artifact import ArtifactLayout
-from repro.core.report import render_table
+from repro.model.framework.artifact import ArtifactLayout
+from repro.model.framework.tables import render_table
 
 __all__ = [
     "aggregate_task_breakdown",

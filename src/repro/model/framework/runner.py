@@ -1,13 +1,13 @@
 """Experiment execution: benchmarking (mode B) and profiling (mode A).
 
-``run_experiment`` drives one :class:`~repro.core.experiment.ExperimentSpec`
+``run_experiment`` drives one :class:`~repro.model.framework.experiment.ExperimentSpec`
 through the simulated platform executors and packages the observations
 into a flat :class:`RunRecord` — the row format the aggregator stores in
 ``runs.csv`` (mirroring the authors' artifact layout).
 
 Benchmarking mode additionally emulates the measurement protocol: it
 sizes the run to last at least ten seconds and feeds the mean power
-through the 0.5 s :class:`~repro.platforms.power.PowerSampler` loop, so
+through the 0.5 s :class:`~repro.model.platforms.power.PowerSampler` loop, so
 the recorded watts carry realistic sampling noise.
 """
 
@@ -17,13 +17,13 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
-from repro.core.experiment import ExperimentSpec, Mode
-from repro.core.metrics import timesteps_for_runtime
-from repro.gpu.executor import simulate_gpu_run
 from repro.md.timers import fractions
-from repro.parallel.executor import simulate_cpu_run
-from repro.perfmodel.workloads import get_workload
-from repro.platforms.power import PowerSampler
+from repro.model.cpu.executor import simulate_cpu_run
+from repro.model.framework.efficiency import timesteps_for_runtime
+from repro.model.framework.experiment import ExperimentSpec, Mode
+from repro.model.gpu.executor import simulate_gpu_run
+from repro.model.platforms.power import PowerSampler
+from repro.model.workloads import get_workload
 
 __all__ = ["RunRecord", "run_experiment"]
 

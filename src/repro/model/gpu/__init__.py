@@ -7,17 +7,17 @@ positions host-to-device and forces device-to-host, which is exactly the
 data-movement bottleneck Section 6 diagnoses.  This package models that
 offload structure:
 
-* :mod:`repro.gpu.kernels` — the kernel catalogue of Figure 8 with
+* :mod:`repro.model.gpu.kernels` — the kernel catalogue of Figure 8 with
   per-kernel cost laws;
-* :mod:`repro.gpu.transfers` — the PCIe memcpy model (shared host
+* :mod:`repro.model.gpu.transfers` — the PCIe memcpy model (shared host
   bandwidth, per-transfer latency);
-* :mod:`repro.gpu.executor` — the simulated GPU-instance run behind
+* :mod:`repro.model.gpu.executor` — the simulated GPU-instance run behind
   Figures 7-9, 13 and 16.
 """
 
-from repro.gpu.executor import GpuRunResult, simulate_gpu_run
-from repro.gpu.kernels import KERNELS_BY_BENCHMARK, GpuKernelCoefficients
-from repro.gpu.transfers import PcieModel
+from repro.model.gpu.executor import GpuRunResult, simulate_gpu_run
+from repro.model.gpu.kernels import KERNELS_BY_BENCHMARK, GpuKernelCoefficients
+from repro.model.gpu.transfers import PcieModel
 
 __all__ = [
     "simulate_gpu_run",

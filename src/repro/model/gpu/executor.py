@@ -23,22 +23,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.gpu.kernels import (
+from repro.md.precision import parse_precision
+from repro.model.costs import CpuCostCoefficients, CpuCostModel
+from repro.model.cpu.executor import rank_setup
+from repro.model.cpu.mpi_model import MpiModel
+from repro.model.framework.efficiency import ns_per_day
+from repro.model.gpu.kernels import (
     DATA_MOVEMENT_ENTRIES,
     GpuKernelCoefficients,
     kernel_seconds_per_step,
     pair_kernel_names,
 )
-from repro.core.metrics import ns_per_day
-from repro.gpu.transfers import PcieModel
-from repro.md.precision import parse_precision
-from repro.parallel.executor import rank_setup
-from repro.parallel.mpi_model import MpiModel
-from repro.perfmodel.costs import CpuCostCoefficients, CpuCostModel
-from repro.perfmodel.precision import Precision
-from repro.perfmodel.workloads import WorkloadParams, get_workload
-from repro.platforms.instances import GPU_INSTANCE, InstanceSpec
-from repro.platforms.power import GpuPowerModel
+from repro.model.gpu.transfers import PcieModel
+from repro.model.platforms.instances import GPU_INSTANCE, InstanceSpec
+from repro.model.platforms.power import GpuPowerModel
+from repro.model.precision import Precision
+from repro.model.workloads import WorkloadParams, get_workload
 
 __all__ = ["GpuRunResult", "simulate_gpu_run", "GpuModelConfig"]
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.perfmodel.precision import Precision, gpu_precision_pair_factor
-from repro.perfmodel.workloads import WorkloadParams
+from repro.model.precision import Precision, gpu_precision_pair_factor
+from repro.model.workloads import WorkloadParams
 
 __all__ = [
     "GpuKernelCoefficients",

@@ -3,23 +3,18 @@
 The paper's campaign ran on two Oracle-cloud nodes: a dual-socket Intel
 Xeon Platinum 8358 "CPU instance" and a dual-socket Xeon 8167M with
 eight NVIDIA V100s ("GPU instance").  These dataclasses carry the full
-Table 3 specification plus the utilization-based power models that
+Table 3 specification plus the utilization-based node power models that
 substitute for the paper's ``powerstat`` / ``nvidia-smi`` measurements.
 """
 
-from repro.platforms.instances import (
+from repro.model.platforms.instances import (
     CPU_INSTANCE,
     GPU_INSTANCE,
     CpuSpec,
     GpuSpec,
     InstanceSpec,
 )
-from repro.platforms.power import (
-    CpuPowerModel,
-    GpuPowerModel,
-    PowerSample,
-    UnderSampledRunWarning,
-)
+from repro.model.platforms.power import GpuPowerModel, PowerSample, PowerSampler
 
 __all__ = [
     "CpuSpec",
@@ -27,8 +22,7 @@ __all__ = [
     "InstanceSpec",
     "CPU_INSTANCE",
     "GPU_INSTANCE",
-    "CpuPowerModel",
     "GpuPowerModel",
     "PowerSample",
-    "UnderSampledRunWarning",
+    "PowerSampler",
 ]

@@ -17,7 +17,7 @@ reproduction the same power over itself:
 * :mod:`repro.observability.timeline` — per-rank timelines for the
   simulated MPI layer, so Figure 4's imbalance is computed from
   recorded spans rather than only the analytic model.
-* :mod:`repro.observability.report` — LAMMPS-style timing tables and
+* :mod:`repro.observability.timing` — LAMMPS-style timing tables and
   the trace-vs-timer agreement check.
 * :mod:`repro.observability.telemetry` — measured hardware power
   sampling (RAPL / procfs / calibrated-model provider ladder) at the
@@ -36,12 +36,6 @@ from repro.observability.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.observability.report import (
-    render_agreement,
-    render_span_table,
-    render_task_table,
-    trace_timer_agreement,
-)
 from repro.observability.telemetry import (
     EnergyAttribution,
     IntervalSample,
@@ -52,6 +46,12 @@ from repro.observability.telemetry import (
     render_energy_table,
 )
 from repro.observability.timeline import RankSpan, RankTimeline
+from repro.observability.timing import (
+    render_agreement,
+    render_span_table,
+    render_task_table,
+    trace_timer_agreement,
+)
 from repro.observability.tracer import (
     NULL_TRACER,
     TRACE_ENV_VAR,

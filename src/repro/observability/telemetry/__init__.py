@@ -1,25 +1,28 @@
 """Hardware telemetry: measured power sampling with phase attribution.
 
-The paper reports energy efficiency (timesteps/s/W, sampled at 0.5 s);
-``repro.platforms.power`` only *models* draw from utilization.  This
-package replaces the model with measurement wherever the machine allows
-and falls back to the calibrated model — loudly labelled — where it
-does not:
+The paper reports energy efficiency (timesteps/s/W, sampled at 0.5 s).
+This package measures power wherever the machine allows and falls back
+to a utilization model — loudly labelled — where it does not:
 
 * :mod:`providers <repro.observability.telemetry.providers>` — the
   provider ladder: RAPL ``energy_uj`` counters (measured), /proc/stat
-  utilization through :class:`~repro.platforms.power.CpuPowerModel`
-  (estimated), process-CPU-slope model (modeled).  Auto-detected in
-  that order; ``$REPRO_POWER_PROVIDER`` forces one.
+  utilization through :class:`CpuPowerModel` (estimated),
+  process-CPU-slope model (modeled).  Auto-detected in that order;
+  ``$REPRO_POWER_PROVIDER`` forces one.
 * :mod:`sampler <repro.observability.telemetry.sampler>` — the 0.5 s
   background sampling loop with MIN_RUN_SECONDS enforcement (loud
   warning, never a silent under-sampled series).
+
 * :mod:`attribution <repro.observability.telemetry.attribution>` —
   joins sample intervals with the PR-2 span tracer's timeline to
   attribute joules per phase (Pair, Neigh, Comm, Kspace, checkpoint...).
 * :mod:`provenance <repro.observability.telemetry.provenance>` —
   kernel version, cgroup CPU quota and RAPL availability for the
   benchmark platform records.
+
+The performance model (:mod:`repro.model`) imports the utilization
+formula and the sampling methodology from here; nothing here imports the
+model.
 
 Entry point: ``python -m repro power lj --steps 40 --atoms 32768``
 prints a live per-phase energy breakdown and TS/s/W; ``--json`` exports
@@ -33,10 +36,16 @@ from repro.observability.telemetry.attribution import (
     attribute_energy,
     render_energy_table,
 )
+from repro.observability.telemetry.provenance import (
+    cgroup_cpu_quota,
+    kernel_version,
+    platform_provenance,
+)
 from repro.observability.telemetry.providers import (
     EXPLICIT_PROVIDERS,
     PROVIDER_ENV_VAR,
     PROVIDER_ORDER,
+    CpuPowerModel,
     DramRaplProvider,
     IntervalSample,
     ModelProvider,
@@ -44,15 +53,13 @@ from repro.observability.telemetry.providers import (
     ProcStatProvider,
     RaplProvider,
     detect_provider,
-    local_instance_spec,
     provider_diagnostics,
 )
-from repro.observability.telemetry.provenance import (
-    cgroup_cpu_quota,
-    kernel_version,
-    platform_provenance,
+from repro.observability.telemetry.sampler import (
+    TelemetrySampler,
+    UnderSampledRunWarning,
+    reset_under_sample_warnings,
 )
-from repro.observability.telemetry.sampler import TelemetrySampler
 
 __all__ = [
     "IntervalSample",
@@ -66,8 +73,10 @@ __all__ = [
     "EXPLICIT_PROVIDERS",
     "detect_provider",
     "provider_diagnostics",
-    "local_instance_spec",
+    "CpuPowerModel",
     "TelemetrySampler",
+    "UnderSampledRunWarning",
+    "reset_under_sample_warnings",
     "EnergyAttribution",
     "PhaseEnergy",
     "attribute_energy",

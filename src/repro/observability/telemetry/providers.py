@@ -12,10 +12,9 @@ offers a small provider ladder, best evidence first:
    ``intel-rapl:0:0`` are *parts of* their package and would double
    count) and handles wraparound.  Kind: ``"measured"``.
 2. :class:`ProcStatProvider` — derives per-core utilization from
-   ``/proc/stat`` jiffy deltas and feeds it through the existing
-   :class:`~repro.platforms.power.CpuPowerModel` over a locally
-   calibrated instance spec.  Kind: ``"estimated"`` (real utilization,
-   modeled watts).
+   ``/proc/stat`` jiffy deltas and turns it into watts through
+   :class:`CpuPowerModel`, calibrated for this machine.  Kind:
+   ``"estimated"`` (real utilization, modeled watts).
 3. :class:`ModelProvider` — the pure fallback: estimates busy
    core-equivalents of *this process* from ``time.process_time()``
    deltas and runs the same calibrated model.  Always available.
@@ -29,15 +28,12 @@ provenance, so a record always says which rung produced its joules.
 from __future__ import annotations
 
 import os
-import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.platforms.instances import CpuSpec, InstanceSpec
-from repro.platforms.power import CpuPowerModel
-
 __all__ = [
+    "CpuPowerModel",
     "IntervalSample",
     "PowerProvider",
     "RaplProvider",
@@ -49,7 +45,6 @@ __all__ = [
     "EXPLICIT_PROVIDERS",
     "detect_provider",
     "provider_diagnostics",
-    "local_instance_spec",
 ]
 
 #: Environment override: ``rapl``, ``dram``, ``procfs`` or ``model``
@@ -282,44 +277,66 @@ class DramRaplProvider(RaplProvider):
 
 
 # ---------------------------------------------------------------------------
-# /proc/stat utilization -> calibrated CpuPowerModel
+# /proc/stat utilization -> CpuPowerModel
 # ---------------------------------------------------------------------------
-def local_instance_spec(n_cores: int | None = None) -> InstanceSpec:
-    """A calibrated :class:`InstanceSpec` describing *this* machine.
+class CpuPowerModel:
+    """Socket power = share of TDP proportional to active-core load.
 
-    The paper's Table 3 nodes have known TDPs; a commodity dev box or CI
-    container does not, so we assume a mid-range desktop profile —
-    ~12.5 W active draw per core (0.8 x TDP / cores with TDP sized to
-    match) over a 10 W idle floor — and let ``$REPRO_POWER_IDLE_WATTS``
-    / ``$REPRO_POWER_TDP_WATTS`` recalibrate when the numbers are known.
-    The point of this spec is honest *relative* attribution, with the
-    provenance field flagging that the watts are model-derived.
+    ``watts(n, util)``: the node idle floor plus each of the ``n`` busy
+    cores drawing its per-core share of the socket TDP scaled by its
+    utilization (the paper reports per-benchmark physical-core
+    utilizations of 24 % for Chute up to 83 % for Rhodopsin).  The
+    performance model feeds it the paper's Table 3 nodes; the providers
+    below feed it this machine.
     """
-    cores = int(n_cores or os.cpu_count() or 1)
+
+    def __init__(
+        self, idle_watts: float, tdp_watts: float, cores: int, sockets: int
+    ) -> None:
+        """``tdp_watts`` and ``cores`` are per socket."""
+        self.idle_watts = idle_watts
+        self.tdp_watts = tdp_watts
+        self.total_cores = cores * sockets
+        self.sockets = sockets
+        # Reserve ~20% of TDP for the uncore; the rest splits per core.
+        self._per_core_watts = 0.8 * tdp_watts / cores
+
+    def watts(self, active_cores: int, utilization: float) -> float:
+        if active_cores < 0 or not 0.0 <= utilization <= 1.0:
+            raise ValueError("active_cores >= 0 and utilization in [0, 1]")
+        active_cores = min(active_cores, self.total_cores)
+        draw = self.idle_watts + (
+            active_cores * self._per_core_watts * utilization
+        )
+        cap = self.idle_watts + self.sockets * self.tdp_watts
+        return min(draw, cap)
+
+
+def _local_power_model(cores: int) -> CpuPowerModel:
+    """The utilization->watts model for *this* machine, one socket.
+
+    A commodity dev box or CI container has no known TDP, so we assume a
+    mid-range desktop profile — ~12.5 W active draw per core over a
+    10 W idle floor — and let ``$REPRO_POWER_IDLE_WATTS`` /
+    ``$REPRO_POWER_TDP_WATTS`` recalibrate when the numbers are known.
+    The point is honest *relative* attribution, with the provenance
+    ``kind`` flagging that the watts are model-derived.
+    """
     idle = float(os.environ.get(IDLE_WATTS_ENV_VAR, 10.0))
     # 0.8 * tdp / cores == 12.5 W/core unless overridden.
     tdp = float(os.environ.get(TDP_WATTS_ENV_VAR, cores * 12.5 / 0.8))
-    cpu = CpuSpec(
-        model=platform.processor() or platform.machine() or "local-cpu",
-        cores=cores,
-        threads=cores,
-        frequency_ghz=2.5,
-        turbo_ghz=3.5,
-        l1_kb_per_core=64,
-        l2_mb_per_core=1.0,
-        l3_mb_shared=16.0,
-        tech_node_nm=10,
-        tdp_watts=tdp,
-    )
-    return InstanceSpec(
-        name="local-node",
-        cpu=cpu,
-        sockets=1,
-        memory_gb=16,
-        os=platform.system(),
-        kernel=platform.release(),
-        idle_watts=idle,
-    )
+    return CpuPowerModel(idle, tdp, cores, 1)
+
+
+def _model_provenance(provider: "PowerProvider") -> dict:
+    model = provider.model
+    return {
+        "provider": provider.name,
+        "kind": provider.kind,
+        "cores": model.total_cores,
+        "idle_watts": model.idle_watts,
+        "tdp_watts": model.tdp_watts,
+    }
 
 
 def _parse_cpu_times(text: str) -> dict[str, tuple[int, int]]:
@@ -349,7 +366,6 @@ class ProcStatProvider(PowerProvider):
         self,
         stat_path: str | Path = PROC_STAT_PATH,
         *,
-        instance: InstanceSpec | None = None,
         clock=time.perf_counter,
     ) -> None:
         self.stat_path = Path(stat_path)
@@ -360,8 +376,7 @@ class ProcStatProvider(PowerProvider):
             raise RuntimeError(f"cannot read {self.stat_path}: {exc}") from exc
         if not baseline:
             raise RuntimeError(f"no per-core cpu lines in {self.stat_path}")
-        self.instance = instance or local_instance_spec(len(baseline))
-        self.model = CpuPowerModel(self.instance)
+        self.model = _local_power_model(len(baseline))
         self._last = baseline
         self._last_t = self._clock()
 
@@ -405,19 +420,13 @@ class ProcStatProvider(PowerProvider):
     def sample(self) -> IntervalSample:
         now = self._clock()
         utilization = self.utilization()
-        watts = self.model.watts(self.instance.total_cores, utilization)
+        watts = self.model.watts(self.model.total_cores, utilization)
         sample = IntervalSample(self._last_t, now, watts * (now - self._last_t))
         self._last_t = now
         return sample
 
     def provenance(self) -> dict:
-        return {
-            "provider": self.name,
-            "kind": self.kind,
-            "cores": self.instance.total_cores,
-            "idle_watts": self.instance.idle_watts,
-            "tdp_watts": self.instance.cpu.tdp_watts,
-        }
+        return _model_provenance(self)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +447,10 @@ class ModelProvider(PowerProvider):
     def __init__(
         self,
         *,
-        instance: InstanceSpec | None = None,
         clock=time.perf_counter,
         cpu_clock=time.process_time,
     ) -> None:
-        self.instance = instance or local_instance_spec()
-        self.model = CpuPowerModel(self.instance)
+        self.model = _local_power_model(os.cpu_count() or 1)
         self._clock = clock
         self._cpu_clock = cpu_clock
         self._last_t = self._clock()
@@ -466,7 +473,7 @@ class ModelProvider(PowerProvider):
         cpu = self._cpu_clock()
         dt = now - self._last_t
         busy_cores = (cpu - self._last_cpu) / dt if dt > 0 else 0.0
-        cores = self.instance.total_cores
+        cores = self.model.total_cores
         utilization = min(1.0, busy_cores / cores) if cores else 0.0
         watts = self.model.watts(cores, utilization)
         sample = IntervalSample(self._last_t, now, watts * dt)
@@ -475,13 +482,7 @@ class ModelProvider(PowerProvider):
         return sample
 
     def provenance(self) -> dict:
-        return {
-            "provider": self.name,
-            "kind": self.kind,
-            "cores": self.instance.total_cores,
-            "idle_watts": self.instance.idle_watts,
-            "tdp_watts": self.instance.cpu.tdp_watts,
-        }
+        return _model_provenance(self)
 
 
 # ---------------------------------------------------------------------------

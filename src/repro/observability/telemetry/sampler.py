@@ -2,7 +2,7 @@
 
 :class:`TelemetrySampler` owns one :class:`~repro.observability.
 telemetry.providers.PowerProvider` and polls it from a daemon thread
-every :data:`~repro.platforms.power.SAMPLING_PERIOD_S` seconds — the
+every :data:`SAMPLING_PERIOD_S` seconds — the
 cadence the paper's ``powerstat``/``nvidia-smi`` loop used.  Samples
 are energy *intervals* on the tracer's clock, so they can later be
 intersected with span timelines for per-phase attribution.
@@ -10,9 +10,9 @@ intersected with span timelines for per-phase attribution.
 Methodology guards (the LAMMPS time-measurement note in PAPERS.md is
 the reference for why these matter):
 
-* runs shorter than :data:`~repro.platforms.power.MIN_RUN_SECONDS`
-  still return their series but raise a loud, once-per-process
-  :class:`~repro.platforms.power.UnderSampledRunWarning`, and the
+* runs shorter than :data:`MIN_RUN_SECONDS` still return their series
+  but raise a loud, once-per-process :class:`UnderSampledRunWarning`
+  (the performance model's emulated sampler raises it too), and the
   report carries ``under_sampled: true`` so downstream consumers can
   gate on it;
 * ``stop()`` flushes a final partial interval, so total joules cover
@@ -25,19 +25,70 @@ from __future__ import annotations
 
 import threading
 import time
+import warnings
 
 from repro.observability.telemetry.providers import (
     IntervalSample,
     PowerProvider,
     detect_provider,
 )
-from repro.platforms.power import (
-    MIN_RUN_SECONDS,
-    SAMPLING_PERIOD_S,
-    warn_under_sampled,
-)
 
-__all__ = ["TelemetrySampler"]
+__all__ = [
+    "TelemetrySampler",
+    "SAMPLING_PERIOD_S",
+    "MIN_RUN_SECONDS",
+    "UnderSampledRunWarning",
+    "warn_under_sampled",
+    "reset_under_sample_warnings",
+]
+
+#: The framework's fixed power sampling period (Section 4.2).
+SAMPLING_PERIOD_S = 0.5
+
+#: Minimum run duration the methodology requires so that enough power
+#: samples land inside the measurement window.
+MIN_RUN_SECONDS = 10.0
+
+
+class UnderSampledRunWarning(RuntimeWarning):
+    """A power-sampled run was shorter than :data:`MIN_RUN_SECONDS`.
+
+    The series is still returned — short smoke runs are legitimate — but
+    the Section 4.2 methodology (and the Gromacs energy-efficiency paper
+    it leans on) says too few 0.5 s samples make the average watts, and
+    anything derived from them, statistically meaningless.  Consumers
+    should surface the flag rather than quietly report the number.
+    """
+
+
+#: Process-wide dedup sets so the under-sampling warning fires once per
+#: call site kind, not once per benchmark window (a --quick bench run
+#: takes dozens of short windows).
+_WARNED_SITES: set[str] = set()
+
+
+def warn_under_sampled(site: str, duration_s: float, minimum: float) -> bool:
+    """Emit :class:`UnderSampledRunWarning` once per process per ``site``.
+
+    Returns ``True`` when the warning was actually raised (first time).
+    """
+    if site in _WARNED_SITES:
+        return False
+    _WARNED_SITES.add(site)
+    warnings.warn(
+        f"{site}: run lasted {duration_s:.2f} s, below the "
+        f"{minimum:.0f} s the Section 4.2 power-sampling methodology "
+        "requires — the energy/watts figures are under-sampled and "
+        "should not be compared across runs",
+        UnderSampledRunWarning,
+        stacklevel=3,
+    )
+    return True
+
+
+def reset_under_sample_warnings() -> None:
+    """Re-arm the once-per-process under-sampling warnings (tests)."""
+    _WARNED_SITES.clear()
 
 
 class TelemetrySampler:

@@ -586,26 +586,14 @@ class ParallelForceExecutor(ForceExecutor):
     # ------------------------------------------------------------------
     def maintain_neighbors(self, system: AtomSystem, *, force: bool = False) -> bool:
         neighbor = self.simulation.neighbor
-        if not force:
-            neighbor.stats.total_steps += 1
-            neighbor.stats.steps_since_build += 1
-            if not neighbor.needs_rebuild(system):
-                return False
+        if not force and not neighbor.step_needs_rebuild(system):
+            return False
         if self._workers:
             histories = self._gather_histories(system)
         else:
             self._start()
             histories = self._initial_histories
-        # Mirror the serial build's validity check: ghost-image pair
-        # search needs the box at least two list-cutoffs wide.
-        rc = neighbor.list_cutoff
-        periodic_lengths = system.box.lengths[system.box.periodic]
-        if len(periodic_lengths) and rc > 0.5 * float(np.min(periodic_lengths)):
-            raise ValueError(
-                f"cutoff+skin {rc:g} exceeds half the smallest periodic box "
-                f"length {float(np.min(periodic_lengths)):g}; enlarge the "
-                "system or shrink the cutoff"
-            )
+        neighbor.check_box(system.box)
         self._publish_state(system)
         replies = self._dispatch(
             "rebuild",
@@ -613,17 +601,15 @@ class ParallelForceExecutor(ForceExecutor):
             fault=self._take_fault("rebuild"),
             histories=histories,
         )
-        neighbor._positions_at_build = system.box.wrap(system.positions)
-        neighbor._box_lengths_at_build = system.box.lengths.copy()
-        stats = neighbor.stats
-        stats.n_builds += 1
-        stats.steps_since_build = 0
         wall, cpu, counts = zip(*replies)
         directed, within = (sum(column) for column in zip(*counts))
-        stats.last_pairs = directed if neighbor.full else directed // 2
-        # Neighbors/atom within the *cutoff* (Table 2 convention): each
-        # unordered pair is one owned row on each side.
-        stats.last_neighbors_per_atom = within / system.n_atoms
+        # Each unordered pair is one owned row on each side.
+        neighbor.record_build(
+            system.box.wrap(system.positions),
+            system.box,
+            directed if neighbor.full else directed // 2,
+            within,
+        )
         self.worker_neigh_seconds += wall
         self.worker_neigh_cpu_seconds += cpu
         self.builds_measured += 1

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.parallel.executor import simulate_cpu_run
-from repro.perfmodel.costs import CpuCostCoefficients, CpuCostModel
+from repro.model.costs import CpuCostCoefficients, CpuCostModel
+from repro.model.cpu.executor import simulate_cpu_run
 
 __all__ = ["FftPrecisionPoint", "fft_precision_study"]
 

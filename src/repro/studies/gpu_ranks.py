@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gpu.executor import GpuModelConfig, simulate_gpu_run
+from repro.model.gpu.executor import GpuModelConfig, simulate_gpu_run
 
 __all__ = ["RankTuningPoint", "gpu_rank_tuning_study", "best_total_ranks"]
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.parallel.executor import simulate_cpu_run
-from repro.perfmodel.workloads import get_workload
+from repro.model.cpu.executor import simulate_cpu_run
+from repro.model.workloads import get_workload
 
 __all__ = ["NewtonComparison", "newton_ablation"]
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.md.simulation import Simulation
-from repro.perfmodel.costs import CpuCostModel
-from repro.perfmodel.workloads import WorkloadParams, get_workload
+from repro.model.costs import CpuCostModel
+from repro.model.workloads import WorkloadParams, get_workload
 from repro.suite import get_benchmark
 
 __all__ = ["SkinPoint", "skin_sweep_functional", "skin_sweep_model"]

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.metrics import ns_per_day
-from repro.gpu.executor import GpuModelConfig, simulate_gpu_run
-from repro.gpu.kernels import GpuKernelCoefficients
-from repro.gpu.transfers import PcieModel
-from repro.parallel.executor import simulate_cpu_run
-from repro.perfmodel.workloads import get_workload
+from repro.model.cpu.executor import simulate_cpu_run
+from repro.model.framework.efficiency import ns_per_day
+from repro.model.gpu.executor import GpuModelConfig, simulate_gpu_run
+from repro.model.gpu.kernels import GpuKernelCoefficients
+from repro.model.gpu.transfers import PcieModel
+from repro.model.workloads import get_workload
 
 __all__ = [
     "Improvement",
@@ -186,7 +186,7 @@ def commodity_fleet_gap(
     returns how many times slower the fleet still is — landing in the
     paper's "up to 1000x slower than DSAs" band.
     """
-    from repro.parallel.multinode import simulate_multinode_run
+    from repro.model.cpu.multinode import simulate_multinode_run
 
     timestep_fs = get_workload("rhodo").timestep_fs
     best_ns_day = 0.0

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.parallel.executor import simulate_cpu_run
-from repro.platforms.instances import CPU_INSTANCE, InstanceSpec
+from repro.model.cpu.executor import simulate_cpu_run
+from repro.model.platforms.instances import CPU_INSTANCE, InstanceSpec
 
 __all__ = ["WeakScalingPoint", "weak_scaling_study"]
 

@@ -52,7 +52,7 @@ class BenchmarkDefinition:
       gran/hooke/history pair style, so Chute is CPU-only (Section 6).
 
     These and the taxonomy are the only statement of each benchmark's
-    Table-2 facts: :mod:`repro.perfmodel.workloads` reads them from
+    Table-2 facts: :mod:`repro.model.workloads` reads them from
     here and adds only the model's own parameters (cost factors,
     imbalance amplitudes, topology densities).
     """
@@ -67,25 +67,3 @@ class BenchmarkDefinition:
     @property
     def name(self) -> str:
         return self.taxonomy.name
-
-    def build_instrumented(
-        self,
-        n_atoms: int | None = None,
-        *,
-        tracer: object = None,
-        metrics: object = None,
-        **kwargs,
-    ) -> Simulation:
-        """Build the benchmark with observability hooks attached.
-
-        ``tracer`` accepts anything :func:`repro.observability.tracer.
-        resolve_tracer` does (an instance, ``True``, or ``None`` for the
-        ``REPRO_TRACE`` environment default); ``metrics`` is an optional
-        :class:`~repro.observability.metrics.MetricsRegistry`.
-        """
-        sim = self.build(n_atoms, **kwargs) if n_atoms is not None else self.build(**kwargs)
-        if tracer is not None:
-            sim.attach_tracer(tracer)
-        if metrics is not None:
-            sim.attach_metrics(metrics)
-        return sim

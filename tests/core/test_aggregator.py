@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.aggregator import RunsTable
-from repro.core.experiment import ExperimentSpec
-from repro.core.runner import run_experiment
+from repro.model.framework.aggregator import RunsTable
+from repro.model.framework.experiment import ExperimentSpec
+from repro.model.framework.runner import run_experiment
 
 
 @pytest.fixture(scope="module")

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.aggregator import RunsTable
-from repro.core.artifact import ArtifactLayout
-from repro.core.experiment import ExperimentSpec, Mode
-from repro.core.runner import run_experiment
+from repro.model.framework.aggregator import RunsTable
+from repro.model.framework.artifact import ArtifactLayout
+from repro.model.framework.experiment import ExperimentSpec, Mode
+from repro.model.framework.runner import run_experiment
 
 
 @pytest.fixture(scope="module")

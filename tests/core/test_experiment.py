@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.experiment import ExperimentSpec, Mode, sweep
+from repro.model.framework.experiment import ExperimentSpec, Mode, sweep
 
 
 class TestSpec:

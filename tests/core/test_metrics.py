@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.metrics import (
+from repro.model.framework.efficiency import (
     energy_efficiency,
     ns_per_day,
     parallel_efficiency,

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.core.artifact import ArtifactLayout
-from repro.core.experiment import ExperimentSpec, Mode
-from repro.core.postprocess import (
+from repro.model.framework.artifact import ArtifactLayout
+from repro.model.framework.experiment import ExperimentSpec, Mode
+from repro.model.framework.postprocess import (
     aggregate_gpu_data,
     aggregate_mpi_data,
     aggregate_task_breakdown,
     render_aggregate,
 )
-from repro.core.runner import run_experiment
+from repro.model.framework.runner import run_experiment
 
 
 @pytest.fixture

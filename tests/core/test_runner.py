@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core.experiment import ExperimentSpec, Mode
-from repro.core.runner import RunRecord, run_experiment
-from repro.gpu import simulate_gpu_run
-from repro.parallel import simulate_cpu_run
-from repro.perfmodel import CpuCostModel, Precision, precision_pair_factor
-from repro.perfmodel.precision import gpu_precision_pair_factor
+from repro.model import simulate_cpu_run, simulate_gpu_run
+from repro.model.costs import CpuCostModel
+from repro.model.framework.experiment import ExperimentSpec, Mode
+from repro.model.framework.runner import RunRecord, run_experiment
+from repro.model.precision import Precision, precision_pair_factor
+from repro.model.precision import gpu_precision_pair_factor
 
 
 class TestBenchmarkingMode:

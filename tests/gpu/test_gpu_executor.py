@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.gpu.executor import GpuModelConfig, simulate_gpu_run
 from repro.md.timers import fractions
-from repro.platforms.instances import GPU_INSTANCE
+from repro.model.gpu.executor import GpuModelConfig, simulate_gpu_run
+from repro.model.platforms.instances import GPU_INSTANCE
 
 
 class TestBasics:
@@ -71,7 +71,7 @@ class TestPaperShapes:
 
     def test_chain_beats_eam_on_cpu(self):
         """...contrary to the CPU instance ordering."""
-        from repro.parallel import simulate_cpu_run
+        from repro.model import simulate_cpu_run
 
         eam = simulate_cpu_run("eam", 2_048_000, 64).ts_per_s
         chain = simulate_cpu_run("chain", 2_048_000, 64).ts_per_s

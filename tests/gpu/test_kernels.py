@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.gpu.kernels import (
+from repro.model.gpu.kernels import (
     DATA_MOVEMENT_ENTRIES,
     KERNELS_BY_BENCHMARK,
     GpuKernelCoefficients,
     kernel_seconds_per_step,
     pair_kernel_names,
 )
-from repro.perfmodel.workloads import get_workload
+from repro.model.workloads import get_workload
 
 
 class TestCatalogue:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpu.transfers import PcieModel
+from repro.model.gpu.transfers import PcieModel
 
 
 class TestEffectiveBandwidth:

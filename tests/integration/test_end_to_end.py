@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.aggregator import RunsTable
-from repro.core.artifact import ArtifactLayout
-from repro.core.experiment import ExperimentSpec, Mode
-from repro.core.runner import run_experiment
 from repro.md.computes import MeanSquaredDisplacement, RadialDistribution
 from repro.md.dump import XyzDumpWriter, read_xyz_frames
 from repro.md.timers import fractions
-from repro.parallel import simulate_cpu_run
-from repro.perfmodel.workloads import get_workload
+from repro.model import simulate_cpu_run
+from repro.model.framework.aggregator import RunsTable
+from repro.model.framework.artifact import ArtifactLayout
+from repro.model.framework.experiment import ExperimentSpec, Mode
+from repro.model.framework.runner import run_experiment
+from repro.model.workloads import get_workload
 from repro.suite import get_benchmark
 
 

@@ -30,7 +30,6 @@ from repro.md.potentials.eam import EAMAlloy
 from repro.md.potentials.granular import HookeHistory
 from repro.md.potentials.lj import LennardJonesCut
 from repro.md.potentials.soft import SoftRepulsion
-from repro.md.potentials.table import TabulatedPair
 from repro.md.simulation import Simulation
 
 TOL = dict(rtol=1e-12, atol=1e-12)
@@ -184,9 +183,6 @@ def _fluid_system(n=250, seed=31, charges=False, types=1):
 
 
 def _pair_cases():
-    lj_table = TabulatedPair.from_potential(
-        LennardJonesCut(cutoff=2.5), 0.8, 2.5, n_samples=200
-    )
     return [
         ("lj_single_type", LennardJonesCut(cutoff=2.5), _fluid_system()),
         (
@@ -204,7 +200,6 @@ def _pair_cases():
             _fluid_system(charges=True),
         ),
         ("soft", SoftRepulsion(prefactor=5.0, cutoff=1.5), _fluid_system()),
-        ("table", lj_table, _fluid_system()),
     ]
 
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import repro.md.kernels as kernels_module
 import repro.md.kernels.compiled as compiled_module
+from repro.cli import main
 from repro.md import policy_for
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
@@ -197,6 +198,23 @@ class TestAvailabilityAndFallback:
         monkeypatch.setenv("CC", "no-such-compiler-on-any-path")
         assert _cc_impl._find_compiler() is None
         assert "no C compiler found" in compiled_diagnostic()
+
+    SCALE = "scale lj --workers 2 --steps 2 --atoms 500 --backend".split()
+
+    def test_scale_reports_no_fallback_for_auto(self, capsys):
+        """``auto`` asks for whatever runs here, so it never falls back."""
+        assert main([*self.SCALE, "auto"]) == 0
+        assert "unavailable" not in capsys.readouterr().out
+
+    def test_scale_reports_the_fallback_of_an_unavailable_backend(
+        self, no_compiler, capsys
+    ):
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert main([*self.SCALE, "compiled"]) == 0
+        out = capsys.readouterr().out
+        assert "backend 'compiled' is unavailable (unavailable" in out
+        assert "no C compiler found" in out
+        assert "using 'numpy_fast'" in out
 
     @needs_compiled
     def test_backend_spec_round_trips(self):

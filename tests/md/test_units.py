@@ -27,7 +27,7 @@ class TestUnitSystems:
 
     def test_lj_deck_timestep_matches_workload(self):
         """0.005 tau ~ 10.8 fs — the value in the lj workload params."""
-        from repro.perfmodel.workloads import get_workload
+        from repro.model.workloads import get_workload
 
         assert LJ_ARGON.dt_to_fs(0.005) == pytest.approx(
             get_workload("lj").timestep_fs, rel=0.01

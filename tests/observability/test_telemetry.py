@@ -27,19 +27,16 @@ from repro.observability.telemetry import (
     ProcStatProvider,
     RaplProvider,
     TelemetrySampler,
+    UnderSampledRunWarning,
     attribute_energy,
     cgroup_cpu_quota,
     detect_provider,
-    local_instance_spec,
     platform_provenance,
     provider_diagnostics,
     render_energy_table,
-)
-from repro.observability.telemetry.providers import PROVIDER_ENV_VAR
-from repro.platforms.power import (
-    UnderSampledRunWarning,
     reset_under_sample_warnings,
 )
+from repro.observability.telemetry.providers import PROVIDER_ENV_VAR
 
 
 @pytest.fixture(autouse=True)
@@ -326,7 +323,7 @@ class TestProcStatProvider:
         clock = FakeClock()
         stat = write_proc_stat(tmp_path / "stat", [(0, 1000)])
         provider = ProcStatProvider(stat, clock=clock)
-        idle = provider.instance.idle_watts
+        idle = provider.provenance()["idle_watts"]
         write_proc_stat(tmp_path / "stat", [(100, 1100)])  # 100% busy
         clock.advance(1.0)
         busy_sample = provider.sample()
@@ -362,7 +359,7 @@ class TestModelProvider:
         provider = ModelProvider(clock=clock, cpu_clock=cpu)
         clock.advance(1.0)
         sample = provider.sample()
-        assert sample.watts == pytest.approx(provider.instance.idle_watts)
+        assert sample.watts == pytest.approx(provider.provenance()["idle_watts"])
 
     def test_busy_process_draws_more(self):
         clock = FakeClock()
@@ -371,15 +368,17 @@ class TestModelProvider:
         clock.advance(1.0)
         cpu.advance(1.0)  # one core fully busy
         busy = provider.sample().watts
-        assert busy > provider.instance.idle_watts
+        assert busy > provider.provenance()["idle_watts"]
 
-    def test_local_instance_spec_calibration_env(self, monkeypatch):
+    def test_local_instance_spec_calibration_env(self, monkeypatch, tmp_path):
+        """The local calibration reads its two numbers from the env."""
         monkeypatch.setenv("REPRO_POWER_IDLE_WATTS", "25")
         monkeypatch.setenv("REPRO_POWER_TDP_WATTS", "80")
-        spec = local_instance_spec(4)
-        assert spec.idle_watts == 25.0
-        assert spec.cpu.tdp_watts == 80.0
-        assert spec.total_cores == 4
+        stat = write_proc_stat(tmp_path / "stat", [(0, 100)] * 4)
+        record = ProcStatProvider(stat, clock=FakeClock()).provenance()
+        assert record["idle_watts"] == 25.0
+        assert record["tdp_watts"] == 80.0
+        assert record["cores"] == 4
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.model.cpu.executor import simulate_cpu_run
 from repro.observability.timeline import RankTimeline
 from repro.observability.tracer import Tracer
-from repro.parallel.executor import simulate_cpu_run
 
 
 class TestFromModel:

@@ -6,12 +6,13 @@ import json
 
 from repro.__main__ import main
 from repro.md import RunConfig
+from repro.md.kernels import available_backends
 from repro.observability import (
     MetricsRegistry,
     Tracer,
     trace_timer_agreement,
 )
-from repro.suite import get_benchmark
+from repro.service import JobSpec, build_simulation
 
 
 def test_trace_command_writes_trace_and_metrics(tmp_path, capsys):
@@ -51,6 +52,9 @@ def test_trace_command_writes_trace_and_metrics(tmp_path, capsys):
     shown = capsys.readouterr().out
     assert "Task timing breakdown" in shown
     assert "trace/timer agreement" in shown
+    # The registry name that ran, not the tracing wrapper's.
+    backend = shown.split("backend ", 1)[1].split()[0]
+    assert backend in available_backends()
 
 
 def test_rerunning_truncates_the_metrics_file(tmp_path, capsys):
@@ -66,9 +70,9 @@ def test_rerunning_truncates_the_metrics_file(tmp_path, capsys):
 def test_span_totals_agree_with_task_breakdown_within_2_percent():
     """The PR's acceptance criterion, checked at the API level."""
     tracer = Tracer()
-    sim = get_benchmark("lj").build_instrumented(
-        256, tracer=tracer, metrics=MetricsRegistry()
-    )
+    sim, _steps = build_simulation(JobSpec(benchmark="lj", n_atoms=256))
+    sim.attach_tracer(tracer)
+    sim.attach_metrics(MetricsRegistry())
     sim.run(5)  # warmup (includes setup cost)
     tracer.reset()
     sim.run(RunConfig(steps=50, reset_timers=True))

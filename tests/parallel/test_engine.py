@@ -189,6 +189,14 @@ def test_only_the_chute_bed_declares_a_slab_decomposition():
 
 
 class TestFailurePaths:
+    def test_undersized_box_is_refused_like_the_serial_build(self):
+        """The serial build and the engine run the list's one box check."""
+        with pytest.raises(ValueError, match="exceeds half") as serial:
+            _run_serial("lj", 32, 0)
+        with pytest.raises(ValueError, match="exceeds half") as parallel:
+            _run_parallel("lj", 32, 0, workers=2)
+        assert str(parallel.value) == str(serial.value)
+
     def test_worker_crash_raises_instead_of_hanging(self):
         sim = get_benchmark("lj").build(SIZES["lj"])
         executor = ParallelForceExecutor(2, barrier_timeout=3.0)

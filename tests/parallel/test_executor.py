@@ -4,13 +4,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.gpu import simulate_gpu_run
 from repro.md.timers import TASKS, fractions
-from repro.parallel.executor import simulate_cpu_run
-from repro.parallel.multinode import simulate_multinode_run
-from repro.parallel.openmp import simulate_hybrid_run
-from repro.perfmodel.costs import CpuCostModel
-from repro.perfmodel.workloads import get_workload
+from repro.model.costs import CpuCostModel
+from repro.model.cpu.executor import simulate_cpu_run
+from repro.model.cpu.multinode import simulate_multinode_run
+from repro.model.cpu.openmp import simulate_hybrid_run
+from repro.model.gpu import simulate_gpu_run
+from repro.model.workloads import get_workload
 
 #: The four modeled executors, each called with (benchmark, atoms, resources).
 EXECUTORS = {

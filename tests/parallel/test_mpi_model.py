@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.parallel.decomposition import SubdomainGeometry
 from repro.md.timers import fractions
-from repro.parallel.mpi_model import MPI_FUNCTIONS, MpiModel
-from repro.perfmodel.workloads import get_workload
+from repro.model.cpu.mpi_model import MPI_FUNCTIONS, MpiModel
+from repro.model.workloads import get_workload
+from repro.parallel.decomposition import SubdomainGeometry
 
 
 def _geometry(workload, n_atoms, n_ranks):

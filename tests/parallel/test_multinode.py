@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel.multinode import (
+from repro.model.cpu.multinode import (
     NetworkModel,
     _cross_node_fraction,
     simulate_multinode_run,
@@ -69,7 +69,7 @@ class TestPaperContrast:
     def test_single_node_matches_intra_node_model_scale(self):
         """1-node multinode result is in the same regime as the
         single-node executor (same compute, comm modelled similarly)."""
-        from repro.parallel import simulate_cpu_run
+        from repro.model import simulate_cpu_run
 
         multi = simulate_multinode_run("lj", 2_048_000, 1)
         single = simulate_cpu_run("lj", 2_048_000, 64)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel.openmp import OpenMpModel, best_hybrid_split, simulate_hybrid_run
+from repro.model.cpu.openmp import OpenMpModel, best_hybrid_split, simulate_hybrid_run
 
 
 class TestOpenMpModel:
@@ -23,7 +23,7 @@ class TestOpenMpModel:
 
 class TestHybridRuns:
     def test_one_thread_is_pure_mpi(self):
-        from repro.parallel import simulate_cpu_run
+        from repro.model import simulate_cpu_run
 
         hybrid = simulate_hybrid_run("lj", 256_000, 16, 1)
         pure = simulate_cpu_run("lj", 256_000, 16)

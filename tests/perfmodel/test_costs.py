@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.perfmodel.costs import (
+from repro.model.costs import (
     CpuCostCoefficients,
     CpuCostModel,
     kspace_grid,
 )
-from repro.perfmodel.precision import Precision, precision_pair_factor
-from repro.perfmodel.workloads import get_workload
+from repro.model.precision import Precision, precision_pair_factor
+from repro.model.workloads import get_workload
 
 
 @pytest.fixture

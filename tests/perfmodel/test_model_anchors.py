@@ -8,9 +8,8 @@ the quoted values themselves).
 
 import pytest
 
-from repro.gpu import simulate_gpu_run
-from repro.parallel import simulate_cpu_run
-from repro.perfmodel.calibration import PAPER_ANCHORS as A
+from repro.model import simulate_cpu_run, simulate_gpu_run
+from repro.model.calibration import PAPER_ANCHORS as A
 
 TOL = 0.20  # 20% on absolute throughput anchors
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.perfmodel.workloads import (
+from repro.model.workloads import (
     GPU_COUNTS,
     RANK_COUNTS,
     SIZES_K,

@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.platforms.instances import CPU_INSTANCE, GPU_INSTANCE
-from repro.platforms.power import (
+from repro.model.platforms.instances import CPU_INSTANCE, GPU_INSTANCE
+from repro.model.platforms.power import GpuPowerModel, PowerSampler
+from repro.observability.telemetry.providers import CpuPowerModel
+from repro.observability.telemetry.sampler import (
     MIN_RUN_SECONDS,
     SAMPLING_PERIOD_S,
-    CpuPowerModel,
-    GpuPowerModel,
-    PowerSampler,
     UnderSampledRunWarning,
     reset_under_sample_warnings,
 )
@@ -51,23 +50,28 @@ class TestTable3Specs:
             GPU_INSTANCE.validate_resources(n_gpus=9)
 
 
+def cpu_instance_model() -> CpuPowerModel:
+    cpu = CPU_INSTANCE.cpu
+    return CpuPowerModel(CPU_INSTANCE.idle_watts, cpu.tdp_watts, cpu.cores, CPU_INSTANCE.sockets)
+
+
 class TestCpuPowerModel:
     def test_idle_floor(self):
-        model = CpuPowerModel(CPU_INSTANCE)
+        model = cpu_instance_model()
         assert model.watts(0, 0.0) == pytest.approx(CPU_INSTANCE.idle_watts)
 
     def test_monotonic_in_cores_and_utilization(self):
-        model = CpuPowerModel(CPU_INSTANCE)
+        model = cpu_instance_model()
         assert model.watts(64, 0.5) > model.watts(32, 0.5)
         assert model.watts(32, 0.8) > model.watts(32, 0.4)
 
     def test_capped_at_tdp(self):
-        model = CpuPowerModel(CPU_INSTANCE)
+        model = cpu_instance_model()
         cap = CPU_INSTANCE.idle_watts + 2 * 250.0
         assert model.watts(64, 1.0) <= cap
 
     def test_invalid_inputs(self):
-        model = CpuPowerModel(CPU_INSTANCE)
+        model = cpu_instance_model()
         with pytest.raises(ValueError):
             model.watts(-1, 0.5)
         with pytest.raises(ValueError):

@@ -60,7 +60,7 @@ class TestNewtonAblation:
         assert wide.speedup_from_newton < serial.speedup_from_newton
 
     def test_workload_registry_restored(self):
-        from repro.perfmodel.workloads import get_workload
+        from repro.model.workloads import get_workload
 
         newton_ablation(sizes=(32_000,), rank_counts=(1,))
         assert get_workload("chute").newton is False  # paper setting intact
@@ -92,7 +92,7 @@ class TestWeakScaling:
         assert points[-1].weak_efficiency > 0.8
 
     def test_weak_beats_strong_at_64_ranks(self):
-        from repro.parallel import simulate_cpu_run
+        from repro.model import simulate_cpu_run
 
         weak = weak_scaling_study("chute", rank_counts=(1, 64))[-1]
         strong_1 = simulate_cpu_run("chute", 2_048_000, 1)

@@ -62,7 +62,7 @@ class TestCpuBalance:
         assert chute["speedup"] > eam["speedup"] >= 1.0
 
     def test_registry_restored(self):
-        from repro.perfmodel.workloads import get_workload
+        from repro.model.workloads import get_workload
 
         project_cpu_balance("chain")
         assert get_workload("chain").imbalance_amplitude > 0

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu import simulate_gpu_run
 from repro.md.timers import fractions
-from repro.parallel import simulate_cpu_run
+from repro.model import simulate_cpu_run, simulate_gpu_run
 from repro.suite import CPU_BENCHMARKS, GPU_BENCHMARKS
 
 cpu_bench = st.sampled_from(CPU_BENCHMARKS)

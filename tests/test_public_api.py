@@ -10,14 +10,14 @@ PACKAGES = (
     "repro.md.potentials",
     "repro.md.kspace",
     "repro.suite",
-    "repro.platforms",
+    "repro.model.platforms",
     "repro.observability",
     "repro.observability.telemetry",
-    "repro.perfmodel",
+    "repro.model",
     "repro.parallel",
     "repro.service",
-    "repro.gpu",
-    "repro.core",
+    "repro.model.gpu",
+    "repro.model.framework",
     "repro.figures",
     "repro.studies",
 )

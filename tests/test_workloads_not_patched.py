@@ -1,7 +1,7 @@
 """The model's workload table is read, never written, outside its module.
 
-``repro.perfmodel.workloads.workloads`` maps each benchmark name to its
-:class:`~repro.perfmodel.workloads.WorkloadParams`.  A study that wants
+``repro.model.workloads.workloads`` maps each benchmark name to its
+:class:`~repro.model.workloads.WorkloadParams`.  A study that wants
 an edited benchmark passes ``replace(workload, ...)`` to the executor;
 writing the edit into the shared table instead (and restoring it in a
 ``finally``) leaks into every other caller while it lasts and into
@@ -16,10 +16,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED = ("src", "tests", "benchmarks")
-OWNER = ROOT / "src" / "repro" / "perfmodel" / "workloads.py"
-#: Dotted paths under which the table is reachable: the module's
-#: attribute, and the package's re-export of it.
-TABLE = {"repro.perfmodel.workloads.workloads", "repro.perfmodel.workloads"}
+OWNER = ROOT / "src" / "repro" / "model" / "workloads.py"
+#: The dotted path under which the table is reachable.
+TABLE = {"repro.model.workloads.workloads"}
 
 
 def _dotted(node, aliases):
@@ -76,14 +75,14 @@ def test_no_module_writes_into_the_workload_table(top):
 def test_the_rule_itself():
     source = (
         "from dataclasses import replace\n"
-        "from repro.perfmodel.workloads import get_workload, workloads\n"
-        "import repro.perfmodel.workloads as wl\n"
-        "from repro import perfmodel\n"
+        "from repro.model.workloads import get_workload, workloads\n"
+        "import repro.model.workloads as wl\n"
+        "from repro import model\n"
         "def f(name, other):\n"
-        "    from repro.perfmodel import workloads as table\n"
+        "    from repro.model.workloads import workloads as table\n"
         "    workloads[name] = replace(workloads[name], newton=True)\n"
         "    wl.workloads[name] = None\n"
-        "    perfmodel.workloads[name] = None\n"
+        "    model.workloads.workloads[name] = None\n"
         "    del table[name]\n"
         "    other[name] = workloads[name]\n"
         "    return replace(get_workload(name), newton=True)\n"
