@@ -49,7 +49,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.md import RunConfig
-    from repro.md.kernels import BACKEND_ENV_VAR, DEFAULT_BACKEND, resolved_backend
+    from repro.md.kernels import BACKEND_ENV_VAR, DEFAULT_BACKEND
     from repro.observability import MetricsRegistry, Tracer
     from repro.observability.telemetry import (
         TelemetrySampler,
@@ -72,10 +72,9 @@ def _cmd_power(args: argparse.Namespace) -> int:
     sim.attach_tracer(tracer)
     sim.attach_metrics(metrics)
     # No --backend here: the build takes the environment's default, and
-    # the record says so — under the one identity rule, which sees
-    # through the tracing wrapper to the registry name that ran.
+    # the record says so.
     requested = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    resolved = resolved_backend(sim.backend)[0]
+    resolved = sim.backend.name
     print(f"built {args.experiment}: {sim.system.n_atoms} atoms, "
           f"backend {resolved}; power provider "
           f"{provider.name} ({provider.kind})")

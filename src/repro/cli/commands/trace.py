@@ -29,7 +29,6 @@ def _configure(parser: argparse.ArgumentParser) -> None:
     configure=_configure,
 )
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.md.kernels import resolved_backend
     from repro.observability import (
         MetricsRegistry,
         Tracer,
@@ -45,7 +44,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     sim.attach_tracer(tracer)
     sim.attach_metrics(metrics)
     print(f"built {args.experiment}: {sim.system.n_atoms} atoms, "
-          f"backend {resolved_backend(sim.backend)[0]}")
+          f"backend {sim.backend.name}")
     if args.warmup:
         sim.run(args.warmup)
     tracer.reset()

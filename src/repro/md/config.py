@@ -42,9 +42,9 @@ class RunConfig:
         completed step — the hash-chained trajectory digest hook
         (``docs/REPRODUCIBILITY.md``).
     reset_timers:
-        Clear the task breakdown (and accumulated ``step_seconds``)
-        before stepping, so warmup phases don't pollute reported
-        fractions.
+        Clear the task breakdown (and with it ``timers.total``, the
+        stepped wall clock) before stepping, so warmup phases don't
+        pollute reported fractions.
     """
 
     steps: int

@@ -166,21 +166,14 @@ def get_backend(spec: str | KernelBackend | None = None) -> KernelBackend:
 def backend_spec(backend: KernelBackend) -> str:
     """Registry name of a live backend, for cross-process dispatch.
 
-    Backend instances carry scratch buffers and (when tracing) a tracer
-    reference, neither of which should travel to worker processes; the
-    parallel engine ships this *name* instead and each worker resolves
-    its own instance.  Wrappers that proxy a real backend (for example
-    the observability ``TracingBackend``) are unwrapped via their
-    ``inner`` attribute.
+    Backend instances carry scratch buffers that should not travel to
+    worker processes; the parallel engine ships this *name* instead and
+    each worker resolves its own instance.
     """
-    while getattr(type(backend), "name", None) not in _REGISTRY:
-        nested = getattr(backend, "inner", None)
-        if nested is None or nested is backend:
-            raise ValueError(
-                f"cannot derive a registry spec for backend {backend!r}"
-            )
-        backend = nested
-    return type(backend).name
+    name = getattr(type(backend), "name", None)
+    if name not in _REGISTRY:
+        raise ValueError(f"cannot derive a registry spec for backend {backend!r}")
+    return name
 
 
 def resolved_backend(

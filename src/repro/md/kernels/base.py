@@ -107,6 +107,12 @@ class KernelBackend(abc.ABC):
         """Install the precision policy (may invalidate scratch)."""
         self.policy = policy
 
+    @property
+    def scratch_pairs(self) -> int:
+        """Rows of the largest per-pair scratch this backend has grown
+        (the ``md_kernel_scratch_capacity_pairs`` gauge); 0 if none."""
+        return 0
+
     @abc.abstractmethod
     def current_pairs(
         self,

@@ -460,6 +460,12 @@ class CompiledBackend(NumpyFastBackend):
         self._row_atoms = np.empty(0, np.int64)
         self._row_scratch = np.empty(0)
 
+    @property
+    def scratch_pairs(self) -> int:
+        # The numpy fallbacks' scratch, the native geometry's and the
+        # fused pair pass's, whichever this run has grown.
+        return max(self._capacity, len(self._geom[0]), len(self._pair_energy))
+
     # ------------------------------------------------------------------
     # Pair geometry
     # ------------------------------------------------------------------

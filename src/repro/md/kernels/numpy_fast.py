@@ -87,6 +87,10 @@ class NumpyFastBackend(KernelBackend):
             self._capacity = 0
         self.policy = policy
 
+    @property
+    def scratch_pairs(self) -> int:
+        return self._capacity
+
     # ------------------------------------------------------------------
     def _scratch(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grow-only scratch views of length ``m`` (amortized O(1))."""

@@ -369,7 +369,8 @@ class NeighborList:
         if self.brute_force_max < 0:
             raise ValueError("brute_force_max must be non-negative")
         self.stats = NeighborStats()
-        #: Span sink for rebuild instrumentation (no-op by default; the
+        #: Span sink for rebuild instrumentation and for the kernel spans
+        #: of the serial rows read from this list (no-op by default; the
         #: owning Simulation assigns its tracer).
         self.tracer = NULL_TRACER
         #: Optional kernel backend consulted for the cell-list build

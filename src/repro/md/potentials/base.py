@@ -8,6 +8,10 @@ half or full list, Newton's third law on) and the engine worker's
 The body accumulates forces, energy and the pair virial (needed by the
 pressure compute and hence by the NPT barostat that Rhodopsin uses)
 through the view's verbs and never learns which driver it runs under.
+
+The serial driver also times what it hands the backend: each verb's
+call is one ``"kernel"``-category span in the tracer of the neighbor
+list it reads (the shared no-op unless a simulation is traced).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from repro.md.atoms import AtomSystem
 from repro.md.kernels import KernelBackend, get_backend
 from repro.md.kernels.base import PairStyle
 from repro.md.neighbor import NeighborList
+from repro.observability.tracer import NULL_TRACER
 
 __all__ = ["ForceResult", "PairPotential", "PairRows", "Pairs", "StoredRows"]
 
@@ -101,6 +106,8 @@ class PairRows(abc.ABC):
     #: What a fused kernel dispatches on beside the style:
     #: ``"half"``/``"full"`` (a stored list) or ``"owner"``.
     kind: str
+    #: Where the ``"kernel"`` spans of this pass go.
+    tracer = NULL_TRACER
 
     @abc.abstractmethod
     def per_atom(self, name: str) -> np.ndarray | None:
@@ -176,6 +183,7 @@ class StoredRows(PairRows):
             raise RuntimeError("neighbor list has never been built")
         self.system, self.neighbors, self.backend = system, neighbors, backend
         self.kind = "full" if neighbors.full else "half"
+        self.tracer = neighbors.tracer
         self.energy = 0.0
         self.virial = 0.0
 
@@ -183,7 +191,10 @@ class StoredRows(PairRows):
         return getattr(self.system, name)
 
     def within(self, cutoff, *, directed=False, ghost_heads=False):
-        i, j, dr, r = self.backend.current_pairs(self.system, self.neighbors, cutoff)
+        with self.tracer.span("kernel.current_pairs", "kernel"):
+            i, j, dr, r = self.backend.current_pairs(
+                self.system, self.neighbors, cutoff
+            )
         pairs = Pairs(i, j, dr, r)
         if self.neighbors.full and not directed:
             # A symmetric term over both stored orientations: evaluate
@@ -198,22 +209,28 @@ class StoredRows(PairRows):
         return pairs.i * np.int64(self.system.n_atoms) + pairs.j
 
     def add_radial(self, pairs, f_over_r):
-        self.backend.accumulate_scaled_pair_forces(
-            self.system.forces, pairs.i, pairs.j, pairs.dr, f_over_r
-        )
+        with self.tracer.span("kernel.accumulate", "kernel"):
+            self.backend.accumulate_scaled_pair_forces(
+                self.system.forces, pairs.i, pairs.j, pairs.dr, f_over_r
+            )
 
     def add_vector(self, pairs, fvec):
-        self.backend.accumulate_pair_forces(self.system.forces, pairs.i, pairs.j, fvec)
+        with self.tracer.span("kernel.accumulate", "kernel"):
+            self.backend.accumulate_pair_forces(
+                self.system.forces, pairs.i, pairs.j, fvec
+            )
 
     def push(self, name, index, values):
-        self.backend.scatter_add(getattr(self.system, name), index, values)
+        with self.tracer.span("kernel.scatter_add", "kernel"):
+            self.backend.scatter_add(getattr(self.system, name), index, values)
 
     def partner_sum(self, pairs, values):
         total = np.zeros(
             self.system.n_atoms, dtype=self.backend.policy.accumulate_dtype
         )
-        self.backend.scatter_add(total, pairs.i, values)
-        self.backend.scatter_add(total, pairs.j, values)
+        for index in (pairs.i, pairs.j):
+            with self.tracer.span("kernel.scatter_add", "kernel"):
+                self.backend.scatter_add(total, index, values)
         return total
 
     def add_energy(self, index, values):
@@ -312,7 +329,12 @@ class PairPotential(abc.ABC):
         takes this style and row kind, else :meth:`terms` — returning
         the interaction count.  What both drivers call."""
         style = self.fused_style()
-        fused = None if style is None else rows.backend.pair_forces(style, rows)
+        fused = None
+        if style is not None:
+            # The span also covers a declined call: the body's verbs
+            # that follow record their own.
+            with rows.tracer.span("kernel.pair_forces", "kernel"):
+                fused = rows.backend.pair_forces(style, rows)
         return self.terms(rows) if fused is None else fused
 
     def compute(self, system: AtomSystem, neighbors: NeighborList) -> ForceResult:

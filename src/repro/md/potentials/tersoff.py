@@ -213,7 +213,8 @@ class Tersoff(PairPotential):
             dexpo = p.m * lam3m * diff ** (p.m - 1) * expo
 
         zeta = np.zeros(n_pairs, dtype=kernel.policy.accumulate_dtype)
-        kernel.scatter_add(zeta, t_p, fc_q * g * expo)
+        with rows.tracer.span("kernel.scatter_add", "kernel"):
+            kernel.scatter_add(zeta, t_p, fc_q * g * expo)
         b, db = self.bond_order(zeta)
         b = b.astype(ct, copy=False)
         db = db.astype(ct, copy=False)

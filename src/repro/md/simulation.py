@@ -39,7 +39,6 @@ from repro.md.heap import keep_freed_heap
 from repro.md.integrators import Integrator, NoseHooverNPT, VelocityVerletNVE
 from repro.md.kernels import KernelBackend, get_backend
 from repro.md.kspace.base import KSpaceSolver
-from repro.md.kernels.tracing import TracingBackend
 from repro.md.neighbor import NeighborList
 from repro.md.potentials.base import ForceResult, PairPotential
 from repro.md.precision import Precision, PrecisionPolicy, policy_for
@@ -214,8 +213,9 @@ class Simulation:
         :class:`~repro.observability.Tracer`, ``True`` for a fresh
         default one, or ``None`` to consult ``$REPRO_TRACE`` and fall
         back to the zero-cost disabled tracer.  When enabled, every
-        timestep phase, kernel-backend call, neighbor rebuild and
-        k-space stage is recorded (Chrome-trace exportable).
+        timestep phase, serial kernel-backend call, neighbor rebuild,
+        k-space stage and checkpoint write is recorded (Chrome-trace
+        exportable).
     metrics:
         Optional :class:`~repro.observability.MetricsRegistry`; when
         given, each step updates step-duration histograms and work
@@ -284,18 +284,8 @@ class Simulation:
             self.precision = policy_for(precision)
         self.system.cast_storage(self.precision.storage_dtype)
         self.backend = get_backend(backend)
-        self.backend.set_policy(self.precision)
-        if self.tracer.enabled:
-            self.backend = TracingBackend(self.backend, self.tracer)
-        for potential in self.potentials:
-            potential.backend = self.backend
         self.bonded = list(bonded)
-        for term in self.bonded:
-            term.policy = self.precision
         self.kspace = kspace
-        if kspace is not None:
-            kspace.tracer = self.tracer
-            kspace.policy = self.precision
         self.integrator = integrator if integrator is not None else VelocityVerletNVE()
         self.fixes = list(fixes)
         self.constraints = constraints
@@ -304,13 +294,9 @@ class Simulation:
         #: by the builder of a slab workload (the Chute bed); the
         #: parallel engine reads it when it spawns its pool.
         self.quasi_2d = False
-        self.timers = TaskTimers(tracer=self.tracer)
+        self.timers = TaskTimers()
         self.counts = OperationCounts()
         self.thermo = ThermoLog(every=thermo_every)
-        #: Total wall-clock spent inside :meth:`step` — by construction
-        #: equal to ``timers.total`` because the untimed remainder of
-        #: each step is booked under the "Other" task.
-        self.step_seconds = 0.0
         self.step_number = 0
         self.potential_energy = 0.0
         self.virial = 0.0
@@ -323,14 +309,32 @@ class Simulation:
         self.neighbor = NeighborList(
             cutoff, skin, full=full, exclusions=exclusions
         )
-        self.neighbor.tracer = self.tracer
-        # The neighbor build consults the same backend instance (the
-        # compiled backend's native cell-list path; numpy backends
-        # decline the hook and keep the vectorized build).
-        self.neighbor.kernels = self.backend
+        self._wire()
         self._setup_done = False
         self._initial_energy: float | None = None
         self.force_executor.bind(self)
+
+    def _wire(self) -> None:
+        """Point every layer at this simulation's backend, precision and
+        tracer — the one place they are set.
+
+        One backend instance (one set of scratch buffers) serves every
+        potential and the neighbor build (the compiled backend's native
+        cell-list path; numpy backends decline the hook).  The kernel
+        spans come from the serial row driver, which reads the neighbor
+        list's tracer, so tracing never changes which kernel runs.
+        """
+        self.backend.set_policy(self.precision)
+        for potential in self.potentials:
+            potential.backend = self.backend
+        for term in self.bonded:
+            term.policy = self.precision
+        if self.kspace is not None:
+            self.kspace.policy = self.precision
+            self.kspace.tracer = self.tracer
+        self.neighbor.kernels = self.backend
+        self.neighbor.tracer = self.tracer
+        self.timers.tracer = self.tracer
 
     # ------------------------------------------------------------------
     @property
@@ -452,7 +456,6 @@ class Simulation:
         elapsed = step_end - step_start
         timed_delta = self.timers.total - timed_before
         self.timers.seconds["Other"] += max(0.0, elapsed - timed_delta)
-        self.step_seconds += max(elapsed, timed_delta)
         if tracer.enabled:
             tracer.end(ts=step_end)
         if self.metrics is not None:
@@ -482,9 +485,9 @@ class Simulation:
                 config.digest.maybe_record(self)
 
     def reset_timers(self) -> None:
-        """Zero the per-task timers and the step wall-clock accumulator."""
+        """Zero the per-task timers (``timers.total`` is the stepped
+        wall clock: the untimed remainder of each step is "Other")."""
         self.timers.reset()
-        self.step_seconds = 0.0
 
     def close(self) -> None:
         """Release force-executor resources (workers, shared memory)."""
@@ -520,25 +523,15 @@ class Simulation:
             )
         self.precision = policy
         self.system.cast_storage(policy.storage_dtype)
-        self.backend.set_policy(policy)
-        for term in self.bonded:
-            term.policy = policy
-        if self.kspace is not None:
-            self.kspace.policy = policy
+        self._wire()
         # Neighbor state and step-0 forces were built under the old
         # dtype; redo both before the next step.
         self._setup_done = False
 
     def set_backend(self, backend: "KernelBackend | str") -> None:
-        """Swap the kernel backend, preserving tracing and precision."""
-        new = get_backend(backend)
-        new.set_policy(self.precision)
-        self.backend = (
-            TracingBackend(new, self.tracer) if self.tracer.enabled else new
-        )
-        for potential in self.potentials:
-            potential.backend = self.backend
-        self.neighbor.kernels = self.backend
+        """Swap the kernel backend, keeping the precision and tracer."""
+        self.backend = get_backend(backend)
+        self._wire()
 
     # ------------------------------------------------------------------
     def attach_tracer(self, tracer) -> None:
@@ -547,19 +540,10 @@ class Simulation:
         Accepts the same specs as the constructor's ``tracer`` argument;
         useful for instrumenting a simulation a suite builder already
         assembled.  Passing ``None`` (with ``$REPRO_TRACE`` unset)
-        detaches tracing and unwraps the kernel backend.
+        detaches tracing.
         """
-        tracer = resolve_tracer(tracer)
-        self.tracer = tracer
-        self.timers.tracer = tracer
-        self.neighbor.tracer = tracer
-        if self.kspace is not None:
-            self.kspace.tracer = tracer
-        inner = getattr(self.backend, "inner", self.backend)
-        self.backend = TracingBackend(inner, tracer) if tracer.enabled else inner
-        for potential in self.potentials:
-            potential.backend = self.backend
-        self.neighbor.kernels = self.backend
+        self.tracer = resolve_tracer(tracer)
+        self._wire()
 
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
         """Attach (or detach, with ``None``) a metrics registry."""
@@ -595,9 +579,8 @@ class Simulation:
             metrics.gauge("md_shake_iterations_last").set(
                 self.constraints.last_iterations
             )
-        inner = getattr(self.backend, "inner", self.backend)
         metrics.gauge("md_kernel_scratch_capacity_pairs").set(
-            getattr(inner, "_capacity", 0)
+            self.backend.scratch_pairs
         )
 
     # ------------------------------------------------------------------

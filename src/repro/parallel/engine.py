@@ -390,11 +390,11 @@ class ParallelForceExecutor(ForceExecutor):
         }
         spec = backend_spec(sim.backend)
         # Workers get potential clones with the backend reference severed
-        # (backends carry scratch buffers, possibly tracer handles, and —
-        # for the compiled backend — ctypes bindings that cannot be
-        # pickled or deep-copied); each worker resolves its own instance
-        # from the registry name.  Sever *before* the deepcopy so the
-        # backend never enters the copy graph, then restore.
+        # (backends carry scratch buffers and — for the compiled backend
+        # — ctypes bindings that cannot be pickled or deep-copied); each
+        # worker resolves its own instance from the registry name.
+        # Sever *before* the deepcopy so the backend never enters the
+        # copy graph, then restore.
         import copy
 
         saved_backends = [pot._backend for pot in potentials]

@@ -75,7 +75,7 @@ def _hash_array(digest, name: str, array) -> None:
     data = np.ascontiguousarray(np.asarray(array, dtype="<f8"))
     digest.update(name.encode("utf-8"))
     digest.update(np.int64(data.size).tobytes())
-    digest.update(data.tobytes())
+    digest.update(data)  # the buffer itself: same bytes, no copy
 
 
 def interval_digest(simulation) -> str:

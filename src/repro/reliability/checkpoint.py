@@ -19,9 +19,10 @@
 * **recovery** — ``restore_latest`` walks the retained files newest
   first and restores the first one that parses, skipping corrupted
   leftovers;
-* **observability** — writes are traced (``checkpoint.write`` spans)
-  and counted (``md_checkpoints_total``, ``md_checkpoint_write_seconds``,
-  ``md_checkpoint_bytes``) when a tracer/registry is attached;
+* **observability** — writes are traced (``checkpoint.write`` spans,
+  in the tracer of the simulation being checkpointed) and counted
+  (``md_checkpoints_total``, ``md_checkpoint_write_seconds``,
+  ``md_checkpoint_bytes``) when a registry is attached;
 * **fault injection** — a checkpoint-phase :class:`~repro.reliability.
   faultplan.FaultSpec` simulates the process dying mid-write: a partial
   temp file is left behind, no checkpoint is recorded, and the named
@@ -45,8 +46,6 @@ from repro.md.restart import (
     snapshot_payload,
     write_snapshot,
 )
-from repro.observability import resolve_tracer
-
 __all__ = ["CheckpointManager", "CheckpointIntegrityError"]
 
 
@@ -75,8 +74,8 @@ class CheckpointManager:
         Retention depth; older checkpoints are deleted after each write.
     prefix:
         Filename prefix; files are ``{prefix}-{step:09d}.npz``.
-    metrics, tracer:
-        Optional observability sinks (same conventions as Simulation).
+    metrics:
+        Optional :class:`~repro.observability.MetricsRegistry`.
     fault_plan:
         Optional :class:`~repro.reliability.faultplan.FaultPlan`
         consulted for ``checkpoint``-phase faults on every write.
@@ -90,7 +89,6 @@ class CheckpointManager:
         keep_last: int = 3,
         prefix: str = "ckpt",
         metrics=None,
-        tracer=None,
         fault_plan=None,
     ) -> None:
         if keep_last < 1:
@@ -101,7 +99,6 @@ class CheckpointManager:
         self.keep_last = int(keep_last)
         self.prefix = str(prefix)
         self.metrics = metrics
-        self.tracer = resolve_tracer(tracer)
         self.fault_plan = fault_plan
         self.writes = 0
 
@@ -141,7 +138,7 @@ class CheckpointManager:
         step = simulation.step_number
         final = self.path_for(step)
         start = time.perf_counter()
-        with self.tracer.span("checkpoint.write", "checkpoint"):
+        with simulation.tracer.span("checkpoint.write", "checkpoint"):
             # Gathering the payload may round-trip worker state (the
             # parallel executor collects contact histories from its
             # workers), so it happens before any file I/O.

@@ -6,7 +6,7 @@ its force workers on, used at the *job* level: each worker is one
 long-lived process on its **own private pipe** — assignments are
 explicit, so the scheduler always knows which job a dead worker was
 holding and can requeue exactly that one — carrying tasks one way and
-``started`` / ``progress`` / ``result`` / ``error`` events the other.
+``progress`` / ``result`` / ``error`` events the other.
 Why a pipe per worker and not a shared ``multiprocessing.Queue`` is
 that module's docstring: the pool's whole job is to *survive* SIGKILL,
 and a respawn swaps in a **fresh** pipe.  Nothing queues invisibly
@@ -95,8 +95,6 @@ def _pool_worker_main(conn, worker_id: int) -> None:
                 # results for a superseded worker are dropped by design.
                 raise SystemExit(0) from None
 
-        emit({"kind": "started", "job": job_id, "worker": worker_id,
-              "pid": os.getpid()})
         try:
             spec = JobSpec.from_json(spec_data)
             result = execute_job(

@@ -239,8 +239,6 @@ class BatchService:
             job.progress = (event["done"], event["total"])
             self.metrics.counter("service_progress_events_total").inc()
             return
-        if kind == "started":
-            return
         if kind == "result":
             result = JobResult.from_json(event["result"])
             self.cache.put(job.key, result)

@@ -235,8 +235,8 @@ def state_digest(system) -> str:
     import numpy as np
 
     digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(system.positions).tobytes())
-    digest.update(np.ascontiguousarray(system.velocities).tobytes())
+    digest.update(np.ascontiguousarray(system.positions))
+    digest.update(np.ascontiguousarray(system.velocities))
     return digest.hexdigest()
 
 

@@ -75,6 +75,13 @@ class TestRegistry:
         # "auto" must resolve before the registry lookup, not live in it.
         assert AUTO_BACKEND not in available_backends()
 
+    def test_backend_spec_refuses_a_name_outside_the_registry(self):
+        class Renamed(NumpyFastBackend):
+            name = "numpy_fast+extra"
+
+        with pytest.raises(ValueError, match="registry spec"):
+            backend_spec(Renamed())
+
     def test_simulation_shares_backend_with_potentials(self):
         sim = Simulation(
             lj_melt_system(100, seed=3),

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.md.kernels.compiled import compiled_available
 from repro.md.lattice import lj_melt_system
 from repro.md.potentials.lj import LennardJonesCut
 from repro.md.simulation import Simulation
@@ -15,6 +16,7 @@ from repro.observability.metrics import (
     Histogram,
     MetricsRegistry,
 )
+from repro.service import JobSpec, build_simulation
 
 
 class TestCounter:
@@ -199,3 +201,20 @@ class TestSimulationMetrics:
         sim.attach_metrics(None)
         sim.run(1)
         assert registry.snapshot()["md_steps_total"]["value"] == 3.0
+
+    @pytest.mark.parametrize("backend", ["numpy_fast", "compiled"])
+    def test_scratch_gauge_reads_the_running_backend(self, backend):
+        """EAM grows per-pair scratch on every backend; the compiled one
+        grows its own buffers, not ``numpy_fast``'s."""
+        if backend == "compiled" and not compiled_available():
+            pytest.skip("no native kernel provider on this machine")
+        sim, _ = build_simulation(
+            JobSpec(benchmark="eam", n_atoms=500, backend=backend)
+        )
+        registry = MetricsRegistry()
+        sim.attach_metrics(registry)
+        sim.run(5)
+        sim.close()
+        assert sim.backend.name == backend
+        capacity = registry.snapshot()["md_kernel_scratch_capacity_pairs"]
+        assert capacity["value"] > 0

@@ -767,8 +767,8 @@ class TestPowerCli:
         self, tmp_path, monkeypatch, env, requested
     ):
         """``requested`` is what the environment asked for (the command
-        has no --backend), ``resolved`` a registry name — not the
-        tracing wrapper's ``numpy_fast+trace``, not a made-up ``auto``."""
+        has no --backend), ``resolved`` a registry name — not a
+        made-up ``auto``."""
         from repro.__main__ import main
 
         if env is None:

@@ -52,7 +52,7 @@ def test_trace_command_writes_trace_and_metrics(tmp_path, capsys):
     shown = capsys.readouterr().out
     assert "Task timing breakdown" in shown
     assert "trace/timer agreement" in shown
-    # The registry name that ran, not the tracing wrapper's.
+    # The registry name of the backend that ran.
     backend = shown.split("backend ", 1)[1].split()[0]
     assert backend in available_backends()
 
