@@ -9,6 +9,14 @@ our GPU executor models exactly that.
 
 An H-O-H angle constraint is expressed as a third distance constraint
 between the two hydrogens, so everything reduces to pair distances.
+
+Constraints that share an atom couple, so the solver works per
+*cluster* (a connected component of the constraint graph), the way
+LAMMPS' ``fix shake`` has one routine per cluster shape
+(``shake2/3/4/3angle``).  Clusters with the same constraint count ``k``
+are solved together as a batch of ``k x k`` linear systems: SHAKE takes
+Newton steps on the cluster's multipliers, RATTLE — linear in its
+multipliers — one exact solve.
 """
 
 from __future__ import annotations
@@ -20,9 +28,52 @@ from repro.md.state import Stateful
 
 __all__ = ["ShakeConstraints"]
 
+#: Smallest ``|det| / prod(row norms)`` (1 for orthogonal rows, 0 for
+#: dependent ones) a cluster system may have before it counts as
+#: singular: its bond vectors are (nearly) linearly dependent.
+_SINGULAR_RATIO = 1e-10
+
+
+def _cluster_batches(pairs: np.ndarray) -> list[np.ndarray]:
+    """Constraint indices grouped by connected cluster, batched by size.
+
+    Returns one ``(C, k)`` array per cluster size ``k`` (ascending):
+    row ``c`` lists the constraints of one cluster in input order, and
+    clusters appear in the order of their first constraint.
+    """
+    parent: dict[int, int] = {}
+
+    def find(atom: int) -> int:
+        root = parent.setdefault(atom, atom)
+        while root != parent[root]:
+            root = parent[root]
+        parent[atom] = root
+        return root
+
+    for a, b in pairs.tolist():
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+    clusters: dict[int, list[int]] = {}
+    for index, (a, _) in enumerate(pairs.tolist()):
+        clusters.setdefault(find(a), []).append(index)
+    by_size: dict[int, list[list[int]]] = {}
+    for members in clusters.values():
+        by_size.setdefault(len(members), []).append(members)
+    return [np.array(by_size[k], dtype=np.int64) for k in sorted(by_size)]
+
+
+def _signs(atom: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``sign(atom, e)`` for every constraint ``e = (i_e, j_e)`` of the
+    same cluster: +1 where ``atom`` is its first atom, -1 where it is its
+    second, else 0.  ``(C, k)`` inputs, ``(C, k, k)`` output."""
+    return (atom[:, :, None] == i[:, None, :]).astype(float) - (
+        atom[:, :, None] == j[:, None, :]
+    )
+
 
 class ShakeConstraints(Stateful):
-    """Iterative SHAKE position + RATTLE velocity constraint solver.
+    """Per-cluster SHAKE position + RATTLE velocity constraint solver.
 
     Parameters
     ----------
@@ -33,7 +84,7 @@ class ShakeConstraints(Stateful):
     tolerance:
         Relative convergence tolerance on ``|r^2 - d^2| / d^2``.
     max_iterations:
-        Iteration cap; exceeded only for pathological configurations.
+        Newton-step cap; exceeded only for pathological configurations.
     """
 
     # SHAKE is stateless across steps; only the iteration diagnostic
@@ -56,11 +107,60 @@ class ShakeConstraints(Stateful):
             raise ValueError("constraint distances must be positive")
         self.tolerance = float(tolerance)
         self.max_iterations = int(max_iterations)
+        #: Newton steps the last :meth:`apply_positions` took (the
+        #: slowest batch's count).
         self.last_iterations = 0
+        self._batches = _cluster_batches(self.pairs)
+        self._masses: np.ndarray | None = None
+        self._inverse_masses = np.empty(0)
+        self._couplings: list[np.ndarray] = []
 
     @property
     def n_constraints(self) -> int:
         return len(self.pairs)
+
+    def _coupled(self, masses: np.ndarray) -> list[np.ndarray]:
+        """Each batch's static ``(C, k, k)`` coupling matrix ``K``.
+
+        A multiplier ``g_e`` moves atom ``a`` by ``-sign(a, e) g_e s_e /
+        m_a`` along its constraint's vector ``s_e``, so it changes the
+        bond vector of constraint ``c = (a, b)`` by ``-K_ce g_e s_e`` with
+        ``K_ce = sign(a, e) / m_a - sign(b, e) / m_b``.  Built once per
+        set of masses.
+        """
+        if self._masses is None or not np.array_equal(self._masses, masses):
+            self._masses = np.array(masses, dtype=np.float64)
+            self._inverse_masses = inverse = 1.0 / self._masses
+            self._couplings = []
+            for rows in self._batches:
+                i, j = self.pairs[rows, 0], self.pairs[rows, 1]
+                self._couplings.append(
+                    inverse[i][:, :, None] * _signs(i, i, j)
+                    - inverse[j][:, :, None] * _signs(j, i, j)
+                )
+        return self._couplings
+
+    def _solve(self, matrix: np.ndarray, rhs: np.ndarray, rows: np.ndarray):
+        """Batched ``matrix @ x = rhs``; a singular cluster system raises
+        :class:`RuntimeError` naming the cluster's atoms."""
+        scale = np.prod(np.linalg.norm(matrix, axis=2), axis=1)
+        singular = ~(np.abs(np.linalg.det(matrix)) > _SINGULAR_RATIO * scale)
+        if singular.any():
+            atoms = np.unique(self.pairs[rows[np.flatnonzero(singular)[0]]])
+            raise RuntimeError(
+                f"SHAKE cluster of atoms {atoms.tolist()} has a singular "
+                "constraint system (its bond vectors are linearly dependent)"
+            )
+        return np.linalg.solve(matrix, rhs[..., None])[..., 0]
+
+    def _correct(self, target: np.ndarray, multipliers, vectors, scale: float) -> None:
+        """Move each constraint's atoms along ``vectors`` by their
+        multipliers, weighted by inverse mass (times ``scale``)."""
+        inverse = self._inverse_masses
+        i, j = self.pairs[:, 0], self.pairs[:, 1]
+        corr = (scale * multipliers)[:, None] * vectors
+        np.add.at(target, i, -inverse[i][:, None] * corr)
+        np.add.at(target, j, inverse[j][:, None] * corr)
 
     # ------------------------------------------------------------------
     def apply_positions(
@@ -69,16 +169,15 @@ class ShakeConstraints(Stateful):
         """SHAKE: project post-drift positions back onto the constraints.
 
         ``reference_positions`` are the pre-drift coordinates whose bond
-        vectors define the constraint directions (the classic SHAKE
-        linearization).  Velocities receive the matching correction so
-        the half-step kinetic state stays consistent.
+        vectors ``s`` define the constraint directions (the classic
+        SHAKE linearization).  Per cluster, Newton steps on the
+        multipliers ``g`` drive ``|r(g)|^2 - d^2`` to zero, where ``r(g)
+        = r' - K (g s)`` is the bond vector after the correction; the
+        atoms are moved once, at the end.  Velocities receive the
+        matching correction ``/ dt`` so the half-step kinetic state
+        stays consistent.
         """
-        i = self.pairs[:, 0]
-        j = self.pairs[:, 1]
         box = system.box
-        d2 = self.distances**2
-        inv_mi = 1.0 / system.masses[i]
-        inv_mj = 1.0 / system.masses[j]
         # The projection iterates to a relative tolerance (1e-8 by
         # default) that float32 state cannot represent, so narrow
         # storage modes solve on float64 working copies and round once
@@ -91,66 +190,65 @@ class ShakeConstraints(Stateful):
         velocities = (
             system.velocities.astype(np.float64) if upcast else system.velocities
         )
+        i, j = self.pairs[:, 0], self.pairs[:, 1]
         reference = np.asarray(reference_positions, dtype=np.float64)
         ref_dr = box.minimum_image(reference[i] - reference[j])
-
-        for iteration in range(1, self.max_iterations + 1):
-            dr = box.minimum_image(positions[i] - positions[j])
-            r2 = np.einsum("ij,ij->i", dr, dr)
-            diff = r2 - d2
-            if np.all(np.abs(diff) <= self.tolerance * d2):
-                self.last_iterations = iteration - 1
-                if upcast:
-                    system.positions[...] = positions
-                    system.velocities[...] = velocities
-                return
-            # First-order Lagrange multiplier along the reference bond.
-            denom = 2.0 * (inv_mi + inv_mj) * np.einsum("ij,ij->i", ref_dr, dr)
-            # A vanishing projection means the linearization broke down.
-            safe = np.where(np.abs(denom) > 1e-12, denom, np.sign(denom) * 1e-12 + 1e-12)
-            g = diff / safe
-            corr = g[:, None] * ref_dr
-            np.add.at(positions, i, -inv_mi[:, None] * corr)
-            np.add.at(positions, j, inv_mj[:, None] * corr)
-            if dt > 0:
-                np.add.at(velocities, i, -inv_mi[:, None] * corr / dt)
-                np.add.at(velocities, j, inv_mj[:, None] * corr / dt)
-        raise RuntimeError(
-            f"SHAKE failed to converge in {self.max_iterations} iterations"
-        )
+        dr = box.minimum_image(positions[i] - positions[j])
+        d2 = self.distances**2
+        multipliers = np.zeros(len(self.pairs))
+        iterations = 0
+        for rows, coupling in zip(self._batches, self._coupled(system.masses)):
+            s, target = ref_dr[rows], d2[rows]
+            g = np.zeros(rows.shape)
+            for iteration in range(1, self.max_iterations + 1):
+                r = dr[rows] - coupling @ (g[:, :, None] * s)
+                diff = np.einsum("ckx,ckx->ck", r, r) - target
+                if np.all(np.abs(diff) <= self.tolerance * target):
+                    break
+                # d(diff_c)/d(g_e) = -2 K_ce (r_c . s_e), so the Newton
+                # step is g += solve(2 K o (r . s^T), diff).
+                slope = 2.0 * coupling * (r @ s.transpose(0, 2, 1))
+                g += self._solve(slope, diff, rows)
+            else:
+                raise RuntimeError(
+                    f"SHAKE failed to converge in {self.max_iterations} iterations"
+                )
+            multipliers[rows] = g
+            iterations = max(iterations, iteration - 1)
+        self._correct(positions, multipliers, ref_dr, 1.0)
+        if dt > 0:
+            self._correct(velocities, multipliers, ref_dr, 1.0 / dt)
+        self.last_iterations = iterations
+        if upcast:
+            system.positions[...] = positions
+            system.velocities[...] = velocities
 
     def apply_velocities(self, system: AtomSystem) -> None:
-        """RATTLE: remove velocity components along the constraints."""
-        i = self.pairs[:, 0]
-        j = self.pairs[:, 1]
+        """RATTLE: remove velocity components along the constraints.
+
+        The relative velocity along constraint ``c`` after the
+        correction is ``dv_c . r_c - sum_e K_ce (r_c . r_e) mu_e``, linear
+        in the multipliers ``mu``, so one solve per cluster zeroes it.
+        """
         box = system.box
-        inv_mi = 1.0 / system.masses[i]
-        inv_mj = 1.0 / system.masses[j]
         # Same float64 working-copy treatment as apply_positions.
         upcast = system.velocities.dtype != np.float64
         positions = np.asarray(system.positions, dtype=np.float64)
         velocities = (
             system.velocities.astype(np.float64) if upcast else system.velocities
         )
-        for iteration in range(1, self.max_iterations + 1):
-            dr = box.minimum_image(positions[i] - positions[j])
-            r2 = np.einsum("ij,ij->i", dr, dr)
-            dv = velocities[i] - velocities[j]
-            rv = np.einsum("ij,ij->i", dr, dv)
-            # Converged when the radial relative velocity (units 1/time,
-            # normalized by r^2) is below tolerance.
-            if np.all(np.abs(rv) <= self.tolerance * r2):
-                self.last_iterations = iteration - 1
-                if upcast:
-                    system.velocities[...] = velocities
-                return
-            k = rv / (r2 * (inv_mi + inv_mj))
-            corr = k[:, None] * dr
-            np.add.at(velocities, i, -inv_mi[:, None] * corr)
-            np.add.at(velocities, j, inv_mj[:, None] * corr)
-        raise RuntimeError(
-            f"RATTLE failed to converge in {self.max_iterations} iterations"
-        )
+        i, j = self.pairs[:, 0], self.pairs[:, 1]
+        dr = box.minimum_image(positions[i] - positions[j])
+        dv = velocities[i] - velocities[j]
+        multipliers = np.zeros(len(self.pairs))
+        for rows, coupling in zip(self._batches, self._coupled(system.masses)):
+            r = dr[rows]
+            matrix = coupling * (r @ r.transpose(0, 2, 1))
+            radial = np.einsum("ckx,ckx->ck", r, dv[rows])
+            multipliers[rows] = self._solve(matrix, radial, rows)
+        self._correct(velocities, multipliers, dr, 1.0)
+        if upcast:
+            system.velocities[...] = velocities
 
     # ------------------------------------------------------------------
     def max_violation(self, system: AtomSystem) -> float:

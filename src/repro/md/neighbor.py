@@ -522,13 +522,27 @@ class NeighborList:
     # Maintenance
     # ------------------------------------------------------------------
     def needs_rebuild(self, system: AtomSystem) -> bool:
-        """True if some atom moved more than half the skin since build."""
+        """True if the skin no longer covers the motion since the build.
+
+        A box change is charged against the skin first, as LAMMPS'
+        ``Neighbor::check_distance`` does: an image shift moves a pair's
+        separation by at most ``|L_now - L_build|``, and each partner's
+        own displacement adds at most ``max_disp``, so while
+        ``2 * max_disp + |dL| <= skin`` every pair now inside the cutoff
+        was inside ``cutoff + skin`` at the build and is stored.  The
+        trigger is therefore ``max_disp > delta`` with ``delta = (skin -
+        |dL|) / 2``; at constant box that is the plain half-skin test.
+        """
         self.stats.n_checks += 1
         if self._positions_at_build is None:
             return True
         if len(self._positions_at_build) != system.n_atoms:
             return True
-        if not np.allclose(self._box_lengths_at_build, system.box.lengths):
+        delta = 0.5 * (
+            self.skin
+            - float(np.linalg.norm(system.box.lengths - self._box_lengths_at_build))
+        )
+        if delta <= 0:
             return True
         max_sq = (
             self.kernels.max_displacement_sq(
@@ -542,7 +556,7 @@ class NeighborList:
                 system.box.wrap(system.positions) - self._positions_at_build
             )
             max_sq = float(np.max(np.einsum("ij,ij->i", disp, disp)))
-        return max_sq > (0.5 * self.skin) ** 2
+        return max_sq > delta**2
 
     def step_needs_rebuild(self, system: AtomSystem) -> bool:
         """Count one step toward the rebuild cadence, then

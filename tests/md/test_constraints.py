@@ -6,6 +6,7 @@ import pytest
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
 from repro.md.constraints import ShakeConstraints
+from repro.suite import get_benchmark
 
 
 def _water_like(offset=(0.0, 0.0, 0.0)):
@@ -21,6 +22,52 @@ def _water_like(offset=(0.0, 0.0, 0.0)):
     pairs = np.array([[0, 1], [0, 2], [1, 2]])
     distances = np.array([1.0, 1.0, 1.633])
     return system, ShakeConstraints(pairs, distances)
+
+
+_HALF_ANGLE = np.radians(104.52) / 2.0
+_WATER = 10.0 + np.array(
+    [[0.0, 0, 0],
+     [np.sin(_HALF_ANGLE), np.cos(_HALF_ANGLE), 0],
+     [-np.sin(_HALF_ANGLE), np.cos(_HALF_ANGLE), 0]]
+)
+_TETRAHEDRAL = np.array([[1.0, 1, 1], [1, -1, -1], [-1, 1, -1]]) / np.sqrt(3.0)
+#: One cluster of each shape LAMMPS has a routine for: ``(positions,
+#: masses, constrained pairs)``, every cluster at its target geometry.
+_SHAPES = {
+    "bond": ([[10.0, 10, 10], [11.09, 10, 10]], [12.011, 1.008], [[0, 1]]),
+    "angle": (_WATER, [15.9994, 1.008, 1.008], [[0, 1], [0, 2]]),
+    "water": (_WATER, [15.9994, 1.008, 1.008], [[0, 1], [0, 2], [1, 2]]),
+    "star": (
+        np.vstack([[10.0, 10, 10], 10.0 + 1.09 * _TETRAHEDRAL]),
+        [12.011, 1.008, 1.008, 1.008],
+        [[0, 1], [0, 2], [0, 3]],
+    ),
+}
+
+
+def _cluster(shape):
+    positions, masses, pairs = _SHAPES[shape]
+    positions = np.array(positions, dtype=float)
+    pairs = np.array(pairs)
+    distances = np.linalg.norm(positions[pairs[:, 0]] - positions[pairs[:, 1]], axis=1)
+    system = AtomSystem(positions, Box([20.0, 20.0, 20.0]), masses=masses)
+    return system, ShakeConstraints(pairs, distances)
+
+
+def _kicked(shape, seed=41):
+    """A cluster, its pre-kick reference positions, and a 0.05 Å kick."""
+    system, shake = _cluster(shape)
+    rng = np.random.default_rng(seed)
+    system.velocities = rng.normal(size=system.velocities.shape)
+    reference = system.positions.copy()
+    system.positions += rng.normal(scale=0.05, size=reference.shape)
+    return system, shake, reference
+
+
+def _radial(system, shake):
+    i, j = shake.pairs[:, 0], shake.pairs[:, 1]
+    dr = system.positions[i] - system.positions[j]
+    return np.einsum("ij,ij->i", dr, system.velocities[i] - system.velocities[j])
 
 
 class TestConstruction:
@@ -98,6 +145,101 @@ class TestRattle:
         p0 = system.momentum()
         shake.apply_velocities(system)
         assert np.allclose(system.momentum(), p0, atol=1e-10)
+
+
+class TestClusterSolver:
+    """Per-cluster solves over each shape the proxy systems can hold."""
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_kicked_cluster_converges_within_eight_newton_steps(self, shape):
+        system, shake, reference = _kicked(shape)
+        shake.apply_positions(system, reference, dt=0.01)
+        assert 1 <= shake.last_iterations <= 8
+        i, j = shake.pairs[:, 0], shake.pairs[:, 1]
+        dr = system.positions[i] - system.positions[j]
+        d2 = shake.distances**2
+        assert np.all(
+            np.abs(np.einsum("ij,ij->i", dr, dr) - d2) <= shake.tolerance * d2
+        )
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_atoms_move_along_their_reference_bonds_over_their_mass(self, shape):
+        """``m_a (x_a - x'_a) = -sum_e sign(a, e) g_e s_e``: one
+        multiplier per constraint explains every atom's displacement."""
+        system, shake, reference = _kicked(shape)
+        kicked = system.positions.copy()
+        shake.apply_positions(system, reference, dt=0.01)
+        n, k = system.n_atoms, shake.n_constraints
+        basis = np.zeros((n, 3, k))
+        for e, (a, b) in enumerate(shake.pairs):
+            bond = reference[a] - reference[b]
+            basis[a, :, e] -= bond
+            basis[b, :, e] += bond
+        basis = basis.reshape(3 * n, k)
+        moved = (system.masses[:, None] * (system.positions - kicked)).reshape(-1)
+        g = np.linalg.lstsq(basis, moved, rcond=None)[0]
+        assert np.abs(g).max() > 1e-4
+        assert np.allclose(basis @ g, moved, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_corrections_conserve_momentum(self, shape):
+        system, shake, reference = _kicked(shape)
+        masses = system.masses
+        center, p0 = masses @ system.positions, system.momentum()
+        shake.apply_positions(system, reference, dt=0.01)
+        assert np.allclose(masses @ system.positions, center, rtol=0.0, atol=1e-12)
+        assert np.allclose(system.momentum(), p0, rtol=0.0, atol=1e-10)
+        p1 = system.momentum()
+        shake.apply_velocities(system)
+        assert np.allclose(system.momentum(), p1, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_rattle_is_exact_after_one_solve(self, shape):
+        system, shake, _ = _kicked(shape)
+        system.positions[...] = _cluster(shape)[0].positions
+        assert np.abs(_radial(system, shake)).max() > 0.1
+        shake.apply_velocities(system)
+        assert np.abs(_radial(system, shake)).max() <= 1e-12
+
+    def test_collinear_triangle_is_refused_by_name(self):
+        """A bond (atoms 0-1) beside a straight H-C-H-like triangle
+        (atoms 2-4): the triangle's constraint system is singular, and
+        the error names its atoms whichever solver meets it."""
+        positions = np.array(
+            [[2.0, 2, 2], [3, 2, 2], [10, 10, 10], [11, 10, 10], [12, 10, 10]]
+        )
+        pairs = [[0, 1], [2, 3], [3, 4], [2, 4]]
+        shake = ShakeConstraints(pairs, [1.0, 1.0, 1.0, 2.0])
+        system = AtomSystem(positions.copy(), Box([20.0] * 3), masses=[1.0] * 5)
+        with pytest.raises(RuntimeError, match=r"atoms \[2, 3, 4\] has a singular"):
+            shake.apply_velocities(system)
+        system.positions += np.random.default_rng(5).normal(scale=0.05, size=(5, 3))
+        with pytest.raises(RuntimeError, match=r"atoms \[2, 3, 4\] has a singular"):
+            shake.apply_positions(system, positions, dt=0.01)
+
+    def test_float32_storage_is_solved_in_float64_and_rounded_once(self):
+        system, shake, reference = _kicked("water")
+        system.cast_storage(np.float32)
+        twin = system.copy()
+        twin.cast_storage(np.float64)  # exact: the same values in float64
+        twin_shake = _cluster("water")[1]
+        shake.apply_positions(system, reference, dt=0.01)
+        twin_shake.apply_positions(twin, reference, dt=0.01)
+        assert system.positions.dtype == system.velocities.dtype == np.float32
+        assert np.array_equal(system.positions, twin.positions.astype(np.float32))
+        assert np.array_equal(system.velocities, twin.velocities.astype(np.float32))
+        twin = system.copy()
+        twin.cast_storage(np.float64)
+        shake.apply_velocities(system)
+        twin_shake.apply_velocities(twin)
+        assert system.velocities.dtype == np.float32
+        assert np.array_equal(system.velocities, twin.velocities.astype(np.float32))
+
+    def test_rhodo_1k_takes_at_most_eight_newton_steps_per_step(self):
+        sim = get_benchmark("rhodo").build(1000)
+        sim.run(10)
+        assert sim.counts.shake_iterations <= 8 * sim.counts.timesteps
+        assert sim.constraints.max_violation(sim.system) < 1e-3
 
 
 class TestDynamicsIntegration:

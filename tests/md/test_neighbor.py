@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
+from repro.md.lattice import build_exclusions
 from repro.md.neighbor import (
     MAX_CELLS,
     NeighborList,
@@ -14,6 +15,7 @@ from repro.md.neighbor import (
     cell_list_half_pairs,
     subdomain_directed_pairs,
 )
+from repro.suite import get_benchmark
 from tests.conftest import huge_grid_case
 
 
@@ -132,11 +134,30 @@ class TestSkinLogic:
         system.positions[0] += 0.5
         assert nlist.needs_rebuild(system)
 
-    def test_box_change_triggers_rebuild(self):
+    @pytest.mark.parametrize("move, rebuild", [(0.149, False), (0.151, True)])
+    def test_box_change_is_charged_against_the_skin(self, move, rebuild):
+        """``|dL| = 0.1`` leaves ``(0.4 - 0.1) / 2 = 0.15`` of the skin
+        to each atom: one move either side of ``2 max_disp + |dL| =
+        skin``.  The box grows, so no other atom's wrapped position
+        changes."""
         system = self._system()
         nlist = NeighborList(2.0, 0.4)
         nlist.build(system)
-        system.box.scale(1.01)
+        system.box.lengths = system.box.lengths + [0.06, 0.0, 0.08]
+        system.positions[5, 1] += move
+        assert nlist.needs_rebuild(system) is rebuild
+
+    @pytest.mark.parametrize(
+        "change", [[0.5, 0.0, 0.0], [0.4, -0.4, 0.0], [0.5, 0.5, -0.5]]
+    )
+    def test_box_change_of_a_whole_skin_always_rebuilds(self, change):
+        """At ``|dL| >= skin`` nothing of the skin is left for the atoms,
+        so even a list whose atoms have not moved is rebuilt (the first
+        case is exactly ``|dL| == skin``)."""
+        system = self._system()
+        nlist = NeighborList(2.0, 0.5)
+        nlist.build(system)
+        system.box.lengths = system.box.lengths + change
         assert nlist.needs_rebuild(system)
 
     def test_ensure_counts_builds(self):
@@ -149,6 +170,32 @@ class TestSkinLogic:
         system.positions[0] += 1.0
         assert nlist.ensure(system)
         assert nlist.stats.n_builds == 2
+
+    def test_live_pairs_equal_a_fresh_build_while_the_barostat_compresses(self):
+        """Rhodopsin driven to compress at the barostat's rate cap, with
+        a 1 Å skin so the box change and the motion use it up every few
+        steps: at every step the stored list's pairs within the cutoff
+        are exactly a fresh brute-force build's, exclusions applied."""
+        sim = get_benchmark("rhodo").build(300)
+        sim.set_backend("numpy_fast")
+        sim.neighbor.skin = 1.0
+        sim.integrator.pressure = 1e4
+        system, nlist = sim.system, sim.neighbor
+        excluded = _pair_set(*build_exclusions(system.topology).T)
+        lengths = system.box.lengths.copy()
+        reused = 0
+        for _ in range(30):
+            sim.step()
+            reused += nlist.stats.steps_since_build > 0
+            box = system.box
+            live_i, live_j, _, _ = nlist.current_pairs(system)
+            fresh_i, fresh_j = brute_force_pairs(
+                box.wrap(system.positions), box, nlist.cutoff
+            )
+            assert _pair_set(live_i, live_j) == _pair_set(fresh_i, fresh_j) - excluded
+        assert np.all(system.box.lengths < lengths - 0.5)
+        # Both sides of the rule were taken.
+        assert reused >= 10 and nlist.stats.n_builds >= 4
 
     def test_current_pairs_filters_to_cutoff(self):
         box = Box([10, 10, 10])

@@ -17,6 +17,7 @@ from repro.observability.metrics import (
     MetricsRegistry,
 )
 from repro.service import JobSpec, build_simulation
+from repro.suite import get_benchmark
 
 
 class TestCounter:
@@ -201,6 +202,22 @@ class TestSimulationMetrics:
         sim.attach_metrics(None)
         sim.run(1)
         assert registry.snapshot()["md_steps_total"]["value"] == 3.0
+
+    def test_shake_gauge_is_the_steps_position_solve(self):
+        """``md_shake_iterations_last`` and the checkpointed
+        ``last_iterations`` are what the step's SHAKE added to
+        ``counts.shake_iterations``; RATTLE, which runs after it in the
+        same step, must not overwrite them."""
+        sim = get_benchmark("rhodo").build(300)
+        registry = MetricsRegistry()
+        sim.attach_metrics(registry)
+        for _ in range(3):
+            before = sim.counts.shake_iterations
+            sim.step()
+            added = sim.counts.shake_iterations - before
+            assert added > 0
+            assert registry.snapshot()["md_shake_iterations_last"]["value"] == added
+            assert sim.constraints.state_dict() == {"last_iterations": added}
 
     @pytest.mark.parametrize("backend", ["numpy_fast", "compiled"])
     def test_scratch_gauge_reads_the_running_backend(self, backend):

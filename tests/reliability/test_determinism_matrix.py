@@ -25,6 +25,7 @@ from repro.md import RunConfig
 from repro.reliability import CheckpointManager, FaultPlan, ResilientRunner
 from repro.md.kernels import CompiledBackend, KernelBackend, get_backend
 from repro.md.kernels.compiled import compiled_available
+from repro.md.neighbor import NeighborList
 from repro.md.precision import PARITY_TOLERANCES
 from repro.parallel.engine import ParallelForceExecutor
 from repro.reliability.certify import DigestRecorder
@@ -216,6 +217,39 @@ class TestFusedPairPassIsInvisible:
         _skip_unavailable("compiled")
         chain, _ = _chain_for("lj", "compiled", workers=workers)
         assert chain.head == (self.ENGINE_HEAD if workers else self.SERIAL_HEAD)
+
+
+class TestBoxAwareSkinIsInvisible:
+    """Charging the barostat's box change against the skin, instead of
+    rebuilding on every NPT step, must not move a digest: the stored
+    pairs are row-major, so the ones within the cutoff reach every force
+    pass in the order a fresh build gives them.  The rhodo head equals
+    the one a list rebuilt on every step produces, serially on
+    ``numpy_fast`` and ``compiled`` and on two engine workers (the
+    master decides; workers are forked and inherit the patch anyway)."""
+
+    @pytest.mark.parametrize(
+        "backend, workers", [("numpy_fast", 0), ("compiled", 0), ("numpy_fast", 2)]
+    )
+    def test_rhodo_head_equals_the_every_step_rebuild(
+        self, backend, workers, monkeypatch
+    ):
+        _skip_unavailable(backend)
+        builds = []
+        record_build = NeighborList.record_build
+
+        def counted(self, *args):
+            builds.append(1)
+            return record_build(self, *args)
+
+        monkeypatch.setattr(NeighborList, "record_build", counted)
+        skin_rule, _ = _chain_for("rhodo", backend, workers)
+        skin_builds = len(builds)
+        monkeypatch.setattr(NeighborList, "needs_rebuild", lambda self, system: True)
+        every_step, _ = _chain_for("rhodo", backend, workers)
+        every_step_builds = len(builds) - skin_builds
+        assert skin_rule.head == every_step.head
+        assert every_step_builds == STEPS + 1 and skin_builds < every_step_builds
 
 
 class TestFusedTersoffIsEquivalent:
