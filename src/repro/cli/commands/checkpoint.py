@@ -52,27 +52,18 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
     from repro.md.precision import PARITY_TOLERANCES
     from repro.reliability import (
-        CertificationRecorder,
+        CertificationManifest,
         CheckpointManager,
-        FaultPlan,
+        DigestRecorder,
         ResilientRunner,
     )
+    from repro.reliability.certify import chain_path, manifest_path
     from repro.service import JobSpec, build_simulation
 
-    # Resolve $REPRO_FAULT_PLAN here (not just engine-side) so that
-    # checkpoint-phase faults reach the manager too, and so the
-    # verify-parity reference below can be pinned fault-free.
-    plan = (
-        FaultPlan.parse(args.fault_plan)
-        if args.fault_plan
-        else FaultPlan.from_env()
-    )
-    plan_text = args.fault_plan or (
-        "; ".join(s.spec_string() for s in plan.specs) if plan else ""
-    )
+    plan_text = args.fault_plan or None
     spec = JobSpec(benchmark=args.experiment, n_atoms=args.atoms,
                    steps=args.steps, precision=args.precision,
-                   workers=args.workers, fault_plan=plan_text or None)
+                   workers=args.workers, fault_plan=plan_text)
 
     def build(spec):
         sim, _steps = build_simulation(spec)
@@ -80,8 +71,8 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
             sim.force_executor.barrier_timeout = args.barrier_timeout
         return sim
 
-    # The engine parses its own copy of the plan; only the manager takes
-    # checkpoint-phase faults, so the copies never see the same spec.
+    # The engine owns the plan: it takes checkpoint-phase faults too,
+    # when the manager's write asks.
     sim = build(spec)
     print(f"built {args.experiment}: {sim.system.n_atoms} atoms on "
           f"{args.workers} worker(s) at {args.precision} precision; "
@@ -89,31 +80,36 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
           f"under {args.out}"
           + (f"; fault plan {plan_text!r}" if plan_text else ""))
     manager = CheckpointManager(
-        args.out, every=args.every, keep_last=args.keep_last, fault_plan=plan
+        args.out, every=args.every, keep_last=args.keep_last
     )
     # Digest on the checkpoint cadence so every retained snapshot has a
     # chain entry for `repro certify` to replay against.
-    certifier = CertificationRecorder(
-        args.out, every=args.every if args.every > 0 else max(1, args.steps)
+    digest = DigestRecorder(
+        every=args.every if args.every > 0 else max(1, args.steps),
+        path=chain_path(args.out),
     )
     runner = ResilientRunner(
-        sim, manager, max_restarts=args.max_restarts, digest=certifier,
+        sim, manager, max_restarts=args.max_restarts, digest=digest,
         logger=print
     )
     events = runner.run(args.steps)
-    manifest = certifier.finalize(
+    digest.finalize(sim)
+    manifest = CertificationManifest.capture(
         sim,
-        steps=args.steps,
+        digest.chain,
         benchmark=args.experiment,
         n_atoms=args.atoms,
+        steps=args.steps,
         workers=1 if runner.degraded else args.workers,
         checkpoint_every=args.every,
+        digest_every=digest.every,
         extra={
             "recovery_events": len(events),
             "degraded": runner.degraded,
             **({"fault_plan": plan_text} if plan_text else {}),
         },
     )
+    manifest.save(manifest_path(args.out))
     sim.close()
     retained = [p.name for p in manager.checkpoints()]
     print(f"finished at step {sim.step_number}: "
@@ -130,10 +126,6 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     if not args.verify_parity:
         return 0
     reference = build(dataclasses.replace(spec, fault_plan=None))
-    if spec.workers > 1:
-        # An explicitly empty plan keeps the reference run fault-free
-        # even when $REPRO_FAULT_PLAN is set in the environment.
-        reference.force_executor.fault_plan = FaultPlan()
     reference.run(args.steps)
     reference.close()
     delta = float(np.abs(reference.system.positions - sim.system.positions).max())

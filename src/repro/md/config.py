@@ -6,14 +6,15 @@ consumed by :meth:`repro.md.simulation.Simulation.run`::
 
     from repro.md import RunConfig, Simulation
 
-    sim = Simulation(system, [lj], precision="mixed")
+    sim = Simulation(system, [lj])
+    sim.set_precision("mixed")
     sim.run(RunConfig(steps=1000, reset_timers=True))
 
 A bare step count — ``sim.run(1000)`` — is shorthand for
 ``RunConfig(1000)``; ``run`` takes nothing else.  What a simulation
 *is* — precision mode, kernel backend, tracer — is set once, through
-the ``Simulation`` constructor or its ``set_precision`` /
-``set_backend`` / ``attach_tracer`` setters, not per run.
+its ``set_precision`` / ``set_backend`` / ``attach_tracer`` setters,
+not per run.
 """
 
 from __future__ import annotations

@@ -16,10 +16,10 @@ so that the same potentials run on interchangeable implementations:
     working C compiler, requesting it falls back to ``numpy_fast`` with
     a one-time warning (see :func:`backend_diagnostics` for the reason).
 
-Selection order: an explicit ``Simulation(backend=...)`` argument wins,
-then the ``REPRO_KERNEL_BACKEND`` environment variable, then
-:data:`DEFAULT_BACKEND`.  The meta-name ``auto`` (valid in both the
-argument and the environment variable) resolves to ``compiled`` when a
+Selection order: a ``Simulation.set_backend(...)`` call wins; a new
+simulation starts on the ``REPRO_KERNEL_BACKEND`` environment variable,
+else :data:`DEFAULT_BACKEND`.  The meta-name ``auto`` (valid in both the
+setter and the environment variable) resolves to ``compiled`` when a
 native provider passes its smoke test and to ``numpy_fast`` otherwise —
 the fastest backend the machine can actually run, without the silent
 numpy default that benchmark records used to hide on compiled-capable

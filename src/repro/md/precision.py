@@ -115,13 +115,6 @@ class PrecisionPolicy:
             and self.accumulate_dtype == np.float64
         )
 
-    @classmethod
-    def from_spec(cls, spec: "Precision | str | PrecisionPolicy | None") -> "PrecisionPolicy":
-        """Resolve any accepted precision spec into a policy."""
-        if isinstance(spec, PrecisionPolicy):
-            return spec
-        return _POLICIES[parse_precision(spec)]
-
 
 _POLICIES: dict[Precision, PrecisionPolicy] = {
     Precision.SINGLE: PrecisionPolicy(
@@ -149,8 +142,10 @@ _POLICIES: dict[Precision, PrecisionPolicy] = {
 
 
 def policy_for(spec: "Precision | str | PrecisionPolicy | None") -> PrecisionPolicy:
-    """Shorthand for :meth:`PrecisionPolicy.from_spec`."""
-    return PrecisionPolicy.from_spec(spec)
+    """Resolve any accepted precision spec into a policy."""
+    if isinstance(spec, PrecisionPolicy):
+        return spec
+    return _POLICIES[parse_precision(spec)]
 
 
 #: The float64-everywhere default every layer assumes when no policy is

@@ -41,7 +41,7 @@ from repro.md.kernels import KernelBackend, get_backend
 from repro.md.kspace.base import KSpaceSolver
 from repro.md.neighbor import NeighborList
 from repro.md.potentials.base import ForceResult, PairPotential
-from repro.md.precision import Precision, PrecisionPolicy, policy_for
+from repro.md.precision import DOUBLE_POLICY, Precision, PrecisionPolicy, policy_for
 from repro.md.thermo import ThermoLog
 from repro.md.timers import TaskTimers, fractions
 from repro.observability import MetricsRegistry, resolve_tracer
@@ -83,8 +83,9 @@ class ForceExecutor(abc.ABC):
     _simulation_ref: "weakref.ref[Simulation] | None" = None
 
     def bind(self, simulation: "Simulation") -> None:
-        """Attach to the owning simulation (called once, at the end of
-        ``Simulation.__init__``, after potentials/neighbor exist).
+        """Attach to the owning simulation (once: ``Simulation.__init__``
+        binds its serial default; another executor is bound by whoever
+        assigns it to ``simulation.force_executor``).
 
         The back-reference is weak: the simulation owns its executor,
         and a strong reference the other way would be a cycle that
@@ -148,6 +149,16 @@ class ForceExecutor(abc.ABC):
                 )
             history.load(keys, values)
 
+    def take_fault(self, phase: str):
+        """Consume the fault injection due now in ``phase``, if any.
+
+        ``phase`` is ``"step"``, ``"rebuild"`` or ``"checkpoint"`` (the
+        :class:`~repro.reliability.CheckpointManager` asks on every
+        write).  Only an executor with worker processes has anything to
+        fault: this default returns ``None``.
+        """
+        return None
+
     def close(self) -> None:
         """Release executor resources (worker processes, shared memory)."""
 
@@ -198,47 +209,16 @@ class Simulation:
         corrected in k-space).
     thermo_every:
         Output interval ("Output" task).
-    backend:
-        Kernel backend for the Pair- and Neigh-task hot loops — a
-        :class:`~repro.md.kernels.base.KernelBackend` instance, a
-        registry name (``"numpy_ref"`` / ``"numpy_fast"`` /
-        ``"compiled"``), or ``None`` to fall back to
-        ``$REPRO_KERNEL_BACKEND`` and then the default.  ``"compiled"``
-        needs a system C compiler and degrades to
-        ``numpy_fast`` with a warning otherwise.  One backend instance
-        (and hence one set of scratch buffers) is shared by every
-        potential and the neighbor list of the simulation.
-    tracer:
-        Span tracer recording the step timeline — a
-        :class:`~repro.observability.Tracer`, ``True`` for a fresh
-        default one, or ``None`` to consult ``$REPRO_TRACE`` and fall
-        back to the zero-cost disabled tracer.  When enabled, every
-        timestep phase, serial kernel-backend call, neighbor rebuild,
-        k-space stage and checkpoint write is recorded (Chrome-trace
-        exportable).
-    metrics:
-        Optional :class:`~repro.observability.MetricsRegistry`; when
-        given, each step updates step-duration histograms and work
-        gauges (pair interactions, rebuild cadence, energy drift, SHAKE
-        iterations, kernel scratch growth).
-    force_executor:
-        Strategy object evaluating the Neigh + Pair tasks each step.
-        Defaults to :class:`SerialForceExecutor`; pass a
-        :class:`repro.parallel.engine.ParallelForceExecutor` to run the
-        pair work across domain-decomposed worker processes.  Call
-        :meth:`close` (or use the simulation as a context manager) when
-        the executor holds external resources.
-    precision:
-        Floating-point mode for the whole engine — a
-        :class:`~repro.md.precision.Precision` member, a
-        case-insensitive mode name (``"single"`` / ``"mixed"`` /
-        ``"double"``), a full
-        :class:`~repro.md.precision.PrecisionPolicy`, or ``None`` for
-        the float64 default (bitwise-identical to the engine before
-        precision modes existed).  When a parallel executor was built
-        with its own mode, ``None`` adopts it and a conflicting explicit
-        mode raises (in the executor's ``bind``); an executor built
-        without one adopts the simulation's.
+
+    A new simulation runs serial (:class:`SerialForceExecutor`), at
+    double precision, on the environment's default kernel backend
+    (``$REPRO_KERNEL_BACKEND``), and untraced unless ``$REPRO_TRACE`` is
+    set.  Each of those is changed one way, after construction:
+    :meth:`set_backend`, :meth:`set_precision`, :meth:`attach_tracer`,
+    :meth:`attach_metrics`, and for the parallel engine
+    ``sim.force_executor = executor; executor.bind(sim)``.  Call
+    :meth:`close` (or use the simulation as a context manager) when the
+    executor holds external resources.
     """
 
     def __init__(
@@ -255,35 +235,19 @@ class Simulation:
         skin: float = 0.3,
         exclusions: np.ndarray | None = None,
         thermo_every: int = 100,
-        backend: KernelBackend | str | None = None,
-        tracer=None,
-        metrics: MetricsRegistry | None = None,
-        force_executor: ForceExecutor | None = None,
-        precision: "Precision | str | PrecisionPolicy | None" = None,
     ) -> None:
         # Process-wide, once: step temporaries are reused, not page-
         # faulted back in every step (see repro.md.heap).
         keep_freed_heap()
         self.system = system
         self.potentials = list(potentials)
-        self.tracer = resolve_tracer(tracer)
-        self.metrics = metrics
-        self.force_executor = (
-            force_executor if force_executor is not None else SerialForceExecutor()
-        )
-        #: Active :class:`~repro.md.precision.PrecisionPolicy` — float64
-        #: everywhere unless a mode was requested.  An executor that was
-        #: constructed with its own mode (the parallel engine types its
-        #: shared-memory buffers at start-up) is adopted when no mode
-        #: was asked for here; whether the two agree is the executor's
-        #: ``bind`` to judge (below), as it is for one attached later.
-        executor_policy = getattr(self.force_executor, "precision", None)
-        if precision is None and isinstance(executor_policy, PrecisionPolicy):
-            self.precision = executor_policy
-        else:
-            self.precision = policy_for(precision)
+        self.tracer = resolve_tracer(None)
+        self.metrics: MetricsRegistry | None = None
+        self.force_executor: ForceExecutor = SerialForceExecutor()
+        #: Active :class:`~repro.md.precision.PrecisionPolicy`.
+        self.precision = DOUBLE_POLICY
         self.system.cast_storage(self.precision.storage_dtype)
-        self.backend = get_backend(backend)
+        self.backend = get_backend(None)
         self.bonded = list(bonded)
         self.kspace = kspace
         self.integrator = integrator if integrator is not None else VelocityVerletNVE()
@@ -529,7 +493,15 @@ class Simulation:
         self._setup_done = False
 
     def set_backend(self, backend: "KernelBackend | str") -> None:
-        """Swap the kernel backend, keeping the precision and tracer."""
+        """Swap the kernel backend, keeping the precision and tracer.
+
+        ``backend`` is a :class:`~repro.md.kernels.base.KernelBackend`
+        instance or a registry name (``"numpy_ref"`` / ``"numpy_fast"``
+        / ``"compiled"`` / ``"auto"``); ``"compiled"`` without a working
+        C compiler degrades to ``numpy_fast`` with a warning.  One
+        backend instance (one set of scratch buffers) serves every
+        potential and the neighbor list.
+        """
         self.backend = get_backend(backend)
         self._wire()
 
@@ -537,10 +509,12 @@ class Simulation:
     def attach_tracer(self, tracer) -> None:
         """(Re)wire a span tracer through every instrumented layer.
 
-        Accepts the same specs as the constructor's ``tracer`` argument;
-        useful for instrumenting a simulation a suite builder already
-        assembled.  Passing ``None`` (with ``$REPRO_TRACE`` unset)
-        detaches tracing.
+        ``tracer`` is a :class:`~repro.observability.Tracer`, ``True``
+        for a fresh default one, or ``None`` to consult ``$REPRO_TRACE``
+        and otherwise detach tracing (the zero-cost disabled tracer).
+        When enabled, every timestep phase, serial kernel-backend call,
+        neighbor rebuild, k-space stage and checkpoint write is recorded
+        (Chrome-trace exportable).
         """
         self.tracer = resolve_tracer(tracer)
         self._wire()

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.md.precision import parse_precision
 from repro.model.costs import ComputeTimes, CpuCostModel, kspace_grid
+from repro.model.cpu import SubdomainGeometry
 from repro.model.cpu.mpi_model import MpiModel
 from repro.model.framework.efficiency import ns_per_day
 from repro.model.platforms.instances import CPU_INSTANCE, InstanceSpec
@@ -30,7 +31,6 @@ from repro.model.workloads import WorkloadParams, get_workload
 from repro.observability.telemetry.providers import CpuPowerModel
 from repro.observability.timeline import RankTimeline
 from repro.observability.tracer import NULL_TRACER, resolve_tracer
-from repro.parallel.decomposition import SubdomainGeometry
 
 __all__ = ["CpuRunResult", "RankSetup", "rank_setup", "run_on_ranks", "simulate_cpu_run"]
 

@@ -9,7 +9,7 @@ reproduction the same power over itself:
   export is Chrome trace-event JSON (``chrome://tracing`` / Perfetto)
   or a flamegraph-style text report.  Disabled by default and free when
   disabled (the :data:`NULL_TRACER` singleton); enable per run with
-  ``Simulation(tracer=...)`` or globally with ``REPRO_TRACE=1``.
+  ``Simulation.attach_tracer(...)`` or globally with ``REPRO_TRACE=1``.
 * :mod:`repro.observability.metrics` — a counters/gauges/histograms
   registry fed by the engine's operation counts, neighbor cadence,
   energy drift, SHAKE iterations and kernel scratch growth, with JSONL

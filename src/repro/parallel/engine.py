@@ -261,11 +261,14 @@ class ParallelForceExecutor(ForceExecutor):
         declaring it hung (:class:`ParallelEngineError`).  A worker
         that *died* is reported at once, whatever this is set to.
     fault_plan:
-        Optional deterministic fault injector (anything with a
-        ``take(step, phase) -> spec | None`` method returning specs with
-        ``kind`` (``"kill"``/``"hang"``) and ``worker`` attributes —
-        normally a :class:`repro.reliability.FaultPlan`).  When ``None``,
-        ``$REPRO_FAULT_PLAN`` is consulted lazily on first dispatch.
+        Optional deterministic fault injector — a
+        :class:`repro.reliability.FaultPlan` (or anything with its
+        ``specs`` list and ``take(step, phase)`` method).  The engine
+        owns it for all three phases: it takes ``step`` and ``rebuild``
+        faults right before those dispatches, and ``checkpoint`` faults
+        when the checkpoint manager asks (:meth:`take_fault`).  Every
+        spec's worker id is checked against ``n_workers`` when the pool
+        starts.
     precision:
         Precision mode for the pool — a
         :class:`~repro.md.precision.Precision`, a case-insensitive mode
@@ -298,8 +301,9 @@ class ParallelForceExecutor(ForceExecutor):
         self._workers: list[WorkerProcess] = []
         self._closed = False
         self.fault_plan = fault_plan
-        self._fault_env_checked = False
-        self._pending_kill: int | None = None
+        #: A fault taken outside a dispatch (a checkpoint-phase spec, or
+        #: :meth:`kill_worker`), delivered with the next step/rebuild.
+        self._armed = None
         self._history_slots: tuple = ()
         self._needs_velocities = False
         self._initial_histories: dict = {}
@@ -321,12 +325,11 @@ class ParallelForceExecutor(ForceExecutor):
     def bind(self, simulation) -> None:
         """Attach to ``simulation`` and settle the pool's precision.
 
-        The one place the rule lives, so the constructor route and the
-        attach idiom (``sim.force_executor = ex; ex.bind(sim)``) cannot
-        differ: a pool built without ``precision=`` adopts the
-        simulation's mode; an explicit mode that is not the
-        simulation's is an error rather than a silent mismatch between
-        master state and worker buffers.
+        The one place the rule lives (an executor is attached one way:
+        ``sim.force_executor = ex; ex.bind(sim)``): a pool built without
+        ``precision=`` adopts the simulation's mode; an explicit mode
+        that is not the simulation's is an error rather than a silent
+        mismatch between master state and worker buffers.
         """
         if self.precision is None:
             self.precision = simulation.precision
@@ -340,6 +343,12 @@ class ParallelForceExecutor(ForceExecutor):
         super().bind(simulation)
 
     def _start(self) -> None:
+        for spec in () if self.fault_plan is None else self.fault_plan.specs:
+            if not 0 <= spec.worker < self.n_workers:
+                raise ValueError(
+                    f"fault plan targets worker {spec.worker} but the engine "
+                    f"has {self.n_workers} workers"
+                )
         sim = self.simulation
         system = sim.system
         n = system.n_atoms
@@ -535,43 +544,36 @@ class ParallelForceExecutor(ForceExecutor):
     # ------------------------------------------------------------------
     # Fault injection
     # ------------------------------------------------------------------
-    def _active_fault_plan(self):
-        """The configured fault plan, resolving ``$REPRO_FAULT_PLAN``
-        lazily (a function-level import keeps :mod:`repro.reliability`
-        out of this module's import graph)."""
-        if self.fault_plan is None and not self._fault_env_checked:
-            self._fault_env_checked = True
-            if os.environ.get("REPRO_FAULT_PLAN"):
-                from repro.reliability.faultplan import FaultPlan
+    def take_fault(self, phase: str):
+        """Take the plan's fault due now in ``phase`` and arm it.
 
-                self.fault_plan = FaultPlan.from_env()
-        return self.fault_plan
-
-    def _take_fault(self, phase: str):
-        if self._pending_kill is not None:
-            worker = self._pending_kill
-            self._pending_kill = None
-            return SimpleNamespace(kind="kill", worker=worker)
-        plan = self._active_fault_plan()
-        if plan is None:
+        The spec fires once (the plan latches it), and the worker it
+        names receives its ``kind`` with the next ``step`` or
+        ``rebuild`` command — for a ``checkpoint`` fault, right after
+        the failed write, as a real crash there would surface.
+        """
+        if self.fault_plan is None:
             return None
-        spec = plan.take(self.simulation.step_number, phase)
-        if spec is not None and not 0 <= spec.worker < self.n_workers:
-            raise ValueError(
-                f"fault plan targets worker {spec.worker} but the engine "
-                f"has {self.n_workers} workers"
-            )
+        spec = self.fault_plan.take(self.simulation.step_number, phase)
+        if spec is not None:
+            self._armed = spec
         return spec
+
+    def _next_fault(self, phase: str):
+        """The fault the next ``phase`` dispatch carries: one armed
+        earlier goes first, else the plan's own for ``phase``."""
+        if self._armed is None:
+            self.take_fault(phase)
+        fault, self._armed = self._armed, None
+        return fault
 
     def kill_worker(self, worker_id: int) -> None:
         """Schedule one worker's death at its next command dispatch.
 
-        This is the checkpoint-phase fault: from the supervisor's view
-        the process dies right after the failed write, and the next
-        dispatch fails with a :class:`ParallelEngineError`.  The kill is
-        delivered *in-band* (the worker ``os._exit``s on receiving its
-        next command) so that it lands at a reproducible point of the
-        run; an asynchronous ``os.kill(pid, SIGKILL)`` on one of
+        The next dispatch fails with a :class:`ParallelEngineError`, as
+        after a ``kill`` fault.  The kill is delivered *in-band* (the
+        worker ``os._exit``s on receiving its next command) so that it
+        lands at a reproducible point of the run; an asynchronous ``os.kill(pid, SIGKILL)`` on one of
         :attr:`worker_pids` is just as survivable, only not
         deterministic.
         """
@@ -579,7 +581,7 @@ class ParallelForceExecutor(ForceExecutor):
             raise RuntimeError("engine not started")
         if not 0 <= worker_id < self.n_workers:
             raise ValueError(f"no worker {worker_id}")
-        self._pending_kill = int(worker_id)
+        self._armed = SimpleNamespace(kind="kill", worker=int(worker_id))
 
     # ------------------------------------------------------------------
     # ForceExecutor interface
@@ -598,7 +600,7 @@ class ParallelForceExecutor(ForceExecutor):
         replies = self._dispatch(
             "rebuild",
             system,
-            fault=self._take_fault("rebuild"),
+            fault=self._next_fault("rebuild"),
             histories=histories,
         )
         wall, cpu, counts = zip(*replies)
@@ -620,7 +622,7 @@ class ParallelForceExecutor(ForceExecutor):
             self.maintain_neighbors(system, force=True)
         arena = self._arena
         self._publish_state(system)
-        replies = self._dispatch("step", system, fault=self._take_fault("step"))
+        replies = self._dispatch("step", system, fault=self._next_fault("step"))
         wall, cpu, counts = zip(*replies)
 
         np.copyto(system.forces, arena["forces"])

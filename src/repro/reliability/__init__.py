@@ -12,7 +12,9 @@ Three layers (see ``docs/RELIABILITY.md``):
   the serial executor when respawns are exhausted.
 
 :class:`FaultPlan` is the deterministic crash injector driving the
-test harness (``$REPRO_FAULT_PLAN`` / ``--fault-plan``).
+test harness (``JobSpec.fault_plan`` / ``--fault-plan``); the parallel
+engine alone takes its faults, for the ``step``, ``rebuild`` and
+``checkpoint`` phases alike.
 
 On top of those sits :mod:`repro.reliability.certify` — hash-chained
 trajectory digests, certification manifests, and ``repro certify``
@@ -21,7 +23,6 @@ replay verification (``docs/REPRODUCIBILITY.md``).
 
 from repro.reliability.certify import (
     CertificationManifest,
-    CertificationRecorder,
     DigestChain,
     DigestChainError,
     DigestRecorder,
@@ -38,7 +39,6 @@ from repro.reliability.recovery import RecoveryEvent, ResilientRunner
 
 __all__ = [
     "CertificationManifest",
-    "CertificationRecorder",
     "CheckpointIntegrityError",
     "CheckpointManager",
     "DigestChain",

@@ -8,8 +8,8 @@ The certification stack turns the engine's determinism contracts into
 * :mod:`~repro.reliability.certify.manifest` — the self-checksummed
   provenance record (platform, numpy, backend + provider, precision,
   workers, chain head);
-* :mod:`~repro.reliability.certify.record` — the run-directory glue
-  that writes both alongside snapshot-v2 checkpoints;
+* :mod:`~repro.reliability.certify.record` — where a run directory
+  keeps both alongside its snapshot-v2 checkpoints;
 * :mod:`~repro.reliability.certify.verify` — ``repro certify``: replay
   a seedable checkpoint interval and compare (bitwise in a matching
   environment, PR-5 tolerance tiers cross-mode), plus the service
@@ -35,7 +35,6 @@ from repro.reliability.certify.manifest import (
 from repro.reliability.certify.record import (
     CHAIN_FILENAME,
     MANIFEST_FILENAME,
-    CertificationRecorder,
     chain_path,
     manifest_path,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "state_witness",
     "CertificationManifest",
     "ManifestError",
-    "CertificationRecorder",
     "chain_path",
     "manifest_path",
     "CacheAuditReport",

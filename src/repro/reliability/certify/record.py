@@ -1,23 +1,24 @@
-"""Run-directory glue: record digests + manifest alongside checkpoints.
+"""Run-directory layout: where a certified run keeps its digests and manifest.
 
 A *certified run directory* is an ordinary checkpoint directory (the
 ``{prefix}-{step:09d}.npz`` files a
 :class:`~repro.reliability.CheckpointManager` retains) plus two
-artifacts this module maintains:
+artifacts:
 
 ``digests.jsonl``
     The hash-chained trajectory digest chain
     (:class:`~repro.reliability.certify.digest.DigestChain`), persisted
-    after every new link.
+    after every new link by a
+    ``DigestRecorder(every=..., path=chain_path(run_dir))``.
 ``manifest.json``
     The sealed :class:`~repro.reliability.certify.manifest.
-    CertificationManifest`, written once at :meth:`CertificationRecorder.
-    finalize`.
+    CertificationManifest`, written once at the end of the run
+    (``CertificationManifest.capture(...).save(manifest_path(run_dir))``).
 
-:class:`CertificationRecorder` is the producer side; ``repro certify``
-(:mod:`repro.reliability.certify.verify`) is the consumer.  The
-recorder plugs into ``RunConfig(digest=...)`` exactly like a
-checkpoint manager plugs into ``RunConfig(checkpoint=...)``, and into
+``repro checkpoint`` is the producer; ``repro certify``
+(:mod:`repro.reliability.certify.verify`) is the consumer.  The digest
+recorder plugs into ``RunConfig(digest=...)`` exactly like a checkpoint
+manager plugs into ``RunConfig(checkpoint=...)``, and into
 :class:`~repro.reliability.ResilientRunner` (``digest=``) so recovery
 re-execution verifies rather than corrupts the chain.
 """
@@ -26,13 +27,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.reliability.certify.digest import DigestChain, DigestRecorder
-from repro.reliability.certify.manifest import CertificationManifest
-
 __all__ = [
     "CHAIN_FILENAME",
     "MANIFEST_FILENAME",
-    "CertificationRecorder",
     "chain_path",
     "manifest_path",
 ]
@@ -51,82 +48,3 @@ def chain_path(run_dir: str | Path) -> Path:
 def manifest_path(run_dir: str | Path) -> Path:
     """Where a run directory's certification manifest lives."""
     return Path(run_dir) / MANIFEST_FILENAME
-
-
-class CertificationRecorder:
-    """Maintain a run directory's digest chain and final manifest.
-
-    Parameters
-    ----------
-    directory:
-        The run directory (normally the checkpoint directory).
-    every:
-        Digest cadence in steps; align it with the checkpoint cadence
-        so every retained snapshot has a chain entry to replay against.
-    """
-
-    def __init__(self, directory: str | Path, *, every: int) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.recorder = DigestRecorder(
-            every=every, path=chain_path(self.directory)
-        )
-
-    @property
-    def chain(self) -> DigestChain:
-        """The live digest chain being recorded."""
-        return self.recorder.chain
-
-    # ------------------------------------------------------------------
-    # RunConfig(digest=...) / ResilientRunner(digest=...) surface
-    # ------------------------------------------------------------------
-    def maybe_record(self, simulation):
-        """Cadenced hook for ``Simulation.run`` — see DigestRecorder."""
-        return self.recorder.maybe_record(simulation)
-
-    def record(self, simulation):
-        """Unconditional observation (used for baselines/final states)."""
-        return self.recorder.record(simulation)
-
-    def rewind_to(self, step: int) -> int:
-        """Drop chain entries past ``step`` (degrade-serial recovery)."""
-        return self.recorder.rewind_to(step)
-
-    # ------------------------------------------------------------------
-    def finalize(
-        self,
-        simulation,
-        *,
-        steps: int,
-        benchmark: str | None = None,
-        deck_text: str | None = None,
-        n_atoms: int | None = None,
-        seed: int | None = None,
-        workers: int = 1,
-        checkpoint_every: int = 0,
-        prefix: str = "ckpt",
-        extra: dict | None = None,
-    ) -> CertificationManifest:
-        """Seal the run: final digest entry + manifest on disk.
-
-        Records the final state (idempotently — off-cadence final steps
-        get their entry, on-cadence ones are verified), then captures
-        and writes ``manifest.json``.  Returns the sealed manifest.
-        """
-        self.recorder.finalize(simulation)
-        manifest = CertificationManifest.capture(
-            simulation,
-            self.chain,
-            benchmark=benchmark,
-            deck_text=deck_text,
-            n_atoms=n_atoms,
-            seed=seed,
-            steps=steps,
-            workers=workers,
-            checkpoint_every=checkpoint_every,
-            digest_every=self.recorder.every,
-            prefix=prefix,
-            extra=extra,
-        )
-        manifest.save(manifest_path(self.directory))
-        return manifest

@@ -23,12 +23,13 @@
   in the tracer of the simulation being checkpointed) and counted
   (``md_checkpoints_total``, ``md_checkpoint_write_seconds``,
   ``md_checkpoint_bytes``) when a registry is attached;
-* **fault injection** — a checkpoint-phase :class:`~repro.reliability.
-  faultplan.FaultSpec` simulates the process dying mid-write: a partial
-  temp file is left behind, no checkpoint is recorded, and the named
-  worker is scheduled to die (in-band, at its next command — see
-  ``ParallelForceExecutor.kill_worker``) so the run aborts the way a
-  real crash would.
+* **fault injection** — every write asks the force executor for a
+  checkpoint-phase fault (``ForceExecutor.take_fault``; the parallel
+  engine owns the :class:`~repro.reliability.faultplan.FaultPlan`).  A
+  fault simulates the process dying mid-write: a partial temp file is
+  left behind, no checkpoint is recorded, and the engine delivers the
+  fault's kind to the worker it names with its next command, so the
+  run aborts the way a real crash would.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.md.restart import (
     snapshot_payload,
     write_snapshot,
 )
+
 __all__ = ["CheckpointManager", "CheckpointIntegrityError"]
 
 
@@ -76,9 +78,6 @@ class CheckpointManager:
         Filename prefix; files are ``{prefix}-{step:09d}.npz``.
     metrics:
         Optional :class:`~repro.observability.MetricsRegistry`.
-    fault_plan:
-        Optional :class:`~repro.reliability.faultplan.FaultPlan`
-        consulted for ``checkpoint``-phase faults on every write.
     """
 
     def __init__(
@@ -89,7 +88,6 @@ class CheckpointManager:
         keep_last: int = 3,
         prefix: str = "ckpt",
         metrics=None,
-        fault_plan=None,
     ) -> None:
         if keep_last < 1:
             raise ValueError("keep_last must be >= 1")
@@ -99,7 +97,6 @@ class CheckpointManager:
         self.keep_last = int(keep_last)
         self.prefix = str(prefix)
         self.metrics = metrics
-        self.fault_plan = fault_plan
         self.writes = 0
 
     # ------------------------------------------------------------------
@@ -143,20 +140,13 @@ class CheckpointManager:
             # parallel executor collects contact histories from its
             # workers), so it happens before any file I/O.
             payload = snapshot_payload(simulation)
-            fault = (
-                self.fault_plan.take(step, "checkpoint")
-                if self.fault_plan is not None
-                else None
-            )
-            if fault is not None:
+            if simulation.force_executor.take_fault("checkpoint") is not None:
                 # Simulate dying mid-write: a partial temp file is left
                 # on disk (restore_latest must skip it), the final name
-                # never appears, and the named worker's death is
-                # scheduled so the run aborts like a real crash.
+                # never appears, and the executor has armed the fault
+                # for its next dispatch so the run aborts like a real
+                # crash.
                 temp_path(final).write_bytes(b"\x00" * 512)
-                executor = simulation.force_executor
-                if hasattr(executor, "kill_worker"):
-                    executor.kill_worker(fault.worker)
                 return None
             atomic_write(final, lambda handle: write_snapshot(handle, payload))
             written = final.read_bytes()

@@ -3,35 +3,34 @@
 A fault plan is an ordered list of one-shot :class:`FaultSpec` entries,
 each naming *what* fails (``kill`` a worker process or make it
 ``hang``), *who* fails (the worker id), and *when* (the first dispatch
-of a given phase at or after a step number).  The parallel engine
-consults the plan master-side right before it dispatches each command,
-so a spec fires exactly once even when the run later rolls back past
-its step — which is what makes recovery tests deterministic instead of
-an infinite crash loop.
+of a given phase at or after a step number).  A plan enters a run one
+way — ``ParallelForceExecutor(fault_plan=...)``, which
+``JobSpec.fault_plan`` and the ``--fault-plan`` CLI flag build — and the
+engine alone takes its specs, master-side, right before it dispatches
+each command (and when a checkpoint write asks), so a spec fires
+exactly once even when the run later rolls back past its step — which
+is what makes recovery tests deterministic instead of an infinite crash
+loop.
 
-Text syntax (``$REPRO_FAULT_PLAN`` and the ``--fault-plan`` CLI flag)::
+Text syntax (``JobSpec.fault_plan`` and ``--fault-plan``)::
 
     kind:worker:step[:phase][;kind:worker:step[:phase]]...
 
 with ``kind`` one of ``kill``/``hang``, ``phase`` one of ``step``
 (default, the pair-force dispatch), ``rebuild`` (the neighbor-rebuild
-dispatch) or ``checkpoint`` (fired by the checkpoint manager mid-write).
+dispatch) or ``checkpoint`` (a checkpoint write dies midway and the
+worker gets its fault with the next command).
 Example: ``kill:1:40;hang:0:80:rebuild``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-__all__ = ["FaultSpec", "FaultPlan", "FAULT_KINDS", "FAULT_PHASES", "ENV_VAR"]
+__all__ = ["FaultSpec", "FaultPlan", "FAULT_KINDS", "FAULT_PHASES"]
 
 FAULT_KINDS = ("kill", "hang")
 FAULT_PHASES = ("step", "rebuild", "checkpoint")
-
-#: Environment variable the engine resolves a plan from when none was
-#: passed explicitly.
-ENV_VAR = "REPRO_FAULT_PLAN"
 
 
 @dataclass
@@ -102,14 +101,6 @@ class FaultPlan:
             except ValueError as exc:
                 raise ValueError(f"bad fault spec {chunk!r}: {exc}") from exc
         return cls(specs)
-
-    @classmethod
-    def from_env(cls, env_var: str = ENV_VAR) -> "FaultPlan | None":
-        """Plan from the environment, or ``None`` when unset/empty."""
-        text = os.environ.get(env_var, "")
-        if not text.strip():
-            return None
-        return cls.parse(text)
 
     def take(self, step: int, phase: str) -> FaultSpec | None:
         """Pop the first unfired spec due at ``(step, phase)``.

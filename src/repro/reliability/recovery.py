@@ -76,8 +76,7 @@ class ResilientRunner:
         (``backoff_seconds * 2**(k-1)``).
     digest:
         Optional :class:`~repro.reliability.certify.digest.
-        DigestRecorder` (or :class:`~repro.reliability.certify.record.
-        CertificationRecorder`) recording the hash-chained trajectory
+        DigestRecorder` recording the hash-chained trajectory
         digests *through* recovery: a bitwise respawn re-executes steps
         whose digests are already recorded, which the chain verifies
         idempotently (a divergent re-execution fails loudly), while the

@@ -97,11 +97,7 @@ def execute_job(
                 tmp = scratch.enter_context(
                     tempfile.TemporaryDirectory(prefix="repro-job-ckpt-")
                 )
-                manager = CheckpointManager(
-                    tmp,
-                    every=spec.checkpoint_every,
-                    fault_plan=sim.force_executor.fault_plan,
-                )
+                manager = CheckpointManager(tmp, every=spec.checkpoint_every)
                 supervisor = ResilientRunner(sim, manager, digest=digest)
             done = 0
             while done < steps:

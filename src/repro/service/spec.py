@@ -95,8 +95,8 @@ class JobSpec:
     fault_plan:
         Optional fault-injection spec string (``kill:1:17``-style, see
         :class:`repro.reliability.FaultPlan`) applied to the job's
-        worker pool; recovery makes it result-neutral, so it is not
-        keyed.
+        worker pool — the one way a fault reaches a job; recovery makes
+        it result-neutral, so it is not keyed.
     checkpoint_every:
         Periodic checkpoint cadence inside the job (0 = only the
         supervisor's baseline checkpoint when recovery is active).
@@ -105,7 +105,8 @@ class JobSpec:
 
     ``n_atoms``, ``steps``, ``workers`` (each >= 1), ``checkpoint_every``
     (>= 0) and ``seed`` must be whole numbers (``bool`` refused) and are
-    stored as ``int``; anything else is a ``ValueError`` naming the field.
+    stored as ``int``, and ``fault_plan`` must parse; anything else is a
+    ``ValueError`` naming the field.
     """
 
     benchmark: str | None = None
@@ -141,6 +142,17 @@ class JobSpec:
             object.__setattr__(self, name, int(value))
         # Fail fast on typos before the job ever reaches a worker.
         parse_precision(self.precision)
+        if self.fault_plan is not None:
+            from repro.reliability.faultplan import FaultPlan
+
+            if not isinstance(self.fault_plan, str):
+                raise ValueError(
+                    f"fault_plan must be a string, got {self.fault_plan!r}"
+                )
+            try:
+                FaultPlan.parse(self.fault_plan)
+            except ValueError as exc:
+                raise ValueError(f"fault_plan: {exc}") from None
         if self.benchmark is not None:
             from repro.suite import get_benchmark
 

@@ -83,11 +83,8 @@ class TestRegistry:
             backend_spec(Renamed())
 
     def test_simulation_shares_backend_with_potentials(self):
-        sim = Simulation(
-            lj_melt_system(100, seed=3),
-            [LennardJonesCut(cutoff=2.5)],
-            backend="numpy_ref",
-        )
+        sim = Simulation(lj_melt_system(100, seed=3), [LennardJonesCut(cutoff=2.5)])
+        sim.set_backend("numpy_ref")
         assert isinstance(sim.backend, NumpyRefBackend)
         assert sim.potentials[0].backend is sim.backend
 
@@ -283,8 +280,8 @@ class TestBackendOracle:
                 lj_melt_system(256, seed=77),
                 [LennardJonesCut(cutoff=2.5)],
                 dt=0.005,
-                backend=backend,
             )
+            sim.set_backend(backend)
             sim.run(20)
             trajectories[backend] = sim.system.positions.copy()
         np.testing.assert_allclose(
@@ -309,10 +306,7 @@ class TestBackendProtocol:
 
         backend = Recording()
         assert isinstance(backend, KernelBackend)
-        sim = Simulation(
-            lj_melt_system(256, seed=1),
-            [LennardJonesCut(cutoff=2.5)],
-            backend=backend,
-        )
+        sim = Simulation(lj_melt_system(256, seed=1), [LennardJonesCut(cutoff=2.5)])
+        sim.set_backend(backend)
         sim.run(2)
         assert backend.calls >= 2

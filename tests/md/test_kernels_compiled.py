@@ -185,11 +185,8 @@ class TestAvailabilityAndFallback:
         assert type(backend) is NumpyFastBackend
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a second warning would raise
-            sim = Simulation(
-                lj_melt_system(256, seed=3),
-                [LennardJonesCut(cutoff=2.5)],
-                backend="compiled",
-            )
+            sim = Simulation(lj_melt_system(256, seed=3), [LennardJonesCut(cutoff=2.5)])
+            sim.set_backend("compiled")
         assert sim.backend.name == "numpy_fast"
         sim.run(2)
         assert np.isfinite(sim.total_energy())
@@ -1488,14 +1485,15 @@ class TestOracleMatrix:
         if backend == "compiled" and not compiled_available():
             pytest.skip("no compiled provider on this machine")
         system, potential = _jittered_case(kind)
-        sim = Simulation(
-            system, [potential], backend=backend, precision=mode
-        )
+        sim = Simulation(system, [potential])
+        sim.set_precision(mode)
+        sim.set_backend(backend)
         sim.setup()
         forces = sim.system.forces.astype(np.float64)
 
         ref_system, ref_potential = _jittered_case(kind)
-        ref = Simulation(ref_system, [ref_potential], backend="numpy_ref")
+        ref = Simulation(ref_system, [ref_potential])
+        ref.set_backend("numpy_ref")
         ref.system.positions[...] = sim.system.positions.astype(np.float64)
         ref.setup()
         ref_forces = np.asarray(ref.system.forces, dtype=np.float64)
@@ -1511,8 +1509,8 @@ class TestOracleMatrix:
                 lj_melt_system(256, seed=77),
                 [LennardJonesCut(cutoff=2.5)],
                 dt=0.005,
-                backend=backend,
             )
+            sim.set_backend(backend)
             sim.run(20)
             trajectories[backend] = sim.system.positions.copy()
         np.testing.assert_allclose(

@@ -23,14 +23,17 @@ MODES = ("single", "mixed", "double")
 
 
 def _lj_sim(n=256, precision=None, backend=None, seed=7):
-    return Simulation(
+    sim = Simulation(
         lj_melt_system(n, seed=seed),
         [LennardJonesCut(cutoff=2.5)],
         dt=0.005,
         skin=0.3,
-        backend=backend,
-        precision=precision,
     )
+    if precision is not None:
+        sim.set_precision(precision)
+    if backend is not None:
+        sim.set_backend(backend)
+    return sim
 
 
 # ---------------------------------------------------------------------------
@@ -256,32 +259,10 @@ class TestPolicyNegotiation:
 
         executor = ParallelForceExecutor(2, precision="single")
         try:
+            sim = _lj_sim(precision="double")
+            sim.force_executor = executor
             with pytest.raises(ValueError, match="construct both"):
-                Simulation(
-                    lj_melt_system(256, seed=7),
-                    [LennardJonesCut(cutoff=2.5)],
-                    dt=0.005,
-                    skin=0.3,
-                    force_executor=executor,
-                    precision="double",
-                )
-        finally:
-            executor.close()
-
-    def test_simulation_adopts_executor_mode(self):
-        from repro.parallel.engine import ParallelForceExecutor
-
-        executor = ParallelForceExecutor(2, precision="mixed")
-        try:
-            sim = Simulation(
-                lj_melt_system(256, seed=7),
-                [LennardJonesCut(cutoff=2.5)],
-                dt=0.005,
-                skin=0.3,
-                force_executor=executor,
-            )
-            assert sim.precision.mode is Precision.MIXED
-            assert sim.system.positions.dtype == np.float64
+                executor.bind(sim)
         finally:
             executor.close()
 
@@ -290,13 +271,9 @@ class TestPolicyNegotiation:
 
         executor = ParallelForceExecutor(2, precision="double")
         try:
-            sim = Simulation(
-                lj_melt_system(256, seed=7),
-                [LennardJonesCut(cutoff=2.5)],
-                dt=0.005,
-                skin=0.3,
-                force_executor=executor,
-            )
+            sim = _lj_sim()
+            sim.force_executor = executor
+            executor.bind(sim)
             with pytest.raises(ValueError, match="typed at start-up"):
                 sim.set_precision("single")
         finally:

@@ -130,7 +130,10 @@ class TestSimulation:
         gc.collect()
         gc.disable()
         try:
-            sim = _sim(force_executor=executor)
+            sim = _sim()
+            if executor is not None:
+                sim.force_executor = executor
+                executor.bind(sim)
             sim.run(3)
             alive = weakref.ref(sim)
             del sim

@@ -175,8 +175,8 @@ class TestSimulationMetrics:
             [LennardJonesCut(cutoff=2.5)],
             dt=0.005,
             skin=0.3,
-            metrics=registry,
         )
+        sim.attach_metrics(registry)
         sim.run(10)
         snap = registry.snapshot()
         assert snap["md_steps_total"]["value"] == 10.0

@@ -230,8 +230,8 @@ class TestSimulationIntegration:
             [LennardJonesCut(cutoff=2.5)],
             dt=0.005,
             skin=0.3,
-            tracer=tracer,
         )
+        sim.attach_tracer(tracer)
         sim.run(3)
         cats = {r.cat for r in tracer.records()}
         assert {"step", "task", "neigh", "kernel"} <= cats
@@ -245,8 +245,8 @@ class TestSimulationIntegration:
             [LennardJonesCut(cutoff=2.5)],
             dt=0.005,
             skin=0.3,
-            tracer=tracer,
         )
+        sim.attach_tracer(tracer)
         sim.run(5)
         totals = tracer.task_totals()
         for task, seconds in sim.timers.seconds.items():

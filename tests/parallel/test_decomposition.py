@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.decomposition import SubdomainGeometry, proc_grid
+from repro.model.cpu import SubdomainGeometry
+from repro.parallel.decomposition import proc_grid
 
 
 class TestProcGrid:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.md.timers import fractions
+from repro.model.cpu import SubdomainGeometry
 from repro.model.cpu.mpi_model import MPI_FUNCTIONS, MpiModel
 from repro.model.workloads import get_workload
-from repro.parallel.decomposition import SubdomainGeometry
 
 
 def _geometry(workload, n_atoms, n_ranks):

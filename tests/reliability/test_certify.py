@@ -16,7 +16,6 @@ import pytest
 
 from repro.md import RunConfig
 from repro.reliability import (
-    CertificationRecorder,
     CheckpointIntegrityError,
     CheckpointManager,
     ResilientRunner,
@@ -47,13 +46,14 @@ def _certified_run(directory):
     """Produce a certified serial run directory (the CLI wiring)."""
     sim = _make_sim()
     manager = CheckpointManager(directory, every=EVERY)
-    certifier = CertificationRecorder(directory, every=EVERY)
-    runner = ResilientRunner(sim, manager, digest=certifier)
+    digest = DigestRecorder(every=EVERY, path=chain_path(directory))
+    runner = ResilientRunner(sim, manager, digest=digest)
     runner.run(STEPS)
-    certifier.finalize(
-        sim, steps=STEPS, benchmark="lj", n_atoms=150,
-        checkpoint_every=EVERY,
-    )
+    digest.finalize(sim)
+    CertificationManifest.capture(
+        sim, digest.chain, steps=STEPS, benchmark="lj", n_atoms=150,
+        checkpoint_every=EVERY, digest_every=EVERY,
+    ).save(manifest_path(directory))
     sim.close()
     return directory
 

@@ -2,9 +2,11 @@
 and phases, with supervised recovery back to the reference trajectory.
 
 Faults come from :class:`FaultPlan` (kill / hang, per worker, per step,
-per phase).  Recovery goes through :class:`ResilientRunner`: restore the
-newest checkpoint, respawn the pool, and — when restarts are exhausted —
-degrade to the serial executor.  A recovered parallel run must finish
+per phase), handed to the engine alone: it takes the checkpoint-phase
+faults too, when the manager's write asks.  Recovery goes through
+:class:`ResilientRunner`: restore the newest checkpoint, respawn the
+pool, and — when restarts are exhausted — degrade to the serial
+executor.  A recovered parallel run must finish
 *bitwise* identical to the uninterrupted one; the serial degradation
 path is held to ``1e-10``.
 """
@@ -62,11 +64,8 @@ def chain_reference():
     return _reference("chain")
 
 
-def _run_resilient(sim, tmp_path, *, max_restarts=2, manager_plan=None,
-                   metrics=None):
-    manager = CheckpointManager(
-        tmp_path, every=10, keep_last=3, fault_plan=manager_plan
-    )
+def _run_resilient(sim, tmp_path, *, max_restarts=2, metrics=None):
+    manager = CheckpointManager(tmp_path, every=10, keep_last=3)
     runner = ResilientRunner(
         sim,
         manager,
@@ -113,9 +112,8 @@ class TestKillRecovery:
 
     def test_kill_during_checkpoint_write(self, tmp_path, lj_reference):
         """Dying mid-checkpoint loses that checkpoint, not the run."""
-        plan = FaultPlan.parse("kill:0:15:checkpoint")
-        sim = _build("lj", fault_plan=plan)
-        runner, manager = _run_resilient(sim, tmp_path, manager_plan=plan)
+        sim = _build("lj", fault_plan=FaultPlan.parse("kill:0:15:checkpoint"))
+        runner, manager = _run_resilient(sim, tmp_path)
 
         assert [e.action for e in runner.events] == ["respawn"]
         # The faulted write (step 20) never landed, so recovery fell
@@ -137,13 +135,16 @@ class TestKillRecovery:
         assert [e.action for e in runner.events] == ["respawn"]
         _assert_bitwise(sim, chain_reference)
 
-    def test_env_var_fault_plan(self, tmp_path, lj_reference, monkeypatch):
-        """$REPRO_FAULT_PLAN drives injection without code changes."""
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "kill:1:17")
-        sim = _build("lj")  # no explicit plan: engine reads the env
-        runner, _ = _run_resilient(sim, tmp_path)
-        assert [e.action for e in runner.events] == ["respawn"]
-        _assert_bitwise(sim, lj_reference)
+    def test_plan_naming_a_missing_worker_is_refused_at_pool_start(
+        self, tmp_path
+    ):
+        """Checked for every phase before a worker is spawned, so a bad
+        checkpoint-phase spec never leaves a partial write behind."""
+        sim = _build("lj", fault_plan=FaultPlan.parse("kill:5:15:checkpoint"))
+        with pytest.raises(ValueError, match="worker 5 but the engine has 2"):
+            _run_resilient(sim, tmp_path)
+        assert sim.force_executor.spawn_generation == 0
+        assert not [p for p in tmp_path.iterdir() if ".tmp" in p.name]
 
 
 class TestHangRecovery:
@@ -157,6 +158,23 @@ class TestHangRecovery:
         runner, _ = _run_resilient(sim, tmp_path)
         assert [e.action for e in runner.events] == ["respawn"]
         assert runner.events[0].resumed_from_step == 20
+        _assert_bitwise(sim, lj_reference)
+
+    def test_hang_during_checkpoint_write_is_a_missed_reply(
+        self, tmp_path, lj_reference
+    ):
+        """A checkpoint-phase fault keeps its kind: the worker hangs on
+        its next command instead of exiting."""
+        sim = _build(
+            "lj",
+            fault_plan=FaultPlan.parse("hang:0:15:checkpoint"),
+            barrier_timeout=2.0,
+        )
+        runner, _ = _run_resilient(sim, tmp_path)
+        assert [e.action for e in runner.events] == ["respawn"]
+        assert runner.events[0].resumed_from_step == 10
+        assert "sent no reply" in runner.events[0].error
+        assert "exitcode" not in runner.events[0].error
         _assert_bitwise(sim, lj_reference)
 
 

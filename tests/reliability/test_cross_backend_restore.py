@@ -16,13 +16,14 @@ BACKENDS = ("numpy_ref", "numpy_fast", "compiled")
 
 
 def _sim(backend):
-    return Simulation(
+    sim = Simulation(
         lj_melt_system(256, seed=11),
         [LennardJonesCut(cutoff=2.5)],
         dt=0.005,
         skin=0.3,
-        backend=get_backend(backend),
     )
+    sim.set_backend(get_backend(backend))
+    return sim
 
 
 class TestCrossBackendRestore:

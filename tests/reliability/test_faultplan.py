@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.reliability.faultplan import ENV_VAR, FaultPlan, FaultSpec
+from repro.reliability.faultplan import FaultPlan, FaultSpec
 
 
 class TestParsing:
@@ -42,21 +42,6 @@ class TestParsing:
     def test_spec_string_round_trips(self):
         spec = FaultSpec(kind="hang", worker=3, step=17, phase="rebuild")
         assert FaultPlan.parse(spec.spec_string()).specs[0] == spec
-
-
-class TestEnv:
-    def test_unset_env_gives_none(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert FaultPlan.from_env() is None
-
-    def test_empty_env_gives_none(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "   ")
-        assert FaultPlan.from_env() is None
-
-    def test_env_parses(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "kill:1:7")
-        plan = FaultPlan.from_env()
-        assert plan is not None and len(plan) == 1
 
 
 class TestTake:

@@ -179,6 +179,13 @@ class TestValidation:
             JobSpec(benchmark="lj", steps=None)
         assert JobSpec(deck=DECK, steps=None).steps is None
 
+    @pytest.mark.parametrize("plan", ["kil:1:7", "kill:1", "kill:1:7:halt", 17])
+    def test_rejects_a_fault_plan_that_does_not_parse(self, plan):
+        """Refused where it enters, naming the field, not later inside
+        a pool worker."""
+        with pytest.raises(ValueError, match="fault_plan"):
+            JobSpec(benchmark="lj", workers=2, fault_plan=plan)
+
     def test_from_json_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown JobSpec fields"):
             JobSpec.from_json({"benchmark": "lj", "gpu_count": 8})
