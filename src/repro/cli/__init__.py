@@ -21,12 +21,11 @@ Commands mirror the workflow of the authors' run/profile scripts:
 * ``run-deck`` — parse and execute a LAMMPS input deck (the supported
   command subset, see ``repro.md.deck``);
 * ``trace``   — run a functional benchmark under the span tracer and
-  write a Chrome trace, metrics snapshots and the timing tables (see
-  ``docs/OBSERVABILITY.md``);
-* ``power``   — run a functional benchmark under the hardware
-  telemetry sampler (RAPL / procfs / calibrated model, auto-detected)
-  and report the measured per-phase energy breakdown and TS/s/W (see
-  ``docs/OBSERVABILITY.md`` §7);
+  write a Chrome trace, metrics snapshots and the timing tables; with
+  ``--power`` the same run is sampled by the hardware telemetry
+  (RAPL / procfs / calibrated model, auto-detected) and also reports
+  the per-phase energy breakdown, TS/s/W over measured joules, and an
+  ``energy.json`` record (see ``docs/OBSERVABILITY.md``);
 * ``scale``   — run a benchmark on the real shared-memory parallel
   engine, check serial/parallel parity, and report the measured
   per-worker timeline and speedups (see ``docs/SCALING.md``);

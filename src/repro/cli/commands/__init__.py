@@ -15,7 +15,6 @@ _MODULES = (
     "model",
     "deck",
     "trace",
-    "power",
     "scale",
     "checkpoint",
     "service",

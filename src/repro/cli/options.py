@@ -4,7 +4,10 @@
 the subcommands; before the registry refactor each parser re-declared
 them with drifting help strings and defaults.  Commands now call these
 helpers and override only what genuinely differs (the default worker
-count, or a command-specific help suffix).
+count, or a command-specific help suffix).  :func:`int_at_least` and
+:func:`positive_float` are ``type=`` converters that refuse an
+out-of-range number while the arguments are parsed (exit 2, the
+message naming the flag).
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ __all__ = [
     "add_precision_option",
     "add_backend_option",
     "add_workers_option",
+    "int_at_least",
+    "positive_float",
 ]
 
 PRECISION_CHOICES = tuple(mode.value for mode in PRECISIONS)
@@ -61,3 +66,32 @@ def add_workers_option(
 ) -> None:
     """``--workers N`` for commands that fan work across processes."""
     parser.add_argument("--workers", type=int, default=default, help=help)
+
+
+def _number(kind, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid {kind.__name__} value: {text!r}"
+        ) from None
+
+
+def int_at_least(minimum: int):
+    """``type=`` converter: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = _number(int, text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def positive_float(text: str) -> float:
+    """``type=`` converter: a float strictly greater than zero."""
+    value = _number(float, text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value

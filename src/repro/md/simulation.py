@@ -44,7 +44,7 @@ from repro.md.potentials.base import ForceResult, PairPotential
 from repro.md.precision import DOUBLE_POLICY, Precision, PrecisionPolicy, policy_for
 from repro.md.thermo import ThermoLog
 from repro.md.timers import TaskTimers, fractions
-from repro.observability import MetricsRegistry, resolve_tracer
+from repro.observability import NULL_TRACER, MetricsRegistry, resolve_tracer
 
 __all__ = [
     "Simulation",
@@ -212,9 +212,9 @@ class Simulation:
 
     A new simulation runs serial (:class:`SerialForceExecutor`), at
     double precision, on the environment's default kernel backend
-    (``$REPRO_KERNEL_BACKEND``), and untraced unless ``$REPRO_TRACE`` is
-    set.  Each of those is changed one way, after construction:
-    :meth:`set_backend`, :meth:`set_precision`, :meth:`attach_tracer`,
+    (``$REPRO_KERNEL_BACKEND``), and untraced.  Each of those is
+    changed one way, after construction: :meth:`set_backend`,
+    :meth:`set_precision`, :meth:`attach_tracer`,
     :meth:`attach_metrics`, and for the parallel engine
     ``sim.force_executor = executor; executor.bind(sim)``.  Call
     :meth:`close` (or use the simulation as a context manager) when the
@@ -241,7 +241,7 @@ class Simulation:
         keep_freed_heap()
         self.system = system
         self.potentials = list(potentials)
-        self.tracer = resolve_tracer(None)
+        self.tracer = NULL_TRACER
         self.metrics: MetricsRegistry | None = None
         self.force_executor: ForceExecutor = SerialForceExecutor()
         #: Active :class:`~repro.md.precision.PrecisionPolicy`.
@@ -510,8 +510,8 @@ class Simulation:
         """(Re)wire a span tracer through every instrumented layer.
 
         ``tracer`` is a :class:`~repro.observability.Tracer`, ``True``
-        for a fresh default one, or ``None`` to consult ``$REPRO_TRACE``
-        and otherwise detach tracing (the zero-cost disabled tracer).
+        for a fresh default one, or ``None``/``False`` to detach tracing
+        (the zero-cost disabled tracer).
         When enabled, every timestep phase, serial kernel-backend call,
         neighbor rebuild, k-space stage and checkpoint write is recorded
         (Chrome-trace exportable).

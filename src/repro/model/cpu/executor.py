@@ -30,7 +30,7 @@ from repro.model.precision import Precision
 from repro.model.workloads import WorkloadParams, get_workload
 from repro.observability.telemetry.providers import CpuPowerModel
 from repro.observability.timeline import RankTimeline
-from repro.observability.tracer import NULL_TRACER, resolve_tracer
+from repro.observability.tracer import resolve_tracer
 
 __all__ = ["CpuRunResult", "RankSetup", "rank_setup", "run_on_ranks", "simulate_cpu_run"]
 
@@ -232,9 +232,7 @@ def run_on_ranks(
     imbalance_fraction = (
         timeline.imbalance_seconds() / profiled_total if n_ranks > 1 else 0.0
     )
-    # Env resolution is deliberately skipped here: an env-created tracer
-    # would be invisible to the caller, so only an explicit one records.
-    run_tracer = resolve_tracer(tracer) if tracer is not None else NULL_TRACER
+    run_tracer = resolve_tracer(tracer)
     if run_tracer.enabled:
         timeline.export(run_tracer)
 

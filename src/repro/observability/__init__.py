@@ -8,8 +8,8 @@ reproduction the same power over itself:
   phase, kernel-backend call, neighbor rebuild and k-space stage;
   export is Chrome trace-event JSON (``chrome://tracing`` / Perfetto)
   or a flamegraph-style text report.  Disabled by default and free when
-  disabled (the :data:`NULL_TRACER` singleton); enable per run with
-  ``Simulation.attach_tracer(...)`` or globally with ``REPRO_TRACE=1``.
+  disabled (the :data:`NULL_TRACER` singleton); enable it on the run
+  whose spans you read with ``Simulation.attach_tracer(...)``.
 * :mod:`repro.observability.metrics` — a counters/gauges/histograms
   registry fed by the engine's operation counts, neighbor cadence,
   energy drift, SHAKE iterations and kernel scratch growth, with JSONL
@@ -24,10 +24,10 @@ reproduction the same power over itself:
   paper's 0.5 s cadence, with per-phase joule attribution through the
   span tracer and machine provenance for the benchmark records.
 
-Entry points: ``python -m repro trace lj --steps 50`` records one short
+Entry point: ``python -m repro trace lj --steps 50`` records one short
 experiment and writes the trace, metrics snapshot and timing table;
-``python -m repro power lj`` adds the measured per-phase energy
-breakdown and TS/s/W.
+``--power`` samples the same run's power and adds the per-phase energy
+breakdown, TS/s/W (measured joules only) and an ``energy.json`` record.
 """
 
 from repro.observability.metrics import (
@@ -54,7 +54,6 @@ from repro.observability.timing import (
 )
 from repro.observability.tracer import (
     NULL_TRACER,
-    TRACE_ENV_VAR,
     NullTracer,
     SpanRecord,
     Tracer,
@@ -65,7 +64,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "TRACE_ENV_VAR",
     "SpanRecord",
     "resolve_tracer",
     "Counter",

@@ -24,9 +24,10 @@ The performance model (:mod:`repro.model`) imports the utilization
 formula and the sampling methodology from here; nothing here imports the
 model.
 
-Entry point: ``python -m repro power lj --steps 40 --atoms 32768``
-prints a live per-phase energy breakdown and TS/s/W; ``--json`` exports
-the full report.
+Entry point: ``python -m repro trace lj --atoms 32768 --power`` samples
+the traced run, prints a live readout and the per-phase energy
+breakdown, and writes the full record to ``<out>/energy.json``.  TS/s/W
+is reported only when the joules are ``measured``.
 """
 
 from repro.observability.telemetry.attribution import (

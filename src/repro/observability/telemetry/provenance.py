@@ -6,7 +6,7 @@ powercap behavior change across versions), whether a cgroup CPU quota
 was throttling the run (ubiquitous in CI containers, invisible to
 ``os.cpu_count``), and whether the joules came from a hardware counter
 or a model.  :func:`platform_provenance` bundles those for the
-``repro power --json`` record.
+``energy.json`` record ``repro trace --power`` writes.
 """
 
 from __future__ import annotations

@@ -243,7 +243,12 @@ class TelemetrySampler:
         return record
 
     def summary(self, *, steps: int | None = None) -> dict:
-        """Totals plus (optionally) per-step efficiency figures."""
+        """Totals plus (optionally) per-step efficiency figures.
+
+        ``ts_per_s_per_watt`` is ``None`` unless the provider's joules
+        are ``measured``: TS/s/W over estimated or modeled watts is not
+        a metric.
+        """
         duration = self.duration_s
         out = {
             "joules": self.total_joules,
@@ -256,5 +261,8 @@ class TelemetrySampler:
             ts_per_s = steps / duration if duration > 0 else 0.0
             out["ts_per_s"] = ts_per_s
             watts = self.mean_watts
-            out["ts_per_s_per_watt"] = ts_per_s / watts if watts > 0 else 0.0
+            if self.provider.kind != "measured":
+                out["ts_per_s_per_watt"] = None
+            else:
+                out["ts_per_s_per_watt"] = ts_per_s / watts if watts > 0 else 0.0
         return out

@@ -9,16 +9,21 @@ an actual *timeline* — one compute/wait/comm span per rank per step —
 and the imbalance is read off the recorded spans, so the plotted
 quantity and the inspectable timeline can never diverge.
 
-The timeline exports to the same Chrome trace-event JSON as the engine
-tracer (one ``tid`` per rank), renders as an ASCII Gantt chart, and can
-be replayed into an existing :class:`~repro.observability.tracer.Tracer`.
+The timeline renders as an ASCII Gantt chart and replays into a
+:class:`~repro.observability.tracer.Tracer` (one ``tid`` per rank); the
+tracer is its one route to Chrome trace-event JSON::
+
+    tracer = Tracer()
+    timeline.export(tracer)
+    tracer.write_chrome_trace(
+        "ranks.json",
+        tid_names={rank: f"rank {rank}" for rank in range(timeline.n_ranks)},
+    )
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -142,47 +147,6 @@ class RankTimeline:
             tracer.add_span(
                 span.name, span.cat, span.start, span.end, tid=span.rank
             )
-
-    def to_chrome_trace(self, *, pid: int = 1, process_name: str = "ranks") -> dict:
-        """Chrome trace-event JSON with each rank on its own thread row."""
-        events: list[dict] = [
-            {
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "name": "process_name",
-                "args": {"name": process_name},
-            }
-        ]
-        for rank in range(self.n_ranks):
-            events.append(
-                {
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": rank,
-                    "name": "thread_name",
-                    "args": {"name": f"rank {rank}"},
-                }
-            )
-        for span in self.spans:
-            events.append(
-                {
-                    "name": span.name,
-                    "cat": span.cat,
-                    "ph": "X",
-                    "ts": span.start * 1e6,
-                    "dur": span.duration * 1e6,
-                    "pid": pid,
-                    "tid": span.rank,
-                }
-            )
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def write_chrome_trace(self, path: str | Path, **kwargs) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_chrome_trace(**kwargs)) + "\n")
-        return path
 
     def render(self, *, width: int = 60) -> str:
         """ASCII Gantt chart: one row per rank, ``#`` compute, ``.`` wait."""

@@ -26,7 +26,6 @@ Design constraints:
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,13 +37,8 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "TRACE_ENV_VAR",
     "resolve_tracer",
 ]
-
-#: Environment switch: a non-empty value other than ``0`` makes
-#: :func:`resolve_tracer` hand out a live :class:`Tracer` by default.
-TRACE_ENV_VAR = "REPRO_TRACE"
 
 #: Default ring capacity — ~64k spans is hours of engine stepping at the
 #: ~12 spans/step the instrumented timestep emits.
@@ -439,15 +433,13 @@ def resolve_tracer(spec: "Tracer | NullTracer | bool | None" = None):
 
     * a tracer instance passes through unchanged;
     * ``True`` builds a fresh default-capacity :class:`Tracer`;
-    * ``None``/``False`` consult ``$REPRO_TRACE`` — any non-empty value
-      other than ``0`` enables tracing — and otherwise hand back the
-      shared :data:`NULL_TRACER`.
+    * ``None``/``False`` hand back the shared :data:`NULL_TRACER`.
+
+    Tracing is switched on by the caller that reads the spans, never by
+    the environment: a tracer nobody exports only costs time.
     """
     if isinstance(spec, (Tracer, NullTracer)):
         return spec
     if spec is True:
-        return Tracer()
-    env = os.environ.get(TRACE_ENV_VAR, "")
-    if env and env != "0":
         return Tracer()
     return NULL_TRACER

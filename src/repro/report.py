@@ -1,7 +1,7 @@
 """One versioned record envelope for every record the package writes.
 
-Two producers write records: ``python -m repro power --json`` and the
-campaign orchestrator.  The common provenance facts — which backend
+Two producers write records: ``python -m repro trace --power`` (its
+``energy.json``) and the campaign orchestrator.  The common provenance facts — which backend
 ran, which precision modes, where the energy numbers came from, what
 platform — are defined **once**, here:
 

@@ -38,7 +38,7 @@ def build_simulation(spec: JobSpec):
     """Build the run ``spec`` describes; returns ``(simulation, steps)``.
 
     The one builder (service, certify replay, ``repro checkpoint``,
-    ``scale``, ``trace`` and ``power``): registry or deck build, the
+    ``scale`` and ``trace``): registry or deck build, the
     spec's precision, its *resolved* backend and, when
     ``spec.workers > 1``, a bound parallel executor carrying the parsed
     ``spec.fault_plan``.  The caller closes it.

@@ -732,32 +732,72 @@ class TestProvenance:
 
 
 # ---------------------------------------------------------------------------
-# End to end: the power CLI against a tiny functional run
+# End to end: ``repro trace --power`` against a tiny functional run
 # ---------------------------------------------------------------------------
+def _force_rapl_root(monkeypatch, root):
+    """Point the command's provider detection at a sysfs tree."""
+    import functools
+
+    from repro.observability import telemetry
+
+    monkeypatch.setattr(
+        telemetry, "detect_provider",
+        functools.partial(detect_provider, rapl_root=root),
+    )
+
+
 class TestPowerCli:
     def test_power_command_reports_and_exports(self, tmp_path, capsys):
         from repro.__main__ import main
 
-        out = tmp_path / "energy.json"
+        out = tmp_path / "trace_out"
         code = main([
-            "power", "lj", "--steps", "6", "--atoms", "128",
-            "--warmup", "1", "--provider", "model",
-            "--report-every", "3", "--json", str(out),
+            "trace", "lj", "--steps", "6", "--atoms", "128",
+            "--warmup", "1", "--power", "model",
+            "--snapshot-every", "3", "--out", str(out),
         ])
         assert code == 0
         text = capsys.readouterr().out
         assert "Per-phase energy breakdown" in text
-        assert "TS/s/W" in text
-        report = json.loads(out.read_text())
+        assert "n/a TS/s/W — the watts are modeled (model, modeled)" in text
+        assert (out / "trace.json").exists()
+        assert (out / "metrics.jsonl").exists()
+        report = json.loads((out / "energy.json").read_text())
         assert report["schema"] == "repro-bench-report/2"
         assert report["kind"] == "power"
         assert report["energy"] == {"provider": "model", "kind": "modeled"}
         assert report["joules_per_step"] > 0
-        assert report["ts_per_s_per_watt"] > 0
+        # TS/s/W counts only over measured joules.
+        assert report["ts_per_s_per_watt"] is None
         assert report["sampling"]["provider"] == "model"
         assert report["sampling"]["under_sampled"] is True
         assert report["attribution"]["phases"]
         assert report["platform"]["kernel_version"]
+
+    @pytest.mark.filterwarnings("ignore:TelemetrySampler")
+    def test_measured_joules_give_ts_per_watt(self, tmp_path, monkeypatch, capsys):
+        """A RAPL counter (over a fake powercap tree that advances 0.25 J
+        per read) is ``measured``, so the record carries TS/s/W."""
+        from repro.__main__ import main
+        from repro.observability.telemetry.providers import RaplDomain
+
+        _force_rapl_root(
+            monkeypatch, make_rapl_tree(tmp_path / "powercap", {"package-0": 0})
+        )
+        ticks = iter(range(0, 10**12, 250_000))
+        monkeypatch.setattr(RaplDomain, "read_energy_uj", lambda self: next(ticks))
+        out = tmp_path / "trace_out"
+        assert main([
+            "trace", "lj", "--steps", "4", "--atoms", "128", "--warmup", "0",
+            "--power", "rapl", "--period", "60", "--out", str(out),
+        ]) == 0
+        report = json.loads((out / "energy.json").read_text())
+        assert report["energy"] == {"provider": "rapl", "kind": "measured"}
+        assert report["joules"] > 0
+        assert report["ts_per_s_per_watt"] == pytest.approx(
+            report["ts_per_s"] / report["mean_watts"]
+        )
+        assert "TS/s/W" in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("ignore:TelemetrySampler")
     @pytest.mark.parametrize("env, requested", [
@@ -775,24 +815,25 @@ class TestPowerCli:
             monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         else:
             monkeypatch.setenv(BACKEND_ENV_VAR, env)
-        out = tmp_path / "energy.json"
+        out = tmp_path / "trace_out"
         assert main([
-            "power", "lj", "--steps", "2", "--atoms", "128", "--warmup", "0",
-            "--provider", "model", "--json", str(out),
+            "trace", "lj", "--steps", "2", "--atoms", "128", "--warmup", "0",
+            "--power", "model", "--out", str(out),
         ]) == 0
-        backend = json.loads(out.read_text())["backend"]
+        backend = json.loads((out / "energy.json").read_text())["backend"]
         assert backend["requested"] == requested
         assert backend["resolved"] in available_backends()
         assert backend["resolved"] == resolved_backend(env)[0]
 
-    def test_power_command_unavailable_provider_exits_2(self, tmp_path, monkeypatch):
+    def test_power_command_unavailable_provider_exits_2(
+        self, tmp_path, monkeypatch, capsys
+    ):
         from repro.__main__ import main
 
         # Force rapl while pointing discovery at an empty sysfs root.
-        monkeypatch.setattr(
-            "repro.observability.telemetry.providers.RAPL_SYSFS_ROOT",
-            str(tmp_path / "nope"),
-        )
-        code = main(["power", "lj", "--steps", "2", "--atoms", "64",
-                     "--provider", "rapl"])
+        _force_rapl_root(monkeypatch, tmp_path / "nope")
+        code = main(["trace", "lj", "--steps", "2", "--atoms", "128",
+                     "--power", "rapl", "--out", str(tmp_path / "out")])
         assert code == 2
+        assert "power provider unavailable" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -43,16 +45,34 @@ class TestExport:
         assert tracer.totals_by_name(cat="compute")["compute"] == pytest.approx(3.0)
 
     def test_chrome_trace_has_one_thread_per_rank(self, tmp_path):
+        """The timeline reaches Chrome through the tracer: one thread
+        row per rank, and every span keeps its rank, start and length."""
         timeline = RankTimeline.from_model([1.0, 2.0], [1.0, 0.0], comm_seconds=0.25)
-        doc = timeline.to_chrome_trace()
+        tracer = Tracer()
+        timeline.export(tracer)
+        path = tracer.write_chrome_trace(
+            tmp_path / "ranks.json",
+            tid_names={rank: f"rank {rank}" for rank in range(timeline.n_ranks)},
+        )
+        doc = json.loads(path.read_text())
         threads = [
             e for e in doc["traceEvents"] if e.get("name") == "thread_name"
         ]
-        assert [t["args"]["name"] for t in threads] == ["rank 0", "rank 1"]
+        assert [(t["tid"], t["args"]["name"]) for t in threads] == [
+            (0, "rank 0"), (1, "rank 1"),
+        ]
         complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        assert all(e["dur"] >= 0 for e in complete)
-        path = timeline.write_chrome_trace(tmp_path / "ranks.json")
-        assert path.exists()
+        got = sorted(
+            (e["name"], e["cat"], e["tid"], e["ts"] / 1e6, e["dur"] / 1e6)
+            for e in complete
+        )
+        want = sorted(
+            (s.name, s.cat, s.rank, s.start, s.duration) for s in timeline.spans
+        )
+        assert [row[:3] for row in got] == [row[:3] for row in want]
+        assert [row[3:] for row in got] == [
+            pytest.approx(row[3:], abs=1e-12) for row in want
+        ]
 
     def test_render_draws_every_rank(self):
         timeline = RankTimeline.from_model([1.0, 2.0], [1.0, 0.0])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 from repro.md import RunConfig
 from repro.md.kernels import available_backends
@@ -78,3 +80,34 @@ def test_span_totals_agree_with_task_breakdown_within_2_percent():
     sim.run(RunConfig(steps=50, reset_timers=True))
     deltas = trace_timer_agreement(sim.timers, tracer)
     assert max(deltas.values()) < 0.02, deltas
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--steps", "0"),
+    ("--steps", "-2"),
+    ("--warmup", "-1"),
+    ("--snapshot-every", "0"),
+    ("--period", "0"),
+    ("--period", "-0.5"),
+])
+def test_run_length_flags_are_checked_while_parsing(tmp_path, capsys, flag, value):
+    """A run length the command cannot honour exits 2 before anything
+    is built, and the message names the flag."""
+    out = tmp_path / "trace_out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["trace", "lj", "--atoms", "256", "--out", str(out), flag, value])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_build_the_engine_refuses_is_a_one_line_error(tmp_path, capsys):
+    """64 LJ atoms make a box smaller than twice cutoff+skin: exit 2
+    with one line naming --atoms, no traceback."""
+    out = tmp_path / "trace_out"
+    assert main(["trace", "lj", "--atoms", "64", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "--atoms 64" in err and "exceeds half" in err
+    assert "Traceback" not in err
+    assert not out.exists()

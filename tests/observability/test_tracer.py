@@ -14,13 +14,12 @@ from repro.md.potentials.lj import LennardJonesCut
 from repro.md.simulation import Simulation
 from repro.observability.tracer import (
     NULL_TRACER,
-    TRACE_ENV_VAR,
     NullTracer,
     Tracer,
     resolve_tracer,
 )
 from repro.reliability import DigestRecorder
-from repro.service import JobSpec, build_simulation
+from repro.service import JobSpec, build_simulation, execute_job
 
 
 def make_clock(times):
@@ -138,13 +137,32 @@ class TestResolveTracer:
     def test_true_builds_a_live_tracer(self):
         assert isinstance(resolve_tracer(True), Tracer)
 
-    def test_env_variable_enables(self, monkeypatch):
-        monkeypatch.setenv(TRACE_ENV_VAR, "1")
-        assert isinstance(resolve_tracer(None), Tracer)
-        monkeypatch.setenv(TRACE_ENV_VAR, "0")
+    def test_none_and_false_give_the_null_tracer(self):
         assert resolve_tracer(None) is NULL_TRACER
-        monkeypatch.delenv(TRACE_ENV_VAR)
-        assert resolve_tracer(None) is NULL_TRACER
+        assert resolve_tracer(False) is NULL_TRACER
+
+    def test_the_environment_never_turns_tracing_on(self, monkeypatch):
+        """Only the caller that reads the spans attaches a tracer: with
+        ``REPRO_TRACE=1`` in the environment, a new simulation is
+        untraced, ``attach_tracer(False)`` detaches, and a service job
+        records no span anywhere."""
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        sim = Simulation(
+            lj_melt_system(256, seed=3), [LennardJonesCut(cutoff=2.5)],
+            dt=0.005, skin=0.3,
+        )
+        assert sim.tracer is NULL_TRACER
+        sim.attach_tracer(True)
+        assert isinstance(sim.tracer, Tracer)
+        sim.attach_tracer(False)
+        assert sim.tracer is sim.neighbor.tracer is NULL_TRACER
+
+        recorded = []
+        monkeypatch.setattr(
+            Tracer, "_record", lambda self, *span: recorded.append(span)
+        )
+        execute_job(JobSpec(benchmark="lj", n_atoms=256, steps=4, seed=1))
+        assert recorded == []
 
 
 class TestNullTracer:
@@ -254,10 +272,9 @@ class TestSimulationIntegration:
                 continue
             assert totals.get(task, 0.0) == pytest.approx(seconds, abs=1e-12)
 
-    def test_attach_tracer_keeps_the_backend(self, monkeypatch):
+    def test_attach_tracer_keeps_the_backend(self):
         """Attaching or detaching a tracer moves where spans go, never
         which backend runs."""
-        monkeypatch.delenv(TRACE_ENV_VAR, raising=False)
         sim = Simulation(
             lj_melt_system(256, seed=3),
             [LennardJonesCut(cutoff=2.5)],
@@ -281,14 +298,11 @@ class TestSimulationIntegration:
         ("tersoff", 512, "compiled"),
         ("eam", 500, "numpy_fast"),
     ])
-    def test_tracing_never_changes_the_trajectory(
-        self, monkeypatch, bench, n_atoms, backend
-    ):
+    def test_tracing_never_changes_the_trajectory(self, bench, n_atoms, backend):
         """A traced run takes the same kernels as an untraced one, fused
         passes included, so the digest heads agree."""
         if backend == "compiled" and not compiled_available():
             pytest.skip("no native kernel provider on this machine")
-        monkeypatch.delenv(TRACE_ENV_VAR, raising=False)
         heads = []
         for tracer in (NULL_TRACER, Tracer()):
             sim, _ = build_simulation(

@@ -7,7 +7,6 @@ import pytest
 from repro.md import RunConfig
 from repro.md.restart import SnapshotError
 from repro.observability import MetricsRegistry
-from repro.observability.tracer import TRACE_ENV_VAR
 from repro.reliability import CheckpointManager
 from repro.suite import get_benchmark
 
@@ -126,11 +125,11 @@ class TestObservability:
         assert registry.counter("md_checkpoints_total").value == 2
         assert registry.gauge("md_checkpoint_bytes").value > 0
 
-    def test_writes_land_in_the_runs_own_trace(self, tmp_path, monkeypatch):
-        """One tracer per run: with ``$REPRO_TRACE`` set, the writes are
-        spans of the checkpointed simulation's trace, between its steps."""
-        monkeypatch.setenv(TRACE_ENV_VAR, "1")
+    def test_writes_land_in_the_runs_own_trace(self, tmp_path):
+        """One tracer per run: the writes are spans of the checkpointed
+        simulation's trace, between its steps."""
         sim = _sim(500)
+        sim.attach_tracer(True)
         manager = CheckpointManager(tmp_path, every=2)
         sim.run(RunConfig(4, checkpoint=manager))
         writes = [

@@ -1,6 +1,6 @@
 """The shared ``repro-bench-report/2`` envelope.
 
-Every record the package writes (``repro power --json``, the campaign
+Every record the package writes (``repro trace --power``, the campaign
 report) carries one versioned envelope (backend, precision, energy
 provenance, platform) defined once in :mod:`repro.report`.
 """

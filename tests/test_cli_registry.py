@@ -21,7 +21,6 @@ EXPECTED_COMMANDS = (
     "anchors",
     "run-deck",
     "trace",
-    "power",
     "scale",
     "checkpoint",
     "serve",
