@@ -2,9 +2,10 @@
 
 The ``compiled`` backend delivers native-code speed anywhere a C
 compiler is on ``PATH``: this module carries a single self-contained C
-translation unit implementing the Pair/Neigh hot loops, builds it once
-into a cached shared object with strict IEEE flags, and binds it via
-the stdlib ``ctypes`` — no third-party build dependency at all.
+translation unit implementing the Pair/Neigh hot loops and PPPM's
+particle-mesh pass, builds it once into a cached shared object with
+strict IEEE flags, and binds it via the stdlib ``ctypes`` — no
+third-party build dependency at all.
 
 A native kernel is one C body plus one row of :data:`KERNELS`: a body
 that exists at more than one precision is written once, over a value
@@ -28,6 +29,12 @@ oracle tests):
   identical to ``np.bincount`` when the destination rows start at
   zero; the mixed instances widen each float32 term to float64
   before adding, exactly as bincount's float64 accumulator does.
+* The PPPM mesh scatter adds in the order of the numpy body's
+  ``np.add.at`` calls — stencil point ``(a, b, c)`` outermost, atoms
+  in input order innermost — each term rounded in ``VAL`` and widened
+  to ``ACC``; the gather sums each atom's stencil from zero in the
+  same point order.  That loop order, not the set of terms, is what
+  makes them bitwise the body at every precision.
 * Compilation uses ``-fno-fast-math -ffp-contract=off`` so the
   compiler can neither reassociate sums nor contract multiply-adds
   into FMAs — either would silently break the bitwise contract.
@@ -163,6 +170,130 @@ void FN(acc_pair)(ACC *forces, const int64_t *pi, const int64_t *pj,
         } while (k < m && pi[k] == a);
         forces[3*a] += sx; forces[3*a+1] += sy; forces[3*a+2] += sz;
     }
+}
+"""
+
+_MESH_C = r"""
+/* ------------------------------------------------------------------ */
+/* PPPM particle <-> mesh: the paper's make_rho and interp.            */
+/*                                                                     */
+/* pppm_stencil fills every atom's order-p stencil the way            */
+/* pppm.mesh_stencil (bspline_weights + np.mod) builds it; dimension   */
+/* d's point k of atom i is stored at [(d * p + k) * n + i]:           */
+/*   node = (int64)floor(g - p/2) + 1 + k, wrapped by floor-mod;       */
+/*   weight = M_p(x) at x = (VAL)((g - node) + p/2), formed in double: */
+/*   numpy promotes VAL minus int64 to float64, then casts back.       */
+/* M_p is the body's recurrence evaluated bottom-up: M_1 the indicator */
+/* of [0, 1), M_k(y) = (y M_{k-1}(y) + (k - y) M_{k-1}(y - 1)) / (k-1) */
+/* over the chain y = x, x - 1, x - 2, ... with each subtraction       */
+/* rounded, as the recursive body rounds it.  Like the body it runs a  */
+/* block of atoms per step of the recurrence.  Orders run 1 to         */
+/* PPPM_ORDER_MAX: those kspace.error.select_grid has coefficients for. */
+/* ------------------------------------------------------------------ */
+
+#define PPPM_ORDER_MAX 7
+#define PPPM_BLOCK 256
+
+static inline void FN(pppm_stencil)(const int64_t *dims, const VAL *frac,
+                                    int64_t n, int64_t p, int64_t *nodes,
+                                    VAL *weights) {
+    VAL y[PPPM_ORDER_MAX][PPPM_BLOCK], m[PPPM_ORDER_MAX][PPPM_BLOCK];
+    double half = 0.5 * (double)p;
+    for (int64_t d = 0; d < 3; d++) {
+        int64_t size = dims[d];
+        for (int64_t k = 0; k < p; k++) {
+            for (int64_t start = 0; start < n; start += PPPM_BLOCK) {
+                int64_t len = n - start < PPPM_BLOCK ? n - start : PPPM_BLOCK;
+                int64_t *node_out = nodes + (d*p + k)*n + start;
+                VAL *weight_out = weights + (d*p + k)*n + start;
+                for (int64_t i = 0; i < len; i++) {
+                    VAL g = frac[3*(start + i) + d];
+                    int64_t node = (int64_t)F(floor)(g - (VAL)half) + 1 + k;
+                    int64_t wrapped = node % size;
+                    node_out[i] = wrapped < 0 ? wrapped + size : wrapped;
+                    y[0][i] = (VAL)(((double)g - (double)node) + half);
+                }
+                for (int64_t j = 1; j < p; j++)
+                    for (int64_t i = 0; i < len; i++) y[j][i] = y[j-1][i] - F(1.0);
+                for (int64_t j = 0; j < p; j++)
+                    for (int64_t i = 0; i < len; i++)
+                        m[j][i] = (y[j][i] >= F(0.0) && y[j][i] < F(1.0)) ? F(1.0) : F(0.0);
+                for (int64_t level = 2; level <= p; level++) {
+                    VAL up = (VAL)level, down = (VAL)(level - 1);
+                    for (int64_t j = 0; j + level <= p; j++)
+                        for (int64_t i = 0; i < len; i++)
+                            m[j][i] = (y[j][i] * m[j][i] + (up - y[j][i]) * m[j+1][i]) / down;
+                }
+                for (int64_t i = 0; i < len; i++) weight_out[i] = m[0][i];
+            }
+        }
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Charge spreading onto the flat (nx, ny, nz) mesh: stencil (a, b, c) */
+/* outermost and atoms innermost, adding ((q wa) wb) wc widened to ACC */
+/* — the sequence of the body's p^3 np.add.at calls, each of which     */
+/* adds its atoms in input order.  nodes / weights are 3 p n scratch.  */
+/* Returns -1, having written nothing, for an order out of range.      */
+/* ------------------------------------------------------------------ */
+
+int64_t FN(pppm_spread)(ACC *mesh, const int64_t *dims, const VAL *frac,
+                        const VAL *q, int64_t n, int64_t p, int64_t *nodes,
+                        VAL *weights) {
+    if (p < 1 || p > PPPM_ORDER_MAX) return -1;
+    FN(pppm_stencil)(dims, frac, n, p, nodes, weights);
+    int64_t ny = dims[1], nz = dims[2];
+    for (int64_t a = 0; a < p; a++) {
+        const int64_t *na = nodes + a*n;
+        const VAL *wa = weights + a*n;
+        for (int64_t b = 0; b < p; b++) {
+            const int64_t *nb = nodes + (p + b)*n;
+            const VAL *wb = weights + (p + b)*n;
+            for (int64_t c = 0; c < p; c++) {
+                const int64_t *nc = nodes + (2*p + c)*n;
+                const VAL *wc = weights + (2*p + c)*n;
+                for (int64_t i = 0; i < n; i++) {
+                    VAL w = ((q[i] * wa[i]) * wb[i]) * wc[i];
+                    mesh[(na[i]*ny + nb[i])*nz + nc[i]] += (ACC)w;
+                }
+            }
+        }
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Field interpolation: per atom, the three components summed from 0   */
+/* in stencil order, each term (wa wb) wc * field — the body's         */
+/* sequence of efield[:, comp] += updates.  efield is overwritten;     */
+/* scratch and status as for pppm_spread.                              */
+/* ------------------------------------------------------------------ */
+
+int64_t FN(pppm_gather)(VAL *efield, const VAL *fx, const VAL *fy,
+                        const VAL *fz, const int64_t *dims, const VAL *frac,
+                        int64_t n, int64_t p, int64_t *nodes, VAL *weights) {
+    if (p < 1 || p > PPPM_ORDER_MAX) return -1;
+    FN(pppm_stencil)(dims, frac, n, p, nodes, weights);
+    int64_t ny = dims[1], nz = dims[2];
+    for (int64_t i = 0; i < n; i++) {
+        VAL ex = F(0.0), ey = F(0.0), ez = F(0.0);
+        for (int64_t a = 0; a < p; a++) {
+            int64_t na = nodes[a*n + i];
+            VAL wa = weights[a*n + i];
+            for (int64_t b = 0; b < p; b++) {
+                int64_t row = (na*ny + nodes[(p + b)*n + i])*nz;
+                VAL wab = wa * weights[(p + b)*n + i];
+                for (int64_t c = 0; c < p; c++) {
+                    int64_t at = row + nodes[(2*p + c)*n + i];
+                    VAL w = wab * weights[(2*p + c)*n + i];
+                    ex += w * fx[at]; ey += w * fy[at]; ez += w * fz[at];
+                }
+            }
+        }
+        efield[3*i] = ex; efield[3*i+1] = ey; efield[3*i+2] = ez;
+    }
+    return 0;
 }
 """
 
@@ -834,6 +965,8 @@ KERNELS = {
     "scatter3": (ACCUMULATE, None, "A i v n"),
     "acc_scaled": (ACCUMULATE, None, "A i i n v v"),
     "acc_pair": (ACCUMULATE, None, "A i i n v"),
+    "pppm_spread": (ACCUMULATE, ctypes.c_int64, "A i v v n n I V"),
+    "pppm_gather": (ACCUMULATE, ctypes.c_int64, "V v v v i v n n I V"),
     "pair_geom": (GEOMETRY, ctypes.c_int64, "v i i n v u s I I V V"),
     "lj_half": (DOUBLE, ctypes.c_int64, "v i i n v u s i n v v v A A A"),
     "lj_rows": (DOUBLE, ctypes.c_int64, "v i i i i n v u s i n v v v A A A"),
@@ -872,6 +1005,7 @@ _SOURCE = _PRELUDE + "".join(
     _instantiate(template, val, acc)
     for instances, template in (
         (ACCUMULATE, _ACCUMULATE_C),
+        (ACCUMULATE, _MESH_C),
         (GEOMETRY, _GEOMETRY_C),
         (DOUBLE, _DOUBLE_C),
     )
@@ -896,6 +1030,10 @@ def _argtypes(signature: str, val: np.dtype, acc: np.dtype) -> list:
 def _ptr(dtype, writeable=False):
     flags = "C_CONTIGUOUS,WRITEABLE" if writeable else "C_CONTIGUOUS"
     return ndpointer(dtype=dtype, flags=flags)
+
+
+def _dims(mesh) -> np.ndarray:
+    return np.array(mesh.shape, dtype=np.int64)
 
 
 def _find_compiler() -> str | None:
@@ -1012,6 +1150,25 @@ class CcProvider:
 
     def acc_pair(self, forces, i, j, fv) -> None:
         self.bound["acc_pair", fv.dtype, forces.dtype](forces, i, j, len(i), fv)
+
+    def pppm_spread(self, mesh, frac, q, order, nodes, weights) -> int:
+        """Add the charges ``q`` at grid coordinates ``frac`` onto
+        ``mesh``; ``nodes``/``weights`` hold ``3 * order * len(q)``
+        stencil entries of scratch.  ``-1`` (nothing written) for an
+        order outside ``1..7``, else 0."""
+        return self.bound["pppm_spread", frac.dtype, mesh.dtype](
+            mesh, _dims(mesh), frac, q, len(q), order, nodes, weights
+        )
+
+    def pppm_gather(self, efield, fields, frac, order, nodes, weights, acc) -> int:
+        """Overwrite ``efield`` with the three ``fields`` interpolated to
+        ``frac``, by the instance of the policy accumulating in ``acc``
+        (the sums themselves run in ``frac``'s dtype, as the body's do);
+        scratch and status as for :meth:`pppm_spread`."""
+        return self.bound["pppm_gather", frac.dtype, acc](
+            efield, *fields, _dims(fields[0]), frac, len(frac), order, nodes,
+            weights,
+        )
 
     def pair_geom(self, pos, pi, pj, lengths, periodic, rc2, oi, oj, odr, orr):
         fn = self.bound["pair_geom", pos.dtype, pos.dtype]

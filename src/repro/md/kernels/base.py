@@ -16,7 +16,10 @@ A backend may additionally offer a *fused* pass
 (:meth:`KernelBackend.pair_forces`) that does all of the above for one
 pair style and row kind in a single sweep; it is optional, declines
 with ``None``, and must be bitwise the unfused result — or, for a style
-whose closed form calls libm, equivalent to it at the 1e-12 tier.
+whose closed form calls libm, equivalent to it at the 1e-12 tier.  The
+same shape serves the one non-pair hot loop, PPPM's particle-mesh
+pass (:meth:`KernelBackend.pppm_spread` / :meth:`KernelBackend.pppm_gather`):
+optional, declining with ``None``, bitwise the solver's numpy body.
 
 Backends must be bit-compatible in *math* (same formulas, same pair
 set) but are free to reorder summations and reuse scratch storage; the
@@ -199,6 +202,50 @@ class KernelBackend(abc.ABC):
           route taken must be a function of the configuration (style,
           row kind, policy, dtypes, layout), never of an array value,
           so one (spec, backend, precision) always yields one head.
+        """
+        return None
+
+    def pppm_spread(
+        self,
+        mesh: np.ndarray,
+        frac: np.ndarray,
+        charges: np.ndarray,
+        order: int,
+    ) -> np.ndarray | None:
+        """Optional native PPPM charge assignment (the paper's
+        ``make_rho``).
+
+        Adds each of ``charges`` at its ``(N, 3)`` grid coordinates
+        ``frac`` onto ``mesh`` (the zeroed ``(nx, ny, nz)`` grid, in the
+        accumulate dtype) with order-``order`` B-spline weights, and
+        returns ``mesh``.  The result must be *bitwise* what
+        :func:`repro.md.kspace.pppm.spread_charges` over
+        :func:`~repro.md.kspace.pppm.mesh_stencil` writes, which pins
+        the order of the additions: stencil point ``(a, b, c)``
+        outermost, atoms in input order innermost — the order of that
+        body's ``np.add.at`` calls.  ``None`` (the default, and the
+        answer for any dtype pair, layout or order a backend does not
+        cover) runs the body instead, and nothing may have been written
+        in that case.
+        """
+        return None
+
+    def pppm_gather(
+        self,
+        efield: np.ndarray,
+        frac: np.ndarray,
+        fields: list[np.ndarray],
+        order: int,
+    ) -> np.ndarray | None:
+        """Optional native PPPM field interpolation (the paper's
+        ``interp``).
+
+        Writes into the ``(N, 3)`` ``efield`` the three mesh ``fields``
+        interpolated to the grid coordinates ``frac`` and returns it:
+        *bitwise* :func:`repro.md.kspace.pppm.interpolate_fields` into a
+        zeroed array — per atom, each component summed from 0.0 in
+        stencil order.  Declines with ``None`` as :meth:`pppm_spread`
+        does.
         """
         return None
 

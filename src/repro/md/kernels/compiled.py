@@ -357,12 +357,55 @@ def _check_max_disp_sq(provider, stem, policy):
         raise AssertionError("max_disp_sq deviates from the numpy skin check")
 
 
+def _smoke_mesh(dtype):
+    """``(grid, frac, charges, fields)``: 60 atoms in grid units over a
+    non-cubic mesh in ``dtype`` — on a node, at the origin, one ulp
+    below the far corner and unwrapped on either side of the box."""
+    rng = np.random.default_rng(1234)
+    grid = (8, 10, 12)
+    frac = rng.uniform(-6.0, 18.0, (60, 3))
+    frac[:3] = [[3.0, 4.0, 5.0], [0.0, 0.0, 0.0], np.nextafter(grid, 0.0)]
+    fields = [rng.normal(size=grid).astype(dtype) for _ in range(3)]
+    return grid, frac.astype(dtype), rng.normal(size=60).astype(dtype), fields
+
+
+def _check_pppm(provider, stem, policy):
+    """PPPM spread and gather: bitwise the numpy bodies at the policy's
+    dtypes, orders 1 and 5, into pre-loaded outputs (a spread adds to
+    the mesh; a gather overwrites)."""
+    from repro.md.kspace.pppm import interpolate_fields, mesh_stencil, spread_charges
+
+    ct, acc = policy.compute_dtype, policy.accumulate_dtype
+    grid, frac, charges, fields = _smoke_mesh(ct)
+    start = np.random.default_rng(4321).normal(size=grid).astype(acc)
+    for order in (1, 5):
+        stencil = mesh_stencil(frac, order, grid)
+        scratch = np.empty(3 * order * len(frac), np.int64), np.empty(
+            3 * order * len(frac), ct
+        )
+        if stem == "pppm_spread":
+            expect, got = start.copy(), start.copy()
+            spread_charges(expect, stencil, charges)
+            provider.pppm_spread(got, frac, charges, order, *scratch)
+        else:
+            expect, got = np.zeros(frac.shape, ct), np.ones(frac.shape, ct)
+            interpolate_fields(expect, stencil, fields)
+            provider.pppm_gather(got, fields, frac, order, *scratch, acc)
+        if got.tobytes() != expect.tobytes():
+            raise AssertionError(
+                f"{stem} ({policy.mode.value}, order {order}) deviates from "
+                "the numpy body"
+            )
+
+
 #: The check behind each row of the provider's instance table.
 _SMOKE_CHECKS = {
     "scatter1": _check_accumulate,
     "scatter3": _check_accumulate,
     "acc_scaled": _check_accumulate,
     "acc_pair": _check_accumulate,
+    "pppm_spread": _check_pppm,
+    "pppm_gather": _check_pppm,
     "pair_geom": _check_pair_geom,
     "lj_half": _check_lj,
     "lj_rows": _check_lj,
@@ -459,6 +502,8 @@ class CompiledBackend(NumpyFastBackend):
         # Fused Tersoff pass: one row's bonds (grow-only).
         self._row_atoms = np.empty(0, np.int64)
         self._row_scratch = np.empty(0)
+        # PPPM stencils: mesh indices and weights (grow-only).
+        self._stencil = (np.empty(0, np.int64), np.empty(0))
 
     @property
     def scratch_pairs(self) -> int:
@@ -649,6 +694,74 @@ class CompiledBackend(NumpyFastBackend):
             *args,
             *slots,
         )
+
+    # ------------------------------------------------------------------
+    # PPPM particle <-> mesh
+    # ------------------------------------------------------------------
+    def _stencil_scratch(self, frac, order):
+        """``(nodes, weights)`` scratch for ``3 * order`` stencil points
+        of every atom at ``frac``'s dtype (grow-only)."""
+        size = 3 * order * len(frac)
+        nodes, weights = self._stencil
+        if size > len(nodes) or weights.dtype != frac.dtype:
+            self._stencil = (np.empty(size, np.int64), np.empty(size, frac.dtype))
+        return self._stencil
+
+    @staticmethod
+    def _mesh_coordinates(frac, order) -> bool:
+        """True when ``frac`` is a C-contiguous ``(N, 3)`` array and
+        ``order`` an int (the kernels decline, before writing, an order
+        outside the ones PPPM supports)."""
+        return (
+            isinstance(frac, np.ndarray)
+            and frac.flags.c_contiguous
+            and frac.ndim == 2
+            and frac.shape[1] == 3
+            and isinstance(order, int)
+        )
+
+    def pppm_spread(self, mesh, frac, charges, order):
+        """Native charge spreading, bitwise the body at every precision:
+        declined unless the ``(frac, mesh)`` dtypes are an accumulate
+        instance and every array is native."""
+        if not (
+            self._mesh_coordinates(frac, order)
+            and _native(charges, frac.dtype)
+            and charges.shape == (len(frac),)
+            and isinstance(mesh, np.ndarray)
+            and mesh.ndim == 3
+            and mesh.size > 0
+            and mesh.flags.c_contiguous
+            and self._impl.supports(mesh, frac)
+        ):
+            return None
+        status = self._impl.pppm_spread(
+            mesh, frac, charges, order, *self._stencil_scratch(frac, order)
+        )
+        return None if status < 0 else mesh
+
+    def pppm_gather(self, efield, frac, fields, order):
+        """Native field interpolation, bitwise the body at every
+        precision: declined unless ``efield`` and the three fields are
+        native in ``frac``'s dtype, the policy's compute dtype (its
+        instance is the policy's)."""
+        if not (
+            self._mesh_coordinates(frac, order)
+            and _native(efield, frac.dtype)
+            and efield.shape == frac.shape
+            and len(fields) == 3
+            and all(_native(field, frac.dtype) for field in fields)
+            and fields[0].ndim == 3
+            and fields[0].size > 0
+            and fields[0].shape == fields[1].shape == fields[2].shape
+            and frac.dtype == self.policy.compute_dtype
+        ):
+            return None
+        status = self._impl.pppm_gather(
+            efield, fields, frac, order, *self._stencil_scratch(frac, order),
+            self.policy.accumulate_dtype,
+        )
+        return None if status < 0 else efield
 
     # ------------------------------------------------------------------
     # Scatter / accumulate

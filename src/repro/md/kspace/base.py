@@ -14,6 +14,7 @@ reciprocal-space sums:
 from __future__ import annotations
 
 import abc
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import erf
@@ -22,6 +23,9 @@ from repro.md.atoms import AtomSystem
 from repro.md.potentials.base import ForceResult
 from repro.md.precision import DOUBLE_POLICY, PrecisionPolicy
 from repro.observability.tracer import NULL_TRACER
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.md.kernels.base import KernelBackend
 
 __all__ = ["KSpaceSolver"]
 
@@ -65,6 +69,10 @@ class KSpaceSolver(abc.ABC):
         #: Precision policy the solver evaluates under (installed by the
         #: owning Simulation; full float64 by default).
         self.policy: PrecisionPolicy = DOUBLE_POLICY
+        #: Kernel backend whose particle-mesh hooks a solver may take
+        #: (installed by the owning Simulation); ``None`` runs the
+        #: solver's own numpy body.
+        self.backend: KernelBackend | None = None
 
     # ------------------------------------------------------------------
     def check_neutrality(self, system: AtomSystem, tol: float = 1e-8) -> None:

@@ -30,7 +30,13 @@ from repro.md.kspace.base import KSpaceSolver
 from repro.md.kspace.error import select_grid
 from repro.md.potentials.base import ForceResult
 
-__all__ = ["PPPM", "bspline_weights"]
+__all__ = [
+    "PPPM",
+    "bspline_weights",
+    "interpolate_fields",
+    "mesh_stencil",
+    "spread_charges",
+]
 
 
 def bspline_weights(frac: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -75,6 +81,62 @@ def bspline_weights(frac: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarra
     return nodes, weights
 
 
+def mesh_stencil(
+    frac: np.ndarray, order: int, grid: tuple[int, int, int]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Every atom's assignment stencil: per dimension, the ``(N, order)``
+    mesh indices (wrapped onto ``grid``) and B-spline weights of the
+    grid coordinates ``frac[:, d]``."""
+    dims = np.array(grid)
+    nodes_list = []
+    weights_list = []
+    for d in range(3):
+        nodes, weights = bspline_weights(frac[:, d], order)
+        nodes_list.append(np.mod(nodes, dims[d]))
+        weights_list.append(weights)
+    return nodes_list, weights_list
+
+
+def spread_charges(mesh: np.ndarray, stencil, charges: np.ndarray) -> None:
+    """Add every charge onto ``mesh`` with its stencil's weights.
+
+    One ``np.add.at`` per stencil point ``(a, b, c)``, each adding the
+    atoms in input order: the sequence a native spread must repeat to
+    be bitwise this one.  ``np.add.at`` promotes each compute-dtype
+    addend into the accumulate-dtype mesh, giving MIXED its float64
+    accumulation.
+    """
+    nodes_list, weights_list = stencil
+    p = weights_list[0].shape[1]
+    for a in range(p):
+        wa = weights_list[0][:, a]
+        na = nodes_list[0][:, a]
+        for b in range(p):
+            wb = weights_list[1][:, b]
+            nb = nodes_list[1][:, b]
+            for c in range(p):
+                w = charges * wa * wb * weights_list[2][:, c]
+                np.add.at(mesh, (na, nb, nodes_list[2][:, c]), w)
+
+
+def interpolate_fields(efield: np.ndarray, stencil, fields) -> None:
+    """Add the three mesh ``fields`` at every atom's stencil onto the
+    ``(N, 3)`` ``efield``, term after term in stencil order."""
+    nodes_list, weights_list = stencil
+    p = weights_list[0].shape[1]
+    for a in range(p):
+        wa = weights_list[0][:, a]
+        na = nodes_list[0][:, a]
+        for b in range(p):
+            wab = wa * weights_list[1][:, b]
+            nb = nodes_list[1][:, b]
+            for c in range(p):
+                w = wab * weights_list[2][:, c]
+                idx = (na, nb, nodes_list[2][:, c])
+                for comp in range(3):
+                    efield[:, comp] += w * fields[comp][idx]
+
+
 class PPPM(KSpaceSolver):
     """Particle-mesh Ewald-split Coulomb solver.
 
@@ -112,6 +174,7 @@ class PPPM(KSpaceSolver):
         self._alpha_override = alpha
         self.grid: tuple[int, int, int] | None = None
         self._green: np.ndarray | None = None
+        #: Per-axis wavevector components, float64, 1-D.
         self._kcomp: list[np.ndarray] | None = None
         self._setup_for: tuple | None = None
         # alpha finalized at setup; seed the base class with a placeholder.
@@ -139,13 +202,15 @@ class PPPM(KSpaceSolver):
         self.alpha = alpha
         self.grid = grid  # type: ignore[assignment]
 
+        # Every mesh table broadcasts from the three 1-D wavevector
+        # components: the element operations of full 3-D component grids,
+        # in the same order, without building them.
         nx, ny, nz = self.grid  # type: ignore[misc]
         two_pi = 2.0 * math.pi
         kx = two_pi * np.fft.fftfreq(nx, d=1.0 / nx) / lengths[0]
         ky = two_pi * np.fft.fftfreq(ny, d=1.0 / ny) / lengths[1]
         kz = two_pi * np.fft.fftfreq(nz, d=1.0 / nz) / lengths[2]
-        kxg, kyg, kzg = np.meshgrid(kx, ky, kz, indexing="ij")
-        k2 = kxg**2 + kyg**2 + kzg**2
+        k2 = _outer_sum(kx**2, ky**2, kz**2)
         with np.errstate(divide="ignore", invalid="ignore"):
             green = (
                 4.0
@@ -161,14 +226,16 @@ class PPPM(KSpaceSolver):
         # assignment function's transform U(k) = prod_d sinc^p(k_d h_d/2),
         # so the influence function divides by U(k)^2 (Hockney-Eastwood).
         hx, hy, hz = lengths / np.array([nx, ny, nz])
-        u = np.ones_like(green)
-        for kc, h in ((kxg, hx), (kyg, hy), (kzg, hz)):
+        sinc_p = []
+        for kc, h in ((kx, hx), (ky, hy), (kz, hz)):
             x = 0.5 * kc * h
             s = np.where(np.abs(x) > 1e-12, np.sin(x) / np.where(x == 0, 1.0, x), 1.0)
-            u = u * s**self.order
+            sinc_p.append(s**self.order)
+        sx, sy, sz = _axes(*sinc_p)
+        u = sx * sy * sz
         green = green / np.maximum(u * u, 1e-10)
         self._green = green
-        self._kcomp = [kxg, kyg, kzg]
+        self._kcomp = [kx, ky, kz]
         self._setup_for = (system.n_atoms, tuple(lengths), qsqsum)
 
     def _ensure_setup(self, system: AtomSystem) -> None:
@@ -187,45 +254,20 @@ class PPPM(KSpaceSolver):
             return 0
         return int(np.prod(self.grid))
 
-    # ------------------------------------------------------------------
-    def _assign_charges(
-        self, system: AtomSystem
-    ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """Spread charges onto the mesh; returns grid + per-dim stencils."""
-        assert self.grid is not None
-        ct = self.policy.compute_dtype
-        dims = np.array(self.grid)
-        positions = system.positions.astype(ct, copy=False)
-        origin = system.box.origin.astype(ct, copy=False)
-        lengths = system.box.lengths.astype(ct, copy=False)
-        frac = (positions - origin) / lengths * dims.astype(ct)
-        nodes_list = []
-        weights_list = []
-        for d in range(3):
-            nodes, weights = bspline_weights(frac[:, d], self.order)
-            nodes_list.append(np.mod(nodes, dims[d]))
-            weights_list.append(weights)
-        # Spread into the accumulate dtype: np.add.at promotes each f32
-        # addend into the f64 mesh, giving MIXED its f64 accumulation.
-        rho = np.zeros(self.grid, dtype=self.policy.accumulate_dtype)
-        q = system.charges.astype(ct, copy=False)
-        p = self.order
-        for a in range(p):
-            wa = weights_list[0][:, a]
-            na = nodes_list[0][:, a]
-            for b in range(p):
-                wb = weights_list[1][:, b]
-                nb = nodes_list[1][:, b]
-                for c in range(p):
-                    w = q * wa * wb * weights_list[2][:, c]
-                    np.add.at(rho, (na, nb, nodes_list[2][:, c]), w)
-        return rho, nodes_list, weights_list
+    def _virial_factor(self, dtype: np.dtype) -> np.ndarray:
+        """``1 - k^2 / (2 alpha^2)`` in ``dtype``, with ``k^2`` summed
+        from the components cast to ``dtype`` first."""
+        assert self._kcomp is not None
+        kx, ky, kz = (kc.astype(dtype, copy=False) for kc in self._kcomp)
+        return 1.0 - _outer_sum(kx**2, ky**2, kz**2) / (2.0 * self.alpha**2)
 
+    # ------------------------------------------------------------------
     def compute(self, system: AtomSystem) -> ForceResult:
         self.check_neutrality(system)
         self._ensure_setup(system)
         assert self._green is not None and self._kcomp is not None
         tracer = self.tracer
+        backend = self.backend
 
         # Mesh tables are cached in float64; cast to the compute dtype at
         # use.  float32 goes through scipy.fft (dtype-preserving,
@@ -235,25 +277,31 @@ class PPPM(KSpaceSolver):
         fftn = _scipy_fft.fftn if ct == np.float32 else np.fft.fftn
         ifftn = _scipy_fft.ifftn if ct == np.float32 else np.fft.ifftn
 
+        # Charge assignment and interpolation run the numpy bodies above
+        # unless the kernel backend takes them (bitwise the same).
+        stencil = None
         with tracer.span("kspace.assign", "kspace"):
-            rho, nodes_list, weights_list = self._assign_charges(system)
+            positions = system.positions.astype(ct, copy=False)
+            origin = system.box.origin.astype(ct, copy=False)
+            lengths = system.box.lengths.astype(ct, copy=False)
+            frac = (positions - origin) / lengths * np.array(self.grid).astype(ct)
+            charges = system.charges.astype(ct, copy=False)
+            rho = np.zeros(self.grid, dtype=self.policy.accumulate_dtype)
+            if backend is None or backend.pppm_spread(
+                rho, frac, charges, self.order
+            ) is None:
+                stencil = mesh_stencil(frac, self.order, self.grid)
+                spread_charges(rho, stencil, charges)
         with tracer.span("kspace.fft_forward", "kspace"):
             rho_hat = fftn(rho.astype(ct, copy=False))
 
-        # Energy: (1/2) sum_k G(k) |rho_hat|^2  (G folds 4 pi C / V k^2).
+        # Energy: (1/2) sum_k G(k) |rho_hat|^2  (G folds 4 pi C / V k^2);
+        # virial trace (isotropic): sum_k E_k (1 - k^2 / 2 alpha^2).
         green = self._green.astype(ct, copy=False)
-        kcomp = [kc.astype(ct, copy=False) for kc in self._kcomp]
-        energy = 0.5 * float(
-            np.sum(green * np.abs(rho_hat) ** 2, dtype=np.float64)
-        )
-
-        # Virial trace (isotropic): sum_k E_k (1 - k^2 / 2 alpha^2).
-        k2 = kcomp[0] ** 2 + kcomp[1] ** 2 + kcomp[2] ** 2
+        energy_k = green * np.abs(rho_hat) ** 2
+        energy = 0.5 * float(np.sum(energy_k, dtype=np.float64))
         virial = 0.5 * float(
-            np.sum(
-                green * np.abs(rho_hat) ** 2 * (1.0 - k2 / (2.0 * self.alpha**2)),
-                dtype=np.float64,
-            )
+            np.sum(energy_k * self._virial_factor(ct), dtype=np.float64)
         )
 
         # Fields by ik differentiation: E_c = -ifft(i k_c G rho_hat).
@@ -261,27 +309,19 @@ class PPPM(KSpaceSolver):
         n_total = self.grid_points
         fields = []
         with tracer.span("kspace.fft_inverse", "kspace"):
-            for kc in kcomp:
-                field = -np.real(ifftn(1j * kc * phi_hat)) * n_total
-                fields.append(field)
+            for kc in _axes(*(kc.astype(ct, copy=False) for kc in self._kcomp)):
+                fields.append(-np.real(ifftn(1j * kc * phi_hat)) * n_total)
 
         # Interpolate fields back to particles with the same stencil.
-        p = self.order
-        n_atoms = system.n_atoms
-        efield = np.zeros((n_atoms, 3), dtype=ct)
+        efield = np.zeros((system.n_atoms, 3), dtype=ct)
         with tracer.span("kspace.interpolate", "kspace"):
-            for a in range(p):
-                wa = weights_list[0][:, a]
-                na = nodes_list[0][:, a]
-                for b in range(p):
-                    wab = wa * weights_list[1][:, b]
-                    nb = nodes_list[1][:, b]
-                    for c in range(p):
-                        w = wab * weights_list[2][:, c]
-                        idx = (na, nb, nodes_list[2][:, c])
-                        for comp in range(3):
-                            efield[:, comp] += w * fields[comp][idx]
-            system.forces += system.charges.astype(ct, copy=False)[:, None] * efield
+            if backend is None or backend.pppm_gather(
+                efield, frac, fields, self.order
+            ) is None:
+                if stencil is None:
+                    stencil = mesh_stencil(frac, self.order, self.grid)
+                interpolate_fields(efield, stencil, fields)
+            system.forces += charges[:, None] * efield
 
         result = ForceResult(
             energy + self.self_energy(system), virial, self.grid_points
@@ -289,3 +329,15 @@ class PPPM(KSpaceSolver):
         with tracer.span("kspace.corrections", "kspace"):
             result += self.excluded_pair_correction(system)
         return result
+
+
+def _axes(ax: np.ndarray, ay: np.ndarray, az: np.ndarray) -> tuple:
+    """Three 1-D per-axis arrays as ``(n, 1, 1)``, ``(1, n, 1)`` and
+    ``(1, 1, n)`` views, broadcasting to the mesh."""
+    return ax[:, None, None], ay[None, :, None], az[None, None, :]
+
+
+def _outer_sum(ax: np.ndarray, ay: np.ndarray, az: np.ndarray) -> np.ndarray:
+    """``ax[i] + ay[j] + az[k]`` on the mesh, summed in that order."""
+    x, y, z = _axes(ax, ay, az)
+    return x + y + z

@@ -283,8 +283,9 @@ class Simulation:
         tracer — the one place they are set.
 
         One backend instance (one set of scratch buffers) serves every
-        potential and the neighbor build (the compiled backend's native
-        cell-list path; numpy backends decline the hook).  The kernel
+        potential, the k-space solver's particle-mesh hooks and the
+        neighbor build (the compiled backend's native paths; numpy
+        backends decline the hooks).  The kernel
         spans come from the serial row driver, which reads the neighbor
         list's tracer, so tracing never changes which kernel runs.
         """
@@ -295,6 +296,7 @@ class Simulation:
             term.policy = self.precision
         if self.kspace is not None:
             self.kspace.policy = self.precision
+            self.kspace.backend = self.backend
             self.kspace.tracer = self.tracer
         self.neighbor.kernels = self.backend
         self.neighbor.tracer = self.tracer

@@ -544,7 +544,7 @@ class TestInstanceTable:
 
     @pytest.mark.skipif(shutil.which("nm") is None, reason="needs binutils nm")
     def test_library_exports_exactly_the_table(self):
-        """Same program out: the table's 20 entry points, no more (a
+        """Same program out: the table's 26 entry points, no more (a
         template helper leaking as a global) and no fewer (a row the
         generator skipped)."""
         provider, _ = resolve_provider()
@@ -563,6 +563,8 @@ class TestInstanceTable:
             "acc_scaled_f32", "acc_scaled_f32f64", "acc_scaled_f64",
             "cell_csr_f64", "cell_rows_f64", "lj_half_f64", "lj_rows_f64",
             "max_disp_sq_f64", "pair_geom_f32", "pair_geom_f64",
+            "pppm_gather_f32", "pppm_gather_f32f64", "pppm_gather_f64",
+            "pppm_spread_f32", "pppm_spread_f32f64", "pppm_spread_f64",
             "scatter1_f32", "scatter1_f32f64", "scatter1_f64",
             "scatter3_f32", "scatter3_f32f64", "scatter3_f64",
             "tersoff_full_f64",
@@ -586,6 +588,10 @@ class TestInstanceTable:
             **dict.fromkeys(
                 ("scatter1", "scatter3", "acc_scaled", "acc_pair"),
                 (_cc_impl._ACCUMULATE_C, _cc_impl.ACCUMULATE),
+            ),
+            **dict.fromkeys(
+                ("pppm_stencil", "pppm_spread", "pppm_gather"),
+                (_cc_impl._MESH_C, _cc_impl.ACCUMULATE),
             ),
             **dict.fromkeys(
                 ("min_image", "pair_geom"),

@@ -1,14 +1,27 @@
 """Tests for the PPPM mesh Ewald solver."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.md import RunConfig
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
+from repro.md.kernels import CompiledBackend
+from repro.md.kernels.compiled import compiled_available
 from repro.md.kspace.ewald import EwaldSummation
-from repro.md.kspace.pppm import PPPM, bspline_weights
+from repro.md.kspace.pppm import (
+    PPPM,
+    bspline_weights,
+    interpolate_fields,
+    mesh_stencil,
+    spread_charges,
+)
+from repro.md.precision import PRECISIONS, policy_for
+from repro.suite import get_benchmark
 
 
 class TestBsplineWeights:
@@ -156,3 +169,186 @@ class TestBehaviour:
         )
         energy = pppm.energy_only(system)
         assert abs(energy) < 0.02  # dimer self-interaction removed
+
+
+# ---------------------------------------------------------------------------
+# The compiled backend's spread and gather vs the numpy body, bit for bit
+# ---------------------------------------------------------------------------
+_GRID = (8, 10, 12)
+
+
+def _edge_case_system(n=40, seed=17):
+    """Charges over a box of one mesh spacing per unit length (so grid
+    coordinates are positions): an atom exactly on a node, one at the
+    origin, one an ulp below the far corner, and unwrapped atoms on
+    both sides of the box (``frac < 0`` and ``frac >= n``), as atoms
+    are between two wraps."""
+    rng = np.random.default_rng(seed)
+    box = Box([float(g) for g in _GRID])
+    charges = rng.normal(size=n)
+    charges -= charges.mean()
+    system = AtomSystem(rng.uniform(0.0, 1.0, (n, 3)) * box.lengths, box, charges=charges)
+    system.positions[:5] = [
+        [3.0, 4.0, 5.0],
+        [0.0, 0.0, 0.0],
+        np.nextafter(box.lengths, 0.0),
+        [-0.7, -3.2, -12.5],
+        box.lengths + [1.3, 0.0, 12.0],
+    ]
+    return system
+
+
+def _dimer():
+    """One atom pair (the LAMMPS two-charge reference)."""
+    box = Box([float(g) for g in _GRID])
+    return AtomSystem(
+        np.array([[3.5, 5.0, 6.0], [4.5, 5.0, 6.0]]), box, charges=[1.0, -1.0]
+    )
+
+
+def _solver(order, policy, backend):
+    pppm = PPPM(accuracy=1e-4, cutoff=3.0, alpha=0.9, grid=_GRID, order=order)
+    pppm.policy = policy
+    pppm.backend = backend
+    return pppm
+
+
+_ORDERS = range(1, 8)  # every order select_grid has coefficients for
+
+
+@pytest.mark.skipif(not compiled_available(), reason="no compiled provider")
+class TestNativeMeshKernels:
+    @pytest.fixture
+    def backend(self):
+        return CompiledBackend()
+
+    @pytest.mark.parametrize("mode", PRECISIONS)
+    @pytest.mark.parametrize("order", _ORDERS)
+    def test_mesh_and_efield_are_the_body(self, backend, order, mode):
+        policy = policy_for(mode)
+        backend.set_policy(policy)
+        ct, acc = policy.compute_dtype, policy.accumulate_dtype
+        system = _edge_case_system()
+        frac = (system.positions * (np.array(_GRID) / system.box.lengths)).astype(ct)
+        assert frac.min() < 0 and (frac >= _GRID).any() and frac[0].tolist() == [3, 4, 5]
+        charges = system.charges.astype(ct)
+        stencil = mesh_stencil(frac, order, _GRID)
+        body, native = np.zeros((2, *_GRID), acc)
+        spread_charges(body, stencil, charges)
+        assert backend.pppm_spread(native, frac, charges, order) is native
+        assert native.tobytes() == body.tobytes()
+
+        fields = list(np.random.default_rng(order).normal(size=(3, *_GRID)).astype(ct))
+        body, native = np.zeros(frac.shape, ct), np.full(frac.shape, np.nan, ct)
+        interpolate_fields(body, stencil, fields)
+        assert backend.pppm_gather(native, frac, fields, order) is native
+        assert native.tobytes() == body.tobytes()
+
+    @pytest.mark.parametrize("mode", PRECISIONS)
+    @pytest.mark.parametrize("order", _ORDERS)
+    @pytest.mark.parametrize("make_system", [_edge_case_system, _dimer])
+    def test_forces_energy_and_virial_are_the_body(
+        self, backend, order, mode, make_system
+    ):
+        policy = policy_for(mode)
+        backend.set_policy(policy)
+        results = []
+        for hooks in (None, backend):
+            system = make_system()
+            result = _solver(order, policy, hooks).compute(system)
+            results.append((system.forces.tobytes(), result.energy, result.virial))
+        assert results[0] == results[1]
+        assert np.isfinite(results[0][1:]).all()
+
+    def test_each_hook_declines_before_writing(self, backend):
+        system = _edge_case_system()
+        frac = system.positions * (np.array(_GRID) / system.box.lengths)
+        charges = system.charges
+        fields = list(np.ones((3, *_GRID)))
+        mesh, efield = np.zeros(_GRID), np.zeros(frac.shape)
+        # An order PPPM cannot run, a strided input, a dtype mismatch.
+        assert backend.pppm_spread(mesh, frac, charges, 8) is None
+        assert backend.pppm_gather(efield, frac, fields, 8) is None
+        assert backend.pppm_spread(mesh, np.asfortranarray(frac), charges, 5) is None
+        assert backend.pppm_spread(mesh, frac, charges.astype(np.float32), 5) is None
+        assert backend.pppm_gather(efield.astype(np.float32), frac, fields, 5) is None
+        assert not mesh.any() and not efield.any()
+
+    def test_smoke_test_demotes_a_spread_in_another_order(self):
+        """Adding the same terms in atom-reversed order is equal to
+        rounding, not bit for bit: the provider must not pass."""
+        from repro.md.kernels.compiled import _smoke_test, resolve_provider
+
+        provider, _ = resolve_provider()
+
+        class Reversed:
+            def __getattr__(self, name):
+                return getattr(provider, name)
+
+            def pppm_spread(self, mesh, frac, q, *rest):
+                back = slice(None, None, -1)
+                return provider.pppm_spread(
+                    mesh, frac[back].copy(), q[back].copy(), *rest
+                )
+
+        _smoke_test(provider)  # the real provider passes
+        with pytest.raises(AssertionError, match="pppm_spread"):
+            _smoke_test(Reversed())
+
+
+# ---------------------------------------------------------------------------
+# Mesh tables from 1-D wavevectors: the meshgrid formula, bit for bit
+# ---------------------------------------------------------------------------
+def _meshgrid_tables(pppm, system, dtype):
+    """``(green, virial_factor, kcomp)`` as PPPM built them from full
+    3-D component grids — the oracle for the broadcast setup."""
+    lengths = system.box.lengths
+    nx, ny, nz = pppm.grid
+    two_pi = 2.0 * math.pi
+    kx = two_pi * np.fft.fftfreq(nx, d=1.0 / nx) / lengths[0]
+    ky = two_pi * np.fft.fftfreq(ny, d=1.0 / ny) / lengths[1]
+    kz = two_pi * np.fft.fftfreq(nz, d=1.0 / nz) / lengths[2]
+    kxg, kyg, kzg = np.meshgrid(kx, ky, kz, indexing="ij")
+    k2 = kxg**2 + kyg**2 + kzg**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        green = (
+            4.0
+            * math.pi
+            * pppm.coulomb_constant
+            / system.box.volume
+            * np.exp(-k2 / (4.0 * pppm.alpha**2))
+            / k2
+        )
+    green[0, 0, 0] = 0.0
+    hx, hy, hz = lengths / np.array([nx, ny, nz])
+    u = np.ones_like(green)
+    for kc, h in ((kxg, hx), (kyg, hy), (kzg, hz)):
+        x = 0.5 * kc * h
+        s = np.where(np.abs(x) > 1e-12, np.sin(x) / np.where(x == 0, 1.0, x), 1.0)
+        u = u * s**pppm.order
+    green = green / np.maximum(u * u, 1e-10)
+    kcomp = [kc.astype(dtype) for kc in (kxg, kyg, kzg)]
+    k2 = kcomp[0] ** 2 + kcomp[1] ** 2 + kcomp[2] ** 2
+    return green, 1.0 - k2 / (2.0 * pppm.alpha**2), kcomp
+
+
+class TestBroadcastSetup:
+    def test_tables_equal_the_meshgrid_formula_after_npt_steps(self):
+        sim = get_benchmark("rhodo").build(300)
+        start = sim.system.box.lengths.copy()
+        sim.run(RunConfig(steps=4))
+        system, pppm = sim.system, sim.kspace
+        assert not np.array_equal(system.box.lengths, start)  # the barostat moved it
+        pppm.setup(system)
+        phi_hat = np.fft.fftn(np.random.default_rng(5).normal(size=pppm.grid))
+        for dtype in (np.float64, np.float32):
+            green, factor, kcomp = _meshgrid_tables(pppm, system, dtype)
+            assert pppm._green.tobytes() == green.tobytes()
+            assert pppm._virial_factor(np.dtype(dtype)).tobytes() == factor.tobytes()
+            # The ik products the inverse FFTs see, from the 1-D components.
+            phi = (green.astype(dtype) * phi_hat).astype(np.result_type(dtype, 1j))
+            axes = (np.s_[:, None, None], np.s_[None, :, None], np.s_[None, None, :])
+            for grid_kc, kc, axis in zip(kcomp, pppm._kcomp, axes):
+                broadcast = 1j * kc.astype(dtype)[axis] * phi
+                assert broadcast.tobytes() == (1j * grid_kc * phi).tobytes()
+        sim.close()

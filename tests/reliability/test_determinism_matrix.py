@@ -43,7 +43,13 @@ EVERY = 2
 TOL = PARITY_TOLERANCES["double"]
 
 
-def _chain_for(benchmark: str, backend: str, workers: int = 0, size: int = 0):
+def _chain_for(
+    benchmark: str,
+    backend: str,
+    workers: int = 0,
+    size: int = 0,
+    precision: str = "double",
+):
     """Run one short certified trajectory; returns (chain, positions).
 
     ``workers=0`` runs the serial executor; ``workers>=1`` the parallel
@@ -52,6 +58,7 @@ def _chain_for(benchmark: str, backend: str, workers: int = 0, size: int = 0):
     """
     sim = get_benchmark(benchmark).build(size or SIZES[benchmark])
     sim.set_backend(get_backend(backend))
+    sim.set_precision(precision)
     if workers >= 1:
         executor = ParallelForceExecutor(workers)
         sim.force_executor = executor
@@ -250,6 +257,39 @@ class TestBoxAwareSkinIsInvisible:
         every_step_builds = len(builds) - skin_builds
         assert skin_rule.head == every_step.head
         assert every_step_builds == STEPS + 1 and skin_builds < every_step_builds
+
+
+class TestNativePppmIsInvisible:
+    """The compiled backend's PPPM spread and gather kernels must not
+    move a digest: the rhodo head equals the one the same backend gives
+    with both hooks declining (PPPM's numpy body), serially at every
+    precision and on two engine workers (the master owns k-space).  The
+    hooks are counted, so the heads cannot agree because they declined."""
+
+    @pytest.mark.parametrize(
+        "precision, workers",
+        [("double", 0), ("mixed", 0), ("single", 0), ("double", 2)],
+    )
+    def test_rhodo_head_unchanged_by_the_mesh_kernels(
+        self, precision, workers, monkeypatch
+    ):
+        _skip_unavailable("compiled")
+        taken = {"pppm_spread": [], "pppm_gather": []}
+        for name, calls in taken.items():
+            hook = getattr(CompiledBackend, name)
+
+            def counted(self, *args, _hook=hook, _calls=calls):
+                out = _hook(self, *args)
+                _calls.append(out is not None)
+                return out
+
+            monkeypatch.setattr(CompiledBackend, name, counted)
+        native, _ = _chain_for("rhodo", "compiled", workers, precision=precision)
+        for name, calls in taken.items():
+            assert calls == [True] * (STEPS + 1), name
+            monkeypatch.setattr(CompiledBackend, name, getattr(KernelBackend, name))
+        body, _ = _chain_for("rhodo", "compiled", workers, precision=precision)
+        assert native.head == body.head
 
 
 class TestFusedTersoffIsEquivalent:
