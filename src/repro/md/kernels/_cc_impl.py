@@ -466,6 +466,105 @@ int64_t lj_rows_f64(const double *pos, const int64_t *di, const int64_t *dj,
 #undef LJ_TERMS
 
 /* ------------------------------------------------------------------ */
+/* Fused eam/alloy pass over a half list: three sweeps around numpy's  */
+/* own exp, whose SIMD loop no libm call rounds identically.           */
+/*                                                                     */
+/* coef holds r_e, the truncation cutoff rc, then per truncated        */
+/* exponential g(r) = A exp(-k (r - r_e)) — the density f, the steep   */
+/* and the soft half of phi, in that order — the four numbers          */
+/* (A, -k, g_c, k g_c) that eam.truncated_exponential reads:           */
+/*   value = (A e - g_c) + (k g_c) (r - rc);  deriv = (-k)(A e) + k g_c */
+/* with e = exp((-k)(r - r_e)) as numpy evaluated it.  One IEEE        */
+/* operation per numpy ufunc call, so every per-pair value is the      */
+/* body's bit for bit.                                                 */
+/*                                                                     */
+/* 1. eam_geom: gather, minimum image and cutoff test exactly as       */
+/*    pair_geom_f64, writing the survivors' i, j, dr, r and the three  */
+/*    exp arguments (-k)(r - r_e), interleaved per pair, compressed.   */
+/*    The caller then runs np.exp over the arguments in place.         */
+/* 2. eam_density: rho += f(r) over all i in pair order, then over all */
+/*    j — partner_sum's two input-order scatters.                      */
+/* 3. eam_forces: with the embedding slopes fp = F'(rho) numpy made,   */
+/*    phi = steep - 2 soft, f/r = -(phi' + (fp_i + fp_j) f') / r,      */
+/*    forces in acc_scaled_f64's order (a run of pairs sharing i       */
+/*    summed from zero in registers, j subtracted inline), and per     */
+/*    pair phi and (f/r)(r r) written compressed to oe/ov for numpy's  */
+/*    np.sum.                                                          */
+/* ------------------------------------------------------------------ */
+
+enum { EAM_RE, EAM_RC, EAM_DENSITY, EAM_STEEP = EAM_DENSITY + 4,
+       EAM_SOFT = EAM_STEEP + 4 };
+
+static inline double eam_value(const double *g, double e, double r, double rc) {
+    return (g[0] * e - g[2]) + g[3] * (r - rc);
+}
+
+static inline double eam_deriv(const double *g, double e) {
+    return g[1] * (g[0] * e) + g[3];
+}
+
+int64_t eam_geom_f64(const double *pos, const int64_t *pi, const int64_t *pj,
+                     int64_t m, const double *lengths, const uint8_t *periodic,
+                     double rc2, const double *coef, int64_t *oi, int64_t *oj,
+                     double *odr, double *orr, double *oexp) {
+    BOX_LOCALS
+    const double r_e = coef[EAM_RE];
+    const double k_f = coef[EAM_DENSITY + 1], k_steep = coef[EAM_STEEP + 1];
+    const double k_soft = coef[EAM_SOFT + 1];
+    int64_t c = 0;
+    for (int64_t k = 0; k < m; k++) {
+        PAIR_GEOMETRY(pos + 3*pi[k], pos + 3*pj[k])
+        if (r2 < rc2) {
+            double r = sqrt(r2), t = r - r_e;
+            oi[c] = pi[k]; oj[c] = pj[k];
+            odr[3*c] = dx; odr[3*c+1] = dy; odr[3*c+2] = dz;
+            orr[c] = r;
+            oexp[3*c] = k_f * t; oexp[3*c+1] = k_steep * t; oexp[3*c+2] = k_soft * t;
+            c++;
+        }
+    }
+    return c;
+}
+
+void eam_density_f64(const int64_t *pi, const int64_t *pj, int64_t c,
+                     const double *r, const double *e, const double *coef,
+                     double *rho) {
+    const double rc = coef[EAM_RC], *g = coef + EAM_DENSITY;
+    for (int64_t k = 0; k < c; k++) rho[pi[k]] += eam_value(g, e[3*k], r[k], rc);
+    for (int64_t k = 0; k < c; k++) rho[pj[k]] += eam_value(g, e[3*k], r[k], rc);
+}
+
+void eam_forces_f64(const int64_t *pi, const int64_t *pj, int64_t c,
+                    const double *dr, const double *r, const double *e,
+                    const double *coef, const double *fp, double *forces,
+                    double *oe, double *ov) {
+    const double rc = coef[EAM_RC];
+    const double *gf = coef + EAM_DENSITY, *gs = coef + EAM_STEEP;
+    const double *gw = coef + EAM_SOFT;
+    int64_t k = 0;
+    while (k < c) {
+        int64_t a = pi[k];
+        double sx = 0.0, sy = 0.0, sz = 0.0;
+        do {
+            const double *ek = e + 3*k;
+            double rk = r[k];
+            double phi = eam_value(gs, ek[1], rk, rc)
+                         - 2.0 * eam_value(gw, ek[2], rk, rc);
+            double dphi = eam_deriv(gs, ek[1]) - 2.0 * eam_deriv(gw, ek[2]);
+            int64_t b = pj[k];
+            double f = -(dphi + (fp[a] + fp[b]) * eam_deriv(gf, ek[0])) / rk;
+            oe[k] = phi;
+            ov[k] = f * (rk * rk);
+            double wx = f * dr[3*k], wy = f * dr[3*k+1], wz = f * dr[3*k+2];
+            sx += wx; sy += wy; sz += wz;
+            forces[3*b] -= wx; forces[3*b+1] -= wy; forces[3*b+2] -= wz;
+            k++;
+        } while (k < c && pi[k] == a);
+        forces[3*a] += sx; forces[3*a+1] += sy; forces[3*a+2] += sz;
+    }
+}
+
+/* ------------------------------------------------------------------ */
 /* Fused Tersoff pass: full (directed) CSR list -> forces, one head    */
 /* atom i at a time.                                                   */
 /*                                                                     */
@@ -970,6 +1069,9 @@ KERNELS = {
     "pair_geom": (GEOMETRY, ctypes.c_int64, "v i i n v u s I I V V"),
     "lj_half": (DOUBLE, ctypes.c_int64, "v i i n v u s i n v v v A A A"),
     "lj_rows": (DOUBLE, ctypes.c_int64, "v i i i i n v u s i n v v v A A A"),
+    "eam_geom": (DOUBLE, ctypes.c_int64, "v i i n v u s v I I V V V"),
+    "eam_density": (DOUBLE, None, "i i n v v v A"),
+    "eam_forces": (DOUBLE, None, "i i n v v v v v A A A"),
     "tersoff_full": (DOUBLE, ctypes.c_int64, "v n i i v u s v n V I A A"),
     "cell_csr": (DOUBLE, ctypes.c_int64, "v n v v u s s I I n I N"),
     "cell_rows": (DOUBLE, ctypes.c_int64, "v n v v u s s i n I I n I"),
@@ -1200,6 +1302,31 @@ class CcProvider:
         return self.bound["lj_rows", F64, F64](
             pos, di, dj, gi, gj, len(di), lengths, periodic, rc2, types,
             len(eps), eps, sigma, shift, forces, energy, virial,
+        )
+
+    def eam_geom(
+        self, pos, pi, pj, lengths, periodic, rc2, coef, oi, oj, odr, orr, oexp
+    ):
+        """First eam/alloy sweep: the survivors' geometry and their three
+        interleaved ``exp`` arguments; returns the survivor count.
+        ``coef`` is the kernels' coefficient vector (see the C source)."""
+        return self.bound["eam_geom", F64, F64](
+            pos, pi, pj, len(pi), lengths, periodic, rc2, coef, oi, oj, odr,
+            orr, oexp,
+        )
+
+    def eam_density(self, i, j, r, e, coef, rho) -> None:
+        """Add every survivor's density ``f(r)`` to ``rho`` at ``i``,
+        then at ``j``; ``e`` holds the exponentials ``eam_geom``'s
+        arguments became."""
+        self.bound["eam_density", F64, F64](i, j, len(i), r, e, coef, rho)
+
+    def eam_forces(self, i, j, dr, r, e, coef, fp, forces, oe, ov) -> None:
+        """Pair forces onto ``forces`` from the embedding slopes ``fp``,
+        and per survivor ``phi`` into ``oe`` and ``f_over_r * r * r``
+        into ``ov``."""
+        self.bound["eam_forces", F64, F64](
+            i, j, len(i), dr, r, e, coef, fp, forces, oe, ov
         )
 
     def tersoff_full(

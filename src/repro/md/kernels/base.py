@@ -82,15 +82,17 @@ class PairStyle:
     """
 
     #: LAMMPS-style name selecting the functional form (``"lj/cut"``,
-    #: ``"tersoff"``).
+    #: ``"eam/alloy"``, ``"tersoff"``).
     kind: str
     cutoff: float
     #: Per-``kind`` coefficient arrays, float64 and C-contiguous; their
     #: shapes belong to the kind.  ``lj/cut`` carries three
     #: ``(n_types, n_types)`` tables ``(epsilon, sigma, energy shift)``,
-    #: a one-type table meaning "ignore atom types"; ``tersoff`` carries
-    #: one vector, the :class:`~repro.md.potentials.tersoff.
-    #: TersoffParameters` fields in declaration order.
+    #: a one-type table meaning "ignore atom types"; ``eam/alloy`` and
+    #: ``tersoff`` carry one vector, the fields of
+    #: :class:`~repro.md.potentials.eam.EAMParameters` /
+    #: :class:`~repro.md.potentials.tersoff.TersoffParameters` in
+    #: declaration order.
     coeffs: tuple[np.ndarray, ...]
 
 
@@ -192,8 +194,9 @@ class KernelBackend(abc.ABC):
 
         How close the result must be depends on the style's closed form:
 
-        * arithmetic only (``lj/cut``): *bitwise* what the body produces
-          on this backend, so that taking the hook is invisible to the
+        * arithmetic only (``lj/cut``), or arithmetic around numpy's own
+          ``exp`` (``eam/alloy``): *bitwise* what the body produces on
+          this backend, so that taking the hook is invisible to the
           digest chain;
         * calling libm (``tersoff``: ``exp``, ``pow``), which numpy's
           own SIMD loops do not round identically: *equivalent* —

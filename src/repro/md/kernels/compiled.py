@@ -28,6 +28,7 @@ native path being taken.
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 
 import numpy as np
 
@@ -207,6 +208,61 @@ def _check_lj(provider, stem, policy):
         count = provider.lj_rows(pos, pi, pj, pi, pj, *head, *got)
     if not (count == len(keep) and all(map(np.array_equal, got, ref))):
         raise AssertionError(f"fused {stem} deviates from the unfused path")
+
+
+def _check_eam(provider, stem, policy):
+    """One eam/alloy sweep against its share of ``EAMAlloy.terms`` as
+    the compiled body runs it, bitwise, fed the numpy reference's
+    inputs (so the message names the sweep that drifted): the survivors'
+    geometry and ``exp`` arguments; ``partner_sum``'s two scatters of
+    the density; the pair terms, ``acc_scaled``'s force order onto
+    pre-loaded forces, and the per-pair ``phi`` and virial."""
+    from repro.md.potentials.eam import (
+        EAMAlloy,
+        EAMParameters,
+        embedding,
+        radial_exponentials,
+    )
+
+    box, pos, pi, pj, keep, dr, r2 = _smoke_pairs(policy.storage_dtype)
+    params = EAMParameters(r_e=1.4, cutoff=_SMOKE_RC)
+    potential, coef = EAMAlloy(params), _eam_coefficients(params)
+    i, j, r = pi[keep], pj[keep], np.sqrt(r2)
+    args = np.stack(
+        [-decay * (r - params.r_e) for _, decay in radial_exponentials(params)],
+        axis=1,
+    )
+    f, df = potential.density_function(r)
+    rho = np.zeros(len(pos))
+    provider.scatter1(rho, i, f)
+    provider.scatter1(rho, j, f)
+    if stem == "eam_geom":
+        m = len(pi)
+        oi, oj = np.empty((2, m), np.int64)
+        odr, orr, oexp = np.empty((m, 3)), np.empty(m), np.empty(3 * m)
+        c = provider.eam_geom(
+            pos, pi, pj, *_box_f64(box)[::2], _SMOKE_RC * _SMOKE_RC, coef,
+            oi, oj, odr, orr, oexp,
+        )
+        got = (oi[:c], oj[:c], odr[:c], orr[:c], oexp[: 3 * c])
+        want = (i, j, dr, r, args.ravel())
+    elif stem == "eam_density":
+        got = (np.zeros(len(pos)),)
+        provider.eam_density(i, j, r, np.exp(args).ravel(), coef, got[0])
+        want = (rho,)
+    else:
+        _, slopes = embedding(rho, params)
+        phi, dphi = potential.pair_function(r)
+        f_over_r = -(dphi + (slopes[i] + slopes[j]) * df) / r
+        start = np.random.default_rng(4321).normal(size=pos.shape)
+        want = (start.copy(), phi, f_over_r * (r * r))
+        provider.acc_scaled(want[0], i, j, dr, f_over_r)
+        got = (start.copy(), np.empty(len(i)), np.empty(len(i)))
+        provider.eam_forces(i, j, dr, r, np.exp(args).ravel(), coef, slopes, *got)
+    if not all(
+        a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want)
+    ):
+        raise AssertionError(f"{stem} deviates from the EAM numpy body")
 
 
 def _smoke_silicon():
@@ -409,6 +465,9 @@ _SMOKE_CHECKS = {
     "pair_geom": _check_pair_geom,
     "lj_half": _check_lj,
     "lj_rows": _check_lj,
+    "eam_geom": _check_eam,
+    "eam_density": _check_eam,
+    "eam_forces": _check_eam,
     "tersoff_full": _check_tersoff,
     "cell_csr": _check_cell_csr,
     "cell_rows": _check_cell_rows,
@@ -424,6 +483,20 @@ def _box_f64(box):
         np.ascontiguousarray(box.origin, dtype=np.float64),
         np.ascontiguousarray(box.periodic, dtype=np.uint8),
     )
+
+
+def _eam_coefficients(params) -> np.ndarray:
+    """The eam kernels' coefficient vector for ``EAMParameters``:
+    ``r_e``, the cutoff, then ``(A, -k, g_c, k g_c)`` per truncated
+    exponential, each number formed as ``eam.truncated_exponential``
+    forms it."""
+    from repro.md.potentials.eam import cutoff_value, radial_exponentials
+
+    coef = [params.r_e, params.cutoff]
+    for amplitude, decay in radial_exponentials(params):
+        g_c = cutoff_value(amplitude, decay, params.r_e, params.cutoff)
+        coef += [amplitude, -decay, g_c, decay * g_c]
+    return np.array(coef)
 
 
 #: Stand-in ``types`` argument for one-type styles (never read).
@@ -499,6 +572,9 @@ class CompiledBackend(NumpyFastBackend):
         # Fused pair pass: per-pair energy / virial terms (grow-only).
         self._pair_energy = np.empty(0)
         self._pair_virial = np.empty(0)
+        # Fused EAM pass: three exp arguments per pair, then their
+        # exponentials (grow-only).
+        self._exp_args = np.empty(0)
         # Fused Tersoff pass: one row's bonds (grow-only).
         self._row_atoms = np.empty(0, np.int64)
         self._row_scratch = np.empty(0)
@@ -514,13 +590,10 @@ class CompiledBackend(NumpyFastBackend):
     # ------------------------------------------------------------------
     # Pair geometry
     # ------------------------------------------------------------------
-    def _pair_geom(self, positions, box, pair_i, pair_j, rc):
-        """``(count, i, j, dr, r)`` of the stored pairs within ``rc``,
-        by the ``pair_geom`` kernel in the storage dtype.  The outputs
-        are scratch the next call overwrites; their first ``count``
-        rows are valid."""
+    def _geom_scratch(self, m):
+        """``(i, j, dr, r)`` geometry output scratch for ``m`` stored
+        pairs, storage-dtype typed (grow-only)."""
         dtype = self.policy.storage_dtype
-        m = len(pair_i)
         if m > len(self._geom[0]) or self._geom[2].dtype != dtype:
             capacity = max(m, int(1.5 * len(self._geom[0])), 1024)
             self._geom = (
@@ -529,6 +602,15 @@ class CompiledBackend(NumpyFastBackend):
                 np.empty((capacity, 3), dtype),
                 np.empty(capacity, dtype),
             )
+        return self._geom
+
+    def _pair_geom(self, positions, box, pair_i, pair_j, rc):
+        """``(count, i, j, dr, r)`` of the stored pairs within ``rc``,
+        by the ``pair_geom`` kernel in the storage dtype.  The outputs
+        are scratch the next call overwrites; their first ``count``
+        rows are valid."""
+        dtype = self.policy.storage_dtype
+        self._geom_scratch(len(pair_i))
         count = self._impl.pair_geom(
             np.ascontiguousarray(positions, dtype=dtype),
             np.ascontiguousarray(pair_i, dtype=np.int64),
@@ -582,8 +664,10 @@ class CompiledBackend(NumpyFastBackend):
 
     def pair_forces(self, style, rows):
         """Fused pass over a row view (float64 only): ``lj/cut`` over a
-        half list or an engine worker's rows, ``tersoff`` over a full
-        list (not a worker's: its three-atom scatter is not
+        half list or an engine worker's rows, ``eam/alloy`` over a half
+        list, ``tersoff`` over a full list (neither over a worker's
+        rows, which run the body: EAM's scatters there are not the
+        head-only owner order, Tersoff's three-atom scatter is not
         owner-ordered).
 
         Which route runs is settled before anything is written, from
@@ -593,6 +677,7 @@ class CompiledBackend(NumpyFastBackend):
         fused = {
             ("lj/cut", "half"): self._lj_half,
             ("lj/cut", "owner"): self._lj_rows,
+            ("eam/alloy", "half"): self._eam_half,
             ("tersoff", "full"): self._tersoff_full,
         }.get((style.kind, rows.kind))
         if fused is None or not self.policy.is_double:
@@ -611,6 +696,15 @@ class CompiledBackend(NumpyFastBackend):
             and _native(neighbors.pair_j, np.int64)
         )
 
+    def _pair_terms_scratch(self, m):
+        """``(energy, virial)`` per-pair output scratch for ``m`` stored
+        pairs (grow-only)."""
+        if m > len(self._pair_energy):
+            capacity = max(m, int(1.5 * len(self._pair_energy)), 1024)
+            self._pair_energy = np.empty(capacity)
+            self._pair_virial = np.empty(capacity)
+        return self._pair_energy, self._pair_virial
+
     def _lj_half(self, style, rows):
         system, neighbors = rows.system, rows.neighbors
         args = self._lj_arguments(style, system.types)
@@ -620,18 +714,63 @@ class CompiledBackend(NumpyFastBackend):
         m = len(pair_i)
         if m == 0:
             return 0
-        if m > len(self._pair_energy):
-            capacity = max(m, int(1.5 * len(self._pair_energy)), 1024)
-            self._pair_energy = np.empty(capacity)
-            self._pair_virial = np.empty(capacity)
+        energy, virial = self._pair_terms_scratch(m)
         lengths, _, periodic = _box_f64(system.box)
         count = self._impl.lj_half(
             system.positions, pair_i, pair_j, lengths, periodic, *args,
-            system.forces, self._pair_energy, self._pair_virial,
+            system.forces, energy, virial,
         )
         # The compressed per-pair terms reduce through the body's verbs.
-        rows.add_energy(None, self._pair_energy[:count])
-        rows.add_virial(None, self._pair_virial[:count])
+        rows.add_energy(None, energy[:count])
+        rows.add_virial(None, virial[:count])
+        return count
+
+    def _eam_half(self, style, rows):
+        """``EAMAlloy.terms`` over a half list, bitwise: the kernels do
+        the arithmetic, numpy's ``exp``, the embedding and the ``np.sum``
+        reductions stay the body's own."""
+        from repro.md.potentials.eam import EAMParameters, embedding
+
+        (vector,) = style.coeffs
+        if not (
+            self._stored_natively(rows)
+            and _native(vector, np.float64)
+            and vector.shape == (len(fields(EAMParameters)),)
+        ):
+            return None
+        system, neighbors = rows.system, rows.neighbors
+        pair_i, pair_j = neighbors.pair_i, neighbors.pair_j
+        m = len(pair_i)
+        if m == 0:
+            return 0
+        params = EAMParameters(*vector.tolist())
+        coef = _eam_coefficients(params)
+        i, j, dr, r = self._geom_scratch(m)
+        if 3 * m > len(self._exp_args):
+            self._exp_args = np.empty(max(3 * m, int(1.5 * len(self._exp_args))))
+        energy, virial = self._pair_terms_scratch(m)
+        lengths, _, periodic = _box_f64(system.box)
+        rc = float(style.cutoff)
+        count = self._impl.eam_geom(
+            system.positions, pair_i, pair_j, lengths, periodic, rc * rc, coef,
+            i, j, dr, r, self._exp_args,
+        )
+        if count == 0:
+            # No pair inside the cutoff: the body skips the embedding.
+            return 0
+        i, j, dr, r = i[:count], j[:count], dr[:count], r[:count]
+        e = self._exp_args[: 3 * count]
+        np.exp(e, out=e)
+        rho = np.zeros(system.n_atoms)
+        self._impl.eam_density(i, j, r, e, coef, rho)
+        embedding_energy, slopes = embedding(rho, params)
+        rows.add_atom_energy(embedding_energy)
+        self._impl.eam_forces(
+            i, j, dr, r, e, coef, np.ascontiguousarray(slopes, np.float64),
+            system.forces, energy, virial,
+        )
+        rows.add_energy(None, energy[:count])
+        rows.add_virial(None, virial[:count])
         return count
 
     def _tersoff_full(self, style, rows):

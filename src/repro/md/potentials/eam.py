@@ -15,13 +15,21 @@ finite-difference tests check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from repro.md.kernels.base import PairStyle
 from repro.md.potentials.base import PairPotential, PairRows
 
-__all__ = ["EAMParameters", "EAMAlloy"]
+__all__ = [
+    "EAMParameters",
+    "EAMAlloy",
+    "cutoff_value",
+    "embedding",
+    "radial_exponentials",
+    "truncated_exponential",
+]
 
 
 @dataclass(frozen=True)
@@ -44,19 +52,64 @@ class EAMParameters:
     rho_e: float = 12.0
     cutoff: float = 4.95
 
+    def __post_init__(self) -> None:
+        # Python floats throughout, so that the vector a fused style
+        # carries (``EAMAlloy.fused_style``) rebuilds these parameters
+        # exactly, and no numpy scalar promotes float32 pair math.
+        for field in fields(self):
+            object.__setattr__(self, field.name, float(getattr(self, field.name)))
 
-def _truncated_exponential(
+
+def cutoff_value(amplitude: float, decay: float, r_e: float, cutoff: float) -> float:
+    """``g(rc) = A exp(-k (rc - r_e))``, the value the truncation subtracts.
+
+    A python float, not a ``np.float64`` scalar: under NEP 50 a numpy
+    scalar is a strong operand and would promote float32 pair math to
+    float64, while a python float adopts the array's dtype.
+    """
+    return float(amplitude * np.exp(-decay * (cutoff - r_e)))
+
+
+def truncated_exponential(
     r: np.ndarray, amplitude: float, decay: float, r_e: float, cutoff: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """``g(r) = A exp(-k (r - r_e))`` truncated smoothly at ``cutoff``.
 
     Returns ``(g, dg/dr)`` with ``g(rc) = g'(rc) = 0`` by subtracting the
-    first-order Taylor expansion of ``g`` about the cutoff.
+    first-order Taylor expansion of ``g`` about the cutoff, in ``r``'s
+    dtype.
     """
     g = amplitude * np.exp(-decay * (r - r_e))
-    g_c = amplitude * np.exp(-decay * (cutoff - r_e))
+    g_c = cutoff_value(amplitude, decay, r_e, cutoff)
     value = g - g_c + decay * g_c * (r - cutoff)
     deriv = -decay * g + decay * g_c
+    return value, deriv
+
+
+def radial_exponentials(p: EAMParameters) -> tuple[tuple[float, float], ...]:
+    """``(amplitude, decay)`` of the three truncated exponentials: the
+    density ``f`` and the steep and soft halves of the pair term ``phi``."""
+    return (p.f_e, p.chi), (p.phi_e, 2.0 * p.gamma), (p.phi_e, p.gamma)
+
+
+def embedding(rho: np.ndarray, p: EAMParameters) -> tuple[np.ndarray, np.ndarray]:
+    """Banerjea-Smith ``F(rho)`` and ``F'(rho)``.
+
+    ``F(rho) = -E_c [1 - n ln(rho/rho_e)] (rho/rho_e)^n`` — negative
+    (cohesive) around ``rho_e`` with a minimum exactly at ``rho_e``.
+    """
+    rho = np.asarray(rho)
+    if rho.dtype not in (np.float32, np.float64):
+        rho = rho.astype(np.float64)
+    # Dtype-aware underflow floor: 1e-300 flushes to 0 in float32,
+    # which would let rho = 0 reach the log below.
+    floor = float(np.finfo(rho.dtype).tiny) if rho.dtype == np.float32 else 1e-300
+    rho = np.maximum(rho, floor)
+    x = rho / p.rho_e
+    log_x = np.log(x)
+    xn = x**p.n_exp
+    value = -p.E_c * (1.0 - p.n_exp * log_x) * xn
+    deriv = p.E_c * p.n_exp**2 * log_x * xn / rho
     return value, deriv
 
 
@@ -90,7 +143,8 @@ class EAMAlloy(PairPotential):
     def density_function(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Electron density contribution ``f(r)`` and its derivative."""
         p = self.params
-        return _truncated_exponential(r, p.f_e, p.chi, p.r_e, p.cutoff)
+        density, _, _ = radial_exponentials(p)
+        return truncated_exponential(r, *density, p.r_e, p.cutoff)
 
     def pair_function(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Morse-like pair term ``phi(r)`` and its derivative.
@@ -101,35 +155,29 @@ class EAMAlloy(PairPotential):
         constant (tested via the cohesive-energy curve).
         """
         p = self.params
-        steep, d_steep = _truncated_exponential(
-            r, p.phi_e, 2.0 * p.gamma, p.r_e, p.cutoff
-        )
-        soft, d_soft = _truncated_exponential(r, p.phi_e, p.gamma, p.r_e, p.cutoff)
+        _, steep_terms, soft_terms = radial_exponentials(p)
+        steep, d_steep = truncated_exponential(r, *steep_terms, p.r_e, p.cutoff)
+        soft, d_soft = truncated_exponential(r, *soft_terms, p.r_e, p.cutoff)
         return steep - 2.0 * soft, d_steep - 2.0 * d_soft
 
     def embedding_function(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Banerjea-Smith ``F(rho)`` and ``F'(rho)``.
-
-        ``F(rho) = -E_c [1 - n ln(rho/rho_e)] (rho/rho_e)^n`` — negative
-        (cohesive) around ``rho_e`` with a minimum exactly at ``rho_e``.
-        """
-        p = self.params
-        rho = np.asarray(rho)
-        if rho.dtype not in (np.float32, np.float64):
-            rho = rho.astype(np.float64)
-        # Dtype-aware underflow floor: 1e-300 flushes to 0 in float32,
-        # which would let rho = 0 reach the log below.
-        floor = float(np.finfo(rho.dtype).tiny) if rho.dtype == np.float32 else 1e-300
-        rho = np.maximum(rho, floor)
-        x = rho / p.rho_e
-        log_x = np.log(x)
-        xn = x**p.n_exp
-        value = -p.E_c * (1.0 - p.n_exp * log_x) * xn
-        deriv = p.E_c * p.n_exp**2 * log_x * xn / rho
-        return value, deriv
+        """Banerjea-Smith ``F(rho)`` and ``F'(rho)`` (see :func:`embedding`)."""
+        return embedding(rho, self.params)
 
     # -- evaluation --------------------------------------------------------
+    def fused_style(self) -> PairStyle:
+        """The closed form for :meth:`KernelBackend.pair_forces`: one
+        coefficient vector, the parameter fields in declaration order.
+        Built per call, so edited parameters reach a fused kernel too."""
+        return PairStyle(
+            "eam/alloy",
+            self.cutoff,
+            (np.array(astuple(self.params), dtype=np.float64),),
+        )
+
     def terms(self, rows: PairRows) -> int:
+        # The numpy body is the oracle a fused kernel answers to, bit
+        # for bit.
         # Ghost heads: F'(rho_j) of every partner needs j's complete row
         # (see halo_width).  With no pairs anywhere the embedding sum is
         # skipped entirely: exact zero, not F(rho -> 0).

@@ -1,5 +1,7 @@
 """Tests for the embedded-atom (EAM) many-body potential."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,23 @@ class TestRadialFunctions:
         Fp, _ = eam.embedding_function(rho + h)
         Fm, _ = eam.embedding_function(rho - h)
         assert np.allclose(dF, (Fp - Fm) / (2 * h), atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_radial_functions_keep_the_input_dtype(self, eam, dtype):
+        """Every constant is a python float, so NEP 50 keeps float32
+        pair math in float32 (SINGLE/MIXED compute dtype)."""
+        r = np.linspace(2.0, eam.cutoff - 0.05, 16).astype(dtype)
+        for value, deriv in (
+            eam.density_function(r),
+            eam.pair_function(r),
+            eam.embedding_function(np.linspace(1.0, 20.0, 16).astype(dtype)),
+        ):
+            assert value.dtype == deriv.dtype == dtype
+
+    def test_parameters_are_python_floats(self):
+        params = EAMParameters(chi=np.float64(3.0), n_exp=1)
+        assert all(type(value) is float for value in astuple(params))
+        assert params == EAMParameters(n_exp=1.0)
 
     def test_embedding_cohesive_around_equilibrium(self, eam):
         F, _ = eam.embedding_function(np.array([eam.params.rho_e * 0.8]))

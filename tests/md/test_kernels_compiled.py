@@ -49,7 +49,7 @@ from repro.md.neighbor import (
     subdomain_directed_pairs,
 )
 from repro.md.potentials.base import StoredRows
-from repro.md.potentials.eam import EAMAlloy
+from repro.md.potentials.eam import EAMAlloy, EAMParameters
 from repro.md.potentials.lj import LennardJonesCut
 from repro.md.potentials.tersoff import Tersoff, TersoffParameters
 from repro.md.simulation import Simulation
@@ -544,7 +544,7 @@ class TestInstanceTable:
 
     @pytest.mark.skipif(shutil.which("nm") is None, reason="needs binutils nm")
     def test_library_exports_exactly_the_table(self):
-        """Same program out: the table's 26 entry points, no more (a
+        """Same program out: the table's 29 entry points, no more (a
         template helper leaking as a global) and no fewer (a row the
         generator skipped)."""
         provider, _ = resolve_provider()
@@ -561,7 +561,9 @@ class TestInstanceTable:
         assert sorted(exported) == [
             "acc_pair_f32", "acc_pair_f32f64", "acc_pair_f64",
             "acc_scaled_f32", "acc_scaled_f32f64", "acc_scaled_f64",
-            "cell_csr_f64", "cell_rows_f64", "lj_half_f64", "lj_rows_f64",
+            "cell_csr_f64", "cell_rows_f64",
+            "eam_density_f64", "eam_forces_f64", "eam_geom_f64",
+            "lj_half_f64", "lj_rows_f64",
             "max_disp_sq_f64", "pair_geom_f32", "pair_geom_f64",
             "pppm_gather_f32", "pppm_gather_f32f64", "pppm_gather_f64",
             "pppm_spread_f32", "pppm_spread_f32f64", "pppm_spread_f64",
@@ -872,7 +874,7 @@ class TestFusedLennardJones:
 
 
 # ---------------------------------------------------------------------------
-# Fused Tersoff pass vs the numpy body (equivalent regime: libm is not numpy)
+# Fused eam/alloy pass vs the numpy body, bit for bit (numpy keeps exp)
 # ---------------------------------------------------------------------------
 class _MustFuse(CompiledBackend):
     """The compiled backend with its fused hook *required* to engage,
@@ -884,6 +886,206 @@ class _MustFuse(CompiledBackend):
         return fused
 
 
+@st.composite
+def _eam_configurations(draw):
+    """EAM systems that reach every branch of the fused sweeps:
+    non-cubic boxes under any periodicity mask, cutoffs from a third
+    shell down to a first, crowded and sparse atom sets (atoms without
+    partners), cell-list and brute-force lists, atoms moved and
+    unwrapped after the build, and pre-loaded force arrays."""
+    params = EAMParameters(cutoff=draw(st.floats(3.0, 4.95)))
+    skin = 0.5
+    periodic = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    lengths = np.array(
+        [draw(st.floats(2.05, 3.5)) * (params.cutoff + skin) for _ in range(3)]
+    )
+    origin = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(3)])
+    box = Box(lengths, periodic=periodic, origin=origin)
+    n = draw(st.integers(2, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    positions = origin + rng.uniform(0.0, 1.0, (n, 3)) * lengths
+    brute_force = draw(st.booleans())
+    hops = rng.integers(-2, 3, (n, 3)) * (rng.random((n, 3)) < 0.1)
+    moved = (
+        positions
+        + rng.normal(scale=0.1, size=(n, 3))
+        + hops * lengths * np.asarray(periodic)
+    )
+    preload = rng.normal(size=(n, 3)) * draw(st.sampled_from([0.0, 1.0]))
+    system = AtomSystem(positions, box)
+    return system, EAMAlloy(params), skin, brute_force, moved, preload
+
+
+def _eam_routes(potential, system, nlist, preload):
+    """``((result, forces) of the body, (result, forces) fused)`` on
+    the compiled backend, each from ``preload``."""
+    out = []
+    for backend in (_UnfusedCompiled(), _MustFuse()):
+        potential.backend = backend
+        system.forces[...] = preload
+        out.append((potential.compute(system, nlist), system.forces.copy()))
+    return out
+
+
+def _assert_same_pass(body, fused):
+    (expected, expected_forces), (got, got_forces) = body, fused
+    assert got.interactions == expected.interactions
+    assert _same_bits(got.energy, expected.energy)
+    assert _same_bits(got.virial, expected.virial)
+    assert _same_bits(got_forces, expected_forces)
+
+
+@needs_compiled
+class TestFusedEAM:
+    @given(config=_eam_configurations())
+    @settings(max_examples=120, deadline=None)
+    def test_half_list_pass_is_bitwise_the_numpy_body(self, config):
+        system, potential, skin, brute_force, moved, preload = config
+        nlist = NeighborList(
+            potential.cutoff, skin, brute_force_max=10**6 if brute_force else 0
+        )
+        nlist.build(system)
+        system.positions[...] = moved
+        _assert_same_pass(*_eam_routes(potential, system, nlist, preload))
+
+    def test_solid_pass_is_bitwise_and_calls_each_sweep_once(self, monkeypatch):
+        system = eam_solid_system(500, seed=3)
+        system.positions += np.random.default_rng(4).normal(
+            scale=0.05, size=system.positions.shape
+        )
+        nlist = NeighborList(4.95, 1.0)
+        nlist.build(system)
+        calls = []
+        backend = _MustFuse()
+        for stem in ("eam_geom", "eam_density", "eam_forces", "pair_geom"):
+            native = getattr(backend._impl, stem)
+
+            def counted(*args, native=native, stem=stem):
+                calls.append(stem)
+                return native(*args)
+
+            monkeypatch.setattr(backend._impl, stem, counted)
+        potential = EAMAlloy()
+        potential.backend = backend
+        system.forces[...] = 0.0
+        fused = potential.compute(system, nlist), system.forces.copy()
+        assert calls == ["eam_geom", "eam_density", "eam_forces"]
+        body = _eam_routes(potential, system, nlist, 0.0)[0]
+        _assert_same_pass(body, fused)
+        assert fused[0].interactions > 10 * system.n_atoms
+
+    @pytest.mark.parametrize("stored", ["some", "none"])
+    def test_no_pair_inside_the_cutoff_is_an_exact_zero(self, stored):
+        """Stored pairs (inside the skin) but none inside the cutoff, or
+        no stored pair at all: no embedding term, nothing written."""
+        box = Box([30.0] * 3, periodic=(False,) * 3)
+        gap = 5.2 if stored == "some" else 8.0
+        system = AtomSystem([[5.0, 5.0, 5.0], [5.0 + gap, 5.0, 5.0]], box)
+        nlist = NeighborList(4.95, 0.5)
+        nlist.build(system)
+        assert len(nlist.pair_i) == (1 if stored == "some" else 0)
+        preload = np.arange(6.0).reshape(2, 3) - 2.0
+        body, fused = _eam_routes(EAMAlloy(), system, nlist, preload)
+        _assert_same_pass(body, fused)
+        result, forces = fused
+        assert (result.energy, result.virial, result.interactions) == (0.0, 0.0, 0)
+        assert _same_bits(forces, preload)
+
+    def test_scratch_is_reused_and_grows(self):
+        backend = _MustFuse()
+        potential = EAMAlloy()
+        potential.backend = backend
+        sizes = []
+        for n in (256, 256, 500):
+            system = eam_solid_system(n, seed=2)
+            nlist = NeighborList(4.95, 1.0)
+            nlist.build(system)
+            potential.compute(system, nlist)
+            sizes.append((backend._exp_args, len(nlist.pair_i)))
+        (first, m_small), (second, _), (third, m_large) = sizes
+        assert second is first and len(first) >= 3 * m_small
+        assert len(third) >= 3 * m_large > len(first)
+
+    @pytest.mark.parametrize("mode", ["single", "mixed"])
+    def test_reduced_precision_declines_and_the_native_scatter_engages(
+        self, mode, monkeypatch
+    ):
+        """SINGLE/MIXED run the body — whose radial functions now stay
+        in the compute dtype, so its force scatter is the native one."""
+        system = eam_solid_system(256, seed=5)
+        nlist = NeighborList(4.95, 1.0)
+        nlist.build(system)
+        backend = CompiledBackend()
+        backend.set_policy(policy_for(mode))
+        assert _hook(backend, EAMAlloy().fused_style(), system, nlist) is None
+        assert np.all(system.forces == 0.0)
+
+        calls = []
+        native = backend._impl.acc_scaled
+
+        def counted(forces, i, j, dr, f_over_r):
+            calls.append((dr.dtype, f_over_r.dtype, forces.dtype))
+            return native(forces, i, j, dr, f_over_r)
+
+        monkeypatch.setattr(backend._impl, "acc_scaled", counted)
+        sim = Simulation(eam_solid_system(256, seed=5), [EAMAlloy()])
+        sim.set_backend(backend)
+        sim.set_precision(mode)
+        sim.setup()
+        policy = policy_for(mode)
+        compute, accumulate = policy.compute_dtype, policy.accumulate_dtype
+        assert calls == [(compute, compute, accumulate)]
+
+    def test_engine_rows_decline(self):
+        """An engine worker's rows run the body on every backend."""
+        system = eam_solid_system(500, seed=3)
+        potential = EAMAlloy()
+        lists = _one_domain(
+            system, 5.45, None, 0, (2, 1, 1), owned_only=False,
+            halo_width=potential.halo_width(5.45),
+        )
+        rows = OwnerRows(
+            lists, system.positions, system.box.lengths, system.box.periodic,
+            CompiledBackend(), {"types": system.types[lists.index.gids]},
+            system.n_atoms,
+        )
+        assert CompiledBackend().pair_forces(potential.fused_style(), rows) is None
+        assert np.all(rows.forces == 0.0)
+
+    def test_smoke_test_demotes_a_provider_whose_sweep_drifts(self):
+        provider, _ = resolve_provider()
+
+        class OffByAnUlp:
+            def __init__(self, stem, nudge):
+                self.stem, self.nudge = stem, nudge
+
+            def __getattr__(self, name):
+                native = getattr(provider, name)
+                if name != self.stem:
+                    return native
+
+                def drifting(*args):
+                    out = native(*args)
+                    self.nudge(args)
+                    return out
+
+                return drifting
+
+        def bump(array):
+            array.flat[0] = np.nextafter(array.flat[0], np.inf)
+
+        for stem, nudge in (
+            ("eam_geom", lambda args: bump(args[-1])),  # an exp argument
+            ("eam_density", lambda args: bump(args[-1])),  # rho
+            ("eam_forces", lambda args: bump(args[-1])),  # a pair virial
+        ):
+            with pytest.raises(AssertionError, match=f"{stem} deviates"):
+                _smoke_test(OffByAnUlp(stem, nudge))
+
+
+# ---------------------------------------------------------------------------
+# Fused Tersoff pass vs the numpy body (equivalent regime: libm is not numpy)
+# ---------------------------------------------------------------------------
 #: The tier ``tests/md/test_tersoff.py::TestBackendParity`` holds the
 #: backends to, relative where the quantity is large.
 _TIER = dict(rtol=1e-12, atol=1e-12)

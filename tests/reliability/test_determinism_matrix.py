@@ -226,6 +226,51 @@ class TestFusedPairPassIsInvisible:
         assert chain.head == (self.ENGINE_HEAD if workers else self.SERIAL_HEAD)
 
 
+class TestFusedEAMIsInvisible:
+    """The compiled backend's fused eam/alloy pass keeps numpy's ``exp``
+    and replays the rest of the body bit for bit, so unlike Tersoff it
+    must not move a digest: the serial EAM head with the hook *required*
+    to engage equals the head with the hook declining (the body).  The
+    engine's 1/2/4-worker heads do not move either — owner rows decline
+    and run the body — and stay equal across worker counts.  (Workers
+    are forked, so they inherit the patches.)"""
+
+    @staticmethod
+    def _declining(monkeypatch):
+        monkeypatch.setattr(
+            CompiledBackend, "pair_forces", KernelBackend.pair_forces
+        )
+
+    def test_serial_head_unchanged_by_the_fused_kernel(self, monkeypatch):
+        _skip_unavailable("compiled")
+        native = CompiledBackend.pair_forces
+
+        def must_engage(self, *args):
+            fused = native(self, *args)
+            assert fused is not None, "the fused EAM kernel declined"
+            return fused
+
+        monkeypatch.setattr(CompiledBackend, "pair_forces", must_engage)
+        fused, _ = _chain_for("eam", "compiled")
+        self._declining(monkeypatch)
+        body, _ = _chain_for("eam", "compiled")
+        assert fused.head == body.head
+
+    def test_engine_heads_unchanged(self, monkeypatch):
+        _skip_unavailable("compiled")
+        heads = {
+            workers: _chain_for("eam", "compiled", workers)[0].head
+            for workers in (1, 2, 4)
+        }
+        self._declining(monkeypatch)
+        body = {
+            workers: _chain_for("eam", "compiled", workers)[0].head
+            for workers in (1, 2, 4)
+        }
+        assert heads == body
+        assert len(set(heads.values())) == 1, heads
+
+
 class TestBoxAwareSkinIsInvisible:
     """Charging the barostat's box change against the skin, instead of
     rebuilding on every NPT step, must not move a digest: the stored
