@@ -28,7 +28,7 @@ def run_functional_lj() -> None:
     e1 = sim.total_energy()
 
     print(f"atoms:               {sim.system.n_atoms}")
-    print(f"neighbors/atom:      {sim.neighbor.stats.last_neighbors_per_atom:.1f}"
+    print(f"neighbors/atom:      {sim.neighbor.neighbors_per_atom():.1f}"
           "   (Table 2 says 55)")
     print(f"energy drift:        {abs(e1 - e0) / abs(e0):.2e} over 200 steps")
     print(f"temperature:         {sim.system.temperature():.3f}")

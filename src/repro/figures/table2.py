@@ -60,10 +60,10 @@ def generate() -> FigureData:
 def measure_neighbors(benchmark: str, n_atoms: int = 500) -> float:
     """Neighbors/atom measured by actually building the system.
 
-    Runs the functional builder and reads the neighbor-list statistics;
-    small systems under-report the bulk value slightly (surface and
+    Runs the functional builder and measures its neighbor list; small
+    systems under-report the bulk value slightly (surface and
     minimum-image effects), which the validation test accounts for.
     """
     sim = registry[benchmark].build(n_atoms)
     sim.setup()
-    return sim.neighbor.stats.last_neighbors_per_atom
+    return sim.neighbor.neighbors_per_atom()

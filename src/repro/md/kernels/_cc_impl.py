@@ -834,10 +834,7 @@ static int64_t cell_bins_build(cell_bins *g, const double *pos, int64_t n,
 /* walked in atom index order and each anchor's partners land          */
 /* contiguously, so one insertion sort of that short row leaves the    */
 /* output in the exact order np.lexsort((j, i)) would give: no sort is */
-/* left for the caller.  offsets[a]..offsets[a+1] is atom a's row;     */
-/* *within counts stored pairs with r2 < count_rc2 (the Table-2        */
-/* neighbors/atom statistic), saving the caller a second geometry      */
-/* sweep.                                                              */
+/* left for the caller.  offsets[a]..offsets[a+1] is atom a's row.     */
 /*                                                                     */
 /* Writes at most `cap` pairs but keeps counting; the caller grows its */
 /* buffers and reruns when the returned count > cap.  Negative returns */
@@ -851,8 +848,7 @@ static inline int64_t wrap_mod(int64_t x, int64_t n) {
 
 int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
                      const double *origin, const uint8_t *periodic, double rc,
-                     double count_rc2, int64_t *oi, int64_t *oj, int64_t cap,
-                     int64_t *offsets, int64_t *within_out) {
+                     int64_t *oi, int64_t *oj, int64_t cap, int64_t *offsets) {
     cell_bins g;
     int64_t count = cell_bins_build(&g, pos, n, lengths, origin, periodic, rc);
     if (count < 0) goto done;
@@ -860,7 +856,6 @@ int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
     const int64_t *starts = g.starts, *order = g.order, *slot = g.slot;
     int64_t sx = g.sx, sy = g.sy;
     IMAGE_LOCALS
-    int64_t within = 0;
 
     /* The 13 forward offsets of _HALF_STENCIL, in its order. */
     static const int off[13][3] = {
@@ -871,8 +866,7 @@ int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
 
 #define EMIT_HALF                                                          \
     if (count < cap) { oi[count] = a; oj[count] = b; }                     \
-    count++;                                                               \
-    within += r2 < count_rc2;
+    count++;
 
     for (int64_t a = 0; a < n; a++) {
         int64_t row = count;
@@ -906,7 +900,6 @@ int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
     }
 #undef EMIT_HALF
     offsets[n] = count;
-    *within_out = within;
 done:
     cell_bins_free(&g);
     return count;
@@ -925,8 +918,6 @@ done:
 /* The bins are rc / 2 wide and the stencil reaches two cells: the     */
 /* same pairs pass the cutoff test, out of 125 / 216 of the candidates */
 /* a 27-cell stencil of rc-wide bins offers.                           */
-/* within[a] counts anchor a's partners with r2 < count_rc2 (its       */
-/* Table-2 neighbor count when count_rc2 is the force cutoff's).       */
 /*                                                                     */
 /* Open boxes only (the ghost images realize periodicity): any         */
 /* periodic dim returns -2, which lets a stencil column's five z       */
@@ -939,9 +930,8 @@ done:
 
 int64_t cell_rows_f64(const double *pos, int64_t n, const double *lengths,
                       const double *origin, const uint8_t *periodic, double rc,
-                      double count_rc2, const int64_t *sort_key,
-                      int64_t anchor_limit, int64_t *oi, int64_t *oj,
-                      int64_t cap, int64_t *within) {
+                      const int64_t *sort_key, int64_t anchor_limit,
+                      int64_t *oi, int64_t *oj, int64_t cap) {
     if (periodic[0] || periodic[1] || periodic[2]) return -2;
     cell_bins g;
     int64_t count = cell_bins_build(&g, pos, n, lengths, origin, periodic,
@@ -960,11 +950,10 @@ int64_t cell_rows_f64(const double *pos, int64_t n, const double *lengths,
         if (count < cap) { oi[count] = a; oj[count] = b; }                 \
         keys[count - row] = sort_key[b];                                   \
         count++;                                                           \
-        inside += r2 < count_rc2;                                          \
     }
 
     for (int64_t a = 0; a < anchor_limit; a++) {
-        int64_t row = count, inside = 0;
+        int64_t row = count;
         double ax = pos[3*a], ay = pos[3*a+1], az = pos[3*a+2];
         int64_t cx = coords[3*a], cy = coords[3*a+1], cz = coords[3*a+2];
         int64_t z0 = cz > 1 ? cz - 2 : 0;
@@ -977,7 +966,6 @@ int64_t cell_rows_f64(const double *pos, int64_t n, const double *lengths,
                 SCAN_RANGE(starts[c + z0], starts[c + z1 + 1], EMIT_ROW)
             }
         }
-        within[a] = inside;
         if (count <= cap) {
             for (int64_t k = 1; k < count - row; k++) {
                 int64_t key = keys[k], b = oj[row + k], l = k;
@@ -1058,7 +1046,7 @@ DOUBLE = {(DOUBLE_POLICY.storage_dtype, DOUBLE_POLICY.storage_dtype): DOUBLE_POL
 #: row per C body.  A signature names each argument by one letter: an
 #: array by its element type — ``v`` VAL, ``a`` ACC, ``i`` int64, ``u``
 #: uint8 — in upper case when the kernel writes it; ``n`` is an int64
-#: scalar, ``s`` a VAL scalar and ``N`` an int64 returned by pointer.
+#: scalar and ``s`` a VAL scalar.
 KERNELS = {
     "scatter1": (ACCUMULATE, None, "A i v n"),
     "scatter3": (ACCUMULATE, None, "A i v n"),
@@ -1073,8 +1061,8 @@ KERNELS = {
     "eam_density": (DOUBLE, None, "i i n v v v A"),
     "eam_forces": (DOUBLE, None, "i i n v v v v v A A A"),
     "tersoff_full": (DOUBLE, ctypes.c_int64, "v n i i v u s v n V I A A"),
-    "cell_csr": (DOUBLE, ctypes.c_int64, "v n v v u s s I I n I N"),
-    "cell_rows": (DOUBLE, ctypes.c_int64, "v n v v u s s i n I I n I"),
+    "cell_csr": (DOUBLE, ctypes.c_int64, "v n v v u s I I n I"),
+    "cell_rows": (DOUBLE, ctypes.c_int64, "v n v v u s i n I I n"),
     "max_disp_sq": (DOUBLE, ctypes.c_double, "v v n v v u"),
 }
 
@@ -1117,11 +1105,7 @@ _SOURCE = _PRELUDE + "".join(
 
 def _argtypes(signature: str, val: np.dtype, acc: np.dtype) -> list:
     """ctypes ``argtypes`` of one instance from its row's signature."""
-    scalars = {
-        "n": ctypes.c_int64,
-        "s": _C_TYPES[val][1],
-        "N": ctypes.POINTER(ctypes.c_int64),
-    }
+    scalars = {"n": ctypes.c_int64, "s": _C_TYPES[val][1]}
     elements = {"v": val, "a": acc, "i": np.int64, "u": np.uint8}
     return [
         scalars.get(letter) or _ptr(elements[letter.lower()], letter.isupper())
@@ -1346,28 +1330,22 @@ class CcProvider:
             len(atom), scratch, atom, forces, totals,
         )
 
-    def cell_csr(
-        self, pos, lengths, origin, periodic, rc, count_rc2, oi, oj, offsets
-    ):
-        """``(count, within)``; see the C source for the status codes."""
-        within = ctypes.c_int64(0)
-        count = self.bound["cell_csr", F64, F64](
-            pos, len(pos), lengths, origin, periodic, rc, count_rc2,
-            oi, oj, len(oi), offsets, ctypes.byref(within),
+    def cell_csr(self, pos, lengths, origin, periodic, rc, oi, oj, offsets):
+        """Pair count; see the C source for the status codes."""
+        return self.bound["cell_csr", F64, F64](
+            pos, len(pos), lengths, origin, periodic, rc,
+            oi, oj, len(oi), offsets,
         )
-        return count, within.value
 
     def cell_rows(
-        self, pos, lengths, origin, periodic, rc, count_rc2, sort_key,
-        oi, oj, within,
+        self, pos, lengths, origin, periodic, rc, sort_key, anchors, oi, oj
     ):
-        """Row count of the directed rows headed by atoms
-        ``[0, len(within))`` (at most ``len(pos)``), whose per-anchor
-        within-cutoff counts land in ``within``; ``sort_key`` holds one
-        key per atom.  See the C source for the status codes."""
+        """Row count of the directed rows headed by atoms ``[0,
+        anchors)`` (at most ``len(pos)``); ``sort_key`` holds one key per
+        atom.  See the C source for the status codes."""
         return self.bound["cell_rows", F64, F64](
-            pos, len(pos), lengths, origin, periodic, rc, count_rc2,
-            sort_key, len(within), oi, oj, len(oi), within,
+            pos, len(pos), lengths, origin, periodic, rc,
+            sort_key, anchors, oi, oj, len(oi),
         )
 
     def max_disp_sq(self, pos, ref, lengths, origin, periodic) -> float:

@@ -55,8 +55,6 @@ class SortedHalfPairs(NamedTuple):
     #: CSR row offsets (length ``n_atoms + 1``): atom ``a`` heads
     #: ``j[offsets[a]:offsets[a + 1]]``.
     offsets: np.ndarray
-    #: Pairs within the caller's ``count_cutoff`` (``None`` if not asked).
-    within: int | None
 
 
 class DirectedRows(NamedTuple):
@@ -66,10 +64,6 @@ class DirectedRows(NamedTuple):
     #: Directed pairs sorted by ``(i, sort_key[j])``.
     i: np.ndarray
     j: np.ndarray
-    #: Per head atom ``a`` (length: the anchor count), how many of its
-    #: rows lie within the caller's ``count_cutoff``; ``None`` if not
-    #: asked or not counted (the numpy build does not count).
-    within: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,11 +247,7 @@ class KernelBackend(abc.ABC):
         return None
 
     def neighbor_pairs(
-        self,
-        positions: np.ndarray,
-        box,
-        rc: float,
-        count_cutoff: float | None = None,
+        self, positions: np.ndarray, box, rc: float
     ) -> "SortedHalfPairs | None":
         """Optional native half-pair build for the Neigh task.
 
@@ -266,13 +256,10 @@ class KernelBackend(abc.ABC):
         row-major order** — exactly ``np.lexsort((j, i))`` applied to
         :func:`repro.md.neighbor.cell_list_half_pairs` (same pair set,
         same orientations, same order) — together with the CSR row
-        offsets and, when ``count_cutoff`` is given, the number of
-        those pairs with ``r2 < count_cutoff**2`` (the neighbor list's
-        Table-2 statistic), so the caller neither sorts nor sweeps the
-        geometry again.  Returning ``None`` (the default) keeps the
-        caller on the numpy path, which is also the escape hatch for
-        inputs a backend does not cover (e.g. float32 positions under
-        the SINGLE policy).
+        offsets, so the caller does not sort.  Returning ``None`` (the
+        default) keeps the caller on the numpy path, which is also the
+        escape hatch for inputs a backend does not cover (e.g. float32
+        positions under the SINGLE policy).
         """
         return None
 
@@ -283,7 +270,6 @@ class KernelBackend(abc.ABC):
         rc: float,
         sort_key: np.ndarray | None = None,
         anchor_limit: int | None = None,
-        count_cutoff: float | None = None,
     ) -> "DirectedRows | None":
         """Optional native directed-row build for an engine worker.
 
@@ -294,33 +280,10 @@ class KernelBackend(abc.ABC):
         subdomain_directed_pairs` builds them from the half list — every
         pair within ``rc`` in both directions, rows headed by atoms
         ``[0, anchor_limit)`` only (all atoms when ``None``), sorted by
-        ``(i, sort_key[j])`` (``sort_key=None`` sorts by ``j``) — plus,
-        when ``count_cutoff`` is given, how many of each head's rows
-        have ``r2 < count_cutoff**2``.  Returning ``None`` (the default, and
-        the answer for float32 positions, periodic boxes and rows with
-        tied sort keys) keeps the caller on the numpy mirror-and-lexsort
-        path.
-        """
-        return None
-
-    def count_pairs_within(
-        self,
-        positions: np.ndarray,
-        box,
-        pair_i: np.ndarray,
-        pair_j: np.ndarray,
-        rc: float,
-    ) -> int | None:
-        """Optional native count of stored pairs within ``rc``.
-
-        Used by the neighbor list's per-build statistics (the Table-2
-        neighbors-per-atom figure) on builds whose producer did not
-        count — brute-force lists, exclusion-filtered lists — which
-        otherwise re-derive the full minimum-image geometry in numpy
-        just to count.  The count must be identical to ``r2 < rc*rc``
-        over the numpy geometry (the compiled provider reuses its
-        bitwise ``pair_geom`` kernel).  ``None`` (the default) keeps
-        the caller on the numpy path.
+        ``(i, sort_key[j])`` (``sort_key=None`` sorts by ``j``).
+        Returning ``None`` (the default, and the answer for float32
+        positions, periodic boxes and rows with tied sort keys) keeps the
+        caller on the numpy mirror-and-lexsort path.
         """
         return None
 

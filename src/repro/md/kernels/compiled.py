@@ -346,28 +346,21 @@ def _built_twice(stem, ref_i, ref_j, build) -> bool:
 def _check_cell_csr(provider, stem, policy):
     """CSR build: the rows must arrive exactly as lexsort((j, i)) orders
     the numpy build's pairs — the neighbor list no longer sorts them —
-    with matching offsets and within-cutoff count."""
+    with matching offsets."""
     from repro.md.neighbor import cell_list_half_pairs
 
     _, box, pos = _smoke_cells()
     ref_i, ref_j = cell_list_half_pairs(pos, box, 2.2)
     order = np.lexsort((ref_j, ref_i))
     ref_i, ref_j = ref_i[order], ref_j[order]
-    d = box.minimum_image(pos[ref_i] - pos[ref_j])
-    ref_within = int(np.count_nonzero(np.einsum("ij,ij->i", d, d) < 1.9 * 1.9))
     offsets = np.empty(len(pos) + 1, np.int64)
-    within = np.empty(1, np.int64)
 
     def build(out_i, out_j):
-        count, within[:] = provider.cell_csr(
-            pos, *_box_f64(box), 2.2, 1.9 * 1.9, out_i, out_j, offsets
-        )
-        return count
+        return provider.cell_csr(pos, *_box_f64(box), 2.2, out_i, out_j, offsets)
 
     if not (
         _built_twice(stem, ref_i, ref_j, build)
         and np.array_equal(offsets, np.searchsorted(ref_i, np.arange(len(pos) + 1)))
-        and within[0] == ref_within
     ):
         raise AssertionError("cell_csr deviates from lexsorted cell_list_half_pairs")
 
@@ -382,23 +375,14 @@ def _check_cell_rows(provider, stem, policy):
     key = rng.permutation(len(pos))
     open_box = _box_f64(Box(box.lengths, periodic=(False,) * 3))
     anchors = 70
-    ref_i, ref_j, _ = subdomain_directed_pairs(
-        pos, 2.2, sort_key=key, anchor_limit=anchors, brute_force_max=0
+    ref_i, ref_j = subdomain_directed_pairs(
+        pos, 2.2, sort_key=key, anchor_limit=anchors
     )
-    d = pos[ref_i] - pos[ref_j]
-    inside = np.einsum("ij,ij->i", d, d) < 1.9 * 1.9
-    within = np.full(anchors + 1, -1, np.int64)
 
     def build(out_i, out_j):
-        return provider.cell_rows(
-            pos, *open_box, 2.2, 1.9 * 1.9, key, out_i, out_j, within[:anchors]
-        )
+        return provider.cell_rows(pos, *open_box, 2.2, key, anchors, out_i, out_j)
 
-    if not (
-        _built_twice(stem, ref_i, ref_j, build)
-        and np.array_equal(within[:-1], np.bincount(ref_i[inside], minlength=anchors))
-        and within[-1] == -1
-    ):
+    if not _built_twice(stem, ref_i, ref_j, build):
         raise AssertionError("cell_rows deviates from the mirrored, lexsorted half list")
 
 
@@ -979,33 +963,33 @@ class CompiledBackend(NumpyFastBackend):
     # ------------------------------------------------------------------
     def _fitted(self, stem, estimate, build):
         """The native builds' capacity protocol around ``build(out_i,
-        out_j) -> (count, *extra)``: fresh outputs every time (the
-        caller keeps views of them, so nothing is copied out of scratch
-        afterwards), sized by ``estimate`` or the last build's count
-        plus a quarter.  A kernel reports the true count even when it
-        did not fit, so one retry always suffices; a negative count
-        (allocation failure, unmet precondition, tied sort keys) gives
-        ``None``, else ``(out_i[:count], out_j[:count], *extra)``."""
+        out_j) -> count``: fresh outputs every time (the caller keeps
+        views of them, so nothing is copied out of scratch afterwards),
+        sized by ``estimate`` or the last build's count plus a quarter.
+        A kernel reports the true count even when it did not fit, so one
+        retry always suffices; a negative count (allocation failure,
+        unmet precondition, tied sort keys) gives ``None``, else
+        ``(out_i[:count], out_j[:count])``."""
         capacity = max(self._capacity_hint[stem], estimate, 1024)
         while True:
             out_i = np.empty(capacity, np.int64)
             out_j = np.empty(capacity, np.int64)
-            count, *extra = build(out_i, out_j)
+            count = build(out_i, out_j)
             if count < 0:
                 return None
             if count <= capacity:
                 break
             capacity = count
         self._capacity_hint[stem] = count + (count >> 2)
-        return (out_i[:count], out_j[:count], *extra)
+        return out_i[:count], out_j[:count]
 
-    def neighbor_pairs(self, positions, box, rc, count_cutoff=None):
+    def neighbor_pairs(self, positions, box, rc):
         """Compiled link-cell CSR build (float64 positions only).
 
         Returns the half pairs of :func:`repro.md.neighbor.
         cell_list_half_pairs` already in ``np.lexsort((j, i))`` order,
-        with row offsets and the within-``count_cutoff`` count, or
-        ``None`` to let the caller run the numpy path.
+        with their row offsets, or ``None`` to let the caller run the
+        numpy path.
         """
         positions = np.asarray(positions)
         if positions.dtype != np.float64 or positions.ndim != 2:
@@ -1015,11 +999,8 @@ class CompiledBackend(NumpyFastBackend):
         offsets = np.zeros(n + 1, dtype=np.int64)
         if n == 0:
             empty = np.empty(0, dtype=np.int64)
-            return SortedHalfPairs(empty, empty, offsets, 0)
+            return SortedHalfPairs(empty, empty, offsets)
         lengths, origin, periodic = _box_f64(box)
-        count_rc2 = (
-            0.0 if count_cutoff is None else float(count_cutoff * count_cutoff)
-        )
         volume = float(np.prod(lengths))
         # Half-pair estimate (4pi/6 * rc^3 * n^2 / V), padded.
         estimate = 16 * n
@@ -1030,20 +1011,12 @@ class CompiledBackend(NumpyFastBackend):
             estimate,
             lambda out_i, out_j: self._impl.cell_csr(
                 positions, lengths, origin, periodic, float(rc),
-                count_rc2, out_i, out_j, offsets,
+                out_i, out_j, offsets,
             ),
         )
-        if built is None:
-            return None
-        out_i, out_j, within = built
-        return SortedHalfPairs(
-            out_i, out_j, offsets, None if count_cutoff is None else within
-        )
+        return None if built is None else SortedHalfPairs(*built, offsets)
 
-    def directed_rows(
-        self, positions, box, rc, sort_key=None, anchor_limit=None,
-        count_cutoff=None,
-    ):
+    def directed_rows(self, positions, box, rc, sort_key=None, anchor_limit=None):
         """Compiled directed-row build for an engine worker's local set
         (float64 positions in an open box only): the rows of
         :func:`repro.md.neighbor.subdomain_directed_pairs`, bitwise,
@@ -1068,9 +1041,6 @@ class CompiledBackend(NumpyFastBackend):
             return None
         anchors = n if anchor_limit is None else min(max(int(anchor_limit), 0), n)
         lengths, origin, periodic = _box_f64(box)
-        count_rc2 = (
-            0.0 if count_cutoff is None else float(count_cutoff * count_cutoff)
-        )
         # Directed-row estimate at the mean density over the atoms'
         # extent (the box adds an empty margin): 4pi/3 * rc^3 * n / V
         # per anchor, padded.  Anchors near the surface hold fewer, so a
@@ -1079,32 +1049,15 @@ class CompiledBackend(NumpyFastBackend):
         estimate = 16 * anchors + int(
             5.2 * float(rc) ** 3 * n * anchors / float(np.prod(extent))
         )
-        within = np.empty(anchors, np.int64)
         built = self._fitted(
             "cell_rows",
             min(estimate, anchors * (n - 1)),
-            lambda out_i, out_j: (
-                self._impl.cell_rows(
-                    positions, lengths, origin, periodic, float(rc), count_rc2,
-                    sort_key, out_i, out_j, within,
-                ),
+            lambda out_i, out_j: self._impl.cell_rows(
+                positions, lengths, origin, periodic, float(rc),
+                sort_key, anchors, out_i, out_j,
             ),
         )
-        if built is None:
-            return None
-        return DirectedRows(*built, None if count_cutoff is None else within)
-
-    def count_pairs_within(self, positions, box, pair_i, pair_j, rc):
-        """Count stored pairs within ``rc`` via the bitwise pair-geom
-        kernel (float64 only), sparing the stats pass its numpy gather."""
-        positions = np.asarray(positions)
-        if (
-            positions.dtype != np.float64
-            or positions.ndim != 2
-            or self.policy.storage_dtype != np.float64
-        ):
-            return None
-        return self._pair_geom(positions, box, pair_i, pair_j, rc)[0]
+        return None if built is None else DirectedRows(*built)
 
     def max_displacement_sq(self, positions, reference, box):
         """Native skin check (float64, C-contiguous ``(n, 3)`` only)."""

@@ -92,6 +92,8 @@ class KSpaceSolver(abc.ABC):
 
         For each excluded pair the k-space sum silently added the full
         ``erf(alpha r)/r`` interaction; we subtract energy and force here.
+        The result counts no interactions: a solver's work count is its
+        mesh (or k-vector) size alone.
         """
         if self.exclusions is None:
             return ForceResult()
@@ -115,9 +117,7 @@ class KSpaceSolver(abc.ABC):
         np.add.at(system.forces, i, fvec)
         np.subtract.at(system.forces, j, fvec)
         virial = float(np.sum(f_over_r * r2, dtype=np.float64))
-        return ForceResult(
-            float(np.sum(energy, dtype=np.float64)), virial, len(i)
-        )
+        return ForceResult(float(np.sum(energy, dtype=np.float64)), virial)
 
     # ------------------------------------------------------------------
     @abc.abstractmethod

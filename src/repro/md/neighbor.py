@@ -37,10 +37,11 @@ __all__ = [
     "subdomain_directed_pairs",
 ]
 
-# Below this atom count a vectorized O(N^2) build is faster than cell
-# binning in numpy and trivially correct; above it we bin.  The default
-# of every ``brute_force_max=`` argument below.
-_BRUTE_FORCE_MAX_ATOMS = 800
+#: Atom count up to which a build searches all pairs directly: below
+#: it a vectorized O(N^2) pass is faster than cell binning in numpy and
+#: trivially correct; above it we bin.  Read at every build, so a test
+#: can patch it to force either path.
+BRUTE_FORCE_MAX_ATOMS = 800
 
 #: Most link cells a build will bin into (LAMMPS' "Too many neighbor
 #: bins" bound, a 32-bit count): past it the per-cell tables alone are
@@ -80,6 +81,13 @@ def _ragged_arange(counts: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     starts = np.cumsum(counts) - counts
     return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+
+
+def _row_offsets(i: np.ndarray, n: int) -> np.ndarray:
+    """CSR offsets (length ``n + 1``) of row-major pairs headed by ``i``."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(i, minlength=n), out=offsets[1:])
+    return offsets
 
 
 def _isin_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
@@ -223,10 +231,8 @@ def subdomain_directed_pairs(
     rc: float,
     *,
     sort_key: np.ndarray | None = None,
-    brute_force_max: int = _BRUTE_FORCE_MAX_ATOMS,
     anchor_limit: int | None = None,
     kernels=None,
-    count_cutoff: float | None = None,
 ) -> DirectedRows:
     """Directed pair list over a subdomain's local atom set.
 
@@ -252,12 +258,11 @@ def subdomain_directed_pairs(
     brute-force crossover its ``directed_rows`` hook is asked first: the
     compiled backend bins once, walks the full stencil over the anchors
     and sorts each row by ``sort_key`` in the kernel, returning these
-    very rows (and, given ``count_cutoff``, how many lie within it)
-    with no half list, mirror or sort.  When it declines — float32
-    positions, no native provider, tied sort keys — the body below
-    builds the half list (through the ``neighbor_pairs`` hook when there
-    is one, which contracts to reproduce the numpy pairs exactly),
-    mirrors it and lexsorts; that path leaves ``within`` as ``None``.
+    very rows with no half list, mirror or sort.  When it declines —
+    float32 positions, no native provider, tied sort keys — the body
+    below builds the half list (through the ``neighbor_pairs`` hook when
+    there is one, which contracts to reproduce the numpy pairs exactly),
+    mirrors it and lexsorts.
     """
     positions = np.asarray(positions)
     if positions.dtype != np.float32:
@@ -265,19 +270,17 @@ def subdomain_directed_pairs(
     n = len(positions)
     empty = np.empty(0, dtype=np.int64)
     if n < 2:
-        return DirectedRows(empty, empty, None)
+        return DirectedRows(empty, empty)
     # Open bounding box with one-cutoff margin; degenerate extents
     # (planar or linear local sets) still need positive edge lengths.
     lo = positions.min(axis=0) - rc
     hi = positions.max(axis=0) + rc
     box = Box(np.maximum(hi - lo, rc), periodic=np.zeros(3, dtype=bool), origin=lo)
-    if n <= brute_force_max:
+    if n <= BRUTE_FORCE_MAX_ATOMS:
         i, j = brute_force_pairs(positions, box, rc)
     else:
         if kernels is not None:
-            rows = kernels.directed_rows(
-                positions, box, rc, sort_key, anchor_limit, count_cutoff
-            )
+            rows = kernels.directed_rows(positions, box, rc, sort_key, anchor_limit)
             if rows is not None:
                 return rows
         half = (
@@ -297,7 +300,7 @@ def subdomain_directed_pairs(
         dj = np.concatenate([j[forward], i[reverse]])
     key = dj if sort_key is None else np.asarray(sort_key, dtype=np.int64)[dj]
     order = np.lexsort((key, di))
-    return DirectedRows(di[order], dj[order], None)
+    return DirectedRows(di[order], dj[order])
 
 
 @dataclass
@@ -305,9 +308,7 @@ class NeighborStats:
     """Bookkeeping counters the performance model consumes."""
 
     n_builds: int = 0
-    n_checks: int = 0
     last_pairs: int = 0
-    last_neighbors_per_atom: float = 0.0
     steps_since_build: int = 0
     total_steps: int = 0
 
@@ -334,11 +335,6 @@ class NeighborList:
         Optional ``(M, 2)`` array of atom-index pairs to exclude (bonded
         1-2 / 1-3 partners whose non-bonded interaction is masked, as
         LAMMPS ``special_bonds`` does).
-    brute_force_max:
-        Atom count up to which the O(N^2) brute-force build is used
-        instead of cell binning.  Set to 0 to force the cell-list path,
-        or very large to force brute force (the tests use both, with
-        brute force as the reference).
 
     Besides the flat ``pair_i`` / ``pair_j`` arrays, every build also
     publishes the same pairs in **CSR form**: ``csr_offsets`` (length
@@ -356,7 +352,6 @@ class NeighborList:
         *,
         full: bool = False,
         exclusions: np.ndarray | None = None,
-        brute_force_max: int = _BRUTE_FORCE_MAX_ATOMS,
     ) -> None:
         if cutoff <= 0:
             raise ValueError("cutoff must be positive")
@@ -365,9 +360,6 @@ class NeighborList:
         self.cutoff = float(cutoff)
         self.skin = float(skin)
         self.full = bool(full)
-        self.brute_force_max = int(brute_force_max)
-        if self.brute_force_max < 0:
-            raise ValueError("brute_force_max must be non-negative")
         self.stats = NeighborStats()
         #: Span sink for rebuild instrumentation and for the kernel spans
         #: of the serial rows read from this list (no-op by default; the
@@ -381,12 +373,12 @@ class NeighborList:
         #: return ``None`` — keeps the numpy path.
         self.kernels = None
         self._positions_at_build: np.ndarray | None = None
-        self._box_lengths_at_build: np.ndarray | None = None
+        self._box_at_build: Box | None = None
         self.pair_i = np.empty(0, dtype=np.int64)
         self.pair_j = np.empty(0, dtype=np.int64)
         self.csr_offsets = np.zeros(1, dtype=np.int64)
         self.csr_neighbors = np.empty(0, dtype=np.int64)
-        self._excluded_keys: np.ndarray | None = None
+        self._excluded_keys: tuple[int, np.ndarray] | None = None
         self._exclusions = (
             None
             if exclusions is None or len(exclusions) == 0
@@ -410,75 +402,93 @@ class NeighborList:
         box = system.box
         positions = box.wrap(system.positions)
         n = system.n_atoms
-        rc = self.list_cutoff
         self.check_box(box)
-
-        # Producers that emit row-major (i, then j) pairs spare the
-        # build its sort: np.triu_indices walks i < j in exactly that
-        # order, and a native build contracts to (and also hands over
-        # its row offsets and within-cutoff count).
-        offsets = within = None
-        presorted = True
-        if n <= self.brute_force_max or not self._can_bin(box, rc):
-            with self.tracer.span("neigh.brute_pairs", "neigh"):
-                i, j = brute_force_pairs(positions, box, rc)
-        else:
-            with self.tracer.span("neigh.cell_pairs", "neigh"):
-                rows = (
-                    self.kernels.neighbor_pairs(positions, box, rc, self.cutoff)
-                    if self.kernels is not None
-                    else None
-                )
-                if rows is not None:
-                    i, j, offsets, within = rows
-                else:
-                    i, j = cell_list_half_pairs(positions, box, rc)
-                    presorted = False
-
-        if self._exclusions is not None:
-            if self._excluded_keys is None or len(self._excluded_keys) == 0:
-                # Cached across rebuilds: the exclusion topology is static.
-                self._excluded_keys = np.unique(
-                    _encode_pairs(self._exclusions[:, 0], self._exclusions[:, 1], n)
-                )
-            keys = _encode_pairs(i, j, n)
-            keep = ~_isin_sorted(keys, self._excluded_keys)
-            # Order-preserving, but the producer's offsets and count
-            # describe the unfiltered rows.
-            i, j = i[keep], j[keep]
-            offsets = within = None
+        i, j, offsets = self._half_pairs(positions, box, self.list_cutoff)
 
         if self.full:
             pair_i = np.concatenate([i, j])
             pair_j = np.concatenate([j, i])
-            presorted = False
             offsets = None
         else:
             pair_i, pair_j = i, j
 
         # CSR packing: row-major (i, then j) order, offsets per atom.
-        if not presorted:
+        if offsets is None:
             order = np.lexsort((pair_j, pair_i))
             pair_i, pair_j = pair_i[order], pair_j[order]
-        if offsets is None:
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(pair_i, minlength=n), out=offsets[1:])
+            offsets = _row_offsets(pair_i, n)
         self.pair_i = pair_i
         self.pair_j = pair_j
         self.csr_offsets = offsets
         self.csr_neighbors = self.pair_j
+        # wrap() made ``positions``: the build may keep it uncopied.
+        self.record_build(positions, box, len(self.pair_i))
 
-        if within is None and self.kernels is not None:
-            within = self.kernels.count_pairs_within(
-                positions, box, i, j, self.cutoff
-            )
-        if within is None:
-            dr = box.minimum_image(positions[i] - positions[j])
-            r2 = np.einsum("ij,ij->i", dr, dr)
-            within = int(np.count_nonzero(r2 < self.cutoff * self.cutoff))
-        # wrap() made ``positions``; each unordered pair within the
-        # cutoff is a neighbor of both its atoms.
-        self.record_build(positions, box, len(self.pair_i), 2 * within)
+    def _half_pairs(
+        self, positions: np.ndarray, box: Box, rc: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(i, j, offsets)``: the half pairs of the wrapped
+        ``positions`` within ``rc``, exclusions dropped.
+
+        ``offsets`` are the CSR row offsets when the producer emits
+        row-major (i, then j) pairs — np.triu_indices walks i < j in
+        that order, and a native build contracts to it and hands its
+        offsets over — and ``None`` when the pairs need a sort.
+        """
+        n = len(positions)
+        offsets = None
+        row_major = True
+        if n <= BRUTE_FORCE_MAX_ATOMS or not self._can_bin(box, rc):
+            with self.tracer.span("neigh.brute_pairs", "neigh"):
+                i, j = brute_force_pairs(positions, box, rc)
+        else:
+            with self.tracer.span("neigh.cell_pairs", "neigh"):
+                rows = (
+                    self.kernels.neighbor_pairs(positions, box, rc)
+                    if self.kernels is not None
+                    else None
+                )
+                if rows is not None:
+                    i, j, offsets = rows
+                else:
+                    i, j = cell_list_half_pairs(positions, box, rc)
+                    row_major = False
+        excluded = self.excluded_keys(n)
+        if excluded is not None:
+            keep = ~_isin_sorted(_encode_pairs(i, j, n), excluded)
+            # Order-preserving, but the producer's offsets describe the
+            # unfiltered rows.
+            i, j = i[keep], j[keep]
+            offsets = None
+        if row_major and offsets is None:
+            offsets = _row_offsets(i, n)
+        return i, j, offsets
+
+    def excluded_keys(self, n_atoms: int) -> np.ndarray | None:
+        """The exclusion pairs as sorted :func:`_encode_pairs` keys over
+        ``n_atoms`` atoms, or ``None`` without exclusions.  Encoded
+        once: the exclusion topology is static."""
+        if self._exclusions is None:
+            return None
+        if self._excluded_keys is None or self._excluded_keys[0] != n_atoms:
+            keys = np.unique(_encode_pairs(*self._exclusions.T, n_atoms))
+            self._excluded_keys = (n_atoms, keys)
+        return self._excluded_keys[1]
+
+    def neighbors_per_atom(self) -> float:
+        """Neighbors per atom within the force cutoff at the last build:
+        Table 2's statistic (LAMMPS' "Ave neighs/atom").
+
+        Measured when asked, by the build's own half-pair producer at
+        :attr:`cutoff` (not ``cutoff + skin``) over the positions and box
+        of the last build, exclusions dropped.  Each unordered pair is a
+        neighbor of both its atoms, whichever flavour the list stores.
+        """
+        if self._positions_at_build is None:
+            raise RuntimeError("neighbor list has never been built")
+        positions = self._positions_at_build
+        i, _, _ = self._half_pairs(positions, self._box_at_build, self.cutoff)
+        return 2 * len(i) / len(positions)
 
     def check_box(self, box: Box) -> None:
         """Refuse a box too small for minimum-image pair search.
@@ -495,22 +505,15 @@ class NeighborList:
                 "or shrink the cutoff"
             )
 
-    def record_build(
-        self, positions: np.ndarray, box: Box, n_pairs: int, n_within: int
-    ) -> None:
-        """Record a build over the wrapped ``positions`` in ``box``.
-
-        ``n_pairs`` is the number of stored pairs; ``n_within`` counts
-        neighbor entries within the *cutoff* (not cutoff + skin, the
-        Table 2 convention) over all atoms, so each unordered pair
-        counts twice.  The skin check measures displacements from here.
-        """
+    def record_build(self, positions: np.ndarray, box: Box, n_pairs: int) -> None:
+        """Record a build of ``n_pairs`` stored pairs over the wrapped
+        ``positions`` in ``box``.  The skin check measures displacements
+        from here, and :meth:`neighbors_per_atom` measures here."""
         self._positions_at_build = positions
-        self._box_lengths_at_build = box.lengths.copy()
+        self._box_at_build = box.copy()
         self.stats.n_builds += 1
         self.stats.steps_since_build = 0
         self.stats.last_pairs = n_pairs
-        self.stats.last_neighbors_per_atom = n_within / len(positions)
 
     @staticmethod
     def _can_bin(box: Box, rc: float) -> bool:
@@ -533,14 +536,13 @@ class NeighborList:
         trigger is therefore ``max_disp > delta`` with ``delta = (skin -
         |dL|) / 2``; at constant box that is the plain half-skin test.
         """
-        self.stats.n_checks += 1
         if self._positions_at_build is None:
             return True
         if len(self._positions_at_build) != system.n_atoms:
             return True
         delta = 0.5 * (
             self.skin
-            - float(np.linalg.norm(system.box.lengths - self._box_lengths_at_build))
+            - float(np.linalg.norm(system.box.lengths - self._box_at_build.lengths))
         )
         if delta <= 0:
             return True
@@ -583,10 +585,7 @@ class NeighborList:
         """
         if self._positions_at_build is None:
             return None
-        return (
-            self._positions_at_build.copy(),
-            self._box_lengths_at_build.copy(),
-        )
+        return self._positions_at_build.copy(), self._box_at_build.lengths.copy()
 
     # ------------------------------------------------------------------
     # Queries

@@ -538,9 +538,7 @@ class Simulation:
         )
         stats = self.neighbor.stats
         metrics.gauge("md_neighbor_pairs").set(stats.last_pairs)
-        metrics.gauge("md_neighbor_rebuild_every").set(
-            0.0 if stats.n_builds == 0 else stats.total_steps / stats.n_builds
-        )
+        metrics.gauge("md_neighbor_rebuild_every").set(stats.rebuild_every)
         total_energy = self.total_energy()
         if self._initial_energy is None:
             self._initial_energy = total_energy

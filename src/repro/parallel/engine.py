@@ -51,7 +51,6 @@ from repro.md.atoms import AtomSystem
 from repro.md.box import Box
 from repro.md.heap import keep_freed_heap
 from repro.md.kernels import backend_spec, get_backend
-from repro.md.neighbor import _encode_pairs
 from repro.md.precision import Precision, PrecisionPolicy, policy_for
 from repro.md.potentials.base import ForceResult
 from repro.md.simulation import ForceExecutor
@@ -92,9 +91,7 @@ class _WorkerPayload:
     specs: dict
     potentials: list
     backend: str
-    #: Force cutoff (what the neighbors/atom statistic counts within)
-    #: and the stored-pair cutoff ``cutoff + skin``.
-    cutoff: float
+    #: The stored-pair cutoff ``cutoff + skin``.
     list_cutoff: float
     halo_width: float
     origin: np.ndarray
@@ -148,8 +145,8 @@ def _worker_main(conn, payload: _WorkerPayload) -> None:
 
     A reply is ``(error, wall_seconds, cpu_seconds, data)``: ``error``
     is ``None`` or the traceback of whatever the command raised, and
-    ``data`` the owned directed-pair counts ``(stored, within the force
-    cutoff)`` (``rebuild``), the per-potential interaction counts
+    ``data`` the owned directed-row count (``rebuild``), the
+    per-potential interaction counts
     (``step``) or the contact-history tables (``history``).
     """
     keep_freed_heap()
@@ -216,7 +213,6 @@ def _worker_main(conn, payload: _WorkerPayload) -> None:
                         index,
                         index.local_positions(wrapped, lengths),
                         payload.list_cutoff,
-                        payload.cutoff,
                         excluded_keys=payload.excluded_keys,
                         n_atoms_total=payload.n_atoms,
                         owned_only=owned_only,
@@ -226,7 +222,7 @@ def _worker_main(conn, payload: _WorkerPayload) -> None:
                         key: (None if value is None else value[index.gids])
                         for key, value in payload.statics.items()
                     }
-                    data = (lists.n_owned_rows, lists.owned_within)
+                    data = lists.n_owned_rows
                 elif command == "step":
                     if lists is None:
                         raise RuntimeError("step before the first rebuild")
@@ -385,12 +381,6 @@ class ParallelForceExecutor(ForceExecutor):
         halo_width = max(
             (p.halo_width(list_cutoff) for p in potentials), default=list_cutoff
         )
-        exclusions = sim.neighbor._exclusions
-        excluded_keys = (
-            None
-            if exclusions is None
-            else np.unique(_encode_pairs(exclusions[:, 0], exclusions[:, 1], n))
-        )
         statics = {
             "types": system.types.copy(),
             "charges": system.charges.copy(),
@@ -426,14 +416,13 @@ class ParallelForceExecutor(ForceExecutor):
                 specs=self._arena.specs,
                 potentials=worker_potentials,
                 backend=spec,
-                cutoff=sim.neighbor.cutoff,
                 list_cutoff=list_cutoff,
                 halo_width=halo_width,
                 origin=system.box.origin.copy(),
                 periodic=system.box.periodic.copy(),
                 quasi_2d=sim.quasi_2d,
                 n_atoms=n,
-                excluded_keys=excluded_keys,
+                excluded_keys=sim.neighbor.excluded_keys(n),
                 statics=statics,
                 has_omega=has_omega,
                 needs_velocities=self._needs_velocities,
@@ -604,13 +593,12 @@ class ParallelForceExecutor(ForceExecutor):
             histories=histories,
         )
         wall, cpu, counts = zip(*replies)
-        directed, within = (sum(column) for column in zip(*counts))
+        directed = sum(counts)
         # Each unordered pair is one owned row on each side.
         neighbor.record_build(
             system.box.wrap(system.positions),
             system.box,
             directed if neighbor.full else directed // 2,
-            within,
         )
         self.worker_neigh_seconds += wall
         self.worker_neigh_cpu_seconds += cpu

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro.md import neighbor
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
 from repro.md.state import STATE_ARRAYS
@@ -13,6 +16,24 @@ from repro.md.state import STATE_ARRAYS
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20220707)
+
+
+@contextlib.contextmanager
+def brute_force_up_to(limit: int):
+    """Neighbor builds search all pairs up to ``limit`` atoms and bin
+    above it (``neighbor.BRUTE_FORCE_MAX_ATOMS``): 0 bins every build,
+    a huge limit none.  A context manager, so a hypothesis test can
+    hold it for one example."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(neighbor, "BRUTE_FORCE_MAX_ATOMS", limit)
+        yield
+
+
+@pytest.fixture
+def cell_lists():
+    """Every neighbor build in the test bins, however few its atoms."""
+    with brute_force_up_to(0):
+        yield
 
 
 @pytest.fixture

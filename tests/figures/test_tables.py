@@ -59,5 +59,5 @@ class TestTable2BulkRhodo:
         sim = get_benchmark("rhodo").build(1536, n_solute_beads=0)
         sim.setup()
         assert sim.potentials[0].cutoff == pytest.approx(10.0)
-        measured = sim.neighbor.stats.last_neighbors_per_atom
+        measured = sim.neighbor.neighbors_per_atom()
         assert measured == pytest.approx(440, rel=0.07)

@@ -69,7 +69,7 @@ class TestEngineModelConsistency:
         for bench, tolerance in (("lj", 0.06), ("eam", 0.12)):
             sim = get_benchmark(bench).build(500)
             sim.setup()
-            measured = sim.neighbor.stats.last_neighbors_per_atom
+            measured = sim.neighbor.neighbors_per_atom()
             modelled = get_workload(bench).neighbors_per_atom
             assert measured == pytest.approx(modelled, rel=tolerance)
 

@@ -41,7 +41,7 @@ class TestInLj:
 
     def test_neighbors_match_table2(self):
         sim = run_deck(DECKS_DIR / "in.lj")
-        assert sim.neighbor.stats.last_neighbors_per_atom == pytest.approx(
+        assert sim.neighbor.neighbors_per_atom() == pytest.approx(
             55, rel=0.06
         )
 

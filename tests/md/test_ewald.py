@@ -136,6 +136,20 @@ class TestExclusions:
         # 20-unit box and a dipole of extent 1).
         assert abs(energy) < 0.02
 
+    def test_exclusions_add_no_kvectors(self):
+        """The work count is the k-vector shell alone, not the excluded
+        pairs the correction subtracts."""
+        rng = np.random.default_rng(5)
+        q = rng.normal(size=20)
+        system = AtomSystem(
+            rng.uniform(0, 8, (20, 3)), Box([8.0] * 3), charges=q - q.mean()
+        )
+        ewald = EwaldSummation(
+            1.0, accuracy=1e-6, exclusions=np.array([[0, 1], [2, 3], [5, 7]])
+        )
+        result = ewald.compute(system)
+        assert result.interactions == ewald.n_kvectors > 0
+
     def test_validation_parameters(self):
         with pytest.raises(ValueError):
             EwaldSummation(0.0)

@@ -55,7 +55,11 @@ from repro.md.potentials.tersoff import Tersoff, TersoffParameters
 from repro.md.simulation import Simulation
 from repro.parallel.forces import DomainLists, OwnerRows
 from repro.parallel.halo import LocalIndex
-from tests.conftest import finite_difference_forces, huge_grid_case
+from tests.conftest import (
+    brute_force_up_to,
+    finite_difference_forces,
+    huge_grid_case,
+)
 
 needs_compiled = pytest.mark.skipif(
     not compiled_available(),
@@ -268,37 +272,34 @@ class TestBitwiseContracts:
         rng = np.random.default_rng(8)
         box = Box([12.0, 11.0, 10.0], periodic=periodic)
         positions = rng.uniform(0, 1, (1500, 3)) * box.lengths
-        rows = CompiledBackend().neighbor_pairs(positions, box, 2.0, 1.7)
-        _assert_rows_equal(rows, _sorted_reference(positions, box, 2.0, 1.7))
+        rows = CompiledBackend().neighbor_pairs(positions, box, 2.0)
+        _assert_rows_equal(rows, _sorted_reference(positions, box, 2.0))
 
-    def test_neighborlist_csr_identical_with_kernels_attached(self):
+    def test_neighborlist_csr_identical_with_kernels_attached(self, cell_lists):
         rng = np.random.default_rng(9)
         box = Box([12.0, 12.0, 12.0])
         system = AtomSystem(rng.uniform(0, 12, (1200, 3)), box)
-        plain = NeighborList(2.0, 0.3, brute_force_max=0)
+        plain = NeighborList(2.0, 0.3)
         plain.build(system)
-        accelerated = NeighborList(2.0, 0.3, brute_force_max=0)
+        accelerated = NeighborList(2.0, 0.3)
         accelerated.kernels = CompiledBackend()
         accelerated.build(system)
         assert np.array_equal(plain.pair_i, accelerated.pair_i)
         assert np.array_equal(plain.pair_j, accelerated.pair_j)
         assert np.array_equal(plain.csr_offsets, accelerated.csr_offsets)
 
-    def test_build_stats_identical_with_kernels_attached(self):
-        """The native count_pairs_within feeding last_neighbors_per_atom
-        must agree exactly with the numpy stats pass."""
+    def test_build_stats_identical_with_kernels_attached(self, cell_lists):
+        """neighbors_per_atom() measured through the native build must
+        agree exactly with the numpy one."""
         system = lj_melt_system(4000, seed=21)
         rng = np.random.default_rng(22)
         system.positions += rng.normal(scale=0.05, size=system.positions.shape)
-        plain = NeighborList(2.5, 0.3, brute_force_max=0)
+        plain = NeighborList(2.5, 0.3)
         plain.build(system)
-        accelerated = NeighborList(2.5, 0.3, brute_force_max=0)
+        accelerated = NeighborList(2.5, 0.3)
         accelerated.kernels = CompiledBackend()
         accelerated.build(system)
-        assert (
-            accelerated.stats.last_neighbors_per_atom
-            == plain.stats.last_neighbors_per_atom
-        )
+        assert accelerated.neighbors_per_atom() == plain.neighbors_per_atom() > 40
         assert accelerated.stats.last_pairs == plain.stats.last_pairs
 
     def test_float32_positions_use_numpy_path(self):
@@ -316,25 +317,21 @@ class TestBitwiseContracts:
 # ---------------------------------------------------------------------------
 # Native CSR neighbor build and skin check vs the numpy expressions
 # ---------------------------------------------------------------------------
-def _sorted_reference(positions, box, rc, count_cutoff):
-    """``lexsort(cell_list_half_pairs)`` + offsets + within-cutoff count."""
+def _sorted_reference(positions, box, rc):
+    """``lexsort(cell_list_half_pairs)`` + offsets."""
     i, j = cell_list_half_pairs(positions, box, rc)
     order = np.lexsort((j, i))
     i, j = i[order], j[order]
     offsets = np.zeros(len(positions) + 1, dtype=np.int64)
     np.cumsum(np.bincount(i, minlength=len(positions)), out=offsets[1:])
-    dr = box.minimum_image(positions[i] - positions[j])
-    r2 = np.einsum("ij,ij->i", dr, dr)
-    within = int(np.count_nonzero(r2 < count_cutoff * count_cutoff))
-    return i, j, offsets, within
+    return i, j, offsets
 
 
 def _assert_rows_equal(rows, reference):
-    ref_i, ref_j, ref_offsets, ref_within = reference
+    ref_i, ref_j, ref_offsets = reference
     assert np.array_equal(rows.i, ref_i)
     assert np.array_equal(rows.j, ref_j)
     assert np.array_equal(rows.offsets, ref_offsets)
-    assert rows.within == ref_within
 
 
 @st.composite
@@ -368,12 +365,12 @@ class TestNativeNeighborBuild:
     @given(config=_binned_configurations())
     @settings(max_examples=200, deadline=None)
     def test_csr_build_equals_lexsorted_numpy_build(self, config):
-        """Property: pairs, orientations, order, offsets and the
-        within-cutoff count all equal the sorted numpy build."""
+        """Property: pairs, orientations, order and offsets all equal the
+        sorted numpy build."""
         box, positions, rc = config
-        rows = CompiledBackend().neighbor_pairs(positions, box, rc, 0.8 * rc)
+        rows = CompiledBackend().neighbor_pairs(positions, box, rc)
         assert rows is not None
-        _assert_rows_equal(rows, _sorted_reference(positions, box, rc, 0.8 * rc))
+        _assert_rows_equal(rows, _sorted_reference(positions, box, rc))
 
     def test_capacity_overflow_retry_returns_the_same_list(self, monkeypatch):
         """One dense blob in a big box: the uniform-density estimate is
@@ -386,21 +383,21 @@ class TestNativeNeighborBuild:
         capacities = []
         native = backend._impl.cell_csr
 
-        def recording(pos, lengths, origin, periodic, rc, rc2, oi, oj, offsets):
+        def recording(pos, lengths, origin, periodic, rc, oi, oj, offsets):
             capacities.append(len(oi))
-            return native(pos, lengths, origin, periodic, rc, rc2, oi, oj, offsets)
+            return native(pos, lengths, origin, periodic, rc, oi, oj, offsets)
 
         monkeypatch.setattr(backend._impl, "cell_csr", recording)
-        rows = backend.neighbor_pairs(positions, box, 2.0, 1.7)
+        rows = backend.neighbor_pairs(positions, box, 2.0)
         n_pairs = 600 * 599 // 2  # the blob's diameter is < rc
         assert len(capacities) == 2
         assert capacities[0] < n_pairs == capacities[1] == len(rows.i)
-        _assert_rows_equal(rows, _sorted_reference(positions, box, 2.0, 1.7))
+        _assert_rows_equal(rows, _sorted_reference(positions, box, 2.0))
         # The hint now covers this density: the next build fits first time.
-        backend.neighbor_pairs(positions, box, 2.0, 1.7)
+        backend.neighbor_pairs(positions, box, 2.0)
         assert len(capacities) == 3 and capacities[2] >= n_pairs
 
-    def test_grid_too_large_to_index_is_declined_not_dereferenced(self):
+    def test_grid_too_large_to_index_is_declined_not_dereferenced(self, cell_lists):
         """2^64 cells wrap the int64 product to 0: the bins were then
         allocated for no cells and the far-corner atom's flat index
         landed outside them (SIGSEGV).  Both builders must decline —
@@ -411,10 +408,10 @@ class TestNativeNeighborBuild:
         positions, box, rc = huge_grid_case()
         assert backend.directed_rows(positions, box, rc) is None
         with pytest.raises(ValueError, match="link-cell grid"):
-            subdomain_directed_pairs(positions, rc, kernels=backend, brute_force_max=0)
+            subdomain_directed_pairs(positions, rc, kernels=backend)
         positions, box, rc = huge_grid_case(scale=2)
         assert backend.neighbor_pairs(positions, box, rc) is None
-        nlist = NeighborList(rc, 0.0, brute_force_max=0)
+        nlist = NeighborList(rc, 0.0)
         nlist.kernels = backend
         with pytest.raises(ValueError, match="link-cell grid"):
             nlist.build(AtomSystem(positions, box))
@@ -438,7 +435,7 @@ class TestNativeNeighborBuild:
     )
     @pytest.mark.parametrize("periodic", [(True, True, True), (True, False, True)])
     def test_skin_check_agrees_with_numpy_around_half_skin(
-        self, scale, rebuild, periodic
+        self, scale, rebuild, periodic, cell_lists
     ):
         """Just below / at / above ``skin / 2`` (and a whole periodic
         image away) the native maximum is bitwise the numpy one, so the
@@ -450,8 +447,8 @@ class TestNativeNeighborBuild:
             box.origin + rng.uniform(0, 1, (300, 3)) * box.lengths, box
         )
         system.positions[17] = [1.0, 1.0, 3.0]
-        plain = NeighborList(2.0, 0.5, brute_force_max=0)
-        native = NeighborList(2.0, 0.5, brute_force_max=0)
+        plain = NeighborList(2.0, 0.5)
+        native = NeighborList(2.0, 0.5)
         native.kernels = CompiledBackend()
         plain.build(system)
         native.build(system)
@@ -488,16 +485,15 @@ class TestNativeNeighborBuild:
             def __getattr__(self, name):
                 return getattr(provider, name)
 
-            def cell_csr(self, pos, lengths, origin, periodic, rc, rc2,
-                         oi, oj, offsets):
-                count, within = provider.cell_csr(
-                    pos, lengths, origin, periodic, rc, rc2, oi, oj, offsets
+            def cell_csr(self, pos, lengths, origin, periodic, rc, oi, oj, offsets):
+                count = provider.cell_csr(
+                    pos, lengths, origin, periodic, rc, oi, oj, offsets
                 )
                 if 0 <= count <= len(oi):  # reverse every row in place
                     for a in range(len(pos)):
                         row = slice(offsets[a], offsets[a + 1])
                         oj[row] = oj[row][::-1].copy()
-                return count, within
+                return count
 
         _smoke_test(provider)  # the real provider passes
         with pytest.raises(AssertionError, match="cell_csr deviates"):
@@ -688,10 +684,9 @@ def _lj_configurations(draw):
 
 def _one_domain(
     system, list_cutoff, exclusions, worker, grid, *,
-    owned_only=True, kernels=None, count_cutoff=None, halo_width=None,
+    owned_only=True, kernels=None, halo_width=None,
 ):
-    """The directed rows engine worker ``worker`` of ``grid`` builds
-    (``owned_within`` counted inside the list cutoff unless told)."""
+    """The directed rows engine worker ``worker`` of ``grid`` builds."""
     box = system.box
     wrapped = box.wrap(system.positions)
     index = LocalIndex.build(
@@ -707,7 +702,6 @@ def _one_domain(
         index,
         index.local_positions(wrapped, box.lengths),
         list_cutoff,
-        list_cutoff if count_cutoff is None else count_cutoff,
         excluded_keys=keys,
         n_atoms_total=n,
         owned_only=owned_only,
@@ -721,13 +715,9 @@ class TestFusedLennardJones:
     @settings(max_examples=150, deadline=None)
     def test_half_list_pass_is_bitwise_the_unfused_path(self, config):
         system, potential, skin, exclusions, brute_force, moved, preload = config
-        nlist = NeighborList(
-            potential.cutoff,
-            skin,
-            exclusions=exclusions,
-            brute_force_max=10**6 if brute_force else 0,
-        )
-        nlist.build(system)
+        nlist = NeighborList(potential.cutoff, skin, exclusions=exclusions)
+        with brute_force_up_to(10**6 if brute_force else 0):
+            nlist.build(system)
         system.positions[...] = moved
 
         system.forces[...] = preload
@@ -941,10 +931,9 @@ class TestFusedEAM:
     @settings(max_examples=120, deadline=None)
     def test_half_list_pass_is_bitwise_the_numpy_body(self, config):
         system, potential, skin, brute_force, moved, preload = config
-        nlist = NeighborList(
-            potential.cutoff, skin, brute_force_max=10**6 if brute_force else 0
-        )
-        nlist.build(system)
+        nlist = NeighborList(potential.cutoff, skin)
+        with brute_force_up_to(10**6 if brute_force else 0):
+            nlist.build(system)
         system.positions[...] = moved
         _assert_same_pass(*_eam_routes(potential, system, nlist, preload))
 
@@ -1371,37 +1360,38 @@ class _NoDirectedRows(CompiledBackend):
     directed_rows = KernelBackend.directed_rows
 
 
-def _directed_within(positions, rows, count_cutoff, anchors):
-    """Per-anchor count of ``rows`` inside ``count_cutoff`` (numpy)."""
-    dr = positions[rows.i] - positions[rows.j]
-    inside = np.einsum("ij,ij->i", dr, dr) < count_cutoff * count_cutoff
-    return np.bincount(rows.i[inside], minlength=anchors)
-
-
 @needs_compiled
 class TestNativeDirectedRows:
     @given(config=_local_sets())
     @settings(max_examples=300, deadline=None)
     def test_rows_are_bitwise_the_lexsort_fallback(self, config):
         positions, rc, key, anchor_limit = config
-        options = dict(sort_key=key, anchor_limit=anchor_limit, brute_force_max=0)
-        expected = subdomain_directed_pairs(positions, rc, **options)
-        native = subdomain_directed_pairs(
-            positions, rc, kernels=CompiledBackend(), count_cutoff=0.8 * rc,
-            **options,
-        )
-        # Only the hook counts, so a count proves it engaged: "equal"
-        # cannot pass by the kernel silently declining.
-        assert expected.within is None and native.within is not None
+        backend = CompiledBackend()
+        counts = []
+        native_rows = backend._impl.cell_rows
+
+        def spy(*args):
+            counts.append(native_rows(*args))
+            return counts[-1]
+
+        with brute_force_up_to(0), pytest.MonkeyPatch.context() as patch:
+            expected = subdomain_directed_pairs(
+                positions, rc, sort_key=key, anchor_limit=anchor_limit
+            )
+            patch.setattr(backend._impl, "cell_rows", spy)
+            native = subdomain_directed_pairs(
+                positions, rc, sort_key=key, anchor_limit=anchor_limit,
+                kernels=backend,
+            )
+        # The kernel's last call returned the rows: "equal" cannot pass
+        # by the kernel silently declining.
+        assert counts and counts[-1] == len(native.i)
         assert _same_bits(native.i, expected.i)
         assert _same_bits(native.j, expected.j)
-        anchors = len(positions) if anchor_limit is None else anchor_limit
-        assert np.array_equal(
-            native.within,
-            _directed_within(positions, expected, 0.8 * rc, anchors),
-        )
 
-    def test_capacity_overflow_retry_returns_the_same_rows(self, monkeypatch):
+    def test_capacity_overflow_retry_returns_the_same_rows(
+        self, monkeypatch, cell_lists
+    ):
         """A dense blob beside a lone far atom: the bounding box's mean
         density underestimates the rows ~100x, the first buffer
         overflows, and the retry (sized from the reported count) must
@@ -1413,28 +1403,24 @@ class TestNativeDirectedRows:
         capacities = []
         native = backend._impl.cell_rows
 
-        def recording(pos, lengths, origin, periodic, rc, rc2, key, oi, oj, within):
+        def recording(pos, lengths, origin, periodic, rc, key, anchors, oi, oj):
             capacities.append(len(oi))
-            return native(pos, lengths, origin, periodic, rc, rc2, key, oi, oj, within)
+            return native(pos, lengths, origin, periodic, rc, key, anchors, oi, oj)
 
         monkeypatch.setattr(backend._impl, "cell_rows", recording)
-        rows = subdomain_directed_pairs(
-            positions, 2.0, sort_key=key, kernels=backend, brute_force_max=0
-        )
+        rows = subdomain_directed_pairs(positions, 2.0, sort_key=key, kernels=backend)
         n_rows = 500 * 499  # the blob's diameter is < rc
         assert len(capacities) == 2
         assert capacities[0] < n_rows == capacities[1] == len(rows.i)
-        expected = subdomain_directed_pairs(
-            positions, 2.0, sort_key=key, brute_force_max=0
-        )
+        expected = subdomain_directed_pairs(positions, 2.0, sort_key=key)
         assert _same_bits(rows.i, expected.i) and _same_bits(rows.j, expected.j)
         # The hint now covers this density: the next build fits first time.
-        subdomain_directed_pairs(
-            positions, 2.0, sort_key=key, kernels=backend, brute_force_max=0
-        )
+        subdomain_directed_pairs(positions, 2.0, sort_key=key, kernels=backend)
         assert len(capacities) == 3 and capacities[2] >= n_rows
 
-    def test_float32_and_providerless_backends_land_on_the_fallback(self):
+    def test_float32_and_providerless_backends_land_on_the_fallback(
+        self, cell_lists
+    ):
         rng = np.random.default_rng(4)
         positions = rng.uniform(0, 6, (300, 3))
         key = rng.permutation(300).astype(np.int64)
@@ -1447,27 +1433,21 @@ class TestNativeDirectedRows:
         # minimum-image stencil walk to offer.
         assert compiled.directed_rows(positions, Box([8.0] * 3), 1.5, key) is None
         for kernels, pos in ((compiled, single), (plain, positions)):
-            got = subdomain_directed_pairs(
-                pos, 1.5, sort_key=key, kernels=kernels, brute_force_max=0,
-                count_cutoff=1.2,
-            )
-            expected = subdomain_directed_pairs(
-                pos, 1.5, sort_key=key, brute_force_max=0
-            )
-            assert got.within is None  # nobody counted: the numpy body ran
+            got = subdomain_directed_pairs(pos, 1.5, sort_key=key, kernels=kernels)
+            expected = subdomain_directed_pairs(pos, 1.5, sort_key=key)
             assert _same_bits(got.i, expected.i) and _same_bits(got.j, expected.j)
 
     def test_below_the_crossover_the_hook_is_not_asked(self, monkeypatch):
         backend = CompiledBackend()
         monkeypatch.setattr(
             backend, "directed_rows",
-            lambda *a, **k: pytest.fail("hook asked below brute_force_max"),
+            lambda *a, **k: pytest.fail("hook asked below the crossover"),
         )
         positions = np.random.default_rng(5).uniform(0, 4, (100, 3))
         rows = subdomain_directed_pairs(positions, 1.0, kernels=backend)
-        assert len(rows.i) and rows.within is None
+        assert len(rows.i)
 
-    def test_tied_sort_keys_decline_and_keep_the_stable_order(self):
+    def test_tied_sort_keys_decline_and_keep_the_stable_order(self, cell_lists):
         """Two partners of one anchor under one key (two images of one
         atom): ``lexsort`` breaks the tie by position in the mirrored
         list, an order the kernel never forms — it must decline, not
@@ -1484,11 +1464,10 @@ class TestNativeDirectedRows:
         # What the same backend built before it had the hook (the tie
         # order depends on the half list's, so on who built that).
         got = subdomain_directed_pairs(
-            positions, 4.0, sort_key=tied, kernels=backend, brute_force_max=0
+            positions, 4.0, sort_key=tied, kernels=backend
         )
         expected = subdomain_directed_pairs(
-            positions, 4.0, sort_key=tied, kernels=_NoDirectedRows(),
-            brute_force_max=0,
+            positions, 4.0, sort_key=tied, kernels=_NoDirectedRows()
         )
         assert _same_bits(got.i, expected.i) and _same_bits(got.j, expected.j)
 
@@ -1496,8 +1475,8 @@ class TestNativeDirectedRows:
     def test_hook_engages_for_an_engine_subdomain(self, kind, owned_only, monkeypatch):
         """A worker-sized local set (> 800 atoms) really is built by the
         kernel under ``cc`` — and ``DomainLists`` cannot tell: rows,
-        global ids, owned prefix and the owned within-cutoff count equal
-        the ones the declining backend's numpy path produces."""
+        global ids and owned prefix equal the ones the declining
+        backend's numpy path produces."""
         system, potential = _jittered_case(kind, n=4000 if kind == "lj" else 500)
         list_cutoff = potential.cutoff + 0.3
         backend = CompiledBackend()
@@ -1510,9 +1489,7 @@ class TestNativeDirectedRows:
 
         monkeypatch.setattr(backend._impl, "cell_rows", spy)
         build = dict(
-            owned_only=owned_only,
-            count_cutoff=potential.cutoff,
-            halo_width=potential.halo_width(list_cutoff),
+            owned_only=owned_only, halo_width=potential.halo_width(list_cutoff)
         )
         for worker in range(2):
             lists = _one_domain(
@@ -1526,29 +1503,26 @@ class TestNativeDirectedRows:
             assert calls[-1] == lists.index.n_local
             for name in ("di", "dj", "gdi", "gdj"):
                 assert _same_bits(getattr(lists, name), getattr(oracle, name))
-            assert lists.n_owned_rows == oracle.n_owned_rows
-            assert lists.owned_within == oracle.owned_within > 0
+            assert lists.n_owned_rows == oracle.n_owned_rows > 0
             assert owned_only == (lists.n_owned_rows == len(lists.di))
 
-    def test_exclusions_fall_back_to_the_geometry_sweep_for_the_count(self):
-        """Rows the exclusions drop were counted by the kernel, so the
-        owned within-cutoff count is re-derived from the filtered rows."""
+    def test_exclusions_filter_the_native_rows(self):
+        """The exclusion filter runs on the kernel's rows as on the numpy
+        body's: both directions of every excluded pair go, the rest keep
+        their order."""
         system, potential = _jittered_case("lj", n=4000)
         rng = np.random.default_rng(9)
         nlist = NeighborList(potential.cutoff, 0.3)
         nlist.build(system)
         chosen = rng.choice(len(nlist.pair_i), 500, replace=False)
         exclusions = np.column_stack([nlist.pair_i[chosen], nlist.pair_j[chosen]])
-        build = dict(count_cutoff=potential.cutoff)
         lists = _one_domain(
-            system, 2.8, exclusions, 0, (1, 1, 1),
-            kernels=CompiledBackend(), **build,
+            system, 2.8, exclusions, 0, (1, 1, 1), kernels=CompiledBackend()
         )
-        oracle = _one_domain(system, 2.8, exclusions, 0, (1, 1, 1), **build)
-        plain = _one_domain(system, 2.8, None, 0, (1, 1, 1), **build)
+        oracle = _one_domain(system, 2.8, exclusions, 0, (1, 1, 1))
+        plain = _one_domain(system, 2.8, None, 0, (1, 1, 1))
         assert _same_bits(lists.di, oracle.di) and _same_bits(lists.dj, oracle.dj)
         assert len(lists.di) == len(plain.di) - 2 * len(exclusions)
-        assert lists.owned_within == oracle.owned_within < plain.owned_within
 
     def test_smoke_test_demotes_a_provider_with_rows_in_index_order(self):
         """The engine no longer sorts native rows by global id, so a
@@ -1560,10 +1534,10 @@ class TestNativeDirectedRows:
             def __getattr__(self, name):
                 return getattr(provider, name)
 
-            def cell_rows(self, pos, lengths, origin, periodic, rc, rc2, key,
-                          oi, oj, within):
+            def cell_rows(self, pos, lengths, origin, periodic, rc, key, anchors,
+                          oi, oj):
                 count = provider.cell_rows(
-                    pos, lengths, origin, periodic, rc, rc2, key, oi, oj, within
+                    pos, lengths, origin, periodic, rc, key, anchors, oi, oj
                 )
                 if 0 <= count <= len(oi):  # re-sort every row by j itself
                     order = np.lexsort((oj[:count], oi[:count]))

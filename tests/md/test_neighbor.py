@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.md import neighbor
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
+from repro.md.kernels.compiled import compiled_available
 from repro.md.lattice import build_exclusions
 from repro.md.neighbor import (
     MAX_CELLS,
@@ -16,7 +18,7 @@ from repro.md.neighbor import (
     subdomain_directed_pairs,
 )
 from repro.suite import get_benchmark
-from tests.conftest import huge_grid_case
+from tests.conftest import brute_force_up_to, huge_grid_case
 
 
 def _pair_set(i, j):
@@ -90,7 +92,7 @@ class TestGuards:
         with pytest.raises(RuntimeError):
             NeighborList(1.0, 0.1).current_pairs(system)
 
-    def test_grid_too_large_to_index_is_refused_by_name(self):
+    def test_grid_too_large_to_index_is_refused_by_name(self, cell_lists):
         """2^61 cells used to reach ``np.bincount`` as a MemoryError,
         2^64 wrap the int64 product to 0, which then sized the cell
         tables.  The build must say what is wrong before it allocates
@@ -101,10 +103,10 @@ class TestGuards:
                 cell_list_half_pairs(positions, box, rc)
         positions, box, rc = huge_grid_case()
         with pytest.raises(ValueError, match="link-cell grid"):
-            subdomain_directed_pairs(positions, rc, brute_force_max=0)
+            subdomain_directed_pairs(positions, rc)
         system = AtomSystem(positions, box)
         with pytest.raises(ValueError, match="link-cell grid"):
-            NeighborList(rc, 0.0, brute_force_max=0).build(system)
+            NeighborList(rc, 0.0).build(system)
         assert f"more than the {MAX_CELLS}" in str(
             pytest.raises(ValueError, cell_list_half_pairs, positions, box, rc).value
         )
@@ -238,8 +240,10 @@ class TestVariants:
         box = Box([10, 10, 10])
         system = AtomSystem(np.array([[1.0, 1, 1], [2.0, 1, 1]]), box)
         nlist = NeighborList(1.5, 0.3)
+        with pytest.raises(RuntimeError, match="never been built"):
+            nlist.neighbors_per_atom()
         nlist.build(system)
-        assert nlist.stats.last_neighbors_per_atom == pytest.approx(1.0)
+        assert nlist.neighbors_per_atom() == 1.0
 
     def test_rebuild_cadence_statistic(self):
         rng = np.random.default_rng(9)
@@ -252,8 +256,30 @@ class TestVariants:
         assert nlist.stats.rebuild_every == pytest.approx(10.0)
 
 
+class TestNeighborsPerAtom:
+    """The statistic is 2 |pairs within the force cutoff at the build
+    positions, minus exclusions| / N, whichever producer measures it."""
+
+    @pytest.mark.parametrize("backend", ["numpy_fast", "compiled"])
+    @pytest.mark.parametrize("name, n_atoms", [("rhodo", 1000), ("chute", 1800)])
+    def test_equals_the_brute_force_oracle(self, name, n_atoms, backend):
+        if backend == "compiled" and not compiled_available():
+            pytest.skip("no compiled provider on this machine")
+        sim = get_benchmark(name).build(n_atoms)
+        sim.set_backend(backend)
+        sim.run(3)
+        nlist = sim.neighbor
+        positions, lengths = nlist.export_build_state()
+        box = Box(lengths, sim.system.box.periodic, sim.system.box.origin)
+        pairs = _pair_set(*brute_force_pairs(positions, box, nlist.cutoff))
+        excluded = _pair_set(*build_exclusions(sim.system.topology).T)
+        assert (name == "rhodo") == bool(pairs & excluded)
+        expected = 2 * len(pairs - excluded) / sim.system.n_atoms
+        assert nlist.neighbors_per_atom() == expected > 1.0
+
+
 class TestBruteForceOverride:
-    """`brute_force_max` selects the build path explicitly."""
+    """`BRUTE_FORCE_MAX_ATOMS` selects the build path."""
 
     def _system(self, n=120, seed=4):
         rng = np.random.default_rng(seed)
@@ -262,20 +288,18 @@ class TestBruteForceOverride:
 
     def test_both_paths_agree_on_small_system(self):
         system = self._system()
-        cell = NeighborList(1.5, 0.3, brute_force_max=0)  # force cell list
-        brute = NeighborList(1.5, 0.3, brute_force_max=10**9)
-        cell.build(system)
-        brute.build(system)
+        cell = NeighborList(1.5, 0.3)
+        brute = NeighborList(1.5, 0.3)
+        with brute_force_up_to(0):
+            cell.build(system)
+        with brute_force_up_to(10**9):
+            brute.build(system)
         assert _pair_set(cell.pair_i, cell.pair_j) == _pair_set(
             brute.pair_i, brute.pair_j
         )
 
     def test_default_crossover(self):
-        assert NeighborList(1.5, 0.3).brute_force_max == 800
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="brute_force_max"):
-            NeighborList(1.5, 0.3, brute_force_max=-1)
+        assert neighbor.BRUTE_FORCE_MAX_ATOMS == 800
 
 
 class TestExclusionFiltering:
@@ -395,7 +419,7 @@ class TestRandomizedCellListCrossCheck:
     backend PR; includes the Chute-style ``full=True`` case)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
-    def test_random_boxes_densities_skins(self, seed):
+    def test_random_boxes_densities_skins(self, seed, cell_lists):
         rng = np.random.default_rng(2_022_000 + seed)
         lengths = rng.uniform(8.0, 16.0, size=3)
         box = Box(lengths)
@@ -407,7 +431,7 @@ class TestRandomizedCellListCrossCheck:
         cutoff = rng.uniform(1.0, 1.8)
         skin = rng.uniform(0.05, 0.5)
         full = bool(seed % 2)  # alternate half/full flavours
-        nlist = NeighborList(cutoff, skin, full=full, brute_force_max=0)
+        nlist = NeighborList(cutoff, skin, full=full)
         nlist.build(system)
         bi, bj = brute_force_pairs(
             box.wrap(system.positions), box, cutoff + skin
@@ -416,12 +440,12 @@ class TestRandomizedCellListCrossCheck:
         if full:
             assert len(nlist.pair_i) == 2 * len(bi)
 
-    def test_chute_like_full_list(self):
+    def test_chute_like_full_list(self, cell_lists):
         rng = np.random.default_rng(321)
         box = Box([11.0, 11.0, 18.0], periodic=[True, True, False])
         positions = rng.uniform(0, 1, (900, 3)) * box.lengths
         system = AtomSystem(positions, box, radii=np.full(900, 0.5))
-        nlist = NeighborList(1.0, 0.1, full=True, brute_force_max=0)
+        nlist = NeighborList(1.0, 0.1, full=True)
         nlist.build(system)
         bi, bj = brute_force_pairs(box.wrap(system.positions), box, 1.1)
         assert _pair_set(nlist.pair_i, nlist.pair_j) == _pair_set(bi, bj)

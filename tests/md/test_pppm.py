@@ -127,6 +127,34 @@ class TestBehaviour:
         result = pppm.compute(system)
         assert result.interactions == 16**3
 
+    def test_exclusions_add_no_grid_points(self):
+        """The excluded-pair correction is not mesh work: the count is
+        the mesh alone, whatever the exclusions."""
+        system = _random_system()
+        exclusions = np.array([[0, 1], [2, 3], [4, 9]])
+        pppm = PPPM(
+            accuracy=1e-4, cutoff=3.0, alpha=1.0, grid=(16, 16, 16),
+            exclusions=exclusions,
+        )
+        result = pppm.compute(system)
+        assert result.interactions == pppm.grid_points == 16**3
+
+    def test_a_rhodo_run_counts_the_mesh_points_it_evaluated(self):
+        sim = get_benchmark("rhodo").build(300)
+        sim.setup()  # an uncounted evaluation
+        meshes = []
+        compute = sim.kspace.compute
+
+        def recording(system):
+            result = compute(system)
+            meshes.append(sim.kspace.grid_points)
+            return result
+
+        sim.kspace.compute = recording
+        sim.run(5)
+        assert len(meshes) == 5
+        assert sim.counts.kspace_grid_points == sum(meshes) > 0
+
     def test_tighter_accuracy_selects_larger_grid(self):
         system = _random_system()
         loose = PPPM(accuracy=1e-4, cutoff=3.0)

@@ -13,13 +13,23 @@ import pytest
 
 from repro.parallel import engine
 from repro.parallel.engine import ParallelEngineError, ParallelForceExecutor
-from repro.suite import get_benchmark
+from repro.suite import BENCHMARK_NAMES, get_benchmark
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Small per-benchmark sizes (chain needs a chain-length multiple).
 SIZES = {"lj": 2048, "chain": 2000, "eam": 1372, "rhodo": 1000, "chute": 1800}
 SIZES["tersoff"] = 512
+
+#: ``name -> (n_atoms, neighbors/atom after setup + 5 steps)``.
+NEIGHBORS_PER_ATOM = {
+    "lj": (500, 54.0),
+    "eam": (500, 42.0),
+    "chain": (400, 3.08),
+    "chute": (400, 5.01),
+    "rhodo": (300, 57.69899665551839),
+    "tersoff": (216, 4.0),
+}
 
 
 def _subprocess_env() -> dict:
@@ -104,25 +114,22 @@ class TestSerialParity:
             assert step_zero(workers) == pytest.approx((energy, virial), rel=1e-12)
 
     @pytest.mark.parametrize("backend", ["auto", "numpy_fast"])
-    @pytest.mark.parametrize("name", ["lj", "eam", "chain"])
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
     def test_neighbors_per_atom_statistic_matches_serial(
         self, name, backend, monkeypatch
     ):
-        """Table 2's neighbors/atom (``figures/table2.py``, the
-        snapshot's ``state_json``) used to stay 0.0 under the engine.
-        Local sets here are above the brute-force crossover, so ``auto``
-        counts in the native row kernel (LJ: owned rows only; EAM: the
-        owned prefix of all rows), ``numpy_fast`` and the
-        exclusion-filtered chain in the numpy sweep."""
+        """Table 2's neighbors/atom after setup and five steps: one
+        measurement over the last build, so serial and engine runs on
+        either backend (``auto`` is ``compiled`` wherever a C compiler
+        is) read the same number, exactly.  The pinned values are what
+        the per-rebuild count reported before the measurement replaced
+        it."""
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
-        serial = _run_serial(name, SIZES[name], 0)
-        expected = serial.neighbor.stats.last_neighbors_per_atom
-        assert expected > 1.0
-        for workers in (1, 2, 4):
-            parallel, _ = _run_parallel(name, SIZES[name], 0, workers=workers)
-            assert parallel.neighbor.stats.last_neighbors_per_atom == pytest.approx(
-                expected, rel=1e-9
-            )
+        n_atoms, expected = NEIGHBORS_PER_ATOM[name]
+        serial = _run_serial(name, n_atoms, 5)
+        assert serial.neighbor.neighbors_per_atom() == expected
+        parallel, _ = _run_parallel(name, n_atoms, 5, workers=2)
+        assert parallel.neighbor.neighbors_per_atom() == expected
 
     def test_interaction_count_and_rebuild_cadence_match_serial(self):
         steps = 6
@@ -321,7 +328,7 @@ import os, random, signal, sys, tempfile, threading, time
 import numpy as np
 from repro.parallel.engine import ParallelForceExecutor
 from repro.reliability import CheckpointManager, ResilientRunner
-from repro.suite import get_benchmark
+from repro.suite import BENCHMARK_NAMES, get_benchmark
 
 name, n_atoms, kills = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 
@@ -443,7 +450,7 @@ class TestStructure:
             system.positions, box.origin, box.lengths, box.periodic, (1, 1, 1), 0, 2.8
         )
         lists = DomainLists.build(
-            index, index.local_positions(system.positions, box.lengths), 2.8, 2.5
+            index, index.local_positions(system.positions, box.lengths), 2.8
         )
         payload = SimpleNamespace(
             potentials=sim.potentials, periodic=box.periodic,

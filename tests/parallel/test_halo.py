@@ -16,6 +16,7 @@ from repro.parallel.halo import (
     domain_bounds,
     select_ghosts,
 )
+from tests.conftest import brute_force_up_to
 
 
 @pytest.fixture
@@ -248,15 +249,14 @@ class TestSubdomainDirectedPairs:
             + [(int(b), int(a)) for a, b in zip(iu, ju)]
         )
         for limit in (0, 10**9):  # cell-list path, brute path
-            di, dj, _ = subdomain_directed_pairs(
-                positions, 1.0, brute_force_max=limit
-            )
+            with brute_force_up_to(limit):
+                di, dj = subdomain_directed_pairs(positions, 1.0)
             assert sorted(zip(di.tolist(), dj.tolist())) == expected
 
     def test_sorted_by_anchor_then_key(self, rng):
         positions = self._cluster(rng)
         key = rng.permutation(len(positions)).astype(np.int64)
-        di, dj, _ = subdomain_directed_pairs(positions, 1.0, sort_key=key)
+        di, dj = subdomain_directed_pairs(positions, 1.0, sort_key=key)
         assert np.all(np.diff(di) >= 0)
         same_anchor = np.diff(di) == 0
         assert np.all(np.diff(key[dj])[same_anchor] > 0)
@@ -264,8 +264,8 @@ class TestSubdomainDirectedPairs:
     def test_anchor_limit_is_prefix_of_unrestricted(self, rng):
         positions = self._cluster(rng)
         limit = 40
-        di_all, dj_all, _ = subdomain_directed_pairs(positions, 1.0)
-        di_cut, dj_cut, _ = subdomain_directed_pairs(
+        di_all, dj_all = subdomain_directed_pairs(positions, 1.0)
+        di_cut, dj_cut = subdomain_directed_pairs(
             positions, 1.0, anchor_limit=limit
         )
         keep = di_all < limit

@@ -21,6 +21,7 @@ from repro.md.restart import (
     restore_simulation,
     save_snapshot,
     snapshot_payload,
+    write_snapshot,
 )
 from repro.md.state import json_default
 from repro.suite import BENCHMARK_NAMES, get_benchmark
@@ -197,6 +198,37 @@ class TestDeflatedV2Compatibility:
         assert deflated.stat().st_size < stored.stat().st_size
         resumed = _build(name)
         restore_simulation(resumed, deflated)
+        for _ in range(6):
+            resumed.step()
+        assert resumed.step_number == straight.step_number
+        for field in ("positions", "velocities", "forces"):
+            assert (
+                getattr(resumed.system, field).tobytes()
+                == getattr(straight.system, field).tobytes()
+            ), field
+
+
+class TestRetiredNeighborStats:
+    """Snapshots written while every rebuild counted neighbors/atom
+    carry two more ``neighbor_stats`` keys (``last_neighbors_per_atom``,
+    ``n_checks``); a restore reads only the fields the running code
+    declares and continues bit for bit."""
+
+    @pytest.mark.parametrize("name", ["rhodo", "chute"])
+    def test_snapshot_with_the_dropped_keys_restores_bitwise(self, name, tmp_path):
+        straight = _run(_build(name), 12)
+        first = _run(_build(name), 6)
+        with np.load(save_snapshot(first, tmp_path / "now.npz")) as data:
+            payload = {key: data[key] for key in data.files}
+        state = json.loads(payload["state_json"].tobytes())
+        state["neighbor_stats"].update(last_neighbors_per_atom=57.7, n_checks=6)
+        payload["state_json"] = np.frombuffer(json.dumps(state).encode(), np.uint8)
+        older = tmp_path / "older.npz"
+        with open(older, "wb") as handle:
+            write_snapshot(handle, payload)
+        resumed = _build(name)
+        restore_simulation(resumed, older)
+        assert asdict(resumed.neighbor.stats) == asdict(first.neighbor.stats)
         for _ in range(6):
             resumed.step()
         assert resumed.step_number == straight.step_number

@@ -111,20 +111,20 @@ class TestBuilders:
     def test_lj_neighbors_match_table2(self):
         sim = get_benchmark("lj").build(500)
         sim.setup()
-        measured = sim.neighbor.stats.last_neighbors_per_atom
+        measured = sim.neighbor.neighbors_per_atom()
         assert measured == pytest.approx(55, rel=0.06)
 
     def test_eam_neighbors_match_table2(self):
         sim = get_benchmark("eam").build(500)
         sim.setup()
-        measured = sim.neighbor.stats.last_neighbors_per_atom
+        measured = sim.neighbor.neighbors_per_atom()
         assert measured == pytest.approx(45, rel=0.12)
 
     def test_chain_neighbors_close_to_table2(self):
         sim = get_benchmark("chain").build(400)
         sim.setup()
         # Small melts under-report slightly; Table 2 says 5.
-        assert 2.5 <= sim.neighbor.stats.last_neighbors_per_atom <= 7.0
+        assert 2.5 <= sim.neighbor.neighbors_per_atom() <= 7.0
 
     def test_rhodo_stack_complete(self):
         sim = get_benchmark("rhodo").build(250)
