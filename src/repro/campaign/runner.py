@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 from repro.campaign.spec import CampaignSpec
-from repro.report import energy_provenance, make_report, platform_info
+from repro.report import make_report, platform_info
 from repro.service import BatchService, JobResult, JobSpec
 
 __all__ = ["run_campaign", "render_figures"]
@@ -139,7 +139,6 @@ def run_campaign(
             "resolved": resolved if len(resolved) > 1 else resolved[0],
         },
         precision=precisions if len(precisions) > 1 else precisions[0],
-        energy=energy_provenance(),
         platform=platform_info(pool_workers=n_workers),
         campaign={
             "name": spec.name,

@@ -17,7 +17,7 @@ from repro.cli.options import int_at_least, positive_float
 from repro.suite import BENCHMARK_NAMES
 
 #: ``--power`` choices: ``auto`` walks the rapl -> procfs -> model
-#: ladder (or takes ``$REPRO_POWER_PROVIDER``); the rest force one.
+#: ladder; the rest force one.  The flag is the only way to choose.
 POWER_CHOICES = ("auto", "rapl", "dram", "procfs", "model")
 
 
@@ -40,8 +40,8 @@ def _configure(parser: argparse.ArgumentParser) -> None:
                         choices=POWER_CHOICES, metavar="PROVIDER",
                         help="also sample power and attribute the joules "
                              "per phase; bare --power auto-detects "
-                             "rapl -> procfs -> model (or takes "
-                             "$REPRO_POWER_PROVIDER), a name forces one of "
+                             "rapl -> procfs -> model and records why it "
+                             "skipped each rung, a name forces one of "
                              "rapl, dram, procfs, model (`dram` reads the "
                              "RAPL memory-controller subdomain and is never "
                              "auto-selected)")
@@ -71,9 +71,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         from repro.observability import telemetry
 
         try:
-            provider = telemetry.detect_provider(
-                None if args.power == "auto" else args.power
-            )
+            provider = telemetry.detect_provider(args.power)
         except (RuntimeError, ValueError) as exc:
             print(f"power provider unavailable: {exc}", file=sys.stderr)
             return 2
@@ -172,6 +170,7 @@ def _report_energy(args, sim, sampler, tracer, path: Path) -> Path:
         platform_provenance,
         render_energy_table,
     )
+    from repro.observability.telemetry.sampler import MIN_RUN_SECONDS
     from repro.report import make_report, platform_info
 
     provider = sampler.provider
@@ -192,7 +191,7 @@ def _report_energy(args, sim, sampler, tracer, path: Path) -> Path:
     print(f"energy per step:   {summary['joules_per_step']:10.3f} J/step")
     if sampler.under_sampled:
         print(f"NOTE: run lasted {summary['duration_s']:.2f} s < "
-              f"{sampler.min_run_seconds:.0f} s — under-sampled; do not "
+              f"{MIN_RUN_SECONDS:.0f} s — under-sampled; do not "
               "compare these numbers across runs")
 
     # No --backend here: the build takes the environment's default, and

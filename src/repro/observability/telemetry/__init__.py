@@ -7,8 +7,9 @@ to a utilization model — loudly labelled — where it does not:
 * :mod:`providers <repro.observability.telemetry.providers>` — the
   provider ladder: RAPL ``energy_uj`` counters (measured), /proc/stat
   utilization through :class:`CpuPowerModel` (estimated),
-  process-CPU-slope model (modeled).  Auto-detected in that order;
-  ``$REPRO_POWER_PROVIDER`` forces one.
+  process-CPU-slope model (modeled).  :func:`detect_provider` resolves
+  it once — a requested name, or the first rung whose constructor
+  succeeds — and the provider records why it skipped each rung above.
 * :mod:`sampler <repro.observability.telemetry.sampler>` — the 0.5 s
   background sampling loop with MIN_RUN_SECONDS enforcement (loud
   warning, never a silent under-sampled series).
@@ -17,8 +18,8 @@ to a utilization model — loudly labelled — where it does not:
   joins sample intervals with the PR-2 span tracer's timeline to
   attribute joules per phase (Pair, Neigh, Comm, Kspace, checkpoint...).
 * :mod:`provenance <repro.observability.telemetry.provenance>` —
-  kernel version, cgroup CPU quota and RAPL availability for the
-  benchmark platform records.
+  kernel version, CPU count and cgroup CPU quota for the power
+  record's ``platform`` block.
 
 The performance model (:mod:`repro.model`) imports the utilization
 formula and the sampling methodology from here; nothing here imports the
@@ -27,7 +28,8 @@ model.
 Entry point: ``python -m repro trace lj --atoms 32768 --power`` samples
 the traced run, prints a live readout and the per-phase energy
 breakdown, and writes the full record to ``<out>/energy.json``.  TS/s/W
-is reported only when the joules are ``measured``.
+is reported only when the joules are ``measured``.  ``--power NAME`` is
+the only way to choose the provider.
 """
 
 from repro.observability.telemetry.attribution import (
@@ -43,9 +45,7 @@ from repro.observability.telemetry.provenance import (
     platform_provenance,
 )
 from repro.observability.telemetry.providers import (
-    EXPLICIT_PROVIDERS,
-    PROVIDER_ENV_VAR,
-    PROVIDER_ORDER,
+    PROVIDERS,
     CpuPowerModel,
     DramRaplProvider,
     IntervalSample,
@@ -54,7 +54,6 @@ from repro.observability.telemetry.providers import (
     ProcStatProvider,
     RaplProvider,
     detect_provider,
-    provider_diagnostics,
 )
 from repro.observability.telemetry.sampler import (
     TelemetrySampler,
@@ -69,11 +68,8 @@ __all__ = [
     "DramRaplProvider",
     "ProcStatProvider",
     "ModelProvider",
-    "PROVIDER_ENV_VAR",
-    "PROVIDER_ORDER",
-    "EXPLICIT_PROVIDERS",
+    "PROVIDERS",
     "detect_provider",
-    "provider_diagnostics",
     "CpuPowerModel",
     "TelemetrySampler",
     "UnderSampledRunWarning",

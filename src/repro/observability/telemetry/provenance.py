@@ -4,9 +4,10 @@ Energy-efficiency numbers are only comparable across machines when the
 record says what the machine *was*: the kernel it ran (scheduler and
 powercap behavior change across versions), whether a cgroup CPU quota
 was throttling the run (ubiquitous in CI containers, invisible to
-``os.cpu_count``), and whether the joules came from a hardware counter
-or a model.  :func:`platform_provenance` bundles those for the
-``energy.json`` record ``repro trace --power`` writes.
+``os.cpu_count``).  :func:`platform_provenance` bundles those host
+facts for the ``energy.json`` record ``repro trace --power`` writes;
+where the joules came from is the record's ``energy`` and ``sampling``
+blocks, read off the one provider the run sampled.
 """
 
 from __future__ import annotations
@@ -14,14 +15,6 @@ from __future__ import annotations
 import os
 import platform
 from pathlib import Path
-
-from repro.observability.telemetry.providers import (
-    PROVIDER_ENV_VAR,
-    PROVIDER_ORDER,
-    RaplProvider,
-    detect_provider,
-    provider_diagnostics,
-)
 
 __all__ = [
     "kernel_version",
@@ -78,15 +71,9 @@ def cgroup_cpu_quota(
 
 
 def platform_provenance() -> dict:
-    """The telemetry block a power record's ``platform`` carries."""
-    provider = detect_provider()
+    """The host facts a power record's ``platform`` block carries."""
     return {
         "kernel_version": kernel_version(),
         "cpu_count": os.cpu_count(),
         "cgroup_cpu_quota_cores": cgroup_cpu_quota(),
-        "rapl_available": RaplProvider.available(),
-        "power_provider": provider.provenance(),
-        "power_provider_order": list(PROVIDER_ORDER),
-        "power_provider_forced": os.environ.get(PROVIDER_ENV_VAR) or None,
-        "power_provider_diagnostics": provider_diagnostics(),
     }

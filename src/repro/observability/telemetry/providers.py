@@ -20,9 +20,11 @@ offers a small provider ladder, best evidence first:
    deltas and runs the same calibrated model.  Always available.
    Kind: ``"modeled"``.
 
-:func:`detect_provider` walks the ladder (or honors
-``$REPRO_POWER_PROVIDER``) and every sample carries its provider's
-provenance, so a record always says which rung produced its joules.
+:func:`detect_provider` resolves the provider once: a requested name
+is built or raises, ``"auto"`` tries each rung's constructor in turn.
+The provider it returns carries what was requested and why every rung
+above it was skipped, so a record always says which rung produced its
+joules and why no better one did.
 """
 
 from __future__ import annotations
@@ -40,27 +42,15 @@ __all__ = [
     "DramRaplProvider",
     "ProcStatProvider",
     "ModelProvider",
-    "PROVIDER_ENV_VAR",
-    "PROVIDER_ORDER",
-    "EXPLICIT_PROVIDERS",
+    "PROVIDERS",
     "detect_provider",
-    "provider_diagnostics",
 ]
 
-#: Environment override: ``rapl``, ``dram``, ``procfs`` or ``model``
-#: forces one provider (the CI telemetry smoke forces ``model`` so the
-#: job runs identically on bare metal and in containers without
-#: powercap).
-PROVIDER_ENV_VAR = "REPRO_POWER_PROVIDER"
-
-#: Auto-detection order, best evidence first.
-PROVIDER_ORDER = ("rapl", "procfs", "model")
-
-#: Providers that are valid only when explicitly requested.  ``dram``
-#: measures the memory controller alone — a *component* of package
-#: power — so auto-detection must never silently substitute it for a
-#: node-power reading.
-EXPLICIT_PROVIDERS = ("dram",)
+#: Every provider name, best evidence first.  ``"auto"`` tries all but
+#: the last: ``dram`` measures the memory controller alone — a
+#: *component* of package power — so it runs only when requested, never
+#: silently in place of a node-power reading.
+PROVIDERS = ("rapl", "procfs", "model", "dram")
 
 #: Default sysfs root for the RAPL powercap hierarchy.
 RAPL_SYSFS_ROOT = "/sys/class/powercap"
@@ -106,6 +96,11 @@ class PowerProvider:
     #: ``"measured"`` (hardware counter), ``"estimated"`` (measured
     #: utilization through the model) or ``"modeled"`` (pure model).
     kind: str = "abstract"
+    #: Set by :func:`detect_provider`: the name asked for (``"auto"``
+    #: walks the ladder) and, per rung passed over, why.  A provider
+    #: built directly was asked for by name and skipped nothing.
+    requested: str | None = None
+    skipped: dict[str, str] = {}
 
     def reset(self) -> None:
         raise NotImplementedError
@@ -115,7 +110,12 @@ class PowerProvider:
 
     def provenance(self) -> dict:
         """JSON-safe description for benchmark/platform records."""
-        return {"provider": self.name, "kind": self.kind}
+        return {
+            "provider": self.name,
+            "kind": self.kind,
+            "requested": self.requested or self.name,
+            "skipped": dict(self.skipped),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +140,8 @@ def _discover_rapl_domains(root: str | Path) -> list[RaplDomain]:
     (``intel-rapl:<n>:<m>``, e.g. core/uncore/dram) are constituents of
     their package counter and summing them would double count.
     """
-    root = Path(root)
     domains: list[RaplDomain] = []
-    if not root.is_dir():
-        return domains
-    for entry in sorted(root.iterdir()):
+    for entry in sorted(Path(root).iterdir()):
         name = entry.name
         if not name.startswith("intel-rapl:") or name.count(":") != 1:
             continue
@@ -164,7 +161,7 @@ class RaplProvider(PowerProvider):
 
     name = "rapl"
     kind = "measured"
-    #: What the discovery hook should report when it finds nothing.
+    #: What the constructor reports when discovery finds nothing.
     _missing = "no readable intel-rapl package domain under"
 
     def __init__(
@@ -175,9 +172,11 @@ class RaplProvider(PowerProvider):
     ) -> None:
         self.root = Path(root)
         self._clock = clock
+        if not self.root.is_dir():
+            raise RuntimeError(f"no powercap sysfs at {self.root}")
         self.domains = self._discover(self.root)
         if not self.domains:
-            raise RuntimeError(self.diagnostic(self.root))
+            raise RuntimeError(f"{self._missing} {self.root}")
         self._last_uj: list[int] = []
         self._last_t = 0.0
         self.reset()
@@ -185,19 +184,6 @@ class RaplProvider(PowerProvider):
     @staticmethod
     def _discover(root: str | Path) -> list[RaplDomain]:
         return _discover_rapl_domains(root)
-
-    @classmethod
-    def available(cls, root: str | Path = RAPL_SYSFS_ROOT) -> bool:
-        return bool(cls._discover(root))
-
-    @classmethod
-    def diagnostic(cls, root: str | Path = RAPL_SYSFS_ROOT) -> str:
-        root = Path(root)
-        if not root.is_dir():
-            return f"no powercap sysfs at {root}"
-        if not cls._discover(root):
-            return f"{cls._missing} {root}"
-        return "available"
 
     def reset(self) -> None:
         self._last_uj = [d.read_energy_uj() for d in self.domains]
@@ -218,11 +204,7 @@ class RaplProvider(PowerProvider):
         return sample
 
     def provenance(self) -> dict:
-        return {
-            "provider": self.name,
-            "kind": self.kind,
-            "domains": [d.label for d in self.domains],
-        }
+        return {**super().provenance(), "domains": [d.label for d in self.domains]}
 
 
 def _discover_dram_domains(root: str | Path) -> list[RaplDomain]:
@@ -236,11 +218,8 @@ def _discover_dram_domains(root: str | Path) -> list[RaplDomain]:
     ``max_energy_range_uj`` (typically far smaller than the package's,
     so wraps are *more* frequent, not less).
     """
-    root = Path(root)
     domains: list[RaplDomain] = []
-    if not root.is_dir():
-        return domains
-    for entry in sorted(root.iterdir()):
+    for entry in sorted(Path(root).iterdir()):
         name = entry.name
         if not name.startswith("intel-rapl:") or name.count(":") != 2:
             continue
@@ -264,7 +243,7 @@ class DramRaplProvider(RaplProvider):
     DRAM plane — the quantity the paper's memory-bound workloads
     (``eam``, ``rhodo``) move.  Explicit-request-only: DRAM power is a
     component of package power, so auto-detection never substitutes it
-    for a node reading (see :data:`EXPLICIT_PROVIDERS`).
+    for a node reading (see :data:`PROVIDERS`).
     """
 
     name = "dram"
@@ -328,11 +307,8 @@ def _local_power_model(cores: int) -> CpuPowerModel:
     return CpuPowerModel(idle, tdp, cores, 1)
 
 
-def _model_provenance(provider: "PowerProvider") -> dict:
-    model = provider.model
+def _model_fields(model: CpuPowerModel) -> dict:
     return {
-        "provider": provider.name,
-        "kind": provider.kind,
         "cores": model.total_cores,
         "idle_watts": model.idle_watts,
         "tdp_watts": model.tdp_watts,
@@ -380,24 +356,6 @@ class ProcStatProvider(PowerProvider):
         self._last = baseline
         self._last_t = self._clock()
 
-    @staticmethod
-    def available(stat_path: str | Path = PROC_STAT_PATH) -> bool:
-        try:
-            return bool(_parse_cpu_times(Path(stat_path).read_text()))
-        except OSError:
-            return False
-
-    @staticmethod
-    def diagnostic(stat_path: str | Path = PROC_STAT_PATH) -> str:
-        path = Path(stat_path)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            return f"cannot read {path}: {exc}"
-        if not _parse_cpu_times(text):
-            return f"no per-core cpu lines in {path}"
-        return "available"
-
     def reset(self) -> None:
         self._last = _parse_cpu_times(self.stat_path.read_text())
         self._last_t = self._clock()
@@ -426,7 +384,7 @@ class ProcStatProvider(PowerProvider):
         return sample
 
     def provenance(self) -> dict:
-        return _model_provenance(self)
+        return {**super().provenance(), **_model_fields(self.model)}
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +414,6 @@ class ModelProvider(PowerProvider):
         self._last_t = self._clock()
         self._last_cpu = self._cpu_clock()
 
-    @staticmethod
-    def available() -> bool:
-        return True
-
-    @staticmethod
-    def diagnostic() -> str:
-        return "available (always)"
-
     def reset(self) -> None:
         self._last_t = self._clock()
         self._last_cpu = self._cpu_clock()
@@ -482,59 +432,49 @@ class ModelProvider(PowerProvider):
         return sample
 
     def provenance(self) -> dict:
-        return _model_provenance(self)
+        return {**super().provenance(), **_model_fields(self.model)}
 
 
 # ---------------------------------------------------------------------------
 # Detection
 # ---------------------------------------------------------------------------
-def provider_diagnostics(
-    *,
-    rapl_root: str | Path = RAPL_SYSFS_ROOT,
-    stat_path: str | Path = PROC_STAT_PATH,
-) -> dict[str, str]:
-    """Availability (or the reason for unavailability) per provider."""
-    return {
-        "rapl": RaplProvider.diagnostic(rapl_root),
-        "dram": DramRaplProvider.diagnostic(rapl_root),
-        "procfs": ProcStatProvider.diagnostic(stat_path),
-        "model": ModelProvider.diagnostic(),
-    }
-
-
 def detect_provider(
-    requested: str | None = None,
+    requested: str = "auto",
     *,
     rapl_root: str | Path = RAPL_SYSFS_ROOT,
     stat_path: str | Path = PROC_STAT_PATH,
     clock=time.perf_counter,
 ) -> PowerProvider:
-    """Best available provider: request > ``$REPRO_POWER_PROVIDER`` > ladder.
+    """The one provider a run samples: ``requested`` by name, or the ladder.
 
-    An explicitly requested provider that cannot be constructed raises
-    (silently degrading an explicit request is exactly the synthetic-
-    numbers trap the Gromacs paper warns about); auto-detection walks
-    rapl -> procfs -> model and always succeeds because the model rung
-    has no preconditions.  ``dram`` is valid only as an explicit
-    request — it meters one component, never the node.
+    A named provider that cannot be constructed raises (silently
+    degrading an explicit request is exactly the synthetic-numbers trap
+    the Gromacs paper warns about).  ``"auto"`` tries rapl -> procfs ->
+    model and always succeeds because the model rung has no
+    preconditions; each rung's constructor says why it is unavailable,
+    and the returned provider keeps those reasons in ``skipped``.
     """
-    requested = requested or os.environ.get(PROVIDER_ENV_VAR) or None
-    if requested is not None:
-        known = PROVIDER_ORDER + EXPLICIT_PROVIDERS
-        if requested not in known:
+    constructors = {
+        "rapl": lambda: RaplProvider(rapl_root, clock=clock),
+        "procfs": lambda: ProcStatProvider(stat_path, clock=clock),
+        "model": lambda: ModelProvider(clock=clock),
+        "dram": lambda: DramRaplProvider(rapl_root, clock=clock),
+    }
+    skipped: dict[str, str] = {}
+    if requested != "auto":
+        if requested not in constructors:
             raise ValueError(
                 f"unknown power provider {requested!r}; "
-                f"expected one of {known}"
+                f"expected 'auto' or one of {PROVIDERS}"
             )
-        if requested == "rapl":
-            return RaplProvider(rapl_root, clock=clock)
-        if requested == "dram":
-            return DramRaplProvider(rapl_root, clock=clock)
-        if requested == "procfs":
-            return ProcStatProvider(stat_path, clock=clock)
-        return ModelProvider(clock=clock)
-    if RaplProvider.available(rapl_root):
-        return RaplProvider(rapl_root, clock=clock)
-    if ProcStatProvider.available(stat_path):
-        return ProcStatProvider(stat_path, clock=clock)
-    return ModelProvider(clock=clock)
+        provider = constructors[requested]()
+    else:
+        for rung in PROVIDERS[:-1]:
+            try:
+                provider = constructors[rung]()
+                break
+            except RuntimeError as exc:
+                skipped[rung] = str(exc)
+    provider.requested = requested
+    provider.skipped = skipped
+    return provider

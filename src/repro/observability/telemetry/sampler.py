@@ -27,11 +27,7 @@ import threading
 import time
 import warnings
 
-from repro.observability.telemetry.providers import (
-    IntervalSample,
-    PowerProvider,
-    detect_provider,
-)
+from repro.observability.telemetry.providers import IntervalSample, PowerProvider
 
 __all__ = [
     "TelemetrySampler",
@@ -97,35 +93,26 @@ class TelemetrySampler:
     Parameters
     ----------
     provider:
-        A constructed :class:`PowerProvider`, or ``None`` to
-        auto-detect (rapl -> procfs -> model).
+        The :class:`PowerProvider` to poll, as
+        :func:`~repro.observability.telemetry.providers.detect_provider`
+        resolved it.
     period_s:
         Sampling period; defaults to the paper's 0.5 s.
-    metrics:
-        Optional :class:`~repro.observability.metrics.MetricsRegistry`;
-        when given, every sample updates the ``watts`` and
-        ``energy_joules`` gauges.
-    min_run_seconds:
-        Floor below which :meth:`stop` flags the run as under-sampled.
     clock:
         Injectable time source for tests (must match the provider's).
     """
 
     def __init__(
         self,
-        provider: PowerProvider | None = None,
+        provider: PowerProvider,
         *,
         period_s: float = SAMPLING_PERIOD_S,
-        metrics=None,
-        min_run_seconds: float = MIN_RUN_SECONDS,
         clock=time.perf_counter,
     ) -> None:
         if period_s <= 0:
             raise ValueError("period_s must be positive")
-        self.provider = provider if provider is not None else detect_provider(clock=clock)
+        self.provider = provider
         self.period_s = float(period_s)
-        self.metrics = metrics
-        self.min_run_seconds = float(min_run_seconds)
         self._clock = clock
         self._samples: list[IntervalSample] = []
         self._lock = threading.Lock()
@@ -160,18 +147,8 @@ class TelemetrySampler:
     def sample_now(self) -> IntervalSample:
         """Take one sample synchronously (also used by the loop)."""
         sample = self.provider.sample()
-        return self._ingest(sample)
-
-    def _ingest(self, sample: IntervalSample) -> IntervalSample:
         with self._lock:
             self._samples.append(sample)
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "watts", help="node power draw over the last sampling interval"
-            ).set(sample.watts)
-            self.metrics.gauge(
-                "energy_joules", help="cumulative joules drawn this run"
-            ).set(self.total_joules)
         return sample
 
     def stop(self) -> list[IntervalSample]:
@@ -186,16 +163,16 @@ class TelemetrySampler:
         self._stop_event.set()
         self._thread.join()
         self._thread = None
-        # Flush whatever the last full period did not cover (through
-        # the same path as the loop so the gauges see it too).
+        # Flush whatever the last full period did not cover.
         final = self.provider.sample()
         if final.duration_s > 0:
-            self._ingest(final)
+            with self._lock:
+                self._samples.append(final)
         self._t_stop = self._clock()
         duration = self.duration_s
-        if duration < self.min_run_seconds:
+        if duration < MIN_RUN_SECONDS:
             self.under_sampled = True
-            warn_under_sampled("TelemetrySampler", duration, self.min_run_seconds)
+            warn_under_sampled("TelemetrySampler", duration, MIN_RUN_SECONDS)
         return self.samples
 
     def __enter__(self) -> "TelemetrySampler":
@@ -237,7 +214,7 @@ class TelemetrySampler:
             period_s=self.period_s,
             n_samples=len(self.samples),
             duration_s=self.duration_s,
-            min_run_seconds=self.min_run_seconds,
+            min_run_seconds=MIN_RUN_SECONDS,
             under_sampled=self.under_sampled,
         )
         return record

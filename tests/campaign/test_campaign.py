@@ -208,6 +208,17 @@ class TestRunCampaign:
         assert report["campaign"]["axes"]["workers"] == [1, 2]
         assert sorted(report["precision"]) == ["double", "single"]
 
+    def test_record_claims_no_energy_provider(self, tmp_path):
+        """A campaign measures no joules, so its record names no power
+        provider — not the one this host would have sampled with."""
+        spec = CampaignSpec(
+            name="no-energy",
+            base={"benchmark": "lj", "n_atoms": 150, "steps": 2},
+            sweep={},
+        )
+        report = run_campaign(spec, out=tmp_path / "report.json", timeout=600.0)
+        assert report["energy"] == {"provider": "none", "kind": "unavailable"}
+
     def test_figure_hooks_render_after_the_report(self, tmp_path):
         spec = CampaignSpec(
             name="fig",

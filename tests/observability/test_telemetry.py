@@ -18,8 +18,8 @@ from repro.md.kernels import (
     available_backends,
     resolved_backend,
 )
-from repro.observability import MetricsRegistry
 from repro.observability.telemetry import (
+    PROVIDERS,
     UNTRACKED,
     DramRaplProvider,
     IntervalSample,
@@ -32,18 +32,9 @@ from repro.observability.telemetry import (
     cgroup_cpu_quota,
     detect_provider,
     platform_provenance,
-    provider_diagnostics,
     render_energy_table,
     reset_under_sample_warnings,
 )
-from repro.observability.telemetry.providers import PROVIDER_ENV_VAR
-
-
-@pytest.fixture(autouse=True)
-def _isolate_provider_env(monkeypatch):
-    """Detection tests must not inherit a forced provider (e.g. CI
-    pins REPRO_POWER_PROVIDER=model job-wide)."""
-    monkeypatch.delenv(PROVIDER_ENV_VAR, raising=False)
 
 
 class FakeClock:
@@ -194,16 +185,14 @@ class TestRaplProvider:
 
     def test_missing_root_unavailable(self, tmp_path):
         missing = tmp_path / "nope"
-        assert not RaplProvider.available(missing)
-        assert "no powercap sysfs" in RaplProvider.diagnostic(missing)
-        with pytest.raises(RuntimeError, match="powercap"):
+        with pytest.raises(RuntimeError, match="no powercap sysfs"):
             RaplProvider(missing)
 
     def test_unreadable_counter_unavailable(self, tmp_path):
         root = make_rapl_tree(tmp_path / "powercap", {"package-0": 0})
         (root / "intel-rapl:0" / "energy_uj").write_text("garbage\n")
-        assert not RaplProvider.available(root)
-        assert "no readable" in RaplProvider.diagnostic(root)
+        with pytest.raises(RuntimeError, match="no readable"):
+            RaplProvider(root)
 
     def test_provenance_names_domains(self, tmp_path):
         root = make_rapl_tree(tmp_path / "powercap", {"package-0": 0})
@@ -212,6 +201,9 @@ class TestRaplProvider:
         assert record["provider"] == "rapl"
         assert record["kind"] == "measured"
         assert record["domains"] == ["package-0"]
+        # Built directly, it was asked for by name and skipped nothing.
+        assert record["requested"] == "rapl"
+        assert record["skipped"] == {}
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +260,16 @@ class TestDramRaplProvider:
 
     def test_unavailable_without_dram_subdomain(self, tmp_path):
         root = make_rapl_tree(tmp_path / "powercap", {"package-0": 0})
-        assert not DramRaplProvider.available(root)
-        assert "dram subdomain" in DramRaplProvider.diagnostic(root)
         with pytest.raises(RuntimeError, match="dram subdomain"):
             DramRaplProvider(root)
 
-    def test_forced_provider_via_argument_and_env(self, tmp_path, monkeypatch):
+    def test_forced_provider_via_argument(self, tmp_path):
         root = make_rapl_tree(
             tmp_path / "powercap", {"package-0": 0}, dram=0
         )
         provider = detect_provider("dram", rapl_root=root)
         assert provider.name == "dram" and provider.kind == "measured"
-        monkeypatch.setenv(PROVIDER_ENV_VAR, "dram")
-        assert detect_provider(rapl_root=root).name == "dram"
+        assert provider.provenance()["requested"] == "dram"
 
     def test_never_auto_selected(self, tmp_path):
         # A tree with *only* dram planes readable: auto-detection must
@@ -295,6 +284,7 @@ class TestDramRaplProvider:
             rapl_root=root, stat_path=tmp_path / "missing"
         )
         assert provider.name == "model"
+        assert set(provider.skipped) == {"rapl", "procfs"}
 
     def test_provenance_records_dram_plane(self, tmp_path):
         root = make_rapl_tree(
@@ -334,16 +324,14 @@ class TestProcStatProvider:
 
     def test_missing_stat_unavailable(self, tmp_path):
         missing = tmp_path / "stat"
-        assert not ProcStatProvider.available(missing)
-        assert "cannot read" in ProcStatProvider.diagnostic(missing)
         with pytest.raises(RuntimeError, match="cannot read"):
             ProcStatProvider(missing)
 
     def test_no_per_core_rows_unavailable(self, tmp_path):
         stat = tmp_path / "stat"
         stat.write_text("cpu 1 2 3 4 5 6 7 8 0 0\nintr 0\n")
-        assert not ProcStatProvider.available(stat)
-        assert "no per-core" in ProcStatProvider.diagnostic(stat)
+        with pytest.raises(RuntimeError, match="no per-core"):
+            ProcStatProvider(stat)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +339,9 @@ class TestProcStatProvider:
 # ---------------------------------------------------------------------------
 class TestModelProvider:
     def test_always_available(self):
-        assert ModelProvider.available()
+        # No preconditions: the constructor has nothing to refuse.
+        provider = ModelProvider(clock=FakeClock(), cpu_clock=FakeClock())
+        assert provider.provenance()["kind"] == "modeled"
 
     def test_watts_floor_is_idle(self):
         clock = FakeClock()
@@ -390,31 +380,30 @@ class TestDetection:
         stat = write_proc_stat(tmp_path / "stat", [(0, 100)])
         provider = detect_provider(rapl_root=root, stat_path=stat)
         assert provider.name == "rapl"
+        assert provider.provenance()["requested"] == "auto"
+        assert provider.skipped == {}
 
-    def test_falls_back_to_procfs_without_rapl(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(PROVIDER_ENV_VAR, raising=False)
+    def test_falls_back_to_procfs_without_rapl(self, tmp_path):
+        root = tmp_path / "nope"
         stat = write_proc_stat(tmp_path / "stat", [(0, 100)])
-        provider = detect_provider(
-            rapl_root=tmp_path / "nope", stat_path=stat
-        )
+        provider = detect_provider(rapl_root=root, stat_path=stat)
         assert provider.name == "procfs"
+        record = provider.provenance()
+        assert record["requested"] == "auto"
+        assert record["skipped"] == {"rapl": f"no powercap sysfs at {root}"}
 
-    def test_falls_back_to_model_without_error(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(PROVIDER_ENV_VAR, raising=False)
-        provider = detect_provider(
-            rapl_root=tmp_path / "nope", stat_path=tmp_path / "missing"
-        )
+    def test_falls_back_to_model_without_error(self, tmp_path):
+        root, stat = tmp_path / "nope", tmp_path / "missing"
+        provider = detect_provider(rapl_root=root, stat_path=stat)
         assert provider.name == "model"
         assert provider.kind == "modeled"
-
-    def test_env_override_forces_model(self, tmp_path, monkeypatch):
-        root = make_rapl_tree(tmp_path / "powercap", {"package-0": 0})
-        monkeypatch.setenv(PROVIDER_ENV_VAR, "model")
-        provider = detect_provider(rapl_root=root)
-        assert provider.name == "model"
+        skipped = provider.provenance()["skipped"]
+        assert list(skipped) == ["rapl", "procfs"]
+        assert skipped["rapl"] == f"no powercap sysfs at {root}"
+        assert skipped["procfs"].startswith(f"cannot read {stat}")
 
     def test_explicit_unavailable_request_raises(self, tmp_path):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="no powercap sysfs"):
             detect_provider("rapl", rapl_root=tmp_path / "nope")
 
     def test_unknown_provider_rejected(self):
@@ -422,21 +411,25 @@ class TestDetection:
             detect_provider("nvml")
 
     def test_diagnostics_cover_all_rungs(self, tmp_path):
-        diag = provider_diagnostics(
-            rapl_root=tmp_path / "nope", stat_path=tmp_path / "missing"
-        )
-        assert set(diag) == {"rapl", "dram", "procfs", "model"}
-        assert diag["model"].startswith("available")
+        """Every rung can be forced, and a forced rung skips nothing —
+        not even the better rungs above it."""
+        root = make_rapl_tree(tmp_path / "powercap", {"package-0": 0}, dram=0)
+        stat = write_proc_stat(tmp_path / "stat", [(0, 100)])
+        for name in PROVIDERS:
+            provider = detect_provider(name, rapl_root=root, stat_path=stat)
+            record = provider.provenance()
+            assert record["provider"] == name
+            assert record["requested"] == name
+            assert record["skipped"] == {}
 
 
 # ---------------------------------------------------------------------------
 # Sampler
 # ---------------------------------------------------------------------------
+@pytest.mark.filterwarnings("ignore::repro.observability.telemetry.UnderSampledRunWarning")
 class TestTelemetrySampler:
     def test_background_loop_collects_samples(self):
-        sampler = TelemetrySampler(
-            ModelProvider(), period_s=0.01, min_run_seconds=0.0
-        )
+        sampler = TelemetrySampler(ModelProvider(), period_s=0.01)
         sampler.start()
         import time as _time
 
@@ -450,7 +443,6 @@ class TestTelemetrySampler:
         sampler = TelemetrySampler(
             ScriptedProvider(clock, joules_per_second=10.0),
             clock=clock,
-            min_run_seconds=0.0,
         )
         sampler.start()
         clock.advance(1.0)
@@ -465,7 +457,6 @@ class TestTelemetrySampler:
         sampler = TelemetrySampler(
             ScriptedProvider(clock, joules_per_second=4.0),
             clock=clock,
-            min_run_seconds=0.0,
         )
         sampler.start()
         clock.advance(0.25)  # shorter than any period: only the flush
@@ -477,9 +468,7 @@ class TestTelemetrySampler:
         clock = FakeClock()
 
         def run_once():
-            sampler = TelemetrySampler(
-                ScriptedProvider(clock), clock=clock, min_run_seconds=10.0
-            )
+            sampler = TelemetrySampler(ScriptedProvider(clock), clock=clock)
             sampler.start()
             clock.advance(1.5)
             sampler.stop()
@@ -498,9 +487,7 @@ class TestTelemetrySampler:
     def test_long_run_does_not_warn(self):
         reset_under_sample_warnings()
         clock = FakeClock()
-        sampler = TelemetrySampler(
-            ScriptedProvider(clock), clock=clock, min_run_seconds=10.0
-        )
+        sampler = TelemetrySampler(ScriptedProvider(clock), clock=clock)
         import warnings as _warnings
 
         with _warnings.catch_warnings():
@@ -510,43 +497,9 @@ class TestTelemetrySampler:
             sampler.stop()
         assert not sampler.under_sampled
 
-    def test_metrics_gauges_updated(self):
-        clock = FakeClock()
-        metrics = MetricsRegistry()
-        sampler = TelemetrySampler(
-            ScriptedProvider(clock, joules_per_second=8.0),
-            clock=clock,
-            metrics=metrics,
-            min_run_seconds=0.0,
-        )
-        sampler.start()
-        clock.advance(2.0)
-        sampler.sample_now()
-        assert metrics.gauge("watts").value == pytest.approx(8.0)
-        assert metrics.gauge("energy_joules").value == pytest.approx(16.0)
-        sampler.stop()
-
-    def test_final_flush_updates_gauges_on_short_runs(self):
-        """A run shorter than one period must still land in the gauges."""
-        clock = FakeClock()
-        metrics = MetricsRegistry()
-        sampler = TelemetrySampler(
-            ScriptedProvider(clock, joules_per_second=8.0),
-            clock=clock,
-            metrics=metrics,
-            min_run_seconds=0.0,
-        )
-        sampler.start()
-        clock.advance(0.25)  # no background tick: only the stop() flush
-        sampler.stop()
-        assert metrics.gauge("energy_joules").value == pytest.approx(2.0)
-        assert metrics.gauge("watts").value == pytest.approx(8.0)
-
     def test_context_manager_and_restart(self):
         clock = FakeClock()
-        sampler = TelemetrySampler(
-            ScriptedProvider(clock), clock=clock, min_run_seconds=0.0
-        )
+        sampler = TelemetrySampler(ScriptedProvider(clock), clock=clock)
         with sampler:
             clock.advance(1.0)
         first = sampler.total_joules
@@ -556,7 +509,7 @@ class TestTelemetrySampler:
         assert sampler.total_joules == pytest.approx(first / 2)
 
     def test_double_start_and_unstarted_stop_rejected(self):
-        sampler = TelemetrySampler(ModelProvider(), min_run_seconds=0.0)
+        sampler = TelemetrySampler(ModelProvider())
         with pytest.raises(RuntimeError, match="not started"):
             sampler.stop()
         sampler.start()
@@ -570,7 +523,6 @@ class TestTelemetrySampler:
             ScriptedProvider(clock, joules_per_second=10.0),
             clock=clock,
             period_s=0.5,
-            min_run_seconds=0.0,
         )
         sampler.start()
         clock.advance(2.0)
@@ -721,29 +673,39 @@ class TestProvenance:
         ) is None
 
     def test_platform_provenance_block(self):
+        """Host facts only: the provider is the sampler's to report."""
         record = platform_provenance()
-        assert record["kernel_version"]
-        assert "rapl_available" in record
-        assert record["power_provider"]["provider"] in ("rapl", "procfs", "model")
-        assert set(record["power_provider_diagnostics"]) == {
-            "rapl", "dram", "procfs", "model",
+        assert set(record) == {
+            "kernel_version", "cpu_count", "cgroup_cpu_quota_cores",
         }
+        assert record["kernel_version"]
         json.dumps(record)  # must be JSON-safe for the power record
 
 
 # ---------------------------------------------------------------------------
 # End to end: ``repro trace --power`` against a tiny functional run
 # ---------------------------------------------------------------------------
-def _force_rapl_root(monkeypatch, root):
-    """Point the command's provider detection at a sysfs tree."""
+def _force_rapl_root(monkeypatch, root, **roots):
+    """Point the command's provider detection at a sysfs tree (and,
+    through ``roots``, at a fake stat file)."""
     import functools
 
     from repro.observability import telemetry
 
     monkeypatch.setattr(
         telemetry, "detect_provider",
-        functools.partial(detect_provider, rapl_root=root),
+        functools.partial(detect_provider, rapl_root=root, **roots),
     )
+
+
+def _named_providers(block) -> set:
+    """Every value a record block files under a ``provider`` key."""
+    if isinstance(block, dict):
+        found = {block["provider"]} if "provider" in block else set()
+        for value in block.values():
+            found |= _named_providers(value)
+        return found
+    return set()
 
 
 class TestPowerCli:
@@ -773,6 +735,43 @@ class TestPowerCli:
         assert report["sampling"]["under_sampled"] is True
         assert report["attribution"]["phases"]
         assert report["platform"]["kernel_version"]
+
+    @pytest.mark.filterwarnings("ignore:TelemetrySampler")
+    def test_forced_record_names_one_provider(self, tmp_path):
+        """``--power model`` is the provider every block of the record
+        reports: no second detection leaks a ladder rung into it."""
+        from repro.__main__ import main
+
+        out = tmp_path / "trace_out"
+        assert main([
+            "trace", "lj", "--steps", "2", "--atoms", "128", "--warmup", "0",
+            "--power", "model", "--out", str(out),
+        ]) == 0
+        report = json.loads((out / "energy.json").read_text())
+        for block in ("energy", "sampling", "platform"):
+            assert _named_providers(report[block]) <= {"model"}, block
+        assert report["sampling"]["requested"] == "model"
+        assert report["sampling"]["skipped"] == {}
+        assert not [key for key in report["platform"] if key.startswith("power")]
+
+    @pytest.mark.filterwarnings("ignore:TelemetrySampler")
+    def test_bare_power_records_the_skipped_rungs(self, tmp_path, monkeypatch):
+        from repro.__main__ import main
+
+        root = tmp_path / "nope"
+        stat = write_proc_stat(tmp_path / "stat", [(0, 100)])
+        _force_rapl_root(monkeypatch, root, stat_path=stat)
+        out = tmp_path / "trace_out"
+        assert main([
+            "trace", "lj", "--steps", "2", "--atoms", "128", "--warmup", "0",
+            "--power", "--out", str(out),
+        ]) == 0
+        report = json.loads((out / "energy.json").read_text())
+        assert report["energy"] == {"provider": "procfs", "kind": "estimated"}
+        sampling = report["sampling"]
+        assert sampling["provider"] == "procfs"
+        assert sampling["requested"] == "auto"
+        assert sampling["skipped"] == {"rapl": f"no powercap sysfs at {root}"}
 
     @pytest.mark.filterwarnings("ignore:TelemetrySampler")
     def test_measured_joules_give_ts_per_watt(self, tmp_path, monkeypatch, capsys):
