@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.atomicio import atomic_write
 from repro.campaign.spec import CampaignSpec
+from repro.md.kernels import get_backend
 from repro.report import make_report, platform_info
 from repro.service import BatchService, JobResult, JobSpec
 
@@ -129,7 +131,10 @@ def run_campaign(
     dedup = _dedup_accounting(specs, results, stats.get("metrics", {}))
     rows = [_cell_row(s, r) for s, r in zip(specs, results)]
     precisions = sorted({spec_.precision for spec_ in specs})
-    requested = sorted({str(spec_.backend) for spec_ in specs})
+    requested = sorted({
+        get_backend(backend).requested
+        for backend in {spec_.backend for spec_ in specs}
+    })
     resolved = sorted({row["backend"] for row in rows})
 
     report = make_report(
@@ -157,8 +162,7 @@ def run_campaign(
     )
 
     destination = Path(out) if out is not None else Path(spec.out)
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    destination.write_text(json.dumps(report, indent=2) + "\n")
+    atomic_write(destination, json.dumps(report, indent=2) + "\n")
     if verbose:
         print(
             f"wrote {destination} ({dedup['cells']} cells, "

@@ -43,7 +43,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.md import RunConfig
-    from repro.md.kernels import available_backends, backend_diagnostics
     from repro.md.precision import PARITY_TOLERANCES
     from repro.service import JobSpec, build_simulation
 
@@ -55,13 +54,12 @@ def _cmd_scale(args: argparse.Namespace) -> int:
                      steps=args.steps, precision=args.precision,
                      backend=args.backend)
     serial, _steps = build_simulation(JobSpec(**described))
-    if args.backend in available_backends():
+    backend = serial.backend
+    if backend.fallback is not None:
         # get_backend degrades an unavailable optional backend to the
         # default with a warning; surface the reason on the CLI too.
-        reason = backend_diagnostics()[args.backend]
-        if not reason.startswith("ok"):
-            print(f"backend {args.backend!r} is unavailable ({reason}); "
-                  f"using {serial.backend.name!r}")
+        print(f"backend {backend.requested!r} is unavailable "
+              f"({backend.fallback}); using {backend.name!r}")
     serial.setup()
     print(f"built {args.experiment}: {serial.system.n_atoms} atoms, "
           f"{os.cpu_count()} cores visible; running {args.steps} steps at "

@@ -161,10 +161,8 @@ def _report_energy(args, sim, sampler, tracer, path: Path) -> Path:
     the record's ``energy.kind``.
     """
     import json
-    import os
 
     from repro.atomicio import atomic_write
-    from repro.md.kernels import BACKEND_ENV_VAR, DEFAULT_BACKEND
     from repro.observability.telemetry import (
         attribute_energy,
         platform_provenance,
@@ -195,11 +193,11 @@ def _report_energy(args, sim, sampler, tracer, path: Path) -> Path:
               "compare these numbers across runs")
 
     # No --backend here: the build takes the environment's default, and
-    # the record says so.
+    # the record names the request the resolved backend answers.
     report = make_report(
         "power",
         backend={
-            "requested": os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND,
+            "requested": sim.backend.requested,
             "resolved": sim.backend.name,
         },
         precision="double",

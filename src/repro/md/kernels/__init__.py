@@ -14,7 +14,7 @@ so that the same potentials run on interchangeable implementations:
     Native-code pair forces *and* neighbor-list builds from a
     ctypes-bound C library compiled on first use.  Optional: without a
     working C compiler, requesting it falls back to ``numpy_fast`` with
-    a one-time warning (see :func:`backend_diagnostics` for the reason).
+    a one-time warning (the returned backend's ``fallback`` says why).
 
 Selection order: a ``Simulation.set_backend(...)`` call wins; a new
 simulation starts on the ``REPRO_KERNEL_BACKEND`` environment variable,
@@ -23,7 +23,10 @@ setter and the environment variable) resolves to ``compiled`` when a
 native provider passes its smoke test and to ``numpy_fast`` otherwise —
 the fastest backend the machine can actually run, without the silent
 numpy default that benchmark records used to hide on compiled-capable
-hosts.
+hosts.  :func:`get_backend` is the only code that applies these rules;
+the instance it returns says what it answers — ``requested``,
+``fallback`` and, on ``compiled``, the native ``provider`` — and every
+record or CLI line reads those attributes instead of resolving again.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from repro.md.kernels.base import KernelBackend
 from repro.md.kernels.compiled import (
     BackendUnavailableError,
     CompiledBackend,
-    provider_info,
+    compiled_available,
+    resolve_provider,
 )
 from repro.md.kernels.numpy_fast import NumpyFastBackend
 from repro.md.kernels.numpy_ref import NumpyRefBackend
@@ -51,7 +55,6 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "resolve_auto_backend",
     "available_backends",
-    "backend_diagnostics",
     "get_backend",
     "backend_spec",
     "resolved_backend",
@@ -81,86 +84,70 @@ def available_backends() -> tuple[str, ...]:
 
     Every listed name is always *accepted*; optional backends that
     cannot run on this machine resolve to the :data:`DEFAULT_BACKEND`
-    with a one-time warning.  :func:`backend_diagnostics` reports which
-    names are degraded and why.
+    with a one-time warning, and the returned backend's ``fallback``
+    says why.
     """
     return tuple(_REGISTRY)
 
 
-def backend_diagnostics() -> dict[str, str]:
-    """Per-backend availability: ``"ok"`` or why it would fall back.
-
-    Probing an optional backend may do real work on first call (invoke
-    the C compiler), so this is meant for CLIs, benchmarks and error
-    paths — not per-step code.
-    """
-    diagnostics = {}
-    for name, cls in _REGISTRY.items():
-        probe = getattr(cls, "diagnostic", None)
-        diagnostics[name] = probe() if probe is not None else "ok"
-    return diagnostics
-
-
 def resolve_auto_backend() -> str:
-    """The registry name ``auto`` stands for on this machine.
-
-    ``compiled`` when the native provider builds and passes its smoke
-    test, else :data:`DEFAULT_BACKEND`.  The probe may do real work on
-    first call (invoke the C compiler); the result is cached by the
-    provider layer, so later calls are cheap.
-    """
-    from repro.md.kernels.compiled import compiled_available
-
-    return "compiled" if compiled_available() else DEFAULT_BACKEND
+    """The registry name ``auto`` stands for on this machine."""
+    return get_backend(AUTO_BACKEND).name
 
 
 def get_backend(spec: str | KernelBackend | None = None) -> KernelBackend:
     """Resolve ``spec`` into a live :class:`KernelBackend` instance.
 
-    ``None`` falls back to ``$REPRO_KERNEL_BACKEND`` and then to
-    :data:`DEFAULT_BACKEND`; ``"auto"`` resolves via
-    :func:`resolve_auto_backend`; any other string is looked up in the
-    registry; an existing backend instance passes through unchanged (so
-    a Simulation can share one scratch-carrying backend across its
-    potentials).
+    The one resolver of a backend request.  ``None`` reads
+    ``$REPRO_KERNEL_BACKEND`` and then :data:`DEFAULT_BACKEND`;
+    ``"auto"`` is ``compiled`` when the native provider builds and
+    passes its smoke test, else :data:`DEFAULT_BACKEND`; any other
+    string is looked up in the registry; an existing backend instance
+    passes through unchanged (so a Simulation can share one
+    scratch-carrying backend across its potentials).
 
     Requesting an optional backend whose runtime support is missing
-    (e.g. ``compiled`` without a C compiler) returns the
-    default backend and warns once per process with the reason, so an
-    exported ``REPRO_KERNEL_BACKEND=compiled`` can never break a run.
+    (e.g. ``compiled`` without a C compiler) returns the default
+    backend and warns once per process with the reason, so an exported
+    ``REPRO_KERNEL_BACKEND=compiled`` can never break a run.  The
+    instance says what it answers: ``requested`` is the request after
+    the ``None`` rule, ``fallback`` the reason when the named backend
+    could not be built (``auto`` never falls back).
     """
     if isinstance(spec, KernelBackend):
         return spec
-    if spec is None:
-        spec = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    if spec == AUTO_BACKEND:
-        spec = resolve_auto_backend()
+    requested = spec if spec is not None else (
+        os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
+    )
+    name = requested
+    if requested == AUTO_BACKEND:
+        name = CompiledBackend.name if compiled_available() else DEFAULT_BACKEND
     try:
-        cls = _REGISTRY[spec]
+        cls = _REGISTRY[name]
     except KeyError:
-        degraded = "; ".join(
-            f"{name}: {reason}"
-            for name, reason in backend_diagnostics().items()
-            if not reason.startswith("ok")
-        )
-        detail = f" (note: {degraded})" if degraded else ""
+        reason = resolve_provider()[1]
+        detail = f" (note: compiled: {reason})" if reason else ""
         raise ValueError(
-            f"unknown kernel backend {spec!r}; available: "
+            f"unknown kernel backend {name!r}; available: "
             f"{available_backends()}{detail}"
         ) from None
+    fallback = None
     try:
-        return cls()
+        backend = cls()
     except BackendUnavailableError as exc:
-        key = (spec, str(exc))
-        if key not in _warned_fallbacks:
-            _warned_fallbacks.add(key)
+        fallback = str(exc)
+        if (name, fallback) not in _warned_fallbacks:
+            _warned_fallbacks.add((name, fallback))
             warnings.warn(
-                f"kernel backend {spec!r} is unavailable on this machine "
-                f"({exc}); falling back to {DEFAULT_BACKEND!r}",
+                f"kernel backend {name!r} is unavailable on this machine "
+                f"({fallback}); falling back to {DEFAULT_BACKEND!r}",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        return _REGISTRY[DEFAULT_BACKEND]()
+        backend = _REGISTRY[DEFAULT_BACKEND]()
+    backend.requested = requested
+    backend.fallback = fallback
+    return backend
 
 
 def backend_spec(backend: KernelBackend) -> str:
@@ -181,16 +168,11 @@ def resolved_backend(
 ) -> tuple[str, str | None]:
     """Registry name + native provider kind ``spec`` actually runs on.
 
-    ``spec`` is a request (``None``/``"auto"``/a registry name, resolved
-    exactly as :func:`get_backend` would, fallbacks included) or a live
-    backend, so the pair names what will *execute*, not what was asked
-    for.  The provider kind is ``None`` for every backend but
-    ``compiled``.  This is the one identity cache keys, certification
-    manifests and replay-environment checks agree on.
+    ``spec`` is a request or a live backend, resolved by
+    :func:`get_backend` (fallbacks included), so the pair names what
+    will *execute*, not what was asked for.  This is the one identity
+    cache keys, certification manifests and replay-environment checks
+    agree on.
     """
-    name = backend_spec(get_backend(spec))
-    provider = None
-    if name == CompiledBackend.name:
-        info = provider_info()
-        provider = info.get("kind") if info else None
-    return name, provider
+    backend = get_backend(spec)
+    return backend_spec(backend), backend.provider

@@ -102,6 +102,19 @@ class KernelBackend(abc.ABC):
     #: pure float64 oracle in every mode.
     policy: PrecisionPolicy = DOUBLE_POLICY
 
+    #: Native provider kind the kernels run on (``"cc"`` on
+    #: ``compiled``), ``None`` for the numpy backends.
+    provider: str | None = None
+
+    #: The request :func:`repro.md.kernels.get_backend` answered with
+    #: this instance (``None`` read as ``$REPRO_KERNEL_BACKEND``, then
+    #: ``numpy_fast``); ``None`` on an instance built directly.
+    requested: str | None = None
+
+    #: Why the requested backend could not be built and this
+    #: ``numpy_fast`` runs instead; ``None`` when nothing fell back.
+    fallback: str | None = None
+
     def set_policy(self, policy: PrecisionPolicy) -> None:
         """Install the precision policy (may invalidate scratch)."""
         self.policy = policy

@@ -9,13 +9,15 @@ on first use with the system C compiler (``$CC`` when set, else
 ``cc``/``gcc``/``clang``) and bound via ``ctypes``
 (:mod:`repro.md.kernels._cc_impl`).
 
-Resolution is lazy (first instantiation).  The provider must pass a
+Resolution is lazy (first instantiation) and happens once per process
+(:func:`resolve_provider`).  The provider must pass a
 numerical smoke test that exercises each entry point against the numpy
 backends — a missing compiler, a failed build or a miscompiled kernel
 all demote the backend cleanly: instantiating :class:`CompiledBackend`
 raises :class:`BackendUnavailableError` with the reason, and
 :func:`repro.md.kernels.get_backend` turns that into a one-time
-warning plus a ``numpy_fast`` fallback, so
+warning plus a ``numpy_fast`` fallback whose ``fallback`` attribute
+holds the reason, so
 ``REPRO_KERNEL_BACKEND=compiled`` is always safe to set.  To run
 without native code, select ``REPRO_KERNEL_BACKEND=numpy_fast``.
 
@@ -27,7 +29,6 @@ native path being taken.
 
 from __future__ import annotations
 
-import os
 from dataclasses import fields
 
 import numpy as np
@@ -40,47 +41,37 @@ __all__ = [
     "BackendUnavailableError",
     "CompiledBackend",
     "compiled_available",
-    "compiled_diagnostic",
     "provider_info",
     "resolve_provider",
 ]
 
-#: Cached resolution: (env key, provider or None, reason when None).
-_resolution: tuple[tuple[str, str], object | None, str | None] | None = None
+#: Cached resolution, once per process: (provider or None, reason when None).
+_resolution: tuple[object | None, str | None] | None = None
 
 
 class BackendUnavailableError(RuntimeError):
     """Raised when the compiled provider does not work; carries why."""
 
 
-def _env_key() -> tuple[str, str]:
-    return (
-        os.environ.get("CC", ""),
-        os.environ.get("REPRO_COMPILED_CACHE", ""),
-    )
-
-
 def resolve_provider():
-    """Resolve (and cache) the compiled provider.
+    """Resolve (and cache, once per process) the compiled provider.
 
     Returns ``(provider, None)`` on success or ``(None, reason)`` when
-    it could not be built or failed its smoke test.  The cache is keyed
-    on the controlling environment variables (``$CC`` and the build
-    cache directory), so tests that monkeypatch them see a fresh
-    resolution without an explicit reset.
+    it could not be built or failed its smoke test.  ``$CC`` and
+    ``$REPRO_COMPILED_CACHE`` are read on that first call only; code
+    that changes them afterwards resets ``_resolution`` to ``None``.
     """
     global _resolution
-    key = _env_key()
-    if _resolution is None or _resolution[0] != key:
+    if _resolution is None:
         try:
             from repro.md.kernels import _cc_impl
 
             provider = _cc_impl.CcProvider()
             _smoke_test(provider)
-            _resolution = (key, provider, None)
+            _resolution = (provider, None)
         except Exception as exc:  # no compiler, failed build, bad codegen
-            _resolution = (key, None, f"cc: {type(exc).__name__}: {exc}")
-    return _resolution[1], _resolution[2]
+            _resolution = (None, f"cc: {type(exc).__name__}: {exc}")
+    return _resolution
 
 
 def _smoke_test(provider) -> None:
@@ -506,14 +497,6 @@ def compiled_available() -> bool:
     return resolve_provider()[0] is not None
 
 
-def compiled_diagnostic() -> str:
-    """One-line availability status for error messages and bench JSON."""
-    provider, reason = resolve_provider()
-    if provider is None:
-        return f"unavailable: {reason}"
-    return f"ok (provider={provider.kind} {provider.version})"
-
-
 def provider_info() -> dict | None:
     """``{"kind", "version"}`` of the active provider, or ``None``."""
     provider, _ = resolve_provider()
@@ -544,6 +527,7 @@ class CompiledBackend(NumpyFastBackend):
             raise BackendUnavailableError(reason)
         super().__init__()
         self._impl = provider
+        self.provider = provider.kind
         # Pair-geometry output scratch (grow-only, storage-dtype typed).
         self._geom = (
             np.empty(0, np.int64),
@@ -1071,7 +1055,3 @@ class CompiledBackend(NumpyFastBackend):
         ):
             return None
         return self._impl.max_disp_sq(positions, reference, *_box_f64(box))
-
-    @classmethod
-    def diagnostic(cls) -> str:
-        return compiled_diagnostic()

@@ -276,8 +276,9 @@ class PairPotential(abc.ABC):
         """The kernel backend force evaluation runs on.
 
         Unset potentials resolve lazily through
-        :func:`repro.md.kernels.get_backend` (env var / default); the
-        owning :class:`~repro.md.simulation.Simulation` assigns its
+        :func:`repro.md.kernels.get_backend` (env var / default), the
+        one resolver, and a string assigned here goes through it too;
+        the owning :class:`~repro.md.simulation.Simulation` assigns its
         shared backend to every potential at construction.
         """
         if self._backend is None:

@@ -494,14 +494,18 @@ class Simulation:
         # dtype; redo both before the next step.
         self._setup_done = False
 
-    def set_backend(self, backend: "KernelBackend | str") -> None:
+    def set_backend(self, backend: "KernelBackend | str | None") -> None:
         """Swap the kernel backend, keeping the precision and tracer.
 
         ``backend`` is a :class:`~repro.md.kernels.base.KernelBackend`
-        instance or a registry name (``"numpy_ref"`` / ``"numpy_fast"``
-        / ``"compiled"`` / ``"auto"``); ``"compiled"`` without a working
-        C compiler degrades to ``numpy_fast`` with a warning.  One
-        backend instance (one set of scratch buffers) serves every
+        instance or a request resolved by
+        :func:`~repro.md.kernels.get_backend`: a registry name
+        (``"numpy_ref"`` / ``"numpy_fast"`` / ``"compiled"``),
+        ``"auto"``, or ``None`` for ``$REPRO_KERNEL_BACKEND``.
+        ``"compiled"`` without a working C compiler degrades to
+        ``numpy_fast`` with a warning; ``self.backend.requested`` and
+        ``.fallback`` then say what was asked and why it fell back.
+        One backend instance (one set of scratch buffers) serves every
         potential and the neighbor list.
         """
         self.backend = get_backend(backend)

@@ -24,7 +24,6 @@ import time
 from typing import Callable
 
 from repro.md import RunConfig
-from repro.md.kernels import backend_spec, get_backend
 from repro.reliability.certify import DigestRecorder
 from repro.service.spec import JobResult, JobSpec, state_digest
 
@@ -39,7 +38,8 @@ def build_simulation(spec: JobSpec):
 
     The one builder (service, certify replay, ``repro checkpoint``,
     ``scale`` and ``trace``): registry or deck build, the
-    spec's precision, its *resolved* backend and, when
+    spec's precision, its backend (resolved once from ``spec.backend``,
+    so ``sim.backend.requested`` is the spec's request) and, when
     ``spec.workers > 1``, a bound parallel executor carrying the parsed
     ``spec.fault_plan``.  The caller closes it.
     """
@@ -56,7 +56,7 @@ def build_simulation(spec: JobSpec):
         sim = get_benchmark(spec.benchmark).build(spec.n_atoms, **kwargs)
         steps = spec.steps
     sim.set_precision(spec.precision)
-    sim.set_backend(backend_spec(get_backend(spec.backend)))
+    sim.set_backend(spec.backend)
     if spec.workers > 1:
         from repro.parallel.engine import ParallelForceExecutor
         from repro.reliability import FaultPlan

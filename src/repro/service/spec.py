@@ -47,7 +47,7 @@ import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro.md.kernels import resolved_backend
+from repro.md.kernels import AUTO_BACKEND, available_backends, resolved_backend
 from repro.md.precision import parse_precision
 
 __all__ = ["JobSpec", "JobResult", "state_digest"]
@@ -105,7 +105,9 @@ class JobSpec:
 
     ``n_atoms``, ``steps``, ``workers`` (each >= 1), ``checkpoint_every``
     (>= 0) and ``seed`` must be whole numbers (``bool`` refused) and are
-    stored as ``int``, and ``fault_plan`` must parse; anything else is a
+    stored as ``int``, ``backend`` must be a name
+    :func:`~repro.md.kernels.get_backend` accepts (checked without
+    building one) and ``fault_plan`` must parse; anything else is a
     ``ValueError`` naming the field.
     """
 
@@ -142,6 +144,11 @@ class JobSpec:
             object.__setattr__(self, name, int(value))
         # Fail fast on typos before the job ever reaches a worker.
         parse_precision(self.precision)
+        if self.backend not in (None, AUTO_BACKEND, *available_backends()):
+            raise ValueError(
+                f"backend must be None, {AUTO_BACKEND!r} or one of "
+                f"{available_backends()}, got {self.backend!r}"
+            )
         if self.fault_plan is not None:
             from repro.reliability.faultplan import FaultPlan
 

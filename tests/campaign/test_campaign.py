@@ -165,6 +165,15 @@ class TestValidation:
                 "[sweep]\nsteps = [0]\n"
             ).expand()
 
+    def test_bad_backend_cell_fails_at_expansion(self):
+        """A backend typo is refused before any pool boots, naming the
+        cell that carries it."""
+        with pytest.raises(CampaignError, match=r"cell \(backend='cudaa'\).*backend"):
+            parse_campaign(
+                '[campaign]\nname = "x"\n[base]\nbenchmark = "lj"\n'
+                '[sweep]\nbackend = ["numpy_fast", "cudaa"]\n'
+            ).expand()
+
     def test_pool_workers_must_be_positive(self):
         with pytest.raises(CampaignError, match="pool_workers"):
             CampaignSpec(name="x", base={}, sweep={}, pool_workers=0)
@@ -218,6 +227,25 @@ class TestRunCampaign:
         )
         report = run_campaign(spec, out=tmp_path / "report.json", timeout=600.0)
         assert report["energy"] == {"provider": "none", "kind": "unavailable"}
+
+    def test_record_names_the_request_get_backend_answers(
+        self, tmp_path, monkeypatch
+    ):
+        """A spec with no ``backend`` key asks for the environment's
+        default, and the record says which (not the string "None")."""
+        from repro.md.kernels import BACKEND_ENV_VAR
+
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        spec = CampaignSpec(
+            name="default-backend",
+            base={"benchmark": "lj", "n_atoms": 150, "steps": 2},
+            sweep={"seed": [1, 2]},
+        )
+        out = tmp_path / "report.json"
+        report = run_campaign(spec, out=out, timeout=600.0)
+        expected = {"requested": "numpy_fast", "resolved": "numpy_fast"}
+        assert report["backend"] == expected
+        assert json.loads(out.read_text())["backend"] == expected
 
     def test_figure_hooks_render_after_the_report(self, tmp_path):
         spec = CampaignSpec(

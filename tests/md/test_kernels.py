@@ -71,6 +71,17 @@ class TestRegistry:
         monkeypatch.setenv(BACKEND_ENV_VAR, AUTO_BACKEND)
         assert backend_spec(get_backend()) == resolve_auto_backend()
 
+    def test_backend_says_what_it_answers(self, monkeypatch):
+        """``requested`` is the request after the ``None`` rule;
+        ``auto`` names whatever runs here and never falls back."""
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        assert get_backend().requested == DEFAULT_BACKEND
+        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy_ref")
+        assert get_backend().requested == "numpy_ref"
+        auto = get_backend(AUTO_BACKEND)
+        assert (auto.requested, auto.fallback) == (AUTO_BACKEND, None)
+        assert NumpyFastBackend().requested is None
+
     def test_auto_is_never_a_registry_name(self):
         # "auto" must resolve before the registry lookup, not live in it.
         assert AUTO_BACKEND not in available_backends()

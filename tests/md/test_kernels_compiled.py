@@ -30,15 +30,14 @@ from repro.md.kernels import (
     KernelBackend,
     NumpyFastBackend,
     available_backends,
-    backend_diagnostics,
     backend_spec,
     get_backend,
+    resolved_backend,
 )
 from repro.md.kernels import _cc_impl
 from repro.md.kernels.compiled import (
     _smoke_test,
     compiled_available,
-    compiled_diagnostic,
     provider_info,
     resolve_provider,
 )
@@ -71,27 +70,36 @@ needs_compiled = pytest.mark.skipif(
 def no_compiler(monkeypatch):
     """No C compiler on this machine, as far as the provider can tell."""
     monkeypatch.setattr(_cc_impl, "_find_compiler", lambda: None)
-    # _find_compiler is not part of the resolution cache key; start
-    # from an empty cache and let monkeypatch put the old one back.
+    # The provider resolves once per process: start from an empty
+    # cache and let monkeypatch put the old one back.
     monkeypatch.setattr(compiled_module, "_resolution", None)
     monkeypatch.setattr(kernels_module, "_warned_fallbacks", set())
 
 
 # ---------------------------------------------------------------------------
-# Availability, diagnostics, and the numpy_fast fallback
+# Availability, the resolved backend's answer, and the numpy_fast fallback
 # ---------------------------------------------------------------------------
 class TestAvailabilityAndFallback:
     def test_diagnostics_cover_every_backend(self):
-        diagnostics = backend_diagnostics()
-        assert set(diagnostics) == set(available_backends())
-        assert diagnostics["numpy_ref"] == "ok"
-        assert diagnostics["numpy_fast"] == "ok"
+        """Every registry name resolves to a backend that names the
+        request it answers; the numpy ones never fall back and run on
+        no native provider."""
+        for name in available_backends():
+            backend = get_backend(name)
+            assert backend.requested == name
+            if name != "compiled":
+                assert (backend.name, backend.fallback) == (name, None)
+                assert backend.provider is None
 
     @needs_compiled
     def test_diagnostic_names_the_provider(self):
-        status = compiled_diagnostic()
-        assert status.startswith("ok (provider=")
-        assert backend_diagnostics()["compiled"] == status
+        provider, reason = resolve_provider()
+        assert provider is not None and reason is None
+        backend = get_backend("compiled")
+        assert (backend.name, backend.provider, backend.fallback) == (
+            "compiled", provider.kind, None,
+        )
+        assert resolved_backend(CompiledBackend())[1] == "cc"
 
     @needs_compiled
     def test_provider_info_shape_is_pinned(self):
@@ -105,10 +113,21 @@ class TestAvailabilityAndFallback:
     def test_disabled_provider_reports_why(self, no_compiler):
         assert not compiled_available()
         assert provider_info() is None
-        assert compiled_diagnostic().startswith("unavailable")
-        status = backend_diagnostics()["compiled"]
-        assert status.startswith("unavailable")
-        assert "no C compiler found" in status
+        provider, reason = resolve_provider()
+        assert provider is None
+        assert reason.startswith("cc: ") and "no C compiler found" in reason
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            backend = get_backend("compiled")
+        assert (backend.requested, backend.name) == ("compiled", "numpy_fast")
+        assert backend.provider is None
+        assert backend.fallback == reason
+
+    def test_auto_never_falls_back(self, no_compiler):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # auto must not warn
+            backend = get_backend("auto")
+        assert (backend.requested, backend.name) == ("auto", "numpy_fast")
+        assert backend.fallback is None
 
     def test_constructor_raises_with_reason(self, no_compiler):
         with pytest.raises(BackendUnavailableError, match="no C compiler found"):
@@ -160,7 +179,7 @@ class TestAvailabilityAndFallback:
         )
 
     def test_unknown_backend_error_lists_degraded_reasons(self, no_compiler):
-        with pytest.raises(ValueError, match="compiled: unavailable"):
+        with pytest.raises(ValueError, match="compiled: cc: .*no C compiler found"):
             get_backend("cuda")
 
     def test_failing_cc_is_authoritative_and_falls_back(
@@ -168,25 +187,25 @@ class TestAvailabilityAndFallback:
     ):
         """A set ``$CC`` is the only compiler tried — no silent retry
         with cc/gcc/clang.  One that exits non-zero leaves the provider
-        unavailable with the usual diagnostic, error, one-time warning
-        and a run that still completes.  (``$CC`` is part of the
-        resolution cache key, so no cache reset is needed.)"""
+        unavailable with the usual reason, error, one-time warning
+        and a run that still completes.  (The provider resolves once per
+        process, so the cache is reset after changing ``$CC``.)"""
         not_a_compiler = tmp_path / "not-a-compiler"
         not_a_compiler.write_text("#!/bin/sh\necho 'cannot compile' >&2\nexit 3\n")
         not_a_compiler.chmod(0o755)
         monkeypatch.setenv("CC", str(not_a_compiler))
+        monkeypatch.setattr(compiled_module, "_resolution", None)
         monkeypatch.setattr(kernels_module, "_warned_fallbacks", set())
         assert _cc_impl._find_compiler() == str(not_a_compiler)
         assert not compiled_available()
         assert provider_info() is None
-        status = compiled_diagnostic()
-        assert status.startswith("unavailable")
-        assert "failed (exit 3): cannot compile" in status
+        assert "failed (exit 3): cannot compile" in resolve_provider()[1]
         with pytest.raises(BackendUnavailableError, match=r"failed \(exit 3\)"):
             CompiledBackend()
         with pytest.warns(RuntimeWarning, match="falling back to 'numpy_fast'"):
             backend = get_backend("compiled")
         assert type(backend) is NumpyFastBackend
+        assert "failed (exit 3): cannot compile" in backend.fallback
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a second warning would raise
             sim = Simulation(lj_melt_system(256, seed=3), [LennardJonesCut(cutoff=2.5)])
@@ -197,8 +216,9 @@ class TestAvailabilityAndFallback:
 
     def test_missing_cc_is_not_replaced_by_a_default(self, monkeypatch):
         monkeypatch.setenv("CC", "no-such-compiler-on-any-path")
+        monkeypatch.setattr(compiled_module, "_resolution", None)
         assert _cc_impl._find_compiler() is None
-        assert "no C compiler found" in compiled_diagnostic()
+        assert "no C compiler found" in resolve_provider()[1]
 
     SCALE = "scale lj --workers 2 --steps 2 --atoms 500 --backend".split()
 
@@ -213,7 +233,20 @@ class TestAvailabilityAndFallback:
         with pytest.warns(RuntimeWarning, match="falling back"):
             assert main([*self.SCALE, "compiled"]) == 0
         out = capsys.readouterr().out
-        assert "backend 'compiled' is unavailable (unavailable" in out
+        assert "backend 'compiled' is unavailable (cc: " in out
+        assert "no C compiler found" in out
+        assert "using 'numpy_fast'" in out
+
+    def test_scale_reports_a_fallback_requested_by_the_environment(
+        self, no_compiler, monkeypatch, capsys
+    ):
+        """The fallback line reads the resolved backend, so it is
+        printed whatever the source of the request."""
+        monkeypatch.setenv(kernels_module.BACKEND_ENV_VAR, "compiled")
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert main(self.SCALE[:-1]) == 0
+        out = capsys.readouterr().out
+        assert "backend 'compiled' is unavailable (cc: " in out
         assert "no C compiler found" in out
         assert "using 'numpy_fast'" in out
 

@@ -10,6 +10,7 @@ hand-driven-vs-``execute_job`` head of ``benchmarks/e2e``.)
 """
 
 import ast
+import warnings
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,21 @@ def test_no_fault_plan_leaves_the_engine_to_read_the_environment():
 def test_default_backend_is_the_environment_resolved_one():
     simulation, _ = build_simulation(JobSpec(benchmark="lj"))
     assert resolved_backend(simulation.backend) == resolved_backend(None)
+
+
+def test_the_built_backend_keeps_the_spec_request():
+    """One resolution: the simulation's backend answers the spec's
+    request, not a re-resolution of the name it resolved to."""
+    with warnings.catch_warnings():
+        # Without a working compiler, "compiled" falls back with a warning.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        simulation, _ = build_simulation(JobSpec(benchmark="lj", backend="compiled"))
+    backend = simulation.backend
+    assert backend.requested == "compiled"
+    assert (backend.name == "compiled") == (backend.fallback is None)
+    simulation, _ = build_simulation(JobSpec(benchmark="lj", backend="auto"))
+    assert simulation.backend.requested == "auto"
+    assert simulation.backend.fallback is None
 
 
 def test_deck_job_takes_steps_from_the_deck_unless_told():

@@ -186,6 +186,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="fault_plan"):
             JobSpec(benchmark="lj", workers=2, fault_plan=plan)
 
+    @pytest.mark.parametrize("backend", ["cudaa", "", "Compiled", 3])
+    def test_rejects_a_backend_no_resolver_accepts(self, backend):
+        """A typo is refused when the spec is built, naming the field,
+        not at ``submit`` after the pool has booted."""
+        with pytest.raises(ValueError, match="backend"):
+            JobSpec(benchmark="lj", backend=backend)
+
     def test_from_json_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown JobSpec fields"):
             JobSpec.from_json({"benchmark": "lj", "gpu_count": 8})

@@ -20,11 +20,18 @@ from repro.report import (
 
 class TestMakeReport:
     def test_minimal_report_validates(self):
-        record = make_report("power")
+        backend = {"requested": "auto", "resolved": "numpy_fast"}
+        record = make_report("power", backend=backend)
         assert record["schema"] == SCHEMA
-        assert record["backend"] == {"requested": "auto", "resolved": "auto"}
+        assert record["backend"] == backend
         assert record["precision"] == "double"
         assert record["energy"]["kind"] == "unavailable"
+
+    def test_backend_is_required(self):
+        """A record names the kernels that produced it; there is no
+        made-up default."""
+        with pytest.raises(TypeError, match="backend"):
+            make_report("power")
 
     def test_bare_backend_name_expands(self):
         record = make_report("power", backend="numpy_fast")
@@ -32,26 +39,30 @@ class TestMakeReport:
         assert record["backend"]["resolved"] == "numpy_fast"
 
     def test_payload_merges_at_top_level(self):
-        record = make_report("campaign", results=[1, 2], summary={"x": 1})
+        record = make_report(
+            "campaign", backend="numpy_fast", results=[1, 2], summary={"x": 1}
+        )
         assert record["results"] == [1, 2]
         assert record["summary"] == {"x": 1}
 
     def test_payload_cannot_shadow_envelope(self):
         with pytest.raises(ReportError, match="shadows envelope"):
-            make_report("power", schema="evil")
+            make_report("power", backend="numpy_fast", schema="evil")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ReportError, match="kind"):
-            make_report("fridge")
+            make_report("fridge", backend="numpy_fast")
 
     def test_precision_list_accepted(self):
-        record = make_report("campaign", precision=["single", "mixed", "double"])
+        record = make_report(
+            "campaign", backend="numpy_fast", precision=["single", "mixed", "double"]
+        )
         assert record["precision"] == ["single", "mixed", "double"]
 
 
 class TestValidateReport:
     def _good(self):
-        return make_report("campaign")
+        return make_report("campaign", backend="numpy_fast")
 
     def test_round_trips(self):
         assert validate_report(self._good()) is not None
@@ -130,4 +141,4 @@ class TestHelpers:
 
     def test_all_kinds_buildable(self):
         for kind in KINDS:
-            assert make_report(kind)["kind"] == kind
+            assert make_report(kind, backend="numpy_fast")["kind"] == kind
