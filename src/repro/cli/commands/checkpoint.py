@@ -5,20 +5,25 @@ from __future__ import annotations
 import argparse
 
 from repro.cli import command
-from repro.cli.options import add_precision_option, add_workers_option
+from repro.cli.options import (
+    add_precision_option,
+    add_workers_option,
+    int_at_least,
+    positive_float,
+)
 from repro.suite import BENCHMARK_NAMES
 
 
 def _configure(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("experiment", choices=BENCHMARK_NAMES)
-    parser.add_argument("--steps", type=int, default=40)
-    parser.add_argument("--atoms", type=int, default=500,
+    parser.add_argument("--steps", type=int_at_least(1), default=40)
+    parser.add_argument("--atoms", type=int_at_least(1), default=500,
                         help="target atom count (builders round to lattice)")
     add_workers_option(parser, default=1,
                        help="worker processes (1 = serial executor)")
-    parser.add_argument("--every", type=int, default=10,
-                        help="checkpoint cadence in steps")
-    parser.add_argument("--keep-last", type=int, default=3,
+    parser.add_argument("--every", type=int_at_least(0), default=10,
+                        help="checkpoint cadence in steps (0 = off)")
+    parser.add_argument("--keep-last", type=int_at_least(1), default=3,
                         help="checkpoint retention depth")
     parser.add_argument("--out", default="checkpoint_out",
                         help="checkpoint directory")
@@ -26,9 +31,9 @@ def _configure(parser: argparse.ArgumentParser) -> None:
                         help="inject faults: kind:worker:step[:phase];... "
                              "(kinds kill/hang; phases step/rebuild/"
                              "checkpoint)")
-    parser.add_argument("--max-restarts", type=int, default=2,
+    parser.add_argument("--max-restarts", type=int_at_least(0), default=2,
                         help="pool respawns before degrading to serial")
-    parser.add_argument("--barrier-timeout", type=float, default=30.0,
+    parser.add_argument("--barrier-timeout", type=positive_float, default=30.0,
                         help="seconds before a silent worker is declared "
                              "hung")
     parser.add_argument("--verify-parity", action="store_true",

@@ -9,6 +9,7 @@ from repro.cli.options import (
     add_backend_option,
     add_precision_option,
     add_workers_option,
+    int_at_least,
 )
 from repro.suite import BENCHMARK_NAMES
 
@@ -17,10 +18,10 @@ def _configure(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("experiment", choices=BENCHMARK_NAMES)
     add_workers_option(parser, default=2,
                        help="worker process count (one subdomain each)")
-    parser.add_argument("--steps", type=int, default=20)
-    parser.add_argument("--atoms", type=int, default=2000,
+    parser.add_argument("--steps", type=int_at_least(1), default=20)
+    parser.add_argument("--atoms", type=int_at_least(1), default=2000,
                         help="target atom count (builders round to lattice)")
-    parser.add_argument("--checkpoint-every", type=int, default=0,
+    parser.add_argument("--checkpoint-every", type=int_at_least(0), default=0,
                         help="periodic checkpoint cadence in steps (0 = off)")
     parser.add_argument("--checkpoint-dir", default="checkpoint_out",
                         help="directory for --checkpoint-every snapshots")

@@ -10,6 +10,8 @@ from repro.cli.options import (
     add_backend_option,
     add_precision_option,
     add_workers_option,
+    int_at_least,
+    positive_float,
 )
 from repro.suite import BENCHMARK_NAMES
 
@@ -19,13 +21,13 @@ def _configure_serve(parser: argparse.ArgumentParser) -> None:
                         help="spool directory shared with submitters")
     add_workers_option(parser, default=2,
                        help="pool size: jobs executed concurrently")
-    parser.add_argument("--cache-entries", type=int, default=1024,
+    parser.add_argument("--cache-entries", type=int_at_least(1), default=1024,
                         help="memory-layer bound of the result cache")
-    parser.add_argument("--max-requeues", type=int, default=2,
+    parser.add_argument("--max-requeues", type=int_at_least(0), default=2,
                         help="pool-worker deaths one job survives")
-    parser.add_argument("--poll", type=float, default=0.1,
+    parser.add_argument("--poll", type=positive_float, default=0.1,
                         help="spool polling period in seconds")
-    parser.add_argument("--max-seconds", type=float, default=None,
+    parser.add_argument("--max-seconds", type=positive_float, default=None,
                         help="exit (with drain) after this long; default "
                              "runs until SIGTERM/SIGINT")
 
@@ -71,9 +73,9 @@ def _configure_submit(parser: argparse.ArgumentParser) -> None:
                         help="submit a LAMMPS input deck instead")
     parser.add_argument("--spool", default="service_spool",
                         help="spool directory of the server")
-    parser.add_argument("--atoms", type=int, default=500,
+    parser.add_argument("--atoms", type=int_at_least(1), default=500,
                         help="target atom count (builders round to lattice)")
-    parser.add_argument("--steps", type=int, default=100)
+    parser.add_argument("--steps", type=int_at_least(1), default=100)
     parser.add_argument("--seed", type=int, default=None,
                         help="builder seed (default: benchmark's own)")
     add_precision_option(parser)
@@ -81,11 +83,11 @@ def _configure_submit(parser: argparse.ArgumentParser) -> None:
     add_workers_option(parser, default=1,
                        help="engine workers per job (1 = serial)")
     parser.add_argument("--tag", default=None, help="free-form job label")
-    parser.add_argument("--repeat", type=int, default=1,
+    parser.add_argument("--repeat", type=int_at_least(1), default=1,
                         help="submit the same spec N times (dedup demo)")
     parser.add_argument("--no-wait", action="store_true",
                         help="print tickets and exit without waiting")
-    parser.add_argument("--timeout", type=float, default=600.0,
+    parser.add_argument("--timeout", type=positive_float, default=600.0,
                         help="seconds to wait per ticket")
 
 

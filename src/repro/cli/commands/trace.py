@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from repro.cli import command
-from repro.cli.options import int_at_least, positive_float
+from repro.cli.options import add_backend_option, int_at_least, positive_float
 from repro.suite import BENCHMARK_NAMES
 
 #: ``--power`` choices: ``auto`` walks the rapl -> procfs -> model
@@ -36,6 +36,7 @@ def _configure(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--snapshot-every", type=int_at_least(1), default=10,
                         help="steps between metrics snapshots (and live "
                              "power readouts)")
+    add_backend_option(parser)
     parser.add_argument("--power", nargs="?", const="auto", default=None,
                         choices=POWER_CHOICES, metavar="PROVIDER",
                         help="also sample power and attribute the joules "
@@ -79,7 +80,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     try:
         sim, _steps = build_simulation(
-            JobSpec(benchmark=args.experiment, n_atoms=args.atoms)
+            JobSpec(benchmark=args.experiment, n_atoms=args.atoms,
+                    backend=args.backend)
         )
         # The engine's first neighbor build would refuse this box; ask
         # now, before anything is traced (the check records no span).
@@ -192,8 +194,6 @@ def _report_energy(args, sim, sampler, tracer, path: Path) -> Path:
               f"{MIN_RUN_SECONDS:.0f} s — under-sampled; do not "
               "compare these numbers across runs")
 
-    # No --backend here: the build takes the environment's default, and
-    # the record names the request the resolved backend answers.
     report = make_report(
         "power",
         backend={

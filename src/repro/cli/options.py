@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.md.kernels import AUTO_BACKEND, available_backends
 from repro.md.precision import PRECISIONS
 
 __all__ = [
@@ -28,9 +29,8 @@ __all__ = [
 PRECISION_CHOICES = tuple(mode.value for mode in PRECISIONS)
 
 _BACKEND_HELP = (
-    "kernel backend (numpy_ref, numpy_fast, compiled, auto); an "
-    "unavailable optional backend falls back to numpy_fast with the "
-    "reason printed, an unknown name lists what exists"
+    "kernel backend (default numpy_fast); an unavailable optional "
+    "backend falls back to numpy_fast with the reason printed"
 )
 
 
@@ -51,11 +51,17 @@ def add_backend_option(
     *,
     help: str = _BACKEND_HELP,
 ) -> None:
-    """``--backend NAME`` selecting a kernel backend.
+    """``--backend {auto,numpy_ref,numpy_fast,compiled}``.
 
-    Unset, a run takes ``$REPRO_KERNEL_BACKEND``, then ``numpy_fast``.
+    Unset (``None``), a run takes ``numpy_fast``; a name outside the
+    choices exits 2 while the arguments are parsed.
     """
-    parser.add_argument("--backend", default=None, metavar="NAME", help=help)
+    parser.add_argument(
+        "--backend",
+        default=None,
+        choices=(AUTO_BACKEND, *available_backends()),
+        help=help,
+    )
 
 
 def add_workers_option(

@@ -16,14 +16,14 @@ so that the same potentials run on interchangeable implementations:
     working C compiler, requesting it falls back to ``numpy_fast`` with
     a one-time warning (the returned backend's ``fallback`` says why).
 
-Selection order: a ``Simulation.set_backend(...)`` call wins; a new
-simulation starts on the ``REPRO_KERNEL_BACKEND`` environment variable,
-else :data:`DEFAULT_BACKEND`.  The meta-name ``auto`` (valid in both the
-setter and the environment variable) resolves to ``compiled`` when a
-native provider passes its smoke test and to ``numpy_fast`` otherwise —
-the fastest backend the machine can actually run, without the silent
-numpy default that benchmark records used to hide on compiled-capable
-hosts.  :func:`get_backend` is the only code that applies these rules;
+Selection is by argument only — ``Simulation.set_backend(...)``,
+``PairPotential.backend``, ``JobSpec.backend`` or a CLI ``--backend``;
+with none given a run takes :data:`DEFAULT_BACKEND`, and no environment
+variable changes the choice.  The meta-name ``auto`` resolves to
+``compiled`` when a native provider passes its smoke test and to
+``numpy_fast`` otherwise — the fastest backend the machine can
+actually run, without the silent numpy default that benchmark records
+used to hide on compiled-capable hosts.  :func:`get_backend` is the only code that applies these rules;
 the instance it returns says what it answers — ``requested``,
 ``fallback`` and, on ``compiled``, the native ``provider`` — and every
 record or CLI line reads those attributes instead of resolving again.
@@ -31,7 +31,6 @@ record or CLI line reads those attributes instead of resolving again.
 
 from __future__ import annotations
 
-import os
 import warnings
 
 from repro.md.kernels.base import KernelBackend
@@ -52,7 +51,6 @@ __all__ = [
     "BackendUnavailableError",
     "DEFAULT_BACKEND",
     "AUTO_BACKEND",
-    "BACKEND_ENV_VAR",
     "resolve_auto_backend",
     "available_backends",
     "get_backend",
@@ -60,10 +58,7 @@ __all__ = [
     "resolved_backend",
 ]
 
-#: Environment variable consulted when no explicit backend is passed.
-BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: Backend used when neither an argument nor the env var selects one.
+#: Backend used when no argument selects one.
 DEFAULT_BACKEND = "numpy_fast"
 
 #: Meta-name resolving to the fastest backend this machine supports.
@@ -98,27 +93,25 @@ def resolve_auto_backend() -> str:
 def get_backend(spec: str | KernelBackend | None = None) -> KernelBackend:
     """Resolve ``spec`` into a live :class:`KernelBackend` instance.
 
-    The one resolver of a backend request.  ``None`` reads
-    ``$REPRO_KERNEL_BACKEND`` and then :data:`DEFAULT_BACKEND`;
-    ``"auto"`` is ``compiled`` when the native provider builds and
-    passes its smoke test, else :data:`DEFAULT_BACKEND`; any other
-    string is looked up in the registry; an existing backend instance
-    passes through unchanged (so a Simulation can share one
-    scratch-carrying backend across its potentials).
+    The one resolver of a backend request.  ``None`` is
+    :data:`DEFAULT_BACKEND`; ``"auto"`` is ``compiled`` when the native
+    provider builds and passes its smoke test, else
+    :data:`DEFAULT_BACKEND`; any other string is looked up in the
+    registry; an existing backend instance passes through unchanged (so
+    a Simulation can share one scratch-carrying backend across its
+    potentials).
 
     Requesting an optional backend whose runtime support is missing
     (e.g. ``compiled`` without a C compiler) returns the default
-    backend and warns once per process with the reason, so an exported
-    ``REPRO_KERNEL_BACKEND=compiled`` can never break a run.  The
-    instance says what it answers: ``requested`` is the request after
-    the ``None`` rule, ``fallback`` the reason when the named backend
-    could not be built (``auto`` never falls back).
+    backend and warns once per process with the reason, so requesting
+    ``compiled`` can never break a run.  The instance says what it
+    answers: ``requested`` is the request after the ``None`` rule,
+    ``fallback`` the reason when the named backend could not be built
+    (``auto`` never falls back).
     """
     if isinstance(spec, KernelBackend):
         return spec
-    requested = spec if spec is not None else (
-        os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    )
+    requested = spec if spec is not None else DEFAULT_BACKEND
     name = requested
     if requested == AUTO_BACKEND:
         name = CompiledBackend.name if compiled_available() else DEFAULT_BACKEND

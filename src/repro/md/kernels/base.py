@@ -107,8 +107,8 @@ class KernelBackend(abc.ABC):
     provider: str | None = None
 
     #: The request :func:`repro.md.kernels.get_backend` answered with
-    #: this instance (``None`` read as ``$REPRO_KERNEL_BACKEND``, then
-    #: ``numpy_fast``); ``None`` on an instance built directly.
+    #: this instance (``None`` read as ``numpy_fast``); ``None`` on an
+    #: instance built directly.
     requested: str | None = None
 
     #: Why the requested backend could not be built and this

@@ -17,9 +17,8 @@ all demote the backend cleanly: instantiating :class:`CompiledBackend`
 raises :class:`BackendUnavailableError` with the reason, and
 :func:`repro.md.kernels.get_backend` turns that into a one-time
 warning plus a ``numpy_fast`` fallback whose ``fallback`` attribute
-holds the reason, so
-``REPRO_KERNEL_BACKEND=compiled`` is always safe to set.  To run
-without native code, select ``REPRO_KERNEL_BACKEND=numpy_fast``.
+holds the reason, so requesting ``compiled`` is always safe.  To run
+without native code, select ``numpy_fast``.
 
 The backend subclasses :class:`NumpyFastBackend`: any call whose dtype
 combination or memory layout the provider does not cover falls through

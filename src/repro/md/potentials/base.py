@@ -276,7 +276,7 @@ class PairPotential(abc.ABC):
         """The kernel backend force evaluation runs on.
 
         Unset potentials resolve lazily through
-        :func:`repro.md.kernels.get_backend` (env var / default), the
+        :func:`repro.md.kernels.get_backend` (to ``numpy_fast``), the
         one resolver, and a string assigned here goes through it too;
         the owning :class:`~repro.md.simulation.Simulation` assigns its
         shared backend to every potential at construction.

@@ -211,9 +211,9 @@ class Simulation:
         Output interval ("Output" task).
 
     A new simulation runs serial (:class:`SerialForceExecutor`), at
-    double precision, on the environment's default kernel backend
-    (``$REPRO_KERNEL_BACKEND``), and untraced.  Each of those is
-    changed one way, after construction: :meth:`set_backend`,
+    double precision, on the default kernel backend (``numpy_fast``),
+    and untraced.  Each of those is changed one way, after
+    construction: :meth:`set_backend`,
     :meth:`set_precision`, :meth:`attach_tracer`,
     :meth:`attach_metrics`, and for the parallel engine
     ``sim.force_executor = executor; executor.bind(sim)``.  Call
@@ -501,7 +501,7 @@ class Simulation:
         instance or a request resolved by
         :func:`~repro.md.kernels.get_backend`: a registry name
         (``"numpy_ref"`` / ``"numpy_fast"`` / ``"compiled"``),
-        ``"auto"``, or ``None`` for ``$REPRO_KERNEL_BACKEND``.
+        ``"auto"``, or ``None`` for the default ``numpy_fast``.
         ``"compiled"`` without a working C compiler degrades to
         ``numpy_fast`` with a warning; ``self.backend.requested`` and
         ``.fallback`` then say what was asked and why it fell back.

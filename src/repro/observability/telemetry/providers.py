@@ -58,11 +58,6 @@ RAPL_SYSFS_ROOT = "/sys/class/powercap"
 #: Default procfs stat file.
 PROC_STAT_PATH = "/proc/stat"
 
-#: Calibration overrides for the utilization->watts model on machines
-#: whose idle floor / per-core draw is known.
-IDLE_WATTS_ENV_VAR = "REPRO_POWER_IDLE_WATTS"
-TDP_WATTS_ENV_VAR = "REPRO_POWER_TDP_WATTS"
-
 
 @dataclass(frozen=True)
 class IntervalSample:
@@ -295,16 +290,13 @@ def _local_power_model(cores: int) -> CpuPowerModel:
     """The utilization->watts model for *this* machine, one socket.
 
     A commodity dev box or CI container has no known TDP, so we assume a
-    mid-range desktop profile — ~12.5 W active draw per core over a
-    10 W idle floor — and let ``$REPRO_POWER_IDLE_WATTS`` /
-    ``$REPRO_POWER_TDP_WATTS`` recalibrate when the numbers are known.
-    The point is honest *relative* attribution, with the provenance
-    ``kind`` flagging that the watts are model-derived.
+    mid-range desktop profile — 12.5 W active draw per core over a
+    10 W idle floor.  The point is honest *relative* attribution, with
+    the provenance ``kind`` flagging that the watts are model-derived
+    and recording ``idle_watts``/``tdp_watts``/``cores``.
     """
-    idle = float(os.environ.get(IDLE_WATTS_ENV_VAR, 10.0))
-    # 0.8 * tdp / cores == 12.5 W/core unless overridden.
-    tdp = float(os.environ.get(TDP_WATTS_ENV_VAR, cores * 12.5 / 0.8))
-    return CpuPowerModel(idle, tdp, cores, 1)
+    # 0.8 * tdp / cores == 12.5 W/core.
+    return CpuPowerModel(10.0, cores * 12.5 / 0.8, cores, 1)
 
 
 def _model_fields(model: CpuPowerModel) -> dict:

@@ -88,7 +88,7 @@ class JobSpec:
         Precision mode name (``single``/``mixed``/``double``).
     backend:
         Kernel-backend request (registry name, ``auto``, or ``None``
-        for the environment default); the *resolved* backend is keyed.
+        for ``numpy_fast``); the *resolved* backend is keyed.
     workers:
         Engine worker processes for this job (1 = serial executor).
         Execution strategy — not part of the cache key.

@@ -228,14 +228,9 @@ class TestRunCampaign:
         report = run_campaign(spec, out=tmp_path / "report.json", timeout=600.0)
         assert report["energy"] == {"provider": "none", "kind": "unavailable"}
 
-    def test_record_names_the_request_get_backend_answers(
-        self, tmp_path, monkeypatch
-    ):
-        """A spec with no ``backend`` key asks for the environment's
-        default, and the record says which (not the string "None")."""
-        from repro.md.kernels import BACKEND_ENV_VAR
-
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_record_names_the_request_get_backend_answers(self, tmp_path):
+        """A spec with no ``backend`` key asks for the default, and the
+        record says which (not the string "None")."""
         spec = CampaignSpec(
             name="default-backend",
             base={"benchmark": "lj", "n_atoms": 150, "steps": 2},

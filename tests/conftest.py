@@ -6,11 +6,18 @@ import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck
 
 from repro.md import neighbor
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
 from repro.md.state import STATE_ARRAYS
+
+#: ``suppress_health_check`` for a property a backend twin class
+#: inherits (``TestForces`` -> ``TestForcesCompiled``): the one test
+#: function runs from two classes, and an example saved by either is a
+#: valid seed on both backends, so replaying it across them is sound.
+BACKEND_TWINS = [HealthCheck.differing_executors]
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from repro.md.lattice import fcc_positions
 from repro.md.neighbor import NeighborList
 from repro.md.potentials.eam import EAMAlloy, EAMParameters
 
-from tests.conftest import finite_difference_forces
+from tests.conftest import BACKEND_TWINS, finite_difference_forces
 
 
 @pytest.fixture
@@ -116,8 +116,17 @@ class TestEnergetics:
 
 
 class TestForces:
+    #: Kernel backend every check here computes on.
+    backend = "numpy_fast"
+
+    @pytest.fixture
+    def eam(self):
+        eam = EAMAlloy()
+        eam.backend = self.backend
+        return eam
+
     @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None, suppress_health_check=BACKEND_TWINS)
     def test_forces_match_finite_differences(self, seed):
         """Property: many-body analytic forces equal -grad E."""
         rng = np.random.default_rng(seed)
@@ -126,6 +135,7 @@ class TestForces:
         base = np.array([7.0, 7.0, 7.0])
         positions = base + rng.uniform(-3.0, 3.0, (8, 3))
         eam = EAMAlloy()
+        eam.backend = self.backend
 
         def energy(pos):
             return _energy_of(pos, box, eam)
@@ -155,3 +165,10 @@ class TestForces:
     def test_isolated_atom_zero_energy(self, eam):
         box = Box([30, 30, 30])
         assert _energy_of(np.array([[15.0, 15, 15]]), box, eam) == pytest.approx(0.0)
+
+
+class TestForcesCompiled(TestForces):
+    """The same checks through the native routes of ``compiled``
+    (``numpy_fast`` with a warning where no C compiler builds)."""
+
+    backend = "compiled"

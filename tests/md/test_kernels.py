@@ -13,7 +13,6 @@ from repro.md.atoms import AtomSystem
 from repro.md.box import Box
 from repro.md.kernels import (
     AUTO_BACKEND,
-    BACKEND_ENV_VAR,
     DEFAULT_BACKEND,
     KernelBackend,
     NumpyFastBackend,
@@ -39,14 +38,9 @@ class TestRegistry:
     def test_available_backends(self):
         assert set(available_backends()) == {"numpy_ref", "numpy_fast", "compiled"}
 
-    def test_default_is_numpy_fast(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_default_is_numpy_fast(self):
         assert DEFAULT_BACKEND == "numpy_fast"
         assert isinstance(get_backend(), NumpyFastBackend)
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy_ref")
-        assert isinstance(get_backend(), NumpyRefBackend)
 
     def test_instance_passes_through(self):
         backend = NumpyFastBackend()
@@ -67,17 +61,10 @@ class TestRegistry:
         assert resolve_auto_backend() == expected
         assert backend_spec(get_backend(AUTO_BACKEND)) == expected
 
-    def test_auto_via_env_var(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, AUTO_BACKEND)
-        assert backend_spec(get_backend()) == resolve_auto_backend()
-
-    def test_backend_says_what_it_answers(self, monkeypatch):
+    def test_backend_says_what_it_answers(self):
         """``requested`` is the request after the ``None`` rule;
         ``auto`` names whatever runs here and never falls back."""
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         assert get_backend().requested == DEFAULT_BACKEND
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy_ref")
-        assert get_backend().requested == "numpy_ref"
         auto = get_backend(AUTO_BACKEND)
         assert (auto.requested, auto.fallback) == (AUTO_BACKEND, None)
         assert NumpyFastBackend().requested is None

@@ -141,16 +141,15 @@ class TestAvailabilityAndFallback:
             warnings.simplefilter("error")  # a second warning would raise
             assert type(get_backend("compiled")) is NumpyFastBackend
 
-    def test_simulation_survives_unavailable_compiled(
-        self, no_compiler, monkeypatch
-    ):
-        """An exported REPRO_KERNEL_BACKEND=compiled can never break a run."""
-        monkeypatch.setenv(kernels_module.BACKEND_ENV_VAR, "compiled")
+    def test_simulation_survives_unavailable_compiled(self, no_compiler):
+        """Requesting ``compiled`` can never break a run."""
+        sim = Simulation(
+            lj_melt_system(256, seed=3), [LennardJonesCut(cutoff=2.5)]
+        )
         with pytest.warns(RuntimeWarning, match="unavailable"):
-            sim = Simulation(
-                lj_melt_system(256, seed=3), [LennardJonesCut(cutoff=2.5)]
-            )
+            sim.set_backend("compiled")
         assert sim.backend.name == "numpy_fast"
+        assert sim.backend.requested == "compiled"
         sim.run(2)
         assert np.isfinite(sim.total_energy())
 
@@ -232,19 +231,6 @@ class TestAvailabilityAndFallback:
     ):
         with pytest.warns(RuntimeWarning, match="falling back"):
             assert main([*self.SCALE, "compiled"]) == 0
-        out = capsys.readouterr().out
-        assert "backend 'compiled' is unavailable (cc: " in out
-        assert "no C compiler found" in out
-        assert "using 'numpy_fast'" in out
-
-    def test_scale_reports_a_fallback_requested_by_the_environment(
-        self, no_compiler, monkeypatch, capsys
-    ):
-        """The fallback line reads the resolved backend, so it is
-        printed whatever the source of the request."""
-        monkeypatch.setenv(kernels_module.BACKEND_ENV_VAR, "compiled")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert main(self.SCALE[:-1]) == 0
         out = capsys.readouterr().out
         assert "backend 'compiled' is unavailable (cc: " in out
         assert "no C compiler found" in out
@@ -1746,6 +1732,7 @@ class TestParallelDeterminism:
         from repro.suite import get_benchmark
 
         sim = get_benchmark("lj").build(n_atoms)
+        sim.set_backend("compiled")
         assert sim.backend.name == "compiled"
         executor = ParallelForceExecutor(workers)
         sim.force_executor = executor
@@ -1762,8 +1749,7 @@ class TestParallelDeterminism:
         finally:
             executor.close()
 
-    def test_bitwise_identical_across_worker_counts(self, monkeypatch):
-        monkeypatch.setenv(kernels_module.BACKEND_ENV_VAR, "compiled")
+    def test_bitwise_identical_across_worker_counts(self):
         states = {w: self._run_parallel(w) for w in (1, 2, 4)}
         positions_1, energy_1, _ = states[1]
         for workers in (2, 4):
@@ -1771,12 +1757,12 @@ class TestParallelDeterminism:
             assert np.array_equal(positions, positions_1)
             assert energy == energy_1
 
-    def test_parallel_matches_serial_compiled(self, monkeypatch):
-        monkeypatch.setenv(kernels_module.BACKEND_ENV_VAR, "compiled")
+    def test_parallel_matches_serial_compiled(self):
         from repro.suite import get_benchmark
 
         steps = 3
         serial = get_benchmark("lj").build(2048)
+        serial.set_backend("compiled")
         serial.setup()
         for _ in range(steps):
             serial.step()

@@ -10,7 +10,7 @@ from repro.md.box import Box
 from repro.md.neighbor import NeighborList
 from repro.md.potentials.lj import WCA_CUTOFF, LennardJonesCut
 
-from tests.conftest import finite_difference_forces
+from tests.conftest import BACKEND_TWINS, finite_difference_forces
 
 
 def _evaluate(positions, box, potential):
@@ -45,10 +45,18 @@ class TestPairEnergy:
 
 
 class TestForces:
+    #: Kernel backend every check here computes on.
+    backend = "numpy_fast"
+
+    def _lj(self, **kwargs):
+        lj = LennardJonesCut(**kwargs)
+        lj.backend = self.backend
+        return lj
+
     def test_dimer_force_repulsive_inside_minimum(self):
         box = Box([20, 20, 20])
         system, _ = _evaluate(
-            np.array([[5.0, 5, 5], [6.0, 5, 5]]), box, LennardJonesCut()
+            np.array([[5.0, 5, 5], [6.0, 5, 5]]), box, self._lj()
         )
         # r = 1.0 < r_min: particles repel along +/- x.
         assert system.forces[0, 0] < 0
@@ -57,12 +65,12 @@ class TestForces:
     def test_newtons_third_law(self):
         rng = np.random.default_rng(11)
         box = Box([8, 8, 8])
-        system, _ = _evaluate(rng.uniform(0, 8, (30, 3)), box, LennardJonesCut())
+        system, _ = _evaluate(rng.uniform(0, 8, (30, 3)), box, self._lj())
         scale = float(np.abs(system.forces).max())
         assert np.allclose(system.forces.sum(axis=0), 0.0, atol=1e-12 * scale)
 
     @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, suppress_health_check=BACKEND_TWINS)
     def test_forces_match_finite_differences(self, seed):
         """Property: analytic forces equal -grad E on random configs."""
         rng = np.random.default_rng(seed)
@@ -70,7 +78,7 @@ class TestForces:
         # Keep a minimum separation so the energy surface is smooth
         # enough for central differences.
         positions = rng.uniform(0, 8, (12, 3))
-        lj = LennardJonesCut(cutoff=2.5)
+        lj = self._lj(cutoff=2.5)
 
         def energy(pos):
             system = AtomSystem(pos, box)
@@ -86,16 +94,23 @@ class TestForces:
     def test_virial_positive_for_compressed_pair(self):
         box = Box([20, 20, 20])
         __, result = _evaluate(
-            np.array([[5.0, 5, 5], [6.0, 5, 5]]), box, LennardJonesCut()
+            np.array([[5.0, 5, 5], [6.0, 5, 5]]), box, self._lj()
         )
         assert result.virial > 0  # repulsive core pushes outward
 
     def test_interactions_counted(self):
         box = Box([20, 20, 20])
         __, result = _evaluate(
-            np.array([[5.0, 5, 5], [6.0, 5, 5], [5.0, 6, 5]]), box, LennardJonesCut()
+            np.array([[5.0, 5, 5], [6.0, 5, 5], [5.0, 6, 5]]), box, self._lj()
         )
         assert result.interactions == 3
+
+
+class TestForcesCompiled(TestForces):
+    """The same checks through the native routes of ``compiled``
+    (``numpy_fast`` with a warning where no C compiler builds)."""
+
+    backend = "compiled"
 
 
 class TestMultiType:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.md import RunConfig
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
-from repro.md.kernels import CompiledBackend
+from repro.md.kernels import CompiledBackend, get_backend
 from repro.md.kernels.compiled import compiled_available
 from repro.md.kspace.ewald import EwaldSummation
 from repro.md.kspace.pppm import (
@@ -68,12 +68,20 @@ def _random_system(seed=3, n=50):
 
 
 class TestAgainstEwald:
+    #: Kernel backend whose mesh hooks every solver here may take.
+    backend = "numpy_fast"
+
+    def _pppm(self, **kwargs):
+        pppm = PPPM(**kwargs)
+        pppm.backend = get_backend(self.backend)
+        return pppm
+
     def test_energy_converges_to_ewald(self):
         system = _random_system()
         reference = EwaldSummation(1.0, accuracy=1e-10).energy_only(system)
         errors = []
         for grid in ((16, 16, 16), (32, 32, 32)):
-            pppm = PPPM(accuracy=1e-4, cutoff=3.0, alpha=1.0, grid=grid)
+            pppm = self._pppm(accuracy=1e-4, cutoff=3.0, alpha=1.0, grid=grid)
             errors.append(abs(pppm.energy_only(system) - reference) / abs(reference))
         assert errors[1] < errors[0] < 1e-2
 
@@ -84,7 +92,8 @@ class TestAgainstEwald:
         reference = system.forces.copy()
         rms_ref = np.sqrt(np.mean(reference**2))
         system.forces[:] = 0.0
-        PPPM(accuracy=1e-4, cutoff=3.0, alpha=1.0, grid=(32, 32, 32)).compute(system)
+        pppm = self._pppm(accuracy=1e-4, cutoff=3.0, alpha=1.0, grid=(32, 32, 32))
+        pppm.compute(system)
         rel = np.sqrt(np.mean((system.forces - reference) ** 2)) / rms_ref
         assert rel < 1e-3
 
@@ -93,7 +102,7 @@ class TestAgainstEwald:
         realized force error against a tight Ewald reference."""
         system = _random_system(seed=7)
         system.forces[:] = 0.0
-        pppm = PPPM(accuracy=1e-4, cutoff=3.0)
+        pppm = self._pppm(accuracy=1e-4, cutoff=3.0)
         pppm.setup(system)
         pppm.compute(system)
         mesh_forces = system.forces.copy()
@@ -109,8 +118,15 @@ class TestAgainstEwald:
         system.forces[:] = 0.0
         ref_virial = ref.compute(system).virial
         system.forces[:] = 0.0
-        pm = PPPM(accuracy=1e-4, cutoff=3.0, alpha=1.0, grid=(32, 32, 32))
+        pm = self._pppm(accuracy=1e-4, cutoff=3.0, alpha=1.0, grid=(32, 32, 32))
         assert pm.compute(system).virial == pytest.approx(ref_virial, rel=1e-2)
+
+
+class TestAgainstEwaldCompiled(TestAgainstEwald):
+    """The same checks through the native routes of ``compiled``
+    (``numpy_fast`` with a warning where no C compiler builds)."""
+
+    backend = "compiled"
 
 
 class TestBehaviour:

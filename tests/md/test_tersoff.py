@@ -12,7 +12,7 @@ from repro.md.lattice import diamond_positions, tersoff_silicon_system
 from repro.md.neighbor import NeighborList
 from repro.md.potentials.tersoff import Tersoff, TersoffParameters
 
-from tests.conftest import finite_difference_forces
+from tests.conftest import BACKEND_TWINS, finite_difference_forces
 
 
 @pytest.fixture
@@ -146,6 +146,15 @@ class TestDimerAndTrimer:
 
 
 class TestCrystal:
+    #: Kernel backend every check here computes on.
+    backend = "numpy_fast"
+
+    @pytest.fixture
+    def tersoff(self):
+        pot = Tersoff()
+        pot.backend = self.backend
+        return pot
+
     def test_cohesive_energy_near_literature(self, tersoff):
         # Tersoff's T3 silicon binds at -4.63 eV/atom at a = 5.432 A.
         system = tersoff_silicon_system(512, temperature=0.0)
@@ -166,9 +175,10 @@ class TestCrystal:
         assert a * np.sqrt(3.0) / 4.0 < Tersoff().cutoff < a / np.sqrt(2.0)
 
     @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=5, deadline=None)
+    @settings(max_examples=5, deadline=None, suppress_health_check=BACKEND_TWINS)
     def test_forces_match_finite_difference(self, seed):
         pot = Tersoff()
+        pot.backend = self.backend
         rng = np.random.default_rng(seed)
         # One cell is smaller than cutoff+skin allows; two cells (64
         # atoms) give a 10.9 A box with headroom.
@@ -200,6 +210,13 @@ class TestCrystal:
         assert result.interactions == 4 * len(pos)
 
 
+class TestCrystalCompiled(TestCrystal):
+    """The same checks through the native routes of ``compiled``
+    (``numpy_fast`` with a warning where no C compiler builds)."""
+
+    backend = "compiled"
+
+
 class TestBackendParity:
     def test_all_backends_match_oracle(self):
         states = {}
@@ -221,10 +238,14 @@ class TestBackendParity:
 
 
 class TestDynamics:
+    #: Kernel backend every check here computes on.
+    backend = "numpy_fast"
+
     def test_nve_conserves_energy(self):
         from repro.suite.registry import get_benchmark
 
         sim = get_benchmark("tersoff").build(64)
+        sim.set_backend(self.backend)
         sim.run(1)
         e0 = sim.total_energy()
         sim.run(300)
@@ -237,16 +258,25 @@ class TestDynamics:
 
         defn = get_benchmark("tersoff")
         sim = defn.build(64)
+        sim.set_backend(self.backend)
         sim.run(10)
         path = tmp_path / "tersoff.npz"
         save_snapshot(sim, path)
         twin = defn.build(64)
+        twin.set_backend(self.backend)
         restore_simulation(twin, path)
         sim.run(15)
         twin.run(15)
         assert np.array_equal(sim.system.positions, twin.system.positions)
         assert np.array_equal(sim.system.velocities, twin.system.velocities)
         assert np.array_equal(sim.system.forces, twin.system.forces)
+
+
+class TestDynamicsCompiled(TestDynamics):
+    """The same checks through the native routes of ``compiled``
+    (``numpy_fast`` with a warning where no C compiler builds)."""
+
+    backend = "compiled"
 
 
 class TestParameters:

@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.md.kernels import (
-    BACKEND_ENV_VAR,
     DEFAULT_BACKEND,
     available_backends,
     resolved_backend,
@@ -360,14 +359,13 @@ class TestModelProvider:
         busy = provider.sample().watts
         assert busy > provider.provenance()["idle_watts"]
 
-    def test_local_instance_spec_calibration_env(self, monkeypatch, tmp_path):
-        """The local calibration reads its two numbers from the env."""
-        monkeypatch.setenv("REPRO_POWER_IDLE_WATTS", "25")
-        monkeypatch.setenv("REPRO_POWER_TDP_WATTS", "80")
+    def test_local_instance_spec_calibration_env(self, tmp_path):
+        """The local calibration is fixed — 10 W idle, 12.5 W per busy
+        core — and the provenance records the numbers it used."""
         stat = write_proc_stat(tmp_path / "stat", [(0, 100)] * 4)
         record = ProcStatProvider(stat, clock=FakeClock()).provenance()
-        assert record["idle_watts"] == 25.0
-        assert record["tdp_watts"] == 80.0
+        assert record["idle_watts"] == 10.0
+        assert record["tdp_watts"] == 4 * 12.5 / 0.8
         assert record["cores"] == 4
 
 
@@ -799,30 +797,28 @@ class TestPowerCli:
         assert "TS/s/W" in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("ignore:TelemetrySampler")
-    @pytest.mark.parametrize("env, requested", [
+    @pytest.mark.parametrize("flag, requested", [
         (None, DEFAULT_BACKEND), ("auto", "auto"), ("numpy_ref", "numpy_ref"),
+        ("compiled", "compiled"),
     ])
     def test_power_record_stamps_the_backend_that_ran(
-        self, tmp_path, monkeypatch, env, requested
+        self, tmp_path, flag, requested
     ):
-        """``requested`` is what the environment asked for (the command
-        has no --backend), ``resolved`` a registry name — not a
+        """``requested`` is what ``--backend`` asked for (``numpy_fast``
+        without the flag), ``resolved`` a registry name — not a
         made-up ``auto``."""
         from repro.__main__ import main
 
-        if env is None:
-            monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(BACKEND_ENV_VAR, env)
         out = tmp_path / "trace_out"
+        chosen = [] if flag is None else ["--backend", flag]
         assert main([
             "trace", "lj", "--steps", "2", "--atoms", "128", "--warmup", "0",
-            "--power", "model", "--out", str(out),
+            "--power", "model", "--out", str(out), *chosen,
         ]) == 0
         backend = json.loads((out / "energy.json").read_text())["backend"]
         assert backend["requested"] == requested
         assert backend["resolved"] in available_backends()
-        assert backend["resolved"] == resolved_backend(env)[0]
+        assert backend["resolved"] == resolved_backend(flag)[0]
 
     def test_power_command_unavailable_provider_exits_2(
         self, tmp_path, monkeypatch, capsys

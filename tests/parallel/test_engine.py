@@ -47,16 +47,20 @@ def _gone(pid: int) -> bool:
         return True
 
 
-def _run_serial(name: str, n_atoms: int, steps: int):
+def _run_serial(name: str, n_atoms: int, steps: int, backend=None):
     sim = get_benchmark(name).build(n_atoms)
+    sim.set_backend(backend)
     sim.setup()
     for _ in range(steps):
         sim.step()
     return sim
 
 
-def _run_parallel(name: str, n_atoms: int, steps: int, workers: int, **kwargs):
+def _run_parallel(
+    name: str, n_atoms: int, steps: int, workers: int, backend=None, **kwargs
+):
     sim = get_benchmark(name).build(n_atoms)
+    sim.set_backend(backend)
     executor = ParallelForceExecutor(workers, **kwargs)
     sim.force_executor = executor
     executor.bind(sim)
@@ -115,20 +119,17 @@ class TestSerialParity:
 
     @pytest.mark.parametrize("backend", ["auto", "numpy_fast"])
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
-    def test_neighbors_per_atom_statistic_matches_serial(
-        self, name, backend, monkeypatch
-    ):
+    def test_neighbors_per_atom_statistic_matches_serial(self, name, backend):
         """Table 2's neighbors/atom after setup and five steps: one
         measurement over the last build, so serial and engine runs on
         either backend (``auto`` is ``compiled`` wherever a C compiler
         is) read the same number, exactly.  The pinned values are what
         the per-rebuild count reported before the measurement replaced
         it."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
         n_atoms, expected = NEIGHBORS_PER_ATOM[name]
-        serial = _run_serial(name, n_atoms, 5)
+        serial = _run_serial(name, n_atoms, 5, backend)
         assert serial.neighbor.neighbors_per_atom() == expected
-        parallel, _ = _run_parallel(name, n_atoms, 5, workers=2)
+        parallel, _ = _run_parallel(name, n_atoms, 5, workers=2, backend=backend)
         assert parallel.neighbor.neighbors_per_atom() == expected
 
     def test_interaction_count_and_rebuild_cadence_match_serial(self):

@@ -99,10 +99,21 @@ class TestTaxonomyTable2:
         assert registry["tersoff"].taxonomy.force_field == "Tersoff"
 
 
+#: Each workload on the numpy default (id ``name``) and through the
+#: native routes of ``compiled`` (id ``name-compiled``; ``numpy_fast``
+#: with a warning where no C compiler builds).
+BUILD_ROWS = [
+    *(pytest.param(name, "numpy_fast", id=name) for name in BENCHMARK_NAMES),
+    *(pytest.param(name, "compiled", id=f"{name}-compiled")
+      for name in BENCHMARK_NAMES),
+]
+
+
 class TestBuilders:
-    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
-    def test_build_and_run_short(self, name):
+    @pytest.mark.parametrize("name, backend", BUILD_ROWS)
+    def test_build_and_run_short(self, name, backend):
         sim = registry[name].build(200)
+        sim.set_backend(backend)
         sim.run(5)
         assert sim.counts.timesteps == 5
         assert np.all(np.isfinite(sim.system.positions))
@@ -152,14 +163,22 @@ class TestBuilders:
 
 
 class TestStability:
+    #: Kernel backend every run here computes on.
+    backend = "numpy_fast"
+
+    def _build(self, name, n_atoms):
+        sim = get_benchmark(name).build(n_atoms)
+        sim.set_backend(self.backend)
+        return sim
+
     def test_rhodo_runs_stably_with_shake(self):
-        sim = get_benchmark("rhodo").build(250)
+        sim = self._build("rhodo", 250)
         sim.run(20)
         assert sim.constraints.max_violation(sim.system) < 1e-3
         assert np.isfinite(sim.total_energy())
 
     def test_chain_melt_survives_dynamics(self):
-        sim = get_benchmark("chain").build(300)
+        sim = self._build("chain", 300)
         sim.run(50)  # FENE raises FloatingPointError on blow-up
         assert np.isfinite(sim.total_energy())
 
@@ -167,7 +186,7 @@ class TestStability:
         """Regression: the push-off's longest bond and closest contact
         are extreme values that grow with the bead count; at 4 000 two
         bonds came out beyond FENE's R0 and ``setup`` raised."""
-        sim = get_benchmark("chain").build(4000)
+        sim = self._build("chain", 4000)
         r0 = sim.bonded[0].r0
         bonds = sim.system.topology.bonds
 
@@ -183,7 +202,14 @@ class TestStability:
         assert np.isfinite(sim.total_energy())
 
     def test_chute_flows_downhill(self):
-        sim = get_benchmark("chute").build(200)
+        sim = self._build("chute", 200)
         sim.run(400)
         # Gravity is tilted along +x: the bed drifts that way.
         assert sim.system.velocities[:, 0].mean() > 0
+
+
+class TestStabilityCompiled(TestStability):
+    """The same checks through the native routes of ``compiled``
+    (``numpy_fast`` with a warning where no C compiler builds)."""
+
+    backend = "compiled"

@@ -87,9 +87,41 @@ class TestSharedOptionGroups:
         assert "--precision" in options
         assert "--workers" in options
 
-    @pytest.mark.parametrize("name", ("scale", "submit", "certify"))
+    @pytest.mark.parametrize("name", ("scale", "submit", "certify", "trace"))
     def test_backend_where_kernels_are_selectable(self, name):
         assert "--backend" in self._options_of(name)
+
+    @pytest.mark.parametrize("argv", [
+        ["scale", "lj", "--backend", "cudaa"],
+        ["submit", "lj", "--backend", "cudaa"],
+        ["certify", "run_dir", "--backend", "cudaa"],
+        ["trace", "lj", "--backend", "cudaa"],
+        ["scale", "lj", "--steps", "-3"],
+        ["scale", "lj", "--atoms", "0"],
+        ["scale", "lj", "--checkpoint-every", "-1"],
+        ["checkpoint", "lj", "--steps", "-2"],
+        ["checkpoint", "lj", "--keep-last", "0"],
+        ["checkpoint", "lj", "--every", "-1"],
+        ["checkpoint", "lj", "--max-restarts", "-1"],
+        ["checkpoint", "lj", "--barrier-timeout", "0"],
+        ["submit", "lj", "--steps", "0"],
+        ["submit", "lj", "--repeat", "0"],
+        ["submit", "lj", "--timeout", "-1"],
+        ["serve", "--cache-entries", "0"],
+        ["serve", "--max-seconds", "1", "--max-requeues", "-1"],
+        ["serve", "--max-seconds", "1", "--poll", "0"],
+        ["serve", "--max-seconds", "0"],
+    ], ids=" ".join)
+    def test_flags_are_checked_while_parsing(self, tmp_path, monkeypatch,
+                                             capsys, argv):
+        """A mistyped backend or an out-of-range count exits 2 before
+        anything runs, and the message names the flag."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_precision_choices_are_canonical(self, capsys):
         with pytest.raises(SystemExit):
