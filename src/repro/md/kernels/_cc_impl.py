@@ -466,6 +466,75 @@ int64_t lj_rows_f64(const double *pos, const int64_t *di, const int64_t *dj,
 #undef LJ_TERMS
 
 /* ------------------------------------------------------------------ */
+/* lj/charmm/coul/long terms over the survivors of pair_geom_f64:      */
+/* CharmmCoulLong.pair_terms' float64 sequence, one IEEE operation per */
+/* numpy ufunc call, each expression associated left to right as numpy */
+/* evaluates it.  r is pair_geom's sqrt of einsum's r2; the body's r2  */
+/* is r * r (Pairs.r2), and charmm_switch takes the sqrt of that r2    */
+/* again.  The python-float constants arrive in s (CH_* below) as      */
+/* python formed them — (ro2 - ri2) ** 3 is libm pow, not a product.   */
+/* With alpha > 0, erfc_ar and gauss hold scipy's erfc(alpha r) and    */
+/* numpy's exp(-(alpha r)^2) (charmm.ewald_screening), which no libm   */
+/* call here could round identically; with alpha == 0 they are not     */
+/* read.  Types and charges are gathered here, the values the body's   */
+/* fancy indexing hands out (nt == 1: the [0, 0] coefficients, types   */
+/* never read).  Writes per pair the energy, f_over_r and the virial   */
+/* f_over_r * r2 for acc_scaled_f64 and numpy's np.sum; the select     */
+/* `x + (in ? v : 0.0)` is the body's x + np.where(in, v, 0.0), which  */
+/* adds 0.0 (and so turns -0.0 into +0.0) outside the Coulomb cutoff.  */
+/* ------------------------------------------------------------------ */
+
+enum { CH_RI2, CH_RO2, CH_DENOM, CH_RI2_3, CH_COUL_RC, CH_KC, CH_ALPHA,
+       CH_ALPHA_2_SQRT_PI };
+
+void charmm_terms_f64(const int64_t *pi, const int64_t *pj, int64_t c,
+                      const double *r, const double *erfc_ar,
+                      const double *gauss, const int64_t *types, int64_t nt,
+                      const double *eps, const double *sigma, const double *q,
+                      const double *s, double *oe, double *of, double *ov) {
+    const double ri2 = s[CH_RI2], ro2 = s[CH_RO2], denom = s[CH_DENOM];
+    const double ri2_3 = s[CH_RI2_3], coul_rc = s[CH_COUL_RC], kc = s[CH_KC];
+    const double alpha_2_sqrt_pi = s[CH_ALPHA_2_SQRT_PI];
+    const int ewald = s[CH_ALPHA] > 0.0;
+    for (int64_t k = 0; k < c; k++) {
+        int64_t i = pi[k], j = pj[k];
+        int64_t t = nt > 1 ? types[i] * nt + types[j] : 0;
+        double e = eps[t], sg = sigma[t];
+        double rk = r[k], r2 = rk * rk;
+        double inv_r2 = 1.0 / r2;
+        double sr2 = (sg * sg) * inv_r2;
+        double sr6 = (sr2 * sr2) * sr2;
+        double sr12 = sr6 * sr6;
+        double e_lj = (4.0 * e) * (sr12 - sr6);
+        double f_lj = ((24.0 * e) * (2.0 * sr12 - sr6)) * inv_r2;
+        double d2 = ro2 - r2;
+        int below = r2 <= ri2, above = r2 >= ro2;
+        double sw = below ? 1.0 : above ? 0.0
+                  : ((d2 * d2) * ((ro2 + 2.0 * r2) - ri2_3)) / denom;
+        double dsw = below || above ? 0.0
+                   : (((12.0 * sqrt(r2)) * d2) * (ri2 - r2)) / denom;
+        double energy = sw * e_lj;
+        double f = sw * f_lj - (dsw * e_lj) / rk;
+        double qq = (kc * q[i]) * q[j];
+        double e_coul, f_coul;
+        if (ewald) {
+            e_coul = (qq * erfc_ar[k]) / rk;
+            f_coul = qq * (erfc_ar[k] / (r2 * rk)
+                           + (alpha_2_sqrt_pi * gauss[k]) * inv_r2);
+        } else {
+            e_coul = qq / rk;
+            f_coul = qq / (r2 * rk);
+        }
+        int in_coul = rk < coul_rc;
+        energy = energy + (in_coul ? e_coul : 0.0);
+        f = f + (in_coul ? f_coul : 0.0);
+        oe[k] = energy;
+        of[k] = f;
+        ov[k] = f * r2;
+    }
+}
+
+/* ------------------------------------------------------------------ */
 /* Fused eam/alloy pass over a half list: three sweeps around numpy's  */
 /* own exp, whose SIMD loop no libm call rounds identically.           */
 /*                                                                     */
@@ -717,6 +786,55 @@ int64_t tersoff_full_f64(const double *pos, int64_t n, const int64_t *offsets,
     }
     totals[0] = energy;
     totals[1] = virial;
+    return count;
+}
+
+/* ------------------------------------------------------------------ */
+/* Brute-force half pair list (CSR): brute_force_pairs in              */
+/* repro.md.neighbor, bitwise, for every build the link cells do not   */
+/* take (few atoms, or a box under three list cutoffs wide).  Anchors  */
+/* a in index order, partners b > a ascending — the order              */
+/* np.triu_indices walks — so offsets[a]..offsets[a+1] is atom a's     */
+/* row, and a pair is kept when einsum's r2 is below the python-formed */
+/* rc2.  Minimum image is Box.minimum_image's exact                    */
+/* d - rint(d / L) * L on periodic dims, not the cell builds'          */
+/* compare-and-shift, whose preconditions a narrow box breaks (only r2 */
+/* leaves the kernel, so the sign of a zero d is immaterial).  Each    */
+/* row's r2 is swept over planar copies of the positions, which        */
+/* vectorizes, and its survivors compacted without a data-dependent    */
+/* branch.  No precondition on the box; -1 when the scratch cannot be  */
+/* allocated, else the capacity protocol of cell_csr_f64.              */
+/* ------------------------------------------------------------------ */
+
+int64_t brute_csr_f64(const double *pos, int64_t n, const double *lengths,
+                      const uint8_t *periodic, double rc2, int64_t *oi,
+                      int64_t *oj, int64_t cap, int64_t *offsets) {
+    double *x = malloc((size_t)(n > 0 ? 4 * n : 1) * sizeof(double));
+    if (!x) return -1;
+    double *y = x + n, *z = y + n, *r2 = z + n;
+    const double Lx = lengths[0], Ly = lengths[1], Lz = lengths[2];
+    const int px = periodic[0], py = periodic[1], pz = periodic[2];
+    for (int64_t a = 0; a < n; a++) {
+        x[a] = pos[3*a]; y[a] = pos[3*a+1]; z[a] = pos[3*a+2];
+    }
+    int64_t count = 0;
+    for (int64_t a = 0; a < n; a++) {
+        offsets[a] = count;
+        const double ax = x[a], ay = y[a], az = z[a];
+        for (int64_t b = a + 1; b < n; b++) {
+            double dx = ax - x[b], dy = ay - y[b], dz = az - z[b];
+            if (px) dx -= rint(dx / Lx) * Lx;
+            if (py) dy -= rint(dy / Ly) * Ly;
+            if (pz) dz -= rint(dz / Lz) * Lz;
+            r2[b] = (dx*dx + dz*dz) + dy*dy;
+        }
+        for (int64_t b = a + 1; b < n; b++) {
+            if (count < cap) { oi[count] = a; oj[count] = b; }
+            count += r2[b] < rc2;
+        }
+    }
+    offsets[n] = count;
+    free(x);
     return count;
 }
 
@@ -1061,6 +1179,8 @@ KERNELS = {
     "eam_density": (DOUBLE, None, "i i n v v v A"),
     "eam_forces": (DOUBLE, None, "i i n v v v v v A A A"),
     "tersoff_full": (DOUBLE, ctypes.c_int64, "v n i i v u s v n V I A A"),
+    "charmm_terms": (DOUBLE, None, "i i n v v v i n v v v v A A A"),
+    "brute_csr": (DOUBLE, ctypes.c_int64, "v n v u s I I n I"),
     "cell_csr": (DOUBLE, ctypes.c_int64, "v n v v u s I I n I"),
     "cell_rows": (DOUBLE, ctypes.c_int64, "v n v v u s i n I I n"),
     "max_disp_sq": (DOUBLE, ctypes.c_double, "v v n v v u"),
@@ -1328,6 +1448,28 @@ class CcProvider:
         return self.bound["tersoff_full", F64, F64](
             pos, len(pos), offsets, pj, lengths, periodic, rc2, params,
             len(atom), scratch, atom, forces, totals,
+        )
+
+    def charmm_terms(
+        self, i, j, r, erfc_ar, gauss, types, eps, sigma, q, scalars, oe, of, ov
+    ) -> None:
+        """Per survivor of ``pair_geom``, lj/charmm/coul/long's energy
+        into ``oe``, ``f_over_r`` into ``of`` and ``f_over_r * r * r``
+        into ``ov``.  ``eps``/``sigma`` are the ``(nt, nt)`` tables
+        (``types`` read only when ``nt > 1``, then in ``[0, nt)``),
+        ``q`` the per-atom charges and ``scalars`` the style's python-
+        formed constants; ``erfc_ar``/``gauss`` are read only when the
+        style's ``alpha > 0``."""
+        self.bound["charmm_terms", F64, F64](
+            i, j, len(i), r, erfc_ar, gauss, types, len(eps), eps, sigma, q,
+            scalars, oe, of, ov,
+        )
+
+    def brute_csr(self, pos, lengths, periodic, rc2, oi, oj, offsets):
+        """Pair count of the all-pairs half list within ``sqrt(rc2)``,
+        rows and offsets as ``cell_csr``'s; never declines."""
+        return self.bound["brute_csr", F64, F64](
+            pos, len(pos), lengths, periodic, rc2, oi, oj, len(oi), offsets,
         )
 
     def cell_csr(self, pos, lengths, origin, periodic, rc, oi, oj, offsets):

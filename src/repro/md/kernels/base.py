@@ -76,13 +76,16 @@ class PairStyle:
     """
 
     #: LAMMPS-style name selecting the functional form (``"lj/cut"``,
-    #: ``"eam/alloy"``, ``"tersoff"``).
+    #: ``"lj/charmm/coul/long"``, ``"eam/alloy"``, ``"tersoff"``).
     kind: str
     cutoff: float
     #: Per-``kind`` coefficient arrays, float64 and C-contiguous; their
     #: shapes belong to the kind.  ``lj/cut`` carries three
     #: ``(n_types, n_types)`` tables ``(epsilon, sigma, energy shift)``,
-    #: a one-type table meaning "ignore atom types"; ``eam/alloy`` and
+    #: a one-type table meaning "ignore atom types";
+    #: ``lj/charmm/coul/long`` the ``(epsilon, sigma)`` tables and a
+    #: vector of the python-formed constants its kernel reads (see
+    #: ``CharmmCoulLong.fused_style``); ``eam/alloy`` and
     #: ``tersoff`` carry one vector, the fields of
     #: :class:`~repro.md.potentials.eam.EAMParameters` /
     #: :class:`~repro.md.potentials.tersoff.TersoffParameters` in
@@ -202,7 +205,8 @@ class KernelBackend(abc.ABC):
         How close the result must be depends on the style's closed form:
 
         * arithmetic only (``lj/cut``), or arithmetic around numpy's own
-          ``exp`` (``eam/alloy``): *bitwise* what the body produces on
+          ``exp`` (``eam/alloy``) and scipy's ``erfc``
+          (``lj/charmm/coul/long``): *bitwise* what the body produces on
           this backend, so that taking the hook is invisible to the
           digest chain;
         * calling libm (``tersoff``: ``exp``, ``pow``), which numpy's
@@ -260,19 +264,21 @@ class KernelBackend(abc.ABC):
         return None
 
     def neighbor_pairs(
-        self, positions: np.ndarray, box, rc: float
+        self, positions: np.ndarray, box, rc: float, *, brute: bool = False
     ) -> "SortedHalfPairs | None":
         """Optional native half-pair build for the Neigh task.
 
-        A backend that can bin-and-filter faster than the numpy
-        cell-list build returns the half pairs here, **already in
-        row-major order** — exactly ``np.lexsort((j, i))`` applied to
-        :func:`repro.md.neighbor.cell_list_half_pairs` (same pair set,
-        same orientations, same order) — together with the CSR row
-        offsets, so the caller does not sort.  Returning ``None`` (the
-        default) keeps the caller on the numpy path, which is also the
-        escape hatch for inputs a backend does not cover (e.g. float32
-        positions under the SINGLE policy).
+        The caller has chosen the algorithm; ``brute`` says which.  A
+        backend that runs it faster than numpy returns the half pairs
+        here, **already in row-major order**, together with the CSR row
+        offsets, so the caller does not sort: with ``brute``, exactly
+        :func:`repro.md.neighbor.brute_force_pairs` (same pair set, same
+        orientations, same ``np.triu_indices`` order), else exactly
+        ``np.lexsort((j, i))`` applied to
+        :func:`repro.md.neighbor.cell_list_half_pairs`.  Returning
+        ``None`` (the default) keeps the caller on the numpy path, which
+        is also the escape hatch for inputs a backend does not cover
+        (e.g. float32 positions under the SINGLE policy).
         """
         return None
 

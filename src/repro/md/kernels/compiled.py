@@ -200,6 +200,50 @@ def _check_lj(provider, stem, policy):
         raise AssertionError(f"fused {stem} deviates from the unfused path")
 
 
+def _check_charmm(provider, stem, policy):
+    """lj/charmm/coul/long terms: bitwise
+    ``CharmmCoulLong.screened_terms`` — the unfused sequence after the
+    Ewald factors — over the survivors' ``r`` and ``r * r``, then
+    ``acc_scaled`` onto pre-loaded forces, with two atom types,
+    charges, pairs on both sides of the switch and of a Coulomb cutoff
+    inside the LJ one, for ``alpha == 0`` and for stand-in Ewald
+    factors (any numbers do: the kernel only reads them, and scipy
+    stays unloaded)."""
+    from repro.md.potentials.charmm import CharmmCoulLong
+
+    box, pos, pi, pj, keep, dr, r2 = _smoke_pairs(policy.storage_dtype)
+    rng = np.random.default_rng(4321)
+    types = rng.integers(0, 2, len(pos))
+    charges = rng.normal(size=len(pos))
+    start = rng.normal(size=pos.shape)
+    i, j, r = pi[keep], pj[keep], np.sqrt(r2)
+    for alpha in (0.0, 0.9):
+        pot = CharmmCoulLong(
+            [0.2, 0.15], [1.0, 1.3], lj_inner=1.6, cutoff=_SMOKE_RC,
+            coul_cutoff=2.2, alpha=alpha, coulomb_constant=1.7,
+        )
+        screening = None
+        if alpha > 0.0:
+            ar = alpha * r
+            screening = (np.exp(-ar) / (1.0 + ar), np.exp(-ar * ar))
+        energy, f_over_r = pot.screened_terms(
+            r, r * r, types[i], types[j], charges[i], charges[j], screening
+        )
+        want = [start.copy(), energy, f_over_r, f_over_r * (r * r)]
+        provider.acc_scaled(want[0], i, j, dr, f_over_r)
+        eps, sigma, scalars = pot.fused_style().coeffs
+        got = [start.copy(), *np.empty((3, len(i)))]
+        provider.charmm_terms(
+            i, j, r, *(screening or (r, r)), types, eps, sigma, charges, scalars,
+            *got[1:],
+        )
+        provider.acc_scaled(got[0], i, j, dr, got[2])
+        if not all(a.tobytes() == b.tobytes() for a, b in zip(got, want)):
+            raise AssertionError(
+                f"charmm_terms (alpha {alpha}) deviates from the unfused path"
+            )
+
+
 def _check_eam(provider, stem, policy):
     """One eam/alloy sweep against its share of ``EAMAlloy.terms`` as
     the compiled body runs it, bitwise, fed the numpy reference's
@@ -333,6 +377,33 @@ def _built_twice(stem, ref_i, ref_j, build) -> bool:
     return np.array_equal(oi[:count], ref_i) and np.array_equal(oj[:count], ref_j)
 
 
+def _check_brute_csr(provider, stem, policy):
+    """All-pairs CSR build: bitwise ``brute_force_pairs`` — its pairs in
+    ``np.triu_indices`` order, with matching offsets — over a partly
+    periodic box too narrow to bin, with atoms strayed up to 0.7 box
+    lengths outside it (the exact minimum image, not the cell builds'
+    shift)."""
+    from repro.md.neighbor import brute_force_pairs
+
+    rng = np.random.default_rng(1234)
+    box = Box([4.5, 5.0, 5.5], periodic=(True, True, False))
+    pos = rng.uniform(-0.5, 1.2, (90, 3)) * box.lengths
+    ref_i, ref_j = brute_force_pairs(pos, box, 2.2)
+    lengths, _, periodic = _box_f64(box)
+    offsets = np.empty(len(pos) + 1, np.int64)
+
+    def build(out_i, out_j):
+        return provider.brute_csr(
+            pos, lengths, periodic, 2.2 * 2.2, out_i, out_j, offsets
+        )
+
+    if not (
+        _built_twice(stem, ref_i, ref_j, build)
+        and np.array_equal(offsets, np.searchsorted(ref_i, np.arange(len(pos) + 1)))
+    ):
+        raise AssertionError("brute_csr deviates from brute_force_pairs")
+
+
 def _check_cell_csr(provider, stem, policy):
     """CSR build: the rows must arrive exactly as lexsort((j, i)) orders
     the numpy build's pairs — the neighbor list no longer sorts them —
@@ -443,6 +514,8 @@ _SMOKE_CHECKS = {
     "eam_density": _check_eam,
     "eam_forces": _check_eam,
     "tersoff_full": _check_tersoff,
+    "charmm_terms": _check_charmm,
+    "brute_csr": _check_brute_csr,
     "cell_csr": _check_cell_csr,
     "cell_rows": _check_cell_rows,
     "max_disp_sq": _check_max_disp_sq,
@@ -479,6 +552,11 @@ _NO_TYPES = np.zeros(1, np.int64)
 #: Where ``m`` sits in a ``tersoff`` style's parameter vector (the
 #: :class:`~repro.md.potentials.tersoff.TersoffParameters` field order).
 _TERSOFF_M = 11
+
+#: Length of an ``lj/charmm/coul/long`` style's scalar vector, and where
+#: ``alpha`` sits in it (``CH_*`` in the C source).
+_CHARMM_SCALARS = 8
+_CHARMM_ALPHA = 6
 
 
 def _native(array, dtype) -> bool:
@@ -535,10 +613,12 @@ class CompiledBackend(NumpyFastBackend):
             np.empty(0),
         )
         # Output capacity hints from each native neighbor build's last run.
-        self._capacity_hint = {"cell_csr": 0, "cell_rows": 0}
-        # Fused pair pass: per-pair energy / virial terms (grow-only).
+        self._capacity_hint = {"brute_csr": 0, "cell_csr": 0, "cell_rows": 0}
+        # Fused pair pass: per-pair energy / virial / f_over_r terms
+        # (grow-only).
         self._pair_energy = np.empty(0)
         self._pair_virial = np.empty(0)
+        self._pair_f_over_r = np.empty(0)
         # Fused EAM pass: three exp arguments per pair, then their
         # exponentials (grow-only).
         self._exp_args = np.empty(0)
@@ -611,31 +691,43 @@ class CompiledBackend(NumpyFastBackend):
     # ------------------------------------------------------------------
     # Fused analytic pair styles
     # ------------------------------------------------------------------
-    def _lj_arguments(self, style, types):
-        """``(rc2, types, eps, sigma, shift)`` for the lj/cut kernels,
-        or ``None`` when they cannot index the style's tables by
-        ``types``."""
-        eps, sigma, shift = style.coeffs
-        if len(eps) == 1:
-            return style.cutoff * style.cutoff, _NO_TYPES, eps, sigma, shift
-        # The kernel indexes the tables unchecked; anything the numpy
+    @staticmethod
+    def _type_index(types, n_types):
+        """``types`` as the kernels' index into ``(n_types, n_types)``
+        tables — ``_NO_TYPES`` for one type, which the kernels read as
+        "ignore atom types" — or ``None`` when they cannot index the
+        tables by it."""
+        if n_types == 1:
+            return _NO_TYPES
+        # The kernels index the tables unchecked; anything the numpy
         # gather would wrap or reject stays on the numpy path.
         if not (
             _native(types, np.int64)
             and len(types)
             and 0 <= types.min()
-            and types.max() < len(eps)
+            and types.max() < n_types
         ):
+            return None
+        return types
+
+    def _lj_arguments(self, style, types):
+        """``(rc2, types, eps, sigma, shift)`` for the lj/cut kernels,
+        or ``None`` when they cannot index the style's tables by
+        ``types``."""
+        eps, sigma, shift = style.coeffs
+        types = self._type_index(types, len(eps))
+        if types is None:
             return None
         return style.cutoff * style.cutoff, types, eps, sigma, shift
 
     def pair_forces(self, style, rows):
         """Fused pass over a row view (float64 only): ``lj/cut`` over a
-        half list or an engine worker's rows, ``eam/alloy`` over a half
-        list, ``tersoff`` over a full list (neither over a worker's
-        rows, which run the body: EAM's scatters there are not the
-        head-only owner order, Tersoff's three-atom scatter is not
-        owner-ordered).
+        half list or an engine worker's rows, ``eam/alloy`` and
+        ``lj/charmm/coul/long`` over a half list, ``tersoff`` over a
+        full list (none of the three over a worker's rows, which run
+        the body: EAM's scatters there are not the head-only owner
+        order, Tersoff's three-atom scatter is not owner-ordered, and
+        CHARMM's owner pass is left to the body).
 
         Which route runs is settled before anything is written, from
         the configuration alone — style, row kind, precision policy,
@@ -645,6 +737,7 @@ class CompiledBackend(NumpyFastBackend):
             ("lj/cut", "half"): self._lj_half,
             ("lj/cut", "owner"): self._lj_rows,
             ("eam/alloy", "half"): self._eam_half,
+            ("lj/charmm/coul/long", "half"): self._charmm_half,
             ("tersoff", "full"): self._tersoff_full,
         }.get((style.kind, rows.kind))
         if fused is None or not self.policy.is_double:
@@ -664,13 +757,14 @@ class CompiledBackend(NumpyFastBackend):
         )
 
     def _pair_terms_scratch(self, m):
-        """``(energy, virial)`` per-pair output scratch for ``m`` stored
-        pairs (grow-only)."""
+        """``(energy, virial, f_over_r)`` per-pair output scratch for
+        ``m`` stored pairs (grow-only)."""
         if m > len(self._pair_energy):
             capacity = max(m, int(1.5 * len(self._pair_energy)), 1024)
             self._pair_energy = np.empty(capacity)
             self._pair_virial = np.empty(capacity)
-        return self._pair_energy, self._pair_virial
+            self._pair_f_over_r = np.empty(capacity)
+        return self._pair_energy, self._pair_virial, self._pair_f_over_r
 
     def _lj_half(self, style, rows):
         system, neighbors = rows.system, rows.neighbors
@@ -681,7 +775,7 @@ class CompiledBackend(NumpyFastBackend):
         m = len(pair_i)
         if m == 0:
             return 0
-        energy, virial = self._pair_terms_scratch(m)
+        energy, virial, _ = self._pair_terms_scratch(m)
         lengths, _, periodic = _box_f64(system.box)
         count = self._impl.lj_half(
             system.positions, pair_i, pair_j, lengths, periodic, *args,
@@ -715,7 +809,7 @@ class CompiledBackend(NumpyFastBackend):
         i, j, dr, r = self._geom_scratch(m)
         if 3 * m > len(self._exp_args):
             self._exp_args = np.empty(max(3 * m, int(1.5 * len(self._exp_args))))
-        energy, virial = self._pair_terms_scratch(m)
+        energy, virial, _ = self._pair_terms_scratch(m)
         lengths, _, periodic = _box_f64(system.box)
         rc = float(style.cutoff)
         count = self._impl.eam_geom(
@@ -738,6 +832,52 @@ class CompiledBackend(NumpyFastBackend):
         )
         rows.add_energy(None, energy[:count])
         rows.add_virial(None, virial[:count])
+        return count
+
+    def _charmm_half(self, style, rows):
+        """``CharmmCoulLong.terms`` over a half list, bitwise: the
+        ``pair_geom`` kernel into scratch, the body's own ``erfc`` and
+        ``exp`` (``charmm.ewald_screening``), ``charmm_terms`` for the
+        rest of ``pair_terms``, ``acc_scaled`` for the forces — what the
+        body's ``add_radial`` runs here — and the body's ``np.sum``
+        reductions."""
+        from repro.md.potentials.charmm import ewald_screening
+
+        eps, sigma, scalars = style.coeffs
+        system, neighbors = rows.system, rows.neighbors
+        charges = system.charges
+        types = self._type_index(system.types, len(eps))
+        if types is None or not (
+            self._stored_natively(rows)
+            and _native(charges, np.float64)
+            and charges.shape == (system.n_atoms,)
+            and _native(scalars, np.float64)
+            and scalars.shape == (_CHARMM_SCALARS,)
+        ):
+            return None
+        pair_i, pair_j = neighbors.pair_i, neighbors.pair_j
+        m = len(pair_i)
+        if m == 0:
+            return 0
+        count, i, j, dr, r = self._pair_geom(
+            system.positions, system.box, pair_i, pair_j, style.cutoff
+        )
+        if count == 0:
+            return 0
+        i, j, dr, r = i[:count], j[:count], dr[:count], r[:count]
+        alpha = float(scalars[_CHARMM_ALPHA])
+        # With alpha == 0 the kernel reads neither factor.
+        erfc_ar, gauss = ewald_screening(alpha, r) if alpha > 0.0 else (r, r)
+        energy, virial, f_over_r = (
+            out[:count] for out in self._pair_terms_scratch(m)
+        )
+        self._impl.charmm_terms(
+            i, j, r, erfc_ar, gauss, types, eps, sigma, charges, scalars,
+            energy, f_over_r, virial,
+        )
+        self._impl.acc_scaled(system.forces, i, j, dr, f_over_r)
+        rows.add_energy(None, energy)
+        rows.add_virial(None, virial)
         return count
 
     def _tersoff_full(self, style, rows):
@@ -966,16 +1106,22 @@ class CompiledBackend(NumpyFastBackend):
         self._capacity_hint[stem] = count + (count >> 2)
         return out_i[:count], out_j[:count]
 
-    def neighbor_pairs(self, positions, box, rc):
-        """Compiled link-cell CSR build (float64 positions only).
-
-        Returns the half pairs of :func:`repro.md.neighbor.
-        cell_list_half_pairs` already in ``np.lexsort((j, i))`` order,
-        with their row offsets, or ``None`` to let the caller run the
-        numpy path.
+    def neighbor_pairs(self, positions, box, rc, *, brute=False):
+        """Compiled half-pair build (float64 ``(n, 3)`` positions only),
+        as CSR rows with their offsets: with ``brute`` the all-pairs
+        search of :func:`repro.md.neighbor.brute_force_pairs`, bitwise
+        (``brute_csr``, which takes any box), else the pairs of
+        :func:`repro.md.neighbor.cell_list_half_pairs` in
+        ``np.lexsort((j, i))`` order (``cell_csr``, which declines a
+        grid it cannot bin).  ``None`` lets the caller run the numpy
+        path.
         """
         positions = np.asarray(positions)
-        if positions.dtype != np.float64 or positions.ndim != 2:
+        if (
+            positions.dtype != np.float64
+            or positions.ndim != 2
+            or positions.shape[1] != 3
+        ):
             return None
         positions = np.ascontiguousarray(positions)
         n = len(positions)
@@ -989,14 +1135,24 @@ class CompiledBackend(NumpyFastBackend):
         estimate = 16 * n
         if volume > 0:
             estimate += int(2.6 * float(rc) ** 3 * n * n / volume)
-        built = self._fitted(
-            "cell_csr",
-            estimate,
-            lambda out_i, out_j: self._impl.cell_csr(
-                positions, lengths, origin, periodic, float(rc),
-                out_i, out_j, offsets,
-            ),
-        )
+        if brute:
+            # brute_force_pairs compares with its own python rc * rc.
+            rc2 = float(rc) * float(rc)
+            stem, estimate = "brute_csr", min(estimate, n * (n - 1) // 2)
+
+            def build(out_i, out_j):
+                return self._impl.brute_csr(
+                    positions, lengths, periodic, rc2, out_i, out_j, offsets
+                )
+        else:
+            stem = "cell_csr"
+
+            def build(out_i, out_j):
+                return self._impl.cell_csr(
+                    positions, lengths, origin, periodic, float(rc),
+                    out_i, out_j, offsets,
+                )
+        built = self._fitted(stem, estimate, build)
         return None if built is None else SortedHalfPairs(*built, offsets)
 
     def directed_rows(self, positions, box, rc, sort_key=None, anchor_limit=None):

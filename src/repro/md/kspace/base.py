@@ -17,7 +17,6 @@ import abc
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import erf
 
 from repro.md.atoms import AtomSystem
 from repro.md.potentials.base import ForceResult
@@ -97,6 +96,10 @@ class KSpaceSolver(abc.ABC):
         """
         if self.exclusions is None:
             return ForceResult()
+        # Imported here, not with the module: an engine import that never
+        # reaches k-space does not pay for loading scipy.
+        from scipy.special import erf
+
         i = self.exclusions[:, 0]
         j = self.exclusions[:, 1]
         ct = self.policy.compute_dtype

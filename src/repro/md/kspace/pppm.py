@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import fft as _scipy_fft
 
 from repro.md.atoms import AtomSystem
 from repro.md.kspace.base import KSpaceSolver
@@ -274,8 +273,11 @@ class PPPM(KSpaceSolver):
         # complex64 transforms); float64 keeps np.fft so the DOUBLE path
         # stays bit-for-bit what it was.
         ct = self.policy.compute_dtype
-        fftn = _scipy_fft.fftn if ct == np.float32 else np.fft.fftn
-        ifftn = _scipy_fft.ifftn if ct == np.float32 else np.fft.ifftn
+        if ct == np.float32:
+            from scipy import fft  # imported on first use, as erf is
+        else:
+            fft = np.fft
+        fftn, ifftn = fft.fftn, fft.ifftn
 
         # Charge assignment and interpolation run the numpy bodies above
         # unless the kernel backend takes them (bitwise the same).

@@ -259,10 +259,11 @@ def subdomain_directed_pairs(
     compiled backend bins once, walks the full stencil over the anchors
     and sorts each row by ``sort_key`` in the kernel, returning these
     very rows with no half list, mirror or sort.  When it declines —
-    float32 positions, no native provider, tied sort keys — the body
-    below builds the half list (through the ``neighbor_pairs`` hook when
-    there is one, which contracts to reproduce the numpy pairs exactly),
-    mirrors it and lexsorts.
+    float32 positions, no native provider, tied sort keys — and at or
+    below the crossover, the body below builds the half list (through
+    the ``neighbor_pairs`` hook when there is one, asked for the same
+    algorithm — ``brute`` or not — and contracted to reproduce its numpy
+    pairs exactly), mirrors it and lexsorts.
     """
     positions = np.asarray(positions)
     if positions.dtype != np.float32:
@@ -276,20 +277,22 @@ def subdomain_directed_pairs(
     lo = positions.min(axis=0) - rc
     hi = positions.max(axis=0) + rc
     box = Box(np.maximum(hi - lo, rc), periodic=np.zeros(3, dtype=bool), origin=lo)
-    if n <= BRUTE_FORCE_MAX_ATOMS:
+    brute = n <= BRUTE_FORCE_MAX_ATOMS
+    if not brute and kernels is not None:
+        rows = kernels.directed_rows(positions, box, rc, sort_key, anchor_limit)
+        if rows is not None:
+            return rows
+    half = (
+        None
+        if kernels is None
+        else kernels.neighbor_pairs(positions, box, rc, brute=brute)
+    )
+    if half is not None:
+        i, j = half.i, half.j
+    elif brute:
         i, j = brute_force_pairs(positions, box, rc)
     else:
-        if kernels is not None:
-            rows = kernels.directed_rows(positions, box, rc, sort_key, anchor_limit)
-            if rows is not None:
-                return rows
-        half = (
-            None if kernels is None else kernels.neighbor_pairs(positions, box, rc)
-        )
-        i, j = (
-            (half.i, half.j) if half is not None
-            else cell_list_half_pairs(positions, box, rc)
-        )
+        i, j = cell_list_half_pairs(positions, box, rc)
     if anchor_limit is None:
         di = np.concatenate([i, j])
         dj = np.concatenate([j, i])
@@ -365,12 +368,12 @@ class NeighborList:
         #: of the serial rows read from this list (no-op by default; the
         #: owning Simulation assigns its tracer).
         self.tracer = NULL_TRACER
-        #: Optional kernel backend consulted for the cell-list build
+        #: Optional kernel backend consulted for the half-pair build
         #: and the per-step skin check (the owning Simulation assigns
         #: its backend; the ``compiled`` backend replaces the numpy
-        #: bin/filter/sort with one native pass that delivers the same
-        #: rows exactly).  ``None`` — and any backend whose hooks
-        #: return ``None`` — keeps the numpy path.
+        #: all-pairs search or bin/filter/sort with one native pass that
+        #: delivers the same rows exactly).  ``None`` — and any backend
+        #: whose hooks return ``None`` — keeps the numpy path.
         self.kernels = None
         self._positions_at_build: np.ndarray | None = None
         self._box_at_build: Box | None = None
@@ -434,25 +437,30 @@ class NeighborList:
         row-major (i, then j) pairs — np.triu_indices walks i < j in
         that order, and a native build contracts to it and hands its
         offsets over — and ``None`` when the pairs need a sort.
+
+        The span names the algorithm (``neigh.brute_pairs`` or
+        ``neigh.cell_pairs``), whichever producer — the backend's
+        ``neighbor_pairs`` hook or numpy — runs it.
         """
         n = len(positions)
         offsets = None
         row_major = True
-        if n <= BRUTE_FORCE_MAX_ATOMS or not self._can_bin(box, rc):
-            with self.tracer.span("neigh.brute_pairs", "neigh"):
+        brute = n <= BRUTE_FORCE_MAX_ATOMS or not self._can_bin(box, rc)
+        with self.tracer.span(
+            "neigh.brute_pairs" if brute else "neigh.cell_pairs", "neigh"
+        ):
+            rows = (
+                self.kernels.neighbor_pairs(positions, box, rc, brute=brute)
+                if self.kernels is not None
+                else None
+            )
+            if rows is not None:
+                i, j, offsets = rows
+            elif brute:
                 i, j = brute_force_pairs(positions, box, rc)
-        else:
-            with self.tracer.span("neigh.cell_pairs", "neigh"):
-                rows = (
-                    self.kernels.neighbor_pairs(positions, box, rc)
-                    if self.kernels is not None
-                    else None
-                )
-                if rows is not None:
-                    i, j, offsets = rows
-                else:
-                    i, j = cell_list_half_pairs(positions, box, rc)
-                    row_major = False
+            else:
+                i, j = cell_list_half_pairs(positions, box, rc)
+                row_major = False
         excluded = self.excluded_keys(n)
         if excluded is not None:
             keep = ~_isin_sorted(_encode_pairs(i, j, n), excluded)

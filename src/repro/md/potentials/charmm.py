@@ -10,17 +10,37 @@ The complementary long-range piece lives in :mod:`repro.md.kspace`.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.special import erfc
+import math
 
+import numpy as np
+
+from repro.md.kernels.base import PairStyle
 from repro.md.potentials.base import AnalyticPairPotential
 from repro.md.potentials.mixing import build_mixed_tables
 
-__all__ = ["CharmmCoulLong", "charmm_switch"]
+__all__ = ["CharmmCoulLong", "charmm_switch", "ewald_screening", "switch_constants"]
 
 # A python float (not a np.float64 scalar) so NEP-50 promotion keeps
 # float32 pair math in float32.
 _TWO_OVER_SQRT_PI = float(2.0 / np.sqrt(np.pi))
+
+
+def switch_constants(r_inner: float, r_outer: float) -> tuple[float, float, float]:
+    """``(ri^2, ro^2, (ro^2 - ri^2)^3)`` of :func:`charmm_switch`, as the
+    python floats it forms them (the fused kernel is handed these)."""
+    ri2 = r_inner * r_inner
+    ro2 = r_outer * r_outer
+    return ri2, ro2, (ro2 - ri2) ** 3
+
+
+def ewald_screening(alpha: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(erfc(alpha r), exp(-(alpha r)^2))``: the real-space Ewald
+    factors of the Coulomb term, by scipy's ``erfc`` and numpy's ``exp``
+    — the two calls the pair body and the fused route both make here."""
+    from scipy.special import erfc
+
+    ar = alpha * r
+    return erfc(ar), np.exp(-ar * ar)
 
 
 def charmm_switch(
@@ -33,9 +53,7 @@ def charmm_switch(
         S = (ro^2 - r^2)^2 (ro^2 + 2 r^2 - 3 ri^2) / (ro^2 - ri^2)^3
         dS/dr = 12 r (ro^2 - r^2)(ri^2 - r^2) / (ro^2 - ri^2)^3
     """
-    ri2 = r_inner * r_inner
-    ro2 = r_outer * r_outer
-    denom = (ro2 - ri2) ** 3
+    ri2, ro2, denom = switch_constants(r_inner, r_outer)
     r2 = np.asarray(r2)
     if r2.dtype not in (np.float32, np.float64):
         r2 = r2.astype(np.float64)
@@ -66,10 +84,15 @@ class CharmmCoulLong(AnalyticPairPotential):
     coul_cutoff:
         Real-space Coulomb cutoff; defaults to the LJ outer cutoff.
     alpha:
-        Ewald splitting parameter.  ``0`` degenerates to a plain cut
-        Coulomb (no k-space complement), useful for isolated tests.
+        Ewald splitting parameter, ``>= 0``.  ``0`` degenerates to a
+        plain cut Coulomb (no k-space complement), useful for isolated
+        tests.
     coulomb_constant:
         ``q q / r`` prefactor; 1 in reduced units.
+
+    A negative or non-finite ``lj_inner`` or ``alpha``, or a
+    non-positive or non-finite ``coul_cutoff``, is a ``ValueError``
+    naming the parameter: each would silently change the physics.
     """
 
     needs_charges = True
@@ -86,6 +109,16 @@ class CharmmCoulLong(AnalyticPairPotential):
         coulomb_constant: float = 1.0,
         mix_style: str = "arithmetic",
     ) -> None:
+        coul_cutoff = cutoff if coul_cutoff is None else coul_cutoff
+        for name, value, rule in (
+            ("lj_inner", lj_inner, ">= 0"),
+            ("coul_cutoff", coul_cutoff, "> 0"),
+            ("alpha", alpha, ">= 0"),
+        ):
+            value = float(value)
+            in_range = value > 0.0 if rule == "> 0" else value >= 0.0
+            if not (in_range and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
         if lj_inner >= cutoff:
             raise ValueError("lj_inner must be smaller than the outer cutoff")
         eps = np.atleast_1d(np.asarray(epsilon, dtype=float))
@@ -93,7 +126,7 @@ class CharmmCoulLong(AnalyticPairPotential):
         self.eps_table, self.sigma_table = build_mixed_tables(eps, sig, mix_style)
         self.lj_inner = float(lj_inner)
         self.cutoff = float(cutoff)
-        self.coul_cutoff = float(coul_cutoff) if coul_cutoff is not None else float(cutoff)
+        self.coul_cutoff = float(coul_cutoff)
         if self.coul_cutoff > self.cutoff:
             raise ValueError(
                 "coul_cutoff beyond the LJ cutoff would need a larger neighbor list"
@@ -102,7 +135,34 @@ class CharmmCoulLong(AnalyticPairPotential):
         self.coulomb_constant = float(coulomb_constant)
         self.needs_types = self.eps_table.size > 1
 
+    def fused_style(self) -> PairStyle:
+        # Built per call from the live attributes, like lj/cut's.  The
+        # scalars are the python floats pair_terms forms, in the order
+        # the kernel reads them (CH_* in the C source).
+        ri2, ro2, denom = switch_constants(self.lj_inner, self.cutoff)
+        scalars = [
+            ri2, ro2, denom, 3.0 * ri2, self.coul_cutoff, self.coulomb_constant,
+            self.alpha, _TWO_OVER_SQRT_PI * self.alpha,
+        ]
+        return PairStyle(
+            "lj/charmm/coul/long",
+            self.cutoff,
+            (
+                np.ascontiguousarray(self.eps_table, dtype=np.float64),
+                np.ascontiguousarray(self.sigma_table, dtype=np.float64),
+                np.array(scalars, dtype=np.float64),
+            ),
+        )
+
     def pair_terms(self, r, r2, type_i, type_j, q_i, q_j):
+        screening = ewald_screening(self.alpha, r) if self.alpha > 0.0 else None
+        return self.screened_terms(r, r2, type_i, type_j, q_i, q_j, screening)
+
+    def screened_terms(self, r, r2, type_i, type_j, q_i, q_j, screening):
+        """:meth:`pair_terms` given its Ewald factors: ``screening`` is
+        :func:`ewald_screening` of ``(alpha, r)``, or ``None`` for the
+        plain cut Coulomb of ``alpha == 0``.  Arithmetic only — the part
+        the compiled backend's ``charmm_terms`` kernel replays bitwise."""
         if self.needs_types:
             # Cast the tiny mixing tables so the gathers (and the whole
             # formula) stay in the compute dtype.
@@ -125,13 +185,11 @@ class CharmmCoulLong(AnalyticPairPotential):
 
         qq = self.coulomb_constant * q_i * q_j
         in_coul = r < self.coul_cutoff
-        if self.alpha > 0.0:
-            ar = self.alpha * r
-            erfc_ar = erfc(ar)
+        if screening is not None:
+            erfc_ar, gauss = screening
             e_coul = qq * erfc_ar / r
             f_coul_over_r = qq * (
-                erfc_ar / (r2 * r)
-                + _TWO_OVER_SQRT_PI * self.alpha * np.exp(-ar * ar) * inv_r2
+                erfc_ar / (r2 * r) + _TWO_OVER_SQRT_PI * self.alpha * gauss * inv_r2
             )
         else:
             e_coul = qq / r

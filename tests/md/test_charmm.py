@@ -114,6 +114,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             CharmmCoulLong(lj_inner=8.0, cutoff=10.0, coul_cutoff=12.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # A negative alpha used to run plain cut Coulomb silently.
+            ("alpha", -0.3),
+            ("alpha", float("nan")),
+            ("alpha", float("inf")),
+            # A negative Coulomb cutoff used to turn the term off.
+            ("coul_cutoff", -1.0),
+            ("coul_cutoff", 0.0),
+            ("coul_cutoff", float("nan")),
+            ("coul_cutoff", float("-inf")),
+            ("lj_inner", -1.0),
+            ("lj_inner", float("nan")),
+            ("lj_inner", float("-inf")),
+        ],
+    )
+    def test_bad_parameter_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            CharmmCoulLong(**{"lj_inner": 8.0, "cutoff": 10.0, field: value})
+
 
 class TestForces:
     @given(seed=st.integers(0, 10_000))

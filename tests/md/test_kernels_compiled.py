@@ -48,6 +48,7 @@ from repro.md.neighbor import (
     subdomain_directed_pairs,
 )
 from repro.md.potentials.base import StoredRows
+from repro.md.potentials.charmm import CharmmCoulLong
 from repro.md.potentials.eam import EAMAlloy, EAMParameters
 from repro.md.potentials.lj import LennardJonesCut
 from repro.md.potentials.tersoff import Tersoff, TersoffParameters
@@ -559,7 +560,7 @@ class TestInstanceTable:
 
     @pytest.mark.skipif(shutil.which("nm") is None, reason="needs binutils nm")
     def test_library_exports_exactly_the_table(self):
-        """Same program out: the table's 29 entry points, no more (a
+        """Same program out: the table's 31 entry points, no more (a
         template helper leaking as a global) and no fewer (a row the
         generator skipped)."""
         provider, _ = resolve_provider()
@@ -576,7 +577,7 @@ class TestInstanceTable:
         assert sorted(exported) == [
             "acc_pair_f32", "acc_pair_f32f64", "acc_pair_f64",
             "acc_scaled_f32", "acc_scaled_f32f64", "acc_scaled_f64",
-            "cell_csr_f64", "cell_rows_f64",
+            "brute_csr_f64", "cell_csr_f64", "cell_rows_f64", "charmm_terms_f64",
             "eam_density_f64", "eam_forces_f64", "eam_geom_f64",
             "lj_half_f64", "lj_rows_f64",
             "max_disp_sq_f64", "pair_geom_f32", "pair_geom_f64",
@@ -925,7 +926,7 @@ def _eam_configurations(draw):
     return system, EAMAlloy(params), skin, brute_force, moved, preload
 
 
-def _eam_routes(potential, system, nlist, preload):
+def _body_and_fused(potential, system, nlist, preload):
     """``((result, forces) of the body, (result, forces) fused)`` on
     the compiled backend, each from ``preload``."""
     out = []
@@ -954,7 +955,7 @@ class TestFusedEAM:
         with brute_force_up_to(10**6 if brute_force else 0):
             nlist.build(system)
         system.positions[...] = moved
-        _assert_same_pass(*_eam_routes(potential, system, nlist, preload))
+        _assert_same_pass(*_body_and_fused(potential, system, nlist, preload))
 
     def test_solid_pass_is_bitwise_and_calls_each_sweep_once(self, monkeypatch):
         system = eam_solid_system(500, seed=3)
@@ -978,7 +979,7 @@ class TestFusedEAM:
         system.forces[...] = 0.0
         fused = potential.compute(system, nlist), system.forces.copy()
         assert calls == ["eam_geom", "eam_density", "eam_forces"]
-        body = _eam_routes(potential, system, nlist, 0.0)[0]
+        body = _body_and_fused(potential, system, nlist, 0.0)[0]
         _assert_same_pass(body, fused)
         assert fused[0].interactions > 10 * system.n_atoms
 
@@ -993,7 +994,7 @@ class TestFusedEAM:
         nlist.build(system)
         assert len(nlist.pair_i) == (1 if stored == "some" else 0)
         preload = np.arange(6.0).reshape(2, 3) - 2.0
-        body, fused = _eam_routes(EAMAlloy(), system, nlist, preload)
+        body, fused = _body_and_fused(EAMAlloy(), system, nlist, preload)
         _assert_same_pass(body, fused)
         result, forces = fused
         assert (result.energy, result.virial, result.interactions) == (0.0, 0.0, 0)
@@ -1089,6 +1090,206 @@ class TestFusedEAM:
         ):
             with pytest.raises(AssertionError, match=f"{stem} deviates"):
                 _smoke_test(OffByAnUlp(stem, nudge))
+
+
+# ---------------------------------------------------------------------------
+# Fused lj/charmm/coul/long pass vs the numpy body, bit for bit (scipy keeps
+# erfc, numpy keeps exp)
+# ---------------------------------------------------------------------------
+@st.composite
+def _charmm_configurations(draw):
+    """CHARMM systems that reach every branch of the terms kernel: one
+    to three atom types, pairs below, inside and beyond the switch and
+    on both sides of a Coulomb cutoff at or inside the LJ one, plain cut
+    Coulomb and Ewald screening, non-cubic boxes under any periodicity
+    mask, cell-list and brute-force lists, atoms moved and unwrapped
+    after the build, and pre-loaded force arrays."""
+    cutoff = draw(st.floats(2.0, 3.0))
+    lj_inner = draw(st.floats(0.0, 0.95)) * cutoff
+    coul_cutoff = draw(st.sampled_from([1.0, 0.8])) * cutoff
+    n_types = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    potential = CharmmCoulLong(
+        rng.uniform(0.05, 0.3, n_types),
+        rng.uniform(0.8, 1.3, n_types),
+        lj_inner=lj_inner,
+        cutoff=cutoff,
+        coul_cutoff=coul_cutoff,
+        alpha=draw(st.sampled_from([0.0, 0.4, 1.1])),
+        coulomb_constant=draw(st.sampled_from([1.0, 332.06371])),
+    )
+    skin = 0.4
+    periodic = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    lengths = np.array(
+        [draw(st.floats(2.05, 3.5)) * (cutoff + skin) for _ in range(3)]
+    )
+    origin = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(3)])
+    box = Box(lengths, periodic=periodic, origin=origin)
+    n = draw(st.integers(2, 160))
+    positions = origin + rng.uniform(0.0, 1.0, (n, 3)) * lengths
+    hops = rng.integers(-2, 3, (n, 3)) * (rng.random((n, 3)) < 0.1)
+    moved = (
+        positions
+        + rng.normal(scale=0.1, size=(n, 3))
+        + hops * lengths * np.asarray(periodic)
+    )
+    preload = rng.normal(size=(n, 3)) * draw(st.sampled_from([0.0, 1.0]))
+    system = AtomSystem(
+        positions, box, types=rng.integers(0, n_types, n), charges=rng.normal(size=n)
+    )
+    brute_force = draw(st.booleans())
+    return system, potential, skin, brute_force, moved, preload
+
+
+def _rhodo_pass(n_atoms=400):
+    """``(system, neighbors, potential)`` of a built rhodo proxy: several
+    atom types, real charges, exclusions, PPPM's alpha."""
+    from repro.suite import get_benchmark
+
+    sim = get_benchmark("rhodo").build(n_atoms)
+    sim.set_backend(_UnfusedCompiled())
+    sim.setup()
+    (potential,) = sim.potentials
+    return sim.system, sim.neighbor, potential
+
+
+@needs_compiled
+class TestFusedCharmm:
+    @given(config=_charmm_configurations())
+    @settings(max_examples=120, deadline=None)
+    def test_half_list_pass_is_bitwise_the_numpy_body(self, config):
+        system, potential, skin, brute_force, moved, preload = config
+        assert potential.fused_style().kind == "lj/charmm/coul/long"
+        nlist = NeighborList(potential.cutoff, skin)
+        with brute_force_up_to(10**6 if brute_force else 0):
+            nlist.build(system)
+        system.positions[...] = moved
+        _assert_same_pass(*_body_and_fused(potential, system, nlist, preload))
+
+    def test_rhodo_pass_is_bitwise_and_calls_each_kernel_once(self, monkeypatch):
+        system, nlist, potential = _rhodo_pass()
+        assert potential.needs_types and potential.alpha > 0.0
+        calls = []
+        backend = _MustFuse()
+        for stem in ("pair_geom", "charmm_terms", "acc_scaled", "scatter1"):
+            native = getattr(backend._impl, stem)
+
+            def counted(*args, native=native, stem=stem):
+                calls.append(stem)
+                return native(*args)
+
+            monkeypatch.setattr(backend._impl, stem, counted)
+        potential.backend = backend
+        system.forces[...] = 0.0
+        fused = potential.compute(system, nlist), system.forces.copy()
+        assert calls == ["pair_geom", "charmm_terms", "acc_scaled"]
+        body = _body_and_fused(potential, system, nlist, 0.0)[0]
+        _assert_same_pass(body, fused)
+        assert fused[0].interactions > 10 * system.n_atoms
+
+    @pytest.mark.parametrize("stored", ["some", "none"])
+    def test_no_pair_inside_the_cutoff_is_an_exact_zero(self, stored):
+        box = Box([30.0] * 3, periodic=(False,) * 3)
+        gap = 2.6 if stored == "some" else 8.0
+        system = AtomSystem(
+            [[5.0, 5.0, 5.0], [5.0 + gap, 5.0, 5.0]], box, charges=[1.0, -1.0]
+        )
+        nlist = NeighborList(2.5, 0.5)
+        nlist.build(system)
+        assert len(nlist.pair_i) == (1 if stored == "some" else 0)
+        preload = np.arange(6.0).reshape(2, 3) - 2.0
+        potential = CharmmCoulLong(lj_inner=2.0, cutoff=2.5, alpha=0.5)
+        assert potential.fused_style().kind == "lj/charmm/coul/long"
+        body, fused = _body_and_fused(potential, system, nlist, preload)
+        _assert_same_pass(body, fused)
+        result, forces = fused
+        assert (result.energy, result.virial, result.interactions) == (0.0, 0.0, 0)
+        assert _same_bits(forces, preload)
+
+    @pytest.mark.parametrize("mode", ["single", "mixed"])
+    def test_reduced_precision_declines(self, mode):
+        system, nlist, potential = _rhodo_pass()
+        system.forces[...] = 0.0
+        backend = CompiledBackend()
+        backend.set_policy(policy_for(mode))
+        assert _hook(backend, potential.fused_style(), system, nlist) is None
+        assert np.all(system.forces == 0.0)
+
+    def test_declines_what_the_kernel_cannot_read(self):
+        """Types the tables cannot be indexed by, and charges the kernel
+        cannot read as they are, run the body (which then fails or not
+        exactly as it always did)."""
+        system, nlist, potential = _rhodo_pass()
+        style = potential.fused_style()
+        backend = CompiledBackend()
+        system.forces[...] = 0.0
+        good_types, good_charges = system.types, system.charges
+        for name, value in (
+            ("types", good_types + len(potential.eps_table)),
+            ("types", good_types.astype(np.int32)),
+            ("charges", good_charges.astype(np.float32)),
+            ("charges", np.stack([good_charges] * 2, axis=1)[:, 0]),
+        ):
+            setattr(system, name, value)
+            assert _hook(backend, style, system, nlist) is None, name
+            setattr(system, name, good_types if name == "types" else good_charges)
+        assert np.all(system.forces == 0.0)
+        assert _hook(backend, style, system, nlist) is not None
+
+    def test_full_lists_and_engine_rows_decline(self):
+        system, _, potential = _rhodo_pass()
+        full = NeighborList(potential.cutoff, 0.3, full=True)
+        full.build(system)
+        backend = CompiledBackend()
+        system.forces[...] = 0.0
+        assert _hook(backend, potential.fused_style(), system, full) is None
+        lists = _one_domain(system, potential.cutoff + 0.3, None, 0, (2, 1, 1))
+        rows = OwnerRows(
+            lists, system.positions, system.box.lengths, system.box.periodic,
+            backend,
+            {
+                "types": system.types[lists.index.gids],
+                "charges": system.charges[lists.index.gids],
+            },
+            system.n_atoms,
+        )
+        assert backend.pair_forces(potential.fused_style(), rows) is None
+        assert np.all(rows.forces == 0.0) and np.all(system.forces == 0.0)
+
+    def test_smoke_test_demotes_a_provider_whose_kernels_drift(self):
+        """An ulp off in one per-pair output of ``charmm_terms``, or one
+        pair dropped by ``brute_csr``, and the provider is refused."""
+        provider, _ = resolve_provider()
+
+        class Drifting:
+            def __init__(self, stem, nudge):
+                self.stem, self.nudge = stem, nudge
+
+            def __getattr__(self, name):
+                native = getattr(provider, name)
+                if name != self.stem:
+                    return native
+
+                def drifting(*args):
+                    return self.nudge(native(*args), args)
+
+                return drifting
+
+        def bump(array):
+            array.flat[-1] = np.nextafter(array.flat[-1], np.inf)
+
+        def drop_last(count, args):
+            *_, out_i, out_j, offsets = args
+            offsets[-1] -= 1
+            return count - 1
+
+        for stem, nudge, message in (
+            ("charmm_terms", lambda out, args: bump(args[-2]), "charmm_terms"),
+            ("charmm_terms", lambda out, args: bump(args[-1]), "charmm_terms"),
+            ("brute_csr", drop_last, "brute_csr"),
+        ):
+            with pytest.raises(AssertionError, match=f"{message} "):
+                _smoke_test(Drifting(stem, nudge))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.md import neighbor
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
+from repro.md.kernels import CompiledBackend, NumpyFastBackend
 from repro.md.kernels.compiled import compiled_available
 from repro.md.lattice import build_exclusions
 from repro.md.neighbor import (
@@ -450,3 +451,96 @@ class TestRandomizedCellListCrossCheck:
         bi, bj = brute_force_pairs(box.wrap(system.positions), box, 1.1)
         assert _pair_set(nlist.pair_i, nlist.pair_j) == _pair_set(bi, bj)
         assert len(nlist.pair_i) == 2 * len(bi)
+
+
+class _AnsweringCompiled(CompiledBackend):
+    """The compiled backend, noting what its half-pair hook was asked
+    (``brute`` or not) and whether it answered."""
+
+    def __init__(self):
+        super().__init__()
+        self.answered = []
+
+    def neighbor_pairs(self, positions, box, rc, *, brute=False):
+        rows = super().neighbor_pairs(positions, box, rc, brute=brute)
+        self.answered.append((brute, rows is not None))
+        return rows
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.skipif(not compiled_available(), reason="no compiled provider")
+class TestNativeBuildsAreTheNumpyBuilds:
+    """With the compiled backend attached, a build stores bitwise the
+    list the numpy backend stores, whichever algorithm the build picks:
+    all pairs (few atoms, or a box under three list cutoffs wide on a
+    periodic dim — the rhodo case) or link cells, each answered by its
+    native kernel.  Boxes 2 to 3.5 list cutoffs wide, non-cubic, under
+    every periodicity mask, with atoms either side of the 800-atom
+    crossover and strayed outside the box, exclusions on and off."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 900),
+        widths=st.tuples(*[st.floats(2.0, 3.5)] * 3),
+        periodic=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        exclusions=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stored_list_is_bitwise_the_numpy_one(
+        self, seed, n, widths, periodic, exclusions
+    ):
+        rng = np.random.default_rng(seed)
+        cutoff, skin = 0.8, 0.2
+        lengths = np.array(widths) * (cutoff + skin)
+        box = Box(lengths, periodic=periodic, origin=rng.uniform(-2.0, 2.0, 3))
+        positions = box.origin + rng.uniform(-0.25, 1.25, (n, 3)) * lengths
+        excluded = None
+        if exclusions and n >= 2:
+            excluded = rng.integers(0, n, (3 * n, 2))
+            excluded = excluded[excluded[:, 0] != excluded[:, 1]]
+        lists = []
+        for kernels in (_AnsweringCompiled(), NumpyFastBackend()):
+            nlist = NeighborList(cutoff, skin, exclusions=excluded)
+            nlist.kernels = kernels
+            nlist.build(AtomSystem(positions, box))
+            lists.append(nlist)
+        native, numpy_built = lists
+        brute = n <= neighbor.BRUTE_FORCE_MAX_ATOMS or not NeighborList._can_bin(
+            box, cutoff + skin
+        )
+        assert native.kernels.answered == [(brute, True)]
+        for name in ("pair_i", "pair_j", "csr_offsets", "csr_neighbors"):
+            assert _same_bits(getattr(native, name), getattr(numpy_built, name)), name
+        assert native.stats.last_pairs == numpy_built.stats.last_pairs
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(0, 800),
+        spread=st.floats(1.0, 6.0),
+        keyed=st.booleans(),
+        anchored=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_engine_brute_branch_is_bitwise_the_numpy_one(
+        self, seed, n, spread, keyed, anchored
+    ):
+        """``subdomain_directed_pairs`` at or below the crossover asks
+        the same hook for the all-pairs half list, then mirrors and
+        sorts it as before: the rows equal the numpy-built ones."""
+        rng = np.random.default_rng(seed)
+        positions = rng.uniform(0.0, spread, (n, 3))
+        sort_key = rng.permutation(n) if keyed else None
+        anchor_limit = int(rng.integers(0, n + 1)) if anchored else None
+        kernels = _AnsweringCompiled()
+        got = subdomain_directed_pairs(
+            positions, 1.0, sort_key=sort_key, anchor_limit=anchor_limit,
+            kernels=kernels,
+        )
+        expected = subdomain_directed_pairs(
+            positions, 1.0, sort_key=sort_key, anchor_limit=anchor_limit
+        )
+        assert kernels.answered == ([(True, True)] if n >= 2 else [])
+        assert _same_bits(got.i, expected.i) and _same_bits(got.j, expected.j)

@@ -271,6 +271,89 @@ class TestFusedEAMIsInvisible:
         assert len(set(heads.values())) == 1, heads
 
 
+class TestFusedCharmmIsInvisible:
+    """The compiled backend's fused lj/charmm/coul/long pass keeps
+    scipy's ``erfc`` and numpy's ``exp`` and replays the rest of the
+    body bit for bit, so like EAM's it must not move a digest: the
+    serial rhodo head with the hook *required* to engage equals the head
+    with the hook declining (the body).  The engine's 1/2/4-worker heads
+    do not move either — owner rows decline and run the body — and stay
+    equal across worker counts.  (Workers are forked, so they inherit
+    the patches.)"""
+
+    @staticmethod
+    def _declining(monkeypatch):
+        monkeypatch.setattr(
+            CompiledBackend, "pair_forces", KernelBackend.pair_forces
+        )
+
+    def test_serial_head_unchanged_by_the_fused_kernel(self, monkeypatch):
+        _skip_unavailable("compiled")
+        native = CompiledBackend.pair_forces
+        engaged = []
+
+        def must_engage(self, *args):
+            fused = native(self, *args)
+            assert fused is not None, "the fused CHARMM kernel declined"
+            engaged.append(fused)
+            return fused
+
+        monkeypatch.setattr(CompiledBackend, "pair_forces", must_engage)
+        fused, _ = _chain_for("rhodo", "compiled")
+        assert len(engaged) == STEPS + 1 and min(engaged) > 0
+        self._declining(monkeypatch)
+        body, _ = _chain_for("rhodo", "compiled")
+        assert fused.head == body.head
+
+    def test_engine_heads_unchanged(self, monkeypatch):
+        _skip_unavailable("compiled")
+        # The style is offered, so the owner rows do reach the hook.
+        (potential,) = get_benchmark("rhodo").build(SIZES["rhodo"]).potentials
+        assert potential.fused_style().kind == "lj/charmm/coul/long"
+        heads = {
+            workers: _chain_for("rhodo", "compiled", workers)[0].head
+            for workers in (1, 2, 4)
+        }
+        self._declining(monkeypatch)
+        body = {
+            workers: _chain_for("rhodo", "compiled", workers)[0].head
+            for workers in (1, 2, 4)
+        }
+        assert heads == body
+        assert len(set(heads.values())) == 1, heads
+
+
+class TestNativeBruteBuildIsInvisible:
+    """The compiled backend's all-pairs build (``neighbor_pairs`` with
+    ``brute``) stores bitwise the list ``brute_force_pairs`` gives, so
+    it must not move a digest: for every workload small enough to take
+    that branch, the serial head with the hook answering every build
+    equals the head with its brute branch declining (the numpy build).
+    The engine's use of the branch is pinned row for row in
+    ``tests/md/test_neighbor.py``."""
+
+    @pytest.mark.parametrize("bench", ("lj", "rhodo", "chain", "chute"))
+    def test_head_unchanged_by_the_native_brute_build(self, bench, monkeypatch):
+        _skip_unavailable("compiled")
+        native = CompiledBackend.neighbor_pairs
+        answered = []
+
+        def counted(self, positions, box, rc, *, brute=False):
+            rows = native(self, positions, box, rc, brute=brute)
+            answered.append(brute and rows is not None)
+            return rows
+
+        def brute_declines(self, positions, box, rc, *, brute=False):
+            return None if brute else native(self, positions, box, rc, brute=brute)
+
+        monkeypatch.setattr(CompiledBackend, "neighbor_pairs", counted)
+        built, _ = _chain_for(bench, "compiled")
+        assert answered and all(answered), answered
+        monkeypatch.setattr(CompiledBackend, "neighbor_pairs", brute_declines)
+        declined, _ = _chain_for(bench, "compiled")
+        assert built.head == declined.head
+
+
 class TestBoxAwareSkinIsInvisible:
     """Charging the barostat's box change against the skin, instead of
     rebuilding on every NPT step, must not move a digest: the stored

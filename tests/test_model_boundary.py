@@ -110,9 +110,13 @@ def test_the_rule_itself():
 
 @pytest.mark.parametrize("module", ["repro.service", "repro.md", "repro.reliability"])
 def test_a_fresh_engine_import_loads_no_model_module(module):
+    """Nor scipy: the engine's scipy calls (k-space ``erf``, CHARMM's
+    ``erfc``, float32 FFTs) import it on first use, so a service worker
+    that never runs rhodo never pays for loading it."""
     probe = (
         f"import sys, {module}\n"
-        f"print('\\n'.join(sorted(m for m in sys.modules if m.startswith({MODEL_SIDE!r}))))"
+        f"print('\\n'.join(sorted(m for m in sys.modules "
+        f"if m.startswith({(*MODEL_SIDE, 'scipy')!r}))))"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
