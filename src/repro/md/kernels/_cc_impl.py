@@ -18,9 +18,10 @@ oracle tests):
 
 * Minimum image uses the exact ``dr -= rint(dr / L) * L`` sequence of
   ``Box.minimum_image`` (round-half-even ``rint``), per periodic dim.
-  The neighbor builds alone use a cheaper compare-and-shift, under
-  checked preconditions that make it select the same pairs with the
-  same ``r2`` (argument at ``cell_bins`` below).
+  The link-cell builds alone use cheaper shifts — a compare-and-shift,
+  or in ``cell_csr`` one fixed per pair of cells — under checked
+  preconditions that make them select the same pairs (arguments at
+  ``cell_bins`` and ``cell_csr`` below).
 * Squared distances replicate ``np.einsum("ij,ij->i")``'s pairwise
   summation order — ``(xx + zz) + yy`` for float64 and
   ``(xx + yy) + zz`` for float32 — so the surviving pair set and the
@@ -38,6 +39,9 @@ oracle tests):
 * Compilation uses ``-fno-fast-math -ffp-contract=off`` so the
   compiler can neither reassociate sums nor contract multiply-adds
   into FMAs — either would silently break the bitwise contract.
+  ``-fno-math-errno`` changes no value: it only stops libm calls from
+  promising to set ``errno``, so ``sqrt`` (correctly rounded either
+  way) becomes one instruction and the loops that take it vectorize.
 
 The build cache defaults to a ``.cc_cache`` directory next to this
 file (overridable via ``$REPRO_COMPILED_CACHE``), keyed by a hash of
@@ -68,12 +72,16 @@ CACHE_ENV_VAR = "REPRO_COMPILED_CACHE"
 #: IEEE-strict flags: no value-changing optimizations, no FMA
 #: contraction.  Reordering either sum would break bitwise parity with
 #: the numpy backends.
-_CFLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
+_CFLAGS = (
+    "-O3", "-fno-fast-math", "-ffp-contract=off", "-fno-math-errno", "-shared",
+    "-fPIC",
+)
 
 _PRELUDE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* ------------------------------------------------------------------ */
 /* The geometry every sweep over a stored list shares (pair_geom and   */
@@ -335,8 +343,11 @@ int64_t FN(pair_geom)(const VAL *pos, const int64_t *pi, const int64_t *pj,
 }
 """
 
+#: Stored pairs ``lj_half`` takes per block (``LJ_BLOCK`` in the C).
+LJ_BLOCK = 512
+
 # float64-only kernels; min_image_f64 is _GEOMETRY_C's float64 instance.
-_DOUBLE_C = r"""
+_DOUBLE_C = f"#define LJ_BLOCK {LJ_BLOCK}\n" + r"""
 /* ------------------------------------------------------------------ */
 /* Fused lj/cut force pass: stored list -> forces in one sweep.        */
 /*                                                                     */
@@ -353,12 +364,13 @@ _DOUBLE_C = r"""
 /* out — so both routes are bitwise the unfused result.                */
 /* ------------------------------------------------------------------ */
 
+#define LJ_GATHER(TI, TJ)                                                  \
+    int64_t t = types[TI] * nt + types[TJ];                                \
+    e4 = 4.0 * eps[t]; e24 = 24.0 * eps[t];                                \
+    ss = sigma[t] * sigma[t]; sh = shift[t];
+
 #define LJ_COEFFS(TI, TJ)                                                  \
-    if (nt > 1) {                                                          \
-        int64_t t = types[TI] * nt + types[TJ];                            \
-        e4 = 4.0 * eps[t]; e24 = 24.0 * eps[t];                            \
-        ss = sigma[t] * sigma[t]; sh = shift[t];                           \
-    }
+    if (nt > 1) { LJ_GATHER(TI, TJ) }
 
 #define LJ_TERMS(R2)                                                       \
     double inv_r2 = 1.0 / (R2);                                            \
@@ -368,14 +380,17 @@ _DOUBLE_C = r"""
     double energy = e4 * (sr12 - sr6) - sh;                                \
     double f = (e24 * (2.0 * sr12 - sr6)) * inv_r2;
 
-/* Half list, both sides (newton on).  The serial path feeds           */
-/* pair_terms r2 = r * r with r = sqrt(einsum r2); that is replayed.   */
-/* The force update is acc_scaled_f64 over the surviving pairs: a run  */
-/* of survivors sharing one i is summed from zero in registers and     */
-/* added to row i when the run ends, each pair's j side is subtracted  */
-/* inline.  Per-pair energy and f_over_r * r2 are written compressed   */
-/* to oe/ov for numpy's pairwise np.sum, whose rounding a running      */
-/* total here could not reproduce.  Returns the survivor count.        */
+/* Half list, both sides (newton on), in blocks of LJ_BLOCK stored    */
+/* pairs.  1: geometry as pair_geom_f64, the survivors compacted into  */
+/* the block's scratch without a data-dependent branch.  2: the terms  */
+/* over the survivors — the serial path feeds pair_terms r2 = r * r    */
+/* with r = sqrt(einsum r2), and that is replayed — with per-pair      */
+/* energy and f_over_r * r2 written compressed to oe/ov for numpy's    */
+/* pairwise np.sum, whose rounding a running total here could not      */
+/* reproduce.  3: the force update of acc_scaled_f64 in list order: a  */
+/* run of survivors sharing one i (which may span blocks) is summed    */
+/* from zero in registers and added to row i when the run ends, each   */
+/* pair's j side is subtracted inline.  Returns the survivor count.    */
 int64_t lj_half_f64(const double *pos, const int64_t *pi, const int64_t *pj,
                     int64_t m, const double *lengths, const uint8_t *periodic,
                     double rc2, const int64_t *types, int64_t nt,
@@ -385,29 +400,59 @@ int64_t lj_half_f64(const double *pos, const int64_t *pi, const int64_t *pj,
     BOX_LOCALS
     double e4 = 4.0 * eps[0], e24 = 24.0 * eps[0];
     double ss = sigma[0] * sigma[0], sh = shift[0];
+    int64_t bi[LJ_BLOCK], bj[LJ_BLOCK];
+    double bx[LJ_BLOCK], by[LJ_BLOCK], bz[LJ_BLOCK];
+    double br2[LJ_BLOCK], bf[LJ_BLOCK];
     int64_t c = 0, a = -1;
     double sx = 0.0, sy = 0.0, sz = 0.0;
-    for (int64_t k = 0; k < m; k++) {
-        int64_t i = pi[k], j = pj[k];
-        PAIR_GEOMETRY(pos + 3*i, pos + 3*j)
-        if (!(r2 < rc2)) continue;
-        if (i != a) {
-            if (a >= 0) {
-                forces[3*a] += sx; forces[3*a+1] += sy; forces[3*a+2] += sz;
-            }
-            a = i;
-            sx = 0.0; sy = 0.0; sz = 0.0;
+    for (int64_t start = 0; start < m; start += LJ_BLOCK) {
+        int64_t len = m - start < LJ_BLOCK ? m - start : LJ_BLOCK, kept = 0;
+        for (int64_t k = start; k < start + len; k++) {
+            int64_t i = pi[k], j = pj[k];
+            PAIR_GEOMETRY(pos + 3*i, pos + 3*j)
+            bi[kept] = i; bj[kept] = j;
+            bx[kept] = dx; by[kept] = dy; bz[kept] = dz; br2[kept] = r2;
+            kept += r2 < rc2;
         }
-        LJ_COEFFS(i, j)
-        double r = sqrt(r2);
-        double rr = r * r;
-        LJ_TERMS(rr)
-        oe[c] = energy;
-        ov[c] = f * rr;
-        c++;
-        double wx = f * dx, wy = f * dy, wz = f * dz;
-        sx += wx; sy += wy; sz += wz;
-        forces[3*j] -= wx; forces[3*j+1] -= wy; forces[3*j+2] -= wz;
+        double *e_out = oe + c, *v_out = ov + c;
+        /* Two loops: with one type the coefficients are invariant and */
+        /* the loop vectorizes; gcc does not vectorize the merged one, */
+        /* which makes the 32 000-atom LJ pass ~10 % slower.           */
+        if (nt > 1) {
+            for (int64_t k = 0; k < kept; k++) {
+                LJ_GATHER(bi[k], bj[k])
+                double r = sqrt(br2[k]);
+                double rr = r * r;
+                LJ_TERMS(rr)
+                e_out[k] = energy;
+                v_out[k] = f * rr;
+                bf[k] = f;
+            }
+        } else {
+            for (int64_t k = 0; k < kept; k++) {
+                double r = sqrt(br2[k]);
+                double rr = r * r;
+                LJ_TERMS(rr)
+                e_out[k] = energy;
+                v_out[k] = f * rr;
+                bf[k] = f;
+            }
+        }
+        for (int64_t k = 0; k < kept; k++) {
+            int64_t i = bi[k], j = bj[k];
+            if (i != a) {
+                if (a >= 0) {
+                    forces[3*a] += sx; forces[3*a+1] += sy; forces[3*a+2] += sz;
+                }
+                a = i;
+                sx = 0.0; sy = 0.0; sz = 0.0;
+            }
+            double f = bf[k];
+            double wx = f * bx[k], wy = f * by[k], wz = f * bz[k];
+            sx += wx; sy += wy; sz += wz;
+            forces[3*j] -= wx; forces[3*j+1] -= wy; forces[3*j+2] -= wz;
+        }
+        c += kept;
     }
     if (a >= 0) {
         forces[3*a] += sx; forces[3*a+1] += sy; forces[3*a+2] += sz;
@@ -462,6 +507,7 @@ int64_t lj_rows_f64(const double *pos, const int64_t *di, const int64_t *dj,
     }
     return c;
 }
+#undef LJ_GATHER
 #undef LJ_COEFFS
 #undef LJ_TERMS
 
@@ -846,16 +892,17 @@ int64_t brute_csr_f64(const double *pos, int64_t n, const double *lengths,
 /* index and slot[a] is atom a's place in order.                       */
 /*                                                                     */
 /* The builds take minimum image as a compare-and-shift (dx -/+= L     */
-/* when |dx| > L/2) in place of pair_geom's dx -= rint(dx / L) * L.    */
-/* For |dx| <= 1.5 L both subtract k*L with k in -1/0/+1 in one        */
-/* rounding, so they agree bitwise whenever they pick the same k; they */
-/* can pick differently only for |dx| within rounding of L/2 or 3L/2,  */
-/* where both leave |dx| ~ L/2, and with L >= 3 rc such a pair has     */
-/* r2 >= 2.25 rc^2 and is rejected either way.  Both conditions are    */
-/* checked here, not assumed: every coordinate on a periodic dim must  */
-/* lie within L/4 of the box (wrapped positions do, to rounding) and   */
-/* every periodic dim must hold >= 3 cells, else binning returns -2    */
-/* and the caller takes the numpy path (-1: allocation failure, 0:     */
+/* when |dx| > L/2) in place of pair_geom's dx -= rint(dx / L) * L —   */
+/* cell_csr_f64 on the dims where it cannot fix the shift per pair of  */
+/* cells.  For |dx| <= 1.5 L both subtract k*L with k in -1/0/+1 in    */
+/* one rounding, so they agree bitwise whenever they pick the same k;  */
+/* they can pick differently only for |dx| within rounding of L/2 or   */
+/* 3L/2, where both leave |dx| ~ L/2, and with L >= 3 rc such a pair   */
+/* has r2 >= 2.25 rc^2 and is rejected either way.  Both conditions    */
+/* are checked here, not assumed: every coordinate on a periodic dim   */
+/* must lie within L/4 of the box (wrapped positions do, to rounding)  */
+/* and every periodic dim must hold >= 3 cells, else binning returns   */
+/* -2 and the caller takes the numpy path (-1: allocation failure, 0:  */
 /* binned).  So does a grid of more than INT32_MAX cells — the bound   */
 /* cell_list_half_pairs names in its error: the count is multiplied up */
 /* in double, so neither it nor the flat cell index can wrap.          */
@@ -945,35 +992,121 @@ static int64_t cell_bins_build(cell_bins *g, const double *pos, int64_t n,
     }
 
 /* ------------------------------------------------------------------ */
-/* Link-cell half pair list, built row by row (CSR).  Candidates are   */
-/* those of cell_list_half_pairs — later members of the anchor's own   */
-/* cell in sorted slot order, the 13-offset forward stencil with       */
-/* Python-modulo wrapping on periodic dims — but the anchors are       */
-/* walked in atom index order and each anchor's partners land          */
-/* contiguously, so one insertion sort of that short row leaves the    */
-/* output in the exact order np.lexsort((j, i)) would give: no sort is */
-/* left for the caller.  offsets[a]..offsets[a+1] is atom a's row.     */
+/* Link-cell half pair list (CSR).  Candidates are those of            */
+/* cell_list_half_pairs — later members of the anchor's own cell in    */
+/* sorted slot order, the 13-offset forward stencil with Python-modulo */
+/* wrapping on periodic dims — and the output is the exact order       */
+/* np.lexsort((j, i)) gives them: offsets[a]..offsets[a+1] is atom a's */
+/* row, partners ascending, and no sort is left for the caller.        */
 /*                                                                     */
-/* Writes at most `cap` pairs but keeps counting; the caller grows its */
-/* buffers and reruns when the returned count > cap.  Negative returns */
-/* are cell_bins_build's.                                              */
+/* The anchors are walked cell by cell over planar copies xs/ys/zs of  */
+/* the positions in bin order, so the anchors of one cell share their  */
+/* stencil's candidate ranges while those are in cache.  Per range, a  */
+/* branch-free loop forms every candidate's r2 (einsum's f64 order)    */
+/* and a second loop compacts the survivors without a branch on r2;    */
+/* stencil cells adjacent in bin order with the same image             */
+/* shift are scanned as one range.                                     */
+/*                                                                     */
+/* Minimum image takes one of two routes per periodic dim.  The        */
+/* hoisted shift: when the dim holds >= 4 cells and every coordinate   */
+/* lies within rc/4 of the box, the shift is -L where the stencil      */
+/* index wrapped past the top cell, +L where it wrapped below cell 0,  */
+/* else 0 — fixed per (anchor cell, stencil cell) and added as         */
+/* dx + s, which is rint's dx - k L bitwise when both take the same k  */
+/* (and the same r2 for k = 0, where only a zero's sign can differ).   */
+/* Where they differ, both reject: the cell width w = L/n is at least */
+/* rc and at most L/4, an unwrapped candidate has |dx| <= 2w + rc/4    */
+/* and a wrapped one |dx| in (L - 2w, L + rc/2], so where rint picks   */
+/* another k one side is left with |dx| >= L/2 - rc/4 >= 1.75 rc and   */
+/* the other with |dx| >= L/2 >= 2 rc.  With 3 cells, or an atom       */
+/* further out, that slack is gone and the dim keeps the               */
+/* compare-and-shift of cell_bins, written as a select.                */
+/*                                                                     */
+/* Each row is built contiguously, sorted by insertion and parked in   */
+/* oi in walk order, its length in offsets[a + 1] and its start in     */
+/* park[a]; once every row is in, they move to oj in atom order and    */
+/* oi is filled with the anchors last.  Writes at most `cap` pairs but */
+/* keeps counting; the caller grows its buffers and reruns when the    */
+/* returned count > cap.  Negative returns are cell_bins_build's.      */
 /* ------------------------------------------------------------------ */
 
-static inline int64_t wrap_mod(int64_t x, int64_t n) {
-    int64_t r = x % n;
-    return r < 0 ? r + n : r;
+/* Candidate r2 of slots [0, len) of xs/ys/zs against the anchor at    */
+/* (ax, ay, az) shifted by (sx, sy, sz); with `select`, the            */
+/* compare-and-shift against h (infinite on dims that do not take it). */
+static inline void cell_r2(const double *xs, const double *ys,
+                           const double *zs, int64_t len, double ax,
+                           double ay, double az, const double *s,
+                           int select, const double *L, const double *h,
+                           double *r2) {
+    const double sx = s[0], sy = s[1], sz = s[2];
+    if (!select) {
+        for (int64_t k = 0; k < len; k++) {
+            double dx = (ax - xs[k]) + sx;
+            double dy = (ay - ys[k]) + sy;
+            double dz = (az - zs[k]) + sz;
+            r2[k] = (dx*dx + dz*dz) + dy*dy;       /* einsum f64 order */
+        }
+        return;
+    }
+    for (int64_t k = 0; k < len; k++) {
+        double dx = (ax - xs[k]) + sx;
+        double dy = (ay - ys[k]) + sy;
+        double dz = (az - zs[k]) + sz;
+        dx = dx > h[0] ? dx - L[0] : dx < -h[0] ? dx + L[0] : dx;
+        dy = dy > h[1] ? dy - L[1] : dy < -h[1] ? dy + L[1] : dy;
+        dz = dz > h[2] ? dz - L[2] : dz < -h[2] ? dz + L[2] : dz;
+        r2[k] = (dx*dx + dz*dz) + dy*dy;
+    }
 }
+
+/* One stencil range of the cell walk: slots [lo, hi) and their shift. */
+typedef struct {
+    int64_t lo, hi;
+    double shift[3];
+} cell_range;
 
 int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
                      const double *origin, const uint8_t *periodic, double rc,
                      int64_t *oi, int64_t *oj, int64_t cap, int64_t *offsets) {
     cell_bins g;
+    double *xs = NULL;
+    int64_t *park = NULL;
     int64_t count = cell_bins_build(&g, pos, n, lengths, origin, periodic, rc);
     if (count < 0) goto done;
-    const int64_t *n_cells = g.n_cells, *coords = g.coords, *flat = g.flat;
-    const int64_t *starts = g.starts, *order = g.order, *slot = g.slot;
-    int64_t sx = g.sx, sy = g.sy;
-    IMAGE_LOCALS
+    const int64_t *n_cells = g.n_cells, *starts = g.starts, *order = g.order;
+    const int64_t total_cells = n_cells[0] * n_cells[1] * n_cells[2];
+    int64_t most = 0;                      /* largest range, in slots */
+    for (int64_t c = 0; c < total_cells; c++) {
+        int64_t span = starts[c+1] - starts[c];
+        if (span > most) most = span;
+    }
+    most *= 14;
+    xs = malloc((size_t)(3 * n + most + 1) * sizeof(double));
+    park = malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
+    if (!xs || !park) { count = -1; goto done; }
+    double *ys = xs + n, *zs = ys + n, *r2 = zs + n;
+    double lo[3] = {INFINITY, INFINITY, INFINITY};
+    double hi[3] = {-INFINITY, -INFINITY, -INFINITY};
+    for (int64_t l = 0; l < n; l++) {
+        const double *p = pos + 3*order[l];
+        xs[l] = p[0]; ys[l] = p[1]; zs[l] = p[2];
+        for (int d = 0; d < 3; d++) {
+            lo[d] = p[d] < lo[d] ? p[d] : lo[d];
+            hi[d] = p[d] > hi[d] ? p[d] : hi[d];
+        }
+    }
+    /* Per dim: hoist the shift (hoist[d]) or compare-and-shift at h[d]. */
+    int hoist[3], select = 0;
+    double h[3];
+    for (int d = 0; d < 3; d++) {
+        double reach = 0.25 * rc;
+        hoist[d] = periodic[d] && n_cells[d] >= 4
+                   && lo[d] - origin[d] >= -reach
+                   && hi[d] - origin[d] <= lengths[d] + reach;
+        h[d] = periodic[d] && !hoist[d] ? 0.5 * lengths[d] : INFINITY;
+        select |= periodic[d] && !hoist[d];
+    }
+    const double rc2 = rc * rc;
 
     /* The 13 forward offsets of _HALF_STENCIL, in its order. */
     static const int off[13][3] = {
@@ -981,44 +1114,83 @@ int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
         {1,-1,-1}, {1,-1,0}, {1,-1,1}, {1,0,-1}, {1,0,0}, {1,0,1},
         {1,1,-1}, {1,1,0}, {1,1,1},
     };
-
-#define EMIT_HALF                                                          \
-    if (count < cap) { oi[count] = a; oj[count] = b; }                     \
-    count++;
-
-    for (int64_t a = 0; a < n; a++) {
-        int64_t row = count;
-        offsets[a] = row;
-        double ax = pos[3*a], ay = pos[3*a+1], az = pos[3*a+2];
-        int64_t cx = coords[3*a], cy = coords[3*a+1], cz = coords[3*a+2];
-        /* Later members of the anchor's own cell (triangular half). */
-        SCAN_RANGE(slot[a] + 1, starts[flat[a] + 1], EMIT_HALF)
-        /* Full population of the 13 forward neighbor cells. */
+    int64_t cell = 0;
+    for (int64_t cx = 0; cx < n_cells[0]; cx++)
+    for (int64_t cy = 0; cy < n_cells[1]; cy++)
+    for (int64_t cz = 0; cz < n_cells[2]; cz++, cell++) {
+        const int64_t first = starts[cell], end = starts[cell+1];
+        if (first == end) continue;
+        /* ranges[0] is the own cell's tail: [slot + 1, end) per anchor. */
+        cell_range ranges[14] = {{end, end, {0.0, 0.0, 0.0}}};
+        int nr = 1;
+        const int64_t here[3] = {cx, cy, cz};
         for (int s = 0; s < 13; s++) {
-            int64_t nx = cx + off[s][0];
-            int64_t ny = cy + off[s][1];
-            int64_t nz = cz + off[s][2];
-            if (px) nx = wrap_mod(nx, n_cells[0]);
-            else if (nx < 0 || nx >= n_cells[0]) continue;
-            if (py) ny = wrap_mod(ny, n_cells[1]);
-            else if (ny < 0 || ny >= n_cells[1]) continue;
-            if (pz) nz = wrap_mod(nz, n_cells[2]);
-            else if (nz < 0 || nz >= n_cells[2]) continue;
-            int64_t c = nx * sx + ny * sy + nz;
-            SCAN_RANGE(starts[c], starts[c+1], EMIT_HALF)
+            int64_t at[3];
+            double shift[3];
+            int inside = 1;
+            for (int d = 0; d < 3; d++) {
+                int64_t v = here[d] + off[s][d];
+                shift[d] = 0.0;
+                if (v < 0 || v >= n_cells[d]) {
+                    if (!periodic[d]) inside = 0;
+                    if (hoist[d]) shift[d] = v < 0 ? lengths[d] : -lengths[d];
+                    v += v < 0 ? n_cells[d] : -n_cells[d];
+                }
+                at[d] = v;
+            }
+            if (!inside) continue;
+            int64_t c = at[0] * g.sx + at[1] * g.sy + at[2];
+            if (starts[c] == starts[c+1]) continue;
+            cell_range *last = &ranges[nr - 1];
+            if (starts[c] == last->hi && shift[0] == last->shift[0]
+                && shift[1] == last->shift[1] && shift[2] == last->shift[2]) {
+                last->hi = starts[c+1];
+            } else {
+                cell_range next = {starts[c], starts[c+1],
+                                   {shift[0], shift[1], shift[2]}};
+                ranges[nr++] = next;
+            }
         }
-        /* Rows that overflowed `cap` are rebuilt by the caller's retry. */
-        if (count <= cap) {
-            for (int64_t k = row + 1; k < count; k++) {
-                int64_t b = oj[k], l = k;
-                while (l > row && oj[l-1] > b) { oj[l] = oj[l-1]; l--; }
-                oj[l] = b;
+        for (int64_t l = first; l < end; l++) {
+            const int64_t a = order[l], row = count;
+            const double ax = xs[l], ay = ys[l], az = zs[l];
+            park[a] = row;
+            ranges[0].lo = l + 1;
+            for (int r = 0; r < nr; r++) {
+                const int64_t S = ranges[r].lo, len = ranges[r].hi - S;
+                if (len <= 0) continue;
+                cell_r2(xs + S, ys + S, zs + S, len, ax, ay, az,
+                        ranges[r].shift, select, lengths, h, r2);
+                for (int64_t k = 0; k < len; k++) {
+                    if (count < cap) oi[count] = order[S + k];
+                    count += r2[k] < rc2;
+                }
+            }
+            offsets[a + 1] = count - row;
+            /* Rows that overflowed `cap` are rebuilt by the caller's retry. */
+            if (count <= cap) {
+                for (int64_t k = row + 1; k < count; k++) {
+                    int64_t b = oi[k], m = k;
+                    while (m > row && oi[m-1] > b) { oi[m] = oi[m-1]; m--; }
+                    oi[m] = b;
+                }
             }
         }
     }
-#undef EMIT_HALF
+    offsets[0] = 0;
+    if (count <= cap) {
+        for (int64_t a = 0; a < n; a++) {
+            int64_t at = offsets[a], len = offsets[a + 1];
+            memcpy(oj + at, oi + park[a], (size_t)len * sizeof(int64_t));
+            offsets[a + 1] = at + len;
+        }
+        for (int64_t a = 0; a < n; a++)
+            for (int64_t k = offsets[a]; k < offsets[a + 1]; k++) oi[k] = a;
+    }
     offsets[n] = count;
 done:
+    free(xs);
+    free(park);
     cell_bins_free(&g);
     return count;
 }

@@ -169,6 +169,7 @@ def _check_lj(provider, stem, policy):
     -> pair_terms -> accumulate, numpy reductions), with two atom types
     and pre-loaded outputs — the digest chain must not be able to tell
     which route ran."""
+    from repro.md.kernels._cc_impl import LJ_BLOCK
     from repro.md.potentials.lj import LennardJonesCut
 
     box, pos, pi, pj, keep, dr, r2 = _smoke_pairs(policy.storage_dtype)
@@ -178,6 +179,11 @@ def _check_lj(provider, stem, policy):
     types = rng.integers(0, 2, len(pos))
     start = rng.normal(size=pos.shape)
     head = (lengths, periodic, _SMOKE_RC * _SMOKE_RC, types, *pot.fused_style().coeffs)
+    if stem == "lj_half":
+        # Three blocks of the kernel, the last one partial.
+        m = 2 * LJ_BLOCK + LJ_BLOCK // 4
+        inside = keep < m
+        pi, pj, keep, dr, r2 = pi[:m], pj[:m], keep[inside], dr[inside], r2[inside]
     gi, gj, r = pi[keep], pj[keep], np.sqrt(r2)
     if stem == "lj_half":
         # The half-list path hands pair_terms r * r, not einsum's r2.
@@ -407,10 +413,21 @@ def _check_brute_csr(provider, stem, policy):
 def _check_cell_csr(provider, stem, policy):
     """CSR build: the rows must arrive exactly as lexsort((j, i)) orders
     the numpy build's pairs — the neighbor list no longer sorts them —
-    with matching offsets."""
+    with matching offsets, over a grid that takes both image routes:
+    x holds 3 cells (compare-and-shift), y 4 with atoms strayed inside
+    rc/4 of the box (the hoisted shift) and z 4 with one atom further
+    out (the guard falls back to compare-and-shift).  Two atoms in
+    neighbouring x cells, 5.0 apart across the box, are 2.0 apart
+    through its boundary: the compare-and-shift keeps the pair, a shift
+    fixed per pair of cells (0 for these) would lose it."""
     from repro.md.neighbor import cell_list_half_pairs
 
-    _, box, pos = _smoke_cells()
+    rng = np.random.default_rng(1234)
+    box = Box([7.0, 9.5, 10.0])
+    pos = rng.uniform(0, 1, (150, 3)) * box.lengths
+    pos[:2, 1] = -0.2 * 2.2, box.lengths[1] + 0.2 * 2.2
+    pos[2, 2] = -0.3 * 2.2
+    pos[3:5] = [-0.4, 5.0, 5.0], [4.6, 5.0, 5.0]
     ref_i, ref_j = cell_list_half_pairs(pos, box, 2.2)
     order = np.lexsort((ref_j, ref_i))
     ref_i, ref_j = ref_i[order], ref_j[order]

@@ -628,6 +628,9 @@ class TestInstanceTable:
 # ---------------------------------------------------------------------------
 # Fused lj/cut force pass vs the unfused compiled path, bit for bit
 # ---------------------------------------------------------------------------
+_LJ_BLOCK = _cc_impl.LJ_BLOCK
+
+
 class _UnfusedCompiled(CompiledBackend):
     """The compiled backend as it ran before the fused pass existed:
     the hook declines, both drivers run the potential's body."""
@@ -748,6 +751,54 @@ class TestFusedLennardJones:
         system.forces[...] = preload
         fused = _hook(CompiledBackend(), potential.fused_style(), system, nlist)
         assert fused is not None, "the fused kernel declined a float64 LJ case"
+        energy, virial, interactions = fused
+        assert interactions == expected.interactions
+        assert _same_bits(energy, expected.energy)
+        assert _same_bits(virial, expected.virial)
+        assert _same_bits(system.forces, expected_forces)
+
+    @pytest.mark.parametrize("n_types", [1, 2])
+    @pytest.mark.parametrize(
+        "m",
+        [0, 1, _LJ_BLOCK - 1, _LJ_BLOCK, _LJ_BLOCK + 1, 3 * _LJ_BLOCK + 5],
+    )
+    def test_half_list_pass_is_bitwise_the_unfused_path_block_by_block(
+        self, m, n_types
+    ):
+        """``lj_half`` takes the list in blocks of ``LJ_BLOCK`` stored
+        pairs: lists empty, shorter than a block, one block, a block and
+        one pair, and three blocks and a partial fourth whose second
+        block holds only pairs outside the cutoff, are each bitwise the
+        unfused path, one- and two-type tables alike."""
+        rng = np.random.default_rng(11)
+        system = lj_melt_system(400, seed=7)
+        system.types[:] = rng.integers(0, n_types, system.n_atoms)
+        potential = LennardJonesCut(
+            [1.0, 0.7][:n_types], [1.0, 1.15][:n_types], cutoff=2.5
+        )
+        nlist = NeighborList(potential.cutoff, 0.8)
+        nlist.build(system)
+        dr = system.box.minimum_image(
+            system.positions[nlist.pair_i] - system.positions[nlist.pair_j]
+        )
+        far = np.flatnonzero(np.einsum("ij,ij->i", dr, dr) >= potential.cutoff**2)
+        block = _LJ_BLOCK
+        rest = np.setdiff1d(np.arange(len(nlist.pair_i)), far[:block])
+        rows = rest[:m]
+        if m > 2 * block:
+            rows = np.concatenate([rest[:block], far[:block], rest[block : m - block]])
+        assert len(rows) == m
+        nlist.pair_i, nlist.pair_j = nlist.pair_i[rows], nlist.pair_j[rows]
+
+        preload = rng.normal(size=system.forces.shape)
+        system.forces[...] = preload
+        potential.backend = _UnfusedCompiled()
+        expected = potential.compute(system, nlist)
+        expected_forces = system.forces.copy()
+
+        system.forces[...] = preload
+        fused = _hook(CompiledBackend(), potential.fused_style(), system, nlist)
+        assert fused is not None
         energy, virial, interactions = fused
         assert interactions == expected.interactions
         assert _same_bits(energy, expected.energy)

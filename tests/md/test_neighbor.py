@@ -1,15 +1,17 @@
 """Tests for the cell-list-backed Verlet neighbor list."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.md import neighbor
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
 from repro.md.kernels import CompiledBackend, NumpyFastBackend
-from repro.md.kernels.compiled import compiled_available
+from repro.md.kernels.compiled import _box_f64, _built_twice, compiled_available
 from repro.md.lattice import build_exclusions
 from repro.md.neighbor import (
     MAX_CELLS,
@@ -477,14 +479,16 @@ class TestNativeBuildsAreTheNumpyBuilds:
     list the numpy backend stores, whichever algorithm the build picks:
     all pairs (few atoms, or a box under three list cutoffs wide on a
     periodic dim — the rhodo case) or link cells, each answered by its
-    native kernel.  Boxes 2 to 3.5 list cutoffs wide, non-cubic, under
+    native kernel.  Boxes 2 to 12 list cutoffs wide, non-cubic, under
     every periodicity mask, with atoms either side of the 800-atom
-    crossover and strayed outside the box, exclusions on and off."""
+    crossover and strayed outside the box, exclusions on and off; boxes
+    exactly 3 and 4 cells wide with atoms on half-cell sites; and the
+    cell kernel itself against the numpy build."""
 
     @given(
         seed=st.integers(0, 2**31 - 1),
         n=st.integers(1, 900),
-        widths=st.tuples(*[st.floats(2.0, 3.5)] * 3),
+        widths=st.tuples(*[st.floats(2.0, 12.0)] * 3),
         periodic=st.tuples(st.booleans(), st.booleans(), st.booleans()),
         exclusions=st.booleans(),
     )
@@ -515,6 +519,87 @@ class TestNativeBuildsAreTheNumpyBuilds:
         for name in ("pair_i", "pair_j", "csr_offsets", "csr_neighbors"):
             assert _same_bits(getattr(native, name), getattr(numpy_built, name)), name
         assert native.stats.last_pairs == numpy_built.stats.last_pairs
+
+    @pytest.mark.parametrize("cutoff, skin", [(0.8, 0.2), (1.12, 0.3)])
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("periodic", list(itertools.product((True, False), repeat=3)))
+    def test_whole_cell_boxes_with_atoms_on_half_cell_sites(
+        self, cutoff, skin, k, periodic, cell_lists
+    ):
+        """``L = k (cutoff + skin)`` exactly: k cells per dim, the
+        smallest grid of each image route (3 cells compare-and-shift, 4
+        the hoisted shift), and atoms on the half-cell lattice, so
+        partners sit on cell faces and at the cutoff itself."""
+        rc = cutoff + skin
+        box = Box([k * rc] * 3, periodic=periodic, origin=(-1.3, 0.4, 2.0))
+        sites = np.arange(2 * k) * (k * rc / (2 * k))
+        lattice = np.stack(np.meshgrid(sites, sites, sites, indexing="ij"), axis=-1)
+        positions = box.origin + lattice.reshape(-1, 3)
+        lists = []
+        for kernels in (_AnsweringCompiled(), NumpyFastBackend()):
+            nlist = NeighborList(cutoff, skin)
+            nlist.kernels = kernels
+            nlist.build(AtomSystem(positions, box))
+            lists.append(nlist)
+        native, numpy_built = lists
+        assert native.kernels.answered == [(False, True)]
+        assert native.stats.last_pairs > 0
+        for name in ("pair_i", "pair_j", "csr_offsets"):
+            assert _same_bits(getattr(native, name), getattr(numpy_built, name)), name
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 400),
+        widths=st.tuples(*[st.floats(3.0, 12.0)] * 3),
+        periodic=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        stray=st.floats(0.0, 1.0),
+        reach=st.sampled_from(["window", "guard"]),
+        at_origin=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cell_kernel_is_the_lexsorted_numpy_build(
+        self, seed, n, widths, periodic, stray, reach, at_origin
+    ):
+        """``cell_csr`` itself against lexsorted ``cell_list_half_pairs``,
+        rows and offsets, with a buffer too small and then one large
+        enough (the true count, nothing written past the end).  A share
+        ``stray`` of the coordinates lies outside the box: anywhere in
+        the ``[-L/4, 5L/4]`` window the kernel accepts on periodic dims
+        (which the hoisted image shift's rc/4 guard must turn away) or
+        within rc/4 of a face (which it must take); a few lie one ulp
+        below the box or on its top face."""
+        rng = np.random.default_rng(seed)
+        rc = 1.3
+        lengths = np.array(widths) * rc
+        n_cells = np.floor(lengths / rc)
+        assume(np.all(n_cells[list(periodic)] >= 3))
+        origin = np.zeros(3) if at_origin else rng.uniform(-2.0, 2.0, 3)
+        box = Box(lengths, periodic=periodic, origin=origin)
+        frac = rng.uniform(0.0, 1.0, (n, 3))
+        strayed = rng.random((n, 3)) < stray
+        margin = 0.25 * (lengths if reach == "window" else np.full(3, rc))
+        lo, hi = -margin / lengths, 1.0 + margin / lengths
+        frac[strayed] = rng.uniform(lo, hi, (n, 3))[strayed]
+        positions = origin + frac * lengths
+        for d in range(3):
+            edge = rng.integers(0, n, 2)
+            positions[edge, d] = origin[d] - np.spacing(lengths[d]), origin[d] + lengths[d]
+        rel = positions - origin
+        window = (rel >= -0.25 * lengths) & (rel <= 1.25 * lengths)
+        assume(np.all(window[:, list(periodic)]))
+        ref_i, ref_j = cell_list_half_pairs(positions, box, rc)
+        order = np.lexsort((ref_j, ref_i))
+        ref_i, ref_j = ref_i[order], ref_j[order]
+        provider = CompiledBackend()._impl
+        offsets = np.empty(n + 1, np.int64)
+
+        def build(out_i, out_j):
+            return provider.cell_csr(
+                positions, *_box_f64(box), rc, out_i, out_j, offsets
+            )
+
+        assert _built_twice("cell_csr", ref_i, ref_j, build)
+        assert np.array_equal(offsets, np.searchsorted(ref_i, np.arange(n + 1)))
 
     @given(
         seed=st.integers(0, 2**31 - 1),
