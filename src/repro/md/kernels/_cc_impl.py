@@ -10,8 +10,10 @@ third-party build dependency at all.
 A native kernel is one C body plus one row of :data:`KERNELS`: a body
 that exists at more than one precision is written once, over a value
 type ``VAL`` and an accumulator type ``ACC``, and instantiated for the
-dtype pairs the policies of :mod:`repro.md.precision` define; binding,
-dtype-keyed dispatch and smoke-test coverage all follow from the row.
+dtype pairs the policies of :mod:`repro.md.precision` define; binding
+and dtype-keyed dispatch follow from the row, and the provider smoke
+test checks every instance against the row's one declaration in
+``compiled._SMOKE_CASES``, which reads its dtypes from the policy.
 
 Numerical contract (pinned by the provider smoke test and the backend
 oracle tests):

@@ -29,6 +29,9 @@ native path being taken.
 from __future__ import annotations
 
 from dataclasses import fields
+from functools import wraps
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,247 +77,337 @@ def resolve_provider():
 
 
 def _smoke_test(provider) -> None:
-    """Run every instance the provider binds against the numpy backends.
+    """Run every instance the provider binds against its row's declaration.
 
     This is what turns "the library built" into "the library *works*":
     a codegen failure on any kernel disqualifies the provider before it
     can ever touch simulation state.  The loop is over the provider's
     own instance table, each instance under the policy it serves, so
-    no kernel is bound without being checked (a row with no check is a
-    ``KeyError``): float64 accumulation *bitwise* (the parallel-
-    determinism contract), float32 to its policy's tier.
+    no kernel is bound without being checked (a row with no declaration
+    is refused by name).
     """
     from repro.md.kernels._cc_impl import KERNELS
 
+    # Every instance draws from a generator seeded as
+    # ``np.random.default_rng(1234)`` seeds one, hashing the seed once.
+    seed = np.random.SeedSequence(1234)
     for stem, (instances, _, _) in KERNELS.items():
-        for policy in instances.values():
-            _SMOKE_CHECKS[stem](provider, stem, policy)
+        for val, acc in instances:
+            rng = np.random.Generator(np.random.PCG64(seed))
+            _check(provider, stem, val, acc, rng)
 
 
-def _check_accumulate(provider, stem, policy):
-    """A scatter or pair-accumulate instance against the ``numpy_fast``
-    method it stands in for, under the same policy.  Input-order
-    scatter is bitwise ``np.bincount`` when the accumulator is float64
-    (bincount's always is); the pair passes interleave the i/j sides
-    differently (register segments + inline scatter), so they are
-    summation-order-tolerant, not bitwise."""
-    rng = np.random.default_rng(1234)
-    n, m = 40, 300
-    i, j = np.sort(rng.integers(0, n, m)), rng.integers(0, n, m)
-    vectors = rng.normal(size=(m, 3)).astype(policy.compute_dtype)
-    scalars = rng.normal(size=m).astype(policy.compute_dtype)
-    method, args = {
-        "scatter1": ("scatter_add", (i, scalars)),
-        "scatter3": ("scatter_add", (i, vectors)),
-        "acc_scaled": ("accumulate_scaled_pair_forces", (i, j, vectors, scalars)),
-        "acc_pair": ("accumulate_pair_forces", (i, j, vectors)),
-    }[stem]
-    shape = (n,) if stem == "scatter1" else (n, 3)
-    got, expect = np.zeros((2, *shape), policy.accumulate_dtype)
-    getattr(provider, stem)(got, *args)
-    reference = NumpyFastBackend()
-    reference.set_policy(policy)
-    getattr(reference, method)(expect, *args)
-    if method == "scatter_add" and policy.accumulate_dtype == np.float64:
-        ok = np.array_equal(got, expect)
+class _Case(NamedTuple):
+    """One ``KERNELS`` row's smoke declaration.
+
+    ``inputs(rng, policy)`` builds fresh arguments, every float dtype
+    from the policy and pre-loaded outputs included.
+    ``reference(provider, a)`` runs first and leaves them as it found
+    them (it adds onto copies of pre-loaded outputs, and may use
+    instances checked before its row); ``call(provider, a)`` then runs
+    the kernel on them.  Each returns the tuple of what it produced, the
+    count included.  ``contract``, or a function of the policy naming
+    it, is ``"bitwise"``, ``"tier"`` (within the policy's
+    ``force_rtol``), ``"repeatable"`` (within 1e-12, and a second call
+    bitwise the first: such a call copies what it writes) or
+    ``"builder"`` (:func:`_built_twice`).  ``scratch`` holds the
+    signature positions of written arguments that are not results.
+    """
+
+    inputs: Callable
+    call: Callable
+    reference: Callable
+    contract: str | Callable
+    scratch: tuple[int, ...] = ()
+
+
+def _check(provider, stem, val, acc, rng) -> None:
+    """One instance against its row's declaration, under the policy it
+    serves: ``AssertionError`` naming the symbol when it deviates."""
+    from repro.md.kernels._cc_impl import KERNELS, symbol
+
+    case = _SMOKE_CASES.get(stem)
+    if case is None:
+        raise LookupError(f"the KERNELS row {stem!r} has no smoke declaration")
+    policy = KERNELS[stem][0][val, acc]
+    a, (contract, tier) = case.inputs(rng, policy), _contract(case, policy)
+    if contract == "builder":
+        holds = _built_twice(provider, case, a)
     else:
-        tier = policy.force_rtol
-        ok = np.allclose(got, expect, rtol=tier, atol=tier)
-    if not ok:
-        raise AssertionError(f"{stem} ({policy.mode.value}) deviates from numpy_fast")
+        want, got = case.reference(provider, a), case.call(provider, a)
+        holds = _agree(got, want, tier) and (
+            contract != "repeatable" or _agree(got, case.call(provider, a))
+        )
+    if not holds:
+        reference = case.reference.__name__.lstrip("_")
+        raise AssertionError(f"{symbol(stem, val, acc)} deviates from {reference}")
+
+
+def _contract(case, policy) -> tuple[str, float]:
+    """``case``'s contract under ``policy`` and its tolerance (0 if exact)."""
+    name = case.contract(policy) if callable(case.contract) else case.contract
+    return name, {"tier": policy.force_rtol, "repeatable": 1e-12}.get(name, 0.0)
+
+
+def _agree(got, want, tier=0.0) -> bool:
+    """Item for item the same shape and within ``tier``, or with no tier
+    the same dtype, shape and bytes."""
+    return len(got) == len(want) and all(
+        np.shape(x) == np.shape(y) and np.allclose(x, y, rtol=tier, atol=tier)
+        if tier
+        else (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        for x, y in zip(map(np.asarray, got), map(np.asarray, want))
+    )
+
+
+def _built_twice(provider, case, a) -> bool:
+    """A native build's capacity protocol: ``case.call`` given ``out_i``
+    and ``out_j`` with half the room the reference rows need, then with
+    room to spare.  A too-small buffer must report the true count without
+    writing past it; the second run's rows must be the reference's, and
+    its CSR offsets, when it returns them, ``searchsorted`` of those."""
+    ref_i, ref_j = case.reference(provider, a)
+    for cap in (len(ref_i) // 2, len(ref_i) + 7):
+        out = np.full((2, cap + 1), -1, np.int64)
+        built = SimpleNamespace(**vars(a), out_i=out[0, :cap], out_j=out[1, :cap])
+        count, *offsets = case.call(provider, built)
+        if not (count == len(ref_i) and np.all(out[:, cap] == -1)):
+            return False
+    rows = [np.searchsorted(ref_i, np.arange(len(row))) for row in offsets]
+    return _agree((*out[:, :count], *offsets), (ref_i, ref_j, *rows))
+
+
+def _written(result, *outputs):
+    """What a kernel produced: ``(result, *outputs)``, or the outputs
+    alone when it returns nothing."""
+    return outputs if result is None else (result, *outputs)
+
+
+def _counted(count, *per_pair):
+    """A kernel's survivor ``count`` and its per-pair outputs cut to it."""
+    return count, *(out[:count] for out in per_pair)
+
+
+def _accumulate_inputs(rng, policy):
+    """300 pairs over 40 atoms (``i`` sorted, as a half list's) with
+    per-pair vectors and scalars in the compute dtype, and zeroed
+    per-atom outputs in the accumulate dtype."""
+    n, m = 40, 300
+    compute, accumulate = policy.compute_dtype, policy.accumulate_dtype
+    return SimpleNamespace(
+        policy=policy, i=np.sort(rng.integers(0, n, m)), j=rng.integers(0, n, m),
+        vectors=rng.normal(size=(m, 3)).astype(compute),
+        scalars=rng.normal(size=m).astype(compute),
+        atoms=np.zeros(n, accumulate), forces=np.zeros((n, 3), accumulate),
+    )
+
+
+def _accumulating(stem, method, out, *names, contract="tier"):
+    """A scatter or pair-accumulate row: the kernel and the ``numpy_fast``
+    ``method`` it stands in for, under the same policy, each add the
+    inputs ``names`` into ``out``.  The pair passes interleave the i/j
+    sides differently (register segments + inline scatter), so they are
+    summation-order-tolerant, not bitwise."""
+
+    def add(kernel, into, a):
+        kernel(into, *(getattr(a, name) for name in names))
+        return (into,)
+
+    def numpy_fast(provider, a):
+        reference = NumpyFastBackend()
+        reference.set_policy(a.policy)
+        return add(getattr(reference, method), getattr(a, out).copy(), a)
+
+    def call(provider, a):
+        return add(getattr(provider, stem), getattr(a, out), a)
+
+    return _Case(_accumulate_inputs, call, numpy_fast, contract)
+
+
+def _bincount_exact(policy) -> str:
+    """Input-order scatter is bitwise ``np.bincount`` when the
+    accumulator is float64 (bincount's always is)."""
+    return "bitwise" if policy.accumulate_dtype == np.float64 else "tier"
 
 
 _SMOKE_RC = 2.5
 
 
-def _smoke_pairs(dtype):
-    """``(box, pos, pi, pj, keep, dr, r2)``: a stored pair list over a
-    partly periodic box in ``dtype``, and the rows (with their geometry)
-    that the numpy minimum-image / einsum / cutoff sequence keeps."""
-    rng = np.random.default_rng(1234)
-    n = 40
-    box = Box([7.0, 8.0, 9.0], periodic=(True, True, False))
-    pos = (rng.uniform(0, 1, (n, 3)) * box.lengths).astype(dtype)
-    pi = np.repeat(np.arange(n, dtype=np.int64), n)[:1200]
-    pj = np.tile(np.arange(n, dtype=np.int64), n)[:1200]
-    pi, pj = pi[pi != pj], pj[pi != pj]
-    dr = box.minimum_image(pos[pi] - pos[pj])
-    r2 = np.einsum("ij,ij->i", dr, dr)
-    keep = np.flatnonzero(r2 < _SMOKE_RC * _SMOKE_RC)
-    return box, pos, pi, pj, keep, dr[keep], r2[keep]
-
-
-def _check_pair_geom(provider, stem, policy):
-    """Pair geometry: bitwise the numpy op sequence in the storage dtype."""
-    dtype = policy.storage_dtype
-    box, pos, pi, pj, keep, dr, r2 = _smoke_pairs(dtype)
-    oi, oj = np.empty((2, len(pi)), np.int64)
-    odr, orr = np.empty((len(pi), 3), dtype), np.empty(len(pi), dtype)
-    c = provider.pair_geom(
-        pos, pi, pj, box.lengths.astype(dtype), _box_f64(box)[2],
-        dtype.type(_SMOKE_RC * _SMOKE_RC), oi, oj, odr, orr,
-    )
-    if not (
-        c == len(keep)
-        and np.array_equal(oi[:c], pi[keep])
-        and np.array_equal(oj[:c], pj[keep])
-        and np.array_equal(odr[:c], dr)
-        and np.array_equal(orr[:c], np.sqrt(r2))
-    ):
-        raise AssertionError(f"pair_geom ({dtype}) deviates from the numpy oracle")
-
-
-def _check_lj(provider, stem, policy):
-    """Fused lj/cut: bitwise the unfused sequence it replaces (geometry
-    -> pair_terms -> accumulate, numpy reductions), with two atom types
-    and pre-loaded outputs — the digest chain must not be able to tell
-    which route ran."""
+def _pair_inputs(rng, policy):
+    """A stored list of ``2 LJ_BLOCK + LJ_BLOCK / 4`` pairs (three
+    ``lj_half`` blocks, the last one partial) over 40 atoms of two types
+    in a partly periodic box, in the storage dtype, with charges,
+    pre-loaded forces and per-atom tallies, and the survivors ``(i, j,
+    dr, r2, r)`` as the numpy minimum-image / einsum / cutoff sequence
+    keeps them.  Atoms 1-4 sit 1.0, 1.9, 2.3 and 2.45 from atom 0: pairs
+    below CHARMM's switch, inside it on both sides of its Coulomb
+    cutoff, and just inside the cutoff."""
     from repro.md.kernels._cc_impl import LJ_BLOCK
+
+    n, dtype, rc2 = 40, policy.storage_dtype, _SMOKE_RC * _SMOKE_RC
+    accumulate = policy.accumulate_dtype
+    box = Box([7.0, 8.0, 9.0], periodic=(True, True, False))
+    pos = rng.uniform(0, 1, (n, 3)) * box.lengths
+    pos[1:5] = pos[0] + [[1.0, 0, 0], [0, -1.9, 0], [-2.3, 0, 0], [0, 0, 2.45]]
+    pos = pos.astype(dtype)
+    pi, pj = np.divmod(np.arange(n * n), n)
+    stored = np.flatnonzero(pi != pj)[: 2 * LJ_BLOCK + LJ_BLOCK // 4]
+    m = len(stored)
+    a = SimpleNamespace(pos=pos, pi=pi[stored], pj=pj[stored])
+    a.types = rng.integers(0, 2, n)
+    a.types[:2] = 0, 1
+    a.charges, a.forces = rng.normal(size=n), rng.normal(size=(n, 3)).astype(accumulate)
+    a.tallies = rng.normal(size=(2, n)).astype(accumulate)
+    a.terms = np.empty((2, m), accumulate)
+    a.head = box.lengths.astype(dtype), _box_f64(box)[2], dtype.type(rc2)
+    a.geometry = (
+        *np.empty((2, m), np.int64), np.empty((m, 3), dtype), np.empty(m, dtype)
+    )
+    dr = box.minimum_image(pos[a.pi] - pos[a.pj])
+    r2 = np.einsum("ij,ij->i", dr, dr)
+    keep = r2 < rc2
+    a.i, a.j, a.dr, a.r2 = a.pi[keep], a.pj[keep], dr[keep], r2[keep]
+    a.r = np.sqrt(a.r2)
+    return a
+
+
+def _numpy_geometry(provider, a):
+    return len(a.i), a.i, a.j, a.dr, a.r
+
+
+def _lj_inputs(rng, policy):
+    """The pair inputs with a two-type lj/cut style and its tables."""
     from repro.md.potentials.lj import LennardJonesCut
 
-    box, pos, pi, pj, keep, dr, r2 = _smoke_pairs(policy.storage_dtype)
-    lengths, _, periodic = _box_f64(box)
-    rng = np.random.default_rng(4321)
-    pot = LennardJonesCut([1.0, 0.7], [1.0, 1.15], cutoff=_SMOKE_RC)
-    types = rng.integers(0, 2, len(pos))
-    start = rng.normal(size=pos.shape)
-    head = (lengths, periodic, _SMOKE_RC * _SMOKE_RC, types, *pot.fused_style().coeffs)
-    if stem == "lj_half":
-        # Three blocks of the kernel, the last one partial.
-        m = 2 * LJ_BLOCK + LJ_BLOCK // 4
-        inside = keep < m
-        pi, pj, keep, dr, r2 = pi[:m], pj[:m], keep[inside], dr[inside], r2[inside]
-    gi, gj, r = pi[keep], pj[keep], np.sqrt(r2)
-    if stem == "lj_half":
-        # The half-list path hands pair_terms r * r, not einsum's r2.
-        energy, f_over_r = pot.pair_terms(r, r * r, types[gi], types[gj], None, None)
-        ref = [start.copy(), energy, f_over_r * (r * r)]
-        provider.acc_scaled(ref[0], gi, gj, dr, f_over_r)
-        got = [start.copy(), np.empty(len(pi)), np.empty(len(pi))]
-        count = provider.lj_half(pos, pi, pj, *head, *got)
-        got[1:] = got[1][:count], got[2][:count]
-    else:
-        # Directed rows: the same pairs read as (head, partner) rows.
-        energy, f_over_r = pot.pair_terms(r, r2, types[gi], types[gj], None, None)
-        ref = [start.copy(), start[:, 0].copy(), start[:, 1].copy()]
-        provider.scatter3(ref[0], gi, f_over_r[:, None] * dr)
-        provider.scatter1(ref[1], gi, 0.5 * energy)
-        provider.scatter1(ref[2], gi, 0.5 * f_over_r * r2)
-        got = [start.copy(), start[:, 0].copy(), start[:, 1].copy()]
-        count = provider.lj_rows(pos, pi, pj, pi, pj, *head, *got)
-    if not (count == len(keep) and all(map(np.array_equal, got, ref))):
-        raise AssertionError(f"fused {stem} deviates from the unfused path")
+    a = _pair_inputs(rng, policy)
+    a.lj = LennardJonesCut([1.0, 0.7], [1.0, 1.15], cutoff=_SMOKE_RC)
+    a.tables = a.types, *a.lj.fused_style().coeffs
+    return a
 
 
-def _check_charmm(provider, stem, policy):
-    """lj/charmm/coul/long terms: bitwise
-    ``CharmmCoulLong.screened_terms`` — the unfused sequence after the
-    Ewald factors — over the survivors' ``r`` and ``r * r``, then
-    ``acc_scaled`` onto pre-loaded forces, with two atom types,
-    charges, pairs on both sides of the switch and of a Coulomb cutoff
-    inside the LJ one, for ``alpha == 0`` and for stand-in Ewald
-    factors (any numbers do: the kernel only reads them, and scipy
-    stays unloaded)."""
+def _unfused_lj(provider, a):
+    """What the fused half-list pass replaces: ``pair_terms`` over ``r``
+    and ``r * r`` (not einsum's ``r2``), then ``acc_scaled`` onto the
+    pre-loaded forces — the digest chain must not be able to tell which
+    route ran."""
+    i, j, r = a.i, a.j, a.r
+    energy, f_over_r = a.lj.pair_terms(r, r * r, a.types[i], a.types[j], None, None)
+    forces = a.forces.copy()
+    provider.acc_scaled(forces, i, j, a.dr, f_over_r)
+    return len(i), energy, f_over_r * (r * r), forces
+
+
+def _unfused_lj_rows(provider, a):
+    """The same pairs read as directed (head, partner) rows:
+    ``pair_terms`` over ``r`` and einsum's ``r2``, each term scattered
+    onto its head's pre-loaded forces and tallies."""
+    i, j, r2 = a.i, a.j, a.r2
+    energy, f_over_r = a.lj.pair_terms(a.r, r2, a.types[i], a.types[j], None, None)
+    forces, (e, v) = a.forces.copy(), a.tallies.copy()
+    provider.scatter3(forces, i, f_over_r[:, None] * a.dr)
+    provider.scatter1(e, i, 0.5 * energy)
+    provider.scatter1(v, i, 0.5 * f_over_r * r2)
+    return len(i), forces, e, v
+
+
+def _eam_inputs(rng, policy):
+    """The pair inputs with eam/alloy parameters, the kernels' coefficient
+    vector and, as ``EAMAlloy.terms`` forms them on the compiled body,
+    what each sweep is fed — the reference's own inputs, so a message
+    names the sweep that drifted: the ``exp`` arguments (three per
+    survivor) and their exponentials, the density of ``partner_sum``'s
+    two input-order scatters, and its embedding slopes."""
+    from repro.md.potentials import eam
+
+    a = _pair_inputs(rng, policy)
+    a.params = params = eam.EAMParameters(r_e=1.4, cutoff=_SMOKE_RC)
+    a.eam, a.coef = eam.EAMAlloy(params), _eam_coefficients(params)
+    decays = [decay for _, decay in eam.radial_exponentials(params)]
+    a.args = np.stack([-decay * (a.r - params.r_e) for decay in decays], axis=1)
+    a.e, a.exps = np.exp(a.args), np.empty((len(a.pi), 3), policy.storage_dtype)
+    f, a.df = a.eam.density_function(a.r)
+    a.rho, a.density = np.zeros((2, len(a.pos)), policy.accumulate_dtype)
+    np.add.at(a.rho, a.i, f)
+    np.add.at(a.rho, a.j, f)
+    a.slopes = eam.embedding(a.rho, params)[1]
+    a.pair_terms = np.empty((2, len(a.i)), policy.accumulate_dtype)
+    return a
+
+
+def _survivors_and_exp_arguments(provider, a):
+    return len(a.i), a.i, a.j, a.dr, a.r, a.args
+
+
+def _partner_sum(provider, a):
+    return (a.rho,)
+
+
+def _eam_pair_terms(provider, a):
+    """The pair terms, ``acc_scaled``'s force order onto the pre-loaded
+    forces, and the per-pair ``phi`` and virial."""
+    phi, dphi = a.eam.pair_function(a.r)
+    f_over_r = -(dphi + (a.slopes[a.i] + a.slopes[a.j]) * a.df) / a.r
+    forces = a.forces.copy()
+    provider.acc_scaled(forces, a.i, a.j, a.dr, f_over_r)
+    return forces, phi, f_over_r * (a.r * a.r)
+
+
+def _charmm_inputs(rng, policy):
+    """The pair inputs with lj/charmm/coul/long at ``alpha`` 0 and 0.9,
+    its Coulomb cutoff inside the LJ one, and stand-in Ewald factors
+    (any numbers do: the kernel only reads them, and scipy stays
+    unloaded)."""
     from repro.md.potentials.charmm import CharmmCoulLong
 
-    box, pos, pi, pj, keep, dr, r2 = _smoke_pairs(policy.storage_dtype)
-    rng = np.random.default_rng(4321)
-    types = rng.integers(0, 2, len(pos))
-    charges = rng.normal(size=len(pos))
-    start = rng.normal(size=pos.shape)
-    i, j, r = pi[keep], pj[keep], np.sqrt(r2)
-    for alpha in (0.0, 0.9):
-        pot = CharmmCoulLong(
+    a = _pair_inputs(rng, policy)
+    a.styles = [
+        CharmmCoulLong(
             [0.2, 0.15], [1.0, 1.3], lj_inner=1.6, cutoff=_SMOKE_RC,
             coul_cutoff=2.2, alpha=alpha, coulomb_constant=1.7,
         )
-        screening = None
-        if alpha > 0.0:
-            ar = alpha * r
-            screening = (np.exp(-ar) / (1.0 + ar), np.exp(-ar * ar))
-        energy, f_over_r = pot.screened_terms(
-            r, r * r, types[i], types[j], charges[i], charges[j], screening
-        )
-        want = [start.copy(), energy, f_over_r, f_over_r * (r * r)]
-        provider.acc_scaled(want[0], i, j, dr, f_over_r)
-        eps, sigma, scalars = pot.fused_style().coeffs
-        got = [start.copy(), *np.empty((3, len(i)))]
+        for alpha in (0.0, 0.9)
+    ]
+    ar = a.styles[1].alpha * a.r
+    a.screening = [None, (np.exp(-ar) / (1.0 + ar), np.exp(-ar * ar))]
+    return a
+
+
+def _charmm_terms(provider, a):
+    out = ()
+    for style, screening in zip(a.styles, a.screening):
+        eps, sigma, scalars = style.fused_style().coeffs
+        terms = np.empty((3, len(a.i)))
         provider.charmm_terms(
-            i, j, r, *(screening or (r, r)), types, eps, sigma, charges, scalars,
-            *got[1:],
+            a.i, a.j, a.r, *(screening or (a.r, a.r)), a.types, eps, sigma,
+            a.charges, scalars, *terms,
         )
-        provider.acc_scaled(got[0], i, j, dr, got[2])
-        if not all(a.tobytes() == b.tobytes() for a, b in zip(got, want)):
-            raise AssertionError(
-                f"charmm_terms (alpha {alpha}) deviates from the unfused path"
-            )
+        out += tuple(terms)
+    return out
 
 
-def _check_eam(provider, stem, policy):
-    """One eam/alloy sweep against its share of ``EAMAlloy.terms`` as
-    the compiled body runs it, bitwise, fed the numpy reference's
-    inputs (so the message names the sweep that drifted): the survivors'
-    geometry and ``exp`` arguments; ``partner_sum``'s two scatters of
-    the density; the pair terms, ``acc_scaled``'s force order onto
-    pre-loaded forces, and the per-pair ``phi`` and virial."""
-    from repro.md.potentials.eam import (
-        EAMAlloy,
-        EAMParameters,
-        embedding,
-        radial_exponentials,
-    )
-
-    box, pos, pi, pj, keep, dr, r2 = _smoke_pairs(policy.storage_dtype)
-    params = EAMParameters(r_e=1.4, cutoff=_SMOKE_RC)
-    potential, coef = EAMAlloy(params), _eam_coefficients(params)
-    i, j, r = pi[keep], pj[keep], np.sqrt(r2)
-    args = np.stack(
-        [-decay * (r - params.r_e) for _, decay in radial_exponentials(params)],
-        axis=1,
-    )
-    f, df = potential.density_function(r)
-    rho = np.zeros(len(pos))
-    provider.scatter1(rho, i, f)
-    provider.scatter1(rho, j, f)
-    if stem == "eam_geom":
-        m = len(pi)
-        oi, oj = np.empty((2, m), np.int64)
-        odr, orr, oexp = np.empty((m, 3)), np.empty(m), np.empty(3 * m)
-        c = provider.eam_geom(
-            pos, pi, pj, *_box_f64(box)[::2], _SMOKE_RC * _SMOKE_RC, coef,
-            oi, oj, odr, orr, oexp,
+def _screened_terms(provider, a):
+    """``CharmmCoulLong.screened_terms`` — the unfused sequence after
+    the Ewald factors — over the survivors' ``r`` and ``r * r``."""
+    i, j, r, out = a.i, a.j, a.r, ()
+    for style, screening in zip(a.styles, a.screening):
+        energy, f_over_r = style.screened_terms(
+            r, r * r, a.types[i], a.types[j], a.charges[i], a.charges[j], screening
         )
-        got = (oi[:c], oj[:c], odr[:c], orr[:c], oexp[: 3 * c])
-        want = (i, j, dr, r, args.ravel())
-    elif stem == "eam_density":
-        got = (np.zeros(len(pos)),)
-        provider.eam_density(i, j, r, np.exp(args).ravel(), coef, got[0])
-        want = (rho,)
-    else:
-        _, slopes = embedding(rho, params)
-        phi, dphi = potential.pair_function(r)
-        f_over_r = -(dphi + (slopes[i] + slopes[j]) * df) / r
-        start = np.random.default_rng(4321).normal(size=pos.shape)
-        want = (start.copy(), phi, f_over_r * (r * r))
-        provider.acc_scaled(want[0], i, j, dr, f_over_r)
-        got = (start.copy(), np.empty(len(i)), np.empty(len(i)))
-        provider.eam_forces(i, j, dr, r, np.exp(args).ravel(), coef, slopes, *got)
-    if not all(
-        a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want)
-    ):
-        raise AssertionError(f"{stem} deviates from the EAM numpy body")
+        out += energy, f_over_r, f_over_r * (r * r)
+    return out
 
 
-def _smoke_silicon():
-    """``(system, neighbors)`` for the Tersoff check: a jittered 64-atom
-    diamond cell, open along z, with pre-loaded forces; atom 0's
-    nearest bond is stretched to ``R`` (mid-ramp) and the last atom is
-    lifted out of everyone's reach (an empty row)."""
+def _silicon_inputs(rng, policy):
+    """A jittered 64-atom diamond cell, open along z, its full neighbor
+    list and pre-loaded forces, and the fused Tersoff pass's arguments;
+    atom 0's nearest bond is stretched to ``R`` (mid-ramp) and the last
+    atom is lifted out of everyone's reach (an empty row)."""
     from repro.md.atoms import AtomSystem
+    from repro.md.kernels._cc_impl import CcProvider
     from repro.md.lattice import diamond_positions
     from repro.md.neighbor import NeighborList
+    from repro.md.potentials.tersoff import Tersoff
 
-    rng = np.random.default_rng(1234)
     pos, cell = diamond_positions(2, 5.431)
     pos += rng.normal(scale=0.08, size=pos.shape)
     box = Box(cell.lengths + [0.0, 0.0, 12.0], periodic=(True, True, False))
@@ -323,219 +416,223 @@ def _smoke_silicon():
     lengths = np.linalg.norm(bonds, axis=1)
     nearest = int(np.argmin(lengths))
     pos[1 + nearest] = pos[0] - 2.85 * bonds[nearest] / lengths[nearest]
-    system = AtomSystem(pos, box)
-    system.forces[...] = rng.normal(size=pos.shape)
+    system = AtomSystem(pos, box, dtype=policy.storage_dtype)
+    forces = rng.normal(size=pos.shape).astype(policy.accumulate_dtype)
     neighbors = NeighborList(3.0, 0.5, full=True)
     neighbors.build(system)
-    return system, neighbors
+    style, rows = Tersoff().fused_style(), int(np.diff(neighbors.csr_offsets).max())
+    fused = (
+        system.positions, neighbors.csr_offsets, neighbors.pair_j,
+        *_box_f64(box)[::2], style.cutoff * style.cutoff, *style.coeffs,
+        np.empty(rows * CcProvider.TERSOFF_SLOT_DOUBLES), np.empty(rows, np.int64),
+    )
+    return SimpleNamespace(
+        system=system, neighbors=neighbors, forces=forces, fused=fused
+    )
 
 
-def _check_tersoff(provider, stem, policy):
-    """Fused Tersoff against ``Tersoff.compute``'s numpy body (the
-    unfused route) at the 1e-12 tier — libm and numpy round ``exp`` and
-    ``pow`` differently, so not bitwise — and bitwise against itself."""
+def _tersoff_full(provider, a):
+    forces, totals = a.forces.copy(), np.empty(2)
+    return provider.tersoff_full(*a.fused, forces, totals), forces, totals
+
+
+def _tersoff_compute(provider, a):
+    """``Tersoff.compute``'s numpy body (the unfused route) onto the
+    pre-loaded forces — libm and numpy round ``exp`` and ``pow``
+    differently, so the fused pass is not bitwise it."""
     from repro.md.potentials.tersoff import Tersoff
 
-    system, neighbors = _smoke_silicon()
-    start = system.forces.copy()
-    pot = Tersoff()
-    pot.backend = NumpyFastBackend()
-    expect = pot.compute(system, neighbors)
-    style = pot.fused_style()
-    rows = int(np.diff(neighbors.csr_offsets).max())
-    scratch = np.empty(rows * provider.TERSOFF_SLOT_DOUBLES)
-    runs = []
-    for _ in range(2):
-        forces, totals = start.copy(), np.empty(2)
-        count = provider.tersoff_full(
-            system.positions, neighbors.csr_offsets, neighbors.pair_j,
-            *_box_f64(system.box)[::2], style.cutoff * style.cutoff,
-            *style.coeffs, scratch, np.empty(rows, np.int64), forces, totals,
-        )
-        runs.append((count, forces.tobytes(), totals.tobytes()))
-    got = (*forces.ravel(), *totals)
-    want = (*system.forces.ravel(), expect.energy, expect.virial)
-    if not (
-        count == expect.interactions
-        and runs[0] == runs[1]
-        and np.allclose(got, want, rtol=1e-12, atol=1e-12)
-    ):
-        raise AssertionError("fused tersoff_full deviates from Tersoff.compute")
+    potential = Tersoff()
+    potential.backend = NumpyFastBackend()
+    a.system.forces[...] = a.forces
+    result = potential.compute(a.system, a.neighbors)
+    totals = np.array([result.energy, result.virial])
+    return result.interactions, a.system.forces.copy(), totals
 
 
-def _smoke_cells():
-    """``(rng, box, pos)``: 120 atoms in a periodic box several cells wide."""
-    rng = np.random.default_rng(1234)
-    box = Box([9.0, 9.5, 10.0])
-    return rng, box, np.ascontiguousarray(rng.uniform(0, 1, (120, 3)) * box.lengths)
+def _brute_inputs(rng, policy):
+    """90 atoms in a partly periodic box too narrow to bin, strayed up to
+    0.7 box lengths outside it on either side (the exact minimum image,
+    not the cell builds' shift)."""
+    box = Box([4.5, 5.0, 5.5], periodic=(True, True, False))
+    frac = rng.uniform(-0.7, 1.7, (90, 3))
+    frac[:2] = [[-0.7], [1.7]]
+    pos = (frac * box.lengths).astype(policy.storage_dtype)
+    offsets = np.full(len(pos) + 1, -1, np.int64)
+    return SimpleNamespace(pos=pos, box=box, rc=2.2, offsets=offsets)
 
 
-def _built_twice(stem, ref_i, ref_j, build) -> bool:
-    """``build(out_i, out_j) -> count`` run with half the room the
-    reference rows need, then with room to spare: a too-small buffer
-    must report the true count without writing past it.  True when the
-    second run's rows are the reference's."""
-    for cap in (len(ref_i) // 2, len(ref_i) + 7):
-        oi, oj = np.full((2, cap + 1), -1, np.int64)
-        count = build(oi[:cap], oj[:cap])
-        if not (count == len(ref_i) and oi[cap] == oj[cap] == -1):
-            raise AssertionError(f"{stem} miscounts or overruns its buffers")
-    return np.array_equal(oi[:count], ref_i) and np.array_equal(oj[:count], ref_j)
-
-
-def _check_brute_csr(provider, stem, policy):
-    """All-pairs CSR build: bitwise ``brute_force_pairs`` — its pairs in
-    ``np.triu_indices`` order, with matching offsets — over a partly
-    periodic box too narrow to bin, with atoms strayed up to 0.7 box
-    lengths outside it (the exact minimum image, not the cell builds'
-    shift)."""
+def _brute_force_pairs(provider, a):
+    """Its pairs, in ``np.triu_indices`` order."""
     from repro.md.neighbor import brute_force_pairs
 
-    rng = np.random.default_rng(1234)
-    box = Box([4.5, 5.0, 5.5], periodic=(True, True, False))
-    pos = rng.uniform(-0.5, 1.2, (90, 3)) * box.lengths
-    ref_i, ref_j = brute_force_pairs(pos, box, 2.2)
-    lengths, _, periodic = _box_f64(box)
-    offsets = np.empty(len(pos) + 1, np.int64)
-
-    def build(out_i, out_j):
-        return provider.brute_csr(
-            pos, lengths, periodic, 2.2 * 2.2, out_i, out_j, offsets
-        )
-
-    if not (
-        _built_twice(stem, ref_i, ref_j, build)
-        and np.array_equal(offsets, np.searchsorted(ref_i, np.arange(len(pos) + 1)))
-    ):
-        raise AssertionError("brute_csr deviates from brute_force_pairs")
+    return brute_force_pairs(a.pos, a.box, a.rc)
 
 
-def _check_cell_csr(provider, stem, policy):
-    """CSR build: the rows must arrive exactly as lexsort((j, i)) orders
-    the numpy build's pairs — the neighbor list no longer sorts them —
-    with matching offsets, over a grid that takes both image routes:
-    x holds 3 cells (compare-and-shift), y 4 with atoms strayed inside
-    rc/4 of the box (the hoisted shift) and z 4 with one atom further
-    out (the guard falls back to compare-and-shift).  Two atoms in
-    neighbouring x cells, 5.0 apart across the box, are 2.0 apart
-    through its boundary: the compare-and-shift keeps the pair, a shift
-    fixed per pair of cells (0 for these) would lose it."""
-    from repro.md.neighbor import cell_list_half_pairs
-
-    rng = np.random.default_rng(1234)
+def _cell_csr_inputs(rng, policy):
+    """150 atoms over a grid that takes both image routes: x holds 3
+    cells (compare-and-shift), y 4 with atoms strayed inside rc/4 of the
+    box (the hoisted shift) and z 4 with one atom further out (the guard
+    falls back to compare-and-shift).  Two atoms in neighbouring x
+    cells, 5.0 apart across the box, are 2.0 apart through its boundary:
+    the compare-and-shift keeps the pair, a shift fixed per pair of
+    cells (0 for these) would lose it."""
     box = Box([7.0, 9.5, 10.0])
     pos = rng.uniform(0, 1, (150, 3)) * box.lengths
     pos[:2, 1] = -0.2 * 2.2, box.lengths[1] + 0.2 * 2.2
     pos[2, 2] = -0.3 * 2.2
     pos[3:5] = [-0.4, 5.0, 5.0], [4.6, 5.0, 5.0]
-    ref_i, ref_j = cell_list_half_pairs(pos, box, 2.2)
-    order = np.lexsort((ref_j, ref_i))
-    ref_i, ref_j = ref_i[order], ref_j[order]
-    offsets = np.empty(len(pos) + 1, np.int64)
-
-    def build(out_i, out_j):
-        return provider.cell_csr(pos, *_box_f64(box), 2.2, out_i, out_j, offsets)
-
-    if not (
-        _built_twice(stem, ref_i, ref_j, build)
-        and np.array_equal(offsets, np.searchsorted(ref_i, np.arange(len(pos) + 1)))
-    ):
-        raise AssertionError("cell_csr deviates from lexsorted cell_list_half_pairs")
+    pos, offsets = pos.astype(policy.storage_dtype), np.full(len(pos) + 1, -1, np.int64)
+    return SimpleNamespace(pos=pos, box=box, rc=2.2, offsets=offsets)
 
 
-def _check_cell_rows(provider, stem, policy):
-    """Directed rows: exactly the numpy half list mirrored and lexsorted
-    by (i, key[j]) under a non-monotone key and an anchor limit (what
-    an engine worker's global ids and owned prefix are)."""
-    from repro.md.neighbor import subdomain_directed_pairs
+def _lexsorted_cell_pairs(provider, a):
+    """The rows exactly as ``lexsort((j, i))`` orders the numpy build's
+    pairs — the neighbor list no longer sorts them."""
+    from repro.md.neighbor import cell_list_half_pairs
 
-    rng, box, pos = _smoke_cells()
-    key = rng.permutation(len(pos))
-    open_box = _box_f64(Box(box.lengths, periodic=(False,) * 3))
-    anchors = 70
-    ref_i, ref_j = subdomain_directed_pairs(
-        pos, 2.2, sort_key=key, anchor_limit=anchors
+    i, j = cell_list_half_pairs(a.pos, a.box, a.rc)
+    order = np.lexsort((j, i))
+    return i[order], j[order]
+
+
+def _cell_inputs(rng, policy):
+    """120 atoms in a periodic box several cells wide and the same atoms
+    moved (the skin check's input), with a non-monotone sort key and an
+    anchor limit (what an engine worker's global ids and owned prefix
+    are)."""
+    box = Box([9.0, 9.5, 10.0])
+    pos = rng.uniform(0, 1, (120, 3)) * box.lengths
+    moved = pos + rng.normal(scale=0.4, size=pos.shape)
+    return SimpleNamespace(
+        pos=pos.astype(policy.storage_dtype), moved=moved.astype(policy.storage_dtype),
+        box=box, open_box=_box_f64(Box(box.lengths, periodic=(False,) * 3)), rc=2.2,
+        key=rng.permutation(len(pos)), anchors=70,
     )
 
-    def build(out_i, out_j):
-        return provider.cell_rows(pos, *open_box, 2.2, key, anchors, out_i, out_j)
 
-    if not _built_twice(stem, ref_i, ref_j, build):
-        raise AssertionError("cell_rows deviates from the mirrored, lexsorted half list")
+def _mirrored_half_list(provider, a):
+    """The numpy half list mirrored and lexsorted by ``(i, key[j])``."""
+    from repro.md.neighbor import subdomain_directed_pairs
 
-
-def _check_max_disp_sq(provider, stem, policy):
-    """Skin check: bitwise the numpy wrap/minimum-image/einsum maximum."""
-    rng, box, pos = _smoke_cells()
-    moved = pos + rng.normal(scale=0.4, size=pos.shape)
-    disp = box.minimum_image(box.wrap(moved) - pos)
-    if provider.max_disp_sq(moved, pos, *_box_f64(box)) != float(
-        np.max(np.einsum("ij,ij->i", disp, disp))
-    ):
-        raise AssertionError("max_disp_sq deviates from the numpy skin check")
+    return subdomain_directed_pairs(a.pos, a.rc, sort_key=a.key, anchor_limit=a.anchors)
 
 
-def _smoke_mesh(dtype):
-    """``(grid, frac, charges, fields)``: 60 atoms in grid units over a
-    non-cubic mesh in ``dtype`` — on a node, at the origin, one ulp
-    below the far corner and unwrapped on either side of the box."""
-    rng = np.random.default_rng(1234)
-    grid = (8, 10, 12)
-    frac = rng.uniform(-6.0, 18.0, (60, 3))
-    frac[:3] = [[3.0, 4.0, 5.0], [0.0, 0.0, 0.0], np.nextafter(grid, 0.0)]
-    fields = [rng.normal(size=grid).astype(dtype) for _ in range(3)]
-    return grid, frac.astype(dtype), rng.normal(size=60).astype(dtype), fields
+def _numpy_skin_check(provider, a):
+    """The wrap / minimum-image / einsum maximum."""
+    disp = a.box.minimum_image(a.box.wrap(a.moved) - a.pos)
+    return (float(np.max(np.einsum("ij,ij->i", disp, disp))),)
 
 
-def _check_pppm(provider, stem, policy):
-    """PPPM spread and gather: bitwise the numpy bodies at the policy's
-    dtypes, orders 1 and 5, into pre-loaded outputs (a spread adds to
-    the mesh; a gather overwrites)."""
-    from repro.md.kspace.pppm import interpolate_fields, mesh_stencil, spread_charges
-
-    ct, acc = policy.compute_dtype, policy.accumulate_dtype
-    grid, frac, charges, fields = _smoke_mesh(ct)
-    start = np.random.default_rng(4321).normal(size=grid).astype(acc)
-    for order in (1, 5):
-        stencil = mesh_stencil(frac, order, grid)
-        scratch = np.empty(3 * order * len(frac), np.int64), np.empty(
-            3 * order * len(frac), ct
-        )
-        if stem == "pppm_spread":
-            expect, got = start.copy(), start.copy()
-            spread_charges(expect, stencil, charges)
-            provider.pppm_spread(got, frac, charges, order, *scratch)
-        else:
-            expect, got = np.zeros(frac.shape, ct), np.ones(frac.shape, ct)
-            interpolate_fields(expect, stencil, fields)
-            provider.pppm_gather(got, fields, frac, order, *scratch, acc)
-        if got.tobytes() != expect.tobytes():
-            raise AssertionError(
-                f"{stem} ({policy.mode.value}, order {order}) deviates from "
-                "the numpy body"
-            )
+def _mesh_inputs(rng, policy):
+    """60 atoms in grid units over a non-cubic mesh in the compute dtype
+    — on a node, at the origin, one ulp below the far corner and
+    unwrapped on either side of the box — with charges and three fields
+    in that dtype, and per order a pre-loaded mesh in the accumulate
+    dtype (a spread adds to it) and field output (a gather overwrites
+    it)."""
+    compute, grid = policy.compute_dtype, (8, 10, 12)
+    frac = rng.uniform(-6.0, 18.0, (60, 3)).astype(compute)
+    frac[:2] = [3.0, 4.0, 5.0], [0.0, 0.0, 0.0]
+    frac[2] = np.nextafter(np.array(grid, compute), compute.type(0.0))
+    frac[3:5] = [-5.5, -0.5, -3.0], [15.5, 10.5, 17.0]
+    mesh = rng.normal(size=grid).astype(policy.accumulate_dtype)
+    return SimpleNamespace(
+        frac=frac, charges=rng.normal(size=60).astype(compute),
+        fields=[rng.normal(size=grid).astype(compute) for _ in range(3)],
+        mesh={1: mesh.copy(), 5: mesh},
+        efield={order: np.ones(frac.shape, compute) for order in (1, 5)},
+        accumulate=policy.accumulate_dtype,
+    )
 
 
-#: The check behind each row of the provider's instance table.
-_SMOKE_CHECKS = {
-    "scatter1": _check_accumulate,
-    "scatter3": _check_accumulate,
-    "acc_scaled": _check_accumulate,
-    "acc_pair": _check_accumulate,
-    "pppm_spread": _check_pppm,
-    "pppm_gather": _check_pppm,
-    "pair_geom": _check_pair_geom,
-    "lj_half": _check_lj,
-    "lj_rows": _check_lj,
-    "eam_geom": _check_eam,
-    "eam_density": _check_eam,
-    "eam_forces": _check_eam,
-    "tersoff_full": _check_tersoff,
-    "charmm_terms": _check_charmm,
-    "brute_csr": _check_brute_csr,
-    "cell_csr": _check_cell_csr,
-    "cell_rows": _check_cell_rows,
-    "max_disp_sq": _check_max_disp_sq,
+def _orders_1_and_5(route):
+    """``route(provider, a, order)`` at orders 1 and 5, concatenated."""
+    return wraps(route)(lambda p, a: route(p, a, 1) + route(p, a, 5))
+
+
+def _stencil(a, order):
+    """``(nodes, weights)`` scratch for the mesh kernels at ``order``."""
+    size = 3 * order * len(a.frac)
+    return np.empty(size, np.int64), np.empty(size, a.frac.dtype)
+
+
+@_orders_1_and_5
+def _spread_charges(provider, a, order):
+    from repro.md.kspace.pppm import mesh_stencil, spread_charges
+
+    mesh = a.mesh[order].copy()
+    spread_charges(mesh, mesh_stencil(a.frac, order, mesh.shape), a.charges)
+    return 0, mesh
+
+
+@_orders_1_and_5
+def _interpolate_fields(provider, a, order):
+    from repro.md.kspace.pppm import interpolate_fields, mesh_stencil
+
+    efield, shape = np.zeros_like(a.efield[order]), a.fields[0].shape
+    interpolate_fields(efield, mesh_stencil(a.frac, order, shape), a.fields)
+    return 0, efield
+
+
+#: One declaration per row of the provider's instance table.
+_SMOKE_CASES = {
+    "scatter1": _accumulating(
+        "scatter1", "scatter_add", "atoms", "i", "scalars", contract=_bincount_exact
+    ),
+    "scatter3": _accumulating(
+        "scatter3", "scatter_add", "forces", "i", "vectors", contract=_bincount_exact
+    ),
+    "acc_scaled": _accumulating(
+        "acc_scaled", "accumulate_scaled_pair_forces", "forces", "i", "j", "vectors",
+        "scalars",
+    ),
+    "acc_pair": _accumulating(
+        "acc_pair", "accumulate_pair_forces", "forces", "i", "j", "vectors"
+    ),
+    "pppm_spread": _Case(_mesh_inputs, _orders_1_and_5(lambda p, a, order: _written(
+        p.pppm_spread(a.mesh[order], a.frac, a.charges, order, *_stencil(a, order)),
+        a.mesh[order],
+    )), _spread_charges, "bitwise", scratch=(6, 7)),
+    "pppm_gather": _Case(_mesh_inputs, _orders_1_and_5(lambda p, a, order: _written(
+        p.pppm_gather(a.efield[order], a.fields, a.frac, order, *_stencil(a, order),
+                      a.accumulate), a.efield[order],
+    )), _interpolate_fields, "bitwise", scratch=(8, 9)),
+    "pair_geom": _Case(_pair_inputs, lambda p, a: _counted(
+        p.pair_geom(a.pos, a.pi, a.pj, *a.head, *a.geometry), *a.geometry
+    ), _numpy_geometry, "bitwise"),
+    "lj_half": _Case(_lj_inputs, lambda p, a: _counted(
+        p.lj_half(a.pos, a.pi, a.pj, *a.head, *a.tables, a.forces, *a.terms), *a.terms
+    ) + (a.forces,), _unfused_lj, "bitwise"),
+    "lj_rows": _Case(_lj_inputs, lambda p, a: _written(p.lj_rows(
+        a.pos, a.pi, a.pj, a.pi, a.pj, *a.head, *a.tables, a.forces, *a.tallies
+    ), a.forces, *a.tallies), _unfused_lj_rows, "bitwise"),
+    "eam_geom": _Case(_eam_inputs, lambda p, a: _counted(
+        p.eam_geom(a.pos, a.pi, a.pj, *a.head, a.coef, *a.geometry, a.exps),
+        *a.geometry, a.exps,
+    ), _survivors_and_exp_arguments, "bitwise"),
+    "eam_density": _Case(_eam_inputs, lambda p, a: _written(
+        p.eam_density(a.i, a.j, a.r, a.e, a.coef, a.density), a.density
+    ), _partner_sum, "bitwise"),
+    "eam_forces": _Case(_eam_inputs, lambda p, a: _written(p.eam_forces(
+        a.i, a.j, a.dr, a.r, a.e, a.coef, a.slopes, a.forces, *a.pair_terms
+    ), a.forces, *a.pair_terms), _eam_pair_terms, "bitwise"),
+    "tersoff_full": _Case(
+        _silicon_inputs, _tersoff_full, _tersoff_compute, "repeatable", scratch=(9, 10)
+    ),
+    "charmm_terms": _Case(_charmm_inputs, _charmm_terms, _screened_terms, "bitwise"),
+    "brute_csr": _Case(_brute_inputs, lambda p, a: _written(p.brute_csr(
+        a.pos, *_box_f64(a.box)[::2], a.rc * a.rc, a.out_i, a.out_j, a.offsets
+    ), a.offsets), _brute_force_pairs, "builder"),
+    "cell_csr": _Case(_cell_csr_inputs, lambda p, a: _written(p.cell_csr(
+        a.pos, *_box_f64(a.box), a.rc, a.out_i, a.out_j, a.offsets
+    ), a.offsets), _lexsorted_cell_pairs, "builder"),
+    "cell_rows": _Case(_cell_inputs, lambda p, a: _written(p.cell_rows(
+        a.pos, *a.open_box, a.rc, a.key, a.anchors, a.out_i, a.out_j
+    )), _mirrored_half_list, "builder"),
+    "max_disp_sq": _Case(_cell_inputs, lambda p, a: _written(
+        p.max_disp_sq(a.moved, a.pos, *_box_f64(a.box))
+    ), _numpy_skin_check, "bitwise"),
 }
 
 

@@ -499,25 +499,8 @@ class TestNativeNeighborBuild:
     def test_smoke_test_demotes_a_provider_with_unsorted_rows(self):
         """The neighbor list no longer sorts native rows, so a provider
         that emits the right pairs in the wrong order must not pass."""
-        provider, _ = resolve_provider()
-
-        class UnsortedRows:
-            def __getattr__(self, name):
-                return getattr(provider, name)
-
-            def cell_csr(self, pos, lengths, origin, periodic, rc, oi, oj, offsets):
-                count = provider.cell_csr(
-                    pos, lengths, origin, periodic, rc, oi, oj, offsets
-                )
-                if 0 <= count <= len(oi):  # reverse every row in place
-                    for a in range(len(pos)):
-                        row = slice(offsets[a], offsets[a + 1])
-                        oj[row] = oj[row][::-1].copy()
-                return count
-
-        _smoke_test(provider)  # the real provider passes
-        with pytest.raises(AssertionError, match="cell_csr deviates"):
-            _smoke_test(UnsortedRows())
+        _smoke_test(resolve_provider()[0])  # the real provider passes
+        _assert_demoted("cell_csr", _after(_reverse_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -528,25 +511,182 @@ _TABLE_INSTANCES = [
     for stem, (instances, _, _) in _cc_impl.KERNELS.items()
     for val, acc in instances
 ]
+F64 = np.dtype(np.float64)
+
+
+def _nudge(value, tier):
+    """``value`` moved one ulp (one, for an integer) or, under a
+    tolerance, ten times past it."""
+    value = np.asarray(value)[()]
+    if np.issubdtype(value.dtype, np.integer):
+        return value + 1
+    if tier:
+        return value + value.dtype.type(10 * tier * (1 + abs(value)))
+    return np.nextafter(value, value.dtype.type(np.inf))
+
+
+def _nudging(k, tier, at=0):
+    """Nudge the element ``at`` (the first) of the written argument ``k``."""
+    def corrupt(args, result):
+        args[k].flat[at] = _nudge(args[k].flat[at], tier)
+        return result
+
+    return corrupt
+
+
+def _after(corrupt):
+    """A mutation: the real kernel, then ``corrupt(args, result)`` on
+    what it wrote; its return replaces the kernel's."""
+    return lambda real: lambda *args: corrupt(args, real(*args))
+
+
+def _reverse_rows(args, count):
+    """Every CSR row reversed: the neighbor list no longer sorts native
+    rows, so the right pairs in the wrong order must not pass."""
+    *_, oi, oj, _, offsets = args
+    if 0 <= count <= len(oi):
+        for a in range(len(offsets) - 1):
+            row = slice(offsets[a], offsets[a + 1])
+            oj[row] = oj[row][::-1].copy()
+    return count
+
+
+def _rows_by_index(args, count):
+    """Each directed row in local-index order: the engine no longer
+    sorts native rows by global id."""
+    *_, oi, oj, _ = args
+    if 0 <= count <= len(oi):
+        order = np.lexsort((oj[:count], oi[:count]))
+        oj[:count] = oj[:count][order]
+    return count
+
+
+def _overrun(k):
+    """Write the cell one past the room the build was given (the smoke
+    test hands its rows in as views of a longer buffer)."""
+
+    def corrupt(args, count):
+        args[k].base[:, -1] = 0
+        return count
+
+    return corrupt
+
+
+def _drop_last_pair(args, count):
+    """The all-pairs build one pair short."""
+    args[-1][-1] -= 1
+    return count - 1
+
+
+def _reversed_rows_input(real):
+    """The directed rows handed to the kernel in reverse."""
+    def rows(pos, di, dj, gi, gj, *rest):
+        back = slice(None, None, -1)
+        reversed_rows = (np.ascontiguousarray(x[back]) for x in (di, dj, gi, gj))
+        return real(pos, *reversed_rows, *rest)
+
+    return rows
+
+
+def _past_the_tier(args, count):
+    args[-2][0, 0] += 1e-9
+    return count
+
+
+def _not_repeatable():
+    """Energy one ulp low on odd calls and one ulp high on even ones."""
+    calls = []
+
+    def corrupt(args, count):
+        calls.append(1)
+        args[-1][0] = np.nextafter(args[-1][0], np.inf * (-1) ** len(calls))
+        return count
+
+    return _after(corrupt)
+
+
+def _assert_demoted(stem, corrupt, val=F64, acc=F64):
+    """With the ``(stem, val, acc)`` instance swapped for
+    ``corrupt(real)``, the smoke test refuses the provider and names that
+    instance; the real instance is back in place afterwards."""
+    provider, _ = resolve_provider()
+    real = provider.bound[stem, val, acc]
+    symbol = _cc_impl.symbol(stem, val, acc)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(provider.bound, (stem, val, acc), corrupt(real))
+        with pytest.raises(AssertionError, match=f"^{symbol} deviates from "):
+            _smoke_test(provider)
+
+
+def _mutation_rows():
+    """``(stem, val, acc, corrupt)`` rows with an ``id``: a no-op for
+    every instance; one ulp in each output every instance declares (ten
+    times the tolerance for a tier row), its result included; and a
+    build that writes past its room.  The mutations particular to one
+    kernel are in that kernel's tests."""
+    f64, rows = np.dtype(np.float64), []
+
+    def row(stem, val, acc, name, corrupt):
+        rows.append(pytest.param(
+            stem, val, acc, corrupt, id=f"{_cc_impl.symbol(stem, val, acc)}-{name}"
+        ))
+
+    for stem, val, acc in _TABLE_INSTANCES:
+        instances, restype, signature = _cc_impl.KERNELS[stem]
+        case = compiled_module._SMOKE_CASES[stem]
+        _, tier = compiled_module._contract(case, instances[val, acc])
+        row(stem, val, acc, "no-op", lambda real: lambda *args: 0)
+        for k, letter in enumerate(signature.split()):
+            if letter.isupper() and k not in case.scratch:
+                row(stem, val, acc, f"output-{k}", _after(_nudging(k, tier)))
+        if restype is not None:
+            row(stem, val, acc, "result", _after(
+                lambda args, result, tier=tier: _nudge(result, tier)
+            ))
+    for stem, rows_at in (("brute_csr", 5), ("cell_csr", 6), ("cell_rows", 8)):
+        row(stem, f64, f64, "overruns", _after(_overrun(rows_at)))
+    return rows
+
+
+_MUTATIONS = _mutation_rows()
 
 
 @needs_compiled
 class TestInstanceTable:
+    @pytest.mark.parametrize("stem, val, acc, corrupt", _MUTATIONS)
+    def test_smoke_test_demotes_a_provider_with_a_dead_instance(
+        self, stem, val, acc, corrupt
+    ):
+        """Every bound instance is *called and checked* before a provider
+        is trusted: swapping any one of them for a no-op, or for a wrapper
+        that corrupts what the real kernel wrote, must fail naming it."""
+        _assert_demoted(stem, corrupt, val, acc)
+
+    def test_declarations_cover_the_table_exactly(self):
+        assert set(compiled_module._SMOKE_CASES) == set(_cc_impl.KERNELS)
+
+    def test_a_row_without_a_declaration_demotes_the_provider_by_name(
+        self, monkeypatch
+    ):
+        monkeypatch.delitem(compiled_module._SMOKE_CASES, "cell_rows")
+        monkeypatch.setattr(compiled_module, "_resolution", None)
+        provider, reason = resolve_provider()
+        assert provider is None
+        assert "'cell_rows' has no smoke declaration" in reason
+
     @pytest.mark.parametrize(
         "stem, val, acc",
         _TABLE_INSTANCES,
         ids=[_cc_impl.symbol(*instance) for instance in _TABLE_INSTANCES],
     )
-    def test_smoke_test_demotes_a_provider_with_a_dead_instance(
-        self, stem, val, acc, monkeypatch
-    ):
-        """Every bound instance is *called and checked* before a provider
-        is trusted: swapping any one of them for a no-op must fail."""
+    @given(seed=st.integers(0, 2**63 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_every_declaration_holds_at_drawn_seeds(self, stem, val, acc, seed):
+        """The declared cases hold their edge cases by construction, not
+        by the smoke test's seed: the kernel meets its row's contract on
+        any draw."""
         provider, _ = resolve_provider()
-        _smoke_test(provider)  # the real provider passes
-        monkeypatch.setitem(provider.bound, (stem, val, acc), lambda *args: 0)
-        with pytest.raises(AssertionError, match=stem):
-            _smoke_test(provider)
+        compiled_module._check(provider, stem, val, acc, np.random.default_rng(seed))
 
     def test_instances_are_the_policies_dtype_combinations(self):
         f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
@@ -904,34 +1044,10 @@ class TestFusedLennardJones:
             _hook(backend, one_type, system, NeighborList(2.5, 0.3))
 
     def test_smoke_test_demotes_a_provider_whose_fused_pass_drifts(self):
-        provider, _ = resolve_provider()
-
-        class OffByAnUlp:
-            def __getattr__(self, name):
-                return getattr(provider, name)
-
-            def lj_half(self, *args):
-                count = provider.lj_half(*args)
-                forces = args[-3]
-                forces[0, 0] = np.nextafter(forces[0, 0], np.inf)
-                return count
-
-        class WrongRowOrder:
-            def __getattr__(self, name):
-                return getattr(provider, name)
-
-            def lj_rows(self, pos, di, dj, gi, gj, *rest):
-                back = slice(None, None, -1)
-                return provider.lj_rows(
-                    pos,
-                    *(np.ascontiguousarray(x[back]) for x in (di, dj, gi, gj)),
-                    *rest,
-                )
-
-        with pytest.raises(AssertionError, match="lj_half deviates"):
-            _smoke_test(OffByAnUlp())
-        with pytest.raises(AssertionError, match="lj_rows deviates"):
-            _smoke_test(WrongRowOrder())
+        """An ulp off in ``lj_half``'s forces, or ``lj_rows`` handed its
+        rows in reverse, and the provider is refused."""
+        _assert_demoted("lj_half", _after(_nudging(-3, 0)))
+        _assert_demoted("lj_rows", _reversed_rows_input)
 
 
 # ---------------------------------------------------------------------------
@@ -1113,34 +1229,11 @@ class TestFusedEAM:
         assert np.all(rows.forces == 0.0)
 
     def test_smoke_test_demotes_a_provider_whose_sweep_drifts(self):
-        provider, _ = resolve_provider()
-
-        class OffByAnUlp:
-            def __init__(self, stem, nudge):
-                self.stem, self.nudge = stem, nudge
-
-            def __getattr__(self, name):
-                native = getattr(provider, name)
-                if name != self.stem:
-                    return native
-
-                def drifting(*args):
-                    out = native(*args)
-                    self.nudge(args)
-                    return out
-
-                return drifting
-
-        def bump(array):
-            array.flat[0] = np.nextafter(array.flat[0], np.inf)
-
-        for stem, nudge in (
-            ("eam_geom", lambda args: bump(args[-1])),  # an exp argument
-            ("eam_density", lambda args: bump(args[-1])),  # rho
-            ("eam_forces", lambda args: bump(args[-1])),  # a pair virial
-        ):
-            with pytest.raises(AssertionError, match=f"{stem} deviates"):
-                _smoke_test(OffByAnUlp(stem, nudge))
+        """An ulp off in an ``exp`` argument of ``eam_geom``, in ``rho``
+        from ``eam_density`` or in a pair virial of ``eam_forces``, and
+        the provider is refused."""
+        for stem in ("eam_geom", "eam_density", "eam_forces"):
+            _assert_demoted(stem, _after(_nudging(-1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -1310,37 +1403,9 @@ class TestFusedCharmm:
     def test_smoke_test_demotes_a_provider_whose_kernels_drift(self):
         """An ulp off in one per-pair output of ``charmm_terms``, or one
         pair dropped by ``brute_csr``, and the provider is refused."""
-        provider, _ = resolve_provider()
-
-        class Drifting:
-            def __init__(self, stem, nudge):
-                self.stem, self.nudge = stem, nudge
-
-            def __getattr__(self, name):
-                native = getattr(provider, name)
-                if name != self.stem:
-                    return native
-
-                def drifting(*args):
-                    return self.nudge(native(*args), args)
-
-                return drifting
-
-        def bump(array):
-            array.flat[-1] = np.nextafter(array.flat[-1], np.inf)
-
-        def drop_last(count, args):
-            *_, out_i, out_j, offsets = args
-            offsets[-1] -= 1
-            return count - 1
-
-        for stem, nudge, message in (
-            ("charmm_terms", lambda out, args: bump(args[-2]), "charmm_terms"),
-            ("charmm_terms", lambda out, args: bump(args[-1]), "charmm_terms"),
-            ("brute_csr", drop_last, "brute_csr"),
-        ):
-            with pytest.raises(AssertionError, match=f"{message} "):
-                _smoke_test(Drifting(stem, nudge))
+        for k in (-2, -1):
+            _assert_demoted("charmm_terms", _after(_nudging(k, 0, at=-1)))
+        _assert_demoted("brute_csr", _after(_drop_last_pair))
 
 
 # ---------------------------------------------------------------------------
@@ -1554,41 +1619,21 @@ class TestFusedTersoff:
         _assert_equivalent(*results)
 
     def test_smoke_case_holds_an_empty_row_and_a_ramp_bond(self):
-        system, nlist = compiled_module._smoke_silicon()
+        case = compiled_module._SMOKE_CASES["tersoff_full"]
+        inputs = case.inputs(np.random.default_rng(1234), policy_for("double"))
+        system, nlist = inputs.system, inputs.neighbors
         assert system.n_atoms <= 64 and not system.box.periodic.all()
-        assert np.abs(system.forces).min() > 0.0  # pre-loaded
+        assert np.abs(inputs.forces).min() > 0.0  # pre-loaded
         assert (np.diff(nlist.csr_offsets) == 0).sum() == 1
         _, _, _, r = NumpyFastBackend().current_pairs(system, nlist, 3.0)
         p = TersoffParameters()
         assert np.any(np.abs(r - p.R) < 0.5 * p.D)
 
     def test_smoke_test_demotes_a_provider_whose_fused_pass_drifts(self):
-        provider, _ = resolve_provider()
-
-        class Drifting:
-            def __init__(self, nudge):
-                self.nudge = nudge
-
-            def __getattr__(self, name):
-                return getattr(provider, name)
-
-            def tersoff_full(self, *args):
-                count = provider.tersoff_full(*args)
-                self.nudge(args[-2], args[-1])
-                return count
-
-        def past_the_tier(forces, totals):
-            forces[0, 0] += 1e-9
-
-        calls = []
-
-        def not_repeatable(forces, totals):
-            calls.append(1)
-            totals[0] = np.nextafter(totals[0], np.inf * (-1) ** len(calls))
-
-        for nudge in (past_the_tier, not_repeatable):
-            with pytest.raises(AssertionError, match="tersoff_full deviates"):
-                _smoke_test(Drifting(nudge))
+        """A force past the tolerance, or a total that differs between
+        two calls on the same input, and the provider is refused."""
+        _assert_demoted("tersoff_full", _after(_past_the_tier))
+        _assert_demoted("tersoff_full", _not_repeatable())
 
 
 # ---------------------------------------------------------------------------
@@ -1799,25 +1844,8 @@ class TestNativeDirectedRows:
         """The engine no longer sorts native rows by global id, so a
         provider that emits the right rows in local-index order must
         not pass."""
-        provider, _ = resolve_provider()
-
-        class IndexOrderedRows:
-            def __getattr__(self, name):
-                return getattr(provider, name)
-
-            def cell_rows(self, pos, lengths, origin, periodic, rc, key, anchors,
-                          oi, oj):
-                count = provider.cell_rows(
-                    pos, lengths, origin, periodic, rc, key, anchors, oi, oj
-                )
-                if 0 <= count <= len(oi):  # re-sort every row by j itself
-                    order = np.lexsort((oj[:count], oi[:count]))
-                    oj[:count] = oj[:count][order]
-                return count
-
-        _smoke_test(provider)  # the real provider passes
-        with pytest.raises(AssertionError, match="cell_rows deviates"):
-            _smoke_test(IndexOrderedRows())
+        _smoke_test(resolve_provider()[0])  # the real provider passes
+        _assert_demoted("cell_rows", _after(_rows_by_index))
 
 
 # ---------------------------------------------------------------------------

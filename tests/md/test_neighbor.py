@@ -1,6 +1,7 @@
 """Tests for the cell-list-backed Verlet neighbor list."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from repro.md import neighbor
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
 from repro.md.kernels import CompiledBackend, NumpyFastBackend
-from repro.md.kernels.compiled import _box_f64, _built_twice, compiled_available
+from repro.md.kernels.compiled import _SMOKE_CASES, _built_twice, compiled_available
 from repro.md.lattice import build_exclusions
 from repro.md.neighbor import (
     MAX_CELLS,
@@ -587,19 +588,10 @@ class TestNativeBuildsAreTheNumpyBuilds:
         rel = positions - origin
         window = (rel >= -0.25 * lengths) & (rel <= 1.25 * lengths)
         assume(np.all(window[:, list(periodic)]))
-        ref_i, ref_j = cell_list_half_pairs(positions, box, rc)
-        order = np.lexsort((ref_j, ref_i))
-        ref_i, ref_j = ref_i[order], ref_j[order]
-        provider = CompiledBackend()._impl
-        offsets = np.empty(n + 1, np.int64)
-
-        def build(out_i, out_j):
-            return provider.cell_csr(
-                positions, *_box_f64(box), rc, out_i, out_j, offsets
-            )
-
-        assert _built_twice("cell_csr", ref_i, ref_j, build)
-        assert np.array_equal(offsets, np.searchsorted(ref_i, np.arange(n + 1)))
+        offsets = np.full(n + 1, -1, np.int64)
+        drawn = SimpleNamespace(pos=positions, box=box, rc=rc, offsets=offsets)
+        cell_csr = _SMOKE_CASES["cell_csr"]
+        assert _built_twice(CompiledBackend()._impl, cell_csr, drawn)
 
     @given(
         seed=st.integers(0, 2**31 - 1),

@@ -11,7 +11,9 @@ from repro.md import RunConfig
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
 from repro.md.kernels import CompiledBackend, get_backend
-from repro.md.kernels.compiled import compiled_available
+from repro.md.kernels._cc_impl import ACCUMULATE
+from repro.md.kernels._cc_impl import symbol as symbol_of
+from repro.md.kernels.compiled import _smoke_test, compiled_available, resolve_provider
 from repro.md.kspace.ewald import EwaldSummation
 from repro.md.kspace.pppm import (
     PPPM,
@@ -318,26 +320,24 @@ class TestNativeMeshKernels:
         assert backend.pppm_gather(efield.astype(np.float32), frac, fields, 5) is None
         assert not mesh.any() and not efield.any()
 
-    def test_smoke_test_demotes_a_spread_in_another_order(self):
+    def test_smoke_test_demotes_a_spread_in_another_order(self, monkeypatch):
         """Adding the same terms in atom-reversed order is equal to
-        rounding, not bit for bit: the provider must not pass."""
-        from repro.md.kernels.compiled import _smoke_test, resolve_provider
-
+        rounding, not bit for bit: the provider must not pass, at any
+        precision's instance."""
         provider, _ = resolve_provider()
-
-        class Reversed:
-            def __getattr__(self, name):
-                return getattr(provider, name)
-
-            def pppm_spread(self, mesh, frac, q, *rest):
-                back = slice(None, None, -1)
-                return provider.pppm_spread(
-                    mesh, frac[back].copy(), q[back].copy(), *rest
-                )
-
         _smoke_test(provider)  # the real provider passes
-        with pytest.raises(AssertionError, match="pppm_spread"):
-            _smoke_test(Reversed())
+        for val, acc in ACCUMULATE:
+            real = provider.bound["pppm_spread", val, acc]
+
+            def reversed_atoms(mesh, dims, frac, q, *rest, real=real):
+                back = slice(None, None, -1)
+                return real(mesh, dims, frac[back].copy(), q[back].copy(), *rest)
+
+            symbol = symbol_of("pppm_spread", val, acc)
+            with monkeypatch.context() as patch:
+                patch.setitem(provider.bound, ("pppm_spread", val, acc), reversed_atoms)
+                with pytest.raises(AssertionError, match=f"^{symbol} deviates"):
+                    _smoke_test(provider)
 
 
 # ---------------------------------------------------------------------------
