@@ -11,7 +11,8 @@ A native kernel is one C body plus one row of :data:`KERNELS`: a body
 that exists at more than one precision is written once, over a value
 type ``VAL`` and an accumulator type ``ACC``, and instantiated for the
 dtype pairs the policies of :mod:`repro.md.precision` define; binding
-and dtype-keyed dispatch follow from the row, and the provider smoke
+and the provider's entry — dtype-keyed dispatch, the lengths filled in
+— follow from the row's signature, and the provider smoke
 test checks every instance against the row's one declaration in
 ``compiled._SMOKE_CASES``, which reads its dtypes from the policy.
 
@@ -272,12 +273,16 @@ int64_t FN(pppm_spread)(ACC *mesh, const int64_t *dims, const VAL *frac,
     }
     return 0;
 }
+"""
 
+_GATHER_C = r"""
 /* ------------------------------------------------------------------ */
 /* Field interpolation: per atom, the three components summed from 0   */
 /* in stencil order, each term (wa wb) wc * field — the body's         */
 /* sequence of efield[:, comp] += updates.  efield is overwritten;     */
-/* scratch and status as for pppm_spread.                              */
+/* scratch and status as for pppm_spread.  It names no ACC, so it is   */
+/* built once per value type and calls that type's pppm_stencil, which */
+/* _MESH_C's (VAL, VAL) instance defines.                              */
 /* ------------------------------------------------------------------ */
 
 int64_t FN(pppm_gather)(VAL *efield, const VAL *fx, const VAL *fy,
@@ -1329,35 +1334,42 @@ _POLICIES = [policy_for(mode) for mode in PRECISIONS]
 #: Instance lists: the distinct ``(VAL, ACC)`` dtype pairs the policies
 #: ask of a kernel family, each with a policy that runs it (the one the
 #: smoke test checks it under).  Per-pair values arrive in the compute
-#: dtype and add up in the accumulate dtype; geometry is storage-typed.
+#: dtype and add up in the accumulate dtype, a body that accumulates
+#: nothing is built per compute dtype, and geometry is storage-typed.
 ACCUMULATE = {(p.compute_dtype, p.accumulate_dtype): p for p in _POLICIES}
+COMPUTE = {(p.compute_dtype, p.compute_dtype): p for p in _POLICIES}
 GEOMETRY = {(p.storage_dtype, p.storage_dtype): p for p in _POLICIES}
 DOUBLE = {(DOUBLE_POLICY.storage_dtype, DOUBLE_POLICY.storage_dtype): DOUBLE_POLICY}
 
 #: The instance table: ``stem -> (instances, restype, signature)``, one
-#: row per C body.  A signature names each argument by one letter: an
-#: array by its element type — ``v`` VAL, ``a`` ACC, ``i`` int64, ``u``
-#: uint8 — in upper case when the kernel writes it; ``n`` is an int64
-#: scalar and ``s`` a VAL scalar.
+#: row per C body, whose provider entry is ``CcProvider.<stem>``.  A
+#: signature names each C argument by one letter: an array by its
+#: element type — ``v`` VAL, ``a`` ACC, ``i`` int64, ``u`` uint8 — in
+#: upper case when the kernel writes it; ``n`` is an int64 the caller
+#: passes, ``s`` a VAL scalar, and ``#`` an int64 the entry inserts:
+#: ``len()`` of the array just before it (a list's length, an atom
+#: count, an output's room).  The entry takes the other arguments in C
+#: order and picks the instance from the dtypes of the first ``v``/``V``
+#: and the first ``a``/``A`` array (the value dtype when there is none).
 KERNELS = {
-    "scatter1": (ACCUMULATE, None, "A i v n"),
-    "scatter3": (ACCUMULATE, None, "A i v n"),
-    "acc_scaled": (ACCUMULATE, None, "A i i n v v"),
-    "acc_pair": (ACCUMULATE, None, "A i i n v"),
-    "pppm_spread": (ACCUMULATE, ctypes.c_int64, "A i v v n n I V"),
-    "pppm_gather": (ACCUMULATE, ctypes.c_int64, "V v v v i v n n I V"),
-    "pair_geom": (GEOMETRY, ctypes.c_int64, "v i i n v u s I I V V"),
-    "lj_half": (DOUBLE, ctypes.c_int64, "v i i n v u s i n v v v A A A"),
-    "lj_rows": (DOUBLE, ctypes.c_int64, "v i i i i n v u s i n v v v A A A"),
-    "eam_geom": (DOUBLE, ctypes.c_int64, "v i i n v u s v I I V V V"),
-    "eam_density": (DOUBLE, None, "i i n v v v A"),
-    "eam_forces": (DOUBLE, None, "i i n v v v v v A A A"),
-    "tersoff_full": (DOUBLE, ctypes.c_int64, "v n i i v u s v n V I A A"),
-    "charmm_terms": (DOUBLE, None, "i i n v v v i n v v v v A A A"),
-    "brute_csr": (DOUBLE, ctypes.c_int64, "v n v u s I I n I"),
-    "cell_csr": (DOUBLE, ctypes.c_int64, "v n v v u s I I n I"),
-    "cell_rows": (DOUBLE, ctypes.c_int64, "v n v v u s i n I I n"),
-    "max_disp_sq": (DOUBLE, ctypes.c_double, "v v n v v u"),
+    "scatter1": (ACCUMULATE, None, "A i v #"),
+    "scatter3": (ACCUMULATE, None, "A i v #"),
+    "acc_scaled": (ACCUMULATE, None, "A i i # v v"),
+    "acc_pair": (ACCUMULATE, None, "A i i # v"),
+    "pppm_spread": (ACCUMULATE, ctypes.c_int64, "A i v v # n I V"),
+    "pppm_gather": (COMPUTE, ctypes.c_int64, "V v v v i v # n I V"),
+    "pair_geom": (GEOMETRY, ctypes.c_int64, "v i i # v u s I I V V"),
+    "lj_half": (DOUBLE, ctypes.c_int64, "v i i # v u s i n v v v A A A"),
+    "lj_rows": (DOUBLE, ctypes.c_int64, "v i i i i # v u s i n v v v A A A"),
+    "eam_geom": (DOUBLE, ctypes.c_int64, "v i i # v u s v I I V V V"),
+    "eam_density": (DOUBLE, None, "i i # v v v A"),
+    "eam_forces": (DOUBLE, None, "i i # v v v v v A A A"),
+    "tersoff_full": (DOUBLE, ctypes.c_int64, "v # i i v u s v n V I A A"),
+    "charmm_terms": (DOUBLE, None, "i i # v v v i n v v v v A A A"),
+    "brute_csr": (DOUBLE, ctypes.c_int64, "v # v u s I I # I"),
+    "cell_csr": (DOUBLE, ctypes.c_int64, "v # v v u s I I # I"),
+    "cell_rows": (DOUBLE, ctypes.c_int64, "v # v v u s i n I I #"),
+    "max_disp_sq": (DOUBLE, ctypes.c_double, "v v # v v u"),
 }
 
 
@@ -1390,6 +1402,7 @@ _SOURCE = _PRELUDE + "".join(
     for instances, template in (
         (ACCUMULATE, _ACCUMULATE_C),
         (ACCUMULATE, _MESH_C),
+        (COMPUTE, _GATHER_C),
         (GEOMETRY, _GEOMETRY_C),
         (DOUBLE, _DOUBLE_C),
     )
@@ -1399,7 +1412,7 @@ _SOURCE = _PRELUDE + "".join(
 
 def _argtypes(signature: str, val: np.dtype, acc: np.dtype) -> list:
     """ctypes ``argtypes`` of one instance from its row's signature."""
-    scalars = {"n": ctypes.c_int64, "s": _C_TYPES[val][1]}
+    scalars = {"n": ctypes.c_int64, "#": ctypes.c_int64, "s": _C_TYPES[val][1]}
     elements = {"v": val, "a": acc, "i": np.int64, "u": np.uint8}
     return [
         scalars.get(letter) or _ptr(elements[letter.lower()], letter.isupper())
@@ -1412,8 +1425,24 @@ def _ptr(dtype, writeable=False):
     return ndpointer(dtype=dtype, flags=flags)
 
 
-def _dims(mesh) -> np.ndarray:
-    return np.array(mesh.shape, dtype=np.int64)
+def _entry(bound: dict, stem: str, signature: str):
+    """``CcProvider.<stem>``: the kernel called with the row's arguments
+    but its ``#`` lengths, which it inserts.  The instance is looked up
+    in ``bound`` on every call, so a swapped instance is the one run."""
+    letters = signature.split()
+    given = [letter for letter in letters if letter != "#"]
+    value = next(k for k, letter in enumerate(given) if letter in "vV")
+    acc = next((k for k, letter in enumerate(given) if letter in "aA"), value)
+    lengths = [k for k, letter in enumerate(letters) if letter == "#"]
+
+    def entry(*args):
+        fn = bound[stem, args[value].dtype, args[acc].dtype]
+        args = list(args)
+        for k in lengths:
+            args.insert(k, len(args[k - 1]))
+        return fn(*args)
+
+    return entry
 
 
 def _find_compiler() -> str | None:
@@ -1481,7 +1510,8 @@ def _build_library() -> tuple[ctypes.CDLL, str]:
 
 
 class CcProvider:
-    """ctypes bindings over the cached shared object.
+    """ctypes bindings over the cached shared object: one entry per
+    :data:`KERNELS` row, bound as the attribute its stem names.
 
     All entry points require C-contiguous arrays of the exact dtypes in
     their signatures; :class:`~repro.md.kernels.compiled.CompiledBackend`
@@ -1511,160 +1541,8 @@ class CcProvider:
                 fn.restype = restype
                 fn.argtypes = _argtypes(signature, val, acc)
                 self.bound[stem, val, acc] = fn
+            setattr(self, stem, _entry(self.bound, stem, signature))
 
-    # -- kernel entry points, dispatched on (values, out) dtypes --------
     def supports(self, out, values) -> bool:
         """Whether the accumulate kernels have a ``values -> out`` instance."""
         return (values.dtype, out.dtype) in ACCUMULATE
-
-    def scatter1(self, out, idx, v) -> None:
-        self.bound["scatter1", v.dtype, out.dtype](out, idx, v, len(idx))
-
-    def scatter3(self, out, idx, v) -> None:
-        self.bound["scatter3", v.dtype, out.dtype](out, idx, v, len(idx))
-
-    def acc_scaled(self, forces, i, j, dr, f_over_r) -> None:
-        self.bound["acc_scaled", f_over_r.dtype, forces.dtype](
-            forces, i, j, len(i), dr, f_over_r
-        )
-
-    def acc_pair(self, forces, i, j, fv) -> None:
-        self.bound["acc_pair", fv.dtype, forces.dtype](forces, i, j, len(i), fv)
-
-    def pppm_spread(self, mesh, frac, q, order, nodes, weights) -> int:
-        """Add the charges ``q`` at grid coordinates ``frac`` onto
-        ``mesh``; ``nodes``/``weights`` hold ``3 * order * len(q)``
-        stencil entries of scratch.  ``-1`` (nothing written) for an
-        order outside ``1..7``, else 0."""
-        return self.bound["pppm_spread", frac.dtype, mesh.dtype](
-            mesh, _dims(mesh), frac, q, len(q), order, nodes, weights
-        )
-
-    def pppm_gather(self, efield, fields, frac, order, nodes, weights, acc) -> int:
-        """Overwrite ``efield`` with the three ``fields`` interpolated to
-        ``frac``, by the instance of the policy accumulating in ``acc``
-        (the sums themselves run in ``frac``'s dtype, as the body's do);
-        scratch and status as for :meth:`pppm_spread`."""
-        return self.bound["pppm_gather", frac.dtype, acc](
-            efield, *fields, _dims(fields[0]), frac, len(frac), order, nodes,
-            weights,
-        )
-
-    def pair_geom(self, pos, pi, pj, lengths, periodic, rc2, oi, oj, odr, orr):
-        fn = self.bound["pair_geom", pos.dtype, pos.dtype]
-        # The cutoff compare runs in the position dtype: numpy (NEP 50)
-        # casts the weak python-float rc^2 down to float32 for float32
-        # operands, so the C side receives it pre-cast via c_float.
-        return fn(pos, pi, pj, len(pi), lengths, periodic, rc2, oi, oj, odr, orr)
-
-    def lj_half(
-        self, pos, pi, pj, lengths, periodic, rc2, types, eps, sigma, shift,
-        forces, oe, ov,
-    ):
-        """Fused lj/cut pass over a half list; returns the survivor count.
-
-        ``eps``/``sigma``/``shift`` are the ``(nt, nt)`` float64 tables;
-        ``types`` is only read when ``nt > 1`` and must then hold values
-        in ``[0, nt)``.
-        """
-        return self.bound["lj_half", F64, F64](
-            pos, pi, pj, len(pi), lengths, periodic, rc2, types,
-            len(eps), eps, sigma, shift, forces, oe, ov,
-        )
-
-    def lj_rows(
-        self, pos, di, dj, gi, gj, lengths, periodic, rc2, types, eps, sigma,
-        shift, forces, energy, virial,
-    ):
-        """Fused lj/cut pass over directed rows (i side only)."""
-        return self.bound["lj_rows", F64, F64](
-            pos, di, dj, gi, gj, len(di), lengths, periodic, rc2, types,
-            len(eps), eps, sigma, shift, forces, energy, virial,
-        )
-
-    def eam_geom(
-        self, pos, pi, pj, lengths, periodic, rc2, coef, oi, oj, odr, orr, oexp
-    ):
-        """First eam/alloy sweep: the survivors' geometry and their three
-        interleaved ``exp`` arguments; returns the survivor count.
-        ``coef`` is the kernels' coefficient vector (see the C source)."""
-        return self.bound["eam_geom", F64, F64](
-            pos, pi, pj, len(pi), lengths, periodic, rc2, coef, oi, oj, odr,
-            orr, oexp,
-        )
-
-    def eam_density(self, i, j, r, e, coef, rho) -> None:
-        """Add every survivor's density ``f(r)`` to ``rho`` at ``i``,
-        then at ``j``; ``e`` holds the exponentials ``eam_geom``'s
-        arguments became."""
-        self.bound["eam_density", F64, F64](i, j, len(i), r, e, coef, rho)
-
-    def eam_forces(self, i, j, dr, r, e, coef, fp, forces, oe, ov) -> None:
-        """Pair forces onto ``forces`` from the embedding slopes ``fp``,
-        and per survivor ``phi`` into ``oe`` and ``f_over_r * r * r``
-        into ``ov``."""
-        self.bound["eam_forces", F64, F64](
-            i, j, len(i), dr, r, e, coef, fp, forces, oe, ov
-        )
-
-    def tersoff_full(
-        self, pos, offsets, pj, lengths, periodic, rc2, params, scratch, atom,
-        forces, totals,
-    ):
-        """Fused Tersoff pass over a full CSR list; returns the bond count
-        and leaves ``(energy, virial)`` in ``totals``.
-
-        ``params`` is the 14 :class:`TersoffParameters` fields in
-        declaration order (``m`` must be 1 or 3); ``atom`` holds one
-        slot per entry of the longest stored row and ``scratch``
-        :attr:`TERSOFF_SLOT_DOUBLES` times as many doubles.
-        """
-        return self.bound["tersoff_full", F64, F64](
-            pos, len(pos), offsets, pj, lengths, periodic, rc2, params,
-            len(atom), scratch, atom, forces, totals,
-        )
-
-    def charmm_terms(
-        self, i, j, r, erfc_ar, gauss, types, eps, sigma, q, scalars, oe, of, ov
-    ) -> None:
-        """Per survivor of ``pair_geom``, lj/charmm/coul/long's energy
-        into ``oe``, ``f_over_r`` into ``of`` and ``f_over_r * r * r``
-        into ``ov``.  ``eps``/``sigma`` are the ``(nt, nt)`` tables
-        (``types`` read only when ``nt > 1``, then in ``[0, nt)``),
-        ``q`` the per-atom charges and ``scalars`` the style's python-
-        formed constants; ``erfc_ar``/``gauss`` are read only when the
-        style's ``alpha > 0``."""
-        self.bound["charmm_terms", F64, F64](
-            i, j, len(i), r, erfc_ar, gauss, types, len(eps), eps, sigma, q,
-            scalars, oe, of, ov,
-        )
-
-    def brute_csr(self, pos, lengths, periodic, rc2, oi, oj, offsets):
-        """Pair count of the all-pairs half list within ``sqrt(rc2)``,
-        rows and offsets as ``cell_csr``'s; never declines."""
-        return self.bound["brute_csr", F64, F64](
-            pos, len(pos), lengths, periodic, rc2, oi, oj, len(oi), offsets,
-        )
-
-    def cell_csr(self, pos, lengths, origin, periodic, rc, oi, oj, offsets):
-        """Pair count; see the C source for the status codes."""
-        return self.bound["cell_csr", F64, F64](
-            pos, len(pos), lengths, origin, periodic, rc,
-            oi, oj, len(oi), offsets,
-        )
-
-    def cell_rows(
-        self, pos, lengths, origin, periodic, rc, sort_key, anchors, oi, oj
-    ):
-        """Row count of the directed rows headed by atoms ``[0,
-        anchors)`` (at most ``len(pos)``); ``sort_key`` holds one key per
-        atom.  See the C source for the status codes."""
-        return self.bound["cell_rows", F64, F64](
-            pos, len(pos), lengths, origin, periodic, rc,
-            sort_key, anchors, oi, oj, len(oi),
-        )
-
-    def max_disp_sq(self, pos, ref, lengths, origin, periodic) -> float:
-        return self.bound["max_disp_sq", F64, F64](
-            pos, ref, len(pos), lengths, origin, periodic
-        )

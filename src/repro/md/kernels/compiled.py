@@ -281,7 +281,8 @@ def _lj_inputs(rng, policy):
 
     a = _pair_inputs(rng, policy)
     a.lj = LennardJonesCut([1.0, 0.7], [1.0, 1.15], cutoff=_SMOKE_RC)
-    a.tables = a.types, *a.lj.fused_style().coeffs
+    eps, sigma, shift = a.lj.fused_style().coeffs
+    a.tables = a.types, len(eps), eps, sigma, shift
     return a
 
 
@@ -378,8 +379,8 @@ def _charmm_terms(provider, a):
         eps, sigma, scalars = style.fused_style().coeffs
         terms = np.empty((3, len(a.i)))
         provider.charmm_terms(
-            a.i, a.j, a.r, *(screening or (a.r, a.r)), a.types, eps, sigma,
-            a.charges, scalars, *terms,
+            a.i, a.j, a.r, *(screening or (a.r, a.r)), a.types, len(eps), eps,
+            sigma, a.charges, scalars, *terms,
         )
         out += tuple(terms)
     return out
@@ -423,7 +424,7 @@ def _silicon_inputs(rng, policy):
     style, rows = Tersoff().fused_style(), int(np.diff(neighbors.csr_offsets).max())
     fused = (
         system.positions, neighbors.csr_offsets, neighbors.pair_j,
-        *_box_f64(box)[::2], style.cutoff * style.cutoff, *style.coeffs,
+        *_box_f64(box)[::2], style.cutoff * style.cutoff, *style.coeffs, rows,
         np.empty(rows * CcProvider.TERSOFF_SLOT_DOUBLES), np.empty(rows, np.int64),
     )
     return SimpleNamespace(
@@ -540,9 +541,8 @@ def _mesh_inputs(rng, policy):
     return SimpleNamespace(
         frac=frac, charges=rng.normal(size=60).astype(compute),
         fields=[rng.normal(size=grid).astype(compute) for _ in range(3)],
-        mesh={1: mesh.copy(), 5: mesh},
+        mesh={1: mesh.copy(), 5: mesh}, dims=np.array(grid, np.int64),
         efield={order: np.ones(frac.shape, compute) for order in (1, 5)},
-        accumulate=policy.accumulate_dtype,
     )
 
 
@@ -591,12 +591,12 @@ _SMOKE_CASES = {
         "acc_pair", "accumulate_pair_forces", "forces", "i", "j", "vectors"
     ),
     "pppm_spread": _Case(_mesh_inputs, _orders_1_and_5(lambda p, a, order: _written(
-        p.pppm_spread(a.mesh[order], a.frac, a.charges, order, *_stencil(a, order)),
-        a.mesh[order],
+        p.pppm_spread(a.mesh[order], a.dims, a.frac, a.charges, order,
+                      *_stencil(a, order)), a.mesh[order],
     )), _spread_charges, "bitwise", scratch=(6, 7)),
     "pppm_gather": _Case(_mesh_inputs, _orders_1_and_5(lambda p, a, order: _written(
-        p.pppm_gather(a.efield[order], a.fields, a.frac, order, *_stencil(a, order),
-                      a.accumulate), a.efield[order],
+        p.pppm_gather(a.efield[order], *a.fields, a.dims, a.frac, order,
+                      *_stencil(a, order)), a.efield[order],
     )), _interpolate_fields, "bitwise", scratch=(8, 9)),
     "pair_geom": _Case(_pair_inputs, lambda p, a: _counted(
         p.pair_geom(a.pos, a.pi, a.pj, *a.head, *a.geometry), *a.geometry
@@ -719,51 +719,22 @@ class CompiledBackend(NumpyFastBackend):
         super().__init__()
         self._impl = provider
         self.provider = provider.kind
-        # Pair-geometry output scratch (grow-only, storage-dtype typed).
-        self._geom = (
-            np.empty(0, np.int64),
-            np.empty(0, np.int64),
-            np.empty((0, 3)),
-            np.empty(0),
-        )
         # Output capacity hints from each native neighbor build's last run.
         self._capacity_hint = {"brute_csr": 0, "cell_csr": 0, "cell_rows": 0}
-        # Fused pair pass: per-pair energy / virial / f_over_r terms
-        # (grow-only).
-        self._pair_energy = np.empty(0)
-        self._pair_virial = np.empty(0)
-        self._pair_f_over_r = np.empty(0)
-        # Fused EAM pass: three exp arguments per pair, then their
-        # exponentials (grow-only).
-        self._exp_args = np.empty(0)
-        # Fused Tersoff pass: one row's bonds (grow-only).
-        self._row_atoms = np.empty(0, np.int64)
-        self._row_scratch = np.empty(0)
-        # PPPM stencils: mesh indices and weights (grow-only).
-        self._stencil = (np.empty(0, np.int64), np.empty(0))
-
-    @property
-    def scratch_pairs(self) -> int:
-        # The numpy fallbacks' scratch, the native geometry's and the
-        # fused pair pass's, whichever this run has grown.
-        return max(self._capacity, len(self._geom[0]), len(self._pair_energy))
 
     # ------------------------------------------------------------------
     # Pair geometry
     # ------------------------------------------------------------------
     def _geom_scratch(self, m):
         """``(i, j, dr, r)`` geometry output scratch for ``m`` stored
-        pairs, storage-dtype typed (grow-only)."""
+        pairs, storage-dtype typed."""
         dtype = self.policy.storage_dtype
-        if m > len(self._geom[0]) or self._geom[2].dtype != dtype:
-            capacity = max(m, int(1.5 * len(self._geom[0])), 1024)
-            self._geom = (
-                np.empty(capacity, np.int64),
-                np.empty(capacity, np.int64),
-                np.empty((capacity, 3), dtype),
-                np.empty(capacity, dtype),
-            )
-        return self._geom
+        return (
+            self._scratch("pair.i", m, np.int64),
+            self._scratch("pair.j", m, np.int64),
+            self._scratch("pair.dr", m, dtype, 3),
+            self._scratch("pair.r", m, dtype),
+        )
 
     def _pair_geom(self, positions, box, pair_i, pair_j, rc):
         """``(count, i, j, dr, r)`` of the stored pairs within ``rc``,
@@ -771,7 +742,7 @@ class CompiledBackend(NumpyFastBackend):
         are scratch the next call overwrites; their first ``count``
         rows are valid."""
         dtype = self.policy.storage_dtype
-        self._geom_scratch(len(pair_i))
+        geometry = self._geom_scratch(len(pair_i))
         count = self._impl.pair_geom(
             np.ascontiguousarray(positions, dtype=dtype),
             np.ascontiguousarray(pair_i, dtype=np.int64),
@@ -781,9 +752,9 @@ class CompiledBackend(NumpyFastBackend):
             # NEP 50: the cutoff compare runs in the geometry dtype with
             # the python-float rc^2 cast down, so pre-cast it here.
             dtype.type(rc * rc),
-            *self._geom,
+            *geometry,
         )
-        return (count, *self._geom)
+        return (count, *geometry)
 
     def current_pairs(self, system, neighbors, cutoff=None):
         if neighbors._positions_at_build is None:
@@ -825,14 +796,15 @@ class CompiledBackend(NumpyFastBackend):
         return types
 
     def _lj_arguments(self, style, types):
-        """``(rc2, types, eps, sigma, shift)`` for the lj/cut kernels,
-        or ``None`` when they cannot index the style's tables by
-        ``types``."""
+        """``(rc2, types, nt, eps, sigma, shift)`` for the lj/cut
+        kernels, or ``None`` when they cannot index the style's ``(nt,
+        nt)`` tables by ``types``."""
         eps, sigma, shift = style.coeffs
-        types = self._type_index(types, len(eps))
+        n_types = len(eps)
+        types = self._type_index(types, n_types)
         if types is None:
             return None
-        return style.cutoff * style.cutoff, types, eps, sigma, shift
+        return style.cutoff * style.cutoff, types, n_types, eps, sigma, shift
 
     def pair_forces(self, style, rows):
         """Fused pass over a row view (float64 only): ``lj/cut`` over a
@@ -872,13 +844,11 @@ class CompiledBackend(NumpyFastBackend):
 
     def _pair_terms_scratch(self, m):
         """``(energy, virial, f_over_r)`` per-pair output scratch for
-        ``m`` stored pairs (grow-only)."""
-        if m > len(self._pair_energy):
-            capacity = max(m, int(1.5 * len(self._pair_energy)), 1024)
-            self._pair_energy = np.empty(capacity)
-            self._pair_virial = np.empty(capacity)
-            self._pair_f_over_r = np.empty(capacity)
-        return self._pair_energy, self._pair_virial, self._pair_f_over_r
+        ``m`` stored pairs."""
+        return tuple(
+            self._scratch(name, m, np.float64)
+            for name in ("pair.energy", "pair.virial", "pair.f_over_r")
+        )
 
     def _lj_half(self, style, rows):
         system, neighbors = rows.system, rows.neighbors
@@ -921,20 +891,19 @@ class CompiledBackend(NumpyFastBackend):
         params = EAMParameters(*vector.tolist())
         coef = _eam_coefficients(params)
         i, j, dr, r = self._geom_scratch(m)
-        if 3 * m > len(self._exp_args):
-            self._exp_args = np.empty(max(3 * m, int(1.5 * len(self._exp_args))))
+        exps = self._scratch("pair.exp", m, np.float64, 3)
         energy, virial, _ = self._pair_terms_scratch(m)
         lengths, _, periodic = _box_f64(system.box)
         rc = float(style.cutoff)
         count = self._impl.eam_geom(
             system.positions, pair_i, pair_j, lengths, periodic, rc * rc, coef,
-            i, j, dr, r, self._exp_args,
+            i, j, dr, r, exps,
         )
         if count == 0:
             # No pair inside the cutoff: the body skips the embedding.
             return 0
         i, j, dr, r = i[:count], j[:count], dr[:count], r[:count]
-        e = self._exp_args[: 3 * count]
+        e = exps[:count].reshape(-1)
         np.exp(e, out=e)
         rho = np.zeros(system.n_atoms)
         self._impl.eam_density(i, j, r, e, coef, rho)
@@ -960,7 +929,8 @@ class CompiledBackend(NumpyFastBackend):
         eps, sigma, scalars = style.coeffs
         system, neighbors = rows.system, rows.neighbors
         charges = system.charges
-        types = self._type_index(system.types, len(eps))
+        n_types = len(eps)
+        types = self._type_index(system.types, n_types)
         if types is None or not (
             self._stored_natively(rows)
             and _native(charges, np.float64)
@@ -986,8 +956,8 @@ class CompiledBackend(NumpyFastBackend):
             out[:count] for out in self._pair_terms_scratch(m)
         )
         self._impl.charmm_terms(
-            i, j, r, erfc_ar, gauss, types, eps, sigma, charges, scalars,
-            energy, f_over_r, virial,
+            i, j, r, erfc_ar, gauss, types, n_types, eps, sigma, charges,
+            scalars, energy, f_over_r, virial,
         )
         self._impl.acc_scaled(system.forces, i, j, dr, f_over_r)
         rows.add_energy(None, energy)
@@ -1009,21 +979,18 @@ class CompiledBackend(NumpyFastBackend):
             and params[_TERSOFF_M] in (1.0, 3.0)
         ):
             return None
-        # Row scratch sized from the longest *stored* row, so the kernel
-        # never allocates and no row can overrun it.
+        # Row slots for the longest *stored* row, so the kernel never
+        # allocates and no row can overrun them.
         longest = int(np.diff(offsets).max(initial=0))
-        if longest > len(self._row_atoms):
-            capacity = max(longest, 2 * len(self._row_atoms), 32)
-            self._row_atoms = np.empty(capacity, np.int64)
-            self._row_scratch = np.empty(
-                capacity * self._impl.TERSOFF_SLOT_DOUBLES
-            )
+        doubles = self._impl.TERSOFF_SLOT_DOUBLES * longest
+        rows_scratch = self._scratch("tersoff.rows", doubles, np.float64)
+        atoms = self._scratch("tersoff.atoms", longest, np.int64)
         lengths, _, periodic = _box_f64(system.box)
         totals = np.empty(2)
         count = self._impl.tersoff_full(
             system.positions, offsets, neighbors.pair_j, lengths, periodic,
-            style.cutoff * style.cutoff, params,
-            self._row_scratch, self._row_atoms, system.forces, totals,
+            style.cutoff * style.cutoff, params, longest, rows_scratch, atoms,
+            system.forces, totals,
         )
         rows.energy += float(totals[0])
         rows.virial += float(totals[1])
@@ -1060,12 +1027,12 @@ class CompiledBackend(NumpyFastBackend):
     # ------------------------------------------------------------------
     def _stencil_scratch(self, frac, order):
         """``(nodes, weights)`` scratch for ``3 * order`` stencil points
-        of every atom at ``frac``'s dtype (grow-only)."""
+        of every atom at ``frac``'s dtype."""
         size = 3 * order * len(frac)
-        nodes, weights = self._stencil
-        if size > len(nodes) or weights.dtype != frac.dtype:
-            self._stencil = (np.empty(size, np.int64), np.empty(size, frac.dtype))
-        return self._stencil
+        return (
+            self._scratch("pppm.nodes", size, np.int64),
+            self._scratch("pppm.weights", size, frac.dtype),
+        )
 
     @staticmethod
     def _mesh_coordinates(frac, order) -> bool:
@@ -1096,7 +1063,8 @@ class CompiledBackend(NumpyFastBackend):
         ):
             return None
         status = self._impl.pppm_spread(
-            mesh, frac, charges, order, *self._stencil_scratch(frac, order)
+            mesh, np.array(mesh.shape, np.int64), frac, charges, order,
+            *self._stencil_scratch(frac, order),
         )
         return None if status < 0 else mesh
 
@@ -1118,8 +1086,8 @@ class CompiledBackend(NumpyFastBackend):
         ):
             return None
         status = self._impl.pppm_gather(
-            efield, fields, frac, order, *self._stencil_scratch(frac, order),
-            self.policy.accumulate_dtype,
+            efield, *fields, np.array(fields[0].shape, np.int64), frac, order,
+            *self._stencil_scratch(frac, order),
         )
         return None if status < 0 else efield
 

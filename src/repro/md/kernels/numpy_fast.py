@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.md.kernels.base import KernelBackend
-from repro.md.precision import PrecisionPolicy
 
 __all__ = ["NumpyFastBackend", "min_image_geometry"]
 
@@ -76,32 +75,29 @@ class NumpyFastBackend(KernelBackend):
     name = "numpy_fast"
 
     def __init__(self) -> None:
-        self._capacity = 0
-        self._dr = np.empty((0, 3))
-        self._tmp = np.empty((0, 3))
-        self._r2 = np.empty(0)
-
-    def set_policy(self, policy: PrecisionPolicy) -> None:
-        if policy.storage_dtype != self.policy.storage_dtype:
-            # Scratch is typed per geometry (storage) dtype; drop it.
-            self._capacity = 0
-        self.policy = policy
+        #: Grow-only scratch, ``(name, dtype) -> buffer``; see :meth:`_scratch`.
+        self._buffers = {}
 
     @property
     def scratch_pairs(self) -> int:
-        return self._capacity
+        # The per-pair buffers ("pair.*"), whichever this run has grown.
+        pairs = [len(b) for (name, _), b in self._buffers.items() if "pair." in name]
+        return max(pairs, default=0)
 
     # ------------------------------------------------------------------
-    def _scratch(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Grow-only scratch views of length ``m`` (amortized O(1))."""
-        if m > self._capacity:
-            capacity = max(m, int(1.5 * self._capacity), 1024)
-            dtype = self.policy.storage_dtype
-            self._dr = np.empty((capacity, 3), dtype=dtype)
-            self._tmp = np.empty((capacity, 3), dtype=dtype)
-            self._r2 = np.empty(capacity, dtype=dtype)
-            self._capacity = capacity
-        return self._dr[:m], self._tmp[:m], self._r2[:m]
+    def _scratch(self, name: str, n: int, dtype, width: int = 0) -> np.ndarray:
+        """The first ``n`` rows (of ``width`` columns when given) of the
+        grow-only buffer ``name`` in ``dtype``, reused across calls: it
+        grows to ``max(n, 1.5 * rows, 1024)`` rows when ``n`` outgrows
+        it (amortized O(1)).  One buffer per ``(name, dtype)``, so a new
+        precision policy needs no invalidation."""
+        key = name, np.dtype(dtype)
+        buffer = self._buffers.get(key)
+        if buffer is None or len(buffer) < n:
+            rows = max(n, int(1.5 * (0 if buffer is None else len(buffer))), 1024)
+            buffer = np.empty((rows, width) if width else rows, dtype)
+            self._buffers[key] = buffer
+        return buffer[:n]
 
     # ------------------------------------------------------------------
     def current_pairs(self, system, neighbors, cutoff=None):
@@ -128,8 +124,13 @@ class NumpyFastBackend(KernelBackend):
         positions = system.positions.astype(geometry_dtype, copy=False)
         box = system.box
         lengths = box.lengths.astype(geometry_dtype, copy=False)
+        scratch = (
+            self._scratch("pair.dr", m, geometry_dtype, 3),
+            self._scratch("pair.tmp", m, geometry_dtype, 3),
+            self._scratch("pair.r2", m, geometry_dtype),
+        )
         dr, r2 = min_image_geometry(
-            positions, pair_i, pair_j, lengths, box.periodic, self._scratch(m)
+            positions, pair_i, pair_j, lengths, box.periodic, scratch
         )
         keep = np.flatnonzero(r2 < rc * rc)
         # The compressed outputs are fresh arrays: the scratch above is
@@ -185,7 +186,7 @@ class NumpyFastBackend(KernelBackend):
         if m == 0:
             return
         n = forces.shape[0]
-        w = self._scratch(m)[2]
+        w = self._scratch("pair.r2", m, self.policy.storage_dtype)
         if w.dtype != f_over_r.dtype:
             # A caller handing f64 per-pair terms to an f32-compute
             # backend (or vice versa): do the multiply out of scratch.

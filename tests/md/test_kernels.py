@@ -116,14 +116,14 @@ class TestFastPairGeometry:
         nlist.build(system)
         backend = NumpyFastBackend()
         _, _, dr1, r1 = backend.current_pairs(system, nlist, 2.0)
-        capacity = backend._capacity
+        capacity = backend.scratch_pairs
         dr1_copy, r1_copy = dr1.copy(), r1.copy()
         backend.current_pairs(system, nlist, 2.0)
         # Outputs are compressed copies: a second call must not clobber
         # previously returned arrays, and capacity must not regrow.
         assert np.array_equal(dr1, dr1_copy)
         assert np.array_equal(r1, r1_copy)
-        assert backend._capacity == capacity
+        assert backend.scratch_pairs == capacity
 
 
 class TestScatterPrimitives:

@@ -514,6 +514,27 @@ _TABLE_INSTANCES = [
 F64 = np.dtype(np.float64)
 
 
+def _prototypes():
+    """``symbol -> [(const, C type, pointer), ...]`` of every exported
+    function in ``_SOURCE``, read per instance: each ``#define VAL``
+    opens one, whose ``VAL``, ``ACC`` and ``FN(stem)`` are applied to
+    the text up to the next."""
+    found = {}
+    for chunk in _cc_impl._SOURCE.split("#define VAL ")[1:]:
+        val, acc, suffix = re.match(
+            r"(\w+)\n#define ACC (\w+)\n#define FN\(stem\) stem##(\w+)\n", chunk
+        ).groups()
+        text = re.sub(r"FN\((\w+)\)", lambda m: m.group(1) + suffix, chunk)
+        text = re.sub(r"\bACC\b", acc, re.sub(r"\bVAL\b", val, text))
+        for name, params in re.findall(r"^\w+ (\w+)\(([^)]*)\)\s*\{", text, re.M):
+            bare = [param.split() for param in params.split(",")]
+            found[name] = [
+                (words[0] == "const", words[words[0] == "const"], "*" in "".join(words))
+                for words in bare
+            ]
+    return found
+
+
 def _nudge(value, tier):
     """``value`` moved one ulp (one, for an integer) or, under a
     tolerance, ten times past it."""
@@ -691,18 +712,47 @@ class TestInstanceTable:
     def test_instances_are_the_policies_dtype_combinations(self):
         f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
         assert set(_cc_impl.ACCUMULATE) == {(f32, f32), (f32, f64), (f64, f64)}
+        assert set(_cc_impl.COMPUTE) == {(f32, f32), (f64, f64)}
         assert set(_cc_impl.GEOMETRY) == {(f32, f32), (f64, f64)}
         assert set(_cc_impl.DOUBLE) == {(f64, f64)}
         for (val, acc), policy in _cc_impl.ACCUMULATE.items():
             assert (policy.compute_dtype, policy.accumulate_dtype) == (val, acc)
+        for (val, _), policy in _cc_impl.COMPUTE.items():
+            assert policy.compute_dtype == val
         for (val, _), policy in _cc_impl.GEOMETRY.items():
             assert policy.storage_dtype == val
 
+    def test_every_signature_agrees_with_its_prototype(self):
+        """Each row's letters against the C prototype of every instance:
+        the parameter count, pointer or scalar, the element C type, upper
+        case exactly where the pointer is not ``const``, and each ``#``
+        right after an array.  A wrong letter hands C a pointer of the
+        wrong type, which only a wrong smoke result would otherwise show."""
+        prototypes = _prototypes()
+        for stem, val, acc in _TABLE_INSTANCES:
+            letters = _cc_impl.KERNELS[stem][2].split()
+            params = prototypes[_cc_impl.symbol(stem, val, acc)]
+            assert len(params) == len(letters), stem
+            value, accumulator = _cc_impl._C_TYPES[val][0], _cc_impl._C_TYPES[acc][0]
+            ctypes_of = {
+                "v": value, "a": accumulator, "i": "int64_t", "u": "uint8_t",
+                "n": "int64_t", "#": "int64_t", "s": value,
+            }
+            for k, (letter, (const, ctype, pointer)) in enumerate(zip(letters, params)):
+                array = letter.lower() in "vaiu"
+                where = f"{_cc_impl.symbol(stem, val, acc)} argument {k}"
+                assert pointer == array, where
+                assert ctype == ctypes_of[letter.lower()], where
+                assert const == (array and letter.islower()), where
+                if letter == "#":
+                    assert k > 0 and letters[k - 1].lower() in "vaiu", where
+
     @pytest.mark.skipif(shutil.which("nm") is None, reason="needs binutils nm")
     def test_library_exports_exactly_the_table(self):
-        """Same program out: the table's 31 entry points, no more (a
+        """Same program out: the table's 30 entry points, no more (a
         template helper leaking as a global) and no fewer (a row the
-        generator skipped)."""
+        generator skipped).  ``pppm_gather`` names no accumulator, so
+        MIXED runs its ``_f32`` instance: there is no ``_f32f64`` twin."""
         provider, _ = resolve_provider()
         listing = subprocess.run(
             ["nm", "-D", "--defined-only", provider._lib._name],
@@ -721,7 +771,7 @@ class TestInstanceTable:
             "eam_density_f64", "eam_forces_f64", "eam_geom_f64",
             "lj_half_f64", "lj_rows_f64",
             "max_disp_sq_f64", "pair_geom_f32", "pair_geom_f64",
-            "pppm_gather_f32", "pppm_gather_f32f64", "pppm_gather_f64",
+            "pppm_gather_f32", "pppm_gather_f64",
             "pppm_spread_f32", "pppm_spread_f32f64", "pppm_spread_f64",
             "scatter1_f32", "scatter1_f32f64", "scatter1_f64",
             "scatter3_f32", "scatter3_f32f64", "scatter3_f64",
@@ -748,9 +798,10 @@ class TestInstanceTable:
                 (_cc_impl._ACCUMULATE_C, _cc_impl.ACCUMULATE),
             ),
             **dict.fromkeys(
-                ("pppm_stencil", "pppm_spread", "pppm_gather"),
+                ("pppm_stencil", "pppm_spread"),
                 (_cc_impl._MESH_C, _cc_impl.ACCUMULATE),
             ),
+            "pppm_gather": (_cc_impl._GATHER_C, _cc_impl.COMPUTE),
             **dict.fromkeys(
                 ("min_image", "pair_geom"),
                 (_cc_impl._GEOMETRY_C, _cc_impl.GEOMETRY),
@@ -1177,10 +1228,10 @@ class TestFusedEAM:
             nlist = NeighborList(4.95, 1.0)
             nlist.build(system)
             potential.compute(system, nlist)
-            sizes.append((backend._exp_args, len(nlist.pair_i)))
+            sizes.append((backend._buffers["pair.exp", F64], len(nlist.pair_i)))
         (first, m_small), (second, _), (third, m_large) = sizes
-        assert second is first and len(first) >= 3 * m_small
-        assert len(third) >= 3 * m_large > len(first)
+        assert second is first and first.shape[1] == 3 and len(first) >= m_small
+        assert len(third) >= m_large > len(first)
 
     @pytest.mark.parametrize("mode", ["single", "mixed"])
     def test_reduced_precision_declines_and_the_native_scatter_engages(
@@ -1534,13 +1585,14 @@ class TestFusedTersoff:
         nlist.build(system)
         longest = int(np.diff(nlist.csr_offsets).max())
         backend = _MustFuse()
-        assert len(backend._row_atoms) == 0 and longest > 32
+        key = "tersoff.atoms", np.dtype(np.int64)
+        assert key not in backend._buffers and longest > 32
         potential.backend = backend
         potential.compute(system, nlist)
-        assert len(backend._row_atoms) >= longest
-        grown = backend._row_atoms
+        assert len(backend._buffers[key]) >= longest
+        grown = backend._buffers[key]
         potential.compute(system, nlist)
-        assert backend._row_atoms is grown  # grow-only: reused as is
+        assert backend._buffers[key] is grown  # grow-only: reused as is
 
     @given(seed=st.integers(0, 10_000), m=st.sampled_from([1, 3]))
     @settings(max_examples=4, deadline=None)
