@@ -68,7 +68,8 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     plan_text = args.fault_plan or None
     spec = JobSpec(benchmark=args.experiment, n_atoms=args.atoms,
                    steps=args.steps, precision=args.precision,
-                   workers=args.workers, fault_plan=plan_text)
+                   workers=args.workers, fault_plan=plan_text,
+                   checkpoint_every=args.every)
 
     def build(spec):
         sim, _steps = build_simulation(spec)
@@ -102,17 +103,9 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     manifest = CertificationManifest.capture(
         sim,
         digest.chain,
-        benchmark=args.experiment,
-        n_atoms=args.atoms,
-        steps=args.steps,
-        workers=1 if runner.degraded else args.workers,
-        checkpoint_every=args.every,
+        dataclasses.replace(spec, workers=1) if runner.degraded else spec,
         digest_every=digest.every,
-        extra={
-            "recovery_events": len(events),
-            "degraded": runner.degraded,
-            **({"fault_plan": plan_text} if plan_text else {}),
-        },
+        extra={"recovery_events": len(events), "degraded": runner.degraded},
     )
     manifest.save(manifest_path(args.out))
     sim.close()

@@ -21,10 +21,10 @@ oracle tests):
 
 * Minimum image uses the exact ``dr -= rint(dr / L) * L`` sequence of
   ``Box.minimum_image`` (round-half-even ``rint``), per periodic dim.
-  The link-cell builds alone use cheaper shifts — a compare-and-shift,
-  or in ``cell_csr`` one fixed per pair of cells — under checked
-  preconditions that make them select the same pairs (arguments at
-  ``cell_bins`` and ``cell_csr`` below).
+  The periodic link-cell build ``cell_csr`` alone uses cheaper shifts
+  — one fixed per pair of cells, else a compare-and-shift — under
+  checked preconditions that make it select the same pairs (arguments
+  at ``cell_bins`` and ``cell_csr`` below).
 * Squared distances replicate ``np.einsum("ij,ij->i")``'s pairwise
   summation order — ``(xx + zz) + yy`` for float64 and
   ``(xx + yy) + zz`` for float32 — so the surviving pair set and the
@@ -898,22 +898,23 @@ int64_t brute_csr_f64(const double *pos, int64_t n, const double *lengths,
 /* order[starts[c] .. starts[c+1]) lists cell c's atoms by ascending   */
 /* index and slot[a] is atom a's place in order.                       */
 /*                                                                     */
-/* The builds take minimum image as a compare-and-shift (dx -/+= L     */
-/* when |dx| > L/2) in place of pair_geom's dx -= rint(dx / L) * L —   */
-/* cell_csr_f64 on the dims where it cannot fix the shift per pair of  */
-/* cells.  For |dx| <= 1.5 L both subtract k*L with k in -1/0/+1 in    */
-/* one rounding, so they agree bitwise whenever they pick the same k;  */
-/* they can pick differently only for |dx| within rounding of L/2 or   */
-/* 3L/2, where both leave |dx| ~ L/2, and with L >= 3 rc such a pair   */
-/* has r2 >= 2.25 rc^2 and is rejected either way.  Both conditions    */
-/* are checked here, not assumed: every coordinate on a periodic dim   */
-/* must lie within L/4 of the box (wrapped positions do, to rounding)  */
-/* and every periodic dim must hold >= 3 cells, else binning returns   */
-/* -2 and the caller takes the numpy path (-1: allocation failure, 0:  */
-/* binned).  So does a grid of more than INT32_MAX cells — the bound   */
-/* cell_list_half_pairs names in its error: the count is multiplied up */
-/* in double, so neither it nor the flat cell index can wrap.          */
-/* cell_bins_free releases whatever was allocated.                     */
+/* cell_csr_f64's select route, on the dims where it cannot fix the    */
+/* shift per pair of cells, is the one user of a compare-and-shift     */
+/* minimum image (dx -/+= L when |dx| > L/2) in place of pair_geom's   */
+/* dx -= rint(dx / L) * L.  For |dx| <= 1.5 L both subtract k*L with k */
+/* in -1/0/+1 in one rounding, so they agree bitwise whenever they     */
+/* pick the same k; they can pick differently only for |dx| within     */
+/* rounding of L/2 or 3L/2, where both leave |dx| ~ L/2, and with L >= */
+/* 3 rc such a pair has r2 >= 2.25 rc^2 and is rejected either way.    */
+/* Both conditions are checked here, not assumed: every coordinate on  */
+/* a periodic dim must lie within L/4 of the box (wrapped positions    */
+/* do, to rounding) and every periodic dim must hold >= 3 cells, else  */
+/* binning returns -2 and the caller takes the numpy path (-1:         */
+/* allocation failure, 0: binned).  So does a grid of more than        */
+/* INT32_MAX cells — the bound cell_list_half_pairs names in its       */
+/* error: the count is multiplied up in double, so neither it nor the  */
+/* flat cell index can wrap.  cell_bins_free releases whatever was     */
+/* allocated.                                                          */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
@@ -974,29 +975,6 @@ static int64_t cell_bins_build(cell_bins *g, const double *pos, int64_t n,
     }
     return 0;
 }
-
-/* Every atom b = order[l], l in [S, E), against the anchor at          */
-/* (ax, ay, az): minimum image as above, einsum's f64 r2 order, and     */
-/* ACCEPT (which sees b and r2) for those inside rc2.  Expects the      */
-/* IMAGE_LOCALS of the enclosing build in scope.                        */
-#define IMAGE_LOCALS                                                       \
-    int px = periodic[0], py = periodic[1], pz = periodic[2];              \
-    double Lx = lengths[0], Ly = lengths[1], Lz = lengths[2];              \
-    double hx = 0.5 * Lx, hy = 0.5 * Ly, hz = 0.5 * Lz;                    \
-    double rc2 = rc * rc;
-
-#define SCAN_RANGE(S, E, ACCEPT)                                           \
-    for (int64_t l = (S); l < (E); l++) {                                  \
-        int64_t b = order[l];                                              \
-        double dx = ax - pos[3*b];                                         \
-        double dy = ay - pos[3*b+1];                                       \
-        double dz = az - pos[3*b+2];                                       \
-        if (px) { if (dx > hx) dx -= Lx; else if (dx < -hx) dx += Lx; }    \
-        if (py) { if (dy > hy) dy -= Ly; else if (dy < -hy) dy += Ly; }    \
-        if (pz) { if (dz > hz) dz -= Lz; else if (dz < -hz) dz += Lz; }    \
-        double r2 = (dx*dx + dz*dz) + dy*dy;       /* einsum f64 order */  \
-        if (r2 < rc2) { ACCEPT }                                           \
-    }
 
 /* ------------------------------------------------------------------ */
 /* Link-cell half pair list (CSR).  Candidates are those of            */
@@ -1240,15 +1218,7 @@ int64_t cell_rows_f64(const double *pos, int64_t n, const double *lengths,
     const int64_t *n_cells = g.n_cells, *coords = g.coords;
     const int64_t *starts = g.starts, *order = g.order;
     int64_t sx = g.sx, sy = g.sy;
-    IMAGE_LOCALS
-
-#define EMIT_ROW                                                           \
-    if (b != a) {                                                          \
-        if (count < cap) { oi[count] = a; oj[count] = b; }                 \
-        keys[count - row] = sort_key[b];                                   \
-        count++;                                                           \
-    }
-
+    const double rc2 = rc * rc;
     for (int64_t a = 0; a < anchor_limit; a++) {
         int64_t row = count;
         double ax = pos[3*a], ay = pos[3*a+1], az = pos[3*a+2];
@@ -1260,7 +1230,18 @@ int64_t cell_rows_f64(const double *pos, int64_t n, const double *lengths,
             for (int64_t ny = cy - 2; ny <= cy + 2; ny++) {
                 if (ny < 0 || ny >= n_cells[1]) continue;
                 int64_t c = nx * sx + ny * sy;
-                SCAN_RANGE(starts[c + z0], starts[c + z1 + 1], EMIT_ROW)
+                for (int64_t l = starts[c + z0]; l < starts[c + z1 + 1]; l++) {
+                    int64_t b = order[l];
+                    double dx = ax - pos[3*b];
+                    double dy = ay - pos[3*b+1];
+                    double dz = az - pos[3*b+2];
+                    double r2 = (dx*dx + dz*dz) + dy*dy;   /* einsum f64 */
+                    if (r2 < rc2 && b != a) {
+                        if (count < cap) { oi[count] = a; oj[count] = b; }
+                        keys[count - row] = sort_key[b];
+                        count++;
+                    }
+                }
             }
         }
         if (count <= cap) {
@@ -1274,14 +1255,11 @@ int64_t cell_rows_f64(const double *pos, int64_t n, const double *lengths,
             }
         }
     }
-#undef EMIT_ROW
 done:
     free(keys);
     cell_bins_free(&g);
     return count;
 }
-#undef SCAN_RANGE
-#undef IMAGE_LOCALS
 
 /* ------------------------------------------------------------------ */
 /* Largest squared displacement since the reference positions, for     */

@@ -12,11 +12,8 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
 __all__ = [
     "parallel_efficiency",
-    "parallel_efficiency_series",
     "energy_efficiency",
     "ns_per_day",
     "timesteps_for_runtime",
@@ -30,20 +27,6 @@ def parallel_efficiency(p_n: float, p_1: float, n: int) -> float:
     if p_1 <= 0 or n < 1:
         raise ValueError("p_1 must be positive and n >= 1")
     return p_n / (p_1 * n)
-
-
-def parallel_efficiency_series(
-    performances: Sequence[float], resources: Sequence[int]
-) -> list[float]:
-    """Efficiency of each point relative to the smallest resource count.
-
-    The baseline is the first entry scaled back to one resource (the
-    paper's GPU plots use the 1-device run as ``P_1``).
-    """
-    if len(performances) != len(resources) or not performances:
-        raise ValueError("need equal-length, non-empty series")
-    base = performances[0] / resources[0]
-    return [p / (base * n) for p, n in zip(performances, resources)]
 
 
 def energy_efficiency(ts_per_s: float, watts: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["render_table", "render_breakdown", "render_series", "format_value"]
+__all__ = ["render_table", "render_breakdown", "format_value"]
 
 
 def format_value(value, precision: int = 3) -> str:
@@ -65,30 +65,3 @@ def render_breakdown(
         lines.append(f"  {name:<22s} {100 * fraction:5.1f}% {bar}")
     return "\n".join(lines)
 
-
-def render_series(
-    points: "Sequence[tuple]",
-    *,
-    width: int = 50,
-    title: str | None = None,
-) -> str:
-    """ASCII bar chart of an ``(x, y)`` series (the seaborn stand-in).
-
-    Each row is one x value with a bar proportional to y and the numeric
-    value appended — readable renderings of the scaling curves the paper
-    plots (Figures 6, 9, 10, 13, 15, 16).
-    """
-    points = list(points)
-    if not points:
-        raise ValueError("no points to render")
-    y_max = max(y for _, y in points)
-    if y_max <= 0:
-        y_max = 1.0
-    lines = []
-    if title:
-        lines.append(title)
-    x_width = max(len(format_value(x)) for x, _ in points)
-    for x, y in points:
-        bar = "#" * max(1 if y > 0 else 0, round(width * y / y_max))
-        lines.append(f"  {format_value(x):>{x_width}s} | {bar} {format_value(y)}")
-    return "\n".join(lines)

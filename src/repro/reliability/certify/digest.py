@@ -288,8 +288,8 @@ class DigestChain:
         return atomic_write(path, "\n".join(lines) + "\n")
 
     @classmethod
-    def load(cls, path: str | Path, *, verify: bool = True) -> "DigestChain":
-        """Parse a chain file; verifies linkage unless ``verify=False``."""
+    def load(cls, path: str | Path) -> "DigestChain":
+        """Parse a chain file and verify its linkage."""
         path = Path(path)
         if not path.exists():
             raise DigestChainError(f"no digest chain at {path}")
@@ -318,17 +318,15 @@ class DigestChain:
                     f"digest chain {path} line {number} is unreadable: "
                     f"{exc!r}"
                 ) from exc
-        if verify:
-            chain.verify()
+        chain.verify()
         return chain
 
     @classmethod
-    def from_records(cls, records, *, verify: bool = True) -> "DigestChain":
-        """Rebuild a chain from JSON-safe records (e.g. a JobResult's)."""
+    def from_records(cls, records) -> "DigestChain":
+        """Rebuild and verify a chain from JSON-safe records (a JobResult's)."""
         chain = cls()
         chain.entries = [DigestEntry.from_json(record) for record in records]
-        if verify:
-            chain.verify()
+        chain.verify()
         return chain
 
     def __len__(self) -> int:

@@ -25,7 +25,10 @@ import platform as platform_module
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from repro.atomicio import atomic_write
+from repro.md.kernels import resolved_backend
 
 __all__ = ["MANIFEST_SCHEMA", "CertificationManifest", "ManifestError"]
 
@@ -103,61 +106,49 @@ class CertificationManifest:
         cls,
         simulation,
         chain,
+        spec,
         *,
-        benchmark: str | None = None,
-        deck_text: str | None = None,
-        n_atoms: int | None = None,
-        seed: int | None = None,
-        steps: int,
-        workers: int = 1,
-        checkpoint_every: int = 0,
         digest_every: int = 0,
         prefix: str = "ckpt",
         extra: dict | None = None,
     ) -> "CertificationManifest":
-        """Snapshot the environment + simulation config + chain head.
+        """Seal ``spec``, the ``JobSpec`` that ran, with its environment.
 
-        The backend/provider/precision recorded are the simulation's
-        *live* values (what actually executed), not what was requested
-        — an ``auto`` backend request is resolved by the time this is
-        called, so the manifest names the kernel that produced the
-        digests.
+        A deck run records its text's hash, the atom count it built and,
+        for ``steps=None``, the deck's ``run`` count; a fault plan goes
+        to ``extra``.  Backend/provider/precision are the simulation's
+        *live* values: an ``auto`` request is resolved by now, so the
+        manifest names the kernel that produced the digests.  A run
+        that degraded to serial passes ``replace(spec, workers=1)``.
         """
-        import numpy as np
-
-        from repro.md.kernels import resolved_backend
         from repro.service.spec import state_digest
 
-        backend, provider = resolved_backend(simulation.backend)
+        # The fields shared by name with the spec; live values win below.
+        values = {
+            name: value for name, value in asdict(spec).items()
+            if name in cls.__dataclass_fields__
+        }
+        values["deck_sha256"] = None
+        if spec.deck is not None:
+            from repro.md.deck import parse_deck
+
+            values.update(
+                deck_sha256=hashlib.sha256(spec.deck.encode()).hexdigest(),
+                n_atoms=int(simulation.system.n_atoms),
+                steps=spec.steps or parse_deck(spec.deck).run_steps,
+            )
+        values.update(execution_facts(simulation, spec.workers))
+        plan = {"fault_plan": spec.fault_plan} if spec.fault_plan else {}
         manifest = cls(
             schema=MANIFEST_SCHEMA,
-            benchmark=benchmark,
-            deck_sha256=(
-                None
-                if deck_text is None
-                else hashlib.sha256(deck_text.encode()).hexdigest()
-            ),
-            n_atoms=int(
-                simulation.system.n_atoms if n_atoms is None else n_atoms
-            ),
-            seed=None if seed is None else int(seed),
-            steps=int(steps),
-            workers=int(workers),
-            precision=simulation.precision.mode.value,
-            backend=backend,
-            backend_provider=provider,
-            checkpoint_every=int(checkpoint_every),
+            **values,
             digest_every=int(digest_every),
             prefix=str(prefix),
-            numpy_version=np.__version__,
-            python_version=platform_module.python_version(),
-            platform=platform_module.platform(),
-            machine=platform_module.machine(),
             chain_head=chain.head,
             chain_entries=len(chain),
             final_step=int(simulation.step_number),
             final_state_digest=state_digest(simulation.system),
-            extra=dict(extra or {}),
+            extra={**(extra or {}), **plan},
         )
         return manifest.seal()
 
@@ -173,8 +164,8 @@ class CertificationManifest:
         )
 
     @classmethod
-    def load(cls, path: str | Path, *, verify: bool = True) -> "CertificationManifest":
-        """Read a manifest; verify its self-checksum unless told not to."""
+    def load(cls, path: str | Path) -> "CertificationManifest":
+        """Read a manifest and verify its self-checksum."""
         path = Path(path)
         if not path.exists():
             raise ManifestError(f"no certification manifest at {path}")
@@ -197,23 +188,42 @@ class CertificationManifest:
                 f"manifest {path} has schema {manifest.schema!r}, "
                 f"expected {MANIFEST_SCHEMA!r}"
             )
-        if verify:
-            expected = manifest.checksum()
-            if manifest.manifest_sha256 != expected:
-                raise ManifestError(
-                    f"manifest {path} fails its self-checksum "
-                    f"(recorded {manifest.manifest_sha256[:16]}…, "
-                    f"recomputed {expected[:16]}…): a field was edited "
-                    "after sealing"
-                )
+        expected = manifest.checksum()
+        if manifest.manifest_sha256 != expected:
+            raise ManifestError(
+                f"manifest {path} fails its self-checksum "
+                f"(recorded {manifest.manifest_sha256[:16]}…, "
+                f"recomputed {expected[:16]}…): a field was edited "
+                "after sealing"
+            )
         return manifest
 
     # ------------------------------------------------------------------
     def environment_summary(self) -> str:
         """One line naming backend/provider/precision/workers/platform."""
-        provider = self.backend_provider or "-"
-        return (
-            f"backend={self.backend} provider={provider} "
-            f"precision={self.precision} workers={self.workers} "
-            f"numpy={self.numpy_version} platform={self.platform}"
-        )
+        return environment_line(vars(self))
+
+
+def execution_facts(simulation, workers: int) -> dict:
+    """The manifest fields naming what runs ``simulation``, and where."""
+    backend, provider = resolved_backend(simulation.backend)
+    return {
+        "workers": int(workers),
+        "precision": simulation.precision.mode.value,
+        "backend": backend,
+        "backend_provider": provider,
+        "numpy_version": np.__version__,
+        "python_version": platform_module.python_version(),
+        "platform": platform_module.platform(),
+        "machine": platform_module.machine(),
+    }
+
+
+def environment_line(facts) -> str:
+    """The one-line environment of a recorded or a replayed run."""
+    return (
+        f"backend={facts['backend']} "
+        f"provider={facts['backend_provider'] or '-'} "
+        f"precision={facts['precision']} workers={facts['workers']} "
+        f"numpy={facts['numpy_version']} platform={facts['platform']}"
+    )

@@ -12,8 +12,9 @@ artifacts:
     ``DigestRecorder(every=..., path=chain_path(run_dir))``.
 ``manifest.json``
     The sealed :class:`~repro.reliability.certify.manifest.
-    CertificationManifest`, written once at the end of the run
-    (``CertificationManifest.capture(...).save(manifest_path(run_dir))``).
+    CertificationManifest`, written once at the end of the run from
+    the ``JobSpec`` that ran (``CertificationManifest.capture(sim,
+    chain, spec, digest_every=...).save(manifest_path(run_dir))``).
 
 ``repro checkpoint`` is the producer; ``repro certify``
 (:mod:`repro.reliability.certify.verify`) is the consumer.  The digest

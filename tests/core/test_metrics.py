@@ -6,7 +6,6 @@ from repro.model.framework.efficiency import (
     energy_efficiency,
     ns_per_day,
     parallel_efficiency,
-    parallel_efficiency_series,
     timesteps_for_runtime,
 )
 
@@ -23,23 +22,6 @@ class TestParallelEfficiency:
             parallel_efficiency(1.0, 0.0, 4)
         with pytest.raises(ValueError):
             parallel_efficiency(1.0, 1.0, 0)
-
-    def test_series_uses_first_point_as_baseline(self):
-        effs = parallel_efficiency_series([10.0, 18.0, 30.0], [1, 2, 4])
-        assert effs[0] == pytest.approx(1.0)
-        assert effs[1] == pytest.approx(0.9)
-        assert effs[2] == pytest.approx(0.75)
-
-    def test_series_baseline_rescaled_to_one_resource(self):
-        """GPU plots start at 1 device: efficiency is relative to it."""
-        effs = parallel_efficiency_series([20.0, 40.0], [2, 4])
-        assert effs[0] == pytest.approx(1.0)
-
-    def test_series_validation(self):
-        with pytest.raises(ValueError):
-            parallel_efficiency_series([], [])
-        with pytest.raises(ValueError):
-            parallel_efficiency_series([1.0], [1, 2])
 
 
 class TestEnergyAndTurnaround:

@@ -64,31 +64,3 @@ class TestRenderBreakdown:
     def test_title(self):
         out = render_breakdown({"A": 1.0}, title="tasks")
         assert out.splitlines()[0] == "tasks"
-
-
-class TestRenderSeries:
-    def test_bars_proportional(self):
-        from repro.model.framework.tables import render_series
-
-        out = render_series([(1, 10.0), (2, 20.0)])
-        lines = out.splitlines()
-        assert lines[1].count("#") == 2 * lines[0].count("#")
-
-    def test_title_and_values_shown(self):
-        from repro.model.framework.tables import render_series
-
-        out = render_series([(1, 5.0)], title="scaling")
-        assert out.splitlines()[0] == "scaling"
-        assert "5" in out
-
-    def test_empty_rejected(self):
-        from repro.model.framework.tables import render_series
-
-        with pytest.raises(ValueError):
-            render_series([])
-
-    def test_zero_series_safe(self):
-        from repro.model.framework.tables import render_series
-
-        out = render_series([(1, 0.0), (2, 0.0)])
-        assert "#" not in out

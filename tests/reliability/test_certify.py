@@ -8,6 +8,7 @@ attributable error — ``CheckpointIntegrityError`` vs
 never a generic exception from deep inside numpy.
 """
 
+import hashlib
 import json
 import shutil
 
@@ -32,10 +33,27 @@ from repro.reliability.certify import (
     interval_digest,
     manifest_path,
 )
+from repro.service import JobSpec, build_simulation
 from repro.suite import get_benchmark
 
 STEPS = 20
 EVERY = 5
+
+#: A literal deck: the manifest seals only its hash, so a replay needs
+#: the text back.  Its ``run`` count is the run's length.
+DECK = """\
+units lj
+lattice fcc 0.8442
+region box block 0 4 0 4 0 4
+create_box 1 box
+create_atoms 1 box
+mass 1 1.0
+pair_style lj/cut 2.5
+pair_coeff 1 1 1.0 1.0 2.5
+velocity all create 1.44 87287
+timestep 0.005
+run 20
+"""
 
 
 def _make_sim():
@@ -50,9 +68,25 @@ def _certified_run(directory):
     runner = ResilientRunner(sim, manager, digest=digest)
     runner.run(STEPS)
     digest.finalize(sim)
+    spec = JobSpec(benchmark="lj", n_atoms=150, steps=STEPS,
+                   checkpoint_every=EVERY)
     CertificationManifest.capture(
-        sim, digest.chain, steps=STEPS, benchmark="lj", n_atoms=150,
-        checkpoint_every=EVERY, digest_every=EVERY,
+        sim, digest.chain, spec, digest_every=EVERY,
+    ).save(manifest_path(directory))
+    sim.close()
+    return directory
+
+
+def _certified_deck_run(directory):
+    """A certified run built from ``DECK``, its length taken from the deck."""
+    spec = JobSpec(deck=DECK, steps=None, checkpoint_every=EVERY)
+    sim, steps = build_simulation(spec)
+    manager = CheckpointManager(directory, every=EVERY)
+    digest = DigestRecorder(every=EVERY, path=chain_path(directory))
+    ResilientRunner(sim, manager, digest=digest).run(steps)
+    digest.finalize(sim)
+    CertificationManifest.capture(
+        sim, digest.chain, spec, digest_every=EVERY,
     ).save(manifest_path(directory))
     sim.close()
     return directory
@@ -61,6 +95,11 @@ def _certified_run(directory):
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     return _certified_run(tmp_path_factory.mktemp("certified"))
+
+
+@pytest.fixture(scope="module")
+def deck_run_dir(tmp_path_factory):
+    return _certified_deck_run(tmp_path_factory.mktemp("deck"))
 
 
 @pytest.fixture()
@@ -225,6 +264,33 @@ class TestCertifyRun:
         assert "provider=" in message
         assert "precision=" in message
         assert "recorded under" in message and "replayed under" in message
+
+
+class TestDeckRun:
+    """A deck-built run directory seals the deck's hash, not its text."""
+
+    def test_without_deck_text_the_error_names_the_sealed_hash(
+        self, deck_run_dir
+    ):
+        sealed = hashlib.sha256(DECK.encode()).hexdigest()
+        with pytest.raises(CertificationError, match=sealed):
+            certify_run(deck_run_dir, seed=0)
+
+    def test_deck_text_with_another_hash_is_refused(self, deck_run_dir):
+        with pytest.raises(
+            CertificationError, match="not the deck that produced the run"
+        ):
+            certify_run(
+                deck_run_dir, seed=0, deck_text=DECK.replace("run 20", "run 10")
+            )
+
+    def test_with_its_deck_text_the_run_certifies_bitwise(self, deck_run_dir):
+        manifest = CertificationManifest.load(manifest_path(deck_run_dir))
+        # The built atom count and the deck's own run length.
+        assert (manifest.n_atoms, manifest.steps) == (256, 20)
+        report = certify_run(deck_run_dir, seed=3, deck_text=DECK)
+        assert report.verdict == "bitwise"
+        assert report.checked_steps
 
 
 class TestTamperDetection:
