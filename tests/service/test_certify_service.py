@@ -43,9 +43,7 @@ run 10
 @pytest.fixture(scope="module")
 def spool(tmp_path_factory):
     spool_dir = tmp_path_factory.mktemp("spool")
-    service = BatchService(
-        1, cache_dir=spool_dir / "cache", poll_seconds=0.02
-    )
+    service = BatchService(1, cache_dir=spool_dir / "cache")
     server = SpoolServer(spool_dir, service, poll=0.02)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"max_seconds": 120}, daemon=True

@@ -11,8 +11,14 @@ import time
 
 import pytest
 
-from repro.service import BatchService, JobSpec, execute_job
-from repro.service.pool import BOOT_FAILURE_LIMIT, WorkerPool
+from repro.service import (
+    BatchService,
+    JobFailedError,
+    JobSpec,
+    ServiceClosedError,
+    execute_job,
+)
+from repro.service.pool import BOOT_FAILURE_LIMIT
 
 
 def two_worker_spec(**overrides) -> JobSpec:
@@ -42,7 +48,7 @@ class TestEngineWorkerFault:
         )
 
     def test_faulted_job_through_the_service(self):
-        with BatchService(1, poll_seconds=0.02) as svc:
+        with BatchService(1) as svc:
             job = svc.submit(two_worker_spec(fault_plan="kill:0:5"))
             result = job.result(240)
         assert result.recovery_events >= 1
@@ -68,39 +74,50 @@ class TestStartMethodProbe:
         monkeypatch.setitem(sys.modules, "__main__", fake)
         assert not _spawn_can_import_main()
         with pytest.warns(RuntimeWarning, match="not importable by spawn"):
-            pool = WorkerPool(1)
+            svc = BatchService(1)
         try:
-            assert pool._ctx.get_start_method() == "fork"
+            assert svc._ctx.get_start_method() == "fork"
         finally:
-            pool.close()
+            svc.close()
 
 
 class TestBootCrashLoop:
     """A worker dying before its ready handshake must not respawn forever."""
 
-    def test_slot_retires_after_repeated_boot_failures(self):
-        pool = WorkerPool(1)
-        try:
-            # Nothing drains next_event here, so the ready handshake is
-            # never consumed: every death counts as a boot failure.
-            respawned = True
-            for _ in range(BOOT_FAILURE_LIMIT):
-                assert not pool.retired(0)
-                os.kill(pool.pid(0), signal.SIGKILL)
-                pool._workers[0].join()
-                respawned = pool.respawn(0)
-            assert not respawned
-            assert pool.retired(0)
-            assert pool.usable_slots() == 0
-        finally:
-            pool.close()
+    def test_slot_retires_after_repeated_boot_failures(self, monkeypatch, tmp_path):
+        import sys
+        import types
+
+        # A spawn child re-runs the host's main file before it can check
+        # in; this one exits there, so every boot dies.
+        script = tmp_path / "dies_at_import.py"
+        script.write_text("raise SystemExit(3)\n")
+        fake = types.ModuleType("__main__")
+        fake.__file__ = str(script)
+        monkeypatch.setitem(sys.modules, "__main__", fake)
+        with BatchService(1) as svc:
+            job = svc.submit(JobSpec(benchmark="lj", n_atoms=150, steps=5, seed=1))
+            started = time.monotonic()
+            assert not svc.wait_ready(timeout=60)
+            assert time.monotonic() - started < 30
+            with pytest.raises(JobFailedError, match="every pool worker slot was retired"):
+                job.result(60)
+            with pytest.raises(ServiceClosedError):
+                svc.submit(JobSpec(benchmark="lj", n_atoms=150, steps=5, seed=2))
+            stats = svc.stats()
+            assert svc.worker_pids == (None,)
+        assert stats["worker_respawns"] == BOOT_FAILURE_LIMIT - 1
+        assert stats["metrics"]["service_worker_slots_retired_total"]["value"] == 1
+        # The refused submission is not counted: submitted == failed.
+        assert stats["metrics"]["service_jobs_submitted_total"]["value"] == 1
+        assert stats["metrics"]["service_jobs_failed_total"]["value"] == 1
 
 
 class TestPoolWorkerDeath:
     """SIGKILL to the pool worker itself: respawn + requeue."""
 
     def test_job_survives_pool_worker_kill(self):
-        with BatchService(1, poll_seconds=0.02) as svc:
+        with BatchService(1) as svc:
             job = svc.submit(
                 JobSpec(benchmark="lj", n_atoms=400, steps=300, seed=1)
             )
@@ -109,7 +126,7 @@ class TestPoolWorkerDeath:
                 assert time.monotonic() < deadline, "job never started"
                 time.sleep(0.01)
             time.sleep(0.2)  # let it get properly mid-job
-            os.kill(svc._pool.pid(0), signal.SIGKILL)
+            os.kill(svc.worker_pids[0], signal.SIGKILL)
             result = job.result(240)
             respawns = svc.metrics.counter(
                 "service_worker_respawns_total"
@@ -124,9 +141,7 @@ class TestPoolWorkerDeath:
         assert result.state_digest == reference.state_digest
 
     def test_repeated_deaths_fail_the_job_loudly(self):
-        from repro.service import JobFailedError
-
-        with BatchService(1, poll_seconds=0.02, max_requeues=0) as svc:
+        with BatchService(1, max_requeues=0) as svc:
             job = svc.submit(
                 JobSpec(benchmark="lj", n_atoms=400, steps=400, seed=2)
             )
@@ -134,7 +149,7 @@ class TestPoolWorkerDeath:
             while job.status != "running":
                 assert time.monotonic() < deadline, "job never started"
                 time.sleep(0.01)
-            os.kill(svc._pool.pid(0), signal.SIGKILL)
+            os.kill(svc.worker_pids[0], signal.SIGKILL)
             with pytest.raises(JobFailedError, match="died"):
                 job.result(240)
             # The respawned pool still serves fresh work.

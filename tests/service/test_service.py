@@ -5,6 +5,10 @@ a handful of steps.  The fault-path tests (worker death, recovery)
 live in ``test_fault_recovery.py``.
 """
 
+import sys
+import threading
+from statistics import median
+
 import pytest
 
 from repro.service import (
@@ -23,7 +27,7 @@ def spec(**overrides) -> JobSpec:
 
 @pytest.fixture(scope="module")
 def service():
-    with BatchService(2, poll_seconds=0.02) as svc:
+    with BatchService(2) as svc:
         yield svc
 
 
@@ -82,7 +86,7 @@ class TestScheduling:
 
 class TestLifecycle:
     def test_drain_refuses_new_work_and_finishes_old(self):
-        svc = BatchService(1, poll_seconds=0.02)
+        svc = BatchService(1)
         job = svc.submit(spec(steps=20, n_atoms=400))
         assert svc.drain(timeout=120)
         with pytest.raises(ServiceClosedError):
@@ -91,15 +95,77 @@ class TestLifecycle:
         svc.close()
 
     def test_wait_ready_reports_booted_pool(self):
-        with BatchService(1, poll_seconds=0.02) as svc:
+        with BatchService(1) as svc:
             assert svc.wait_ready(timeout=120)
-            assert svc._pool.ready_count() == 1
+            assert svc.wait_ready(timeout=0)  # stays ready
+            (pid,) = svc.worker_pids
+            assert pid is not None
 
     def test_metrics_flow_through_registry(self):
-        with BatchService(1, poll_seconds=0.02) as svc:
+        with BatchService(1) as svc:
             svc.submit(spec(steps=13)).result(120)
             snapshot = svc.metrics.snapshot()
         assert snapshot["service_jobs_submitted_total"]["value"] == 1
         assert snapshot["service_jobs_completed_total"]["value"] == 1
         assert snapshot["service_job_seconds"]["count"] == 1
         assert "service_queue_depth" in snapshot
+
+    def test_coalesced_failure_counts_every_submitter(self):
+        with BatchService(1) as svc:
+            a = svc.submit(spec(n_atoms=60))
+            b = svc.submit(spec(n_atoms=60))
+            assert a is b
+            with pytest.raises(JobFailedError, match="cutoff"):
+                a.result(120)
+            snapshot = svc.metrics.snapshot()
+        submitted = snapshot["service_jobs_submitted_total"]["value"]
+        completed = snapshot.get("service_jobs_completed_total", {}).get("value", 0)
+        failed = snapshot["service_jobs_failed_total"]["value"]
+        assert failed == 2
+        assert submitted == completed + failed
+
+    def test_dispatch_waits_on_the_submission_not_a_clock(self):
+        # An idle, warm worker takes a submitted job at once: the
+        # scheduler wakes on the submission itself.
+        with BatchService(1) as svc:
+            assert svc.wait_ready(timeout=120)
+            svc.submit(spec(steps=5, seed=50)).result(120)
+            waits = []
+            for seed in range(51, 61):
+                job = svc.submit(spec(steps=5, seed=seed))
+                job.result(120)
+                waits.append(job.started_at - job.submitted_at)
+        assert median(waits) < 0.010, waits
+
+    def test_concurrent_submitters_lose_no_wakeup(self):
+        # More workers than cores, submitters racing the scheduler over
+        # coalesces, cache hits and fresh keys: a lost wake-up leaves a
+        # handle waiting forever, a lost update breaks the identity.
+        handles = []
+
+        def submit_many(offset: int) -> None:
+            for i in range(12):
+                handles.append(svc.submit(spec(steps=5, seed=200 + (i + offset) % 8)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with BatchService(3) as svc:
+                threads = [
+                    threading.Thread(target=submit_many, args=(k,)) for k in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                results = [job.result(120) for job in handles]
+                snapshot = svc.metrics.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 48
+        assert len({r.state_digest for r in results}) == 8
+        submitted = snapshot["service_jobs_submitted_total"]["value"]
+        assert submitted == 48
+        assert snapshot["service_jobs_completed_total"]["value"] == submitted
+        assert snapshot["service_cache_insertions_total"]["value"] == 8

@@ -19,8 +19,7 @@ def spec(**overrides) -> JobSpec:
 
 @pytest.fixture()
 def spool(tmp_path):
-    svc = BatchService(1, cache_dir=tmp_path / "spool" / "cache",
-                       poll_seconds=0.02)
+    svc = BatchService(1, cache_dir=tmp_path / "spool" / "cache")
     server = SpoolServer(tmp_path / "spool", svc, poll=0.02)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"max_seconds": 120}, daemon=True
@@ -74,7 +73,7 @@ class TestRoundTrip:
 
 class TestDrain:
     def test_stop_answers_inflight_and_leaves_new_pending(self, tmp_path):
-        svc = BatchService(1, poll_seconds=0.02)
+        svc = BatchService(1)
         server = SpoolServer(tmp_path / "s", svc, poll=0.02)
         client = SpoolClient(tmp_path / "s")
         ticket = client.submit(spec(steps=8))
@@ -100,7 +99,7 @@ class TestDrain:
             root / "pending" / f"{ticket}.json",
             root / "claimed" / f"{ticket}.json",
         )
-        svc = BatchService(1, poll_seconds=0.02)
+        svc = BatchService(1)
         server = SpoolServer(root, svc, poll=0.02)
         assert (root / "pending" / f"{ticket}.json").exists()
         deadline = time.monotonic() + 120
@@ -115,7 +114,7 @@ class TestDrain:
         layout = spool_layout(tmp_path / "s")
         (layout["claimed"] / "t1.json").write_text("{}")
         (layout["tickets"] / "t1.json").write_text("{}")
-        svc = BatchService(1, poll_seconds=0.02)
+        svc = BatchService(1)
         SpoolServer(tmp_path / "s", svc, poll=0.02)
         assert not (layout["claimed"] / "t1.json").exists()
         assert list(layout["pending"].glob("*.json")) == []
@@ -134,13 +133,13 @@ class TestDrain:
                 time.sleep(0.02)
             return client.wait(ticket, timeout=5)
 
-        svc1 = BatchService(1, cache_dir=root / "cache", poll_seconds=0.02)
+        svc1 = BatchService(1, cache_dir=root / "cache")
         server1 = SpoolServer(root, svc1, poll=0.02)
         client = SpoolClient(root)
         first = pump(server1, client, client.submit(spec(steps=10)))
         svc1.close()
 
-        svc2 = BatchService(1, cache_dir=root / "cache", poll_seconds=0.02)
+        svc2 = BatchService(1, cache_dir=root / "cache")
         server2 = SpoolServer(root, svc2, poll=0.02)
         again = pump(server2, client, client.submit(spec(steps=10)))
         svc2.close()
