@@ -18,7 +18,7 @@ from pathlib import Path
 from repro.atomicio import atomic_write
 from repro.campaign.spec import CampaignSpec
 from repro.md.kernels import get_backend
-from repro.report import make_report, platform_info
+from repro.report import make_report
 from repro.service import BatchService, JobResult, JobSpec
 
 __all__ = ["run_campaign", "render_figures"]
@@ -144,7 +144,6 @@ def run_campaign(
             "resolved": resolved if len(resolved) > 1 else resolved[0],
         },
         precision=precisions if len(precisions) > 1 else precisions[0],
-        platform=platform_info(pool_workers=n_workers),
         campaign={
             "name": spec.name,
             "source_sha256": spec.source_sha256,

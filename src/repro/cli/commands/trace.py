@@ -167,11 +167,10 @@ def _report_energy(args, sim, sampler, tracer, path: Path) -> Path:
     from repro.atomicio import atomic_write
     from repro.observability.telemetry import (
         attribute_energy,
-        platform_provenance,
         render_energy_table,
     )
     from repro.observability.telemetry.sampler import MIN_RUN_SECONDS
-    from repro.report import make_report, platform_info
+    from repro.report import make_report
 
     provider = sampler.provider
     attribution = attribute_energy(sampler.samples, tracer.records())
@@ -202,7 +201,6 @@ def _report_energy(args, sim, sampler, tracer, path: Path) -> Path:
         },
         precision="double",
         energy={"provider": provider.name, "kind": provider.kind},
-        platform=platform_info(**platform_provenance()),
         experiment=args.experiment,
         n_atoms=sim.system.n_atoms,
         steps=args.steps,

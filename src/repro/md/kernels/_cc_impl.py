@@ -55,6 +55,7 @@ so concurrent worker processes never observe a half-written library.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -67,7 +68,7 @@ from numpy.ctypeslib import ndpointer
 
 from repro.md.precision import DOUBLE_POLICY, PRECISIONS, policy_for
 
-__all__ = ["CcProvider", "CACHE_ENV_VAR", "KERNELS", "symbol"]
+__all__ = ["CcProvider", "CACHE_ENV_VAR", "KERNELS", "compiler_id", "symbol"]
 
 #: Environment override for the shared-object build cache directory.
 CACHE_ENV_VAR = "REPRO_COMPILED_CACHE"
@@ -1433,6 +1434,19 @@ def _find_compiler() -> str | None:
     return None
 
 
+@functools.cache
+def compiler_id(cc: str) -> str:
+    """The first line of ``cc --version``, or ``cc`` itself when it
+    prints none: the compiler a build used, without building."""
+    try:
+        banner = subprocess.run(
+            [cc, "--version"], capture_output=True, text=True, timeout=10
+        ).stdout.splitlines()
+    except (OSError, subprocess.SubprocessError):
+        return cc
+    return banner[0].strip() if banner else cc
+
+
 def _cache_dir() -> Path:
     """First writable cache location: env override, in-tree, tempdir."""
     override = os.environ.get(CACHE_ENV_VAR)
@@ -1504,13 +1518,7 @@ class CcProvider:
     def __init__(self) -> None:
         lib, cc = _build_library()
         self._lib = lib
-        try:
-            banner = subprocess.run(
-                [cc, "--version"], capture_output=True, text=True, timeout=10
-            ).stdout.splitlines()
-            self.version = banner[0].strip() if banner else cc
-        except Exception:  # pragma: no cover - cosmetic only
-            self.version = cc
+        self.version = compiler_id(cc)
         #: The table, resolved: ``(stem, VAL, ACC) -> bound function``.
         self.bound = {}
         for stem, (instances, restype, signature) in KERNELS.items():

@@ -202,20 +202,3 @@ class EAMAlloy(PairPotential):
         rows.add_energy(i, phi)
         rows.add_virial(i, f_over_r * pairs.r2)
         return pairs.interactions
-
-    # -- analysis helpers ----------------------------------------------------
-    def cohesive_energy_curve(
-        self, lattice_constants: np.ndarray, coordination: int = 12
-    ) -> np.ndarray:
-        """Per-atom energy of an idealized first-shell fcc environment.
-
-        A quick analytic sanity check: for each lattice constant ``a``
-        the nearest-neighbour shell sits at ``a / sqrt(2)`` with the fcc
-        coordination of 12.
-        """
-        a = np.asarray(lattice_constants, dtype=float)
-        r_nn = a / np.sqrt(2.0)
-        f, _ = self.density_function(r_nn)
-        phi, _ = self.pair_function(r_nn)
-        F, _ = self.embedding_function(coordination * f)
-        return F + 0.5 * coordination * phi

@@ -569,9 +569,3 @@ class Simulation:
         """Fraction of run time per Table 1 task."""
         return fractions(self.timers.seconds)
 
-    def timesteps_per_second(self) -> float:
-        """Measured functional-engine throughput (TS/s)."""
-        total = self.timers.total
-        if total <= 0:
-            return float("inf")
-        return self.counts.timesteps / total

@@ -38,17 +38,6 @@ class ThermoSnapshot:
     pressure: float
     volume: float
 
-    def as_tuple(self) -> tuple:
-        return (
-            self.step,
-            self.temperature,
-            self.kinetic_energy,
-            self.potential_energy,
-            self.total_energy,
-            self.pressure,
-            self.volume,
-        )
-
 
 @dataclass
 class ThermoLog:

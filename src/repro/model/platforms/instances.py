@@ -22,10 +22,6 @@ class CpuSpec:
     tech_node_nm: int
     tdp_watts: float
 
-    @property
-    def peak_frequency_hz(self) -> float:
-        return self.turbo_ghz * 1e9
-
 
 @dataclass(frozen=True)
 class GpuSpec:
@@ -64,10 +60,6 @@ class InstanceSpec:
     @property
     def total_cores(self) -> int:
         return self.cpu.cores * self.sockets
-
-    @property
-    def total_threads(self) -> int:
-        return self.cpu.threads * self.sockets
 
     def validate_resources(self, n_ranks: int = 0, n_gpus: int = 0) -> None:
         """Raise when an experiment asks for more hardware than exists."""

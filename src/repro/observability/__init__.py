@@ -42,7 +42,7 @@ from repro.observability.telemetry import (
     TelemetrySampler,
     attribute_energy,
     detect_provider,
-    platform_provenance,
+    host_facts,
     render_energy_table,
 )
 from repro.observability.timeline import RankSpan, RankTimeline
@@ -82,5 +82,5 @@ __all__ = [
     "attribute_energy",
     "render_energy_table",
     "detect_provider",
-    "platform_provenance",
+    "host_facts",
 ]

@@ -18,8 +18,8 @@ to a utilization model — loudly labelled — where it does not:
   joins sample intervals with the PR-2 span tracer's timeline to
   attribute joules per phase (Pair, Neigh, Comm, Kspace, checkpoint...).
 * :mod:`provenance <repro.observability.telemetry.provenance>` —
-  kernel version, CPU count and cgroup CPU quota for the power
-  record's ``platform`` block.
+  :func:`host_facts`, the one host stamp every record embeds whole
+  (the power record's ``platform`` block among them).
 
 The performance model (:mod:`repro.model`) imports the utilization
 formula and the sampling methodology from here; nothing here imports the
@@ -41,8 +41,7 @@ from repro.observability.telemetry.attribution import (
 )
 from repro.observability.telemetry.provenance import (
     cgroup_cpu_quota,
-    kernel_version,
-    platform_provenance,
+    host_facts,
 )
 from repro.observability.telemetry.providers import (
     PROVIDERS,
@@ -79,7 +78,6 @@ __all__ = [
     "attribute_energy",
     "render_energy_table",
     "UNTRACKED",
-    "platform_provenance",
-    "kernel_version",
+    "host_facts",
     "cgroup_cpu_quota",
 ]

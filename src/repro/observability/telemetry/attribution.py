@@ -65,9 +65,6 @@ class EnergyAttribution:
         ).joules
         return tracked / self.total_joules if self.total_joules > 0 else 0.0
 
-    def joules_by_phase(self) -> dict[str, float]:
-        return {name: phase.joules for name, phase in self.phases.items()}
-
     def to_json(self) -> dict:
         return {
             "total_joules": self.total_joules,

@@ -1,25 +1,43 @@
-"""Machine provenance for benchmark records.
+"""What a run ran on: the one host stamp every record embeds whole.
 
-Energy-efficiency numbers are only comparable across machines when the
-record says what the machine *was*: the kernel it ran (scheduler and
-powercap behavior change across versions), whether a cgroup CPU quota
-was throttling the run (ubiquitous in CI containers, invisible to
-``os.cpu_count``).  :func:`platform_provenance` bundles those host
-facts for the ``energy.json`` record ``repro trace --power`` writes;
-where the joules came from is the record's ``energy`` and ``sampling``
-blocks, read off the one provider the run sampled.
+A number from another machine is only comparable, or explicable, when
+its record says what the machine *was*.  :func:`host_facts` is the one
+collector of those facts: the energy report, the campaign record and
+the certification manifest each embed its dict verbatim, so no two
+records can disagree about which facts a host stamp carries.
+
+Two kinds of fact live in the block.  Some explain a *number*: the
+kernel (scheduler and powercap behavior change across versions), the
+CPU count and whether a cgroup CPU quota was throttling the run
+(ubiquitous in CI containers, invisible to ``os.cpu_count``).  Others
+decide a *digest*: numpy picks its float64 ``exp`` by CPU feature,
+glibc picks ``exp``/``pow``/``sin``/``cos`` variants by CPU, and the C
+unit's bits are fixed by its compiler and flags.  ``host_class`` is a
+digest of exactly those fields (:data:`HOST_CLASS_FIELDS`), and
+``repro certify`` names the ones that differ when a bitwise replay
+crosses host classes, instead of blaming the run directory.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import platform
 from pathlib import Path
 
+import numpy as np
+
+try:
+    from numpy._core import _multiarray_umath as _simd
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as _simd
+
 __all__ = [
-    "kernel_version",
+    "HOST_CLASS_FIELDS",
     "cgroup_cpu_quota",
-    "platform_provenance",
+    "host_differences",
+    "host_facts",
 ]
 
 #: cgroup v2 unified quota file: "<quota_us> <period_us>" or "max ...".
@@ -29,10 +47,16 @@ CGROUP_V2_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 CGROUP_V1_QUOTA = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"
 CGROUP_V1_PERIOD = "/sys/fs/cgroup/cpu/cpu.cfs_period_us"
 
-
-def kernel_version() -> str:
-    """The running kernel release (e.g. ``6.8.0-45-generic``)."""
-    return platform.release()
+#: The host facts a digest head depends on; ``host_class`` hashes them.
+HOST_CLASS_FIELDS = (
+    "machine",
+    "numpy",
+    "numpy_simd_baseline",
+    "numpy_simd_dispatch",
+    "libc",
+    "compiler",
+    "cflags",
+)
 
 
 def cgroup_cpu_quota(
@@ -70,10 +94,48 @@ def cgroup_cpu_quota(
     return None
 
 
-def platform_provenance() -> dict:
-    """The host facts a power record's ``platform`` block carries."""
-    return {
-        "kernel_version": kernel_version(),
+def host_facts() -> dict:
+    """The host block every record embeds whole (JSON-safe).
+
+    Reading the compiler runs ``cc --version`` and nothing else: the C
+    unit is neither built nor smoke-tested, so the stamp is the same
+    whether or not the ``compiled`` backend can run here.
+    """
+    # Not at import: loading the service must not load the C unit.
+    from repro.md.kernels import _cc_impl
+
+    cc = _cc_impl._find_compiler()
+    facts = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "system": platform.system(),
+        "platform": platform.platform(),
+        "kernel_version": platform.release(),
         "cpu_count": os.cpu_count(),
         "cgroup_cpu_quota_cores": cgroup_cpu_quota(),
+        "numpy_simd_baseline": list(_simd.__cpu_baseline__),
+        # The dispatch targets numpy built in that this CPU enables.
+        "numpy_simd_dispatch": [
+            name for name in _simd.__cpu_dispatch__
+            if _simd.__cpu_features__.get(name)
+        ],
+        "libc": " ".join(platform.libc_ver()).strip() or None,
+        "compiler": _cc_impl.compiler_id(cc) if cc else None,
+        "cflags": list(_cc_impl._CFLAGS),
     }
+    keyed = json.dumps(
+        {name: facts[name] for name in HOST_CLASS_FIELDS}, sort_keys=True
+    )
+    facts["host_class"] = hashlib.sha256(keyed.encode()).hexdigest()[:16]
+    return facts
+
+
+def host_differences(recorded: dict, replayed: dict) -> list[str]:
+    """The :data:`HOST_CLASS_FIELDS` two host blocks both carry and
+    disagree on (a partial block compares on the fields it has)."""
+    return [
+        name for name in HOST_CLASS_FIELDS
+        if name in recorded and name in replayed
+        and recorded[name] != replayed[name]
+    ]

@@ -1,9 +1,10 @@
 """Certification manifests: the provenance record of one run.
 
 A digest chain says *what* trajectory a run produced; the
-:class:`CertificationManifest` says *where and how* — platform, numpy
-version, kernel backend and compiled provider, precision policy,
-worker count — plus the chain head that seals the trajectory.  The
+:class:`CertificationManifest` says *where and how* — the host block
+(:func:`~repro.observability.telemetry.provenance.host_facts`, whole),
+kernel backend and compiled provider, precision policy, worker count —
+plus the chain head that seals the trajectory.  The
 SCC17 Tersoff reproduction study (PAPERS.md) is the motivating
 example: when a replay disagrees, the first question is always "same
 compiler? same precision? same machine?", and the manifest is what
@@ -15,25 +16,38 @@ over the canonical JSON of every other field, so editing any field of
 a stored ``manifest.json`` (say, relabeling a single-precision run as
 double) is detected before any physics is replayed and raises
 :class:`ManifestError` naming the file.
+
+Schema ``/2`` keeps the host facts in one ``host`` field.  A ``/1``
+manifest (flat ``numpy_version``/``python_version``/``platform``/
+``machine`` fields) still loads: its checksum is verified on the fields
+as written, then those four are read as a partial host block.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import platform as platform_module
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from repro.atomicio import atomic_write
 from repro.md.kernels import resolved_backend
+from repro.observability.telemetry.provenance import host_facts
 
 __all__ = ["MANIFEST_SCHEMA", "CertificationManifest", "ManifestError"]
 
 #: Manifest schema tag; bump on incompatible layout changes.
-MANIFEST_SCHEMA = "repro-certification/1"
+MANIFEST_SCHEMA = "repro-certification/2"
+
+#: The layout before the host block: its four flat host fields, by the
+#: host-block key each is read as.
+_LEGACY_SCHEMA = "repro-certification/1"
+_LEGACY_HOST = {
+    "numpy_version": "numpy",
+    "python_version": "python",
+    "platform": "platform",
+    "machine": "machine",
+}
 
 
 class ManifestError(ValueError):
@@ -47,11 +61,11 @@ class CertificationManifest:
     The workload fields (``benchmark``/``deck_sha256``/``n_atoms``/
     ``seed``/``steps``) plus the execution fields (``workers``/
     ``precision``/``backend``/``backend_provider``) are sufficient to
-    reconstruct the simulation for replay; the environment fields
-    (``numpy_version``/``python_version``/``platform``/``machine``)
-    exist so a cross-host digest mismatch is *attributable* — the
-    certify error prints both sides.  ``chain_head``/``chain_entries``/
-    ``final_state_digest`` seal the trajectory the manifest vouches for.
+    reconstruct the simulation for replay; the ``host`` block exists so
+    a cross-host digest mismatch is *attributable* — the certify error
+    prints both sides and names the host-class fields that differ.
+    ``chain_head``/``chain_entries``/``final_state_digest`` seal the
+    trajectory the manifest vouches for.
     """
 
     schema: str
@@ -67,10 +81,7 @@ class CertificationManifest:
     checkpoint_every: int
     digest_every: int
     prefix: str
-    numpy_version: str
-    python_version: str
-    platform: str
-    machine: str
+    host: dict
     chain_head: str
     chain_entries: int
     final_step: int
@@ -90,10 +101,7 @@ class CertificationManifest:
 
     def checksum(self) -> str:
         """SHA-256 over the canonical JSON of :meth:`payload`."""
-        canonical = json.dumps(
-            self.payload(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return _checksum(self.payload())
 
     def seal(self) -> "CertificationManifest":
         """Fill in ``manifest_sha256``; returns self for chaining."""
@@ -138,6 +146,7 @@ class CertificationManifest:
                 steps=spec.steps or parse_deck(spec.deck).run_steps,
             )
         values.update(execution_facts(simulation, spec.workers))
+        values["host"] = host_facts()
         plan = {"fault_plan": spec.fault_plan} if spec.fault_plan else {}
         manifest = cls(
             schema=MANIFEST_SCHEMA,
@@ -173,6 +182,22 @@ class CertificationManifest:
             data = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ManifestError(f"manifest {path} is not JSON: {exc}") from exc
+        schema = data.get("schema") if isinstance(data, dict) else None
+        if schema not in (MANIFEST_SCHEMA, _LEGACY_SCHEMA):
+            raise ManifestError(
+                f"manifest {path} has schema {schema!r}, "
+                f"expected {MANIFEST_SCHEMA!r}"
+            )
+        recorded = data.get("manifest_sha256", "")
+        expected = _checksum(
+            {name: value for name, value in data.items()
+             if name != "manifest_sha256"}
+        )
+        if schema == _LEGACY_SCHEMA:
+            data["host"] = {
+                key: data.pop(name)
+                for name, key in _LEGACY_HOST.items() if name in data
+            }
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
@@ -183,16 +208,10 @@ class CertificationManifest:
             manifest = cls(**data)
         except TypeError as exc:
             raise ManifestError(f"manifest {path} is incomplete: {exc}") from exc
-        if manifest.schema != MANIFEST_SCHEMA:
-            raise ManifestError(
-                f"manifest {path} has schema {manifest.schema!r}, "
-                f"expected {MANIFEST_SCHEMA!r}"
-            )
-        expected = manifest.checksum()
-        if manifest.manifest_sha256 != expected:
+        if recorded != expected:
             raise ManifestError(
                 f"manifest {path} fails its self-checksum "
-                f"(recorded {manifest.manifest_sha256[:16]}…, "
+                f"(recorded {recorded[:16]}…, "
                 f"recomputed {expected[:16]}…): a field was edited "
                 "after sealing"
             )
@@ -200,30 +219,36 @@ class CertificationManifest:
 
     # ------------------------------------------------------------------
     def environment_summary(self) -> str:
-        """One line naming backend/provider/precision/workers/platform."""
+        """One line naming backend/provider/precision/workers/host."""
         return environment_line(vars(self))
 
 
+def _checksum(payload: dict) -> str:
+    """SHA-256 over the canonical JSON of a manifest's fields."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def execution_facts(simulation, workers: int) -> dict:
-    """The manifest fields naming what runs ``simulation``, and where."""
+    """The manifest fields naming what runs ``simulation``."""
     backend, provider = resolved_backend(simulation.backend)
     return {
         "workers": int(workers),
         "precision": simulation.precision.mode.value,
         "backend": backend,
         "backend_provider": provider,
-        "numpy_version": np.__version__,
-        "python_version": platform_module.python_version(),
-        "platform": platform_module.platform(),
-        "machine": platform_module.machine(),
     }
 
 
 def environment_line(facts) -> str:
-    """The one-line environment of a recorded or a replayed run."""
+    """The one-line environment of a recorded or a replayed run: the
+    execution facts plus its host block (a partial one prints ``-``)."""
+    host = facts["host"]
     return (
         f"backend={facts['backend']} "
         f"provider={facts['backend_provider'] or '-'} "
         f"precision={facts['precision']} workers={facts['workers']} "
-        f"numpy={facts['numpy_version']} platform={facts['platform']}"
+        f"numpy={host.get('numpy', '-')} "
+        f"platform={host.get('platform', '-')} "
+        f"host_class={host.get('host_class', '-')}"
     )

@@ -41,6 +41,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.md.precision import PARITY_TOLERANCES
+from repro.observability.telemetry.provenance import (
+    host_differences,
+    host_facts,
+)
 from repro.reliability.certify.digest import (
     DigestChain,
     DigestChainError,
@@ -152,6 +156,9 @@ class _Judge:
     recorded_env: str
     replay_env: str
     tolerance: float | None
+    #: The host-class fields the recording and the replaying host
+    #: disagree on (empty: the same host class, as far as both know).
+    host_diff: tuple[str, ...]
 
     @property
     def verdict(self) -> str:
@@ -175,11 +182,7 @@ class _Judge:
                     ": the replay does not reproduce the sealed chain bit "
                     "for bit",
                     f"\n  recorded digest {entry.digest[:16]}…, "
-                    f"replayed {replayed[:16]}…\n"
-                    "The environments match the manifest, so this is not a "
-                    "backend/provider/precision difference: the run "
-                    "directory's snapshots or chain are corrupt, or the "
-                    "kernel has drifted from its certified behavior.",
+                    f"replayed {replayed[:16]}…\n" + self._cause(),
                 )
             return f"step {entry.step}: digest bit-for-bit OK"
         observed = state_witness(sim)
@@ -196,6 +199,23 @@ class _Judge:
                 )
         return f"step {entry.step}: witnesses within {self.tolerance:.0e}"
 
+    def _cause(self) -> str:
+        """Why a bitwise replay can miss: the host, or the run itself."""
+        if self.host_diff:
+            return (
+                "The run was recorded on a different host class: "
+                f"{', '.join(self.host_diff)} differ.  numpy's SIMD "
+                "dispatch, libm and the compiler each fix the last bit "
+                "of a transcendental, so this mismatch says nothing about "
+                "the run directory; replay it on its own host class."
+            )
+        return (
+            "The environments match the manifest, so this is not a "
+            "backend/provider/precision or host-class difference: the run "
+            "directory's snapshots or chain are corrupt, or the kernel "
+            "has drifted from its certified behavior."
+        )
+
     def state(self, step: int, reference, mine) -> str:
         """Hold the replay to the interval's retained ending snapshot."""
         if self.tolerance is None:
@@ -206,6 +226,7 @@ class _Judge:
                 raise self.mismatch(
                     f"end-of-interval state at step {step}",
                     " does not match the retained snapshot bit for bit",
+                    "\n" + self._cause(),
                 )
             return f"step {step}: snapshot state bit-for-bit OK"
         # In float64: a single-precision pair must not round its delta.
@@ -320,7 +341,7 @@ def certify_run(
         restore_simulation(
             sim, snapshots[start], cast=mode if mode != manifest.precision else None
         )
-        live = execution_facts(sim, spec.workers)
+        live = {**execution_facts(sim, spec.workers), "host": host_facts()}
         # Bitwise needs the manifest's backend, provider, precision and
         # executor family: serial and parallel sum in different orders,
         # parallel worker counts are bitwise by contract.  A run that
@@ -335,6 +356,7 @@ def certify_run(
         judge = _Judge(
             run_dir, manifest.environment_summary(), environment_line(live),
             None if bitwise else PARITY_TOLERANCES[tier],
+            tuple(host_differences(manifest.host, live["host"])),
         )
         checked: list[int] = []
         checks: list[str] = []

@@ -1,12 +1,12 @@
 """One versioned record envelope for every record the package writes.
 
 Two producers write records: ``python -m repro trace --power`` (its
-``energy.json``) and the campaign orchestrator.  The common provenance facts — which backend
-ran, which precision modes, where the energy numbers came from, what
-platform — are defined **once**, here:
+``energy.json``) and the campaign orchestrator.  The common provenance
+facts — which backend ran, which precision modes, where the energy
+numbers came from — are defined **once**, here; what platform is the
+one host stamp, :func:`~repro.observability.telemetry.provenance.host_facts`,
+embedded whole:
 
-* :func:`platform_info` — the interpreter/host stamp every record
-  carries;
 * :func:`make_report` — build a validated record: the shared envelope
   plus the producer's own payload keys merged at top level;
 * :func:`validate_report` — structural validation of the envelope.
@@ -16,7 +16,7 @@ The envelope, version 2::
     schema       "repro-bench-report/2"
     kind         power | campaign
     created_unix epoch seconds (> 0)
-    platform     {python, numpy, machine, system, ...extras}
+    platform     host_facts(): the one host stamp, host_class included
     backend      {requested, resolved}     (names or lists of names)
     precision    "double" | [...modes]
     energy       {provider, kind}          provenance of any joules
@@ -27,13 +27,11 @@ Payload keys merge beside the envelope and may never shadow it.
 from __future__ import annotations
 
 import json
-import platform as _platform
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.md.precision import PRECISIONS as _MODES
+from repro.observability.telemetry.provenance import host_facts
 
 __all__ = [
     "SCHEMA",
@@ -42,7 +40,6 @@ __all__ = [
     "ENERGY_KINDS",
     "ReportError",
     "energy_provenance",
-    "platform_info",
     "make_report",
     "validate_report",
     "load_report",
@@ -72,7 +69,7 @@ ENVELOPE_FIELDS = (
     "energy",
 )
 
-_PLATFORM_REQUIRED = ("python", "numpy", "machine", "system")
+_PLATFORM_REQUIRED = ("python", "numpy", "machine", "system", "host_class")
 
 
 class ReportError(ValueError):
@@ -90,25 +87,12 @@ def energy_provenance() -> dict:
         return {"provider": "none", "kind": "unavailable"}
 
 
-def platform_info(**extra) -> dict:
-    """The host stamp shared by every record (plus producer extras)."""
-    info = {
-        "python": _platform.python_version(),
-        "numpy": np.__version__,
-        "machine": _platform.machine(),
-        "system": _platform.system(),
-    }
-    info.update(extra)
-    return info
-
-
 def make_report(
     kind: str,
     *,
     backend: dict | str,
     precision=None,
     energy: dict | None = None,
-    platform: dict | None = None,
     created_unix: float | None = None,
     **payload,
 ) -> dict:
@@ -120,7 +104,8 @@ def make_report(
     mapping.  ``precision`` is one mode or the list of swept modes and
     defaults to ``"double"``.  ``energy`` defaults to provenance-free
     (``provider="none", kind="unavailable"``) so producers without
-    telemetry stay honest rather than silent.
+    telemetry stay honest rather than silent.  ``platform`` is always
+    :func:`host_facts`: no producer picks its own host facts.
     """
     if isinstance(backend, str):
         backend = {"requested": backend, "resolved": backend}
@@ -128,7 +113,7 @@ def make_report(
         "schema": SCHEMA,
         "kind": kind,
         "created_unix": time.time() if created_unix is None else created_unix,
-        "platform": platform if platform is not None else platform_info(),
+        "platform": host_facts(),
         "backend": backend,
         "precision": precision if precision is not None else "double",
         "energy": energy if energy is not None else {

@@ -247,13 +247,25 @@ class BatchService:
     # Scheduler thread: dispatch, collection, supervision
     # ------------------------------------------------------------------
     def _scheduler_loop(self) -> None:
-        while not self._stop.is_set():
-            self._dispatch()
-            waitables = [self._wake_r]
-            for slot in self._slots:
-                if slot.worker is not None:
-                    waitables += [slot.worker.connection, slot.worker.sentinel]
-            self._serve(connection.wait(waitables, None))
+        try:
+            while not self._stop.is_set():
+                self._dispatch()
+                waitables = [self._wake_r]
+                for slot in self._slots:
+                    if slot.worker is not None:
+                        waitables += [slot.worker.connection, slot.worker.sentinel]
+                self._serve(connection.wait(waitables, None))
+        except Exception as exc:
+            # Nothing would answer a handle again: say why, once, refuse
+            # new work and fail every waiter by the exception's name.
+            import logging  # only here: importing the service stays light
+
+            logging.getLogger(__name__).exception("batch scheduler died")
+            with self._lock:
+                self._accepting = False
+            self._fail_all_jobs(
+                f"batch scheduler died: {type(exc).__name__}: {exc}"
+            )
 
     def _serve(self, ready: list) -> None:
         """Handle one wake: every readable pipe is read before any death
@@ -320,7 +332,10 @@ class BatchService:
             return
         if kind == "result":
             result = JobResult.from_json(event["result"])
-            self.cache.put(job.key, result)
+            try:
+                self.cache.put(job.key, result)
+            except OSError:  # a full disk costs the cache entry, not the job
+                self.metrics.counter("service_cache_write_errors_total").inc()
             wall = time.perf_counter() - (job.started_at or job.submitted_at)
             self.metrics.histogram("service_job_seconds").observe(wall)
             self._settle(slot, result=result)
@@ -412,8 +427,9 @@ class BatchService:
             self._gauge_depths()
 
     def _fail_all_jobs(self, reason: str) -> None:
-        """Scheduler thread only: fail every queued and held job."""
-        with self._lock:
+        """Fail every queued and held job, from the scheduler thread or
+        once it has stopped."""
+        with self._changed:
             doomed = list(self._pending)
             doomed += [slot.job for slot in self._slots if slot.job is not None]
             self._pending.clear()
@@ -422,6 +438,7 @@ class BatchService:
             for job in doomed:
                 self._answer(job, None, reason)
             self._gauge_depths()
+            self._changed.notify_all()
 
     def _running(self) -> int:
         """Lock held: jobs held by a worker."""
@@ -476,7 +493,11 @@ class BatchService:
             )
 
     def close(self, *, drain: bool = True, timeout: float = 300.0) -> None:
-        """Shut the service down (optionally draining in-flight work)."""
+        """Shut the service down (optionally draining in-flight work).
+
+        Every job the drain did not finish — all of them without one —
+        fails by name before the workers are stopped.
+        """
         if self._stop.is_set():
             return
         if drain:
@@ -486,6 +507,7 @@ class BatchService:
             self._stop.set()
             self._wake()
         self._scheduler.join(timeout=10.0)
+        self._fail_all_jobs("service closed before the job finished")
         stop_all(
             [slot.worker for slot in self._slots if slot.worker is not None],
             _STOP,

@@ -53,27 +53,3 @@ def best_total_ranks(points: list[RankTuningPoint]) -> int:
     if not points:
         raise ValueError("no tuning points supplied")
     return max(points, key=lambda p: p.ts_per_s).total_ranks
-
-
-def verify_paper_claim(
-    benchmarks: tuple[str, ...] = ("lj", "eam", "chain", "rhodo"),
-    n_atoms: int = 2_048_000,
-    n_gpus: int = 4,
-) -> bool:
-    """True if no benchmark benefits from more than 48 total ranks.
-
-    Uses the full 52-core budget as the alternative, exactly the
-    paper's comparison.  With 8 devices any budget rounds to a multiple
-    of 8, so the 48-vs-52 contrast is evaluated on 4 devices, where 52
-    ranks are actually placeable.
-    """
-    for bench in benchmarks:
-        at_48 = simulate_gpu_run(
-            bench, n_atoms, n_gpus, config=GpuModelConfig(max_total_ranks=48)
-        )
-        at_52 = simulate_gpu_run(
-            bench, n_atoms, n_gpus, config=GpuModelConfig(max_total_ranks=52)
-        )
-        if at_52.ts_per_s > at_48.ts_per_s * 1.001:
-            return False
-    return True

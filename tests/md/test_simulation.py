@@ -88,11 +88,6 @@ class TestSimulation:
         assert breakdown["Neigh"] > 0.0
         assert sum(breakdown.values()) == pytest.approx(1.0)
 
-    def test_timesteps_per_second_positive(self):
-        sim = _sim()
-        sim.run(10)
-        assert 0 < sim.timesteps_per_second() < float("inf")
-
     def test_neighbor_list_derived_from_potentials(self):
         sim = _sim(skin=0.4)
         assert sim.neighbor.cutoff == pytest.approx(2.5)

@@ -64,9 +64,3 @@ class TestThermoLog:
 
     def test_series_empty(self):
         assert len(ThermoLog().series("temperature")) == 0
-
-    def test_snapshot_tuple(self):
-        system = self._system()
-        log = ThermoLog(every=1)
-        snap = log.record(1, system, potential_energy=0.0, virial=0.0)
-        assert len(snap.as_tuple()) == 7

@@ -30,7 +30,7 @@ from repro.observability.telemetry import (
     attribute_energy,
     cgroup_cpu_quota,
     detect_provider,
-    platform_provenance,
+    host_facts,
     render_energy_table,
     reset_under_sample_warnings,
 )
@@ -670,13 +670,14 @@ class TestProvenance:
             v1_period_path=tmp_path / "c",
         ) is None
 
-    def test_platform_provenance_block(self):
+    def test_host_facts_block(self):
         """Host facts only: the provider is the sampler's to report."""
-        record = platform_provenance()
-        assert set(record) == {
+        record = host_facts()
+        assert {
             "kernel_version", "cpu_count", "cgroup_cpu_quota_cores",
-        }
+        } <= set(record)
         assert record["kernel_version"]
+        assert _named_providers(record) == set()
         json.dumps(record)  # must be JSON-safe for the power record
 
 

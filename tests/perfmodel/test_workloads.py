@@ -54,6 +54,22 @@ class TestGeometry:
         assert w.number_density == pytest.approx(4.0 / 3.615**3)
 
 
+def _argon_tau_fs(sigma_angstrom=3.405, eps_over_kb=119.8, mass_amu=39.948):
+    """One LJ time unit, tau = sigma sqrt(m / eps), for argon, in fs."""
+    mass_kg = mass_amu * 1.66053906660e-27
+    eps_j = eps_over_kb * 1.380649e-23
+    return sigma_angstrom * 1e-10 * np.sqrt(mass_kg / eps_j) * 1e15
+
+
+class TestTimestep:
+    def test_lj_timestep_is_the_deck_dt_in_argon_units(self):
+        """0.005 tau of argon (tau ~ 2.16 ps) ~ 10.8 fs."""
+        assert _argon_tau_fs() == pytest.approx(2156, rel=0.01)
+        assert 0.005 * _argon_tau_fs() == pytest.approx(
+            get_workload("lj").timestep_fs, rel=0.01
+        )
+
+
 class TestDerivedQuantities:
     def test_list_neighbors_include_skin_shell(self):
         w = get_workload("lj")

@@ -92,6 +92,21 @@ def _certified_deck_run(directory):
     return directory
 
 
+def _forge_last_digest(directory, **host):
+    """Rebuild a self-consistent chain around a forged last digest and
+    re-seal the manifest over it (with ``host`` facts overridden)."""
+    chain = DigestChain.load(chain_path(directory))
+    forged = DigestChain()
+    for entry in chain.entries:
+        digest = "f" * 64 if entry is chain.entries[-1] else entry.digest
+        forged.append_record(entry.step, digest, entry.witness)
+    forged.save(chain_path(directory))
+    manifest = CertificationManifest.load(manifest_path(directory))
+    manifest.chain_head = forged.head
+    manifest.host.update(host)
+    manifest.seal().save(manifest_path(directory))
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     return _certified_run(tmp_path_factory.mktemp("certified"))
@@ -215,6 +230,39 @@ class TestManifest:
         line = manifest.environment_summary()
         assert "backend=" in line and "precision=" in line
         assert "provider=" in line and "workers=" in line
+        assert f"host_class={manifest.host['host_class']}" in line
+
+    def test_version_1_layout_loads_and_certifies_bitwise(self, tampered):
+        """A manifest written before the host block: four flat host
+        fields, sealed over exactly those, still loads and replays."""
+        path = manifest_path(tampered)
+        data = json.loads(path.read_text())
+        host = data.pop("host")
+        data.update(
+            schema="repro-certification/1",
+            numpy_version=host["numpy"],
+            python_version=host["python"],
+            platform=host["platform"],
+            machine=host["machine"],
+        )
+        data.pop("manifest_sha256")
+        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        data["manifest_sha256"] = hashlib.sha256(canonical.encode()).hexdigest()
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+        manifest = CertificationManifest.load(path)
+        assert manifest.schema == "repro-certification/1"
+        assert manifest.host == {
+            key: host[key] for key in ("numpy", "python", "platform", "machine")
+        }
+        assert "host_class=-" in manifest.environment_summary()
+        report = certify_run(tampered, seed=3)
+        assert report.verdict == "bitwise"
+
+        data["precision"] = "single"  # the old checksum still guards it
+        path.write_text(json.dumps(data))
+        with pytest.raises(ManifestError, match="self-checksum"):
+            CertificationManifest.load(path)
 
 
 class TestCertifyRun:
@@ -245,25 +293,29 @@ class TestCertifyRun:
         # chain around a forged digest and re-seals the manifest; only
         # the replay itself can catch it — and the error must attribute
         # the mismatch by naming backend, provider, and precision.
-        chain = DigestChain.load(chain_path(tampered))
-        forged = DigestChain()
-        for entry in chain.entries:
-            digest = entry.digest
-            if entry is chain.entries[-1]:
-                digest = "f" * 64
-            forged.append_record(entry.step, digest, entry.witness)
-        forged.save(chain_path(tampered))
-        manifest = CertificationManifest.load(manifest_path(tampered))
-        manifest.chain_head = forged.head
-        manifest.seal()
-        manifest.save(manifest_path(tampered))
+        _forge_last_digest(tampered)
         with pytest.raises(CertificationError) as excinfo:
             certify_run(tampered, at_step=3 * EVERY)
         message = str(excinfo.value)
         assert "backend=" in message
         assert "provider=" in message
         assert "precision=" in message
+        assert "host_class=" in message
         assert "recorded under" in message and "replayed under" in message
+        assert "environments match the manifest" in message
+
+    def test_mismatch_across_host_classes_names_the_fields(self, tampered):
+        """A run recorded on a host whose numpy dispatches differently:
+        the error blames the host class, not the run directory."""
+        _forge_last_digest(
+            tampered, numpy_simd_dispatch=["X86_V3"], host_class="0" * 16
+        )
+        with pytest.raises(CertificationError) as excinfo:
+            certify_run(tampered, at_step=3 * EVERY)
+        message = str(excinfo.value)
+        assert "different host class: numpy_simd_dispatch differ" in message
+        assert "environments match" not in message
+        assert "host_class=0000000000000000" in message
 
 
 class TestDeckRun:

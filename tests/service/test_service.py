@@ -5,8 +5,11 @@ a handful of steps.  The fault-path tests (worker death, recovery)
 live in ``test_fault_recovery.py``.
 """
 
+import errno
+import logging
 import sys
 import threading
+import time
 from statistics import median
 
 import pytest
@@ -15,6 +18,7 @@ from repro.service import (
     BatchService,
     JobFailedError,
     JobSpec,
+    ResultCache,
     ServiceClosedError,
 )
 
@@ -169,3 +173,82 @@ class TestLifecycle:
         assert submitted == 48
         assert snapshot["service_jobs_completed_total"]["value"] == submitted
         assert snapshot["service_cache_insertions_total"]["value"] == 8
+
+
+class _FailingCache(ResultCache):
+    """A cache whose every write raises ``error``."""
+
+    def __init__(self, error: Exception) -> None:
+        super().__init__()
+        self.error = error
+
+    def put(self, key, result) -> None:
+        raise self.error
+
+
+def _balanced(svc) -> bool:
+    """``submitted == completed + failed``: every submission answered."""
+    submitted, completed, failed = (
+        svc.metrics.counter(f"service_jobs_{name}_total").value
+        for name in ("submitted", "completed", "failed")
+    )
+    return submitted == completed + failed
+
+
+class TestEveryHandleIsAnswered:
+    """A handle ends in a result or a named error, never a hang."""
+
+    def test_failed_cache_write_still_delivers_the_result(self):
+        cache = _FailingCache(OSError(errno.ENOSPC, "No space left on device"))
+        with BatchService(1, cache=cache) as svc:
+            assert svc.wait_ready(timeout=120)
+            job = svc.submit(spec(steps=5, seed=70))
+            job.wait(120)
+            assert job.result(timeout=1).steps == 5
+            assert svc.drain(timeout=5)
+            assert svc.metrics.counter(
+                "service_cache_write_errors_total"
+            ).value == 1
+            assert _balanced(svc)
+
+    def test_close_without_drain_fails_every_handle_by_name(self):
+        svc = BatchService(1)
+        assert svc.wait_ready(timeout=120)
+        held = svc.submit(spec(n_atoms=400, steps=200, seed=71))
+        queued = svc.submit(spec(n_atoms=400, steps=200, seed=72))
+        closing = threading.Thread(target=svc.close, kwargs={"drain": False})
+        start = time.perf_counter()
+        closing.start()
+        assert held.wait(1.0) and queued.wait(1.0)
+        assert time.perf_counter() - start < 1.0
+        for job in (held, queued):
+            with pytest.raises(JobFailedError, match="service closed before"):
+                job.result(0)
+        closing.join(timeout=60)
+        assert not closing.is_alive()
+        assert _balanced(svc)
+
+    def test_close_whose_drain_times_out_fails_the_rest_by_name(self):
+        svc = BatchService(1)
+        assert svc.wait_ready(timeout=120)
+        held = svc.submit(spec(n_atoms=400, steps=200, seed=75))
+        queued = svc.submit(spec(n_atoms=400, steps=200, seed=76))
+        svc.close(timeout=0.05)
+        assert held.done() and queued.done()
+        for job in (held, queued):
+            with pytest.raises(JobFailedError, match="service closed before"):
+                job.result(0)
+        assert _balanced(svc)
+
+    def test_scheduler_crash_fails_every_handle_and_closes(self, caplog):
+        svc = BatchService(1, cache=_FailingCache(RuntimeError("boom")))
+        with caplog.at_level(logging.ERROR, logger="repro.service.scheduler"):
+            job = svc.submit(spec(steps=5, seed=73))
+            with pytest.raises(JobFailedError, match="RuntimeError: boom"):
+                job.result(timeout=120)
+            with pytest.raises(ServiceClosedError):
+                svc.submit(spec(steps=5, seed=74))
+            svc.close()
+        died = [r for r in caplog.records if "scheduler died" in r.getMessage()]
+        assert len(died) == 1
+        assert _balanced(svc)

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.studies.fft_precision import fft_precision_study
-from repro.studies.gpu_ranks import (
-    best_total_ranks,
-    gpu_rank_tuning_study,
-    verify_paper_claim,
-)
+from repro.model.gpu.executor import GpuModelConfig, simulate_gpu_run
+from repro.studies.gpu_ranks import best_total_ranks, gpu_rank_tuning_study
 from repro.studies.newton import newton_ablation
 from repro.studies.skin import (
     optimal_skin,
@@ -77,7 +74,18 @@ class TestGpuRankTuning:
         assert best_total_ranks(points) == 48
 
     def test_paper_claim_more_than_48_never_helps(self):
-        assert verify_paper_claim(benchmarks=("lj", "rhodo"))
+        """The paper's comparison: the full 52-core budget against 48.
+        With 8 devices any budget rounds to a multiple of 8, so it runs
+        on 4 devices, where 52 ranks are placeable."""
+        for bench in ("lj", "rhodo"):
+            at_48, at_52 = (
+                simulate_gpu_run(
+                    bench, 2_048_000, 4,
+                    config=GpuModelConfig(max_total_ranks=budget),
+                ).ts_per_s
+                for budget in (48, 52)
+            )
+            assert at_52 <= at_48 * 1.001, bench
 
     def test_best_requires_points(self):
         with pytest.raises(ValueError):
