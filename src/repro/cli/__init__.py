@@ -45,6 +45,9 @@ Commands mirror the workflow of the authors' run/profile scripts:
 from __future__ import annotations
 
 import argparse
+import os
+import select
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -116,6 +119,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Parse ``argv`` and run the selected command; returns its exit code."""
+    """Parse ``argv`` and run the selected command; returns its exit code.
+
+    A reader of stdout that exits early (``repro anchors | head``) ends
+    the command with exit code 1 and no traceback: stdout is pointed at
+    the null device, so the interpreter's own flush at exit cannot fail
+    on the closed pipe again.  A broken pipe anywhere else (stdout still
+    read, or not a file descriptor) propagates.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        stdout = _closed_stdout_fd()
+        if stdout is None:
+            raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout)
+        os.close(devnull)
+        return 1
+    return code
+
+
+def _closed_stdout_fd() -> int | None:
+    """Stdout's file descriptor if its reader has gone away (a pipe
+    with no read end polls ``POLLERR``, a closed socket ``POLLHUP``),
+    else ``None``."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return None
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    closed = select.POLLERR | select.POLLHUP
+    return fd if any(events & closed for _, events in poller.poll(0)) else None

@@ -589,6 +589,35 @@ void charmm_terms_f64(const int64_t *pi, const int64_t *pj, int64_t c,
 }
 
 /* ------------------------------------------------------------------ */
+/* Inner rows: of the CSR rows (offsets, pj) over n atoms, the pairs   */
+/* whose r2 at pos — gathered and minimum-imaged exactly as            */
+/* pair_geom_f64 — is below rc2, as CSR rows of their own in the       */
+/* stored order: atom a's kept partners are                            */
+/* partners[inner[a] .. inner[a+1]).  The survivors are compacted      */
+/* without a data-dependent branch, so partners must have room for     */
+/* every stored pair; the first `returned count` are the rows.         */
+/* ------------------------------------------------------------------ */
+
+int64_t prune_rows_f64(const double *pos, int64_t n, const int64_t *offsets,
+                       const int64_t *pj, const double *lengths,
+                       const uint8_t *periodic, double rc2, int64_t *inner,
+                       int64_t *partners) {
+    BOX_LOCALS
+    int64_t c = 0;
+    for (int64_t i = 0; i < n; i++) {
+        inner[i] = c;
+        for (int64_t k = offsets[i]; k < offsets[i+1]; k++) {
+            int64_t j = pj[k];
+            PAIR_GEOMETRY(pos + 3*i, pos + 3*j)
+            partners[c] = j;
+            c += r2 < rc2;
+        }
+    }
+    inner[n] = c;
+    return c;
+}
+
+/* ------------------------------------------------------------------ */
 /* Fused eam/alloy pass over a half list: three sweeps around numpy's  */
 /* own exp, whose SIMD loop no libm call rounds identically.           */
 /*                                                                     */
@@ -601,7 +630,9 @@ void charmm_terms_f64(const int64_t *pi, const int64_t *pj, int64_t c,
 /* operation per numpy ufunc call, so every per-pair value is the      */
 /* body's bit for bit.                                                 */
 /*                                                                     */
-/* 1. eam_geom: gather, minimum image and cutoff test exactly as       */
+/* 1. eam_geom: over CSR rows (atom i's partners are                   */
+/*    pj[offsets[i] .. offsets[i+1]), a half list's stored rows or its */
+/*    inner rows), gather, minimum image and cutoff test exactly as    */
 /*    pair_geom_f64, writing the survivors' i, j, dr, r and the three  */
 /*    exp arguments (-k)(r - r_e), interleaved per pair, compressed.   */
 /*    The caller then runs np.exp over the arguments in place.         */
@@ -626,24 +657,28 @@ static inline double eam_deriv(const double *g, double e) {
     return g[1] * (g[0] * e) + g[3];
 }
 
-int64_t eam_geom_f64(const double *pos, const int64_t *pi, const int64_t *pj,
-                     int64_t m, const double *lengths, const uint8_t *periodic,
-                     double rc2, const double *coef, int64_t *oi, int64_t *oj,
-                     double *odr, double *orr, double *oexp) {
+int64_t eam_geom_f64(const double *pos, int64_t n, const int64_t *offsets,
+                     const int64_t *pj, const double *lengths,
+                     const uint8_t *periodic, double rc2, const double *coef,
+                     int64_t *oi, int64_t *oj, double *odr, double *orr,
+                     double *oexp) {
     BOX_LOCALS
     const double r_e = coef[EAM_RE];
     const double k_f = coef[EAM_DENSITY + 1], k_steep = coef[EAM_STEEP + 1];
     const double k_soft = coef[EAM_SOFT + 1];
     int64_t c = 0;
-    for (int64_t k = 0; k < m; k++) {
-        PAIR_GEOMETRY(pos + 3*pi[k], pos + 3*pj[k])
-        if (r2 < rc2) {
-            double r = sqrt(r2), t = r - r_e;
-            oi[c] = pi[k]; oj[c] = pj[k];
-            odr[3*c] = dx; odr[3*c+1] = dy; odr[3*c+2] = dz;
-            orr[c] = r;
-            oexp[3*c] = k_f * t; oexp[3*c+1] = k_steep * t; oexp[3*c+2] = k_soft * t;
-            c++;
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t k = offsets[i]; k < offsets[i+1]; k++) {
+            PAIR_GEOMETRY(pos + 3*i, pos + 3*pj[k])
+            if (r2 < rc2) {
+                double r = sqrt(r2), t = r - r_e;
+                oi[c] = i; oj[c] = pj[k];
+                odr[3*c] = dx; odr[3*c+1] = dy; odr[3*c+2] = dz;
+                orr[c] = r;
+                oexp[3*c] = k_f * t; oexp[3*c+1] = k_steep * t;
+                oexp[3*c+2] = k_soft * t;
+                c++;
+            }
         }
     }
     return c;
@@ -1340,7 +1375,8 @@ KERNELS = {
     "pair_geom": (GEOMETRY, ctypes.c_int64, "v i i # v u s I I V V"),
     "lj_half": (DOUBLE, ctypes.c_int64, "v i i # v u s i n v v v A A A"),
     "lj_rows": (DOUBLE, ctypes.c_int64, "v i i i i # v u s i n v v v A A A"),
-    "eam_geom": (DOUBLE, ctypes.c_int64, "v i i # v u s v I I V V V"),
+    "prune_rows": (DOUBLE, ctypes.c_int64, "v # i i v u s I I"),
+    "eam_geom": (DOUBLE, ctypes.c_int64, "v # i i v u s v I I V V V"),
     "eam_density": (DOUBLE, None, "i i # v v v A"),
     "eam_forces": (DOUBLE, None, "i i # v v v v v A A A"),
     "tersoff_full": (DOUBLE, ctypes.c_int64, "v # i i v u s v n V I A A"),

@@ -306,6 +306,24 @@ class KernelBackend(abc.ABC):
         """
         return None
 
+    def prune_rows(
+        self,
+        positions: np.ndarray,
+        box,
+        offsets: np.ndarray,
+        partners: np.ndarray,
+        radius: float,
+    ) -> "tuple[np.ndarray, np.ndarray] | None":
+        """Optional native sweep for a neighbor list's inner rows.
+
+        Of the CSR rows ``(offsets, partners)`` over ``positions``, the
+        pairs whose minimum-image distance in ``box`` is below
+        ``radius``, as CSR rows ``(offsets, partners)`` of their own in
+        the stored order.  ``None`` (the default) leaves the list
+        without inner rows, so every pass reads the stored ones.
+        """
+        return None
+
     def max_displacement_sq(
         self, positions: np.ndarray, reference: np.ndarray, box
     ) -> float | None:

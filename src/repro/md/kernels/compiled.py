@@ -241,7 +241,8 @@ def _pair_inputs(rng, policy):
     dr, r2, r)`` as the numpy minimum-image / einsum / cutoff sequence
     keeps them.  Atoms 1-4 sit 1.0, 1.9, 2.3 and 2.45 from atom 0: pairs
     below CHARMM's switch, inside it on both sides of its Coulomb
-    cutoff, and just inside the cutoff."""
+    cutoff, and just inside the cutoff.  The stored pairs are row-major,
+    and ``offsets`` are their CSR rows."""
     from repro.md.kernels._cc_impl import LJ_BLOCK
 
     n, dtype, rc2 = 40, policy.storage_dtype, _SMOKE_RC * _SMOKE_RC
@@ -254,6 +255,7 @@ def _pair_inputs(rng, policy):
     stored = np.flatnonzero(pi != pj)[: 2 * LJ_BLOCK + LJ_BLOCK // 4]
     m = len(stored)
     a = SimpleNamespace(pos=pos, pi=pi[stored], pj=pj[stored])
+    a.offsets = np.searchsorted(a.pi, np.arange(n + 1))
     a.types = rng.integers(0, 2, n)
     a.types[:2] = 0, 1
     a.charges, a.forces = rng.normal(size=n), rng.normal(size=(n, 3)).astype(accumulate)
@@ -273,6 +275,24 @@ def _pair_inputs(rng, policy):
 
 def _numpy_geometry(provider, a):
     return len(a.i), a.i, a.j, a.dr, a.r
+
+
+def _prune_inputs(rng, policy):
+    """The pair inputs with pre-loaded inner rows: offsets and room for
+    every stored partner."""
+    a = _pair_inputs(rng, policy)
+    a.inner = np.full(len(a.offsets), -1), np.full(len(a.pj), -1)
+    return a
+
+
+def _pruned(count, offsets, partners):
+    """A prune's count, its offsets and its partners cut to the count."""
+    return count, offsets, partners[:count]
+
+
+def _survivors_as_rows(provider, a):
+    """The stored pairs the numpy geometry keeps, as CSR rows."""
+    return len(a.j), np.searchsorted(a.i, np.arange(len(a.pos) + 1)), a.j
 
 
 def _lj_inputs(rng, policy):
@@ -607,8 +627,11 @@ _SMOKE_CASES = {
     "lj_rows": _Case(_lj_inputs, lambda p, a: _written(p.lj_rows(
         a.pos, a.pi, a.pj, a.pi, a.pj, *a.head, *a.tables, a.forces, *a.tallies
     ), a.forces, *a.tallies), _unfused_lj_rows, "bitwise"),
+    "prune_rows": _Case(_prune_inputs, lambda p, a: _pruned(
+        p.prune_rows(a.pos, a.offsets, a.pj, *a.head, *a.inner), *a.inner
+    ), _survivors_as_rows, "bitwise"),
     "eam_geom": _Case(_eam_inputs, lambda p, a: _counted(
-        p.eam_geom(a.pos, a.pi, a.pj, *a.head, a.coef, *a.geometry, a.exps),
+        p.eam_geom(a.pos, a.offsets, a.pj, *a.head, a.coef, *a.geometry, a.exps),
         *a.geometry, a.exps,
     ), _survivors_and_exp_arguments, "bitwise"),
     "eam_density": _Case(_eam_inputs, lambda p, a: _written(
@@ -842,6 +865,28 @@ class CompiledBackend(NumpyFastBackend):
             and _native(neighbors.pair_j, np.int64)
         )
 
+    @classmethod
+    def _rows_read(cls, rows, cutoff):
+        """``(offsets, partners)``: the CSR rows a pass over a stored
+        list reads at ``cutoff`` — the list's inner rows where they hold
+        every pair now inside it, else its stored rows — or ``None`` when
+        the positions, forces or stored rows cannot go to the kernels as
+        they are.  Either way the survivors, and their order, are the
+        stored list's."""
+        system, neighbors = rows.system, rows.neighbors
+        # The stored partners are ``pair_j``, which the stored-list check
+        # covers; the offsets are the CSR rows' own.
+        offsets, partners = neighbors.csr_offsets, neighbors.csr_neighbors
+        if not (
+            cls._stored_natively(rows)
+            and system.positions.shape == system.forces.shape == (system.n_atoms, 3)
+            and _native(offsets, np.int64)
+            and offsets.shape == (system.n_atoms + 1,)
+            and offsets[-1] == len(partners)
+        ):
+            return None
+        return neighbors.inner_rows(system, cutoff) or (offsets, partners)
+
     def _pair_terms_scratch(self, m):
         """``(energy, virial, f_over_r)`` per-pair output scratch for
         ``m`` stored pairs."""
@@ -877,15 +922,18 @@ class CompiledBackend(NumpyFastBackend):
         from repro.md.potentials.eam import EAMParameters, embedding
 
         (vector,) = style.coeffs
+        rc = float(style.cutoff)
         if not (
-            self._stored_natively(rows)
-            and _native(vector, np.float64)
+            _native(vector, np.float64)
             and vector.shape == (len(fields(EAMParameters)),)
         ):
             return None
-        system, neighbors = rows.system, rows.neighbors
-        pair_i, pair_j = neighbors.pair_i, neighbors.pair_j
-        m = len(pair_i)
+        csr = self._rows_read(rows, rc)
+        if csr is None:
+            return None
+        system = rows.system
+        offsets, partners = csr
+        m = len(partners)
         if m == 0:
             return 0
         params = EAMParameters(*vector.tolist())
@@ -894,10 +942,9 @@ class CompiledBackend(NumpyFastBackend):
         exps = self._scratch("pair.exp", m, np.float64, 3)
         energy, virial, _ = self._pair_terms_scratch(m)
         lengths, _, periodic = _box_f64(system.box)
-        rc = float(style.cutoff)
         count = self._impl.eam_geom(
-            system.positions, pair_i, pair_j, lengths, periodic, rc * rc, coef,
-            i, j, dr, r, exps,
+            system.positions, offsets, partners, lengths, periodic, rc * rc,
+            coef, i, j, dr, r, exps,
         )
         if count == 0:
             # No pair inside the cutoff: the body skips the embedding.
@@ -965,21 +1012,19 @@ class CompiledBackend(NumpyFastBackend):
         return count
 
     def _tersoff_full(self, style, rows):
-        system, neighbors = rows.system, rows.neighbors
         (params,) = style.coeffs
-        offsets = neighbors.csr_offsets
-        n = system.n_atoms
         if not (
-            self._stored_natively(rows)
-            and system.positions.shape == system.forces.shape == (n, 3)
-            and _native(offsets, np.int64)
-            and len(offsets) == n + 1
-            and _native(params, np.float64)
+            _native(params, np.float64)
             and params.shape == (14,)
             and params[_TERSOFF_M] in (1.0, 3.0)
         ):
             return None
-        # Row slots for the longest *stored* row, so the kernel never
+        csr = self._rows_read(rows, style.cutoff)
+        if csr is None:
+            return None
+        system = rows.system
+        offsets, partners = csr
+        # Row slots for the longest row read, so the kernel never
         # allocates and no row can overrun them.
         longest = int(np.diff(offsets).max(initial=0))
         doubles = self._impl.TERSOFF_SLOT_DOUBLES * longest
@@ -988,7 +1033,7 @@ class CompiledBackend(NumpyFastBackend):
         lengths, _, periodic = _box_f64(system.box)
         totals = np.empty(2)
         count = self._impl.tersoff_full(
-            system.positions, offsets, neighbors.pair_j, lengths, periodic,
+            system.positions, offsets, partners, lengths, periodic,
             style.cutoff * style.cutoff, params, longest, rows_scratch, atoms,
             system.forces, totals,
         )
@@ -1279,6 +1324,30 @@ class CompiledBackend(NumpyFastBackend):
             ),
         )
         return None if built is None else DirectedRows(*built)
+
+    def prune_rows(self, positions, box, offsets, partners, radius):
+        """Native inner-row sweep (float64, C-contiguous only).  The
+        partners are a view of a buffer with room for every stored pair:
+        the sweep writes no further than the pairs it keeps, so the pages
+        past them are never touched."""
+        if not (
+            _native(positions, np.float64)
+            and positions.ndim == 2
+            and positions.shape[1] == 3
+            and _native(offsets, np.int64)
+            and offsets.shape == (len(positions) + 1,)
+            and _native(partners, np.int64)
+            and offsets[-1] == len(partners)
+        ):
+            return None
+        inner = np.empty(len(offsets), np.int64)
+        kept = np.empty(len(partners), np.int64)
+        lengths, _, periodic = _box_f64(box)
+        count = self._impl.prune_rows(
+            positions, offsets, partners, lengths, periodic, radius * radius,
+            inner, kept,
+        )
+        return inner, kept[:count]
 
     def max_displacement_sq(self, positions, reference, box):
         """Native skin check (float64, C-contiguous ``(n, 3)`` only)."""

@@ -20,7 +20,7 @@ Two list flavours are supported, mirroring LAMMPS' ``newton`` setting:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,14 @@ BRUTE_FORCE_MAX_ATOMS = 800
 #: tens of GiB.  The native builds decline such a grid (their own
 #: ``INT32_MAX`` test), which lands the caller here.
 MAX_CELLS = int(np.iinfo(np.int32).max)
+
+
+#: The inner rows' band beyond the cutoff as a fraction of the skin:
+#: ``b`` in their validity rule ``2 max_disp + |dL| <= b``.  At one half
+#: they hold until an atom has moved a quarter of the skin (the stored
+#: rows hold to half); ``docs/PERFORMANCE.md`` §2.3 records why no
+#: narrower band was taken.
+INNER_SKIN_FRACTION = 0.5
 
 
 #: Half stencil for the cell-list build: the 13 "forward" neighbor-cell
@@ -314,6 +322,11 @@ class NeighborStats:
     last_pairs: int = 0
     steps_since_build: int = 0
     total_steps: int = 0
+    #: Inner-row sweeps (:meth:`NeighborList.inner_rows`), and the pairs
+    #: the last one kept: work this process did, not state a trajectory
+    #: continues from, so snapshots leave them out.
+    n_prunes: int = field(default=0, metadata={"snapshot": False})
+    last_inner_pairs: int = field(default=0, metadata={"snapshot": False})
 
     @property
     def rebuild_every(self) -> float:
@@ -346,6 +359,10 @@ class NeighborList:
     sorted ascending.  ``pair_i``/``pair_j`` are kept in the matching
     row-major order (``pair_i`` non-decreasing), which is what lets the
     ``numpy_fast`` kernel backend use monotone segmented reductions.
+
+    A pass that reads CSR rows may ask for **inner rows** instead
+    (:meth:`inner_rows`): the stored pairs that were within ``cutoff +
+    b`` at the build, pruned once per build by the kernel backend.
     """
 
     def __init__(
@@ -381,6 +398,10 @@ class NeighborList:
         self.pair_j = np.empty(0, dtype=np.int64)
         self.csr_offsets = np.zeros(1, dtype=np.int64)
         self.csr_neighbors = np.empty(0, dtype=np.int64)
+        # This build's inner rows once pruned, and whether they are
+        # closed to readers until the next build (lapsed or declined).
+        self._inner: tuple[np.ndarray, np.ndarray] | None = None
+        self._inner_closed = False
         self._excluded_keys: tuple[int, np.ndarray] | None = None
         self._exclusions = (
             None
@@ -519,6 +540,7 @@ class NeighborList:
         from here, and :meth:`neighbors_per_atom` measures here."""
         self._positions_at_build = positions
         self._box_at_build = box.copy()
+        self._inner, self._inner_closed = None, False
         self.stats.n_builds += 1
         self.stats.steps_since_build = 0
         self.stats.last_pairs = n_pairs
@@ -548,12 +570,21 @@ class NeighborList:
             return True
         if len(self._positions_at_build) != system.n_atoms:
             return True
-        delta = 0.5 * (
-            self.skin
-            - float(np.linalg.norm(system.box.lengths - self._box_at_build.lengths))
-        )
+        delta = self._half_slack(system, self.skin)
         if delta <= 0:
             return True
+        return self._max_displacement_sq(system) > delta**2
+
+    def _half_slack(self, system: AtomSystem, band: float) -> float:
+        """``(band - |L_now - L_build|) / 2``: the displacement every atom
+        may have made since the build while each pair now inside the
+        cutoff was inside ``cutoff + band`` then."""
+        drift = float(np.linalg.norm(system.box.lengths - self._box_at_build.lengths))
+        return 0.5 * (band - drift)
+
+    def _max_displacement_sq(self, system: AtomSystem) -> float:
+        """Largest squared minimum-image displacement of an atom since
+        the build, on the current positions."""
         max_sq = (
             self.kernels.max_displacement_sq(
                 system.positions, self._positions_at_build, system.box
@@ -566,7 +597,54 @@ class NeighborList:
                 system.box.wrap(system.positions) - self._positions_at_build
             )
             max_sq = float(np.max(np.einsum("ij,ij->i", disp, disp)))
-        return max_sq > delta**2
+        return max_sq
+
+    def inner_rows(
+        self, system: AtomSystem, cutoff: float
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """CSR ``(offsets, partners)`` holding, in the stored order,
+        every stored pair now within ``cutoff``, or ``None``: read the
+        stored rows.
+
+        The inner rows are the stored pairs that were within the list's
+        cutoff + ``b`` (:data:`INNER_SKIN_FRACTION` of the skin) at the
+        build positions, swept by the kernel backend's ``prune_rows`` on
+        the first call after the build's step — never on it, so a list
+        read once pays nothing.  They hold every pair now within ``cutoff`` (at most the
+        list's) while ``2 max_disp + |dL| <= b``, the skin rule with
+        ``b`` for the skin, checked here on the current positions at
+        every call.  Once that fails, or the backend declines the sweep,
+        they stay closed until the next build.  The survivors a pass
+        keeps from them, and their order, are therefore those of the
+        stored rows.
+        """
+        if (
+            self._inner_closed
+            or self.kernels is None
+            or self._positions_at_build is None
+            or self.stats.steps_since_build == 0
+            or cutoff > self.cutoff
+            or len(self._positions_at_build) != system.n_atoms
+        ):
+            return None
+        band = INNER_SKIN_FRACTION * self.skin
+        delta = self._half_slack(system, band)
+        if not (delta > 0 and self._max_displacement_sq(system) <= delta**2):
+            self._inner, self._inner_closed = None, True
+            return None
+        if self._inner is None:
+            with self.tracer.span("neigh.prune", "neigh"):
+                self._inner = self.kernels.prune_rows(
+                    self._positions_at_build, self._box_at_build,
+                    self.csr_offsets, self.csr_neighbors,
+                    self.cutoff + band,
+                )
+            if self._inner is None:
+                self._inner_closed = True
+                return None
+            self.stats.n_prunes += 1
+            self.stats.last_inner_pairs = len(self._inner[1])
+        return self._inner
 
     def step_needs_rebuild(self, system: AtomSystem) -> bool:
         """Count one step toward the rebuild cadence, then

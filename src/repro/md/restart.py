@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -111,14 +111,25 @@ def _dynamic_state(simulation: Simulation) -> dict:
             if simulation.constraints is None
             else simulation.constraints.state_dict()
         ),
-        "counts": asdict(simulation.counts),
-        "neighbor_stats": asdict(simulation.neighbor.stats),
+        "counts": _saved_values(simulation.counts),
+        "neighbor_stats": _saved_values(simulation.neighbor.stats),
     }
 
 
+def _saved_fields(counters) -> list:
+    """The dataclass fields a snapshot carries: all but those declared
+    with ``metadata={"snapshot": False}``."""
+    return [item for item in fields(counters) if item.metadata.get("snapshot", True)]
+
+
+def _saved_values(counters) -> dict:
+    return {item.name: getattr(counters, item.name) for item in _saved_fields(counters)}
+
+
 def _load_fields(counters, state: dict) -> None:
-    """Set each dataclass field from ``state``, typed like its default."""
-    for item in fields(counters):
+    """Set each saved dataclass field from ``state``, typed like its
+    default; the others keep their values."""
+    for item in _saved_fields(counters):
         setattr(counters, item.name, type(item.default)(state[item.name]))
 
 

@@ -543,6 +543,8 @@ class Simulation:
         stats = self.neighbor.stats
         metrics.gauge("md_neighbor_pairs").set(stats.last_pairs)
         metrics.gauge("md_neighbor_rebuild_every").set(stats.rebuild_every)
+        metrics.counter("md_neighbor_prunes_total").sync_total(stats.n_prunes)
+        metrics.gauge("md_neighbor_inner_pairs").set(stats.last_inner_pairs)
         total_energy = self.total_energy()
         if self._initial_energy is None:
             self._initial_energy = total_energy

@@ -749,7 +749,7 @@ class TestInstanceTable:
 
     @pytest.mark.skipif(shutil.which("nm") is None, reason="needs binutils nm")
     def test_library_exports_exactly_the_table(self):
-        """Same program out: the table's 30 entry points, no more (a
+        """Same program out: the table's 31 entry points, no more (a
         template helper leaking as a global) and no fewer (a row the
         generator skipped).  ``pppm_gather`` names no accumulator, so
         MIXED runs its ``_f32`` instance: there is no ``_f32f64`` twin."""
@@ -773,6 +773,7 @@ class TestInstanceTable:
             "max_disp_sq_f64", "pair_geom_f32", "pair_geom_f64",
             "pppm_gather_f32", "pppm_gather_f64",
             "pppm_spread_f32", "pppm_spread_f32f64", "pppm_spread_f64",
+            "prune_rows_f64",
             "scatter1_f32", "scatter1_f32f64", "scatter1_f64",
             "scatter3_f32", "scatter3_f32f64", "scatter3_f64",
             "tersoff_full_f64",

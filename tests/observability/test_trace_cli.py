@@ -9,6 +9,7 @@ import pytest
 from repro.__main__ import main
 from repro.md import RunConfig
 from repro.md.kernels import available_backends
+from repro.md.kernels.compiled import compiled_available
 from repro.observability import (
     MetricsRegistry,
     Tracer,
@@ -111,3 +112,23 @@ def test_a_build_the_engine_refuses_is_a_one_line_error(tmp_path, capsys):
     assert "--atoms 64" in err and "exceeds half" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.skipif(not compiled_available(), reason="no compiled provider")
+@pytest.mark.parametrize("bench, prunes", [("eam", 1), ("tersoff", 1), ("lj", 0)])
+def test_the_trace_shows_whether_the_list_was_pruned(tmp_path, capsys, bench, prunes):
+    """The CSR passes (EAM, Tersoff) sweep inner rows once after the
+    build's step and LJ never does: the metrics count the sweeps, the
+    gauge holds what the last one kept, and the trace has its span."""
+    out = tmp_path / "trace_out"
+    args = ["trace", bench, "--steps", "3", "--atoms", "512", "--warmup", "0",
+            "--backend", "compiled", "--out", str(out)]
+    assert main(args) == 0
+    metrics = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
+    assert metrics["metrics"]["md_neighbor_prunes_total"]["value"] == prunes
+    inner = metrics["metrics"]["md_neighbor_inner_pairs"]["value"]
+    stored = metrics["metrics"]["md_neighbor_pairs"]["value"]
+    assert (0 < inner < stored) if prunes else inner == 0
+    events = json.loads((out / "trace.json").read_text())["traceEvents"]
+    spans = [(e["name"], e["cat"]) for e in events if e["ph"] == "X"]
+    assert spans.count(("neigh.prune", "neigh")) == prunes

@@ -214,8 +214,10 @@ class TestFusedPairPassIsInvisible:
 
     # Recorded at PR 13 on the cc provider (docs/PERFORMANCE.md §1) and
     # reproduced unchanged when that provider became the only one.  The
-    # witnesses hash a BLAS dot product, so a different numpy/BLAS build
-    # or CPU family may legitimately move them: re-record, don't relax.
+    # LJ route calls no transcendental function, and ROADMAP item 19's
+    # emulated host classes left both heads unchanged under numpy's and
+    # glibc's CPU dispatch alike; a numpy or compiler change that still
+    # moves them is re-recorded, not relaxed.
     SERIAL_HEAD = "cb1167f0fb7429a49f0cbd46a5b435cd0d3d88171a5a3fe3c89bd2cd98650ad0"
     ENGINE_HEAD = "4eb18e6d450e1494fcceeab1d9bbe4ca368db1c6780dcafa1eba5ab5d4cdad4e"
 
@@ -269,6 +271,31 @@ class TestFusedEAMIsInvisible:
         }
         assert heads == body
         assert len(set(heads.values())) == 1, heads
+
+
+class TestPrunedRowsAreInvisible:
+    """The inner rows hand the fused EAM and Tersoff passes the stored
+    list's survivors in its order, so pruning must not move a digest:
+    the serial head with every sweep counted equals the head with the
+    sweep declining, when every pass reads the stored rows."""
+
+    @pytest.mark.parametrize("bench", ("eam", "tersoff"))
+    def test_head_unchanged_by_the_prune(self, bench, monkeypatch):
+        _skip_unavailable("compiled")
+        native = CompiledBackend.prune_rows
+        swept = []
+
+        def counted(self, *args):
+            rows = native(self, *args)
+            swept.append(rows is not None)
+            return rows
+
+        monkeypatch.setattr(CompiledBackend, "prune_rows", counted)
+        pruned, _ = _chain_for(bench, "compiled")
+        assert swept and all(swept), swept
+        monkeypatch.setattr(CompiledBackend, "prune_rows", KernelBackend.prune_rows)
+        declined, _ = _chain_for(bench, "compiled")
+        assert pruned.head == declined.head
 
 
 class TestFusedCharmmIsInvisible:

@@ -27,6 +27,10 @@ from repro.md.state import json_default
 from repro.suite import BENCHMARK_NAMES, get_benchmark
 from tests.conftest import assert_same_arrays
 
+#: ``NeighborStats`` fields that count this process's inner-row sweeps:
+#: snapshots leave them out.
+SWEEP_COUNTS = ("n_prunes", "last_inner_pairs")
+
 #: One size per registered benchmark (a new one fails here until sized).
 SIZES = {
     "lj": 400, "chain": 400, "eam": 500, "rhodo": 384, "chute": 480,
@@ -74,7 +78,11 @@ class TestRoundTrip:
             assert state["integrator"]["state"] == want_state
             assert state["counts"]["timesteps"] == sim.counts.timesteps
             assert state["neighbor_stats"] == _roundtrip_json(
-                asdict(sim.neighbor.stats)
+                {
+                    name: value
+                    for name, value in asdict(sim.neighbor.stats).items()
+                    if name not in SWEEP_COUNTS
+                }
             )
 
             # Neighbor build inputs captured.
@@ -231,6 +239,47 @@ class TestRetiredNeighborStats:
         assert asdict(resumed.neighbor.stats) == asdict(first.neighbor.stats)
         for _ in range(6):
             resumed.step()
+        assert resumed.step_number == straight.step_number
+        for field in ("positions", "velocities", "forces"):
+            assert (
+                getattr(resumed.system, field).tobytes()
+                == getattr(straight.system, field).tobytes()
+            ), field
+
+
+class TestSweepCountsStayOut:
+    """The inner-row sweep counters (``n_prunes``, ``last_inner_pairs``)
+    are work this process did: a snapshot of a run that pruned carries
+    the ``neighbor_stats`` keys one written before the counters existed
+    carries, and a restore from it sweeps again and continues bit for
+    bit."""
+
+    @staticmethod
+    def _eam(steps):
+        sim = _build("eam")
+        sim.set_backend("compiled")
+        return _run(sim, steps)
+
+    def test_pruned_eam_snapshot_restores_bitwise(self, tmp_path):
+        from repro.md.kernels.compiled import compiled_available
+
+        if not compiled_available():
+            pytest.skip("no compiled provider (no working C compiler)")
+        straight = self._eam(12)
+        first = self._eam(6)
+        assert first.neighbor.stats.n_prunes == 1
+        path = save_snapshot(first, tmp_path / "pruned.npz")
+        saved = load_snapshot(path).state["neighbor_stats"]
+        assert sorted(saved) == [
+            "last_pairs", "n_builds", "steps_since_build", "total_steps"
+        ]
+        resumed = _build("eam")
+        resumed.set_backend("compiled")
+        restore_simulation(resumed, path)
+        for _ in range(6):
+            resumed.step()
+        assert resumed.neighbor.stats.n_prunes == 1
+        assert straight.neighbor.stats.n_prunes == 1
         assert resumed.step_number == straight.step_number
         for field in ("positions", "velocities", "forces"):
             assert (

@@ -9,8 +9,17 @@ to register, fails here before any user hits it.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, command, main, registered_commands
 
 #: Every subcommand the toolkit ships; presentation order.
@@ -155,3 +164,82 @@ class TestCampaignCommand:
         from repro.__main__ import main as shim_main
 
         assert shim_main is main
+
+
+#: A ``python -m repro`` process with two more commands: ``spew``, whose
+#: output outgrows any pipe buffer, so it is still writing when the
+#: reader goes away, whatever the timing; and ``own-pipe``, which breaks
+#: a pipe that is not stdout.
+_SPEW = """
+import os
+import sys
+from repro.cli import command, main
+
+@command("spew", "print more than a pipe holds")
+def _spew(args):
+    for k in range(200_000):
+        print(f"line {k}")
+    return 0
+
+@command("own-pipe", "write to a pipe of its own whose reader is gone")
+def _own_pipe(args):
+    read, write = os.pipe()
+    os.close(read)
+    os.write(write, b"x")
+    return 0
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestClosedStdout:
+    """A reader that exits early (``repro anchors | head -c 10``) ends
+    a command quietly, with a non-zero exit code and no traceback; any
+    other broken pipe is the command's error and propagates."""
+
+    @staticmethod
+    def _env():
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        return {**os.environ, "PYTHONPATH": path}
+
+    @classmethod
+    def _read_one_byte_then_close(cls, *argv):
+        proc = subprocess.Popen(
+            [sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=cls._env(),
+        )
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        return proc.wait(timeout=60), stderr
+
+    def test_a_command_still_writing_exits_1_without_a_traceback(self):
+        code, stderr = self._read_one_byte_then_close("-c", _SPEW, "spew")
+        assert (code, stderr) == (1, "")
+
+    def test_a_broken_pipe_of_the_command_s_own_propagates(self):
+        # Stdout is read to the end: the error is not its reader's.
+        proc = subprocess.run(
+            [sys.executable, "-c", _SPEW, "own-pipe"], capture_output=True,
+            env=self._env(), timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "BrokenPipeError" in proc.stderr.decode()
+
+    def test_without_a_stdout_descriptor_the_error_propagates(self, monkeypatch):
+        def broken(args):
+            raise BrokenPipeError("not stdout's")
+
+        parser = argparse.ArgumentParser()
+        parser.set_defaults(func=broken)
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        with contextlib.redirect_stdout(io.StringIO()):
+            with pytest.raises(BrokenPipeError, match="not stdout's"):
+                main([])
+
+    def test_anchors_leaves_no_traceback(self):
+        # Its output fits the pipe, so it may finish before the close.
+        code, stderr = self._read_one_byte_then_close("-m", "repro", "anchors")
+        assert code in (0, 1) and stderr == ""
