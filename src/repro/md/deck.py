@@ -98,14 +98,6 @@ class _DeckState:
     run_steps: int | None = None
 
 
-def _need(state_attr, message: str):
-    def check(state: _DeckState):
-        if getattr(state, state_attr) is None:
-            raise DeckError(message)
-
-    return check
-
-
 def parse_deck(text: str) -> ParsedDeck:
     """Parse a deck and build the simulation it describes."""
     state = _DeckState()

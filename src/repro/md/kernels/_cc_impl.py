@@ -328,23 +328,27 @@ static inline VAL FN(min_image)(VAL d, VAL L, VAL h) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Pair geometry over the stored list: gather, minimum image, cutoff   */
-/* filter.  Outputs are compressed in place; returns the survivor      */
-/* count.  r2 replicates einsum's per-dtype summation order.           */
+/* Pair geometry over the CSR rows (offsets, pj) of n atoms (atom i's  */
+/* partners are pj[offsets[i] .. offsets[i+1])): gather, minimum       */
+/* image, cutoff filter.  Outputs are compressed in place; returns the */
+/* survivor count.  r2 replicates einsum's per-dtype summation order.  */
 /* ------------------------------------------------------------------ */
 
-int64_t FN(pair_geom)(const VAL *pos, const int64_t *pi, const int64_t *pj,
-                      int64_t m, const VAL *lengths, const uint8_t *periodic,
-                      VAL rc2, int64_t *oi, int64_t *oj, VAL *odr, VAL *orr) {
+int64_t FN(pair_geom)(const VAL *pos, int64_t n, const int64_t *offsets,
+                      const int64_t *pj, const VAL *lengths,
+                      const uint8_t *periodic, VAL rc2, int64_t *oi,
+                      int64_t *oj, VAL *odr, VAL *orr) {
     BOX_LOCALS
     int64_t c = 0;
-    for (int64_t k = 0; k < m; k++) {
-        PAIR_GEOMETRY(pos + 3*pi[k], pos + 3*pj[k])
-        if (r2 < rc2) {
-            oi[c] = pi[k]; oj[c] = pj[k];
-            odr[3*c] = dx; odr[3*c+1] = dy; odr[3*c+2] = dz;
-            orr[c] = F(sqrt)(r2);
-            c++;
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t k = offsets[i]; k < offsets[i+1]; k++) {
+            PAIR_GEOMETRY(pos + 3*i, pos + 3*pj[k])
+            if (r2 < rc2) {
+                oi[c] = i; oj[c] = pj[k];
+                odr[3*c] = dx; odr[3*c+1] = dy; odr[3*c+2] = dz;
+                orr[c] = F(sqrt)(r2);
+                c++;
+            }
         }
     }
     return c;
@@ -388,8 +392,9 @@ _DOUBLE_C = f"#define LJ_BLOCK {LJ_BLOCK}\n" + r"""
     double energy = e4 * (sr12 - sr6) - sh;                                \
     double f = (e24 * (2.0 * sr12 - sr6)) * inv_r2;
 
-/* Half list, both sides (newton on), in blocks of LJ_BLOCK stored    */
-/* pairs.  1: geometry as pair_geom_f64, the survivors compacted into  */
+/* Half list, both sides (newton on), over the CSR rows (offsets, pj)  */
+/* of n atoms, in blocks of LJ_BLOCK stored pairs that rows straddle.  */
+/* 1: geometry as pair_geom_f64, the survivors compacted into          */
 /* the block's scratch without a data-dependent branch.  2: the terms  */
 /* over the survivors — the serial path feeds pair_terms r2 = r * r    */
 /* with r = sqrt(einsum r2), and that is replayed — with per-pair      */
@@ -399,10 +404,10 @@ _DOUBLE_C = f"#define LJ_BLOCK {LJ_BLOCK}\n" + r"""
 /* run of survivors sharing one i (which may span blocks) is summed    */
 /* from zero in registers and added to row i when the run ends, each   */
 /* pair's j side is subtracted inline.  Returns the survivor count.    */
-int64_t lj_half_f64(const double *pos, const int64_t *pi, const int64_t *pj,
-                    int64_t m, const double *lengths, const uint8_t *periodic,
-                    double rc2, const int64_t *types, int64_t nt,
-                    const double *eps, const double *sigma,
+int64_t lj_half_f64(const double *pos, int64_t n, const int64_t *offsets,
+                    const int64_t *pj, const double *lengths,
+                    const uint8_t *periodic, double rc2, const int64_t *types,
+                    int64_t nt, const double *eps, const double *sigma,
                     const double *shift, double *forces,
                     double *oe, double *ov) {
     BOX_LOCALS
@@ -411,16 +416,23 @@ int64_t lj_half_f64(const double *pos, const int64_t *pi, const int64_t *pj,
     int64_t bi[LJ_BLOCK], bj[LJ_BLOCK];
     double bx[LJ_BLOCK], by[LJ_BLOCK], bz[LJ_BLOCK];
     double br2[LJ_BLOCK], bf[LJ_BLOCK];
-    int64_t c = 0, a = -1;
+    const int64_t m = offsets[n];
+    int64_t c = 0, a = -1, i = 0;
     double sx = 0.0, sy = 0.0, sz = 0.0;
     for (int64_t start = 0; start < m; start += LJ_BLOCK) {
-        int64_t len = m - start < LJ_BLOCK ? m - start : LJ_BLOCK, kept = 0;
-        for (int64_t k = start; k < start + len; k++) {
-            int64_t i = pi[k], j = pj[k];
-            PAIR_GEOMETRY(pos + 3*i, pos + 3*j)
-            bi[kept] = i; bj[kept] = j;
-            bx[kept] = dx; by[kept] = dy; bz[kept] = dz; br2[kept] = r2;
-            kept += r2 < rc2;
+        int64_t stop = m - start < LJ_BLOCK ? m : start + LJ_BLOCK, kept = 0;
+        /* Row i's pairs in this block; the next row once row i is    */
+        /* done (an empty row is done at once).                        */
+        for (int64_t k = start; k < stop;) {
+            int64_t end = offsets[i+1] < stop ? offsets[i+1] : stop;
+            for (; k < end; k++) {
+                int64_t j = pj[k];
+                PAIR_GEOMETRY(pos + 3*i, pos + 3*j)
+                bi[kept] = i; bj[kept] = j;
+                bx[kept] = dx; by[kept] = dy; bz[kept] = dz; br2[kept] = r2;
+                kept += r2 < rc2;
+            }
+            if (k == offsets[i+1]) i++;
         }
         double *e_out = oe + c, *v_out = ov + c;
         /* Two loops: with one type the coefficients are invariant and */
@@ -1372,8 +1384,8 @@ KERNELS = {
     "acc_pair": (ACCUMULATE, None, "A i i # v"),
     "pppm_spread": (ACCUMULATE, ctypes.c_int64, "A i v v # n I V"),
     "pppm_gather": (COMPUTE, ctypes.c_int64, "V v v v i v # n I V"),
-    "pair_geom": (GEOMETRY, ctypes.c_int64, "v i i # v u s I I V V"),
-    "lj_half": (DOUBLE, ctypes.c_int64, "v i i # v u s i n v v v A A A"),
+    "pair_geom": (GEOMETRY, ctypes.c_int64, "v # i i v u s I I V V"),
+    "lj_half": (DOUBLE, ctypes.c_int64, "v # i i v u s i n v v v A A A"),
     "lj_rows": (DOUBLE, ctypes.c_int64, "v i i i i # v u s i n v v v A A A"),
     "prune_rows": (DOUBLE, ctypes.c_int64, "v # i i v u s I I"),
     "eam_geom": (DOUBLE, ctypes.c_int64, "v # i i v u s v I I V V V"),

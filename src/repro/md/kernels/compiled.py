@@ -241,8 +241,10 @@ def _pair_inputs(rng, policy):
     dr, r2, r)`` as the numpy minimum-image / einsum / cutoff sequence
     keeps them.  Atoms 1-4 sit 1.0, 1.9, 2.3 and 2.45 from atom 0: pairs
     below CHARMM's switch, inside it on both sides of its Coulomb
-    cutoff, and just inside the cutoff.  The stored pairs are row-major,
-    and ``offsets`` are their CSR rows."""
+    cutoff, and just inside the cutoff.  The stored pairs are row-major
+    (``pi`` their heads) and ``offsets`` are their CSR rows: rows 0, 9,
+    10 and 17 are empty (leading, and between full ones), as are those
+    past the last pair, and row 16 straddles the first block boundary."""
     from repro.md.kernels._cc_impl import LJ_BLOCK
 
     n, dtype, rc2 = 40, policy.storage_dtype, _SMOKE_RC * _SMOKE_RC
@@ -252,7 +254,8 @@ def _pair_inputs(rng, policy):
     pos[1:5] = pos[0] + [[1.0, 0, 0], [0, -1.9, 0], [-2.3, 0, 0], [0, 0, 2.45]]
     pos = pos.astype(dtype)
     pi, pj = np.divmod(np.arange(n * n), n)
-    stored = np.flatnonzero(pi != pj)[: 2 * LJ_BLOCK + LJ_BLOCK // 4]
+    headed = (pi != pj) & ~np.isin(pi, (0, 9, 10, 17))
+    stored = np.flatnonzero(headed)[: 2 * LJ_BLOCK + LJ_BLOCK // 4]
     m = len(stored)
     a = SimpleNamespace(pos=pos, pi=pi[stored], pj=pj[stored])
     a.offsets = np.searchsorted(a.pi, np.arange(n + 1))
@@ -443,7 +446,7 @@ def _silicon_inputs(rng, policy):
     neighbors.build(system)
     style, rows = Tersoff().fused_style(), int(np.diff(neighbors.csr_offsets).max())
     fused = (
-        system.positions, neighbors.csr_offsets, neighbors.pair_j,
+        system.positions, neighbors.csr_offsets, neighbors.csr_neighbors,
         *_box_f64(box)[::2], style.cutoff * style.cutoff, *style.coeffs, rows,
         np.empty(rows * CcProvider.TERSOFF_SLOT_DOUBLES), np.empty(rows, np.int64),
     )
@@ -619,11 +622,11 @@ _SMOKE_CASES = {
                       *_stencil(a, order)), a.efield[order],
     )), _interpolate_fields, "bitwise", scratch=(8, 9)),
     "pair_geom": _Case(_pair_inputs, lambda p, a: _counted(
-        p.pair_geom(a.pos, a.pi, a.pj, *a.head, *a.geometry), *a.geometry
+        p.pair_geom(a.pos, a.offsets, a.pj, *a.head, *a.geometry), *a.geometry
     ), _numpy_geometry, "bitwise"),
-    "lj_half": _Case(_lj_inputs, lambda p, a: _counted(
-        p.lj_half(a.pos, a.pi, a.pj, *a.head, *a.tables, a.forces, *a.terms), *a.terms
-    ) + (a.forces,), _unfused_lj, "bitwise"),
+    "lj_half": _Case(_lj_inputs, lambda p, a: _counted(p.lj_half(
+        a.pos, a.offsets, a.pj, *a.head, *a.tables, a.forces, *a.terms
+    ), *a.terms) + (a.forces,), _unfused_lj, "bitwise"),
     "lj_rows": _Case(_lj_inputs, lambda p, a: _written(p.lj_rows(
         a.pos, a.pi, a.pj, a.pi, a.pj, *a.head, *a.tables, a.forces, *a.tallies
     ), a.forces, *a.tallies), _unfused_lj_rows, "bitwise"),
@@ -759,17 +762,16 @@ class CompiledBackend(NumpyFastBackend):
             self._scratch("pair.r", m, dtype),
         )
 
-    def _pair_geom(self, positions, box, pair_i, pair_j, rc):
-        """``(count, i, j, dr, r)`` of the stored pairs within ``rc``,
-        by the ``pair_geom`` kernel in the storage dtype.  The outputs
-        are scratch the next call overwrites; their first ``count``
-        rows are valid."""
+    def _pair_geom(self, positions, box, rows, rc):
+        """``(count, i, j, dr, r)`` of the pairs of the CSR ``rows``
+        within ``rc``, by the ``pair_geom`` kernel in the storage dtype.
+        The outputs are scratch the next call overwrites; their first
+        ``count`` rows are valid."""
         dtype = self.policy.storage_dtype
-        geometry = self._geom_scratch(len(pair_i))
+        geometry = self._geom_scratch(len(rows[1]))
         count = self._impl.pair_geom(
             np.ascontiguousarray(positions, dtype=dtype),
-            np.ascontiguousarray(pair_i, dtype=np.int64),
-            np.ascontiguousarray(pair_j, dtype=np.int64),
+            *rows,
             np.ascontiguousarray(box.lengths, dtype=dtype),
             np.ascontiguousarray(box.periodic, dtype=np.uint8),
             # NEP 50: the cutoff compare runs in the geometry dtype with
@@ -780,12 +782,11 @@ class CompiledBackend(NumpyFastBackend):
         return (count, *geometry)
 
     def current_pairs(self, system, neighbors, cutoff=None):
-        if neighbors._positions_at_build is None:
-            raise RuntimeError("neighbor list has never been built")
+        stored = self._stored_rows(system, neighbors)
+        if neighbors._positions_at_build is None or stored is None:
+            return super().current_pairs(system, neighbors, cutoff)
         rc = neighbors.cutoff if cutoff is None else float(cutoff)
-        c, oi, oj, odr, orr = self._pair_geom(
-            system.positions, system.box, neighbors.pair_i, neighbors.pair_j, rc
-        )
+        c, oi, oj, odr, orr = self._pair_geom(system.positions, system.box, stored, rc)
         compute_dtype = self.policy.compute_dtype
         # Compressed copies: scratch is reused next call and must not
         # leak out (same contract as numpy_fast).
@@ -854,38 +855,38 @@ class CompiledBackend(NumpyFastBackend):
         return fused(style, rows)
 
     @staticmethod
-    def _stored_natively(rows) -> bool:
-        """True when a stored-list view's arrays can go to the kernels
-        as they are."""
-        system, neighbors = rows.system, rows.neighbors
-        return (
-            _native(system.positions, np.float64)
-            and _native(system.forces, np.float64)
-            and _native(neighbors.pair_i, np.int64)
-            and _native(neighbors.pair_j, np.int64)
-        )
-
-    @classmethod
-    def _rows_read(cls, rows, cutoff):
-        """``(offsets, partners)``: the CSR rows a pass over a stored
-        list reads at ``cutoff`` — the list's inner rows where they hold
-        every pair now inside it, else its stored rows — or ``None`` when
-        the positions, forces or stored rows cannot go to the kernels as
-        they are.  Either way the survivors, and their order, are the
-        stored list's."""
-        system, neighbors = rows.system, rows.neighbors
-        # The stored partners are ``pair_j``, which the stored-list check
-        # covers; the offsets are the CSR rows' own.
+    def _stored_rows(system, neighbors):
+        """``(offsets, partners)``: the list's stored CSR rows, or
+        ``None`` when they cannot go to the kernels as they are over
+        ``system``'s atoms."""
         offsets, partners = neighbors.csr_offsets, neighbors.csr_neighbors
         if not (
-            cls._stored_natively(rows)
-            and system.positions.shape == system.forces.shape == (system.n_atoms, 3)
-            and _native(offsets, np.int64)
+            _native(offsets, np.int64)
+            and _native(partners, np.int64)
             and offsets.shape == (system.n_atoms + 1,)
             and offsets[-1] == len(partners)
         ):
             return None
-        return neighbors.inner_rows(system, cutoff) or (offsets, partners)
+        return offsets, partners
+
+    @classmethod
+    def _rows_read(cls, rows, cutoff=None):
+        """``(offsets, partners)``: the CSR rows a fused pass over a
+        stored list reads — its stored rows, or with a ``cutoff`` its
+        inner rows where they hold every pair now inside it — or
+        ``None`` when the positions, forces or stored rows cannot go to
+        the kernels as they are.  Either way the survivors, and their
+        order, are the stored list's."""
+        system, neighbors = rows.system, rows.neighbors
+        stored = cls._stored_rows(system, neighbors)
+        if stored is None or not (
+            _native(system.positions, np.float64)
+            and _native(system.forces, np.float64)
+            and system.positions.shape == system.forces.shape == (system.n_atoms, 3)
+        ):
+            return None
+        inner = None if cutoff is None else neighbors.inner_rows(system, cutoff)
+        return inner or stored
 
     def _pair_terms_scratch(self, m):
         """``(energy, virial, f_over_r)`` per-pair output scratch for
@@ -896,18 +897,18 @@ class CompiledBackend(NumpyFastBackend):
         )
 
     def _lj_half(self, style, rows):
-        system, neighbors = rows.system, rows.neighbors
+        system = rows.system
         args = self._lj_arguments(style, system.types)
-        if args is None or not self._stored_natively(rows):
+        stored = self._rows_read(rows)
+        if args is None or stored is None:
             return None
-        pair_i, pair_j = neighbors.pair_i, neighbors.pair_j
-        m = len(pair_i)
+        m = len(stored[1])
         if m == 0:
             return 0
         energy, virial, _ = self._pair_terms_scratch(m)
         lengths, _, periodic = _box_f64(system.box)
         count = self._impl.lj_half(
-            system.positions, pair_i, pair_j, lengths, periodic, *args,
+            system.positions, *stored, lengths, periodic, *args,
             system.forces, energy, virial,
         )
         # The compressed per-pair terms reduce through the body's verbs.
@@ -974,24 +975,23 @@ class CompiledBackend(NumpyFastBackend):
         from repro.md.potentials.charmm import ewald_screening
 
         eps, sigma, scalars = style.coeffs
-        system, neighbors = rows.system, rows.neighbors
+        system = rows.system
         charges = system.charges
         n_types = len(eps)
         types = self._type_index(system.types, n_types)
-        if types is None or not (
-            self._stored_natively(rows)
-            and _native(charges, np.float64)
+        stored = self._rows_read(rows)
+        if types is None or stored is None or not (
+            _native(charges, np.float64)
             and charges.shape == (system.n_atoms,)
             and _native(scalars, np.float64)
             and scalars.shape == (_CHARMM_SCALARS,)
         ):
             return None
-        pair_i, pair_j = neighbors.pair_i, neighbors.pair_j
-        m = len(pair_i)
+        m = len(stored[1])
         if m == 0:
             return 0
         count, i, j, dr, r = self._pair_geom(
-            system.positions, system.box, pair_i, pair_j, style.cutoff
+            system.positions, system.box, stored, style.cutoff
         )
         if count == 0:
             return 0

@@ -104,14 +104,9 @@ class NumpyFastBackend(KernelBackend):
         if neighbors._positions_at_build is None:
             raise RuntimeError("neighbor list has never been built")
         rc = neighbors.cutoff if cutoff is None else float(cutoff)
-        pair_i, pair_j = neighbors.pair_i, neighbors.pair_j
+        pair_i, pair_j = neighbors.pair_i, neighbors.csr_neighbors
         m = len(pair_i)
         compute_dtype = self.policy.compute_dtype
-        if m == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty((0, 3), dtype=compute_dtype), np.empty(
-                0, dtype=compute_dtype
-            )
 
         # Geometry — the minimum image, squared distance and cutoff
         # compare — runs in the *storage* dtype: under MIXED the pair

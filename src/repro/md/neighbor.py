@@ -98,6 +98,12 @@ def _row_offsets(i: np.ndarray, n: int) -> np.ndarray:
     return offsets
 
 
+def _row_heads(offsets: np.ndarray) -> np.ndarray:
+    """The head of every pair of the CSR rows ``offsets``: the inverse
+    of :func:`_row_offsets`."""
+    return np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+
+
 def _isin_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     """Membership of ``keys`` in presorted ``sorted_keys``.
 
@@ -262,16 +268,14 @@ def subdomain_directed_pairs(
     bitwise identical to the matching prefix of the unrestricted list.
 
     ``kernels`` optionally supplies a
-    :class:`~repro.md.kernels.base.KernelBackend`.  Above the
-    brute-force crossover its ``directed_rows`` hook is asked first: the
-    compiled backend bins once, walks the full stencil over the anchors
-    and sorts each row by ``sort_key`` in the kernel, returning these
-    very rows with no half list, mirror or sort.  When it declines —
-    float32 positions, no native provider, tied sort keys — and at or
-    below the crossover, the body below builds the half list (through
-    the ``neighbor_pairs`` hook when there is one, asked for the same
-    algorithm — ``brute`` or not — and contracted to reproduce its numpy
-    pairs exactly), mirrors it and lexsorts.
+    :class:`~repro.md.kernels.base.KernelBackend`, whose
+    ``directed_rows`` hook is asked first at every size: the compiled
+    backend bins once, walks the full stencil over the anchors and sorts
+    each row by ``sort_key`` in the kernel, returning these very rows
+    with no half list, mirror or sort.  When it declines — float32
+    positions, no native provider, tied sort keys — the body below
+    builds the numpy half list (all pairs at or below the brute-force
+    crossover, link cells above it), mirrors it and lexsorts.
     """
     positions = np.asarray(positions)
     if positions.dtype != np.float32:
@@ -285,19 +289,11 @@ def subdomain_directed_pairs(
     lo = positions.min(axis=0) - rc
     hi = positions.max(axis=0) + rc
     box = Box(np.maximum(hi - lo, rc), periodic=np.zeros(3, dtype=bool), origin=lo)
-    brute = n <= BRUTE_FORCE_MAX_ATOMS
-    if not brute and kernels is not None:
+    if kernels is not None:
         rows = kernels.directed_rows(positions, box, rc, sort_key, anchor_limit)
         if rows is not None:
             return rows
-    half = (
-        None
-        if kernels is None
-        else kernels.neighbor_pairs(positions, box, rc, brute=brute)
-    )
-    if half is not None:
-        i, j = half.i, half.j
-    elif brute:
+    if n <= BRUTE_FORCE_MAX_ATOMS:
         i, j = brute_force_pairs(positions, box, rc)
     else:
         i, j = cell_list_half_pairs(positions, box, rc)
@@ -352,13 +348,14 @@ class NeighborList:
         1-2 / 1-3 partners whose non-bonded interaction is masked, as
         LAMMPS ``special_bonds`` does).
 
-    Besides the flat ``pair_i`` / ``pair_j`` arrays, every build also
-    publishes the same pairs in **CSR form**: ``csr_offsets`` (length
-    ``n_atoms + 1``) and ``csr_neighbors`` such that atom ``a``'s stored
-    partners are ``csr_neighbors[csr_offsets[a]:csr_offsets[a + 1]]``,
-    sorted ascending.  ``pair_i``/``pair_j`` are kept in the matching
-    row-major order (``pair_i`` non-decreasing), which is what lets the
-    ``numpy_fast`` kernel backend use monotone segmented reductions.
+    A build stores its pairs as **CSR rows** and nothing else:
+    ``csr_offsets`` (length ``n_atoms + 1``) and ``csr_neighbors`` such
+    that atom ``a``'s stored partners are
+    ``csr_neighbors[csr_offsets[a]:csr_offsets[a + 1]]``, sorted
+    ascending.  Every native pass over the list reads those rows.
+    :attr:`pair_i`, the head of each stored pair, is a read-only
+    expansion of ``csr_offsets`` for the numpy bodies, derived on its
+    first read after a build and dropped by the next build.
 
     A pass that reads CSR rows may ask for **inner rows** instead
     (:meth:`inner_rows`): the stored pairs that were within ``cutoff +
@@ -394,10 +391,10 @@ class NeighborList:
         self.kernels = None
         self._positions_at_build: np.ndarray | None = None
         self._box_at_build: Box | None = None
-        self.pair_i = np.empty(0, dtype=np.int64)
-        self.pair_j = np.empty(0, dtype=np.int64)
         self.csr_offsets = np.zeros(1, dtype=np.int64)
         self.csr_neighbors = np.empty(0, dtype=np.int64)
+        # ``(csr_offsets, pair_i)`` once a numpy body has read the heads.
+        self._heads: tuple[np.ndarray, np.ndarray] | None = None
         # This build's inner rows once pruned, and whether they are
         # closed to readers until the next build (lapsed or declined).
         self._inner: tuple[np.ndarray, np.ndarray] | None = None
@@ -430,23 +427,29 @@ class NeighborList:
         i, j, offsets = self._half_pairs(positions, box, self.list_cutoff)
 
         if self.full:
-            pair_i = np.concatenate([i, j])
-            pair_j = np.concatenate([j, i])
+            i, j = np.concatenate([i, j]), np.concatenate([j, i])
             offsets = None
-        else:
-            pair_i, pair_j = i, j
-
         # CSR packing: row-major (i, then j) order, offsets per atom.
+        # The heads are dropped here; pair_i re-derives them on demand.
         if offsets is None:
-            order = np.lexsort((pair_j, pair_i))
-            pair_i, pair_j = pair_i[order], pair_j[order]
-            offsets = _row_offsets(pair_i, n)
-        self.pair_i = pair_i
-        self.pair_j = pair_j
+            order = np.lexsort((j, i))
+            j = j[order]
+            offsets = _row_offsets(i, n)
         self.csr_offsets = offsets
-        self.csr_neighbors = self.pair_j
+        self.csr_neighbors = j
         # wrap() made ``positions``: the build may keep it uncopied.
-        self.record_build(positions, box, len(self.pair_i))
+        self.record_build(positions, box, len(j))
+
+    @property
+    def pair_i(self) -> np.ndarray:
+        """The head of every stored pair, row-major (non-decreasing),
+        beside ``csr_neighbors``: a read-only expansion of
+        ``csr_offsets``, derived on the first read after a build."""
+        if self._heads is None or self._heads[0] is not self.csr_offsets:
+            heads = _row_heads(self.csr_offsets)
+            heads.flags.writeable = False
+            self._heads = self.csr_offsets, heads
+        return self._heads[1]
 
     def _half_pairs(
         self, positions: np.ndarray, box: Box, rc: float
@@ -541,6 +544,7 @@ class NeighborList:
         self._positions_at_build = positions
         self._box_at_build = box.copy()
         self._inner, self._inner_closed = None, False
+        self._heads = None
         self.stats.n_builds += 1
         self.stats.steps_since_build = 0
         self.stats.last_pairs = n_pairs
@@ -688,16 +692,10 @@ class NeighborList:
         if self._positions_at_build is None:
             raise RuntimeError("neighbor list has never been built")
         rc = self.cutoff if cutoff is None else float(cutoff)
+        pair_i, pair_j = self.pair_i, self.csr_neighbors
         dr = system.box.minimum_image(
-            system.positions[self.pair_i] - system.positions[self.pair_j]
+            system.positions[pair_i] - system.positions[pair_j]
         )
         r2 = np.einsum("ij,ij->i", dr, dr)
         mask = r2 < rc * rc
-        i, j, dr = self.pair_i[mask], self.pair_j[mask], dr[mask]
-        return i, j, dr, np.sqrt(r2[mask])
-
-    def neighbors_of(self, atom: int) -> np.ndarray:
-        """Stored partners of ``atom`` (CSR row; sorted ascending)."""
-        return self.csr_neighbors[
-            self.csr_offsets[atom] : self.csr_offsets[atom + 1]
-        ]
+        return pair_i[mask], pair_j[mask], dr[mask], np.sqrt(r2[mask])

@@ -305,7 +305,7 @@ class TestBitwiseContracts:
         accelerated.kernels = CompiledBackend()
         accelerated.build(system)
         assert np.array_equal(plain.pair_i, accelerated.pair_i)
-        assert np.array_equal(plain.pair_j, accelerated.pair_j)
+        assert np.array_equal(plain.csr_neighbors, accelerated.csr_neighbors)
         assert np.array_equal(plain.csr_offsets, accelerated.csr_offsets)
 
     def test_build_stats_identical_with_kernels_attached(self, cell_lists):
@@ -709,6 +709,20 @@ class TestInstanceTable:
         provider, _ = resolve_provider()
         compiled_module._check(provider, stem, val, acc, np.random.default_rng(seed))
 
+    def test_stored_list_case_holds_empty_rows_and_a_straddling_row(self):
+        """The rows every stored-list kernel is checked on (``pair_geom``,
+        ``lj_half``, ``prune_rows``, ``eam_geom``) start with an empty
+        row, hold empty rows between full ones and a row across the first
+        ``LJ_BLOCK`` boundary, at every draw."""
+        a = compiled_module._pair_inputs(np.random.default_rng(), policy_for("double"))
+        lengths = np.diff(a.offsets)
+        full = np.flatnonzero(lengths)
+        assert lengths[0] == 0 and np.any(lengths[full[0] : full[-1]] == 0)
+        row = np.searchsorted(a.offsets, _LJ_BLOCK, side="right") - 1
+        assert a.offsets[row] < _LJ_BLOCK < a.offsets[row + 1]
+        heads = np.repeat(np.arange(len(a.pos)), lengths)
+        assert np.array_equal(heads, a.pi)
+
     def test_instances_are_the_policies_dtype_combinations(self):
         f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
         assert set(_cc_impl.ACCUMULATE) == {(f32, f32), (f32, f64), (f64, f64)}
@@ -970,17 +984,22 @@ class TestFusedLennardJones:
         )
         nlist = NeighborList(potential.cutoff, 0.8)
         nlist.build(system)
+        heads, partners = nlist.pair_i, nlist.csr_neighbors
         dr = system.box.minimum_image(
-            system.positions[nlist.pair_i] - system.positions[nlist.pair_j]
+            system.positions[heads] - system.positions[partners]
         )
         far = np.flatnonzero(np.einsum("ij,ij->i", dr, dr) >= potential.cutoff**2)
         block = _LJ_BLOCK
-        rest = np.setdiff1d(np.arange(len(nlist.pair_i)), far[:block])
-        rows = rest[:m]
+        rows = np.arange(m)
         if m > 2 * block:
-            rows = np.concatenate([rest[:block], far[:block], rest[block : m - block]])
+            # Each part stored after the one before: the kept pairs stay
+            # row-major, and rows straddle the block boundaries.
+            far = far[far >= block][:block]
+            rest = far[-1] + 1 + np.arange(m - 2 * block)
+            rows = np.concatenate([rows[:block], far, rest])
         assert len(rows) == m
-        nlist.pair_i, nlist.pair_j = nlist.pair_i[rows], nlist.pair_j[rows]
+        nlist.csr_offsets = np.searchsorted(heads[rows], np.arange(system.n_atoms + 1))
+        nlist.csr_neighbors = partners[rows]
 
         preload = rng.normal(size=system.forces.shape)
         system.forces[...] = preload
@@ -1722,18 +1741,13 @@ def _local_sets(draw):
     return np.ascontiguousarray(positions), rc, key, anchor_limit
 
 
-class _NoDirectedRows(CompiledBackend):
-    """The compiled backend as it was before the directed-row kernel:
-    the hook declines, the native half list is mirrored and lexsorted."""
-
-    directed_rows = KernelBackend.directed_rows
-
-
 @needs_compiled
 class TestNativeDirectedRows:
-    @given(config=_local_sets())
+    @given(config=_local_sets(), brute=st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_rows_are_bitwise_the_lexsort_fallback(self, config):
+    def test_rows_are_bitwise_the_lexsort_fallback(self, config, brute):
+        """At every size the kernel builds the rows, bitwise the numpy
+        body's whichever half list it mirrors (all pairs or link cells)."""
         positions, rc, key, anchor_limit = config
         backend = CompiledBackend()
         counts = []
@@ -1743,7 +1757,8 @@ class TestNativeDirectedRows:
             counts.append(native_rows(*args))
             return counts[-1]
 
-        with brute_force_up_to(0), pytest.MonkeyPatch.context() as patch:
+        brute_force = brute_force_up_to(10**6 if brute else 0)
+        with brute_force, pytest.MonkeyPatch.context() as patch:
             expected = subdomain_directed_pairs(
                 positions, rc, sort_key=key, anchor_limit=anchor_limit
             )
@@ -1806,15 +1821,29 @@ class TestNativeDirectedRows:
             expected = subdomain_directed_pairs(pos, 1.5, sort_key=key)
             assert _same_bits(got.i, expected.i) and _same_bits(got.j, expected.j)
 
-    def test_below_the_crossover_the_hook_is_not_asked(self, monkeypatch):
+    def test_the_hook_is_asked_at_every_size_and_never_for_a_half_list(
+        self, monkeypatch
+    ):
+        """Below the brute-force crossover too the rows are the
+        ``directed_rows`` hook's; when it declines, the body mirrors its
+        own numpy half list, never one from ``neighbor_pairs``."""
         backend = CompiledBackend()
+        asked, real = [], backend.directed_rows
         monkeypatch.setattr(
-            backend, "directed_rows",
-            lambda *a, **k: pytest.fail("hook asked below the crossover"),
+            backend, "directed_rows", lambda *a: asked.append(len(a[0])) or real(*a)
+        )
+        monkeypatch.setattr(
+            backend, "neighbor_pairs",
+            lambda *a, **k: pytest.fail("a half list asked of the backend"),
         )
         positions = np.random.default_rng(5).uniform(0, 4, (100, 3))
+        expected = subdomain_directed_pairs(positions, 1.0)
         rows = subdomain_directed_pairs(positions, 1.0, kernels=backend)
-        assert len(rows.i)
+        assert asked == [100] and len(rows.i)
+        assert _same_bits(rows.i, expected.i) and _same_bits(rows.j, expected.j)
+        monkeypatch.setattr(backend, "directed_rows", lambda *a: None)
+        declined = subdomain_directed_pairs(positions, 1.0, kernels=backend)
+        assert _same_bits(declined.i, expected.i) and _same_bits(declined.j, expected.j)
 
     def test_tied_sort_keys_decline_and_keep_the_stable_order(self, cell_lists):
         """Two partners of one anchor under one key (two images of one
@@ -1830,14 +1859,11 @@ class TestNativeDirectedRows:
         assert backend.directed_rows(positions, box, 4.0, 2 * tied) is None
         unique = rng.permutation(240).astype(np.int64)
         assert backend.directed_rows(positions, box, 4.0, unique) is not None
-        # What the same backend built before it had the hook (the tie
-        # order depends on the half list's, so on who built that).
+        # What the numpy body builds (the tie order is its half list's).
         got = subdomain_directed_pairs(
             positions, 4.0, sort_key=tied, kernels=backend
         )
-        expected = subdomain_directed_pairs(
-            positions, 4.0, sort_key=tied, kernels=_NoDirectedRows()
-        )
+        expected = subdomain_directed_pairs(positions, 4.0, sort_key=tied)
         assert _same_bits(got.i, expected.i) and _same_bits(got.j, expected.j)
 
     @pytest.mark.parametrize("kind, owned_only", [("lj", True), ("eam", False)])
@@ -1884,7 +1910,9 @@ class TestNativeDirectedRows:
         nlist = NeighborList(potential.cutoff, 0.3)
         nlist.build(system)
         chosen = rng.choice(len(nlist.pair_i), 500, replace=False)
-        exclusions = np.column_stack([nlist.pair_i[chosen], nlist.pair_j[chosen]])
+        exclusions = np.column_stack(
+            [nlist.pair_i[chosen], nlist.csr_neighbors[chosen]]
+        )
         lists = _one_domain(
             system, 2.8, exclusions, 0, (1, 1, 1), kernels=CompiledBackend()
         )
@@ -1935,6 +1963,14 @@ def _displacement_probe(dtype):
     return positions, len(rows)
 
 
+def _probe_rows(m):
+    """CSR rows pairing atom 0 with each of the ``m`` probes both ways:
+    row 0 holds every probe, row ``k`` holds atom 0."""
+    offsets = np.concatenate([[0], m + np.arange(m + 1)])
+    partners = np.concatenate([np.arange(1, m + 1), np.zeros(m, np.int64)])
+    return offsets, partners
+
+
 @needs_compiled
 class TestMinimumImageFastPath:
     @pytest.mark.parametrize("mode", ["double", "single"])
@@ -1953,8 +1989,7 @@ class TestMinimumImageFastPath:
         nlist = NeighborList(1.0, 0.0)
         # "b - a" rows put the probe itself (sign included) into dr;
         # "a - b" rows its negation, which is where -0.0 comes from.
-        nlist.pair_i = np.concatenate([np.arange(1, m + 1), np.zeros(m, np.int64)])
-        nlist.pair_j = np.concatenate([np.zeros(m, np.int64), np.arange(1, m + 1)])
+        nlist.csr_offsets, nlist.csr_neighbors = _probe_rows(m)
         nlist._positions_at_build = system.positions
         outputs = []
         for backend in (NumpyFastBackend(), CompiledBackend()):
@@ -1971,8 +2006,7 @@ class TestMinimumImageFastPath:
         positions[1:] += [0.0625, 0.125, 0.03125]
         system = AtomSystem(positions, Box([8.0] * 3, periodic=periodic))
         nlist = NeighborList(3.0, 0.0)
-        nlist.pair_i = np.concatenate([np.arange(1, m + 1), np.zeros(m, np.int64)])
-        nlist.pair_j = np.concatenate([np.zeros(m, np.int64), np.arange(1, m + 1)])
+        nlist.csr_offsets, nlist.csr_neighbors = _probe_rows(m)
         nlist._positions_at_build = system.positions
         potential = LennardJonesCut(cutoff=3.0)
         potential.backend = _UnfusedCompiled()

@@ -58,7 +58,7 @@ class TestCellListEquivalence:
         nlist = NeighborList(1.5, 0.3)
         nlist.build(system)  # n > brute-force threshold -> cell list
         bi, bj = brute_force_pairs(system.positions, box, 1.8)
-        assert _pair_set(nlist.pair_i, nlist.pair_j) == _pair_set(bi, bj)
+        assert _pair_set(nlist.pair_i, nlist.csr_neighbors) == _pair_set(bi, bj)
 
     def test_matches_brute_force_non_periodic_dim(self):
         rng = np.random.default_rng(5)
@@ -68,7 +68,7 @@ class TestCellListEquivalence:
         nlist = NeighborList(1.5, 0.3)
         nlist.build(system)
         bi, bj = brute_force_pairs(system.positions, box, 1.8)
-        assert _pair_set(nlist.pair_i, nlist.pair_j) == _pair_set(bi, bj)
+        assert _pair_set(nlist.pair_i, nlist.csr_neighbors) == _pair_set(bi, bj)
 
 
 class TestGuards:
@@ -227,7 +227,7 @@ class TestVariants:
         full.build(system)
         assert len(full.pair_i) == 2 * len(half.pair_i)
         # Every (i, j) appears with its mirror (j, i).
-        pairs = set(zip(full.pair_i.tolist(), full.pair_j.tolist()))
+        pairs = set(zip(full.pair_i.tolist(), full.csr_neighbors.tolist()))
         assert all((j, i) in pairs for i, j in pairs)
 
     def test_exclusions_removed(self):
@@ -236,8 +236,8 @@ class TestVariants:
         system = AtomSystem(positions, box)
         nlist = NeighborList(2.0, 0.2, exclusions=np.array([[0, 1]]))
         nlist.build(system)
-        assert (0, 1) not in _pair_set(nlist.pair_i, nlist.pair_j)
-        assert (1, 2) in _pair_set(nlist.pair_i, nlist.pair_j)
+        assert (0, 1) not in _pair_set(nlist.pair_i, nlist.csr_neighbors)
+        assert (1, 2) in _pair_set(nlist.pair_i, nlist.csr_neighbors)
 
     def test_neighbors_per_atom_statistic(self):
         # Two atoms within cutoff: each sees one neighbor.
@@ -298,8 +298,8 @@ class TestBruteForceOverride:
             cell.build(system)
         with brute_force_up_to(10**9):
             brute.build(system)
-        assert _pair_set(cell.pair_i, cell.pair_j) == _pair_set(
-            brute.pair_i, brute.pair_j
+        assert _pair_set(cell.pair_i, cell.csr_neighbors) == _pair_set(
+            brute.pair_i, brute.csr_neighbors
         )
 
     def test_default_crossover(self):
@@ -319,7 +319,7 @@ class TestExclusionFiltering:
         exclusions = np.array([[0, 1], [1, 2], [2, 3], [0, 2], [1, 3]])
         nlist = NeighborList(3.4, 0.2, exclusions=exclusions)
         nlist.build(system)
-        kept = _pair_set(nlist.pair_i, nlist.pair_j)
+        kept = _pair_set(nlist.pair_i, nlist.csr_neighbors)
         assert kept == {(0, 3)}  # only the 1-4 pair survives
 
     def test_matches_isin_oracle_on_random_lists(self):
@@ -329,7 +329,7 @@ class TestExclusionFiltering:
         system = AtomSystem(rng.uniform(0, 14, (n, 3)), box)
         raw = NeighborList(2.0, 0.3)
         raw.build(system)
-        all_pairs = np.column_stack([raw.pair_i, raw.pair_j])
+        all_pairs = np.column_stack([raw.pair_i, raw.csr_neighbors])
         # Exclude a random subset of real pairs plus some absent ones.
         excl = np.vstack(
             [
@@ -345,11 +345,11 @@ class TestExclusionFiltering:
             return lo * np.int64(n) + hi
 
         keep = ~np.isin(
-            encode(raw.pair_i, raw.pair_j),
+            encode(raw.pair_i, raw.csr_neighbors),
             np.unique(encode(excl[:, 0], excl[:, 1])),
         )
-        expected = _pair_set(raw.pair_i[keep], raw.pair_j[keep])
-        assert _pair_set(nlist.pair_i, nlist.pair_j) == expected
+        expected = _pair_set(raw.pair_i[keep], raw.csr_neighbors[keep])
+        assert _pair_set(nlist.pair_i, nlist.csr_neighbors) == expected
 
 
 class TestCSRLayout:
@@ -367,19 +367,32 @@ class TestCSRLayout:
     def test_csr_consistent_with_flat_pairs(self, full):
         nlist, system = self._built(full=full)
         n = system.n_atoms
-        offsets, neighbors = nlist.csr_offsets, nlist.csr_neighbors
+        offsets = nlist.csr_offsets
         assert len(offsets) == n + 1
         assert offsets[0] == 0
-        assert offsets[-1] == len(nlist.pair_i)
+        assert offsets[-1] == len(nlist.csr_neighbors) == len(nlist.pair_i)
         assert np.all(np.diff(offsets) >= 0)
-        # pair_i must be in CSR row-major order with sorted rows.
-        assert np.all(np.diff(nlist.pair_i) >= 0)
+        # pair_i is the rows' heads: row-major, one per stored partner.
         rebuilt_i = np.repeat(np.arange(n), np.diff(offsets))
         assert np.array_equal(rebuilt_i, nlist.pair_i)
-        assert np.array_equal(neighbors, nlist.pair_j)
         for atom in range(n):
-            row = nlist.neighbors_of(atom)
+            row = nlist.csr_neighbors[offsets[atom] : offsets[atom + 1]]
             assert np.all(np.diff(row) >= 0)
+
+    def test_pair_i_is_derived_on_read_and_dropped_by_the_next_build(self):
+        """A build stores no per-pair heads: ``pair_i`` is expanded from
+        the offsets on its first read, read-only, kept while the rows
+        stand and dropped by the next build."""
+        nlist, system = self._built()
+        assert nlist._heads is None
+        heads = nlist.pair_i
+        assert nlist.pair_i is heads and not heads.flags.writeable
+        with pytest.raises(AttributeError):
+            nlist.pair_i = heads
+        nlist.build(system)
+        assert nlist._heads is None
+        assert nlist.pair_i is not heads
+        assert np.array_equal(nlist.pair_i, heads)
 
     @pytest.mark.parametrize("with_exclusions", [False, True])
     def test_brute_force_build_packs_what_a_sort_would(self, with_exclusions):
@@ -401,20 +414,21 @@ class TestCSRLayout:
         nlist = NeighborList(2.0, 0.3, exclusions=exclusions)
         nlist.build(system)  # 150 atoms: brute-force path
         assert np.array_equal(nlist.pair_i, i[order])
-        assert np.array_equal(nlist.pair_j, j[order])
+        assert np.array_equal(nlist.csr_neighbors, j[order])
         offsets = np.zeros(151, dtype=np.int64)
         np.cumsum(np.bincount(i, minlength=150), out=offsets[1:])
         assert np.array_equal(nlist.csr_offsets, offsets)
 
     def test_full_rows_mirror(self):
         nlist, system = self._built(full=True)
-        pairs = set(zip(nlist.pair_i.tolist(), nlist.pair_j.tolist()))
+        pairs = set(zip(nlist.pair_i.tolist(), nlist.csr_neighbors.tolist()))
         for a, b in pairs:
             assert (b, a) in pairs
         # Each atom's CSR row holds every partner it appears with.
         for atom in range(system.n_atoms):
             partners = {b for a, b in pairs if a == atom}
-            assert set(nlist.neighbors_of(atom).tolist()) == partners
+            row = slice(*nlist.csr_offsets[atom : atom + 2])
+            assert set(nlist.csr_neighbors[row].tolist()) == partners
 
 
 class TestRandomizedCellListCrossCheck:
@@ -440,7 +454,7 @@ class TestRandomizedCellListCrossCheck:
         bi, bj = brute_force_pairs(
             box.wrap(system.positions), box, cutoff + skin
         )
-        assert _pair_set(nlist.pair_i, nlist.pair_j) == _pair_set(bi, bj)
+        assert _pair_set(nlist.pair_i, nlist.csr_neighbors) == _pair_set(bi, bj)
         if full:
             assert len(nlist.pair_i) == 2 * len(bi)
 
@@ -452,21 +466,27 @@ class TestRandomizedCellListCrossCheck:
         nlist = NeighborList(1.0, 0.1, full=True)
         nlist.build(system)
         bi, bj = brute_force_pairs(box.wrap(system.positions), box, 1.1)
-        assert _pair_set(nlist.pair_i, nlist.pair_j) == _pair_set(bi, bj)
+        assert _pair_set(nlist.pair_i, nlist.csr_neighbors) == _pair_set(bi, bj)
         assert len(nlist.pair_i) == 2 * len(bi)
 
 
 class _AnsweringCompiled(CompiledBackend):
     """The compiled backend, noting what its half-pair hook was asked
-    (``brute`` or not) and whether it answered."""
+    (``brute`` or not) and whether it answered, and whether its
+    directed-row hook answered."""
 
     def __init__(self):
         super().__init__()
-        self.answered = []
+        self.answered, self.directed = [], []
 
     def neighbor_pairs(self, positions, box, rc, *, brute=False):
         rows = super().neighbor_pairs(positions, box, rc, brute=brute)
         self.answered.append((brute, rows is not None))
+        return rows
+
+    def directed_rows(self, *args):
+        rows = super().directed_rows(*args)
+        self.directed.append(rows is not None)
         return rows
 
 
@@ -517,7 +537,7 @@ class TestNativeBuildsAreTheNumpyBuilds:
             box, cutoff + skin
         )
         assert native.kernels.answered == [(brute, True)]
-        for name in ("pair_i", "pair_j", "csr_offsets", "csr_neighbors"):
+        for name in ("pair_i", "csr_offsets", "csr_neighbors"):
             assert _same_bits(getattr(native, name), getattr(numpy_built, name)), name
         assert native.stats.last_pairs == numpy_built.stats.last_pairs
 
@@ -545,7 +565,7 @@ class TestNativeBuildsAreTheNumpyBuilds:
         native, numpy_built = lists
         assert native.kernels.answered == [(False, True)]
         assert native.stats.last_pairs > 0
-        for name in ("pair_i", "pair_j", "csr_offsets"):
+        for name in ("pair_i", "csr_offsets", "csr_neighbors"):
             assert _same_bits(getattr(native, name), getattr(numpy_built, name)), name
 
     @given(
@@ -601,12 +621,12 @@ class TestNativeBuildsAreTheNumpyBuilds:
         anchored=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_engine_brute_branch_is_bitwise_the_numpy_one(
+    def test_engine_rows_below_the_crossover_are_bitwise_the_numpy_ones(
         self, seed, n, spread, keyed, anchored
     ):
-        """``subdomain_directed_pairs`` at or below the crossover asks
-        the same hook for the all-pairs half list, then mirrors and
-        sorts it as before: the rows equal the numpy-built ones."""
+        """``subdomain_directed_pairs`` at or below the crossover takes
+        the directed-row kernel, as above it, and asks for no half list:
+        the rows equal the mirrored and sorted numpy all-pairs ones."""
         rng = np.random.default_rng(seed)
         positions = rng.uniform(0.0, spread, (n, 3))
         sort_key = rng.permutation(n) if keyed else None
@@ -619,5 +639,35 @@ class TestNativeBuildsAreTheNumpyBuilds:
         expected = subdomain_directed_pairs(
             positions, 1.0, sort_key=sort_key, anchor_limit=anchor_limit
         )
-        assert kernels.answered == ([(True, True)] if n >= 2 else [])
+        assert kernels.answered == []
+        assert kernels.directed == ([True] if n >= 2 else [])
         assert _same_bits(got.i, expected.i) and _same_bits(got.j, expected.j)
+
+
+class TestOnlyNumpyBodiesReadTheHeads:
+    """A build stores CSR rows alone; ``pair_i`` is derived for the
+    numpy bodies that read it, once per build, and never for a run whose
+    every pass is native."""
+
+    @staticmethod
+    def _derivations(monkeypatch, bench, backend):
+        """``(derivations, builds, sim)`` over 40 steps of ``bench``."""
+        derived, expand = [], neighbor._row_heads
+        monkeypatch.setattr(
+            neighbor, "_row_heads", lambda offsets: derived.append(1) or expand(offsets)
+        )
+        sim = get_benchmark(bench).build(500)
+        sim.set_backend(backend)
+        sim.run(40)
+        return len(derived), sim.neighbor.stats.n_builds, sim
+
+    @pytest.mark.skipif(not compiled_available(), reason="no compiled provider")
+    @pytest.mark.parametrize("bench", ["lj", "eam"])
+    def test_a_compiled_run_never_derives_them(self, bench, monkeypatch):
+        derived, builds, sim = self._derivations(monkeypatch, bench, "compiled")
+        assert sim.backend.fallback is None
+        assert builds >= 1 and derived == 0 and sim.neighbor._heads is None
+
+    def test_a_numpy_fast_run_derives_them_once_per_build(self, monkeypatch):
+        derived, builds, _ = self._derivations(monkeypatch, "lj", "numpy_fast")
+        assert builds > 1 and derived == builds
