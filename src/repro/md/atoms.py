@@ -204,15 +204,20 @@ class AtomSystem:
         v2 = np.sum(self.velocities * self.velocities, axis=1)
         return 0.5 * float(np.dot(self.masses, v2))
 
-    def temperature(self, n_constraints: int = 0) -> float:
+    def temperature(
+        self, n_constraints: int = 0, kinetic: float | None = None
+    ) -> float:
         """Instantaneous temperature in reduced units (kB = 1).
 
-        ``n_constraints`` removes degrees of freedom held by SHAKE.
+        ``n_constraints`` removes degrees of freedom held by SHAKE;
+        ``kinetic`` is :meth:`kinetic_energy` when the caller has it.
         """
         dof = 3 * self.n_atoms - 3 - n_constraints
         if dof <= 0:
             return 0.0
-        return 2.0 * self.kinetic_energy() / dof
+        if kinetic is None:
+            kinetic = self.kinetic_energy()
+        return 2.0 * kinetic / dof
 
     def momentum(self) -> np.ndarray:
         """Total linear momentum (should stay ~0 in NVE runs)."""

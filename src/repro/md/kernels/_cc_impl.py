@@ -46,10 +46,19 @@ oracle tests):
   promising to set ``errno``, so ``sqrt`` (correctly rounded either
   way) becomes one instruction and the loops that take it vectorize.
 
+The unit is built for the CPU it runs on: ``-march=native`` is added
+to those flags wherever the compiler names the target it resolves to
+(:func:`target`), and left out — today's baseline build, flag for
+flag — where it does not.  Neither flag set can change a value, so a
+host-target library is bitwise the baseline one.
+
 The build cache defaults to a ``.cc_cache`` directory next to this
 file (overridable via ``$REPRO_COMPILED_CACHE``), keyed by a hash of
-the generated source and flags, and populated through an atomic rename
-so concurrent worker processes never observe a half-written library.
+the generated source, the compiler's version line, the resolved target
+and the flags — the target, not the flag's text, so hosts that share a
+cache directory each load a library built for their own CPU — and
+populated through an atomic rename so concurrent worker processes
+never observe a half-written library.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import shlex
 import shutil
 import subprocess
 import tempfile
@@ -68,7 +78,10 @@ from numpy.ctypeslib import ndpointer
 
 from repro.md.precision import DOUBLE_POLICY, PRECISIONS, policy_for
 
-__all__ = ["CcProvider", "CACHE_ENV_VAR", "KERNELS", "compiler_id", "symbol"]
+__all__ = [
+    "CcProvider", "CACHE_ENV_VAR", "KERNELS", "cflags", "compiler_id", "symbol",
+    "target",
+]
 
 #: Environment override for the shared-object build cache directory.
 CACHE_ENV_VAR = "REPRO_COMPILED_CACHE"
@@ -80,6 +93,15 @@ _CFLAGS = (
     "-O3", "-fno-fast-math", "-ffp-contract=off", "-fno-math-errno", "-shared",
     "-fPIC",
 )
+
+#: The target flag added to :data:`_CFLAGS` where the compiler resolves
+#: it (:func:`target`): the unit is built for the host's CPU.
+_TARGET_FLAG = "-march=native"
+
+#: Options of a ``-###`` compiler-proper line that take the next word
+#: as their value (gcc's cache-size ``--param``s, clang's CPU and
+#: feature list).
+_TARGET_VALUED = ("--param", "-target-cpu", "-target-feature", "-tune-cpu")
 
 _PRELUDE = r"""
 #include <math.h>
@@ -903,13 +925,14 @@ int64_t tersoff_full_f64(const double *pos, int64_t n, const int64_t *offsets,
 /* leaves the kernel, so the sign of a zero d is immaterial).  Each    */
 /* row's r2 is swept over planar copies of the positions, which        */
 /* vectorizes, and its survivors compacted without a data-dependent    */
-/* branch.  No precondition on the box; -1 when the scratch cannot be  */
-/* allocated, else the capacity protocol of cell_csr_f64.              */
+/* branch: partners only, the offsets name the anchors.  No            */
+/* precondition on the box; -1 when the scratch cannot be allocated,   */
+/* else the capacity protocol of cell_csr_f64.                         */
 /* ------------------------------------------------------------------ */
 
 int64_t brute_csr_f64(const double *pos, int64_t n, const double *lengths,
-                      const uint8_t *periodic, double rc2, int64_t *oi,
-                      int64_t *oj, int64_t cap, int64_t *offsets) {
+                      const uint8_t *periodic, double rc2, int64_t *oj,
+                      int64_t cap, int64_t *offsets) {
     double *x = malloc((size_t)(n > 0 ? 4 * n : 1) * sizeof(double));
     if (!x) return -1;
     double *y = x + n, *z = y + n, *r2 = z + n;
@@ -930,7 +953,7 @@ int64_t brute_csr_f64(const double *pos, int64_t n, const double *lengths,
             r2[b] = (dx*dx + dz*dz) + dy*dy;
         }
         for (int64_t b = a + 1; b < n; b++) {
-            if (count < cap) { oi[count] = a; oj[count] = b; }
+            if (count < cap) oj[count] = b;
             count += r2[b] < rc2;
         }
     }
@@ -1056,11 +1079,12 @@ static int64_t cell_bins_build(cell_bins *g, const double *pos, int64_t n,
 /* compare-and-shift of cell_bins, written as a select.                */
 /*                                                                     */
 /* Each row is built contiguously, sorted by insertion and parked in   */
-/* oi in walk order, its length in offsets[a + 1] and its start in     */
-/* park[a]; once every row is in, they move to oj in atom order and    */
-/* oi is filled with the anchors last.  Writes at most `cap` pairs but */
-/* keeps counting; the caller grows its buffers and reruns when the    */
-/* returned count > cap.  Negative returns are cell_bins_build's.      */
+/* `rows` (its own scratch, cap long) in walk order, its length in     */
+/* offsets[a + 1] and its start in park[a]; once every row is in, they */
+/* move to oj in atom order.  Partners only: the offsets name the      */
+/* anchors.  Writes at most `cap` pairs but keeps counting; the caller */
+/* grows its buffer and reruns when the returned count > cap.          */
+/* Negative returns are cell_bins_build's.                             */
 /* ------------------------------------------------------------------ */
 
 /* Candidate r2 of slots [0, len) of xs/ys/zs against the anchor at    */
@@ -1100,10 +1124,10 @@ typedef struct {
 
 int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
                      const double *origin, const uint8_t *periodic, double rc,
-                     int64_t *oi, int64_t *oj, int64_t cap, int64_t *offsets) {
+                     int64_t *oj, int64_t cap, int64_t *offsets) {
     cell_bins g;
     double *xs = NULL;
-    int64_t *park = NULL;
+    int64_t *park = NULL, *rows = NULL;
     int64_t count = cell_bins_build(&g, pos, n, lengths, origin, periodic, rc);
     if (count < 0) goto done;
     const int64_t *n_cells = g.n_cells, *starts = g.starts, *order = g.order;
@@ -1116,7 +1140,8 @@ int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
     most *= 14;
     xs = malloc((size_t)(3 * n + most + 1) * sizeof(double));
     park = malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
-    if (!xs || !park) { count = -1; goto done; }
+    rows = malloc((size_t)(cap > 0 ? cap : 1) * sizeof(int64_t));
+    if (!xs || !park || !rows) { count = -1; goto done; }
     double *ys = xs + n, *zs = ys + n, *r2 = zs + n;
     double lo[3] = {INFINITY, INFINITY, INFINITY};
     double hi[3] = {-INFINITY, -INFINITY, -INFINITY};
@@ -1195,7 +1220,7 @@ int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
                 cell_r2(xs + S, ys + S, zs + S, len, ax, ay, az,
                         ranges[r].shift, select, lengths, h, r2);
                 for (int64_t k = 0; k < len; k++) {
-                    if (count < cap) oi[count] = order[S + k];
+                    if (count < cap) rows[count] = order[S + k];
                     count += r2[k] < rc2;
                 }
             }
@@ -1203,9 +1228,9 @@ int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
             /* Rows that overflowed `cap` are rebuilt by the caller's retry. */
             if (count <= cap) {
                 for (int64_t k = row + 1; k < count; k++) {
-                    int64_t b = oi[k], m = k;
-                    while (m > row && oi[m-1] > b) { oi[m] = oi[m-1]; m--; }
-                    oi[m] = b;
+                    int64_t b = rows[k], m = k;
+                    while (m > row && rows[m-1] > b) { rows[m] = rows[m-1]; m--; }
+                    rows[m] = b;
                 }
             }
         }
@@ -1214,16 +1239,15 @@ int64_t cell_csr_f64(const double *pos, int64_t n, const double *lengths,
     if (count <= cap) {
         for (int64_t a = 0; a < n; a++) {
             int64_t at = offsets[a], len = offsets[a + 1];
-            memcpy(oj + at, oi + park[a], (size_t)len * sizeof(int64_t));
+            memcpy(oj + at, rows + park[a], (size_t)len * sizeof(int64_t));
             offsets[a + 1] = at + len;
         }
-        for (int64_t a = 0; a < n; a++)
-            for (int64_t k = offsets[a]; k < offsets[a + 1]; k++) oi[k] = a;
     }
     offsets[n] = count;
 done:
     free(xs);
     free(park);
+    free(rows);
     cell_bins_free(&g);
     return count;
 }
@@ -1393,8 +1417,8 @@ KERNELS = {
     "eam_forces": (DOUBLE, None, "i i # v v v v v A A A"),
     "tersoff_full": (DOUBLE, ctypes.c_int64, "v # i i v u s v n V I A A"),
     "charmm_terms": (DOUBLE, None, "i i # v v v i n v v v v A A A"),
-    "brute_csr": (DOUBLE, ctypes.c_int64, "v # v u s I I # I"),
-    "cell_csr": (DOUBLE, ctypes.c_int64, "v # v v u s I I # I"),
+    "brute_csr": (DOUBLE, ctypes.c_int64, "v # v u s I # I"),
+    "cell_csr": (DOUBLE, ctypes.c_int64, "v # v v u s I # I"),
     "cell_rows": (DOUBLE, ctypes.c_int64, "v # v v u s i n I I #"),
     "max_disp_sq": (DOUBLE, ctypes.c_double, "v v # v v u"),
 }
@@ -1495,6 +1519,52 @@ def compiler_id(cc: str) -> str:
     return banner[0].strip() if banner else cc
 
 
+@functools.cache
+def target(cc: str) -> str | None:
+    """What ``-march=native`` resolves to for ``cc`` on this host, or
+    ``None`` when ``cc`` rejects the flag or names no CPU for it.
+
+    One dry run, ``cc -march=native -### -x c -c /dev/null``, which
+    prints the commands a compile would run without running them: the
+    target options of its compiler-proper line, in printed order —
+    gcc's expanded ``-march=<cpu>``, ``-m<feature>`` switches and
+    cache-size ``--param``s, clang's ``-target-cpu`` and
+    ``-target-feature`` list.  Paths and temporary names are left out,
+    so the text is the same for every process on one host.
+    """
+    try:
+        probe = subprocess.run(
+            [cc, _TARGET_FLAG, "-###", "-x", "c", "-c", os.devnull],
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if probe.returncode != 0:
+        return None
+    for line in (probe.stderr + probe.stdout).splitlines():
+        try:
+            words = shlex.split(line)
+        except ValueError:
+            continue
+        cpus = {
+            word.partition("=")[2] for word in words if word.startswith("-march=")
+        } | {value for option, value in zip(words, words[1:]) if option == "-target-cpu"}
+        if not cpus - {"native"}:
+            continue
+        return " ".join(
+            word for k, word in enumerate(words)
+            if word.startswith("-m") or word in _TARGET_VALUED
+            or (k and words[k - 1] in _TARGET_VALUED)
+        )
+    return None
+
+
+def cflags(cc: str) -> tuple[str, ...]:
+    """The flags ``cc`` builds the unit with: :data:`_CFLAGS`, plus the
+    target flag where :func:`target` resolves it."""
+    return (*_CFLAGS, _TARGET_FLAG) if target(cc) else _CFLAGS
+
+
 def _cache_dir() -> Path:
     """First writable cache location: env override, in-tree, tempdir."""
     override = os.environ.get(CACHE_ENV_VAR)
@@ -1517,6 +1587,17 @@ def _cache_dir() -> Path:
     raise RuntimeError(f"no writable compile-cache directory: {last_error}")
 
 
+def _library_path(cc: str, flags: tuple[str, ...]) -> Path:
+    """Where the library ``cc`` builds with ``flags`` is cached: named
+    by a hash of the source, the compiler's version line, the target
+    ``-march=native`` resolves to here and the flags."""
+    key_material = "\x00".join(
+        [_SOURCE, compiler_id(cc), target(cc) or "", *flags]
+    )
+    key = hashlib.sha256(key_material.encode()).hexdigest()[:16]
+    return _cache_dir() / f"repro_kernels_{key}.so"
+
+
 def _build_library() -> tuple[ctypes.CDLL, str]:
     """Compile (or reuse) the shared object; returns (lib, compiler id)."""
     cc = _find_compiler()
@@ -1524,10 +1605,9 @@ def _build_library() -> tuple[ctypes.CDLL, str]:
         raise RuntimeError(
             "no C compiler found on PATH ($CC if set, else cc/gcc/clang)"
         )
-    key_material = "\x00".join([_SOURCE, cc, *_CFLAGS])
-    key = hashlib.sha256(key_material.encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = cache / f"repro_kernels_{key}.so"
+    flags = cflags(cc)
+    so_path = _library_path(cc, flags)
+    cache = so_path.parent
     if not so_path.exists():
         # Build under a unique name, publish with an atomic rename:
         # concurrent processes either see the finished library or none.
@@ -1536,7 +1616,7 @@ def _build_library() -> tuple[ctypes.CDLL, str]:
             src.write_text(_SOURCE)
             tmp_so = Path(workdir) / "kernels.so"
             proc = subprocess.run(
-                [cc, *_CFLAGS, "-o", str(tmp_so), str(src), "-lm"],
+                [cc, *flags, "-o", str(tmp_so), str(src), "-lm"],
                 capture_output=True,
                 text=True,
             )

@@ -46,11 +46,11 @@ __all__ = ["DirectedRows", "KernelBackend", "PairStyle", "SortedHalfPairs"]
 
 
 class SortedHalfPairs(NamedTuple):
-    """What :meth:`KernelBackend.neighbor_pairs` hands the neighbor list."""
+    """What :meth:`KernelBackend.neighbor_pairs` hands the neighbor list:
+    CSR rows, whose heads the offsets name."""
 
-    #: Half pairs in row-major order: ``i`` non-decreasing, ``j``
-    #: ascending within each ``i``.
-    i: np.ndarray
+    #: The partners of the half pairs in row-major order, ascending
+    #: within each row.
     j: np.ndarray
     #: CSR row offsets (length ``n_atoms + 1``): atom ``a`` heads
     #: ``j[offsets[a]:offsets[a + 1]]``.
@@ -270,8 +270,9 @@ class KernelBackend(abc.ABC):
 
         The caller has chosen the algorithm; ``brute`` says which.  A
         backend that runs it faster than numpy returns the half pairs
-        here, **already in row-major order**, together with the CSR row
-        offsets, so the caller does not sort: with ``brute``, exactly
+        here as CSR rows — partners **already in row-major order** and
+        the row offsets, no heads — so the caller does not sort: with
+        ``brute``, exactly
         :func:`repro.md.neighbor.brute_force_pairs` (same pair set, same
         orientations, same ``np.triu_indices`` order), else exactly
         ``np.lexsort((j, i))`` applied to

@@ -164,8 +164,10 @@ def _built_twice(provider, case, a) -> bool:
     """A native build's capacity protocol: ``case.call`` given ``out_i``
     and ``out_j`` with half the room the reference rows need, then with
     room to spare.  A too-small buffer must report the true count without
-    writing past it; the second run's rows must be the reference's, and
-    its CSR offsets, when it returns them, ``searchsorted`` of those."""
+    writing past it.  A build that returns CSR offsets writes partners
+    only (to ``out_j``): the second run's partners must be the
+    reference's ``j`` and its offsets ``searchsorted`` of the
+    reference's heads; else both rows must be the reference's."""
     ref_i, ref_j = case.reference(provider, a)
     for cap in (len(ref_i) // 2, len(ref_i) + 7):
         out = np.full((2, cap + 1), -1, np.int64)
@@ -173,8 +175,11 @@ def _built_twice(provider, case, a) -> bool:
         count, *offsets = case.call(provider, built)
         if not (count == len(ref_i) and np.all(out[:, cap] == -1)):
             return False
-    rows = [np.searchsorted(ref_i, np.arange(len(row))) for row in offsets]
-    return _agree((*out[:, :count], *offsets), (ref_i, ref_j, *rows))
+    if offsets:
+        (row,) = offsets
+        heads = np.searchsorted(ref_i, np.arange(len(row)))
+        return _agree((out[1, :count], row), (ref_j, heads))
+    return _agree(tuple(out[:, :count]), (ref_i, ref_j))
 
 
 def _written(result, *outputs):
@@ -648,10 +653,10 @@ _SMOKE_CASES = {
     ),
     "charmm_terms": _Case(_charmm_inputs, _charmm_terms, _screened_terms, "bitwise"),
     "brute_csr": _Case(_brute_inputs, lambda p, a: _written(p.brute_csr(
-        a.pos, *_box_f64(a.box)[::2], a.rc * a.rc, a.out_i, a.out_j, a.offsets
+        a.pos, *_box_f64(a.box)[::2], a.rc * a.rc, a.out_j, a.offsets
     ), a.offsets), _brute_force_pairs, "builder"),
     "cell_csr": _Case(_cell_csr_inputs, lambda p, a: _written(p.cell_csr(
-        a.pos, *_box_f64(a.box), a.rc, a.out_i, a.out_j, a.offsets
+        a.pos, *_box_f64(a.box), a.rc, a.out_j, a.offsets
     ), a.offsets), _lexsorted_cell_pairs, "builder"),
     "cell_rows": _Case(_cell_inputs, lambda p, a: _written(p.cell_rows(
         a.pos, *a.open_box, a.rc, a.key, a.anchors, a.out_i, a.out_j
@@ -1211,27 +1216,31 @@ class CompiledBackend(NumpyFastBackend):
     # ------------------------------------------------------------------
     # Neighbor-list build
     # ------------------------------------------------------------------
-    def _fitted(self, stem, estimate, build):
-        """The native builds' capacity protocol around ``build(out_i,
-        out_j) -> count``: fresh outputs every time (the caller keeps
-        views of them, so nothing is copied out of scratch afterwards),
-        sized by ``estimate`` or the last build's count plus a quarter.
-        A kernel reports the true count even when it did not fit, so one
-        retry always suffices; a negative count (allocation failure,
-        unmet precondition, tied sort keys) gives ``None``, else
-        ``(out_i[:count], out_j[:count])``."""
-        capacity = max(self._capacity_hint[stem], estimate, 1024)
+    def _fitted(self, stem, estimate, build, outputs=1):
+        """The native builds' capacity protocol around ``build(*outs) ->
+        count``: ``outputs`` fresh pair arrays every time (the caller
+        keeps views of them, so nothing is copied out of scratch
+        afterwards), sized by the largest count a build has reported
+        plus a quarter once there is one, else by ``estimate``.  The
+        largest, so a smaller build between two list builds
+        (``neighbors_per_atom`` at the force cutoff) cannot make the
+        next one overflow.  A kernel reports the true count even when
+        it did not fit, so one retry always suffices; a negative count
+        (allocation failure, unmet precondition, tied sort keys) gives
+        ``None``, else each output cut to the count."""
+        capacity = self._capacity_hint[stem] or max(estimate, 1024)
         while True:
-            out_i = np.empty(capacity, np.int64)
-            out_j = np.empty(capacity, np.int64)
-            count = build(out_i, out_j)
+            outs = [np.empty(capacity, np.int64) for _ in range(outputs)]
+            count = build(*outs)
             if count < 0:
                 return None
             if count <= capacity:
                 break
             capacity = count
-        self._capacity_hint[stem] = count + (count >> 2)
-        return out_i[:count], out_j[:count]
+        self._capacity_hint[stem] = max(
+            self._capacity_hint[stem], count + (count >> 2)
+        )
+        return [out[:count] for out in outs]
 
     def neighbor_pairs(self, positions, box, rc, *, brute=False):
         """Compiled half-pair build (float64 ``(n, 3)`` positions only),
@@ -1254,8 +1263,7 @@ class CompiledBackend(NumpyFastBackend):
         n = len(positions)
         offsets = np.zeros(n + 1, dtype=np.int64)
         if n == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return SortedHalfPairs(empty, empty, offsets)
+            return SortedHalfPairs(np.empty(0, dtype=np.int64), offsets)
         lengths, origin, periodic = _box_f64(box)
         volume = float(np.prod(lengths))
         # Half-pair estimate (4pi/6 * rc^3 * n^2 / V), padded.
@@ -1267,17 +1275,16 @@ class CompiledBackend(NumpyFastBackend):
             rc2 = float(rc) * float(rc)
             stem, estimate = "brute_csr", min(estimate, n * (n - 1) // 2)
 
-            def build(out_i, out_j):
+            def build(out_j):
                 return self._impl.brute_csr(
-                    positions, lengths, periodic, rc2, out_i, out_j, offsets
+                    positions, lengths, periodic, rc2, out_j, offsets
                 )
         else:
             stem = "cell_csr"
 
-            def build(out_i, out_j):
+            def build(out_j):
                 return self._impl.cell_csr(
-                    positions, lengths, origin, periodic, float(rc),
-                    out_i, out_j, offsets,
+                    positions, lengths, origin, periodic, float(rc), out_j, offsets
                 )
         built = self._fitted(stem, estimate, build)
         return None if built is None else SortedHalfPairs(*built, offsets)
@@ -1322,6 +1329,7 @@ class CompiledBackend(NumpyFastBackend):
                 positions, lengths, origin, periodic, float(rc),
                 sort_key, anchors, out_i, out_j,
             ),
+            outputs=2,
         )
         return None if built is None else DirectedRows(*built)
 

@@ -427,6 +427,8 @@ class NeighborList:
         i, j, offsets = self._half_pairs(positions, box, self.list_cutoff)
 
         if self.full:
+            if i is None:
+                i = _row_heads(offsets)
             i, j = np.concatenate([i, j]), np.concatenate([j, i])
             offsets = None
         # CSR packing: row-major (i, then j) order, offsets per atom.
@@ -453,21 +455,24 @@ class NeighborList:
 
     def _half_pairs(
         self, positions: np.ndarray, box: Box, rc: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
         """``(i, j, offsets)``: the half pairs of the wrapped
         ``positions`` within ``rc``, exclusions dropped.
 
         ``offsets`` are the CSR row offsets when the producer emits
         row-major (i, then j) pairs — np.triu_indices walks i < j in
         that order, and a native build contracts to it and hands its
-        offsets over — and ``None`` when the pairs need a sort.
+        offsets over — and ``None`` when the pairs need a sort.  The
+        heads ``i`` are ``None`` when a native build's rows stand
+        unfiltered: it writes no heads, and only the exclusions and a
+        full list's mirror need them (:func:`_row_heads` derives them).
 
         The span names the algorithm (``neigh.brute_pairs`` or
         ``neigh.cell_pairs``), whichever producer — the backend's
         ``neighbor_pairs`` hook or numpy — runs it.
         """
         n = len(positions)
-        offsets = None
+        i = offsets = None
         row_major = True
         brute = n <= BRUTE_FORCE_MAX_ATOMS or not self._can_bin(box, rc)
         with self.tracer.span(
@@ -479,7 +484,7 @@ class NeighborList:
                 else None
             )
             if rows is not None:
-                i, j, offsets = rows
+                j, offsets = rows
             elif brute:
                 i, j = brute_force_pairs(positions, box, rc)
             else:
@@ -487,6 +492,8 @@ class NeighborList:
                 row_major = False
         excluded = self.excluded_keys(n)
         if excluded is not None:
+            if i is None:
+                i = _row_heads(offsets)
             keep = ~_isin_sorted(_encode_pairs(i, j, n), excluded)
             # Order-preserving, but the producer's offsets describe the
             # unfiltered rows.
@@ -519,8 +526,8 @@ class NeighborList:
         if self._positions_at_build is None:
             raise RuntimeError("neighbor list has never been built")
         positions = self._positions_at_build
-        i, _, _ = self._half_pairs(positions, self._box_at_build, self.cutoff)
-        return 2 * len(i) / len(positions)
+        _, j, _ = self._half_pairs(positions, self._box_at_build, self.cutoff)
+        return 2 * len(j) / len(positions)
 
     def check_box(self, box: Box) -> None:
         """Refuse a box too small for minimum-image pair search.

@@ -60,7 +60,7 @@ class ThermoLog:
         ke = system.kinetic_energy()
         snap = ThermoSnapshot(
             step=step,
-            temperature=system.temperature(n_constraints),
+            temperature=system.temperature(n_constraints, ke),
             kinetic_energy=ke,
             potential_energy=potential_energy,
             total_energy=ke + potential_energy,

@@ -15,7 +15,10 @@ glibc picks ``exp``/``pow``/``sin``/``cos`` variants by CPU, and the C
 unit's bits are fixed by its compiler and flags.  ``host_class`` is a
 digest of exactly those fields (:data:`HOST_CLASS_FIELDS`), and
 ``repro certify`` names the ones that differ when a bitwise replay
-crosses host classes, instead of blaming the run directory.
+crosses host classes, instead of blaming the run directory.  The CPU
+the C unit is built for (``cc_target``) explains its speed, not its
+bits — no flag of the unit lets the target change a value — so it
+stays out of the class.
 """
 
 from __future__ import annotations
@@ -97,9 +100,10 @@ def cgroup_cpu_quota(
 def host_facts() -> dict:
     """The host block every record embeds whole (JSON-safe).
 
-    Reading the compiler runs ``cc --version`` and nothing else: the C
-    unit is neither built nor smoke-tested, so the stamp is the same
-    whether or not the ``compiled`` backend can run here.
+    Reading the compiler runs ``cc --version`` and the target probe
+    (a ``-###`` dry run) and nothing else: the C unit is neither built
+    nor smoke-tested, so the stamp is the same whether or not the
+    ``compiled`` backend can run here.
     """
     # Not at import: loading the service must not load the C unit.
     from repro.md.kernels import _cc_impl
@@ -122,7 +126,8 @@ def host_facts() -> dict:
         ],
         "libc": " ".join(platform.libc_ver()).strip() or None,
         "compiler": _cc_impl.compiler_id(cc) if cc else None,
-        "cflags": list(_cc_impl._CFLAGS),
+        "cflags": list(_cc_impl.cflags(cc) if cc else _cc_impl._CFLAGS),
+        "cc_target": _cc_impl.target(cc) if cc else None,
     }
     keyed = json.dumps(
         {name: facts[name] for name in HOST_CLASS_FIELDS}, sort_keys=True

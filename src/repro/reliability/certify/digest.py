@@ -104,12 +104,16 @@ def interval_digest(simulation) -> str:
 
 
 def state_witness(simulation) -> dict:
-    """The small JSON-safe observable set recorded with each digest."""
+    """The small JSON-safe observable set recorded with each digest:
+    the total energy and the temperature from one kinetic-energy sum
+    (the floats ``total_energy()`` and ``temperature()`` give)."""
+    system = simulation.system
+    kinetic = system.kinetic_energy()
     return {
-        "total_energy": float(simulation.total_energy()),
+        "total_energy": float(kinetic + simulation.potential_energy),
         "potential_energy": float(simulation.potential_energy),
         "temperature": float(
-            simulation.system.temperature(simulation.n_constraints)
+            system.temperature(simulation.n_constraints, kinetic)
         ),
     }
 

@@ -348,8 +348,9 @@ def _sorted_reference(positions, box, rc):
 
 
 def _assert_rows_equal(rows, reference):
-    ref_i, ref_j, ref_offsets = reference
-    assert np.array_equal(rows.i, ref_i)
+    """The native build's CSR rows are the reference's partners and
+    offsets (it writes no heads: the offsets are them)."""
+    _, ref_j, ref_offsets = reference
     assert np.array_equal(rows.j, ref_j)
     assert np.array_equal(rows.offsets, ref_offsets)
 
@@ -403,19 +404,40 @@ class TestNativeNeighborBuild:
         capacities = []
         native = backend._impl.cell_csr
 
-        def recording(pos, lengths, origin, periodic, rc, oi, oj, offsets):
-            capacities.append(len(oi))
-            return native(pos, lengths, origin, periodic, rc, oi, oj, offsets)
+        def recording(pos, lengths, origin, periodic, rc, oj, offsets):
+            capacities.append(len(oj))
+            return native(pos, lengths, origin, periodic, rc, oj, offsets)
 
         monkeypatch.setattr(backend._impl, "cell_csr", recording)
         rows = backend.neighbor_pairs(positions, box, 2.0)
         n_pairs = 600 * 599 // 2  # the blob's diameter is < rc
         assert len(capacities) == 2
-        assert capacities[0] < n_pairs == capacities[1] == len(rows.i)
+        assert capacities[0] < n_pairs == capacities[1] == len(rows.j)
         _assert_rows_equal(rows, _sorted_reference(positions, box, 2.0))
         # The hint now covers this density: the next build fits first time.
         backend.neighbor_pairs(positions, box, 2.0)
         assert len(capacities) == 3 and capacities[2] >= n_pairs
+
+    def test_a_smaller_build_leaves_the_next_list_build_room(self, monkeypatch):
+        """``neighbors_per_atom`` builds at the force cutoff, fewer pairs
+        than the stored list: the next list build must still fit its
+        first buffer, not overflow and run twice."""
+        system = lj_melt_system(2000, seed=4)
+        nlist = NeighborList(2.5, 0.3)
+        nlist.kernels = backend = CompiledBackend()
+        calls = []
+        native = backend._impl.cell_csr
+
+        def counting(*args):
+            calls.append(len(args[5]))
+            return native(*args)
+
+        monkeypatch.setattr(backend._impl, "cell_csr", counting)
+        nlist.build(system)
+        nlist.neighbors_per_atom()
+        del calls[:]
+        nlist.build(system)
+        assert len(calls) == 1 and calls[0] >= nlist.stats.last_pairs
 
     def test_grid_too_large_to_index_is_declined_not_dereferenced(self, cell_lists):
         """2^64 cells wrap the int64 product to 0: the bins were then
@@ -564,8 +586,8 @@ def _after(corrupt):
 def _reverse_rows(args, count):
     """Every CSR row reversed: the neighbor list no longer sorts native
     rows, so the right pairs in the wrong order must not pass."""
-    *_, oi, oj, _, offsets = args
-    if 0 <= count <= len(oi):
+    *_, oj, _, offsets = args
+    if 0 <= count <= len(oj):
         for a in range(len(offsets) - 1):
             row = slice(offsets[a], offsets[a + 1])
             oj[row] = oj[row][::-1].copy()
@@ -795,11 +817,16 @@ class TestInstanceTable:
 
     def test_build_cache_is_keyed_by_the_generated_source(self):
         """No stale library can be reused: the file name carries a hash
-        of the translation unit that was actually compiled."""
+        of the translation unit that was actually compiled, the
+        compiler's version line, the CPU ``-march=native`` resolves to
+        here (not the flag's text, which is the same on every host) and
+        the flags."""
         provider, _ = resolve_provider()
-        material = "\x00".join(
-            [_cc_impl._SOURCE, _cc_impl._find_compiler(), *_cc_impl._CFLAGS]
-        )
+        cc = _cc_impl._find_compiler()
+        material = "\x00".join([
+            _cc_impl._SOURCE, _cc_impl.compiler_id(cc), _cc_impl.target(cc) or "",
+            *_cc_impl.cflags(cc),
+        ])
         key = hashlib.sha256(material.encode()).hexdigest()[:16]
         assert provider._lib._name.endswith(f"repro_kernels_{key}.so")
         assert "#define FN(stem) stem##_f32f64\n" in _cc_impl._SOURCE

@@ -215,7 +215,9 @@ class TestOneHostStamp:
         monkeypatch.setattr(compiled, "resolve_provider", refuse)
         monkeypatch.setattr(_cc_impl, "_build_library", refuse)
         facts = host_facts()
-        assert facts["compiler"] and facts["cflags"] == list(_cc_impl._CFLAGS)
+        cc = _cc_impl._find_compiler()
+        assert facts["compiler"] and facts["cflags"] == list(_cc_impl.cflags(cc))
+        assert facts["cc_target"] == _cc_impl.target(cc)
         json.dumps(facts)
 
     def test_host_class_hashes_exactly_the_head_fields(self, monkeypatch):
@@ -223,9 +225,12 @@ class TestOneHostStamp:
         monkeypatch.setattr(provenance.platform, "release", lambda: "other")
         monkeypatch.setattr(provenance.os, "cpu_count", lambda: 512)
         assert host_facts()["host_class"] == before
-        monkeypatch.setattr(
-            _cc_impl, "_CFLAGS", (*_cc_impl._CFLAGS, "-march=native")
-        )
+        # The CPU the unit is built for changes no head (the two-build
+        # test in tests/md/test_target_build.py): it is not in the class.
+        here = host_facts()["cc_target"]
+        monkeypatch.setattr(_cc_impl, "target", lambda cc: here and f"{here} -mno")
+        assert host_facts()["host_class"] == before
+        monkeypatch.setattr(_cc_impl, "_CFLAGS", (*_cc_impl._CFLAGS, "-O0"))
         assert host_facts()["host_class"] != before
 
     def test_compiler_id_is_the_first_version_line_or_the_name(
