@@ -503,49 +503,42 @@ int64_t lj_half_f64(const double *pos, int64_t n, const int64_t *offsets,
 }
 
 /* Directed rows, i side only (the parallel engine's newton-off        */
-/* scheme).  Row k pairs local atoms di[k] (owned; indexes the output  */
-/* arrays and types) and dj[k]; positions are read from the global     */
-/* array at gi[k] / gj[k].  That path hands pair_terms einsum's r2     */
-/* unchanged.  Force, 0.5 * energy and (0.5 * f_over_r) * r2 are added */
-/* to row di[k] pair after pair in list order — what the scatter       */
-/* kernels above do to the unfused per-pair arrays — with the row held */
-/* in registers while consecutive pairs share it.  Returns the         */
-/* survivor count.                                                     */
-int64_t lj_rows_f64(const double *pos, const int64_t *di, const int64_t *dj,
-                    const int64_t *gi, const int64_t *gj, int64_t m,
-                    const double *lengths, const uint8_t *periodic,
-                    double rc2, const int64_t *types, int64_t nt,
-                    const double *eps, const double *sigma,
+/* scheme), over the CSR rows (offsets, pj) of a worker's local atoms: */
+/* rows i < n_owned only (the owned heads; ghost-headed rows past them */
+/* are not read).  Local i and pj[k] index types, and i the output     */
+/* arrays; positions are read from the global array at gids[i] /       */
+/* gids[pj[k]].  That path hands pair_terms einsum's r2 unchanged.     */
+/* Force, 0.5 * energy and (0.5 * f_over_r) * r2 are added to row i    */
+/* pair after pair in row order — what the scatter kernels above do to */
+/* the unfused per-pair arrays — with the row held in registers.       */
+/* Returns the survivor count.                                         */
+int64_t lj_rows_f64(const double *pos, const int64_t *gids,
+                    const int64_t *offsets, int64_t n_owned,
+                    const int64_t *pj, const double *lengths,
+                    const uint8_t *periodic, double rc2, const int64_t *types,
+                    int64_t nt, const double *eps, const double *sigma,
                     const double *shift, double *forces,
                     double *energy_out, double *virial_out) {
     BOX_LOCALS
     double e4 = 4.0 * eps[0], e24 = 24.0 * eps[0];
     double ss = sigma[0] * sigma[0], sh = shift[0];
-    int64_t c = 0, a = -1;
-    double sx = 0.0, sy = 0.0, sz = 0.0, se = 0.0, sv = 0.0;
-    for (int64_t k = 0; k < m; k++) {
-        PAIR_GEOMETRY(pos + 3*gi[k], pos + 3*gj[k])
-        if (!(r2 < rc2)) continue;
-        int64_t i = di[k];
-        if (i != a) {
-            if (a >= 0) {
-                forces[3*a] = sx; forces[3*a+1] = sy; forces[3*a+2] = sz;
-                energy_out[a] = se; virial_out[a] = sv;
-            }
-            a = i;
-            sx = forces[3*a]; sy = forces[3*a+1]; sz = forces[3*a+2];
-            se = energy_out[a]; sv = virial_out[a];
+    int64_t c = 0;
+    for (int64_t i = 0; i < n_owned; i++) {
+        const double *pi = pos + 3*gids[i];
+        double sx = forces[3*i], sy = forces[3*i+1], sz = forces[3*i+2];
+        double se = energy_out[i], sv = virial_out[i];
+        for (int64_t k = offsets[i]; k < offsets[i+1]; k++) {
+            PAIR_GEOMETRY(pi, pos + 3*gids[pj[k]])
+            if (!(r2 < rc2)) continue;
+            LJ_COEFFS(i, pj[k])
+            LJ_TERMS(r2)
+            sx += f * dx; sy += f * dy; sz += f * dz;
+            se += 0.5 * energy;
+            sv += (0.5 * f) * r2;
+            c++;
         }
-        LJ_COEFFS(i, dj[k])
-        LJ_TERMS(r2)
-        sx += f * dx; sy += f * dy; sz += f * dz;
-        se += 0.5 * energy;
-        sv += (0.5 * f) * r2;
-        c++;
-    }
-    if (a >= 0) {
-        forces[3*a] = sx; forces[3*a+1] = sy; forces[3*a+2] = sz;
-        energy_out[a] = se; virial_out[a] = sv;
+        forces[3*i] = sx; forces[3*i+1] = sy; forces[3*i+2] = sz;
+        energy_out[i] = se; virial_out[i] = sv;
     }
     return c;
 }
@@ -1266,6 +1259,10 @@ done:
 /* same pairs pass the cutoff test, out of 125 / 216 of the candidates */
 /* a 27-cell stencil of rc-wide bins offers.                           */
 /*                                                                     */
+/* CSR rows like cell_csr_f64's: partners only, offsets[a] ..          */
+/* offsets[a+1] is atom a's row, and the rows of atoms a >=            */
+/* anchor_limit are empty.                                             */
+/*                                                                     */
 /* Open boxes only (the ghost images realize periodicity): any         */
 /* periodic dim returns -2, which lets a stencil column's five z       */
 /* cells be scanned as one contiguous slot range.  Two partners of one */
@@ -1278,7 +1275,7 @@ done:
 int64_t cell_rows_f64(const double *pos, int64_t n, const double *lengths,
                       const double *origin, const uint8_t *periodic, double rc,
                       const int64_t *sort_key, int64_t anchor_limit,
-                      int64_t *oi, int64_t *oj, int64_t cap) {
+                      int64_t *oj, int64_t cap, int64_t *offsets) {
     if (periodic[0] || periodic[1] || periodic[2]) return -2;
     cell_bins g;
     int64_t count = cell_bins_build(&g, pos, n, lengths, origin, periodic,
@@ -1292,7 +1289,7 @@ int64_t cell_rows_f64(const double *pos, int64_t n, const double *lengths,
     int64_t sx = g.sx, sy = g.sy;
     const double rc2 = rc * rc;
     for (int64_t a = 0; a < anchor_limit; a++) {
-        int64_t row = count;
+        int64_t row = offsets[a] = count;
         double ax = pos[3*a], ay = pos[3*a+1], az = pos[3*a+2];
         int64_t cx = coords[3*a], cy = coords[3*a+1], cz = coords[3*a+2];
         int64_t z0 = cz > 1 ? cz - 2 : 0;
@@ -1309,7 +1306,7 @@ int64_t cell_rows_f64(const double *pos, int64_t n, const double *lengths,
                     double dz = az - pos[3*b+2];
                     double r2 = (dx*dx + dz*dz) + dy*dy;   /* einsum f64 */
                     if (r2 < rc2 && b != a) {
-                        if (count < cap) { oi[count] = a; oj[count] = b; }
+                        if (count < cap) oj[count] = b;
                         keys[count - row] = sort_key[b];
                         count++;
                     }
@@ -1327,6 +1324,7 @@ int64_t cell_rows_f64(const double *pos, int64_t n, const double *lengths,
             }
         }
     }
+    for (int64_t a = anchor_limit; a <= n; a++) offsets[a] = count;
 done:
     free(keys);
     cell_bins_free(&g);
@@ -1410,7 +1408,7 @@ KERNELS = {
     "pppm_gather": (COMPUTE, ctypes.c_int64, "V v v v i v # n I V"),
     "pair_geom": (GEOMETRY, ctypes.c_int64, "v # i i v u s I I V V"),
     "lj_half": (DOUBLE, ctypes.c_int64, "v # i i v u s i n v v v A A A"),
-    "lj_rows": (DOUBLE, ctypes.c_int64, "v i i i i # v u s i n v v v A A A"),
+    "lj_rows": (DOUBLE, ctypes.c_int64, "v i i n i v u s i n v v v A A A"),
     "prune_rows": (DOUBLE, ctypes.c_int64, "v # i i v u s I I"),
     "eam_geom": (DOUBLE, ctypes.c_int64, "v # i i v u s v I I V V V"),
     "eam_density": (DOUBLE, None, "i i # v v v A"),
@@ -1419,7 +1417,7 @@ KERNELS = {
     "charmm_terms": (DOUBLE, None, "i i # v v v i n v v v v A A A"),
     "brute_csr": (DOUBLE, ctypes.c_int64, "v # v u s I # I"),
     "cell_csr": (DOUBLE, ctypes.c_int64, "v # v v u s I # I"),
-    "cell_rows": (DOUBLE, ctypes.c_int64, "v # v v u s i n I I #"),
+    "cell_rows": (DOUBLE, ctypes.c_int64, "v # v v u s i n I # I"),
     "max_disp_sq": (DOUBLE, ctypes.c_double, "v v # v v u"),
 }
 

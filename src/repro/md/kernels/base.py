@@ -42,28 +42,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.md.neighbor import NeighborList
     from repro.md.potentials.base import PairRows
 
-__all__ = ["DirectedRows", "KernelBackend", "PairStyle", "SortedHalfPairs"]
+__all__ = ["CsrRows", "KernelBackend", "PairStyle"]
 
 
-class SortedHalfPairs(NamedTuple):
-    """What :meth:`KernelBackend.neighbor_pairs` hands the neighbor list:
-    CSR rows, whose heads the offsets name."""
+class CsrRows(NamedTuple):
+    """What every neighbor build hands its caller: CSR rows, whose heads
+    the offsets name — a serial list's half rows
+    (:meth:`KernelBackend.neighbor_pairs`) and an engine worker's
+    directed rows (:meth:`KernelBackend.directed_rows`) alike."""
 
-    #: The partners of the half pairs in row-major order, ascending
-    #: within each row.
-    j: np.ndarray
-    #: CSR row offsets (length ``n_atoms + 1``): atom ``a`` heads
-    #: ``j[offsets[a]:offsets[a + 1]]``.
+    #: Row offsets (length ``n + 1`` over ``n`` atoms): atom ``a`` heads
+    #: ``partners[offsets[a]:offsets[a + 1]]``.
     offsets: np.ndarray
-
-
-class DirectedRows(NamedTuple):
-    """What :func:`repro.md.neighbor.subdomain_directed_pairs` (and the
-    :meth:`KernelBackend.directed_rows` hook behind it) returns."""
-
-    #: Directed pairs sorted by ``(i, sort_key[j])``.
-    i: np.ndarray
-    j: np.ndarray
+    #: The partners in row-major order, each row in its build's order.
+    partners: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +146,14 @@ class KernelBackend(abc.ABC):
 
         The parallel engine's directed rows are stored sorted by owning
         atom, which lets a backend collapse the scatter into a segmented
-        reduction over contiguous runs.  The summation order within each
-        segment must stay input order (bitwise-compatible with the
-        generic scatter); this default just delegates.
+        reduction over contiguous runs.  The contract is determinism per
+        segment: each run of equal indices is summed by a rule fixed by
+        the run's values alone — input order on this default and on
+        ``compiled`` (which equal :meth:`scatter_add` bitwise), on
+        ``numpy_fast`` ``np.add.reduceat``'s first value plus the
+        pairwise ``np.add.reduce`` of the rest (which need not) — so an
+        atom's row sums to the same bits whatever the decomposition
+        placed around it; this default just delegates.
         """
         self.scatter_add(out, index, values)
 
@@ -265,13 +262,13 @@ class KernelBackend(abc.ABC):
 
     def neighbor_pairs(
         self, positions: np.ndarray, box, rc: float, *, brute: bool = False
-    ) -> "SortedHalfPairs | None":
+    ) -> "CsrRows | None":
         """Optional native half-pair build for the Neigh task.
 
         The caller has chosen the algorithm; ``brute`` says which.  A
         backend that runs it faster than numpy returns the half pairs
-        here as CSR rows — partners **already in row-major order** and
-        the row offsets, no heads — so the caller does not sort: with
+        here as :class:`CsrRows` — partners **already in row-major
+        order**, no heads — so the caller does not sort: with
         ``brute``, exactly
         :func:`repro.md.neighbor.brute_force_pairs` (same pair set, same
         orientations, same ``np.triu_indices`` order), else exactly
@@ -290,17 +287,19 @@ class KernelBackend(abc.ABC):
         rc: float,
         sort_key: np.ndarray | None = None,
         anchor_limit: int | None = None,
-    ) -> "DirectedRows | None":
+    ) -> "CsrRows | None":
         """Optional native directed-row build for an engine worker.
 
         ``positions`` is a subdomain's local atom set (owned atoms, then
         ghost images) in the open ``box`` around it.  A backend that can
         emit the directed rows straight from the cell traversal returns
-        them here **bitwise as** :func:`repro.md.neighbor.
-        subdomain_directed_pairs` builds them from the half list — every
-        pair within ``rc`` in both directions, rows headed by atoms
-        ``[0, anchor_limit)`` only (all atoms when ``None``), sorted by
-        ``(i, sort_key[j])`` (``sort_key=None`` sorts by ``j``).
+        them here as :class:`CsrRows` **bitwise as** :func:`repro.md.
+        neighbor.subdomain_directed_pairs` builds them from the half
+        list — every pair within ``rc`` in both directions, rows headed
+        by atoms ``[0, anchor_limit)`` only (all atoms when ``None``;
+        the offsets still span every atom, the rows past the limit
+        empty), each row sorted by ``sort_key`` of its partners
+        (``sort_key=None`` sorts by index).
         Returning ``None`` (the default, and the answer for float32
         positions, periodic boxes and rows with tied sort keys) keeps the
         caller on the numpy mirror-and-lexsort path.

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.md.box import Box
-from repro.md.kernels.base import DirectedRows, SortedHalfPairs
+from repro.md.kernels.base import CsrRows
 from repro.md.kernels.numpy_fast import NumpyFastBackend
 
 __all__ = [
@@ -161,25 +161,18 @@ def _agree(got, want, tier=0.0) -> bool:
 
 
 def _built_twice(provider, case, a) -> bool:
-    """A native build's capacity protocol: ``case.call`` given ``out_i``
-    and ``out_j`` with half the room the reference rows need, then with
-    room to spare.  A too-small buffer must report the true count without
-    writing past it.  A build that returns CSR offsets writes partners
-    only (to ``out_j``): the second run's partners must be the
-    reference's ``j`` and its offsets ``searchsorted`` of the
-    reference's heads; else both rows must be the reference's."""
-    ref_i, ref_j = case.reference(provider, a)
-    for cap in (len(ref_i) // 2, len(ref_i) + 7):
-        out = np.full((2, cap + 1), -1, np.int64)
-        built = SimpleNamespace(**vars(a), out_i=out[0, :cap], out_j=out[1, :cap])
-        count, *offsets = case.call(provider, built)
-        if not (count == len(ref_i) and np.all(out[:, cap] == -1)):
+    """A native build's capacity protocol: ``case.call`` given partners
+    room ``out`` of half what the reference's CSR rows ``(offsets,
+    partners)`` need, then of room to spare.  A too-small buffer must
+    report the true count without writing past it; the second run's
+    ``(count, offsets)`` and partners must be the reference's."""
+    ref_offsets, ref_partners = case.reference(provider, a)
+    for cap in (len(ref_partners) // 2, len(ref_partners) + 7):
+        room = np.full(cap + 1, -1, np.int64)
+        count, offsets = case.call(provider, SimpleNamespace(**vars(a), out=room[:cap]))
+        if not (count == len(ref_partners) and room[cap] == -1):
             return False
-    if offsets:
-        (row,) = offsets
-        heads = np.searchsorted(ref_i, np.arange(len(row)))
-        return _agree((out[1, :count], row), (ref_j, heads))
-    return _agree(tuple(out[:, :count]), (ref_i, ref_j))
+    return _agree((offsets, room[:count]), (ref_offsets, ref_partners))
 
 
 def _written(result, *outputs):
@@ -326,14 +319,28 @@ def _unfused_lj(provider, a):
     return len(i), energy, f_over_r * (r * r), forces
 
 
+def _owner_inputs(rng, policy):
+    """The lj/cut inputs read as an engine worker's rows: atoms
+    ``[0, n_owned)`` owned (rows 0, 9, 10 and 17 among them empty), the
+    full rows past them ghost-headed, and every local atom's position at
+    its global id ``gids`` in a ``world`` array twice as long."""
+    a = _lj_inputs(rng, policy)
+    n = len(a.pos)
+    a.n_owned, a.gids = 24, rng.choice(2 * n, n, replace=False)
+    a.world = rng.uniform(0, 1, (2 * n, 3)).astype(a.pos.dtype)
+    a.world[a.gids] = a.pos
+    return a
+
+
 def _unfused_lj_rows(provider, a):
-    """The same pairs read as directed (head, partner) rows:
-    ``pair_terms`` over ``r`` and einsum's ``r2``, each term scattered
-    onto its head's pre-loaded forces and tallies."""
-    i, j, r2 = a.i, a.j, a.r2
-    energy, f_over_r = a.lj.pair_terms(a.r, r2, a.types[i], a.types[j], None, None)
+    """The pairs of the owned rows read as directed (head, partner)
+    rows: ``pair_terms`` over ``r`` and einsum's ``r2``, each term
+    scattered onto its head's pre-loaded forces and tallies."""
+    owned = a.i < a.n_owned
+    i, j, r, r2, dr = a.i[owned], a.j[owned], a.r[owned], a.r2[owned], a.dr[owned]
+    energy, f_over_r = a.lj.pair_terms(r, r2, a.types[i], a.types[j], None, None)
     forces, (e, v) = a.forces.copy(), a.tallies.copy()
-    provider.scatter3(forces, i, f_over_r[:, None] * a.dr)
+    provider.scatter3(forces, i, f_over_r[:, None] * dr)
     provider.scatter1(e, i, 0.5 * energy)
     provider.scatter1(v, i, 0.5 * f_over_r * r2)
     return len(i), forces, e, v
@@ -492,10 +499,11 @@ def _brute_inputs(rng, policy):
 
 
 def _brute_force_pairs(provider, a):
-    """Its pairs, in ``np.triu_indices`` order."""
+    """Its pairs, in ``np.triu_indices`` order, as CSR rows."""
     from repro.md.neighbor import brute_force_pairs
 
-    return brute_force_pairs(a.pos, a.box, a.rc)
+    i, j = brute_force_pairs(a.pos, a.box, a.rc)
+    return np.searchsorted(i, np.arange(len(a.pos) + 1)), j
 
 
 def _cell_csr_inputs(rng, policy):
@@ -516,13 +524,13 @@ def _cell_csr_inputs(rng, policy):
 
 
 def _lexsorted_cell_pairs(provider, a):
-    """The rows exactly as ``lexsort((j, i))`` orders the numpy build's
-    pairs — the neighbor list no longer sorts them."""
+    """The CSR rows exactly as ``lexsort((j, i))`` orders the numpy
+    build's pairs — the neighbor list no longer sorts them."""
     from repro.md.neighbor import cell_list_half_pairs
 
     i, j = cell_list_half_pairs(a.pos, a.box, a.rc)
     order = np.lexsort((j, i))
-    return i[order], j[order]
+    return np.searchsorted(i[order], np.arange(len(a.pos) + 1)), j[order]
 
 
 def _cell_inputs(rng, policy):
@@ -537,6 +545,7 @@ def _cell_inputs(rng, policy):
         pos=pos.astype(policy.storage_dtype), moved=moved.astype(policy.storage_dtype),
         box=box, open_box=_box_f64(Box(box.lengths, periodic=(False,) * 3)), rc=2.2,
         key=rng.permutation(len(pos)), anchors=70,
+        offsets=np.full(len(pos) + 1, -1, np.int64),
     )
 
 
@@ -632,8 +641,9 @@ _SMOKE_CASES = {
     "lj_half": _Case(_lj_inputs, lambda p, a: _counted(p.lj_half(
         a.pos, a.offsets, a.pj, *a.head, *a.tables, a.forces, *a.terms
     ), *a.terms) + (a.forces,), _unfused_lj, "bitwise"),
-    "lj_rows": _Case(_lj_inputs, lambda p, a: _written(p.lj_rows(
-        a.pos, a.pi, a.pj, a.pi, a.pj, *a.head, *a.tables, a.forces, *a.tallies
+    "lj_rows": _Case(_owner_inputs, lambda p, a: _written(p.lj_rows(
+        a.world, a.gids, a.offsets, a.n_owned, a.pj, *a.head, *a.tables, a.forces,
+        *a.tallies,
     ), a.forces, *a.tallies), _unfused_lj_rows, "bitwise"),
     "prune_rows": _Case(_prune_inputs, lambda p, a: _pruned(
         p.prune_rows(a.pos, a.offsets, a.pj, *a.head, *a.inner), *a.inner
@@ -653,14 +663,14 @@ _SMOKE_CASES = {
     ),
     "charmm_terms": _Case(_charmm_inputs, _charmm_terms, _screened_terms, "bitwise"),
     "brute_csr": _Case(_brute_inputs, lambda p, a: _written(p.brute_csr(
-        a.pos, *_box_f64(a.box)[::2], a.rc * a.rc, a.out_j, a.offsets
+        a.pos, *_box_f64(a.box)[::2], a.rc * a.rc, a.out, a.offsets
     ), a.offsets), _brute_force_pairs, "builder"),
     "cell_csr": _Case(_cell_csr_inputs, lambda p, a: _written(p.cell_csr(
-        a.pos, *_box_f64(a.box), a.rc, a.out_j, a.offsets
+        a.pos, *_box_f64(a.box), a.rc, a.out, a.offsets
     ), a.offsets), _lexsorted_cell_pairs, "builder"),
     "cell_rows": _Case(_cell_inputs, lambda p, a: _written(p.cell_rows(
-        a.pos, *a.open_box, a.rc, a.key, a.anchors, a.out_i, a.out_j
-    )), _mirrored_half_list, "builder"),
+        a.pos, *a.open_box, a.rc, a.key, a.anchors, a.out, a.offsets
+    ), a.offsets), _mirrored_half_list, "builder"),
     "max_disp_sq": _Case(_cell_inputs, lambda p, a: _written(
         p.max_disp_sq(a.moved, a.pos, *_box_f64(a.box))
     ), _numpy_skin_check, "bitwise"),
@@ -787,7 +797,9 @@ class CompiledBackend(NumpyFastBackend):
         return (count, *geometry)
 
     def current_pairs(self, system, neighbors, cutoff=None):
-        stored = self._stored_rows(system, neighbors)
+        stored = self._csr_rows(
+            neighbors.csr_offsets, neighbors.csr_neighbors, system.n_atoms
+        )
         if neighbors._positions_at_build is None or stored is None:
             return super().current_pairs(system, neighbors, cutoff)
         rc = neighbors.cutoff if cutoff is None else float(cutoff)
@@ -860,15 +872,14 @@ class CompiledBackend(NumpyFastBackend):
         return fused(style, rows)
 
     @staticmethod
-    def _stored_rows(system, neighbors):
-        """``(offsets, partners)``: the list's stored CSR rows, or
-        ``None`` when they cannot go to the kernels as they are over
-        ``system``'s atoms."""
-        offsets, partners = neighbors.csr_offsets, neighbors.csr_neighbors
+    def _csr_rows(offsets, partners, n):
+        """``(offsets, partners)``: CSR rows over ``n`` atoms — a stored
+        list's or an engine worker's — or ``None`` when they cannot go
+        to the kernels as they are."""
         if not (
             _native(offsets, np.int64)
             and _native(partners, np.int64)
-            and offsets.shape == (system.n_atoms + 1,)
+            and offsets.shape == (n + 1,)
             and offsets[-1] == len(partners)
         ):
             return None
@@ -883,7 +894,9 @@ class CompiledBackend(NumpyFastBackend):
         the kernels as they are.  Either way the survivors, and their
         order, are the stored list's."""
         system, neighbors = rows.system, rows.neighbors
-        stored = cls._stored_rows(system, neighbors)
+        stored = cls._csr_rows(
+            neighbors.csr_offsets, neighbors.csr_neighbors, system.n_atoms
+        )
         if stored is None or not (
             _native(system.positions, np.float64)
             and _native(system.forces, np.float64)
@@ -1048,24 +1061,24 @@ class CompiledBackend(NumpyFastBackend):
 
     def _lj_rows(self, style, rows):
         lists = rows.lists
-        # The rows an owned atom heads: (di, dj, gdi, gdj), a prefix.
-        heads = tuple(
-            index[: lists.n_owned_rows]
-            for index in (lists.di, lists.dj, lists.gdi, lists.gdj)
-        )
+        gids = lists.index.gids
+        csr = self._csr_rows(lists.offsets, lists.partners, len(gids))
         slots = (rows.forces, rows.energy, rows.virial)
         args = self._lj_arguments(style, rows.per_atom("types"))
-        if args is None or not (
+        if args is None or csr is None or not (
             _native(rows.positions, np.float64)
             and all(_native(slot, np.float64) for slot in slots)
-            and all(_native(index, np.int64) for index in heads)
+            and _native(gids, np.int64)
         ):
             return None
-        if len(heads[0]) == 0:
-            return 0
+        offsets, partners = csr
+        # The kernel walks the owned heads' rows only.
         return self._impl.lj_rows(
             rows.positions,
-            *heads,
+            gids,
+            offsets,
+            rows.n_owned,
+            partners,
             np.ascontiguousarray(rows.lengths, dtype=np.float64),
             np.ascontiguousarray(rows.periodic, dtype=np.uint8),
             *args,
@@ -1216,22 +1229,24 @@ class CompiledBackend(NumpyFastBackend):
     # ------------------------------------------------------------------
     # Neighbor-list build
     # ------------------------------------------------------------------
-    def _fitted(self, stem, estimate, build, outputs=1):
-        """The native builds' capacity protocol around ``build(*outs) ->
-        count``: ``outputs`` fresh pair arrays every time (the caller
-        keeps views of them, so nothing is copied out of scratch
-        afterwards), sized by the largest count a build has reported
-        plus a quarter once there is one, else by ``estimate``.  The
-        largest, so a smaller build between two list builds
-        (``neighbors_per_atom`` at the force cutoff) cannot make the
-        next one overflow.  A kernel reports the true count even when
-        it did not fit, so one retry always suffices; a negative count
-        (allocation failure, unmet precondition, tied sort keys) gives
-        ``None``, else each output cut to the count."""
+    def _fitted(self, stem, estimate, positions, *args):
+        """The native builds' capacity protocol around the ``stem``
+        kernel called as ``(positions, *args, partners, offsets)``: CSR
+        rows over ``positions``, in a fresh partners array every time
+        (the caller keeps a view of it, so nothing is copied out of
+        scratch afterwards), sized by the largest count a build has
+        reported plus a quarter once there is one, else by
+        ``estimate``.  The largest, so a smaller build between two list
+        builds (``neighbors_per_atom`` at the force cutoff) cannot make
+        the next one overflow.  A kernel reports the true count even
+        when it did not fit, so one retry always suffices; a negative
+        count (allocation failure, unmet precondition, tied sort keys)
+        gives ``None``."""
+        offsets = np.zeros(len(positions) + 1, dtype=np.int64)
         capacity = self._capacity_hint[stem] or max(estimate, 1024)
         while True:
-            outs = [np.empty(capacity, np.int64) for _ in range(outputs)]
-            count = build(*outs)
+            partners = np.empty(capacity, np.int64)
+            count = getattr(self._impl, stem)(positions, *args, partners, offsets)
             if count < 0:
                 return None
             if count <= capacity:
@@ -1240,7 +1255,7 @@ class CompiledBackend(NumpyFastBackend):
         self._capacity_hint[stem] = max(
             self._capacity_hint[stem], count + (count >> 2)
         )
-        return [out[:count] for out in outs]
+        return CsrRows(offsets, partners[:count])
 
     def neighbor_pairs(self, positions, box, rc, *, brute=False):
         """Compiled half-pair build (float64 ``(n, 3)`` positions only),
@@ -1261,9 +1276,8 @@ class CompiledBackend(NumpyFastBackend):
             return None
         positions = np.ascontiguousarray(positions)
         n = len(positions)
-        offsets = np.zeros(n + 1, dtype=np.int64)
         if n == 0:
-            return SortedHalfPairs(np.empty(0, dtype=np.int64), offsets)
+            return CsrRows(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
         lengths, origin, periodic = _box_f64(box)
         volume = float(np.prod(lengths))
         # Half-pair estimate (4pi/6 * rc^3 * n^2 / V), padded.
@@ -1272,26 +1286,17 @@ class CompiledBackend(NumpyFastBackend):
             estimate += int(2.6 * float(rc) ** 3 * n * n / volume)
         if brute:
             # brute_force_pairs compares with its own python rc * rc.
-            rc2 = float(rc) * float(rc)
-            stem, estimate = "brute_csr", min(estimate, n * (n - 1) // 2)
-
-            def build(out_j):
-                return self._impl.brute_csr(
-                    positions, lengths, periodic, rc2, out_j, offsets
-                )
-        else:
-            stem = "cell_csr"
-
-            def build(out_j):
-                return self._impl.cell_csr(
-                    positions, lengths, origin, periodic, float(rc), out_j, offsets
-                )
-        built = self._fitted(stem, estimate, build)
-        return None if built is None else SortedHalfPairs(*built, offsets)
+            return self._fitted(
+                "brute_csr", min(estimate, n * (n - 1) // 2), positions, lengths,
+                periodic, float(rc) * float(rc),
+            )
+        return self._fitted(
+            "cell_csr", estimate, positions, lengths, origin, periodic, float(rc)
+        )
 
     def directed_rows(self, positions, box, rc, sort_key=None, anchor_limit=None):
         """Compiled directed-row build for an engine worker's local set
-        (float64 positions in an open box only): the rows of
+        (float64 positions in an open box only): the CSR rows of
         :func:`repro.md.neighbor.subdomain_directed_pairs`, bitwise,
         without the half list, the mirror or the lexsort."""
         positions = np.asarray(positions)
@@ -1322,16 +1327,10 @@ class CompiledBackend(NumpyFastBackend):
         estimate = 16 * anchors + int(
             5.2 * float(rc) ** 3 * n * anchors / float(np.prod(extent))
         )
-        built = self._fitted(
-            "cell_rows",
-            min(estimate, anchors * (n - 1)),
-            lambda out_i, out_j: self._impl.cell_rows(
-                positions, lengths, origin, periodic, float(rc),
-                sort_key, anchors, out_i, out_j,
-            ),
-            outputs=2,
+        return self._fitted(
+            "cell_rows", min(estimate, anchors * (n - 1)), positions, lengths,
+            origin, periodic, float(rc), sort_key, anchors,
         )
-        return None if built is None else DirectedRows(*built)
 
     def prune_rows(self, positions, box, offsets, partners, radius):
         """Native inner-row sweep (float64, C-contiguous only).  The

@@ -159,7 +159,9 @@ class NumpyFastBackend(KernelBackend):
             self.scatter_add(out, index, values)
             return
         # Segment boundaries of the contiguous index runs; reduceat sums
-        # each run sequentially (input order), matching bincount bitwise.
+        # each run as its first value plus np.add.reduce (pairwise) of
+        # the rest, so a row's total is fixed by its own values but need
+        # not be bincount's input-order bits.
         boundaries = np.flatnonzero(index[1:] != index[:-1]) + 1
         starts = np.concatenate([[0], boundaries]).astype(np.intp)
         rows = index[starts]

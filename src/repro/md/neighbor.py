@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
-from repro.md.kernels.base import DirectedRows
+from repro.md.kernels.base import CsrRows
 from repro.observability.tracer import NULL_TRACER
 
 __all__ = [
@@ -34,6 +34,8 @@ __all__ = [
     "NeighborStats",
     "brute_force_pairs",
     "cell_list_half_pairs",
+    "drop_excluded_pairs",
+    "row_heads",
     "subdomain_directed_pairs",
 ]
 
@@ -76,8 +78,8 @@ _HALF_STENCIL = np.array(
 
 def _encode_pairs(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     """Map unordered index pairs to unique scalar keys for set algebra."""
-    lo = np.minimum(i, j).astype(np.int64)
-    hi = np.maximum(i, j).astype(np.int64)
+    lo = np.minimum(i, j).astype(np.int64, copy=False)
+    hi = np.maximum(i, j).astype(np.int64, copy=False)
     return lo * np.int64(n) + hi
 
 
@@ -92,15 +94,16 @@ def _ragged_arange(counts: np.ndarray) -> np.ndarray:
 
 
 def _row_offsets(i: np.ndarray, n: int) -> np.ndarray:
-    """CSR offsets (length ``n + 1``) of row-major pairs headed by ``i``."""
+    """CSR offsets (length ``n + 1``) of the rows the heads ``i`` fill."""
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(i, minlength=n), out=offsets[1:])
     return offsets
 
 
-def _row_heads(offsets: np.ndarray) -> np.ndarray:
+def row_heads(offsets: np.ndarray) -> np.ndarray:
     """The head of every pair of the CSR rows ``offsets``: the inverse
-    of :func:`_row_offsets`."""
+    of :func:`_row_offsets`, what a numpy body reads beside the
+    partners."""
     return np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
 
 
@@ -117,6 +120,22 @@ def _isin_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     pos = np.searchsorted(sorted_keys, keys)
     pos = np.minimum(pos, len(sorted_keys) - 1)
     return sorted_keys[pos] == keys
+
+
+def drop_excluded_pairs(
+    rows: CsrRows, excluded: np.ndarray, n_ids: int, ids: np.ndarray | None = None
+) -> CsrRows:
+    """``rows`` without the pairs whose :func:`_encode_pairs` key over
+    ``n_ids`` atom ids is in the sorted ``excluded``, survivors in order:
+    the exclusion filter of both drivers.  ``ids`` maps the rows' atom
+    indices to those ids (an engine worker's global ids)."""
+    offsets, partners = rows
+    if len(excluded) == 0 or len(partners) == 0:
+        return rows
+    heads = row_heads(offsets)
+    ends = (heads, partners) if ids is None else (ids[heads], ids[partners])
+    keep = ~_isin_sorted(_encode_pairs(*ends, n_ids), excluded)
+    return CsrRows(_row_offsets(heads[keep], len(offsets) - 1), partners[keep])
 
 
 def brute_force_pairs(
@@ -247,25 +266,27 @@ def subdomain_directed_pairs(
     sort_key: np.ndarray | None = None,
     anchor_limit: int | None = None,
     kernels=None,
-) -> DirectedRows:
-    """Directed pair list over a subdomain's local atom set.
+) -> CsrRows:
+    """Directed CSR rows over a subdomain's local atom set.
 
     The parallel engine hands each worker its owned atoms plus
     ghost-shifted halo copies; periodicity is realized by the ghost
     images, so the local search runs in an *open* (non-periodic)
     bounding box with plain Euclidean distances.  Every unordered pair
-    within ``rc`` is returned in both directions ``(i, j)`` and
-    ``(j, i)``, sorted by ``(i, sort_key[j])`` — passing the global atom
-    ids as ``sort_key`` makes each atom's neighbor row canonically
-    ordered regardless of how the domain was decomposed, which is what
-    keeps parallel force sums bitwise reproducible across worker counts.
+    within ``rc`` lands in both atoms' rows — the serial list's layout,
+    offsets of length ``n_local + 1`` — each row sorted by
+    ``sort_key`` of its partners: passing the global atom ids makes
+    each atom's neighbor row canonically ordered regardless of how the
+    domain was decomposed, which is what keeps parallel force sums
+    bitwise reproducible across worker counts.
 
-    ``anchor_limit`` keeps only the rows whose head is below it.  Owned
-    locals come first in the worker's numbering, so passing ``n_owned``
-    drops every ghost-headed row — the rows a one-sided owner-computes
-    pass never reads (EAM is the exception: its density pass needs the
-    ghost-headed rows and must not set this).  The surviving rows are
-    bitwise identical to the matching prefix of the unrestricted list.
+    ``anchor_limit`` keeps only the rows whose head is below it (the
+    rows past it are empty).  Owned locals come first in the worker's
+    numbering, so passing ``n_owned`` drops every ghost-headed row — the
+    rows a one-sided owner-computes pass never reads (EAM is the
+    exception: its density pass needs the ghost-headed rows and must
+    not set this).  The surviving rows are bitwise the same rows of the
+    unrestricted list.
 
     ``kernels`` optionally supplies a
     :class:`~repro.md.kernels.base.KernelBackend`, whose
@@ -281,9 +302,8 @@ def subdomain_directed_pairs(
     if positions.dtype != np.float32:
         positions = positions.astype(np.float64, copy=False)
     n = len(positions)
-    empty = np.empty(0, dtype=np.int64)
     if n < 2:
-        return DirectedRows(empty, empty)
+        return CsrRows(np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
     # Open bounding box with one-cutoff margin; degenerate extents
     # (planar or linear local sets) still need positive edge lengths.
     lo = positions.min(axis=0) - rc
@@ -307,7 +327,7 @@ def subdomain_directed_pairs(
         dj = np.concatenate([j[forward], i[reverse]])
     key = dj if sort_key is None else np.asarray(sort_key, dtype=np.int64)[dj]
     order = np.lexsort((key, di))
-    return DirectedRows(di[order], dj[order])
+    return CsrRows(_row_offsets(di, n), dj[order])
 
 
 @dataclass
@@ -424,18 +444,13 @@ class NeighborList:
         positions = box.wrap(system.positions)
         n = system.n_atoms
         self.check_box(box)
-        i, j, offsets = self._half_pairs(positions, box, self.list_cutoff)
-
+        offsets, j = self._half_pairs(positions, box, self.list_cutoff)
         if self.full:
-            if i is None:
-                i = _row_heads(offsets)
+            # Both directions, repacked row-major; the heads are dropped
+            # again and pair_i re-derives them on demand.
+            i = row_heads(offsets)
             i, j = np.concatenate([i, j]), np.concatenate([j, i])
-            offsets = None
-        # CSR packing: row-major (i, then j) order, offsets per atom.
-        # The heads are dropped here; pair_i re-derives them on demand.
-        if offsets is None:
-            order = np.lexsort((j, i))
-            j = j[order]
+            j = j[np.lexsort((j, i))]
             offsets = _row_offsets(i, n)
         self.csr_offsets = offsets
         self.csr_neighbors = j
@@ -448,32 +463,23 @@ class NeighborList:
         beside ``csr_neighbors``: a read-only expansion of
         ``csr_offsets``, derived on the first read after a build."""
         if self._heads is None or self._heads[0] is not self.csr_offsets:
-            heads = _row_heads(self.csr_offsets)
+            heads = row_heads(self.csr_offsets)
             heads.flags.writeable = False
             self._heads = self.csr_offsets, heads
         return self._heads[1]
 
-    def _half_pairs(
-        self, positions: np.ndarray, box: Box, rc: float
-    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
-        """``(i, j, offsets)``: the half pairs of the wrapped
-        ``positions`` within ``rc``, exclusions dropped.
+    def _half_pairs(self, positions: np.ndarray, box: Box, rc: float) -> CsrRows:
+        """The half pairs of the wrapped ``positions`` within ``rc`` as
+        row-major (i, then j) CSR rows, exclusions dropped.
 
-        ``offsets`` are the CSR row offsets when the producer emits
-        row-major (i, then j) pairs — np.triu_indices walks i < j in
-        that order, and a native build contracts to it and hands its
-        offsets over — and ``None`` when the pairs need a sort.  The
-        heads ``i`` are ``None`` when a native build's rows stand
-        unfiltered: it writes no heads, and only the exclusions and a
-        full list's mirror need them (:func:`_row_heads` derives them).
+        np.triu_indices walks i < j in that order and a native build
+        contracts to it; the numpy link-cell pairs are lexsorted into it.
 
         The span names the algorithm (``neigh.brute_pairs`` or
         ``neigh.cell_pairs``), whichever producer — the backend's
         ``neighbor_pairs`` hook or numpy — runs it.
         """
         n = len(positions)
-        i = offsets = None
-        row_major = True
         brute = n <= BRUTE_FORCE_MAX_ATOMS or not self._can_bin(box, rc)
         with self.tracer.span(
             "neigh.brute_pairs" if brute else "neigh.cell_pairs", "neigh"
@@ -483,25 +489,17 @@ class NeighborList:
                 if self.kernels is not None
                 else None
             )
-            if rows is not None:
-                j, offsets = rows
-            elif brute:
-                i, j = brute_force_pairs(positions, box, rc)
-            else:
-                i, j = cell_list_half_pairs(positions, box, rc)
-                row_major = False
+            if rows is None:
+                if brute:
+                    i, j = brute_force_pairs(positions, box, rc)
+                else:
+                    i, j = cell_list_half_pairs(positions, box, rc)
+                    j = j[np.lexsort((j, i))]
+                rows = CsrRows(_row_offsets(i, n), j)
         excluded = self.excluded_keys(n)
         if excluded is not None:
-            if i is None:
-                i = _row_heads(offsets)
-            keep = ~_isin_sorted(_encode_pairs(i, j, n), excluded)
-            # Order-preserving, but the producer's offsets describe the
-            # unfiltered rows.
-            i, j = i[keep], j[keep]
-            offsets = None
-        if row_major and offsets is None:
-            offsets = _row_offsets(i, n)
-        return i, j, offsets
+            rows = drop_excluded_pairs(rows, excluded, n)
+        return rows
 
     def excluded_keys(self, n_atoms: int) -> np.ndarray | None:
         """The exclusion pairs as sorted :func:`_encode_pairs` keys over
@@ -526,8 +524,8 @@ class NeighborList:
         if self._positions_at_build is None:
             raise RuntimeError("neighbor list has never been built")
         positions = self._positions_at_build
-        _, j, _ = self._half_pairs(positions, self._box_at_build, self.cutoff)
-        return 2 * len(j) / len(positions)
+        rows = self._half_pairs(positions, self._box_at_build, self.cutoff)
+        return 2 * len(rows.partners) / len(positions)
 
     def check_box(self, box: Box) -> None:
         """Refuse a box too small for minimum-image pair search.

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.md.kernels.base import KernelBackend
 from repro.md.kernels.numpy_fast import min_image_geometry
-from repro.md.neighbor import _encode_pairs, _isin_sorted, subdomain_directed_pairs
+from repro.md.neighbor import drop_excluded_pairs, row_heads, subdomain_directed_pairs
 from repro.md.potentials.base import PairRows, Pairs
 from repro.parallel.halo import LocalIndex
 
@@ -35,18 +35,14 @@ __all__ = ["DomainLists", "OwnerRows"]
 
 @dataclass
 class DomainLists:
-    """One worker's frozen neighbor state between rebuilds."""
+    """One worker's frozen neighbor state between rebuilds: the directed
+    CSR rows of its local atoms (owned first, then ghosts), each sorted
+    by global id.  The per-row heads and global ids a numpy body reads
+    are derived on their first read; a fused pass never needs them."""
 
     index: LocalIndex
-    #: Directed local pairs, sorted by ``(i, global_id[j])``.
-    di: np.ndarray
-    dj: np.ndarray
-    #: Global atom ids per directed row (gathered once per rebuild).
-    gdi: np.ndarray
-    gdj: np.ndarray
-    #: Rows ``[:n_owned_rows]`` have an *owned* ``i`` — a prefix, since
-    #: rows are sorted by local ``i`` and owned locals come first.
-    n_owned_rows: int
+    offsets: np.ndarray
+    partners: np.ndarray
     _scratch: tuple | None = field(default=None, repr=False)
 
     @classmethod
@@ -67,25 +63,32 @@ class DomainLists:
         # worker's backend (the compiled one) emit the rows natively; it
         # contracts to deliver the numpy rows exactly, so nothing
         # downstream can tell.
-        di, dj = subdomain_directed_pairs(
+        rows = subdomain_directed_pairs(
             local_positions,
             list_cutoff,
             sort_key=index.gids,
             anchor_limit=index.n_owned if owned_only else None,
             kernels=kernels,
         )
-        if excluded_keys is not None and len(excluded_keys) and len(di):
-            keys = _encode_pairs(index.gids[di], index.gids[dj], n_atoms_total)
-            keep = ~_isin_sorted(keys, excluded_keys)
-            di, dj = di[keep], dj[keep]
-        return cls(
-            index=index,
-            di=di,
-            dj=dj,
-            gdi=index.gids[di],
-            gdj=index.gids[dj],
-            n_owned_rows=int(np.searchsorted(di, index.n_owned)),
-        )
+        if excluded_keys is not None:
+            rows = drop_excluded_pairs(rows, excluded_keys, n_atoms_total, index.gids)
+        return cls(index, *rows)
+
+    @property
+    def n_owned_rows(self) -> int:
+        """Rows ``[:n_owned_rows]`` have an *owned* head — a prefix,
+        since owned locals come first."""
+        return int(self.offsets[self.index.n_owned])
+
+    @cached_property
+    def heads(self) -> np.ndarray:
+        """The local head of every row (non-decreasing)."""
+        return row_heads(self.offsets)
+
+    @cached_property
+    def global_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The global ids ``(head, partner)`` of every row."""
+        return self.index.gids[self.heads], self.index.gids[self.partners]
 
     @cached_property
     def gid_order(self) -> np.ndarray:
@@ -94,18 +97,18 @@ class DomainLists:
         walk.  No two images of one atom bond to the same owned atom
         (the half-box cutoff check), so ``(gid_i, gid_j, gid_k)`` orders
         every owned atom's contributions whatever the decomposition."""
-        return np.argsort(self.gdi, kind="stable")
+        return np.argsort(self.global_rows[0], kind="stable")
 
     def geometry(self, positions, lengths, periodic) -> tuple[np.ndarray, ...]:
         """Minimum-image ``(dr, r2)`` of every stored row from the
         *global* ``positions``, in per-rebuild scratch."""
-        m, dtype = len(self.di), positions.dtype
+        m, dtype = len(self.partners), positions.dtype
         if self._scratch is None or self._scratch[0].dtype != dtype:
             self._scratch = (
                 np.empty((m, 3), dtype), np.empty((m, 3), dtype), np.empty(m, dtype)
             )
         return min_image_geometry(
-            positions, self.gdi, self.gdj, lengths, periodic, self._scratch
+            positions, *self.global_rows, lengths, periodic, self._scratch
         )
 
 
@@ -124,8 +127,9 @@ class OwnerRows(PairRows):
     A symmetric term is seen from both ends across the pool, so its
     head alone is written and its energy and virial count half; a
     directed term counts whole and reaches any owned atom it names.
-    Every sum adds pair after pair in row order, which with rows sorted
-    by global partner id makes it independent of the worker count.
+    Every row is summed by a rule fixed by its own values (the
+    backend's scatters), which with rows sorted by global partner id
+    makes it independent of the worker count.
     """
 
     kind = "owner"
@@ -147,8 +151,8 @@ class OwnerRows(PairRows):
         self.energy, self.virial = np.zeros((2, n), dtype=at)
         spins = per_atom.get("omega") is not None
         self.torques = np.zeros((n, 3), dtype=at) if spins else None
-        # dr / r2 / owned mask of every stored row, built for the first
-        # body that asks: a fully fused domain never materializes them.
+        # dr / r2 of every stored row, built for the first body that
+        # asks: a fully fused domain never materializes them.
         self._geometry = None
         self._directed = self._ghosts = False
         self._scatter = backend.scatter_add_sorted
@@ -159,16 +163,14 @@ class OwnerRows(PairRows):
     def within(self, cutoff, *, directed=False, ghost_heads=False):
         lists, kernels = self.lists, self.backend
         if self._geometry is None:
-            self._geometry = (
-                *lists.geometry(self.positions, self.lengths, self.periodic),
-                lists.di < self.n_owned,
-            )
-        dr_all, r2_all, owned = self._geometry
+            self._geometry = lists.geometry(self.positions, self.lengths, self.periodic)
+        dr_all, r2_all = self._geometry
         self._directed, self._ghosts = directed, directed or ghost_heads
         # Only a directed walk leaves the heads out of index order.
         self._scatter = kernels.scatter_add if directed else kernels.scatter_add_sorted
         inside = r2_all < cutoff * cutoff
-        mine = inside & owned
+        # The owned heads' rows are a prefix.
+        mine = inside[: lists.n_owned_rows]
         if directed:
             sel = lists.gid_order[inside[lists.gid_order]]
         else:
@@ -181,12 +183,13 @@ class OwnerRows(PairRows):
         if dr.dtype != ct:
             dr, r2, r = dr.astype(ct), r2.astype(ct), r.astype(ct)
         return Pairs(
-            lists.di[sel], lists.dj[sel], dr, r, r2, int(np.count_nonzero(mine))
+            lists.heads[sel], lists.partners[sel], dr, r, r2,
+            int(np.count_nonzero(mine)),
         )
 
     def _add(self, target, index, values, share=False):
-        """Input-order scatter onto owned atoms; ``share`` halves a
-        symmetric term (its other half is the mirrored row's)."""
+        """Scatter onto owned atoms; ``share`` halves a symmetric term
+        (its other half is the mirrored row's)."""
         if self._ghosts:
             keep = index < self.n_owned
             index, values = index[keep], values[keep]

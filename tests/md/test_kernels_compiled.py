@@ -273,6 +273,32 @@ class TestBitwiseContracts:
                 np.bincount(idx, weights=vecs[:, d], minlength=n),
             )
 
+    def test_sorted_scatter_is_fixed_per_segment_not_bincount_on_numpy_fast(self):
+        """``scatter_add_sorted``'s contract is a rule fixed per segment:
+        ``compiled`` sums each run in input order (``np.bincount``'s
+        bits), ``numpy_fast`` as ``np.add.reduceat`` does — the first
+        value plus the pairwise ``np.add.reduce`` of the rest — which is
+        not bincount's (a single 1000-term segment shows it)."""
+        rng = np.random.default_rng(8)
+        n, differ = 40, 0
+        for m in [1000] + [300] * 49:
+            index = np.sort(rng.integers(0, 1 if m == 1000 else n, m))
+            values = rng.normal(size=m)
+            starts = np.flatnonzero(np.diff(index, prepend=-1))
+            pairwise = np.zeros(n)
+            pairwise[index[starts]] += [
+                segment[0] + np.add.reduce(segment[1:])
+                for segment in np.split(values, starts[1:])
+            ]
+            in_order = np.zeros(n) + np.bincount(index, weights=values, minlength=n)
+            fast, native = np.zeros(n), np.zeros(n)
+            NumpyFastBackend().scatter_add_sorted(fast, index, values)
+            CompiledBackend().scatter_add_sorted(native, index, values)
+            assert _same_bits(fast, pairwise) and _same_bits(native, in_order)
+            differ += not _same_bits(fast, in_order)
+            assert m < 1000 or differ
+        assert differ > 1
+
     def test_pair_geometry_bitwise_vs_numpy_fast(self):
         rng = np.random.default_rng(11)
         box = Box([9.0, 10.0, 11.0], periodic=(True, True, False))
@@ -351,7 +377,7 @@ def _assert_rows_equal(rows, reference):
     """The native build's CSR rows are the reference's partners and
     offsets (it writes no heads: the offsets are them)."""
     _, ref_j, ref_offsets = reference
-    assert np.array_equal(rows.j, ref_j)
+    assert np.array_equal(rows.partners, ref_j)
     assert np.array_equal(rows.offsets, ref_offsets)
 
 
@@ -412,7 +438,7 @@ class TestNativeNeighborBuild:
         rows = backend.neighbor_pairs(positions, box, 2.0)
         n_pairs = 600 * 599 // 2  # the blob's diameter is < rc
         assert len(capacities) == 2
-        assert capacities[0] < n_pairs == capacities[1] == len(rows.j)
+        assert capacities[0] < n_pairs == capacities[1] == len(rows.partners)
         _assert_rows_equal(rows, _sorted_reference(positions, box, 2.0))
         # The hint now covers this density: the next build fits first time.
         backend.neighbor_pairs(positions, box, 2.0)
@@ -597,10 +623,11 @@ def _reverse_rows(args, count):
 def _rows_by_index(args, count):
     """Each directed row in local-index order: the engine no longer
     sorts native rows by global id."""
-    *_, oi, oj, _ = args
-    if 0 <= count <= len(oi):
-        order = np.lexsort((oj[:count], oi[:count]))
-        oj[:count] = oj[:count][order]
+    *_, oj, _, offsets = args
+    if 0 <= count <= len(oj):
+        for a in range(len(offsets) - 1):
+            row = slice(offsets[a], offsets[a + 1])
+            oj[row] = np.sort(oj[row])
     return count
 
 
@@ -609,7 +636,7 @@ def _overrun(k):
     test hands its rows in as views of a longer buffer)."""
 
     def corrupt(args, count):
-        args[k].base[:, -1] = 0
+        args[k].base[-1] = 0
         return count
 
     return corrupt
@@ -622,11 +649,13 @@ def _drop_last_pair(args, count):
 
 
 def _reversed_rows_input(real):
-    """The directed rows handed to the kernel in reverse."""
-    def rows(pos, di, dj, gi, gj, *rest):
-        back = slice(None, None, -1)
-        reversed_rows = (np.ascontiguousarray(x[back]) for x in (di, dj, gi, gj))
-        return real(pos, *reversed_rows, *rest)
+    """Each directed row handed to the kernel in reverse."""
+    def rows(pos, gids, offsets, n_owned, partners, *rest):
+        flipped = partners.copy()
+        for a in range(len(offsets) - 1):
+            row = slice(offsets[a], offsets[a + 1])
+            flipped[row] = partners[row][::-1]
+        return real(pos, gids, offsets, n_owned, flipped, *rest)
 
     return rows
 
@@ -744,6 +773,43 @@ class TestInstanceTable:
         assert a.offsets[row] < _LJ_BLOCK < a.offsets[row + 1]
         heads = np.repeat(np.arange(len(a.pos)), lengths)
         assert np.array_equal(heads, a.pi)
+
+    def test_owner_rows_case_holds_empty_rows_and_ghost_headed_rows(self):
+        """``lj_rows`` is checked on owned rows with empty ones among
+        them and full ghost-headed rows past them, positions read through
+        ``gids`` from a longer array, at every draw; a kernel that walks
+        the ghost-headed rows too is refused."""
+        a = compiled_module._owner_inputs(np.random.default_rng(), policy_for("double"))
+        lengths = np.diff(a.offsets)
+        assert lengths[0] == 0 and np.any(lengths[: a.n_owned] == 0)
+        assert np.all(lengths[a.n_owned : a.n_owned + 8] > 0)
+        assert len(a.world) > len(a.gids) and _same_bits(a.world[a.gids], a.pos)
+
+        def every_row(real):
+            return lambda pos, gids, offsets, n_owned, *rest: real(
+                pos, gids, offsets, len(offsets) - 1, *rest
+            )
+
+        _assert_demoted("lj_rows", every_row)
+
+    @pytest.mark.parametrize("stem", ["brute_csr", "cell_csr", "cell_rows"])
+    def test_every_builder_is_checked_at_half_its_room(self, stem):
+        """The builder protocol runs each neighbor build once with half
+        the partners room its rows need — it must report the true count
+        — and once with room to spare."""
+        provider, _ = resolve_provider()
+        real, calls = provider.bound[stem, F64, F64], []
+
+        def spy(*args):
+            count = real(*args)
+            calls.append((len(args[-3]), count))
+            return count
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(provider.bound, (stem, F64, F64), spy)
+            compiled_module._check(provider, stem, F64, F64, np.random.default_rng(4))
+        (short, count), (room, again) = calls
+        assert short == count // 2 < count == again <= room
 
     def test_instances_are_the_policies_dtype_combinations(self):
         f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
@@ -892,6 +958,11 @@ def _same_bits(a, b) -> bool:
     """Bitwise equality (``np.array_equal`` lets ``-0.0 == 0.0`` pass)."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _same_rows(a, b) -> bool:
+    """The same CSR rows, offsets and partners bit for bit."""
+    return _same_bits(a.offsets, b.offsets) and _same_bits(a.partners, b.partners)
 
 
 @st.composite
@@ -1083,6 +1154,29 @@ class TestFusedLennardJones:
             CompiledBackend(), system.types,
         )
         assert counts[0] > 0
+
+    def test_a_fused_worker_pass_derives_no_heads_or_global_ids(self):
+        """A worker's CSR rows reach ``lj_rows`` as they are: after a
+        fused LJ pass no per-row head or global-id array exists; a numpy
+        body (EAM's, which the hook declines) derives them on its read."""
+        derived = ("heads", "global_rows", "gid_order")
+        system = lj_melt_system(500, seed=3)
+        lists = _one_domain(system, 2.8, None, 0, (2, 1, 1))
+        _, counts = _owner_pass(
+            [LennardJonesCut(cutoff=2.5)], lists, system.positions, system.box,
+            CompiledBackend(), system.types,
+        )
+        assert counts[0] > 0 and not set(derived) & set(vars(lists))
+        solid = eam_solid_system(500, seed=3)
+        lists = _one_domain(
+            solid, 5.45, None, 0, (2, 1, 1), owned_only=False,
+            halo_width=EAMAlloy().halo_width(5.45),
+        )
+        _owner_pass(
+            [EAMAlloy()], lists, solid.positions, solid.box, CompiledBackend(),
+            solid.types,
+        )
+        assert {"heads", "global_rows"} <= set(vars(lists))
 
     def test_compute_takes_the_fused_route_and_keeps_tail_terms(self, monkeypatch):
         system = lj_melt_system(500, seed=5)
@@ -1796,9 +1890,8 @@ class TestNativeDirectedRows:
             )
         # The kernel's last call returned the rows: "equal" cannot pass
         # by the kernel silently declining.
-        assert counts and counts[-1] == len(native.i)
-        assert _same_bits(native.i, expected.i)
-        assert _same_bits(native.j, expected.j)
+        assert counts and counts[-1] == len(native.partners)
+        assert _same_rows(native, expected)
 
     def test_capacity_overflow_retry_returns_the_same_rows(
         self, monkeypatch, cell_lists
@@ -1814,17 +1907,17 @@ class TestNativeDirectedRows:
         capacities = []
         native = backend._impl.cell_rows
 
-        def recording(pos, lengths, origin, periodic, rc, key, anchors, oi, oj):
-            capacities.append(len(oi))
-            return native(pos, lengths, origin, periodic, rc, key, anchors, oi, oj)
+        def recording(pos, lengths, origin, periodic, rc, key, anchors, oj, offsets):
+            capacities.append(len(oj))
+            return native(pos, lengths, origin, periodic, rc, key, anchors, oj, offsets)
 
         monkeypatch.setattr(backend._impl, "cell_rows", recording)
         rows = subdomain_directed_pairs(positions, 2.0, sort_key=key, kernels=backend)
         n_rows = 500 * 499  # the blob's diameter is < rc
         assert len(capacities) == 2
-        assert capacities[0] < n_rows == capacities[1] == len(rows.i)
+        assert capacities[0] < n_rows == capacities[1] == len(rows.partners)
         expected = subdomain_directed_pairs(positions, 2.0, sort_key=key)
-        assert _same_bits(rows.i, expected.i) and _same_bits(rows.j, expected.j)
+        assert _same_rows(rows, expected)
         # The hint now covers this density: the next build fits first time.
         subdomain_directed_pairs(positions, 2.0, sort_key=key, kernels=backend)
         assert len(capacities) == 3 and capacities[2] >= n_rows
@@ -1846,7 +1939,7 @@ class TestNativeDirectedRows:
         for kernels, pos in ((compiled, single), (plain, positions)):
             got = subdomain_directed_pairs(pos, 1.5, sort_key=key, kernels=kernels)
             expected = subdomain_directed_pairs(pos, 1.5, sort_key=key)
-            assert _same_bits(got.i, expected.i) and _same_bits(got.j, expected.j)
+            assert _same_rows(got, expected)
 
     def test_the_hook_is_asked_at_every_size_and_never_for_a_half_list(
         self, monkeypatch
@@ -1866,11 +1959,11 @@ class TestNativeDirectedRows:
         positions = np.random.default_rng(5).uniform(0, 4, (100, 3))
         expected = subdomain_directed_pairs(positions, 1.0)
         rows = subdomain_directed_pairs(positions, 1.0, kernels=backend)
-        assert asked == [100] and len(rows.i)
-        assert _same_bits(rows.i, expected.i) and _same_bits(rows.j, expected.j)
+        assert asked == [100] and len(rows.partners)
+        assert _same_rows(rows, expected)
         monkeypatch.setattr(backend, "directed_rows", lambda *a: None)
         declined = subdomain_directed_pairs(positions, 1.0, kernels=backend)
-        assert _same_bits(declined.i, expected.i) and _same_bits(declined.j, expected.j)
+        assert _same_rows(declined, expected)
 
     def test_tied_sort_keys_decline_and_keep_the_stable_order(self, cell_lists):
         """Two partners of one anchor under one key (two images of one
@@ -1891,7 +1984,7 @@ class TestNativeDirectedRows:
             positions, 4.0, sort_key=tied, kernels=backend
         )
         expected = subdomain_directed_pairs(positions, 4.0, sort_key=tied)
-        assert _same_bits(got.i, expected.i) and _same_bits(got.j, expected.j)
+        assert _same_rows(got, expected)
 
     @pytest.mark.parametrize("kind, owned_only", [("lj", True), ("eam", False)])
     def test_hook_engages_for_an_engine_subdomain(self, kind, owned_only, monkeypatch):
@@ -1923,10 +2016,10 @@ class TestNativeDirectedRows:
             )
             assert len(calls) == worker + 1 and calls[-1] > 800
             assert calls[-1] == lists.index.n_local
-            for name in ("di", "dj", "gdi", "gdj"):
-                assert _same_bits(getattr(lists, name), getattr(oracle, name))
+            assert _same_bits(lists.index.gids, oracle.index.gids)
+            assert _same_rows(lists, oracle)
             assert lists.n_owned_rows == oracle.n_owned_rows > 0
-            assert owned_only == (lists.n_owned_rows == len(lists.di))
+            assert owned_only == (lists.n_owned_rows == len(lists.partners))
 
     def test_exclusions_filter_the_native_rows(self):
         """The exclusion filter runs on the kernel's rows as on the numpy
@@ -1945,8 +2038,8 @@ class TestNativeDirectedRows:
         )
         oracle = _one_domain(system, 2.8, exclusions, 0, (1, 1, 1))
         plain = _one_domain(system, 2.8, None, 0, (1, 1, 1))
-        assert _same_bits(lists.di, oracle.di) and _same_bits(lists.dj, oracle.dj)
-        assert len(lists.di) == len(plain.di) - 2 * len(exclusions)
+        assert _same_rows(lists, oracle)
+        assert len(lists.partners) == len(plain.partners) - 2 * len(exclusions)
 
     def test_smoke_test_demotes_a_provider_with_rows_in_index_order(self):
         """The engine no longer sorts native rows by global id, so a

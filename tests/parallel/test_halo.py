@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.md.box import Box
-from repro.md.neighbor import brute_force_pairs, subdomain_directed_pairs
+from repro.md.neighbor import brute_force_pairs, row_heads, subdomain_directed_pairs
 from repro.parallel.decomposition import proc_grid
 from repro.parallel.halo import (
     LocalIndex,
@@ -250,13 +250,15 @@ class TestSubdomainDirectedPairs:
         )
         for limit in (0, 10**9):  # cell-list path, brute path
             with brute_force_up_to(limit):
-                di, dj = subdomain_directed_pairs(positions, 1.0)
+                di, dj = _directed(subdomain_directed_pairs(positions, 1.0))
             assert sorted(zip(di.tolist(), dj.tolist())) == expected
 
     def test_sorted_by_anchor_then_key(self, rng):
         positions = self._cluster(rng)
         key = rng.permutation(len(positions)).astype(np.int64)
-        di, dj = subdomain_directed_pairs(positions, 1.0, sort_key=key)
+        rows = subdomain_directed_pairs(positions, 1.0, sort_key=key)
+        assert rows.offsets.shape == (len(positions) + 1,)
+        di, dj = _directed(rows)
         assert np.all(np.diff(di) >= 0)
         same_anchor = np.diff(di) == 0
         assert np.all(np.diff(key[dj])[same_anchor] > 0)
@@ -264,11 +266,17 @@ class TestSubdomainDirectedPairs:
     def test_anchor_limit_is_prefix_of_unrestricted(self, rng):
         positions = self._cluster(rng)
         limit = 40
-        di_all, dj_all = subdomain_directed_pairs(positions, 1.0)
-        di_cut, dj_cut = subdomain_directed_pairs(
-            positions, 1.0, anchor_limit=limit
+        rows = subdomain_directed_pairs(positions, 1.0)
+        cut = subdomain_directed_pairs(positions, 1.0, anchor_limit=limit)
+        # Every atom keeps its row slot; the rows past the limit are empty.
+        assert cut.offsets.shape == rows.offsets.shape
+        np.testing.assert_array_equal(cut.offsets[: limit + 1], rows.offsets[: limit + 1])
+        assert np.all(cut.offsets[limit:] == cut.offsets[limit])
+        np.testing.assert_array_equal(
+            cut.partners, rows.partners[: rows.offsets[limit]]
         )
-        keep = di_all < limit
-        np.testing.assert_array_equal(di_cut, di_all[keep])
-        np.testing.assert_array_equal(dj_cut, dj_all[keep])
-        assert np.all(di_cut < limit)
+
+
+def _directed(rows):
+    """CSR rows as ``(heads, partners)``, one entry per directed pair."""
+    return row_heads(rows.offsets), rows.partners
