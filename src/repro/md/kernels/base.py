@@ -30,7 +30,6 @@ together to 1e-12 on forces, energy and virial for every pair style.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -40,9 +39,9 @@ from repro.md.precision import DOUBLE_POLICY, PrecisionPolicy
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.md.atoms import AtomSystem
     from repro.md.neighbor import NeighborList
-    from repro.md.potentials.base import PairRows
+    from repro.md.potentials.base import PairPotential, PairRows
 
-__all__ = ["CsrRows", "KernelBackend", "PairStyle"]
+__all__ = ["CsrRows", "KernelBackend"]
 
 
 class CsrRows(NamedTuple):
@@ -56,33 +55,6 @@ class CsrRows(NamedTuple):
     offsets: np.ndarray
     #: The partners in row-major order, each row in its build's order.
     partners: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class PairStyle:
-    """Closed form of a potential, for fused kernels.
-
-    What a potential's ``fused_style()`` hands to
-    :meth:`KernelBackend.pair_forces`: enough for a backend to evaluate
-    the potential itself instead of running its numpy body.
-    """
-
-    #: LAMMPS-style name selecting the functional form (``"lj/cut"``,
-    #: ``"lj/charmm/coul/long"``, ``"eam/alloy"``, ``"tersoff"``).
-    kind: str
-    cutoff: float
-    #: Per-``kind`` coefficient arrays, float64 and C-contiguous; their
-    #: shapes belong to the kind.  ``lj/cut`` carries three
-    #: ``(n_types, n_types)`` tables ``(epsilon, sigma, energy shift)``,
-    #: a one-type table meaning "ignore atom types";
-    #: ``lj/charmm/coul/long`` the ``(epsilon, sigma)`` tables and a
-    #: vector of the python-formed constants its kernel reads (see
-    #: ``CharmmCoulLong.fused_style``); ``eam/alloy`` and
-    #: ``tersoff`` carry one vector, the fields of
-    #: :class:`~repro.md.potentials.eam.EAMParameters` /
-    #: :class:`~repro.md.potentials.tersoff.TersoffParameters` in
-    #: declaration order.
-    coeffs: tuple[np.ndarray, ...]
 
 
 class KernelBackend(abc.ABC):
@@ -184,8 +156,10 @@ class KernelBackend(abc.ABC):
         """
         self.accumulate_pair_forces(forces, i, j, f_over_r[:, None] * dr)
 
-    def pair_forces(self, style: PairStyle, rows: "PairRows") -> int | None:
-        """Optional fused evaluation of a pair style over a row view.
+    def pair_forces(
+        self, potential: "PairPotential", rows: "PairRows"
+    ) -> int | None:
+        """Optional fused evaluation of a potential over a row view.
 
         One pass that does the work of the potential's body —
         ``rows.within``, the per-pair terms, the scatters and the
@@ -194,12 +168,14 @@ class KernelBackend(abc.ABC):
         totals of a stored list; the per-owned-atom ``rows.out`` slots
         of an engine worker, head side only, pair after pair in row
         order), returning the interactions evaluated.  A backend
-        dispatches on ``(style.kind, rows.kind)``; ``None`` (the
-        default, and the answer for any style, row kind, precision
-        policy or memory layout a backend does not cover) runs the body
-        instead, and nothing may have been written in that case.
+        dispatches on ``(potential.closed_form, rows.kind)`` and reads
+        the coefficients from the potential's own attributes, the ones
+        its body reads; ``None`` (the default, and the answer for any
+        closed form, row kind, parameter value, precision policy or
+        memory layout a backend does not cover) runs the body instead,
+        and nothing may have been written in that case.
 
-        How close the result must be depends on the style's closed form:
+        How close the result must be depends on the closed form:
 
         * arithmetic only (``lj/cut``), or arithmetic around numpy's own
           ``exp`` (``eam/alloy``) and scipy's ``erfc``
@@ -210,8 +186,9 @@ class KernelBackend(abc.ABC):
           own SIMD loops do not round identically: *equivalent* —
           forces, energy and virial within 1e-12, trajectories within
           ``PARITY_TOLERANCES["double"]``, reruns bitwise — and the
-          route taken must be a function of the configuration (style,
-          row kind, policy, dtypes, layout), never of an array value,
+          route taken must be a function of the configuration
+          (potential, row kind, policy, dtypes, layout), never of an
+          array value,
           so one (spec, backend, precision) always yields one head.
         """
         return None

@@ -302,7 +302,7 @@ def _lj_inputs(rng, policy):
 
     a = _pair_inputs(rng, policy)
     a.lj = LennardJonesCut([1.0, 0.7], [1.0, 1.15], cutoff=_SMOKE_RC)
-    eps, sigma, shift = a.lj.fused_style().coeffs
+    eps, sigma, shift = _lj_tables(a.lj)
     a.tables = a.types, len(eps), eps, sigma, shift
     return a
 
@@ -411,11 +411,11 @@ def _charmm_inputs(rng, policy):
 def _charmm_terms(provider, a):
     out = ()
     for style, screening in zip(a.styles, a.screening):
-        eps, sigma, scalars = style.fused_style().coeffs
+        eps, sigma = _f64(style.eps_table, style.sigma_table)
         terms = np.empty((3, len(a.i)))
         provider.charmm_terms(
             a.i, a.j, a.r, *(screening or (a.r, a.r)), a.types, len(eps), eps,
-            sigma, a.charges, scalars, *terms,
+            sigma, a.charges, style.screened_constants(), *terms,
         )
         out += tuple(terms)
     return out
@@ -456,10 +456,11 @@ def _silicon_inputs(rng, policy):
     forces = rng.normal(size=pos.shape).astype(policy.accumulate_dtype)
     neighbors = NeighborList(3.0, 0.5, full=True)
     neighbors.build(system)
-    style, rows = Tersoff().fused_style(), int(np.diff(neighbors.csr_offsets).max())
+    potential, rows = Tersoff(), int(np.diff(neighbors.csr_offsets).max())
     fused = (
         system.positions, neighbors.csr_offsets, neighbors.csr_neighbors,
-        *_box_f64(box)[::2], style.cutoff * style.cutoff, *style.coeffs, rows,
+        *_box_f64(box)[::2], potential.cutoff * potential.cutoff,
+        _tersoff_vector(potential.params), rows,
         np.empty(rows * CcProvider.TERSOFF_SLOT_DOUBLES), np.empty(rows, np.int64),
     )
     return SimpleNamespace(
@@ -701,17 +702,26 @@ def _eam_coefficients(params) -> np.ndarray:
     return np.array(coef)
 
 
-#: Stand-in ``types`` argument for one-type styles (never read).
+def _tersoff_vector(params) -> np.ndarray:
+    """The ``tersoff_full`` kernel's parameter vector for
+    ``TersoffParameters``: its fields in declaration order, the order of
+    ``TS_*`` in the C source."""
+    return np.array([getattr(params, field.name) for field in fields(params)], float)
+
+
+def _f64(*tables) -> tuple[np.ndarray, ...]:
+    """Coefficient tables as the kernels read them: float64, C-contiguous."""
+    return tuple(np.ascontiguousarray(table, dtype=np.float64) for table in tables)
+
+
+def _lj_tables(potential) -> tuple[np.ndarray, ...]:
+    """``(epsilon, sigma, energy shift)`` of an lj/cut potential, the
+    ``(n_types, n_types)`` tables its body reads."""
+    return _f64(potential.eps_table, potential.sigma_table, potential.shift_table)
+
+
+#: Stand-in ``types`` argument for one-type tables (never read).
 _NO_TYPES = np.zeros(1, np.int64)
-
-#: Where ``m`` sits in a ``tersoff`` style's parameter vector (the
-#: :class:`~repro.md.potentials.tersoff.TersoffParameters` field order).
-_TERSOFF_M = 11
-
-#: Length of an ``lj/charmm/coul/long`` style's scalar vector, and where
-#: ``alpha`` sits in it (``CH_*`` in the C source).
-_CHARMM_SCALARS = 8
-_CHARMM_ALPHA = 6
 
 
 def _native(array, dtype) -> bool:
@@ -836,40 +846,36 @@ class CompiledBackend(NumpyFastBackend):
             return None
         return types
 
-    def _lj_arguments(self, style, types):
+    def _lj_arguments(self, potential, types):
         """``(rc2, types, nt, eps, sigma, shift)`` for the lj/cut
-        kernels, or ``None`` when they cannot index the style's ``(nt,
-        nt)`` tables by ``types``."""
-        eps, sigma, shift = style.coeffs
+        kernels, or ``None`` when they cannot index the potential's
+        ``(nt, nt)`` tables by ``types``."""
+        eps, sigma, shift = _lj_tables(potential)
         n_types = len(eps)
         types = self._type_index(types, n_types)
         if types is None:
             return None
-        return style.cutoff * style.cutoff, types, n_types, eps, sigma, shift
+        rc = potential.cutoff
+        return rc * rc, types, n_types, eps, sigma, shift
 
-    def pair_forces(self, style, rows):
-        """Fused pass over a row view (float64 only): ``lj/cut`` over a
-        half list or an engine worker's rows, ``eam/alloy`` and
-        ``lj/charmm/coul/long`` over a half list, ``tersoff`` over a
-        full list (none of the three over a worker's rows, which run
-        the body: EAM's scatters there are not the head-only owner
-        order, Tersoff's three-atom scatter is not owner-ordered, and
-        CHARMM's owner pass is left to the body).
+    def pair_forces(self, potential, rows):
+        """Fused pass over a row view (float64 only), by the route
+        :attr:`_ROUTES` names for the potential's closed form and the
+        row kind: ``lj/cut`` over a half list or an engine worker's
+        rows, ``eam/alloy`` and ``lj/charmm/coul/long`` over a half
+        list, ``tersoff`` over a full list (none of the three over a
+        worker's rows, which run the body: EAM's scatters there are not
+        the head-only owner order, Tersoff's three-atom scatter is not
+        owner-ordered, and CHARMM's owner pass is left to the body).
 
         Which route runs is settled before anything is written, from
-        the configuration alone — style, row kind, precision policy,
-        array dtypes and layout — never from an array value.
+        the configuration alone — potential, row kind, precision
+        policy, array dtypes and layout — never from an array value.
         """
-        fused = {
-            ("lj/cut", "half"): self._lj_half,
-            ("lj/cut", "owner"): self._lj_rows,
-            ("eam/alloy", "half"): self._eam_half,
-            ("lj/charmm/coul/long", "half"): self._charmm_half,
-            ("tersoff", "full"): self._tersoff_full,
-        }.get((style.kind, rows.kind))
-        if fused is None or not self.policy.is_double:
+        route = self._ROUTES.get((potential.closed_form, rows.kind))
+        if route is None or not self.policy.is_double:
             return None
-        return fused(style, rows)
+        return route(self, potential, rows)
 
     @staticmethod
     def _csr_rows(offsets, partners, n):
@@ -914,9 +920,9 @@ class CompiledBackend(NumpyFastBackend):
             for name in ("pair.energy", "pair.virial", "pair.f_over_r")
         )
 
-    def _lj_half(self, style, rows):
+    def _lj_half(self, potential, rows):
         system = rows.system
-        args = self._lj_arguments(style, system.types)
+        args = self._lj_arguments(potential, system.types)
         stored = self._rows_read(rows)
         if args is None or stored is None:
             return None
@@ -934,19 +940,13 @@ class CompiledBackend(NumpyFastBackend):
         rows.add_virial(None, virial[:count])
         return count
 
-    def _eam_half(self, style, rows):
+    def _eam_half(self, potential, rows):
         """``EAMAlloy.terms`` over a half list, bitwise: the kernels do
         the arithmetic, numpy's ``exp``, the embedding and the ``np.sum``
         reductions stay the body's own."""
-        from repro.md.potentials.eam import EAMParameters, embedding
+        from repro.md.potentials.eam import embedding
 
-        (vector,) = style.coeffs
-        rc = float(style.cutoff)
-        if not (
-            _native(vector, np.float64)
-            and vector.shape == (len(fields(EAMParameters)),)
-        ):
-            return None
+        params, rc = potential.params, float(potential.cutoff)
         csr = self._rows_read(rows, rc)
         if csr is None:
             return None
@@ -955,7 +955,6 @@ class CompiledBackend(NumpyFastBackend):
         m = len(partners)
         if m == 0:
             return 0
-        params = EAMParameters(*vector.tolist())
         coef = _eam_coefficients(params)
         i, j, dr, r = self._geom_scratch(m)
         exps = self._scratch("pair.exp", m, np.float64, 3)
@@ -983,7 +982,7 @@ class CompiledBackend(NumpyFastBackend):
         rows.add_virial(None, virial[:count])
         return count
 
-    def _charmm_half(self, style, rows):
+    def _charmm_half(self, potential, rows):
         """``CharmmCoulLong.terms`` over a half list, bitwise: the
         ``pair_geom`` kernel into scratch, the body's own ``erfc`` and
         ``exp`` (``charmm.ewald_screening``), ``charmm_terms`` for the
@@ -992,29 +991,26 @@ class CompiledBackend(NumpyFastBackend):
         reductions."""
         from repro.md.potentials.charmm import ewald_screening
 
-        eps, sigma, scalars = style.coeffs
+        eps, sigma = _f64(potential.eps_table, potential.sigma_table)
         system = rows.system
         charges = system.charges
         n_types = len(eps)
         types = self._type_index(system.types, n_types)
         stored = self._rows_read(rows)
         if types is None or stored is None or not (
-            _native(charges, np.float64)
-            and charges.shape == (system.n_atoms,)
-            and _native(scalars, np.float64)
-            and scalars.shape == (_CHARMM_SCALARS,)
+            _native(charges, np.float64) and charges.shape == (system.n_atoms,)
         ):
             return None
         m = len(stored[1])
         if m == 0:
             return 0
         count, i, j, dr, r = self._pair_geom(
-            system.positions, system.box, stored, style.cutoff
+            system.positions, system.box, stored, potential.cutoff
         )
         if count == 0:
             return 0
         i, j, dr, r = i[:count], j[:count], dr[:count], r[:count]
-        alpha = float(scalars[_CHARMM_ALPHA])
+        alpha = potential.alpha
         # With alpha == 0 the kernel reads neither factor.
         erfc_ar, gauss = ewald_screening(alpha, r) if alpha > 0.0 else (r, r)
         energy, virial, f_over_r = (
@@ -1022,22 +1018,18 @@ class CompiledBackend(NumpyFastBackend):
         )
         self._impl.charmm_terms(
             i, j, r, erfc_ar, gauss, types, n_types, eps, sigma, charges,
-            scalars, energy, f_over_r, virial,
+            potential.screened_constants(), energy, f_over_r, virial,
         )
         self._impl.acc_scaled(system.forces, i, j, dr, f_over_r)
         rows.add_energy(None, energy)
         rows.add_virial(None, virial)
         return count
 
-    def _tersoff_full(self, style, rows):
-        (params,) = style.coeffs
-        if not (
-            _native(params, np.float64)
-            and params.shape == (14,)
-            and params[_TERSOFF_M] in (1.0, 3.0)
-        ):
+    def _tersoff_full(self, potential, rows):
+        params, rc = potential.params, potential.cutoff
+        if params.m not in (1, 3):
             return None
-        csr = self._rows_read(rows, style.cutoff)
+        csr = self._rows_read(rows, rc)
         if csr is None:
             return None
         system = rows.system
@@ -1052,19 +1044,19 @@ class CompiledBackend(NumpyFastBackend):
         totals = np.empty(2)
         count = self._impl.tersoff_full(
             system.positions, offsets, partners, lengths, periodic,
-            style.cutoff * style.cutoff, params, longest, rows_scratch, atoms,
+            rc * rc, _tersoff_vector(params), longest, rows_scratch, atoms,
             system.forces, totals,
         )
         rows.energy += float(totals[0])
         rows.virial += float(totals[1])
         return count
 
-    def _lj_rows(self, style, rows):
+    def _lj_rows(self, potential, rows):
         lists = rows.lists
         gids = lists.index.gids
         csr = self._csr_rows(lists.offsets, lists.partners, len(gids))
         slots = (rows.forces, rows.energy, rows.virial)
-        args = self._lj_arguments(style, rows.per_atom("types"))
+        args = self._lj_arguments(potential, rows.per_atom("types"))
         if args is None or csr is None or not (
             _native(rows.positions, np.float64)
             and all(_native(slot, np.float64) for slot in slots)
@@ -1084,6 +1076,15 @@ class CompiledBackend(NumpyFastBackend):
             *args,
             *slots,
         )
+
+    #: The fused routes by ``(closed_form, rows.kind)``.
+    _ROUTES = {
+        ("lj/cut", "half"): _lj_half,
+        ("lj/cut", "owner"): _lj_rows,
+        ("eam/alloy", "half"): _eam_half,
+        ("lj/charmm/coul/long", "half"): _charmm_half,
+        ("tersoff", "full"): _tersoff_full,
+    }
 
     # ------------------------------------------------------------------
     # PPPM particle <-> mesh

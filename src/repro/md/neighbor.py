@@ -317,6 +317,20 @@ def subdomain_directed_pairs(
         i, j = brute_force_pairs(positions, box, rc)
     else:
         i, j = cell_list_half_pairs(positions, box, rc)
+    return _mirrored_rows(i, j, n, sort_key, anchor_limit)
+
+
+def _mirrored_rows(
+    i: np.ndarray,
+    j: np.ndarray,
+    n: int,
+    sort_key: np.ndarray | None = None,
+    anchor_limit: int | None = None,
+) -> CsrRows:
+    """The half pairs ``(i, j)`` over ``n`` atoms in both directions, as
+    CSR rows: rows headed by atoms below ``anchor_limit`` only (all when
+    ``None``), each row sorted by ``sort_key`` of its partners (by index
+    when ``None``)."""
     if anchor_limit is None:
         di = np.concatenate([i, j])
         dj = np.concatenate([j, i])
@@ -446,12 +460,7 @@ class NeighborList:
         self.check_box(box)
         offsets, j = self._half_pairs(positions, box, self.list_cutoff)
         if self.full:
-            # Both directions, repacked row-major; the heads are dropped
-            # again and pair_i re-derives them on demand.
-            i = row_heads(offsets)
-            i, j = np.concatenate([i, j]), np.concatenate([j, i])
-            j = j[np.lexsort((j, i))]
-            offsets = _row_offsets(i, n)
+            offsets, j = _mirrored_rows(row_heads(offsets), j, n)
         self.csr_offsets = offsets
         self.csr_neighbors = j
         # wrap() made ``positions``: the build may keep it uncopied.

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.md.atoms import AtomSystem
 from repro.md.kernels import KernelBackend, get_backend
-from repro.md.kernels.base import PairStyle
 from repro.md.neighbor import NeighborList
 from repro.observability.tracer import NULL_TRACER
 
@@ -103,7 +102,7 @@ class PairRows(abc.ABC):
 
     #: The kernel backend every primitive goes through.
     backend: KernelBackend
-    #: What a fused kernel dispatches on beside the style:
+    #: What a fused route is looked up by beside the closed form:
     #: ``"half"``/``"full"`` (a stored list) or ``"owner"``.
     kind: str
     #: Where the ``"kernel"`` spans of this pass go.
@@ -260,6 +259,12 @@ class PairPotential(abc.ABC):
     needs_types: bool = True
     needs_charges: bool = False
 
+    #: LAMMPS-style name of the closed form a backend may evaluate in
+    #: place of :meth:`terms` (``"lj/cut"``, ``"eam/alloy"``,
+    #: ``"lj/charmm/coul/long"``, ``"tersoff"``), reading the same
+    #: attributes the body reads; ``None`` always runs the body.
+    closed_form: str | None = None
+
     #: Whether the body reads per-atom velocities (a driver that ships
     #: state to workers skips them otherwise).
     needs_velocities: bool = False
@@ -308,17 +313,6 @@ class PairPotential(abc.ABC):
         """The force body: accumulate this potential's terms through
         ``rows`` and return the interactions evaluated."""
 
-    def fused_style(self) -> PairStyle | None:
-        """Closed form a backend may evaluate in place of :meth:`terms`.
-
-        ``None`` (the default) always runs the body.  A subclass whose
-        functional form a backend knows natively returns its
-        :class:`~repro.md.kernels.base.PairStyle`; the backend still
-        declines (and the body runs) whenever it cannot honour the
-        :meth:`KernelBackend.pair_forces` contract.
-        """
-        return None
-
     def system_terms(self, n_atoms: int, volume: float) -> tuple[float, float]:
         """``(energy, virial)`` that depend on the system as a whole, not
         on any row (the LJ tail correction).  Whichever driver runs adds
@@ -327,15 +321,14 @@ class PairPotential(abc.ABC):
 
     def evaluate(self, rows: PairRows) -> int:
         """One force pass over ``rows`` — a fused kernel when the backend
-        takes this style and row kind, else :meth:`terms` — returning
-        the interaction count.  What both drivers call."""
-        style = self.fused_style()
+        takes this closed form and row kind, else :meth:`terms` —
+        returning the interaction count.  What both drivers call."""
         fused = None
-        if style is not None:
+        if self.closed_form is not None:
             # The span also covers a declined call: the body's verbs
             # that follow record their own.
             with rows.tracer.span("kernel.pair_forces", "kernel"):
-                fused = rows.backend.pair_forces(style, rows)
+                fused = rows.backend.pair_forces(self, rows)
         return self.terms(rows) if fused is None else fused
 
     def compute(self, system: AtomSystem, neighbors: NeighborList) -> ForceResult:

@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from repro.md.kernels.base import PairStyle
 from repro.md.potentials.base import AnalyticPairPotential
 from repro.md.potentials.mixing import build_mixed_tables
 
@@ -96,6 +95,7 @@ class CharmmCoulLong(AnalyticPairPotential):
     """
 
     needs_charges = True
+    closed_form = "lj/charmm/coul/long"
 
     def __init__(
         self,
@@ -135,28 +135,20 @@ class CharmmCoulLong(AnalyticPairPotential):
         self.coulomb_constant = float(coulomb_constant)
         self.needs_types = self.eps_table.size > 1
 
-    def fused_style(self) -> PairStyle:
-        # Built per call from the live attributes, like lj/cut's.  The
-        # scalars are the python floats pair_terms forms, in the order
-        # the kernel reads them (CH_* in the C source).
-        ri2, ro2, denom = switch_constants(self.lj_inner, self.cutoff)
-        scalars = [
-            ri2, ro2, denom, 3.0 * ri2, self.coul_cutoff, self.coulomb_constant,
-            self.alpha, _TWO_OVER_SQRT_PI * self.alpha,
-        ]
-        return PairStyle(
-            "lj/charmm/coul/long",
-            self.cutoff,
-            (
-                np.ascontiguousarray(self.eps_table, dtype=np.float64),
-                np.ascontiguousarray(self.sigma_table, dtype=np.float64),
-                np.array(scalars, dtype=np.float64),
-            ),
-        )
-
     def pair_terms(self, r, r2, type_i, type_j, q_i, q_j):
         screening = ewald_screening(self.alpha, r) if self.alpha > 0.0 else None
         return self.screened_terms(r, r2, type_i, type_j, q_i, q_j, screening)
+
+    def screened_constants(self) -> np.ndarray:
+        """The python floats :meth:`screened_terms` forms from this
+        potential's attributes, by the same expressions, in the order
+        the compiled ``charmm_terms`` kernel reads them (``CH_*`` in the
+        C source)."""
+        ri2, ro2, denom = switch_constants(self.lj_inner, self.cutoff)
+        return np.array([
+            ri2, ro2, denom, 3.0 * ri2, self.coul_cutoff, self.coulomb_constant,
+            self.alpha, _TWO_OVER_SQRT_PI * self.alpha,
+        ])
 
     def screened_terms(self, r, r2, type_i, type_j, q_i, q_j, screening):
         """:meth:`pair_terms` given its Ewald factors: ``screening`` is

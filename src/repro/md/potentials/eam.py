@@ -15,11 +15,10 @@ finite-difference tests check).
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.md.kernels.base import PairStyle
 from repro.md.potentials.base import PairPotential, PairRows
 
 __all__ = [
@@ -53,9 +52,8 @@ class EAMParameters:
     cutoff: float = 4.95
 
     def __post_init__(self) -> None:
-        # Python floats throughout, so that the vector a fused style
-        # carries (``EAMAlloy.fused_style``) rebuilds these parameters
-        # exactly, and no numpy scalar promotes float32 pair math.
+        # Python floats throughout, so that no numpy scalar promotes
+        # float32 pair math (NEP 50).
         for field in fields(self):
             object.__setattr__(self, field.name, float(getattr(self, field.name)))
 
@@ -124,6 +122,8 @@ class EAMAlloy(PairPotential):
        atoms' embedding slopes into the pair force.
     """
 
+    closed_form = "eam/alloy"
+
     def __init__(self, params: EAMParameters | None = None) -> None:
         self.params = params if params is not None else EAMParameters()
         self.cutoff = self.params.cutoff
@@ -165,16 +165,6 @@ class EAMAlloy(PairPotential):
         return embedding(rho, self.params)
 
     # -- evaluation --------------------------------------------------------
-    def fused_style(self) -> PairStyle:
-        """The closed form for :meth:`KernelBackend.pair_forces`: one
-        coefficient vector, the parameter fields in declaration order.
-        Built per call, so edited parameters reach a fused kernel too."""
-        return PairStyle(
-            "eam/alloy",
-            self.cutoff,
-            (np.array(astuple(self.params), dtype=np.float64),),
-        )
-
     def terms(self, rows: PairRows) -> int:
         # The numpy body is the oracle a fused kernel answers to, bit
         # for bit.

@@ -40,11 +40,10 @@ pairs of its own row — a ragged self-join built from ``bincount`` /
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.md.kernels.base import PairStyle
 from repro.md.potentials.base import PairPotential, PairRows
 
 __all__ = ["TersoffParameters", "Tersoff"]
@@ -86,6 +85,7 @@ class Tersoff(PairPotential):
     #: Each directed pair carries its own bond order ``b_ij``.
     needs_full_list = True
     needs_types = False
+    closed_form = "tersoff"
 
     def __init__(self, params: TersoffParameters | None = None) -> None:
         self.params = params if params is not None else TersoffParameters()
@@ -153,16 +153,6 @@ class Tersoff(PairPotential):
         return np.where(zeta > 0.0, b, one), np.where(zeta > 0.0, db, 0.0)
 
     # -- evaluation -------------------------------------------------------
-    def fused_style(self) -> PairStyle:
-        """The closed form for :meth:`KernelBackend.pair_forces`: one
-        coefficient vector, the parameter fields in declaration order.
-        Built per call, so edited parameters reach a fused kernel too."""
-        return PairStyle(
-            "tersoff",
-            self.cutoff,
-            (np.array(astuple(self.params), dtype=np.float64),),
-        )
-
     def terms(self, rows: PairRows) -> int:
         # The numpy body is the oracle a fused kernel answers to.
         # Directed terms: every ordered pair carries its own bond order,

@@ -36,8 +36,8 @@ KINDS = {"eam": (EAMAlloy, 1.0, (13.0, 15.0)), "tersoff": (Tersoff, 1.0, (9.0, 1
 class _Sweeping(CompiledBackend):
     """The compiled backend with its fused pass required to engage."""
 
-    def pair_forces(self, style, rows):
-        fused = super().pair_forces(style, rows)
+    def pair_forces(self, potential, rows):
+        fused = super().pair_forces(potential, rows)
         assert fused is not None, "the fused pass declined"
         return fused
 

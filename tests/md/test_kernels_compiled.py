@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ class TestAvailabilityAndFallback:
         system, potential = _jittered_case("lj")
         nlist = NeighborList(2.5, 0.3)
         nlist.build(system)
-        assert _hook(backend, potential.fused_style(), system, nlist) is None
+        assert _hook(backend, potential, system, nlist) is None
         results = {}
         for name, kernel in (("fallback", backend), ("ref", get_backend("numpy_ref"))):
             potential.backend = kernel
@@ -937,11 +938,12 @@ class _UnfusedCompiled(CompiledBackend):
     pair_forces = KernelBackend.pair_forces
 
 
-def _hook(backend, style, system, nlist):
-    """What the one hook answers over a stored list: ``(energy, virial,
-    interactions)`` as its view accumulated them, or ``None``."""
+def _hook(backend, potential, system, nlist):
+    """What the one hook answers for ``potential`` over a stored list:
+    ``(energy, virial, interactions)`` as its view accumulated them, or
+    ``None``."""
     rows = StoredRows(system, nlist, backend)
-    count = backend.pair_forces(style, rows)
+    count = backend.pair_forces(potential, rows)
     return None if count is None else (rows.energy, rows.virial, count)
 
 
@@ -1053,7 +1055,7 @@ class TestFusedLennardJones:
         expected_forces = system.forces.copy()
 
         system.forces[...] = preload
-        fused = _hook(CompiledBackend(), potential.fused_style(), system, nlist)
+        fused = _hook(CompiledBackend(), potential, system, nlist)
         assert fused is not None, "the fused kernel declined a float64 LJ case"
         energy, virial, interactions = fused
         assert interactions == expected.interactions
@@ -1106,7 +1108,7 @@ class TestFusedLennardJones:
         expected_forces = system.forces.copy()
 
         system.forces[...] = preload
-        fused = _hook(CompiledBackend(), potential.fused_style(), system, nlist)
+        fused = _hook(CompiledBackend(), potential, system, nlist)
         assert fused is not None
         energy, virial, interactions = fused
         assert interactions == expected.interactions
@@ -1207,8 +1209,8 @@ class TestFusedLennardJones:
         nlist.build(system)
         backend = CompiledBackend()
         backend.set_policy(policy_for(mode))
-        style = LennardJonesCut(cutoff=2.5).fused_style()
-        assert _hook(backend, style, system, nlist) is None
+        potential = LennardJonesCut(cutoff=2.5)
+        assert _hook(backend, potential, system, nlist) is None
         assert np.all(system.forces == 0.0)
 
     def test_declines_what_the_kernels_cannot_index(self):
@@ -1221,17 +1223,20 @@ class TestFusedLennardJones:
         backend = CompiledBackend()
         two_types = LennardJonesCut([1.0, 0.8], [1.0, 0.9], cutoff=2.5)
         system.types[7] = 2
-        assert _hook(backend, two_types.fused_style(), system, nlist) is None
+        assert _hook(backend, two_types, system, nlist) is None
         system.types[7] = -1
-        assert _hook(backend, two_types.fused_style(), system, nlist) is None
+        assert _hook(backend, two_types, system, nlist) is None
         system.types[7] = 0
-        one_type = LennardJonesCut(cutoff=2.5).fused_style()
+        one_type = LennardJonesCut(cutoff=2.5)
         strided = AtomSystem(system.positions.copy(), system.box)
         strided.forces = np.zeros((256 * 2, 3))[::2][: system.n_atoms]
         assert _hook(backend, one_type, strided, nlist) is None
         assert np.all(strided.forces == 0.0)
-        unknown = type(one_type)("morse", 2.5, one_type.coeffs)
-        assert _hook(backend, unknown, system, nlist) is None
+        # A closed form no route covers, and none at all.
+        for closed_form in ("morse", None):
+            one_type.closed_form = closed_form
+            assert _hook(backend, one_type, system, nlist) is None
+        del one_type.closed_form
         with pytest.raises(RuntimeError, match="never been built"):
             _hook(backend, one_type, system, NeighborList(2.5, 0.3))
 
@@ -1249,8 +1254,8 @@ class _MustFuse(CompiledBackend):
     """The compiled backend with its fused hook *required* to engage,
     so agreement with the unfused route cannot come from declining."""
 
-    def pair_forces(self, style, rows):
-        fused = super().pair_forces(style, rows)
+    def pair_forces(self, potential, rows):
+        fused = super().pair_forces(potential, rows)
         assert fused is not None, "the fused kernel declined"
         return fused
 
@@ -1385,7 +1390,7 @@ class TestFusedEAM:
         nlist.build(system)
         backend = CompiledBackend()
         backend.set_policy(policy_for(mode))
-        assert _hook(backend, EAMAlloy().fused_style(), system, nlist) is None
+        assert _hook(backend, EAMAlloy(), system, nlist) is None
         assert np.all(system.forces == 0.0)
 
         calls = []
@@ -1417,7 +1422,7 @@ class TestFusedEAM:
             CompiledBackend(), {"types": system.types[lists.index.gids]},
             system.n_atoms,
         )
-        assert CompiledBackend().pair_forces(potential.fused_style(), rows) is None
+        assert CompiledBackend().pair_forces(potential, rows) is None
         assert np.all(rows.forces == 0.0)
 
     def test_smoke_test_demotes_a_provider_whose_sweep_drifts(self):
@@ -1495,7 +1500,7 @@ class TestFusedCharmm:
     @settings(max_examples=120, deadline=None)
     def test_half_list_pass_is_bitwise_the_numpy_body(self, config):
         system, potential, skin, brute_force, moved, preload = config
-        assert potential.fused_style().kind == "lj/charmm/coul/long"
+        assert potential.closed_form == "lj/charmm/coul/long"
         nlist = NeighborList(potential.cutoff, skin)
         with brute_force_up_to(10**6 if brute_force else 0):
             nlist.build(system)
@@ -1535,7 +1540,7 @@ class TestFusedCharmm:
         assert len(nlist.pair_i) == (1 if stored == "some" else 0)
         preload = np.arange(6.0).reshape(2, 3) - 2.0
         potential = CharmmCoulLong(lj_inner=2.0, cutoff=2.5, alpha=0.5)
-        assert potential.fused_style().kind == "lj/charmm/coul/long"
+        assert potential.closed_form == "lj/charmm/coul/long"
         body, fused = _body_and_fused(potential, system, nlist, preload)
         _assert_same_pass(body, fused)
         result, forces = fused
@@ -1548,7 +1553,7 @@ class TestFusedCharmm:
         system.forces[...] = 0.0
         backend = CompiledBackend()
         backend.set_policy(policy_for(mode))
-        assert _hook(backend, potential.fused_style(), system, nlist) is None
+        assert _hook(backend, potential, system, nlist) is None
         assert np.all(system.forces == 0.0)
 
     def test_declines_what_the_kernel_cannot_read(self):
@@ -1556,7 +1561,6 @@ class TestFusedCharmm:
         cannot read as they are, run the body (which then fails or not
         exactly as it always did)."""
         system, nlist, potential = _rhodo_pass()
-        style = potential.fused_style()
         backend = CompiledBackend()
         system.forces[...] = 0.0
         good_types, good_charges = system.types, system.charges
@@ -1567,10 +1571,10 @@ class TestFusedCharmm:
             ("charges", np.stack([good_charges] * 2, axis=1)[:, 0]),
         ):
             setattr(system, name, value)
-            assert _hook(backend, style, system, nlist) is None, name
+            assert _hook(backend, potential, system, nlist) is None, name
             setattr(system, name, good_types if name == "types" else good_charges)
         assert np.all(system.forces == 0.0)
-        assert _hook(backend, style, system, nlist) is not None
+        assert _hook(backend, potential, system, nlist) is not None
 
     def test_full_lists_and_engine_rows_decline(self):
         system, _, potential = _rhodo_pass()
@@ -1578,7 +1582,7 @@ class TestFusedCharmm:
         full.build(system)
         backend = CompiledBackend()
         system.forces[...] = 0.0
-        assert _hook(backend, potential.fused_style(), system, full) is None
+        assert _hook(backend, potential, system, full) is None
         lists = _one_domain(system, potential.cutoff + 0.3, None, 0, (2, 1, 1))
         rows = OwnerRows(
             lists, system.positions, system.box.lengths, system.box.periodic,
@@ -1589,7 +1593,7 @@ class TestFusedCharmm:
             },
             system.n_atoms,
         )
-        assert backend.pair_forces(potential.fused_style(), rows) is None
+        assert backend.pair_forces(potential, rows) is None
         assert np.all(rows.forces == 0.0) and np.all(system.forces == 0.0)
 
     def test_smoke_test_demotes_a_provider_whose_kernels_drift(self):
@@ -1773,26 +1777,20 @@ class TestFusedTersoff:
         full.build(system)
         half = NeighborList(3.0, 0.5)
         half.build(system)
-        style = Tersoff().fused_style()
+        potential = Tersoff()
         backend = CompiledBackend()
-        assert _hook(backend, style, system, full) is not None
-        # The backend reads m by position in the parameter vector.
-        (vector,) = Tersoff(TersoffParameters(m=1)).fused_style().coeffs
-        assert vector.shape == (14,) and vector[compiled_module._TERSOFF_M] == 1.0
-        assert list(TersoffParameters.__dataclass_fields__).index("m") == (
-            compiled_module._TERSOFF_M
-        )
+        assert _hook(backend, potential, system, full) is not None
 
-        def declined(style=style, system=system, nlist=full, mode="double"):
+        def declined(potential=potential, system=system, nlist=full, mode="double"):
             backend = CompiledBackend()
             backend.set_policy(policy_for(mode))
             before = system.forces.copy()
-            answer = _hook(backend, style, system, nlist)
+            answer = _hook(backend, potential, system, nlist)
             return answer is None and _same_bits(system.forces, before)
 
         assert declined(mode="single")
         assert declined(mode="mixed")
-        assert declined(style=Tersoff(TersoffParameters(m=2)).fused_style())
+        assert declined(potential=Tersoff(TersoffParameters(m=2)))
         assert declined(nlist=half)
         single = AtomSystem(positions, box, dtype=np.float32)
         assert declined(system=single)
@@ -1827,6 +1825,80 @@ class TestFusedTersoff:
         two calls on the same input, and the provider is refused."""
         _assert_demoted("tersoff_full", _after(_past_the_tier))
         _assert_demoted("tersoff_full", _not_repeatable())
+
+    def test_the_c_parameter_enum_lists_the_fields_in_order(self):
+        """The one positional contract left between the potential and
+        the C unit: ``tersoff_full`` reads its parameter vector by the
+        ``TS_*`` enum, which names the ``TersoffParameters`` fields in
+        declaration order (``R`` and ``D`` spelled ``BIGR`` / ``BIGD``,
+        apart from ``d``)."""
+        (body,) = re.findall(r"enum \{([^}]*\bTS_A\b[^}]*)\}", _cc_impl._SOURCE)
+        names = [name.strip() for name in body.split(",")]
+        spelled = {"R": "BIGR", "D": "BIGD"}
+        assert names == [
+            "TS_" + spelled.get(field.name, field.name.upper())
+            for field in fields(TersoffParameters)
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Parameters edited on a live potential reach its fused route
+# ---------------------------------------------------------------------------
+@needs_compiled
+class TestEditedParameters:
+    """A route reads the potential's own attributes on every pass, so an
+    edit made after construction reaches it: the edited pass moves, and
+    stays bitwise the body that reads the same edit."""
+
+    @staticmethod
+    def _edited(potential, system, nlist, edit):
+        before = _body_and_fused(potential, system, nlist, 0.0)[1][0]
+        edit(potential)
+        body, fused = _body_and_fused(potential, system, nlist, 0.0)
+        _assert_same_pass(body, fused)
+        assert fused[0].energy != before.energy
+
+    def test_lj_table_entry(self):
+        system = lj_melt_system(256, seed=5)
+        system.types[:] = np.arange(system.n_atoms) % 2
+        nlist = NeighborList(2.5, 0.3)
+        nlist.build(system)
+        potential = LennardJonesCut([1.0, 0.8], [1.0, 0.9], cutoff=2.5)
+
+        def edit(potential):
+            potential.eps_table[0, 1] = 1.7
+
+        self._edited(potential, system, nlist, edit)
+
+    def test_eam_parameters_replaced(self):
+        system = eam_solid_system(256, seed=5)
+        nlist = NeighborList(4.95, 1.0)
+        nlist.build(system)
+
+        def edit(potential):
+            potential.params = replace(potential.params, chi=2.5, E_c=3.9)
+
+        self._edited(EAMAlloy(), system, nlist, edit)
+
+    def test_charmm_alpha_set_to_zero(self):
+        system, nlist, potential = _rhodo_pass()
+        assert potential.alpha > 0.0
+
+        def edit(potential):
+            potential.alpha = 0.0
+
+        self._edited(potential, system, nlist, edit)
+
+    def test_tersoff_m_set_to_two_declines_without_writing(self):
+        system = AtomSystem(*_silicon(3))
+        full = NeighborList(3.0, 0.5, full=True)
+        full.build(system)
+        potential = Tersoff()
+        assert _hook(CompiledBackend(), potential, system, full) is not None
+        potential.params = replace(potential.params, m=2)
+        system.forces[...] = 0.0
+        assert _hook(CompiledBackend(), potential, system, full) is None
+        assert np.all(system.forces == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -2133,7 +2205,7 @@ class TestMinimumImageFastPath:
         expected = potential.compute(system, nlist)
         expected_forces = system.forces.copy()
         system.forces[...] = 0.0
-        got = _hook(CompiledBackend(), potential.fused_style(), system, nlist)
+        got = _hook(CompiledBackend(), potential, system, nlist)
         assert got == (expected.energy, expected.virial, expected.interactions)
         assert expected.interactions > 0
         assert _same_bits(system.forces, expected_forces)

@@ -336,7 +336,7 @@ class TestFusedCharmmIsInvisible:
         _skip_unavailable("compiled")
         # The style is offered, so the owner rows do reach the hook.
         (potential,) = get_benchmark("rhodo").build(SIZES["rhodo"]).potentials
-        assert potential.fused_style().kind == "lj/charmm/coul/long"
+        assert potential.closed_form == "lj/charmm/coul/long"
         heads = {
             workers: _chain_for("rhodo", "compiled", workers)[0].head
             for workers in (1, 2, 4)
