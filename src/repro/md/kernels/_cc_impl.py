@@ -11,8 +11,9 @@ A native kernel is one C body plus one row of :data:`KERNELS`: a body
 that exists at more than one precision is written once, over a value
 type ``VAL`` and an accumulator type ``ACC``, and instantiated for the
 dtype pairs the policies of :mod:`repro.md.precision` define; binding
-and the provider's entry — dtype-keyed dispatch, the lengths filled in
-— follow from the row's signature, and the provider smoke
+and the provider's entry — dtype-keyed dispatch, the lengths filled in,
+the decline of any argument the signature refuses — follow from the
+row's signature, and the provider smoke
 test checks every instance against the row's one declaration in
 ``compiled._SMOKE_CASES``, which reads its dtypes from the policy.
 
@@ -76,6 +77,7 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
+from repro.md.kernels.base import DECLINED
 from repro.md.precision import DOUBLE_POLICY, PRECISIONS, policy_for
 
 __all__ = [
@@ -1398,7 +1400,8 @@ DOUBLE = {(DOUBLE_POLICY.storage_dtype, DOUBLE_POLICY.storage_dtype): DOUBLE_POL
 #: ``len()`` of the array just before it (a list's length, an atom
 #: count, an output's room).  The entry takes the other arguments in C
 #: order and picks the instance from the dtypes of the first ``v``/``V``
-#: and the first ``a``/``A`` array (the value dtype when there is none).
+#: and the first ``a``/``A`` array (the value dtype when there is none),
+#: or declines the call (:func:`_entry`).
 KERNELS = {
     "scatter1": (ACCUMULATE, None, "A i v #"),
     "scatter3": (ACCUMULATE, None, "A i v #"),
@@ -1477,7 +1480,14 @@ def _ptr(dtype, writeable=False):
 def _entry(bound: dict, stem: str, signature: str):
     """``CcProvider.<stem>``: the kernel called with the row's arguments
     but its ``#`` lengths, which it inserts.  The instance is looked up
-    in ``bound`` on every call, so a swapped instance is the one run."""
+    in ``bound`` on every call, so a swapped instance is the one run.
+
+    This is the one check between Python and C: the entry returns
+    :data:`~repro.md.kernels.base.DECLINED`, before the kernel runs,
+    when the argument dtypes pick no instance or when ctypes refuses an
+    argument — an array of another dtype, not C-contiguous, read-only
+    where the signature writes, or no array at all.  Any other error
+    (a wrong argument count) propagates."""
     letters = signature.split()
     given = [letter for letter in letters if letter != "#"]
     value = next(k for k, letter in enumerate(given) if letter in "vV")
@@ -1485,11 +1495,17 @@ def _entry(bound: dict, stem: str, signature: str):
     lengths = [k for k, letter in enumerate(letters) if letter == "#"]
 
     def entry(*args):
-        fn = bound[stem, args[value].dtype, args[acc].dtype]
+        val = getattr(args[value], "dtype", None)
+        fn = bound.get((stem, val, getattr(args[acc], "dtype", None)))
+        if fn is None:
+            return DECLINED
         args = list(args)
         for k in lengths:
             args.insert(k, len(args[k - 1]))
-        return fn(*args)
+        try:
+            return fn(*args)
+        except ctypes.ArgumentError:  # raised converting, before the call
+            return DECLINED
 
     return entry
 
@@ -1631,9 +1647,10 @@ class CcProvider:
     """ctypes bindings over the cached shared object: one entry per
     :data:`KERNELS` row, bound as the attribute its stem names.
 
-    All entry points require C-contiguous arrays of the exact dtypes in
-    their signatures; :class:`~repro.md.kernels.compiled.CompiledBackend`
-    guarantees that before dispatching here.
+    An entry takes C-contiguous arrays of the exact dtypes its signature
+    names and returns :data:`~repro.md.kernels.base.DECLINED` for any
+    other (:func:`_entry`); shapes and index bounds are the caller's to
+    check.
     """
 
     kind = "cc"
@@ -1654,7 +1671,3 @@ class CcProvider:
                 fn.argtypes = _argtypes(signature, val, acc)
                 self.bound[stem, val, acc] = fn
             setattr(self, stem, _entry(self.bound, stem, signature))
-
-    def supports(self, out, values) -> bool:
-        """Whether the accumulate kernels have a ``values -> out`` instance."""
-        return (values.dtype, out.dtype) in ACCUMULATE

@@ -41,7 +41,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.md.neighbor import NeighborList
     from repro.md.potentials.base import PairPotential, PairRows
 
-__all__ = ["CsrRows", "KernelBackend"]
+__all__ = ["CsrRows", "DECLINED", "KernelBackend"]
+
+
+class _Declined:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "DECLINED"
+
+
+#: What a native provider's entry returns in place of a call it refuses
+#: (:func:`repro.md.kernels._cc_impl._entry`): no kernel ran and nothing
+#: was written.  A backend reads it as its own decline — a primitive
+#: runs its numpy fallback, a hook returns ``None``.
+DECLINED = _Declined()
 
 
 class CsrRows(NamedTuple):
@@ -173,7 +187,10 @@ class KernelBackend(abc.ABC):
         its body reads; ``None`` (the default, and the answer for any
         closed form, row kind, parameter value, precision policy or
         memory layout a backend does not cover) runs the body instead,
-        and nothing may have been written in that case.
+        and nothing may have been written in that case: a pass of
+        several native calls, any of which may come back
+        :data:`DECLINED`, writes the system and the totals only after
+        its last one.
 
         How close the result must be depends on the closed form:
 

@@ -21,9 +21,10 @@ holds the reason, so requesting ``compiled`` is always safe.  To run
 without native code, select ``numpy_fast``.
 
 The backend subclasses :class:`NumpyFastBackend`: any call whose dtype
-combination or memory layout the provider does not cover falls through
-to the numpy implementation, so correctness never depends on the
-native path being taken.
+combination or memory layout the provider's entry refuses (it returns
+:data:`~repro.md.kernels.base.DECLINED`) falls through to the numpy
+implementation, so correctness never depends on the native path being
+taken.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.md.box import Box
-from repro.md.kernels.base import CsrRows
+from repro.md.kernels.base import DECLINED, CsrRows
 from repro.md.kernels.numpy_fast import NumpyFastBackend
 
 __all__ = [
@@ -724,16 +725,6 @@ def _lj_tables(potential) -> tuple[np.ndarray, ...]:
 _NO_TYPES = np.zeros(1, np.int64)
 
 
-def _native(array, dtype) -> bool:
-    """True for a C-contiguous ndarray of exactly ``dtype`` — what the
-    provider kernels may be handed without a converting copy."""
-    return (
-        isinstance(array, np.ndarray)
-        and array.dtype == dtype
-        and array.flags.c_contiguous
-    )
-
-
 def compiled_available() -> bool:
     """True when the native provider built and passed its smoke test."""
     return resolve_provider()[0] is not None
@@ -751,14 +742,15 @@ class CompiledBackend(NumpyFastBackend):
     """Native-code backend for pair forces and neighbor-list builds.
 
     Subclasses :class:`NumpyFastBackend` so every primitive has a
-    correct numpy fallback: the native path is taken only when the
-    dtype combination and memory layout are covered by the provider
-    (float64, float32, and the MIXED float32-values-into-float64-
-    accumulator case; C-contiguous arrays).  In particular the SINGLE
-    -policy neighbor-list build (float32 positions) stays on the numpy
-    path — pair sets near the cutoff are decided in the storage dtype
-    and the compiled build only replicates the float64 semantics
-    bitwise.
+    correct numpy fallback.  A method checks only what no ``KERNELS``
+    signature states — shapes, row offsets, type indices, the precision
+    policy; the provider's entry refuses every dtype combination and
+    memory layout its row does not cover with ``DECLINED``, which a
+    primitive reads as "run the fallback" and a hook as "return
+    ``None``".  In particular the SINGLE-policy neighbor-list build
+    (float32 positions) stays on the numpy path — pair sets near the
+    cutoff are decided in the storage dtype and the compiled build only
+    replicates the float64 semantics bitwise.
     """
 
     name = "compiled"
@@ -789,9 +781,10 @@ class CompiledBackend(NumpyFastBackend):
 
     def _pair_geom(self, positions, box, rows, rc):
         """``(count, i, j, dr, r)`` of the pairs of the CSR ``rows``
-        within ``rc``, by the ``pair_geom`` kernel in the storage dtype.
-        The outputs are scratch the next call overwrites; their first
-        ``count`` rows are valid."""
+        within ``rc``, by the ``pair_geom`` kernel in the storage dtype,
+        or ``None`` when it declines the rows.  The outputs are scratch
+        the next call overwrites; their first ``count`` rows are
+        valid."""
         dtype = self.policy.storage_dtype
         geometry = self._geom_scratch(len(rows[1]))
         count = self._impl.pair_geom(
@@ -804,16 +797,21 @@ class CompiledBackend(NumpyFastBackend):
             dtype.type(rc * rc),
             *geometry,
         )
-        return (count, *geometry)
+        return None if count is DECLINED else (count, *geometry)
 
     def current_pairs(self, system, neighbors, cutoff=None):
         stored = self._csr_rows(
             neighbors.csr_offsets, neighbors.csr_neighbors, system.n_atoms
         )
-        if neighbors._positions_at_build is None or stored is None:
-            return super().current_pairs(system, neighbors, cutoff)
         rc = neighbors.cutoff if cutoff is None else float(cutoff)
-        c, oi, oj, odr, orr = self._pair_geom(system.positions, system.box, stored, rc)
+        geometry = (
+            None
+            if neighbors._positions_at_build is None or stored is None
+            else self._pair_geom(system.positions, system.box, stored, rc)
+        )
+        if geometry is None:
+            return super().current_pairs(system, neighbors, cutoff)
+        c, oi, oj, odr, orr = geometry
         compute_dtype = self.policy.compute_dtype
         # Compressed copies: scratch is reused next call and must not
         # leak out (same contract as numpy_fast).
@@ -831,18 +829,13 @@ class CompiledBackend(NumpyFastBackend):
     def _type_index(types, n_types):
         """``types`` as the kernels' index into ``(n_types, n_types)``
         tables — ``_NO_TYPES`` for one type, which the kernels read as
-        "ignore atom types" — or ``None`` when they cannot index the
-        tables by it."""
+        "ignore atom types" — or ``None`` when a type is out of their
+        range."""
         if n_types == 1:
             return _NO_TYPES
         # The kernels index the tables unchecked; anything the numpy
         # gather would wrap or reject stays on the numpy path.
-        if not (
-            _native(types, np.int64)
-            and len(types)
-            and 0 <= types.min()
-            and types.max() < n_types
-        ):
+        if not (len(types) and 0 <= types.min() and types.max() < n_types):
             return None
         return types
 
@@ -870,7 +863,10 @@ class CompiledBackend(NumpyFastBackend):
 
         Which route runs is settled before anything is written, from
         the configuration alone — potential, row kind, precision
-        policy, array dtypes and layout — never from an array value.
+        policy, array dtypes and layout — never from an array value: a
+        route checks shapes and offsets, and every system write follows
+        its last native call, so an entry that declines leaves nothing
+        behind.
         """
         route = self._ROUTES.get((potential.closed_form, rows.kind))
         if route is None or not self.policy.is_double:
@@ -880,14 +876,10 @@ class CompiledBackend(NumpyFastBackend):
     @staticmethod
     def _csr_rows(offsets, partners, n):
         """``(offsets, partners)``: CSR rows over ``n`` atoms — a stored
-        list's or an engine worker's — or ``None`` when they cannot go
-        to the kernels as they are."""
-        if not (
-            _native(offsets, np.int64)
-            and _native(partners, np.int64)
-            and offsets.shape == (n + 1,)
-            and offsets[-1] == len(partners)
-        ):
+        list's, an engine worker's or those ``prune_rows`` sweeps — or
+        ``None`` when their offsets do not bound the partners (the
+        kernels index both unchecked)."""
+        if not (offsets.shape == (n + 1,) and offsets[-1] == len(partners)):
             return None
         return offsets, partners
 
@@ -896,17 +888,15 @@ class CompiledBackend(NumpyFastBackend):
         """``(offsets, partners)``: the CSR rows a fused pass over a
         stored list reads — its stored rows, or with a ``cutoff`` its
         inner rows where they hold every pair now inside it — or
-        ``None`` when the positions, forces or stored rows cannot go to
-        the kernels as they are.  Either way the survivors, and their
+        ``None`` when the positions, forces or stored rows are not
+        shaped for the atoms.  Either way the survivors, and their
         order, are the stored list's."""
         system, neighbors = rows.system, rows.neighbors
         stored = cls._csr_rows(
             neighbors.csr_offsets, neighbors.csr_neighbors, system.n_atoms
         )
         if stored is None or not (
-            _native(system.positions, np.float64)
-            and _native(system.forces, np.float64)
-            and system.positions.shape == system.forces.shape == (system.n_atoms, 3)
+            system.positions.shape == system.forces.shape == (system.n_atoms, 3)
         ):
             return None
         inner = None if cutoff is None else neighbors.inner_rows(system, cutoff)
@@ -935,6 +925,8 @@ class CompiledBackend(NumpyFastBackend):
             system.positions, *stored, lengths, periodic, *args,
             system.forces, energy, virial,
         )
+        if count is DECLINED:
+            return None
         # The compressed per-pair terms reduce through the body's verbs.
         rows.add_energy(None, energy[:count])
         rows.add_virial(None, virial[:count])
@@ -964,6 +956,8 @@ class CompiledBackend(NumpyFastBackend):
             system.positions, offsets, partners, lengths, periodic, rc * rc,
             coef, i, j, dr, r, exps,
         )
+        if count is DECLINED:
+            return None
         if count == 0:
             # No pair inside the cutoff: the body skips the embedding.
             return 0
@@ -971,13 +965,16 @@ class CompiledBackend(NumpyFastBackend):
         e = exps[:count].reshape(-1)
         np.exp(e, out=e)
         rho = np.zeros(system.n_atoms)
-        self._impl.eam_density(i, j, r, e, coef, rho)
+        if self._impl.eam_density(i, j, r, e, coef, rho) is DECLINED:
+            return None
         embedding_energy, slopes = embedding(rho, params)
+        if self._impl.eam_forces(
+            i, j, dr, r, e, coef, slopes, system.forces, energy, virial
+        ) is DECLINED:
+            return None
+        # The embedding sum reaches the total before the pair sum, as in
+        # the body.
         rows.add_atom_energy(embedding_energy)
-        self._impl.eam_forces(
-            i, j, dr, r, e, coef, np.ascontiguousarray(slopes, np.float64),
-            system.forces, energy, virial,
-        )
         rows.add_energy(None, energy[:count])
         rows.add_virial(None, virial[:count])
         return count
@@ -997,16 +994,17 @@ class CompiledBackend(NumpyFastBackend):
         n_types = len(eps)
         types = self._type_index(system.types, n_types)
         stored = self._rows_read(rows)
-        if types is None or stored is None or not (
-            _native(charges, np.float64) and charges.shape == (system.n_atoms,)
-        ):
+        if types is None or stored is None or charges.shape != (system.n_atoms,):
             return None
         m = len(stored[1])
         if m == 0:
             return 0
-        count, i, j, dr, r = self._pair_geom(
+        geometry = self._pair_geom(
             system.positions, system.box, stored, potential.cutoff
         )
+        if geometry is None:
+            return None
+        count, i, j, dr, r = geometry
         if count == 0:
             return 0
         i, j, dr, r = i[:count], j[:count], dr[:count], r[:count]
@@ -1016,11 +1014,13 @@ class CompiledBackend(NumpyFastBackend):
         energy, virial, f_over_r = (
             out[:count] for out in self._pair_terms_scratch(m)
         )
-        self._impl.charmm_terms(
+        if self._impl.charmm_terms(
             i, j, r, erfc_ar, gauss, types, n_types, eps, sigma, charges,
             potential.screened_constants(), energy, f_over_r, virial,
-        )
-        self._impl.acc_scaled(system.forces, i, j, dr, f_over_r)
+        ) is DECLINED or self._impl.acc_scaled(
+            system.forces, i, j, dr, f_over_r
+        ) is DECLINED:
+            return None
         rows.add_energy(None, energy)
         rows.add_virial(None, virial)
         return count
@@ -1047,6 +1047,8 @@ class CompiledBackend(NumpyFastBackend):
             rc * rc, _tersoff_vector(params), longest, rows_scratch, atoms,
             system.forces, totals,
         )
+        if count is DECLINED:
+            return None
         rows.energy += float(totals[0])
         rows.virial += float(totals[1])
         return count
@@ -1057,15 +1059,11 @@ class CompiledBackend(NumpyFastBackend):
         csr = self._csr_rows(lists.offsets, lists.partners, len(gids))
         slots = (rows.forces, rows.energy, rows.virial)
         args = self._lj_arguments(potential, rows.per_atom("types"))
-        if args is None or csr is None or not (
-            _native(rows.positions, np.float64)
-            and all(_native(slot, np.float64) for slot in slots)
-            and _native(gids, np.int64)
-        ):
+        if args is None or csr is None:
             return None
         offsets, partners = csr
         # The kernel walks the owned heads' rows only.
-        return self._impl.lj_rows(
+        count = self._impl.lj_rows(
             rows.positions,
             gids,
             offsets,
@@ -1076,6 +1074,7 @@ class CompiledBackend(NumpyFastBackend):
             *args,
             *slots,
         )
+        return None if count is DECLINED else count
 
     #: The fused routes by ``(closed_form, rows.kind)``.
     _ROUTES = {
@@ -1100,49 +1099,39 @@ class CompiledBackend(NumpyFastBackend):
 
     @staticmethod
     def _mesh_coordinates(frac, order) -> bool:
-        """True when ``frac`` is a C-contiguous ``(N, 3)`` array and
-        ``order`` an int (the kernels decline, before writing, an order
-        outside the ones PPPM supports)."""
-        return (
-            isinstance(frac, np.ndarray)
-            and frac.flags.c_contiguous
-            and frac.ndim == 2
-            and frac.shape[1] == 3
-            and isinstance(order, int)
-        )
+        """True when ``frac`` is ``(N, 3)`` and ``order`` an int (the
+        kernels decline, before writing, an order outside the ones PPPM
+        supports)."""
+        return frac.ndim == 2 and frac.shape[1] == 3 and isinstance(order, int)
 
     def pppm_spread(self, mesh, frac, charges, order):
         """Native charge spreading, bitwise the body at every precision:
-        declined unless the ``(frac, mesh)`` dtypes are an accumulate
-        instance and every array is native."""
+        declined unless the shapes agree, and by the entry unless the
+        ``(frac, mesh)`` dtypes are an accumulate instance and every
+        array is native."""
         if not (
             self._mesh_coordinates(frac, order)
-            and _native(charges, frac.dtype)
             and charges.shape == (len(frac),)
-            and isinstance(mesh, np.ndarray)
             and mesh.ndim == 3
             and mesh.size > 0
-            and mesh.flags.c_contiguous
-            and self._impl.supports(mesh, frac)
         ):
             return None
         status = self._impl.pppm_spread(
             mesh, np.array(mesh.shape, np.int64), frac, charges, order,
             *self._stencil_scratch(frac, order),
         )
-        return None if status < 0 else mesh
+        return None if status is DECLINED or status < 0 else mesh
 
     def pppm_gather(self, efield, frac, fields, order):
         """Native field interpolation, bitwise the body at every
-        precision: declined unless ``efield`` and the three fields are
-        native in ``frac``'s dtype, the policy's compute dtype (its
-        instance is the policy's)."""
+        precision: declined unless the shapes agree and ``frac`` is in
+        the policy's compute dtype (its instance is the policy's), and
+        by the entry unless ``efield`` and the three fields are native
+        in that dtype."""
         if not (
             self._mesh_coordinates(frac, order)
-            and _native(efield, frac.dtype)
             and efield.shape == frac.shape
             and len(fields) == 3
-            and all(_native(field, frac.dtype) for field in fields)
             and fields[0].ndim == 3
             and fields[0].size > 0
             and fields[0].shape == fields[1].shape == fields[2].shape
@@ -1153,31 +1142,22 @@ class CompiledBackend(NumpyFastBackend):
             efield, *fields, np.array(fields[0].shape, np.int64), frac, order,
             *self._stencil_scratch(frac, order),
         )
-        return None if status < 0 else efield
+        return None if status is DECLINED or status < 0 else efield
 
     # ------------------------------------------------------------------
     # Scatter / accumulate
     # ------------------------------------------------------------------
     def _scatter_via_impl(self, out, index, values) -> bool:
-        if not (
-            isinstance(out, np.ndarray)
-            and out.flags.c_contiguous
-            and self._impl.supports(out, values)
-        ):
+        if values.ndim == out.ndim == 1:
+            kernel = self._impl.scatter1
+        elif values.ndim == out.ndim == 2 and values.shape[1] == out.shape[1] == 3:
+            kernel = self._impl.scatter3
+        else:
             return False
-        idx = np.ascontiguousarray(index, dtype=np.int64)
-        if values.ndim == 1 and out.ndim == 1:
-            self._impl.scatter1(out, idx, np.ascontiguousarray(values))
-            return True
-        if (
-            values.ndim == 2
-            and out.ndim == 2
-            and values.shape[1] == 3
-            and out.shape[1] == 3
-        ):
-            self._impl.scatter3(out, idx, np.ascontiguousarray(values))
-            return True
-        return False
+        return kernel(
+            out, np.ascontiguousarray(index, dtype=np.int64),
+            np.ascontiguousarray(values),
+        ) is not DECLINED
 
     def scatter_add(self, out, index, values):
         values = np.asarray(values)
@@ -1196,36 +1176,31 @@ class CompiledBackend(NumpyFastBackend):
         fvec = np.asarray(fvec)
         if (
             len(i) == 0
-            or not forces.flags.c_contiguous
             or fvec.ndim != 2
             or fvec.shape[1] != 3
-            or not self._impl.supports(forces, fvec)
+            or self._impl.acc_pair(
+                forces,
+                np.ascontiguousarray(i, dtype=np.int64),
+                np.ascontiguousarray(j, dtype=np.int64),
+                np.ascontiguousarray(fvec),
+            ) is DECLINED
         ):
-            return super().accumulate_pair_forces(forces, i, j, fvec)
-        self._impl.acc_pair(
-            forces,
-            np.ascontiguousarray(i, dtype=np.int64),
-            np.ascontiguousarray(j, dtype=np.int64),
-            np.ascontiguousarray(fvec),
-        )
+            super().accumulate_pair_forces(forces, i, j, fvec)
 
     def accumulate_scaled_pair_forces(self, forces, i, j, dr, f_over_r):
         dr = np.asarray(dr)
         f_over_r = np.asarray(f_over_r)
         if (
             len(i) == 0
-            or not forces.flags.c_contiguous
-            or dr.dtype != f_over_r.dtype
-            or not self._impl.supports(forces, f_over_r)
+            or self._impl.acc_scaled(
+                forces,
+                np.ascontiguousarray(i, dtype=np.int64),
+                np.ascontiguousarray(j, dtype=np.int64),
+                np.ascontiguousarray(dr),
+                np.ascontiguousarray(f_over_r),
+            ) is DECLINED
         ):
-            return super().accumulate_scaled_pair_forces(forces, i, j, dr, f_over_r)
-        self._impl.acc_scaled(
-            forces,
-            np.ascontiguousarray(i, dtype=np.int64),
-            np.ascontiguousarray(j, dtype=np.int64),
-            np.ascontiguousarray(dr),
-            np.ascontiguousarray(f_over_r),
-        )
+            super().accumulate_scaled_pair_forces(forces, i, j, dr, f_over_r)
 
     # ------------------------------------------------------------------
     # Neighbor-list build
@@ -1240,15 +1215,15 @@ class CompiledBackend(NumpyFastBackend):
         ``estimate``.  The largest, so a smaller build between two list
         builds (``neighbors_per_atom`` at the force cutoff) cannot make
         the next one overflow.  A kernel reports the true count even
-        when it did not fit, so one retry always suffices; a negative
-        count (allocation failure, unmet precondition, tied sort keys)
-        gives ``None``."""
+        when it did not fit, so one retry always suffices; a declined
+        call or a negative count (allocation failure, unmet
+        precondition, tied sort keys) gives ``None``."""
         offsets = np.zeros(len(positions) + 1, dtype=np.int64)
         capacity = self._capacity_hint[stem] or max(estimate, 1024)
         while True:
             partners = np.empty(capacity, np.int64)
             count = getattr(self._impl, stem)(positions, *args, partners, offsets)
-            if count < 0:
+            if count is DECLINED or count < 0:
                 return None
             if count <= capacity:
                 break
@@ -1269,11 +1244,7 @@ class CompiledBackend(NumpyFastBackend):
         path.
         """
         positions = np.asarray(positions)
-        if (
-            positions.dtype != np.float64
-            or positions.ndim != 2
-            or positions.shape[1] != 3
-        ):
+        if positions.ndim != 2 or positions.shape[1] != 3:
             return None
         positions = np.ascontiguousarray(positions)
         n = len(positions)
@@ -1302,8 +1273,7 @@ class CompiledBackend(NumpyFastBackend):
         without the half list, the mirror or the lexsort."""
         positions = np.asarray(positions)
         if (
-            positions.dtype != np.float64
-            or positions.ndim != 2
+            positions.ndim != 2
             or positions.shape[1] != 3
             or len(positions) == 0
             or box.periodic.any()
@@ -1338,15 +1308,8 @@ class CompiledBackend(NumpyFastBackend):
         partners are a view of a buffer with room for every stored pair:
         the sweep writes no further than the pairs it keeps, so the pages
         past them are never touched."""
-        if not (
-            _native(positions, np.float64)
-            and positions.ndim == 2
-            and positions.shape[1] == 3
-            and _native(offsets, np.int64)
-            and offsets.shape == (len(positions) + 1,)
-            and _native(partners, np.int64)
-            and offsets[-1] == len(partners)
-        ):
+        n = len(positions)
+        if positions.shape != (n, 3) or self._csr_rows(offsets, partners, n) is None:
             return None
         inner = np.empty(len(offsets), np.int64)
         kept = np.empty(len(partners), np.int64)
@@ -1355,17 +1318,16 @@ class CompiledBackend(NumpyFastBackend):
             positions, offsets, partners, lengths, periodic, radius * radius,
             inner, kept,
         )
-        return inner, kept[:count]
+        return None if count is DECLINED else (inner, kept[:count])
 
     def max_displacement_sq(self, positions, reference, box):
         """Native skin check (float64, C-contiguous ``(n, 3)`` only)."""
         if not (
-            _native(positions, np.float64)
-            and _native(reference, np.float64)
-            and positions.shape == reference.shape
+            positions.shape == reference.shape
             and positions.ndim == 2
             and positions.shape[1] == 3
             and len(positions) > 0
         ):
             return None
-        return self._impl.max_disp_sq(positions, reference, *_box_f64(box))
+        result = self._impl.max_disp_sq(positions, reference, *_box_f64(box))
+        return None if result is DECLINED else result

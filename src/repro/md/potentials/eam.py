@@ -126,7 +126,12 @@ class EAMAlloy(PairPotential):
 
     def __init__(self, params: EAMParameters | None = None) -> None:
         self.params = params if params is not None else EAMParameters()
-        self.cutoff = self.params.cutoff
+
+    @property
+    def cutoff(self) -> float:
+        """The interaction cutoff, read from :attr:`params` on every use,
+        so a replaced ``params`` moves it too."""
+        return self.params.cutoff
 
     def halo_width(self, list_cutoff: float) -> float:
         """EAM needs neighbor-of-neighbor reach in the ghost shell.

@@ -89,7 +89,12 @@ class Tersoff(PairPotential):
 
     def __init__(self, params: TersoffParameters | None = None) -> None:
         self.params = params if params is not None else TersoffParameters()
-        self.cutoff = self.params.cutoff
+
+    @property
+    def cutoff(self) -> float:
+        """The interaction cutoff, read from :attr:`params` on every use,
+        so a replaced ``params`` moves it too."""
+        return self.params.cutoff
 
     def halo_width(self, list_cutoff: float) -> float:
         """Tersoff needs neighbor-of-neighbor reach in the ghost shell.

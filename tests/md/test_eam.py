@@ -1,6 +1,6 @@
 """Tests for the embedded-atom (EAM) many-body potential."""
 
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.md.atoms import AtomSystem
 from repro.md.box import Box
-from repro.md.lattice import fcc_positions
+from repro.md.lattice import eam_solid_system, fcc_positions
 from repro.md.neighbor import NeighborList
 from repro.md.potentials.eam import EAMAlloy, EAMParameters
 
@@ -175,6 +175,27 @@ class TestForces:
     def test_isolated_atom_zero_energy(self, eam):
         box = Box([30, 30, 30])
         assert _energy_of(np.array([[15.0, 15, 15]]), box, eam) == pytest.approx(0.0)
+
+    def test_replaced_parameters_cut_at_their_own_cutoff(self):
+        """``cutoff`` is read from ``params``: once ``params`` is
+        replaced, a pass over a list built for the old cutoff counts,
+        sums and pushes what a fresh ``EAMAlloy`` of the new parameters
+        does."""
+        system = eam_solid_system(256, seed=1)
+        nlist = NeighborList(4.95, 1.0)
+        nlist.build(system)
+        replaced = EAMAlloy()
+        replaced.params = replace(replaced.params, cutoff=3.0)
+        results = []
+        for eam in (replaced, EAMAlloy(replaced.params)):
+            eam.backend = self.backend
+            system.forces[:] = 0.0
+            results.append((eam.compute(system, nlist), system.forces.copy()))
+        (got, got_forces), (want, want_forces) = results
+        assert replaced.cutoff == 3.0
+        assert got.interactions == want.interactions == 1536
+        assert got.energy == want.energy
+        assert np.array_equal(got_forces, want_forces)
 
 
 class TestForcesCompiled(TestForces):

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import warnings
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from repro.md.kernels import (
     resolved_backend,
 )
 from repro.md.kernels import _cc_impl
+from repro.md.kernels.base import DECLINED
 from repro.md.kernels.compiled import (
     _smoke_test,
     compiled_available,
@@ -560,7 +562,17 @@ _TABLE_INSTANCES = [
     for stem, (instances, _, _) in _cc_impl.KERNELS.items()
     for val, acc in instances
 ]
-F64 = np.dtype(np.float64)
+F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
+#: ``(stem, VAL, ACC)`` of every float pair a row's entry can be handed
+#: and has no instance of (a row without accumulators looks up
+#: ``(VAL, VAL)``).
+_UNBOUND_PAIRS = [
+    (stem, val, acc)
+    for stem, (instances, _, signature) in _cc_impl.KERNELS.items()
+    for val in (F32, F64)
+    for acc in ((F32, F64) if "a" in signature.lower() else (val,))
+    if (val, acc) not in instances
+]
 
 
 def _prototypes():
@@ -724,6 +736,66 @@ def _mutation_rows():
 _MUTATIONS = _mutation_rows()
 
 
+class _Captured(Exception):
+    """Raised by :class:`_Capture` once it holds an entry's arguments."""
+
+
+class _Capture:
+    """The provider with its ``stem`` entry replaced by one that keeps
+    its arguments and stops the caller."""
+
+    def __init__(self, provider, stem):
+        self._provider, self._stem, self.args = provider, stem, None
+
+    def __getattr__(self, name):
+        if name != self._stem:
+            return getattr(self._provider, name)
+
+        def capture(*args):
+            self.args = list(args)
+            raise _Captured
+
+        return capture
+
+
+def _smoke_arguments(provider, stem, val, acc):
+    """``(letters, arguments)``: what ``stem``'s smoke declaration first
+    hands its entry under the ``(val, acc)`` instance's policy (a
+    builder's partners room included), each with its signature letter."""
+    case = compiled_module._SMOKE_CASES[stem]
+    instances, _, signature = _cc_impl.KERNELS[stem]
+    policy = instances[val, acc]
+    a = case.inputs(np.random.default_rng(7), policy)
+    if compiled_module._contract(case, policy)[0] == "builder":
+        a = SimpleNamespace(**vars(a), out=np.empty(64, np.int64))
+    capture = _Capture(provider, stem)
+    with pytest.raises(_Captured):
+        case.call(capture, a)
+    return [letter for letter in signature.split() if letter != "#"], capture.args
+
+
+def _broken(array, written):
+    """``array`` broken each way an entry must refuse: in a dtype no row
+    takes, strided and, when the kernel writes it, read-only."""
+    wrong = {"f": np.float16, "i": np.int32, "u": np.bool_}[array.dtype.kind]
+    variants = [np.zeros_like(array, dtype=wrong)]
+    if len(array) > 1:
+        variants.append(np.repeat(array, 2, axis=0)[::2])
+        assert not variants[-1].flags.c_contiguous
+    if written:
+        variants.append(array.copy())
+        variants[-1].flags.writeable = False
+    return variants
+
+
+def _assert_declined(entry, args):
+    """``entry(*args)`` is declined and leaves every array as it was."""
+    before = [np.array(arg, copy=True) for arg in args]
+    assert entry(*args) is DECLINED
+    for arg, was in zip(args, before):
+        assert _same_bits(arg, was)
+
+
 @needs_compiled
 class TestInstanceTable:
     @pytest.mark.parametrize("stem, val, acc, corrupt", _MUTATIONS)
@@ -824,6 +896,46 @@ class TestInstanceTable:
             assert policy.compute_dtype == val
         for (val, _), policy in _cc_impl.GEOMETRY.items():
             assert policy.storage_dtype == val
+
+    @pytest.mark.parametrize(
+        "stem, val, acc",
+        _TABLE_INSTANCES,
+        ids=[_cc_impl.symbol(*instance) for instance in _TABLE_INSTANCES],
+    )
+    def test_the_entry_declines_every_argument_its_signature_refuses(
+        self, stem, val, acc
+    ):
+        """The smoke declaration's arguments run; any one array among
+        them in a dtype no row takes, strided, or read-only where the
+        signature writes it, and the entry returns ``DECLINED`` before
+        the kernel runs: every array is byte for byte what it was."""
+        provider, _ = resolve_provider()
+        entry = getattr(provider, stem)
+        letters, args = _smoke_arguments(provider, stem, val, acc)
+        copies = [arg.copy() if isinstance(arg, np.ndarray) else arg for arg in args]
+        assert entry(*copies) is not DECLINED
+        for k, (letter, arg) in enumerate(zip(letters, args)):
+            if isinstance(arg, np.ndarray):
+                for variant in _broken(arg, letter.isupper()):
+                    _assert_declined(entry, [*args[:k], variant, *args[k + 1 :]])
+
+    @pytest.mark.parametrize(
+        "stem, val, acc",
+        _UNBOUND_PAIRS,
+        ids=[_cc_impl.symbol(*pair) for pair in _UNBOUND_PAIRS],
+    )
+    def test_a_dtype_pair_with_no_instance_is_declined(self, stem, val, acc):
+        """The row's value arrays in ``VAL`` and its accumulators in
+        ``ACC``, a pair it has no instance of: declined, not a lookup
+        error."""
+        provider, _ = resolve_provider()
+        instance = next(iter(_cc_impl.KERNELS[stem][0]))
+        letters, args = _smoke_arguments(provider, stem, *instance)
+        cast = {"v": val, "a": acc}
+        _assert_declined(getattr(provider, stem), [
+            np.zeros_like(arg, cast[letter.lower()]) if letter.lower() in cast else arg
+            for letter, arg in zip(letters, args)
+        ])
 
     def test_every_signature_agrees_with_its_prototype(self):
         """Each row's letters against the C prototype of every instance:
@@ -1899,6 +2011,51 @@ class TestEditedParameters:
         system.forces[...] = 0.0
         assert _hook(CompiledBackend(), potential, system, full) is None
         assert np.all(system.forces == 0.0)
+
+
+def _route_case(closed_form):
+    """``(system, neighbors, potential)`` a ``closed_form`` route engages
+    on, with its list built."""
+    if closed_form == "lj/charmm/coul/long":
+        return _rhodo_pass()
+    if closed_form == "lj/cut":
+        system, nlist, potential = (
+            lj_melt_system(256, seed=5), NeighborList(2.5, 0.3), LennardJonesCut()
+        )
+    elif closed_form == "eam/alloy":
+        system, nlist, potential = (
+            eam_solid_system(256, seed=5), NeighborList(4.95, 1.0), EAMAlloy()
+        )
+    else:
+        system, nlist, potential = (
+            AtomSystem(*_silicon(3)), NeighborList(3.0, 0.5, full=True), Tersoff()
+        )
+    nlist.build(system)
+    return system, nlist, potential
+
+
+@needs_compiled
+class TestRoutesDecline:
+    """A route's native calls are refused by their entries, and every
+    system write follows the route's last native call."""
+
+    @pytest.mark.parametrize(
+        "closed_form", ["lj/cut", "eam/alloy", "lj/charmm/coul/long", "tersoff"]
+    )
+    def test_read_only_forces_decline_without_writing(self, closed_form):
+        """The route engages on the system as built; with its forces
+        read-only it returns ``None`` and writes neither the forces nor
+        the row view's energy and virial (EAM's embedding energy
+        included)."""
+        system, nlist, potential = _route_case(closed_form)
+        assert potential.closed_form == closed_form
+        assert _hook(CompiledBackend(), potential, system, nlist) is not None
+        system.forces[...] = 0.0
+        system.forces.flags.writeable = False
+        rows = StoredRows(system, nlist, CompiledBackend())
+        assert rows.backend.pair_forces(potential, rows) is None
+        assert np.all(system.forces == 0.0)
+        assert rows.energy == rows.virial == 0.0
 
 
 # ---------------------------------------------------------------------------

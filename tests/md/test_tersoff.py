@@ -1,5 +1,7 @@
 """Tests for the Tersoff three-body bond-order potential (silicon)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,29 @@ class TestCrystal:
         result, _ = _compute(pos, box, tersoff)
         # 4 bonded neighbours per atom, both directions counted.
         assert result.interactions == 4 * len(pos)
+
+    def test_replaced_parameters_cut_at_their_own_cutoff(self):
+        """``cutoff`` is read from ``params``: once ``R``/``D`` are
+        replaced, a pass over a list built for the old cutoff counts,
+        sums and pushes what a fresh ``Tersoff`` of the new parameters
+        does."""
+        rng = np.random.default_rng(5)
+        pos, box = diamond_positions(2, 5.431)
+        system = AtomSystem(pos + rng.normal(scale=0.1, size=pos.shape), box)
+        nlist = NeighborList(3.0, 0.5, full=True)
+        nlist.build(system)
+        replaced = Tersoff()
+        replaced.params = replace(replaced.params, R=2.3, D=0.1)
+        results = []
+        for pot in (replaced, Tersoff(replaced.params)):
+            pot.backend = self.backend
+            system.forces[:] = 0.0
+            results.append((pot.compute(system, nlist), system.forces.copy()))
+        (got, got_forces), (want, want_forces) = results
+        assert replaced.cutoff == pytest.approx(2.4)
+        assert 0 < got.interactions == want.interactions < 4 * len(pos)
+        assert got.energy == want.energy
+        assert np.array_equal(got_forces, want_forces)
 
 
 class TestCrystalCompiled(TestCrystal):
