@@ -210,8 +210,14 @@ class ShakeConstraints(Stateful):
                 slope = 2.0 * coupling * (r @ s.transpose(0, 2, 1))
                 g += self._solve(slope, diff, rows)
             else:
+                residual = np.abs(diff) / target
+                worst = np.unravel_index(np.argmax(residual), residual.shape)
+                atoms = np.unique(self.pairs[rows[worst[0]]])
                 raise RuntimeError(
-                    f"SHAKE failed to converge in {self.max_iterations} iterations"
+                    f"SHAKE failed to converge in {self.max_iterations} iterations: "
+                    f"cluster of atoms {atoms.tolist()} still has a relative "
+                    f"residual |r^2 - d^2| / d^2 of {residual[worst]:.3g} "
+                    f"(tolerance {self.tolerance:g})"
                 )
             multipliers[rows] = g
             iterations = max(iterations, iteration - 1)

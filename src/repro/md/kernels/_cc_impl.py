@@ -12,8 +12,9 @@ that exists at more than one precision is written once, over a value
 type ``VAL`` and an accumulator type ``ACC``, and instantiated for the
 dtype pairs the policies of :mod:`repro.md.precision` define; binding
 and the provider's entry — dtype-keyed dispatch, the lengths filled in,
-the decline of any argument the signature refuses — follow from the
-row's signature, and the provider smoke
+raw pointers made after the check the signature's letters ask, the
+decline of any argument they refuse — follow from the row's
+signature, and the provider smoke
 test checks every instance against the row's one declaration in
 ``compiled._SMOKE_CASES``, which reads its dtypes from the policy.
 
@@ -75,7 +76,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from numpy.ctypeslib import ndpointer
 
 from repro.md.kernels.base import DECLINED
 from repro.md.precision import DOUBLE_POLICY, PRECISIONS, policy_for
@@ -1401,7 +1401,9 @@ DOUBLE = {(DOUBLE_POLICY.storage_dtype, DOUBLE_POLICY.storage_dtype): DOUBLE_POL
 #: count, an output's room).  The entry takes the other arguments in C
 #: order and picks the instance from the dtypes of the first ``v``/``V``
 #: and the first ``a``/``A`` array (the value dtype when there is none),
-#: or declines the call (:func:`_entry`).
+#: or declines the call (:func:`_entry`).  An array reaches C as a raw
+#: pointer the instance makes after checking it against its letter; a
+#: scalar keeps its ctypes type (:func:`_instance`).
 KERNELS = {
     "scatter1": (ACCUMULATE, None, "A i v #"),
     "scatter3": (ACCUMULATE, None, "A i v #"),
@@ -1462,19 +1464,47 @@ _SOURCE = _PRELUDE + "".join(
 )
 
 
-def _argtypes(signature: str, val: np.dtype, acc: np.dtype) -> list:
-    """ctypes ``argtypes`` of one instance from its row's signature."""
+def _instance(fn, signature: str, val: np.dtype, acc: np.dtype):
+    """``bound[stem, val, acc]``: the foreign function ``fn``, its
+    ``argtypes`` set from the row's signature, as a callable over the
+    row's arguments in C order, ``#`` lengths included.
+
+    A scalar keeps its ctypes type, so one ctypes cannot convert raises
+    ``ArgumentError``.  An array is checked against its letter — an
+    ndarray of exactly the instance's dtype, C-contiguous, writeable
+    where the kernel writes it — and any failure returns
+    :data:`~repro.md.kernels.base.DECLINED` before the call; else C gets
+    a ``c_void_p``: the buffer protocol's pointer, the cheapest ctypes
+    makes, whose export lives only as long as the call's argument list,
+    or the address of a read-only input or an empty array, which the
+    buffer protocol refuses."""
+    letters = signature.split()
     scalars = {"n": ctypes.c_int64, "#": ctypes.c_int64, "s": _C_TYPES[val][1]}
-    elements = {"v": val, "a": acc, "i": np.int64, "u": np.uint8}
-    return [
-        scalars.get(letter) or _ptr(elements[letter.lower()], letter.isupper())
-        for letter in signature.split()
+    fn.argtypes = [scalars.get(letter, ctypes.c_void_p) for letter in letters]
+    elements = {"v": val, "a": acc, "i": np.dtype(np.int64), "u": np.dtype(np.uint8)}
+    arrays = [
+        (k, elements[letter.lower()], letter.isupper())
+        for k, letter in enumerate(letters)
+        if letter.lower() in elements
     ]
+    byref, from_buffer, ndarray = ctypes.byref, ctypes.c_char.from_buffer, np.ndarray
 
+    def instance(*args):
+        args = list(args)
+        for k, dtype, writes in arrays:
+            array = args[k]
+            if not isinstance(array, ndarray) or array.dtype != dtype:
+                return DECLINED
+            try:
+                args[k] = byref(from_buffer(array))
+            except (TypeError, ValueError):
+                flags = array.flags
+                if not flags.c_contiguous or writes and not flags.writeable:
+                    return DECLINED
+                args[k] = array.ctypes.data
+        return fn(*args)
 
-def _ptr(dtype, writeable=False):
-    flags = "C_CONTIGUOUS,WRITEABLE" if writeable else "C_CONTIGUOUS"
-    return ndpointer(dtype=dtype, flags=flags)
+    return instance
 
 
 def _entry(bound: dict, stem: str, signature: str):
@@ -1484,10 +1514,10 @@ def _entry(bound: dict, stem: str, signature: str):
 
     This is the one check between Python and C: the entry returns
     :data:`~repro.md.kernels.base.DECLINED`, before the kernel runs,
-    when the argument dtypes pick no instance or when ctypes refuses an
-    argument — an array of another dtype, not C-contiguous, read-only
-    where the signature writes, or no array at all.  Any other error
-    (a wrong argument count) propagates."""
+    when the argument dtypes pick no instance or the instance refuses
+    an argument — an array of another dtype, not C-contiguous,
+    read-only where the signature writes, no array at all, or a scalar
+    ctypes cannot convert.  A wrong argument count raises ``TypeError``."""
     letters = signature.split()
     given = [letter for letter in letters if letter != "#"]
     value = next(k for k, letter in enumerate(given) if letter in "vV")
@@ -1495,6 +1525,8 @@ def _entry(bound: dict, stem: str, signature: str):
     lengths = [k for k, letter in enumerate(letters) if letter == "#"]
 
     def entry(*args):
+        if len(args) != len(given):
+            raise TypeError(f"{stem} takes {len(given)} arguments, {len(args)} given")
         val = getattr(args[value], "dtype", None)
         fn = bound.get((stem, val, getattr(args[acc], "dtype", None)))
         if fn is None:
@@ -1650,7 +1682,8 @@ class CcProvider:
     An entry takes C-contiguous arrays of the exact dtypes its signature
     names and returns :data:`~repro.md.kernels.base.DECLINED` for any
     other (:func:`_entry`); shapes and index bounds are the caller's to
-    check.
+    check.  ``bound`` holds each instance as a callable over the row's
+    arrays, which hands C a raw pointer per array (:func:`_instance`).
     """
 
     kind = "cc"
@@ -1668,6 +1701,5 @@ class CcProvider:
             for val, acc in instances:
                 fn = getattr(lib, symbol(stem, val, acc))
                 fn.restype = restype
-                fn.argtypes = _argtypes(signature, val, acc)
-                self.bound[stem, val, acc] = fn
+                self.bound[stem, val, acc] = _instance(fn, signature, val, acc)
             setattr(self, stem, _entry(self.bound, stem, signature))

@@ -11,6 +11,7 @@ import hashlib
 import re
 import shutil
 import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -58,6 +59,7 @@ from repro.md.potentials.tersoff import Tersoff, TersoffParameters
 from repro.md.simulation import Simulation
 from repro.parallel.forces import DomainLists, OwnerRows
 from repro.parallel.halo import LocalIndex
+from repro.parallel.shm import ShmArena
 from tests.conftest import (
     brute_force_up_to,
     finite_difference_forces,
@@ -758,20 +760,37 @@ class _Capture:
         return capture
 
 
-def _smoke_arguments(provider, stem, val, acc):
-    """``(letters, arguments)``: what ``stem``'s smoke declaration first
-    hands its entry under the ``(val, acc)`` instance's policy (a
-    builder's partners room included), each with its signature letter."""
+def _smoke_inputs(stem, val, acc, seed=7):
+    """``(case, inputs)``: ``stem``'s smoke declaration and the inputs
+    it draws at ``seed`` under the ``(val, acc)`` instance's policy, a
+    builder's partners room included."""
     case = compiled_module._SMOKE_CASES[stem]
-    instances, _, signature = _cc_impl.KERNELS[stem]
-    policy = instances[val, acc]
-    a = case.inputs(np.random.default_rng(7), policy)
+    policy = _cc_impl.KERNELS[stem][0][val, acc]
+    a = case.inputs(np.random.default_rng(seed), policy)
     if compiled_module._contract(case, policy)[0] == "builder":
         a = SimpleNamespace(**vars(a), out=np.empty(64, np.int64))
+    return case, a
+
+
+def _smoke_call(provider, stem, val, acc):
+    """``(letters, arguments, inputs)``: what ``stem``'s smoke
+    declaration first hands its entry, each argument with its signature
+    letter, and the inputs they were taken from."""
+    case, a = _smoke_inputs(stem, val, acc)
     capture = _Capture(provider, stem)
     with pytest.raises(_Captured):
         case.call(capture, a)
-    return [letter for letter in signature.split() if letter != "#"], capture.args
+    return _given(stem), capture.args, a
+
+
+def _smoke_arguments(provider, stem, val, acc):
+    """``(letters, arguments)`` of :func:`_smoke_call`."""
+    return _smoke_call(provider, stem, val, acc)[:2]
+
+
+def _given(stem):
+    """The letters of the arguments ``stem``'s entry takes."""
+    return [letter for letter in _cc_impl.KERNELS[stem][2].split() if letter != "#"]
 
 
 def _broken(array, written):
@@ -1035,6 +1054,214 @@ class TestInstanceTable:
             assert len(definition.findall(template)) == 1
             assert len(definition.findall(_cc_impl._SOURCE)) == len(instances)
             assert re.search(rf"^\w+ {stem}_f\d+", _cc_impl._SOURCE, re.M) is None
+
+
+def _as_is(array, written):
+    return array
+
+
+def _read_only(array, written):
+    """An input the kernel only reads, as a read-only copy."""
+    if written:
+        return array
+    copy = array.copy()
+    copy.flags.writeable = False
+    return copy
+
+
+def _from_bytes(array, written):
+    """An input as a read-only view of a ``bytes`` object."""
+    if written:
+        return array
+    return np.frombuffer(array.tobytes(), array.dtype).reshape(array.shape)
+
+
+def _past_first(array, written):
+    """A copy in a contiguous view one element into its buffer (``a[1:]``)."""
+    view = np.empty(array.size + 1, array.dtype)[1:].reshape(array.shape)
+    view[...] = array
+    return view
+
+
+def _prefix(array, written):
+    """A copy in the first elements of a longer buffer (``buf[:n]``, the
+    backend's scratch)."""
+    view = np.empty(array.size + 5, array.dtype)[: array.size].reshape(array.shape)
+    view[...] = array
+    return view
+
+
+class _Forms:
+    """The provider with its ``stem`` entry handed every array argument
+    as ``form(array, written)`` — the same values in another form — and
+    what the kernel wrote copied back into the caller's array.  Each
+    call must be accepted and leave every array it was handed with the
+    reference count it had: a pointer the binding made (which holds its
+    array, and a buffer export on it) must not outlive the call."""
+
+    def __init__(self, provider, stem, form):
+        self._provider, self._stem, self._form = provider, stem, form
+
+    def __getattr__(self, name):
+        real = getattr(self._provider, name)
+        if name != self._stem:
+            return real
+
+        def entry(*args):
+            letters = _given(self._stem)
+            moved = [
+                self._form(arg, letter.isupper()) if isinstance(arg, np.ndarray) else arg
+                for letter, arg in zip(letters, args, strict=True)
+            ]
+            arrays = [arg for arg in moved if isinstance(arg, np.ndarray)]
+            counts = [sys.getrefcount(array) for array in arrays]
+            result = real(*moved)
+            assert result is not DECLINED
+            assert [sys.getrefcount(array) for array in arrays] == counts
+            for letter, arg, form in zip(letters, args, moved):
+                if letter.isupper():
+                    arg[...] = form
+            return result
+
+        return entry
+
+
+def _in_arenas(arenas):
+    """A form that copies each array into a fresh engine ``ShmArena``,
+    kept in ``arenas`` for the caller to close."""
+    def form(array, written):
+        arena = ShmArena.create({"a": (array.shape, array.dtype)})
+        arenas.append(arena)
+        arena["a"][...] = array
+        return arena["a"]
+
+    return form
+
+
+def _emptied(stem, args, a):
+    """``stem``'s smoke ``args`` (taken from inputs ``a``) with no work
+    in them: a stored list's partners, and every array of their length,
+    empty and its offsets zero; a build given no partners room; else
+    every array of the length the row's first ``#`` reports empty."""
+    def empty_all_of(length):
+        return [
+            arg[:0] if isinstance(arg, np.ndarray) and len(arg) == length else arg
+            for arg in args
+        ]
+
+    def position(name):
+        return next((k for k, arg in enumerate(args) if arg is getattr(a, name, None)), None)
+
+    if position("pj") is not None:
+        empty = empty_all_of(len(a.pj))
+        empty[position("offsets")] = np.zeros_like(a.offsets)
+        return empty
+    if position("out") is not None:
+        return [a.out[:0] if arg is a.out else arg for arg in args]
+    return empty_all_of(len(args[_cc_impl.KERNELS[stem][2].split().index("#") - 1]))
+
+
+@needs_compiled
+class TestRawPointerBinding:
+    """The entry hands C raw pointers: every argument form the row's
+    letters allow runs, bit for bit as the plain call, and nothing the
+    binding makes outlives the call."""
+
+    @pytest.mark.parametrize(
+        "form", [_as_is, _read_only, _from_bytes, _past_first, _prefix],
+        ids=["as-is", "read-only", "frombuffer", "offset-view", "prefix-view"],
+    )
+    @pytest.mark.parametrize(
+        "stem, val, acc",
+        _TABLE_INSTANCES,
+        ids=[_cc_impl.symbol(*instance) for instance in _TABLE_INSTANCES],
+    )
+    def test_every_array_form_runs_bitwise_the_plain_call(self, stem, val, acc, form):
+        provider, _ = resolve_provider()
+        case, plain = _smoke_inputs(stem, val, acc)
+        _, formed = _smoke_inputs(stem, val, acc)
+        want = case.call(provider, plain)
+        got = case.call(_Forms(provider, stem, form), formed)
+        assert compiled_module._agree(got, want)
+
+    @pytest.mark.parametrize(
+        "stem, val, acc",
+        _TABLE_INSTANCES,
+        ids=[_cc_impl.symbol(*instance) for instance in _TABLE_INSTANCES],
+    )
+    def test_arena_arrays_run_and_the_arena_still_unlinks(self, stem, val, acc):
+        """Arrays in the engine's shared memory run bitwise as the plain
+        call, and every arena still closes and unlinks its segment
+        afterwards."""
+        provider, _ = resolve_provider()
+        case, plain = _smoke_inputs(stem, val, acc)
+        _, formed = _smoke_inputs(stem, val, acc)
+        arenas = []
+        try:
+            got = case.call(_Forms(provider, stem, _in_arenas(arenas)), formed)
+        finally:
+            specs = [arena.specs for arena in arenas]
+            for arena in arenas:
+                arena.close()
+        assert compiled_module._agree(got, case.call(provider, plain))
+        for spec in specs:
+            with pytest.raises(FileNotFoundError):
+                ShmArena.attach(spec)
+
+    @pytest.mark.parametrize(
+        "stem, val, acc",
+        _TABLE_INSTANCES,
+        ids=[_cc_impl.symbol(*instance) for instance in _TABLE_INSTANCES],
+    )
+    def test_zero_length_arrays_run_and_add_nothing(self, stem, val, acc):
+        """Empty arrays (handed to C by address: the buffer protocol
+        refuses them) are accepted; a build with no room reports its
+        true count and rows, anything else finds no work and writes
+        nothing but zeros."""
+        provider, _ = resolve_provider()
+        entry = getattr(provider, stem)
+        letters, args, a = _smoke_call(provider, stem, val, acc)
+        empty = _emptied(stem, args, a)
+        assert any(
+            isinstance(arg, np.ndarray) and arg.size == 0 for arg in empty
+        ), "no array emptied"
+        if getattr(a, "out", None) is not None:
+            count, offsets = entry(*args), args[-1].copy()
+            assert entry(*empty) == count
+            assert _same_bits(empty[-1], offsets)
+            return
+        before = [np.array(arg, copy=True) for arg in empty]
+        result = entry(*empty)
+        assert result is not DECLINED and not result
+        for letter, arg, was in zip(letters, empty, before):
+            if letter.isupper():
+                assert _same_bits(arg, was) or not arg.any()
+
+    @pytest.mark.parametrize("stem", list(_cc_impl.KERNELS))
+    def test_a_wrong_argument_count_raises(self, stem):
+        provider, _ = resolve_provider()
+        entry = getattr(provider, stem)
+        instance = next(iter(_cc_impl.KERNELS[stem][0]))
+        _, args = _smoke_arguments(provider, stem, *instance)
+        for wrong in (args[:-1], [*args, args[-1]], []):
+            with pytest.raises(TypeError, match=f"{stem} takes {len(args)} arguments"):
+                entry(*wrong)
+
+    def test_a_swapped_instance_is_the_one_run(self):
+        """Each entry looks its instance up on every call and hands it
+        the row's arguments with the ``#`` lengths in place."""
+        provider, _ = resolve_provider()
+        for stem, val, acc in _TABLE_INSTANCES:
+            _, args = _smoke_arguments(provider, stem, val, acc)
+            rest, want = iter(args), []
+            for letter in _cc_impl.KERNELS[stem][2].split():
+                want.append(len(want[-1]) if letter == "#" else next(rest))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setitem(provider.bound, (stem, val, acc), lambda *c: c)
+                called = getattr(provider, stem)(*args)
+            assert len(called) == len(want), stem
+            assert all(c is w or c == w for c, w in zip(called, want)), stem
+            assert getattr(provider, stem)(*args) is not DECLINED
 
 
 # ---------------------------------------------------------------------------
